@@ -23,6 +23,12 @@ use cobra_rt::{
 use cobra_verify::check_osr_map;
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
+/// The two host engines every A/B pair below runs side by side.
+const ENGINES: [(&str, HostAccel); 2] = [
+    ("reference", HostAccel::Reference),
+    ("fast", HostAccel::Fast),
+];
+
 fn bench_isa(c: &mut Criterion) {
     let insn = Insn::pred(
         16,
@@ -99,79 +105,17 @@ fn bench_memsys(c: &mut Criterion) {
     });
 }
 
-fn bench_memsys_fastpath(c: &mut Criterion) {
+fn bench_memsys_snoop_miss(c: &mut Criterion) {
     let load = AccessKind::Load {
         fp: true,
         bias: false,
     };
 
-    // Private-hit cost: repeated loads to a line this CPU already holds in
-    // E/M — the case the MRU filter answers without touching the
-    // probe/effects/snoop machinery. The reference path is measured
-    // alongside; the fast path must clear 1.5x before anything is timed by
-    // Criterion, and both passes must agree on outcomes and counters.
-    let private_hit_pass = |fast: bool, n: u64| {
-        let cfg = MachineConfig::smp4().with_host_accel(HostAccel::fast().with_mem_fast_path(fast));
-        let mut ms = MemSystem::new(&cfg);
-        let mut stats: Vec<CpuStats> = (0..4).map(|_| CpuStats::new()).collect();
-        let mut hpm: Vec<Hpm> = (0..4).map(|_| Hpm::new(cfg.dear_min_latency)).collect();
-        ms.access(&mut stats, &mut hpm, 0, 0, 1, load, 0x1000);
-        let mut now = 1_000u64;
-        let mut digest = 0u64;
-        let t0 = std::time::Instant::now();
-        for _ in 0..n {
-            now += 1;
-            let out = ms.access(&mut stats, &mut hpm, 0, now, 1, load, 0x1000);
-            digest ^= out
-                .complete_at
-                .wrapping_mul(3)
-                .wrapping_add(out.stall_until);
-        }
-        (t0.elapsed(), digest, stats[0].clone())
-    };
-    const HITS: u64 = 1_000_000;
-    let (ref_elapsed, ref_digest, ref_stats) = (0..3)
-        .map(|_| private_hit_pass(false, HITS))
-        .min_by_key(|(d, _, _)| *d)
-        .unwrap();
-    let (fast_elapsed, fast_digest, fast_stats) = (0..3)
-        .map(|_| private_hit_pass(true, HITS))
-        .min_by_key(|(d, _, _)| *d)
-        .unwrap();
-    assert_eq!(
-        (ref_digest, ref_stats),
-        (fast_digest, fast_stats),
-        "fast path must answer private hits identically to the reference"
-    );
-    let ratio = ref_elapsed.as_secs_f64() / fast_elapsed.as_secs_f64();
-    assert!(
-        ratio >= 1.5,
-        "private-hit fast path must be >= 1.5x the reference, got {ratio:.2}x \
-         ({ref_elapsed:?} reference vs {fast_elapsed:?} fast)"
-    );
-    let mut g = c.benchmark_group("components/memsys/private_hit_load");
-    for (variant, fast) in [("reference", false), ("fast_path", true)] {
-        g.bench_function(BenchmarkId::from_parameter(variant), |b| {
-            let cfg =
-                MachineConfig::smp4().with_host_accel(HostAccel::fast().with_mem_fast_path(fast));
-            let mut ms = MemSystem::new(&cfg);
-            let mut stats: Vec<CpuStats> = (0..4).map(|_| CpuStats::new()).collect();
-            let mut hpm: Vec<Hpm> = (0..4).map(|_| Hpm::new(cfg.dear_min_latency)).collect();
-            ms.access(&mut stats, &mut hpm, 0, 0, 1, load, 0x1000);
-            let mut now = 1_000u64;
-            b.iter(|| {
-                now += 1;
-                ms.access(&mut stats, &mut hpm, 0, now, 1, load, 0x1000)
-            })
-        });
-    }
-    g.finish();
-
     // Snoop-miss cost: a cold-line load stream where no other hierarchy can
-    // hold the line, so the presence vector lets the fast path skip the
+    // hold the line, so the presence vector lets the fast engine skip the
     // O(num_cpus) snoop loops that the reference walks on every miss.
-    let snoop_miss_pass = |fast: bool, n: u64| {
-        let cfg = MachineConfig::smp4().with_host_accel(HostAccel::fast().with_mem_fast_path(fast));
+    let snoop_miss_pass = |accel: HostAccel, n: u64| {
+        let cfg = MachineConfig::smp4().with_host_accel(accel);
         let mut ms = MemSystem::new(&cfg);
         let mut stats: Vec<CpuStats> = (0..4).map(|_| CpuStats::new()).collect();
         let mut hpm: Vec<Hpm> = (0..4).map(|_| Hpm::new(cfg.dear_min_latency)).collect();
@@ -191,11 +135,11 @@ fn bench_memsys_fastpath(c: &mut Criterion) {
     };
     const MISSES: u64 = 300_000;
     let (miss_ref_elapsed, miss_ref_digest, miss_ref_stats) = (0..3)
-        .map(|_| snoop_miss_pass(false, MISSES))
+        .map(|_| snoop_miss_pass(HostAccel::reference(), MISSES))
         .min_by_key(|(d, _, _)| *d)
         .unwrap();
     let (miss_fast_elapsed, miss_fast_digest, miss_fast_stats) = (0..3)
-        .map(|_| snoop_miss_pass(true, MISSES))
+        .map(|_| snoop_miss_pass(HostAccel::fast(), MISSES))
         .min_by_key(|(d, _, _)| *d)
         .unwrap();
     assert_eq!(
@@ -209,10 +153,9 @@ fn bench_memsys_fastpath(c: &mut Criterion) {
          vs {miss_fast_elapsed:?} fast"
     );
     let mut g = c.benchmark_group("components/memsys/snoop_miss_load");
-    for (variant, fast) in [("reference", false), ("fast_path", true)] {
+    for (variant, accel) in ENGINES {
         g.bench_function(BenchmarkId::from_parameter(variant), |b| {
-            let cfg =
-                MachineConfig::smp4().with_host_accel(HostAccel::fast().with_mem_fast_path(fast));
+            let cfg = MachineConfig::smp4().with_host_accel(accel);
             let mut ms = MemSystem::new(&cfg);
             let mut stats: Vec<CpuStats> = (0..4).map(|_| CpuStats::new()).collect();
             let mut hpm: Vec<Hpm> = (0..4).map(|_| Hpm::new(cfg.dear_min_latency)).collect();
@@ -272,9 +215,9 @@ fn bench_machine_stepping(c: &mut Criterion) {
     // Stall-heavy throughput: a line-striding FP load (one 128-byte line per
     // iteration, so every load misses to memory) feeding an immediate use,
     // which parks all four cores in long all-stalled windows. This is the
-    // case the stall-skip fast path exists for; the per-cycle reference is
-    // benchmarked alongside it so the speedup is visible in the report. Both
-    // configurations must simulate the exact same machine — asserted below
+    // case the fast engine's stall skip exists for; the per-cycle reference
+    // is benchmarked alongside it so the speedup is visible in the report.
+    // Both engines must simulate the exact same machine — asserted below
     // before anything is timed.
     let stall_image = {
         let mut a = Assembler::new();
@@ -289,12 +232,8 @@ fn bench_machine_stepping(c: &mut Criterion) {
         a.hlt();
         a.finish()
     };
-    let run_stall_heavy = |stall_skip: bool, mem_fast_path: bool| {
-        let cfg = MachineConfig::smp4().with_host_accel(
-            HostAccel::fast()
-                .with_stall_skip(stall_skip)
-                .with_mem_fast_path(mem_fast_path),
-        );
+    let run_stall_heavy = |accel: HostAccel| {
+        let cfg = MachineConfig::smp4().with_host_accel(accel);
         let mut m = Machine::new(cfg, stall_image.clone());
         for cpu in 0..4 {
             m.spawn_thread(cpu, 0, &[]);
@@ -302,32 +241,17 @@ fn bench_machine_stepping(c: &mut Criterion) {
         m.run_quantum(200_000);
         m
     };
-    let reference = run_stall_heavy(false, true);
-    let fast = run_stall_heavy(true, true);
-    let mem_ref = run_stall_heavy(true, false);
+    let reference = run_stall_heavy(HostAccel::reference());
+    let fast = run_stall_heavy(HostAccel::fast());
     assert_eq!(
         (reference.cycle(), reference.total_stats()),
         (fast.cycle(), fast.total_stats()),
-        "stall-skip fast path must be cycle- and counter-identical"
-    );
-    assert_eq!(
-        (mem_ref.cycle(), mem_ref.total_stats()),
-        (fast.cycle(), fast.total_stats()),
-        "memory fast path must be cycle- and counter-identical"
+        "the fast engine must be cycle- and counter-identical"
     );
     let mut group = c.benchmark_group("components/machine/stall_heavy_200k_cycles");
-    for (variant, stall_skip, mem_fast_path) in [
-        ("per_cycle", false, true),
-        ("stall_skip", true, true),
-        ("stall_skip_memref", true, false),
-    ] {
+    for (variant, accel) in ENGINES {
         group.bench_function(BenchmarkId::from_parameter(variant), |b| {
-            b.iter(|| {
-                run_stall_heavy(
-                    criterion::black_box(stall_skip),
-                    criterion::black_box(mem_fast_path),
-                )
-            })
+            b.iter(|| run_stall_heavy(criterion::black_box(accel)))
         });
     }
     group.finish();
@@ -377,16 +301,15 @@ fn decision_inputs() -> (cobra_isa::CodeImage, SystemProfile) {
     (image, profile)
 }
 
-/// Pre-decoded block dispatch: the solo-core fast path must clear 1.5x over
-/// the per-cycle reference stepper (it targets ~5x) on the arithmetic-loop
-/// fixture, and the two runs must be bit-identical — cycle count, every
-/// event counter, and the architectural registers the loop touches.
+/// Pre-decoded block dispatch: on the solo arithmetic-loop fixture the fast
+/// engine must clear 1.5x over the per-cycle reference stepper (it targets
+/// ~5x), and the two runs must be bit-identical — cycle count, every event
+/// counter, and the architectural registers the loop touches.
 fn bench_block_dispatch(c: &mut Criterion) {
     let image = arith_loop_image();
     const CYCLES: u64 = 2_000_000;
-    let dispatch_pass = |block: bool| {
-        let cfg =
-            MachineConfig::smp4().with_host_accel(HostAccel::fast().with_block_dispatch(block));
+    let dispatch_pass = |accel: HostAccel| {
+        let cfg = MachineConfig::smp4().with_host_accel(accel);
         let mut m = Machine::new(cfg, image.clone());
         m.spawn_thread(0, 0, &[]);
         let t0 = std::time::Instant::now();
@@ -397,11 +320,11 @@ fn bench_block_dispatch(c: &mut Criterion) {
         (elapsed, state)
     };
     let (ref_elapsed, ref_state) = (0..3)
-        .map(|_| dispatch_pass(false))
+        .map(|_| dispatch_pass(HostAccel::reference()))
         .min_by_key(|(d, _)| *d)
         .unwrap();
     let (blk_elapsed, blk_state) = (0..3)
-        .map(|_| dispatch_pass(true))
+        .map(|_| dispatch_pass(HostAccel::fast()))
         .min_by_key(|(d, _)| *d)
         .unwrap();
     assert_eq!(
@@ -421,20 +344,19 @@ fn bench_block_dispatch(c: &mut Criterion) {
         (ratio * 1000.0) as u64,
     );
     let mut g = c.benchmark_group("components/machine/block_dispatch_2m_cycles");
-    for (variant, block) in [("per_cycle", false), ("block_dispatch", true)] {
+    for (variant, accel) in ENGINES {
         g.bench_function(BenchmarkId::from_parameter(variant), |b| {
-            b.iter(|| dispatch_pass(criterion::black_box(block)))
+            b.iter(|| dispatch_pass(criterion::black_box(accel)))
         });
     }
     g.finish();
 }
 
 /// Lockstep multicore block dispatch: with all four cores running the
-/// arithmetic loop, the safe-horizon engine must clear 2x over the same
-/// block engine with the lockstep switch off (which falls back to per-cycle
-/// interleaving whenever more than one core runs), and the two runs must be
-/// bit-identical — cycle count, every event counter, and each core's
-/// architectural state.
+/// arithmetic loop and HPM sampling programmed, the fast engine's
+/// safe-horizon stretches must clear 2x over the per-cycle reference, and
+/// the two runs must be bit-identical — cycle count, every event counter,
+/// each core's architectural state, and the overflow capture streams.
 fn bench_multicore_dispatch(c: &mut Criterion) {
     // Independent add chains: a full-width (3 uops/cycle) arithmetic body,
     // the regime optimized loop code runs in between memory operations.
@@ -452,13 +374,12 @@ fn bench_multicore_dispatch(c: &mut Criterion) {
         a.finish()
     };
     const CYCLES: u64 = 1_000_000;
-    let dispatch_pass = |lockstep: bool| {
-        let cfg = MachineConfig::smp4()
-            .with_host_accel(HostAccel::fast().with_block_dispatch_multicore(lockstep));
+    let dispatch_pass = |accel: HostAccel| {
+        let cfg = MachineConfig::smp4().with_host_accel(accel);
         let mut m = Machine::new(cfg, image.clone());
         for cpu in 0..4 {
             // Sampling stays programmed on every CPU, as the perfmon driver
-            // leaves it during attached runs: the interleaved loop polls for
+            // leaves it during attached runs: the reference loop polls for
             // overflow on each core every cycle, while lockstep stretches are
             // capped by the sampling gate and poll once per stretch.
             m.shared.hpm[cpu].program_sampling(
@@ -490,8 +411,8 @@ fn bench_multicore_dispatch(c: &mut Criterion) {
     // ratio, instead of one unlucky back-to-back group.
     let mut best: [Option<(std::time::Duration, _)>; 2] = [None, None];
     for _ in 0..5 {
-        for (slot, lockstep) in [(0usize, false), (1usize, true)] {
-            let (elapsed, state) = dispatch_pass(lockstep);
+        for (slot, (_, accel)) in ENGINES.into_iter().enumerate() {
+            let (elapsed, state) = dispatch_pass(accel);
             if let Some((prev_elapsed, prev_state)) = &best[slot] {
                 assert_eq!(prev_state, &state, "dispatch runs must be deterministic");
                 if elapsed >= *prev_elapsed {
@@ -506,16 +427,16 @@ fn bench_multicore_dispatch(c: &mut Criterion) {
     };
     assert_eq!(
         ref_state, lock_state,
-        "lockstep dispatch must be bit-identical to per-cycle interleaving"
+        "lockstep dispatch must be bit-identical to the per-cycle reference"
     );
     let ratio = ref_elapsed.as_secs_f64() / lock_elapsed.as_secs_f64();
     assert!(
         ratio >= 2.0,
-        "lockstep multicore dispatch must be >= 2x the per-cycle interleave, got {ratio:.2}x \
-         ({ref_elapsed:?} interleaved vs {lock_elapsed:?} lockstep)"
+        "lockstep multicore dispatch must be >= 2x the per-cycle reference, got {ratio:.2}x \
+         ({ref_elapsed:?} reference vs {lock_elapsed:?} lockstep)"
     );
     eprintln!(
-        "multicore lockstep dispatch: {ratio:.2}x ({ref_elapsed:?} interleaved vs \
+        "multicore lockstep dispatch: {ratio:.2}x ({ref_elapsed:?} reference vs \
          {lock_elapsed:?} lockstep)"
     );
     bench_metric(
@@ -525,9 +446,9 @@ fn bench_multicore_dispatch(c: &mut Criterion) {
         (ratio * 1000.0) as u64,
     );
     let mut g = c.benchmark_group("components/machine/multicore_dispatch_1m_cycles");
-    for (variant, lockstep) in [("interleaved", false), ("lockstep", true)] {
+    for (variant, accel) in ENGINES {
         g.bench_function(BenchmarkId::from_parameter(variant), |b| {
-            b.iter(|| dispatch_pass(criterion::black_box(lockstep)))
+            b.iter(|| dispatch_pass(criterion::black_box(accel)))
         });
     }
     g.finish();
@@ -874,7 +795,7 @@ criterion_group!(
     benches,
     bench_isa,
     bench_memsys,
-    bench_memsys_fastpath,
+    bench_memsys_snoop_miss,
     bench_machine_stepping,
     bench_block_dispatch,
     bench_multicore_dispatch,

@@ -699,8 +699,6 @@ impl Cobra {
         self.report.block_fallback_cycles = blocks.fallback_cycles();
         self.report.block_fallback_mem_boundary = blocks.fallback_mem_boundary;
         self.report.block_fallback_sampling = blocks.fallback_sampling;
-        self.report.block_fallback_no_running = blocks.fallback_no_running;
-        self.report.block_fallback_other = blocks.fallback_other;
         self.report.block_horizon_stretches = blocks.horizon_stretches;
         self.report.block_horizon_cycles = blocks.horizon_cycles;
         self.driver.detach(machine);
@@ -779,8 +777,6 @@ impl Cobra {
                 records_dropped: hub.dropped(),
                 block_fallback_mem_boundary: blocks.fallback_mem_boundary,
                 block_fallback_sampling: blocks.fallback_sampling,
-                block_fallback_no_running: blocks.fallback_no_running,
-                block_fallback_other: blocks.fallback_other,
                 block_horizon_stretches: blocks.horizon_stretches,
                 block_horizon_cycles: blocks.horizon_cycles,
             });
@@ -996,12 +992,12 @@ mod tests {
         assert_eq!(report.telemetry_dropped, 0);
     }
 
-    /// The stall-skip fast path must be invisible to the whole pipeline:
-    /// a memory-bound parallel region under COBRA lands on the same final
-    /// cycle, event totals, and sample counts with the fast path on or off.
+    /// The fast engine must be invisible to the whole pipeline: a
+    /// stall-dominated memory-bound parallel region under COBRA lands on the
+    /// same final cycle, event totals, and sample counts on either engine.
     #[test]
     fn stall_skip_fast_path_is_invisible_to_the_pipeline() {
-        let run = |stall_skip: bool| {
+        let run = |accel: HostAccel| {
             let image = {
                 let mut a = cobra_isa::Assembler::new();
                 a.movi(4, 0x1000);
@@ -1015,11 +1011,7 @@ mod tests {
                 a.hlt();
                 a.finish()
             };
-            let mut m = Machine::new(
-                MachineConfig::smp4()
-                    .with_host_accel(HostAccel::fast().with_stall_skip(stall_skip)),
-                image,
-            );
+            let mut m = Machine::new(MachineConfig::smp4().with_host_accel(accel), image);
             let mut cobra = Cobra::builder().attach(&mut m);
             let rt = OmpRuntime {
                 quantum: 1000,
@@ -1029,9 +1021,7 @@ mod tests {
             let report = cobra.detach(&mut m);
             (m.cycle(), m.total_stats(), report.samples_forwarded)
         };
-        let reference = run(false);
-        let fast = run(true);
-        assert_eq!(reference, fast);
+        assert_eq!(run(HostAccel::reference()), run(HostAccel::fast()));
     }
 
     /// A revert whose restore write lands out of range must degrade — count

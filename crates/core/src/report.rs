@@ -115,24 +115,17 @@ pub struct CobraReport {
     /// Block-cache invalidation rounds forced by patch/revert/append.
     #[serde(default)]
     pub block_invalidations: u64,
-    /// Cycles that fell out of block mode back to the reference stepper
+    /// Cycles the fast engine ran one at a time instead of in a stretch
     /// (sum of the per-reason counters below).
     #[serde(default)]
     pub block_fallback_cycles: u64,
-    /// Fallback cycles at a lockstep multicore memory boundary (the safe
-    /// horizon was zero: some running core sits on a memory-capable uop).
+    /// Fallback cycles at a lockstep multicore memory boundary (no safe
+    /// horizon: some running core sits at or near a memory-capable uop).
     #[serde(default)]
     pub block_fallback_mem_boundary: u64,
-    /// Fallback cycles while HPM overflow sampling was programmed.
+    /// Fallback cycles at an HPM sampling crossing.
     #[serde(default)]
     pub block_fallback_sampling: u64,
-    /// Fallback cycles with no core running (stall-skip off).
-    #[serde(default)]
-    pub block_fallback_no_running: u64,
-    /// Remaining fallback cycles (solo stretch declined, lockstep switch
-    /// off, ...).
-    #[serde(default)]
-    pub block_fallback_other: u64,
     /// Lockstep multicore stretches executed by the block engine.
     #[serde(default)]
     pub block_horizon_stretches: u64,

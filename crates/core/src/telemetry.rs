@@ -312,9 +312,9 @@ pub enum TelemetryEvent {
         reason: String,
     },
     /// The framework detached; final counters. The `block_*` fields carry
-    /// the block-dispatch fallback breakdown (why cycles left the block
-    /// engine for the per-cycle reference loop) and the lockstep horizon
-    /// totals; traces written before the breakdown existed load with zeros.
+    /// the block-dispatch fallback breakdown (why cycles ran one at a time
+    /// instead of in a stretch) and the lockstep horizon totals; traces
+    /// written before the breakdown existed load with zeros.
     Detach {
         tick: u64,
         cycle: u64,
@@ -323,10 +323,6 @@ pub enum TelemetryEvent {
         block_fallback_mem_boundary: u64,
         #[serde(default)]
         block_fallback_sampling: u64,
-        #[serde(default)]
-        block_fallback_no_running: u64,
-        #[serde(default)]
-        block_fallback_other: u64,
         #[serde(default)]
         block_horizon_stretches: u64,
         #[serde(default)]
@@ -677,8 +673,6 @@ impl TraceSummary {
                     records_dropped: d,
                     block_fallback_mem_boundary,
                     block_fallback_sampling,
-                    block_fallback_no_running,
-                    block_fallback_other,
                     block_horizon_stretches,
                     block_horizon_cycles,
                     ..
@@ -687,8 +681,6 @@ impl TraceSummary {
                     block_fallbacks = [
                         ("multi_core_mem_boundary", *block_fallback_mem_boundary),
                         ("sampling", *block_fallback_sampling),
-                        ("no_running_core", *block_fallback_no_running),
-                        ("other", *block_fallback_other),
                     ]
                     .into_iter()
                     .filter(|&(_, n)| n > 0)
@@ -928,8 +920,6 @@ mod tests {
                     records_dropped: 7,
                     block_fallback_mem_boundary: 12,
                     block_fallback_sampling: 0,
-                    block_fallback_no_running: 0,
-                    block_fallback_other: 3,
                     block_horizon_stretches: 5,
                     block_horizon_cycles: 480,
                 },
@@ -943,10 +933,7 @@ mod tests {
         assert_eq!(s.records_dropped, 7);
         assert_eq!(
             s.block_fallbacks,
-            vec![
-                ("multi_core_mem_boundary".to_string(), 12),
-                ("other".to_string(), 3)
-            ],
+            vec![("multi_core_mem_boundary".to_string(), 12)],
             "zero reasons are omitted"
         );
         assert_eq!(s.block_horizons, (5, 480));
@@ -1029,8 +1016,6 @@ mod tests {
                 records_dropped: 2,
                 block_fallback_mem_boundary: 0,
                 block_fallback_sampling: 0,
-                block_fallback_no_running: 0,
-                block_fallback_other: 0,
                 block_horizon_stretches: 0,
                 block_horizon_cycles: 0,
             },

@@ -150,28 +150,22 @@ enum PastEnd {
     Unknown,
 }
 
-/// Why one machine cycle fell back to the per-cycle reference loop while
-/// block dispatch was enabled. The breakdown makes the residual per-cycle
-/// time attributable: a hot `MemBoundary` count means the lockstep engine is
-/// engaging but the code is memory-dense; a hot `Sampling` count means HPM
-/// overflow sampling is pinning the machine to the reference loop; `Other`
-/// covers solo-core cycles the solo engine could not stretch (stalled core
-/// with stall-skip off, block-mode-off multicore cycles).
+/// Why machine cycles ran one at a time, cores interleaved, instead of in a
+/// stretch. The breakdown makes the residual per-cycle time attributable: a
+/// hot `MultiCoreMemBoundary` count means the lockstep engine is engaging
+/// but the code is memory-dense; a hot `Sampling` count means HPM overflow
+/// sampling keeps landing crossings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FallbackReason {
-    /// Lockstep multicore dispatch engaged but the safe horizon was zero: at
-    /// least one running core sits on (or within the same issue cycle as) a
-    /// memory-capable uop, so the cycle must run interleaved.
+    /// Two or more cores running and no safe horizon worth a stretch: some
+    /// core sits on (or within a few issue cycles of) a memory-capable uop,
+    /// or an OSR redirect is armed, so the cycles run interleaved — still
+    /// through pre-decoded dispatch.
     MultiCoreMemBoundary,
-    /// HPM overflow sampling is programmed; block mode is disabled outright
-    /// so overflow polls land on exact reference cycles.
+    /// A sampled counter may cross its threshold this cycle (or samples an
+    /// event with no per-cycle bound), so the cycle runs through the polled
+    /// reference step and the capture lands on the exact reference cycle.
     Sampling,
-    /// No core is `Running` (all stalled/idle with stall-skip off): nothing
-    /// to stretch.
-    NoRunningCore,
-    /// Any other per-cycle residue (solo stretch declined, multicore with
-    /// the lockstep switch off, ...).
-    Other,
 }
 
 /// Telemetry counters of one [`BlockCache`] (surfaced in `CobraReport`).
@@ -184,13 +178,8 @@ pub struct BlockStats {
     /// Fallback cycles at a multicore memory boundary
     /// ([`FallbackReason::MultiCoreMemBoundary`]).
     pub fallback_mem_boundary: u64,
-    /// Fallback cycles while HPM sampling was programmed
-    /// ([`FallbackReason::Sampling`]).
+    /// Fallback cycles at a sampling crossing ([`FallbackReason::Sampling`]).
     pub fallback_sampling: u64,
-    /// Fallback cycles with no running core ([`FallbackReason::NoRunningCore`]).
-    pub fallback_no_running: u64,
-    /// Remaining fallback cycles ([`FallbackReason::Other`]).
-    pub fallback_other: u64,
     /// Lockstep multicore stretches executed (each covers ≥1 cycle on every
     /// running core).
     pub horizon_stretches: u64,
@@ -199,13 +188,10 @@ pub struct BlockStats {
 }
 
 impl BlockStats {
-    /// Total machine cycles executed via the per-cycle fallback while block
-    /// dispatch was enabled (the sum of the per-reason counters).
+    /// Total machine cycles that ran one at a time under the fast engine
+    /// (the sum of the per-reason counters).
     pub fn fallback_cycles(&self) -> u64 {
-        self.fallback_mem_boundary
-            + self.fallback_sampling
-            + self.fallback_no_running
-            + self.fallback_other
+        self.fallback_mem_boundary + self.fallback_sampling
     }
 }
 
@@ -274,21 +260,12 @@ impl BlockCache {
         self.map.contains_key(&entry)
     }
 
-    /// Count one machine cycle executed via the per-cycle fallback.
+    /// Count `cycles` one-at-a-time machine cycles attributed to `reason`.
     #[inline]
-    pub fn note_fallback(&mut self, reason: FallbackReason) {
-        self.note_fallback_cycles(reason, 1);
-    }
-
-    /// Count `cycles` per-cycle fallback cycles attributed to `reason` at
-    /// once (batched boundary interleaving).
-    #[inline]
-    pub fn note_fallback_cycles(&mut self, reason: FallbackReason, cycles: u64) {
+    pub fn note_fallback(&mut self, reason: FallbackReason, cycles: u64) {
         match reason {
             FallbackReason::MultiCoreMemBoundary => self.stats.fallback_mem_boundary += cycles,
             FallbackReason::Sampling => self.stats.fallback_sampling += cycles,
-            FallbackReason::NoRunningCore => self.stats.fallback_no_running += cycles,
-            FallbackReason::Other => self.stats.fallback_other += cycles,
         }
     }
 

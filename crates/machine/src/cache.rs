@@ -226,25 +226,6 @@ impl PrivateHierarchy {
         self.l3.peek(line)
     }
 
-    /// L1-line granularity of one coherence line.
-    #[inline]
-    pub fn l1_lines_per_coherence_line(&self) -> u64 {
-        self.l1_lines_per_coherence_line
-    }
-
-    /// Whether a coherence line is L2-resident (non-perturbing — used when
-    /// arming the memory system's MRU filter, which must not touch LRU).
-    #[inline]
-    pub fn l2_resident(&self, line: LineAddr) -> bool {
-        self.l2.peek(line).is_some()
-    }
-
-    /// Whether an L1-granularity line is L1D-resident (non-perturbing).
-    #[inline]
-    pub fn l1_resident(&self, l1_line: LineAddr) -> bool {
-        self.l1.peek(l1_line).is_some()
-    }
-
     /// Probe for a load. `fp` loads skip L1; `l1_line` is the L1-granularity
     /// line address of the access (only consulted for integer loads).
     pub fn probe_load(&mut self, line: LineAddr, l1_line: LineAddr, fp: bool) -> Option<HitLevel> {

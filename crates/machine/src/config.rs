@@ -44,13 +44,7 @@ pub enum Topology {
 }
 
 /// Full machine description.
-///
-/// `Deserialize` is hand-written (below) for wire back-compat: configs
-/// serialized before the [`HostAccel`] sub-struct existed carried flat
-/// `stall_skip` / `mem_fast_path` booleans at the top level; those are still
-/// honored when the nested `host_accel` object is absent, and any missing
-/// switch defaults to on.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MachineConfig {
     /// Human-readable name used in experiment reports.
     pub name: String,
@@ -99,147 +93,69 @@ pub struct MachineConfig {
     pub fp_long_latency: u64,
     /// Size of data memory in bytes.
     pub mem_bytes: usize,
-    /// Host-acceleration switches (see [`HostAccel`]). Every switch is a
-    /// *host* speed/accuracy-free toggle: simulation results are bit-identical
-    /// in every combination, enforced by the per-switch equivalence suites.
+    /// Which host execution engine simulates this machine (see
+    /// [`HostAccel`]). Never changes what is simulated.
     pub host_accel: HostAccel,
 }
 
-/// Host-side acceleration switches of the simulator. None of them changes
-/// what is simulated — each selects a faster execution strategy whose
-/// results are bit-identical to the per-cycle reference loop (each is backed
-/// by its own property-based equivalence suite). [`HostAccel::reference`]
-/// turns everything off; the default is everything on.
+/// Host execution engine of the simulator. The choice never changes what is
+/// simulated: [`HostAccel::Fast`] is bit-identical to
+/// [`HostAccel::Reference`] on every observable (cycles, counters, overflow
+/// captures, DEAR, MESI state, memory, registers), enforced by the
+/// equivalence suites under `tests/`, each of which runs one against the
+/// other.
 ///
-/// A single environment override point covers all switches:
-/// `COBRA_HOST_ACCEL=reference|fast|<flag>=<0|1>,...` is applied by every
-/// config constructor ([`MachineConfig::smp`] and friends). The legacy
-/// `COBRA_MEM_FAST_PATH=0` override remains honored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HostAccel {
-    /// Event-driven stall skip: when every bound core is stalled on a known
-    /// wake-up cycle (or idle), [`crate::Machine::run`] jumps the clock to
-    /// the earliest wake-up point instead of stepping cycle-by-cycle
-    /// (`stall_skip_equivalence` suite).
-    #[serde(default = "default_on")]
-    pub stall_skip: bool,
-    /// Memory-system private-hit fast path: a per-CPU MRU line filter in
-    /// front of [`crate::MemSystem::access`] short-circuits the full
-    /// probe/snoop machinery for repeated accesses to a line the CPU already
-    /// holds Modified/Exclusive, and a presence vector skips the
-    /// O(num_cpus) snoop loops when no other hierarchy can hold the line
-    /// (`mem_fastpath_equivalence` suite).
-    #[serde(default = "default_on")]
-    pub mem_fast_path: bool,
-    /// Pre-decoded block dispatch: instructions are lowered once into flat
-    /// micro-op basic blocks (cached per program-text generation, see
-    /// `crate::blocks`), the cores fetch through block cursors instead of
-    /// re-matching opcodes per slot, and [`crate::Machine::run`] executes
-    /// consecutive cycles of a solo running core in one tight loop
-    /// (`block_dispatch_equivalence` suite).
-    #[serde(default = "default_on")]
-    pub block_dispatch: bool,
-    /// Lockstep multicore block dispatch: with two or more cores running,
-    /// [`crate::Machine::run`] computes a safe horizon (min cycles until any
-    /// running core can issue a memory-capable micro-op) and runs each
-    /// core's stretch back-to-back on a local clock within it, dropping to
-    /// per-cycle stepping only for the memory cycles themselves. Requires
-    /// [`Self::block_dispatch`]; covered by the same
-    /// `block_dispatch_equivalence` suite.
-    #[serde(default = "default_on")]
-    pub block_dispatch_multicore: bool,
-}
-
-fn default_on() -> bool {
-    true
-}
-
-impl Default for HostAccel {
-    fn default() -> Self {
-        Self::fast()
-    }
+/// Every config constructor ([`MachineConfig::smp`] and friends) reads the
+/// one environment override, `COBRA_HOST_ACCEL=reference|fast`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub enum HostAccel {
+    /// The per-cycle, per-access oracle: [`crate::Machine::step`] every
+    /// cycle, every instruction through the full interpreter, every snoop
+    /// walking all CPUs.
+    Reference,
+    /// The default engine: all-stalled windows are skipped in bulk, cores
+    /// issue pre-decoded micro-ops out of the block cache (see
+    /// `crate::blocks`) in stretches wherever no cross-core effect can land,
+    /// and a per-line presence vector skips snoop walks no hierarchy could
+    /// answer.
+    #[default]
+    Fast,
 }
 
 impl HostAccel {
-    /// Every fast path on (the default).
+    /// The default engine.
     pub fn fast() -> Self {
-        HostAccel {
-            stall_skip: true,
-            mem_fast_path: true,
-            block_dispatch: true,
-            block_dispatch_multicore: true,
-        }
+        Self::Fast
     }
 
-    /// Every fast path off: the per-cycle, per-access reference simulator.
+    /// The per-cycle, per-access reference simulator.
     pub fn reference() -> Self {
-        HostAccel {
-            stall_skip: false,
-            mem_fast_path: false,
-            block_dispatch: false,
-            block_dispatch_multicore: false,
+        Self::Reference
+    }
+
+    /// Parse a `COBRA_HOST_ACCEL` value: exactly `reference` or `fast`.
+    fn parse(value: &str) -> Result<Self, String> {
+        match value {
+            "reference" => Ok(Self::Reference),
+            "fast" => Ok(Self::Fast),
+            other => Err(format!(
+                "COBRA_HOST_ACCEL={other:?} is not an engine: accepted values are \
+                 `reference` and `fast`"
+            )),
         }
     }
 
-    /// Builder-style single-switch toggles.
-    pub fn with_stall_skip(mut self, on: bool) -> Self {
-        self.stall_skip = on;
-        self
-    }
-
-    pub fn with_mem_fast_path(mut self, on: bool) -> Self {
-        self.mem_fast_path = on;
-        self
-    }
-
-    pub fn with_block_dispatch(mut self, on: bool) -> Self {
-        self.block_dispatch = on;
-        self
-    }
-
-    pub fn with_block_dispatch_multicore(mut self, on: bool) -> Self {
-        self.block_dispatch_multicore = on;
-        self
-    }
-
-    /// Apply a `COBRA_HOST_ACCEL` specification string: a comma-separated
-    /// list of `reference`, `fast`, or `<flag>=<value>` tokens applied left
-    /// to right (`value`: `1`/`true`/`on` enables, anything else disables;
-    /// unknown flags are ignored so newer specs degrade gracefully).
-    pub fn apply_spec(mut self, spec: &str) -> Self {
-        for tok in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-            match tok {
-                "reference" => self = Self::reference(),
-                "fast" => self = Self::fast(),
-                _ => {
-                    if let Some((k, v)) = tok.split_once('=') {
-                        let on = matches!(v.trim(), "1" | "true" | "on");
-                        match k.trim() {
-                            "stall_skip" => self.stall_skip = on,
-                            "mem_fast_path" => self.mem_fast_path = on,
-                            "block_dispatch" => self.block_dispatch = on,
-                            "block_dispatch_multicore" => self.block_dispatch_multicore = on,
-                            _ => {}
-                        }
-                    }
-                }
-            }
+    /// The engine `COBRA_HOST_ACCEL` names, [`Self::Fast`] when it is unset.
+    ///
+    /// # Panics
+    /// On any other value: a misspelt override must not silently test the
+    /// default engine.
+    fn from_env() -> Self {
+        match std::env::var("COBRA_HOST_ACCEL") {
+            Ok(value) => Self::parse(&value).unwrap_or_else(|e| panic!("{e}")),
+            Err(std::env::VarError::NotPresent) => Self::Fast,
+            Err(e) => panic!("COBRA_HOST_ACCEL: {e}"),
         }
-        self
-    }
-
-    /// Apply the environment overrides: `COBRA_HOST_ACCEL` (the documented
-    /// override point, see [`Self::apply_spec`]) and the legacy
-    /// `COBRA_MEM_FAST_PATH=0` (forces the reference memory path; kept so
-    /// existing CI jobs and scripts stay meaningful).
-    pub fn env_override(mut self) -> Self {
-        if let Ok(spec) = std::env::var("COBRA_HOST_ACCEL") {
-            self = self.apply_spec(&spec);
-        }
-        if matches!(std::env::var("COBRA_MEM_FAST_PATH"), Ok(v) if v == "0") {
-            self.mem_fast_path = false;
-        }
-        self
     }
 }
 
@@ -250,6 +166,10 @@ impl MachineConfig {
     }
 
     /// An SMP with `n` CPUs on one front-side bus.
+    ///
+    /// # Panics
+    /// Like every constructor, when `COBRA_HOST_ACCEL` is set to anything
+    /// but `reference` or `fast`.
     pub fn smp(n: usize) -> Self {
         MachineConfig {
             name: format!("smp{n}"),
@@ -289,7 +209,7 @@ impl MachineConfig {
             fp_latency: 4,
             fp_long_latency: 30,
             mem_bytes: 64 << 20,
-            host_accel: HostAccel::fast().env_override(),
+            host_accel: HostAccel::from_env(),
         }
     }
 
@@ -323,30 +243,9 @@ impl MachineConfig {
         cfg
     }
 
-    /// Same configuration with the given host-acceleration switches (the
-    /// single builder entry point for all host fast paths).
+    /// Same configuration on the given host execution engine.
     pub fn with_host_accel(mut self, accel: HostAccel) -> Self {
         self.host_accel = accel;
-        self
-    }
-
-    /// Same configuration with the stall-skip fast path toggled.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `with_host_accel(cfg.host_accel.with_stall_skip(on))`"
-    )]
-    pub fn with_stall_skip(mut self, on: bool) -> Self {
-        self.host_accel.stall_skip = on;
-        self
-    }
-
-    /// Same configuration with the memory-system hit fast path toggled.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `with_host_accel(cfg.host_accel.with_mem_fast_path(on))`"
-    )]
-    pub fn with_mem_fast_path(mut self, on: bool) -> Self {
-        self.host_accel.mem_fast_path = on;
         self
     }
 
@@ -381,55 +280,6 @@ impl MachineConfig {
     /// Coherence/memory line size (L2/L3 line — the coherence granule).
     pub fn coherence_line(&self) -> usize {
         self.l2.line
-    }
-}
-
-/// Hand-written for wire back-compat (the derive shim has no `flatten`):
-/// prefer the nested `host_accel` object; fall back to the legacy flat
-/// `stall_skip` / `mem_fast_path` booleans of pre-`HostAccel` configs, with
-/// every absent switch defaulting to on — the same policy the old per-field
-/// `#[serde(default)]` attributes implemented.
-impl Deserialize for MachineConfig {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::de::Error> {
-        const TY: &str = "MachineConfig";
-        let serde::Value::Object(fields) = value else {
-            return Err(serde::de::Error::unexpected("object", value));
-        };
-        let host_accel = match serde::de::field_opt::<HostAccel>(fields, "host_accel", TY)? {
-            Some(accel) => accel,
-            None => HostAccel {
-                stall_skip: serde::de::field_opt(fields, "stall_skip", TY)?.unwrap_or(true),
-                mem_fast_path: serde::de::field_opt(fields, "mem_fast_path", TY)?.unwrap_or(true),
-                // Pre-date every legacy config: always default on.
-                block_dispatch: true,
-                block_dispatch_multicore: true,
-            },
-        };
-        Ok(MachineConfig {
-            name: serde::de::field(fields, "name", TY)?,
-            num_cpus: serde::de::field(fields, "num_cpus", TY)?,
-            topology: serde::de::field(fields, "topology", TY)?,
-            l1d: serde::de::field(fields, "l1d", TY)?,
-            l2: serde::de::field(fields, "l2", TY)?,
-            l3: serde::de::field(fields, "l3", TY)?,
-            mem_latency: serde::de::field(fields, "mem_latency", TY)?,
-            hitm_latency: serde::de::field(fields, "hitm_latency", TY)?,
-            cache2cache_latency: serde::de::field(fields, "cache2cache_latency", TY)?,
-            upgrade_latency: serde::de::field(fields, "upgrade_latency", TY)?,
-            snoop_stall: serde::de::field(fields, "snoop_stall", TY)?,
-            numa_remote_penalty: serde::de::field(fields, "numa_remote_penalty", TY)?,
-            numa_remote_hitm_penalty: serde::de::field(fields, "numa_remote_hitm_penalty", TY)?,
-            numa_hop_latency: serde::de::field(fields, "numa_hop_latency", TY)?,
-            numa_page_bytes: serde::de::field(fields, "numa_page_bytes", TY)?,
-            bus_occupancy: serde::de::field(fields, "bus_occupancy", TY)?,
-            mshrs_per_cpu: serde::de::field(fields, "mshrs_per_cpu", TY)?,
-            store_buffer_entries: serde::de::field(fields, "store_buffer_entries", TY)?,
-            dear_min_latency: serde::de::field(fields, "dear_min_latency", TY)?,
-            fp_latency: serde::de::field(fields, "fp_latency", TY)?,
-            fp_long_latency: serde::de::field(fields, "fp_long_latency", TY)?,
-            mem_bytes: serde::de::field(fields, "mem_bytes", TY)?,
-            host_accel,
-        })
     }
 }
 
@@ -495,79 +345,9 @@ mod tests {
         let _ = MachineConfig::altix(3);
     }
 
-    /// Serialize a config, then rewrite its top-level fields into the legacy
-    /// flat wire shape: drop the nested `host_accel` object and splice in
-    /// whatever flat booleans the old format carried.
-    fn legacy_value(flat: &[(&str, bool)]) -> serde::Value {
-        let mut v = serde::Serialize::to_value(&MachineConfig::smp4());
-        let serde::Value::Object(fields) = &mut v else {
-            panic!("config serializes to an object");
-        };
-        fields.retain(|(k, _)| k != "host_accel");
-        for &(k, b) in flat {
-            fields.push((k.to_string(), serde::Value::Bool(b)));
-        }
-        v
-    }
-
-    /// Configs serialized before `stall_skip` existed must still load, with
-    /// the fast path defaulting to on (flat legacy wire shape: no
-    /// `host_accel` object, no `stall_skip` key).
-    #[test]
-    fn config_without_stall_skip_field_defaults_on() {
-        let v = legacy_value(&[("mem_fast_path", false)]);
-        let cfg: MachineConfig = serde::Deserialize::from_value(&v).expect("tolerant deserialize");
-        assert!(cfg.host_accel.stall_skip);
-        assert!(!cfg.host_accel.mem_fast_path, "flat legacy key is honored");
-        assert!(cfg.host_accel.block_dispatch);
-    }
-
-    /// Configs serialized before `mem_fast_path` existed must still load,
-    /// with the fast path defaulting to on.
-    #[test]
-    fn config_without_mem_fast_path_field_defaults_on() {
-        let v = legacy_value(&[("stall_skip", false)]);
-        let cfg: MachineConfig = serde::Deserialize::from_value(&v).expect("tolerant deserialize");
-        assert!(cfg.host_accel.mem_fast_path);
-        assert!(!cfg.host_accel.stall_skip, "flat legacy key is honored");
-        assert!(cfg.host_accel.block_dispatch);
-    }
-
-    /// Configs serialized before `block_dispatch` existed (a `host_accel`
-    /// object without the key) must still load with the engine on.
-    #[test]
-    fn config_without_block_dispatch_field_defaults_on() {
-        let mut v = serde::Serialize::to_value(
-            &MachineConfig::smp4().with_host_accel(HostAccel::reference()),
-        );
-        let serde::Value::Object(fields) = &mut v else {
-            panic!("config serializes to an object");
-        };
-        let accel = fields
-            .iter_mut()
-            .find(|(k, _)| k == "host_accel")
-            .map(|(_, v)| v)
-            .expect("host_accel serialized");
-        let serde::Value::Object(accel_fields) = accel else {
-            panic!("host_accel serializes to an object");
-        };
-        accel_fields.retain(|(k, _)| k != "block_dispatch");
-        let cfg: MachineConfig = serde::Deserialize::from_value(&v).expect("tolerant deserialize");
-        assert!(cfg.host_accel.block_dispatch);
-        assert!(!cfg.host_accel.stall_skip, "present keys are honored");
-        assert!(!cfg.host_accel.mem_fast_path);
-    }
-
-    /// The nested shape round-trips every switch combination.
     #[test]
     fn host_accel_round_trips() {
-        for bits in 0u8..16 {
-            let accel = HostAccel {
-                stall_skip: bits & 1 != 0,
-                mem_fast_path: bits & 2 != 0,
-                block_dispatch: bits & 4 != 0,
-                block_dispatch_multicore: bits & 8 != 0,
-            };
+        for accel in [HostAccel::Reference, HostAccel::Fast] {
             let cfg = MachineConfig::altix8().with_host_accel(accel);
             let v = serde::Serialize::to_value(&cfg);
             let back: MachineConfig = serde::Deserialize::from_value(&v).expect("round trip");
@@ -576,69 +356,18 @@ mod tests {
         }
     }
 
-    /// Configs serialized before `block_dispatch_multicore` existed (a
-    /// `host_accel` object without the key) must still load with the
-    /// lockstep engine on.
+    /// `COBRA_HOST_ACCEL` accepts exactly its two values; anything else —
+    /// empty, a typo, the old flag grammar — is an error naming them.
     #[test]
-    fn config_without_block_dispatch_multicore_field_defaults_on() {
-        let mut v = serde::Serialize::to_value(
-            &MachineConfig::smp4().with_host_accel(HostAccel::reference()),
-        );
-        let serde::Value::Object(fields) = &mut v else {
-            panic!("config serializes to an object");
-        };
-        let accel = fields
-            .iter_mut()
-            .find(|(k, _)| k == "host_accel")
-            .map(|(_, v)| v)
-            .expect("host_accel serialized");
-        let serde::Value::Object(accel_fields) = accel else {
-            panic!("host_accel serializes to an object");
-        };
-        accel_fields.retain(|(k, _)| k != "block_dispatch_multicore");
-        let cfg: MachineConfig = serde::Deserialize::from_value(&v).expect("tolerant deserialize");
-        assert!(cfg.host_accel.block_dispatch_multicore);
-        assert!(!cfg.host_accel.block_dispatch, "present keys are honored");
-    }
-
-    /// The deprecated flat setters remain functional during the deprecation
-    /// window, writing through to the `HostAccel` sub-struct.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_flat_setters_write_through() {
-        let cfg = MachineConfig::smp4()
-            .with_stall_skip(false)
-            .with_mem_fast_path(false);
-        assert!(!cfg.host_accel.stall_skip);
-        assert!(!cfg.host_accel.mem_fast_path);
-        assert!(
-            cfg.host_accel.block_dispatch,
-            "untouched switch keeps default"
-        );
-    }
-
-    /// `COBRA_HOST_ACCEL` specification grammar (pure parsing; the env
-    /// lookup itself is exercised by the reference-mode CI job).
-    #[test]
-    fn host_accel_spec_parsing() {
-        assert_eq!(
-            HostAccel::fast().apply_spec("reference"),
-            HostAccel::reference()
-        );
-        assert_eq!(HostAccel::reference().apply_spec("fast"), HostAccel::fast());
-        let a = HostAccel::fast().apply_spec("block_dispatch=0");
-        assert!(a.stall_skip && a.mem_fast_path && !a.block_dispatch);
-        assert!(
-            a.block_dispatch_multicore,
-            "lockstep flag is independent on the wire (run() gates it on block_dispatch)"
-        );
-        let a = HostAccel::fast().apply_spec("block_dispatch_multicore=0");
-        assert!(a.stall_skip && a.mem_fast_path && a.block_dispatch);
-        assert!(!a.block_dispatch_multicore);
-        let a = HostAccel::fast().apply_spec("reference, stall_skip=1");
-        assert!(a.stall_skip && !a.mem_fast_path && !a.block_dispatch);
-        assert!(!a.block_dispatch_multicore);
-        let a = HostAccel::fast().apply_spec("mem_fast_path=off, bogus_flag=1, ");
-        assert!(a.stall_skip && !a.mem_fast_path && a.block_dispatch);
+    fn host_accel_parsing() {
+        assert_eq!(HostAccel::parse("reference"), Ok(HostAccel::Reference));
+        assert_eq!(HostAccel::parse("fast"), Ok(HostAccel::Fast));
+        for bad in ["", "refrence", "Fast", "reference,fast", "stall_skip=0"] {
+            let err = HostAccel::parse(bad).expect_err(bad);
+            assert!(
+                err.contains("`reference`") && err.contains("`fast`"),
+                "{err}"
+            );
+        }
     }
 }

@@ -22,18 +22,6 @@ use crate::events::Event;
 use crate::machine::Shared;
 use crate::memsys::AccessKind;
 
-/// What one [`Core::step_block`] cycle did. The boundary batch reads this
-/// instead of re-scanning core state each cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StepOutcome {
-    /// The core is not Running (idle, halted, or faulted).
-    Parked,
-    /// The core began the cycle stalled and accrued stall accounting only.
-    Stalled,
-    /// The core attempted issue this cycle.
-    Issued,
-}
-
 /// Scheduling state of a core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoreStatus {
@@ -316,59 +304,28 @@ impl Core {
 
     /// One reference-schedule cycle through the pre-decoded dispatch path:
     /// the block-engine twin of [`Self::step`], used for the interleaved
-    /// memory-boundary cycles between lockstep horizons. Identical stall
-    /// and issue semantics — `dispatch_class` returning `None` is exactly
-    /// `issue_bundle_ref`'s stall-on-use (it sets `resume_at`) and its
-    /// `Other` arm is the same `execute` the reference calls — only the
-    /// per-slot instruction fetch/decode is replaced by the cached uops.
-    /// Only legal while no sampled counter can cross its threshold this
-    /// cycle (the caller's sampling gate guarantees it).
-    ///
-    /// The cursor block is moved out of `self` for the cycle and moved back
-    /// at the end rather than cloned, keeping the boundary-cycle hot path
-    /// free of refcount traffic.
-    pub(crate) fn step_block(&mut self, shared: &mut Shared) -> StepOutcome {
+    /// memory-boundary cycles between lockstep horizons. Identical stall and
+    /// issue semantics (see [`Self::issue_group`]); only the per-slot
+    /// instruction fetch/decode is replaced by the cached uops. Only legal
+    /// while no sampled counter can cross its threshold this cycle (the
+    /// caller's sampling gate guarantees it). Returns whether the core
+    /// attempted issue (false: not Running, or the cycle began stalled).
+    pub(crate) fn step_block(&mut self, shared: &mut Shared) -> bool {
         if self.status != CoreStatus::Running {
-            return StepOutcome::Parked;
+            return false;
         }
         let now = shared.cycle;
         shared.stats[self.cpu].add(Event::CpuCycles, 1);
         if now < self.resume_at {
             shared.stats[self.cpu].add(Event::StallCycles, 1);
-            return StepOutcome::Stalled;
+            return false;
         }
-        // Move the cursor block out instead of cloning the `Arc` every
-        // cycle; it is put back below before returning.
-        let mut b: Arc<Block> = match self.cur_block.take() {
-            Some(b)
-                if self.cur_block_gen == shared.blocks.generation()
-                    && shared.blocks.is_current(&shared.code)
-                    && b.uop_at(self.pc).is_some() =>
-            {
-                b
-            }
-            _ => self.refetch_block(shared),
-        };
+        let mut b = self.take_cursor(shared);
         let mut idx = self.pc.wrapping_sub(b.start) as usize;
-        let mut retired = 0u64;
-        for _slot in 0..3 {
-            if idx >= b.uops.len() {
-                b = self.refetch_block(shared);
-                idx = 0;
-            }
-            let u = &b.uops[idx];
-            let Some(taken) = self.dispatch_class(shared, now, u) else {
-                break;
-            };
-            retired += 1;
-            if taken || self.status != CoreStatus::Running || now < self.resume_at {
-                break;
-            }
-            idx += 1;
-        }
+        let retired = self.issue_group(shared, now, &mut b, &mut idx);
         shared.stats[self.cpu].add(Event::InstRetired, retired);
         self.cur_block = Some(b);
-        StepOutcome::Issued
+        true
     }
 
     /// Reference issue path: re-fetch the decoded instruction and re-derive
@@ -391,70 +348,41 @@ impl Core {
         }
     }
 
-    /// Fused solo-core stretch: execute consecutive non-stalled cycles
-    /// through the block engine without returning to the machine loop in
-    /// between. Bit-identity with the per-cycle protocol holds because (a)
-    /// nothing inside a stretch can mutate the program text or the block
-    /// cache except block *builds* (which never bump the generation), (b)
-    /// `CPU_CYCLES` is a pure counter nobody reads while `run` is on the
-    /// stack and sampling is off — the caller must only use this when no
-    /// HPM is sampling — so it can be added in bulk, and (c) the stretch
-    /// stops *after* any memory-capable issue cycle so the machine can
-    /// drain snoop-stall penalties before the next cycle issues, exactly
-    /// where the reference loop drains them.
-    ///
-    /// Returns `(cycles_executed, drain_snoop)`; `drain_snoop` means the
-    /// last executed cycle issued a memory-capable micro-op.
-    pub(crate) fn run_stretch_solo(&mut self, shared: &mut Shared, budget: u64) -> (u64, bool) {
-        let mut executed = 0u64;
+    /// The one issue group of the block engine: up to three pre-decoded uops
+    /// at cycle `now`, starting at index `idx` of cursor block `b` (both are
+    /// advanced, re-fetching across block ends and taken branches).
+    /// `dispatch_class` returning `None` is exactly `issue_bundle_ref`'s
+    /// stall-on-use (it sets `resume_at`), and the group ends where the
+    /// reference bundle does: after a taken branch, a status change (`hlt`,
+    /// fault), or a structural stall. Returns the uops retired.
+    #[inline]
+    fn issue_group(
+        &mut self,
+        shared: &mut Shared,
+        now: u64,
+        b: &mut Arc<Block>,
+        idx: &mut usize,
+    ) -> u64 {
         let mut retired = 0u64;
-        let mut drain = false;
-        let mut b: Arc<Block> = match self.cursor_block(shared) {
-            Some(b) => b,
-            None => self.refetch_block(shared),
-        };
-        // The clock lives in a local for the stretch: `execute` and the
-        // memory system take `now` as a parameter, so nothing observes
-        // `shared.cycle` until the stretch flushes it back on exit.
-        let mut now = shared.cycle;
-        let mut idx = self.pc.wrapping_sub(b.start) as usize;
-        while executed < budget {
+        for _slot in 0..3 {
+            if *idx >= b.uops.len() {
+                *b = self.refetch_block(shared);
+                *idx = 0;
+            }
+            let Some(taken) = self.dispatch_class(shared, now, &b.uops[*idx]) else {
+                break;
+            };
+            retired += 1;
+            if taken {
+                *idx = self.pc.wrapping_sub(b.start) as usize;
+                break;
+            }
+            *idx += 1;
             if self.status != CoreStatus::Running || now < self.resume_at {
                 break;
             }
-            let mut mem_issue = false;
-            for _slot in 0..3 {
-                if idx >= b.uops.len() {
-                    b = self.refetch_block(shared);
-                    idx = 0;
-                }
-                let u = &b.uops[idx];
-                let Some(taken) = self.dispatch_class(shared, now, u) else {
-                    break;
-                };
-                mem_issue |= u.is_mem();
-                retired += 1;
-                if taken {
-                    idx = self.pc.wrapping_sub(b.start) as usize;
-                    break;
-                }
-                idx += 1;
-                if self.status != CoreStatus::Running || now < self.resume_at {
-                    break;
-                }
-            }
-            now += 1;
-            executed += 1;
-            if mem_issue {
-                drain = true;
-                break;
-            }
         }
-        shared.cycle = now;
-        let stats = &mut shared.stats[self.cpu];
-        stats.add(Event::CpuCycles, executed);
-        stats.add(Event::InstRetired, retired);
-        (executed, drain)
+        retired
     }
 
     /// Lower bound on the number of cycles, starting at `now`, during which
@@ -471,81 +399,63 @@ impl Core {
     /// The lockstep scheduler takes the min over all running cores; within
     /// that horizon no core can touch cross-core-observable state.
     pub(crate) fn mem_free_cycles(&mut self, shared: &mut Shared, now: u64) -> u64 {
-        let b = match self.cursor_block(shared) {
-            Some(b) => b,
-            None => self.refetch_block(shared),
-        };
+        let b = self.take_cursor(shared);
         let idx = (self.pc - b.start) as usize;
         let d = shared.blocks.mem_free_path_uops(&shared.code, &b, idx);
+        self.cur_block = Some(b);
         self.resume_at.saturating_sub(now) + d / 3
     }
 
-    /// Lockstep multicore stretch: execute exactly `horizon` cycles
-    /// (starting at machine cycle `start`) on a local clock, knowing no
-    /// memory-capable uop can issue within the horizon (guaranteed by
-    /// [`Self::mem_free_cycles`] across all running cores). Everything this
-    /// touches is core-local — registers, scoreboards, own stats/HPM/BTB,
-    /// the shared-but-commutative block cache — so running each core's
-    /// stretch back-to-back is bit-identical to interleaving them per cycle.
+    /// The one stretch of the block engine: run this core alone on a local
+    /// clock from machine cycle `start` for `horizon` cycles (fewer only when
+    /// it leaves `Running`), without returning to the machine loop in
+    /// between. The caller guarantees that nothing the core does inside the
+    /// stretch can be observed by, or depends on, another core:
+    ///
+    /// * with two or more cores running, `horizon` is a safe horizon — no
+    ///   running core can issue a memory-capable uop within it
+    ///   ([`Self::mem_free_cycles`]), and memory uops are the only class
+    ///   that touches [`crate::DataMem`], the memory system, or another
+    ///   CPU's stalls — so running each core's stretch back-to-back is
+    ///   bit-identical to interleaving them per cycle;
+    /// * with exactly one core running, memory uops may issue: their one
+    ///   cross-core effect, snoop stalls, lands on cores that are not
+    ///   running and ignore it ([`Self::add_stall`]).
+    ///
+    /// In both cases the sampling gate bounds `horizon` so that no sampled
+    /// counter crosses its threshold inside, which makes the skipped
+    /// per-cycle overflow polls no-ops and lets the counters be added in
+    /// bulk; nothing inside a stretch can mutate the program text or the
+    /// block cache except block *builds* (which never bump the generation);
+    /// and `execute` and the memory system take `now` as a parameter, so
+    /// nothing observes `shared.cycle` until the caller advances it.
     ///
     /// Replicates the reference accounting exactly: a Running core earns
     /// `CPU_CYCLES` every cycle, `STALL_CYCLES` on cycles that *begin*
     /// stalled (not the stall-discovery cycle), and stops earning on the
     /// cycle after `hlt` retires or a fault is taken. Returns the number of
-    /// cycles consumed (== `horizon` unless the core left `Running`).
-    pub(crate) fn run_stretch_horizon(
-        &mut self,
-        shared: &mut Shared,
-        start: u64,
-        horizon: u64,
-    ) -> u64 {
+    /// cycles consumed.
+    pub(crate) fn run_stretch(&mut self, shared: &mut Shared, start: u64, horizon: u64) -> u64 {
         let end = start + horizon;
         let mut now = start;
-        let mut executed = 0u64;
         let mut stalled = 0u64;
         let mut retired = 0u64;
-        let mut b: Arc<Block> = match self.cursor_block(shared) {
-            Some(b) => b,
-            None => self.refetch_block(shared),
-        };
+        let mut b = self.take_cursor(shared);
         let mut idx = self.pc.wrapping_sub(b.start) as usize;
         while now < end && self.status == CoreStatus::Running {
             if now < self.resume_at {
                 // Bulk the stall window: each such cycle earns CpuCycles and
                 // StallCycles in the reference loop.
                 let until = self.resume_at.min(end);
-                let w = until - now;
-                executed += w;
-                stalled += w;
+                stalled += until - now;
                 now = until;
                 continue;
             }
-            for _slot in 0..3 {
-                if idx >= b.uops.len() {
-                    b = self.refetch_block(shared);
-                    idx = 0;
-                }
-                let u = &b.uops[idx];
-                debug_assert!(
-                    !u.is_mem(),
-                    "memory-capable uop issued inside a safe horizon"
-                );
-                let Some(taken) = self.dispatch_class(shared, now, u) else {
-                    break;
-                };
-                retired += 1;
-                if taken {
-                    idx = self.pc.wrapping_sub(b.start) as usize;
-                    break;
-                }
-                idx += 1;
-                if self.status != CoreStatus::Running || now < self.resume_at {
-                    break;
-                }
-            }
+            retired += self.issue_group(shared, now, &mut b, &mut idx);
             now += 1;
-            executed += 1;
         }
+        self.cur_block = Some(b);
+        let executed = now - start;
         let stats = &mut shared.stats[self.cpu];
         stats.add(Event::CpuCycles, executed);
         stats.add(Event::StallCycles, stalled);
@@ -584,22 +494,6 @@ impl Core {
                 self.pc += 1;
                 Some(false)
             }
-            OpClass::Sub => {
-                let ready = self
-                    .pr_ready_at(u.insn.qp)
-                    .max(self.gr_ready_at(u.a))
-                    .max(self.gr_ready_at(u.b));
-                if ready > now {
-                    self.resume_at = ready;
-                    return None;
-                }
-                if self.read_pr(u.insn.qp) {
-                    let v = self.read_gr(u.a).wrapping_sub(self.read_gr(u.b));
-                    self.write_gr(u.d, v, now + 1);
-                }
-                self.pc += 1;
-                Some(false)
-            }
             OpClass::AddI => {
                 let ready = self.pr_ready_at(u.insn.qp).max(self.gr_ready_at(u.a));
                 if ready > now {
@@ -609,18 +503,6 @@ impl Core {
                 if self.read_pr(u.insn.qp) {
                     let v = self.read_gr(u.a).wrapping_add(u.imm);
                     self.write_gr(u.d, v, now + 1);
-                }
-                self.pc += 1;
-                Some(false)
-            }
-            OpClass::MovI => {
-                let ready = self.pr_ready_at(u.insn.qp);
-                if ready > now {
-                    self.resume_at = ready;
-                    return None;
-                }
-                if self.read_pr(u.insn.qp) {
-                    self.write_gr(u.d, u.imm, now + 1);
                 }
                 self.pc += 1;
                 Some(false)
@@ -648,127 +530,6 @@ impl Core {
                     Some(false)
                 }
             }
-            OpClass::Cmp => {
-                let ready = self
-                    .pr_ready_at(u.insn.qp)
-                    .max(self.gr_ready_at(u.a))
-                    .max(self.gr_ready_at(u.b));
-                if ready > now {
-                    self.resume_at = ready;
-                    return None;
-                }
-                if self.read_pr(u.insn.qp) {
-                    let Op::Cmp { p2, rel, .. } = u.insn.op else {
-                        unreachable!("OpClass::Cmp lowers from Op::Cmp only")
-                    };
-                    let r = rel.eval_i64(self.read_gr(u.a), self.read_gr(u.b));
-                    self.write_pr(u.d, r, now + 1);
-                    self.write_pr(p2, !r, now + 1);
-                }
-                self.pc += 1;
-                Some(false)
-            }
-            OpClass::CmpI => {
-                let ready = self.pr_ready_at(u.insn.qp).max(self.gr_ready_at(u.a));
-                if ready > now {
-                    self.resume_at = ready;
-                    return None;
-                }
-                if self.read_pr(u.insn.qp) {
-                    let Op::CmpI { p2, rel, .. } = u.insn.op else {
-                        unreachable!("OpClass::CmpI lowers from Op::CmpI only")
-                    };
-                    let r = rel.eval_i64(u.imm, self.read_gr(u.a));
-                    self.write_pr(u.d, r, now + 1);
-                    self.write_pr(p2, !r, now + 1);
-                }
-                self.pc += 1;
-                Some(false)
-            }
-            OpClass::BrCond => {
-                let ready = self.pr_ready_at(u.insn.qp);
-                if ready > now {
-                    self.resume_at = ready;
-                    return None;
-                }
-                if self.read_pr(u.insn.qp) {
-                    Some(self.take_branch(shared, self.pc, u.imm as CodeAddr))
-                } else {
-                    self.pc += 1;
-                    Some(false)
-                }
-            }
-            OpClass::ShlI => {
-                let ready = self.pr_ready_at(u.insn.qp).max(self.gr_ready_at(u.a));
-                if ready > now {
-                    self.resume_at = ready;
-                    return None;
-                }
-                if self.read_pr(u.insn.qp) {
-                    let v = ((self.read_gr(u.a) as u64) << u.b) as i64;
-                    self.write_gr(u.d, v, now + 1);
-                }
-                self.pc += 1;
-                Some(false)
-            }
-            OpClass::ShrI => {
-                let ready = self.pr_ready_at(u.insn.qp).max(self.gr_ready_at(u.a));
-                if ready > now {
-                    self.resume_at = ready;
-                    return None;
-                }
-                if self.read_pr(u.insn.qp) {
-                    let v = ((self.read_gr(u.a) as u64) >> u.b) as i64;
-                    self.write_gr(u.d, v, now + 1);
-                }
-                self.pc += 1;
-                Some(false)
-            }
-            OpClass::SarI => {
-                let ready = self.pr_ready_at(u.insn.qp).max(self.gr_ready_at(u.a));
-                if ready > now {
-                    self.resume_at = ready;
-                    return None;
-                }
-                if self.read_pr(u.insn.qp) {
-                    let v = self.read_gr(u.a) >> u.b;
-                    self.write_gr(u.d, v, now + 1);
-                }
-                self.pc += 1;
-                Some(false)
-            }
-            OpClass::FaddD => {
-                let ready = self
-                    .pr_ready_at(u.insn.qp)
-                    .max(self.fr_ready_at(u.a))
-                    .max(self.fr_ready_at(u.b));
-                if ready > now {
-                    self.resume_at = ready;
-                    return None;
-                }
-                if self.read_pr(u.insn.qp) {
-                    let v = self.read_fr(u.a) + self.read_fr(u.b);
-                    self.write_fr(u.d, v, now + shared.cfg.fp_latency);
-                }
-                self.pc += 1;
-                Some(false)
-            }
-            OpClass::FmulD => {
-                let ready = self
-                    .pr_ready_at(u.insn.qp)
-                    .max(self.fr_ready_at(u.a))
-                    .max(self.fr_ready_at(u.b));
-                if ready > now {
-                    self.resume_at = ready;
-                    return None;
-                }
-                if self.read_pr(u.insn.qp) {
-                    let v = self.read_fr(u.a) * self.read_fr(u.b);
-                    self.write_fr(u.d, v, now + shared.cfg.fp_latency);
-                }
-                self.pc += 1;
-                Some(false)
-            }
             OpClass::Other => {
                 let ready = self.uop_sources_ready(u);
                 if ready > now {
@@ -780,19 +541,22 @@ impl Core {
         }
     }
 
-    /// The cursor block, when it is still valid and covers the current PC.
+    /// Move the cursor block out of `self`: the cached one while it is still
+    /// valid and covers the current PC, else re-fetched. Callers put it back
+    /// (`self.cur_block = Some(b)`) when done, which keeps the hot paths free
+    /// of `Arc` refcount traffic.
     #[inline]
-    fn cursor_block(&self, shared: &Shared) -> Option<Arc<Block>> {
-        if self.cur_block_gen == shared.blocks.generation()
-            && shared.blocks.is_current(&shared.code)
-        {
-            if let Some(b) = &self.cur_block {
-                if b.uop_at(self.pc).is_some() {
-                    return Some(Arc::clone(b));
-                }
+    fn take_cursor(&mut self, shared: &mut Shared) -> Arc<Block> {
+        match self.cur_block.take() {
+            Some(b)
+                if self.cur_block_gen == shared.blocks.generation()
+                    && shared.blocks.is_current(&shared.code)
+                    && b.uop_at(self.pc).is_some() =>
+            {
+                b
             }
+            _ => self.refetch_block(shared),
         }
-        None
     }
 
     /// Re-aim the cursor at the block covering the current PC, building it

@@ -15,8 +15,8 @@ use cobra_isa::insn::Insn;
 use cobra_isa::CodeAddr;
 
 use crate::blocks::{BlockCache, BlockStats, FallbackReason};
-use crate::config::MachineConfig;
-use crate::core::{Core, CoreStatus, StepOutcome};
+use crate::config::{HostAccel, MachineConfig};
+use crate::core::{Core, CoreStatus};
 use crate::events::{self, CpuStats, Event};
 use crate::hpm::Hpm;
 use crate::memsys::MemSystem;
@@ -218,7 +218,7 @@ pub struct Shared {
     pub stats: Vec<CpuStats>,
     pub hpm: Vec<Hpm>,
     /// Pre-decoded basic blocks of `code` (see [`crate::blocks`]); consulted
-    /// by the cores only when [`crate::HostAccel::block_dispatch`] is on.
+    /// by the cores only under [`HostAccel::Fast`].
     pub blocks: BlockCache,
     /// Armed on-stack-replacement edges (see [`crate::redirect`]); consulted
     /// by `Core::take_branch` on every taken branch while non-empty.
@@ -311,18 +311,24 @@ impl Machine {
         tid
     }
 
-    /// Advance the whole machine one cycle.
+    /// Advance the whole machine one cycle (the per-cycle oracle).
     pub fn step(&mut self) {
         for i in 0..self.cores.len() {
             self.cores[i].step(&mut self.shared);
         }
-        // Deliver snoop-response penalties accrued this cycle to the
-        // victims' pipelines.
+        self.end_cycles(1);
+    }
+
+    /// The tail of every way the clock advances: deliver the snoop-response
+    /// penalties accrued at the current cycle to the victims' pipelines,
+    /// advance the clock by `n`, and poll every CPU's HPM for a sampling
+    /// overflow at the new cycle.
+    fn end_cycles(&mut self, n: u64) {
         for i in 0..self.cores.len() {
             let stall = self.shared.memsys.take_snoop_stall(i);
             self.cores[i].add_stall(self.shared.cycle, stall);
         }
-        self.shared.cycle += 1;
+        self.shared.cycle += n;
         for cpu in 0..self.cores.len() {
             let core = &self.cores[cpu];
             self.shared.hpm[cpu].poll_overflow(
@@ -422,117 +428,74 @@ impl Machine {
                 self.shared.stats[c.cpu].add(Event::StallCycles, n);
             }
         }
-        self.shared.cycle += n;
-        for cpu in 0..self.cores.len() {
-            let core = &self.cores[cpu];
-            self.shared.hpm[cpu].poll_overflow(
-                &self.shared.stats[cpu],
-                core.pc,
-                core.tid.unwrap_or(u32::MAX),
-                self.shared.cycle,
-            );
-        }
+        self.end_cycles(n);
     }
 
-    /// First Running CPU (if any) and whether more than one core is Running.
-    /// The solo block loop needs the "exactly one" case; the lockstep
-    /// multicore loop needs "two or more".
-    fn running_census(&self) -> (Option<usize>, bool) {
-        let mut it = self
-            .cores
-            .iter()
-            .filter(|c| c.status == CoreStatus::Running);
-        let first = it.next().map(|c| c.cpu);
-        (first, it.next().is_some())
-    }
-
-    /// Execute consecutive cycles of the solo running core through the block
-    /// dispatch engine. Only legal when no CPU has HPM sampling programmed
-    /// (the caller checks): the per-cycle overflow polls are then no-ops and
-    /// `CPU_CYCLES` is unobserved until `run` returns, so the core can
-    /// execute whole stretches back-to-back on a local clock, surfacing only
-    /// on memory-issue cycles for the snoop-stall drain. Returns whether any
-    /// cycle was executed; exits back to [`Self::run`] on stalls (so
-    /// stall-skip handles the window), on status changes (`hlt`, faults),
-    /// and at the cycle budget.
-    fn run_blocks_solo(&mut self, cpu: usize, budget: u64) -> bool {
-        let n_cpus = self.cores.len();
-        let mut total = 0u64;
-        while total < budget {
-            let (executed, drain_snoop) =
-                self.cores[cpu].run_stretch_solo(&mut self.shared, budget - total);
-            total += executed;
-            if executed == 0 {
-                break;
-            }
-            if drain_snoop {
-                // The drained penalties belong to the issue cycle just
-                // executed (the clock has already moved one past it).
-                let now = self.shared.cycle - 1;
-                for i in 0..n_cpus {
-                    let stall = self.shared.memsys.take_snoop_stall(i);
-                    self.cores[i].add_stall(now, stall);
-                }
-                continue;
-            }
-            break;
-        }
-        total > 0
-    }
-
-    /// Execute one lockstep multicore stretch: compute the **safe horizon**
-    /// — the min over all Running cores of [`Core::mem_free_cycles`], capped
-    /// by the remaining `budget` — and, when it is non-zero, run every
-    /// Running core's stretch back-to-back on a local clock for exactly that
-    /// many cycles.
+    /// Execute one stretch: every Running core runs [`Core::run_stretch`]
+    /// back-to-back on a local clock for the same number of cycles, and the
+    /// machine clock then advances once.
     ///
-    /// Bit-identity with the per-cycle interleaving holds because within the
-    /// horizon no core can issue a memory-capable micro-op (the only class
-    /// that touches [`DataMem`], the memory system, or another CPU's
-    /// stats/stalls), so each core's cycles depend only on its own state:
-    /// the per-cycle schedule and the back-to-back schedule compute the same
-    /// function. Snoop stalls are provably zero inside the horizon — they
-    /// accrue only during `MemSystem::access` — and none are pending on
-    /// entry (the run loop drains them every cycle; debug-asserted).
+    /// With exactly one running core the stretch spans the whole `budget`
+    /// (already capped by the sampling gate) and may issue memory uops: the
+    /// snoop stalls they raise land on cores that are not running, so the
+    /// tail's one drain discards them exactly as the per-cycle drains would.
     ///
-    /// Returns false (no cycle executed, no state touched beyond possible
-    /// block builds) when the horizon is zero: some running core sits within
-    /// the same issue cycle as a memory-capable uop, so the cycle must run
-    /// interleaved. The clock advances by the longest per-core consumption —
-    /// cores that stay `Running` always consume the full horizon, so this
-    /// only differs when every core halts or faults mid-stretch, exactly
-    /// matching where the reference loop would stop counting.
-    fn run_lockstep_horizon(&mut self, budget: u64) -> bool {
+    /// With two or more, the stretch spans the **safe horizon** — the min
+    /// over all Running cores of [`Core::mem_free_cycles`], capped by
+    /// `budget` — inside which no core can issue a memory-capable uop, so
+    /// each core's cycles depend only on its own state and the per-cycle
+    /// and back-to-back schedules compute the same function. Snoop stalls
+    /// are provably zero inside the horizon — they accrue only during
+    /// `MemSystem::access` — and none are pending on entry (every other path
+    /// drains them; debug-asserted). Declined (false, no cycle executed, no
+    /// state touched beyond possible block builds) when the horizon is below
+    /// [`MIN_HORIZON`], or while any OSR redirect is armed: redirects divert
+    /// taken branches away from their static targets, so the static memory
+    /// distance is no longer a lower bound.
+    ///
+    /// The clock advances by the longest per-core consumption — cores that
+    /// stay `Running` always consume the full stretch, so this only differs
+    /// when every core halts or faults mid-stretch, exactly matching where
+    /// the reference loop would stop counting.
+    fn run_stretch(&mut self, budget: u64) -> bool {
         let now = self.shared.cycle;
+        let running = |c: &&Core| c.status == CoreStatus::Running;
+        let solo = self.cores.iter().filter(running).nth(1).is_none();
         let mut h = budget;
-        for i in 0..self.cores.len() {
-            if self.cores[i].status != CoreStatus::Running {
-                continue;
-            }
-            debug_assert_eq!(
-                self.shared.memsys.snoop_stall_pending(i),
-                0,
-                "snoop stalls must be drained before a lockstep stretch"
-            );
-            h = h.min(self.cores[i].mem_free_cycles(&mut self.shared, now));
-            if h < MIN_HORIZON {
-                // Too short to amortize the per-core stretch setup — the
-                // boundary batch runs these cycles interleaved instead
-                // (still through pre-decoded dispatch, still bit-exact).
+        if !solo {
+            if !self.shared.redirects.is_empty() {
                 return false;
+            }
+            for i in 0..self.cores.len() {
+                if self.cores[i].status != CoreStatus::Running {
+                    continue;
+                }
+                debug_assert_eq!(
+                    self.shared.memsys.snoop_stall_pending(i),
+                    0,
+                    "snoop stalls must be drained before a lockstep stretch"
+                );
+                h = h.min(self.cores[i].mem_free_cycles(&mut self.shared, now));
+                if h < MIN_HORIZON {
+                    // Too short to amortize the per-core stretch setup — the
+                    // boundary batch runs these cycles interleaved instead
+                    // (still through pre-decoded dispatch, still bit-exact).
+                    return false;
+                }
             }
         }
         let mut max_executed = 0u64;
         for i in 0..self.cores.len() {
-            if self.cores[i].status != CoreStatus::Running {
-                continue;
+            if self.cores[i].status == CoreStatus::Running {
+                let executed = self.cores[i].run_stretch(&mut self.shared, now, h);
+                max_executed = max_executed.max(executed);
             }
-            let executed = self.cores[i].run_stretch_horizon(&mut self.shared, now, h);
-            max_executed = max_executed.max(executed);
         }
-        self.shared.cycle = now + max_executed;
-        self.shared.blocks.note_horizon(max_executed);
-        max_executed > 0
+        if !solo {
+            self.shared.blocks.note_horizon(max_executed);
+        }
+        self.end_cycles(max_executed);
+        true
     }
 
     /// One interleaved machine cycle through the pre-decoded dispatch path:
@@ -541,38 +504,23 @@ impl Machine {
     /// dense guest loops, where horizons collapse to zero almost every
     /// cycle). Cores issue in CPU order at the shared clock via
     /// [`Core::step_block`] — bit-identical to the reference schedule, only
-    /// skipping the per-slot fetch/decode — then snoop-stall penalties drain
-    /// exactly as in [`Self::step`]. Returns how many cores are Running and
-    /// whether any of them attempted issue, so the boundary batch can hand
-    /// off to the solo/stall-skip paths without a second core scan.
+    /// skipping the per-slot fetch/decode — then the cycle ends exactly as
+    /// in [`Self::step`]. Returns how many cores are Running and whether any
+    /// of them attempted issue, so the boundary batch can hand off to the
+    /// solo/stall-skip paths without a second core scan.
     fn step_block_cycle(&mut self) -> (u32, bool) {
         let mut running = 0u32;
         let mut issued = false;
         for i in 0..self.cores.len() {
-            if self.cores[i].step_block(&mut self.shared) == StepOutcome::Issued {
-                issued = true;
-            }
-            // Post-step status, not the outcome: a core that issues a
-            // halting/faulting uop this cycle must not count as Running,
-            // or the boundary batch would run one extra empty cycle.
+            issued |= self.cores[i].step_block(&mut self.shared);
+            // Post-step status: a core that issues a halting/faulting uop
+            // this cycle must not count as Running, or the boundary batch
+            // would run one extra empty cycle.
             if self.cores[i].status == CoreStatus::Running {
                 running += 1;
             }
         }
-        for i in 0..self.cores.len() {
-            let stall = self.shared.memsys.take_snoop_stall(i);
-            self.cores[i].add_stall(self.shared.cycle, stall);
-        }
-        self.shared.cycle += 1;
-        for cpu in 0..self.cores.len() {
-            let core = &self.cores[cpu];
-            self.shared.hpm[cpu].poll_overflow(
-                &self.shared.stats[cpu],
-                core.pc,
-                core.tid.unwrap_or(u32::MAX),
-                self.shared.cycle,
-            );
-        }
+        self.end_cycles(1);
         (running, issued)
     }
 
@@ -597,7 +545,7 @@ impl Machine {
         }
         self.shared
             .blocks
-            .note_fallback_cycles(FallbackReason::MultiCoreMemBoundary, n);
+            .note_fallback(FallbackReason::MultiCoreMemBoundary, n);
     }
 
     /// How many back-to-back cycles the block engine may run before HPM
@@ -639,23 +587,21 @@ impl Machine {
 
     /// Run until every bound thread terminates or `max_cycles` elapse.
     ///
-    /// With [`crate::HostAccel::stall_skip`] on (the default), cycles where
-    /// no core can execute are skipped in bulk to the earliest wake-up
-    /// point; with [`crate::HostAccel::block_dispatch`] on (the default) and
-    /// exactly one core running, execute cycles run back-to-back through the
-    /// pre-decoded block engine; with
-    /// [`crate::HostAccel::block_dispatch_multicore`] additionally on and
-    /// two or more cores running, all running cores execute lockstep
-    /// safe-horizon stretches (see [`Self::run_lockstep_horizon`]). With
-    /// HPM sampling programmed, stretches are additionally capped by
-    /// [`Self::sampling_gate`] so no sampling threshold can be crossed
-    /// inside a stretch. Results are bit-identical to the per-cycle
-    /// reference loop in every combination (enforced by the
-    /// `stall_skip_equivalence` and `block_dispatch_equivalence` suites).
-    /// Turning the flags off selects the reference loop.
+    /// Under [`HostAccel::Reference`] this is [`Self::step`] in a
+    /// loop. Under [`HostAccel::Fast`] each iteration takes the first
+    /// of four paths that applies: cycles where no core can execute are
+    /// skipped in bulk to the earliest wake-up point; a cycle on which a
+    /// sampled counter may cross its threshold runs through [`Self::step`]
+    /// (the gate bounds every other path so the per-cycle overflow polls it
+    /// skips are provably no-ops); otherwise the running cores execute a
+    /// stretch ([`Self::run_stretch`]) or, when two or more are running and
+    /// no safe horizon opens, a batch of interleaved pre-decoded cycles.
+    /// Results are bit-identical either way (enforced by the
+    /// `stall_skip_equivalence`, `mem_fastpath_equivalence` and
+    /// `block_dispatch_equivalence` suites).
     pub fn run(&mut self, max_cycles: u64) -> RunResult {
         let start = self.shared.cycle;
-        let block_dispatch = self.shared.cfg.host_accel.block_dispatch;
+        let fast = self.shared.cfg.host_accel == HostAccel::Fast;
         while !self.all_halted() {
             let elapsed = self.shared.cycle - start;
             if elapsed >= max_cycles {
@@ -665,60 +611,37 @@ impl Machine {
                     faulted: self.any_faulted(),
                 };
             }
-            if self.shared.cfg.host_accel.stall_skip {
-                if let Some(n) = self.stall_skip_window(max_cycles - elapsed) {
-                    self.skip_stalled(n);
-                    continue;
-                }
+            let left = max_cycles - elapsed;
+            if !fast {
+                self.step();
+                continue;
             }
-            if block_dispatch {
-                // Sampling no longer disables the block engine outright:
-                // the gate bounds each stretch so no sampling threshold can
-                // be crossed inside it (the skipped per-cycle overflow polls
-                // are then provably no-ops), and the crossing cycle itself
-                // runs through the polled per-cycle path below.
-                let budget = match self.sampling_gate() {
-                    SamplingGate::Off => max_cycles - elapsed,
-                    SamplingGate::Cap(c) => c.min(max_cycles - elapsed),
-                    SamplingGate::Unsupported => 0,
-                };
-                if budget > 0 {
-                    let (first_running, multi) = self.running_census();
-                    let reason = match first_running {
-                        None => FallbackReason::NoRunningCore,
-                        Some(cpu) if !multi => {
-                            if self.run_blocks_solo(cpu, budget) {
-                                continue;
-                            }
-                            FallbackReason::Other
-                        }
-                        Some(_) if self.shared.cfg.host_accel.block_dispatch_multicore => {
-                            // OSR redirects divert taken branches away from
-                            // their static targets, so the static memory
-                            // distance behind the safe horizon is no longer
-                            // a lower bound — interleave (reference-faithful
-                            // per-cycle block stepping) while any are armed.
-                            if self.shared.redirects.is_empty() && self.run_lockstep_horizon(budget)
-                            {
-                                continue;
-                            }
-                            // Memory-boundary regime: horizons are collapsing
-                            // (some core sits within an issue cycle of a
-                            // memory-capable uop), so interleave — but keep
-                            // dispatching pre-decoded uops, and batch the
-                            // cycles so the gate/census/horizon overhead is
-                            // paid once per batch, not once per cycle.
-                            self.run_boundary_batch(budget);
-                            continue;
-                        }
-                        Some(_) => FallbackReason::Other,
-                    };
-                    self.shared.blocks.note_fallback(reason);
-                } else {
-                    self.shared.blocks.note_fallback(FallbackReason::Sampling);
-                }
+            if let Some(n) = self.stall_skip_window(left) {
+                self.skip_stalled(n);
+                continue;
             }
-            self.step();
+            let budget = match self.sampling_gate() {
+                SamplingGate::Off => left,
+                SamplingGate::Cap(c) => c.min(left),
+                SamplingGate::Unsupported => 0,
+            };
+            if budget == 0 {
+                self.shared
+                    .blocks
+                    .note_fallback(FallbackReason::Sampling, 1);
+                self.step();
+                continue;
+            }
+            // Some core is Running and ready to issue (the stall-skip window
+            // was declined), and nothing it does within `budget` cycles can
+            // cross a sampling threshold.
+            if !self.run_stretch(budget) {
+                // Memory-boundary regime: horizons are collapsing, so
+                // interleave — but keep dispatching pre-decoded uops, and
+                // batch the cycles so the gate/census/horizon overhead is
+                // paid once per batch, not once per cycle.
+                self.run_boundary_batch(budget);
+            }
         }
         RunResult {
             cycles: self.shared.cycle - start,

@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::bus::Bus;
 use crate::cache::{FillEffect, HitLevel, Mesi, PrivateHierarchy};
-use crate::config::{MachineConfig, Topology};
+use crate::config::{HostAccel, MachineConfig, Topology};
 use crate::events::{CpuStats, Event};
 use crate::hpm::Hpm;
 
@@ -115,53 +115,6 @@ impl PageMap {
     }
 }
 
-/// One CPU's MRU line filter: the fast path may satisfy an access without
-/// touching the cache/snoop machinery exactly when the access targets the
-/// line this CPU's *immediately previous* access touched, the line is still
-/// held Modified/Exclusive, and no bus transaction has intervened (checked
-/// through the line's coherence epoch). The filter is re-armed or cleared by
-/// every reference-path access, so a match certifies "nothing observable
-/// changed since last time" — see DESIGN.md §5c for the full invariant.
-#[derive(Debug, Clone, Copy)]
-struct MruFilter {
-    line: u64,
-    /// Epoch of `line`'s bucket at arm time; any later bus transaction on a
-    /// line sharing the bucket bumps it and kills the filter.
-    epoch: u64,
-    /// True when the line is Modified (stores/atomics may fast-hit),
-    /// false when Exclusive (only loads/prefetches may).
-    dirty: bool,
-    /// True when the arming access was a load hit, i.e. the line was bumped
-    /// to MRU in its L2/L3 sets. Stores/atomics/prefetches never touch LRU
-    /// on the reference path, so only load fast-hits require this.
-    lru_fresh: bool,
-    /// The line is L2-resident (FP loads hit at L2 latency only then).
-    in_l2: bool,
-    /// Which L1-granularity sub-lines are L1D-resident (integer loads hit
-    /// at L1 latency only for set bits).
-    l1_mask: u8,
-    /// Arm time; accesses with `now < armed_at` (non-monotonic callers,
-    /// e.g. unit tests) always take the reference path.
-    armed_at: u64,
-}
-
-/// Hashed per-line coherence-epoch buckets. Aliasing two lines to one
-/// bucket can only *clear* filters spuriously (a pure performance loss,
-/// never a correctness one), so a small table suffices.
-const EPOCH_BUCKETS: usize = 1 << 12;
-
-/// Consecutive reference-path accesses a CPU tolerates before its MRU
-/// filter stops re-arming eagerly. Private streams re-hit the filter after
-/// a single arm (one miss per new line), so this stays tiny: a wider
-/// window only buys extra arm-time probes on traffic that keeps missing
-/// (measured as a net host-time loss on both the NPB fig5 grid and the
-/// DAXPY fig3 sweep).
-const REARM_EAGER: u32 = 2;
-
-/// Once backed off, how often (in reference-path accesses) arming is
-/// retried so a CPU whose access pattern turns private again recovers.
-const REARM_RETRY: u32 = 64;
-
 /// The machine-wide coherent memory system.
 #[derive(Debug)]
 pub struct MemSystem {
@@ -179,23 +132,11 @@ pub struct MemSystem {
     pages: PageMap,
     line_bytes: u64,
     l1_line_bytes: u64,
-    /// Per-CPU MRU filters (the private-hit fast path; `None` = disarmed).
-    filters: Vec<Option<MruFilter>>,
-    /// Per-CPU count of consecutive accesses answered by the reference path
-    /// (reset by every fast hit). Past [`REARM_EAGER`], re-arming backs off
-    /// to once every [`REARM_RETRY`] accesses: on coherence-heavy sharing
-    /// the filter almost never fires, and paying the arm-time MESI/L1/L2
-    /// probes on every access is a net host-time loss.
-    rearm_miss: Vec<u32>,
-    /// Hashed per-line epochs, bumped by every bus transaction.
-    line_epochs: Vec<u64>,
     /// Per-line bitmask of hierarchies that *may* hold the line (a strict
     /// superset of actual holders: bits are set on fill and cleared on
     /// invalidation/L3 eviction). Empty when `num_cpus` exceeds the mask
     /// width — every snoop then walks all CPUs, as before.
     presence: Vec<u32>,
-    /// Host-side diagnostic: accesses answered by the MRU filter.
-    fast_hits: u64,
 }
 
 impl MemSystem {
@@ -221,19 +162,9 @@ impl MemSystem {
             pages: PageMap::new(cfg.mem_bytes, cfg.numa_page_bytes),
             line_bytes,
             l1_line_bytes: cfg.l1d.line as u64,
-            filters: vec![None; cfg.num_cpus],
-            rearm_miss: vec![0; cfg.num_cpus],
-            line_epochs: vec![0; EPOCH_BUCKETS],
             presence: vec![0; presence_lines],
-            fast_hits: 0,
             cfg: cfg.clone(),
         }
-    }
-
-    /// Accesses answered by the MRU-filter fast path (host diagnostic; not
-    /// a simulated event, so it is deliberately absent from [`CpuStats`]).
-    pub fn fast_hits(&self) -> u64 {
-        self.fast_hits
     }
 
     /// Coherence-line address of a byte address.
@@ -277,182 +208,12 @@ impl MemSystem {
         self.store_drain_tail[cpu]
     }
 
-    /// Perform one access; updates cache state, buses, MSHRs, store buffers,
-    /// per-CPU stats and (for demand loads) the DEAR latch.
-    ///
-    /// With [`HostAccel::mem_fast_path`] on, repeated private hits are
-    /// answered by the per-CPU MRU filter without running the probe/snoop
-    /// machinery; every other access takes the reference path and re-arms
-    /// (or clears) the filter. Outcomes, stats, HPM effects and cache state
-    /// are bit-identical either way (`mem_fastpath_equivalence` suite).
-    #[allow(clippy::too_many_arguments)]
-    pub fn access(
-        &mut self,
-        stats: &mut [CpuStats],
-        hpm: &mut [Hpm],
-        cpu: usize,
-        now: u64,
-        pc: u32,
-        kind: AccessKind,
-        addr: u64,
-    ) -> AccessOutcome {
-        if self.cfg.host_accel.mem_fast_path {
-            if let Some(out) = self.access_fast(stats, cpu, now, kind, addr) {
-                self.fast_hits += 1;
-                self.rearm_miss[cpu] = 0;
-                return out;
-            }
-            let out = self.access_ref(stats, hpm, cpu, now, pc, kind, addr);
-            // Adaptive arming: eager while the filter earns fast hits, one
-            // periodic retry once it stops (host-side policy only — the
-            // filter never changes simulated state, so arming less often is
-            // unobservable).
-            let m = &mut self.rearm_miss[cpu];
-            *m = if *m >= REARM_EAGER + REARM_RETRY {
-                REARM_EAGER + 1
-            } else {
-                *m + 1
-            };
-            if *m <= REARM_EAGER || *m == REARM_EAGER + REARM_RETRY {
-                self.rearm_filter(cpu, now, kind, addr);
-            } else {
-                self.filters[cpu] = None;
-            }
-            out
-        } else {
-            self.access_ref(stats, hpm, cpu, now, pc, kind, addr)
-        }
-    }
-
-    /// The MRU-filter fast path. Fires only when `addr` targets the armed
-    /// line, the arm-time epoch still holds, and time has not gone
-    /// backwards; returns `None` to fall through to the reference path.
-    fn access_fast(
-        &mut self,
-        stats: &mut [CpuStats],
-        cpu: usize,
-        now: u64,
-        kind: AccessKind,
-        addr: u64,
-    ) -> Option<AccessOutcome> {
-        let f = self.filters[cpu]?;
-        let line = self.line_of(addr);
-        if f.line != line || now < f.armed_at || f.epoch != self.epoch_of(line) {
-            return None;
-        }
-        match kind {
-            // Line already M/E with no fill in flight: the reference path
-            // counts the issue and does nothing else.
-            AccessKind::Prefetch { .. } => {
-                stats[cpu].add(Event::LfetchIssued, 1);
-                Some(AccessOutcome {
-                    complete_at: now,
-                    stall_until: now,
-                })
-            }
-            AccessKind::Load { fp, bias: _ } => {
-                // Loads bump LRU on the reference path; only safe to skip
-                // when the line is already MRU (armed from a load hit).
-                // `bias` is irrelevant: the line is M/E, never Shared.
-                if !f.lru_fresh {
-                    return None;
-                }
-                let lat = if fp {
-                    // FP loads bypass L1 and hit in L2.
-                    if !f.in_l2 {
-                        return None;
-                    }
-                    self.cfg.l2.hit_latency
-                } else {
-                    let sub =
-                        addr / self.l1_line_bytes - line * (self.line_bytes / self.l1_line_bytes);
-                    if sub >= u8::BITS as u64 || f.l1_mask & (1 << sub) == 0 {
-                        // Sub-line not L1-resident: the reference path would
-                        // fill it (and count an L1D miss) — go there.
-                        return None;
-                    }
-                    self.cfg.l1d.hit_latency
-                };
-                Some(AccessOutcome {
-                    complete_at: now + lat,
-                    stall_until: now,
-                })
-            }
-            AccessKind::Store => {
-                // Only Modified lines: a store to Exclusive flips the state
-                // (silent E->M) on the reference path, which then re-arms
-                // the filter as dirty.
-                if !f.dirty {
-                    return None;
-                }
-                let (issue_at, stall_until) = self.stbuf_acquire(cpu, now);
-                // No in-flight fill of this line (arm invariant), so the
-                // drain starts as soon as the write port frees up.
-                let drain_done = issue_at.max(self.store_drain_tail[cpu]) + 1;
-                self.store_drain_tail[cpu] = drain_done;
-                self.store_bufs[cpu].push(drain_done);
-                Some(AccessOutcome {
-                    complete_at: drain_done,
-                    stall_until,
-                })
-            }
-            AccessKind::Atomic => {
-                if !f.dirty {
-                    return None;
-                }
-                Some(AccessOutcome {
-                    complete_at: now + self.cfg.l2.hit_latency + 1,
-                    stall_until: now,
-                })
-            }
-        }
-    }
-
-    /// Re-arm (or clear) a CPU's MRU filter after a reference-path access.
-    /// The filter may only arm when the line ended Modified/Exclusive in
-    /// this CPU's hierarchy with no fill of it in flight — misses always
-    /// leave an MSHR entry behind, so effectively only hits arm.
-    fn rearm_filter(&mut self, cpu: usize, now: u64, kind: AccessKind, addr: u64) {
-        self.filters[cpu] = None;
-        let line = self.line_of(addr);
-        let dirty = match self.hierarchies[cpu].state(line) {
-            Some(Mesi::Modified) => true,
-            Some(Mesi::Exclusive) => false,
-            _ => return,
-        };
-        if self.mshr_inflight(cpu, line, now).is_some() {
-            return;
-        }
-        let h = &self.hierarchies[cpu];
-        let ratio = h.l1_lines_per_coherence_line();
-        let mut l1_mask = 0u8;
-        for k in 0..ratio.min(u8::BITS as u64) {
-            if h.l1_resident(line * ratio + k) {
-                l1_mask |= 1 << k;
-            }
-        }
-        self.filters[cpu] = Some(MruFilter {
-            line,
-            epoch: self.epoch_of(line),
-            dirty,
-            lru_fresh: matches!(kind, AccessKind::Load { .. }),
-            in_l2: h.l2_resident(line),
-            l1_mask,
-            armed_at: now,
-        });
-    }
-
-    #[inline]
-    fn epoch_of(&self, line: u64) -> u64 {
-        self.line_epochs[line as usize & (EPOCH_BUCKETS - 1)]
-    }
-
     /// Bitmask of *other* hierarchies that may hold `line` (superset), or
-    /// `None` when the presence vector does not cover it — the snoop loops
-    /// then walk every CPU, as the reference always did.
+    /// `None` on the reference engine and when the presence vector does not
+    /// cover the line — the snoop loops then walk every CPU.
     #[inline]
     fn other_holders(&self, line: u64, cpu: usize) -> Option<u32> {
-        if !self.cfg.host_accel.mem_fast_path {
+        if self.cfg.host_accel != HostAccel::Fast {
             return None;
         }
         self.presence
@@ -474,9 +235,14 @@ impl MemSystem {
         }
     }
 
-    /// The full (reference) access path.
+    /// Perform one access; updates cache state, buses, MSHRs, store buffers,
+    /// per-CPU stats and (for demand loads) the DEAR latch.
+    ///
+    /// One path for both engines: the only thing [`HostAccel::Fast`]
+    /// changes is that the snoop walks inside `transaction` visit just the
+    /// hierarchies the presence vector names (see `other_holders`).
     #[allow(clippy::too_many_arguments)]
-    fn access_ref(
+    pub fn access(
         &mut self,
         stats: &mut [CpuStats],
         hpm: &mut [Hpm],
@@ -709,10 +475,6 @@ impl MemSystem {
         addr: u64,
     ) -> TxnResult {
         let line = self.line_of(addr);
-        // Every bus transaction may change some hierarchy's view of the
-        // line (downgrade, invalidation, flush), so it retires every MRU
-        // filter armed on the line's epoch bucket.
-        self.line_epochs[line as usize & (EPOCH_BUCKETS - 1)] += 1;
         let my_node = self.cfg.node_of_cpu(cpu);
         let home = self.pages.home_of(addr, my_node);
         let numa = matches!(self.cfg.topology, Topology::Numa { .. });
@@ -953,7 +715,6 @@ impl MemSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::HostAccel;
 
     fn setup(cfg: &MachineConfig) -> (MemSystem, Vec<CpuStats>, Vec<Hpm>) {
         let ms = MemSystem::new(cfg);
@@ -1329,51 +1090,6 @@ mod tests {
         assert_eq!(ms.snoop_stall_pending(1), 0, "no flush on a clean hit");
         // Cache-to-cache beats DRAM.
         assert!(out.complete_at - 1000 < cfg.mem_latency);
-    }
-
-    // ---- MRU-filter fast path ----
-
-    /// Repeated private hits must actually be answered by the filter (the
-    /// equivalence suite proves they are answered *identically*; this
-    /// proves they are answered *cheaply*).
-    #[test]
-    fn mru_filter_answers_repeated_private_hits() {
-        let cfg = MachineConfig::smp4().with_host_accel(HostAccel::fast());
-        let (mut ms, mut st, mut hp) = setup(&cfg);
-        // Warm the line: miss, then a first hit that arms the filter.
-        ms.access(&mut st, &mut hp, 0, 0, 1, LOAD_FP, 0x1000);
-        ms.access(&mut st, &mut hp, 0, 1000, 1, LOAD_FP, 0x1000);
-        assert_eq!(ms.fast_hits(), 0, "arming access takes the full path");
-        for k in 0..100u64 {
-            let out = ms.access(&mut st, &mut hp, 0, 2000 + k, 1, LOAD_FP, 0x1000);
-            assert_eq!(out.complete_at, 2000 + k + cfg.l2.hit_latency);
-        }
-        assert_eq!(ms.fast_hits(), 100, "every repeat rides the filter");
-        // Another CPU's transaction on the line kills the filter.
-        ms.access(&mut st, &mut hp, 1, 5000, 1, LOAD_FP, 0x1000);
-        ms.access(&mut st, &mut hp, 0, 6000, 1, LOAD_FP, 0x1000);
-        assert_eq!(ms.fast_hits(), 100, "epoch bump forces the full path");
-    }
-
-    /// With the fast path disabled the filter must never fire.
-    #[test]
-    fn disabled_fast_path_never_fires() {
-        let cfg =
-            MachineConfig::smp4().with_host_accel(HostAccel::fast().with_mem_fast_path(false));
-        let (mut ms, mut st, mut hp) = setup(&cfg);
-        ms.access(&mut st, &mut hp, 0, 0, 1, AccessKind::Store, 0x1000);
-        for k in 0..50u64 {
-            ms.access(
-                &mut st,
-                &mut hp,
-                0,
-                1000 + k * 2,
-                1,
-                AccessKind::Store,
-                0x1000,
-            );
-        }
-        assert_eq!(ms.fast_hits(), 0);
     }
 
     #[test]

@@ -1,272 +1,48 @@
-//! Bit-identical equivalence of the pre-decoded block dispatch engine
-//! against the per-cycle reference loop.
+//! Bit-identical equivalence of the pre-decoded block engine against the
+//! per-cycle reference loop.
 //!
-//! Block dispatch (`HostAccel::block_dispatch`, default on) executes whole
-//! basic blocks out of a per-generation micro-op cache, with per-opcode-class
-//! fused dispatch arms and a solo-core "stretch" loop. Like the other host
-//! accelerations it may only change how fast the simulator runs, never what
-//! it computes: for any program (including predicated forms of every
-//! specialized opcode class), thread placement, HPM sampling configuration,
-//! budget cutoff, and mid-run binary patching, the final cycle count, every
-//! per-CPU event counter, the exact overflow capture stream, data memory,
-//! and architectural register state must match the reference loop exactly.
+//! The fast engine executes out of a per-generation micro-op block cache,
+//! with per-opcode-class fused dispatch arms, a stretch that runs a solo
+//! core (or every core inside a safe horizon) back-to-back on a local clock,
+//! and interleaved pre-decoded cycles in between. Like everything else under
+//! `HostAccel::Fast` it may only change how fast the simulator runs, never
+//! what it computes: for any program (including predicated forms of every
+//! opcode class), thread placement, HPM sampling configuration, budget
+//! cutoff, and mid-run binary patching, the final cycle count, every per-CPU
+//! event counter, the exact overflow capture stream, data memory, MESI
+//! state and architectural register state must match the reference loop
+//! exactly.
+
+mod common;
 
 use cobra_isa::insn::{Insn, Op};
-use cobra_isa::{Assembler, CmpRel, CodeAddr, CodeImage, Unit};
-use cobra_machine::{
-    CoreStatus, CpuStats, Event, HostAccel, Machine, MachineConfig, Mesi, OverflowCapture,
-    RunResult, SamplingConfig,
+use cobra_isa::{Assembler, CmpRel};
+use cobra_machine::{CoreStatus, HostAccel, Machine, MachineConfig};
+use common::{
+    assert_equivalent, assert_equivalent_with, boot, sampling, snapshot, LoopParams, Program,
+    BODY_OPS,
 };
 use proptest::prelude::*;
 
-/// One body instruction of a generated loop. Selectors cover every
-/// specialized dispatch class (`AddI`, `Add`, `Sub`, `MovI`, `Nop`, `Cmp`,
-/// `CmpI`, `BrCond`, `ShlI`/`ShrI`/`SarI`, `FaddD`/`FmulD`, `BrCloop` via
-/// the loop back edge) in both unpredicated and predicated form, plus the
-/// `Other` arm's stall sources: loads/stores, load-use FP, long-latency FP,
-/// prefetches, and atomics.
-fn emit_body_op(a: &mut Assembler, sel: u8) {
-    match sel % 22 {
-        0 => {
-            a.addi(6, 6, 1);
-        }
-        1 => {
-            a.emit(Insn::new(Op::Add {
-                dest: 5,
-                r2: 5,
-                r3: 6,
-            }));
-        }
-        2 => {
-            a.emit(Insn::new(Op::Sub {
-                dest: 7,
-                r2: 7,
-                r3: 6,
-            }));
-        }
-        3 => {
-            a.movi(9, 0x5_0000_1234);
-        }
-        4 => {
-            a.nop(Unit::I);
-        }
-        5 => {
-            // Set a complementary predicate pair, then a predicated fast-class
-            // op on the "true" side. Both sides of every specialized class are
-            // exercised across the pair of selectors 5..=7.
-            a.cmp(1, 2, CmpRel::Lt, 6, 7);
-            a.emit(Insn::pred(
-                1,
-                Op::AddI {
-                    dest: 9,
-                    src: 9,
-                    imm: 2,
-                },
-            ));
-        }
-        6 => {
-            a.cmp(1, 2, CmpRel::Ge, 5, 7);
-            a.emit(Insn::pred(2, Op::MovI { dest: 10, imm: -7 }));
-        }
-        7 => {
-            a.cmp(1, 2, CmpRel::Ne, 6, 6);
-            a.emit(Insn::pred(
-                1,
-                Op::Sub {
-                    dest: 9,
-                    r2: 9,
-                    r3: 6,
-                },
-            ));
-            a.emit(Insn::pred(2, Op::Nop { unit: Unit::M }));
-        }
-        8 => {
-            a.ld8(0, 7, 4, 8);
-        }
-        9 => {
-            a.st8(0, 7, 4, 8);
-        }
-        10 => {
-            a.ldfd(0, 6, 4, 8);
-        }
-        11 => {
-            a.stfd(0, 6, 4, 8);
-        }
-        12 => {
-            // Immediate use of the last FP load: the classic load-use stall
-            // that must abort a block mid-flight and resume at the same slot.
-            a.fma_d(0, 8, 6, 1, 6);
-        }
-        13 => {
-            a.lfetch_nt1(0, 4, 64);
-        }
-        14 => {
-            a.emit(Insn::new(Op::FdivD {
-                dest: 9,
-                f1: 8,
-                f2: 1,
-            }));
-        }
-        15 => {
-            a.emit(Insn::new(Op::FetchAdd8 {
-                dest: 11,
-                base: 4,
-                inc: 8,
-            }));
-        }
-        16 => {
-            a.emit(Insn::new(Op::ShlI {
-                dest: 9,
-                src: 6,
-                count: 3,
-            }));
-        }
-        17 => {
-            // Logical vs arithmetic right shift over a value the loop can
-            // drive negative, one of them predicated.
-            a.emit(Insn::new(Op::ShrI {
-                dest: 10,
-                src: 7,
-                count: 2,
-            }));
-            a.cmp(1, 2, CmpRel::Lt, 7, 0);
-            a.emit(Insn::pred(
-                1,
-                Op::SarI {
-                    dest: 11,
-                    src: 7,
-                    count: 2,
-                },
-            ));
-        }
-        18 => {
-            // Immediate compare feeding predicated consumers on both sides.
-            a.emit(Insn::new(Op::CmpI {
-                p1: 3,
-                p2: 4,
-                rel: CmpRel::Lt,
-                imm: 20,
-                r3: 6,
-            }));
-            a.emit(Insn::pred(
-                3,
-                Op::AddI {
-                    dest: 10,
-                    src: 10,
-                    imm: 3,
-                },
-            ));
-            a.emit(Insn::pred(4, Op::MovI { dest: 11, imm: 40 }));
-        }
-        19 => {
-            a.emit(Insn::new(Op::FaddD {
-                dest: 6,
-                f1: 6,
-                f2: 8,
-            }));
-        }
-        20 => {
-            a.cmp(1, 2, CmpRel::Ge, 6, 7);
-            a.emit(Insn::pred(
-                2,
-                Op::FmulD {
-                    dest: 8,
-                    f1: 8,
-                    f2: 6,
-                },
-            ));
-        }
-        _ => {
-            // Forward conditional skip inside the loop body: `br.cond` both
-            // taken and not taken, with a block boundary at the join point.
-            a.cmp(1, 2, CmpRel::Lt, 6, 7);
-            let skip = a.new_label();
-            a.br_cond(1, skip);
-            a.addi(10, 10, 1);
-            a.bind(skip);
-        }
-    }
-}
-
-/// Everything observable about a finished run, including the MESI state of
-/// every line either path could have touched, in every CPU's hierarchy. Two
-/// runs are "the same simulation" iff these snapshots are equal.
-#[derive(Debug, PartialEq)]
-struct Snapshot {
-    result: RunResult,
-    final_cycle: u64,
-    stats: Vec<CpuStats>,
-    overflows: Vec<Vec<OverflowCapture>>,
-    mem_words: Vec<u64>,
-    regs: Vec<(u32, Vec<i64>, u64, u64)>, // (pc, r4..r11, f6 bits, f8 bits)
-    mesi: Vec<Vec<Option<Mesi>>>,         // [cpu][line] over the touched range
-}
-
-fn snapshot(m: &mut Machine, result: RunResult, threads: usize) -> Snapshot {
-    Snapshot {
-        result,
-        final_cycle: m.cycle(),
-        stats: m.stats().to_vec(),
-        overflows: (0..m.num_cpus())
-            .map(|cpu| m.shared.hpm[cpu].take_overflows())
-            .collect(),
-        mem_words: (0..0x22000u64)
-            .step_by(8)
-            .map(|a| m.shared.mem.read_u64(a))
-            .collect(),
-        regs: (0..threads)
-            .map(|cpu| {
-                let c = m.core(cpu);
-                (
-                    c.pc,
-                    (4..=11).map(|r| c.gr(r)).collect(),
-                    c.fr(6).to_bits(),
-                    c.fr(8).to_bits(),
-                )
-            })
-            .collect(),
-        mesi: (0..m.num_cpus())
-            .map(|cpu| {
-                (0..0x22000u64)
-                    .step_by(128)
-                    .map(|a| m.shared.memsys.peek_state(cpu, a))
-                    .collect()
-            })
-            .collect(),
-    }
-}
-
-/// A generated workload: a counted loop over a random op mix, with an
-/// optional HPM sampling configuration per CPU (`event_sel == 3` leaves
-/// sampling off, which is what admits the solo-core stretch loop).
-#[derive(Debug, Clone)]
-struct Params {
-    altix: bool,
-    threads: usize,
-    share_base: bool,
-    event_sel: u8,
-    period: u64,
-    body: Vec<u8>,
-    iters: u64,
-}
-
-fn params_strategy(max_threads: usize) -> impl Strategy<Value = Params> {
+/// Random counted loops over the whole op mix, with an optional HPM
+/// sampling configuration per CPU (`event_sel == 3` leaves sampling off, so
+/// stretches are bounded only by the budget).
+fn params_strategy(max_threads: usize) -> impl Strategy<Value = LoopParams> {
     (
         any::<bool>(),
         1usize..=max_threads,
         any::<bool>(),
         0u8..4,
         50u64..1500,
-        prop::collection::vec(0u8..22, 1..10),
+        prop::collection::vec(0u8..BODY_OPS, 1..10),
         1u64..48,
     )
         .prop_map(
-            |(altix, threads, share_base, event_sel, period, body, iters)| Params {
+            |(altix, threads, share_base, event_sel, period, body, iters)| LoopParams {
                 altix,
                 threads,
                 share_base,
-                event_sel,
-                period,
+                sampling: sampling(event_sel, period),
                 body,
                 iters,
             },
@@ -274,122 +50,45 @@ fn params_strategy(max_threads: usize) -> impl Strategy<Value = Params> {
 }
 
 /// Workloads that keep two to eight cores *running together* — the regime
-/// where the lockstep multicore horizon engine engages. Sampling stays in
-/// the mix: stretches are then capped by the sampling gate rather than
-/// disabled, and must still be bit-identical.
-fn lockstep_params_strategy() -> impl Strategy<Value = Params> {
+/// where the lockstep horizon engages. Sampling stays in the mix: stretches
+/// are then capped by the sampling gate rather than disabled, and must still
+/// be bit-identical.
+fn lockstep_params_strategy() -> impl Strategy<Value = LoopParams> {
     params_strategy(8).prop_map(|mut p| {
         p.threads = p.threads.max(2);
         p
     })
 }
 
-/// Threads actually spawned: `Params::threads` capped at the machine size.
-fn effective_threads(p: &Params) -> usize {
-    p.threads.min(if p.altix { 8 } else { 4 })
-}
-
-/// Build the loop image for `p`, recording where the body starts and ends
-/// (for mid-run patching).
-fn build_image(p: &Params) -> (CodeImage, CodeAddr, CodeAddr) {
-    let mut a = Assembler::new();
-    // r8 = base address (thread argument), r4 = walking pointer.
-    a.emit(Insn::new(Op::Add {
-        dest: 4,
-        r2: 8,
-        r3: 0,
-    }));
-    a.movi(5, p.iters as i64);
-    a.mov_to_lc(5);
-    let top = a.new_label();
-    a.bind(top);
-    let body_start = a.here();
-    for &sel in &p.body {
-        emit_body_op(&mut a, sel);
-    }
-    let body_end = a.here();
-    a.br_cloop(top);
-    a.hlt();
-    (a.finish(), body_start, body_end)
-}
-
-fn make_machine(accel: HostAccel, p: &Params) -> (Machine, CodeAddr, CodeAddr) {
-    let (image, body_start, body_end) = build_image(p);
-    let base_cfg = if p.altix {
-        MachineConfig::altix8()
-    } else {
-        MachineConfig::smp4()
-    };
-    let cfg = base_cfg.with_host_accel(accel);
-    let mut m = Machine::new(cfg, image);
-    let event = match p.event_sel % 4 {
-        0 => Some(Event::CpuCycles),
-        1 => Some(Event::StallCycles),
-        2 => Some(Event::InstRetired),
-        _ => None, // sampling off: the stretch engines are legal
-    };
-    for cpu in 0..effective_threads(p) {
-        if let Some(event) = event {
-            let baseline = m.stats()[cpu].get(event);
-            m.shared.hpm[cpu].program_sampling(
-                SamplingConfig {
-                    event,
-                    period: p.period,
-                },
-                baseline,
-            );
-        }
-        let base = if p.share_base {
-            0x1000u64
-        } else {
-            0x1000 + cpu as u64 * 0x4000
-        };
-        m.spawn_thread(cpu, 0, &[base as i64]);
-    }
-    (m, body_start, body_end)
-}
-
-fn run_one(block_dispatch: bool, p: &Params, budget: u64) -> Snapshot {
-    run_one_accel(
-        HostAccel::fast().with_block_dispatch(block_dispatch),
-        p,
-        budget,
-    )
-}
-
-fn run_one_accel(accel: HostAccel, p: &Params, budget: u64) -> Snapshot {
-    let (mut m, _, _) = make_machine(accel, p);
-    let result = m.run(budget);
-    snapshot(&mut m, result, effective_threads(p))
-}
-
-/// Run in segments, patching one body slot between the first two segments
-/// and reverting it (via the returned old word) before the last — so the
-/// block cache sees builds, a patch invalidation possibly mid-block, and a
-/// revert, all mid-run. Returns a snapshot after every segment.
-fn run_patched(accel: HostAccel, p: &Params, seg_budget: u64, patch_off: u32) -> Vec<Snapshot> {
-    let threads = effective_threads(p);
-    let (mut m, body_start, body_end) = make_machine(accel, p);
+/// Run in segments on both engines, patching one body slot between the
+/// first two segments and reverting it (via the returned old word) before
+/// the last — so the block cache sees builds, a patch invalidation possibly
+/// mid-block, and a revert, all mid-run. Every segment's snapshot must
+/// match the reference loop, which has no cache to invalidate.
+fn assert_patched_equivalent(p: &LoopParams, seg_budget: u64, patch_off: u32) {
+    let (program, body_start, body_end) = p.program();
     let addr = body_start + patch_off % (body_end - body_start);
-    let mut snaps = Vec::new();
-    let r = m.run(seg_budget);
-    snaps.push(snapshot(&mut m, r, threads));
-    let old = m
-        .patch(
-            addr,
-            &Insn::new(Op::AddI {
-                dest: 6,
-                src: 6,
-                imm: 5,
-            }),
-        )
-        .expect("body slot is patchable");
-    let r = m.run(seg_budget);
-    snaps.push(snapshot(&mut m, r, threads));
-    m.patch_word(addr, old).expect("revert patch is valid");
-    let r = m.run(seg_budget);
-    snaps.push(snapshot(&mut m, r, threads));
-    snaps
+    assert_equivalent_with(&p.cfg(), &program, |m| {
+        let mut snaps = Vec::new();
+        let r = m.run(seg_budget);
+        snaps.push(snapshot(m, r));
+        let old = m
+            .patch(
+                addr,
+                &Insn::new(Op::AddI {
+                    dest: 6,
+                    src: 6,
+                    imm: 5,
+                }),
+            )
+            .expect("body slot is patchable");
+        let r = m.run(seg_budget);
+        snaps.push(snapshot(m, r));
+        m.patch_word(addr, old).expect("revert patch is valid");
+        let r = m.run(seg_budget);
+        snaps.push(snapshot(m, r));
+        snaps
+    });
 }
 
 proptest! {
@@ -400,9 +99,7 @@ proptest! {
     /// overflows that fire mid-block), memory, and registers.
     #[test]
     fn block_dispatch_matches_reference(p in params_strategy(4)) {
-        let reference = run_one(false, &p, 150_000);
-        let block = run_one(true, &p, 150_000);
-        prop_assert_eq!(reference, block);
+        assert_equivalent(&p.cfg(), &p.program().0, 150_000);
     }
 
     /// Same property when the budget cuts the run off mid-flight — possibly
@@ -413,40 +110,28 @@ proptest! {
         p in params_strategy(2),
         budget in 100u64..3000,
     ) {
-        let reference = run_one(false, &p, budget);
-        let block = run_one(true, &p, budget);
-        prop_assert_eq!(reference, block);
+        assert_equivalent(&p.cfg(), &p.program().0, budget);
     }
 
     /// Patching and reverting a body instruction *between run segments* —
     /// while the cursor may sit mid-block — must invalidate exactly the
-    /// stale blocks: every segment's snapshot matches the reference loop,
-    /// which has no cache to invalidate.
+    /// stale blocks.
     #[test]
     fn mid_run_patch_and_revert_match_reference(
         p in params_strategy(2),
         seg_budget in 50u64..2000,
         patch_off in 0u32..16,
     ) {
-        let reference = run_patched(
-            HostAccel::fast().with_block_dispatch(false), &p, seg_budget, patch_off);
-        let block = run_patched(HostAccel::fast(), &p, seg_budget, patch_off);
-        prop_assert_eq!(reference, block);
+        assert_patched_equivalent(&p, seg_budget, patch_off);
     }
 
-    /// Lockstep multicore stretches: with 2-8 cores running and sampling
-    /// off, the horizon engine, the solo/per-cycle engine with the lockstep
-    /// switch off, and the per-cycle reference must all produce bit-identical
+    /// Lockstep multicore stretches: with 2-8 cores running, the horizon
+    /// engine and the per-cycle reference must produce bit-identical
     /// simulations — down to the MESI state of every touched line in every
     /// CPU's cache hierarchy.
     #[test]
     fn lockstep_multicore_matches_reference(p in lockstep_params_strategy()) {
-        let reference = run_one(false, &p, 150_000);
-        let lockstep = run_one(true, &p, 150_000);
-        prop_assert_eq!(&reference, &lockstep);
-        let no_lockstep = run_one_accel(
-            HostAccel::fast().with_block_dispatch_multicore(false), &p, 150_000);
-        prop_assert_eq!(&reference, &no_lockstep);
+        assert_equivalent(&p.cfg(), &p.program().0, 150_000);
     }
 
     /// The budget expiring mid-horizon must cut the run at exactly the
@@ -456,9 +141,7 @@ proptest! {
         p in lockstep_params_strategy(),
         budget in 100u64..3000,
     ) {
-        let reference = run_one(false, &p, budget);
-        let lockstep = run_one(true, &p, budget);
-        prop_assert_eq!(reference, lockstep);
+        assert_equivalent(&p.cfg(), &p.program().0, budget);
     }
 
     /// Patch/revert between run segments while multiple cores sit mid-block:
@@ -469,11 +152,19 @@ proptest! {
         seg_budget in 50u64..2000,
         patch_off in 0u32..16,
     ) {
-        let reference = run_patched(
-            HostAccel::fast().with_block_dispatch(false), &p, seg_budget, patch_off);
-        let lockstep = run_patched(HostAccel::fast(), &p, seg_budget, patch_off);
-        prop_assert_eq!(reference, lockstep);
+        assert_patched_equivalent(&p, seg_budget, patch_off);
     }
+}
+
+/// The outcome every fault case shares: the thread on CPU 0 dereferenced
+/// `-8` and nothing past the fault executed.
+fn assert_cpu0_faulted(m: &Machine) {
+    assert_eq!(m.core(0).status, CoreStatus::Faulted);
+    assert_eq!(
+        m.core(0).fault.expect("fault recorded").addr,
+        (-8i64) as u64
+    );
+    assert_eq!(m.core(0).gr(31), 0, "nothing executes past the fault");
 }
 
 /// A fault in the middle of a block must surface identically to the
@@ -481,36 +172,24 @@ proptest! {
 /// and nothing past the fault executes.
 #[test]
 fn fault_mid_block_matches_reference() {
-    let build = || {
-        let mut a = Assembler::new();
-        // A straight-line block: arithmetic, then a wild load, then a
-        // sentinel that must never execute.
-        a.movi(6, 10);
-        a.addi(6, 6, 1);
-        a.addi(6, 6, 2);
-        a.movi(4, -8);
-        a.ld8(0, 7, 4, 0);
-        a.movi(31, 1);
-        a.hlt();
-        a.finish()
-    };
-    let run = |block_dispatch: bool| {
-        let cfg = MachineConfig::smp4()
-            .with_host_accel(HostAccel::fast().with_block_dispatch(block_dispatch));
-        let mut m = Machine::new(cfg, build());
-        m.spawn_thread(0, 0, &[]);
+    let mut a = Assembler::new();
+    // A straight-line block: arithmetic, then a wild load, then a
+    // sentinel that must never execute.
+    a.movi(6, 10);
+    a.addi(6, 6, 1);
+    a.addi(6, 6, 2);
+    a.movi(4, -8);
+    a.ld8(0, 7, 4, 0);
+    a.movi(31, 1);
+    a.hlt();
+    let program = Program::new(a.finish(), 1);
+    assert_equivalent_with(&MachineConfig::smp4(), &program, |m| {
         let r = m.run(100_000);
         assert!(r.halted && r.faulted);
-        assert_eq!(m.core(0).status, CoreStatus::Faulted);
-        assert_eq!(
-            m.core(0).fault.expect("fault recorded").addr,
-            (-8i64) as u64
-        );
-        assert_eq!(m.core(0).gr(31), 0, "nothing executes past the fault");
+        assert_cpu0_faulted(m);
         let result = m.run(100_000);
-        snapshot(&mut m, result, 1)
-    };
-    assert_eq!(run(false), run(true));
+        snapshot(m, result)
+    });
 }
 
 /// An appended trace is executable under block dispatch: redirecting the
@@ -518,19 +197,16 @@ fn fault_mid_block_matches_reference() {
 /// reference loop.
 #[test]
 fn appended_trace_executes_identically() {
-    let run = |block_dispatch: bool| {
-        let mut a = Assembler::new();
-        a.movi(5, 40);
-        a.mov_to_lc(5);
-        let top = a.new_label();
-        a.bind(top);
-        let body = a.addi(6, 6, 1);
-        a.br_cloop(top);
-        a.hlt();
-        let cfg = MachineConfig::smp4()
-            .with_host_accel(HostAccel::fast().with_block_dispatch(block_dispatch));
-        let mut m = Machine::new(cfg, a.finish());
-        m.spawn_thread(0, 0, &[]);
+    let mut a = Assembler::new();
+    a.movi(5, 40);
+    a.mov_to_lc(5);
+    let top = a.new_label();
+    a.bind(top);
+    let body = a.addi(6, 6, 1);
+    a.br_cloop(top);
+    a.hlt();
+    let program = Program::new(a.finish(), 1);
+    assert_equivalent_with(&MachineConfig::smp4(), &program, |m| {
         // Run halfway, then append a trace and patch the old body to jump
         // into it (simulating what cobra-rt's trace deployment does).
         let r1 = m.run(30);
@@ -551,9 +227,8 @@ fn appended_trace_executes_identically() {
             .expect("branch patch is valid");
         let r2 = m.run(100_000);
         assert!(r2.halted && !r2.faulted, "trace run completes");
-        (r1, snapshot(&mut m, r2, 1))
-    };
-    assert_eq!(run(false), run(true));
+        (r1, snapshot(m, r2))
+    });
 }
 
 /// Pinned semantics for every dispatch class widened in this round: shifts,
@@ -562,7 +237,7 @@ fn appended_trace_executes_identically() {
 /// reference *and* with the architecturally expected values.
 #[test]
 fn widened_dispatch_classes_execute_identically() {
-    let build = || {
+    let program = {
         let mut a = Assembler::new();
         a.movi(6, 5); // r6 = 5
         a.movi(7, -16); // r7 = -16
@@ -610,13 +285,9 @@ fn widened_dispatch_classes_execute_identically() {
         a.addi(5, 5, 7); // executes: r5 = 7
         a.bind(join);
         a.hlt();
-        a.finish()
+        Program::new(a.finish(), 1)
     };
-    let run = |block_dispatch: bool| {
-        let cfg = MachineConfig::smp4()
-            .with_host_accel(HostAccel::fast().with_block_dispatch(block_dispatch));
-        let mut m = Machine::new(cfg, build());
-        m.spawn_thread(0, 0, &[]);
+    assert_equivalent_with(&MachineConfig::smp4(), &program, |m| {
         let r = m.run(100_000);
         assert!(r.halted && !r.faulted);
         let c = m.core(0);
@@ -626,9 +297,8 @@ fn widened_dispatch_classes_execute_identically() {
         assert_eq!(c.gr(8), 77, "cmpi picked the false side");
         assert_eq!(c.gr(4), 0, "taken br.cond skipped the movi");
         assert_eq!(c.gr(5), 7, "fall-through br.cond executed the addi");
-        snapshot(&mut m, r, 1)
-    };
-    assert_eq!(run(false), run(true));
+        snapshot(m, r)
+    });
 }
 
 /// A fault inside a lockstep stretch: two cores run arithmetic together in
@@ -637,55 +307,49 @@ fn widened_dispatch_classes_execute_identically() {
 /// unperturbed, exactly as in the per-cycle reference.
 #[test]
 fn fault_in_lockstep_stretch_matches_reference() {
-    let build = || {
-        let mut a = Assembler::new();
-        // r4 = thread-argument pointer; a pure-arithmetic counted loop keeps
-        // both cores inside lockstep horizons, then each core loads through
-        // its own pointer.
-        a.emit(Insn::new(Op::Add {
-            dest: 4,
-            r2: 8,
-            r3: 0,
-        }));
-        a.movi(5, 64);
-        a.mov_to_lc(5);
-        let top = a.new_label();
-        a.bind(top);
-        // A body long enough that the loop-head horizon clears the engine's
-        // minimum stretch length even though the loop exit leads straight to
-        // a load.
-        for k in 0..8 {
-            a.addi(6, 6, 1);
-            a.addi(7, 7, 2 + k);
-        }
-        a.br_cloop(top);
-        a.ld8(0, 9, 4, 0);
-        a.movi(31, 1);
-        a.hlt();
-        a.finish()
+    let mut a = Assembler::new();
+    // r4 = thread-argument pointer; a pure-arithmetic counted loop keeps
+    // both cores inside lockstep horizons, then each core loads through
+    // its own pointer.
+    a.emit(Insn::new(Op::Add {
+        dest: 4,
+        r2: 8,
+        r3: 0,
+    }));
+    a.movi(5, 64);
+    a.mov_to_lc(5);
+    let top = a.new_label();
+    a.bind(top);
+    // A body long enough that the loop-head horizon clears the engine's
+    // minimum stretch length even though the loop exit leads straight to
+    // a load.
+    for k in 0..8 {
+        a.addi(6, 6, 1);
+        a.addi(7, 7, 2 + k);
+    }
+    a.br_cloop(top);
+    a.ld8(0, 9, 4, 0);
+    a.movi(31, 1);
+    a.hlt();
+    let program = Program {
+        image: a.finish(),
+        // A wild pointer that faults at the load; a valid one that halts.
+        threads: vec![(0, 0, vec![-8]), (1, 0, vec![0x2000])],
+        sampling: None,
     };
-    let run = |accel: HostAccel| {
-        let cfg = MachineConfig::smp4().with_host_accel(accel);
-        let mut m = Machine::new(cfg, build());
-        m.spawn_thread(0, 0, &[-8]); // wild pointer: faults at the load
-        m.spawn_thread(1, 0, &[0x2000]); // valid pointer: halts cleanly
+    let cfg = MachineConfig::smp4();
+    assert_equivalent_with(&cfg, &program, |m| {
         let r = m.run(100_000);
         assert!(r.halted && r.faulted);
-        assert_eq!(m.core(0).status, CoreStatus::Faulted);
-        assert_eq!(
-            m.core(0).fault.expect("fault recorded").addr,
-            (-8i64) as u64
-        );
-        assert_eq!(m.core(0).gr(31), 0, "nothing executes past the fault");
+        assert_cpu0_faulted(m);
         assert_eq!(m.core(1).status, CoreStatus::Halted);
         assert_eq!(m.core(1).gr(31), 1, "the healthy core finished");
-        let stretches = m.shared.blocks.stats().horizon_stretches;
-        (snapshot(&mut m, r, 2), stretches)
-    };
-    let (reference, _) = run(HostAccel::fast().with_block_dispatch(false));
-    let (lockstep, stretches) = run(HostAccel::fast());
-    assert_eq!(reference, lockstep);
-    assert!(stretches > 0, "the lockstep engine actually engaged");
-    let (no_lockstep, _) = run(HostAccel::fast().with_block_dispatch_multicore(false));
-    assert_eq!(reference, no_lockstep);
+        snapshot(m, r)
+    });
+    let mut m = boot(&cfg, HostAccel::fast(), &program);
+    m.run(100_000);
+    assert!(
+        m.block_stats().horizon_stretches > 0,
+        "the lockstep engine actually engaged"
+    );
 }

@@ -1,209 +1,51 @@
-//! Bit-identical equivalence of the memory-system private-hit fast path
-//! (`MachineConfig::mem_fast_path`, default on) against the full reference
-//! path.
+//! Bit-identical equivalence of the memory system under the fast engine
+//! against the full reference path.
 //!
-//! The MRU filter may answer an access without probing the caches or
-//! walking the snoop loops, and the presence vector may skip snoop walks
-//! entirely — but neither may ever change what the simulation computes:
-//! cycles, every per-CPU event counter, DEAR latches and overflow capture
-//! streams, data memory, architectural registers, *and the MESI state of
-//! every line in every hierarchy* must match the reference exactly. Two
-//! layers of property tests enforce this:
+//! Under `HostAccel::Fast` the presence vector may skip snoop walks no
+//! hierarchy could answer — but that may never change what the simulation
+//! computes: cycles, every per-CPU event counter, DEAR latches and overflow
+//! capture streams, data memory, architectural registers, *and the MESI
+//! state of every line in every hierarchy* must match the reference
+//! exactly. Two layers of property tests enforce this:
 //!
-//! 1. whole-machine runs over random multithreaded programs (crossed with
-//!    the stall-skip toggle and both evaluation machines), and
+//! 1. whole-machine runs over random multithreaded programs on both
+//!    evaluation machines, and
 //! 2. direct `MemSystem::access` sequences with adversarial interleavings
 //!    of loads/stores/prefetches/atomics across CPUs sharing a small pool
 //!    of lines — which reaches orderings the in-order cores never emit.
 
-use cobra_isa::insn::{Insn, Op};
-use cobra_isa::{Assembler, LfetchHint};
+mod common;
+
 use cobra_machine::{
-    AccessKind, CpuStats, Event, HostAccel, Hpm, Machine, MachineConfig, MemSystem, Mesi,
-    OverflowCapture, RunResult, SamplingConfig,
+    AccessKind, CpuStats, Event, HostAccel, Hpm, MachineConfig, MemSystem, SamplingConfig,
 };
+use common::{assert_equivalent, LoopParams, MEM_MIX};
 use proptest::prelude::*;
-
-/// One body instruction of a generated loop. On top of the stall-skip
-/// suite's op mix this adds the kinds the memory fast path special-cases:
-/// atomics, `.bias` loads, and `.excl` prefetches.
-fn emit_body_op(a: &mut Assembler, sel: u8) {
-    match sel % 11 {
-        0 => {
-            a.addi(6, 6, 1);
-        }
-        1 => {
-            a.ldfd(0, 6, 4, 8);
-        }
-        2 => {
-            a.stfd(0, 6, 4, 8);
-        }
-        3 => {
-            a.ld8(0, 7, 4, 8);
-        }
-        4 => {
-            a.st8(0, 7, 4, 8);
-        }
-        5 => {
-            a.fma_d(0, 8, 6, 1, 6);
-        }
-        6 => {
-            a.lfetch_nt1(0, 4, 64);
-        }
-        7 => {
-            a.emit(Insn::new(Op::FdivD {
-                dest: 9,
-                f1: 8,
-                f2: 1,
-            }));
-        }
-        8 => {
-            a.emit(Insn::new(Op::FetchAdd8 {
-                dest: 7,
-                base: 4,
-                inc: 1,
-            }));
-        }
-        9 => {
-            a.emit(Insn::new(Op::Ld8 {
-                dest: 7,
-                base: 4,
-                post_inc: 8,
-                bias: true,
-            }));
-        }
-        _ => {
-            a.emit(Insn::new(Op::Lfetch {
-                base: 4,
-                post_inc: 64,
-                hint: LfetchHint::Nt1,
-                excl: true,
-            }));
-        }
-    }
-}
-
-/// Everything observable about a finished run, including the MESI state of
-/// every line either path could have touched, in every CPU's hierarchy.
-#[derive(Debug, PartialEq)]
-struct Snapshot {
-    result: RunResult,
-    final_cycle: u64,
-    stats: Vec<CpuStats>,
-    overflows: Vec<Vec<OverflowCapture>>,
-    mem_words: Vec<u64>,
-    regs: Vec<(u32, i64, i64, u64, u64)>, // (pc, r6, r7, f6 bits, f8 bits)
-    mesi: Vec<Vec<Option<Mesi>>>,         // [cpu][line] over the touched range
-    bus_transactions: u64,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_one(
-    mem_fast_path: bool,
-    stall_skip: bool,
-    altix: bool,
-    threads: usize,
-    share_base: bool,
-    period: u64,
-    body: &[u8],
-    iters: u64,
-) -> Snapshot {
-    let image = {
-        let mut a = Assembler::new();
-        // r8 = base address (thread argument), r4 = walking pointer.
-        a.emit(Insn::new(Op::Add {
-            dest: 4,
-            r2: 8,
-            r3: 0,
-        }));
-        a.movi(5, iters as i64);
-        a.mov_to_lc(5);
-        let top = a.new_label();
-        a.bind(top);
-        for &sel in body {
-            emit_body_op(&mut a, sel);
-        }
-        a.br_cloop(top);
-        a.hlt();
-        a.finish()
-    };
-    let cfg = if altix {
-        MachineConfig::altix8()
-    } else {
-        MachineConfig::smp4()
-    };
-    let cfg = cfg.with_host_accel(
-        HostAccel::fast()
-            .with_stall_skip(stall_skip)
-            .with_mem_fast_path(mem_fast_path),
-    );
-    let num_cpus = cfg.num_cpus;
-    let mut m = Machine::new(cfg, image);
-    for cpu in 0..threads.min(num_cpus) {
-        let baseline = m.stats()[cpu].get(Event::CpuCycles);
-        m.shared.hpm[cpu].program_sampling(
-            SamplingConfig {
-                event: Event::CpuCycles,
-                period,
-            },
-            baseline,
-        );
-        let base = if share_base {
-            0x1000u64
-        } else {
-            0x1000 + cpu as u64 * 0x4000
-        };
-        m.spawn_thread(cpu, 0, &[base as i64]);
-    }
-    let result = m.run(150_000);
-    Snapshot {
-        result,
-        final_cycle: m.cycle(),
-        stats: m.stats().to_vec(),
-        overflows: (0..m.num_cpus())
-            .map(|cpu| m.shared.hpm[cpu].take_overflows())
-            .collect(),
-        mem_words: (0..0x28000u64)
-            .step_by(8)
-            .map(|a| m.shared.mem.read_u64(a))
-            .collect(),
-        regs: (0..threads.min(num_cpus))
-            .map(|cpu| {
-                let c = m.core(cpu);
-                (c.pc, c.gr(6), c.gr(7), c.fr(6).to_bits(), c.fr(8).to_bits())
-            })
-            .collect(),
-        mesi: (0..num_cpus)
-            .map(|cpu| {
-                (0..0x28000u64)
-                    .step_by(128)
-                    .map(|a| m.shared.memsys.peek_state(cpu, a))
-                    .collect()
-            })
-            .collect(),
-        bus_transactions: m.shared.memsys.bus_transactions(),
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Whole-machine equivalence: the fast path and the reference produce
-    /// bit-identical simulations on both evaluation machines, with the
-    /// stall-skip toggle in either position.
+    /// Whole-machine equivalence: the fast engine and the reference produce
+    /// bit-identical simulations on both evaluation machines, over the op
+    /// mix that adds atomics, `.bias` loads and `.excl` prefetches.
     #[test]
-    fn mem_fast_path_matches_reference(
-        mode in 0u8..4, // bit 0: stall_skip, bit 1: altix8 instead of smp4
+    fn memsys_matches_reference(
+        altix in any::<bool>(),
         threads in 1usize..=8,
         share_base in any::<bool>(),
         period in 50u64..1500,
         body in prop::collection::vec(0u8..11, 1..8),
         iters in 1u64..48,
     ) {
-        let (stall_skip, altix) = (mode & 1 != 0, mode & 2 != 0);
-        let reference = run_one(false, stall_skip, altix, threads, share_base, period, &body, iters);
-        let fast = run_one(true, stall_skip, altix, threads, share_base, period, &body, iters);
-        prop_assert_eq!(reference, fast);
+        let p = LoopParams {
+            altix,
+            threads,
+            share_base,
+            sampling: Some(SamplingConfig { event: Event::CpuCycles, period }),
+            body: body.iter().map(|&sel| MEM_MIX[sel as usize]).collect(),
+            iters,
+        };
+        assert_equivalent(&p.cfg(), &p.program().0, 150_000);
     }
 }
 
@@ -240,10 +82,9 @@ fn raw_kind(sel: u8) -> AccessKind {
 
 /// Drive the same access sequence through a fast and a reference
 /// `MemSystem`; every outcome and every piece of final state must agree.
-fn check_raw_sequence(cfg_fast: &MachineConfig, accesses: &[RawAccess]) {
-    let cfg_ref = cfg_fast
-        .clone()
-        .with_host_accel(cfg_fast.host_accel.with_mem_fast_path(false));
+fn check_raw_sequence(cfg: MachineConfig, accesses: &[RawAccess]) {
+    let cfg_fast = &cfg.clone().with_host_accel(HostAccel::fast());
+    let cfg_ref = cfg.with_host_accel(HostAccel::reference());
     let n = cfg_fast.num_cpus;
     let mut fast = MemSystem::new(cfg_fast);
     let mut reference = MemSystem::new(&cfg_ref);
@@ -315,7 +156,7 @@ proptest! {
             1..120,
         ),
     ) {
-        check_raw_sequence(&MachineConfig::smp4(), &accesses);
+        check_raw_sequence(MachineConfig::smp4(), &accesses);
     }
 
     /// The same property on the cc-NUMA machine (NUMA latency arms, remote
@@ -331,18 +172,16 @@ proptest! {
             1..120,
         ),
     ) {
-        check_raw_sequence(&MachineConfig::altix8(), &accesses);
+        check_raw_sequence(MachineConfig::altix8(), &accesses);
     }
 }
 
-/// The filter must survive a serialization-era config without the field
-/// (defaults on) and must be forcible off per machine. Spot-check the two
-/// paths at the unit level: a repeated private store drains identically.
+/// Spot-check the two engines at the unit level: a repeated private store
+/// drains identically.
 #[test]
 fn repeated_private_store_is_identical_both_ways() {
-    for fast_on in [false, true] {
-        let cfg =
-            MachineConfig::smp4().with_host_accel(HostAccel::fast().with_mem_fast_path(fast_on));
+    for accel in [HostAccel::reference(), HostAccel::fast()] {
+        let cfg = MachineConfig::smp4().with_host_accel(accel);
         let mut ms = MemSystem::new(&cfg);
         let mut st: Vec<CpuStats> = (0..4).map(|_| CpuStats::new()).collect();
         let mut hp: Vec<Hpm> = (0..4).map(|_| Hpm::new(cfg.dear_min_latency)).collect();
@@ -354,7 +193,7 @@ fn repeated_private_store_is_identical_both_ways() {
         }
         // Drains chain through the single write port: each one cycle later.
         for w in completes.windows(2) {
-            assert_eq!(w[1], w[0] + 1, "fast_on={fast_on}");
+            assert_eq!(w[1], w[0] + 1, "{accel:?}");
         }
     }
 }

@@ -1,147 +1,50 @@
-//! Bit-identical equivalence of the stall-skip fast path against the
-//! per-cycle reference loop, plus guest-memory fault hardening.
+//! Bit-identical equivalence of the fast engine against the per-cycle
+//! reference loop on stall-dominated programs, plus guest-memory fault
+//! hardening.
 //!
-//! The fast path (`MachineConfig::stall_skip`, default on) may only change
-//! how fast the simulator runs, never what it computes: for any program,
-//! thread placement, and HPM sampling configuration, the final cycle count,
-//! every per-CPU event counter, the exact stream of sampling overflow
-//! captures (cycles, PCs, BTB/DEAR snapshots), data memory, and
-//! architectural register state must match the reference loop exactly.
-//! The property test below drives both paths over random multithreaded
-//! programs — including sampling on events that advance during stalls
-//! (`CPU_CYCLES`, `BE_STALL_CYCLES`), which is the hard case: an overflow
-//! can fire in the middle of an all-stalled window.
+//! The fast engine skips all-stalled windows in bulk (and bulk-accounts the
+//! stall windows inside a stretch). That may only change how fast the
+//! simulator runs, never what it computes: for any program, thread
+//! placement, and HPM sampling configuration, the final cycle count, every
+//! per-CPU event counter, the exact stream of sampling overflow captures
+//! (cycles, PCs, BTB/DEAR snapshots), data memory, and architectural
+//! register state must match the reference loop exactly. The property test
+//! below drives both engines over random multithreaded programs — including
+//! sampling on events that advance during stalls (`CPU_CYCLES`,
+//! `BE_STALL_CYCLES`), which is the hard case: an overflow can fire in the
+//! middle of an all-stalled window.
+
+mod common;
 
 use cobra_isa::insn::{Insn, Op};
 use cobra_isa::Assembler;
-use cobra_machine::{
-    CoreStatus, CpuStats, Event, HostAccel, Machine, MachineConfig, OverflowCapture, RunResult,
-    SamplingConfig,
-};
+use cobra_machine::{CoreStatus, Event, Machine, MachineConfig};
+use common::{assert_equivalent, sampling, LoopParams, Program, STALL_MIX};
 use proptest::prelude::*;
 
-/// One body instruction of a generated loop; selectors map onto the op mix
-/// that exercises every stall source (load-use, FP long ops, atomics,
-/// coherent stores, prefetches).
-fn emit_body_op(a: &mut Assembler, sel: u8) {
-    match sel % 8 {
-        0 => {
-            a.addi(6, 6, 1);
-        }
-        1 => {
-            a.ldfd(0, 6, 4, 8);
-        }
-        2 => {
-            a.stfd(0, 6, 4, 8);
-        }
-        3 => {
-            a.ld8(0, 7, 4, 8);
-        }
-        4 => {
-            a.st8(0, 7, 4, 8);
-        }
-        5 => {
-            // Immediate use of the last FP load: the classic load-use stall.
-            a.fma_d(0, 8, 6, 1, 6);
-        }
-        6 => {
-            a.lfetch_nt1(0, 4, 64);
-        }
-        _ => {
-            // Long-latency FP: stalls every consumer for fp_long_latency.
-            a.emit(Insn::new(Op::FdivD {
-                dest: 9,
-                f1: 8,
-                f2: 1,
-            }));
-        }
-    }
-}
-
-/// Everything observable about a finished run. Two runs are "the same
-/// simulation" iff these snapshots are equal.
-#[derive(Debug, PartialEq)]
-struct Snapshot {
-    result: RunResult,
-    final_cycle: u64,
-    stats: Vec<CpuStats>,
-    overflows: Vec<Vec<OverflowCapture>>,
-    mem_words: Vec<u64>,
-    regs: Vec<(u32, i64, i64, u64, u64)>, // (pc, r6, r7, f6 bits, f8 bits)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_one(
-    stall_skip: bool,
+/// A loop over the stall-source op mix on smp4, sampling always programmed.
+fn stall_loop(
     threads: usize,
     share_base: bool,
     event_sel: u8,
     period: u64,
     body: &[u8],
     iters: u64,
-    budget: u64,
-) -> Snapshot {
-    let image = {
-        let mut a = Assembler::new();
-        // r8 = base address (thread argument), r4 = walking pointer.
-        a.emit(Insn::new(Op::Add {
-            dest: 4,
-            r2: 8,
-            r3: 0,
-        }));
-        a.movi(5, iters as i64);
-        a.mov_to_lc(5);
-        let top = a.new_label();
-        a.bind(top);
-        for &sel in body {
-            emit_body_op(&mut a, sel);
-        }
-        a.br_cloop(top);
-        a.hlt();
-        a.finish()
-    };
-    let cfg = MachineConfig::smp4().with_host_accel(HostAccel::fast().with_stall_skip(stall_skip));
-    let mut m = Machine::new(cfg, image);
-    let event = match event_sel % 3 {
-        0 => Event::CpuCycles,
-        1 => Event::StallCycles,
-        _ => Event::InstRetired,
-    };
-    for cpu in 0..threads {
-        let baseline = m.stats()[cpu].get(event);
-        m.shared.hpm[cpu].program_sampling(SamplingConfig { event, period }, baseline);
-        let base = if share_base {
-            0x1000u64
-        } else {
-            0x1000 + cpu as u64 * 0x4000
-        };
-        m.spawn_thread(cpu, 0, &[base as i64]);
-    }
-    let result = m.run(budget);
-    Snapshot {
-        result,
-        final_cycle: m.cycle(),
-        stats: m.stats().to_vec(),
-        overflows: (0..m.num_cpus())
-            .map(|cpu| m.shared.hpm[cpu].take_overflows())
-            .collect(),
-        mem_words: (0..0x12000u64)
-            .step_by(8)
-            .map(|a| m.shared.mem.read_u64(a))
-            .collect(),
-        regs: (0..threads)
-            .map(|cpu| {
-                let c = m.core(cpu);
-                (c.pc, c.gr(6), c.gr(7), c.fr(6).to_bits(), c.fr(8).to_bits())
-            })
-            .collect(),
+) -> LoopParams {
+    LoopParams {
+        altix: false,
+        threads,
+        share_base,
+        sampling: sampling(event_sel % 3, period),
+        body: body.iter().map(|&sel| STALL_MIX[sel as usize]).collect(),
+        iters,
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The fast path and the per-cycle reference produce bit-identical
+    /// The fast engine and the per-cycle reference produce bit-identical
     /// simulations: cycles, counters, overflow capture streams, memory,
     /// and registers.
     #[test]
@@ -153,9 +56,8 @@ proptest! {
         body in prop::collection::vec(0u8..8, 1..8),
         iters in 1u64..48,
     ) {
-        let reference = run_one(false, threads, share_base, event_sel, period, &body, iters, 150_000);
-        let fast = run_one(true, threads, share_base, event_sel, period, &body, iters, 150_000);
-        prop_assert_eq!(reference, fast);
+        let p = stall_loop(threads, share_base, event_sel, period, &body, iters);
+        assert_equivalent(&p.cfg(), &p.program().0, 150_000);
     }
 
     /// Same property when the budget cuts the run off mid-flight (possibly
@@ -165,14 +67,13 @@ proptest! {
         body in prop::collection::vec(0u8..8, 1..6),
         budget in 100u64..3000,
     ) {
-        let reference = run_one(false, 2, true, 0, 100, &body, 400, budget);
-        let fast = run_one(true, 2, true, 0, 100, &body, 400, budget);
-        prop_assert_eq!(reference, fast);
+        let p = stall_loop(2, true, 0, 100, &body, 400);
+        assert_equivalent(&p.cfg(), &p.program().0, budget);
     }
 }
 
 /// An all-idle machine (no thread bound) must burn the whole budget on both
-/// paths — and the fast path must do it without spinning per cycle.
+/// engines — and the fast one must do it without spinning per cycle.
 #[test]
 fn idle_machine_burns_budget_identically() {
     let image = {
@@ -181,17 +82,9 @@ fn idle_machine_burns_budget_identically() {
         a.finish()
     };
     let budget = 5_000_000u64;
-    let mut slow = Machine::new(
-        MachineConfig::smp4().with_host_accel(HostAccel::fast().with_stall_skip(false)),
-        image.clone(),
-    );
-    let mut fast = Machine::new(MachineConfig::smp4(), image);
-    let rs = slow.run(budget);
-    let rf = fast.run(budget);
-    assert_eq!(rs, rf);
-    assert_eq!(slow.cycle(), fast.cycle());
-    assert_eq!(rf.cycles, budget);
-    assert!(!rf.halted);
+    let snap = assert_equivalent(&MachineConfig::smp4(), &Program::new(image, 0), budget);
+    assert_eq!(snap.result.cycles, budget);
+    assert!(!snap.result.halted);
 }
 
 // ---- guest-memory fault hardening ----

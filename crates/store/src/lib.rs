@@ -12,9 +12,8 @@
 //! A snapshot is keyed by [`StoreKey`]: an FNV-1a hash of the pristine main
 //! program text (trace-cache appendix excluded — deployments must not
 //! re-key the binary) plus a fingerprint of the [`MachineConfig`] with the
-//! host-side fast-path toggles (`stall_skip`, `mem_fast_path`) masked out,
-//! because those are proven bit-identical to the reference paths and must
-//! not invalidate profiles. A profile recorded for a different binary or a
+//! host execution engine (`host_accel`) masked out, because the engines are
+//! proven bit-identical and switching must not invalidate profiles. A profile recorded for a different binary or a
 //! different cache/topology is **rejected**, never silently applied.
 //!
 //! ## File format & corruption tolerance
@@ -110,16 +109,14 @@ pub fn image_hash(image: &CodeImage) -> u64 {
 }
 
 /// Fingerprint of everything about a [`MachineConfig`] that changes guest
-/// behaviour. The whole `host_accel` group (stall skip, memory fast path,
-/// block dispatch) selects host fast paths that are bit-identical to the
-/// reference implementations (enforced by the equivalence suites), so it is
-/// masked out: toggling any of them must not orphan a warm-start snapshot.
-/// The legacy flat `stall_skip`/`mem_fast_path` keys are masked too so that
-/// fingerprints of configs round-tripped through old serialized forms agree.
+/// behaviour. `host_accel` selects a host execution engine that is
+/// bit-identical to the reference one (enforced by the equivalence suites),
+/// so it is masked out: switching engines must not orphan a warm-start
+/// snapshot.
 pub fn machine_fingerprint(cfg: &MachineConfig) -> u64 {
     let mut v = Serialize::to_value(cfg);
     if let Value::Object(fields) = &mut v {
-        fields.retain(|(k, _)| k != "host_accel" && k != "stall_skip" && k != "mem_fast_path");
+        fields.retain(|(k, _)| k != "host_accel");
     }
     let canon = serde_json::to_string(&v).expect("config serializes");
     fnv1a(canon.as_bytes())
@@ -1249,24 +1246,12 @@ mod tests {
     }
 
     #[test]
-    fn machine_fingerprint_ignores_fast_path_toggles() {
-        let base = MachineConfig::smp4();
-        // Every host-accel combination (2^4) must fingerprint identically:
-        // none of them may change guest-visible behaviour, so none may
+    fn machine_fingerprint_ignores_the_host_engine() {
+        // Neither engine may change guest-visible behaviour, so neither may
         // orphan a warm-start snapshot.
-        for bits in 0..16u8 {
-            let accel = HostAccel::fast()
-                .with_stall_skip(bits & 1 != 0)
-                .with_mem_fast_path(bits & 2 != 0)
-                .with_block_dispatch(bits & 4 != 0)
-                .with_block_dispatch_multicore(bits & 8 != 0);
-            let toggled = base.clone().with_host_accel(accel);
-            assert_eq!(
-                machine_fingerprint(&base),
-                machine_fingerprint(&toggled),
-                "host-accel combo {bits:04b} changed the fingerprint"
-            );
-        }
+        let base = MachineConfig::smp4().with_host_accel(HostAccel::reference());
+        let fast = base.clone().with_host_accel(HostAccel::fast());
+        assert_eq!(machine_fingerprint(&base), machine_fingerprint(&fast));
         assert_ne!(
             machine_fingerprint(&base),
             machine_fingerprint(&MachineConfig::altix8())

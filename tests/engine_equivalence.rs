@@ -1,0 +1,133 @@
+//! Tier-1 smoke for the simulator's engine contract: `HostAccel::Fast` is
+//! the same simulation as `HostAccel::Reference`.
+//!
+//! One guest drives every path through `Machine::run` — interleaved
+//! memory-boundary cycles, a lockstep horizon, a solo stretch that issues
+//! memory uops, stall skips, and sampling crossings — on both evaluation
+//! machines. The property suites in `crates/machine/tests` are the proof;
+//! this is the one case the tier-1 command always runs.
+
+use cobra::isa::insn::{Insn, Op};
+use cobra::isa::{Assembler, CodeImage};
+use cobra::machine::{
+    BlockStats, CpuStats, Event, HostAccel, Machine, MachineConfig, OverflowCapture, SamplingConfig,
+};
+
+/// Per thread: a load/`lfetch`/store loop whose prefetches run ahead into
+/// the next thread's region (coherent traffic), an arithmetic loop whose
+/// body keeps the nearest memory uop (past the loop exit) several issue
+/// cycles away (opens lockstep horizons), then a load/store epilogue of
+/// `r9` extra iterations — only thread 0 gets any, so it finishes alone.
+fn guest() -> CodeImage {
+    let mut a = Assembler::new();
+    a.mov(4, 8); // r4: load pointer
+    a.addi(10, 8, 0x0c00); // r10: prefetch pointer, 64 bytes a step
+    a.addi(11, 8, 0x0800); // r11: store pointer
+    a.movi(5, 200);
+    a.mov_to_lc(5);
+    let mem = a.new_label();
+    a.bind(mem);
+    a.ldfd(0, 6, 4, 8);
+    a.lfetch_nt1(0, 10, 64);
+    a.fma_d(0, 7, 6, 1, 7);
+    a.stfd(0, 7, 11, 8);
+    a.br_cloop(mem);
+    a.movi(5, 1000);
+    a.mov_to_lc(5);
+    let arith = a.new_label();
+    a.bind(arith);
+    for _ in 0..12 {
+        a.addi(6, 6, 1);
+        a.emit(Insn::new(Op::Add {
+            dest: 7,
+            r2: 7,
+            r3: 6,
+        }));
+    }
+    a.br_cloop(arith);
+    a.mov_to_lc(9);
+    let solo = a.new_label();
+    a.bind(solo);
+    a.ld8(0, 12, 4, 8);
+    a.emit(Insn::new(Op::Add {
+        dest: 7,
+        r2: 7,
+        r3: 12,
+    }));
+    a.st8(0, 7, 11, 8);
+    a.br_cloop(solo);
+    a.hlt();
+    a.finish()
+}
+
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    cycles: u64,
+    total_stats: CpuStats,
+    overflows: Vec<Vec<OverflowCapture>>,
+    mem_fingerprint: u64,
+}
+
+fn run(cfg: &MachineConfig, cpus: &[usize], accel: HostAccel) -> (Outcome, BlockStats) {
+    let mut cfg = cfg.clone().with_host_accel(accel);
+    cfg.mem_bytes = 1 << 20;
+    let mut m = Machine::new(cfg, guest());
+    for (k, &cpu) in cpus.iter().enumerate() {
+        let base = 0x10000 + k as u64 * 0x1000;
+        for w in 0..0x100 {
+            m.shared
+                .mem
+                .write_f64(base + 8 * w, (k as u64 * 0x100 + w) as f64);
+        }
+        let sampling = SamplingConfig {
+            event: Event::InstRetired,
+            period: 700,
+        };
+        m.shared.hpm[cpu].program_sampling(sampling, 0);
+        let extra = if k == 0 { 400 } else { 0 };
+        m.spawn_thread(cpu, 0, &[base as i64, extra]);
+    }
+    // Quanta, as the OpenMP runtime runs a region: every budget cut-off
+    // must land on the same cycle too.
+    let mut overflows = vec![Vec::new(); m.num_cpus()];
+    loop {
+        let halted = m.run(5_000).halted;
+        for (cpu, seen) in overflows.iter_mut().enumerate() {
+            seen.extend(m.shared.hpm[cpu].take_overflows());
+        }
+        if halted {
+            break;
+        }
+    }
+    let mem = &m.shared.mem;
+    let mem_fingerprint = (0..mem.len() as u64)
+        .step_by(8)
+        .fold(0xcbf2_9ce4_8422_2325, |h, a| {
+            (h ^ mem.read_u64(a)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    let outcome = Outcome {
+        cycles: m.cycle(),
+        total_stats: m.total_stats(),
+        overflows,
+        mem_fingerprint,
+    };
+    (outcome, m.block_stats())
+}
+
+#[test]
+fn fast_engine_is_the_reference_simulation_on_both_machines() {
+    for (cfg, cpus) in [
+        (MachineConfig::smp4(), [0, 1, 2, 3]),
+        (MachineConfig::altix8(), [0, 2, 4, 6]),
+    ] {
+        let (reference, _) = run(&cfg, &cpus, HostAccel::reference());
+        let (fast, blocks) = run(&cfg, &cpus, HostAccel::fast());
+        assert_eq!(reference, fast, "{}", cfg.name);
+        assert!(reference.overflows.iter().any(|c| !c.is_empty()));
+        assert!(reference.total_stats.get(Event::BusRdHitm) > 0, "coherent");
+        // The guest reached the paths it was written to reach.
+        assert!(blocks.horizon_stretches > 0, "{}: {blocks:?}", cfg.name);
+        assert!(blocks.fallback_mem_boundary > 0, "{}: {blocks:?}", cfg.name);
+        assert!(blocks.fallback_sampling > 0, "{}: {blocks:?}", cfg.name);
+    }
+}
