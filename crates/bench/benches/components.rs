@@ -488,13 +488,12 @@ fn bench_verify_overhead(c: &mut Criterion) {
     // min-of-N wall time; the verification side re-checks every plan the
     // fixture tick emits.
     let (image, profile) = decision_inputs();
-    let cfg = |verify: bool| OptimizerConfig {
+    let cfg = OptimizerConfig {
         warmup_ticks: 0,
         deploy: DeployMode::InPlace,
-        verify,
         ..Default::default()
     };
-    let mut opt = Optimizer::new(cfg(true), image.clone());
+    let mut opt = Optimizer::new(cfg, image.clone());
     let window = opt.config().trace.entry_window_slots;
     let plans: Vec<PatchPlan> = opt
         .consider(&profile)
@@ -505,7 +504,11 @@ fn bench_verify_overhead(c: &mut Criterion) {
         })
         .collect();
     assert!(!plans.is_empty(), "fixture tick must emit plans");
-    assert_eq!(opt.verify_rejects(), 0, "fixture plans must verify");
+    assert_eq!(
+        opt.counters().verify_rejects,
+        0,
+        "fixture plans must verify"
+    );
 
     fn min_ns(reps: usize, mut f: impl FnMut()) -> u64 {
         (0..reps)
@@ -519,7 +522,7 @@ fn bench_verify_overhead(c: &mut Criterion) {
             .max(1)
     }
     let consider_ns = min_ns(30, || {
-        let mut opt = Optimizer::new(cfg(false), image.clone());
+        let mut opt = Optimizer::new(cfg, image.clone());
         criterion::black_box(opt.consider(criterion::black_box(&profile)));
     });
     // Quantum floor: 4 cores of pure arithmetic for the default 20k-cycle
@@ -628,7 +631,6 @@ fn bench_osr_overhead(c: &mut Criterion) {
             OptimizerConfig {
                 warmup_ticks: 0,
                 deploy: DeployMode::TraceCache,
-                verify: false,
                 ..Default::default()
             },
             image.clone(),

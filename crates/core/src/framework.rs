@@ -7,9 +7,9 @@
 //! Responsibilities, mirroring Figure 4:
 //!
 //! * **monitoring** — poll the perfmon kernel buffers each quantum and
-//!   forward every CPU's samples to its monitoring thread (threads are
-//!   created at fork time, one per working thread);
-//! * **profiling/optimization** — the optimization thread merges deltas
+//!   hand every CPU's samples to its [`Monitor`] (created at fork time, one
+//!   per working thread);
+//! * **profiling/optimization** — the [`OptimizationStage`] merges deltas
 //!   system-wide, detects phases, selects traces and decides optimizations;
 //! * **code deployment** — apply the returned plans to the live image at
 //!   the quantum safe point: append optimized traces, patch `lfetch` words,
@@ -25,13 +25,18 @@
 //!     .attach(&mut machine);
 //! ```
 //!
-//! Helper-thread overhead is charged to the simulated machine per processed
-//! sample — and, when telemetry is enabled, per drained telemetry record —
-//! so reported speedups are net of monitoring cost.
+//! How the two helper stages are scheduled is this module's decision alone:
+//! Figure 4's helper threads are kept as roles, not as host threads. The
+//! simulator cannot start a quantum before the previous quantum's plans are
+//! applied, so a handshake with real threads was synchronous and never
+//! overlapped it; `on_quantum` calls the monitors in CPU order and then the
+//! optimization stage, on the simulator's thread. What the paper's threads
+//! cost the program is still modelled: helper-thread overhead is charged to
+//! the simulated machine per processed sample — and, when telemetry is
+//! enabled, per drained telemetry record — so reported speedups are net of
+//! monitoring cost.
 
 use std::path::PathBuf;
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use cobra_fleet::FleetClient;
 use cobra_isa::CodeAddr;
@@ -40,7 +45,7 @@ use cobra_omp::{QuantumHook, Team};
 use cobra_perfmon::{PerfmonConfig, PerfmonDriver};
 use cobra_store::{Snapshot, Store, StoreKey};
 
-use crate::monitor::{monitoring_thread, optimization_thread, TickReply, ToMonitor, ToOpt};
+use crate::monitor::{Monitor, OptimizationStage};
 use crate::optimizer::{DeployMode, Optimizer, OptimizerConfig, PlanAction, Strategy};
 use crate::persist::{seed_from_snapshot, snapshot_from_final};
 use crate::phase::{PhaseConfig, PhaseDetector};
@@ -57,7 +62,7 @@ pub struct CobraConfig {
     pub perfmon: PerfmonConfig,
     pub optimizer: OptimizerConfig,
     pub phase: PhaseConfig,
-    /// User Sampling Buffer capacity per monitoring thread.
+    /// User Sampling Buffer capacity per monitor.
     pub usb_capacity: usize,
     /// Helper-thread cycles charged to the machine per processed sample
     /// (and per drained telemetry record when telemetry is enabled).
@@ -165,7 +170,7 @@ impl CobraBuilder {
         self
     }
 
-    /// User Sampling Buffer capacity per monitoring thread.
+    /// User Sampling Buffer capacity per monitor.
     pub fn usb_capacity(mut self, capacity: usize) -> Self {
         self.cfg.usb_capacity = capacity;
         self
@@ -211,8 +216,8 @@ impl CobraBuilder {
         self
     }
 
-    /// Attach to a machine: program the HPMs, start the optimization
-    /// thread. Monitoring threads are created lazily at thread fork.
+    /// Attach to a machine: program the HPMs, set up the optimization
+    /// stage. Monitors are created lazily at thread fork.
     pub fn attach(self, machine: &mut Machine) -> Cobra {
         let CobraBuilder {
             cfg,
@@ -264,8 +269,8 @@ impl CobraBuilder {
                 }
             }
         }
-        // Warm start: load a matching snapshot before the optimization
-        // thread spawns, so seeds are in place for the very first tick.
+        // Warm start: load a matching snapshot now, so seeds are in place
+        // for the very first tick.
         let store_ctx = store.map(|dir| {
             let store = Store::new(dir);
             let key = StoreKey::for_run(machine.shared.code.image(), &machine.shared.cfg);
@@ -322,30 +327,11 @@ impl CobraBuilder {
             }
             optimizer.warm_start(seed);
         }
-        // Warm seeds are re-verified against the live image inside
-        // `warm_start`; surface any attach-time rejections even if the run
-        // never reaches a tick (ticks overwrite this with the running total).
-        report.verify_rejects = optimizer.verify_rejects();
-
-        let (to_opt, opt_rx) = unbounded();
-        let (reply_tx, replies) = unbounded();
-        let opt_emitter = emitter.clone();
-        let opt_join = std::thread::Builder::new()
-            .name("cobra-optimizer".into())
-            .spawn(move || {
-                optimization_thread(optimizer, bands, phases, opt_rx, reply_tx, opt_emitter)
-            })
-            // Invariant: spawn only fails on host resource exhaustion —
-            // nothing the guest program can trigger.
-            .expect("spawn optimization thread");
-
-        Cobra {
-            monitors: (0..machine.num_cpus()).map(|_| None).collect(),
+        let mut cobra = Cobra {
+            monitors: Vec::new(),
+            opt: OptimizationStage::new(optimizer, bands, phases, emitter.clone()),
             cfg,
             driver,
-            to_opt,
-            replies,
-            opt_join: Some(opt_join),
             tick: 0,
             report,
             hub,
@@ -354,13 +340,13 @@ impl CobraBuilder {
             fleet_ctx,
             osr_watches: Vec::new(),
             osr_maps: Vec::new(),
-        }
+        };
+        // Warm seeds are re-verified against the live image inside
+        // `warm_start`; surface any attach-time rejections even if the run
+        // never reaches a tick.
+        cobra.sync_counters();
+        cobra
     }
-}
-
-struct MonitorHandle {
-    tx: Sender<ToMonitor>,
-    join: std::thread::JoinHandle<crate::monitor::MonitorStats>,
 }
 
 /// Fleet-server coordinates captured at attach: the snapshot key, the
@@ -376,7 +362,7 @@ struct FleetCtx {
 /// deployment (forward) or a revert (reverse), retired at the first quantum
 /// boundary where no running thread's PC is still inside `[lo, hi]` — the
 /// body being migrated *away from*. The watch is kept even when OSR is off
-/// (`COBRA_OSR=0`), so `ticks_to_all_optimized` measures the entry-only
+/// (`.osr(false)`), so `ticks_to_all_optimized` measures the entry-only
 /// convergence time the redirects are being compared against.
 struct OsrWatch {
     plan_id: u64,
@@ -393,10 +379,10 @@ struct OsrWatch {
 pub struct Cobra {
     cfg: CobraConfig,
     driver: PerfmonDriver,
-    monitors: Vec<Option<MonitorHandle>>,
-    to_opt: Sender<ToOpt>,
-    replies: Receiver<TickReply>,
-    opt_join: Option<std::thread::JoinHandle<crate::monitor::OptFinal>>,
+    /// One per forked working thread; index = CPU (teams occupy CPUs
+    /// `0..num_threads`, so the monitored CPUs are always a prefix).
+    monitors: Vec<Monitor>,
+    opt: OptimizationStage,
     tick: u64,
     report: CobraReport,
     hub: Option<TelemetryHub>,
@@ -426,22 +412,17 @@ impl Cobra {
         }
     }
 
-    fn ensure_monitor(&mut self, cpu: usize) {
-        if self.monitors[cpu].is_some() {
-            return;
-        }
-        let (tx, rx) = unbounded();
-        let to_opt = self.to_opt.clone();
-        let period = self.cfg.perfmon.sampling_period;
-        let capacity = self.cfg.usb_capacity;
-        let telemetry = self.emitter.clone();
-        let join = std::thread::Builder::new()
-            .name(format!("cobra-monitor-{cpu}"))
-            .spawn(move || monitoring_thread(cpu as u32, period, capacity, rx, to_opt, telemetry))
-            // Invariant: spawn only fails on host resource exhaustion.
-            .expect("spawn monitoring thread");
-        self.monitors[cpu] = Some(MonitorHandle { tx, join });
-        self.report.monitors_spawned += 1;
+    /// Mirror the optimization stage's running totals into the report.
+    fn sync_counters(&mut self) {
+        let c = self.opt.optimizer().counters();
+        self.report.samples_merged = self.opt.samples_merged();
+        self.report.phase_changes = self.opt.phase_changes();
+        self.report.warm_hits = c.warm_hits;
+        self.report.warm_mismatches = c.warm_mismatches;
+        self.report.undecodable_loops = c.undecodable_loops;
+        self.report.verify_rejects = c.verify_rejects;
+        self.report.candidates_trialed = c.candidates_trialed;
+        self.report.tournaments_promoted = c.tournaments_promoted;
     }
 
     fn apply_action(&mut self, machine: &mut Machine, action: PlanAction) {
@@ -518,9 +499,7 @@ impl Cobra {
                                 loop_head: plan.loop_head,
                                 detail: format!("patching {addr}: {e}"),
                             });
-                            let _ = self.to_opt.send(ToOpt::LoopPoisoned {
-                                loop_head: plan.loop_head,
-                            });
+                            self.opt.poison(plan.loop_head);
                             return;
                         }
                     }
@@ -586,7 +565,7 @@ impl Cobra {
                                 words_restored: restored,
                                 detail: e.to_string(),
                             });
-                            let _ = self.to_opt.send(ToOpt::LoopPoisoned { loop_head });
+                            self.opt.poison(loop_head);
                             self.report.reverted.push(RevertedPlan {
                                 plan_id,
                                 reason: format!(
@@ -684,7 +663,7 @@ impl Cobra {
         }
     }
 
-    /// Detach: stop sampling, shut down helper threads, return the report.
+    /// Detach: stop sampling, persist what was learned, return the report.
     pub fn detach(mut self, machine: &mut Machine) -> CobraReport {
         // Transfers still draining when the run ends: close them at the
         // final tick so their un-migrated time is still accounted.
@@ -692,88 +671,92 @@ impl Cobra {
         for w in leftover {
             self.finish_osr_watch(machine, w);
         }
-        self.report.guest_faults = machine.total_stats().get(cobra_machine::Event::GuestFaults);
+        let Cobra {
+            mut driver,
+            opt,
+            tick,
+            mut report,
+            hub,
+            emitter,
+            store_ctx,
+            fleet_ctx,
+            ..
+        } = self;
+        let cycle = machine.shared.cycle;
+        let emit = |event: TelemetryEvent| {
+            if let Some(e) = &emitter {
+                e.emit(event);
+            }
+        };
+        report.guest_faults = machine.total_stats().get(cobra_machine::Event::GuestFaults);
         let blocks = machine.block_stats();
-        self.report.block_builds = blocks.builds;
-        self.report.block_invalidations = blocks.invalidations;
-        self.report.block_fallback_cycles = blocks.fallback_cycles();
-        self.report.block_fallback_mem_boundary = blocks.fallback_mem_boundary;
-        self.report.block_fallback_sampling = blocks.fallback_sampling;
-        self.report.block_horizon_stretches = blocks.horizon_stretches;
-        self.report.block_horizon_cycles = blocks.horizon_cycles;
-        self.driver.detach(machine);
-        for m in self.monitors.iter_mut().flatten() {
-            let _ = m.tx.send(ToMonitor::Shutdown);
-        }
-        for slot in &mut self.monitors {
-            if let Some(m) = slot.take() {
-                let _ = m.join.join();
-            }
-        }
-        let _ = self.to_opt.send(ToOpt::Shutdown);
-        let fin = self.opt_join.take().and_then(|j| j.join().ok());
-        if let Some(fin) = &fin {
-            let store_ctx = self.store_ctx.take();
-            let fleet_ctx = self.fleet_ctx.take();
-            if let Some((store, key, prior)) = store_ctx {
-                let fresh = snapshot_from_final(key, fin);
-                let merged = match &prior {
-                    Some(p) => cobra_store::merge(&[p.clone(), fresh.clone()]).unwrap_or(fresh),
-                    None => fresh,
-                };
-                match store.save(&merged) {
-                    Ok(path) => {
-                        self.report.store_saved_records = merged.record_count() as u64;
-                        self.emit(TelemetryEvent::StoreSave {
-                            tick: self.tick,
-                            cycle: machine.shared.cycle,
-                            records: merged.record_count(),
-                            path: path.display().to_string(),
-                        });
-                    }
-                    Err(err) => {
-                        self.report.store_errors += 1;
-                        self.emit(TelemetryEvent::StoreError {
-                            tick: self.tick,
-                            cycle: machine.shared.cycle,
-                            detail: err,
-                        });
-                    }
+        report.block_builds = blocks.builds;
+        report.block_invalidations = blocks.invalidations;
+        report.block_fallback_cycles = blocks.fallback_cycles();
+        report.block_fallback_mem_boundary = blocks.fallback_mem_boundary;
+        report.block_fallback_sampling = blocks.fallback_sampling;
+        report.block_horizon_stretches = blocks.horizon_stretches;
+        report.block_horizon_cycles = blocks.horizon_cycles;
+        driver.detach(machine);
+        let fin = opt.finish();
+        if let Some((store, key, prior)) = store_ctx {
+            let fresh = snapshot_from_final(key, &fin);
+            let merged = match &prior {
+                Some(p) => cobra_store::merge(&[p.clone(), fresh.clone()]).unwrap_or(fresh),
+                None => fresh,
+            };
+            match store.save(&merged) {
+                Ok(path) => {
+                    report.store_saved_records = merged.record_count() as u64;
+                    emit(TelemetryEvent::StoreSave {
+                        tick,
+                        cycle,
+                        records: merged.record_count(),
+                        path: path.display().to_string(),
+                    });
                 }
-            }
-            if let Some(ctx) = fleet_ctx {
-                // Upload only this run's own history (runs = 1); the server
-                // folds it into the fleet accumulator. Uploading a locally
-                // merged snapshot would double-count prior runs.
-                let fresh = snapshot_from_final(ctx.key, fin);
-                match FleetClient::connect(&ctx.addr)
-                    .and_then(|mut c| c.upload(&fresh, Some(&ctx.image_words)))
-                {
-                    Ok((runs_total, _)) => {
-                        self.report.fleet_uploads += 1;
-                        self.emit(TelemetryEvent::FleetUpload {
-                            tick: self.tick,
-                            cycle: machine.shared.cycle,
-                            records: fresh.record_count(),
-                            runs_total,
-                        });
-                    }
-                    Err(detail) => {
-                        self.report.fleet_errors += 1;
-                        self.emit(TelemetryEvent::FleetError {
-                            tick: self.tick,
-                            cycle: machine.shared.cycle,
-                            stage: "upload".into(),
-                            detail,
-                        });
-                    }
+                Err(detail) => {
+                    report.store_errors += 1;
+                    emit(TelemetryEvent::StoreError {
+                        tick,
+                        cycle,
+                        detail,
+                    });
                 }
             }
         }
-        if let Some(hub) = self.hub.take() {
-            self.emit(TelemetryEvent::Detach {
-                tick: self.tick,
-                cycle: machine.shared.cycle,
+        if let Some(ctx) = fleet_ctx {
+            // Upload only this run's own history (runs = 1); the server
+            // folds it into the fleet accumulator. Uploading a locally
+            // merged snapshot would double-count prior runs.
+            let fresh = snapshot_from_final(ctx.key, &fin);
+            match FleetClient::connect(&ctx.addr)
+                .and_then(|mut c| c.upload(&fresh, Some(&ctx.image_words)))
+            {
+                Ok((runs_total, _)) => {
+                    report.fleet_uploads += 1;
+                    emit(TelemetryEvent::FleetUpload {
+                        tick,
+                        cycle,
+                        records: fresh.record_count(),
+                        runs_total,
+                    });
+                }
+                Err(detail) => {
+                    report.fleet_errors += 1;
+                    emit(TelemetryEvent::FleetError {
+                        tick,
+                        cycle,
+                        stage: "upload".into(),
+                        detail,
+                    });
+                }
+            }
+        }
+        if let Some(hub) = hub {
+            emit(TelemetryEvent::Detach {
+                tick,
+                cycle,
                 records_dropped: hub.dropped(),
                 block_fallback_mem_boundary: blocks.fallback_mem_boundary,
                 block_fallback_sampling: blocks.fallback_sampling,
@@ -781,10 +764,10 @@ impl Cobra {
                 block_horizon_cycles: blocks.horizon_cycles,
             });
             let (records, dropped) = hub.finish();
-            self.report.telemetry_records = records;
-            self.report.telemetry_dropped = dropped;
+            report.telemetry_records = records;
+            report.telemetry_dropped = dropped;
         }
-        self.report.clone()
+        report
     }
 
     /// Read-only view of the activity report so far.
@@ -796,41 +779,34 @@ impl Cobra {
 impl QuantumHook for Cobra {
     fn on_fork(&mut self, _machine: &mut Machine, team: Team) {
         // "A monitoring thread is created when a working thread is forked."
-        for cpu in 0..team.num_threads {
-            self.ensure_monitor(cpu);
+        for cpu in self.monitors.len()..team.num_threads {
+            self.monitors.push(Monitor::new(
+                cpu as u32,
+                self.cfg.perfmon.sampling_period,
+                self.cfg.usb_capacity,
+            ));
         }
+        self.report.monitors_spawned = self.monitors.len();
         self.report.forks += 1;
     }
 
     fn on_quantum(&mut self, machine: &mut Machine) {
         self.driver.poll(machine);
         let mut forwarded = 0u64;
-        let mut active = 0usize;
-        for cpu in 0..self.monitors.len() {
-            let Some(handle) = &self.monitors[cpu] else {
-                continue;
-            };
-            active += 1;
+        let mut deltas = Vec::with_capacity(self.monitors.len());
+        for (cpu, monitor) in self.monitors.iter_mut().enumerate() {
             let batch = self.driver.drain(cpu);
             forwarded += batch.len() as u64;
-            self.emit(TelemetryEvent::KernelDrain {
-                tick: self.tick,
-                cycle: machine.shared.cycle,
-                cpu: cpu as u32,
-                samples: batch.len(),
-                dropped_total: self.driver.dropped(cpu),
-            });
-            // Invariant: monitor threads only exit on the Shutdown we send
-            // at detach; a closed channel mid-run means a monitor panicked,
-            // which is a runtime bug worth surfacing loudly.
-            handle
-                .tx
-                .send(ToMonitor::Samples(batch))
-                .expect("monitor alive");
-            handle
-                .tx
-                .send(ToMonitor::Tick(self.tick))
-                .expect("monitor alive");
+            if let Some(e) = &self.emitter {
+                e.emit(TelemetryEvent::KernelDrain {
+                    tick: self.tick,
+                    cycle: machine.shared.cycle,
+                    cpu: cpu as u32,
+                    samples: batch.len(),
+                    dropped_total: self.driver.dropped(cpu),
+                });
+            }
+            deltas.push(monitor.tick(self.tick, batch, self.emitter.as_ref()));
         }
         self.report.samples_forwarded += forwarded;
         // Charge helper-thread overhead to the machine.
@@ -838,28 +814,10 @@ impl QuantumHook for Cobra {
         machine.shared.cycle += overhead;
         self.report.overhead_cycles += overhead;
 
-        if active > 0 {
-            // Invariant: the optimization thread runs until the Shutdown we
-            // send at detach; losing it mid-run is a runtime bug (thread
-            // panic), not a guest-reachable state.
-            self.to_opt
-                .send(ToOpt::BeginTick {
-                    tick: self.tick,
-                    cycle: machine.shared.cycle,
-                    expected: active,
-                })
-                .expect("optimization thread alive");
-            let reply = self.replies.recv().expect("optimization thread alive");
-            self.report.samples_merged = reply.samples_merged;
-            self.report.phase_changes = reply.phase_changes;
-            self.report.stale_deltas = reply.stale_deltas;
-            self.report.warm_hits = reply.warm_hits;
-            self.report.warm_mismatches = reply.warm_mismatches;
-            self.report.undecodable_loops = reply.undecodable_loops;
-            self.report.verify_rejects = reply.verify_rejects;
-            self.report.candidates_trialed = reply.candidates_trialed;
-            self.report.tournaments_promoted = reply.tournaments_promoted;
-            for action in reply.actions {
+        if !deltas.is_empty() {
+            let actions = self.opt.tick(self.tick, machine.shared.cycle, deltas);
+            self.sync_counters();
+            for action in actions {
                 self.apply_action(machine, action);
             }
         }
@@ -873,10 +831,10 @@ impl QuantumHook for Cobra {
                 cpus: CpuCounterSnapshot::all(machine),
             });
         }
-        // Drain the telemetry ring at the safe point. The synchronous tick
-        // handshake guarantees every event this tick produced is already in
-        // the ring, so the drained count — and the cycles charged for it —
-        // is deterministic.
+        // Drain the telemetry ring at the safe point. Every stage ran on
+        // this thread, so every event this tick produced is already in the
+        // ring, in a fixed order: the drained count — and the cycles charged
+        // for it — is deterministic.
         if let Some(hub) = &mut self.hub {
             let drained = hub.drain();
             let cost = drained * self.cfg.overhead_per_sample;
@@ -944,8 +902,6 @@ mod tests {
         );
     }
 
-    /// The deprecated entry point still attaches and behaves like the
-    /// builder.
     /// Telemetry on a quiet program: quantum events with counter snapshots
     /// flow into a memory sink, and the report counts them.
     #[test]

@@ -13,14 +13,18 @@
 //! Architecture (the paper's Figure 4):
 //!
 //! ```text
-//!  working threads --HPM--> perfmon driver --samples--> monitoring threads
+//!  working threads --HPM--> perfmon driver --samples--> monitors
 //!                                                            | deltas
 //!                                                            v
-//!  patched binary <--plans-- code deployment <-- optimization thread
+//!  patched binary <--plans-- code deployment <-- optimization stage
 //!                                                 (profile merge, phase
 //!                                                  detection, trace
 //!                                                  selection, decisions)
 //! ```
+//!
+//! The paper's monitoring and optimization *threads* are roles here, called
+//! in turn on the simulator's thread each quantum; what they would cost the
+//! program is charged to it as guest cycles (see [`framework`]).
 //!
 //! Entry point: [`Cobra::builder`], a fluent configuration API whose
 //! `attach` step implements the OpenMP runtime's `QuantumHook` so the
@@ -40,10 +44,10 @@ pub mod trace;
 pub mod usb;
 
 pub use framework::{Cobra, CobraBuilder, CobraConfig};
-pub use monitor::OptFinal;
+pub use monitor::{Monitor, OptFinal, OptimizationStage};
 pub use optimizer::{
-    verify_plan, DecisionExport, DeployMode, OptKind, Optimizer, OptimizerConfig, PatchPlan,
-    PlanAction, Strategy, TracePlan, WarmSeed,
+    verify_plan, DecisionExport, DeployMode, OptKind, Optimizer, OptimizerConfig,
+    OptimizerCounters, PatchPlan, PlanAction, Strategy, TracePlan, WarmSeed,
 };
 pub use persist::{profile_record, seed_from_snapshot, snapshot_from_final};
 pub use phase::{PhaseConfig, PhaseDetector};

@@ -1,6 +1,5 @@
-//! The helper threads of Figure 4: per-working-thread **monitoring threads**
-//! and the single **optimization thread**, as real host threads connected by
-//! channels.
+//! The helper roles of Figure 4: one [`Monitor`] per working thread and the
+//! single [`OptimizationStage`].
 //!
 //! §3: "two types of supporting threads are invoked for a multi-threaded
 //! program … an optimization thread that orchestrates profile collection and
@@ -10,329 +9,182 @@
 //! its implementation, and enables centralized control over multiple
 //! monitoring threads."
 //!
-//! The handshake is synchronous per simulation quantum so runs are
-//! deterministic: the framework forwards each CPU's kernel-buffer samples to
-//! its monitoring thread and posts a tick; every monitoring thread reduces
-//! its batch into a [`ProfileDelta`] and acknowledges; the optimization
-//! thread merges all deltas, runs phase detection and the optimizer, and
-//! replies with the plans to deploy.
+//! The paper's helper threads run on spare hardware contexts while the
+//! program runs. Here they are kept as roles and as charged guest cycles
+//! (`CobraConfig::overhead_per_sample`), not as host threads: the simulator
+//! cannot advance past a quantum before that quantum's plans are known, so
+//! a host-thread handshake is synchronous and overlaps nothing. Both types
+//! are plain structs the framework calls once per quantum, monitors in CPU
+//! order, then the optimization stage.
 
-use crossbeam::channel::{Receiver, Sender};
+use std::collections::VecDeque;
 
+use cobra_isa::CodeAddr;
 use cobra_perfmon::SampleRecord;
 
-use crate::optimizer::{Optimizer, PlanAction};
+use crate::optimizer::{DecisionExport, Optimizer, PlanAction};
 use crate::phase::PhaseDetector;
-use crate::profile::{CounterWindow, SystemProfile, ThreadProfiler};
+use crate::profile::{CounterWindow, LatencyBands, ProfileDelta, SystemProfile, ThreadProfiler};
 use crate::telemetry::{TelemetryEmitter, TelemetryEvent};
 use crate::usb::UserSamplingBuffer;
 
-/// Messages to a monitoring thread.
+/// One working thread's monitoring role: its User Sampling Buffer and the
+/// profiler that reduces it.
 #[derive(Debug)]
-pub enum ToMonitor {
-    /// Samples drained from this CPU's kernel buffer.
-    Samples(Vec<SampleRecord>),
-    /// End of quantum: reduce and acknowledge.
-    Tick(u64),
-    Shutdown,
+pub struct Monitor {
+    cpu: u32,
+    usb: UserSamplingBuffer,
+    profiler: ThreadProfiler,
 }
 
-/// Messages to the optimization thread.
-#[derive(Debug)]
-pub enum ToOpt {
-    /// A monitoring thread's reduction for one tick. The tag pins the delta
-    /// to the tick whose samples it reduces: a delta that arrives after its
-    /// tick has already been folded is dropped (and counted) rather than
-    /// silently polluting a later tick's rolling window.
-    Delta {
+impl Monitor {
+    pub fn new(cpu: u32, sampling_period: u64, usb_capacity: usize) -> Self {
+        Monitor {
+            cpu,
+            usb: UserSamplingBuffer::new(usb_capacity),
+            profiler: ThreadProfiler::new(cpu, sampling_period),
+        }
+    }
+
+    /// One quantum: copy the samples drained from this CPU's kernel buffer
+    /// into the USB (overflow is dropped and counted there), report its
+    /// level, and reduce what it holds.
+    pub fn tick(
+        &mut self,
         tick: u64,
-        delta: crate::profile::ProfileDelta,
-    },
-    /// A monitoring thread finished the tick.
-    TickAck {
-        cpu: u32,
-        tick: u64,
-    },
-    /// The framework announces a tick, the machine cycle it closed at, and
-    /// how many acknowledgements to wait for.
-    BeginTick {
-        tick: u64,
-        cycle: u64,
-        expected: usize,
-    },
-    /// A guest-side patch write for this loop failed (apply rollback or a
-    /// stopped revert): the optimizer must blacklist it and abandon any
-    /// deployment or tournament touching it.
-    LoopPoisoned {
-        loop_head: cobra_isa::CodeAddr,
-    },
-    Shutdown,
+        batch: Vec<SampleRecord>,
+        telemetry: Option<&TelemetryEmitter>,
+    ) -> ProfileDelta {
+        for rec in batch {
+            self.usb.store(rec);
+        }
+        if let Some(t) = telemetry {
+            t.emit(TelemetryEvent::UsbLevel {
+                tick,
+                cpu: self.cpu,
+                occupancy: self.usb.len(),
+                capacity: self.usb.capacity(),
+                dropped_total: self.usb.dropped(),
+            });
+        }
+        self.profiler.reduce(&self.usb.drain())
+    }
 }
 
-/// The optimization thread's reply for one tick.
-#[derive(Debug, Default)]
-pub struct TickReply {
-    pub actions: Vec<PlanAction>,
-    /// Total phase changes observed so far.
-    pub phase_changes: u64,
-    /// Total samples merged so far.
-    pub samples_merged: u64,
-    /// Total deltas dropped so far because they arrived after their tick
-    /// had already been folded.
-    pub stale_deltas: u64,
-    /// Warm-start seeds confirmed by the live profile so far.
-    pub warm_hits: u64,
-    /// Warm-start seeds dropped because the live profile disagreed so far.
-    pub warm_mismatches: u64,
-    /// Candidate loops skipped so far because a word failed to decode.
-    pub undecodable_loops: u64,
-    /// Plans or warm seeds rejected so far by the `cobra-verify` gate.
-    pub verify_rejects: u64,
-    /// Tournament candidate trials completed so far.
-    pub candidates_trialed: u64,
-    /// Tournaments that promoted a winner so far.
-    pub tournaments_promoted: u64,
-}
-
-/// Everything the optimization thread hands back when it exits — the
-/// material a `cobra-store` snapshot is built from.
+/// Everything the optimization stage hands back at detach — the material a
+/// `cobra-store` snapshot is built from.
 #[derive(Debug)]
 pub struct OptFinal {
     /// Final per-loop decisions (deployed + reverted), sorted by loop head.
-    pub decisions: Vec<crate::optimizer::DecisionExport>,
+    pub decisions: Vec<DecisionExport>,
     /// Blacklisted loop heads, sorted.
-    pub blacklist: Vec<cobra_isa::CodeAddr>,
+    pub blacklist: Vec<CodeAddr>,
     /// Profile accumulated over the *whole* run (unlike the rolling
     /// decision profile, nothing ages out of this one).
     pub cumulative: SystemProfile,
 }
 
-/// Statistics a monitoring thread reports at shutdown.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MonitorStats {
-    pub samples_stored: u64,
-    pub samples_dropped: u64,
-    pub ticks: u64,
-}
-
-/// Body of one monitoring thread (runs on a real host thread).
-pub fn monitoring_thread(
-    cpu: u32,
-    sampling_period: u64,
-    usb_capacity: usize,
-    rx: Receiver<ToMonitor>,
-    tx: Sender<ToOpt>,
-    telemetry: Option<TelemetryEmitter>,
-) -> MonitorStats {
-    let mut usb = UserSamplingBuffer::new(usb_capacity);
-    let mut profiler = ThreadProfiler::new(cpu, sampling_period);
-    let mut stats = MonitorStats::default();
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            ToMonitor::Samples(batch) => {
-                for rec in batch {
-                    usb.store(rec);
-                }
-            }
-            ToMonitor::Tick(tick) => {
-                if let Some(t) = &telemetry {
-                    t.emit(TelemetryEvent::UsbLevel {
-                        tick,
-                        cpu,
-                        occupancy: usb.len(),
-                        capacity: usb_capacity,
-                        dropped_total: usb.dropped(),
-                    });
-                }
-                let batch = usb.drain();
-                let delta = profiler.reduce(&batch);
-                stats.ticks += 1;
-                // Delta first, then the ack: per-sender channel ordering
-                // guarantees the optimization thread sees them in order.
-                if tx.send(ToOpt::Delta { tick, delta }).is_err() {
-                    break;
-                }
-                if tx.send(ToOpt::TickAck { cpu, tick }).is_err() {
-                    break;
-                }
-            }
-            ToMonitor::Shutdown => break,
-        }
-    }
-    stats.samples_stored = usb.total_stored();
-    stats.samples_dropped = usb.dropped();
-    stats
-}
-
-/// Body of the optimization thread (runs on a real host thread). Owns the
-/// system-wide profile, the phase detector, and the optimizer (with its
-/// synchronized image copy).
+/// The optimization role: owns the system-wide profile, the phase detector,
+/// and the optimizer (with its synchronized image copy).
 ///
 /// The decision profile is **rolling**: it is rebuilt each tick from the
 /// last `OptimizerConfig::rolling_ticks` ticks of deltas, so cold-start
 /// behaviour ages out and decisions reflect the program's *current* phase
 /// (the continuous part of Continuous Binary Re-Adaptation).
-pub fn optimization_thread(
-    mut optimizer: Optimizer,
-    bands: crate::profile::LatencyBands,
-    mut phases: PhaseDetector,
-    rx: Receiver<ToOpt>,
-    reply_tx: Sender<TickReply>,
+#[derive(Debug)]
+pub struct OptimizationStage {
+    optimizer: Optimizer,
+    bands: LatencyBands,
+    phases: PhaseDetector,
+    cumulative: SystemProfile,
+    /// The last `rolling_ticks` ticks of deltas, oldest first.
+    recent: VecDeque<Vec<ProfileDelta>>,
+    samples_merged: u64,
     telemetry: Option<TelemetryEmitter>,
-) -> OptFinal {
-    let rolling_ticks = optimizer.config().rolling_ticks.max(1);
-    let mut cumulative = SystemProfile::new(bands);
-    let finish = |optimizer: &Optimizer, cumulative: SystemProfile| {
-        let (decisions, blacklist) = optimizer.export_state();
+}
+
+impl OptimizationStage {
+    pub fn new(
+        optimizer: Optimizer,
+        bands: LatencyBands,
+        phases: PhaseDetector,
+        telemetry: Option<TelemetryEmitter>,
+    ) -> Self {
+        OptimizationStage {
+            optimizer,
+            bands,
+            phases,
+            cumulative: SystemProfile::new(bands),
+            recent: VecDeque::new(),
+            samples_merged: 0,
+            telemetry,
+        }
+    }
+
+    pub fn optimizer(&self) -> &Optimizer {
+        &self.optimizer
+    }
+
+    /// Total samples merged so far.
+    pub fn samples_merged(&self) -> u64 {
+        self.samples_merged
+    }
+
+    /// Phase changes observed so far.
+    pub fn phase_changes(&self) -> u64 {
+        self.phases.phases() - 1
+    }
+
+    /// One quantum, closed at machine cycle `cycle`: fold the monitors'
+    /// `deltas`, run phase detection on their merged window, rebuild the
+    /// rolling profile, and return the plans to deploy or revert.
+    pub fn tick(&mut self, tick: u64, cycle: u64, deltas: Vec<ProfileDelta>) -> Vec<PlanAction> {
+        let mut tick_window = CounterWindow::default();
+        for d in &deltas {
+            self.samples_merged += d.samples;
+            self.cumulative.absorb(d);
+            tick_window.merge(&d.window);
+        }
+        self.recent.push_back(deltas);
+        while self.recent.len() > self.optimizer.config().rolling_ticks.max(1) {
+            self.recent.pop_front();
+        }
+        if self.phases.observe(&tick_window) {
+            if let Some(t) = &self.telemetry {
+                t.emit(TelemetryEvent::PhaseChange {
+                    tick,
+                    cycle,
+                    phases: self.phases.phases(),
+                });
+            }
+            // Old-phase history is no longer representative. Deployed and
+            // blacklisted loops stay as they are; loops that only now
+            // became hot get considered against fresh data.
+            self.recent.drain(..self.recent.len() - 1);
+        }
+
+        let mut profile = SystemProfile::new(self.bands);
+        for d in self.recent.iter().flatten() {
+            profile.absorb(d);
+        }
+        self.optimizer.begin_tick(tick, cycle);
+        self.optimizer.observe_tick_window(&tick_window);
+        self.optimizer.consider(&profile)
+    }
+
+    /// A guest-side patch write for this loop failed (apply rollback or a
+    /// stopped revert): blacklist it and abandon any deployment or
+    /// tournament touching it.
+    pub fn poison(&mut self, loop_head: CodeAddr) {
+        self.optimizer.poison(loop_head);
+    }
+
+    pub fn finish(self) -> OptFinal {
+        let (decisions, blacklist) = self.optimizer.export_state();
         OptFinal {
             decisions,
             blacklist,
-            cumulative,
-        }
-    };
-    let mut pending_acks: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-    let mut expected: Option<(u64, u64, usize)> = None;
-    // Deltas keyed by the tick they belong to, so a late delta can never be
-    // folded into the wrong tick's rolling window.
-    let mut pending_deltas: std::collections::HashMap<u64, Vec<crate::profile::ProfileDelta>> =
-        std::collections::HashMap::new();
-    let mut last_folded: Option<u64> = None;
-    let mut recent: std::collections::VecDeque<Vec<crate::profile::ProfileDelta>> =
-        std::collections::VecDeque::new();
-    let mut samples_merged = 0u64;
-    let mut stale_deltas = 0u64;
-
-    let drop_stale = |delta_tick: u64,
-                      cpu: u32,
-                      at_tick: u64,
-                      stale: &mut u64,
-                      telemetry: &Option<TelemetryEmitter>| {
-        *stale += 1;
-        if let Some(t) = telemetry {
-            t.emit(TelemetryEvent::StaleDelta {
-                tick: at_tick,
-                cpu,
-                delta_tick,
-            });
-        }
-    };
-
-    loop {
-        let msg = match rx.recv() {
-            Ok(m) => m,
-            Err(_) => return finish(&optimizer, cumulative),
-        };
-        match msg {
-            ToOpt::Delta { tick, delta } => {
-                if last_folded.is_some_and(|t| tick <= t) {
-                    // Its tick is already folded: dropping is the only move
-                    // that keeps the rolling window honest.
-                    drop_stale(
-                        tick,
-                        delta.cpu,
-                        last_folded.unwrap_or(0),
-                        &mut stale_deltas,
-                        &telemetry,
-                    );
-                } else {
-                    pending_deltas.entry(tick).or_default().push(delta);
-                }
-            }
-            ToOpt::TickAck { cpu: _, tick } => {
-                *pending_acks.entry(tick).or_insert(0) += 1;
-            }
-            ToOpt::BeginTick {
-                tick,
-                cycle,
-                expected: n,
-            } => {
-                expected = Some((tick, cycle, n));
-            }
-            ToOpt::LoopPoisoned { loop_head } => {
-                optimizer.poison(loop_head);
-            }
-            ToOpt::Shutdown => return finish(&optimizer, cumulative),
-        }
-
-        if let Some((tick, cycle, n)) = expected {
-            let acked = pending_acks.get(&tick).copied().unwrap_or(0);
-            if acked >= n {
-                pending_acks.remove(&tick);
-                expected = None;
-
-                // Fold exactly this tick's deltas; purge anything older
-                // (it can only exist if a tick was skipped — still stale).
-                let current_tick = pending_deltas.remove(&tick).unwrap_or_default();
-                let old_keys: Vec<u64> = pending_deltas
-                    .keys()
-                    .copied()
-                    .filter(|&k| k < tick)
-                    .collect();
-                for k in old_keys {
-                    for d in pending_deltas.remove(&k).unwrap_or_default() {
-                        drop_stale(k, d.cpu, tick, &mut stale_deltas, &telemetry);
-                    }
-                }
-                last_folded = Some(tick);
-                for d in &current_tick {
-                    samples_merged += d.samples;
-                    cumulative.absorb(d);
-                }
-
-                // Phase detection on this tick's merged window.
-                let mut tick_window = CounterWindow::default();
-                for d in &current_tick {
-                    tick_window.merge(&d.window);
-                }
-                recent.push_back(current_tick);
-                while recent.len() > rolling_ticks {
-                    recent.pop_front();
-                }
-                let phase_changed = phases.observe(&tick_window);
-                if phase_changed {
-                    optimizer.on_phase_change();
-                    if let Some(t) = &telemetry {
-                        t.emit(TelemetryEvent::PhaseChange {
-                            tick,
-                            cycle,
-                            phases: phases.phases(),
-                        });
-                    }
-                    // Old-phase history is no longer representative.
-                    let newest = recent.pop_back();
-                    recent.clear();
-                    if let Some(d) = newest {
-                        recent.push_back(d);
-                    }
-                }
-
-                // Rebuild the rolling decision profile.
-                let mut profile = SystemProfile::new(bands);
-                for tick_deltas in &recent {
-                    for d in tick_deltas {
-                        profile.absorb(d);
-                    }
-                }
-
-                optimizer.begin_tick(tick, cycle);
-                optimizer.observe_tick_window(&tick_window);
-                let actions = optimizer.consider(&profile);
-                let reply = TickReply {
-                    actions,
-                    phase_changes: phases.phases() - 1,
-                    samples_merged,
-                    stale_deltas,
-                    warm_hits: optimizer.warm_hits(),
-                    warm_mismatches: optimizer.warm_mismatches(),
-                    undecodable_loops: optimizer.undecodable_loops(),
-                    verify_rejects: optimizer.verify_rejects(),
-                    candidates_trialed: optimizer.candidates_trialed(),
-                    tournaments_promoted: optimizer.tournaments_promoted(),
-                };
-                if reply_tx.send(reply).is_err() {
-                    return finish(&optimizer, cumulative);
-                }
-            }
+            cumulative: self.cumulative,
         }
     }
 }
@@ -342,10 +194,8 @@ mod tests {
     use super::*;
     use crate::optimizer::OptimizerConfig;
     use crate::phase::PhaseConfig;
-    use crate::profile::LatencyBands;
     use cobra_machine::BtbEntry;
     use cobra_perfmon::PmcSelection;
-    use crossbeam::channel::unbounded;
 
     fn sample(cpu: u32, idx: u64) -> SampleRecord {
         SampleRecord {
@@ -366,144 +216,42 @@ mod tests {
     }
 
     #[test]
-    fn monitor_reduces_batches_and_acks_ticks() {
-        let (to_mon_tx, to_mon_rx) = unbounded();
-        let (to_opt_tx, to_opt_rx) = unbounded();
-        let handle =
-            std::thread::spawn(move || monitoring_thread(2, 1000, 64, to_mon_rx, to_opt_tx, None));
-        to_mon_tx
-            .send(ToMonitor::Samples(vec![sample(2, 1), sample(2, 2)]))
-            .unwrap();
-        to_mon_tx.send(ToMonitor::Tick(0)).unwrap();
-
-        match to_opt_rx.recv().unwrap() {
-            ToOpt::Delta { tick, delta } => {
-                assert_eq!(tick, 0, "delta carries the tick it reduces");
-                assert_eq!(delta.cpu, 2);
-                assert_eq!(delta.samples, 2);
-                assert_eq!(delta.branch_pairs.len(), 2);
-            }
-            other => panic!("{other:?}"),
-        }
-        match to_opt_rx.recv().unwrap() {
-            ToOpt::TickAck { cpu, tick } => {
-                assert_eq!((cpu, tick), (2, 0));
-            }
-            other => panic!("{other:?}"),
-        }
-        to_mon_tx.send(ToMonitor::Shutdown).unwrap();
-        let stats = handle.join().unwrap();
-        assert_eq!(stats.samples_stored, 2);
-        assert_eq!(stats.ticks, 1);
+    fn monitor_reduces_the_batch_it_is_handed() {
+        let mut monitor = Monitor::new(2, 1000, 64);
+        let delta = monitor.tick(0, vec![sample(2, 1), sample(2, 2)], None);
+        assert_eq!(delta.cpu, 2);
+        assert_eq!(delta.samples, 2);
+        assert_eq!(delta.branch_pairs.len(), 2);
+        assert_eq!(monitor.usb.total_stored(), 2);
+        // The USB was drained: an empty quantum reduces to an empty delta.
+        assert_eq!(monitor.tick(1, vec![], None).samples, 0);
     }
 
     #[test]
-    fn opt_thread_replies_once_per_fully_acked_tick() {
+    fn optimization_stage_folds_one_ticks_deltas_and_returns_once_per_tick() {
         let image = {
             let mut a = cobra_isa::Assembler::new();
             a.nop(cobra_isa::Unit::I);
             a.finish()
         };
-        let optimizer = Optimizer::new(OptimizerConfig::default(), image);
-        let bands = LatencyBands { coherent_min: 165 };
-        let phases = PhaseDetector::new(PhaseConfig::default());
-        let (tx, rx) = unbounded();
-        let (reply_tx, reply_rx) = unbounded();
-        let handle = std::thread::spawn(move || {
-            optimization_thread(optimizer, bands, phases, rx, reply_tx, None)
-        });
-
-        // Two monitors; acks can arrive before BeginTick.
-        tx.send(ToOpt::Delta {
-            tick: 0,
-            delta: crate::profile::ProfileDelta {
-                cpu: 0,
-                samples: 1,
-                ..Default::default()
-            },
-        })
-        .unwrap();
-        tx.send(ToOpt::TickAck { cpu: 0, tick: 0 }).unwrap();
-        tx.send(ToOpt::TickAck { cpu: 1, tick: 0 }).unwrap();
-        tx.send(ToOpt::BeginTick {
-            tick: 0,
-            cycle: 20_000,
-            expected: 2,
-        })
-        .unwrap();
-        let reply = reply_rx.recv().unwrap();
-        assert!(reply.actions.is_empty(), "quiet profile produces no plans");
-        assert_eq!(reply.samples_merged, 1);
-
-        // Second tick with only one monitor.
-        tx.send(ToOpt::BeginTick {
-            tick: 1,
-            cycle: 40_000,
-            expected: 1,
-        })
-        .unwrap();
-        tx.send(ToOpt::TickAck { cpu: 0, tick: 1 }).unwrap();
-        let _ = reply_rx.recv().unwrap();
-
-        tx.send(ToOpt::Shutdown).unwrap();
-        handle.join().unwrap();
-    }
-
-    #[test]
-    fn late_delta_is_dropped_not_folded_into_later_tick() {
-        let image = {
-            let mut a = cobra_isa::Assembler::new();
-            a.nop(cobra_isa::Unit::I);
-            a.finish()
-        };
-        let optimizer = Optimizer::new(OptimizerConfig::default(), image);
-        let bands = LatencyBands { coherent_min: 165 };
-        let phases = PhaseDetector::new(PhaseConfig::default());
-        let (tx, rx) = unbounded();
-        let (reply_tx, reply_rx) = unbounded();
-        let handle = std::thread::spawn(move || {
-            optimization_thread(optimizer, bands, phases, rx, reply_tx, None)
-        });
-
-        // Tick 0 completes without its delta (e.g. a slow monitor).
-        tx.send(ToOpt::BeginTick {
-            tick: 0,
-            cycle: 20_000,
-            expected: 1,
-        })
-        .unwrap();
-        tx.send(ToOpt::TickAck { cpu: 0, tick: 0 }).unwrap();
-        let r0 = reply_rx.recv().unwrap();
-        assert_eq!(r0.samples_merged, 0);
-        assert_eq!(r0.stale_deltas, 0);
-
-        // The straggler arrives after its tick was folded.
-        tx.send(ToOpt::Delta {
-            tick: 0,
-            delta: crate::profile::ProfileDelta {
-                cpu: 3,
-                samples: 7,
-                ..Default::default()
-            },
-        })
-        .unwrap();
-
-        // Tick 1 must not absorb the stale delta.
-        tx.send(ToOpt::BeginTick {
-            tick: 1,
-            cycle: 40_000,
-            expected: 1,
-        })
-        .unwrap();
-        tx.send(ToOpt::TickAck { cpu: 0, tick: 1 }).unwrap();
-        let r1 = reply_rx.recv().unwrap();
-        assert_eq!(
-            r1.samples_merged, 0,
-            "stale delta's samples must never be merged"
+        let mut stage = OptimizationStage::new(
+            Optimizer::new(OptimizerConfig::default(), image),
+            LatencyBands { coherent_min: 165 },
+            PhaseDetector::new(PhaseConfig::default()),
+            None,
         );
-        assert_eq!(r1.stale_deltas, 1, "and the drop is counted");
-
-        tx.send(ToOpt::Shutdown).unwrap();
-        handle.join().unwrap();
+        let delta = |cpu, samples| ProfileDelta {
+            cpu,
+            samples,
+            ..Default::default()
+        };
+        let actions = stage.tick(0, 20_000, vec![delta(0, 1), delta(1, 2)]);
+        assert!(actions.is_empty(), "quiet profile produces no plans");
+        assert_eq!(stage.samples_merged(), 3);
+        // A tick with one monitor folds only what that tick handed in.
+        stage.tick(1, 40_000, vec![delta(0, 4)]);
+        assert_eq!(stage.samples_merged(), 7);
+        assert_eq!(stage.recent.len(), 2);
+        assert_eq!(stage.finish().cumulative.samples, 7);
     }
 }

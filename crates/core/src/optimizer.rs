@@ -131,13 +131,6 @@ pub struct OptimizerConfig {
     /// lets the program's cold start age out of the rolling profile so
     /// decisions reflect steady-state behaviour.
     pub warmup_ticks: u64,
-    /// Run every plan through the `cobra-verify` static patch-safety
-    /// checker before deployment, and every warm seed through it at attach.
-    /// A rejected plan blacklists its loop (counted in `verify_rejects`);
-    /// the optimizer never panics on a verifier failure. On by default —
-    /// disabling is for verifier-overhead experiments only.
-    #[serde(default = "default_verify")]
-    pub verify: bool,
     /// Shortened learning window used when the optimizer was warm-started
     /// from a store snapshot: *seeded* loops (deployed and validated in a
     /// prior run) may deploy after this many ticks; unseeded loops still
@@ -165,9 +158,8 @@ pub struct OptimizerConfig {
     /// running the stale version to natural completion. Maps are proven
     /// total and type-correct by `cobra-verify::check_osr_map` before
     /// arming; an unprovable map degrades to entry-only transfer (counted
-    /// in `osr_rejects`), never blocks the deployment. On by default; the
-    /// `COBRA_OSR=0` environment variable forces it off for A/B runs.
-    #[serde(default = "default_osr")]
+    /// in `osr_rejects`), never blocks the deployment. On by default;
+    /// `CobraBuilder::osr(false)` pins entry-only transfer for A/B runs.
     pub osr: bool,
 }
 
@@ -175,25 +167,8 @@ fn default_warm_warmup_ticks() -> u64 {
     6
 }
 
-fn default_verify() -> bool {
-    true
-}
-
 fn default_trial_ticks() -> u64 {
     4
-}
-
-/// OSR defaults on; `COBRA_OSR=0` in the environment turns it off (the
-/// A/B switch the time-to-optimized experiments flip without touching
-/// config files).
-fn default_osr() -> bool {
-    osr_env(std::env::var("COBRA_OSR").ok().as_deref())
-}
-
-/// `COBRA_OSR` semantics: only the literal `"0"` disables OSR; unset or
-/// any other value leaves it on.
-fn osr_env(value: Option<&str>) -> bool {
-    value != Some("0")
 }
 
 impl Default for OptimizerConfig {
@@ -219,24 +194,23 @@ impl Default for OptimizerConfig {
             rolling_ticks: 16,
             warmup_ticks: 18,
             warm_warmup_ticks: default_warm_warmup_ticks(),
-            verify: default_verify(),
             candidates: false,
             trial_ticks: default_trial_ticks(),
-            osr: default_osr(),
+            osr: true,
         }
     }
 }
 
-/// One planned deployment (or revert), shipped from the optimization thread
-/// to the simulation thread for application at a safe point.
+/// One planned deployment (or revert), handed from the optimization stage
+/// to the framework for application at a safe point.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum PlanAction {
     Apply(PatchPlan),
     /// Undo a previous deployment by restoring the overwritten words.
     Revert {
         plan_id: u64,
-        /// Head of the loop being restored — lets the framework blacklist
-        /// it (via `ToOpt::LoopPoisoned`) if a restore write fails.
+        /// Head of the loop being restored — lets the framework poison it
+        /// if a restore write fails.
         #[serde(default)]
         loop_head: CodeAddr,
         writes: Vec<(CodeAddr, u64)>,
@@ -383,18 +357,26 @@ struct CandidateSpec {
     actions: Vec<SiteAction>,
 }
 
-impl CandidateSpec {
-    /// The plan kind the action mix maps to (drives the verifier rules).
-    fn kind(&self) -> OptKind {
-        let any_nop = self.actions.contains(&SiteAction::Nop);
-        let any_excl = self.actions.contains(&SiteAction::Excl);
-        match (any_nop, any_excl) {
-            (true, true) => OptKind::Combined,
-            (false, true) => OptKind::ExclHint,
-            // All-Keep specs are filtered out at generation.
-            _ => OptKind::NoPrefetch,
-        }
+/// The plan kind an action mix maps to (drives the verifier rules).
+fn plan_kind(actions: &[SiteAction]) -> OptKind {
+    let any_nop = actions.contains(&SiteAction::Nop);
+    let any_excl = actions.contains(&SiteAction::Excl);
+    match (any_nop, any_excl) {
+        (true, true) => OptKind::Combined,
+        (false, true) => OptKind::ExclHint,
+        // All-Keep specs are filtered out at generation.
+        _ => OptKind::NoPrefetch,
     }
+}
+
+/// Why [`Optimizer::stage`] produced no plan.
+enum StageError {
+    /// A word the plan must read no longer decodes; `stage` has already
+    /// blacklisted the loop, counted it and published the event.
+    Undecodable,
+    /// `cobra-verify` refused the plan; what that costs the loop is the
+    /// caller's policy.
+    Rejected(cobra_verify::VerifyError),
 }
 
 /// Deterministic candidate list for a loop whose `lfetch` sites are
@@ -511,8 +493,26 @@ struct Tournament {
     poisoned: bool,
 }
 
-/// The optimization-thread state: decisions, plan construction, and its own
-/// synchronized copy of the program image.
+/// Running totals of what the optimizer did; `CobraReport` carries the same
+/// six under the same names.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct OptimizerCounters {
+    /// Seeded deployments whose live classification agreed.
+    pub warm_hits: u64,
+    /// Seeded decisions dropped because the live profile disagreed.
+    pub warm_mismatches: u64,
+    /// Candidate loops skipped because a word in them failed to decode.
+    pub undecodable_loops: u64,
+    /// Plans (or warm seeds) rejected by the `cobra-verify` safety checker.
+    pub verify_rejects: u64,
+    /// Tournament candidate trials completed (each one deploy + revert).
+    pub candidates_trialed: u64,
+    /// Tournaments that ended by promoting a winner.
+    pub tournaments_promoted: u64,
+}
+
+/// The optimization stage's decision state: decisions, plan construction,
+/// and its own synchronized copy of the program image.
 #[derive(Debug)]
 pub struct Optimizer {
     cfg: OptimizerConfig,
@@ -531,15 +531,10 @@ pub struct Optimizer {
     seeded_winners: HashMap<CodeAddr, String>,
     /// In-flight candidate tournaments.
     tournaments: Vec<Tournament>,
-    candidates_trialed: u64,
-    tournaments_promoted: u64,
+    counters: OptimizerCounters,
     /// Whether [`Optimizer::warm_start`] ran (enables the shortened
     /// learning window even after every seed is consumed).
     warm: bool,
-    warm_hits: u64,
-    warm_mismatches: u64,
-    undecodable_loops: u64,
-    verify_rejects: u64,
     telemetry: Option<TelemetryEmitter>,
     /// Quantum tick / machine cycle of the tick being considered (set by
     /// [`Optimizer::begin_tick`]), used to stamp telemetry events.
@@ -567,13 +562,8 @@ impl Optimizer {
             seeded: HashMap::new(),
             seeded_winners: HashMap::new(),
             tournaments: Vec::new(),
-            candidates_trialed: 0,
-            tournaments_promoted: 0,
+            counters: OptimizerCounters::default(),
             warm: false,
-            warm_hits: 0,
-            warm_mismatches: 0,
-            undecodable_loops: 0,
-            verify_rejects: 0,
             telemetry: None,
             cur_tick: 0,
             cur_cycle: 0,
@@ -613,48 +603,31 @@ impl Optimizer {
     /// post-`warmup_ticks` decision path.
     pub fn warm_start(&mut self, seed: WarmSeed) {
         self.warm = true;
-        for (head, kind) in seed.decisions {
-            // Re-verify each seed against the *live* image: the store is
-            // keyed by image hash, but a corrupted snapshot record (or a
-            // hash collision) must not smuggle a stale loop head past the
-            // deploy gate. A rejected seed is dropped, not fatal — the loop
-            // simply falls back to the cold decision path.
-            if self.cfg.verify {
-                if let Err(err) = cobra_verify::check_seed(&self.image, head) {
-                    self.verify_rejects += 1;
-                    self.emit(TelemetryEvent::VerifyReject {
-                        tick: self.cur_tick,
-                        cycle: self.cur_cycle,
-                        loop_head: head,
-                        reason: format!("warm seed: {err}"),
-                    });
-                    continue;
-                }
+        // Re-verify each distinct seeded head against the *live* image: the
+        // store is keyed by image hash, but a corrupted snapshot record (or
+        // a hash collision) must not smuggle a stale loop head past the
+        // deploy gate — nor let a stale winner skip the tournament *and*
+        // the safety check. A surviving tournament winner arrives as both a
+        // decision and a winner seed; one rejection drops both, and the
+        // loop falls back to the cold decision path.
+        let mut checked = HashSet::new();
+        let mut rejected = HashSet::new();
+        let decision_heads = seed.decisions.iter().map(|&(head, _)| head);
+        let heads = decision_heads.chain(seed.winners.iter().map(|(head, _)| *head));
+        for head in heads.filter(|&head| checked.insert(head)) {
+            if let Err(err) = cobra_verify::check_seed(&self.image, head) {
+                self.reject(head, format!("warm seed: {err}"));
+                rejected.insert(head);
             }
-            self.seeded.insert(head, kind);
         }
-        for head in seed.blacklist {
-            // A stale blacklist entry is conservative (skips a loop), so it
-            // needs no verification.
-            self.blacklisted_heads.insert(head);
-        }
-        for (head, candidate) in seed.winners {
-            // Same live-image gate as decision seeds: a stale winner must
-            // not skip the tournament *and* the safety check.
-            if self.cfg.verify {
-                if let Err(err) = cobra_verify::check_seed(&self.image, head) {
-                    self.verify_rejects += 1;
-                    self.emit(TelemetryEvent::VerifyReject {
-                        tick: self.cur_tick,
-                        cycle: self.cur_cycle,
-                        loop_head: head,
-                        reason: format!("warm seed: {err}"),
-                    });
-                    continue;
-                }
-            }
-            self.seeded_winners.insert(head, candidate);
-        }
+        let live = |head: &CodeAddr| !rejected.contains(head);
+        self.seeded
+            .extend(seed.decisions.into_iter().filter(|(head, _)| live(head)));
+        self.seeded_winners
+            .extend(seed.winners.into_iter().filter(|(head, _)| live(head)));
+        // A stale blacklist entry is conservative (skips a loop), so it
+        // needs no verification.
+        self.blacklisted_heads.extend(seed.blacklist);
     }
 
     /// Whether [`Optimizer::warm_start`] ran.
@@ -662,34 +635,8 @@ impl Optimizer {
         self.warm
     }
 
-    /// Seeded deployments whose live classification agreed.
-    pub fn warm_hits(&self) -> u64 {
-        self.warm_hits
-    }
-
-    /// Seeded decisions dropped because the live profile disagreed.
-    pub fn warm_mismatches(&self) -> u64 {
-        self.warm_mismatches
-    }
-
-    /// Candidate loops skipped because a word in them failed to decode.
-    pub fn undecodable_loops(&self) -> u64 {
-        self.undecodable_loops
-    }
-
-    /// Plans (or warm seeds) rejected by the `cobra-verify` safety checker.
-    pub fn verify_rejects(&self) -> u64 {
-        self.verify_rejects
-    }
-
-    /// Tournament candidate trials completed (each one deploy + revert).
-    pub fn candidates_trialed(&self) -> u64 {
-        self.candidates_trialed
-    }
-
-    /// Tournaments that ended by promoting a winner.
-    pub fn tournaments_promoted(&self) -> u64 {
-        self.tournaments_promoted
+    pub fn counters(&self) -> OptimizerCounters {
+        self.counters
     }
 
     /// Final per-loop decisions and the blacklist, for persistence. Both
@@ -719,6 +666,17 @@ impl Optimizer {
         if let Some(t) = &self.telemetry {
             t.emit(event);
         }
+    }
+
+    /// Count and publish one `cobra-verify` rejection (plan or warm seed).
+    fn reject(&mut self, loop_head: CodeAddr, reason: String) {
+        self.counters.verify_rejects += 1;
+        self.emit(TelemetryEvent::VerifyReject {
+            tick: self.cur_tick,
+            cycle: self.cur_cycle,
+            loop_head,
+            reason,
+        });
     }
 
     /// Evaluate the current profile; returns any plans to deploy or revert.
@@ -838,7 +796,7 @@ impl Optimizer {
                     // The live profile declines what the prior run deployed:
                     // drop the seed, let the normal path re-decide later.
                     self.seeded.remove(&lp.head);
-                    self.warm_mismatches += 1;
+                    self.counters.warm_mismatches += 1;
                 }
                 continue;
             };
@@ -851,16 +809,25 @@ impl Optimizer {
                     // below) re-decides from scratch.
                     self.seeded.remove(&lp.head);
                     if let Some(name) = self.seeded_winners.remove(&lp.head) {
-                        if let Some(spec) = specs.iter().find(|s| s.name == name).cloned() {
-                            if self.deploy_winner(&lp, &sites, &spec, &[], profile, &mut actions) {
-                                self.warm_hits += 1;
+                        if let Some(spec) = specs.iter().find(|s| s.name == name) {
+                            let won = self.deploy_winner(
+                                &lp,
+                                &sites,
+                                &spec.actions,
+                                Some(spec.name),
+                                &[],
+                                profile,
+                                &mut actions,
+                            );
+                            if won {
+                                self.counters.warm_hits += 1;
                                 deployed_this_tick += 1;
                             }
                             continue;
                         }
                         // A winner name this build no longer generates:
                         // fall through and re-run the tournament.
-                        self.warm_mismatches += 1;
+                        self.counters.warm_mismatches += 1;
                     }
                     self.optimized_heads.insert(lp.head);
                     self.tournaments.push(Tournament {
@@ -882,9 +849,9 @@ impl Optimizer {
             if let Some(seed) = seeded_kind {
                 self.seeded.remove(&lp.head);
                 if seed == kind {
-                    self.warm_hits += 1;
+                    self.counters.warm_hits += 1;
                 } else {
-                    self.warm_mismatches += 1;
+                    self.counters.warm_mismatches += 1;
                     if in_warm_window {
                         // Mismatched seeds never deploy early; the loop
                         // falls back to the normal post-warmup path.
@@ -892,57 +859,15 @@ impl Optimizer {
                     }
                 }
             }
-            let Some(plan) = self.build_plan(&lp, &sites, kind, profile) else {
-                // A word in the loop no longer decodes (e.g. foreign bytes
-                // in the text): skip and never retry, don't abort the
-                // optimizer thread.
-                self.undecodable_loops += 1;
-                self.blacklisted_heads.insert(lp.head);
-                self.emit(TelemetryEvent::UndecodableLoop {
-                    tick: self.cur_tick,
-                    cycle: self.cur_cycle,
-                    loop_head: lp.head,
-                });
-                continue;
+            // Classic one-shot path: every site gets the same rewrite.
+            let action = match kind {
+                OptKind::NoPrefetch => SiteAction::Nop,
+                _ => SiteAction::Excl,
             };
-            // The deploy gate: every plan is machine-checked against the
-            // live image before it lands. A rejection means the optimizer
-            // produced (or was fed) something unsafe — blacklist the loop
-            // and keep running rather than deploy a miscompile.
-            if self.cfg.verify {
-                if let Err(err) = verify_plan(&self.image, &plan, self.cfg.trace.entry_window_slots)
-                {
-                    self.verify_rejects += 1;
-                    self.blacklisted_heads.insert(lp.head);
-                    self.emit(TelemetryEvent::VerifyReject {
-                        tick: self.cur_tick,
-                        cycle: self.cur_cycle,
-                        loop_head: lp.head,
-                        reason: err.to_string(),
-                    });
-                    continue;
-                }
+            let uniform = vec![action; sites.len()];
+            if self.deploy_winner(&lp, &sites, &uniform, None, &[], profile, &mut actions) {
+                deployed_this_tick += 1;
             }
-            self.apply_to_own_image(&plan);
-            self.optimized_heads.insert(lp.head);
-            self.deployments.push(Deployment {
-                plan_id: plan.id,
-                loop_head: lp.head,
-                kind,
-                candidate: None,
-                trials: Vec::new(),
-                undo: plan
-                    .writes
-                    .iter()
-                    .map(|&(addr, _)| (addr, self.undo_word(addr, &plan)))
-                    .collect(),
-                baseline_cpi: profile.window.cpi(),
-                last_post_cpi: None,
-                post_ticks: 0,
-                reverted: false,
-            });
-            actions.push(PlanAction::Apply(plan));
-            deployed_this_tick += 1;
         }
         actions
     }
@@ -999,11 +924,10 @@ impl Optimizer {
         }
     }
 
-    /// Original word at `addr` *before* `plan` was applied (plans are built
-    /// against the pre-plan image, so look in the patch log first).
-    fn undo_word(&self, addr: CodeAddr, _plan: &PatchPlan) -> u64 {
-        // apply_to_own_image records patches; the log's old_word for the
-        // most recent patch at `addr` is the pre-plan word.
+    /// Original word at `addr` *before* the plan just applied to the own
+    /// image: `apply_to_own_image` records patches, so the log's old word
+    /// for the most recent patch at `addr` is the pre-plan word.
+    fn undo_word(&self, addr: CodeAddr) -> u64 {
         self.image
             .patch_log()
             .iter()
@@ -1013,11 +937,13 @@ impl Optimizer {
             .unwrap_or_else(|| self.image.word(addr))
     }
 
-    fn rewrite_lfetch(&self, insn: &Insn, kind: OptKind) -> Insn {
-        match (kind, insn.op) {
-            (OptKind::NoPrefetch, Op::Lfetch { .. }) => NOP_SLOT_M,
+    /// Apply one site action to an instruction (anything but an `lfetch`
+    /// passes through unchanged).
+    fn rewrite_site(&self, insn: &Insn, action: SiteAction) -> Insn {
+        match (action, insn.op) {
+            (SiteAction::Nop, Op::Lfetch { .. }) => NOP_SLOT_M,
             (
-                OptKind::ExclHint,
+                SiteAction::Excl,
                 Op::Lfetch {
                     base,
                     post_inc,
@@ -1037,49 +963,18 @@ impl Optimizer {
         }
     }
 
-    /// Apply one tournament site action to an instruction.
-    fn rewrite_site(&self, insn: &Insn, action: SiteAction) -> Insn {
-        match action {
-            SiteAction::Keep => *insn,
-            SiteAction::Nop => self.rewrite_lfetch(insn, OptKind::NoPrefetch),
-            SiteAction::Excl => self.rewrite_lfetch(insn, OptKind::ExclHint),
-        }
-    }
-
-    /// Build the rewrite plan for one loop (classic one-shot path: every
-    /// site gets the same rewrite), or `None` when any word the plan must
-    /// read fails to decode — the caller skips (and counts) the loop
-    /// instead of panicking the optimizer thread.
+    /// Build a rewrite plan from a per-site action vector (`actions[i]`
+    /// applies to `sites[i]`). Returns `None` when any word the plan must
+    /// read fails to decode.
     fn build_plan(
         &mut self,
         lp: &HotLoop,
         sites: &[CodeAddr],
-        kind: OptKind,
-        profile: &SystemProfile,
-    ) -> Option<PatchPlan> {
-        let action = match kind {
-            OptKind::NoPrefetch => SiteAction::Nop,
-            OptKind::ExclHint => SiteAction::Excl,
-            // The classic classifier never emits Combined (tournaments
-            // build those through build_plan_actions directly).
-            OptKind::Combined => return None,
-        };
-        let actions = vec![action; sites.len()];
-        self.build_plan_actions(lp, sites, &actions, kind, None, profile)
-    }
-
-    /// Build a rewrite plan from a per-site action vector (`actions[i]`
-    /// applies to `sites[i]`). Returns `None` when any word the plan must
-    /// read fails to decode.
-    fn build_plan_actions(
-        &mut self,
-        lp: &HotLoop,
-        sites: &[CodeAddr],
         actions: &[SiteAction],
-        kind: OptKind,
         candidate: Option<&str>,
         profile: &SystemProfile,
     ) -> Option<PatchPlan> {
+        let kind = plan_kind(actions);
         let id = self.next_plan_id;
         self.next_plan_id += 1;
         let action_at: HashMap<CodeAddr, SiteAction> =
@@ -1170,6 +1065,44 @@ impl Optimizer {
         }
     }
 
+    /// The deploy gate, the only way a plan reaches either image: build it,
+    /// machine-check it against the live image with `cobra-verify`, apply
+    /// it to the own image, and read back the words it overwrote.
+    fn stage(
+        &mut self,
+        lp: &HotLoop,
+        sites: &[CodeAddr],
+        actions: &[SiteAction],
+        candidate: Option<&str>,
+        profile: &SystemProfile,
+    ) -> Result<(PatchPlan, Vec<(CodeAddr, u64)>), StageError> {
+        let Some(plan) = self.build_plan(lp, sites, actions, candidate, profile) else {
+            // A word in the loop no longer decodes (e.g. foreign bytes in
+            // the text): never retry the loop, don't abort the optimizer.
+            self.counters.undecodable_loops += 1;
+            self.blacklisted_heads.insert(lp.head);
+            self.emit(TelemetryEvent::UndecodableLoop {
+                tick: self.cur_tick,
+                cycle: self.cur_cycle,
+                loop_head: lp.head,
+            });
+            return Err(StageError::Undecodable);
+        };
+        verify_plan(&self.image, &plan, self.cfg.trace.entry_window_slots)
+            .map_err(StageError::Rejected)?;
+        // Apply before reading undo words: the patch log's most recent
+        // entry at each address is this plan's only once the plan is in
+        // the log (earlier candidates' apply/revert pairs would otherwise
+        // shadow the true pre-plan words).
+        self.apply_to_own_image(&plan);
+        let undo = plan
+            .writes
+            .iter()
+            .map(|&(addr, _)| (addr, self.undo_word(addr)))
+            .collect();
+        Ok((plan, undo))
+    }
+
     /// Apply a plan to the optimizer's own image copy (keeps both sides'
     /// trace-cache layout identical).
     fn apply_to_own_image(&mut self, plan: &PatchPlan) {
@@ -1231,7 +1164,7 @@ impl Optimizer {
                 let cpi = live.cycles as f64 / live.insns as f64;
                 let name = t.specs[live.spec_idx].name;
                 t.results.push((name.to_string(), cpi));
-                self.candidates_trialed += 1;
+                self.counters.candidates_trialed += 1;
                 self.emit(TelemetryEvent::CandidateTrial {
                     tick: self.cur_tick,
                     cycle: self.cur_cycle,
@@ -1268,61 +1201,28 @@ impl Optimizer {
         }
         // Start the next candidate, skipping any the verifier rejects.
         while t.next < t.specs.len() {
-            let spec = t.specs[t.next].clone();
-            let Some(plan) = self.build_plan_actions(
-                &t.lp,
-                &t.sites,
-                &spec.actions,
-                spec.kind(),
-                Some(spec.name),
-                profile,
-            ) else {
-                // A word in the loop stopped decoding mid-tournament:
-                // abandon the whole tournament, never retry the loop.
-                self.undecodable_loops += 1;
-                self.blacklisted_heads.insert(t.lp.head);
-                self.emit(TelemetryEvent::UndecodableLoop {
-                    tick: self.cur_tick,
-                    cycle: self.cur_cycle,
-                    loop_head: t.lp.head,
-                });
-                return true;
-            };
-            if self.cfg.verify {
-                if let Err(err) = verify_plan(&self.image, &plan, self.cfg.trace.entry_window_slots)
-                {
-                    // Reject only this candidate; the rest still compete.
-                    self.verify_rejects += 1;
-                    self.emit(TelemetryEvent::VerifyReject {
-                        tick: self.cur_tick,
-                        cycle: self.cur_cycle,
-                        loop_head: t.lp.head,
-                        reason: format!("candidate '{}': {err}", spec.name),
-                    });
-                    t.next += 1;
-                    continue;
-                }
-            }
-            let plan_id = plan.id;
-            // Apply first: undo_word reads the patch log's most recent
-            // entry at each address, which is this plan's only once the
-            // plan is in the log (earlier candidates' apply/revert pairs
-            // would otherwise shadow the true pre-plan words).
-            self.apply_to_own_image(&plan);
-            let undo: Vec<(CodeAddr, u64)> = plan
-                .writes
-                .iter()
-                .map(|&(addr, _)| (addr, self.undo_word(addr, &plan)))
-                .collect();
-            actions.push(PlanAction::Apply(plan));
+            let spec = &t.specs[t.next];
+            let (plan, undo) =
+                match self.stage(&t.lp, &t.sites, &spec.actions, Some(spec.name), profile) {
+                    Ok(staged) => staged,
+                    // The loop stopped decoding mid-tournament: abandon it.
+                    Err(StageError::Undecodable) => return true,
+                    Err(StageError::Rejected(err)) => {
+                        // Reject only this candidate; the rest still compete.
+                        self.reject(t.lp.head, format!("candidate '{}': {err}", spec.name));
+                        t.next += 1;
+                        continue;
+                    }
+                };
             t.live = Some(LiveTrial {
                 spec_idx: t.next,
-                plan_id,
+                plan_id: plan.id,
                 undo,
                 ticks: 0,
                 insns: 0,
                 cycles: 0,
             });
+            actions.push(PlanAction::Apply(plan));
             return false;
         }
         // Every candidate has been trialed (or rejected): settle.
@@ -1339,133 +1239,90 @@ impl Optimizer {
         actions: &mut Vec<PlanAction>,
     ) {
         // Lowest trial CPI wins; strict `<` keeps the earliest candidate on
-        // ties, so outcomes are deterministic across runs.
-        let mut winner: Option<(usize, f64)> = None;
-        for (i, &(_, cpi)) in t.results.iter().enumerate() {
-            if winner.is_none_or(|(_, best)| cpi < best) {
-                winner = Some((i, cpi));
+        // ties, so outcomes are deterministic across runs. No result at all
+        // means every candidate was verifier-rejected or no window closed.
+        let mut winner: Option<&(String, f64)> = None;
+        for result in &t.results {
+            if winner.is_none_or(|best| result.1 < best.1) {
+                winner = Some(result);
             }
         }
-        let Some((widx, wcpi)) = winner else {
-            // Every candidate was verifier-rejected or no window ever
-            // closed: nothing to promote.
-            self.blacklisted_heads.insert(t.lp.head);
-            self.emit(TelemetryEvent::Blacklist {
-                tick: self.cur_tick,
-                cycle: self.cur_cycle,
-                loop_head: t.lp.head,
-            });
-            self.emit(TelemetryEvent::TournamentOutcome {
-                tick: self.cur_tick,
-                cycle: self.cur_cycle,
-                loop_head: t.lp.head,
-                candidates: t.specs.len(),
-                winner: None,
-                winner_cpi: None,
-                promoted: false,
-            });
-            return;
+        // A best candidate that still regresses past the revert threshold
+        // leaves the loop alone for good.
+        let regresses = |cpi: f64| {
+            t.baseline_cpi > 0.0
+                && self.cfg.regression_factor > 0.0
+                && cpi > t.baseline_cpi * self.cfg.regression_factor
         };
-        let name = t.results[widx].0.clone();
-        if t.baseline_cpi > 0.0
-            && self.cfg.regression_factor > 0.0
-            && wcpi > t.baseline_cpi * self.cfg.regression_factor
-        {
-            // Even the best candidate regresses past the revert threshold:
-            // leave the loop alone for good.
-            self.blacklisted_heads.insert(t.lp.head);
-            self.emit(TelemetryEvent::Blacklist {
-                tick: self.cur_tick,
-                cycle: self.cur_cycle,
-                loop_head: t.lp.head,
-            });
-            self.emit(TelemetryEvent::TournamentOutcome {
-                tick: self.cur_tick,
-                cycle: self.cur_cycle,
-                loop_head: t.lp.head,
-                candidates: t.specs.len(),
-                winner: Some(name),
-                winner_cpi: Some(wcpi),
-                promoted: false,
-            });
-            return;
-        }
-        // Spec names are unique within a tournament (dedupe keeps the
-        // first), so the winner's spec is always found.
-        let Some(spec) = t.specs.iter().find(|s| s.name == name).cloned() else {
-            return;
+        let spec = winner
+            .filter(|&&(_, cpi)| !regresses(cpi))
+            .and_then(|(name, _)| t.specs.iter().find(|s| s.name == name));
+        let promoted = match spec {
+            Some(spec) => self.deploy_winner(
+                &t.lp,
+                &t.sites,
+                &spec.actions,
+                Some(spec.name),
+                &t.results,
+                profile,
+                actions,
+            ),
+            None => {
+                self.blacklisted_heads.insert(t.lp.head);
+                self.emit(TelemetryEvent::Blacklist {
+                    tick: self.cur_tick,
+                    cycle: self.cur_cycle,
+                    loop_head: t.lp.head,
+                });
+                false
+            }
         };
-        let promoted = self.deploy_winner(&t.lp, &t.sites, &spec, &t.results, profile, actions);
-        if promoted {
-            self.tournaments_promoted += 1;
-        }
+        self.counters.tournaments_promoted += u64::from(promoted);
         self.emit(TelemetryEvent::TournamentOutcome {
             tick: self.cur_tick,
             cycle: self.cur_cycle,
             loop_head: t.lp.head,
             candidates: t.specs.len(),
-            winner: Some(name),
-            winner_cpi: Some(wcpi),
+            winner: winner.map(|(name, _)| name.clone()),
+            winner_cpi: winner.map(|&(_, cpi)| cpi),
             promoted,
         });
     }
 
-    /// Build, verify, and deploy `spec` as the lasting rewrite for `lp`
-    /// (tournament promotion and warm-started winners). Returns whether the
-    /// deployment landed; failures blacklist the loop.
+    /// Stage `actions` as the lasting rewrite for `lp` — the classic
+    /// one-shot deployment (`candidate: None`), a tournament promotion, or a
+    /// warm-started winner. Returns whether the deployment landed; failures
+    /// blacklist the loop rather than deploy a miscompile.
+    #[allow(clippy::too_many_arguments)]
     fn deploy_winner(
         &mut self,
         lp: &HotLoop,
         sites: &[CodeAddr],
-        spec: &CandidateSpec,
+        actions: &[SiteAction],
+        candidate: Option<&str>,
         trials: &[(String, f64)],
         profile: &SystemProfile,
-        actions: &mut Vec<PlanAction>,
+        out: &mut Vec<PlanAction>,
     ) -> bool {
-        let Some(plan) = self.build_plan_actions(
-            lp,
-            sites,
-            &spec.actions,
-            spec.kind(),
-            Some(spec.name),
-            profile,
-        ) else {
-            self.undecodable_loops += 1;
-            self.blacklisted_heads.insert(lp.head);
-            self.emit(TelemetryEvent::UndecodableLoop {
-                tick: self.cur_tick,
-                cycle: self.cur_cycle,
-                loop_head: lp.head,
-            });
-            return false;
-        };
-        if self.cfg.verify {
-            if let Err(err) = verify_plan(&self.image, &plan, self.cfg.trace.entry_window_slots) {
-                self.verify_rejects += 1;
+        let (plan, undo) = match self.stage(lp, sites, actions, candidate, profile) {
+            Ok(staged) => staged,
+            Err(StageError::Undecodable) => return false,
+            Err(StageError::Rejected(err)) => {
                 self.blacklisted_heads.insert(lp.head);
-                self.emit(TelemetryEvent::VerifyReject {
-                    tick: self.cur_tick,
-                    cycle: self.cur_cycle,
-                    loop_head: lp.head,
-                    reason: format!("winner '{}': {err}", spec.name),
-                });
+                let reason = match candidate {
+                    Some(name) => format!("winner '{name}': {err}"),
+                    None => err.to_string(),
+                };
+                self.reject(lp.head, reason);
                 return false;
             }
-        }
-        // Apply before computing undo words (see pump_one: the patch log's
-        // top entry per address is only the pre-plan word post-apply).
-        self.apply_to_own_image(&plan);
-        let undo: Vec<(CodeAddr, u64)> = plan
-            .writes
-            .iter()
-            .map(|&(addr, _)| (addr, self.undo_word(addr, &plan)))
-            .collect();
+        };
         self.optimized_heads.insert(lp.head);
         self.deployments.push(Deployment {
             plan_id: plan.id,
             loop_head: lp.head,
-            kind: spec.kind(),
-            candidate: Some(spec.name.to_string()),
+            kind: plan.kind,
+            candidate: plan.candidate.clone(),
             trials: trials.to_vec(),
             undo,
             baseline_cpi: profile.window.cpi(),
@@ -1473,12 +1330,12 @@ impl Optimizer {
             post_ticks: 0,
             reverted: false,
         });
-        actions.push(PlanAction::Apply(plan));
+        out.push(PlanAction::Apply(plan));
         true
     }
 
     /// Abandon all optimization of `loop_head` after a guest-side patch
-    /// failure (the framework's `ToOpt::LoopPoisoned`): blacklist it, mark
+    /// failure (an apply rolled back or a revert stopped): blacklist it, mark
     /// its deployments reverted, and abort any tournament on it. The
     /// optimizer's own image copy is deliberately left as-is — blacklisted
     /// heads are never re-read for planning, and rewinding trace appendices
@@ -1535,12 +1392,6 @@ impl Optimizer {
                 // The rolling window is fully post-deployment by now.
                 let post_cpi = profile.window.cpi();
                 d.last_post_cpi = Some(post_cpi);
-                if std::env::var("COBRA_DEBUG_REGRESSION").is_ok() {
-                    eprintln!(
-                        "[regress?] plan {} post_ticks {} cpi {:.3} baseline {:.3}",
-                        d.plan_id, d.post_ticks, post_cpi, d.baseline_cpi
-                    );
-                }
                 let regressed =
                     d.baseline_cpi > 0.0 && post_cpi > d.baseline_cpi * cfg.regression_factor;
                 trials.push(TelemetryEvent::CpiTrial {
@@ -1590,13 +1441,6 @@ impl Optimizer {
             });
         }
     }
-
-    /// Notification of a detected phase change. Deployed and blacklisted
-    /// loops stay as they are (re-deploying an already-patched loop would
-    /// stack rewrites); the value of the phase signal is that the *caller*
-    /// discards stale profile history, so loops that only now became hot
-    /// get considered against fresh data.
-    pub fn on_phase_change(&mut self) {}
 
     /// Number of applied (non-reverted) deployments.
     pub fn active_deployments(&self) -> usize {
@@ -1662,33 +1506,6 @@ mod tests {
         l3_kinst: f64,
     ) -> SystemProfile {
         hot_profile_lat(load_pc, head, back, l3_kinst, 200)
-    }
-
-    /// Configs serialized before the `osr` toggle existed must still load:
-    /// the missing field falls back to the `COBRA_OSR`-aware default.
-    #[test]
-    fn old_configs_without_osr_field_still_load() {
-        let mut v = serde::Serialize::to_value(&OptimizerConfig::default());
-        if let serde::Value::Object(fields) = &mut v {
-            fields.retain(|(k, _)| k != "osr");
-        } else {
-            panic!("config serializes to an object");
-        }
-        let cfg: OptimizerConfig =
-            serde::Deserialize::from_value(&v).expect("tolerant deserialize");
-        assert_eq!(cfg.osr, default_osr());
-    }
-
-    /// `COBRA_OSR` parsing: only the literal `"0"` disables; unset, empty,
-    /// or anything else keeps OSR on. (The workspace-under-`COBRA_OSR=0`
-    /// CI job covers the real environment path end to end.)
-    #[test]
-    fn cobra_osr_env_only_zero_disables() {
-        assert!(osr_env(None));
-        assert!(!osr_env(Some("0")));
-        assert!(osr_env(Some("1")));
-        assert!(osr_env(Some("")));
-        assert!(osr_env(Some("off")));
     }
 
     #[test]
@@ -1876,7 +1693,7 @@ mod tests {
 
     /// A loop whose body contains a word that no longer decodes (stale
     /// profile, self-modifying guest, bit rot) must be skipped and
-    /// blacklisted — not abort the optimization thread.
+    /// blacklisted — not abort the optimizer.
     #[test]
     fn undecodable_body_word_skips_loop_and_blacklists() {
         let (image, head, back, load_pc) = loop_image();
@@ -1900,10 +1717,10 @@ mod tests {
             !actions.iter().any(|a| matches!(a, PlanAction::Apply(_))),
             "no plan may be built from an undecodable body: {actions:?}"
         );
-        assert_eq!(opt.undecodable_loops(), 1);
+        assert_eq!(opt.counters().undecodable_loops, 1);
         // Blacklisted: re-considering does not retry (and does not recount).
         assert!(opt.consider(&profile).is_empty());
-        assert_eq!(opt.undecodable_loops(), 1);
+        assert_eq!(opt.counters().undecodable_loops, 1);
         assert_eq!(opt.active_deployments(), 0);
     }
 
@@ -1948,8 +1765,8 @@ mod tests {
             warm_tick < cold_tick,
             "warm deploy at tick {warm_tick} must beat cold tick {cold_tick}"
         );
-        assert_eq!(warm.warm_hits(), 1);
-        assert_eq!(warm.warm_mismatches(), 0);
+        assert_eq!(warm.counters().warm_hits, 1);
+        assert_eq!(warm.counters().warm_mismatches, 0);
     }
 
     /// A seed the live profile contradicts is dropped: no early deploy, and
@@ -1980,8 +1797,8 @@ mod tests {
                 }
             }
         }
-        assert_eq!(opt.warm_mismatches(), 1);
-        assert_eq!(opt.warm_hits(), 0);
+        assert_eq!(opt.counters().warm_mismatches, 1);
+        assert_eq!(opt.counters().warm_hits, 0);
         assert_eq!(deploys.len(), 1, "exactly one deployment: {deploys:?}");
         let (tick, kind) = deploys[0];
         assert_eq!(kind, OptKind::NoPrefetch, "live profile wins");
@@ -2066,11 +1883,11 @@ mod tests {
             actions.is_empty(),
             "unsafe plan must not deploy: {actions:?}"
         );
-        assert_eq!(opt.verify_rejects(), 1);
+        assert_eq!(opt.counters().verify_rejects, 1);
         assert_eq!(opt.active_deployments(), 0);
         // Blacklisted: never retried.
         assert!(opt.consider(&profile).is_empty());
-        assert_eq!(opt.verify_rejects(), 1);
+        assert_eq!(opt.counters().verify_rejects, 1);
         // The same loop with `.excl` (no removal) is safe and deploys.
         let mut a = Assembler::new();
         let top = a.new_label();
@@ -2092,7 +1909,7 @@ mod tests {
         );
         let actions = opt.consider(&hot_profile(load_pc, head, back, 1.0));
         assert_eq!(actions.len(), 1);
-        assert_eq!(opt.verify_rejects(), 0);
+        assert_eq!(opt.counters().verify_rejects, 0);
     }
 
     /// Warm seeds are re-verified against the live image at attach: a head
@@ -2114,13 +1931,13 @@ mod tests {
             blacklist: vec![],
             winners: vec![],
         });
-        assert_eq!(opt.verify_rejects(), 1);
+        assert_eq!(opt.counters().verify_rejects, 1);
         // The valid seed still deploys through the normal path.
         let profile = hot_profile(load_pc, head, back, 1.0);
         let actions = opt.consider(&profile);
         assert_eq!(actions.len(), 1);
-        assert_eq!(opt.warm_hits(), 1);
-        assert_eq!(opt.verify_rejects(), 1);
+        assert_eq!(opt.counters().warm_hits, 1);
+        assert_eq!(opt.counters().verify_rejects, 1);
     }
 
     /// `verify_plan` is the same check the deploy gate runs; a tampered
@@ -2170,9 +1987,10 @@ mod tests {
         assert_eq!(specs, candidate_specs(&sites, 3), "deterministic");
         // Kinds map from the action mix.
         let by_name = |n: &str| specs.iter().find(|s| s.name == n).unwrap();
-        assert_eq!(by_name("noprefetch").kind(), OptKind::NoPrefetch);
-        assert_eq!(by_name("prefetch.excl").kind(), OptKind::ExclHint);
-        assert_eq!(by_name("combined.burst-nop").kind(), OptKind::Combined);
+        let kind = |n: &str| plan_kind(&by_name(n).actions);
+        assert_eq!(kind("noprefetch"), OptKind::NoPrefetch);
+        assert_eq!(kind("prefetch.excl"), OptKind::ExclHint);
+        assert_eq!(kind("combined.burst-nop"), OptKind::Combined);
         // A single-site loop collapses to the two uniform rewrites.
         let solo = candidate_specs(&[7], 3);
         assert_eq!(solo.len(), 2, "{solo:?}");
@@ -2230,8 +2048,11 @@ mod tests {
             trial_applies.len() >= 3,
             "at least 3 distinct candidates trialed: {trial_applies:?}"
         );
-        assert_eq!(opt.candidates_trialed(), trial_applies.len() as u64);
-        assert_eq!(opt.tournaments_promoted(), 1);
+        assert_eq!(
+            opt.counters().candidates_trialed,
+            trial_applies.len() as u64
+        );
+        assert_eq!(opt.counters().tournaments_promoted, 1);
         assert_eq!(opt.active_deployments(), 1);
         let (decisions, _) = opt.export_state();
         assert_eq!(decisions.len(), 1);
@@ -2272,8 +2093,8 @@ mod tests {
                 }
             }
         }
-        assert!(opt.candidates_trialed() >= 3);
-        assert_eq!(opt.tournaments_promoted(), 0);
+        assert!(opt.counters().candidates_trialed >= 3);
+        assert_eq!(opt.counters().tournaments_promoted, 0);
         assert_eq!(opt.active_deployments(), 0, "nothing stays deployed");
         // Blacklisted: no new tournament, no deployment, ever.
         assert!(opt
@@ -2314,12 +2135,12 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(opt.candidates_trialed(), 0);
+        assert_eq!(opt.counters().candidates_trialed, 0);
         assert!(opt.tournaments.is_empty());
     }
 
     /// poison() aborts an in-flight tournament and permanently blacklists
-    /// the loop (the framework sends it when a guest-side patch fails).
+    /// the loop (the framework calls it when a guest-side patch fails).
     #[test]
     fn poison_aborts_tournament_and_blacklists_loop() {
         let (image, head, back, load_pc) = loop_image();
@@ -2345,7 +2166,7 @@ mod tests {
             );
         }
         assert!(opt.tournaments.is_empty(), "tournament dropped");
-        assert_eq!(opt.tournaments_promoted(), 0);
+        assert_eq!(opt.counters().tournaments_promoted, 0);
         assert_eq!(opt.active_deployments(), 0);
     }
 
@@ -2377,9 +2198,9 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(opt.candidates_trialed(), 0, "no re-trialing");
+        assert_eq!(opt.counters().candidates_trialed, 0, "no re-trialing");
         assert!(opt.tournaments.is_empty());
-        assert_eq!(opt.warm_hits(), 1);
+        assert_eq!(opt.counters().warm_hits, 1);
         assert_eq!(opt.active_deployments(), 1);
     }
 }

@@ -6,7 +6,7 @@
 //! decision shapes instead of referencing [`SystemProfile`] / `OptKind`
 //! directly. This module owns the two-way conversion:
 //!
-//! * at detach, the optimization thread's [`OptFinal`] becomes a
+//! * at detach, the optimization stage's [`OptFinal`] becomes a
 //!   [`Snapshot`] (sorted, so snapshots serialize deterministically);
 //! * at attach, a loaded snapshot becomes a [`WarmSeed`] — only
 //!   non-reverted decisions seed deployments; reverted ones travel through
@@ -201,6 +201,43 @@ mod tests {
         assert_eq!(seed.decisions, vec![(10, OptKind::NoPrefetch)]);
         assert_eq!(seed.blacklist, vec![20, 30]);
         assert!(seed.winners.is_empty());
+    }
+
+    /// A surviving tournament winner is stored as a decision *and* a winner
+    /// at the same head; when that head no longer heads a loop in the live
+    /// image it is verified, rejected and counted once, and neither seed survives.
+    #[test]
+    fn stale_winner_head_is_rejected_once() {
+        let key = StoreKey {
+            image_hash: 1,
+            machine_fp: 2,
+        };
+        let mut snap = Snapshot::empty(key);
+        snap.decisions = vec![DecisionRecord {
+            loop_head: 0,
+            kind: "combined".into(),
+            reverted: false,
+            baseline_cpi: 1.4,
+            post_cpi: Some(1.1),
+        }];
+        snap.winners = vec![WinnerRecord {
+            loop_head: 0,
+            candidate: "combined.split".into(),
+            kind: "combined".into(),
+            trials: vec![],
+        }];
+        let seed = seed_from_snapshot(&snap);
+        assert_eq!((seed.decisions.len(), seed.winners.len()), (1, 1));
+        // Straight-line text: nothing branches back to address 0.
+        let image = {
+            let mut a = cobra_isa::Assembler::new();
+            a.addi(5, 5, 1);
+            a.hlt();
+            a.finish()
+        };
+        let mut opt = crate::optimizer::Optimizer::new(Default::default(), image);
+        opt.warm_start(seed);
+        assert_eq!(opt.counters().verify_rejects, 1);
     }
 
     #[test]

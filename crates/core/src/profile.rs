@@ -1,7 +1,7 @@
 //! Dynamic profile aggregation.
 //!
-//! Monitoring threads reduce raw samples into [`ProfileDelta`]s; the
-//! optimization thread merges deltas from every thread into a
+//! Monitors reduce raw samples into [`ProfileDelta`]s; the
+//! optimization stage merges deltas from every thread into a
 //! [`SystemProfile`] — "optimization decisions are based on profiles
 //! collected from multiple threads to determine if a system-wide
 //! optimization is warranted" (§1). The profile tracks:
@@ -144,7 +144,7 @@ impl CounterWindow {
     }
 }
 
-/// One monitoring thread's reduction of a batch of samples.
+/// One monitor's reduction of a batch of samples.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ProfileDelta {
     pub cpu: u32,
@@ -157,7 +157,7 @@ pub struct ProfileDelta {
     pub samples: u64,
 }
 
-/// Per-monitoring-thread reducer: turns raw [`SampleRecord`]s into deltas.
+/// Per-monitor reducer: turns raw [`SampleRecord`]s into deltas.
 #[derive(Debug)]
 pub struct ThreadProfiler {
     cpu: u32,
@@ -232,7 +232,7 @@ impl ThreadProfiler {
     }
 }
 
-/// The system-wide merged profile the optimization thread decides from.
+/// The system-wide merged profile the optimization stage decides from.
 #[derive(Debug, Clone, Default)]
 pub struct SystemProfile {
     bands: Option<LatencyBands>,

@@ -38,13 +38,13 @@ pub struct RevertedPlan {
 pub struct CobraReport {
     /// Samples captured by the perfmon driver and forwarded to monitors.
     pub samples_forwarded: u64,
-    /// Samples merged by the optimization thread.
+    /// Samples merged by the optimization stage.
     pub samples_merged: u64,
     /// Quantum ticks processed.
     pub ticks: u64,
     /// Parallel-region forks observed.
     pub forks: u64,
-    /// Monitoring threads spawned.
+    /// Monitors created (one per forked working thread).
     pub monitors_spawned: usize,
     /// Phase changes detected.
     pub phase_changes: u64,
@@ -58,10 +58,6 @@ pub struct CobraReport {
     pub telemetry_records: u64,
     /// Telemetry records dropped because the ring was full.
     pub telemetry_dropped: u64,
-    /// Monitoring-thread deltas dropped because they arrived after their
-    /// tick had already been folded.
-    #[serde(default)]
-    pub stale_deltas: u64,
     /// Guest memory faults taken by working threads over the run.
     #[serde(default)]
     pub guest_faults: u64,
@@ -156,7 +152,7 @@ pub struct CobraReport {
     pub osr_rejects: u64,
     /// Summed ticks from each version transfer (deploy or revert) until
     /// every thread ran the intended version — the time-to-optimized
-    /// metric. Tracked whether or not OSR is armed, so `COBRA_OSR=0` runs
+    /// metric. Tracked whether or not OSR is armed, so `.osr(false)` runs
     /// report the entry-only convergence time for comparison.
     #[serde(default)]
     pub ticks_to_all_optimized: u64,
@@ -256,7 +252,7 @@ mod tests {
         assert!(r.summary().contains("1 reverts"));
     }
 
-    /// Reports serialized before `stale_deltas`/`guest_faults` existed must
+    /// Reports serialized before `guest_faults` existed must
     /// still deserialize (the fields default to 0).
     #[test]
     fn old_reports_without_new_fields_still_load() {
@@ -266,8 +262,7 @@ mod tests {
         });
         if let serde::Value::Object(fields) = &mut old {
             fields.retain(|(k, _)| {
-                k != "stale_deltas"
-                    && k != "guest_faults"
+                k != "guest_faults"
                     && !k.starts_with("warm_")
                     && !k.starts_with("store_")
                     && k != "undecodable_loops"
@@ -286,7 +281,6 @@ mod tests {
         }
         let r: CobraReport = serde::Deserialize::from_value(&old).expect("tolerant deserialize");
         assert_eq!(r.samples_forwarded, 7);
-        assert_eq!(r.stale_deltas, 0);
         assert_eq!(r.guest_faults, 0);
         assert!(!r.warm_started);
         assert_eq!(r.warm_hits, 0);

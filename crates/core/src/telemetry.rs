@@ -97,7 +97,7 @@ pub enum TelemetryEvent {
         samples: usize,
         dropped_total: u64,
     },
-    /// A monitoring thread's User Sampling Buffer occupancy at tick reduce.
+    /// A monitor's User Sampling Buffer occupancy at tick reduce.
     UsbLevel {
         tick: u64,
         cpu: u32,
@@ -116,14 +116,6 @@ pub enum TelemetryEvent {
         prefetch_effective: bool,
         /// The rewrite chosen, or `None` when the optimizer declined.
         decision: Option<OptKind>,
-    },
-    /// A monitoring thread's delta arrived after its tick had already been
-    /// folded and was dropped (`tick` is the latest folded tick at drop
-    /// time; `delta_tick` is the tick the delta belonged to).
-    StaleDelta {
-        tick: u64,
-        cpu: u32,
-        delta_tick: u64,
     },
     /// The phase detector fired; profile history was discarded.
     PhaseChange { tick: u64, cycle: u64, phases: u64 },
@@ -279,7 +271,7 @@ pub enum TelemetryEvent {
     /// Every thread left the original loop body after a trace deployment:
     /// the forward OSR redirects were disarmed. `migrations` counts the
     /// back edges actually diverted into the new version (0 under
-    /// `COBRA_OSR=0`, where the watch still measures convergence).
+    /// `.osr(false)`, where the watch still measures convergence).
     OsrMigrate {
         tick: u64,
         cycle: u64,
@@ -338,7 +330,6 @@ impl TelemetryEvent {
             TelemetryEvent::KernelDrain { .. } => "kernel_drain",
             TelemetryEvent::UsbLevel { .. } => "usb_level",
             TelemetryEvent::LoopClassified { .. } => "loop_classified",
-            TelemetryEvent::StaleDelta { .. } => "stale_delta",
             TelemetryEvent::PhaseChange { .. } => "phase_change",
             TelemetryEvent::Deploy { .. } => "deploy",
             TelemetryEvent::CpiTrial { .. } => "cpi_trial",

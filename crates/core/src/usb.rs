@@ -2,12 +2,12 @@
 //!
 //! §3.1: "Once [a monitoring thread] catches a signal, it stores the content
 //! of performance counters from the kernel memory area to a user memory
-//! area, called User Sampling Buffer (USB)." Each monitoring thread owns one
+//! area, called User Sampling Buffer (USB)." Each [`crate::Monitor`] owns one
 //! USB; the profiler consumes records from it in arrival order.
 
 use cobra_perfmon::SampleRecord;
 
-/// Bounded per-monitoring-thread sample store.
+/// Bounded per-monitor sample store.
 #[derive(Debug)]
 pub struct UserSamplingBuffer {
     records: Vec<SampleRecord>,
@@ -48,6 +48,10 @@ impl UserSamplingBuffer {
 
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
+    }
+
+    pub fn capacity(&self) -> usize {
+        self.capacity
     }
 
     /// Lifetime count of records stored.

@@ -1,6 +1,6 @@
 //! End-to-end tests: COBRA attached to real workloads on the simulated
-//! 4-way SMP — the full §5 pipeline (sampling → monitoring threads →
-//! optimization thread → binary patching) with verified numerics.
+//! 4-way SMP — the full §5 pipeline (sampling → monitors →
+//! optimization stage → binary patching) with verified numerics.
 
 use cobra_kernels::workload::{execute, execute_plain, Workload};
 use cobra_kernels::{npb, Daxpy, DaxpyParams, PrefetchPolicy};
@@ -169,7 +169,7 @@ fn cobra_improves_npb_bt_on_smp() {
 }
 
 #[test]
-fn cobra_runs_monitoring_threads_per_working_thread() {
+fn cobra_runs_one_monitor_per_working_thread() {
     let cfg = MachineConfig::smp4();
     let team = Team::new(3);
     let wl = Daxpy::build(
@@ -183,10 +183,7 @@ fn cobra_runs_monitoring_threads_per_working_thread() {
         team,
         cobra_config(Strategy::Adaptive, DeployMode::TraceCache),
     );
-    assert_eq!(
-        report.monitors_spawned, 3,
-        "one monitoring thread per working thread"
-    );
+    assert_eq!(report.monitors_spawned, 3, "one monitor per working thread");
     assert_eq!(report.forks, 6, "one fork per outer repetition");
     assert!(report.samples_forwarded > 0);
     assert!(report.samples_merged > 0);

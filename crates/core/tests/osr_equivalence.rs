@@ -4,7 +4,7 @@
 //! (forward into a freshly deployed trace clone, or backward out of a
 //! reverted one) must be architecturally invisible — the run lands on the
 //! same final data memory, and the workload's numerical verification
-//! passes, exactly as with entry-only transfer (`COBRA_OSR=0`) or no COBRA
+//! passes, exactly as with entry-only transfer (`.osr(false)`) or no COBRA
 //! at all. Only *when* threads run which version may change; *what* they
 //! compute may not.
 //!

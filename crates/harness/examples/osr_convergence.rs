@@ -1,7 +1,7 @@
 //! Regenerates the results_all.md time-to-optimized table: the phase-heavy
 //! NPB runs (ft, mg) on smp4, adaptive arm with candidate tournaments
 //! (each trial is a mid-run version transfer: deploy, measure, revert),
-//! comparing OSR redirects on (the default) vs off (`COBRA_OSR=0`-style
+//! comparing OSR redirects on (the default) vs off (`.osr(false)`:
 //! entry-only version transfer).
 //!
 //! For each benchmark both runs must land on identical final data memory

@@ -12,7 +12,7 @@
 //! * [`kernels`] — the `minicc` code generator plus DAXPY and the NPB-like
 //!   benchmark suite.
 //! * [`rt`] — **the paper's contribution**: the COBRA framework itself
-//!   (monitoring threads, the optimization thread, trace selection, and the
+//!   (per-thread monitors, the optimization stage, trace selection, and the
 //!   `noprefetch` / `lfetch.excl` binary optimizations), attached via
 //!   `rt::Cobra::builder()`, with typed pipeline telemetry in
 //!   `rt::telemetry`.

@@ -5,7 +5,7 @@ use cobra::kernels::workload::{execute_plain, Workload};
 use cobra::kernels::{npb, Daxpy, DaxpyParams, PrefetchPolicy};
 use cobra::machine::{Event, Machine, MachineConfig};
 use cobra::omp::{OmpRuntime, Team};
-use cobra::rt::{Cobra, Strategy};
+use cobra::rt::{Cobra, Strategy, TelemetrySink};
 
 /// Every benchmark binary decodes cleanly and carries the symbols and
 /// structure the optimizer relies on.
@@ -63,8 +63,9 @@ fn simulation_is_deterministic() {
     assert_eq!(run(), run());
 }
 
-/// COBRA runs are deterministic too, despite real host threads: the
-/// synchronous tick handshake serializes all cross-thread effects.
+/// COBRA runs are deterministic too: the monitors and the optimization
+/// stage run on the simulator's thread in a fixed order, so not only the
+/// outcome but the whole telemetry record sequence repeats.
 #[test]
 fn cobra_runs_are_deterministic() {
     let cfg = MachineConfig::smp4();
@@ -86,6 +87,41 @@ fn cobra_runs_are_deterministic() {
         (r.cycles, report.applied.len(), report.samples_forwarded)
     };
     assert_eq!(run(), run());
+
+    // Tournaments, OSR arming and every event category at a fine quantum:
+    // the report and the full record sequence (`seq` and event) repeat.
+    let traced_run = || {
+        let wl = npb::build(
+            npb::Benchmark::Cg,
+            &PrefetchPolicy::aggressive(),
+            cfg.mem_bytes,
+        );
+        let mut m = Machine::new(cfg.clone(), wl.image().clone());
+        wl.init(&mut m.shared.mem);
+        let (sink, log) = TelemetrySink::memory();
+        let mut cobra = Cobra::builder()
+            .strategy(Strategy::Adaptive)
+            .candidates(true)
+            .osr(true)
+            .telemetry(sink)
+            .attach(&mut m);
+        let rt = OmpRuntime {
+            quantum: 2_000,
+            ..OmpRuntime::default()
+        };
+        wl.run(&mut m, Team::new(4), &rt, &mut cobra);
+        let report = cobra.detach(&mut m);
+        assert!(report.candidates_trialed > 0, "the run drives tournaments");
+        let records = log.lock().unwrap().records().to_vec();
+        (format!("{report:?}"), records)
+    };
+    let (report_a, records_a) = traced_run();
+    let (report_b, records_b) = traced_run();
+    assert_eq!(report_a, report_b);
+    assert_eq!(records_a.len(), records_b.len());
+    for (a, b) in records_a.iter().zip(&records_b) {
+        assert_eq!(a, b, "telemetry record order must repeat");
+    }
 }
 
 /// Coherent misses cost more on the cc-NUMA machine than on the SMP for
