@@ -379,8 +379,9 @@ impl BlockCache {
     /// effectively infinite ([`DIST_INF`]); the caller caps by budget.
     ///
     /// The per-entry fixpoint is memoized until any block is invalidated, so
-    /// steady-state queries past the block end are one hash lookup — and
-    /// queries that resolve to an in-block memory uop (`b` is the caller's
+    /// steady-state queries past the block end are one hash lookup per static
+    /// successor (at most two) and allocate nothing — and queries that
+    /// resolve to an in-block memory uop (`b` is the caller's
     /// cursor block, passed in so the hot path never touches the cache map)
     /// are a pure array read.
     pub fn mem_free_path_uops(&mut self, code: &ProgramCode, b: &Block, idx: usize) -> u64 {
@@ -403,6 +404,16 @@ impl BlockCache {
             Open, // unknown / out of image / past the exploration bound: 0
         }
         let code_len = code.len();
+        let succs = match b.past_end(code_len) {
+            PastEnd::Halt => return DIST_INF,
+            PastEnd::Unknown => return 0,
+            PastEnd::Static(succs) => succs,
+        };
+        // Steady state: every successor is settled, the answer is their min.
+        let settled = |min: u64, s| Some(min.min(*self.dist_memo.get(s)?));
+        if let Some(d) = succs.iter().flatten().try_fold(DIST_INF, settled) {
+            return d;
+        }
         // Discover the successor closure, reusing memoized roots wherever
         // the frontier touches one.
         let mut entries: Vec<CodeAddr> = Vec::new();
@@ -410,11 +421,8 @@ impl BlockCache {
         // (in-block mem distance or INF, length, successors, memoized?)
         let mut nodes: Vec<(u64, u64, Vec<SuccRef>, Option<u64>)> = Vec::new();
         let mut roots: Vec<SuccRef> = Vec::new();
-        let mut frontier: Vec<(Option<usize>, CodeAddr)> = match b.past_end(code_len) {
-            PastEnd::Halt => return DIST_INF,
-            PastEnd::Unknown => return 0,
-            PastEnd::Static(succs) => succs.iter().flatten().map(|&s| (None, s)).collect(),
-        };
+        let mut frontier: Vec<(Option<usize>, CodeAddr)> =
+            succs.iter().flatten().map(|&s| (None, s)).collect();
         let mut cursor = 0usize;
         while cursor < frontier.len() {
             let (from, entry) = frontier[cursor];

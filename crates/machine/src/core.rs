@@ -302,30 +302,19 @@ impl Core {
         self.issue_bundle_ref(shared, now);
     }
 
-    /// One reference-schedule cycle through the pre-decoded dispatch path:
-    /// the block-engine twin of [`Self::step`], used for the interleaved
-    /// memory-boundary cycles between lockstep horizons. Identical stall and
-    /// issue semantics (see [`Self::issue_group`]); only the per-slot
-    /// instruction fetch/decode is replaced by the cached uops. Only legal
-    /// while no sampled counter can cross its threshold this cycle (the
-    /// caller's sampling gate guarantees it). Returns whether the core
-    /// attempted issue (false: not Running, or the cycle began stalled).
-    pub(crate) fn step_block(&mut self, shared: &mut Shared) -> bool {
-        if self.status != CoreStatus::Running {
-            return false;
-        }
-        let now = shared.cycle;
-        shared.stats[self.cpu].add(Event::CpuCycles, 1);
-        if now < self.resume_at {
-            shared.stats[self.cpu].add(Event::StallCycles, 1);
-            return false;
-        }
+    /// Issue one group of pre-decoded uops at machine cycle `now`: what
+    /// [`Self::step`] does once it has found the core Running and not
+    /// stalled, with the per-slot fetch/decode replaced by the cached uops
+    /// (see [`Self::issue_group`]). The caller — the interleaved boundary
+    /// batch — has made those two checks and counts the cycle and the
+    /// returned retired uops itself.
+    #[inline]
+    pub(crate) fn issue(&mut self, shared: &mut Shared, now: u64) -> u64 {
         let mut b = self.take_cursor(shared);
         let mut idx = self.pc.wrapping_sub(b.start) as usize;
         let retired = self.issue_group(shared, now, &mut b, &mut idx);
-        shared.stats[self.cpu].add(Event::InstRetired, retired);
         self.cur_block = Some(b);
-        true
+        retired
     }
 
     /// Reference issue path: re-fetch the decoded instruction and re-derive

@@ -107,18 +107,11 @@ impl Event {
     }
 }
 
-/// Per-CPU event counters.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Per-CPU event counters, held inline: one per [`Event`], so a decoded
+/// `counts` of any other length is a decode error.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CpuStats {
-    counts: Vec<u64>,
-}
-
-impl Default for CpuStats {
-    fn default() -> Self {
-        CpuStats {
-            counts: vec![0; NUM_EVENTS],
-        }
-    }
+    counts: [u64; NUM_EVENTS],
 }
 
 impl CpuStats {
@@ -208,6 +201,18 @@ mod tests {
         s.add(Event::BusUpgrade, 15);
         assert_eq!(s.coherent_events(), 50);
         assert!((s.coherent_ratio().unwrap() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn counts_of_the_wrong_length_do_not_decode() {
+        let mut s = CpuStats::new();
+        s.add(Event::GuestFaults, 2);
+        let json = serde_json::to_string(&s).unwrap();
+        assert_eq!(serde_json::from_str::<CpuStats>(&json).unwrap(), s);
+        // One counter short: `get(Event::GuestFaults)` would index past it.
+        let short = format!("{{\"counts\":{:?}}}", vec![0u64; NUM_EVENTS - 1]);
+        let err = serde_json::from_str::<CpuStats>(&short).unwrap_err();
+        assert!(err.to_string().contains("length"), "{err}");
     }
 
     #[test]

@@ -268,10 +268,21 @@ enum SamplingGate {
     Unsupported,
 }
 
+/// What one core earned inside the current boundary batch and has not yet
+/// added to its [`CpuStats`] (see [`Machine::run_boundary_batch`]).
+#[derive(Debug, Clone, Copy, Default)]
+struct BatchCounts {
+    cycles: u64,
+    stalled: u64,
+    retired: u64,
+}
+
 /// A simulated multiprocessor executing one program image.
 #[derive(Debug)]
 pub struct Machine {
     cores: Vec<Core>,
+    /// Per core; all zero outside [`Machine::run_boundary_batch`].
+    batch_counts: Vec<BatchCounts>,
     pub shared: Shared,
     next_tid: u32,
 }
@@ -292,6 +303,7 @@ impl Machine {
         };
         Machine {
             cores: (0..n).map(Core::new).collect(),
+            batch_counts: vec![BatchCounts::default(); n],
             shared,
             next_tid: 0,
         }
@@ -319,16 +331,26 @@ impl Machine {
         self.end_cycles(1);
     }
 
-    /// The tail of every way the clock advances: deliver the snoop-response
-    /// penalties accrued at the current cycle to the victims' pipelines,
-    /// advance the clock by `n`, and poll every CPU's HPM for a sampling
-    /// overflow at the new cycle.
+    /// The tail of [`Self::step`], a stall skip and a stretch: deliver the
+    /// snoop-response penalties accrued at the current cycle, advance the
+    /// clock by `n`, and poll for a sampling overflow at the new cycle.
     fn end_cycles(&mut self, n: u64) {
-        for i in 0..self.cores.len() {
-            let stall = self.shared.memsys.take_snoop_stall(i);
-            self.cores[i].add_stall(self.shared.cycle, stall);
-        }
+        self.drain_snoop_stalls();
         self.shared.cycle += n;
+        self.poll_overflows();
+    }
+
+    /// Deliver the snoop-response penalties accrued at the current cycle to
+    /// the victims' pipelines.
+    fn drain_snoop_stalls(&mut self) {
+        let (cores, now) = (&mut self.cores, self.shared.cycle);
+        self.shared
+            .memsys
+            .drain_snoop_stalls(|cpu, stall| cores[cpu].add_stall(now, stall));
+    }
+
+    /// Poll every CPU's HPM for a sampling overflow at the current cycle.
+    fn poll_overflows(&mut self) {
         for cpu in 0..self.cores.len() {
             let core = &self.cores[cpu];
             self.shared.hpm[cpu].poll_overflow(
@@ -498,51 +520,67 @@ impl Machine {
         true
     }
 
-    /// One interleaved machine cycle through the pre-decoded dispatch path:
-    /// the block-engine twin of [`Self::step`], used for the memory-boundary
-    /// cycles between lockstep horizons (the dominant regime in load/store
-    /// dense guest loops, where horizons collapse to zero almost every
-    /// cycle). Cores issue in CPU order at the shared clock via
-    /// [`Core::step_block`] — bit-identical to the reference schedule, only
-    /// skipping the per-slot fetch/decode — then the cycle ends exactly as
-    /// in [`Self::step`]. Returns how many cores are Running and whether any
-    /// of them attempted issue, so the boundary batch can hand off to the
-    /// solo/stall-skip paths without a second core scan.
-    fn step_block_cycle(&mut self) -> (u32, bool) {
-        let mut running = 0u32;
-        let mut issued = false;
-        for i in 0..self.cores.len() {
-            issued |= self.cores[i].step_block(&mut self.shared);
-            // Post-step status: a core that issues a halting/faulting uop
-            // this cycle must not count as Running, or the boundary batch
-            // would run one extra empty cycle.
-            if self.cores[i].status == CoreStatus::Running {
-                running += 1;
-            }
-        }
-        self.end_cycles(1);
-        (running, issued)
-    }
-
-    /// Run a batch of interleaved memory-boundary cycles through
-    /// [`Self::step_block_cycle`], counting each against the
-    /// `MultiCoreMemBoundary` fallback reason. The batch ends at `budget`
-    /// (already capped by the sampling gate), at [`BOUNDARY_BATCH`] cycles
-    /// (so the caller re-checks for an opening horizon), when fewer than two
-    /// cores remain Running (solo/halt handling takes over), or when no
-    /// Running core issued (the stall-skip fast path takes over). Every
-    /// executed cycle is reference-faithful on the shared clock, so
-    /// stopping at any point is safe. Always executes at least one cycle.
+    /// Run a batch of interleaved memory-boundary cycles — the dominant
+    /// regime in load/store dense guest loops, where horizons collapse to
+    /// zero almost every cycle — counting each against the
+    /// `MultiCoreMemBoundary` fallback reason. Cores issue in CPU order at the
+    /// shared clock through [`Core::issue`], bit-identical to the schedule of
+    /// [`Self::step`], and each cycle pays only for what can change on it:
+    ///
+    /// * snoop stalls are drained at the end of a cycle on which the memory
+    ///   system raised one, and on no other (every slot is zero);
+    /// * `budget` is capped by the sampling gate, so no sampled counter can
+    ///   cross its threshold inside the batch: the per-cycle overflow polls
+    ///   would be no-ops, and one poll at the end observes the same thing;
+    /// * nothing between two polls reads `CPU_CYCLES`, `BE_STALL_CYCLES` or
+    ///   `IA64_INST_RETIRED`, so they accumulate per core in `batch_counts`
+    ///   and reach [`CpuStats`] once, before that poll and before `run` can
+    ///   return, as [`Core::run_stretch`] does for a stretch.
+    ///
+    /// The batch ends at `budget`, at [`BOUNDARY_BATCH`] cycles (so the
+    /// caller re-checks for an opening horizon), when fewer than two cores
+    /// remain Running (solo/halt handling takes over), or when no Running
+    /// core issued (the stall-skip fast path takes over). Every executed
+    /// cycle is reference-faithful on the shared clock, so stopping at any
+    /// point is safe. Always executes at least one cycle.
     fn run_boundary_batch(&mut self, budget: u64) {
         let cap = budget.clamp(1, BOUNDARY_BATCH);
         let mut n = 0u64;
-        while n < cap {
-            let (running, issued) = self.step_block_cycle();
+        loop {
+            let now = self.shared.cycle;
+            // Post-issue status: a core that halts or faults this cycle must
+            // not count as Running, or the batch would run one empty cycle.
+            let mut running = 0u32;
+            let mut issued = false;
+            for (core, counts) in self.cores.iter_mut().zip(&mut self.batch_counts) {
+                if core.status != CoreStatus::Running {
+                    continue;
+                }
+                counts.cycles += 1;
+                if now < core.resume_at() {
+                    counts.stalled += 1;
+                } else {
+                    counts.retired += core.issue(&mut self.shared, now);
+                    issued = true;
+                }
+                running += u32::from(core.status == CoreStatus::Running);
+            }
+            if self.shared.memsys.snoop_raised() {
+                self.drain_snoop_stalls();
+            }
+            self.shared.cycle += 1;
             n += 1;
-            if running < 2 || !issued {
+            if n == cap || running < 2 || !issued {
                 break;
             }
         }
+        for (counts, stats) in self.batch_counts.iter_mut().zip(&mut self.shared.stats) {
+            let earned = std::mem::take(counts);
+            stats.add(Event::CpuCycles, earned.cycles);
+            stats.add(Event::StallCycles, earned.stalled);
+            stats.add(Event::InstRetired, earned.retired);
+        }
+        self.poll_overflows();
         self.shared
             .blocks
             .note_fallback(FallbackReason::MultiCoreMemBoundary, n);

@@ -81,17 +81,26 @@ struct TxnResult {
     from_memory: bool,
 }
 
+/// `log2(bytes)` for a line or page size every access shifts by.
+fn shift_of(bytes: usize, field: &str) -> u32 {
+    assert!(
+        bytes.is_power_of_two(),
+        "{field} must be a power of two, got {bytes}"
+    );
+    bytes.trailing_zeros()
+}
+
 /// First-touch page-to-node map (the SGI Altix placement policy, §3.2).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PageMap {
-    page_bytes: usize,
+    page_shift: u32,
     home: Vec<Option<u8>>,
 }
 
 impl PageMap {
     fn new(mem_bytes: usize, page_bytes: usize) -> Self {
         PageMap {
-            page_bytes,
+            page_shift: shift_of(page_bytes, "numa_page_bytes"),
             home: vec![None; mem_bytes.div_ceil(page_bytes)],
         }
     }
@@ -99,7 +108,7 @@ impl PageMap {
     /// Home node of the page containing `addr`, assigning it to
     /// `toucher_node` on first touch.
     pub fn home_of(&mut self, addr: u64, toucher_node: usize) -> usize {
-        let page = addr as usize / self.page_bytes;
+        let page = (addr >> self.page_shift) as usize;
         match self.home[page] {
             Some(n) => n as usize,
             None => {
@@ -111,7 +120,7 @@ impl PageMap {
 
     /// Home node if already assigned.
     pub fn peek(&self, addr: u64) -> Option<usize> {
-        self.home[addr as usize / self.page_bytes].map(|n| n as usize)
+        self.home[(addr >> self.page_shift) as usize].map(|n| n as usize)
     }
 }
 
@@ -129,9 +138,15 @@ pub struct MemSystem {
     store_drain_tail: Vec<u64>,
     /// Pending snoop-response stall cycles per CPU (HITM flush victims).
     snoop_stall: Vec<u64>,
+    /// A HITM added to `snoop_stall` since the last drain: while false,
+    /// every slot is zero and there is nothing to deliver.
+    snoop_raised: bool,
     pages: PageMap,
+    /// Bytes per coherence line (kept for line → address), and the shifts
+    /// that take a byte address to its coherence line and its L1 line.
     line_bytes: u64,
-    l1_line_bytes: u64,
+    line_shift: u32,
+    l1_line_shift: u32,
     /// Per-line bitmask of hierarchies that *may* hold the line (a strict
     /// superset of actual holders: bits are set on fill and cleared on
     /// invalidation/L3 eviction). Empty when `num_cpus` exceeds the mask
@@ -159,9 +174,11 @@ impl MemSystem {
             store_bufs: vec![Vec::new(); cfg.num_cpus],
             store_drain_tail: vec![0; cfg.num_cpus],
             snoop_stall: vec![0; cfg.num_cpus],
+            snoop_raised: false,
             pages: PageMap::new(cfg.mem_bytes, cfg.numa_page_bytes),
             line_bytes,
-            l1_line_bytes: cfg.l1d.line as u64,
+            line_shift: shift_of(cfg.coherence_line(), "l2.line"),
+            l1_line_shift: shift_of(cfg.l1d.line, "l1d.line"),
             presence: vec![0; presence_lines],
             cfg: cfg.clone(),
         }
@@ -170,7 +187,7 @@ impl MemSystem {
     /// Coherence-line address of a byte address.
     #[inline]
     pub fn line_of(&self, addr: u64) -> u64 {
-        addr / self.line_bytes
+        addr >> self.line_shift
     }
 
     /// MESI state of a line in one CPU's hierarchy (diagnostics/tests).
@@ -188,9 +205,21 @@ impl MemSystem {
         self.node_buses.iter().map(|b| b.transactions()).sum()
     }
 
-    /// Take and clear the accumulated snoop-victim stall cycles for a CPU.
-    pub fn take_snoop_stall(&mut self, cpu: usize) -> u64 {
-        std::mem::take(&mut self.snoop_stall[cpu])
+    /// Has a HITM raised a snoop stall since the last
+    /// [`Self::drain_snoop_stalls`]? While false there is nothing to drain.
+    #[inline]
+    pub fn snoop_raised(&self) -> bool {
+        self.snoop_raised
+    }
+
+    /// Take and clear every CPU's accumulated snoop-victim stall cycles,
+    /// handing each to `deliver(cpu, cycles)` (zero for a CPU that was not a
+    /// victim; two HITMs on one victim arrive summed).
+    pub fn drain_snoop_stalls(&mut self, mut deliver: impl FnMut(usize, u64)) {
+        self.snoop_raised = false;
+        for (cpu, stall) in self.snoop_stall.iter_mut().enumerate() {
+            deliver(cpu, std::mem::take(stall));
+        }
     }
 
     /// Snoop-victim stall cycles accrued but not yet delivered to a CPU
@@ -253,7 +282,7 @@ impl MemSystem {
         addr: u64,
     ) -> AccessOutcome {
         let line = self.line_of(addr);
-        let l1_line = addr / self.l1_line_bytes;
+        let l1_line = addr >> self.l1_line_shift;
         let none = AccessOutcome {
             complete_at: now,
             stall_until: now,
@@ -524,6 +553,7 @@ impl MemSystem {
                     // victim's pipeline pays the snoop-response penalty.
                     self.hierarchies[o].set_state(line, Mesi::Shared);
                     self.snoop_stall[o] += self.cfg.snoop_stall;
+                    self.snoop_raised = true;
                     stats[cpu].add(Event::BusRdHitm, 1);
                     let o_node = self.cfg.node_of_cpu(o);
                     let extra = if o_node == my_node {
@@ -589,6 +619,7 @@ impl MemSystem {
                 }
                 if let Some(o) = owner_m {
                     self.snoop_stall[o] += self.cfg.snoop_stall;
+                    self.snoop_raised = true;
                     stats[cpu].add(Event::BusRdInvalAllHitm, 1);
                     let o_node = self.cfg.node_of_cpu(o);
                     let extra = if o_node == my_node {
@@ -1090,6 +1121,81 @@ mod tests {
         assert_eq!(ms.snoop_stall_pending(1), 0, "no flush on a clean hit");
         // Cache-to-cache beats DRAM.
         assert!(out.complete_at - 1000 < cfg.mem_latency);
+    }
+
+    /// Drain into a per-CPU vector (what the machine hands its cores).
+    fn drained(ms: &mut MemSystem, cpus: usize) -> Vec<u64> {
+        let mut out = vec![0; cpus];
+        ms.drain_snoop_stalls(|cpu, stall| out[cpu] = stall);
+        out
+    }
+
+    /// The raised-since-last-drain indicator is what lets the boundary batch
+    /// skip the drain: set by a HITM on `Rd` and on `RdX`, never by a clean
+    /// snoop hit, cleared by the drain, which hands over summed stalls.
+    #[test]
+    fn snoop_raised_tracks_hitms_since_the_last_drain() {
+        let cfg = MachineConfig::smp4();
+        let (mut ms, mut st, mut hp) = setup(&cfg);
+        assert!(!ms.snoop_raised());
+        // Clean snoop hit (E -> S): no flush, nothing raised.
+        ms.access(&mut st, &mut hp, 1, 0, 1, LOAD_FP, 0xC000);
+        ms.access(&mut st, &mut hp, 0, 100, 1, LOAD_FP, 0xC000);
+        assert_eq!(st[0].get(Event::BusRdHit), 1);
+        assert!(!ms.snoop_raised());
+        // HITM on Rd.
+        ms.access(&mut st, &mut hp, 2, 200, 1, AccessKind::Store, 0xA000);
+        ms.access(&mut st, &mut hp, 0, 1000, 1, LOAD_FP, 0xA000);
+        assert_eq!(st[0].get(Event::BusRdHitm), 1);
+        assert!(ms.snoop_raised());
+        assert_eq!(drained(&mut ms, 4), [0, 0, cfg.snoop_stall, 0]);
+        assert!(!ms.snoop_raised(), "cleared by the drain");
+        assert_eq!(ms.snoop_stall_pending(2), 0);
+        // HITM on RdX, twice on one victim before the next drain: summed.
+        ms.access(&mut st, &mut hp, 2, 2000, 1, AccessKind::Store, 0xB000);
+        ms.access(&mut st, &mut hp, 2, 2000, 1, AccessKind::Store, 0xB080);
+        ms.access(&mut st, &mut hp, 3, 3000, 1, AccessKind::Store, 0xB000);
+        assert_eq!(st[3].get(Event::BusRdInvalAllHitm), 1);
+        assert!(ms.snoop_raised());
+        ms.access(&mut st, &mut hp, 1, 3000, 1, AccessKind::Store, 0xB080);
+        assert_eq!(drained(&mut ms, 4), [0, 0, 2 * cfg.snoop_stall, 0]);
+        assert!(!ms.snoop_raised());
+        assert_eq!(drained(&mut ms, 4), [0; 4], "nothing is delivered twice");
+    }
+
+    /// The solo stretch's case: one core issues for many cycles with no
+    /// drain in between and its HITMs land on cores that are not Running.
+    /// The one drain at the stretch's end still discards them all.
+    #[test]
+    fn one_drain_discards_hitms_on_a_victim_that_is_not_running() {
+        let cfg = MachineConfig::smp4();
+        let (mut ms, mut st, mut hp) = setup(&cfg);
+        ms.access(&mut st, &mut hp, 2, 0, 1, AccessKind::Store, 0xA000);
+        ms.access(&mut st, &mut hp, 2, 0, 1, AccessKind::Store, 0xA080);
+        ms.access(&mut st, &mut hp, 0, 1000, 1, LOAD_FP, 0xA000);
+        ms.access(&mut st, &mut hp, 0, 4000, 1, LOAD_FP, 0xA080);
+        assert_eq!(ms.snoop_stall_pending(2), 2 * cfg.snoop_stall);
+        let mut victim = crate::core::Core::new(2); // Idle: its thread is done
+        ms.drain_snoop_stalls(|cpu, stall| {
+            if cpu == 2 {
+                victim.add_stall(5000, stall);
+            }
+        });
+        assert_eq!(
+            victim.resume_at(),
+            0,
+            "a core that is not Running ignores it"
+        );
+        assert!(!ms.snoop_raised());
+        assert_eq!(ms.snoop_stall_pending(2), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "numa_page_bytes must be a power of two, got 12288")]
+    fn page_size_that_is_not_a_power_of_two_is_refused() {
+        let mut cfg = MachineConfig::altix8();
+        cfg.numa_page_bytes = 12 << 10;
+        let _ = MemSystem::new(&cfg);
     }
 
     #[test]

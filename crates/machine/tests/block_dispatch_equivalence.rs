@@ -25,14 +25,14 @@ use common::{
 use proptest::prelude::*;
 
 /// Random counted loops over the whole op mix, with an optional HPM
-/// sampling configuration per CPU (`event_sel == 3` leaves sampling off, so
+/// sampling configuration per CPU (`event_sel == 4` leaves sampling off, so
 /// stretches are bounded only by the budget).
 fn params_strategy(max_threads: usize) -> impl Strategy<Value = LoopParams> {
     (
         any::<bool>(),
         1usize..=max_threads,
         any::<bool>(),
-        0u8..4,
+        0u8..5,
         50u64..1500,
         prop::collection::vec(0u8..BODY_OPS, 1..10),
         1u64..48,
@@ -142,6 +142,30 @@ proptest! {
         budget in 100u64..3000,
     ) {
         assert_equivalent(&p.cfg(), &p.program().0, budget);
+    }
+
+    /// `run` in segments of 1..=130 cycles, so a boundary batch ends by
+    /// budget on its 1st, its 64th and its 65th cycle, mid-stall and on a
+    /// HITM cycle. Every segment's snapshot must match: the batch's bulk
+    /// counters are in the per-CPU stats before `run` returns, and a snoop
+    /// stall raised on a batch's last cycle is delivered on that cycle
+    /// (nothing left in `snoop_stalls`).
+    #[test]
+    fn lockstep_short_run_segments_match_reference(
+        p in lockstep_params_strategy(),
+        segs in prop::collection::vec(1u64..=130, 1..12),
+    ) {
+        assert_equivalent_with(&p.cfg(), &p.program().0, |m| {
+            let mut snaps = Vec::new();
+            for &seg in segs.iter().cycle().take(64) {
+                let r = m.run(seg);
+                snaps.push(snapshot(m, r));
+                if r.halted {
+                    break;
+                }
+            }
+            snaps
+        });
     }
 
     /// Patch/revert between run segments while multiple cores sit mid-block:

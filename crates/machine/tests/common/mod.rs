@@ -305,13 +305,14 @@ impl LoopParams {
     }
 }
 
-/// Sampling on the `sel`-th of the three events both engines can bound per
-/// cycle; `sel == 3` leaves sampling off.
+/// Sampling on the `sel`-th of the four events the sampling gate can bound
+/// per cycle; `sel == 4` leaves sampling off.
 pub fn sampling(sel: u8, period: u64) -> Option<SamplingConfig> {
-    let event = match sel % 4 {
+    let event = match sel % 5 {
         0 => Event::CpuCycles,
         1 => Event::StallCycles,
         2 => Event::InstRetired,
+        3 => Event::BrTaken,
         _ => return None,
     };
     Some(SamplingConfig { event, period })
