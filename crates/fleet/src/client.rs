@@ -3,12 +3,14 @@
 //! CLI. Every failure is a `String` error the caller counts and degrades
 //! on — a fleet outage must never take a run down with it.
 
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use cobra_store::{Snapshot, StoreKey};
+use serde::Serialize;
 
-use crate::proto::{read_frame, write_frame, Request, Response};
+use crate::proto::{read_frame, write_frame, Request, Response, UploadRef};
 use crate::FleetStats;
 
 /// Default connect/read/write timeout: the client is on a run's attach
@@ -18,6 +20,8 @@ pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(5);
 /// A connected fleet client.
 pub struct FleetClient {
     stream: TcpStream,
+    /// The same socket, read through a buffer: a reply is one `recv`.
+    replies: BufReader<TcpStream>,
 }
 
 impl FleetClient {
@@ -43,12 +47,16 @@ impl FleetClient {
             .and_then(|()| stream.set_write_timeout(Some(timeout)))
             .map_err(|e| format!("cannot set timeouts: {e}"))?;
         let _ = stream.set_nodelay(true);
-        Ok(FleetClient { stream })
+        let replies = stream
+            .try_clone()
+            .map_err(|e| format!("cannot clone the connection: {e}"))?;
+        let replies = BufReader::new(replies);
+        Ok(FleetClient { stream, replies })
     }
 
-    fn call(&mut self, req: &Request) -> Result<Response, String> {
+    fn call(&mut self, req: &impl Serialize) -> Result<Response, String> {
         write_frame(&mut self.stream, req)?;
-        read_frame(&mut self.stream)?.ok_or_else(|| "server closed the connection".to_string())
+        read_frame(&mut self.replies)?.ok_or_else(|| "server closed the connection".to_string())
     }
 
     /// Upload one run's snapshot (optionally with the pristine main image
@@ -59,9 +67,9 @@ impl FleetClient {
         snapshot: &Snapshot,
         image_words: Option<&[u64]>,
     ) -> Result<(u64, u64), String> {
-        match self.call(&Request::Upload {
-            snapshot: snapshot.clone(),
-            image_words: image_words.map(|w| w.to_vec()),
+        match self.call(&UploadRef {
+            snapshot,
+            image_words,
         })? {
             Response::UploadOk {
                 runs_total,

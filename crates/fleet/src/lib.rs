@@ -5,20 +5,23 @@
 //! machine class. This crate is that pooling layer: a TCP server that
 //! ingests [`cobra_store::Snapshot`] uploads from many concurrent
 //! clients, folds them per [`StoreKey`] with the order-free
-//! [`cobra_store::merge_unordered`], ages out decisions the fleet stops
-//! re-confirming, and serves aggregated warm-start seeds back out —
-//! every served bundle filtered through `cobra_verify::check_seed`.
+//! [`cobra_store::Snapshot::fold_unordered`], ages out decisions the
+//! fleet stops re-confirming, and serves aggregated warm-start seeds back
+//! out — every served bundle filtered through `cobra_verify::check_seed`.
 //!
 //! ## Sharding
 //!
-//! The acceptor hands each connection to a reader thread; parsed requests
-//! are routed over crossbeam channels to one of N shard workers by
-//! `fnv1a(key) % N`. All folds for a key therefore run single-threaded
-//! and lock-free on its owning shard. Because the fold is commutative and
-//! the on-disk layout is flat (one file per key, written only by the
-//! key's owner), the persisted state is a pure function of the upload
-//! multiset: byte-identical across any shard count, worker interleaving,
-//! or restart point. The ingest-determinism tests pin this.
+//! The acceptor hands each connection to a thread of its own, and that
+//! thread does the whole request: parse the frame, take the lock of the
+//! one shard map the key hashes to (`fnv1a(key) % N`), fold the upload in
+//! place (or build the seed), persist, drop the lock, write the reply.
+//! Keys on different shards fold in parallel; one key's folds are serial
+//! under its shard's lock. Because the fold is commutative and the on-disk
+//! layout is flat (one file per key, written only under the key's lock),
+//! the persisted state is a pure function of the upload multiset:
+//! byte-identical across any shard count, connection interleaving, or
+//! restart point — a property of the fold, not of which thread runs it.
+//! The ingest-determinism tests pin this.
 //!
 //! ## Degradation
 //!
@@ -81,7 +84,7 @@ pub struct FleetStats {
     /// Runs folded across all keys (including warm-restart state).
     #[serde(default)]
     pub runs_total: u64,
-    /// Shard worker count of the serving process.
+    /// Shard count of the serving process (independently locked key maps).
     #[serde(default)]
     pub shards: u64,
 }
@@ -89,5 +92,36 @@ pub struct FleetStats {
 /// Shard owning `key` under an `n`-way split: FNV-1a of the key's stable
 /// file stem, modulo `n`. Stable across processes and restarts.
 pub fn shard_for(key: &cobra_store::StoreKey, n: usize) -> usize {
-    (cobra_store::fnv1a(key.file_stem().as_bytes()) % n.max(1) as u64) as usize
+    use std::io::Write as _;
+    let mut stem = [0u8; 33];
+    write!(&mut stem[..], "{key}").expect("a key's stem is 33 bytes");
+    (cobra_store::fnv1a(&stem) % n.max(1) as u64) as usize
+}
+
+#[cfg(test)]
+mod tests {
+    use cobra_store::{fnv1a, StoreKey};
+
+    /// The shard of a key is a persisted fact (which file a restarted
+    /// server hands to which map): hashing from the stack must give what
+    /// hashing the formatted stem always gave.
+    #[test]
+    fn shard_for_is_fnv1a_of_the_file_stem() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for i in 0..300u64 {
+            x = x.wrapping_mul(0x5851_f42d_4c95_7f2d).wrapping_add(i);
+            let key = StoreKey {
+                image_hash: if i < 8 { i } else { x },
+                machine_fp: if i % 7 == 0 {
+                    u64::MAX - i
+                } else {
+                    x.rotate_left(29)
+                },
+            };
+            for n in [1usize, 4, 6, 1023] {
+                let want = fnv1a(key.file_stem().as_bytes()) % n as u64;
+                assert_eq!(super::shard_for(&key, n) as u64, want, "{key} over {n}");
+            }
+        }
+    }
 }

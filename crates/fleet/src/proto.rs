@@ -2,8 +2,10 @@
 //!
 //! Every frame is a 4-byte big-endian payload length followed by exactly
 //! that many bytes of JSON — one [`Request`] (client → server) or one
-//! [`Response`] (server → client). A connection carries any number of
-//! request/response pairs in lockstep; there is no pipelining. Anything
+//! [`Response`] (server → client) — handed to the socket in one write per
+//! frame. A connection carries any number of request/response pairs in
+//! lockstep; there is no pipelining, so a buffered reader never holds
+//! bytes of a reply that has not been asked for. Anything
 //! the server cannot parse — oversized length, truncated payload, JSON
 //! that is not a `Request` — is counted in [`FleetStats::frames_rejected`]
 //! and drops only that connection, never the server.
@@ -13,7 +15,7 @@
 use std::io::{Read, Write};
 
 use cobra_store::{Snapshot, StoreKey};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::FleetStats;
 
@@ -24,7 +26,7 @@ pub const PROTOCOL_VERSION: u32 = 1;
 /// Hard cap on a single frame's payload. A class-S NPB image is a few
 /// thousand words and a merged snapshot a few hundred records, so real
 /// frames sit far below this; the cap exists so a hostile or corrupt
-/// length prefix cannot make the server allocate unbounded memory.
+/// length prefix cannot make the server allocate memory without limit.
 pub const MAX_FRAME_BYTES: u32 = 16 * 1024 * 1024;
 
 /// One client request. The size skew between `Upload` (a whole
@@ -46,6 +48,24 @@ pub enum Request {
     FetchSeed { key: StoreKey },
     /// Server-wide counters.
     Stats,
+}
+
+/// [`Request::Upload`] as the client sends it: the same frame byte for
+/// byte, serialised from what the caller lent instead of from copies of
+/// the snapshot and a few thousand image words.
+pub(crate) struct UploadRef<'a> {
+    pub snapshot: &'a Snapshot,
+    pub image_words: Option<&'a [u64]>,
+}
+
+impl Serialize for UploadRef<'_> {
+    fn to_value(&self) -> Value {
+        let fields = vec![
+            ("snapshot".to_string(), self.snapshot.to_value()),
+            ("image_words".to_string(), self.image_words.to_value()),
+        ];
+        Value::Object(vec![("Upload".to_string(), Value::Object(fields))])
+    }
 }
 
 /// One server response.
@@ -70,15 +90,16 @@ pub enum Response {
     },
 }
 
-/// Write one length-prefixed frame.
+/// Write one length-prefixed frame: prefix and body in a single write, so
+/// an unbuffered socket with `TCP_NODELAY` sends one segment, not two.
 pub fn write_frame<T: Serialize>(w: &mut impl Write, msg: &T) -> Result<(), String> {
     let body = serde_json::to_string(msg).map_err(|e| format!("frame serialize failed: {e}"))?;
     let len = body.len() as u64;
     if len > MAX_FRAME_BYTES as u64 {
         return Err(format!("frame of {len} bytes exceeds {MAX_FRAME_BYTES}"));
     }
-    w.write_all(&(len as u32).to_be_bytes())
-        .and_then(|()| w.write_all(body.as_bytes()))
+    let frame = [&(len as u32).to_be_bytes()[..], body.as_bytes()].concat();
+    w.write_all(&frame)
         .and_then(|()| w.flush())
         .map_err(|e| format!("frame write failed: {e}"))
 }
@@ -139,6 +160,34 @@ mod tests {
             assert_eq!(&got, want);
         }
         assert_eq!(read_frame::<Request>(&mut cursor).unwrap(), None);
+    }
+
+    #[test]
+    fn borrowed_upload_is_the_owned_upload_on_the_wire() {
+        let mut snapshot = Snapshot::empty(StoreKey {
+            image_hash: 1,
+            machine_fp: 2,
+        });
+        snapshot.runs = 3;
+        snapshot.blacklist = vec![40, 41];
+        for image_words in [None, Some(vec![7u64, 8, u64::MAX])] {
+            let (mut owned, mut borrowed) = (Vec::new(), Vec::new());
+            let lent = UploadRef {
+                snapshot: &snapshot,
+                image_words: image_words.as_deref(),
+            };
+            write_frame(&mut borrowed, &lent).unwrap();
+            let req = Request::Upload {
+                snapshot: snapshot.clone(),
+                image_words,
+            };
+            write_frame(&mut owned, &req).unwrap();
+            assert_eq!(borrowed, owned);
+            let back: Request = read_frame(&mut std::io::Cursor::new(borrowed))
+                .unwrap()
+                .unwrap();
+            assert_eq!(back, req);
+        }
     }
 
     #[test]

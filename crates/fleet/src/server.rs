@@ -1,30 +1,31 @@
-//! The aggregation server: acceptor → per-connection readers → sharded
-//! fold workers, with flat atomic persistence and warm restart.
+//! The aggregation server: acceptor → per-connection threads that fold
+//! into and serve from locked shard maps, with flat atomic persistence and
+//! warm restart.
 
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use cobra_isa::CodeImage;
-use cobra_store::{image_hash, merge_unordered, read_snapshot_file, Snapshot, Store, StoreKey};
-use crossbeam::channel::{unbounded, Sender};
+use cobra_store::{image_hash, read_snapshot_file, Snapshot, Store, StoreKey};
 
 use crate::proto::{read_frame, write_frame, Request, Response};
 use crate::{shard_for, FleetStats};
 
 /// How long a connection may sit idle between requests before the server
-/// reclaims it, and how long a reader waits for its shard's reply.
+/// reclaims it.
 const CONN_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Fold workers; keys are split across them by [`shard_for`].
+    /// Shard count: independently locked key maps; keys are split across
+    /// them by [`shard_for`].
     pub shards: usize,
     /// Persistence root (one `<key>.jsonl` per key plus `<key>.image`
     /// sidecars). `None` keeps all state in memory.
@@ -82,23 +83,7 @@ impl Counters {
     }
 }
 
-/// One routed shard request. Size skew between variants is fine: these
-/// live only on the channel between a connection and its shard worker.
-#[allow(clippy::large_enum_variant)]
-enum ShardMsg {
-    Upload {
-        snapshot: Snapshot,
-        image_words: Option<Vec<u64>>,
-        reply: Sender<Response>,
-    },
-    Fetch {
-        key: StoreKey,
-        reply: Sender<Response>,
-    },
-    Shutdown,
-}
-
-/// Per-key state a shard worker owns.
+/// Per-key state, owned by the shard map the key hashes to.
 struct KeyState {
     /// Unfiltered commutative fold of every upload (plus warm-restart
     /// state). Aging and verification apply at serve time only, so the
@@ -107,17 +92,32 @@ struct KeyState {
     image: Option<CodeImage>,
 }
 
+/// What the connection threads share. A shard is the keys [`shard_for`]
+/// sends to it, behind their own lock.
+struct Shared {
+    cfg: FleetConfig,
+    counters: Counters,
+    shards: Vec<Mutex<HashMap<StoreKey, KeyState>>>,
+}
+
+impl Shared {
+    /// Lock the shard owning `key`, for one fold-and-persist or one seed
+    /// build. A fold validates before it writes and a seed build only
+    /// reads, so the map is whole even if a thread died holding the lock.
+    fn shard(&self, key: &StoreKey) -> MutexGuard<'_, HashMap<StoreKey, KeyState>> {
+        let shard = &self.shards[shard_for(key, self.shards.len())];
+        shard.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
 /// A running aggregation server. Dropping without [`FleetServer::shutdown`]
 /// leaks the listener thread for the rest of the process (fine for a CLI
 /// that serves until killed; tests shut down).
 pub struct FleetServer {
     addr: SocketAddr,
-    cfg: FleetConfig,
-    counters: Arc<Counters>,
-    shard_txs: Vec<Sender<ShardMsg>>,
+    shared: Arc<Shared>,
     stopping: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    acceptor: JoinHandle<()>,
 }
 
 impl FleetServer {
@@ -129,80 +129,47 @@ impl FleetServer {
         let addr = listener
             .local_addr()
             .map_err(|e| format!("local_addr failed: {e}"))?;
-        let counters = Arc::new(Counters::default());
+        let shared = Arc::new(Shared {
+            cfg,
+            counters: Counters::default(),
+            shards: (0..shards).map(|_| Mutex::default()).collect(),
+        });
 
         // Warm restart: every persisted key goes to its owning shard.
-        let mut shard_state: Vec<HashMap<StoreKey, KeyState>> =
-            (0..shards).map(|_| HashMap::new()).collect();
-        if let Some(dir) = &cfg.dir {
-            let store = Store::new(dir);
-            for path in store.snapshot_paths() {
+        if let Some(dir) = &shared.cfg.dir {
+            let counters = &shared.counters;
+            for path in Store::new(dir).snapshot_paths() {
                 let report = read_snapshot_file(&path, None);
                 let Some(acc) = report.snapshot else { continue };
                 let image = load_image_sidecar(&image_path(dir, &acc.key), acc.key.image_hash);
                 counters.keys.fetch_add(1, Ordering::Relaxed);
                 counters.runs_total.fetch_add(acc.runs, Ordering::Relaxed);
-                let shard = shard_for(&acc.key, shards);
-                shard_state[shard].insert(acc.key, KeyState { acc, image });
+                let key = acc.key;
+                shared.shard(&key).insert(key, KeyState { acc, image });
             }
-        }
-
-        let mut shard_txs = Vec::with_capacity(shards);
-        let mut workers = Vec::with_capacity(shards);
-        for state in shard_state {
-            let (tx, rx) = unbounded::<ShardMsg>();
-            shard_txs.push(tx);
-            let cfg = cfg.clone();
-            let counters = Arc::clone(&counters);
-            workers.push(std::thread::spawn(move || {
-                let mut state = state;
-                while let Ok(msg) = rx.recv() {
-                    match msg {
-                        ShardMsg::Upload {
-                            snapshot,
-                            image_words,
-                            reply,
-                        } => {
-                            let resp =
-                                fold_upload(&mut state, snapshot, image_words, &cfg, &counters);
-                            let _ = reply.send(resp);
-                        }
-                        ShardMsg::Fetch { key, reply } => {
-                            let resp = serve_seed(&state, &key, &cfg, &counters);
-                            let _ = reply.send(resp);
-                        }
-                        ShardMsg::Shutdown => break,
-                    }
-                }
-            }));
         }
 
         let stopping = Arc::new(AtomicBool::new(false));
         let acceptor = {
             let stopping = Arc::clone(&stopping);
-            let counters = Arc::clone(&counters);
-            let shard_txs = shard_txs.clone();
+            let shared = Arc::clone(&shared);
             std::thread::spawn(move || {
                 for conn in listener.incoming() {
                     if stopping.load(Ordering::SeqCst) {
                         break;
                     }
                     let Ok(stream) = conn else { continue };
-                    let counters = Arc::clone(&counters);
-                    let shard_txs = shard_txs.clone();
-                    std::thread::spawn(move || serve_connection(stream, &shard_txs, &counters));
+                    let shared = Arc::clone(&shared);
+                    std::thread::spawn(move || serve_connection(stream, &shared));
                 }
             })
         };
 
         Ok(FleetServer {
             addr,
-            cfg,
-            counters,
-            shard_txs,
+            shared,
             stopping,
-            acceptor: Some(acceptor),
-            workers,
+            acceptor,
         })
     }
 
@@ -213,38 +180,30 @@ impl FleetServer {
 
     /// Current counters, as a `Stats` request would see them.
     pub fn stats(&self) -> FleetStats {
-        self.counters.snapshot(self.cfg.shards.max(1))
+        self.shared.counters.snapshot(self.shared.shards.len())
     }
 
-    /// Stop accepting, drain in-flight folds, and join the workers. All
-    /// replied-to uploads are folded and persisted when this returns.
-    pub fn shutdown(mut self) {
+    /// Stop accepting and join the acceptor. An upload is folded and
+    /// persisted before its reply is written, so every replied-to upload
+    /// is on disk whenever this is called.
+    pub fn shutdown(self) {
         self.stopping.store(true, Ordering::SeqCst);
         // Unblock the accept loop.
         let _ = TcpStream::connect(self.addr);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        // Queued requests drain ahead of the shutdown marker.
-        for tx in &self.shard_txs {
-            let _ = tx.send(ShardMsg::Shutdown);
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+        let _ = self.acceptor.join();
     }
 }
 
 /// One connection's request/response loop. Any frame error counts and
 /// closes the connection; the server lives on.
-fn serve_connection(stream: TcpStream, shard_txs: &[Sender<ShardMsg>], counters: &Counters) {
+fn serve_connection(mut stream: TcpStream, shared: &Shared) {
+    let counters = &shared.counters;
     let _ = stream.set_read_timeout(Some(CONN_TIMEOUT));
     let _ = stream.set_nodelay(true);
     let mut reader = std::io::BufReader::new(match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
     });
-    let mut writer = std::io::BufWriter::new(stream);
     loop {
         let req: Request = match read_frame(&mut reader) {
             Ok(Some(r)) => r,
@@ -255,92 +214,56 @@ fn serve_connection(stream: TcpStream, shard_txs: &[Sender<ShardMsg>], counters:
             }
         };
         let resp = match req {
-            Request::Stats => Response::Stats(counters.snapshot(shard_txs.len())),
+            Request::Stats => Response::Stats(counters.snapshot(shared.shards.len())),
             Request::Upload {
                 snapshot,
                 image_words,
-            } => route(
-                shard_txs,
-                shard_for(&snapshot.key, shard_txs.len()),
-                |reply| ShardMsg::Upload {
-                    snapshot,
-                    image_words,
-                    reply,
-                },
-            ),
-            Request::FetchSeed { key } => {
-                route(shard_txs, shard_for(&key, shard_txs.len()), |reply| {
-                    ShardMsg::Fetch { key, reply }
-                })
-            }
+            } => fold_upload(shared, &snapshot, image_words),
+            Request::FetchSeed { key } => serve_seed(shared, &key),
         };
-        if write_frame(&mut writer, &resp).is_err() || writer.flush().is_err() {
+        if write_frame(&mut stream, &resp).is_err() {
             return;
         }
     }
 }
 
-/// Send one request to its shard and wait for the reply.
-fn route(
-    shard_txs: &[Sender<ShardMsg>],
-    shard: usize,
-    make: impl FnOnce(Sender<Response>) -> ShardMsg,
-) -> Response {
-    let (reply_tx, reply_rx) = unbounded();
-    if shard_txs[shard].send(make(reply_tx)).is_err() {
-        return Response::Err {
-            detail: "shard worker stopped".into(),
-        };
-    }
-    match reply_rx.recv_timeout(CONN_TIMEOUT) {
-        Ok(r) => r,
-        Err(_) => Response::Err {
-            detail: "shard reply timed out".into(),
-        },
-    }
-}
-
-/// Fold one upload into its key's accumulator and persist the new state.
-fn fold_upload(
-    state: &mut HashMap<StoreKey, KeyState>,
-    snapshot: Snapshot,
-    image_words: Option<Vec<u64>>,
-    cfg: &FleetConfig,
-    counters: &Counters,
-) -> Response {
+/// Fold one upload into its key's accumulator and persist the new state,
+/// under the shard's lock; the reply is encoded after it is dropped.
+fn fold_upload(shared: &Shared, snapshot: &Snapshot, image_words: Option<Vec<u64>>) -> Response {
+    let (cfg, counters) = (&shared.cfg, &shared.counters);
+    let reject = |detail: String| {
+        counters.upload_rejects.fetch_add(1, Ordering::Relaxed);
+        Response::Err { detail }
+    };
     let key = snapshot.key;
     let image = match image_words {
         Some(words) => {
             let img = CodeImage::from_words(words, Default::default());
             if image_hash(&img) != key.image_hash {
-                counters.upload_rejects.fetch_add(1, Ordering::Relaxed);
-                return Response::Err {
-                    detail: format!(
-                        "uploaded image words hash {:016x}, key says {:016x}",
-                        image_hash(&img),
-                        key.image_hash
-                    ),
-                };
+                return reject(format!(
+                    "uploaded image words hash {:016x}, key says {:016x}",
+                    image_hash(&img),
+                    key.image_hash
+                ));
             }
             Some(img)
         }
         None => None,
     };
-    let runs = snapshot.runs;
-    let entry = state.entry(key);
-    let is_new = matches!(entry, std::collections::hash_map::Entry::Vacant(_));
-    let ks = entry.or_insert_with(|| KeyState {
+    let mut state = shared.shard(&key);
+    let is_new = !state.contains_key(&key);
+    let ks = state.entry(key).or_insert_with(|| KeyState {
         acc: Snapshot::empty(key),
         image: None,
     });
-    let folded = match merge_unordered(&[ks.acc.clone(), snapshot]) {
-        Ok(f) => f,
-        Err(e) => {
-            counters.upload_rejects.fetch_add(1, Ordering::Relaxed);
-            return Response::Err { detail: e };
+    if let Err(e) = ks.acc.fold_unordered(snapshot) {
+        // The accumulator is as it was; a key enters the map only with
+        // its first accepted upload.
+        if is_new {
+            state.remove(&key);
         }
-    };
-    ks.acc = folded;
+        return reject(e);
+    }
     let image_is_new = ks.image.is_none() && image.is_some();
     if image_is_new {
         ks.image = image;
@@ -349,7 +272,9 @@ fn fold_upload(
         counters.keys.fetch_add(1, Ordering::Relaxed);
     }
     counters.uploads.fetch_add(1, Ordering::Relaxed);
-    counters.runs_total.fetch_add(runs, Ordering::Relaxed);
+    counters
+        .runs_total
+        .fetch_add(snapshot.runs, Ordering::Relaxed);
     if let Some(dir) = &cfg.dir {
         let store = Store::new(dir);
         if let Err(e) = store.save(&ks.acc) {
@@ -374,13 +299,10 @@ fn fold_upload(
 
 /// Build the served seed for one key: age-filter, then drop every
 /// decision/winner head `check_seed` rejects.
-fn serve_seed(
-    state: &HashMap<StoreKey, KeyState>,
-    key: &StoreKey,
-    cfg: &FleetConfig,
-    counters: &Counters,
-) -> Response {
+fn serve_seed(shared: &Shared, key: &StoreKey) -> Response {
+    let (cfg, counters) = (&shared.cfg, &shared.counters);
     counters.seed_requests.fetch_add(1, Ordering::Relaxed);
+    let state = shared.shard(key);
     let Some(ks) = state.get(key) else {
         return Response::Seed { snapshot: None };
     };

@@ -72,9 +72,10 @@ fn upload_snapshot(k: StoreKey, variant: u32) -> Snapshot {
     s
 }
 
-/// Upload `uploads` to a fresh server with `shards` workers and `clients`
-/// concurrent connections (round-robin assignment), then return the
-/// persisted bytes per file name.
+/// Upload `uploads` to a fresh server with `shards` shards and `clients`
+/// concurrent connections (round-robin assignment, every connection open
+/// before the first upload goes out), then return the persisted bytes per
+/// file name.
 fn ingest(
     uploads: &[Snapshot],
     shards: usize,
@@ -96,11 +97,13 @@ fn ingest(
     for (i, u) in uploads.iter().enumerate() {
         per_client[i % clients.max(1)].push(u.clone());
     }
+    let connected = std::sync::Barrier::new(per_client.len());
     std::thread::scope(|scope| {
         for mine in per_client {
-            let addr = addr.clone();
+            let (addr, connected) = (addr.clone(), &connected);
             scope.spawn(move || {
                 let mut c = FleetClient::connect(&addr).expect("connect");
+                connected.wait();
                 for u in mine {
                     c.upload(&u, None).expect("upload folds");
                 }
@@ -146,6 +149,13 @@ proptest! {
         uploads.rotate_left(rot % n);
         let got = ingest(&uploads, shards, clients, "perm");
         prop_assert_eq!(got, reference);
+        // Nothing but lock contention: the same uploads all to one key of
+        // one shard, a connection each, let go together.
+        for u in &mut uploads {
+            u.key = key(0);
+        }
+        let got = ingest(&uploads, 1, n, "lock");
+        prop_assert_eq!(got, ingest(&uploads, 1, 1, "serial"));
     }
 }
 
@@ -174,21 +184,93 @@ fn malformed_frames_are_counted_not_fatal() {
     let mut s = TcpStream::connect(addr).unwrap();
     s.write_all(&[0u8, 1u8]).unwrap();
     drop(s);
+    // 5: a whole prefix and nothing after it.
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.write_all(&40u32.to_be_bytes()).unwrap();
+    drop(s);
+    // 6: prefix and half a body in one write, as a well-formed frame's
+    // prefix and body now arrive.
+    let mut s = TcpStream::connect(addr).unwrap();
+    let mut torn = 40u32.to_be_bytes().to_vec();
+    torn.extend_from_slice(b"{\"FetchSeed\":{\"key\":");
+    s.write_all(&torn).unwrap();
+    drop(s);
 
     // A well-formed client still gets service.
     let mut c = FleetClient::connect(&addr.to_string()).unwrap();
     c.upload(&upload_snapshot(key(1), 0), None).unwrap();
     let stats = loop {
         // The hostile connections race with the good one; poll until the
-        // server has reaped all four.
+        // server has reaped all six.
         let st = c.stats().unwrap();
-        if st.frames_rejected >= 4 {
+        if st.frames_rejected >= 6 {
             break st;
         }
         std::thread::sleep(std::time::Duration::from_millis(10));
     };
-    assert_eq!(stats.frames_rejected, 4);
+    assert_eq!(stats.frames_rejected, 6);
     assert_eq!(stats.uploads, 1);
+    server.shutdown();
+}
+
+/// An upload whose counters would overflow the accumulator is a counted
+/// reject: the shard it hashed to keeps serving, and the key it aimed at
+/// keeps the state it had.
+#[test]
+fn overflowing_uploads_are_rejected_not_fatal() {
+    let server = FleetServer::start(
+        "127.0.0.1:0",
+        FleetConfig {
+            shards: 1,
+            ..FleetConfig::default()
+        },
+    )
+    .unwrap();
+    let mut c = FleetClient::connect(&server.local_addr().to_string()).unwrap();
+    c.upload(&upload_snapshot(key(1), 0), None).unwrap();
+    let before = c.fetch_seed(&key(1)).unwrap();
+
+    let mut too_many_runs = upload_snapshot(key(1), 1);
+    too_many_runs.runs = u64::MAX;
+    let mut too_many_samples = upload_snapshot(key(1), 2);
+    too_many_samples.profile.samples = u64::MAX;
+    for hostile in [too_many_runs, too_many_samples] {
+        let err = c.upload(&hostile, None).unwrap_err();
+        assert!(err.contains("would overflow"), "got: {err}");
+    }
+
+    let (runs_total, _) = c.upload(&upload_snapshot(key(2), 3), None).unwrap();
+    assert_eq!(runs_total, 1, "the one shard still folds");
+    assert_eq!(c.fetch_seed(&key(1)).unwrap(), before);
+    let stats = c.stats().unwrap();
+    assert_eq!(stats.upload_rejects, 2);
+    assert_eq!(stats.uploads, 2);
+    assert_eq!(stats.runs_total, 2);
+    server.shutdown();
+}
+
+/// One connection, a thousand calls of alternating kinds: every reply is
+/// the reply to the call just made, whole. The client's buffered reader
+/// may never hold bytes the protocol has not asked for.
+#[test]
+fn long_lockstep_conversation_keeps_every_reply_intact() {
+    let server = FleetServer::start("127.0.0.1:0", FleetConfig::default()).unwrap();
+    let mut c = FleetClient::connect(&server.local_addr().to_string()).unwrap();
+    let mut uploads = 0u64;
+    for i in 0..1000u32 {
+        match i % 3 {
+            0 => {
+                uploads += 1;
+                let (runs_total, _) = c.upload(&upload_snapshot(key(7), i), None).unwrap();
+                assert_eq!(runs_total, uploads);
+            }
+            1 => {
+                let seed = c.fetch_seed(&key(7)).unwrap().expect("seed exists");
+                assert_eq!((seed.key, seed.runs), (key(7), uploads));
+            }
+            _ => assert_eq!(c.stats().unwrap().uploads, uploads),
+        }
+    }
     server.shutdown();
 }
 

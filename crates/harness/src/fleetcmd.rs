@@ -55,7 +55,7 @@ pub fn serve(
     let stats = server.stats();
     println!("fleet server listening on {}", server.local_addr());
     println!(
-        "  {} shard worker(s), {} key(s) / {} run(s) restored{}{}",
+        "  {} shard(s), {} key(s) / {} run(s) restored{}{}",
         stats.shards,
         stats.keys,
         stats.runs_total,
@@ -134,7 +134,7 @@ pub fn stats(addr: &str) -> Result<String, String> {
 fn render_stats(st: &FleetStats) -> String {
     format!(
         "fleet stats —\n  \
-         {} key(s), {} run(s) total, {} shard worker(s)\n  \
+         {} key(s), {} run(s) total, {} shard(s)\n  \
          uploads: {} accepted, {} rejected\n  \
          seeds: {} request(s), {} hit(s), {} served unverified\n  \
          aging: {} decision(s), {} winner(s) withheld\n  \

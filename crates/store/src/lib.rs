@@ -89,15 +89,15 @@ impl StoreKey {
         }
     }
 
-    /// Stable file stem for this key.
+    /// Stable file stem for this key (what `Display` writes).
     pub fn file_stem(&self) -> String {
-        format!("{:016x}-{:016x}", self.image_hash, self.machine_fp)
+        self.to_string()
     }
 }
 
 impl std::fmt::Display for StoreKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.file_stem())
+        write!(f, "{:016x}-{:016x}", self.image_hash, self.machine_fp)
     }
 }
 
@@ -123,7 +123,7 @@ pub fn machine_fingerprint(cfg: &MachineConfig) -> u64 {
 }
 
 /// Plain-field mirror of one delinquent-load entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DelinquentRecord {
     pub pc: u32,
     pub coherent: u64,
@@ -159,39 +159,52 @@ impl ProfileRecord {
     /// Sum `other` into `self` (delinquent/branch entries merged by key and
     /// kept sorted for deterministic serialization).
     pub fn merge(&mut self, other: &ProfileRecord) {
-        self.instructions += other.instructions;
-        self.cycles += other.cycles;
-        self.bus_memory += other.bus_memory;
-        self.bus_coherent += other.bus_coherent;
-        self.l2_miss += other.l2_miss;
-        self.l3_miss += other.l3_miss;
-        self.samples += other.samples;
+        *self = self
+            .sum_with(other, |a, b| Some(a + b))
+            .expect("a plain sum always yields");
+    }
+
+    /// `self + other` under `add`; `None` as soon as `add` refuses a sum
+    /// (the fleet fold passes `u64::checked_add`), with `self` untouched.
+    fn sum_with(
+        &self,
+        other: &ProfileRecord,
+        add: fn(u64, u64) -> Option<u64>,
+    ) -> Option<ProfileRecord> {
         let mut del: BTreeMap<u32, DelinquentRecord> =
             self.delinquent.iter().map(|d| (d.pc, *d)).collect();
         for d in &other.delinquent {
             let e = del.entry(d.pc).or_insert(DelinquentRecord {
                 pc: d.pc,
-                coherent: 0,
-                memory: 0,
-                total_latency: 0,
+                ..Default::default()
             });
-            e.coherent += d.coherent;
-            e.memory += d.memory;
-            e.total_latency += d.total_latency;
+            e.coherent = add(e.coherent, d.coherent)?;
+            e.memory = add(e.memory, d.memory)?;
+            e.total_latency = add(e.total_latency, d.total_latency)?;
         }
-        self.delinquent = del.into_values().collect();
         let mut pairs: BTreeMap<(u32, u32), u64> = self
             .branch_pairs
             .iter()
             .map(|p| ((p.src, p.target), p.count))
             .collect();
         for p in &other.branch_pairs {
-            *pairs.entry((p.src, p.target)).or_insert(0) += p.count;
+            let e = pairs.entry((p.src, p.target)).or_insert(0);
+            *e = add(*e, p.count)?;
         }
-        self.branch_pairs = pairs
-            .into_iter()
-            .map(|((src, target), count)| BranchPairRecord { src, target, count })
-            .collect();
+        Some(ProfileRecord {
+            instructions: add(self.instructions, other.instructions)?,
+            cycles: add(self.cycles, other.cycles)?,
+            bus_memory: add(self.bus_memory, other.bus_memory)?,
+            bus_coherent: add(self.bus_coherent, other.bus_coherent)?,
+            l2_miss: add(self.l2_miss, other.l2_miss)?,
+            l3_miss: add(self.l3_miss, other.l3_miss)?,
+            samples: add(self.samples, other.samples)?,
+            delinquent: del.into_values().collect(),
+            branch_pairs: pairs
+                .into_iter()
+                .map(|((src, target), count)| BranchPairRecord { src, target, count })
+                .collect(),
+        })
     }
 }
 
@@ -239,6 +252,15 @@ pub struct AgeRecord {
     pub loop_head: u32,
     /// Runs (of `snapshot.runs`) whose upload confirmed this head.
     pub seen_runs: u64,
+}
+
+/// Watermarks summed per head, as the sorted records a snapshot carries.
+fn ages_from(seen: BTreeMap<u32, u64>) -> Vec<AgeRecord> {
+    let age = |(loop_head, seen_runs)| AgeRecord {
+        loop_head,
+        seen_runs,
+    };
+    seen.into_iter().map(age).collect()
 }
 
 /// One line of a snapshot file.
@@ -375,16 +397,7 @@ impl Snapshot {
     /// Runs of this snapshot that confirmed `loop_head` (see
     /// [`Snapshot::confirmations`]).
     pub fn seen_runs_for(&self, loop_head: u32) -> u64 {
-        if let Some(a) = self.ages.iter().find(|a| a.loop_head == loop_head) {
-            return a.seen_runs;
-        }
-        let in_content = self.decisions.iter().any(|d| d.loop_head == loop_head)
-            || self.winners.iter().any(|w| w.loop_head == loop_head);
-        if in_content {
-            self.runs
-        } else {
-            0
-        }
+        self.confirmations().get(&loop_head).copied().unwrap_or(0)
     }
 
     /// Copy of this snapshot with decisions and winners whose
@@ -392,7 +405,11 @@ impl Snapshot {
     /// dropped. Ages and blacklist are kept (the debt is remembered across
     /// further folds). Returns `(filtered, aged_decisions, aged_winners)`.
     pub fn age_filtered(&self, max_age_runs: u64) -> (Snapshot, u64, u64) {
-        let stale = |head: u32| self.runs.saturating_sub(self.seen_runs_for(head)) >= max_age_runs;
+        let seen = self.confirmations();
+        let stale = |head: u32| {
+            let seen_runs = seen.get(&head).copied().unwrap_or(0);
+            self.runs.saturating_sub(seen_runs) >= max_age_runs
+        };
         let mut out = self.clone();
         let before_d = out.decisions.len();
         out.decisions.retain(|d| !stale(d.loop_head));
@@ -479,13 +496,7 @@ pub fn merge_with_policy(
     out.blacklist = blacklist.into_iter().collect();
     out.winners = winners.into_values().collect();
     if track_ages {
-        out.ages = seen
-            .into_iter()
-            .map(|(loop_head, seen_runs)| AgeRecord {
-                loop_head,
-                seen_runs,
-            })
-            .collect();
+        out.ages = ages_from(seen);
     }
     let (snapshot, aged_decisions, aged_winners) = match policy.max_age_runs {
         Some(n) => out.age_filtered(n),
@@ -498,70 +509,106 @@ pub fn merge_with_policy(
     })
 }
 
-/// Canonical serialization of a record, used as the tie-break order for
-/// the commutative fold below.
+/// Canonical serialization of a record: the tie-break order of the
+/// commutative fold below.
 fn canon<T: Serialize>(r: &T) -> String {
-    serde_json::to_string(&Serialize::to_value(r)).expect("record serializes")
+    serde_json::to_string(r).expect("record serializes")
 }
 
-/// Order-free merge for the fleet server: a commutative, associative fold
-/// whose output is a pure function of the input *multiset*. Profiles sum,
-/// runs sum, blacklists union and ages sum exactly as in [`merge`]; where
-/// two inputs disagree on a decision or winner for the same loop head, the
-/// winner is picked by a total order (measured `post_cpi` beats none, then
-/// the lexicographically greatest canonical serialization) instead of
-/// input position — "later input wins" has no meaning when uploads from
-/// concurrent clients race. The output always carries explicit ages: it is
-/// server state, and the watermark must survive the next fold.
+/// Put `new` into `held` (sorted and unique by `head_of`) unless the record
+/// already at its head outranks it, in [`Snapshot::fold_unordered`]'s order.
+/// The canonical form is built only when two differing records of equal
+/// standing meet.
+fn fold_record<T: Clone + PartialEq + Serialize>(
+    held: &mut Vec<T>,
+    new: &T,
+    head_of: fn(&T) -> u32,
+    measured: fn(&T) -> bool,
+) {
+    match held.binary_search_by_key(&head_of(new), head_of) {
+        Ok(i) => {
+            let old = &mut held[i];
+            let outranks = match (measured(new), measured(old)) {
+                (n, o) if n != o => n,
+                _ => new != old && canon(new) > canon(old),
+            };
+            if outranks {
+                *old = new.clone();
+            }
+        }
+        Err(i) => held.insert(i, new.clone()),
+    }
+}
+
+impl Snapshot {
+    /// The fleet server's fold, order-free: commutative and associative, so
+    /// the result is a pure function of the *multiset* folded so far.
+    /// Profiles sum, runs sum, blacklists union and ages sum exactly as in
+    /// [`merge`]; where two inputs disagree on a decision or winner for one
+    /// loop head the survivor is picked by a total order (measured
+    /// `post_cpi` beats none, then the lexicographically greatest canonical
+    /// serialization) instead of input position — "later input wins" has no
+    /// meaning when uploads from concurrent clients race. The result always
+    /// carries explicit ages: it is server state, and the watermark must
+    /// survive the next fold.
+    ///
+    /// `self` holds its decisions, winners and blacklist sorted and unique
+    /// per head (as [`Snapshot::empty`], this fold and a loaded file leave
+    /// them); `other` may come in any order. Every sum is checked before
+    /// anything is written: an `Err` — key mismatch, or a counter that
+    /// would overflow — leaves `self` exactly as it was.
+    pub fn fold_unordered(&mut self, other: &Snapshot) -> Result<(), String> {
+        if other.key != self.key {
+            return Err(format!(
+                "key mismatch: cannot merge {} into {}",
+                other.key, self.key
+            ));
+        }
+        let overflow = || format!("folding into {}: a counter would overflow", self.key);
+        let runs = self.runs.checked_add(other.runs).ok_or_else(overflow)?;
+        let profile = self
+            .profile
+            .sum_with(&other.profile, u64::checked_add)
+            .ok_or_else(overflow)?;
+        // A content head of `self` without a watermark stands for all of
+        // `self`'s runs so far, as one of `other`'s does for `other`'s.
+        let mut seen = self.confirmations();
+        for (head, seen_runs) in other.confirmations() {
+            let sum = seen.entry(head).or_insert(0);
+            *sum = sum.checked_add(seen_runs).ok_or_else(overflow)?;
+        }
+
+        // Nothing below can fail.
+        self.ages = ages_from(seen);
+        self.runs = runs;
+        self.profile = profile;
+        for d in &other.decisions {
+            fold_record(
+                &mut self.decisions,
+                d,
+                |d| d.loop_head,
+                |d| d.post_cpi.is_some(),
+            );
+        }
+        for w in &other.winners {
+            fold_record(&mut self.winners, w, |w| w.loop_head, |_| false);
+        }
+        for head in &other.blacklist {
+            if let Err(i) = self.blacklist.binary_search(head) {
+                self.blacklist.insert(i, *head);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// [`Snapshot::fold_unordered`] over `snapshots`, from empty.
 pub fn merge_unordered(snapshots: &[Snapshot]) -> Result<Snapshot, String> {
     let first = snapshots.first().ok_or("nothing to merge")?;
     let mut out = Snapshot::empty(first.key);
-    let mut decisions: BTreeMap<u32, (bool, String, DecisionRecord)> = BTreeMap::new();
-    let mut winners: BTreeMap<u32, (String, WinnerRecord)> = BTreeMap::new();
-    let mut blacklist: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
-    let mut seen: BTreeMap<u32, u64> = BTreeMap::new();
     for s in snapshots {
-        if s.key != first.key {
-            return Err(format!(
-                "key mismatch: cannot merge {} into {}",
-                s.key, first.key
-            ));
-        }
-        out.runs += s.runs;
-        out.profile.merge(&s.profile);
-        for d in &s.decisions {
-            let rank = (d.post_cpi.is_some(), canon(d));
-            match decisions.get(&d.loop_head) {
-                Some((has_cpi, c, _)) if (*has_cpi, c.as_str()) >= (rank.0, rank.1.as_str()) => {}
-                _ => {
-                    decisions.insert(d.loop_head, (rank.0, rank.1, d.clone()));
-                }
-            }
-        }
-        for w in &s.winners {
-            let c = canon(w);
-            match winners.get(&w.loop_head) {
-                Some((prev, _)) if prev.as_str() >= c.as_str() => {}
-                _ => {
-                    winners.insert(w.loop_head, (c, w.clone()));
-                }
-            }
-        }
-        blacklist.extend(s.blacklist.iter().copied());
-        for (head, seen_runs) in s.confirmations() {
-            *seen.entry(head).or_insert(0) += seen_runs;
-        }
+        out.fold_unordered(s)?;
     }
-    out.decisions = decisions.into_values().map(|(_, _, d)| d).collect();
-    out.blacklist = blacklist.into_iter().collect();
-    out.winners = winners.into_values().map(|(_, w)| w).collect();
-    out.ages = seen
-        .into_iter()
-        .map(|(loop_head, seen_runs)| AgeRecord {
-            loop_head,
-            seen_runs,
-        })
-        .collect();
     Ok(out)
 }
 
@@ -678,13 +725,7 @@ fn assemble(records: Vec<Record>, expected: Option<&StoreKey>) -> LoadReport {
     snap.decisions = decisions.into_values().collect();
     snap.blacklist = blacklist.into_iter().collect();
     snap.winners = winners.into_values().collect();
-    snap.ages = ages
-        .into_iter()
-        .map(|(loop_head, seen_runs)| AgeRecord {
-            loop_head,
-            seen_runs,
-        })
-        .collect();
+    snap.ages = ages_from(ages);
     report.snapshot = Some(snap);
     report
 }
@@ -1243,6 +1284,185 @@ mod tests {
         assert_eq!(all.seen_runs_for(11), 2);
         assert_eq!(all.seen_runs_for(99), 1);
         assert_eq!(all.runs, 3);
+    }
+
+    /// The fold as it stood before `fold_unordered`, kept verbatim as the
+    /// reference: every input's every record ranked, all maps rebuilt.
+    fn merge_unordered_reference(snapshots: &[Snapshot]) -> Result<Snapshot, String> {
+        let first = snapshots.first().ok_or("nothing to merge")?;
+        let mut out = Snapshot::empty(first.key);
+        let mut decisions: BTreeMap<u32, (bool, String, DecisionRecord)> = BTreeMap::new();
+        let mut winners: BTreeMap<u32, (String, WinnerRecord)> = BTreeMap::new();
+        let mut blacklist: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
+        let mut seen: BTreeMap<u32, u64> = BTreeMap::new();
+        for s in snapshots {
+            if s.key != first.key {
+                return Err(format!(
+                    "key mismatch: cannot merge {} into {}",
+                    s.key, first.key
+                ));
+            }
+            out.runs += s.runs;
+            out.profile.merge(&s.profile);
+            for d in &s.decisions {
+                let rank = (d.post_cpi.is_some(), canon(d));
+                match decisions.get(&d.loop_head) {
+                    Some((has_cpi, c, _))
+                        if (*has_cpi, c.as_str()) >= (rank.0, rank.1.as_str()) => {}
+                    _ => {
+                        decisions.insert(d.loop_head, (rank.0, rank.1, d.clone()));
+                    }
+                }
+            }
+            for w in &s.winners {
+                let c = canon(w);
+                match winners.get(&w.loop_head) {
+                    Some((prev, _)) if prev.as_str() >= c.as_str() => {}
+                    _ => {
+                        winners.insert(w.loop_head, (c, w.clone()));
+                    }
+                }
+            }
+            blacklist.extend(s.blacklist.iter().copied());
+            for (head, seen_runs) in s.confirmations() {
+                *seen.entry(head).or_insert(0) += seen_runs;
+            }
+        }
+        out.decisions = decisions.into_values().map(|(_, _, d)| d).collect();
+        out.blacklist = blacklist.into_iter().collect();
+        out.winners = winners.into_values().map(|(_, w)| w).collect();
+        out.ages = seen
+            .into_iter()
+            .map(|(loop_head, seen_runs)| AgeRecord {
+                loop_head,
+                seen_runs,
+            })
+            .collect();
+        Ok(out)
+    }
+
+    /// `sample_snapshot` bent by the bits of `shape` into what an upload may
+    /// legally look like: decisions out of order and twice at one head,
+    /// with and without a measured `post_cpi`, winners contested or not,
+    /// ages explicit (one for a head with no content) or left implicit,
+    /// an unsorted blacklist, one delinquent pc listed twice.
+    fn shaped_snapshot(shape: u32) -> Snapshot {
+        let bit = |n: u32| shape >> n & 1 == 1;
+        let mut s = sample_snapshot(key());
+        s.runs = 1 + (shape & 3) as u64;
+        s.decisions.clear();
+        for (i, loop_head) in [11u32, 7, 11, 99].into_iter().enumerate() {
+            let i = i as u32;
+            if bit(2 + i) {
+                s.decisions.push(DecisionRecord {
+                    loop_head,
+                    kind: KNOWN_KINDS[(shape >> (6 + 2 * i)) as usize % 3].into(),
+                    reverted: bit(14 + i),
+                    baseline_cpi: 1.5,
+                    post_cpi: bit(18 + i).then_some(1.0 + (shape >> 22 & 3) as f64 / 4.0),
+                });
+            }
+        }
+        if bit(24) {
+            let mut w = s.winners[0].clone();
+            w.candidate = "noprefetch".into();
+            s.winners.insert(0, w.clone());
+            w.loop_head = 7;
+            s.winners.insert(0, w);
+        }
+        if bit(25) {
+            s.winners.clear();
+        }
+        if bit(26) {
+            for loop_head in [500, 11, 7] {
+                s.ages.push(AgeRecord {
+                    loop_head,
+                    seen_runs: s.runs.min(1 + (shape >> 27 & 1) as u64),
+                });
+            }
+        }
+        if bit(28) {
+            s.blacklist = vec![41, 40, 3];
+        }
+        if bit(29) {
+            let twice = s.profile.delinquent[0];
+            s.profile
+                .delinquent
+                .insert(0, DelinquentRecord { pc: 90, ..twice });
+            s.profile.delinquent.push(twice);
+        }
+        s
+    }
+
+    fn file_bytes(s: &Snapshot) -> String {
+        let lines: Vec<String> = s.records().iter().map(encode_record).collect();
+        lines.join("\n")
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// `fold_unordered`, one upload at a time from empty, writes the
+        /// bytes the reference fold writes for the same inputs — and does
+        /// so from a sorted accumulator that carries no ages yet (a
+        /// classic snapshot a server restarts warm from).
+        #[test]
+        fn fold_unordered_matches_the_reference_fold(
+            shapes in proptest::collection::vec(proptest::prelude::any::<u32>(), 1..7),
+        ) {
+            let inputs: Vec<Snapshot> = shapes.iter().map(|&s| shaped_snapshot(s)).collect();
+            let want = merge_unordered_reference(&inputs).unwrap();
+            proptest::prop_assert_eq!(
+                file_bytes(&merge_unordered(&inputs).unwrap()),
+                file_bytes(&want)
+            );
+
+            let classic = merge(&inputs[..1]).unwrap();
+            let mut acc = classic.clone();
+            for s in &inputs[1..] {
+                acc.fold_unordered(s).unwrap();
+            }
+            let mut from_classic = vec![classic];
+            from_classic.extend_from_slice(&inputs[1..]);
+            let want = merge_unordered_reference(&from_classic).unwrap();
+            if inputs.len() > 1 {
+                proptest::prop_assert_eq!(file_bytes(&acc), file_bytes(&want));
+            }
+        }
+    }
+
+    /// A sum that would not fit is refused before anything is written:
+    /// whichever counter it is, the accumulator keeps its exact bytes and
+    /// goes on folding honest uploads. So is another key's upload.
+    #[test]
+    fn fold_that_would_overflow_is_refused_and_changes_nothing() {
+        let mut acc = merge_unordered(&[sample_snapshot(key())]).unwrap();
+        let before = file_bytes(&acc);
+        let hostile: [fn(&mut Snapshot); 6] = [
+            |s| s.runs = u64::MAX,
+            |s| s.profile.samples = u64::MAX,
+            |s| s.profile.delinquent[0].total_latency = u64::MAX,
+            |s| s.profile.branch_pairs[0].count = u64::MAX,
+            |s| {
+                s.ages = vec![AgeRecord {
+                    loop_head: 11,
+                    seen_runs: u64::MAX,
+                }]
+            },
+            |s| s.key.machine_fp += 1,
+        ];
+        for bend in hostile {
+            let mut s = sample_snapshot(key());
+            bend(&mut s);
+            let err = acc.fold_unordered(&s).unwrap_err();
+            assert!(
+                err.contains("would overflow") || err.contains("key mismatch"),
+                "got: {err}"
+            );
+            assert_eq!(file_bytes(&acc), before);
+        }
+        acc.fold_unordered(&sample_snapshot(key())).unwrap();
+        assert_eq!(acc.runs, 2);
     }
 
     #[test]
