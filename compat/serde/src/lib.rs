@@ -1,131 +1,113 @@
 //! Offline compat shim for `serde`.
 //!
-//! Upstream serde is a zero-copy visitor framework; this shim replaces it
-//! with a much simpler contract that is sufficient for the workspace's
-//! needs (JSON reports and JSONL telemetry traces): every `Serialize` type
-//! renders itself into a JSON-shaped [`value::Value`] tree, and every
-//! `Deserialize` type rebuilds itself from one. `serde_json` (also shimmed
-//! in-tree) is then just text ⇄ `Value`.
+//! Upstream serde is a visitor framework generic over data formats; this
+//! workspace only ever speaks JSON, so the shim is a streaming codec with
+//! no generics in the middle: a [`Serialize`] type writes its JSON tokens
+//! straight into the one concrete [`Writer`] (a byte buffer, compact or
+//! pretty), and a [`Deserialize`] type pulls its fields from the one
+//! concrete [`Reader`] (a tokenizer over `&str`, nesting capped at
+//! [`de::MAX_DEPTH`]). No intermediate tree is built in either direction.
+//! `serde_json` (also shimmed in-tree) is the thin front door: text in,
+//! text out. [`Value`] is a document type for callers that want to hold
+//! or edit JSON, and implements both traits like any other type.
 //!
 //! The derive macros come from the in-tree `serde_derive` shim and emit
 //! externally-tagged enum representations matching upstream serde's
 //! defaults, so the JSON produced here looks like what real serde_json
-//! would print for the same types. Of the `#[serde(...)]` attributes, only
+//! would print for the same types. Struct fields parse in any order,
+//! unknown fields are skipped after their syntax is checked, and the first
+//! of a duplicated field wins. Of the `#[serde(...)]` attributes, only
 //! `default` / `default = "path"` on named fields are supported (missing
 //! fields fall back instead of erroring); the derive rejects the rest.
 
 pub mod de;
+pub mod ser;
 pub mod value;
 
+pub use de::Reader;
+pub use ser::Writer;
 pub use serde_derive::{Deserialize, Serialize};
 pub use value::{Number, Value};
 
-/// A type that can render itself into a [`Value`] tree.
+/// A type that can write itself as JSON tokens.
 pub trait Serialize {
-    fn to_value(&self) -> Value;
+    fn serialize(&self, w: &mut Writer);
 }
 
-/// A type that can rebuild itself from a [`Value`] tree.
+/// A type that can read itself from JSON tokens.
 pub trait Deserialize: Sized {
-    fn from_value(value: &Value) -> Result<Self, de::Error>;
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, de::Error>;
 }
 
 // ------------------------------------------------------------- primitives
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize(&self, w: &mut Writer) {
+        w.literal(if *self { "true" } else { "false" });
     }
 }
 
 impl Deserialize for bool {
-    fn from_value(value: &Value) -> Result<Self, de::Error> {
-        match value {
-            Value::Bool(b) => Ok(*b),
-            other => Err(de::Error::unexpected("bool", other)),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, de::Error> {
+        if r.literal("true") {
+            Ok(true)
+        } else if r.literal("false") {
+            Ok(false)
+        } else {
+            Err(r.unexpected("bool"))
         }
     }
 }
 
-macro_rules! impl_unsigned {
-    ($($t:ty),*) => {$(
+macro_rules! impl_int {
+    ($write:ident as $wide:ty: $($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Number(Number::PosInt(*self as u64))
+            fn serialize(&self, w: &mut Writer) {
+                w.$write(*self as $wide);
             }
         }
 
         impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, de::Error> {
-                let n = match value {
-                    Value::Number(Number::PosInt(n)) => *n,
-                    Value::Number(Number::NegInt(n)) => {
-                        return Err(de::Error::custom(format!(
-                            "cannot deserialize negative {n} into {}",
-                            stringify!($t)
-                        )))
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, de::Error> {
+                let name = stringify!($t);
+                let wide = match r.number(name)? {
+                    Number::PosInt(n) => n as i128,
+                    Number::NegInt(n) => n as i128,
+                    // A fraction, an exponent, or digits beyond 64 bits.
+                    Number::Float(_) => {
+                        return Err(de::Error::custom(format!("expected {name}, got a float")))
                     }
-                    other => return Err(de::Error::unexpected(stringify!($t), other)),
                 };
-                <$t>::try_from(n).map_err(|_| {
-                    de::Error::custom(format!("{n} out of range for {}", stringify!($t)))
-                })
+                <$t>::try_from(wide)
+                    .map_err(|_| de::Error::custom(format!("{wide} out of range for {name}")))
             }
         }
     )*};
 }
 
-impl_unsigned!(u8, u16, u32, u64, usize);
-
-macro_rules! impl_signed {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                let v = *self as i64;
-                if v < 0 {
-                    Value::Number(Number::NegInt(v))
-                } else {
-                    Value::Number(Number::PosInt(v as u64))
-                }
-            }
-        }
-
-        impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, de::Error> {
-                let wide: i128 = match value {
-                    Value::Number(Number::PosInt(n)) => *n as i128,
-                    Value::Number(Number::NegInt(n)) => *n as i128,
-                    other => return Err(de::Error::unexpected(stringify!($t), other)),
-                };
-                <$t>::try_from(wide).map_err(|_| {
-                    de::Error::custom(format!("{wide} out of range for {}", stringify!($t)))
-                })
-            }
-        }
-    )*};
-}
-
-impl_signed!(i8, i16, i32, i64, isize);
+impl_int!(u64 as u64: u8, u16, u32, u64, usize);
+impl_int!(i64 as i64: i8, i16, i32, i64, isize);
 
 macro_rules! impl_float {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Number(Number::Float(*self as f64))
+            fn serialize(&self, w: &mut Writer) {
+                w.f64(*self as f64);
             }
         }
 
         impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, de::Error> {
-                match value {
-                    Value::Number(Number::Float(f)) => Ok(*f as $t),
-                    Value::Number(Number::PosInt(n)) => Ok(*n as $t),
-                    Value::Number(Number::NegInt(n)) => Ok(*n as $t),
-                    // serde_json renders non-finite floats as null; accept
-                    // them back as NaN so round-trips don't error.
-                    Value::Null => Ok(<$t>::NAN),
-                    other => Err(de::Error::unexpected(stringify!($t), other)),
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, de::Error> {
+                // Non-finite floats are written as null; accept them back
+                // as NaN so round-trips don't error.
+                if r.literal("null") {
+                    return Ok(<$t>::NAN);
                 }
+                Ok(match r.number(stringify!($t))? {
+                    Number::Float(f) => f as $t,
+                    Number::PosInt(n) => n as $t,
+                    Number::NegInt(n) => n as $t,
+                })
             }
         }
     )*};
@@ -134,109 +116,102 @@ macro_rules! impl_float {
 impl_float!(f32, f64);
 
 impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_string())
+    fn serialize(&self, w: &mut Writer) {
+        w.str(self.encode_utf8(&mut [0; 4]));
     }
 }
 
 impl Deserialize for char {
-    fn from_value(value: &Value) -> Result<Self, de::Error> {
-        match value {
-            Value::String(s) if s.chars().count() == 1 => Ok(s.chars().next().unwrap()),
-            other => Err(de::Error::unexpected("char", other)),
-        }
-    }
-}
-
-impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::String(self.clone())
-    }
-}
-
-impl Deserialize for String {
-    fn from_value(value: &Value) -> Result<Self, de::Error> {
-        match value {
-            Value::String(s) => Ok(s.clone()),
-            other => Err(de::Error::unexpected("string", other)),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, de::Error> {
+        let s = r.str("char")?;
+        let mut chars = s.chars();
+        match (chars.next(), chars.next()) {
+            (Some(c), None) => Ok(c),
+            _ => Err(de::Error::custom("expected char, got a longer string")),
         }
     }
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_string())
+    fn serialize(&self, w: &mut Writer) {
+        w.str(self);
+    }
+}
+
+impl Serialize for String {
+    fn serialize(&self, w: &mut Writer) {
+        w.str(self);
+    }
+}
+
+impl Deserialize for String {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, de::Error> {
+        Ok(r.str("string")?.into_owned())
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
-    }
-}
-
-impl Deserialize for Value {
-    fn from_value(value: &Value) -> Result<Self, de::Error> {
-        Ok(value.clone())
+    fn serialize(&self, w: &mut Writer) {
+        (**self).serialize(w);
     }
 }
 
 // ------------------------------------------------------------- containers
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, w: &mut Writer) {
         match self {
-            Some(v) => v.to_value(),
-            None => Value::Null,
+            Some(v) => v.serialize(w),
+            None => w.literal("null"),
         }
     }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(value: &Value) -> Result<Self, de::Error> {
-        match value {
-            Value::Null => Ok(None),
-            other => Ok(Some(T::from_value(other)?)),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, de::Error> {
+        if r.literal("null") {
+            return Ok(None);
         }
-    }
-}
-
-impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(value: &Value) -> Result<Self, de::Error> {
-        match value {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
-            other => Err(de::Error::unexpected("array", other)),
-        }
+        T::deserialize(r).map(Some)
     }
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, w: &mut Writer) {
+        w.begin(b'[');
+        for item in self {
+            w.item(item);
+        }
+        w.end(b']');
+    }
+}
+
+impl<T: Serialize> Serialize for Vec<T> {
+    fn serialize(&self, w: &mut Writer) {
+        self[..].serialize(w);
+    }
+}
+
+impl<T: Deserialize> Deserialize for Vec<T> {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, de::Error> {
+        r.begin(b'[', "array")?;
+        let mut items = Vec::new();
+        while r.next_element()? {
+            items.push(T::deserialize(r)?);
+        }
+        Ok(items)
     }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, w: &mut Writer) {
+        self[..].serialize(w);
     }
 }
 
-impl<T: Deserialize + std::fmt::Debug, const N: usize> Deserialize for [T; N] {
-    fn from_value(value: &Value) -> Result<Self, de::Error> {
-        let items: Vec<T> = Vec::from_value(value)?;
+impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, de::Error> {
+        let items: Vec<T> = Vec::deserialize(r)?;
         let len = items.len();
         <[T; N]>::try_from(items)
             .map_err(|_| de::Error::custom(format!("expected array of length {N}, got {len}")))
@@ -246,21 +221,19 @@ impl<T: Deserialize + std::fmt::Debug, const N: usize> Deserialize for [T; N] {
 macro_rules! impl_tuple {
     ($(($($name:ident : $idx:tt),+))*) => {$(
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$idx.to_value()),+])
+            fn serialize(&self, w: &mut Writer) {
+                w.begin(b'[');
+                $(w.item(&self.$idx);)+
+                w.end(b']');
             }
         }
 
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(value: &Value) -> Result<Self, de::Error> {
-                let items = value.as_array().ok_or_else(|| de::Error::unexpected("tuple array", value))?;
-                let arity = [$($idx),+].len();
-                if items.len() != arity {
-                    return Err(de::Error::custom(format!(
-                        "expected tuple of arity {arity}, got array of {}", items.len()
-                    )));
-                }
-                Ok(($($name::from_value(&items[$idx])?,)+))
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, de::Error> {
+                r.begin(b'[', "tuple array")?;
+                let items = ($(de::element::<$name>(r, "tuple")?,)+);
+                de::end_elements(r, "tuple")?;
+                Ok(items)
             }
         }
     )*};
@@ -271,39 +244,4 @@ impl_tuple! {
     (A: 0, B: 1)
     (A: 0, B: 1, C: 2)
     (A: 0, B: 1, C: 2, D: 3)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn scalar_round_trips() {
-        assert_eq!(u64::from_value(&u64::MAX.to_value()).unwrap(), u64::MAX);
-        assert_eq!(i64::from_value(&(-42i64).to_value()).unwrap(), -42);
-        assert_eq!(f64::from_value(&1.5f64.to_value()).unwrap(), 1.5);
-        assert!(bool::from_value(&true.to_value()).unwrap());
-        assert_eq!(
-            String::from_value(&"hi".to_string().to_value()).unwrap(),
-            "hi"
-        );
-    }
-
-    #[test]
-    fn container_round_trips() {
-        let v = vec![(3u32, 9u64), (4, 16)];
-        assert_eq!(Vec::<(u32, u64)>::from_value(&v.to_value()).unwrap(), v);
-        let o: Option<u8> = None;
-        assert_eq!(Option::<u8>::from_value(&o.to_value()).unwrap(), None);
-        let a = [1u64, 2, 3, 4];
-        assert_eq!(<[u64; 4]>::from_value(&a.to_value()).unwrap(), a);
-    }
-
-    #[test]
-    fn range_errors_are_reported() {
-        let big = Value::Number(Number::PosInt(300));
-        assert!(u8::from_value(&big).is_err());
-        let neg = Value::Number(Number::NegInt(-1));
-        assert!(u32::from_value(&neg).is_err());
-    }
 }

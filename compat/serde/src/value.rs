@@ -1,4 +1,11 @@
-//! The JSON-shaped value tree all (de)serialization flows through.
+//! A JSON document held as a tree, for callers that edit or inspect one
+//! (strip a field before hashing, compare two records). Nothing else
+//! builds it: typed data is written and read as tokens, and `Value` is
+//! just one more `Serialize + Deserialize` type.
+
+use crate::de::{Error, Reader};
+use crate::ser::Writer;
+use crate::{Deserialize, Serialize};
 
 /// A dynamically-typed value mirroring `serde_json::Value`'s shape. Objects
 /// keep insertion order (a `Vec` of pairs, not a map) so emitted JSON field
@@ -86,16 +93,45 @@ impl Value {
             .find(|(k, _)| k == key)
             .map(|(_, v)| v)
     }
+}
 
-    /// Human-readable name of the value's type, for error messages.
-    pub fn kind_name(&self) -> &'static str {
+impl Serialize for Value {
+    fn serialize(&self, w: &mut Writer) {
         match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::Number(_) => "number",
-            Value::String(_) => "string",
-            Value::Array(_) => "array",
-            Value::Object(_) => "object",
+            Value::Null => w.literal("null"),
+            Value::Bool(b) => b.serialize(w),
+            Value::Number(Number::PosInt(n)) => w.u64(*n),
+            Value::Number(Number::NegInt(n)) => w.i64(*n),
+            Value::Number(Number::Float(f)) => w.f64(*f),
+            Value::String(s) => w.str(s),
+            Value::Array(items) => items.serialize(w),
+            Value::Object(pairs) => {
+                w.begin(b'{');
+                for (key, value) in pairs {
+                    w.field(key, value);
+                }
+                w.end(b'}');
+            }
         }
+    }
+}
+
+impl Deserialize for Value {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        Ok(match r.peek() {
+            Some(b'[') => Value::Array(Vec::deserialize(r)?),
+            Some(b'{') => {
+                r.begin(b'{', "object")?;
+                let mut pairs = Vec::new();
+                while let Some(key) = r.next_key()? {
+                    pairs.push((key.into_owned(), Value::deserialize(r)?));
+                }
+                Value::Object(pairs)
+            }
+            Some(b'"') => Value::String(String::deserialize(r)?),
+            Some(b'-' | b'0'..=b'9') => Value::Number(r.number("number")?),
+            _ if r.literal("null") => Value::Null,
+            _ => Value::Bool(bool::deserialize(r)?),
+        })
     }
 }

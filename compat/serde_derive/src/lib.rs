@@ -15,8 +15,11 @@
 //!   All other `#[serde(...)]` attributes are rejected at compile time;
 //! * NO generics — unused in-repo.
 //!
-//! The generated impls target the value-tree model of the in-tree `serde`
-//! shim (`Serialize::to_value` / `Deserialize::from_value`).
+//! The generated impls target the streaming model of the in-tree `serde`
+//! shim: `Serialize::serialize` writes tokens into a `serde::Writer`,
+//! `Deserialize::deserialize` pulls them from a `serde::Reader` (fields in
+//! any order, one `Option` slot each, so the first of a duplicate wins and
+//! unknown fields are skipped after a syntax check).
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -363,181 +366,134 @@ fn parse_variants(stream: TokenStream) -> Result<Vec<Variant>, String> {
 
 // ------------------------------------------------------------- generation
 
+/// Statements writing `{"a": .., "b": ..}`; `access` turns a field name into
+/// the expression that borrows it.
+fn ser_fields(fields: &[Field], access: impl Fn(&str) -> String) -> String {
+    let mut code = String::from("__w.begin(b'{');\n");
+    for f in fields {
+        code.push_str(&format!("__w.field({:?}, {});\n", f.name, access(&f.name)));
+    }
+    code + "__w.end(b'}');\n"
+}
+
+/// Statements writing `[.., ..]` — or the bare value for a newtype.
+fn ser_items(items: &[String]) -> String {
+    if let [only] = items {
+        return format!("::serde::Serialize::serialize({only}, __w);\n");
+    }
+    let mut code = String::from("__w.begin(b'[');\n");
+    for item in items {
+        code.push_str(&format!("__w.item({item});\n"));
+    }
+    code + "__w.end(b']');\n"
+}
+
 fn gen_serialize(name: &str, body: &Body) -> String {
     let body_code = match body {
-        Body::UnitStruct => "::serde::value::Value::Null".to_string(),
-        Body::NamedStruct(fields) => {
-            let mut code = String::from(
-                "{ let mut __fields: ::std::vec::Vec<(::std::string::String, ::serde::value::Value)> = ::std::vec::Vec::new();\n",
-            );
-            for f in fields {
-                code.push_str(&format!(
-                    "__fields.push((::std::string::String::from({n:?}), ::serde::Serialize::to_value(&self.{n})));\n",
-                    n = f.name
-                ));
-            }
-            code.push_str("::serde::value::Value::Object(__fields) }");
-            code
-        }
-        Body::TupleStruct(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
+        Body::UnitStruct => "__w.literal(\"null\");".to_string(),
+        Body::NamedStruct(fields) => ser_fields(fields, |n| format!("&self.{n}")),
         Body::TupleStruct(n) => {
-            let mut code = String::from(
-                "{ let mut __items: ::std::vec::Vec<::serde::value::Value> = ::std::vec::Vec::new();\n",
-            );
-            for idx in 0..*n {
-                code.push_str(&format!(
-                    "__items.push(::serde::Serialize::to_value(&self.{idx}));\n"
-                ));
-            }
-            code.push_str("::serde::value::Value::Array(__items) }");
-            code
+            ser_items(&(0..*n).map(|k| format!("&self.{k}")).collect::<Vec<_>>())
         }
         Body::Enum(variants) => {
             let mut code = String::from("match self {\n");
             for v in variants {
                 let vn = &v.name;
-                match &v.kind {
+                let (pattern, payload) = match &v.kind {
                     VariantKind::Unit => {
-                        code.push_str(&format!(
-                            "{name}::{vn} => ::serde::value::Value::String(::std::string::String::from({vn:?})),\n"
-                        ));
+                        code.push_str(&format!("{name}::{vn} => __w.str({vn:?}),\n"));
+                        continue;
                     }
                     VariantKind::Tuple(n) => {
                         let binds: Vec<String> = (0..*n).map(|k| format!("__f{k}")).collect();
-                        let inner = if *n == 1 {
-                            "::serde::Serialize::to_value(__f0)".to_string()
-                        } else {
-                            let mut inner = String::from(
-                                "{ let mut __items: ::std::vec::Vec<::serde::value::Value> = ::std::vec::Vec::new();\n",
-                            );
-                            for b in &binds {
-                                inner.push_str(&format!(
-                                    "__items.push(::serde::Serialize::to_value({b}));\n"
-                                ));
-                            }
-                            inner.push_str("::serde::value::Value::Array(__items) }");
-                            inner
-                        };
-                        code.push_str(&format!(
-                            "{name}::{vn}({binds}) => {{ let mut __pair: ::std::vec::Vec<(::std::string::String, ::serde::value::Value)> = ::std::vec::Vec::new(); __pair.push((::std::string::String::from({vn:?}), {inner})); ::serde::value::Value::Object(__pair) }}\n",
-                            binds = binds.join(", ")
-                        ));
+                        (format!("({})", binds.join(", ")), ser_items(&binds))
                     }
                     VariantKind::Struct(fields) => {
                         let binds: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
-                        let mut inner = String::from(
-                            "{ let mut __fields: ::std::vec::Vec<(::std::string::String, ::serde::value::Value)> = ::std::vec::Vec::new();\n",
-                        );
-                        for f in fields {
-                            inner.push_str(&format!(
-                                "__fields.push((::std::string::String::from({n:?}), ::serde::Serialize::to_value({n})));\n",
-                                n = f.name
-                            ));
-                        }
-                        inner.push_str("::serde::value::Value::Object(__fields) }");
-                        code.push_str(&format!(
-                            "{name}::{vn} {{ {binds} }} => {{ let mut __pair: ::std::vec::Vec<(::std::string::String, ::serde::value::Value)> = ::std::vec::Vec::new(); __pair.push((::std::string::String::from({vn:?}), {inner})); ::serde::value::Value::Object(__pair) }}\n",
-                            binds = binds.join(", ")
-                        ));
+                        let pattern = format!("{{ {} }}", binds.join(", "));
+                        (pattern, ser_fields(fields, str::to_string))
                     }
-                }
+                };
+                code.push_str(&format!(
+                    "{name}::{vn}{pattern} => {{ __w.begin(b'{{'); __w.key({vn:?});\n{payload}__w.end(b'}}'); }}\n"
+                ));
             }
-            code.push('}');
-            code
+            code + "}"
         }
     };
     format!(
-        "#[automatically_derived]\nimpl ::serde::Serialize for {name} {{\n    fn to_value(&self) -> ::serde::value::Value {{\n        {body_code}\n    }}\n}}\n"
+        "#[automatically_derived]\nimpl ::serde::Serialize for {name} {{\n    fn serialize(&self, __w: &mut ::serde::Writer) {{\n        {body_code}\n    }}\n}}\n"
     )
 }
 
-/// One `field_name: <extraction>,` line of a generated struct literal.
-/// `ty_literal` is an already-quoted type name for error messages.
-fn gen_field_extract(f: &Field, ty_literal: &str) -> String {
-    let n = &f.name;
-    match &f.default {
-        FieldDefault::Required => {
-            format!("{n}: ::serde::de::field(__obj, {n:?}, {ty_literal})?,\n")
-        }
-        FieldDefault::DefaultTrait => format!(
-            "{n}: ::serde::de::field_opt(__obj, {n:?}, {ty_literal})?.unwrap_or_default(),\n"
-        ),
-        FieldDefault::Path(path) => format!(
-            "{n}: match ::serde::de::field_opt(__obj, {n:?}, {ty_literal})? {{ ::std::option::Option::Some(__fv) => __fv, ::std::option::Option::None => {path}() }},\n"
-        ),
+/// A block expression reading `{"a": .., "b": ..}` into `path { a, b }`.
+fn de_fields(path: &str, fields: &[Field]) -> String {
+    let mut code = String::from("{\n");
+    for f in fields {
+        code.push_str(&format!(
+            "let mut __f_{} = ::std::option::Option::None;\n",
+            f.name
+        ));
     }
+    code.push_str(&format!(
+        "__r.begin(b'{{', \"object for struct {path}\")?;\nwhile let ::std::option::Option::Some(__key) = __r.next_key()? {{\nmatch &*__key {{\n"
+    ));
+    for f in fields {
+        code.push_str(&format!(
+            "{n:?} if __f_{n}.is_none() => __f_{n} = ::std::option::Option::Some(::serde::de::field(__r, {n:?}, {path:?})?),\n",
+            n = f.name
+        ));
+    }
+    code.push_str(&format!("_ => __r.skip_value()?,\n}}\n}}\n{path} {{\n"));
+    for f in fields {
+        let n = &f.name;
+        code.push_str(&match &f.default {
+            FieldDefault::Required => format!(
+                "{n}: match __f_{n} {{ ::std::option::Option::Some(__v) => __v, ::std::option::Option::None => return ::std::result::Result::Err(::serde::de::missing({n:?}, {path:?})) }},\n"
+            ),
+            FieldDefault::DefaultTrait => format!("{n}: __f_{n}.unwrap_or_default(),\n"),
+            FieldDefault::Path(default) => format!("{n}: __f_{n}.unwrap_or_else({default}),\n"),
+        });
+    }
+    code + "}\n}"
+}
+
+/// A block expression reading `[.., ..]` into `path(.., ..)` — or the bare
+/// value into a newtype.
+fn de_items(path: &str, n: usize) -> String {
+    if n == 1 {
+        return format!("{path}(::serde::Deserialize::deserialize(__r)?)");
+    }
+    let items = format!("::serde::de::element(__r, {path:?})?, ").repeat(n);
+    format!(
+        "{{ __r.begin(b'[', \"array for {path}\")?;\nlet __v = {path}({items});\n::serde::de::end_elements(__r, {path:?})?;\n__v }}"
+    )
 }
 
 fn gen_deserialize(name: &str, body: &Body) -> String {
     let body_code = match body {
         Body::UnitStruct => format!(
-            "match __v {{ ::serde::value::Value::Null => ::std::result::Result::Ok({name}), _ => ::std::result::Result::Err(::serde::de::Error::custom(\"expected null for unit struct {name}\")) }}"
+            "if __r.literal(\"null\") {{ {name} }} else {{ return ::std::result::Result::Err(__r.unexpected(\"null for unit struct {name}\")) }}"
         ),
-        Body::NamedStruct(fields) => {
-            let mut code = format!(
-                "{{ let __obj = __v.as_object().ok_or_else(|| ::serde::de::Error::custom(\"expected object for struct {name}\"))?;\n::std::result::Result::Ok({name} {{\n"
-            );
-            for f in fields {
-                code.push_str(&gen_field_extract(f, &format!("{name:?}")));
-            }
-            code.push_str("}) }");
-            code
-        }
-        Body::TupleStruct(1) => format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_value(__v)?))"),
-        Body::TupleStruct(n) => {
-            let mut code = format!(
-                "{{ let __arr = __v.as_array().ok_or_else(|| ::serde::de::Error::custom(\"expected array for tuple struct {name}\"))?;\nif __arr.len() != {n} {{ return ::std::result::Result::Err(::serde::de::Error::custom(\"wrong arity for tuple struct {name}\")); }}\n::std::result::Result::Ok({name}(\n"
-            );
-            for idx in 0..*n {
-                code.push_str(&format!("::serde::Deserialize::from_value(&__arr[{idx}])?,\n"));
-            }
-            code.push_str(")) }");
-            code
-        }
+        Body::NamedStruct(fields) => de_fields(name, fields),
+        Body::TupleStruct(n) => de_items(name, *n),
         Body::Enum(variants) => {
-            let mut unit_arms = String::new();
-            let mut payload_arms = String::new();
+            let mut arms = String::new();
             for v in variants {
-                let vn = &v.name;
-                match &v.kind {
-                    VariantKind::Unit => {
-                        unit_arms.push_str(&format!(
-                            "{vn:?} => ::std::result::Result::Ok({name}::{vn}),\n"
-                        ));
-                    }
-                    VariantKind::Tuple(1) => {
-                        payload_arms.push_str(&format!(
-                            "{vn:?} => ::std::result::Result::Ok({name}::{vn}(::serde::Deserialize::from_value(__inner)?)),\n"
-                        ));
-                    }
-                    VariantKind::Tuple(n) => {
-                        let mut arm = format!(
-                            "{vn:?} => {{ let __arr = __inner.as_array().ok_or_else(|| ::serde::de::Error::custom(\"expected array payload for {name}::{vn}\"))?;\nif __arr.len() != {n} {{ return ::std::result::Result::Err(::serde::de::Error::custom(\"wrong arity for {name}::{vn}\")); }}\n::std::result::Result::Ok({name}::{vn}(\n"
-                        );
-                        for idx in 0..*n {
-                            arm.push_str(&format!("::serde::Deserialize::from_value(&__arr[{idx}])?,\n"));
-                        }
-                        arm.push_str(")) }\n");
-                        payload_arms.push_str(&arm);
-                    }
-                    VariantKind::Struct(fields) => {
-                        let mut arm = format!(
-                            "{vn:?} => {{ let __obj = __inner.as_object().ok_or_else(|| ::serde::de::Error::custom(\"expected object payload for {name}::{vn}\"))?;\n::std::result::Result::Ok({name}::{vn} {{\n"
-                        );
-                        for f in fields {
-                            arm.push_str(&gen_field_extract(f, &format!("\"{name}::{vn}\"")));
-                        }
-                        arm.push_str("}) }\n");
-                        payload_arms.push_str(&arm);
-                    }
-                }
+                let path = format!("{name}::{}", v.name);
+                let (payload, value) = match &v.kind {
+                    VariantKind::Unit => (false, path.clone()),
+                    VariantKind::Tuple(n) => (true, de_items(&path, *n)),
+                    VariantKind::Struct(fields) => (true, de_fields(&path, fields)),
+                };
+                arms.push_str(&format!("({:?}, {payload}) => {value},\n", v.name));
             }
             format!(
-                "match __v {{\n::serde::value::Value::String(__s) => match __s.as_str() {{\n{unit_arms}__other => ::std::result::Result::Err(::serde::de::Error::custom(&format!(\"unknown unit variant `{{__other}}` for enum {name}\"))),\n}},\n::serde::value::Value::Object(__pairs) if __pairs.len() == 1 => {{\nlet (__tag, __inner) = &__pairs[0];\nmatch __tag.as_str() {{\n{payload_arms}__other => ::std::result::Result::Err(::serde::de::Error::custom(&format!(\"unknown variant `{{__other}}` for enum {name}\"))),\n}}\n}},\n_ => ::std::result::Result::Err(::serde::de::Error::custom(\"expected string or single-key object for enum {name}\")),\n}}"
+                "{{ let (__tag, __payload) = ::serde::de::variant(__r, {name:?})?;\nlet __v = match (&*__tag, __payload) {{\n{arms}(__other, _) => return ::std::result::Result::Err(::serde::de::unknown_variant(__other, __payload, {name:?})),\n}};\nif __payload {{ ::serde::de::end_variant(__r, {name:?})?; }}\n__v }}"
             )
         }
     };
     format!(
-        "#[automatically_derived]\nimpl ::serde::Deserialize for {name} {{\n    fn from_value(__v: &::serde::value::Value) -> ::std::result::Result<Self, ::serde::de::Error> {{\n        {body_code}\n    }}\n}}\n"
+        "#[automatically_derived]\nimpl ::serde::Deserialize for {name} {{\n    fn deserialize(__r: &mut ::serde::Reader<'_>) -> ::std::result::Result<Self, ::serde::de::Error> {{\n        ::std::result::Result::Ok({body_code})\n    }}\n}}\n"
     )
 }

@@ -1,503 +1,50 @@
 //! Offline compat shim for `serde_json`.
 //!
-//! Text layer over the in-tree `serde` shim's value model: a recursive-
-//! descent JSON parser and compact/pretty writers. Integers print from
-//! their native `u64`/`i64` representation (no `f64` round-trip, so cycle
-//! counters keep full precision); floats rely on Rust's shortest-round-trip
-//! `Display`.
+//! The front door of the in-tree `serde` shim's streaming codec: text out
+//! of a [`serde::Writer`], text into a [`serde::Reader`], no tree between
+//! a typed value and its JSON. Integers print from their native
+//! `u64`/`i64` representation (no `f64` round-trip, so cycle counters keep
+//! full precision); floats rely on Rust's shortest-round-trip `Display`.
+//! [`Value`] is a document a caller can hold and edit; [`to_value`] and
+//! [`from_value`] move between it and typed data through the same text.
 
-use std::fmt;
+use serde::{Deserialize, Reader, Serialize, Writer};
 
-use serde::{de, Deserialize, Serialize};
-
+pub use serde::de::Error;
 pub use serde::value::{Number, Value};
-
-/// Parse or serialization failure.
-#[derive(Debug, Clone)]
-pub struct Error {
-    msg: String,
-}
-
-impl Error {
-    fn new(msg: impl Into<String>) -> Self {
-        Error { msg: msg.into() }
-    }
-}
-
-impl fmt::Display for Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.msg)
-    }
-}
-
-impl std::error::Error for Error {}
-
-impl From<de::Error> for Error {
-    fn from(e: de::Error) -> Self {
-        Error::new(e.to_string())
-    }
-}
 
 pub type Result<T> = std::result::Result<T, Error>;
 
+fn encode<T: Serialize + ?Sized>(value: &T, pretty: bool) -> String {
+    let mut w = Writer::new(Vec::new(), pretty);
+    value.serialize(&mut w);
+    String::from_utf8(w.into_bytes()).expect("the writer copies `str`s and adds ASCII")
+}
+
 /// Serializes `value` as compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0);
-    Ok(out)
+    Ok(encode(value, false))
 }
 
 /// Serializes `value` as human-indented JSON (two spaces, like upstream).
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some("  "), 0);
-    Ok(out)
+    Ok(encode(value, true))
 }
 
-/// Converts any serializable value into a [`Value`] tree.
-pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Result<Value> {
-    Ok(value.to_value())
-}
-
-/// Rebuilds a `T` from a [`Value`] tree.
-pub fn from_value<T: Deserialize>(value: &Value) -> Result<T> {
-    Ok(T::from_value(value)?)
-}
-
-/// Parses JSON text into a `T`.
+/// Parses JSON text into a `T`; anything after the document is an error.
 pub fn from_str<T: Deserialize>(text: &str) -> Result<T> {
-    let value = parse_value_str(text)?;
-    Ok(T::from_value(&value)?)
-}
-
-fn parse_value_str(text: &str) -> Result<Value> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let value = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error::new(format!("trailing characters at byte {}", p.pos)));
-    }
+    let mut r = Reader::new(text);
+    let value = T::deserialize(&mut r)?;
+    r.finish()?;
     Ok(value)
 }
 
-// --------------------------------------------------------------- writing
-
-fn write_value(out: &mut String, value: &Value, indent: Option<&str>, depth: usize) {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Number(n) => write_number(out, *n),
-        Value::String(s) => write_string(out, s),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_value(out, item, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push(']');
-        }
-        Value::Object(pairs) => {
-            if pairs.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (key, item)) in pairs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_string(out, key);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, item, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push('}');
-        }
-    }
+/// The document `value` serializes to.
+pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Result<Value> {
+    from_str(&encode(value, false))
 }
 
-fn newline_indent(out: &mut String, indent: Option<&str>, depth: usize) {
-    if let Some(unit) = indent {
-        out.push('\n');
-        for _ in 0..depth {
-            out.push_str(unit);
-        }
-    }
-}
-
-fn write_number(out: &mut String, n: Number) {
-    match n {
-        Number::PosInt(v) => out.push_str(&v.to_string()),
-        Number::NegInt(v) => out.push_str(&v.to_string()),
-        Number::Float(f) => {
-            if f.is_finite() {
-                let s = f.to_string();
-                out.push_str(&s);
-                // `Display` prints integral floats bare ("1"); keep the
-                // decimal point so the value parses back as a float.
-                if !s.contains(['.', 'e', 'E']) {
-                    out.push_str(".0");
-                }
-            } else {
-                // Upstream serde_json renders non-finite floats as null.
-                out.push_str("null");
-            }
-        }
-    }
-}
-
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-// --------------------------------------------------------------- parsing
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<()> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error::new(format!(
-                "expected `{}` at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            )))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Value> {
-        match self.peek() {
-            Some(b'n') => self.parse_keyword("null", Value::Null),
-            Some(b't') => self.parse_keyword("true", Value::Bool(true)),
-            Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::String(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
-            Some(b'-') | Some(b'0'..=b'9') => self.parse_number(),
-            other => Err(Error::new(format!(
-                "unexpected character {:?} at byte {}",
-                other.map(|c| c as char),
-                self.pos
-            ))),
-        }
-    }
-
-    fn parse_keyword(&mut self, kw: &str, value: Value) -> Result<Value> {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
-            self.pos += kw.len();
-            Ok(value)
-        } else {
-            Err(Error::new(format!("invalid literal at byte {}", self.pos)))
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Value> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                other => {
-                    return Err(Error::new(format!(
-                        "expected `,` or `]` at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|c| c as char)
-                    )))
-                }
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Value> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.parse_value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(pairs));
-                }
-                other => {
-                    return Err(Error::new(format!(
-                        "expected `,` or `}}` at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|c| c as char)
-                    )))
-                }
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            // Fast path: copy unescaped UTF-8 runs wholesale.
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' {
-                    break;
-                }
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| Error::new("invalid UTF-8 in string"))?,
-            );
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| Error::new("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hi = self.parse_hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: expect \uXXXX low half.
-                                self.expect(b'\\')?;
-                                self.expect(b'u')?;
-                                let lo = self.parse_hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(Error::new("invalid low surrogate"));
-                                }
-                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                            } else {
-                                hi
-                            };
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error::new("invalid unicode escape"))?,
-                            );
-                        }
-                        other => {
-                            return Err(Error::new(format!("invalid escape `\\{}`", other as char)))
-                        }
-                    }
-                }
-                _ => return Err(Error::new("unterminated string")),
-            }
-        }
-    }
-
-    fn parse_hex4(&mut self) -> Result<u32> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(Error::new("truncated \\u escape"));
-        }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| Error::new("invalid \\u escape"))?;
-        self.pos += 4;
-        u32::from_str_radix(hex, 16).map_err(|_| Error::new("invalid \\u escape"))
-    }
-
-    fn parse_number(&mut self) -> Result<Value> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        if self.peek() == Some(b'.') {
-            is_float = true;
-            self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e') | Some(b'E')) {
-            is_float = true;
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+') | Some(b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::new("invalid number"))?;
-        let number = if is_float {
-            Number::Float(
-                text.parse()
-                    .map_err(|_| Error::new(format!("invalid number `{text}`")))?,
-            )
-        } else if let Some(stripped) = text.strip_prefix('-') {
-            // Parse the magnitude, negate: covers i64::MIN via i64 parse.
-            match text.parse::<i64>() {
-                Ok(v) => Number::NegInt(v),
-                Err(_) => Number::Float(
-                    stripped
-                        .parse::<f64>()
-                        .map(|m| -m)
-                        .map_err(|_| Error::new(format!("invalid number `{text}`")))?,
-                ),
-            }
-        } else {
-            match text.parse::<u64>() {
-                Ok(v) => Number::PosInt(v),
-                Err(_) => Number::Float(
-                    text.parse()
-                        .map_err(|_| Error::new(format!("invalid number `{text}`")))?,
-                ),
-            }
-        };
-        Ok(Value::Number(number))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn value_round_trips_through_text() {
-        let v = Value::Object(vec![
-            ("a".into(), Value::Number(Number::PosInt(u64::MAX))),
-            ("b".into(), Value::Number(Number::NegInt(-7))),
-            ("c".into(), Value::Number(Number::Float(0.1))),
-            ("d".into(), Value::String("hi \"there\"\n".into())),
-            (
-                "e".into(),
-                Value::Array(vec![Value::Null, Value::Bool(true)]),
-            ),
-            ("f".into(), Value::Object(vec![])),
-        ]);
-        let text = to_string(&VRef(&v)).unwrap();
-        let back: Value = parse_value_str(&text).unwrap();
-        assert_eq!(back, v);
-    }
-
-    // Local wrapper so the test can serialize a raw Value.
-    struct VRef<'a>(&'a Value);
-    impl serde::Serialize for VRef<'_> {
-        fn to_value(&self) -> Value {
-            self.0.clone()
-        }
-    }
-
-    #[test]
-    fn parses_escapes_and_unicode() {
-        let v: Value = parse_value_str(r#""aé😀\tb""#).unwrap();
-        assert_eq!(v, Value::String("aé😀\tb".to_string()));
-    }
-
-    #[test]
-    fn pretty_output_is_indented_and_reparses() {
-        let v = Value::Object(vec![(
-            "xs".into(),
-            Value::Array(vec![Value::Number(Number::PosInt(1))]),
-        )]);
-        let text = to_string_pretty(&VRef(&v)).unwrap();
-        assert!(text.contains("\n  \"xs\": [\n    1\n  ]"), "got: {text}");
-        assert_eq!(parse_value_str(&text).unwrap(), v);
-    }
-
-    #[test]
-    fn float_display_keeps_decimal_point() {
-        let text = to_string(&VRef(&Value::Number(Number::Float(2.0)))).unwrap();
-        assert_eq!(text, "2.0");
-        assert_eq!(
-            parse_value_str(&text).unwrap(),
-            Value::Number(Number::Float(2.0))
-        );
-    }
-
-    #[test]
-    fn rejects_trailing_garbage() {
-        assert!(parse_value_str("1 2").is_err());
-        assert!(parse_value_str("{\"a\":}").is_err());
-    }
+/// Rebuilds a `T` from a document.
+pub fn from_value<T: Deserialize>(value: &Value) -> Result<T> {
+    from_str(&encode(value, false))
 }

@@ -256,10 +256,11 @@ mod tests {
     /// still deserialize (the fields default to 0).
     #[test]
     fn old_reports_without_new_fields_still_load() {
-        let mut old = serde::Serialize::to_value(&CobraReport {
+        let mut old = serde_json::to_value(&CobraReport {
             samples_forwarded: 7,
             ..CobraReport::default()
-        });
+        })
+        .expect("serializes");
         if let serde::Value::Object(fields) = &mut old {
             fields.retain(|(k, _)| {
                 k != "guest_faults"
@@ -279,7 +280,7 @@ mod tests {
         } else {
             panic!("report serializes to an object");
         }
-        let r: CobraReport = serde::Deserialize::from_value(&old).expect("tolerant deserialize");
+        let r: CobraReport = serde_json::from_value(&old).expect("tolerant deserialize");
         assert_eq!(r.samples_forwarded, 7);
         assert_eq!(r.guest_faults, 0);
         assert!(!r.warm_started);

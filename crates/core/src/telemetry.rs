@@ -762,10 +762,7 @@ pub fn read_jsonl(reader: impl std::io::Read) -> Result<Vec<TelemetryRecord>, St
         if line.trim().is_empty() {
             continue;
         }
-        let value: serde_json::Value =
-            serde_json::from_str(&line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let rec =
-            serde_json::from_value(&value).map_err(|e| format!("line {}: {e}", lineno + 1))?;
+        let rec = serde_json::from_str(&line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
         out.push(rec);
     }
     Ok(out)
@@ -981,13 +978,13 @@ mod tests {
         );
 
         // Legacy wire shape: a summary without the `osr` field.
-        let mut v = serde::Serialize::to_value(&s);
+        let mut v = serde_json::to_value(&s).expect("serializes");
         if let serde::Value::Object(fields) = &mut v {
             fields.retain(|(k, _)| k != "osr");
         } else {
             panic!("summary serializes to an object");
         }
-        let back: TraceSummary = serde::Deserialize::from_value(&v).expect("tolerant deserialize");
+        let back: TraceSummary = serde_json::from_value(&v).expect("tolerant deserialize");
         assert_eq!(back.osr, (0, 0, 0));
         assert!(
             !format!("{back}").contains("osr:"),
@@ -1011,7 +1008,7 @@ mod tests {
                 block_horizon_cycles: 0,
             },
         };
-        let mut v = serde::Serialize::to_value(&rec);
+        let mut v = serde_json::to_value(&rec).expect("serializes");
         // Strip the new fields to reproduce the legacy wire shape.
         fn strip(v: &mut serde::Value) {
             if let serde::Value::Object(fields) = v {
@@ -1022,8 +1019,7 @@ mod tests {
             }
         }
         strip(&mut v);
-        let back: TelemetryRecord =
-            serde::Deserialize::from_value(&v).expect("tolerant deserialize");
+        let back: TelemetryRecord = serde_json::from_value(&v).expect("tolerant deserialize");
         assert_eq!(back, rec);
         let s = TraceSummary::from_records(&[back]);
         assert!(s.block_fallbacks.is_empty());

@@ -233,7 +233,7 @@ fn host_accel_is_invisible_to_the_cobra_pipeline() {
         };
         let r = wl.run(&mut m, Team::new(4), &rt, &mut cobra);
         let report = cobra.detach(&mut m);
-        let mut v = serde::Serialize::to_value(&report);
+        let mut v = serde_json::to_value(&report).expect("serializes");
         if let serde::Value::Object(fields) = &mut v {
             fields.retain(|(k, _)| !k.starts_with("block_"));
         }

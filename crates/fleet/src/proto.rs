@@ -15,7 +15,7 @@
 use std::io::{Read, Write};
 
 use cobra_store::{Snapshot, StoreKey};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Writer};
 
 use crate::FleetStats;
 
@@ -59,12 +59,14 @@ pub(crate) struct UploadRef<'a> {
 }
 
 impl Serialize for UploadRef<'_> {
-    fn to_value(&self) -> Value {
-        let fields = vec![
-            ("snapshot".to_string(), self.snapshot.to_value()),
-            ("image_words".to_string(), self.image_words.to_value()),
-        ];
-        Value::Object(vec![("Upload".to_string(), Value::Object(fields))])
+    fn serialize(&self, w: &mut Writer) {
+        w.begin(b'{');
+        w.key("Upload");
+        w.begin(b'{');
+        w.field("snapshot", self.snapshot);
+        w.field("image_words", &self.image_words);
+        w.end(b'}');
+        w.end(b'}');
     }
 }
 
@@ -90,15 +92,21 @@ pub enum Response {
     },
 }
 
-/// Write one length-prefixed frame: prefix and body in a single write, so
-/// an unbuffered socket with `TCP_NODELAY` sends one segment, not two.
+/// Write one length-prefixed frame: the body is encoded in place behind
+/// room for the prefix, and both leave in a single write, so an unbuffered
+/// socket with `TCP_NODELAY` sends one segment, not two.
 pub fn write_frame<T: Serialize>(w: &mut impl Write, msg: &T) -> Result<(), String> {
-    let body = serde_json::to_string(msg).map_err(|e| format!("frame serialize failed: {e}"))?;
-    let len = body.len() as u64;
-    if len > MAX_FRAME_BYTES as u64 {
+    // An upload of one run is about half a kilobyte: no regrowth for it.
+    let mut frame = Vec::with_capacity(1024);
+    frame.extend_from_slice(&[0; 4]);
+    let mut json = Writer::new(frame, false);
+    msg.serialize(&mut json);
+    let mut frame = json.into_bytes();
+    let len = frame.len() - 4;
+    if len > MAX_FRAME_BYTES as usize {
         return Err(format!("frame of {len} bytes exceeds {MAX_FRAME_BYTES}"));
     }
-    let frame = [&(len as u32).to_be_bytes()[..], body.as_bytes()].concat();
+    frame[..4].copy_from_slice(&(len as u32).to_be_bytes());
     w.write_all(&frame)
         .and_then(|()| w.flush())
         .map_err(|e| format!("frame write failed: {e}"))
@@ -192,22 +200,23 @@ mod tests {
 
     #[test]
     fn oversized_and_torn_frames_are_errors_not_panics() {
+        let refusal = |buf: &[u8]| read_frame::<Request>(&mut &buf[..]).unwrap_err();
+        let framed = |body: &[u8]| [&(body.len() as u32).to_be_bytes()[..], body].concat();
         // Hostile length prefix.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&(MAX_FRAME_BYTES + 1).to_be_bytes());
-        let err = read_frame::<Request>(&mut std::io::Cursor::new(buf)).unwrap_err();
-        assert!(err.contains("exceeds"));
+        assert!(refusal(&(MAX_FRAME_BYTES + 1).to_be_bytes()).contains("exceeds"));
         // Length promises more bytes than the stream has.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&100u32.to_be_bytes());
+        let mut buf = 100u32.to_be_bytes().to_vec();
         buf.extend_from_slice(b"short");
-        assert!(read_frame::<Request>(&mut std::io::Cursor::new(buf)).is_err());
+        assert!(refusal(&buf).contains("body read failed"));
         // Valid length, payload is not a Request.
         let mut buf = Vec::new();
         write_frame(&mut buf, &"not a request".to_string()).unwrap();
-        assert!(read_frame::<Request>(&mut std::io::Cursor::new(buf)).is_err());
+        assert!(refusal(&buf).contains("does not parse"));
+        // A Request with one byte that is not UTF-8 inside a string.
+        assert!(refusal(&framed(b"{\"Err\":{\"detail\":\"\xff\"}}")).contains("not UTF-8"));
+        // A Request and then something else.
+        assert!(refusal(&framed(b"\"Stats\" 1")).contains("trailing characters"));
         // EOF mid-length-prefix (2 of 4 bytes) is torn, not clean.
-        let buf = vec![0u8, 0u8];
-        assert!(read_frame::<Request>(&mut std::io::Cursor::new(buf)).is_err());
+        assert!(refusal(&[0, 0]).contains("torn frame"));
     }
 }

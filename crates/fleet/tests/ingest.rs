@@ -22,6 +22,9 @@ fn tmp_dir(tag: &str) -> PathBuf {
         std::process::id(),
         N.fetch_add(1, Ordering::Relaxed)
     ));
+    // Nothing removes these, and process ids come round again: a directory
+    // an earlier run left under the same name would warm-start the server.
+    let _ = std::fs::remove_dir_all(&d);
     std::fs::create_dir_all(&d).unwrap();
     d
 }
@@ -195,20 +198,37 @@ fn malformed_frames_are_counted_not_fatal() {
     torn.extend_from_slice(b"{\"FetchSeed\":{\"key\":");
     s.write_all(&torn).unwrap();
     drop(s);
+    // 7-9: 100 KB frames, far under `MAX_FRAME_BYTES`, nested 100 000 deep:
+    // as arrays, as objects, and inside an unknown field of an otherwise
+    // valid request (the path that skips instead of building). A parser
+    // that recurses once per level overflows the connection thread's stack
+    // here, which aborts the process, not just the connection.
+    let deep = 100_000;
+    let in_unknown_field = format!(
+        "{{\"FetchSeed\":{{\"key\":{{\"image_hash\":1,\"machine_fp\":2}},\"later\":{}",
+        "[".repeat(deep)
+    );
+    for body in ["[".repeat(deep), "{\"a\":".repeat(deep), in_unknown_field] {
+        let mut s = TcpStream::connect(addr).unwrap();
+        let mut frame = (body.len() as u32).to_be_bytes().to_vec();
+        frame.extend_from_slice(body.as_bytes());
+        s.write_all(&frame).unwrap();
+        drop(s);
+    }
 
     // A well-formed client still gets service.
     let mut c = FleetClient::connect(&addr.to_string()).unwrap();
     c.upload(&upload_snapshot(key(1), 0), None).unwrap();
     let stats = loop {
         // The hostile connections race with the good one; poll until the
-        // server has reaped all six.
+        // server has reaped all nine.
         let st = c.stats().unwrap();
-        if st.frames_rejected >= 6 {
+        if st.frames_rejected >= 9 {
             break st;
         }
         std::thread::sleep(std::time::Duration::from_millis(10));
     };
-    assert_eq!(stats.frames_rejected, 6);
+    assert_eq!(stats.frames_rejected, 9);
     assert_eq!(stats.uploads, 1);
     server.shutdown();
 }

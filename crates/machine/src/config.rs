@@ -349,8 +349,8 @@ mod tests {
     fn host_accel_round_trips() {
         for accel in [HostAccel::Reference, HostAccel::Fast] {
             let cfg = MachineConfig::altix8().with_host_accel(accel);
-            let v = serde::Serialize::to_value(&cfg);
-            let back: MachineConfig = serde::Deserialize::from_value(&v).expect("round trip");
+            let v = serde_json::to_value(&cfg).expect("serializes");
+            let back: MachineConfig = serde_json::from_value(&v).expect("round trip");
             assert_eq!(back.host_accel, accel);
             assert_eq!(back.num_cpus, cfg.num_cpus);
         }

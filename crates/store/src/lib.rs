@@ -114,7 +114,7 @@ pub fn image_hash(image: &CodeImage) -> u64 {
 /// so it is masked out: switching engines must not orphan a warm-start
 /// snapshot.
 pub fn machine_fingerprint(cfg: &MachineConfig) -> u64 {
-    let mut v = Serialize::to_value(cfg);
+    let mut v = serde_json::to_value(cfg).expect("config serializes");
     if let Value::Object(fields) = &mut v {
         fields.retain(|(k, _)| k != "host_accel");
     }

@@ -158,3 +158,29 @@ proptest! {
         }
     }
 }
+
+/// Lines have no length cap, so a damaged or hostile file can hold one
+/// nested a million deep. A parser that recurses once per level overflows
+/// the loading thread's stack on it, which aborts the run at load; such a
+/// line must be one more skipped record. Three shapes: bare arrays, objects
+/// (the envelope's unknown-field skip), and an unknown field inside a body.
+#[test]
+fn million_deep_lines_are_skipped_not_fatal() {
+    let deep = 1_000_000;
+    let mut bytes = pristine_bytes();
+    for line in [
+        "[".repeat(deep),
+        "{\"a\":".repeat(deep),
+        format!(
+            "{{\"crc\":1,\"body\":{{\"Blacklist\":{{\"x\":{}",
+            "[".repeat(deep)
+        ),
+    ] {
+        bytes.extend_from_slice(line.as_bytes());
+        bytes.push(b'\n');
+    }
+    let lr = load_mutated(&bytes);
+    assert_eq!(lr.skipped_records, 3);
+    assert_eq!(lr.error, None);
+    assert_eq!(lr.snapshot, Some(snapshot()));
+}
