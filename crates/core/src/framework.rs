@@ -52,8 +52,7 @@ use crate::phase::{PhaseConfig, PhaseDetector};
 use crate::profile::LatencyBands;
 use crate::report::{AppliedPlan, CobraReport, RevertedPlan};
 use crate::telemetry::{
-    CpuCounterSnapshot, TelemetryEmitter, TelemetryEvent, TelemetryHub, TelemetrySink,
-    DEFAULT_RING_CAPACITY,
+    CpuCounterSnapshot, Telemetry, TelemetryEvent, TelemetrySink, TICK_CAPACITY,
 };
 
 /// Framework configuration.
@@ -89,25 +88,12 @@ impl Default for CobraConfig {
 /// Fluent configuration for [`Cobra`]; created by [`Cobra::builder`],
 /// consumed by [`CobraBuilder::attach`]. Starts from
 /// [`CobraConfig::default`]; every setter overrides one knob.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CobraBuilder {
     cfg: CobraConfig,
     sink: Option<TelemetrySink>,
-    ring_capacity: usize,
     store: Option<PathBuf>,
     fleet: Option<String>,
-}
-
-impl Default for CobraBuilder {
-    fn default() -> Self {
-        CobraBuilder {
-            cfg: CobraConfig::default(),
-            sink: None,
-            ring_capacity: DEFAULT_RING_CAPACITY,
-            store: None,
-            fleet: None,
-        }
-    }
 }
 
 impl CobraBuilder {
@@ -121,12 +107,6 @@ impl CobraBuilder {
     /// HPM sampling period in instructions retired.
     pub fn sampling_period(mut self, period: u64) -> Self {
         self.cfg.perfmon.sampling_period = period;
-        self
-    }
-
-    /// Full perfmon driver configuration.
-    pub fn perfmon(mut self, perfmon: PerfmonConfig) -> Self {
-        self.cfg.perfmon = perfmon;
         self
     }
 
@@ -164,35 +144,9 @@ impl CobraBuilder {
         self
     }
 
-    /// Phase-detector configuration.
-    pub fn phase(mut self, phase: PhaseConfig) -> Self {
-        self.cfg.phase = phase;
-        self
-    }
-
-    /// User Sampling Buffer capacity per monitor.
-    pub fn usb_capacity(mut self, capacity: usize) -> Self {
-        self.cfg.usb_capacity = capacity;
-        self
-    }
-
-    /// Helper-thread cycles charged per processed sample / drained
-    /// telemetry record.
-    pub fn overhead_per_sample(mut self, cycles: u64) -> Self {
-        self.cfg.overhead_per_sample = cycles;
-        self
-    }
-
     /// Record pipeline telemetry into `sink`.
     pub fn telemetry(mut self, sink: TelemetrySink) -> Self {
         self.sink = Some(sink);
-        self
-    }
-
-    /// Capacity of the bounded telemetry ring (records buffered between
-    /// quantum drains; overflow is dropped and counted).
-    pub fn telemetry_capacity(mut self, records: usize) -> Self {
-        self.ring_capacity = records;
         self
     }
 
@@ -222,24 +176,20 @@ impl CobraBuilder {
         let CobraBuilder {
             cfg,
             sink,
-            ring_capacity,
             store,
             fleet,
         } = self;
         let mut driver = PerfmonDriver::new(machine.num_cpus(), cfg.perfmon);
         driver.attach(machine);
 
-        let hub = sink.map(|s| TelemetryHub::new(s, ring_capacity));
-        let emitter = hub.as_ref().map(|h| h.emitter());
+        let mut telemetry = Telemetry::new(sink, TICK_CAPACITY);
+        let mut opt = OptimizationStage::new(
+            Optimizer::new(cfg.optimizer, machine.shared.code.image().clone()),
+            LatencyBands::from_machine(&machine.shared.cfg),
+            PhaseDetector::new(cfg.phase),
+        );
+        let cycle = machine.shared.cycle;
 
-        let bands = LatencyBands::from_machine(&machine.shared.cfg);
-        let mut optimizer = Optimizer::new(cfg.optimizer, machine.shared.code.image().clone());
-        if let Some(e) = &emitter {
-            optimizer.set_telemetry(e.clone());
-        }
-        let phases = PhaseDetector::new(cfg.phase);
-
-        let mut report = CobraReport::default();
         // Fleet seed first: the aggregation server folds every peer's
         // history, so it outranks this process's local store. The pristine
         // main words are captured now — before any deployment patches the
@@ -257,34 +207,30 @@ impl CobraBuilder {
             match FleetClient::connect(&ctx.addr).and_then(|mut c| c.fetch_seed(&ctx.key)) {
                 Ok(found) => fleet_seed = found,
                 Err(detail) => {
-                    report.fleet_errors += 1;
-                    if let Some(e) = &emitter {
-                        e.emit(TelemetryEvent::FleetError {
-                            tick: 0,
-                            cycle: machine.shared.cycle,
-                            stage: "fetch".into(),
-                            detail,
-                        });
-                    }
+                    telemetry.emit(TelemetryEvent::FleetError {
+                        tick: 0,
+                        cycle,
+                        stage: "fetch".into(),
+                        detail,
+                    });
                 }
             }
         }
         // Warm start: load a matching snapshot now, so seeds are in place
-        // for the very first tick.
+        // for the very first tick. Seeds are re-verified against the live
+        // image inside `warm_start`, so attach-time rejections are reported
+        // even if the run never reaches a tick.
         let store_ctx = store.map(|dir| {
             let store = Store::new(dir);
             let key = StoreKey::for_run(machine.shared.code.image(), &machine.shared.cfg);
             let lr = store.load(&key);
-            report.store_skipped_records = lr.skipped_records;
+            telemetry.report_mut().store_skipped_records = lr.skipped_records;
             if let Some(err) = &lr.error {
-                report.store_errors += 1;
-                if let Some(e) = &emitter {
-                    e.emit(TelemetryEvent::StoreError {
-                        tick: 0,
-                        cycle: machine.shared.cycle,
-                        detail: err.clone(),
-                    });
-                }
+                telemetry.emit(TelemetryEvent::StoreError {
+                    tick: 0,
+                    cycle,
+                    detail: err.clone(),
+                });
             }
             // A fleet seed outranks the local snapshot (it already folds
             // this process's own uploads); the local snapshot still merges
@@ -292,60 +238,42 @@ impl CobraBuilder {
             if fleet_seed.is_none() {
                 if let Some(snap) = &lr.snapshot {
                     let seed = seed_from_snapshot(snap);
-                    report.warm_started = true;
-                    report.warm_seeded_decisions = seed.decisions.len();
-                    report.warm_seeded_blacklist = seed.blacklist.len();
-                    if let Some(e) = &emitter {
-                        e.emit(TelemetryEvent::WarmStart {
-                            tick: 0,
-                            cycle: machine.shared.cycle,
-                            seeded_decisions: seed.decisions.len(),
-                            seeded_blacklist: seed.blacklist.len(),
-                            skipped_records: lr.skipped_records,
-                        });
-                    }
-                    optimizer.warm_start(seed);
+                    telemetry.emit(TelemetryEvent::WarmStart {
+                        tick: 0,
+                        cycle,
+                        seeded_decisions: seed.decisions.len(),
+                        seeded_blacklist: seed.blacklist.len(),
+                        skipped_records: lr.skipped_records,
+                    });
+                    opt.warm_start(seed, &mut telemetry);
                 }
             }
             (store, key, lr.snapshot)
         });
         if let Some(snap) = &fleet_seed {
             let seed = seed_from_snapshot(snap);
-            report.fleet_seeds += 1;
-            report.warm_started = true;
-            report.warm_seeded_decisions = seed.decisions.len();
-            report.warm_seeded_blacklist = seed.blacklist.len();
-            if let Some(e) = &emitter {
-                e.emit(TelemetryEvent::FleetSeed {
-                    tick: 0,
-                    cycle: machine.shared.cycle,
-                    seeded_decisions: seed.decisions.len(),
-                    seeded_winners: seed.winners.len(),
-                    seeded_blacklist: seed.blacklist.len(),
-                    runs: snap.runs,
-                });
-            }
-            optimizer.warm_start(seed);
+            telemetry.emit(TelemetryEvent::FleetSeed {
+                tick: 0,
+                cycle,
+                seeded_decisions: seed.decisions.len(),
+                seeded_winners: seed.winners.len(),
+                seeded_blacklist: seed.blacklist.len(),
+                runs: snap.runs,
+            });
+            opt.warm_start(seed, &mut telemetry);
         }
-        let mut cobra = Cobra {
+        Cobra {
             monitors: Vec::new(),
-            opt: OptimizationStage::new(optimizer, bands, phases, emitter.clone()),
+            opt,
             cfg,
             driver,
             tick: 0,
-            report,
-            hub,
-            emitter,
+            telemetry,
             store_ctx,
             fleet_ctx,
             osr_watches: Vec::new(),
             osr_maps: Vec::new(),
-        };
-        // Warm seeds are re-verified against the live image inside
-        // `warm_start`; surface any attach-time rejections even if the run
-        // never reaches a tick.
-        cobra.sync_counters();
-        cobra
+        }
     }
 }
 
@@ -384,9 +312,8 @@ pub struct Cobra {
     monitors: Vec<Monitor>,
     opt: OptimizationStage,
     tick: u64,
-    report: CobraReport,
-    hub: Option<TelemetryHub>,
-    emitter: Option<TelemetryEmitter>,
+    /// The run's one event path, and the report it folds every event into.
+    telemetry: Telemetry,
     /// Store handle, snapshot key, and the prior snapshot (merged into the
     /// one saved at detach) when persistence is configured.
     store_ctx: Option<(Store, StoreKey, Option<Snapshot>)>,
@@ -406,23 +333,14 @@ impl Cobra {
         CobraBuilder::default()
     }
 
-    fn emit(&self, event: TelemetryEvent) {
-        if let Some(e) = &self.emitter {
-            e.emit(event);
-        }
-    }
-
-    /// Mirror the optimization stage's running totals into the report.
+    /// Mirror the optimization stage's running totals that no event
+    /// carries into the report.
     fn sync_counters(&mut self) {
         let c = self.opt.optimizer().counters();
-        self.report.samples_merged = self.opt.samples_merged();
-        self.report.phase_changes = self.opt.phase_changes();
-        self.report.warm_hits = c.warm_hits;
-        self.report.warm_mismatches = c.warm_mismatches;
-        self.report.undecodable_loops = c.undecodable_loops;
-        self.report.verify_rejects = c.verify_rejects;
-        self.report.candidates_trialed = c.candidates_trialed;
-        self.report.tournaments_promoted = c.tournaments_promoted;
+        let report = self.telemetry.report_mut();
+        report.samples_merged = self.opt.samples_merged();
+        report.warm_hits = c.warm_hits;
+        report.warm_mismatches = c.warm_mismatches;
     }
 
     fn apply_action(&mut self, machine: &mut Machine, action: PlanAction) {
@@ -450,8 +368,7 @@ impl Cobra {
                         ) {
                             Ok(()) => osr_map = Some(map),
                             Err(e) => {
-                                self.report.osr_rejects += 1;
-                                self.emit(TelemetryEvent::OsrRejected {
+                                self.telemetry.emit(TelemetryEvent::OsrRejected {
                                     tick: self.tick,
                                     cycle: machine.shared.cycle,
                                     plan_id: plan.id,
@@ -491,20 +408,19 @@ impl Cobra {
                             // text: the head redirect was rolled back, so
                             // nothing can reach it, and removing it would
                             // desync the optimizer's layout.
-                            self.report.deploy_failures += 1;
-                            self.emit(TelemetryEvent::DeployFailed {
+                            self.telemetry.emit(TelemetryEvent::DeployFailed {
                                 tick: self.tick,
                                 cycle: machine.shared.cycle,
                                 plan_id: plan.id,
                                 loop_head: plan.loop_head,
                                 detail: format!("patching {addr}: {e}"),
                             });
-                            self.opt.poison(plan.loop_head);
+                            self.opt.poison(plan.loop_head, &mut self.telemetry);
                             return;
                         }
                     }
                 }
-                self.emit(TelemetryEvent::Deploy {
+                self.telemetry.emit(TelemetryEvent::Deploy {
                     tick: self.tick,
                     cycle: machine.shared.cycle,
                     plan_id: plan.id,
@@ -513,7 +429,7 @@ impl Cobra {
                     words_patched: plan.writes.len(),
                     trace_entry,
                 });
-                self.report.applied.push(AppliedPlan {
+                self.telemetry.report_mut().applied.push(AppliedPlan {
                     plan_id: plan.id,
                     kind: plan.kind,
                     loop_head: plan.loop_head,
@@ -555,8 +471,7 @@ impl Cobra {
                     match machine.patch_word(addr, old_word) {
                         Ok(_) => restored += 1,
                         Err(e) => {
-                            self.report.revert_failures += 1;
-                            self.emit(TelemetryEvent::RevertFailed {
+                            self.telemetry.emit(TelemetryEvent::RevertFailed {
                                 tick: self.tick,
                                 cycle: machine.shared.cycle,
                                 plan_id,
@@ -565,8 +480,8 @@ impl Cobra {
                                 words_restored: restored,
                                 detail: e.to_string(),
                             });
-                            self.opt.poison(loop_head);
-                            self.report.reverted.push(RevertedPlan {
+                            self.opt.poison(loop_head, &mut self.telemetry);
+                            self.telemetry.report_mut().reverted.push(RevertedPlan {
                                 plan_id,
                                 reason: format!(
                                     "{reason} [revert failed at {addr} after {restored}/{} words: {e}]",
@@ -578,13 +493,13 @@ impl Cobra {
                         }
                     }
                 }
-                self.emit(TelemetryEvent::Revert {
+                self.telemetry.emit(TelemetryEvent::Revert {
                     tick: self.tick,
                     cycle: machine.shared.cycle,
                     plan_id,
                     reason: reason.clone(),
                 });
-                self.report.reverted.push(RevertedPlan {
+                self.telemetry.report_mut().reverted.push(RevertedPlan {
                     plan_id,
                     reason,
                     tick: self.tick,
@@ -621,16 +536,14 @@ impl Cobra {
         }
     }
 
-    /// Retire one version transfer: disarm its redirects, credit the
-    /// migrations it served, and add its drain time to the
-    /// time-to-optimized total.
+    /// Retire one version transfer: disarm its redirects and report the
+    /// migrations it served and its drain time (the report credits both,
+    /// the latter to the time-to-optimized total).
     fn finish_osr_watch(&mut self, machine: &mut Machine, w: OsrWatch) {
         let migrations = machine.disarm_redirect(w.plan_id);
         let elapsed = self.tick.saturating_sub(w.armed_tick);
-        self.report.ticks_to_all_optimized += elapsed;
         if w.reverse {
-            self.report.osr_reverse_migrations += migrations;
-            self.emit(TelemetryEvent::OsrRevert {
+            self.telemetry.emit(TelemetryEvent::OsrRevert {
                 tick: self.tick,
                 cycle: machine.shared.cycle,
                 plan_id: w.plan_id,
@@ -638,8 +551,7 @@ impl Cobra {
                 ticks_since_revert: elapsed,
             });
         } else {
-            self.report.osr_migrations += migrations;
-            self.emit(TelemetryEvent::OsrMigrate {
+            self.telemetry.emit(TelemetryEvent::OsrMigrate {
                 tick: self.tick,
                 cycle: machine.shared.cycle,
                 plan_id: w.plan_id,
@@ -675,21 +587,15 @@ impl Cobra {
             mut driver,
             opt,
             tick,
-            mut report,
-            hub,
-            emitter,
+            mut telemetry,
             store_ctx,
             fleet_ctx,
             ..
         } = self;
         let cycle = machine.shared.cycle;
-        let emit = |event: TelemetryEvent| {
-            if let Some(e) = &emitter {
-                e.emit(event);
-            }
-        };
-        report.guest_faults = machine.total_stats().get(cobra_machine::Event::GuestFaults);
         let blocks = machine.block_stats();
+        let report = telemetry.report_mut();
+        report.guest_faults = machine.total_stats().get(cobra_machine::Event::GuestFaults);
         report.block_builds = blocks.builds;
         report.block_invalidations = blocks.invalidations;
         report.block_fallback_cycles = blocks.fallback_cycles();
@@ -705,74 +611,59 @@ impl Cobra {
                 Some(p) => cobra_store::merge(&[p.clone(), fresh.clone()]).unwrap_or(fresh),
                 None => fresh,
             };
-            match store.save(&merged) {
-                Ok(path) => {
-                    report.store_saved_records = merged.record_count() as u64;
-                    emit(TelemetryEvent::StoreSave {
-                        tick,
-                        cycle,
-                        records: merged.record_count(),
-                        path: path.display().to_string(),
-                    });
-                }
-                Err(detail) => {
-                    report.store_errors += 1;
-                    emit(TelemetryEvent::StoreError {
-                        tick,
-                        cycle,
-                        detail,
-                    });
-                }
-            }
+            telemetry.emit(match store.save(&merged) {
+                Ok(path) => TelemetryEvent::StoreSave {
+                    tick,
+                    cycle,
+                    records: merged.record_count(),
+                    path: path.display().to_string(),
+                },
+                Err(detail) => TelemetryEvent::StoreError {
+                    tick,
+                    cycle,
+                    detail,
+                },
+            });
         }
         if let Some(ctx) = fleet_ctx {
             // Upload only this run's own history (runs = 1); the server
             // folds it into the fleet accumulator. Uploading a locally
             // merged snapshot would double-count prior runs.
             let fresh = snapshot_from_final(ctx.key, &fin);
-            match FleetClient::connect(&ctx.addr)
-                .and_then(|mut c| c.upload(&fresh, Some(&ctx.image_words)))
-            {
-                Ok((runs_total, _)) => {
-                    report.fleet_uploads += 1;
-                    emit(TelemetryEvent::FleetUpload {
-                        tick,
-                        cycle,
-                        records: fresh.record_count(),
-                        runs_total,
-                    });
-                }
-                Err(detail) => {
-                    report.fleet_errors += 1;
-                    emit(TelemetryEvent::FleetError {
-                        tick,
-                        cycle,
-                        stage: "upload".into(),
-                        detail,
-                    });
-                }
-            }
+            let uploaded = FleetClient::connect(&ctx.addr)
+                .and_then(|mut c| c.upload(&fresh, Some(&ctx.image_words)));
+            telemetry.emit(match uploaded {
+                Ok((runs_total, _)) => TelemetryEvent::FleetUpload {
+                    tick,
+                    cycle,
+                    records: fresh.record_count(),
+                    runs_total,
+                },
+                Err(detail) => TelemetryEvent::FleetError {
+                    tick,
+                    cycle,
+                    stage: "upload".into(),
+                    detail,
+                },
+            });
         }
-        if let Some(hub) = hub {
-            emit(TelemetryEvent::Detach {
+        if telemetry.is_recording() {
+            telemetry.emit(TelemetryEvent::Detach {
                 tick,
                 cycle,
-                records_dropped: hub.dropped(),
+                records_dropped: telemetry.report().telemetry_dropped,
                 block_fallback_mem_boundary: blocks.fallback_mem_boundary,
                 block_fallback_sampling: blocks.fallback_sampling,
                 block_horizon_stretches: blocks.horizon_stretches,
                 block_horizon_cycles: blocks.horizon_cycles,
             });
-            let (records, dropped) = hub.finish();
-            report.telemetry_records = records;
-            report.telemetry_dropped = dropped;
         }
-        report
+        telemetry.finish()
     }
 
     /// Read-only view of the activity report so far.
     pub fn report(&self) -> &CobraReport {
-        &self.report
+        self.telemetry.report()
     }
 }
 
@@ -786,8 +677,9 @@ impl QuantumHook for Cobra {
                 self.cfg.usb_capacity,
             ));
         }
-        self.report.monitors_spawned = self.monitors.len();
-        self.report.forks += 1;
+        let report = self.telemetry.report_mut();
+        report.monitors_spawned = self.monitors.len();
+        report.forks += 1;
     }
 
     fn on_quantum(&mut self, machine: &mut Machine) {
@@ -797,8 +689,8 @@ impl QuantumHook for Cobra {
         for (cpu, monitor) in self.monitors.iter_mut().enumerate() {
             let batch = self.driver.drain(cpu);
             forwarded += batch.len() as u64;
-            if let Some(e) = &self.emitter {
-                e.emit(TelemetryEvent::KernelDrain {
+            if self.telemetry.is_recording() {
+                self.telemetry.emit(TelemetryEvent::KernelDrain {
                     tick: self.tick,
                     cycle: machine.shared.cycle,
                     cpu: cpu as u32,
@@ -806,16 +698,18 @@ impl QuantumHook for Cobra {
                     dropped_total: self.driver.dropped(cpu),
                 });
             }
-            deltas.push(monitor.tick(self.tick, batch, self.emitter.as_ref()));
+            deltas.push(monitor.tick(self.tick, batch, &mut self.telemetry));
         }
-        self.report.samples_forwarded += forwarded;
         // Charge helper-thread overhead to the machine.
         let overhead = forwarded * self.cfg.overhead_per_sample;
         machine.shared.cycle += overhead;
-        self.report.overhead_cycles += overhead;
+        let report = self.telemetry.report_mut();
+        report.samples_forwarded += forwarded;
+        report.overhead_cycles += overhead;
 
         if !deltas.is_empty() {
-            let actions = self.opt.tick(self.tick, machine.shared.cycle, deltas);
+            let cycle = machine.shared.cycle;
+            let actions = self.opt.tick(self.tick, cycle, deltas, &mut self.telemetry);
             self.sync_counters();
             for action in actions {
                 self.apply_action(machine, action);
@@ -823,28 +717,22 @@ impl QuantumHook for Cobra {
         }
         self.check_osr_watches(machine);
 
-        if self.emitter.is_some() {
-            self.emit(TelemetryEvent::Quantum {
+        if self.telemetry.is_recording() {
+            self.telemetry.emit(TelemetryEvent::Quantum {
                 tick: self.tick,
                 cycle: machine.shared.cycle,
                 samples_forwarded: forwarded,
                 cpus: CpuCounterSnapshot::all(machine),
             });
         }
-        // Drain the telemetry ring at the safe point. Every stage ran on
-        // this thread, so every event this tick produced is already in the
-        // ring, in a fixed order: the drained count — and the cycles charged
-        // for it — is deterministic.
-        if let Some(hub) = &mut self.hub {
-            let drained = hub.drain();
-            let cost = drained * self.cfg.overhead_per_sample;
-            machine.shared.cycle += cost;
-            self.report.overhead_cycles += cost;
-            self.report.telemetry_records = hub.drained();
-            self.report.telemetry_dropped = hub.dropped();
-        }
-
-        self.report.ticks += 1;
+        // Close the tick's telemetry window at the safe point. Every stage
+        // ran on this thread in a fixed order, so the count of records the
+        // sink took — and the cycles charged for them — is deterministic.
+        let cost = self.telemetry.drain() * self.cfg.overhead_per_sample;
+        machine.shared.cycle += cost;
+        let report = self.telemetry.report_mut();
+        report.overhead_cycles += cost;
+        report.ticks += 1;
         self.tick += 1;
     }
 }
@@ -1003,14 +891,14 @@ mod tests {
                 reason: "cpi regression".into(),
             },
         );
-        assert_eq!(cobra.report.revert_failures, 1);
-        assert_eq!(cobra.report.reverted.len(), 1);
+        assert_eq!(cobra.report().revert_failures, 1);
+        assert_eq!(cobra.report().reverted.len(), 1);
         assert!(
-            cobra.report.reverted[0]
+            cobra.report().reverted[0]
                 .reason
                 .contains("revert failed at 9999 after 0/1 words"),
             "reason: {}",
-            cobra.report.reverted[0].reason
+            cobra.report().reverted[0].reason
         );
         let report = cobra.detach(&mut m);
         assert_eq!(report.revert_failures, 1);
@@ -1041,8 +929,10 @@ mod tests {
                 reason: "trial complete".into(),
             },
         );
-        assert_eq!(cobra.report.revert_failures, 1);
-        assert!(cobra.report.reverted[0].reason.contains("after 1/2 words"));
+        assert_eq!(cobra.report().revert_failures, 1);
+        assert!(cobra.report().reverted[0]
+            .reason
+            .contains("after 1/2 words"));
         cobra.detach(&mut m);
     }
 
@@ -1074,9 +964,9 @@ mod tests {
                 trace: None,
             }),
         );
-        assert_eq!(cobra.report.deploy_failures, 1);
+        assert_eq!(cobra.report().deploy_failures, 1);
         assert!(
-            cobra.report.applied.is_empty(),
+            cobra.report().applied.is_empty(),
             "half-applied plan recorded"
         );
         // The word that landed before the failure was rolled back.

@@ -22,10 +22,10 @@ use std::collections::VecDeque;
 use cobra_isa::CodeAddr;
 use cobra_perfmon::SampleRecord;
 
-use crate::optimizer::{DecisionExport, Optimizer, PlanAction};
+use crate::optimizer::{DecisionExport, Optimizer, PlanAction, WarmSeed};
 use crate::phase::PhaseDetector;
 use crate::profile::{CounterWindow, LatencyBands, ProfileDelta, SystemProfile, ThreadProfiler};
-use crate::telemetry::{TelemetryEmitter, TelemetryEvent};
+use crate::telemetry::{Telemetry, TelemetryEvent};
 use crate::usb::UserSamplingBuffer;
 
 /// One working thread's monitoring role: its User Sampling Buffer and the
@@ -53,13 +53,13 @@ impl Monitor {
         &mut self,
         tick: u64,
         batch: Vec<SampleRecord>,
-        telemetry: Option<&TelemetryEmitter>,
+        telemetry: &mut Telemetry,
     ) -> ProfileDelta {
         for rec in batch {
             self.usb.store(rec);
         }
-        if let Some(t) = telemetry {
-            t.emit(TelemetryEvent::UsbLevel {
+        if telemetry.is_recording() {
+            telemetry.emit(TelemetryEvent::UsbLevel {
                 tick,
                 cpu: self.cpu,
                 occupancy: self.usb.len(),
@@ -100,16 +100,10 @@ pub struct OptimizationStage {
     /// The last `rolling_ticks` ticks of deltas, oldest first.
     recent: VecDeque<Vec<ProfileDelta>>,
     samples_merged: u64,
-    telemetry: Option<TelemetryEmitter>,
 }
 
 impl OptimizationStage {
-    pub fn new(
-        optimizer: Optimizer,
-        bands: LatencyBands,
-        phases: PhaseDetector,
-        telemetry: Option<TelemetryEmitter>,
-    ) -> Self {
+    pub fn new(optimizer: Optimizer, bands: LatencyBands, phases: PhaseDetector) -> Self {
         OptimizationStage {
             optimizer,
             bands,
@@ -117,7 +111,6 @@ impl OptimizationStage {
             cumulative: SystemProfile::new(bands),
             recent: VecDeque::new(),
             samples_merged: 0,
-            telemetry,
         }
     }
 
@@ -130,15 +123,31 @@ impl OptimizationStage {
         self.samples_merged
     }
 
-    /// Phase changes observed so far.
-    pub fn phase_changes(&self) -> u64 {
-        self.phases.phases() - 1
+    /// Hand the optimizer's buffered decision events on, in the order it
+    /// made them. Every method that can make the optimizer emit ends here.
+    fn publish(&mut self, telemetry: &mut Telemetry) {
+        for event in self.optimizer.drain_events() {
+            telemetry.emit(event);
+        }
+    }
+
+    /// Seed the optimizer with prior-run knowledge (before the first tick);
+    /// seeds the verifier rejects are reported through `telemetry`.
+    pub fn warm_start(&mut self, seed: WarmSeed, telemetry: &mut Telemetry) {
+        self.optimizer.warm_start(seed);
+        self.publish(telemetry);
     }
 
     /// One quantum, closed at machine cycle `cycle`: fold the monitors'
     /// `deltas`, run phase detection on their merged window, rebuild the
     /// rolling profile, and return the plans to deploy or revert.
-    pub fn tick(&mut self, tick: u64, cycle: u64, deltas: Vec<ProfileDelta>) -> Vec<PlanAction> {
+    pub fn tick(
+        &mut self,
+        tick: u64,
+        cycle: u64,
+        deltas: Vec<ProfileDelta>,
+        telemetry: &mut Telemetry,
+    ) -> Vec<PlanAction> {
         let mut tick_window = CounterWindow::default();
         for d in &deltas {
             self.samples_merged += d.samples;
@@ -150,13 +159,11 @@ impl OptimizationStage {
             self.recent.pop_front();
         }
         if self.phases.observe(&tick_window) {
-            if let Some(t) = &self.telemetry {
-                t.emit(TelemetryEvent::PhaseChange {
-                    tick,
-                    cycle,
-                    phases: self.phases.phases(),
-                });
-            }
+            telemetry.emit(TelemetryEvent::PhaseChange {
+                tick,
+                cycle,
+                phases: self.phases.phases(),
+            });
             // Old-phase history is no longer representative. Deployed and
             // blacklisted loops stay as they are; loops that only now
             // became hot get considered against fresh data.
@@ -169,14 +176,17 @@ impl OptimizationStage {
         }
         self.optimizer.begin_tick(tick, cycle);
         self.optimizer.observe_tick_window(&tick_window);
-        self.optimizer.consider(&profile)
+        let actions = self.optimizer.consider(&profile);
+        self.publish(telemetry);
+        actions
     }
 
     /// A guest-side patch write for this loop failed (apply rollback or a
     /// stopped revert): blacklist it and abandon any deployment or
     /// tournament touching it.
-    pub fn poison(&mut self, loop_head: CodeAddr) {
+    pub fn poison(&mut self, loop_head: CodeAddr, telemetry: &mut Telemetry) {
         self.optimizer.poison(loop_head);
+        self.publish(telemetry);
     }
 
     pub fn finish(self) -> OptFinal {
@@ -218,13 +228,14 @@ mod tests {
     #[test]
     fn monitor_reduces_the_batch_it_is_handed() {
         let mut monitor = Monitor::new(2, 1000, 64);
-        let delta = monitor.tick(0, vec![sample(2, 1), sample(2, 2)], None);
+        let mut telemetry = Telemetry::new(None, 0);
+        let delta = monitor.tick(0, vec![sample(2, 1), sample(2, 2)], &mut telemetry);
         assert_eq!(delta.cpu, 2);
         assert_eq!(delta.samples, 2);
         assert_eq!(delta.branch_pairs.len(), 2);
         assert_eq!(monitor.usb.total_stored(), 2);
         // The USB was drained: an empty quantum reduces to an empty delta.
-        assert_eq!(monitor.tick(1, vec![], None).samples, 0);
+        assert_eq!(monitor.tick(1, vec![], &mut telemetry).samples, 0);
     }
 
     #[test]
@@ -238,18 +249,18 @@ mod tests {
             Optimizer::new(OptimizerConfig::default(), image),
             LatencyBands { coherent_min: 165 },
             PhaseDetector::new(PhaseConfig::default()),
-            None,
         );
+        let mut telemetry = Telemetry::new(None, 0);
         let delta = |cpu, samples| ProfileDelta {
             cpu,
             samples,
             ..Default::default()
         };
-        let actions = stage.tick(0, 20_000, vec![delta(0, 1), delta(1, 2)]);
+        let actions = stage.tick(0, 20_000, vec![delta(0, 1), delta(1, 2)], &mut telemetry);
         assert!(actions.is_empty(), "quiet profile produces no plans");
         assert_eq!(stage.samples_merged(), 3);
         // A tick with one monitor folds only what that tick handed in.
-        stage.tick(1, 40_000, vec![delta(0, 4)]);
+        stage.tick(1, 40_000, vec![delta(0, 4)], &mut telemetry);
         assert_eq!(stage.samples_merged(), 7);
         assert_eq!(stage.recent.len(), 2);
         assert_eq!(stage.finish().cumulative.samples, 7);

@@ -24,7 +24,7 @@ use cobra_isa::{encode, CodeAddr, CodeImage, NOP_SLOT_M};
 use serde::{Deserialize, Serialize};
 
 use crate::profile::{CounterWindow, SystemProfile};
-use crate::telemetry::{TelemetryEmitter, TelemetryEvent};
+use crate::telemetry::TelemetryEvent;
 use crate::trace::{
     loop_lfetch_sites, loops_with_delinquent_loads, select_loops, HotLoop, TraceConfig,
 };
@@ -493,22 +493,15 @@ struct Tournament {
     poisoned: bool,
 }
 
-/// Running totals of what the optimizer did; `CobraReport` carries the same
-/// six under the same names.
+/// Running totals of the two outcomes no event carries; `CobraReport` has
+/// them under the same names. Everything else the optimizer does is counted
+/// from its events (`CobraReport::observe`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OptimizerCounters {
     /// Seeded deployments whose live classification agreed.
     pub warm_hits: u64,
     /// Seeded decisions dropped because the live profile disagreed.
     pub warm_mismatches: u64,
-    /// Candidate loops skipped because a word in them failed to decode.
-    pub undecodable_loops: u64,
-    /// Plans (or warm seeds) rejected by the `cobra-verify` safety checker.
-    pub verify_rejects: u64,
-    /// Tournament candidate trials completed (each one deploy + revert).
-    pub candidates_trialed: u64,
-    /// Tournaments that ended by promoting a winner.
-    pub tournaments_promoted: u64,
 }
 
 /// The optimization stage's decision state: decisions, plan construction,
@@ -535,7 +528,9 @@ pub struct Optimizer {
     /// Whether [`Optimizer::warm_start`] ran (enables the shortened
     /// learning window even after every seed is consumed).
     warm: bool,
-    telemetry: Option<TelemetryEmitter>,
+    /// Decision events made since the last [`Optimizer::drain_events`], in
+    /// order.
+    events: Vec<TelemetryEvent>,
     /// Quantum tick / machine cycle of the tick being considered (set by
     /// [`Optimizer::begin_tick`]), used to stamp telemetry events.
     cur_tick: u64,
@@ -564,7 +559,7 @@ impl Optimizer {
             tournaments: Vec::new(),
             counters: OptimizerCounters::default(),
             warm: false,
-            telemetry: None,
+            events: Vec::new(),
             cur_tick: 0,
             cur_cycle: 0,
             tick_window: None,
@@ -573,12 +568,6 @@ impl Optimizer {
 
     pub fn config(&self) -> &OptimizerConfig {
         &self.cfg
-    }
-
-    /// Publish decision events (classifications, CPI trials, blacklists)
-    /// through `emitter`.
-    pub fn set_telemetry(&mut self, emitter: TelemetryEmitter) {
-        self.telemetry = Some(emitter);
     }
 
     /// Stamp subsequent decisions with the tick/cycle they belong to.
@@ -662,15 +651,19 @@ impl Optimizer {
         (decisions, blacklist)
     }
 
-    fn emit(&self, event: TelemetryEvent) {
-        if let Some(t) = &self.telemetry {
-            t.emit(event);
-        }
+    fn emit(&mut self, event: TelemetryEvent) {
+        self.events.push(event);
     }
 
-    /// Count and publish one `cobra-verify` rejection (plan or warm seed).
+    /// The decision events (classifications, trials, rejections,
+    /// blacklists) made since the last call, for the caller to publish: the
+    /// optimizer keeps no telemetry handle of its own.
+    pub fn drain_events(&mut self) -> impl Iterator<Item = TelemetryEvent> + '_ {
+        self.events.drain(..)
+    }
+
+    /// Publish one `cobra-verify` rejection (plan or warm seed).
     fn reject(&mut self, loop_head: CodeAddr, reason: String) {
-        self.counters.verify_rejects += 1;
         self.emit(TelemetryEvent::VerifyReject {
             tick: self.cur_tick,
             cycle: self.cur_cycle,
@@ -1079,7 +1072,6 @@ impl Optimizer {
         let Some(plan) = self.build_plan(lp, sites, actions, candidate, profile) else {
             // A word in the loop no longer decodes (e.g. foreign bytes in
             // the text): never retry the loop, don't abort the optimizer.
-            self.counters.undecodable_loops += 1;
             self.blacklisted_heads.insert(lp.head);
             self.emit(TelemetryEvent::UndecodableLoop {
                 tick: self.cur_tick,
@@ -1164,7 +1156,6 @@ impl Optimizer {
                 let cpi = live.cycles as f64 / live.insns as f64;
                 let name = t.specs[live.spec_idx].name;
                 t.results.push((name.to_string(), cpi));
-                self.counters.candidates_trialed += 1;
                 self.emit(TelemetryEvent::CandidateTrial {
                     tick: self.cur_tick,
                     cycle: self.cur_cycle,
@@ -1277,7 +1268,6 @@ impl Optimizer {
                 false
             }
         };
-        self.counters.tournaments_promoted += u64::from(promoted);
         self.emit(TelemetryEvent::TournamentOutcome {
             tick: self.cur_tick,
             cycle: self.cur_cycle,
@@ -1374,7 +1364,6 @@ impl Optimizer {
         // (plan_id, loop_head, saved words to restore, reason)
         type Revert = (u64, CodeAddr, Vec<(CodeAddr, u64)>, String);
         let mut reverts: Vec<Revert> = Vec::new();
-        let mut trials: Vec<TelemetryEvent> = Vec::new();
         for d in self.deployments.iter_mut().filter(|d| !d.reverted) {
             d.post_ticks += 1;
             // The deployment-time window may have had too few intra-thread
@@ -1394,7 +1383,9 @@ impl Optimizer {
                 d.last_post_cpi = Some(post_cpi);
                 let regressed =
                     d.baseline_cpi > 0.0 && post_cpi > d.baseline_cpi * cfg.regression_factor;
-                trials.push(TelemetryEvent::CpiTrial {
+                // (`self.emit` would need all of `self`; the loop holds
+                // `self.deployments`.)
+                self.events.push(TelemetryEvent::CpiTrial {
                     tick: self.cur_tick,
                     cycle: self.cur_cycle,
                     plan_id: d.plan_id,
@@ -1416,9 +1407,6 @@ impl Optimizer {
                     ));
                 }
             }
-        }
-        for trial in trials {
-            self.emit(trial);
         }
         for (plan_id, loop_head, writes, reason) in reverts {
             // Restore our own copy, and never touch this loop again.
@@ -1452,7 +1440,15 @@ impl Optimizer {
 mod tests {
     use super::*;
     use crate::profile::{CounterWindow, LatencyBands, ProfileDelta, SystemProfile};
+    use crate::report::CobraReport;
     use cobra_isa::{Assembler, LfetchHint};
+
+    /// What a run's report counts from the events `opt` has made so far.
+    fn observed(opt: &Optimizer) -> CobraReport {
+        let mut report = CobraReport::default();
+        opt.events.iter().for_each(|e| report.observe(e));
+        report
+    }
 
     /// A loop image shaped like minicc output: burst, head, body with
     /// lfetch, back edge.
@@ -1717,10 +1713,10 @@ mod tests {
             !actions.iter().any(|a| matches!(a, PlanAction::Apply(_))),
             "no plan may be built from an undecodable body: {actions:?}"
         );
-        assert_eq!(opt.counters().undecodable_loops, 1);
+        assert_eq!(observed(&opt).undecodable_loops, 1);
         // Blacklisted: re-considering does not retry (and does not recount).
         assert!(opt.consider(&profile).is_empty());
-        assert_eq!(opt.counters().undecodable_loops, 1);
+        assert_eq!(observed(&opt).undecodable_loops, 1);
         assert_eq!(opt.active_deployments(), 0);
     }
 
@@ -1883,11 +1879,11 @@ mod tests {
             actions.is_empty(),
             "unsafe plan must not deploy: {actions:?}"
         );
-        assert_eq!(opt.counters().verify_rejects, 1);
+        assert_eq!(observed(&opt).verify_rejects, 1);
         assert_eq!(opt.active_deployments(), 0);
         // Blacklisted: never retried.
         assert!(opt.consider(&profile).is_empty());
-        assert_eq!(opt.counters().verify_rejects, 1);
+        assert_eq!(observed(&opt).verify_rejects, 1);
         // The same loop with `.excl` (no removal) is safe and deploys.
         let mut a = Assembler::new();
         let top = a.new_label();
@@ -1909,7 +1905,7 @@ mod tests {
         );
         let actions = opt.consider(&hot_profile(load_pc, head, back, 1.0));
         assert_eq!(actions.len(), 1);
-        assert_eq!(opt.counters().verify_rejects, 0);
+        assert_eq!(observed(&opt).verify_rejects, 0);
     }
 
     /// Warm seeds are re-verified against the live image at attach: a head
@@ -1931,13 +1927,13 @@ mod tests {
             blacklist: vec![],
             winners: vec![],
         });
-        assert_eq!(opt.counters().verify_rejects, 1);
+        assert_eq!(observed(&opt).verify_rejects, 1);
         // The valid seed still deploys through the normal path.
         let profile = hot_profile(load_pc, head, back, 1.0);
         let actions = opt.consider(&profile);
         assert_eq!(actions.len(), 1);
         assert_eq!(opt.counters().warm_hits, 1);
-        assert_eq!(opt.counters().verify_rejects, 1);
+        assert_eq!(observed(&opt).verify_rejects, 1);
     }
 
     /// `verify_plan` is the same check the deploy gate runs; a tampered
@@ -2049,10 +2045,10 @@ mod tests {
             "at least 3 distinct candidates trialed: {trial_applies:?}"
         );
         assert_eq!(
-            opt.counters().candidates_trialed,
+            observed(&opt).candidates_trialed,
             trial_applies.len() as u64
         );
-        assert_eq!(opt.counters().tournaments_promoted, 1);
+        assert_eq!(observed(&opt).tournaments_promoted, 1);
         assert_eq!(opt.active_deployments(), 1);
         let (decisions, _) = opt.export_state();
         assert_eq!(decisions.len(), 1);
@@ -2093,8 +2089,8 @@ mod tests {
                 }
             }
         }
-        assert!(opt.counters().candidates_trialed >= 3);
-        assert_eq!(opt.counters().tournaments_promoted, 0);
+        assert!(observed(&opt).candidates_trialed >= 3);
+        assert_eq!(observed(&opt).tournaments_promoted, 0);
         assert_eq!(opt.active_deployments(), 0, "nothing stays deployed");
         // Blacklisted: no new tournament, no deployment, ever.
         assert!(opt
@@ -2135,7 +2131,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(opt.counters().candidates_trialed, 0);
+        assert_eq!(observed(&opt).candidates_trialed, 0);
         assert!(opt.tournaments.is_empty());
     }
 
@@ -2166,7 +2162,7 @@ mod tests {
             );
         }
         assert!(opt.tournaments.is_empty(), "tournament dropped");
-        assert_eq!(opt.counters().tournaments_promoted, 0);
+        assert_eq!(observed(&opt).tournaments_promoted, 0);
         assert_eq!(opt.active_deployments(), 0);
     }
 
@@ -2198,7 +2194,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(opt.counters().candidates_trialed, 0, "no re-trialing");
+        assert_eq!(observed(&opt).candidates_trialed, 0, "no re-trialing");
         assert!(opt.tournaments.is_empty());
         assert_eq!(opt.counters().warm_hits, 1);
         assert_eq!(opt.active_deployments(), 1);

@@ -237,7 +237,9 @@ mod tests {
         };
         let mut opt = crate::optimizer::Optimizer::new(Default::default(), image);
         opt.warm_start(seed);
-        assert_eq!(opt.counters().verify_rejects, 1);
+        let events: Vec<_> = opt.drain_events().collect();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].category(), "verify_reject");
     }
 
     #[test]

@@ -5,6 +5,7 @@ use cobra_isa::CodeAddr;
 use serde::{Deserialize, Serialize};
 
 use crate::optimizer::OptKind;
+use crate::telemetry::TelemetryEvent;
 
 /// One applied deployment.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -54,9 +55,10 @@ pub struct CobraReport {
     pub reverted: Vec<RevertedPlan>,
     /// Cycles charged to the machine for helper-thread overhead.
     pub overhead_cycles: u64,
-    /// Telemetry records drained into the sink (0 when telemetry is off).
+    /// Telemetry records the sink accepted (0 when telemetry is off).
     pub telemetry_records: u64,
-    /// Telemetry records dropped because the ring was full.
+    /// Telemetry records the sink did not take: over a tick's capacity, or
+    /// refused by a failing writer.
     pub telemetry_dropped: u64,
     /// Guest memory faults taken by working threads over the run.
     #[serde(default)]
@@ -159,6 +161,72 @@ pub struct CobraReport {
 }
 
 impl CobraReport {
+    /// Fold one pipeline event into the counters it implies. This is the
+    /// only writer of every field named here: the run's report
+    /// (`Telemetry::emit`) and a trace's summary
+    /// (`TraceSummary::from_records`) both go through it, so they agree by
+    /// construction.
+    pub fn observe(&mut self, event: &TelemetryEvent) {
+        use TelemetryEvent as E;
+        match event {
+            E::PhaseChange { .. } => self.phase_changes += 1,
+            E::UndecodableLoop { .. } => self.undecodable_loops += 1,
+            E::VerifyReject { .. } => self.verify_rejects += 1,
+            E::CandidateTrial { .. } => self.candidates_trialed += 1,
+            E::TournamentOutcome { promoted, .. } => {
+                self.tournaments_promoted += u64::from(*promoted)
+            }
+            E::RevertFailed { .. } => self.revert_failures += 1,
+            E::DeployFailed { .. } => self.deploy_failures += 1,
+            E::OsrRejected { .. } => self.osr_rejects += 1,
+            E::OsrMigrate {
+                migrations,
+                ticks_since_deploy: ticks,
+                ..
+            }
+            | E::OsrRevert {
+                migrations,
+                ticks_since_revert: ticks,
+                ..
+            } => {
+                self.ticks_to_all_optimized += ticks;
+                if matches!(event, E::OsrMigrate { .. }) {
+                    self.osr_migrations += migrations;
+                } else {
+                    self.osr_reverse_migrations += migrations;
+                }
+            }
+            E::WarmStart {
+                seeded_decisions,
+                seeded_blacklist,
+                ..
+            }
+            | E::FleetSeed {
+                seeded_decisions,
+                seeded_blacklist,
+                ..
+            } => {
+                self.warm_started = true;
+                self.warm_seeded_decisions = *seeded_decisions;
+                self.warm_seeded_blacklist = *seeded_blacklist;
+                self.fleet_seeds += u64::from(matches!(event, E::FleetSeed { .. }));
+            }
+            E::FleetUpload { .. } => self.fleet_uploads += 1,
+            E::FleetError { .. } => self.fleet_errors += 1,
+            E::StoreError { .. } => self.store_errors += 1,
+            E::StoreSave { records, .. } => self.store_saved_records = *records as u64,
+            E::Quantum { .. }
+            | E::KernelDrain { .. }
+            | E::UsbLevel { .. }
+            | E::LoopClassified { .. }
+            | E::Deploy { .. }
+            | E::CpiTrial { .. }
+            | E::Revert { .. }
+            | E::Blacklist { .. }
+            | E::Detach { .. } => {}
+        }
+    }
+
     /// Deployments still in effect at the end of the run.
     pub fn active_deployments(&self) -> usize {
         self.applied

@@ -6,10 +6,13 @@
 //! classifications, phase-change triggers, trace-cache deployments, CPI
 //! trial windows, and revert/blacklist decisions.
 //!
-//! Events flow through a **bounded, drop-counting ring** — helper threads
-//! publish with a non-blocking `try_send` and never stall the optimization
-//! pipeline; when the ring is full the record is counted and discarded —
-//! into a per-run [`TelemetrySink`]:
+//! Every event takes one path, on the simulator's thread: [`Telemetry::emit`]
+//! gives it its sequence number, folds it into the run's [`CobraReport`]
+//! ([`CobraReport::observe`] — the report's event-derived counters are
+//! written nowhere else), and, when a sink is attached, hands it to the
+//! per-run [`TelemetrySink`] unless the tick's record budget is spent; a
+//! record over the budget, or one the sink could not take, is counted as
+//! dropped and the run goes on:
 //!
 //! * [`TelemetrySink::memory`] — an in-process [`TelemetryLog`] with a
 //!   query API, for tests and programmatic consumers;
@@ -17,30 +20,26 @@
 //!   record per line, consumed by `cobra-repro ... --trace-out FILE` and
 //!   summarized by `cobra-repro trace FILE`.
 //!
-//! Records carry a global sequence number assigned at emission. Events
-//! emitted by one thread are totally ordered among themselves; interleaving
-//! *across* helper threads within a tick is scheduling-dependent, but the
-//! synchronous tick handshake guarantees every event of tick *t* is in the
-//! ring before the framework drains it at the end of tick *t*, so drained
-//! record *counts* (and the overhead cycles charged for them) stay
-//! deterministic.
+//! Records carry the sequence number assigned at emission, so a trace is
+//! totally ordered and a gap in `seq` marks a dropped record. The framework
+//! charges overhead cycles per record the sink accepted ([`Telemetry::drain`]),
+//! which is a fixed function of the run.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{BufRead, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 
 use cobra_isa::CodeAddr;
 use cobra_machine::{CpuStats, Machine};
 use serde::{Deserialize, Serialize};
 
 use crate::optimizer::OptKind;
+use crate::report::CobraReport;
 
-/// Default ring capacity (records buffered between drains).
-pub const DEFAULT_RING_CAPACITY: usize = 4096;
+/// Records a sink accepts between two drains (one quantum tick); the rest
+/// are dropped and counted.
+pub const TICK_CAPACITY: u64 = 4096;
 
 /// One CPU's HPM counter totals at a quantum boundary.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -363,55 +362,7 @@ pub struct TelemetryRecord {
     pub event: TelemetryEvent,
 }
 
-struct EmitterShared {
-    tx: Sender<TelemetryRecord>,
-    seq: AtomicU64,
-    dropped: AtomicU64,
-}
-
-/// Cloneable, thread-safe event publisher. Emission is non-blocking: a
-/// full ring drops the record and counts it, so telemetry can never stall
-/// the monitoring or optimization threads.
-#[derive(Clone)]
-pub struct TelemetryEmitter {
-    shared: Arc<EmitterShared>,
-}
-
-impl fmt::Debug for TelemetryEmitter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TelemetryEmitter")
-            .field("emitted", &self.emitted())
-            .field("dropped", &self.dropped())
-            .finish()
-    }
-}
-
-impl TelemetryEmitter {
-    /// Publish one event. Returns `false` when the ring was full and the
-    /// record was dropped.
-    pub fn emit(&self, event: TelemetryEvent) -> bool {
-        let seq = self.shared.seq.fetch_add(1, Ordering::Relaxed);
-        match self.shared.tx.try_send(TelemetryRecord { seq, event }) {
-            Ok(()) => true,
-            Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
-                self.shared.dropped.fetch_add(1, Ordering::Relaxed);
-                false
-            }
-        }
-    }
-
-    /// Records dropped so far because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.shared.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Events emitted so far (including dropped ones).
-    pub fn emitted(&self) -> u64 {
-        self.shared.seq.load(Ordering::Relaxed)
-    }
-}
-
-/// Where drained records go.
+/// Where accepted records go.
 ///
 /// Sinks are cheap to clone (shared interior) so one sink can serve many
 /// parallel runs — e.g. every arm of an `npbsuite` sweep appending to one
@@ -451,94 +402,117 @@ impl TelemetrySink {
         Ok(TelemetrySink::jsonl(Box::new(std::io::BufWriter::new(f))))
     }
 
-    fn write(&self, record: TelemetryRecord) {
+    /// Hand one record to the sink; `false` when a JSONL writer refused it
+    /// (disk full, closed pipe — a buffered writer reports that on the
+    /// record whose write spills its buffer).
+    fn write(&self, record: TelemetryRecord) -> bool {
         match self {
             TelemetrySink::Memory(log) => {
                 // A panicked holder leaves the log intact (records is just
-                // a Vec); keep draining rather than poisoning telemetry.
+                // a Vec); keep recording rather than poisoning telemetry.
                 log.lock()
                     .unwrap_or_else(|p| p.into_inner())
                     .records
-                    .push(record)
+                    .push(record);
+                true
             }
             TelemetrySink::Jsonl(w) => {
-                let mut w = w.lock().unwrap_or_else(|p| p.into_inner());
                 // Invariant: every TelemetryEvent field is serde-derived
                 // plain data; serialization cannot fail.
-                let line = serde_json::to_string(&record).expect("telemetry record serializes");
-                let _ = writeln!(w, "{line}");
+                let mut line = serde_json::to_string(&record).expect("telemetry record serializes");
+                line.push('\n');
+                let mut w = w.lock().unwrap_or_else(|p| p.into_inner());
+                w.write_all(line.as_bytes()).is_ok()
             }
         }
     }
 
-    /// Flush buffered output (JSONL sinks; no-op for memory).
-    pub fn flush(&self) {
-        if let TelemetrySink::Jsonl(w) = self {
-            let _ = w.lock().unwrap_or_else(|p| p.into_inner()).flush();
+    /// Flush buffered output (JSONL sinks; no-op for memory); `false` when
+    /// the writer could not take what it had buffered.
+    pub fn flush(&self) -> bool {
+        match self {
+            TelemetrySink::Memory(_) => true,
+            TelemetrySink::Jsonl(w) => w.lock().unwrap_or_else(|p| p.into_inner()).flush().is_ok(),
         }
     }
 }
 
-/// The receiving half of the ring: owned by the framework, drained at
-/// quantum safe points into the sink.
-pub struct TelemetryHub {
-    rx: Receiver<TelemetryRecord>,
-    emitter: TelemetryEmitter,
-    sink: TelemetrySink,
-    drained: u64,
+/// The one event path of an attached run: a plain struct owned by the
+/// framework and reached by `&mut` from every stage. It holds the run's
+/// [`CobraReport`], so an event and the counters it implies cannot disagree.
+#[derive(Debug)]
+pub struct Telemetry {
+    report: CobraReport,
+    sink: Option<TelemetrySink>,
+    capacity: u64,
+    seq: u64,
+    /// Records the sink accepted since the last [`Telemetry::drain`].
+    pending: u64,
 }
 
-impl TelemetryHub {
-    /// Build a hub with a bounded ring of `capacity` records.
-    pub fn new(sink: TelemetrySink, capacity: usize) -> TelemetryHub {
-        let (tx, rx) = bounded(capacity.max(1));
-        let emitter = TelemetryEmitter {
-            shared: Arc::new(EmitterShared {
-                tx,
-                seq: AtomicU64::new(0),
-                dropped: AtomicU64::new(0),
-            }),
-        };
-        TelemetryHub {
-            rx,
-            emitter,
+impl Telemetry {
+    /// `sink: None` records nothing but still folds every event into the
+    /// report; `capacity` bounds the records accepted between two drains.
+    pub fn new(sink: Option<TelemetrySink>, capacity: u64) -> Telemetry {
+        Telemetry {
+            report: CobraReport::default(),
             sink,
-            drained: 0,
+            capacity,
+            seq: 0,
+            pending: 0,
         }
     }
 
-    /// A publisher handle for a helper thread.
-    pub fn emitter(&self) -> TelemetryEmitter {
-        self.emitter.clone()
+    /// Whether a sink is attached. Events that feed no report counter
+    /// (`Quantum`, `KernelDrain`, `UsbLevel`) are only worth building then.
+    pub fn is_recording(&self) -> bool {
+        self.sink.is_some()
     }
 
-    /// Move every buffered record into the sink; returns how many records
-    /// were processed (the unit the framework charges overhead cycles for).
+    /// Stamp, count and record one event. Returns `true` when a sink took
+    /// the record; a record over the tick's capacity or refused by the sink
+    /// is counted in `telemetry_dropped` instead of `telemetry_records`.
+    pub fn emit(&mut self, event: TelemetryEvent) -> bool {
+        let seq = self.seq;
+        self.seq += 1;
+        self.report.observe(&event);
+        let Some(sink) = &self.sink else {
+            return false;
+        };
+        let accepted = self.pending < self.capacity && sink.write(TelemetryRecord { seq, event });
+        if accepted {
+            self.pending += 1;
+            self.report.telemetry_records += 1;
+        } else {
+            self.report.telemetry_dropped += 1;
+        }
+        accepted
+    }
+
+    /// Close one tick's capacity window; returns the records accepted since
+    /// the last drain (the unit the framework charges overhead cycles for).
     pub fn drain(&mut self) -> u64 {
-        let mut n = 0u64;
-        while let Ok(rec) = self.rx.try_recv() {
-            self.sink.write(rec);
-            n += 1;
+        std::mem::take(&mut self.pending)
+    }
+
+    pub fn report(&self) -> &CobraReport {
+        &self.report
+    }
+
+    /// The report's fields that no event carries are the framework's to
+    /// write.
+    pub(crate) fn report_mut(&mut self) -> &mut CobraReport {
+        &mut self.report
+    }
+
+    /// Flush the sink at detach and hand over the finished report.
+    pub fn finish(mut self) -> CobraReport {
+        if self.sink.as_ref().is_some_and(|sink| !sink.flush()) {
+            // Records accepted into the writer's buffer went down with it;
+            // how many is not known, that some did must not stay silent.
+            self.report.telemetry_dropped += 1;
         }
-        self.drained += n;
-        n
-    }
-
-    /// Records drained into the sink over the hub's lifetime.
-    pub fn drained(&self) -> u64 {
-        self.drained
-    }
-
-    /// Records dropped at emission because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.emitter.dropped()
-    }
-
-    /// Final drain + sink flush at detach.
-    pub fn finish(mut self) -> (u64, u64) {
-        self.drain();
-        self.sink.flush();
-        (self.drained, self.emitter.dropped())
+        self.report
     }
 }
 
@@ -604,7 +578,7 @@ pub struct TraceSummary {
     /// One line per revert: `(tick, plan_id, reason)`.
     pub reverts: Vec<(u64, u64, String)>,
     pub phase_changes: u64,
-    /// Ring drops reported by the final `detach` record, if present.
+    /// Dropped records reported by the final `detach` record, if present.
     pub records_dropped: u64,
     /// Block-dispatch fallback breakdown from the final `detach` record:
     /// `(reason, cycles)`, omitting zero reasons. Empty for traces recorded
@@ -631,13 +605,15 @@ impl TraceSummary {
         let mut per_category: BTreeMap<&'static str, u64> = BTreeMap::new();
         let mut deployments = Vec::new();
         let mut reverts = Vec::new();
-        let mut phase_changes = 0u64;
         let mut records_dropped = 0u64;
         let mut block_fallbacks = Vec::new();
         let mut block_horizons = (0u64, 0u64);
-        let mut osr = (0u64, 0u64, 0u64);
+        // The phase, fleet and OSR totals are the report's: one fold gives
+        // a trace and the run that wrote it the same numbers.
+        let mut report = CobraReport::default();
         for r in records {
             *per_category.entry(r.event.category()).or_insert(0) += 1;
+            report.observe(&r.event);
             match &r.event {
                 TelemetryEvent::Deploy {
                     tick,
@@ -656,10 +632,6 @@ impl TraceSummary {
                 } => {
                     reverts.push((*tick, *plan_id, reason.clone()));
                 }
-                TelemetryEvent::PhaseChange { .. } => phase_changes += 1,
-                TelemetryEvent::OsrMigrate { migrations, .. } => osr.0 += migrations,
-                TelemetryEvent::OsrRevert { migrations, .. } => osr.1 += migrations,
-                TelemetryEvent::OsrRejected { .. } => osr.2 += 1,
                 TelemetryEvent::Detach {
                     records_dropped: d,
                     block_fallback_mem_boundary,
@@ -682,11 +654,6 @@ impl TraceSummary {
                 _ => {}
             }
         }
-        let fleet = (
-            per_category.get("fleet_upload").copied().unwrap_or(0),
-            per_category.get("fleet_seed").copied().unwrap_or(0),
-            per_category.get("fleet_error").copied().unwrap_or(0),
-        );
         TraceSummary {
             total_records: records.len() as u64,
             per_category: per_category
@@ -695,12 +662,20 @@ impl TraceSummary {
                 .collect(),
             deployments,
             reverts,
-            phase_changes,
+            phase_changes: report.phase_changes,
             records_dropped,
             block_fallbacks,
             block_horizons,
-            fleet,
-            osr,
+            fleet: (
+                report.fleet_uploads,
+                report.fleet_seeds,
+                report.fleet_errors,
+            ),
+            osr: (
+                report.osr_migrations,
+                report.osr_reverse_migrations,
+                report.osr_rejects,
+            ),
         }
     }
 }
@@ -784,18 +759,17 @@ mod tests {
     #[test]
     fn ring_overflow_drops_and_counts() {
         let (sink, log) = TelemetrySink::memory();
-        let mut hub = TelemetryHub::new(sink, 4);
-        let em = hub.emitter();
+        let mut t = Telemetry::new(Some(sink), 4);
         let mut accepted = 0;
-        for t in 0..10 {
-            if em.emit(quantum(t)) {
+        for tick in 0..10 {
+            if t.emit(quantum(tick)) {
                 accepted += 1;
             }
         }
         assert_eq!(accepted, 4, "ring capacity bounds acceptance");
-        assert_eq!(em.dropped(), 6);
-        assert_eq!(hub.drain(), 4);
-        assert_eq!(hub.dropped(), 6);
+        assert_eq!(t.report().telemetry_dropped, 6);
+        assert_eq!(t.drain(), 4);
+        assert_eq!(t.report().telemetry_dropped, 6);
         let log = log.lock().unwrap();
         assert_eq!(log.len(), 4);
         // The four accepted records kept their emission order.
@@ -810,58 +784,114 @@ mod tests {
         assert_eq!(ticks, vec![0, 1, 2, 3]);
     }
 
+    fn verify_reject(tick: u64) -> TelemetryEvent {
+        TelemetryEvent::VerifyReject {
+            tick,
+            cycle: tick * 1000,
+            loop_head: 40,
+            reason: "injected".into(),
+        }
+    }
+
+    /// The report is folded before, and independently of, the capacity
+    /// check: every event counts, whatever became of its record.
     #[test]
-    fn per_thread_emission_order_is_preserved() {
+    fn events_over_capacity_still_reach_the_report() {
         let (sink, log) = TelemetrySink::memory();
-        let mut hub = TelemetryHub::new(sink, 1024);
-        let mut joins = Vec::new();
-        for cpu in 0..4u32 {
-            let em = hub.emitter();
-            joins.push(std::thread::spawn(move || {
-                for tick in 0..50 {
-                    em.emit(TelemetryEvent::UsbLevel {
-                        tick,
-                        cpu,
-                        occupancy: tick as usize,
-                        capacity: 64,
-                        dropped_total: 0,
-                    });
-                }
-            }));
+        let mut t = Telemetry::new(Some(sink), 4);
+        for tick in 0..10 {
+            t.emit(verify_reject(tick));
         }
-        for j in joins {
-            j.join().unwrap();
+        assert_eq!(t.report().verify_rejects, 10);
+        assert_eq!(t.report().telemetry_records, 4);
+        assert_eq!(t.report().telemetry_dropped, 6);
+        assert_eq!(t.drain(), 4);
+        // A drain opens the next tick's window; `seq` counts emissions,
+        // so the gap left by the six drops stays visible in the trace.
+        assert!(t.emit(verify_reject(10)));
+        assert_eq!(t.drain(), 1);
+        let seqs: Vec<u64> = log
+            .lock()
+            .unwrap()
+            .records()
+            .iter()
+            .map(|r| r.seq)
+            .collect();
+        assert_eq!(seqs, vec![0, 1, 2, 3, 10]);
+
+        // Without a sink nothing is recorded or dropped, and all is counted.
+        let mut t = Telemetry::new(None, 4);
+        for tick in 0..10 {
+            assert!(!t.emit(verify_reject(tick)));
         }
-        hub.drain();
-        let log = log.lock().unwrap();
-        assert_eq!(log.len(), 200);
-        // Global seqs are unique; within each emitting thread both seq and
-        // payload order are strictly increasing.
-        let mut seqs: Vec<u64> = log.records().iter().map(|r| r.seq).collect();
-        seqs.sort_unstable();
-        seqs.dedup();
-        assert_eq!(seqs.len(), 200);
-        for cpu in 0..4u32 {
-            let per: Vec<(u64, u64)> = log
-                .records()
-                .iter()
-                .filter_map(|r| match r.event {
-                    TelemetryEvent::UsbLevel { tick, cpu: c, .. } if c == cpu => {
-                        Some((r.seq, tick))
-                    }
-                    _ => None,
-                })
-                .collect();
-            assert_eq!(per.len(), 50);
-            assert!(
-                per.windows(2).all(|w| w[0].0 < w[1].0),
-                "seq order per thread"
-            );
-            assert!(
-                per.windows(2).all(|w| w[0].1 < w[1].1),
-                "payload order per thread"
-            );
+        let report = t.finish();
+        assert_eq!(report.verify_rejects, 10);
+        assert_eq!((report.telemetry_records, report.telemetry_dropped), (0, 0));
+    }
+
+    /// A writer that takes `room` bytes and then fails, as a full disk does.
+    struct FailingWriter {
+        room: usize,
+        taken: Arc<Mutex<Vec<u8>>>,
+        flush_fails: bool,
+    }
+
+    impl Write for FailingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if buf.len() > self.room {
+                return Err(std::io::Error::other("no space left on device"));
+            }
+            self.room -= buf.len();
+            self.taken.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
         }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            if self.flush_fails {
+                return Err(std::io::Error::other("no space left on device"));
+            }
+            Ok(())
+        }
+    }
+
+    /// A record the JSONL writer refused is a dropped record, not a
+    /// recorded one, and the run goes on.
+    #[test]
+    fn a_failing_writer_counts_drops_not_records() {
+        let line_len = serde_json::to_string(&TelemetryRecord {
+            seq: 0,
+            event: verify_reject(0),
+        })
+        .unwrap()
+        .len()
+            + 1;
+        let taken = Arc::new(Mutex::new(Vec::new()));
+        let sink = TelemetrySink::jsonl(Box::new(FailingWriter {
+            room: 3 * line_len,
+            taken: taken.clone(),
+            flush_fails: false,
+        }));
+        let mut t = Telemetry::new(Some(sink), 64);
+        // The same event five times: every line is `line_len` bytes.
+        let accepted: Vec<bool> = (0..5).map(|_| t.emit(verify_reject(0))).collect();
+        assert_eq!(accepted, [true, true, true, false, false]);
+        assert_eq!(t.drain(), 3, "only records the sink took are charged");
+        let report = t.finish();
+        assert_eq!(report.telemetry_records, 3);
+        assert_eq!(report.telemetry_dropped, 2);
+        assert_eq!(report.verify_rejects, 5);
+        let written = read_jsonl(taken.lock().unwrap().as_slice()).expect("whole lines only");
+        assert_eq!(written.len(), 3);
+
+        // A failed final flush lost buffered records: not silently.
+        let sink = TelemetrySink::jsonl(Box::new(FailingWriter {
+            room: line_len,
+            taken,
+            flush_fails: true,
+        }));
+        let mut t = Telemetry::new(Some(sink), 64);
+        assert!(t.emit(verify_reject(0)));
+        assert_eq!(t.finish().telemetry_dropped, 1);
     }
 
     #[test]

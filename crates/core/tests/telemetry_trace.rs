@@ -6,8 +6,7 @@ use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 use cobra_rt::{
-    read_jsonl, CpuCounterSnapshot, OptKind, TelemetryEvent, TelemetryHub, TelemetrySink,
-    TraceSummary,
+    read_jsonl, CpuCounterSnapshot, OptKind, Telemetry, TelemetryEvent, TelemetrySink, TraceSummary,
 };
 
 /// A `Write` target the test can read back after the sink is done with it.
@@ -122,15 +121,14 @@ fn one_of_each() -> Vec<TelemetryEvent> {
 fn golden_jsonl_round_trip_covers_every_event() {
     let buf = SharedBuf::default();
     let sink = TelemetrySink::jsonl(Box::new(buf.clone()));
-    let hub = TelemetryHub::new(sink, 64);
-    let emitter = hub.emitter();
+    let mut telemetry = Telemetry::new(Some(sink), 64);
     let events = one_of_each();
     for e in &events {
-        assert!(emitter.emit(e.clone()), "ring must not be full");
+        assert!(telemetry.emit(e.clone()), "capacity must not be spent");
     }
-    let (drained, dropped) = hub.finish();
-    assert_eq!(drained, events.len() as u64);
-    assert_eq!(dropped, 0);
+    let report = telemetry.finish();
+    assert_eq!(report.telemetry_records, events.len() as u64);
+    assert_eq!(report.telemetry_dropped, 0);
 
     let bytes = buf.0.lock().unwrap().clone();
     let text = String::from_utf8(bytes).expect("JSONL is utf-8");
@@ -139,7 +137,7 @@ fn golden_jsonl_round_trip_covers_every_event() {
     let records = read_jsonl(text.as_bytes()).expect("trace must parse back");
     assert_eq!(records.len(), events.len());
     for (i, rec) in records.iter().enumerate() {
-        assert_eq!(rec.seq, i as u64, "single-thread emission keeps seq order");
+        assert_eq!(rec.seq, i as u64, "emission order is seq order");
         assert_eq!(rec.event, events[i], "round-trip must be lossless");
     }
 

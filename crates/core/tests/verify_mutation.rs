@@ -124,7 +124,9 @@ fn capture_real_plans() -> &'static Vec<Captured> {
                             let mut opt = Optimizer::new(cfg, image.clone());
                             let actions = opt.consider(&hot_profile(load_pc, head, back));
                             assert_eq!(
-                                opt.counters().verify_rejects,
+                                opt.drain_events()
+                                    .filter(|e| e.category() == "verify_reject")
+                                    .count(),
                                 0,
                                 "{}/{} loop [{head},{back}] {strategy:?}/{deploy:?}: \
                                  in-vivo false reject",

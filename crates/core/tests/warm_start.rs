@@ -19,6 +19,9 @@ fn tmp_store() -> PathBuf {
         std::process::id(),
         N.fetch_add(1, Ordering::Relaxed)
     ));
+    // Process ids come round again: a directory an earlier run left under
+    // the same name must not hand this one its files.
+    let _ = std::fs::remove_dir_all(&d);
     std::fs::create_dir_all(&d).unwrap();
     d
 }

@@ -174,8 +174,9 @@ pub fn run_arm(
 /// Run the six-benchmark suite on one machine configuration.
 ///
 /// When `trace` is given, every COBRA-attached arm emits telemetry into
-/// that sink (shared across the parallel jobs — each arm has its own hub
-/// and ring, so record sequences interleave per-arm but never corrupt).
+/// that sink (shared across the parallel jobs — each arm numbers its own
+/// records and a record is written whole under the sink's lock, so
+/// sequences interleave per-arm but never corrupt).
 pub fn measure(
     machine_cfg: &MachineConfig,
     threads: usize,

@@ -2,9 +2,9 @@
 //! experiment sweeps and figure benches.
 //!
 //! Independent `Machine` trials (bench × arm grids, fig sweeps, config
-//! grids) are pushed through a crossbeam channel work queue and claimed by
-//! scoped worker threads. Three properties make the runner safe to put in
-//! front of paper artefacts:
+//! grids) are claimed one index at a time from a shared counter by scoped
+//! worker threads. Three properties make the runner safe to put in front of
+//! paper artefacts:
 //!
 //! * **Deterministic order** — results are reassembled by input index, so
 //!   the output is identical to a sequential run of the same closure no
@@ -18,6 +18,7 @@
 //!   internally, so parallel trials are bit-identical to sequential ones.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A trial that panicked instead of returning a result.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,42 +61,37 @@ where
     if n == 0 {
         return Vec::new();
     }
-    let (job_tx, job_rx) = crossbeam::channel::unbounded::<usize>();
-    for idx in 0..n {
-        job_tx.send(idx).expect("job queue open");
-    }
-    // Workers drain the queue, then see the disconnect and exit.
-    drop(job_tx);
-    let (res_tx, res_rx) = crossbeam::channel::unbounded::<(usize, Result<R, TrialPanic>)>();
-    let mut results: Vec<Option<Result<R, TrialPanic>>> = (0..n).map(|_| None).collect();
-    let f = &f;
-    std::thread::scope(|scope| {
-        for _ in 0..max_workers.min(n) {
-            let job_rx = job_rx.clone();
-            let res_tx = res_tx.clone();
-            scope.spawn(move || {
-                while let Ok(idx) = job_rx.recv() {
-                    let out =
-                        catch_unwind(AssertUnwindSafe(|| f(&items[idx]))).map_err(|p| TrialPanic {
-                            index: idx,
-                            message: panic_message(&*p),
-                        });
-                    if res_tx.send((idx, out)).is_err() {
-                        break;
-                    }
-                }
+    // The counter only hands out indices (Relaxed: it publishes no data);
+    // results travel through the join handles, which synchronize.
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut done = Vec::new();
+        loop {
+            let idx = next.fetch_add(1, Ordering::Relaxed);
+            if idx >= n {
+                return done;
+            }
+            let out = catch_unwind(AssertUnwindSafe(|| f(&items[idx]))).map_err(|p| TrialPanic {
+                index: idx,
+                message: panic_message(&*p),
             });
+            done.push((idx, out));
         }
-        drop(res_tx);
-        // Reassemble in input order while workers run.
-        while let Ok((idx, out)) = res_rx.recv() {
-            results[idx] = Some(out);
-        }
+    };
+    let mut done: Vec<_> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..max_workers.min(n))
+            .map(|_| scope.spawn(worker))
+            .collect();
+        // Invariant: every trial runs under catch_unwind, so a worker
+        // itself never panics.
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("trial panics are caught per trial"))
+            .collect()
     });
-    results
-        .into_iter()
-        .map(|r| r.expect("every queued trial reports exactly once"))
-        .collect()
+    // Every index was claimed exactly once: sorted, the lists are the input.
+    done.sort_unstable_by_key(|&(idx, _)| idx);
+    done.into_iter().map(|(_, out)| out).collect()
 }
 
 #[cfg(test)]
