@@ -607,8 +607,18 @@ impl Cobra {
         let fin = opt.finish();
         if let Some((store, key, prior)) = store_ctx {
             let fresh = snapshot_from_final(key, &fin);
-            let merged = match &prior {
-                Some(p) => cobra_store::merge(&[p.clone(), fresh.clone()]).unwrap_or(fresh),
+            // A prior snapshot that cannot take this run's sums (a counter
+            // would overflow) is reported and replaced by the fresh one.
+            let merged = match prior.map(|p| cobra_store::merge(&[p, fresh.clone()])) {
+                Some(Ok(merged)) => merged,
+                Some(Err(detail)) => {
+                    telemetry.emit(TelemetryEvent::StoreError {
+                        tick,
+                        cycle,
+                        detail,
+                    });
+                    fresh
+                }
                 None => fresh,
             };
             telemetry.emit(match store.save(&merged) {

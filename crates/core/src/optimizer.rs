@@ -286,25 +286,25 @@ pub fn verify_plan(
     )
 }
 
+/// A rewrite that is meant to stay: what is deployed on a loop, how to take
+/// it back, and what CPI it must not regress past.
 #[derive(Debug)]
 struct Deployment {
     plan_id: u64,
-    loop_head: CodeAddr,
     kind: OptKind,
-    /// Tournament candidate spec that produced this deployment (`None`
-    /// for classic one-shot deployments).
+    /// Named candidate spec that produced this deployment (`None` when the
+    /// set was the classifier's one uniform rewrite).
     candidate: Option<String>,
-    /// `(candidate, trial CPI)` pairs from the tournament that promoted
-    /// this deployment (empty for classic or warm-resumed deployments).
+    /// `(candidate, trial CPI)` pairs of the contest that promoted this
+    /// deployment (empty for a set of one).
     trials: Vec<(String, f64)>,
     /// `(addr, old_word)` for revert.
     undo: Vec<(CodeAddr, u64)>,
     baseline_cpi: f64,
-    /// CPI of the most recent completed trial window (`None` until one
+    /// CPI of the most recent completed regression window (`None` until one
     /// closes — never a `0.0` sentinel).
     last_post_cpi: Option<f64>,
     post_ticks: u64,
-    reverted: bool,
 }
 
 /// Prior-run knowledge used to warm-start an optimizer (decoded from a
@@ -338,7 +338,7 @@ pub struct DecisionExport {
     pub trials: Vec<(String, f64)>,
 }
 
-/// Per-`lfetch`-site action in a tournament candidate.
+/// Per-`lfetch`-site action in a candidate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SiteAction {
     /// Leave the site as compiled.
@@ -349,12 +349,22 @@ enum SiteAction {
     Excl,
 }
 
-/// One tournament candidate: a named per-site action vector over the
+/// One candidate rewrite of a loop: a per-site action vector over the
 /// loop's `lfetch` sites (in `sites` order — burst sites first).
 #[derive(Debug, Clone, PartialEq)]
 struct CandidateSpec {
-    name: &'static str,
+    /// The generator's name for this spec, carried into the plan, the report
+    /// and the store. `None` for the classifier's own pick: the paper's one
+    /// rewrite per loop has a kind, not a name.
+    name: Option<&'static str>,
     actions: Vec<SiteAction>,
+}
+
+impl CandidateSpec {
+    /// What trials and events call this spec.
+    fn label(&self) -> &'static str {
+        self.name.unwrap_or(plan_kind(&self.actions).name())
+    }
 }
 
 /// The plan kind an action mix maps to (drives the verifier rules).
@@ -385,74 +395,35 @@ enum StageError {
 /// a loop with no burst) are deduplicated keeping the first name; all-Keep
 /// specs are dropped.
 fn candidate_specs(sites: &[CodeAddr], head: CodeAddr) -> Vec<CandidateSpec> {
-    let n = sites.len();
-    let body = |a: &CodeAddr| *a >= head;
-    let uniform = |act: SiteAction| vec![act; n];
-    let split_at = n.div_ceil(2);
+    use SiteAction::{Excl, Keep, Nop};
+    // One action for the hoisted burst, one for the sites in the body.
+    let per_site = |burst: SiteAction, body: SiteAction| -> Vec<SiteAction> {
+        let action = |&addr: &CodeAddr| if addr >= head { body } else { burst };
+        sites.iter().map(action).collect()
+    };
+    // The sorted site list cut in half by index, wherever the head falls.
+    let split_at = sites.len().div_ceil(2);
+    let split = |i: usize| if i < split_at { Nop } else { Excl };
     let raw = [
-        ("noprefetch", uniform(SiteAction::Nop)),
-        ("prefetch.excl", uniform(SiteAction::Excl)),
-        (
-            "noprefetch.body",
-            sites
-                .iter()
-                .map(|a| {
-                    if body(a) {
-                        SiteAction::Nop
-                    } else {
-                        SiteAction::Keep
-                    }
-                })
-                .collect(),
-        ),
-        (
-            "prefetch.excl.body",
-            sites
-                .iter()
-                .map(|a| {
-                    if body(a) {
-                        SiteAction::Excl
-                    } else {
-                        SiteAction::Keep
-                    }
-                })
-                .collect(),
-        ),
-        (
-            "combined.burst-nop",
-            sites
-                .iter()
-                .map(|a| {
-                    if body(a) {
-                        SiteAction::Excl
-                    } else {
-                        SiteAction::Nop
-                    }
-                })
-                .collect(),
-        ),
-        (
-            "combined.split",
-            (0..n)
-                .map(|i| {
-                    if i < split_at {
-                        SiteAction::Nop
-                    } else {
-                        SiteAction::Excl
-                    }
-                })
-                .collect(),
-        ),
+        ("noprefetch", per_site(Nop, Nop)),
+        ("prefetch.excl", per_site(Excl, Excl)),
+        ("noprefetch.body", per_site(Keep, Nop)),
+        ("prefetch.excl.body", per_site(Keep, Excl)),
+        ("combined.burst-nop", per_site(Nop, Excl)),
+        ("combined.split", (0..sites.len()).map(split).collect()),
     ];
     let mut out: Vec<CandidateSpec> = Vec::with_capacity(raw.len());
     for (name, actions) in raw {
-        if actions.iter().all(|&a| a == SiteAction::Keep) {
+        if actions.iter().all(|&a| a == Keep) {
             continue;
         }
         if out.iter().any(|s| s.actions == actions) {
             continue;
         }
-        out.push(CandidateSpec { name, actions });
+        out.push(CandidateSpec {
+            name: Some(name),
+            actions,
+        });
     }
     out
 }
@@ -489,8 +460,30 @@ struct Tournament {
     /// Pre-tournament CPI the winner must not regress past.
     baseline_cpi: f64,
     live: Option<LiveTrial>,
-    /// Aborted (poisoned) — dropped at the next pump without promotion.
-    poisoned: bool,
+}
+
+/// Where one loop stands. A loop the optimizer has never had a reason to
+/// remember has no record; every other loop has exactly one, and its state
+/// only moves forward: `Seeded → Contest → Deployed → Blacklisted`, entered
+/// at `Seeded` (warm start) or at the first decision. A candidate set of one
+/// skips `Contest`; `poison`, a verifier rejection and an undecodable body
+/// send any state straight to `Blacklisted` (DESIGN.md §5g draws it).
+#[derive(Debug)]
+enum LoopState {
+    /// A prior run's knowledge, waiting for the live profile to confirm it:
+    /// the kind that stuck and/or the named candidate that won. Consumed
+    /// when the loop is decided; a loop that never turns hot stays here.
+    Seeded {
+        kind: Option<OptKind>,
+        winner: Option<String>,
+    },
+    /// A candidate set of more than one is being trialled.
+    Contest(Tournament),
+    /// A rewrite is in place and watched for regression.
+    Deployed(Deployment),
+    /// Never to be touched again; carries the deployment that was taken
+    /// back, if there was one, so the decision is still exported.
+    Blacklisted(Option<Deployment>),
 }
 
 /// Running totals of the two outcomes no event carries; `CobraReport` has
@@ -510,20 +503,14 @@ pub struct OptimizerCounters {
 pub struct Optimizer {
     cfg: OptimizerConfig,
     image: CodeImage,
-    optimized_heads: HashSet<CodeAddr>,
-    /// Loops whose deployments regressed: never touched again (phase
-    /// changes clear `optimized_heads` but not this).
-    blacklisted_heads: HashSet<CodeAddr>,
-    deployments: Vec<Deployment>,
+    /// Everything known per loop: one record per loop head, nothing else in
+    /// this struct is keyed by one. A record moves to the back whenever its
+    /// state changes ([`Optimizer::set`]), so records in the same state sit
+    /// in the order they entered it — deployments in deploy order, contests
+    /// in creation order — which is the order a tick visits them in.
+    loops: Vec<(CodeAddr, LoopState)>,
     next_plan_id: u64,
     ticks_seen: u64,
-    /// Seeded decisions from a warm start, pending live validation.
-    seeded: HashMap<CodeAddr, OptKind>,
-    /// Seeded tournament winners from a warm start (candidate name per
-    /// loop head): deployed directly, skipping the tournament.
-    seeded_winners: HashMap<CodeAddr, String>,
-    /// In-flight candidate tournaments.
-    tournaments: Vec<Tournament>,
     counters: OptimizerCounters,
     /// Whether [`Optimizer::warm_start`] ran (enables the shortened
     /// learning window even after every seed is consumed).
@@ -549,14 +536,9 @@ impl Optimizer {
         Optimizer {
             cfg,
             image,
-            optimized_heads: HashSet::new(),
-            blacklisted_heads: HashSet::new(),
-            deployments: Vec::new(),
+            loops: Vec::new(),
             next_plan_id: 0,
             ticks_seen: 0,
-            seeded: HashMap::new(),
-            seeded_winners: HashMap::new(),
-            tournaments: Vec::new(),
             counters: OptimizerCounters::default(),
             warm: false,
             events: Vec::new(),
@@ -582,6 +564,52 @@ impl Optimizer {
     /// rolling-window length. Consumed by the next [`Optimizer::consider`].
     pub fn observe_tick_window(&mut self, window: &CounterWindow) {
         self.tick_window = Some(*window);
+    }
+
+    /// The state of `head`'s loop (`None`: nothing is known about it).
+    fn state(&self, head: CodeAddr) -> Option<&LoopState> {
+        let (_, state) = self.loops.iter().find(|(h, _)| *h == head)?;
+        Some(state)
+    }
+
+    /// Remove and return `head`'s record.
+    fn take(&mut self, head: CodeAddr) -> Option<LoopState> {
+        let at = self.loops.iter().position(|(h, _)| *h == head)?;
+        Some(self.loops.remove(at).1)
+    }
+
+    /// The one way a loop changes state: its record is replaced and moves to
+    /// the back (see the `loops` field).
+    fn set(&mut self, head: CodeAddr, state: LoopState) {
+        self.take(head);
+        self.loops.push((head, state));
+    }
+
+    /// Whether `head` may still be decided: no record, or only a seed.
+    fn undecided(&self, head: CodeAddr) -> bool {
+        matches!(self.state(head), None | Some(LoopState::Seeded { .. }))
+    }
+
+    /// Add to what a prior run knew about `head`; a decided loop ignores it.
+    fn seed(&mut self, head: CodeAddr, kind: Option<OptKind>, winner: Option<String>) {
+        let (had_kind, had_winner) = match self.state(head) {
+            None => (None, None),
+            Some(LoopState::Seeded { kind, winner }) => (*kind, winner.clone()),
+            Some(_) => return,
+        };
+        let (kind, winner) = (kind.or(had_kind), winner.or(had_winner));
+        self.set(head, LoopState::Seeded { kind, winner });
+    }
+
+    /// The live profile contradicts the kind a prior run deployed on `head`:
+    /// forget it. (A seeded winner names a candidate, not a kind, and stays.)
+    fn forget_seeded_kind(&mut self, head: CodeAddr) {
+        self.counters.warm_mismatches += 1;
+        if let Some(LoopState::Seeded { winner, .. }) = self.take(head) {
+            if winner.is_some() {
+                self.set(head, LoopState::Seeded { kind: None, winner });
+            }
+        }
     }
 
     /// Seed the optimizer with prior-run knowledge (call before the first
@@ -610,13 +638,19 @@ impl Optimizer {
             }
         }
         let live = |head: &CodeAddr| !rejected.contains(head);
-        self.seeded
-            .extend(seed.decisions.into_iter().filter(|(head, _)| live(head)));
-        self.seeded_winners
-            .extend(seed.winners.into_iter().filter(|(head, _)| live(head)));
+        for (head, kind) in seed.decisions.into_iter().filter(|(h, _)| live(h)) {
+            self.seed(head, Some(kind), None);
+        }
+        for (head, name) in seed.winners.into_iter().filter(|(h, _)| live(h)) {
+            self.seed(head, None, Some(name));
+        }
         // A stale blacklist entry is conservative (skips a loop), so it
-        // needs no verification.
-        self.blacklisted_heads.extend(seed.blacklist);
+        // needs no verification; it outranks a seed for the same loop.
+        for head in seed.blacklist {
+            if self.undecided(head) {
+                self.set(head, LoopState::Blacklisted(None));
+            }
+        }
     }
 
     /// Whether [`Optimizer::warm_start`] ran.
@@ -632,21 +666,31 @@ impl Optimizer {
     /// lists are sorted by loop head so snapshots serialize
     /// deterministically.
     pub fn export_state(&self) -> (Vec<DecisionExport>, Vec<CodeAddr>) {
-        let mut decisions: Vec<DecisionExport> = self
-            .deployments
-            .iter()
-            .map(|d| DecisionExport {
-                loop_head: d.loop_head,
+        let mut decisions = Vec::new();
+        let mut blacklist = Vec::new();
+        for (head, state) in &self.loops {
+            let (d, reverted) = match state {
+                LoopState::Deployed(d) => (d, false),
+                LoopState::Blacklisted(taken_back) => {
+                    blacklist.push(*head);
+                    match taken_back {
+                        Some(d) => (d, true),
+                        None => continue,
+                    }
+                }
+                LoopState::Seeded { .. } | LoopState::Contest(_) => continue,
+            };
+            decisions.push(DecisionExport {
+                loop_head: *head,
                 kind: d.kind,
-                reverted: d.reverted,
+                reverted,
                 baseline_cpi: d.baseline_cpi,
                 post_cpi: d.last_post_cpi,
                 candidate: d.candidate.clone(),
                 trials: d.trials.clone(),
-            })
-            .collect();
+            });
+        }
         decisions.sort_by_key(|d| d.loop_head);
-        let mut blacklist: Vec<CodeAddr> = self.blacklisted_heads.iter().copied().collect();
         blacklist.sort_unstable();
         (decisions, blacklist)
     }
@@ -672,6 +716,17 @@ impl Optimizer {
         });
     }
 
+    /// `loop_head` will never be touched again; `taken_back` is the
+    /// deployment it had, if any.
+    fn blacklist(&mut self, loop_head: CodeAddr, taken_back: Option<Deployment>) {
+        self.set(loop_head, LoopState::Blacklisted(taken_back));
+        self.emit(TelemetryEvent::Blacklist {
+            tick: self.cur_tick,
+            cycle: self.cur_cycle,
+            loop_head,
+        });
+    }
+
     /// Evaluate the current profile; returns any plans to deploy or revert.
     /// The caller should `reset_window` the profile after a deployment so
     /// post-deployment behaviour is measured fresh.
@@ -682,7 +737,7 @@ impl Optimizer {
         // window otherwise, e.g. when driven directly in tests).
         let tick_window = self.tick_window.take().unwrap_or(profile.window);
         self.track_regressions(profile, &mut actions);
-        self.pump_tournaments(profile, &tick_window, &mut actions);
+        self.pump_contests(profile, &tick_window, &mut actions);
 
         // A warm-started run may act after the shortened learning window —
         // but only on seeded loops (see below); everything else still waits
@@ -707,60 +762,44 @@ impl Optimizer {
             .into_iter()
             .map(|(pc, _)| pc)
             .collect();
-        let loops = select_loops(profile, &self.cfg.trace);
-        // Candidates: loops pinpointed by DEAR captures, plus — when the
+        // The one "may this loop be touched" check: a loop in a contest,
+        // deployed or blacklisted is decided and drops out here.
+        let mut loops = select_loops(profile, &self.cfg.trace);
+        loops.retain(|lp| self.undecided(lp.head));
+        // Eligible: loops pinpointed by DEAR captures, plus — when the
         // system-wide coherent ratio is intense — the hottest other loops
         // (the counter-only path of §4: the DEAR latches one event per
         // sample, so store-upgrade-dominated loops rarely surface there).
-        let mut candidates = loops_with_delinquent_loads(&loops, &hot_pcs);
+        let mut eligible = loops_with_delinquent_loads(&loops, &hot_pcs);
         if profile.window.coherent_ratio() >= self.cfg.fallback_coherent_ratio {
-            let mut extra = 0usize;
-            for lp in &loops {
-                if extra >= self.cfg.fallback_max_loops {
-                    break;
-                }
-                if candidates.iter().any(|c| c.head == lp.head)
-                    || self.optimized_heads.contains(&lp.head)
-                    || self.blacklisted_heads.contains(&lp.head)
-                {
-                    continue;
-                }
-                candidates.push(lp.clone());
-                extra += 1;
-            }
+            let others: Vec<HotLoop> = loops
+                .iter()
+                .filter(|lp| !eligible.iter().any(|c| c.head == lp.head))
+                .take(self.cfg.fallback_max_loops)
+                .cloned()
+                .collect();
+            eligible.extend(others);
         }
-        // Seeded loops are candidates on prior-run evidence alone: this
-        // early in a warm run the DEAR may not have re-pinpointed them yet.
-        if !self.seeded.is_empty() || !self.seeded_winners.is_empty() {
+        // Seeded loops are eligible on prior-run evidence alone: this early
+        // in a warm run the DEAR may not have re-pinpointed them yet.
+        let seeded = |(_, s): &(CodeAddr, LoopState)| matches!(s, LoopState::Seeded { .. });
+        if self.loops.iter().any(seeded) {
             for lp in &loops {
-                if (self.seeded.contains_key(&lp.head)
-                    || self.seeded_winners.contains_key(&lp.head))
-                    && !candidates.iter().any(|c| c.head == lp.head)
-                {
-                    candidates.push(lp.clone());
+                if self.state(lp.head).is_some() && !eligible.iter().any(|c| c.head == lp.head) {
+                    eligible.push(lp.clone());
                 }
             }
-        }
-        if candidates.is_empty() {
-            return actions;
         }
         let mut deployed_this_tick = 0usize;
-        for lp in candidates {
+        for lp in eligible {
             if deployed_this_tick >= self.cfg.max_deploys_per_tick {
                 break;
-            }
-            if self.optimized_heads.contains(&lp.head) || self.blacklisted_heads.contains(&lp.head)
-            {
-                continue;
             }
             // During the shortened learning window only loops with a seeded
             // (previously validated) decision may deploy; unseeded loops
             // wait out the full cold warmup so a warm run converges to the
             // same deployment set as a cold one.
-            if in_warm_window
-                && !self.seeded.contains_key(&lp.head)
-                && !self.seeded_winners.contains_key(&lp.head)
-            {
+            if in_warm_window && self.state(lp.head).is_none() {
                 continue;
             }
             // Never optimize our own optimized traces (their back edges are
@@ -783,86 +822,105 @@ impl Optimizer {
                 prefetch_effective,
                 decision: kind,
             });
-            let seeded_kind = self.seeded.get(&lp.head).copied();
-            let Some(kind) = kind else {
-                if seeded_kind.is_some() {
-                    // The live profile declines what the prior run deployed:
-                    // drop the seed, let the normal path re-decide later.
-                    self.seeded.remove(&lp.head);
-                    self.counters.warm_mismatches += 1;
-                }
+            let Some(set) = self.candidate_set(lp.head, &sites, kind, in_warm_window) else {
                 continue;
             };
-            if self.cfg.candidates {
-                let specs = candidate_specs(&sites, lp.head);
-                if specs.len() >= 3 {
-                    // Tournament path. Classic decision seeds carry no
-                    // candidate name; consume them without hit/miss
-                    // accounting — the tournament (or the warm winner
-                    // below) re-decides from scratch.
-                    self.seeded.remove(&lp.head);
-                    if let Some(name) = self.seeded_winners.remove(&lp.head) {
-                        if let Some(spec) = specs.iter().find(|s| s.name == name) {
-                            let won = self.deploy_winner(
-                                &lp,
-                                &sites,
-                                &spec.actions,
-                                Some(spec.name),
-                                &[],
-                                profile,
-                                &mut actions,
-                            );
-                            if won {
-                                self.counters.warm_hits += 1;
-                                deployed_this_tick += 1;
-                            }
-                            continue;
-                        }
-                        // A winner name this build no longer generates:
-                        // fall through and re-run the tournament.
-                        self.counters.warm_mismatches += 1;
-                    }
-                    self.optimized_heads.insert(lp.head);
-                    self.tournaments.push(Tournament {
-                        lp: lp.clone(),
-                        sites: sites.clone(),
-                        specs,
-                        next: 0,
-                        results: Vec::new(),
-                        baseline_cpi: profile.window.cpi(),
-                        live: None,
-                        poisoned: false,
-                    });
+            // The one place a candidate set becomes a deployment or a
+            // contest: a set of one has nothing to be compared with.
+            if let [spec] = set.as_slice() {
+                if self.deploy_winner(&lp, &sites, spec, &[], profile, &mut actions) {
                     deployed_this_tick += 1;
-                    continue;
                 }
-                // Fewer than 3 distinct candidates (e.g. a single-site
-                // loop): the tournament adds nothing — classic path below.
-            }
-            if let Some(seed) = seeded_kind {
-                self.seeded.remove(&lp.head);
-                if seed == kind {
-                    self.counters.warm_hits += 1;
-                } else {
-                    self.counters.warm_mismatches += 1;
-                    if in_warm_window {
-                        // Mismatched seeds never deploy early; the loop
-                        // falls back to the normal post-warmup path.
-                        continue;
-                    }
-                }
-            }
-            // Classic one-shot path: every site gets the same rewrite.
-            let action = match kind {
-                OptKind::NoPrefetch => SiteAction::Nop,
-                _ => SiteAction::Excl,
-            };
-            let uniform = vec![action; sites.len()];
-            if self.deploy_winner(&lp, &sites, &uniform, None, &[], profile, &mut actions) {
+            } else {
+                let contest = Tournament {
+                    sites,
+                    specs: set,
+                    next: 0,
+                    results: Vec::new(),
+                    baseline_cpi: profile.window.cpi(),
+                    live: None,
+                    lp,
+                };
+                self.set(contest.lp.head, LoopState::Contest(contest));
                 deployed_this_tick += 1;
             }
         }
         actions
+    }
+
+    /// The rewrites worth considering for one undecided loop the classifier
+    /// wants rewritten as `kind`, settling whatever a prior run seeded for
+    /// it on the way. `None`: leave the loop alone this tick.
+    ///
+    /// * the paper's fixed arms and classic adaptive: the one uniform
+    ///   rewrite the classifier picked;
+    /// * `candidates` with at least three distinct specs: all of them — or
+    ///   only the stored winner, when a prior run already held the contest.
+    fn candidate_set(
+        &mut self,
+        head: CodeAddr,
+        sites: &[CodeAddr],
+        kind: Option<OptKind>,
+        in_warm_window: bool,
+    ) -> Option<Vec<CandidateSpec>> {
+        let seed_kind = match self.state(head) {
+            Some(LoopState::Seeded { kind, .. }) => *kind,
+            _ => None,
+        };
+        let Some(kind) = kind else {
+            // The classifier declines (the rewrite would remove effective
+            // prefetches), whatever a prior run did.
+            if seed_kind.is_some() {
+                self.forget_seeded_kind(head);
+            }
+            return None;
+        };
+        let mut specs = if self.cfg.candidates {
+            candidate_specs(sites, head)
+        } else {
+            Vec::new()
+        };
+        if specs.len() >= 3 {
+            // A contest decides from scratch, so a seeded kind (which names
+            // no candidate) is neither a hit nor a mismatch here. A stored
+            // winner is the whole set — unless this build no longer
+            // generates a spec of that name, which re-runs the contest.
+            if let Some(LoopState::Seeded {
+                winner: Some(name), ..
+            }) = self.state(head)
+            {
+                match specs.iter().position(|s| s.name == Some(name.as_str())) {
+                    Some(at) => {
+                        self.counters.warm_hits += 1;
+                        return Some(vec![specs.swap_remove(at)]);
+                    }
+                    None => self.counters.warm_mismatches += 1,
+                }
+            }
+            return Some(specs);
+        }
+        // Fewer than three distinct candidates (e.g. a single-site loop):
+        // a contest adds nothing.
+        if let Some(seeded) = seed_kind {
+            if seeded == kind {
+                self.counters.warm_hits += 1;
+            } else if in_warm_window {
+                // Mismatched seeds never deploy early; the loop falls back
+                // to the normal post-warmup path.
+                self.forget_seeded_kind(head);
+                return None;
+            } else {
+                self.counters.warm_mismatches += 1;
+            }
+        }
+        let action = match kind {
+            OptKind::NoPrefetch => SiteAction::Nop,
+            _ => SiteAction::Excl,
+        };
+        Some(vec![CandidateSpec {
+            name: None,
+            actions: vec![action; sites.len()],
+        }])
     }
 
     /// Per-loop memory-band fraction of the DEAR captures inside the loop
@@ -897,37 +955,12 @@ impl Optimizer {
     /// Decide the rewrite from a loop's classification — or decline
     /// (`None`) when removing the prefetches would hurt.
     fn choose_kind(&self, prefetch_effective: bool) -> Option<OptKind> {
-        match self.cfg.strategy {
-            Strategy::NoPrefetch => {
-                if prefetch_effective {
-                    // "avoid removing effective prefetches" (§5.2).
-                    None
-                } else {
-                    Some(OptKind::NoPrefetch)
-                }
-            }
-            Strategy::ExclHint => Some(OptKind::ExclHint),
-            Strategy::Adaptive => {
-                if prefetch_effective {
-                    Some(OptKind::ExclHint)
-                } else {
-                    Some(OptKind::NoPrefetch)
-                }
-            }
+        match (self.cfg.strategy, prefetch_effective) {
+            // "avoid removing effective prefetches" (§5.2).
+            (Strategy::NoPrefetch, true) => None,
+            (Strategy::NoPrefetch | Strategy::Adaptive, false) => Some(OptKind::NoPrefetch),
+            (Strategy::ExclHint, _) | (Strategy::Adaptive, true) => Some(OptKind::ExclHint),
         }
-    }
-
-    /// Original word at `addr` *before* the plan just applied to the own
-    /// image: `apply_to_own_image` records patches, so the log's old word
-    /// for the most recent patch at `addr` is the pre-plan word.
-    fn undo_word(&self, addr: CodeAddr) -> u64 {
-        self.image
-            .patch_log()
-            .iter()
-            .rev()
-            .find(|r| r.addr == addr)
-            .map(|r| r.old_word)
-            .unwrap_or_else(|| self.image.word(addr))
     }
 
     /// Apply one site action to an instruction (anything but an `lfetch`
@@ -956,17 +989,17 @@ impl Optimizer {
         }
     }
 
-    /// Build a rewrite plan from a per-site action vector (`actions[i]`
-    /// applies to `sites[i]`). Returns `None` when any word the plan must
-    /// read fails to decode.
+    /// Build a rewrite plan from a spec (`spec.actions[i]` applies to
+    /// `sites[i]`). Returns `None` when any word the plan must read fails
+    /// to decode.
     fn build_plan(
         &mut self,
         lp: &HotLoop,
         sites: &[CodeAddr],
-        actions: &[SiteAction],
-        candidate: Option<&str>,
+        spec: &CandidateSpec,
         profile: &SystemProfile,
     ) -> Option<PatchPlan> {
+        let actions = &spec.actions;
         let kind = plan_kind(actions);
         let id = self.next_plan_id;
         self.next_plan_id += 1;
@@ -975,104 +1008,80 @@ impl Optimizer {
         let description = format!(
             "{}{} on loop [{},{}] ({} lfetch sites; coherent ratio {:.3}, L3/kinst {:.2})",
             kind.name(),
-            candidate.map(|c| format!(" [{c}]")).unwrap_or_default(),
+            spec.name.map(|c| format!(" [{c}]")).unwrap_or_default(),
             lp.head,
             lp.back_edge,
             sites.len(),
             profile.window.coherent_ratio(),
             profile.window.l3_per_kinst(),
         );
-        let candidate = candidate.map(str::to_string);
-        match self.cfg.deploy {
-            DeployMode::InPlace => {
-                let mut writes = Vec::with_capacity(sites.len());
-                for (&addr, &action) in sites.iter().zip(actions) {
-                    if action == SiteAction::Keep {
-                        continue;
-                    }
-                    let insn = self.image.insn(addr).ok()?;
-                    writes.push((addr, encode(&self.rewrite_site(&insn, action))));
-                }
-                Some(PatchPlan {
-                    id,
-                    kind,
-                    loop_head: lp.head,
-                    back_edge: lp.back_edge,
-                    description,
-                    candidate,
-                    writes,
-                    trace: None,
-                })
+        // Sites rewritten where they stand: all of them in place, only the
+        // hoisted burst (outside the cloned body) with a trace.
+        let traced = self.cfg.deploy == DeployMode::TraceCache;
+        let mut writes: Vec<(CodeAddr, u64)> = Vec::with_capacity(sites.len() + 1);
+        for (&addr, &action) in sites.iter().zip(actions) {
+            if action == SiteAction::Keep || (traced && addr >= lp.head) {
+                continue;
             }
-            DeployMode::TraceCache => {
-                // Clone the body, rewriting in-body prefetches and
-                // retargeting the back edge to the trace-local head.
-                let expected_start = cobra_isa::bundle_align(self.image.len());
-                let mut insns = Vec::with_capacity(lp.len() as usize + 1);
-                for addr in lp.head..=lp.back_edge {
-                    let mut insn = self.image.insn(addr).ok()?;
-                    if let Some(&action) = action_at.get(&addr) {
-                        insn = self.rewrite_site(&insn, action);
-                    }
-                    if insn.op.branch_target() == Some(lp.head) {
-                        insn.op = insn.op.with_branch_target(expected_start)?;
-                    }
-                    insns.push(insn);
-                }
-                // Exit: fall through the cloned back edge, branch back to
-                // the instruction after the original back edge.
-                insns.push(Insn::new(Op::BrCond {
-                    target: lp.back_edge + 1,
-                }));
-                // Entry-window sites (the hoisted burst) are outside the
-                // body; rewrite those in place. The original head becomes a
-                // redirect into the trace.
-                let mut writes: Vec<(CodeAddr, u64)> = Vec::with_capacity(sites.len() + 1);
-                for (&addr, &action) in sites.iter().zip(actions).filter(|&(&a, _)| a < lp.head) {
-                    if action == SiteAction::Keep {
-                        continue;
-                    }
-                    let insn = self.image.insn(addr).ok()?;
-                    writes.push((addr, encode(&self.rewrite_site(&insn, action))));
-                }
-                writes.push((
-                    lp.head,
-                    encode(&Insn::new(Op::BrCond {
-                        target: expected_start,
-                    })),
-                ));
-                Some(PatchPlan {
-                    id,
-                    kind,
-                    loop_head: lp.head,
-                    back_edge: lp.back_edge,
-                    description,
-                    candidate,
-                    writes,
-                    trace: Some(TracePlan {
-                        expected_start,
-                        insns,
-                    }),
-                })
-            }
+            let insn = self.image.insn(addr).ok()?;
+            writes.push((addr, encode(&self.rewrite_site(&insn, action))));
         }
+        let mut trace = None;
+        if traced {
+            // Clone the body, rewriting in-body prefetches and retargeting
+            // the back edge to the trace-local head.
+            let expected_start = cobra_isa::bundle_align(self.image.len());
+            let mut insns = Vec::with_capacity(lp.len() as usize + 1);
+            for addr in lp.head..=lp.back_edge {
+                let mut insn = self.image.insn(addr).ok()?;
+                if let Some(&action) = action_at.get(&addr) {
+                    insn = self.rewrite_site(&insn, action);
+                }
+                if insn.op.branch_target() == Some(lp.head) {
+                    insn.op = insn.op.with_branch_target(expected_start)?;
+                }
+                insns.push(insn);
+            }
+            // Exit: fall through the cloned back edge, branch back to the
+            // instruction after the original back edge.
+            let exit = lp.back_edge + 1;
+            insns.push(Insn::new(Op::BrCond { target: exit }));
+            // The original head becomes a redirect into the trace.
+            let redirect = Insn::new(Op::BrCond {
+                target: expected_start,
+            });
+            writes.push((lp.head, encode(&redirect)));
+            trace = Some(TracePlan {
+                expected_start,
+                insns,
+            });
+        }
+        Some(PatchPlan {
+            id,
+            kind,
+            loop_head: lp.head,
+            back_edge: lp.back_edge,
+            description,
+            candidate: spec.name.map(str::to_string),
+            writes,
+            trace,
+        })
     }
 
     /// The deploy gate, the only way a plan reaches either image: build it,
-    /// machine-check it against the live image with `cobra-verify`, apply
-    /// it to the own image, and read back the words it overwrote.
+    /// machine-check it against the live image with `cobra-verify`, and
+    /// apply it to the own image, keeping the words it overwrote.
     fn stage(
         &mut self,
         lp: &HotLoop,
         sites: &[CodeAddr],
-        actions: &[SiteAction],
-        candidate: Option<&str>,
+        spec: &CandidateSpec,
         profile: &SystemProfile,
     ) -> Result<(PatchPlan, Vec<(CodeAddr, u64)>), StageError> {
-        let Some(plan) = self.build_plan(lp, sites, actions, candidate, profile) else {
+        let Some(plan) = self.build_plan(lp, sites, spec, profile) else {
             // A word in the loop no longer decodes (e.g. foreign bytes in
             // the text): never retry the loop, don't abort the optimizer.
-            self.blacklisted_heads.insert(lp.head);
+            self.set(lp.head, LoopState::Blacklisted(None));
             self.emit(TelemetryEvent::UndecodableLoop {
                 tick: self.cur_tick,
                 cycle: self.cur_cycle,
@@ -1082,22 +1091,14 @@ impl Optimizer {
         };
         verify_plan(&self.image, &plan, self.cfg.trace.entry_window_slots)
             .map_err(StageError::Rejected)?;
-        // Apply before reading undo words: the patch log's most recent
-        // entry at each address is this plan's only once the plan is in
-        // the log (earlier candidates' apply/revert pairs would otherwise
-        // shadow the true pre-plan words).
-        self.apply_to_own_image(&plan);
-        let undo = plan
-            .writes
-            .iter()
-            .map(|&(addr, _)| (addr, self.undo_word(addr)))
-            .collect();
+        let undo = self.apply_to_own_image(&plan);
         Ok((plan, undo))
     }
 
     /// Apply a plan to the optimizer's own image copy (keeps both sides'
-    /// trace-cache layout identical).
-    fn apply_to_own_image(&mut self, plan: &PatchPlan) {
+    /// trace-cache layout identical). Returns `(addr, old_word)` for every
+    /// word the plan overwrote: writing those back undoes it.
+    fn apply_to_own_image(&mut self, plan: &PatchPlan) -> Vec<(CodeAddr, u64)> {
         if let Some(trace) = &plan.trace {
             // Invariant: expected_start was computed as bundle_align(len) of
             // this same image just before this call — appending cannot land
@@ -1106,36 +1107,56 @@ impl Optimizer {
             let start = self.image.append_trace(&trace.insns);
             assert_eq!(start, trace.expected_start, "trace layout divergence");
         }
-        for &(addr, word) in &plan.writes {
-            // Invariant: plan writes only target addresses read from this
-            // image moments ago (and already decoded), so they are in range.
-            self.image.patch_word(addr, word).expect("own-image patch");
+        // Invariant: plan writes only target addresses read from this image
+        // moments ago (and already decoded), so they are in range.
+        let patch = |&(addr, word)| {
+            (
+                addr,
+                self.image.patch_word(addr, word).expect("own-image patch"),
+            )
+        };
+        plan.writes.iter().map(patch).collect()
+    }
+
+    /// Write saved words back into the own image.
+    fn restore_own_image(&mut self, undo: &[(CodeAddr, u64)]) {
+        for &(addr, old) in undo {
+            // Invariant: undo words restore addresses this optimizer
+            // patched when it staged the plan — always in range on our copy.
+            self.image.patch_word(addr, old).expect("own-image revert");
         }
     }
 
-    /// Advance every in-flight tournament by one tick: close a finished
-    /// trial window (record its CPI, revert the candidate), start the next
-    /// candidate, and promote the winner once all candidates have run.
-    fn pump_tournaments(
+    /// Advance every contest by one tick, in creation order: close a
+    /// finished trial window (record its CPI, revert the candidate), start
+    /// the next candidate, and promote the winner once all have run.
+    fn pump_contests(
         &mut self,
         profile: &SystemProfile,
         tick_window: &CounterWindow,
         actions: &mut Vec<PlanAction>,
     ) {
-        if self.tournaments.is_empty() {
-            return;
+        let mut at = 0;
+        while at < self.loops.len() {
+            if !matches!(self.loops[at].1, LoopState::Contest(_)) {
+                at += 1;
+                continue;
+            }
+            // Out of the collection while it is pumped (staging a candidate
+            // needs all of `self`). A finished contest has recorded where
+            // the loop went, at the back; an unfinished one keeps its place.
+            let (head, LoopState::Contest(mut t)) = self.loops.remove(at) else {
+                unreachable!("matched a contest just above");
+            };
+            if !self.pump_one(&mut t, profile, tick_window, actions) {
+                self.loops.insert(at, (head, LoopState::Contest(t)));
+                at += 1;
+            }
         }
-        // Take the list so candidate plan building (which borrows `self`
-        // mutably) can run per tournament; unfinished ones go back after.
-        let mut tournaments = std::mem::take(&mut self.tournaments);
-        tournaments.retain_mut(|t| !self.pump_one(t, profile, tick_window, actions));
-        // consider() pumps before it creates new tournaments, so the slot
-        // is still empty here; append keeps any future ordering safe.
-        self.tournaments.extend(tournaments);
     }
 
-    /// Advance one tournament; returns `true` when it is finished (promoted,
-    /// abandoned, or poisoned) and should be dropped.
+    /// Advance one contest; returns `true` when it is finished (promoted or
+    /// abandoned), the loop's new state already recorded.
     fn pump_one(
         &mut self,
         t: &mut Tournament,
@@ -1143,18 +1164,13 @@ impl Optimizer {
         tick_window: &CounterWindow,
         actions: &mut Vec<PlanAction>,
     ) -> bool {
-        if t.poisoned {
-            // poison() already blacklisted the loop; the live trial (if
-            // any) is unrecoverable on the guest side — drop everything.
-            return true;
-        }
         if let Some(live) = &mut t.live {
             live.ticks += 1;
             live.insns += tick_window.instructions;
             live.cycles += tick_window.cycles;
             if live.ticks >= self.cfg.trial_ticks && live.insns > 0 {
                 let cpi = live.cycles as f64 / live.insns as f64;
-                let name = t.specs[live.spec_idx].name;
+                let name = t.specs[live.spec_idx].label();
                 t.results.push((name.to_string(), cpi));
                 self.emit(TelemetryEvent::CandidateTrial {
                     tick: self.cur_tick,
@@ -1166,13 +1182,7 @@ impl Optimizer {
                     baseline_cpi: t.baseline_cpi,
                     cpi,
                 });
-                for &(addr, old) in &live.undo {
-                    // Invariant: trial undo words restore addresses this
-                    // optimizer patched moments ago — always in range.
-                    self.image
-                        .patch_word(addr, old)
-                        .expect("own-image trial revert");
-                }
+                self.restore_own_image(&live.undo);
                 actions.push(PlanAction::Revert {
                     plan_id: live.plan_id,
                     loop_head: t.lp.head,
@@ -1185,7 +1195,7 @@ impl Optimizer {
             return false;
         }
         // Arm the baseline from the first usable window before any
-        // candidate deploys (tournaments created on a sample-starved tick
+        // candidate deploys (contests created on a sample-starved tick
         // would otherwise compare against 0).
         if t.next == 0 && t.baseline_cpi <= 0.0 && profile.window.instructions > 0 {
             t.baseline_cpi = profile.window.cpi();
@@ -1193,18 +1203,17 @@ impl Optimizer {
         // Start the next candidate, skipping any the verifier rejects.
         while t.next < t.specs.len() {
             let spec = &t.specs[t.next];
-            let (plan, undo) =
-                match self.stage(&t.lp, &t.sites, &spec.actions, Some(spec.name), profile) {
-                    Ok(staged) => staged,
-                    // The loop stopped decoding mid-tournament: abandon it.
-                    Err(StageError::Undecodable) => return true,
-                    Err(StageError::Rejected(err)) => {
-                        // Reject only this candidate; the rest still compete.
-                        self.reject(t.lp.head, format!("candidate '{}': {err}", spec.name));
-                        t.next += 1;
-                        continue;
-                    }
-                };
+            let (plan, undo) = match self.stage(&t.lp, &t.sites, spec, profile) {
+                Ok(staged) => staged,
+                // The loop stopped decoding mid-contest: abandon it.
+                Err(StageError::Undecodable) => return true,
+                Err(StageError::Rejected(err)) => {
+                    // Reject only this candidate; the rest still compete.
+                    self.reject(t.lp.head, format!("candidate '{}': {err}", spec.label()));
+                    t.next += 1;
+                    continue;
+                }
+            };
             t.live = Some(LiveTrial {
                 spec_idx: t.next,
                 plan_id: plan.id,
@@ -1217,13 +1226,13 @@ impl Optimizer {
             return false;
         }
         // Every candidate has been trialed (or rejected): settle.
-        self.finish_tournament(t, profile, actions);
+        self.finish_contest(t, profile, actions);
         true
     }
 
-    /// Pick and deploy the tournament winner, or blacklist the loop when no
+    /// Pick and deploy the contest's winner, or blacklist the loop when no
     /// candidate survived / even the best one regresses.
-    fn finish_tournament(
+    fn finish_contest(
         &mut self,
         t: &Tournament,
         profile: &SystemProfile,
@@ -1247,24 +1256,11 @@ impl Optimizer {
         };
         let spec = winner
             .filter(|&&(_, cpi)| !regresses(cpi))
-            .and_then(|(name, _)| t.specs.iter().find(|s| s.name == name));
+            .and_then(|(name, _)| t.specs.iter().find(|s| s.label() == name));
         let promoted = match spec {
-            Some(spec) => self.deploy_winner(
-                &t.lp,
-                &t.sites,
-                &spec.actions,
-                Some(spec.name),
-                &t.results,
-                profile,
-                actions,
-            ),
+            Some(spec) => self.deploy_winner(&t.lp, &t.sites, spec, &t.results, profile, actions),
             None => {
-                self.blacklisted_heads.insert(t.lp.head);
-                self.emit(TelemetryEvent::Blacklist {
-                    tick: self.cur_tick,
-                    cycle: self.cur_cycle,
-                    loop_head: t.lp.head,
-                });
+                self.blacklist(t.lp.head, None);
                 false
             }
         };
@@ -1279,27 +1275,25 @@ impl Optimizer {
         });
     }
 
-    /// Stage `actions` as the lasting rewrite for `lp` — the classic
-    /// one-shot deployment (`candidate: None`), a tournament promotion, or a
-    /// warm-started winner. Returns whether the deployment landed; failures
-    /// blacklist the loop rather than deploy a miscompile.
-    #[allow(clippy::too_many_arguments)]
+    /// Stage `spec` as the lasting rewrite for `lp` — a candidate set of one
+    /// (the classifier's pick, or a warm-started winner) or a contest's
+    /// winner with its `trials`. Returns whether the deployment landed;
+    /// failures blacklist the loop rather than deploy a miscompile.
     fn deploy_winner(
         &mut self,
         lp: &HotLoop,
         sites: &[CodeAddr],
-        actions: &[SiteAction],
-        candidate: Option<&str>,
+        spec: &CandidateSpec,
         trials: &[(String, f64)],
         profile: &SystemProfile,
         out: &mut Vec<PlanAction>,
     ) -> bool {
-        let (plan, undo) = match self.stage(lp, sites, actions, candidate, profile) {
+        let (plan, undo) = match self.stage(lp, sites, spec, profile) {
             Ok(staged) => staged,
             Err(StageError::Undecodable) => return false,
             Err(StageError::Rejected(err)) => {
-                self.blacklisted_heads.insert(lp.head);
-                let reason = match candidate {
+                self.set(lp.head, LoopState::Blacklisted(None));
+                let reason = match spec.name {
                     Some(name) => format!("winner '{name}': {err}"),
                     None => err.to_string(),
                 };
@@ -1307,10 +1301,8 @@ impl Optimizer {
                 return false;
             }
         };
-        self.optimized_heads.insert(lp.head);
-        self.deployments.push(Deployment {
+        let deployment = Deployment {
             plan_id: plan.id,
-            loop_head: lp.head,
             kind: plan.kind,
             candidate: plan.candidate.clone(),
             trials: trials.to_vec(),
@@ -1318,41 +1310,25 @@ impl Optimizer {
             baseline_cpi: profile.window.cpi(),
             last_post_cpi: None,
             post_ticks: 0,
-            reverted: false,
-        });
+        };
+        self.set(lp.head, LoopState::Deployed(deployment));
         out.push(PlanAction::Apply(plan));
         true
     }
 
     /// Abandon all optimization of `loop_head` after a guest-side patch
-    /// failure (an apply rolled back or a revert stopped): blacklist it, mark
-    /// its deployments reverted, and abort any tournament on it. The
+    /// failure (an apply rolled back or a revert stopped): whatever state
+    /// the loop was in — a contest with a trial in flight included — it is
+    /// blacklisted, and a deployment it had counts as reverted. The
     /// optimizer's own image copy is deliberately left as-is — blacklisted
     /// heads are never re-read for planning, and rewinding trace appendices
     /// would desync the two sides' layouts.
     pub fn poison(&mut self, loop_head: CodeAddr) {
-        self.blacklisted_heads.insert(loop_head);
-        self.seeded.remove(&loop_head);
-        self.seeded_winners.remove(&loop_head);
-        for d in self
-            .deployments
-            .iter_mut()
-            .filter(|d| d.loop_head == loop_head)
-        {
-            d.reverted = true;
-        }
-        for t in self
-            .tournaments
-            .iter_mut()
-            .filter(|t| t.lp.head == loop_head)
-        {
-            t.poisoned = true;
-        }
-        self.emit(TelemetryEvent::Blacklist {
-            tick: self.cur_tick,
-            cycle: self.cur_cycle,
-            loop_head,
-        });
+        let taken_back = match self.take(loop_head) {
+            Some(LoopState::Deployed(d)) | Some(LoopState::Blacklisted(Some(d))) => Some(d),
+            _ => None,
+        };
+        self.blacklist(loop_head, taken_back);
     }
 
     /// Accumulate post-deployment CPI and emit reverts on regression.
@@ -1361,10 +1337,11 @@ impl Optimizer {
             return;
         }
         let cfg = self.cfg;
-        // (plan_id, loop_head, saved words to restore, reason)
-        type Revert = (u64, CodeAddr, Vec<(CodeAddr, u64)>, String);
-        let mut reverts: Vec<Revert> = Vec::new();
-        for d in self.deployments.iter_mut().filter(|d| !d.reverted) {
+        let mut regressed: Vec<(CodeAddr, String)> = Vec::new();
+        for (head, state) in &mut self.loops {
+            let LoopState::Deployed(d) = state else {
+                continue;
+            };
             d.post_ticks += 1;
             // The deployment-time window may have had too few intra-thread
             // sample pairs for a CPI (tiny regions); arm the baseline from
@@ -1381,10 +1358,10 @@ impl Optimizer {
                 // The rolling window is fully post-deployment by now.
                 let post_cpi = profile.window.cpi();
                 d.last_post_cpi = Some(post_cpi);
-                let regressed =
+                let regressed_now =
                     d.baseline_cpi > 0.0 && post_cpi > d.baseline_cpi * cfg.regression_factor;
                 // (`self.emit` would need all of `self`; the loop holds
-                // `self.deployments`.)
+                // `self.loops`.)
                 self.events.push(TelemetryEvent::CpiTrial {
                     tick: self.cur_tick,
                     cycle: self.cur_cycle,
@@ -1392,47 +1369,37 @@ impl Optimizer {
                     post_ticks: d.post_ticks,
                     baseline_cpi: d.baseline_cpi,
                     post_cpi,
-                    regressed,
+                    regressed: regressed_now,
                 });
-                if regressed {
-                    d.reverted = true;
-                    reverts.push((
-                        d.plan_id,
-                        d.loop_head,
-                        d.undo.clone(),
-                        format!(
-                            "CPI regressed {:.3} -> {:.3}; reverting",
-                            d.baseline_cpi, post_cpi
-                        ),
-                    ));
+                if regressed_now {
+                    let reason = format!(
+                        "CPI regressed {:.3} -> {:.3}; reverting",
+                        d.baseline_cpi, post_cpi
+                    );
+                    regressed.push((*head, reason));
                 }
             }
         }
-        for (plan_id, loop_head, writes, reason) in reverts {
+        for (loop_head, reason) in regressed {
+            let Some(LoopState::Deployed(d)) = self.take(loop_head) else {
+                continue;
+            };
             // Restore our own copy, and never touch this loop again.
-            for &(addr, old) in &writes {
-                // Invariant: undo words restore addresses this optimizer
-                // patched when it deployed — always in range on our copy.
-                self.image.patch_word(addr, old).expect("own-image revert");
-            }
-            self.blacklisted_heads.insert(loop_head);
-            self.emit(TelemetryEvent::Blacklist {
-                tick: self.cur_tick,
-                cycle: self.cur_cycle,
-                loop_head,
-            });
+            self.restore_own_image(&d.undo);
             actions.push(PlanAction::Revert {
-                plan_id,
+                plan_id: d.plan_id,
                 loop_head,
-                writes,
+                writes: d.undo.clone(),
                 reason,
             });
+            self.blacklist(loop_head, Some(d));
         }
     }
 
     /// Number of applied (non-reverted) deployments.
     pub fn active_deployments(&self) -> usize {
-        self.deployments.iter().filter(|d| !d.reverted).count()
+        let deployed = |(_, s): &&(CodeAddr, LoopState)| matches!(s, LoopState::Deployed(_));
+        self.loops.iter().filter(deployed).count()
     }
 }
 
@@ -1442,6 +1409,14 @@ mod tests {
     use crate::profile::{CounterWindow, LatencyBands, ProfileDelta, SystemProfile};
     use crate::report::CobraReport;
     use cobra_isa::{Assembler, LfetchHint};
+
+    impl Optimizer {
+        /// Loops with a candidate contest in flight.
+        fn contests(&self) -> usize {
+            let contest = |(_, s): &&(CodeAddr, LoopState)| matches!(s, LoopState::Contest(_));
+            self.loops.iter().filter(contest).count()
+        }
+    }
 
     /// What a run's report counts from the events `opt` has made so far.
     fn observed(opt: &Optimizer) -> CobraReport {
@@ -1977,12 +1952,12 @@ mod tests {
                 "all-Keep spec survived: {s:?}"
             );
         }
-        let mut names: Vec<&str> = specs.iter().map(|s| s.name).collect();
+        let mut names: Vec<&str> = specs.iter().map(CandidateSpec::label).collect();
         names.dedup();
         assert_eq!(names.len(), specs.len(), "duplicate names");
         assert_eq!(specs, candidate_specs(&sites, 3), "deterministic");
         // Kinds map from the action mix.
-        let by_name = |n: &str| specs.iter().find(|s| s.name == n).unwrap();
+        let by_name = |n: &str| specs.iter().find(|s| s.label() == n).unwrap();
         let kind = |n: &str| plan_kind(&by_name(n).actions);
         assert_eq!(kind("noprefetch"), OptKind::NoPrefetch);
         assert_eq!(kind("prefetch.excl"), OptKind::ExclHint);
@@ -2023,7 +1998,7 @@ mod tests {
                 match action {
                     PlanAction::Apply(plan) => {
                         let name = plan.candidate.clone().expect("tournament plan is named");
-                        if opt.tournaments.is_empty() {
+                        if opt.contests() == 0 {
                             promoted = Some(plan);
                         } else {
                             trial_applies.push(name.clone());
@@ -2096,7 +2071,11 @@ mod tests {
         assert!(opt
             .consider(&hot_profile(load_pc, head, back, 1.0))
             .is_empty());
-        assert!(opt.tournaments.is_empty());
+        assert_eq!(opt.contests(), 0);
+        assert!(matches!(
+            opt.state(head),
+            Some(LoopState::Blacklisted(None))
+        ));
     }
 
     /// A loop that only yields two distinct candidates skips the tournament
@@ -2132,7 +2111,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(observed(&opt).candidates_trialed, 0);
-        assert!(opt.tournaments.is_empty());
+        assert!(matches!(opt.state(head), Some(LoopState::Deployed(_))));
     }
 
     /// poison() aborts an in-flight tournament and permanently blacklists
@@ -2153,7 +2132,10 @@ mod tests {
         let profile = hot_profile(load_pc, head, back, 1.0);
         opt.consider(&profile); // creates the tournament
         opt.consider(&profile); // deploys the first candidate
-        assert_eq!(opt.tournaments.len(), 1);
+        assert!(
+            matches!(opt.state(head), Some(LoopState::Contest(t)) if t.live.is_some()),
+            "a trial is in flight"
+        );
         opt.poison(head);
         for _ in 0..20 {
             assert!(
@@ -2161,7 +2143,7 @@ mod tests {
                 "poisoned loop must stay untouched"
             );
         }
-        assert!(opt.tournaments.is_empty(), "tournament dropped");
+        assert_eq!(opt.contests(), 0, "contest dropped");
         assert_eq!(observed(&opt).tournaments_promoted, 0);
         assert_eq!(opt.active_deployments(), 0);
     }
@@ -2195,8 +2177,283 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(observed(&opt).candidates_trialed, 0, "no re-trialing");
-        assert!(opt.tournaments.is_empty());
+        assert_eq!(opt.contests(), 0);
         assert_eq!(opt.counters().warm_hits, 1);
         assert_eq!(opt.active_deployments(), 1);
+    }
+
+    fn worse_profile() -> SystemProfile {
+        let mut worse = SystemProfile::new(LatencyBands { coherent_min: 165 });
+        worse.absorb(&ProfileDelta {
+            window: CounterWindow {
+                instructions: 100_000,
+                cycles: 400_000, // CPI 4.0 against a baseline of 1.5
+                ..CounterWindow::default()
+            },
+            samples: 50,
+            ..ProfileDelta::default()
+        });
+        worse
+    }
+
+    fn categories(opt: &mut Optimizer) -> Vec<&'static str> {
+        opt.drain_events().map(|e| e.category()).collect()
+    }
+
+    /// One loop through every state — seeded, contested, deployed, taken
+    /// back — with what the outside can see checked at each step: the
+    /// exported decisions and blacklist, the active count, and the events.
+    #[test]
+    fn one_loop_walks_the_whole_lifecycle() {
+        let (image, head, back, load_pc) = loop_image();
+        let mut opt = Optimizer::new(
+            OptimizerConfig {
+                deploy: DeployMode::InPlace,
+                warmup_ticks: 0,
+                candidates: true,
+                trial_ticks: 1,
+                regression_ticks: 3,
+                regression_factor: 1.05,
+                ..Default::default()
+            },
+            image.clone(),
+        );
+        let nothing_exported = (Vec::new(), Vec::new());
+        assert!(opt.state(head).is_none(), "an unknown loop has no record");
+
+        // Seeded: known from a prior run, nothing decided, nothing to export.
+        opt.warm_start(WarmSeed {
+            decisions: vec![(head, OptKind::NoPrefetch)],
+            blacklist: vec![],
+            winners: vec![],
+        });
+        assert!(matches!(
+            opt.state(head),
+            Some(LoopState::Seeded {
+                kind: Some(OptKind::NoPrefetch),
+                winner: None
+            })
+        ));
+        assert_eq!(opt.export_state(), nothing_exported);
+        assert!(categories(&mut opt).is_empty());
+
+        // Contest: the loop turns hot and has more than one candidate. The
+        // seed is consumed; a kind names no candidate, so it is neither a
+        // hit nor a mismatch.
+        let profile = hot_profile(load_pc, head, back, 1.0);
+        assert!(opt.consider(&profile).is_empty());
+        assert!(matches!(opt.state(head), Some(LoopState::Contest(_))));
+        assert_eq!(opt.loops.len(), 1, "the record was replaced, not added to");
+        assert_eq!(categories(&mut opt), ["loop_classified"]);
+        let c = opt.counters();
+        assert_eq!((c.warm_hits, c.warm_mismatches), (0, 0));
+
+        // Trials: apply, one tick, revert — nothing is exported or counted
+        // as deployed while the contest runs.
+        let mut trials = 0;
+        let promoted = loop {
+            let actions = opt.consider(&profile);
+            if opt.contests() == 0 {
+                break actions;
+            }
+            assert_eq!(actions.len(), 1);
+            match &actions[0] {
+                PlanAction::Apply(_) => assert!(categories(&mut opt).is_empty()),
+                PlanAction::Revert { .. } => {
+                    trials += 1;
+                    assert_eq!(categories(&mut opt), ["candidate_trial"]);
+                }
+            }
+            assert_eq!(opt.export_state(), nothing_exported);
+            assert_eq!(opt.active_deployments(), 0);
+        };
+        assert!(trials >= 3);
+
+        // Deployed: the winner is promoted and exported as a live decision.
+        assert!(matches!(promoted.as_slice(), [PlanAction::Apply(_)]));
+        assert_eq!(categories(&mut opt), ["tournament"]);
+        assert!(matches!(opt.state(head), Some(LoopState::Deployed(_))));
+        assert_eq!(opt.active_deployments(), 1);
+        let (decisions, blacklist) = opt.export_state();
+        assert_eq!((decisions.len(), blacklist.len()), (1, 0));
+        assert_eq!(decisions[0].loop_head, head);
+        assert!(!decisions[0].reverted);
+        assert_eq!(decisions[0].trials.len(), trials);
+        assert_eq!(decisions[0].post_cpi, None);
+
+        // Blacklisted: the deployment regresses and is taken back; the
+        // decision is still exported, now as reverted.
+        let worse = worse_profile();
+        let revert = loop {
+            let actions = opt.consider(&worse);
+            if !actions.is_empty() {
+                break actions;
+            }
+            assert!(categories(&mut opt).is_empty());
+        };
+        assert!(matches!(
+            revert.as_slice(),
+            [PlanAction::Revert { loop_head, writes, .. }]
+                if *loop_head == head && writes.iter().all(|&(a, w)| image.word(a) == w)
+        ));
+        assert_eq!(categories(&mut opt), ["cpi_trial", "blacklist"]);
+        assert!(matches!(
+            opt.state(head),
+            Some(LoopState::Blacklisted(Some(_)))
+        ));
+        assert_eq!(opt.active_deployments(), 0);
+        let (decisions, blacklist) = opt.export_state();
+        assert_eq!(blacklist, [head]);
+        assert_eq!(decisions.len(), 1);
+        assert!(decisions[0].reverted);
+        assert_eq!(decisions[0].post_cpi, Some(4.0));
+
+        // And there it stays.
+        for _ in 0..5 {
+            assert!(opt.consider(&profile).is_empty());
+        }
+        assert!(categories(&mut opt).is_empty());
+        assert_eq!(opt.loops.len(), 1);
+    }
+
+    /// A head a store hands over as both a decision and a blacklist entry
+    /// has one record, `Blacklisted`, and is never offered as a candidate.
+    #[test]
+    fn seeded_and_blacklisted_head_is_blacklisted_once() {
+        let (image, head, back, load_pc) = loop_image();
+        let mut opt = Optimizer::new(
+            OptimizerConfig {
+                deploy: DeployMode::InPlace,
+                warmup_ticks: 0,
+                candidates: true,
+                ..Default::default()
+            },
+            image,
+        );
+        opt.warm_start(WarmSeed {
+            decisions: vec![(head, OptKind::NoPrefetch)],
+            blacklist: vec![head],
+            winners: vec![(head, "noprefetch".into())],
+        });
+        assert_eq!(opt.loops.len(), 1);
+        assert!(matches!(
+            opt.state(head),
+            Some(LoopState::Blacklisted(None))
+        ));
+        let profile = hot_profile(load_pc, head, back, 1.0);
+        for _ in 0..8 {
+            assert!(opt.consider(&profile).is_empty());
+        }
+        assert!(
+            categories(&mut opt).is_empty(),
+            "not even classified: the loop is never a candidate"
+        );
+        assert_eq!(opt.export_state(), (Vec::new(), vec![head]));
+        let c = opt.counters();
+        assert_eq!((c.warm_hits, c.warm_mismatches), (0, 0));
+    }
+
+    /// `poison` is one transition whatever it interrupts: a live trial
+    /// leaves no decision behind, a deployment is exported as reverted.
+    #[test]
+    fn poison_is_one_transition_from_any_state() {
+        let (image, head, back, load_pc) = loop_image();
+        let profile = hot_profile(load_pc, head, back, 1.0);
+        let cfg = OptimizerConfig {
+            deploy: DeployMode::InPlace,
+            warmup_ticks: 0,
+            trial_ticks: 4,
+            ..Default::default()
+        };
+
+        let with_candidates = OptimizerConfig {
+            candidates: true,
+            ..cfg
+        };
+        let mut opt = Optimizer::new(with_candidates, image.clone());
+        opt.consider(&profile);
+        let trial = opt.consider(&profile);
+        assert!(matches!(trial.as_slice(), [PlanAction::Apply(_)]));
+        opt.drain_events().for_each(drop);
+        opt.poison(head);
+        assert_eq!(categories(&mut opt), ["blacklist"]);
+        assert_eq!(opt.loops.len(), 1);
+        assert!(matches!(
+            opt.state(head),
+            Some(LoopState::Blacklisted(None))
+        ));
+        assert_eq!(opt.export_state(), (Vec::new(), vec![head]));
+
+        let mut opt = Optimizer::new(cfg, image);
+        let deploy = opt.consider(&profile);
+        assert!(matches!(deploy.as_slice(), [PlanAction::Apply(_)]));
+        assert_eq!(opt.active_deployments(), 1);
+        opt.poison(head);
+        opt.poison(head); // a second failure on the same loop changes nothing
+        assert_eq!(opt.loops.len(), 1);
+        assert_eq!(opt.active_deployments(), 0);
+        let (decisions, blacklist) = opt.export_state();
+        assert_eq!(blacklist, [head]);
+        assert_eq!(decisions.len(), 1);
+        assert!(decisions[0].reverted);
+        assert_eq!(decisions[0].kind, OptKind::NoPrefetch);
+
+        // A loop nothing was known about can be poisoned too.
+        opt.poison(9999);
+        assert_eq!(opt.export_state().1, [head, 9999]);
+    }
+
+    /// A candidate set of one is promoted at once: there is nothing to
+    /// compare it with, so no trial and no tournament outcome — for the
+    /// classifier's pick, for a warm-started winner, and with `candidates`
+    /// on for a loop too small to contest.
+    #[test]
+    fn set_of_one_deploys_without_a_contest() {
+        let (image, head, back, load_pc) = loop_image();
+        let profile = hot_profile(load_pc, head, back, 1.0);
+        let cfg = OptimizerConfig {
+            deploy: DeployMode::InPlace,
+            warmup_ticks: 0,
+            trial_ticks: 1,
+            ..Default::default()
+        };
+        let with_candidates = OptimizerConfig {
+            candidates: true,
+            ..cfg
+        };
+        let winner = WarmSeed {
+            winners: vec![(head, "noprefetch.body".into())],
+            ..WarmSeed::default()
+        };
+        let arms = [
+            (cfg, None, None),
+            (
+                OptimizerConfig {
+                    strategy: Strategy::ExclHint,
+                    ..cfg
+                },
+                None,
+                None,
+            ),
+            (with_candidates, Some(winner), Some("noprefetch.body")),
+        ];
+        for (cfg, seed, candidate) in arms {
+            let mut opt = Optimizer::new(cfg, image.clone());
+            if let Some(seed) = seed {
+                opt.warm_start(seed);
+            }
+            let mut applied = Vec::new();
+            for _ in 0..10 {
+                for action in opt.consider(&profile) {
+                    match action {
+                        PlanAction::Apply(plan) => applied.push(plan.candidate),
+                        PlanAction::Revert { .. } => panic!("nothing was trialled"),
+                    }
+                }
+            }
+            assert_eq!(applied, [candidate.map(String::from)]);
+            assert_eq!(categories(&mut opt), ["loop_classified"]);
+            assert_eq!(opt.active_deployments(), 1);
+        }
     }
 }

@@ -312,3 +312,41 @@ fn damaged_snapshot_degrades_to_cold_start_without_panicking() {
     // and re-deploys from the live profile.
     assert!(!after.applied.is_empty(), "{}", after.summary());
 }
+
+/// A prior snapshot whose counters cannot take one more run's sums (a
+/// valid file near the top of the range — hand-edited, or decades of runs)
+/// is not merged: detach says so with a `StoreError`, saves this run's own
+/// snapshot in its place, and the next run warm-starts from that.
+#[test]
+fn prior_snapshot_that_would_overflow_is_reported_and_replaced() {
+    let store = tmp_store();
+    let wl = workload();
+    let cfg = MachineConfig::smp4();
+    let (cold, _) = run(&wl, &cfg, &store);
+    assert_eq!(cold.store_errors, 0);
+
+    let handle = cobra_store::Store::new(&store);
+    let key = cobra_store::StoreKey::for_run(wl.image(), &cfg);
+    let mut prior = handle.load(&key).snapshot.expect("the cold run saved");
+    prior.runs = u64::MAX;
+    handle.save(&prior).unwrap();
+
+    let (second, log) = run(&wl, &cfg, &store);
+    assert!(second.warm_started, "the snapshot itself loads fine");
+    assert_eq!(second.store_errors, 1, "{}", second.summary());
+    let log = log.lock().unwrap();
+    let errors = log.of_category("store_error");
+    assert_eq!(errors.len(), 1);
+    assert!(
+        matches!(&errors[0].event, TelemetryEvent::StoreError { detail, .. }
+            if detail.contains("would overflow")),
+        "{:?}",
+        errors[0].event
+    );
+    let saved = handle
+        .load(&key)
+        .snapshot
+        .expect("the fresh snapshot saved");
+    assert_eq!(saved.runs, 1, "this run's own history, not the prior's");
+    assert_eq!(second.store_saved_records, saved.record_count() as u64);
+}

@@ -4,17 +4,16 @@
 //! 64-bit instruction words plus symbols and (optional) source comments. Two
 //! things make it COBRA-shaped rather than a plain `Vec<u64>`:
 //!
-//! * **Validated in-place patching** with an undo log — the `noprefetch` and
-//!   `.excl` optimizations overwrite single words in the live image, and the
-//!   framework may revert a deployment that regressed performance.
+//! * **Validated in-place patching** that hands back the word it overwrote —
+//!   the `noprefetch` and `.excl` optimizations overwrite single words in the
+//!   live image, and the framework may revert a deployment that regressed
+//!   performance by writing the old words back.
 //! * **A growable trace-cache region** appended after the original text —
 //!   optimized traces are "stored in a trace cache in the same address space
 //!   as the binary program being optimized" (paper §1), and the original code
 //!   is patched with a branch redirecting into it.
 
 use std::collections::BTreeMap;
-
-use serde::{Deserialize, Serialize};
 
 use crate::encode::{decode, encode, DecodeError};
 use crate::insn::Insn;
@@ -40,14 +39,6 @@ impl std::fmt::Display for PatchError {
 
 impl std::error::Error for PatchError {}
 
-/// One applied patch, kept so deployments can be reverted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PatchRecord {
-    pub addr: CodeAddr,
-    pub old_word: u64,
-    pub new_word: u64,
-}
-
 /// A patchable program text segment with a trace-cache region.
 #[derive(Debug, Clone, Default)]
 pub struct CodeImage {
@@ -60,7 +51,6 @@ pub struct CodeImage {
     main_len: u32,
     symbols: BTreeMap<String, CodeAddr>,
     comments: BTreeMap<CodeAddr, String>,
-    patch_log: Vec<PatchRecord>,
 }
 
 impl CodeImage {
@@ -74,7 +64,6 @@ impl CodeImage {
             main_len,
             symbols,
             comments: BTreeMap::new(),
-            patch_log: Vec::new(),
         }
     }
 
@@ -152,8 +141,8 @@ impl CodeImage {
             .count()
     }
 
-    /// Overwrite the instruction at `addr`, recording the patch for undo.
-    /// Returns the previous word.
+    /// Overwrite the instruction at `addr`. Returns the previous word, which
+    /// is all a caller needs to undo the patch.
     pub fn patch(&mut self, addr: CodeAddr, insn: &Insn) -> Result<u64, PatchError> {
         let new_word = encode(insn);
         self.patch_word(addr, new_word)
@@ -168,44 +157,7 @@ impl CodeImage {
         let old_word = self.words[addr as usize];
         self.words[addr as usize] = new_word;
         self.decoded[addr as usize] = Some(decoded);
-        self.patch_log.push(PatchRecord {
-            addr,
-            old_word,
-            new_word,
-        });
         Ok(old_word)
-    }
-
-    /// Undo the most recent patch. Returns the undone record.
-    pub fn revert_last_patch(&mut self) -> Option<PatchRecord> {
-        let rec = self.patch_log.pop()?;
-        self.words[rec.addr as usize] = rec.old_word;
-        self.decoded[rec.addr as usize] = decode(rec.old_word).ok();
-        Some(rec)
-    }
-
-    /// Undo all patches applied at or after `mark` (see [`Self::patch_mark`]),
-    /// newest first. Returns the undone records so callers that maintain a
-    /// decoded shadow copy can refresh exactly the touched slots instead of
-    /// re-decoding the whole image.
-    pub fn revert_to_mark(&mut self, mark: usize) -> Vec<PatchRecord> {
-        let mut undone = Vec::with_capacity(self.patch_log.len().saturating_sub(mark));
-        while self.patch_log.len() > mark {
-            undone.push(self.revert_last_patch().expect("log length checked"));
-        }
-        undone
-    }
-
-    /// Current position in the patch log, for later [`Self::revert_to_mark`].
-    #[inline]
-    pub fn patch_mark(&self) -> usize {
-        self.patch_log.len()
-    }
-
-    /// All patches applied so far, oldest first.
-    #[inline]
-    pub fn patch_log(&self) -> &[PatchRecord] {
-        &self.patch_log
     }
 
     /// Append an optimized trace to the trace-cache region. The trace is
@@ -287,14 +239,13 @@ mod tests {
     fn patch_and_revert() {
         let mut img = tiny_image();
         let orig = img.word(0);
-        let mark = img.patch_mark();
         let old = img.patch(0, &NOP_SLOT_M).unwrap();
         assert_eq!(old, orig);
         assert_ne!(img.word(0), orig);
-        assert_eq!(img.patch_log().len(), 1);
-        img.revert_to_mark(mark);
+        // Undo is writing the returned word back.
+        let patched = img.patch_word(0, old).unwrap();
+        assert_eq!(patched, encode(&NOP_SLOT_M));
         assert_eq!(img.word(0), orig);
-        assert!(img.patch_log().is_empty());
     }
 
     #[test]
@@ -311,7 +262,7 @@ mod tests {
             Err(PatchError::InvalidWord(_))
         ));
         // Image unchanged after the failed patch.
-        assert!(img.patch_log().is_empty());
+        assert_eq!(img.words(), tiny_image().words());
     }
 
     #[test]
@@ -369,12 +320,11 @@ mod tests {
         };
         let mut img = tiny_image();
         shadow_coherent(&img);
-        let mark = img.patch_mark();
-        img.patch(1, &NOP_SLOT_M).unwrap();
+        let old = img.patch(1, &NOP_SLOT_M).unwrap();
         shadow_coherent(&img);
         img.append_trace(&[NOP_SLOT_M, NOP_SLOT_M]);
         shadow_coherent(&img);
-        img.revert_to_mark(mark);
+        img.patch_word(1, old).unwrap();
         shadow_coherent(&img);
         assert_eq!(img.insn(1).unwrap(), tiny_image().insn(1).unwrap());
     }

@@ -109,7 +109,7 @@ impl DataMem {
 pub struct ProgramCode {
     image: CodeImage,
     decoded: Vec<Insn>,
-    /// Mutation counter: incremented by every patch, append, or revert. The
+    /// Mutation counter: incremented by every patch or append. The
     /// block cache compares it against the generation its contents were
     /// lowered from, so stale blocks can never execute even when a caller
     /// mutates the code without going through the [`Machine`] hooks.
@@ -187,24 +187,6 @@ impl ProgramCode {
         }
         self.generation += 1;
         start
-    }
-
-    /// Current patch-log mark (for revert).
-    pub fn patch_mark(&self) -> usize {
-        self.image.patch_mark()
-    }
-
-    /// Revert patches past `mark`, refreshing the decoded copy. Only the
-    /// slots named in the reverted patch records are re-decoded — reverting
-    /// one deployment must not cost a full-image decode.
-    pub fn revert_to_mark(&mut self, mark: usize) {
-        for rec in self.image.revert_to_mark(mark) {
-            self.decoded[rec.addr as usize] = self
-                .image
-                .insn(rec.addr)
-                .expect("reverted word decoded when first patched");
-        }
-        self.generation += 1;
     }
 }
 

@@ -156,21 +156,13 @@ pub struct ProfileRecord {
 }
 
 impl ProfileRecord {
-    /// Sum `other` into `self` (delinquent/branch entries merged by key and
-    /// kept sorted for deterministic serialization).
-    pub fn merge(&mut self, other: &ProfileRecord) {
-        *self = self
-            .sum_with(other, |a, b| Some(a + b))
-            .expect("a plain sum always yields");
-    }
-
-    /// `self + other` under `add`; `None` as soon as `add` refuses a sum
-    /// (the fleet fold passes `u64::checked_add`), with `self` untouched.
-    fn sum_with(
-        &self,
-        other: &ProfileRecord,
-        add: fn(u64, u64) -> Option<u64>,
-    ) -> Option<ProfileRecord> {
+    /// `self + other`, the crate's one summing rule (delinquent/branch
+    /// entries summed by key and kept sorted for deterministic
+    /// serialization). The counters come from disk or the network, so every
+    /// sum is checked: `None` as soon as one would overflow, with `self`
+    /// untouched.
+    fn checked_sum(&self, other: &ProfileRecord) -> Option<ProfileRecord> {
+        let add = u64::checked_add;
         let mut del: BTreeMap<u32, DelinquentRecord> =
             self.delinquent.iter().map(|d| (d.pc, *d)).collect();
         for d in &other.delinquent {
@@ -462,6 +454,9 @@ pub fn merge_with_policy(
     let mut blacklist: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
     let mut seen: BTreeMap<u32, u64> = BTreeMap::new();
     let track_ages = policy.max_age_runs.is_some() || snapshots.iter().any(|s| !s.ages.is_empty());
+    // The inputs are only read and the sums land in `out`, so an `Err`
+    // leaves nothing half-summed.
+    let overflow = || format!("merging into {}: a counter would overflow", first.key);
     for s in snapshots {
         if s.key != first.key {
             return Err(format!(
@@ -469,8 +464,8 @@ pub fn merge_with_policy(
                 s.key, first.key
             ));
         }
-        out.runs += s.runs;
-        out.profile.merge(&s.profile);
+        out.runs = out.runs.checked_add(s.runs).ok_or_else(overflow)?;
+        out.profile = out.profile.checked_sum(&s.profile).ok_or_else(overflow)?;
         for d in &s.decisions {
             let mut d = d.clone();
             // A later run of the same decision that never closed a trial
@@ -489,7 +484,8 @@ pub fn merge_with_policy(
         }
         blacklist.extend(s.blacklist.iter().copied());
         for (head, seen_runs) in s.confirmations() {
-            *seen.entry(head).or_insert(0) += seen_runs;
+            let sum = seen.entry(head).or_insert(0);
+            *sum = sum.checked_add(seen_runs).ok_or_else(overflow)?;
         }
     }
     out.decisions = decisions.into_values().collect();
@@ -568,7 +564,7 @@ impl Snapshot {
         let runs = self.runs.checked_add(other.runs).ok_or_else(overflow)?;
         let profile = self
             .profile
-            .sum_with(&other.profile, u64::checked_add)
+            .checked_sum(&other.profile)
             .ok_or_else(overflow)?;
         // A content head of `self` without a watermark stands for all of
         // `self`'s runs so far, as one of `other`'s does for `other`'s.
@@ -700,7 +696,12 @@ fn assemble(records: Vec<Record>, expected: Option<&StoreKey>) -> LoadReport {
     for r in records {
         match r {
             Record::Header { .. } => {}
-            Record::Profile(p) => snap.profile.merge(&p),
+            // Repeated profile lines sum; one that would overflow the sum
+            // is damage like any other: skipped and counted.
+            Record::Profile(p) => match snap.profile.checked_sum(&p) {
+                Some(sum) => snap.profile = sum,
+                None => report.skipped_records += 1,
+            },
             Record::Decision(mut d) => {
                 // Legacy "no trial window closed" sentinel. Normalized here,
                 // after the CRC check, so old lines still checksum. Only the
@@ -764,7 +765,7 @@ pub fn read_snapshot_file(path: &Path, expected: Option<&StoreKey>) -> LoadRepor
         }
     }
     let mut report = assemble(records, expected);
-    report.skipped_records = skipped;
+    report.skipped_records += skipped;
     report
 }
 
@@ -1306,7 +1307,7 @@ mod tests {
                 ));
             }
             out.runs += s.runs;
-            out.profile.merge(&s.profile);
+            out.profile = out.profile.checked_sum(&s.profile).expect("sums fit");
             for d in &s.decisions {
                 let rank = (d.post_cpi.is_some(), canon(d));
                 match decisions.get(&d.loop_head) {
@@ -1466,6 +1467,42 @@ mod tests {
         }
         acc.fold_unordered(&sample_snapshot(key())).unwrap();
         assert_eq!(acc.runs, 2);
+    }
+
+    /// The ordered merge sums under the same checked rule: whichever counter
+    /// would not fit, it is an `Err` — not a panic, not a wrapped sum — and
+    /// the inputs (a prior snapshot and a fresh run, at detach) are as they
+    /// were, so the caller can still save the fresh one.
+    #[test]
+    fn ordered_merge_that_would_overflow_is_an_error() {
+        let hostile: [fn(&mut Snapshot); 5] = [
+            |s| s.runs = u64::MAX,
+            |s| s.profile.instructions = u64::MAX,
+            |s| s.profile.delinquent[0].coherent = u64::MAX,
+            |s| s.profile.branch_pairs[0].count = u64::MAX,
+            |s| {
+                s.ages = vec![AgeRecord {
+                    loop_head: 11,
+                    seen_runs: u64::MAX,
+                }]
+            },
+        ];
+        let fresh = sample_snapshot(key());
+        for bend in hostile {
+            let mut prior = sample_snapshot(key());
+            bend(&mut prior);
+            let inputs = [prior.clone(), fresh.clone()];
+            let aging = MergePolicy {
+                max_age_runs: Some(3),
+            };
+            for policy in [MergePolicy::default(), aging] {
+                let err = merge_with_policy(&inputs, &policy).unwrap_err();
+                assert!(err.contains("would overflow"), "got: {err}");
+            }
+            assert!(merge(&inputs).is_err());
+            assert_eq!(inputs, [prior, fresh.clone()]);
+        }
+        assert_eq!(merge(&[fresh.clone(), fresh]).unwrap().runs, 2);
     }
 
     #[test]

@@ -187,3 +187,44 @@ fn million_deep_lines_are_skipped_not_fatal() {
     assert_eq!(lr.error, None);
     assert_eq!(lr.snapshot, Some(snapshot()));
 }
+
+/// A file may hold its `Profile` line more than once (an appended re-save,
+/// a doubled write); the loader sums them. The sum is over counters the file
+/// chose, so it is checked: a line that would overflow it is one more
+/// skipped record — not a panic under overflow checks, not a wrapped counter
+/// without them.
+#[test]
+fn repeated_profile_lines_sum_checked() {
+    let profile_line = |bytes: &[u8]| -> Vec<u8> {
+        let text = std::str::from_utf8(bytes).unwrap();
+        let line = text.lines().find(|l| l.contains("\"Profile\"")).unwrap();
+        format!("{line}\n").into_bytes()
+    };
+
+    // An ordinary line twice: both count.
+    let mut bytes = pristine_bytes();
+    bytes.extend(profile_line(&bytes));
+    let lr = load_mutated(&bytes);
+    assert_eq!((lr.skipped_records, lr.error.as_ref()), (0, None));
+    let got = lr.snapshot.unwrap().profile;
+    assert_eq!(got.instructions, 2 * snapshot().profile.instructions);
+    assert_eq!(got.delinquent[0].coherent, 2 * 100);
+    assert_eq!(got.branch_pairs[0].count, 2 * 900);
+
+    // A CRC-valid line at the top of the range, twice: the second is
+    // skipped and counted, whichever counter it would have overflowed.
+    for field in 0..3 {
+        let mut s = snapshot();
+        match field {
+            0 => s.profile.instructions = u64::MAX,
+            1 => s.profile.delinquent[2].total_latency = u64::MAX,
+            _ => s.profile.branch_pairs[5].count = u64::MAX,
+        }
+        let store = Store::new(tmp_dir());
+        let mut bytes = std::fs::read(store.save(&s).unwrap()).unwrap();
+        bytes.extend(profile_line(&bytes));
+        let lr = load_mutated(&bytes);
+        assert_eq!((lr.skipped_records, lr.error.as_ref()), (1, None));
+        assert_eq!(lr.snapshot, Some(s), "the first line stands untouched");
+    }
+}

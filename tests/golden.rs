@@ -10,6 +10,10 @@
 //! `regenerate` (ignored) rewrites the corpus from the codec of the
 //! checkout it runs in; that is only an oracle when run on a commit whose
 //! codec is trusted independently of this test.
+//!
+//! (The four `fig5_*.txt` files beside the corpus are not this test's: they
+//! are `cobra-repro fig5` output of commit `4ef88f4`, diffed by the
+//! `decisions-pinned` CI job; `tests/decision_pin.rs` is their tier-1 kin.)
 
 use std::path::PathBuf;
 
