@@ -247,11 +247,12 @@ fn host_accel_is_invisible_to_the_cobra_pipeline() {
 
 /// Telemetry is charged to the simulated machine via `overhead_per_sample`,
 /// but its cost must stay negligible: a telemetry-enabled DAXPY run stays
-/// within 5% of the telemetry-disabled run.
+/// within 5% of the telemetry-disabled run in simulated cycles, whether the
+/// optimizer picks per loop or always deploys `noprefetch`.
 #[test]
 fn telemetry_overhead_within_five_percent_on_daxpy() {
     let cfg = MachineConfig::smp4();
-    let run = |sink: Option<TelemetrySink>| {
+    let run = |strategy: Strategy, sink: Option<TelemetrySink>| {
         let wl = Daxpy::build(
             DaxpyParams::new(128 * 1024, 24),
             &PrefetchPolicy::aggressive(),
@@ -259,7 +260,7 @@ fn telemetry_overhead_within_five_percent_on_daxpy() {
         );
         let mut m = cobra_machine::Machine::new(cfg.clone(), wl.image().clone());
         wl.init(&mut m.shared.mem);
-        let mut builder = Cobra::builder();
+        let mut builder = Cobra::builder().strategy(strategy);
         if let Some(s) = sink {
             builder = builder.telemetry(s);
         }
@@ -271,24 +272,27 @@ fn telemetry_overhead_within_five_percent_on_daxpy() {
         let r = wl.run(&mut m, Team::new(4), &rt, &mut cobra);
         (r.cycles, cobra.detach(&mut m))
     };
-    let (plain_cycles, plain_report) = run(None);
-    assert_eq!(plain_report.telemetry_records, 0, "no sink, no records");
+    for strategy in [Strategy::Adaptive, Strategy::NoPrefetch] {
+        let (plain_cycles, plain_report) = run(strategy, None);
+        assert_eq!(plain_report.telemetry_records, 0, "no sink, no records");
 
-    let (sink, log) = TelemetrySink::memory();
-    let (telem_cycles, telem_report) = run(Some(sink));
-    assert!(
-        telem_report.telemetry_records > 0,
-        "sink must capture the pipeline"
-    );
-    assert_eq!(
-        telem_report.telemetry_records as usize,
-        log.lock().unwrap().len()
-    );
-    let ratio = telem_cycles as f64 / plain_cycles as f64;
-    assert!(
-        ratio <= 1.05,
-        "telemetry must stay within 5% of disabled: {plain_cycles} vs {telem_cycles} ({ratio:.4}x)"
-    );
+        let (sink, log) = TelemetrySink::memory();
+        let (telem_cycles, telem_report) = run(strategy, Some(sink));
+        assert!(
+            telem_report.telemetry_records > 0,
+            "sink must capture the pipeline"
+        );
+        assert_eq!(
+            telem_report.telemetry_records as usize,
+            log.lock().unwrap().len()
+        );
+        let ratio = telem_cycles as f64 / plain_cycles as f64;
+        assert!(
+            ratio <= 1.05,
+            "{strategy:?}: telemetry must stay within 5% of disabled: \
+             {plain_cycles} vs {telem_cycles} ({ratio:.4}x)"
+        );
+    }
 }
 
 #[test]

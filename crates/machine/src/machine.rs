@@ -104,11 +104,10 @@ impl DataMem {
     }
 }
 
-/// The program text plus its decoded shadow copy.
+/// The program text, fetched through the image's decoded shadow.
 #[derive(Debug, Clone)]
 pub struct ProgramCode {
     image: CodeImage,
-    decoded: Vec<Insn>,
     /// Mutation counter: incremented by every patch or append. The
     /// block cache compares it against the generation its contents were
     /// lowered from, so stale blocks can never execute even when a caller
@@ -118,30 +117,38 @@ pub struct ProgramCode {
 
 impl ProgramCode {
     pub fn new(image: CodeImage) -> Self {
-        let decoded = image
-            .decode_all()
-            .expect("undecodable instruction in program image");
+        for addr in 0..image.len() {
+            image
+                .insn(addr)
+                .expect("undecodable instruction in program image");
+        }
         ProgramCode {
             image,
-            decoded,
             generation: 0,
         }
     }
 
-    /// Decoded instruction at `addr` (the core's fetch path).
-    #[inline]
+    /// Decoded instruction at `addr` (the core's fetch path). Every slot
+    /// decodes: `new` refused an image with one that does not, a patched
+    /// word is validated by the image, and an appended one is an encoding.
+    ///
+    /// Not inlined: inlined into `Core::issue_bundle_ref`, the `Result`
+    /// the image returns is rebuilt into the `Insn` in overlapping slices,
+    /// which slows the reference engine by ~70 % (126 ms to 216 ms on the
+    /// four-core floor); out of line it is one copy out of the shadow.
+    #[inline(never)]
     pub fn insn(&self, addr: CodeAddr) -> Insn {
-        self.decoded[addr as usize]
+        self.image.insn(addr).expect("program text decodes")
     }
 
     /// Total number of instruction slots (main image plus trace region).
     #[inline]
     pub fn len(&self) -> CodeAddr {
-        self.decoded.len() as CodeAddr
+        self.image.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.decoded.is_empty()
+        self.image.is_empty()
     }
 
     /// Current mutation generation (see the field doc).
@@ -155,10 +162,9 @@ impl ProgramCode {
         &self.image
     }
 
-    /// Patch one slot, keeping the decoded copy coherent.
+    /// Patch one slot.
     pub fn patch(&mut self, addr: CodeAddr, insn: &Insn) -> Result<u64, PatchError> {
         let old = self.image.patch(addr, insn)?;
-        self.decoded[addr as usize] = *insn;
         self.generation += 1;
         Ok(old)
     }
@@ -166,10 +172,6 @@ impl ProgramCode {
     /// Patch one slot from a raw (validated) word.
     pub fn patch_word(&mut self, addr: CodeAddr, word: u64) -> Result<u64, PatchError> {
         let old = self.image.patch_word(addr, word)?;
-        self.decoded[addr as usize] = self
-            .image
-            .insn(addr)
-            .expect("patch_word validated the word");
         self.generation += 1;
         Ok(old)
     }
@@ -177,14 +179,6 @@ impl ProgramCode {
     /// Append an optimized trace; returns its entry address.
     pub fn append_trace(&mut self, insns: &[Insn]) -> CodeAddr {
         let start = self.image.append_trace(insns);
-        // Re-decode the appended region (plus alignment padding).
-        for addr in self.decoded.len()..self.image.len() as usize {
-            self.decoded.push(
-                self.image
-                    .insn(addr as CodeAddr)
-                    .expect("fresh trace decodes"),
-            );
-        }
         self.generation += 1;
         start
     }

@@ -17,7 +17,7 @@ mod common;
 
 use cobra_isa::insn::{Insn, Op};
 use cobra_isa::{Assembler, CmpRel};
-use cobra_machine::{CoreStatus, HostAccel, Machine, MachineConfig};
+use cobra_machine::{CoreStatus, Event, HostAccel, Machine, MachineConfig, SamplingConfig};
 use common::{
     assert_equivalent, assert_equivalent_with, boot, sampling, snapshot, LoopParams, Program,
     BODY_OPS,
@@ -375,5 +375,50 @@ fn fault_in_lockstep_stretch_matches_reference() {
     assert!(
         m.block_stats().horizon_stretches > 0,
         "the lockstep engine actually engaged"
+    );
+}
+
+/// The memory-boundary regime NPB runs in: four threads in the tier-1
+/// guest's load/`lfetch`/store loop (`tests/engine_equivalence.rs`), each
+/// prefetching ahead into its neighbours' regions, with HPM sampling
+/// programmed. Most of the run must be interleaved boundary-batch cycles
+/// with coherent traffic, and it must end as the reference does.
+#[test]
+fn mem_boundary_4core_matches_reference_in_the_boundary_batch() {
+    let mut a = Assembler::new();
+    let pass = a.new_label();
+    a.bind(pass);
+    a.mov(4, 8); // r4: load pointer
+    a.addi(10, 8, 0x0c00); // r10: prefetch pointer, 64 bytes a step
+    a.addi(11, 8, 0x0800); // r11: store pointer
+    a.movi(5, 200);
+    a.mov_to_lc(5);
+    let mem = a.new_label();
+    a.bind(mem);
+    a.ldfd(0, 6, 4, 8);
+    a.lfetch_nt1(0, 10, 64);
+    a.fma_d(0, 7, 6, 1, 7);
+    a.stfd(0, 7, 11, 8);
+    a.br_cloop(mem);
+    a.br_cond(0, pass); // p0: always taken, the budget ends the run
+    let program = Program {
+        image: a.finish(),
+        threads: (0..4)
+            .map(|cpu| (cpu, 0, vec![0x10000 + cpu as i64 * 0x1000]))
+            .collect(),
+        sampling: Some(SamplingConfig {
+            event: Event::InstRetired,
+            period: 2000,
+        }),
+    };
+    let cfg = MachineConfig::smp4();
+    let budget = 400_000u64;
+    assert_equivalent(&cfg, &program, budget);
+    let mut m = boot(&cfg, HostAccel::fast(), &program);
+    m.run(budget);
+    let blocks = m.block_stats();
+    assert!(
+        blocks.fallback_mem_boundary * 2 >= budget,
+        "most of the fixture's cycles must be boundary-batch cycles: {blocks:?}"
     );
 }

@@ -87,6 +87,30 @@ fn idle_machine_burns_budget_identically() {
     assert!(!snap.result.halted);
 }
 
+/// The case the stall skip exists for: a line-striding FP load (one
+/// 128-byte line per iteration, so every load misses to memory) feeding an
+/// immediate use parks all four cores in long all-stalled windows, for
+/// 200 000 cycles.
+#[test]
+fn stall_heavy_200k_cycles_match_reference() {
+    let image = {
+        let mut a = Assembler::new();
+        a.movi(4, 0x1000);
+        a.movi(5, 100_000);
+        a.mov_to_lc(5);
+        let top = a.new_label();
+        a.bind(top);
+        a.ldfd(0, 6, 4, 128);
+        a.fma_d(0, 7, 6, 1, 7); // immediate use: full load-use stall
+        a.br_cloop(top);
+        a.hlt();
+        a.finish()
+    };
+    let budget = 200_000u64;
+    let snap = assert_equivalent(&MachineConfig::smp4(), &Program::new(image, 4), budget);
+    assert_eq!(snap.result.cycles, budget, "the budget ends the run");
+}
+
 // ---- guest-memory fault hardening ----
 
 /// Build a machine whose thread executes `body` then (unreachably after a
