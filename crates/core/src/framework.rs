@@ -190,6 +190,11 @@ impl CobraBuilder {
         );
         let cycle = machine.shared.cycle;
 
+        // What the store and the fleet both file this run under; hashing
+        // the main text is the costly part, so it is done once, and only
+        // when there is somewhere to persist to.
+        let key = (store.is_some() || fleet.is_some())
+            .then(|| StoreKey::for_run(machine.shared.code.image(), &machine.shared.cfg));
         // Fleet seed first: the aggregation server folds every peer's
         // history, so it outranks this process's local store. The pristine
         // main words are captured now — before any deployment patches the
@@ -197,14 +202,13 @@ impl CobraBuilder {
         let fleet_ctx = fleet.map(|addr| {
             let image = machine.shared.code.image();
             FleetCtx {
-                key: StoreKey::for_run(image, &machine.shared.cfg),
                 image_words: image.words()[..image.main_len() as usize].to_vec(),
                 addr,
             }
         });
         let mut fleet_seed: Option<Snapshot> = None;
-        if let Some(ctx) = &fleet_ctx {
-            match FleetClient::connect(&ctx.addr).and_then(|mut c| c.fetch_seed(&ctx.key)) {
+        if let Some((ctx, key)) = fleet_ctx.as_ref().zip(key) {
+            match FleetClient::connect(&ctx.addr).and_then(|mut c| c.fetch_seed(&key)) {
                 Ok(found) => fleet_seed = found,
                 Err(detail) => {
                     telemetry.emit(TelemetryEvent::FleetError {
@@ -220,9 +224,8 @@ impl CobraBuilder {
         // for the very first tick. Seeds are re-verified against the live
         // image inside `warm_start`, so attach-time rejections are reported
         // even if the run never reaches a tick.
-        let store_ctx = store.map(|dir| {
+        let store_ctx = store.zip(key).map(|(dir, key)| {
             let store = Store::new(dir);
-            let key = StoreKey::for_run(machine.shared.code.image(), &machine.shared.cfg);
             let lr = store.load(&key);
             telemetry.report_mut().store_skipped_records = lr.skipped_records;
             if let Some(err) = &lr.error {
@@ -233,8 +236,8 @@ impl CobraBuilder {
                 });
             }
             // A fleet seed outranks the local snapshot (it already folds
-            // this process's own uploads); the local snapshot still merges
-            // into the save at detach.
+            // this process's own uploads); the local snapshot is still
+            // what this run folds into at detach.
             if fleet_seed.is_none() {
                 if let Some(snap) = &lr.snapshot {
                     let seed = seed_from_snapshot(snap);
@@ -248,7 +251,7 @@ impl CobraBuilder {
                     opt.warm_start(seed, &mut telemetry);
                 }
             }
-            (store, key, lr.snapshot)
+            (store, lr.snapshot)
         });
         if let Some(snap) = &fleet_seed {
             let seed = seed_from_snapshot(snap);
@@ -269,6 +272,7 @@ impl CobraBuilder {
             driver,
             tick: 0,
             telemetry,
+            key,
             store_ctx,
             fleet_ctx,
             osr_watches: Vec::new(),
@@ -277,12 +281,11 @@ impl CobraBuilder {
     }
 }
 
-/// Fleet-server coordinates captured at attach: the snapshot key, the
-/// pristine main image words (for server-side seed verification), and the
-/// server address for the detach upload.
+/// Fleet-server coordinates captured at attach: the pristine main image
+/// words (for server-side seed verification) and the server address for
+/// the detach upload.
 struct FleetCtx {
     addr: String,
-    key: StoreKey,
     image_words: Vec<u64>,
 }
 
@@ -314,9 +317,12 @@ pub struct Cobra {
     tick: u64,
     /// The run's one event path, and the report it folds every event into.
     telemetry: Telemetry,
-    /// Store handle, snapshot key, and the prior snapshot (merged into the
-    /// one saved at detach) when persistence is configured.
-    store_ctx: Option<(Store, StoreKey, Option<Snapshot>)>,
+    /// What this run's snapshot is filed under; `Some` exactly when a store
+    /// or a fleet is configured.
+    key: Option<StoreKey>,
+    /// Store handle and the prior snapshot (this run folds into it at
+    /// detach) when persistence is configured.
+    store_ctx: Option<(Store, Option<Snapshot>)>,
     /// Fleet-server coordinates when pooled learning is configured.
     fleet_ctx: Option<FleetCtx>,
     /// Version transfers still draining (threads not yet all on the
@@ -588,6 +594,7 @@ impl Cobra {
             opt,
             tick,
             mut telemetry,
+            key,
             store_ctx,
             fleet_ctx,
             ..
@@ -605,27 +612,29 @@ impl Cobra {
         report.block_horizon_cycles = blocks.horizon_cycles;
         driver.detach(machine);
         let fin = opt.finish();
-        if let Some((store, key, prior)) = store_ctx {
-            let fresh = snapshot_from_final(key, &fin);
+        // This run's own history (runs = 1), derived once. The store folds
+        // it into what it held and the fleet server into what the fleet
+        // holds, by the same rule — so neither counts a prior run twice.
+        let fresh = key.map(|key| snapshot_from_final(key, &fin));
+        if let Some(((store, prior), fresh)) = store_ctx.zip(fresh.as_ref()) {
+            let fold_onto = |mut base: Snapshot| base.fold_unordered(fresh).map(|()| base);
+            let empty = || Snapshot::empty(fresh.key);
             // A prior snapshot that cannot take this run's sums (a counter
-            // would overflow) is reported and replaced by the fresh one.
-            let merged = match prior.map(|p| cobra_store::merge(&[p, fresh.clone()])) {
-                Some(Ok(merged)) => merged,
-                Some(Err(detail)) => {
-                    telemetry.emit(TelemetryEvent::StoreError {
-                        tick,
-                        cycle,
-                        detail,
-                    });
-                    fresh
-                }
-                None => fresh,
-            };
-            telemetry.emit(match store.save(&merged) {
-                Ok(path) => TelemetryEvent::StoreSave {
+            // would overflow) is reported and replaced by this run's fold.
+            let folded = fold_onto(prior.unwrap_or_else(empty)).or_else(|detail| {
+                telemetry.emit(TelemetryEvent::StoreError {
                     tick,
                     cycle,
-                    records: merged.record_count(),
+                    detail,
+                });
+                fold_onto(empty())
+            });
+            let saved = folded.and_then(|snap| Ok((store.save(&snap)?, snap.record_count())));
+            telemetry.emit(match saved {
+                Ok((path, records)) => TelemetryEvent::StoreSave {
+                    tick,
+                    cycle,
+                    records,
                     path: path.display().to_string(),
                 },
                 Err(detail) => TelemetryEvent::StoreError {
@@ -635,13 +644,9 @@ impl Cobra {
                 },
             });
         }
-        if let Some(ctx) = fleet_ctx {
-            // Upload only this run's own history (runs = 1); the server
-            // folds it into the fleet accumulator. Uploading a locally
-            // merged snapshot would double-count prior runs.
-            let fresh = snapshot_from_final(ctx.key, &fin);
+        if let Some((ctx, fresh)) = fleet_ctx.zip(fresh.as_ref()) {
             let uploaded = FleetClient::connect(&ctx.addr)
-                .and_then(|mut c| c.upload(&fresh, Some(&ctx.image_words)));
+                .and_then(|mut c| c.upload(fresh, Some(&ctx.image_words)));
             telemetry.emit(match uploaded {
                 Ok((runs_total, _)) => TelemetryEvent::FleetUpload {
                     tick,

@@ -22,7 +22,7 @@ use std::collections::VecDeque;
 use cobra_isa::CodeAddr;
 use cobra_perfmon::SampleRecord;
 
-use crate::optimizer::{DecisionExport, Optimizer, PlanAction, WarmSeed};
+use crate::optimizer::{DecisionExport, Optimizer, PlanAction, WarmSeed, ROLLING_TICKS};
 use crate::phase::PhaseDetector;
 use crate::profile::{CounterWindow, LatencyBands, ProfileDelta, SystemProfile, ThreadProfiler};
 use crate::telemetry::{Telemetry, TelemetryEvent};
@@ -88,7 +88,7 @@ pub struct OptFinal {
 /// and the optimizer (with its synchronized image copy).
 ///
 /// The decision profile is **rolling**: it is rebuilt each tick from the
-/// last `OptimizerConfig::rolling_ticks` ticks of deltas, so cold-start
+/// last [`ROLLING_TICKS`] ticks of deltas, so cold-start
 /// behaviour ages out and decisions reflect the program's *current* phase
 /// (the continuous part of Continuous Binary Re-Adaptation).
 #[derive(Debug)]
@@ -97,7 +97,7 @@ pub struct OptimizationStage {
     bands: LatencyBands,
     phases: PhaseDetector,
     cumulative: SystemProfile,
-    /// The last `rolling_ticks` ticks of deltas, oldest first.
+    /// The last [`ROLLING_TICKS`] ticks of deltas, oldest first.
     recent: VecDeque<Vec<ProfileDelta>>,
     samples_merged: u64,
 }
@@ -155,7 +155,7 @@ impl OptimizationStage {
             tick_window.merge(&d.window);
         }
         self.recent.push_back(deltas);
-        while self.recent.len() > self.optimizer.config().rolling_ticks.max(1) {
+        while self.recent.len() > ROLLING_TICKS {
             self.recent.pop_front();
         }
         if self.phases.observe(&tick_window) {

@@ -78,41 +78,19 @@ pub enum DeployMode {
     TraceCache,
 }
 
-/// Optimizer thresholds.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+/// Ticks of history in the rolling decision profile. Multi-pass programs
+/// alternate CPI regimes tick by tick; the rolling window and the
+/// regression horizon must span a whole pass cycle so pre/post comparisons
+/// see the same mix.
+pub(crate) const ROLLING_TICKS: usize = 16;
+
+/// What a caller can set of the optimizer. The classification thresholds
+/// no caller ever varied are constants beside [`Optimizer::consider`].
+#[derive(Debug, Clone, Copy)]
 pub struct OptimizerConfig {
     pub strategy: Strategy,
     pub deploy: DeployMode,
     pub trace: TraceConfig,
-    /// Minimum DEAR captures at one PC before it counts as delinquent.
-    pub min_dear_samples: u64,
-    /// Minimum fraction of a site's qualifying misses in the coherent band.
-    pub min_coherent_fraction: f64,
-    /// Minimum system-wide coherent-bus ratio before optimizing at all.
-    pub min_coherent_ratio: f64,
-    /// The §5.2 filter: noprefetch targets "instructions that cause
-    /// frequent L3 misses **when [the] L2 miss ratio is low**" — a low L2
-    /// miss rate means the working set fits L2, so remaining misses are
-    /// coherence, not capacity. At or above this L2-misses-per-kilo-
-    /// instruction rate the code is streaming and prefetches stay.
-    pub l2_kinst_threshold: f64,
-    /// §5.2: "noprefetch … needs precise runtime profiles to avoid removing
-    /// effective prefetches". A loop whose in-loop DEAR captures are more
-    /// than this fraction *memory-band* keeps its prefetches: the fixed
-    /// NoPrefetch strategy skips it; Adaptive falls back to `.excl`.
-    pub max_memory_fraction: f64,
-    /// Minimum merged samples before the first decision.
-    pub min_profile_samples: u64,
-    /// §4's counter-only path: when the system-wide coherent ratio is at
-    /// least this intense, optimize the hottest prefetching loops even if
-    /// the DEAR pinpointed no individual load (store-upgrade-dominated
-    /// pathologies never latch the DEAR, which samples loads).
-    pub fallback_coherent_ratio: f64,
-    /// At most this many loops optimized through the counter-only path.
-    pub fallback_max_loops: usize,
-    /// Deployments per quantum tick: deploying incrementally lets the
-    /// CPI-regression feedback assign blame to individual deployments.
-    pub max_deploys_per_tick: usize,
     /// Revert a deployment whose post-deployment CPI exceeds the
     /// pre-deployment CPI by this factor (`<= 0` disables reverting).
     /// Trial-and-revert is the framework's answer to pathologies no ex-ante
@@ -122,11 +100,9 @@ pub struct OptimizerConfig {
     /// blacklisted, so each loop is trialled at most once.
     pub regression_factor: f64,
     /// Quantum ticks to observe after a deployment before judging
-    /// regression (should exceed `rolling_ticks` so the rolling window is
+    /// regression (should exceed [`ROLLING_TICKS`] so the rolling window is
     /// fully post-deployment).
     pub regression_ticks: u64,
-    /// Ticks of history in the rolling decision profile.
-    pub rolling_ticks: usize,
     /// Quantum ticks observed before the first deployment is allowed —
     /// lets the program's cold start age out of the rolling profile so
     /// decisions reflect steady-state behaviour.
@@ -136,21 +112,18 @@ pub struct OptimizerConfig {
     /// prior run) may deploy after this many ticks; unseeded loops still
     /// wait out the full `warmup_ticks`, so a warm run converges to the
     /// same final deployment set as a cold one, just earlier.
-    #[serde(default = "default_warm_warmup_ticks")]
     pub warm_warmup_ticks: u64,
     /// Run the multi-version candidate tournament instead of the one-shot
     /// classifier deployment: generate per-`lfetch` subset/mix candidates
     /// for each eligible hot loop, trial each for `trial_ticks`, revert,
     /// and promote the lowest-CPI candidate. Off by default — the classic
     /// two-rewrite pipeline stays byte-identical with it off.
-    #[serde(default)]
     pub candidates: bool,
     /// Quantum ticks each tournament candidate stays deployed before its
     /// trial CPI is read. Trials measure against exact per-tick counter
     /// sums (see [`Optimizer::observe_tick_window`]), so short windows stay
     /// accurate; longer windows average out scheduling noise at the cost of
     /// a longer tournament.
-    #[serde(default = "default_trial_ticks")]
     pub trial_ticks: u64,
     /// On-stack replacement: arm verified per-branch redirects when a trace
     /// version deploys (and the reverse map when it reverts), so threads
@@ -163,39 +136,18 @@ pub struct OptimizerConfig {
     pub osr: bool,
 }
 
-fn default_warm_warmup_ticks() -> u64 {
-    6
-}
-
-fn default_trial_ticks() -> u64 {
-    4
-}
-
 impl Default for OptimizerConfig {
     fn default() -> Self {
         OptimizerConfig {
             strategy: Strategy::Adaptive,
             deploy: DeployMode::TraceCache,
             trace: TraceConfig::default(),
-            min_dear_samples: 3,
-            min_coherent_fraction: 0.5,
-            min_coherent_ratio: 0.05,
-            l2_kinst_threshold: 10.5,
-            max_memory_fraction: 0.4,
-            min_profile_samples: 32,
-            fallback_coherent_ratio: 0.25,
-            fallback_max_loops: 4,
-            max_deploys_per_tick: 1,
             regression_factor: 1.4,
-            // Multi-pass programs alternate CPI regimes tick by tick; the
-            // rolling window and the regression horizon must span a whole
-            // pass cycle so pre/post comparisons see the same mix.
             regression_ticks: 20,
-            rolling_ticks: 16,
             warmup_ticks: 18,
-            warm_warmup_ticks: default_warm_warmup_ticks(),
+            warm_warmup_ticks: 6,
             candidates: false,
-            trial_ticks: default_trial_ticks(),
+            trial_ticks: 4,
             osr: true,
         }
     }
@@ -203,7 +155,7 @@ impl Default for OptimizerConfig {
 
 /// One planned deployment (or revert), handed from the optimization stage
 /// to the framework for application at a safe point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum PlanAction {
     Apply(PatchPlan),
     /// Undo a previous deployment by restoring the overwritten words.
@@ -211,7 +163,6 @@ pub enum PlanAction {
         plan_id: u64,
         /// Head of the loop being restored — lets the framework poison it
         /// if a restore write fails.
-        #[serde(default)]
         loop_head: CodeAddr,
         writes: Vec<(CodeAddr, u64)>,
         reason: String,
@@ -219,20 +170,18 @@ pub enum PlanAction {
 }
 
 /// A concrete binary rewrite.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PatchPlan {
     pub id: u64,
     pub kind: OptKind,
     pub loop_head: CodeAddr,
     /// Back-edge address of the loop the plan claims to optimize; the
     /// verifier bounds every patch site by `[head - entry window, back_edge]`.
-    #[serde(default)]
     pub back_edge: CodeAddr,
     pub description: String,
     /// Tournament candidate spec name when this plan is a candidate trial
     /// or a promoted/warm-resumed winner (`None` for classic one-shot
     /// deployments).
-    #[serde(default)]
     pub candidate: Option<String>,
     /// Words to write into the existing image, `(addr, new_word)`.
     pub writes: Vec<(CodeAddr, u64)>,
@@ -241,7 +190,7 @@ pub struct PatchPlan {
 }
 
 /// An optimized loop body for the trace cache.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TracePlan {
     /// Where the trace must land (both sides compute `bundle_align(len)` on
     /// identical images; the apply step asserts agreement).
@@ -727,6 +676,25 @@ impl Optimizer {
         });
     }
 
+    /// Minimum merged samples before the first decision.
+    const MIN_PROFILE_SAMPLES: u64 = 32;
+    /// Minimum system-wide coherent-bus ratio before optimizing at all.
+    const MIN_COHERENT_RATIO: f64 = 0.05;
+    /// Minimum DEAR captures at one PC before it counts as delinquent.
+    const MIN_DEAR_SAMPLES: u64 = 3;
+    /// Minimum fraction of a site's qualifying misses in the coherent band.
+    const MIN_COHERENT_FRACTION: f64 = 0.5;
+    /// §4's counter-only path: when the system-wide coherent ratio is at
+    /// least this intense, optimize the hottest prefetching loops even if
+    /// the DEAR pinpointed no individual load (store-upgrade-dominated
+    /// pathologies never latch the DEAR, which samples loads).
+    const FALLBACK_COHERENT_RATIO: f64 = 0.25;
+    /// At most this many loops optimized through the counter-only path.
+    const FALLBACK_MAX_LOOPS: usize = 4;
+    /// Deployments per quantum tick: deploying incrementally lets the
+    /// CPI-regression feedback assign blame to individual deployments.
+    const MAX_DEPLOYS_PER_TICK: usize = 1;
+
     /// Evaluate the current profile; returns any plans to deploy or revert.
     /// The caller should `reset_window` the profile after a deployment so
     /// post-deployment behaviour is measured fresh.
@@ -751,14 +719,14 @@ impl Optimizer {
             return actions;
         }
         let in_warm_window = self.warm && self.ticks_seen <= self.cfg.warmup_ticks;
-        if profile.samples < self.cfg.min_profile_samples {
+        if profile.samples < Self::MIN_PROFILE_SAMPLES {
             return actions;
         }
-        if profile.window.coherent_ratio() < self.cfg.min_coherent_ratio {
+        if profile.window.coherent_ratio() < Self::MIN_COHERENT_RATIO {
             return actions;
         }
         let hot_pcs: Vec<CodeAddr> = profile
-            .coherent_delinquent(self.cfg.min_dear_samples, self.cfg.min_coherent_fraction)
+            .coherent_delinquent(Self::MIN_DEAR_SAMPLES, Self::MIN_COHERENT_FRACTION)
             .into_iter()
             .map(|(pc, _)| pc)
             .collect();
@@ -771,11 +739,11 @@ impl Optimizer {
         // (the counter-only path of §4: the DEAR latches one event per
         // sample, so store-upgrade-dominated loops rarely surface there).
         let mut eligible = loops_with_delinquent_loads(&loops, &hot_pcs);
-        if profile.window.coherent_ratio() >= self.cfg.fallback_coherent_ratio {
+        if profile.window.coherent_ratio() >= Self::FALLBACK_COHERENT_RATIO {
             let others: Vec<HotLoop> = loops
                 .iter()
                 .filter(|lp| !eligible.iter().any(|c| c.head == lp.head))
-                .take(self.cfg.fallback_max_loops)
+                .take(Self::FALLBACK_MAX_LOOPS)
                 .cloned()
                 .collect();
             eligible.extend(others);
@@ -792,7 +760,7 @@ impl Optimizer {
         }
         let mut deployed_this_tick = 0usize;
         for lp in eligible {
-            if deployed_this_tick >= self.cfg.max_deploys_per_tick {
+            if deployed_this_tick >= Self::MAX_DEPLOYS_PER_TICK {
                 break;
             }
             // During the shortened learning window only loops with a seeded
@@ -942,14 +910,26 @@ impl Optimizer {
         }
     }
 
+    /// The §5.2 filter: noprefetch targets "instructions that cause
+    /// frequent L3 misses **when [the] L2 miss ratio is low**" — a low L2
+    /// miss rate means the working set fits L2, so remaining misses are
+    /// coherence, not capacity. At or above this L2-misses-per-kilo-
+    /// instruction rate the code is streaming and prefetches stay.
+    const L2_KINST_THRESHOLD: f64 = 10.5;
+    /// §5.2: "noprefetch … needs precise runtime profiles to avoid removing
+    /// effective prefetches". A loop whose in-loop DEAR captures are more
+    /// than this fraction *memory-band* keeps its prefetches: the fixed
+    /// NoPrefetch strategy skips it; Adaptive falls back to `.excl`.
+    const MAX_MEMORY_FRACTION: f64 = 0.4;
+
     /// Classify one loop's prefetches. They are *effective* (worth keeping)
     /// when the code streams through L2 (high L2 miss rate — the inverse of
     /// §5.2's "L2 miss ratio is low" condition) or when the loop's DEAR
     /// captures sit in the memory band.
     fn classify(&self, lp: &HotLoop, profile: &SystemProfile) -> bool {
         let mem_frac = self.loop_memory_fraction(lp, profile);
-        profile.window.capacity_l2_per_kinst() >= self.cfg.l2_kinst_threshold
-            || mem_frac.is_some_and(|f| f > self.cfg.max_memory_fraction)
+        profile.window.capacity_l2_per_kinst() >= Self::L2_KINST_THRESHOLD
+            || mem_frac.is_some_and(|f| f > Self::MAX_MEMORY_FRACTION)
     }
 
     /// Decide the rewrite from a loop's classification — or decline

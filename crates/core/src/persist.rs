@@ -56,7 +56,8 @@ pub fn profile_record(profile: &SystemProfile) -> ProfileRecord {
 }
 
 /// Build the snapshot one finished run contributes (`runs = 1`; the
-/// framework merges it into any prior snapshot before saving).
+/// framework folds it into the prior snapshot, or an empty one, before
+/// saving, and uploads it as it is).
 pub fn snapshot_from_final(key: StoreKey, fin: &OptFinal) -> Snapshot {
     let mut snap = Snapshot::empty(key);
     snap.runs = 1;

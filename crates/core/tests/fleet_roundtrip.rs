@@ -186,3 +186,40 @@ fn fleet_seed_outranks_local_store_snapshot() {
     );
     server.shutdown();
 }
+
+/// A store directory is a fleet of one: two real runs that save locally
+/// and upload leave the same bytes in the store's file as the server
+/// persists for the key — one fold, from empty, of the same two runs.
+#[test]
+fn local_store_file_equals_the_fleet_shard_file() {
+    let fdir = tmp_dir("shard");
+    let server = FleetServer::start(
+        "127.0.0.1:0",
+        FleetConfig {
+            dir: Some(fdir.clone()),
+            ..FleetConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr().to_string();
+    let dir = tmp_dir("local");
+    let wl = workload();
+
+    for runs in 1..=2 {
+        let (report, _) = run(&wl, Some(&addr), Some(&dir));
+        assert_eq!((report.fleet_uploads, report.store_errors), (1, 0));
+        let local = cobra_store::Store::new(&dir).snapshot_paths();
+        assert_eq!(local.len(), 1, "one key, one file");
+        let shard = fdir.join(local[0].file_name().unwrap());
+        let bytes = std::fs::read(&local[0]).unwrap();
+        assert!(
+            bytes == std::fs::read(&shard).unwrap(),
+            "after {runs} run(s) {} and {} differ",
+            local[0].display(),
+            shard.display()
+        );
+        let held = cobra_store::read_snapshot_file(&shard, None).snapshot;
+        assert_eq!(held.map(|s| s.runs), Some(runs));
+    }
+    server.shutdown();
+}

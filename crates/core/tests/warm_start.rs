@@ -350,3 +350,34 @@ fn prior_snapshot_that_would_overflow_is_reported_and_replaced() {
     assert_eq!(saved.runs, 1, "this run's own history, not the prior's");
     assert_eq!(second.store_saved_records, saved.record_count() as u64);
 }
+
+/// A store file as every build before the single fold wrote it — several
+/// runs in the header, no age lines — still loads, seeds the next run and
+/// folds: its heads count as confirmed by each of its runs.
+#[test]
+fn store_file_without_age_lines_still_loads_seeds_and_folds() {
+    let store = tmp_store();
+    let wl = workload();
+    let cfg = MachineConfig::smp4();
+    let (cold, _) = run(&wl, &cfg, &store);
+
+    let handle = cobra_store::Store::new(&store);
+    let key = cobra_store::StoreKey::for_run(wl.image(), &cfg);
+    let mut old = handle.load(&key).snapshot.expect("the cold run saved");
+    assert!(!old.decisions.is_empty());
+    old.runs = 2;
+    old.ages.clear();
+    let path = handle.save(&old).unwrap();
+    assert!(!std::fs::read_to_string(path).unwrap().contains("\"Age\""));
+
+    let (warm, _) = run(&wl, &cfg, &store);
+    assert!(warm.warm_started);
+    assert_eq!((warm.store_errors, warm.store_skipped_records), (0, 0));
+    assert_eq!(warm.warm_seeded_decisions, old.decisions.len());
+    assert_eq!(active_set(&cold), active_set(&warm));
+    let saved = handle.load(&key).snapshot.expect("the warm run saved");
+    assert_eq!(saved.runs, 3);
+    for d in &saved.decisions {
+        assert_eq!(saved.seen_runs_for(d.loop_head), 3);
+    }
+}

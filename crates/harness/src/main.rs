@@ -15,7 +15,6 @@
 //! cobra-repro fleet upload --addr A PATH   # push snapshot file or dir
 //! cobra-repro fleet fetch --addr A --key K [--out FILE]
 //! cobra-repro fleet stats --addr A
-//! cobra-repro fleet bench [--clients N] [--uploads N]
 //! cobra-repro all   [--md] [--json]    # everything (EXPERIMENTS.md source)
 //! ```
 //!
@@ -169,6 +168,10 @@ fn validate(cmd: &Command, opts: &Opts) {
     }
     if opts.candidates && !cmd.accepts_trace_out() {
         eprintln!("--candidates is only supported with fig5|fig6|fig7");
+        std::process::exit(2);
+    }
+    if opts.workers == 0 {
+        eprintln!("--workers must be at least 1");
         std::process::exit(2);
     }
     if matches!(cmd, Command::Trace(_)) && (opts.json || opts.markdown) {
@@ -341,17 +344,16 @@ fn run_profile(args: &[String]) -> ! {
     }
 }
 
-/// `cobra-repro fleet serve|upload|fetch|stats|bench` — its own tiny arg
-/// grammar. Exit 2 on bad arguments, exit 1 on a failed operation or a
-/// failed bench check, exit 0 on success.
+/// `cobra-repro fleet serve|upload|fetch|stats` — its own tiny arg
+/// grammar. Exit 2 on bad arguments, exit 1 on a failed operation, exit 0
+/// on success.
 fn run_fleet(args: &[String]) -> ! {
     let usage = || -> ! {
         eprintln!(
             "usage:\n  fleet serve --addr A [--dir D] [--shards N] [--max-age-runs N]\n  \
              fleet upload --addr A PATH\n  \
              fleet fetch --addr A --key IMAGEHEX-MACHINEHEX [--out FILE]\n  \
-             fleet stats --addr A\n  \
-             fleet bench [--clients N] [--uploads N]"
+             fleet stats --addr A"
         );
         std::process::exit(2);
     };
@@ -363,8 +365,6 @@ fn run_fleet(args: &[String]) -> ! {
     let mut key: Option<String> = None;
     let mut shards = 4usize;
     let mut max_age_runs: Option<u64> = None;
-    let mut clients = 64usize;
-    let mut uploads = 16usize;
     let mut path: Option<PathBuf> = None;
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -376,8 +376,6 @@ fn run_fleet(args: &[String]) -> ! {
             "--max-age-runs" => {
                 max_age_runs = Some(numeric_flag(&mut it, "--max-age-runs N") as u64)
             }
-            "--clients" => clients = numeric_flag(&mut it, "--clients N"),
-            "--uploads" => uploads = numeric_flag(&mut it, "--uploads N"),
             other if !other.starts_with('-') && path.is_none() => path = Some(PathBuf::from(other)),
             _ => usage(),
         }
@@ -415,18 +413,10 @@ fn run_fleet(args: &[String]) -> ! {
                 .and_then(|k| fleetcmd::fetch(&need_addr(), &k, out.as_deref()))
         }
         "stats" => fleetcmd::stats(&need_addr()),
-        "bench" => {
-            let tmp =
-                std::env::temp_dir().join(format!("cobra-fleet-bench-{}", std::process::id()));
-            match fleetcmd::bench(clients, uploads, &tmp) {
-                Ok(b) => {
-                    print!("{}", b.text);
-                    std::process::exit(if b.failures == 0 { 0 } else { 1 });
-                }
-                Err(e) => Err(e),
-            }
+        other => {
+            eprintln!("unknown fleet command {other}; try serve|upload|fetch|stats");
+            std::process::exit(2);
         }
-        _ => usage(),
     };
     match outcome {
         Ok(text) => {

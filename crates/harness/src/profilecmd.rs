@@ -10,7 +10,7 @@
 use std::path::{Path, PathBuf};
 
 use cobra_machine::MachineConfig;
-use cobra_store::{read_snapshot_file, write_snapshot_file, Snapshot};
+use cobra_store::{merge_unordered, read_snapshot_file, write_snapshot_file, Snapshot};
 
 use crate::npbsuite::{self, Arm};
 
@@ -140,11 +140,12 @@ pub fn inspect(path: &Path) -> Result<String, String> {
     Ok(out)
 }
 
-/// `profile merge`: fold same-key snapshot files into `out`. Each input
-/// may be a file or a directory (expanded to every `*.jsonl` directly
-/// inside, path-sorted, so directory merges are deterministic). With
-/// `max_age_runs`, decisions/winners the fleet stopped re-confirming for
-/// that many runs are aged out of the result.
+/// `profile merge`: fold same-key snapshot files into `out` — the fold a
+/// store directory and a fleet server apply, so the inputs' order does not
+/// matter and the file is the one either would hold for the same runs.
+/// Each input may be a file or a directory (expanded to every `*.jsonl`
+/// directly inside). With `max_age_runs`, decisions/winners that went
+/// that many runs without being re-confirmed are aged out of the result.
 pub fn merge(inputs: &[PathBuf], out: &Path, max_age_runs: Option<u64>) -> Result<String, String> {
     if max_age_runs == Some(0) {
         return Err("--max-age-runs must be at least 1".into());
@@ -182,19 +183,24 @@ pub fn merge(inputs: &[PathBuf], out: &Path, max_age_runs: Option<u64>) -> Resul
             }
         }
     }
-    let outcome =
-        cobra_store::merge_with_policy(&snaps, &cobra_store::MergePolicy { max_age_runs })?;
-    write_snapshot_file(out, &outcome.snapshot)?;
+    let merged = merge_unordered(&snaps)?;
+    let (merged, aged) = match max_age_runs {
+        Some(n) => {
+            let (kept, decisions, winners) = merged.age_filtered(n);
+            (kept, Some((decisions, winners)))
+        }
+        None => (merged, None),
+    };
+    write_snapshot_file(out, &merged)?;
     let mut msg = format!(
         "merged {} snapshot(s) into {}\n  {}\n",
         snaps.len(),
         out.display(),
-        outcome.snapshot.summary()
+        merged.summary()
     );
-    if max_age_runs.is_some() {
+    if let Some((decisions, winners)) = aged {
         msg.push_str(&format!(
-            "  aged out {} decision(s), {} winner(s)\n",
-            outcome.aged_decisions, outcome.aged_winners
+            "  aged out {decisions} decision(s), {winners} winner(s)\n"
         ));
     }
     Ok(msg)

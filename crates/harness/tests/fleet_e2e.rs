@@ -1,14 +1,22 @@
-//! End-to-end `cobra-repro fleet` coverage: the full load-generator bench
-//! (ingest throughput, fetch latency, fleet-warm vs self-history-warm
-//! convergence on cg) and the CLI serve/upload/fetch/stats round trip
-//! against a real child-process server with a scraped ephemeral port.
+//! End-to-end fleet coverage: fleet-warm vs self-history-warm convergence
+//! on cg against a loopback server, and the `cobra-repro fleet`
+//! serve/upload/fetch/stats round trip against a real child-process server
+//! with a scraped ephemeral port.
 
 use std::io::{BufRead, BufReader};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cobra_store::{write_snapshot_file, DecisionRecord, Snapshot, StoreKey};
+use cobra_fleet::{FleetClient, FleetConfig, FleetServer};
+use cobra_kernels::npb::{self, Benchmark};
+use cobra_kernels::PrefetchPolicy;
+use cobra_machine::MachineConfig;
+use cobra_omp::{OmpRuntime, Team};
+use cobra_rt::{Cobra, CobraReport};
+use cobra_store::{
+    read_snapshot_file, write_snapshot_file, DecisionRecord, Snapshot, Store, StoreKey,
+};
 
 fn repro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_cobra-repro"))
@@ -47,14 +55,141 @@ fn snap() -> Snapshot {
     s
 }
 
-/// The whole bench harness: every check must hold. Debug builds are slow,
-/// so the client fleet is scaled down; the throughput floor still applies.
+fn cg() -> Box<dyn cobra_kernels::Workload> {
+    let mem_bytes = MachineConfig::smp4().mem_bytes;
+    npb::build(Benchmark::Cg, &PrefetchPolicy::aggressive(), mem_bytes)
+}
+
+/// One adaptive cg run on smp4, warm-started from `store` and/or `fleet`.
+fn cg_run(fleet: Option<&str>, store: Option<&Path>) -> CobraReport {
+    let wl = cg();
+    let mut m = cobra_machine::Machine::new(MachineConfig::smp4(), wl.image().clone());
+    wl.init(&mut m.shared.mem);
+    let mut builder = Cobra::builder().strategy(cobra_rt::Strategy::Adaptive);
+    if let Some(addr) = fleet {
+        builder = builder.fleet(addr);
+    }
+    if let Some(dir) = store {
+        builder = builder.store(dir);
+    }
+    let mut cobra = builder.attach(&mut m);
+    let rt = OmpRuntime {
+        quantum: 20_000,
+        ..OmpRuntime::default()
+    };
+    wl.run(&mut m, Team::new(4), &rt, &mut cobra);
+    let report = cobra.detach(&mut m);
+    wl.verify(&m.shared.mem)
+        .expect("cg verification under COBRA");
+    report
+}
+
+/// Final active deployment heads of a run.
+fn active_heads(report: &CobraReport) -> Vec<u32> {
+    let mut v: Vec<u32> = report
+        .applied
+        .iter()
+        .filter(|a| !report.reverted.iter().any(|r| r.plan_id == a.plan_id))
+        .map(|a| a.loop_head)
+        .collect();
+    v.sort_unstable();
+    v.dedup();
+    v
+}
+
+/// Tick at which the run's applied set first covers every head in `goal`
+/// (the cold run's final deployments) — the convergence point.
+fn converge_tick(report: &CobraReport, goal: &[u32]) -> Option<u64> {
+    goal.iter()
+        .map(|h| {
+            report
+                .applied
+                .iter()
+                .filter(|a| a.loop_head == *h)
+                .map(|a| a.tick)
+                .min()
+        })
+        .collect::<Option<Vec<u64>>>()
+        .map(|firsts| firsts.into_iter().max().unwrap_or(0))
+}
+
+/// A cold cg run's history is split into two partial per-client snapshots
+/// (each client saw only some heads). A run warm-started from the fleet's
+/// fold of both must reach the cold deployment set strictly earlier than a
+/// run warm-started from one client's own partial history, which misses
+/// the held-out head; and every seed served went through `check_seed`.
 #[test]
-fn bench_checks_all_pass() {
-    let tmp = tmp_dir("bench");
-    let out = cobra_harness::fleetcmd::bench(8, 8, &tmp).expect("bench runs");
-    assert_eq!(out.failures, 0, "every bench check passes:\n{}", out.text);
-    assert!(out.text.ends_with("PASS\n"), "{}", out.text);
+fn fleet_fold_of_partial_histories_converges_before_own_history() {
+    let server = FleetServer::start("127.0.0.1:0", FleetConfig::default()).unwrap();
+    let addr = server.local_addr().to_string();
+
+    let cold_dir = tmp_dir("cold");
+    let cold = cg_run(None, Some(&cold_dir));
+    let goal = active_heads(&cold);
+    assert!(goal.len() >= 2, "cold cg run deployed {goal:?}");
+    let saved = Store::new(&cold_dir).snapshot_paths();
+    let full = read_snapshot_file(&saved[0], None)
+        .snapshot
+        .expect("cold run persisted a snapshot");
+    // Hold out the head the cold run learned last.
+    let held_out = cold
+        .applied
+        .iter()
+        .filter(|a| goal.contains(&a.loop_head))
+        .max_by_key(|a| a.tick)
+        .map(|a| a.loop_head)
+        .expect("cold run applied something");
+    let strip = |drop_head: Option<u32>| -> Snapshot {
+        let mut s = full.clone();
+        if let Some(h) = drop_head {
+            s.decisions.retain(|d| d.loop_head != h);
+            s.winners.retain(|w| w.loop_head != h);
+        }
+        s
+    };
+    // Client A's own history misses the held-out head; client B's partial
+    // covers it. The fleet folds both — with the image words attached so
+    // every seed it serves goes through `check_seed`.
+    let self_partial = strip(Some(held_out));
+    let other_partial = strip(goal.iter().find(|h| **h != held_out).copied());
+    let image = cg().image().clone();
+    let words = &image.words()[..image.main_len() as usize];
+    let mut cl = FleetClient::connect(&addr).unwrap();
+    cl.upload(&self_partial, Some(words)).unwrap();
+    cl.upload(&other_partial, Some(words)).unwrap();
+    drop(cl);
+
+    let self_dir = tmp_dir("self");
+    Store::new(&self_dir).save(&self_partial).unwrap();
+    let self_warm = cg_run(None, Some(&self_dir));
+    let fleet_warm = cg_run(Some(&addr), None);
+
+    // The self-history run may not even finish re-learning the held-out
+    // head inside one run — "never converged" is the strongest form of
+    // "later". It must still stay inside the cold set (no rogue deploys).
+    assert_eq!(active_heads(&fleet_warm), goal);
+    let self_heads = active_heads(&self_warm);
+    assert!(
+        self_heads.iter().all(|h| goal.contains(h)),
+        "self-history run left the cold set {goal:?}: {self_heads:?}"
+    );
+    assert_eq!(
+        (fleet_warm.fleet_seeds, fleet_warm.fleet_errors),
+        (1, 0),
+        "fleet run seeded from the server"
+    );
+    let self_tick = converge_tick(&self_warm, &goal);
+    let fleet_tick = converge_tick(&fleet_warm, &goal);
+    assert!(
+        matches!(fleet_tick, Some(f) if self_tick.is_none_or(|s| f < s)),
+        "fleet-warm converges strictly earlier: tick {fleet_tick:?} vs self-history {self_tick:?}"
+    );
+    assert_eq!(
+        server.stats().served_unverified,
+        0,
+        "every cg seed was image-verified before serving"
+    );
+    server.shutdown();
 }
 
 /// A serve child on an ephemeral port, killed on drop even when an
@@ -166,8 +301,14 @@ fn cli_serve_upload_fetch_stats_round_trip() {
 fn cli_bad_arguments_exit_2() {
     let out = repro(&["fleet"]);
     assert_eq!(out.status.code(), Some(2));
-    let out = repro(&["fleet", "bogus"]);
-    assert_eq!(out.status.code(), Some(2));
+    // `bench` was a command once; it is an unknown one now, like `bogus`.
+    for action in ["bogus", "bench"] {
+        let out = repro(&["fleet", action]);
+        assert_eq!(out.status.code(), Some(2));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown fleet command"), "{err}");
+        assert_eq!(err.lines().count(), 1, "one-line error: {err}");
+    }
     let out = repro(&["fleet", "stats"]); // missing --addr
     assert_eq!(out.status.code(), Some(2));
     let out = repro(&["fleet", "fetch", "--addr", "127.0.0.1:9", "--key", "zz"]);

@@ -70,6 +70,14 @@ fn bad_arguments_exit_2_with_one_line_error() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("does not exist"), "{err}");
     assert_eq!(err.lines().count(), 1, "one-line error: {err}");
+
+    // The same convention on the figure commands' flag values: a worker
+    // count no trial runner can use is refused before anything runs.
+    let out = repro(&["static", "--workers", "0"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--workers must be at least 1"), "{err}");
+    assert_eq!(err.lines().count(), 1, "one-line error: {err}");
 }
 
 #[test]

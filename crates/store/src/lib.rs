@@ -276,9 +276,9 @@ pub enum Record {
     /// snapshots; unknown variants in *future* files fail to parse and are
     /// skipped+counted like any damaged line).
     Winner(WinnerRecord),
-    /// Re-confirmation watermark for one loop head (absent in pre-fleet
-    /// snapshots; written only by age-tracking folds, so classic detach
-    /// snapshots stay byte-identical to their PR 4-era form).
+    /// Re-confirmation watermark for one loop head. Every fold writes one
+    /// per decided head; files older than the single fold carry none, and
+    /// their heads count as confirmed by all of the file's runs.
     Age(AgeRecord),
 }
 
@@ -295,8 +295,8 @@ pub struct Snapshot {
     /// snapshots).
     #[serde(default)]
     pub winners: Vec<WinnerRecord>,
-    /// Re-confirmation watermarks, sorted by loop head (empty for
-    /// snapshots that never went through an age-tracking fold).
+    /// Re-confirmation watermarks, sorted by loop head (empty until the
+    /// snapshot goes through [`Snapshot::fold_unordered`]).
     #[serde(default)]
     pub ages: Vec<AgeRecord>,
 }
@@ -346,7 +346,7 @@ impl Snapshot {
     }
 
     /// One-line human summary for `profile inspect`. Age watermarks only
-    /// appear when present, so classic snapshots keep their old summary.
+    /// appear when present.
     pub fn summary(&self) -> String {
         let reverted = self.decisions.iter().filter(|d| d.reverted).count();
         let mut s = format!(
@@ -368,9 +368,9 @@ impl Snapshot {
     }
 
     /// How many of this snapshot's runs confirmed each loop head. Explicit
-    /// [`AgeRecord`]s take precedence; a content head without one (every
-    /// snapshot written before age tracking, and every single-run detach
-    /// snapshot) counts as confirmed by all of the snapshot's runs.
+    /// [`AgeRecord`]s take precedence; a content head without one (a run's
+    /// own snapshot before its first fold, and every file written before
+    /// detach folded) counts as confirmed by all of the snapshot's runs.
     pub fn confirmations(&self) -> BTreeMap<u32, u64> {
         let mut m: BTreeMap<u32, u64> = self
             .ages
@@ -413,108 +413,19 @@ impl Snapshot {
     }
 }
 
-/// Aging policy for [`merge_with_policy`] and the fleet server's serving
-/// path. `max_age_runs: Some(n)` drops a decision/winner once `n` merged
-/// runs have gone by without re-confirming it (`runs - seen_runs >= n`);
-/// `n = 0` is degenerate (drops everything) and rejected by the CLIs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MergePolicy {
-    pub max_age_runs: Option<u64>,
-}
-
-/// Result of a policy-aware merge: the folded snapshot plus how many
-/// records the aging policy dropped.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MergeOutcome {
-    pub snapshot: Snapshot,
-    pub aged_decisions: u64,
-    pub aged_winners: u64,
-}
-
-/// Merge snapshots of the same key: profiles summed, decisions and winners
-/// merged with later inputs overriding earlier ones per loop head,
-/// blacklists unioned. Equivalent to [`merge_with_policy`] with the default
-/// (no-aging) policy.
-pub fn merge(snapshots: &[Snapshot]) -> Result<Snapshot, String> {
-    merge_with_policy(snapshots, &MergePolicy::default()).map(|o| o.snapshot)
-}
-
-/// [`merge`] with an aging policy. Re-confirmation watermarks are summed
-/// across inputs; the output carries explicit [`AgeRecord`]s only when an
-/// input had them or the policy is active, so plain merges of classic
-/// snapshots stay byte-identical to their pre-aging output.
-pub fn merge_with_policy(
-    snapshots: &[Snapshot],
-    policy: &MergePolicy,
-) -> Result<MergeOutcome, String> {
-    let first = snapshots.first().ok_or("nothing to merge")?;
-    let mut out = Snapshot::empty(first.key);
-    let mut decisions: BTreeMap<u32, DecisionRecord> = BTreeMap::new();
-    let mut winners: BTreeMap<u32, WinnerRecord> = BTreeMap::new();
-    let mut blacklist: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
-    let mut seen: BTreeMap<u32, u64> = BTreeMap::new();
-    let track_ages = policy.max_age_runs.is_some() || snapshots.iter().any(|s| !s.ages.is_empty());
-    // The inputs are only read and the sums land in `out`, so an `Err`
-    // leaves nothing half-summed.
-    let overflow = || format!("merging into {}: a counter would overflow", first.key);
-    for s in snapshots {
-        if s.key != first.key {
-            return Err(format!(
-                "key mismatch: cannot merge {} into {}",
-                s.key, first.key
-            ));
-        }
-        out.runs = out.runs.checked_add(s.runs).ok_or_else(overflow)?;
-        out.profile = out.profile.checked_sum(&s.profile).ok_or_else(overflow)?;
-        for d in &s.decisions {
-            let mut d = d.clone();
-            // A later run of the same decision that never closed a trial
-            // window must not erase a measured post-CPI.
-            if d.post_cpi.is_none() {
-                if let Some(prev) = decisions.get(&d.loop_head) {
-                    if prev.kind == d.kind {
-                        d.post_cpi = prev.post_cpi;
-                    }
-                }
-            }
-            decisions.insert(d.loop_head, d);
-        }
-        for w in &s.winners {
-            winners.insert(w.loop_head, w.clone());
-        }
-        blacklist.extend(s.blacklist.iter().copied());
-        for (head, seen_runs) in s.confirmations() {
-            let sum = seen.entry(head).or_insert(0);
-            *sum = sum.checked_add(seen_runs).ok_or_else(overflow)?;
-        }
-    }
-    out.decisions = decisions.into_values().collect();
-    out.blacklist = blacklist.into_iter().collect();
-    out.winners = winners.into_values().collect();
-    if track_ages {
-        out.ages = ages_from(seen);
-    }
-    let (snapshot, aged_decisions, aged_winners) = match policy.max_age_runs {
-        Some(n) => out.age_filtered(n),
-        None => (out, 0, 0),
-    };
-    Ok(MergeOutcome {
-        snapshot,
-        aged_decisions,
-        aged_winners,
-    })
-}
-
 /// Canonical serialization of a record: the tie-break order of the
 /// commutative fold below.
 fn canon<T: Serialize>(r: &T) -> String {
     serde_json::to_string(r).expect("record serializes")
 }
 
-/// Put `new` into `held` (sorted and unique by `head_of`) unless the record
-/// already at its head outranks it, in [`Snapshot::fold_unordered`]'s order.
-/// The canonical form is built only when two differing records of equal
-/// standing meet.
+/// The one place that decides which of two records for a loop head
+/// survives: put `new` into `held` (sorted and unique by `head_of`) unless
+/// the record already at its head outranks it. A measured record beats an
+/// unmeasured one, then the greater canonical serialization wins — a total
+/// order on record *content*, so the survivor does not depend on which
+/// input, line or upload came first. The canonical form is built only when
+/// two differing records of equal standing meet.
 fn fold_record<T: Clone + PartialEq + Serialize>(
     held: &mut Vec<T>,
     new: &T,
@@ -536,17 +447,34 @@ fn fold_record<T: Clone + PartialEq + Serialize>(
     }
 }
 
+fn fold_decision(held: &mut Vec<DecisionRecord>, new: &DecisionRecord) {
+    fold_record(held, new, |d| d.loop_head, |d| d.post_cpi.is_some());
+}
+
+fn fold_winner(held: &mut Vec<WinnerRecord>, new: &WinnerRecord) {
+    fold_record(held, new, |w| w.loop_head, |_| false);
+}
+
+/// Put `head` into the sorted, unique `list`.
+fn insert_sorted(list: &mut Vec<u32>, head: u32) {
+    if let Err(i) = list.binary_search(&head) {
+        list.insert(i, head);
+    }
+}
+
 impl Snapshot {
-    /// The fleet server's fold, order-free: commutative and associative, so
-    /// the result is a pure function of the *multiset* folded so far.
-    /// Profiles sum, runs sum, blacklists union and ages sum exactly as in
-    /// [`merge`]; where two inputs disagree on a decision or winner for one
-    /// loop head the survivor is picked by a total order (measured
+    /// The only way two snapshots of one key become one — at detach, in
+    /// `profile merge` and on a fleet server alike. Order-free: commutative
+    /// and associative, so the result is a pure function of the *multiset*
+    /// folded so far. Profiles sum, runs sum, blacklists union and ages sum;
+    /// where two inputs disagree on a decision or winner for one loop head
+    /// the survivor is picked by [`fold_record`]'s total order (measured
     /// `post_cpi` beats none, then the lexicographically greatest canonical
-    /// serialization) instead of input position — "later input wins" has no
-    /// meaning when uploads from concurrent clients race. The result always
-    /// carries explicit ages: it is server state, and the watermark must
-    /// survive the next fold.
+    /// serialization), never by input position. Recency is not needed:
+    /// every seed is re-validated against the live profile before it
+    /// deploys, and a reverted loop travels through the blacklist, which
+    /// only grows. The result always carries explicit ages: the watermark
+    /// must survive the next fold.
     ///
     /// `self` holds its decisions, winners and blacklist sorted and unique
     /// per head (as [`Snapshot::empty`], this fold and a loaded file leave
@@ -579,20 +507,13 @@ impl Snapshot {
         self.runs = runs;
         self.profile = profile;
         for d in &other.decisions {
-            fold_record(
-                &mut self.decisions,
-                d,
-                |d| d.loop_head,
-                |d| d.post_cpi.is_some(),
-            );
+            fold_decision(&mut self.decisions, d);
         }
         for w in &other.winners {
-            fold_record(&mut self.winners, w, |w| w.loop_head, |_| false);
+            fold_winner(&mut self.winners, w);
         }
-        for head in &other.blacklist {
-            if let Err(i) = self.blacklist.binary_search(head) {
-                self.blacklist.insert(i, *head);
-            }
+        for &head in &other.blacklist {
+            insert_sorted(&mut self.blacklist, head);
         }
         Ok(())
     }
@@ -689,10 +610,9 @@ fn assemble(records: Vec<Record>, expected: Option<&StoreKey>) -> LoadReport {
     }
     let mut snap = Snapshot::empty(key);
     snap.runs = runs;
-    let mut decisions: BTreeMap<u32, DecisionRecord> = BTreeMap::new();
-    let mut winners: BTreeMap<u32, WinnerRecord> = BTreeMap::new();
-    let mut blacklist: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
     let mut ages: BTreeMap<u32, u64> = BTreeMap::new();
+    // No writer names a head twice; a file that does (two files joined by
+    // hand) is resolved by the fold's order, not by which line came last.
     for r in records {
         match r {
             Record::Header { .. } => {}
@@ -710,22 +630,16 @@ fn assemble(records: Vec<Record>, expected: Option<&StoreKey>) -> LoadReport {
                 if d.post_cpi == Some(0.0) {
                     d.post_cpi = None;
                 }
-                decisions.insert(d.loop_head, d);
+                fold_decision(&mut snap.decisions, &d);
             }
-            Record::Blacklist { loop_head } => {
-                blacklist.insert(loop_head);
-            }
-            Record::Winner(w) => {
-                winners.insert(w.loop_head, w);
-            }
+            Record::Blacklist { loop_head } => insert_sorted(&mut snap.blacklist, loop_head),
+            Record::Winner(w) => fold_winner(&mut snap.winners, &w),
             Record::Age(a) => {
-                ages.insert(a.loop_head, a.seen_runs);
+                let seen = ages.entry(a.loop_head).or_insert(0);
+                *seen = a.seen_runs.max(*seen);
             }
         }
     }
-    snap.decisions = decisions.into_values().collect();
-    snap.blacklist = blacklist.into_iter().collect();
-    snap.winners = winners.into_values().collect();
     snap.ages = ages_from(ages);
     report.snapshot = Some(snap);
     report
@@ -1076,7 +990,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_profiles_and_unions_decisions() {
+    fn fold_sums_profiles_and_unions_decisions() {
         let mut a = sample_snapshot(key());
         let mut b = sample_snapshot(key());
         b.decisions[0].kind = "prefetch.excl".into();
@@ -1093,19 +1007,20 @@ mod tests {
             target: 60,
             count: 5,
         });
-        let m = merge(&[a.clone(), b.clone()]).unwrap();
+        let m = merge_unordered(&[a.clone(), b.clone()]).unwrap();
         assert_eq!(m.runs, 2);
         assert_eq!(m.profile.samples, 1280);
         assert_eq!(m.profile.delinquent[0].coherent, 60);
-        // Later snapshot wins per loop head.
+        // One survivor per loop head, whichever input named it first.
         assert_eq!(m.decisions.len(), 2);
         assert_eq!(m.decisions[0].kind, "prefetch.excl");
+        assert_eq!(merge_unordered(&[b, a.clone()]).unwrap(), m);
         assert_eq!(m.blacklist, vec![40, 41]);
         let other = sample_snapshot(StoreKey {
             image_hash: 5,
             machine_fp: 6,
         });
-        assert!(merge(&[a, other]).is_err());
+        assert!(merge_unordered(&[a, other]).is_err());
     }
 
     /// A PR 4/5-era decision line — bare `f64` `post_cpi` with the `0.0`
@@ -1169,24 +1084,26 @@ mod tests {
     }
 
     #[test]
-    fn merge_prefers_later_winner_and_keeps_measured_post_cpi() {
+    fn fold_keeps_one_winner_and_the_measured_post_cpi() {
         let a = sample_snapshot(key());
         let mut b = sample_snapshot(key());
         b.winners[0].candidate = "prefetch.excl".into();
         b.winners[0].kind = "prefetch.excl".into();
-        // Later run of the same decision that never closed a trial window
-        // must not erase the measured post-CPI.
+        // A run of the same decision that never closed a trial window must
+        // not erase the measured post-CPI.
         b.decisions[0].post_cpi = None;
-        let m = merge(&[a, b]).unwrap();
-        assert_eq!(m.winners.len(), 1);
-        assert_eq!(m.winners[0].candidate, "prefetch.excl");
-        assert_eq!(m.decisions[0].post_cpi, Some(1.2));
+        for inputs in [[a.clone(), b.clone()], [b, a]] {
+            let m = merge_unordered(&inputs).unwrap();
+            assert_eq!(m.winners.len(), 1);
+            assert_eq!(m.winners[0].candidate, "prefetch.excl");
+            assert_eq!(m.decisions[0].post_cpi, Some(1.2));
+        }
     }
 
-    /// Decisions/winners not re-confirmed within `max_age_runs` merged runs
+    /// Decisions/winners not re-confirmed within `max_age_runs` folded runs
     /// are dropped and counted; re-confirmed ones survive.
     #[test]
-    fn aging_policy_drops_unconfirmed_decisions() {
+    fn aging_drops_unconfirmed_decisions() {
         let a = sample_snapshot(key()); // head 11 decision + winner
         let mut b = sample_snapshot(key());
         b.decisions = vec![DecisionRecord {
@@ -1200,24 +1117,60 @@ mod tests {
         // Three more runs that only re-confirm head 99.
         let mut c = b.clone();
         c.runs = 3;
-        let policy = MergePolicy {
-            max_age_runs: Some(3),
-        };
-        let out = merge_with_policy(&[a.clone(), b.clone(), c], &policy).unwrap();
+        let folded = merge_unordered(&[a, b, c]).unwrap();
+        let (aged, aged_decisions, aged_winners) = folded.age_filtered(3);
         // head 11: seen 1 of 5 runs → debt 4 ≥ 3 → aged out (decision and
         // winner); head 99: seen 4 of 5 → debt 1 → kept.
-        assert_eq!(out.aged_decisions, 1);
-        assert_eq!(out.aged_winners, 1);
-        let heads: Vec<u32> = out.snapshot.decisions.iter().map(|d| d.loop_head).collect();
+        assert_eq!(aged_decisions, 1);
+        assert_eq!(aged_winners, 1);
+        let heads: Vec<u32> = aged.decisions.iter().map(|d| d.loop_head).collect();
         assert_eq!(heads, vec![99]);
-        assert!(out.snapshot.winners.is_empty());
+        assert!(aged.winners.is_empty());
         // The debt is remembered: head 11 keeps its age watermark.
-        assert_eq!(out.snapshot.seen_runs_for(11), 1);
-        // Without a policy the same merge keeps everything and (classic
-        // inputs) emits no ages.
-        let plain = merge(&[a, b]).unwrap();
-        assert_eq!(plain.decisions.len(), 2);
-        assert!(plain.ages.is_empty());
+        assert_eq!(aged.seen_runs_for(11), 1);
+        // The fold itself keeps everything.
+        assert_eq!(folded.decisions.len(), 2);
+    }
+
+    /// A file that names one loop head twice loads to the record the fold
+    /// would keep, whichever line comes last.
+    #[test]
+    fn head_named_twice_in_one_file_is_resolved_by_the_fold_order() {
+        let store = Store::new(tmp_root("twice"));
+        let snap = sample_snapshot(key());
+        let path = store.save(&snap).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut unmeasured = snap.decisions[0].clone();
+        unmeasured.kind = "prefetch.excl".into();
+        unmeasured.post_cpi = Some(0.0); // the legacy "no window" sentinel
+        let mut rival = snap.winners[0].clone();
+        rival.candidate = "noprefetch".into();
+        let extra = [
+            encode_record(&Record::Decision(unmeasured)),
+            encode_record(&Record::Winner(rival.clone())),
+            encode_record(&Record::Blacklist { loop_head: 40 }),
+        ];
+        let extra = extra.join("\n");
+        let (header, rest) = text.split_once('\n').unwrap();
+        let mut loaded = Vec::new();
+        for joined in [
+            format!("{text}{extra}\n"),
+            format!("{header}\n{extra}\n{rest}"),
+        ] {
+            std::fs::write(&path, joined).unwrap();
+            let lr = store.load(&key());
+            assert_eq!(lr.skipped_records, 0);
+            loaded.push(lr.snapshot.unwrap());
+        }
+        assert_eq!(loaded[0], loaded[1], "line order does not matter");
+        let got = &loaded[0];
+        assert_eq!(got.decisions, snap.decisions, "the measured record stays");
+        assert_eq!(got.blacklist, vec![40]);
+        // The winner kept is the one kept when the two meet in a fold.
+        let mut other = snap.clone();
+        other.winners = vec![rival];
+        let folded = merge_unordered(&[snap, other]).unwrap();
+        assert_eq!(got.winners, folded.winners);
     }
 
     /// Ages survive a save/load round trip, and the summed watermark is
@@ -1421,7 +1374,9 @@ mod tests {
                 file_bytes(&want)
             );
 
-            let classic = merge(&inputs[..1]).unwrap();
+            // What one input folds to, with the ages forgotten.
+            let mut classic = merge_unordered(&inputs[..1]).unwrap();
+            classic.ages.clear();
             let mut acc = classic.clone();
             for s in &inputs[1..] {
                 acc.fold_unordered(s).unwrap();
@@ -1437,7 +1392,11 @@ mod tests {
 
     /// A sum that would not fit is refused before anything is written:
     /// whichever counter it is, the accumulator keeps its exact bytes and
-    /// goes on folding honest uploads. So is another key's upload.
+    /// goes on folding honest uploads. So is another key's upload. It is
+    /// the same `Err` — not a panic, not a wrapped sum — when the oversized
+    /// side is the one folded into (a prior snapshot from disk, at detach),
+    /// and both are then as they were, so the caller can still save the
+    /// fresh one.
     #[test]
     fn fold_that_would_overflow_is_refused_and_changes_nothing() {
         let mut acc = merge_unordered(&[sample_snapshot(key())]).unwrap();
@@ -1458,51 +1417,19 @@ mod tests {
         for bend in hostile {
             let mut s = sample_snapshot(key());
             bend(&mut s);
-            let err = acc.fold_unordered(&s).unwrap_err();
-            assert!(
-                err.contains("would overflow") || err.contains("key mismatch"),
-                "got: {err}"
-            );
+            let mut prior = s.clone();
+            for err in [acc.fold_unordered(&s), prior.fold_unordered(&acc)] {
+                let err = err.unwrap_err();
+                assert!(
+                    err.contains("would overflow") || err.contains("key mismatch"),
+                    "got: {err}"
+                );
+            }
             assert_eq!(file_bytes(&acc), before);
+            assert_eq!(prior, s);
         }
         acc.fold_unordered(&sample_snapshot(key())).unwrap();
         assert_eq!(acc.runs, 2);
-    }
-
-    /// The ordered merge sums under the same checked rule: whichever counter
-    /// would not fit, it is an `Err` — not a panic, not a wrapped sum — and
-    /// the inputs (a prior snapshot and a fresh run, at detach) are as they
-    /// were, so the caller can still save the fresh one.
-    #[test]
-    fn ordered_merge_that_would_overflow_is_an_error() {
-        let hostile: [fn(&mut Snapshot); 5] = [
-            |s| s.runs = u64::MAX,
-            |s| s.profile.instructions = u64::MAX,
-            |s| s.profile.delinquent[0].coherent = u64::MAX,
-            |s| s.profile.branch_pairs[0].count = u64::MAX,
-            |s| {
-                s.ages = vec![AgeRecord {
-                    loop_head: 11,
-                    seen_runs: u64::MAX,
-                }]
-            },
-        ];
-        let fresh = sample_snapshot(key());
-        for bend in hostile {
-            let mut prior = sample_snapshot(key());
-            bend(&mut prior);
-            let inputs = [prior.clone(), fresh.clone()];
-            let aging = MergePolicy {
-                max_age_runs: Some(3),
-            };
-            for policy in [MergePolicy::default(), aging] {
-                let err = merge_with_policy(&inputs, &policy).unwrap_err();
-                assert!(err.contains("would overflow"), "got: {err}");
-            }
-            assert!(merge(&inputs).is_err());
-            assert_eq!(inputs, [prior, fresh.clone()]);
-        }
-        assert_eq!(merge(&[fresh.clone(), fresh]).unwrap().runs, 2);
     }
 
     #[test]
