@@ -602,11 +602,6 @@ impl Optimizer {
         }
     }
 
-    /// Whether [`Optimizer::warm_start`] ran.
-    pub fn is_warm(&self) -> bool {
-        self.warm
-    }
-
     pub fn counters(&self) -> OptimizerCounters {
         self.counters
     }
@@ -1709,7 +1704,6 @@ mod tests {
             blacklist: vec![],
             winners: vec![],
         });
-        assert!(warm.is_warm());
         let (warm_tick, warm_kind) = first_deploy(&mut warm).expect("warm run deploys");
         assert_eq!(warm_kind, cold_kind, "warm run converges on the same plan");
         assert!(

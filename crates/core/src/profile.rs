@@ -53,14 +53,6 @@ impl DelinquentStats {
         self.coherent + self.memory
     }
 
-    pub fn avg_latency(&self) -> f64 {
-        if self.samples() == 0 {
-            0.0
-        } else {
-            self.total_latency as f64 / self.samples() as f64
-        }
-    }
-
     /// Fraction of qualifying misses in the coherent band.
     pub fn coherent_fraction(&self) -> f64 {
         if self.samples() == 0 {

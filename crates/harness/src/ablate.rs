@@ -186,11 +186,7 @@ pub fn run_all(workers: usize, markdown: bool) -> String {
         sampling(workers),
         deploy(workers),
     ] {
-        out.push_str(&if markdown {
-            t.to_markdown()
-        } else {
-            t.to_text()
-        });
+        out.push_str(&t.render(markdown));
         out.push('\n');
     }
     out

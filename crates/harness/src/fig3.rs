@@ -222,11 +222,7 @@ pub fn render(data: &Fig3Data, markdown: bool) -> String {
     let mut out = String::new();
     for other in [Variant::NoPrefetch, Variant::PrefetchExcl] {
         let t = data.subfigure(other);
-        out.push_str(&if markdown {
-            t.to_markdown()
-        } else {
-            t.to_text()
-        });
+        out.push_str(&t.render(markdown));
         out.push('\n');
     }
     out.push_str(&format!("shape checks (reps = {}):\n", data.reps));

@@ -10,6 +10,7 @@
 //! What the server costs is measured by the `fleet_mixed` workload of
 //! `benchmark/`, not here.
 
+use std::io::Write;
 use std::path::Path;
 
 use cobra_fleet::{FleetClient, FleetConfig, FleetServer, FleetStats};
@@ -28,13 +29,14 @@ pub fn parse_key(stem: &str) -> Result<StoreKey, String> {
 }
 
 /// `fleet serve`: run a server in the foreground until killed. The bound
-/// address goes to stdout first (and is flushed), so scripts can scrape an
+/// address goes to `out` first (and is flushed), so scripts can scrape an
 /// ephemeral port from `--addr 127.0.0.1:0`.
 pub fn serve(
     addr: &str,
     dir: Option<&Path>,
     shards: usize,
     max_age_runs: Option<u64>,
+    out: &mut dyn Write,
 ) -> Result<std::convert::Infallible, String> {
     let server = FleetServer::start(
         addr,
@@ -45,9 +47,9 @@ pub fn serve(
         },
     )?;
     let stats = server.stats();
-    println!("fleet server listening on {}", server.local_addr());
-    println!(
-        "  {} shard(s), {} key(s) / {} run(s) restored{}{}",
+    let banner = format!(
+        "fleet server listening on {}\n  {} shard(s), {} key(s) / {} run(s) restored{}{}\n",
+        server.local_addr(),
         stats.shards,
         stats.keys,
         stats.runs_total,
@@ -60,8 +62,9 @@ pub fn serve(
             None => String::new(),
         },
     );
-    use std::io::Write;
-    let _ = std::io::stdout().flush();
+    out.write_all(banner.as_bytes())
+        .and_then(|()| out.flush())
+        .map_err(|e| format!("cannot write output: {e}"))?;
     loop {
         std::thread::sleep(std::time::Duration::from_secs(3600));
     }

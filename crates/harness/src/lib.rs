@@ -9,24 +9,23 @@
 //! | [`table1`] | Table 1 — static loop/prefetch counts of the NPB binaries |
 //! | [`npbsuite`] | Figures 5, 6, 7 — COBRA on NPB (speedup, L3, bus) |
 //!
-//! The `cobra-repro` binary exposes them as subcommands; `--md` emits
-//! Markdown for EXPERIMENTS.md; `--json` dumps raw measurements.
-//! Simulations fan out across host threads through the deterministic
-//! parallel trial runner ([`runner`], fail-fast wrapper in [`sweep`]).
+//! The `cobra-repro` binary exposes them as subcommands through [`cli`],
+//! the one grammar and dispatcher (`--md` emits Markdown for
+//! EXPERIMENTS.md; `--json` dumps raw measurements). Simulations fan out
+//! across host threads through [`parallel_map`].
 
 pub mod ablate;
+pub mod cli;
 pub mod fig2;
 pub mod fig3;
 pub mod fleetcmd;
 pub mod npbsuite;
 pub mod profilecmd;
-pub mod runner;
 pub mod staticnpb;
-pub mod sweep;
+mod sweep;
 pub mod table;
 pub mod table1;
 pub mod verifycmd;
 
-pub use runner::{run_trials, TrialPanic};
 pub use sweep::{default_workers, parallel_map};
 pub use table::Table;

@@ -432,11 +432,7 @@ pub fn shape_checks(smp: &SuiteData, altix: &SuiteData) -> Vec<(String, bool)> {
 pub fn render(data: &SuiteData, markdown: bool) -> String {
     let mut out = String::new();
     for t in [data.fig5(), data.fig6(), data.fig7(), data.deployments()] {
-        out.push_str(&if markdown {
-            t.to_markdown()
-        } else {
-            t.to_text()
-        });
+        out.push_str(&t.render(markdown));
         out.push('\n');
     }
     out

@@ -77,11 +77,7 @@ pub fn render(cells: &[StaticCell], machine: &str, markdown: bool) -> String {
             c.upgrades.to_string(),
         ]);
     }
-    if markdown {
-        t.to_markdown()
-    } else {
-        t.to_text()
-    }
+    t.render(markdown)
 }
 
 #[cfg(test)]

@@ -32,6 +32,15 @@ impl Table {
         w
     }
 
+    /// Markdown when asked for (`--md`), aligned plain text otherwise.
+    pub fn render(&self, markdown: bool) -> String {
+        if markdown {
+            self.to_markdown()
+        } else {
+            self.to_text()
+        }
+    }
+
     /// Render as aligned plain text.
     pub fn to_text(&self) -> String {
         let w = self.widths();

@@ -76,11 +76,7 @@ pub fn render(counts: &[Counts], markdown: bool) -> String {
             format!("{} / {}", c.br_wtop, paper[3]),
         ]);
     }
-    let mut out = if markdown {
-        t.to_markdown()
-    } else {
-        t.to_text()
-    };
+    let mut out = t.render(markdown);
     out.push_str("\nshape checks:\n");
     for (desc, ok) in shape_checks(counts) {
         out.push_str(&format!(

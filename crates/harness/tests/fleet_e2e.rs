@@ -1,12 +1,14 @@
 //! End-to-end fleet coverage: fleet-warm vs self-history-warm convergence
 //! on cg against a loopback server, and the `cobra-repro fleet`
 //! serve/upload/fetch/stats round trip against a real child-process server
-//! with a scraped ephemeral port.
+//! with a scraped ephemeral port. The server is the one process under test;
+//! the client commands run in-process through `cli::invoke`.
+
+mod common;
 
 use std::io::{BufRead, BufReader};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Output, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
+use std::process::{Child, Command, Stdio};
 
 use cobra_fleet::{FleetClient, FleetConfig, FleetServer};
 use cobra_kernels::npb::{self, Benchmark};
@@ -14,46 +16,8 @@ use cobra_kernels::PrefetchPolicy;
 use cobra_machine::MachineConfig;
 use cobra_omp::{OmpRuntime, Team};
 use cobra_rt::{Cobra, CobraReport};
-use cobra_store::{
-    read_snapshot_file, write_snapshot_file, DecisionRecord, Snapshot, Store, StoreKey,
-};
-
-fn repro(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_cobra-repro"))
-        .args(args)
-        .output()
-        .expect("spawn cobra-repro")
-}
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    static N: AtomicU64 = AtomicU64::new(0);
-    let d = std::env::temp_dir().join(format!(
-        "cobra-fleet-e2e-{tag}-{}-{}",
-        std::process::id(),
-        N.fetch_add(1, Ordering::Relaxed)
-    ));
-    // Process ids come round again: a directory an earlier run left under
-    // the same name must not hand this one its files.
-    let _ = std::fs::remove_dir_all(&d);
-    std::fs::create_dir_all(&d).unwrap();
-    d
-}
-
-fn snap() -> Snapshot {
-    let mut s = Snapshot::empty(StoreKey {
-        image_hash: 0xaaaa,
-        machine_fp: 0xbbbb,
-    });
-    s.runs = 1;
-    s.decisions.push(DecisionRecord {
-        loop_head: 40,
-        kind: "noprefetch".into(),
-        reverted: false,
-        baseline_cpi: 1.4,
-        post_cpi: Some(1.1),
-    });
-    s
-}
+use cobra_store::{read_snapshot_file, write_snapshot_file, Snapshot, Store};
+use common::{repro, repro_ok, snap, tmp_dir};
 
 fn cg() -> Box<dyn cobra_kernels::Workload> {
     let mem_bytes = MachineConfig::smp4().mem_bytes;
@@ -242,24 +206,15 @@ fn cli_serve_upload_fetch_stats_round_trip() {
 
     let upfile = tmp_dir("up").join("run.jsonl");
     write_snapshot_file(&upfile, &snap()).unwrap();
-    let out = repro(&["fleet", "upload", "--addr", &addr, upfile.to_str().unwrap()]);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let msg = String::from_utf8_lossy(&out.stdout);
+    let msg = repro_ok(&["fleet", "upload", "--addr", &addr, upfile.to_str().unwrap()]);
     assert!(msg.contains("fleet now holds 1 run(s)"), "{msg}");
 
-    let out = repro(&["fleet", "stats", "--addr", &addr]);
-    assert_eq!(out.status.code(), Some(0));
-    let msg = String::from_utf8_lossy(&out.stdout);
+    let msg = repro_ok(&["fleet", "stats", "--addr", &addr]);
     assert!(msg.contains("1 key(s)"), "{msg}");
     assert!(msg.contains("uploads: 1 accepted"), "{msg}");
 
     let seedfile = tmp_dir("seed").join("seed.jsonl");
-    let out = repro(&[
+    repro_ok(&[
         "fleet",
         "fetch",
         "--addr",
@@ -269,12 +224,6 @@ fn cli_serve_upload_fetch_stats_round_trip() {
         "--out",
         seedfile.to_str().unwrap(),
     ]);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
     let fetched = cobra_store::read_snapshot_file(&seedfile, None)
         .snapshot
         .expect("fetched seed parses");
@@ -283,8 +232,8 @@ fn cli_serve_upload_fetch_stats_round_trip() {
 
     // Unknown key: clean exit 1, not a crash.
     let out = repro(&["fleet", "fetch", "--addr", &addr, "--key", "1-2"]);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("no profile"));
+    assert_eq!(out.code, 1);
+    assert!(out.stderr.contains("no profile"), "{}", out.stderr);
 
     // The server persisted the shard for warm restart.
     drop(guard);
@@ -299,24 +248,21 @@ fn cli_serve_upload_fetch_stats_round_trip() {
 
 #[test]
 fn cli_bad_arguments_exit_2() {
-    let out = repro(&["fleet"]);
-    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(repro(&["fleet"]).code, 2);
     // `bench` was a command once; it is an unknown one now, like `bogus`.
     for action in ["bogus", "bench"] {
         let out = repro(&["fleet", action]);
-        assert_eq!(out.status.code(), Some(2));
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("unknown fleet command"), "{err}");
-        assert_eq!(err.lines().count(), 1, "one-line error: {err}");
+        assert_eq!(out.code, 2);
+        assert!(
+            out.stderr.contains("unknown fleet command"),
+            "{}",
+            out.stderr
+        );
+        assert_eq!(out.stderr.lines().count(), 1, "one line: {}", out.stderr);
     }
-    let out = repro(&["fleet", "stats"]); // missing --addr
-    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(repro(&["fleet", "stats"]).code, 2, "missing --addr");
     let out = repro(&["fleet", "fetch", "--addr", "127.0.0.1:9", "--key", "zz"]);
-    assert_eq!(
-        out.status.code(),
-        Some(1),
-        "malformed key is an operation error"
-    );
+    assert_eq!(out.code, 1, "malformed key is an operation error");
     let out = repro(&[
         "fleet",
         "serve",
@@ -325,5 +271,5 @@ fn cli_bad_arguments_exit_2() {
         "--max-age-runs",
         "0",
     ]);
-    assert_eq!(out.status.code(), Some(2), "zero horizon rejected");
+    assert_eq!(out.code, 2, "zero horizon rejected");
 }

@@ -61,13 +61,6 @@ impl Assembler {
         *slot = Some(addr);
     }
 
-    /// Bind `label` and also record it as a named symbol in the image.
-    pub fn bind_named(&mut self, label: Label, name: impl Into<String>) {
-        self.bind(label);
-        let addr = self.here();
-        self.symbols.insert(name.into(), addr);
-    }
-
     /// Record a named symbol at the current (bundle-aligned) address.
     pub fn symbol(&mut self, name: impl Into<String>) -> CodeAddr {
         self.align();

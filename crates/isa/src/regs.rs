@@ -13,8 +13,6 @@
 //! `+0.0` and `f1` as `+1.0`, both read-only; `p0` reads as `true` and is
 //! read-only (it is the default qualifying predicate).
 
-/// Number of general registers.
-pub const NUM_GR: usize = 128;
 /// Number of floating-point registers.
 pub const NUM_FR: usize = 128;
 /// Number of predicate registers.

@@ -63,11 +63,6 @@ impl Cache {
     }
 
     #[inline]
-    pub fn geometry(&self) -> &CacheGeometry {
-        &self.geom
-    }
-
-    #[inline]
     fn set_index(&self, line: LineAddr) -> usize {
         (line as usize) & (self.sets - 1)
     }

@@ -749,11 +749,6 @@ impl Machine {
         self.shared.redirects.disarm(plan_id)
     }
 
-    /// Migrations served so far by `plan_id`'s armed edges.
-    pub fn redirect_hits(&self, plan_id: u64) -> u64 {
-        self.shared.redirects.hits(plan_id)
-    }
-
     /// True when some core bound to a live thread has its PC inside
     /// `[lo, hi]` — the convergence probe for disarming an OSR map: once no
     /// running thread remains in the source version's range, every thread

@@ -1,0 +1,192 @@
+#!/usr/bin/env bash
+# The gates, one function per CI job: `.github/workflows/ci.yml` runs
+# `scripts/ci.sh <job>` and so can anyone with a checkout — nothing here
+# needs the network. Every job body is cargo invocations; the dependency
+# grep, the two named-test list pins and the benchmark/run.sh loop are the
+# only shell.
+#
+#   scripts/ci.sh <job>   one job (names below)
+#   scripts/ci.sh all     every job, in this order
+set -euo pipefail
+cd "$(dirname "$0")/.."
+export CARGO_NET_OFFLINE=true
+
+JOBS=(build-test reference-host-accel overflow-checks floors benchmark-builds
+      warm-start-round-trip tournament-determinism decisions-pinned
+      fleet-roundtrip osr-gate verify-gate)
+
+build-test() {
+  # crossbeam and parking_lot were shims with one user each (the telemetry
+  # ring, the trial runner's work queue); both users are plain std now.
+  # criterion and the cobra-bench crate on it were a second measuring system
+  # beside benchmark/, which is the only one. A manifest or lock that names
+  # any of them again is a dependency coming back unasked (whole words:
+  # benchmark/Cargo.toml is `cobra-benchmark`).
+  if grep -nwE 'crossbeam|parking_lot|criterion|cobra-bench' Cargo.lock $(git ls-files '*Cargo.toml'); then
+    echo "a deleted dependency is named again" >&2
+    return 1
+  fi
+  cargo build --release --workspace
+  cargo test -q
+  cargo test --workspace -q
+  # The three floors that compare only simulated state are plain tests of
+  # the suites above; a rename or a deletion fails here. (`grep` without
+  # `-q`: it reads the whole list, so the lister never writes to a closed
+  # pipe.)
+  has() { cargo test -q -p "$1" --test "$2" -- --list | grep -x "$3: test"; }
+  has cobra-machine stall_skip_equivalence stall_heavy_200k_cycles_match_reference
+  has cobra-machine block_dispatch_equivalence mem_boundary_4core_matches_reference_in_the_boundary_batch
+  has cobra-rt e2e_cobra telemetry_overhead_within_five_percent_on_daxpy
+  cargo fmt --check
+  cargo clippy --workspace --all-targets -- -D warnings
+}
+
+# The fast engine is the default; this job pins the full workspace suite to
+# the per-cycle, per-access reference engine so it stays green on its own.
+# COBRA_HOST_ACCEL accepts exactly `reference` or `fast`; anything else
+# panics at config construction, so a typo here cannot pass.
+reference-host-accel() {
+  COBRA_HOST_ACCEL=reference cargo test --workspace -q
+}
+
+# Also exercises the equivalence proptest suites (memory system, stall
+# skip, block dispatch) with overflow-checked arithmetic — any u64 wrap
+# hidden by release-mode wrapping semantics fails here.
+overflow-checks() {
+  cargo test --workspace --profile overflow -q
+  cargo test -p cobra-machine --profile overflow --test block_dispatch_equivalence -q
+  cargo test -p cobra-store --profile overflow --test corruption -q
+}
+
+# The five wall-clock floors. Each is an `#[ignore]`d test that first
+# requires the two engines (or nothing, for the overhead budgets) to agree
+# and then compares min-of-N host time, so it only means something in
+# release. One invocation per floor, filtered by cargo's own test filter: a
+# red line names the floor that broke. The list is pinned first, so a floor
+# cannot be dropped or renamed silently (`--exact` on a name that is gone
+# runs nothing and passes).
+floors() {
+  cargo test --release -p cobra-machine --test engine_floors -p cobra-rt --test overhead_floors --no-run
+  ignored() { cargo test -q --release -p "$1" --test "$2" -- --ignored --list | grep ': test$' | sort; }
+  diff -u - <(ignored cobra-machine engine_floors) <<'LIST'
+lockstep4_sampled_dispatch_at_least_2x_reference: test
+snoop_miss_fast_path_within_1_10x_reference: test
+solo_block_dispatch_at_least_1_5x_reference: test
+LIST
+  diff -u - <(ignored cobra-rt overhead_floors) <<'LIST'
+osr_under_5_percent_of_a_deployment_tick: test
+verify_under_5_percent_of_a_deployment_tick: test
+LIST
+  floor() { cargo test --release -p "$1" --test "$2" -- --ignored --nocapture --exact "$3"; }
+  floor cobra-machine engine_floors solo_block_dispatch_at_least_1_5x_reference
+  floor cobra-machine engine_floors lockstep4_sampled_dispatch_at_least_2x_reference
+  floor cobra-machine engine_floors snoop_miss_fast_path_within_1_10x_reference
+  floor cobra-rt overhead_floors verify_under_5_percent_of_a_deployment_tick
+  floor cobra-rt overhead_floors osr_under_5_percent_of_a_deployment_tick
+}
+
+# The performance record is a package of its own (benchmark/Cargo.toml)
+# with path dependencies on crates/: build it, run its self-tests and four
+# short workloads, so a public-API change in crates/ cannot break it
+# unnoticed. compute_dense shows a machine break; npb_fixed_smp4 is the only
+# short one that puts coherent traffic through the boundary batch;
+# adapt_fine_smp4 is the only workload that drives tournaments, OSR arming
+# and the store through `Cobra`, so an rt API or behaviour break shows
+# there; fleet_mixed is the only one whose correctness check compares a
+# server's replies with the fold state the requests imply. (Building it can
+# rewrite benchmark/Cargo.lock: `git checkout benchmark/Cargo.lock` before
+# committing anything.)
+benchmark-builds() {
+  cargo test --manifest-path benchmark/Cargo.toml -q
+  local out workload
+  out=$(mktemp)
+  for workload in compute_dense npb_fixed_smp4 adapt_fine_smp4 fleet_mixed; do
+    bash benchmark/run.sh --workload "$workload" --seconds 5 --trace 0 | tee "$out"
+    tail -n 1 "$out" | grep -q '"correct": true'
+  done
+  rm -f "$out"
+}
+
+# Cross-run warm start: run A saves a snapshot, run B warm-starts from it
+# and must converge on the identical final deployment set in strictly fewer
+# learning quanta; damaged stores degrade to cold start. Then the same
+# round trip through `cobra-repro profile save` / `profile inspect`.
+warm-start-round-trip() {
+  cargo test -p cobra-rt --test warm_start -q
+  cargo test -p cobra-harness --test profile_cli -q
+}
+
+# Tournament determinism: a warm run resumes the stored winner (framework),
+# and the two whole-grid properties of `fig5 --candidates` in
+# crates/harness/tests/tournament_determinism.rs — the same text for one
+# worker and four, and cold winners resumed warm with no trials.
+tournament-determinism() {
+  cargo test -p cobra-rt --test warm_start warm_run_resumes_tournament_winner -q
+  cargo test --release -p cobra-harness --test tournament_determinism -- --ignored
+}
+
+# The decision sequence is a checked property, not a sentence in a PR
+# description: crates/harness/tests/decisions_pinned.rs holds fig5 on both
+# machines, with and without --candidates, to the text under tests/golden/.
+decisions-pinned() {
+  cargo test --release -p cobra-harness --test decisions_pinned -- --ignored
+}
+
+# Fleet aggregation round trip: the sharded server's ingest determinism
+# proptests run overflow-checked (any interleaving/sharding of the same
+# upload multiset must persist byte-identical shard state), the framework
+# cold -> upload -> fleet-warm convergence e2e runs against a loopback
+# server, and the `fleet` CLI uploads/fetches against a real `fleet serve`
+# child process with a scraped ephemeral port; beside it, a run seeded from
+# the fleet's fold of two partial histories must converge strictly earlier
+# than one seeded from its own, on verified seeds only. `one_fold` holds
+# the store, `profile merge` and the server to one rule: the same runs
+# leave the same bytes in all three. (What the server costs is benchmark/'s
+# fleet_mixed workload, checked by `benchmark-builds`.) Every byte of all of
+# it goes through the compat/serde* codec, so its own tests (hostile input,
+# number and string edges, the nesting cap) and the golden corpus written
+# by the last tree-building codec run here too, overflow-checked: the
+# tokenizer does arithmetic on offsets and digits a peer chooses.
+fleet-roundtrip() {
+  cargo test -p cobra-fleet --profile overflow -q
+  cargo test -p cobra-store --profile overflow -q
+  cargo test -p serde -p serde_json -p serde_derive --profile overflow -q
+  cargo test --test golden --profile overflow -q
+  cargo test -p cobra-rt --test fleet_roundtrip -q
+  cargo test -p cobra-harness --test fleet_e2e -q
+  cargo test --test one_fold --profile overflow -q
+}
+
+# OSR gate: the state-mapping equivalence suite (mid-loop migration and
+# revert-in-flight land on byte-identical final memory with OSR on or off)
+# and the map mutation suite (every optimizer-emitted map accepted, every
+# injected map corruption class rejected) run overflow-checked. What the
+# mechanism costs is the `floors` job's last line.
+osr-gate() {
+  cargo test -p cobra-rt --profile overflow --test osr_equivalence -q
+  cargo test -p cobra-rt --profile overflow --test osr_map_mutation -q
+}
+
+# Patch-safety gate: the mutation suite (every optimizer-emitted plan
+# accepted, every injected corruption class rejected) runs with overflow
+# checks, and crates/harness/tests/verify_cli.rs lints every NPB kernel
+# image on both machines plus a freshly saved store snapshot through
+# `cobra-repro verify`, including its exit-code contract (usage errors
+# exit 2, verification findings exit 1).
+verify-gate() {
+  cargo test -p cobra-rt --profile overflow --test verify_mutation -q
+  cargo test -p cobra-harness --test verify_cli -q
+}
+
+job=${1:-}
+if [[ "$job" == all ]]; then
+  for job in "${JOBS[@]}"; do
+    echo "== $job =="
+    "$job"
+  done
+elif [[ " ${JOBS[*]} " == *" $job "* ]]; then
+  "$job"
+else
+  echo "usage: scripts/ci.sh <job>|all, where <job> is one of: ${JOBS[*]}" >&2
+  exit 2
+fi
