@@ -369,7 +369,7 @@ impl Cobra {
                         match cobra_verify::check_osr_map(
                             machine.shared.code.image(),
                             &map,
-                            plan.kind.into(),
+                            plan.kind,
                             &t.insns,
                         ) {
                             Ok(()) => osr_map = Some(map),

@@ -30,32 +30,7 @@ use crate::trace::{
 };
 
 /// Which rewrite a deployment applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum OptKind {
-    NoPrefetch,
-    ExclHint,
-    /// Per-site mix of the two (tournament candidates only: the classic
-    /// one-shot classifier never emits this).
-    Combined,
-}
-
-impl OptKind {
-    pub const ALL: [OptKind; 3] = [OptKind::NoPrefetch, OptKind::ExclHint, OptKind::Combined];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            OptKind::NoPrefetch => "noprefetch",
-            OptKind::ExclHint => "prefetch.excl",
-            OptKind::Combined => "combined",
-        }
-    }
-
-    /// Inverse of [`OptKind::name`]; `None` for unknown names (e.g. a store
-    /// record written by an incompatible build).
-    pub fn from_name(name: &str) -> Option<OptKind> {
-        OptKind::ALL.into_iter().find(|k| k.name() == name)
-    }
-}
+pub use cobra_isa::RewriteKind as OptKind;
 
 /// Deployment strategy (the three §5.2 experiment arms plus Adaptive).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -198,16 +173,6 @@ pub struct TracePlan {
     pub insns: Vec<Insn>,
 }
 
-impl From<OptKind> for cobra_verify::RewriteKind {
-    fn from(kind: OptKind) -> Self {
-        match kind {
-            OptKind::NoPrefetch => cobra_verify::RewriteKind::NoPrefetch,
-            OptKind::ExclHint => cobra_verify::RewriteKind::ExclHint,
-            OptKind::Combined => cobra_verify::RewriteKind::Combined,
-        }
-    }
-}
-
 /// Check `plan` against `image` with the full `cobra-verify` rule set.
 /// `entry_window_slots` is the hoisted-burst scan window of the trace
 /// selector (`TraceConfig::entry_window_slots`): patch sites may precede the
@@ -225,7 +190,7 @@ pub fn verify_plan(
     cobra_verify::check_plan(
         image,
         &cobra_verify::PlanCheck {
-            kind: plan.kind.into(),
+            kind: plan.kind,
             loop_head: plan.loop_head,
             back_edge: plan.back_edge,
             region_start: plan.loop_head.saturating_sub(entry_window_slots),
@@ -1775,25 +1740,6 @@ mod tests {
             assert!(opt.consider(&profile).is_empty());
         }
         assert_eq!(opt.active_deployments(), 0);
-    }
-
-    #[test]
-    fn optkind_names_round_trip() {
-        for kind in OptKind::ALL {
-            assert_eq!(OptKind::from_name(kind.name()), Some(kind));
-        }
-        assert_eq!(OptKind::from_name("bogus"), None);
-    }
-
-    /// The OptKind → RewriteKind conversion must stay name-aligned with the
-    /// verifier (same pinning discipline as the store's kind names).
-    #[test]
-    fn optkind_maps_to_verifier_rewrite_kind_by_name() {
-        for kind in OptKind::ALL {
-            let rk: cobra_verify::RewriteKind = kind.into();
-            assert_eq!(kind.name(), rk.name());
-        }
-        assert_eq!(OptKind::ALL.len(), cobra_verify::RewriteKind::ALL.len());
     }
 
     /// End-to-end deploy-gate rejection: a loop whose prefetch base register

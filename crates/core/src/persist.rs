@@ -3,8 +3,9 @@
 //!
 //! `cobra-store` sits *below* this crate in the dependency graph (it only
 //! knows `cobra-isa`/`cobra-machine`), so it mirrors the profile and
-//! decision shapes instead of referencing [`SystemProfile`] / `OptKind`
-//! directly. This module owns the two-way conversion:
+//! decision shapes instead of referencing [`SystemProfile`] directly (the
+//! rewrite kind it stores by `cobra-isa`'s name for it). This module owns
+//! the two-way conversion:
 //!
 //! * at detach, the optimization stage's [`OptFinal`] becomes a
 //!   [`Snapshot`] (sorted, so snapshots serialize deterministically);
@@ -124,23 +125,6 @@ pub fn seed_from_snapshot(snap: &Snapshot) -> WarmSeed {
 mod tests {
     use super::*;
     use crate::profile::{CounterWindow, LatencyBands, ProfileDelta};
-
-    #[test]
-    fn store_kind_names_match_optkind() {
-        // The store validates decision kinds against a string list it owns
-        // (it cannot see OptKind); keep the two in lock step.
-        for kind in OptKind::ALL {
-            assert!(
-                cobra_store::KNOWN_KINDS.contains(&kind.name()),
-                "store does not know kind {:?}",
-                kind.name()
-            );
-        }
-        assert_eq!(cobra_store::KNOWN_KINDS.len(), OptKind::ALL.len());
-        for name in cobra_store::KNOWN_KINDS {
-            assert!(OptKind::from_name(name).is_some());
-        }
-    }
 
     #[test]
     fn profile_record_flattens_sorted() {

@@ -568,7 +568,7 @@ impl TelemetryLog {
 }
 
 /// Aggregate view of a trace (from a log or a JSONL file).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceSummary {
     pub total_records: u64,
     /// `(category, count)` sorted by category name.
@@ -583,20 +583,16 @@ pub struct TraceSummary {
     /// Block-dispatch fallback breakdown from the final `detach` record:
     /// `(reason, cycles)`, omitting zero reasons. Empty for traces recorded
     /// before the breakdown existed.
-    #[serde(default)]
     pub block_fallbacks: Vec<(String, u64)>,
     /// Lockstep multicore `(stretches, cycles)` from the final `detach`
     /// record.
-    #[serde(default)]
     pub block_horizons: (u64, u64),
     /// Fleet traffic: `(uploads, seeds, errors)`. Zero for traces recorded
     /// without `builder().fleet(addr)`.
-    #[serde(default)]
     pub fleet: (u64, u64, u64),
     /// On-stack replacement totals: `(migrations, reverse_migrations,
     /// rejects)` summed over the `osr_*` records. Zero for traces recorded
     /// before OSR existed or with it off.
-    #[serde(default)]
     pub osr: (u64, u64, u64),
 }
 
@@ -963,8 +959,7 @@ mod tests {
     }
 
     /// OSR records roll up into the summary's `(migrations, reverse,
-    /// rejects)` triple and render one line; summaries serialized before
-    /// the field existed still load with zeros.
+    /// rejects)` triple and render one line.
     #[test]
     fn summary_aggregates_osr_records() {
         let records = vec![
@@ -1006,18 +1001,8 @@ mod tests {
             text.contains("osr: 3 migration(s), 4 reverse migration(s), 1 rejected map(s)"),
             "{text}"
         );
-
-        // Legacy wire shape: a summary without the `osr` field.
-        let mut v = serde_json::to_value(&s).expect("serializes");
-        if let serde::Value::Object(fields) = &mut v {
-            fields.retain(|(k, _)| k != "osr");
-        } else {
-            panic!("summary serializes to an object");
-        }
-        let back: TraceSummary = serde_json::from_value(&v).expect("tolerant deserialize");
-        assert_eq!(back.osr, (0, 0, 0));
         assert!(
-            !format!("{back}").contains("osr:"),
+            !format!("{}", TraceSummary::from_records(&[])).contains("osr:"),
             "zero triple is omitted"
         );
     }

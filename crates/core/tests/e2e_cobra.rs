@@ -111,10 +111,12 @@ fn cobra_in_place_and_trace_cache_both_work_on_daxpy() {
     let cfg = MachineConfig::smp4();
     let team = Team::new(4);
     let params = DaxpyParams::new(128 * 1024, 40);
+    let mut cycles = Vec::new();
     for deploy in [DeployMode::InPlace, DeployMode::TraceCache] {
         let wl = Daxpy::build(params, &PrefetchPolicy::aggressive(), cfg.mem_bytes);
-        let (_cycles, report) =
+        let (run_cycles, report) =
             run_with_cobra(&wl, &cfg, team, cobra_config(Strategy::NoPrefetch, deploy));
+        cycles.push(run_cycles as f64);
         assert!(
             !report.applied.is_empty(),
             "{deploy:?}: {}",
@@ -127,6 +129,12 @@ fn cobra_in_place_and_trace_cache_both_work_on_daxpy() {
             );
         }
     }
+    // The same rewrite reaches the loop either way; how it got there is not
+    // supposed to cost anything.
+    assert!(
+        (cycles[0] - cycles[1]).abs() / cycles[0] < 0.02,
+        "in-place and trace-cache deployment within 2%: {cycles:?}"
+    );
 }
 
 #[test]

@@ -12,18 +12,12 @@
 
 use std::sync::OnceLock;
 
-use cobra_isa::insn::Op;
-use cobra_isa::{Assembler, CodeAddr, CodeImage, Insn, NOP_SLOT_I};
-use cobra_kernels::minicc::PrefetchPolicy;
-use cobra_kernels::npb::{self, Benchmark};
-use cobra_machine::MachineConfig;
+use cobra_isa::{Assembler, CodeImage, Insn, NOP_SLOT_I};
 use cobra_osr::OsrMap;
-use cobra_rt::{
-    CounterWindow, DeployMode, LatencyBands, Optimizer, OptimizerConfig, PlanAction, ProfileDelta,
-    Strategy, SystemProfile,
-};
 use cobra_verify::{check_osr_map, RewriteKind};
 use proptest::prelude::*;
+
+mod common;
 
 /// One optimizer-emitted trace plan reduced to its OSR ingredients: the
 /// pristine image, the layout-true map, the rewrite kind, and the clone
@@ -37,106 +31,30 @@ struct CapturedMap {
     version: Vec<Insn>,
 }
 
-/// `(head, back_edge, load_pc)` for loops with both an `lfetch` and a load
-/// (same selector as the deploy-gate suite).
-fn find_loops(image: &CodeImage) -> Vec<(CodeAddr, CodeAddr, CodeAddr)> {
-    let mut loops = Vec::new();
-    for addr in 0..image.main_len() {
-        let Ok(insn) = image.insn(addr) else { continue };
-        let Some(target) = insn.op.branch_target() else {
-            continue;
-        };
-        if target > addr || addr - target > 256 {
-            continue;
-        }
-        let mut lfetch = None;
-        let mut load = None;
-        for a in target..=addr {
-            match image.insn(a).map(|i| i.op) {
-                Ok(Op::Lfetch { .. }) => lfetch = lfetch.or(Some(a)),
-                Ok(Op::Ldfd { .. }) | Ok(Op::Ld8 { .. }) => load = load.or(Some(a)),
-                _ => {}
-            }
-        }
-        if let (Some(_), Some(load_pc)) = (lfetch, load) {
-            loops.push((target, addr, load_pc));
-        }
-    }
-    loops
-}
-
-fn hot_profile(load_pc: CodeAddr, head: CodeAddr, back: CodeAddr) -> SystemProfile {
-    let mut sp = SystemProfile::new(LatencyBands { coherent_min: 165 });
-    let mut delta = ProfileDelta {
-        samples: 100,
-        window: CounterWindow {
-            instructions: 100_000,
-            cycles: 150_000,
-            bus_memory: 1000,
-            bus_coherent: 300,
-            l2_miss: 100,
-            l3_miss: 100,
-        },
-        ..ProfileDelta::default()
-    };
-    for _ in 0..20 {
-        delta.dear_events.push((load_pc, 0x1000, 200));
-        delta.branch_pairs.push((back, head));
-    }
-    sp.absorb(&delta);
-    sp
-}
-
-/// Capture the layout-true OSR map of every trace plan the real optimizer
-/// emits across NPB kernels, machines, and fixed strategies — exactly what
-/// `Cobra::apply_action` builds before arming.
+/// The layout-true OSR map of every trace plan in the shared corpus —
+/// exactly what `Cobra::apply_action` builds before arming.
 fn capture_real_maps() -> &'static Vec<CapturedMap> {
     static MAPS: OnceLock<Vec<CapturedMap>> = OnceLock::new();
     MAPS.get_or_init(|| {
-        let mut captured = Vec::new();
-        let machines = [
-            ("smp4", MachineConfig::smp4()),
-            ("altix8", MachineConfig::altix8()),
-        ];
-        for (mname, mcfg) in machines {
-            for bench in Benchmark::ALL {
-                let workload = npb::build(bench, &PrefetchPolicy::aggressive(), mcfg.mem_bytes);
-                let image = workload.image().clone();
-                for &(head, back, load_pc) in find_loops(&image).iter().take(3) {
-                    for strategy in [Strategy::NoPrefetch, Strategy::ExclHint] {
-                        let cfg = OptimizerConfig {
-                            strategy,
-                            deploy: DeployMode::TraceCache,
-                            warmup_ticks: 0,
-                            ..Default::default()
-                        };
-                        let mut opt = Optimizer::new(cfg, image.clone());
-                        for action in opt.consider(&hot_profile(load_pc, head, back)) {
-                            let PlanAction::Apply(plan) = action else {
-                                continue;
-                            };
-                            let Some(trace) = &plan.trace else { continue };
-                            if plan.back_edge < plan.loop_head {
-                                continue;
-                            }
-                            captured.push(CapturedMap {
-                                bench: bench.name(),
-                                machine: mname,
-                                image: image.clone(),
-                                map: OsrMap::for_trace(
-                                    plan.id,
-                                    plan.loop_head,
-                                    plan.back_edge,
-                                    trace.expected_start,
-                                ),
-                                kind: plan.kind.into(),
-                                version: trace.insns.clone(),
-                            });
-                        }
-                    }
-                }
-            }
-        }
+        let captured: Vec<CapturedMap> = common::capture_real_plans()
+            .iter()
+            .filter_map(|c| {
+                let trace = c.plan.trace.as_ref()?;
+                Some(CapturedMap {
+                    bench: c.bench,
+                    machine: c.machine,
+                    image: c.image.clone(),
+                    map: OsrMap::for_trace(
+                        c.plan.id,
+                        c.plan.loop_head,
+                        c.plan.back_edge,
+                        trace.expected_start,
+                    ),
+                    kind: c.plan.kind,
+                    version: trace.insns.clone(),
+                })
+            })
+            .collect();
         assert!(
             captured.len() >= 16,
             "expected a broad map corpus, got {}",
@@ -240,35 +158,44 @@ fn every_map_corruption_class_is_rejected() {
 /// Clobbered scratch register: a loop that *uses* a removed prefetch's
 /// post-incremented base downstream must be rejected — the register is no
 /// longer version-invariant, so migrating mid-loop would observe a stale
-/// address. (Synthetic: real kernels never reuse prefetch cursors, which
-/// is exactly why the obligation discharges on the whole NPB corpus.)
+/// address. Under its own name in a plain counted loop, or — the base in
+/// the rotating region of a software-pipelined one — under the next name
+/// up, past the `br.ctop`. (Synthetic: real kernels never reuse prefetch
+/// cursors, which is exactly why the obligation discharges on the whole
+/// NPB corpus.)
 #[test]
 fn clobbered_scratch_register_is_rejected() {
-    let mut a = Assembler::new();
-    let top = a.new_label();
-    a.bind(top);
-    let head = a.here();
-    a.ldfd(0, 6, 4, 8);
-    a.lfetch_nt1(0, 20, 64); // post-inc base r20 ...
-    a.mov_to_ec(20); // ... still read inside the loop
-    let back = a.br_cloop(top);
-    a.hlt();
-    let image = a.finish();
+    for (base, reader, rotating) in [(20, 20, false), (40, 41, true)] {
+        let mut a = Assembler::new();
+        let top = a.new_label();
+        a.bind(top);
+        let head = a.here();
+        a.ldfd(0, 6, 4, 8);
+        a.lfetch_nt1(0, base, 64); // post-inc base ...
+        a.mov_to_ec(reader); // ... still read inside the loop
+        let back = if rotating {
+            a.br_ctop(top)
+        } else {
+            a.br_cloop(top)
+        };
+        a.hlt();
+        let image = a.finish();
 
-    let start = cobra_isa::bundle_align(image.len());
-    let map = OsrMap::for_trace(1, head, back, start);
-    let mut version: Vec<Insn> = (head..=back).map(|pc| image.insn(pc).unwrap()).collect();
-    // The deployed version drops the lfetch (noprefetch rewrite) and
-    // retargets the back edge into the clone.
-    version[1] = cobra_isa::NOP_SLOT_M;
-    let idx = (back - head) as usize;
-    version[idx].op = version[idx].op.with_branch_target(start).unwrap();
+        let start = cobra_isa::bundle_align(image.len());
+        let map = OsrMap::for_trace(1, head, back, start);
+        let mut version: Vec<Insn> = (head..=back).map(|pc| image.insn(pc).unwrap()).collect();
+        // The deployed version drops the lfetch (noprefetch rewrite) and
+        // retargets the back edge into the clone.
+        version[1] = cobra_isa::NOP_SLOT_M;
+        let idx = (back - head) as usize;
+        version[idx].op = version[idx].op.with_branch_target(start).unwrap();
 
-    let err = check_osr_map(&image, &map, RewriteKind::NoPrefetch, &version).unwrap_err();
-    assert!(
-        err.to_string().contains("register"),
-        "expected a register-clobber violation, got: {err}"
-    );
+        let err = check_osr_map(&image, &map, RewriteKind::NoPrefetch, &version).unwrap_err();
+        assert!(
+            err.to_string().contains(&format!("register r{base}")),
+            "expected a register-clobber violation on r{base}, got: {err}"
+        );
+    }
 }
 
 proptest! {

@@ -17,10 +17,12 @@ use cobra_isa::{Assembler, CodeImage};
 use cobra_machine::{Machine, MachineConfig};
 use cobra_osr::OsrMap;
 use cobra_rt::{
-    verify_plan, DeployMode, LatencyBands, Optimizer, OptimizerConfig, PatchPlan, PlanAction,
-    ProfileDelta, SystemProfile,
+    verify_plan, DeployMode, LatencyBands, Optimizer, OptimizerConfig, PatchPlan, ProfileDelta,
+    SystemProfile,
 };
 use cobra_verify::check_osr_map;
+
+mod common;
 
 /// The default monitor quantum.
 const QUANTUM: u64 = 20_000;
@@ -123,14 +125,7 @@ impl Tick {
             ..Default::default()
         };
         let mut opt = Optimizer::new(cfg, image.clone());
-        let plans: Vec<PatchPlan> = opt
-            .consider(&profile)
-            .into_iter()
-            .filter_map(|a| match a {
-                PlanAction::Apply(p) => Some(p),
-                PlanAction::Revert { .. } => None,
-            })
-            .collect();
+        let plans: Vec<PatchPlan> = common::applied(opt.consider(&profile)).collect();
         assert!(!plans.is_empty(), "fixture tick must emit plans");
         assert!(
             opt.drain_events().all(|e| e.category() != "verify_reject"),
@@ -210,13 +205,8 @@ fn osr_under_5_percent_of_a_deployment_tick() {
     let control_ns = min_ns(100, || {
         for (p, t) in &traces {
             let map = OsrMap::for_trace(p.id, p.loop_head, p.back_edge, t.expected_start);
-            check_osr_map(
-                black_box(&tick.image),
-                black_box(&map),
-                p.kind.into(),
-                &t.insns,
-            )
-            .expect("captured plan's map verifies");
+            check_osr_map(black_box(&tick.image), black_box(&map), p.kind, &t.insns)
+                .expect("captured plan's map verifies");
             arm_machine.arm_redirect(p.id, &map.redirect_pairs());
             black_box(arm_machine.disarm_redirect(p.id));
         }

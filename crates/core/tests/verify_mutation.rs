@@ -9,158 +9,23 @@
 //! * **No false accepts** — every class of deliberate plan corruption
 //!   (wrong replacement slot, clobbered non-prefetch instruction,
 //!   misaligned trace, escaped back edge, out-of-region write, truncated
-//!   trace, body clobber) must be rejected on every captured plan it
-//!   applies to.
+//!   trace, body clobber, removal of a post-incrementing prefetch whose
+//!   rotating base lives across a rotating branch) must be rejected on
+//!   every captured plan it applies to.
 
 use std::sync::OnceLock;
 
 use cobra_isa::insn::Op;
-use cobra_isa::{encode, CodeAddr, CodeImage, NOP_SLOT_I, NOP_SLOT_M};
+use cobra_isa::{encode, CodeImage, NOP_SLOT_I, NOP_SLOT_M, ROT_GR_BASE};
 use cobra_kernels::minicc::PrefetchPolicy;
 use cobra_kernels::npb::{self, Benchmark};
 use cobra_machine::MachineConfig;
-use cobra_rt::{
-    verify_plan, CounterWindow, DeployMode, LatencyBands, Optimizer, OptimizerConfig, PatchPlan,
-    PlanAction, ProfileDelta, Strategy, SystemProfile,
-};
+use cobra_rt::{verify_plan, DeployMode, Optimizer, OptimizerConfig, PatchPlan, Strategy};
+use cobra_verify::Violation;
 use proptest::prelude::*;
 
-/// One optimizer-emitted plan plus the pristine image it was built against.
-struct Captured {
-    bench: &'static str,
-    machine: &'static str,
-    image: CodeImage,
-    plan: PatchPlan,
-    window: u32,
-}
-
-/// `(head, back_edge, load_pc)` for loops that contain both an `lfetch`
-/// (so the site selector fires) and a load (so the DEAR can pinpoint it).
-fn find_loops(image: &CodeImage) -> Vec<(CodeAddr, CodeAddr, CodeAddr)> {
-    let mut loops = Vec::new();
-    for addr in 0..image.main_len() {
-        let Ok(insn) = image.insn(addr) else { continue };
-        let Some(target) = insn.op.branch_target() else {
-            continue;
-        };
-        if target > addr || addr - target > 256 {
-            continue;
-        }
-        let body = target..=addr;
-        let mut lfetch = None;
-        let mut load = None;
-        for a in body {
-            match image.insn(a).map(|i| i.op) {
-                Ok(Op::Lfetch { .. }) => lfetch = lfetch.or(Some(a)),
-                Ok(Op::Ldfd { .. }) | Ok(Op::Ld8 { .. }) => load = load.or(Some(a)),
-                _ => {}
-            }
-        }
-        if let (Some(_), Some(load_pc)) = (lfetch, load) {
-            loops.push((target, addr, load_pc));
-        }
-    }
-    loops
-}
-
-/// A profile hot enough to clear every optimizer gate, with coherent-band
-/// DEAR captures on `load_pc` and a hot back edge `(back, head)` — the same
-/// shape the optimizer unit tests use, pointed at a real kernel loop.
-fn hot_profile(load_pc: CodeAddr, head: CodeAddr, back: CodeAddr) -> SystemProfile {
-    let mut sp = SystemProfile::new(LatencyBands { coherent_min: 165 });
-    let mut delta = ProfileDelta {
-        samples: 100,
-        window: CounterWindow {
-            instructions: 100_000,
-            cycles: 150_000,
-            bus_memory: 1000,
-            bus_coherent: 300,
-            l2_miss: 100,
-            l3_miss: 100,
-        },
-        ..ProfileDelta::default()
-    };
-    for _ in 0..20 {
-        delta.dear_events.push((load_pc, 0x1000, 200));
-        delta.branch_pairs.push((back, head));
-    }
-    sp.absorb(&delta);
-    sp
-}
-
-/// Run the real optimizer over every NPB kernel on both machines and
-/// capture every plan it emits. Panics on any in-vivo verify reject: these
-/// are all genuine plans, so a reject here is a false positive.
-fn capture_real_plans() -> &'static Vec<Captured> {
-    static PLANS: OnceLock<Vec<Captured>> = OnceLock::new();
-    PLANS.get_or_init(|| {
-        let mut captured = Vec::new();
-        let machines = [
-            ("smp4", MachineConfig::smp4()),
-            ("altix8", MachineConfig::altix8()),
-        ];
-        for (mname, mcfg) in machines {
-            let mut benches_with_loops = 0;
-            for bench in Benchmark::ALL {
-                let workload = npb::build(bench, &PrefetchPolicy::aggressive(), mcfg.mem_bytes);
-                let image = workload.image().clone();
-                let loops = find_loops(&image);
-                if loops.is_empty() {
-                    // Compute-bound kernels (e.g. ep) have no prefetching
-                    // loops; the coverage floor below keeps us honest.
-                    continue;
-                }
-                benches_with_loops += 1;
-                for &(head, back, load_pc) in loops.iter().take(3) {
-                    for deploy in [DeployMode::InPlace, DeployMode::TraceCache] {
-                        for strategy in [Strategy::NoPrefetch, Strategy::ExclHint] {
-                            let cfg = OptimizerConfig {
-                                strategy,
-                                deploy,
-                                warmup_ticks: 0,
-                                ..Default::default()
-                            };
-                            let window = cfg.trace.entry_window_slots;
-                            let mut opt = Optimizer::new(cfg, image.clone());
-                            let actions = opt.consider(&hot_profile(load_pc, head, back));
-                            assert_eq!(
-                                opt.drain_events()
-                                    .filter(|e| e.category() == "verify_reject")
-                                    .count(),
-                                0,
-                                "{}/{} loop [{head},{back}] {strategy:?}/{deploy:?}: \
-                                 in-vivo false reject",
-                                mname,
-                                bench.name()
-                            );
-                            for action in actions {
-                                if let PlanAction::Apply(plan) = action {
-                                    captured.push(Captured {
-                                        bench: bench.name(),
-                                        machine: mname,
-                                        image: image.clone(),
-                                        plan,
-                                        window,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            assert!(
-                benches_with_loops >= Benchmark::COHERENT.len(),
-                "{mname}: only {benches_with_loops} benchmarks had prefetching loops"
-            );
-        }
-        assert!(
-            captured.len() >= 32,
-            "expected a broad plan corpus, got {}",
-            captured.len()
-        );
-        captured
-    })
-}
+mod common;
+use common::{applied, capture_real_plans, find_loops, hot_profile, Captured};
 
 /// Run tournament-enabled optimizers over NPB loops and capture the
 /// candidate plans they emit (per-site subset/mix rewrites, including
@@ -193,24 +58,19 @@ fn capture_candidate_plans() -> &'static Vec<Captured> {
                 let profile = hot_profile(load_pc, head, back);
                 let pristine_start = cobra_isa::bundle_align(image.len());
                 for _ in 0..40 {
-                    for action in opt.consider(&profile) {
-                        if let PlanAction::Apply(plan) = action {
-                            if plan.candidate.is_none() {
-                                continue;
-                            }
-                            let against_pristine = plan
-                                .trace
-                                .as_ref()
-                                .is_none_or(|t| t.expected_start == pristine_start);
-                            if against_pristine {
-                                captured.push(Captured {
-                                    bench: bench.name(),
-                                    machine: "smp4",
-                                    image: image.clone(),
-                                    plan,
-                                    window,
-                                });
-                            }
+                    for plan in applied(opt.consider(&profile)) {
+                        let against_pristine = plan
+                            .trace
+                            .as_ref()
+                            .is_none_or(|t| t.expected_start == pristine_start);
+                        if plan.candidate.is_some() && against_pristine {
+                            captured.push(Captured {
+                                bench: bench.name(),
+                                machine: "smp4",
+                                image: image.clone(),
+                                plan,
+                                window,
+                            });
                         }
                     }
                 }
@@ -248,9 +108,15 @@ fn real_plans_pass_across_npb_and_machines() {
 }
 
 /// The corruption classes. Each takes a genuine plan and damages it the way
-/// a buggy optimizer (or a corrupted plan channel) would; `None` when the
-/// class does not apply to this plan shape.
-fn corrupt(plan: &PatchPlan, image: &CodeImage, class: usize, pick: usize) -> Option<PatchPlan> {
+/// a buggy optimizer (or a corrupted plan channel) would — the last one
+/// leaves the plan alone and makes it wrong by changing the `image` it is
+/// checked against; `None` when the class does not apply to this plan shape.
+fn corrupt(
+    plan: &PatchPlan,
+    image: &mut CodeImage,
+    class: usize,
+    pick: usize,
+) -> Option<PatchPlan> {
     let mut p = plan.clone();
     match class {
         // Wrong replacement slot type: nop.i where only nop.m (or an lfetch
@@ -314,12 +180,56 @@ fn corrupt(plan: &PatchPlan, image: &CodeImage, class: usize, pick: usize) -> Op
                 .find(|&a| !p.writes.iter().any(|&(w, _)| w == a))?;
             p.writes.push((victim, encode(&NOP_SLOT_M)));
         }
+        // Rotating base: the compiler had put a removed post-incrementing
+        // prefetch's cursor in the rotating region of a software-pipelined
+        // loop. minicc never does (r27, r28, r31), which is why the genuine
+        // corpus passes; past the `br.ctop` the update is read under
+        // another name.
+        ROTATING_BASE => {
+            let back = image.insn(p.back_edge).ok()?.op;
+            if !matches!(back, Op::BrCtop { .. } | Op::BrWtop { .. }) {
+                return None;
+            }
+            let removed: Vec<_> = p
+                .writes
+                .iter()
+                .filter(|&&(_, word)| word == encode(&NOP_SLOT_M))
+                .filter_map(|&(addr, _)| Some((addr, image.insn(addr).ok()?)))
+                .filter(|(_, old)| matches!(old.op, Op::Lfetch { post_inc, .. } if post_inc != 0))
+                .collect();
+            let &(addr, mut old) = removed.get(pick % removed.len().max(1))?;
+            if let Op::Lfetch { base, .. } = &mut old.op {
+                *base = ROT_GR_BASE + 8;
+            }
+            image.patch(addr, &old).expect("an lfetch over an lfetch");
+        }
         _ => unreachable!("unknown corruption class"),
     }
     Some(p)
 }
 
-const CLASSES: usize = 7;
+const ROTATING_BASE: usize = 7;
+const CLASSES: usize = 8;
+
+/// `class` applied to `c`, when it fits, must be rejected — and the one
+/// class that is a single defect by construction, for that defect alone.
+fn assert_rejected(c: &Captured, class: usize, pick: usize) -> bool {
+    let mut image = c.image.clone();
+    let Some(bad) = corrupt(&c.plan, &mut image, class, pick) else {
+        return false;
+    };
+    let Err(err) = verify_plan(&image, &bad, c.window) else {
+        panic!(
+            "{}/{} class {class} corruption accepted on {:?} plan at head {}",
+            c.machine, c.bench, c.plan.candidate, c.plan.loop_head
+        )
+    };
+    if class == ROTATING_BASE {
+        let only_live_base = |v: &Violation| matches!(v, Violation::BaseRegisterLive { .. });
+        assert!(err.violations.iter().all(only_live_base), "{err}");
+    }
+    true
+}
 
 /// Exhaustive sweep: every corruption class applied to every captured plan
 /// it fits must be rejected. This is the 100%-of-classes acceptance bar.
@@ -329,17 +239,7 @@ fn every_corruption_class_is_rejected_on_every_plan() {
     let mut applied = [0usize; CLASSES];
     for c in plans {
         for (class, count) in applied.iter_mut().enumerate() {
-            let Some(bad) = corrupt(&c.plan, &c.image, class, 0) else {
-                continue;
-            };
-            *count += 1;
-            assert!(
-                verify_plan(&c.image, &bad, c.window).is_err(),
-                "{}/{} class {class} corruption accepted at head {}",
-                c.machine,
-                c.bench,
-                c.plan.loop_head
-            );
+            *count += usize::from(assert_rejected(c, class, 0));
         }
     }
     for (class, &n) in applied.iter().enumerate() {
@@ -382,18 +282,7 @@ fn corrupted_candidate_plans_are_rejected() {
     let mut applied = [0usize; CLASSES];
     for c in plans {
         for (class, count) in applied.iter_mut().enumerate() {
-            let Some(bad) = corrupt(&c.plan, &c.image, class, 0) else {
-                continue;
-            };
-            *count += 1;
-            assert!(
-                verify_plan(&c.image, &bad, c.window).is_err(),
-                "{}/{} class {class} corruption accepted on candidate {:?} at head {}",
-                c.machine,
-                c.bench,
-                c.plan.candidate,
-                c.plan.loop_head
-            );
+            *count += usize::from(assert_rejected(c, class, 0));
         }
     }
     // Trace-only classes need a trace candidate in the corpus; the in-place
@@ -414,12 +303,6 @@ proptest! {
     fn injected_corruption_never_verifies(seed in any::<u64>(), class in 0usize..CLASSES) {
         let plans = capture_real_plans();
         let c = &plans[(seed as usize) % plans.len()];
-        if let Some(bad) = corrupt(&c.plan, &c.image, class, (seed >> 32) as usize) {
-            prop_assert!(
-                verify_plan(&c.image, &bad, c.window).is_err(),
-                "class {} corruption accepted on {}/{}",
-                class, c.machine, c.bench
-            );
-        }
+        assert_rejected(c, class, (seed >> 32) as usize);
     }
 }

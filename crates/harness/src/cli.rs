@@ -21,8 +21,7 @@ use cobra_rt::{read_jsonl, TelemetrySink, TraceSummary};
 use serde::Serialize;
 
 use crate::{
-    ablate, default_workers, fig2, fig3, fleetcmd, npbsuite, profilecmd, staticnpb, table1,
-    verifycmd,
+    default_workers, fig2, fig3, fleetcmd, npbsuite, profilecmd, staticnpb, table1, verifycmd,
 };
 
 /// The command line cannot be used as given, or it names a path that cannot
@@ -72,7 +71,6 @@ enum Verb {
     Fig6,
     Fig7,
     Static,
-    Ablate,
     All,
     Trace,
     ProfileSave,
@@ -123,7 +121,7 @@ enum Positional {
 type Grammar = (&'static str, &'static [Flag], &'static [Flag], Positional);
 
 impl Verb {
-    const ALL: [Verb; 19] = [
+    const ALL: [Verb; 18] = [
         Verb::Fig2,
         Verb::Fig3,
         Verb::Table1,
@@ -131,7 +129,6 @@ impl Verb {
         Verb::Fig6,
         Verb::Fig7,
         Verb::Static,
-        Verb::Ablate,
         Verb::All,
         Verb::Trace,
         Verb::ProfileSave,
@@ -157,7 +154,6 @@ impl Verb {
             Verb::Fig6 => ("fig6", &[], NPB, NONE),
             Verb::Fig7 => ("fig7", &[], NPB, NONE),
             Verb::Static => ("static", &[], &[Machine, Workers, Md, Json], NONE),
-            Verb::Ablate => ("ablate", &[], &[Workers, Md], NONE),
             Verb::All => ("all", &[], &[Reps, Workers, Md], NONE),
             Verb::Trace => ("trace", &[], &[], One("FILE")),
             Verb::ProfileSave => ("profile save", &[Store], &[Bench, Machine], NONE),
@@ -480,7 +476,6 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), Failure> {
                 staticnpb::render(&cells, &cmd.machine.name, md)
             })?;
         }
-        Verb::Ablate => write!(out, "{}", ablate::run_all(workers, md))?,
         Verb::All => {
             writeln!(out, "# COBRA reproduction — measured results\n")?;
             writeln!(out, "## Figure 2\n")?;

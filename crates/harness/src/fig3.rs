@@ -253,4 +253,32 @@ mod tests {
         let t = data.subfigure(Variant::NoPrefetch);
         assert_eq!(t.rows.len(), 6);
     }
+
+    /// The §2 pathology is the prefetch stream overrunning a thread's chunk
+    /// into its neighbour's: a longer prefetch distance overruns further, so
+    /// what `noprefetch` gains at 128 KB / 4 threads does not shrink with it.
+    #[test]
+    fn longer_distance_does_not_shrink_the_pathology() {
+        let cfg = MachineConfig::smp4();
+        let steady = |policy: PrefetchPolicy| {
+            let run = |reps: usize| {
+                let d = Daxpy::build(DaxpyParams::new(128 * 1024, reps), &policy, cfg.mem_bytes);
+                execute_plain(&d, &cfg, Team::new(4)).1.cycles
+            };
+            (run(24) - run(8)) as f64
+        };
+        let without = steady(PrefetchPolicy::none());
+        let gain = |distance_bytes: i64| {
+            let policy = PrefetchPolicy {
+                distance_bytes,
+                ..PrefetchPolicy::aggressive()
+            };
+            steady(policy) / without - 1.0
+        };
+        let (short, long) = (gain(300), gain(4800));
+        assert!(
+            long >= short - 0.01,
+            "boundary overrun should not shrink with distance: {short} vs {long}"
+        );
+    }
 }

@@ -14,7 +14,6 @@
 //! EXPERIMENTS.md; `--json` dumps raw measurements). Simulations fan out
 //! across host threads through [`parallel_map`].
 
-pub mod ablate;
 pub mod cli;
 pub mod fig2;
 pub mod fig3;

@@ -2,7 +2,7 @@
 //! operate the profile store, the verifier and the fleet server.
 //!
 //! ```text
-//! cobra-repro fig2|fig3|table1|fig5|fig6|fig7|static|ablate|all [flags]
+//! cobra-repro fig2|fig3|table1|fig5|fig6|fig7|static|all [flags]
 //! cobra-repro trace FILE               # summarize a --trace-out JSONL
 //! cobra-repro profile save|inspect|merge ...
 //! cobra-repro verify image|snapshot ...

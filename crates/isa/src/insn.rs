@@ -9,6 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::regs::{ROT_PR_BASE, ROT_PR_SIZE};
 use crate::CodeAddr;
 
 /// Execution unit an instruction occupies inside a bundle.
@@ -302,6 +303,49 @@ pub enum Op {
     Hlt,
 }
 
+/// One architectural storage location an [`Op`] can name as an operand.
+/// Register numbers are *virtual* (pre-rotation), as in the operand fields.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Reg {
+    /// General (integer) register `r<n>`.
+    Gr(u8),
+    /// Floating-point register `f<n>`.
+    Fr(u8),
+    /// Predicate register `p<n>`.
+    Pr(u8),
+    /// Loop count application register `ar.lc`.
+    Lc,
+    /// Epilogue count application register `ar.ec`.
+    Ec,
+    /// Return branch register `b0`.
+    B0,
+}
+
+/// What one [`Op`] writes and reads ([`Op::operands`]): two fixed-capacity
+/// lists, so the CFG walks and the block builder consult them without
+/// allocating.
+#[derive(Debug, Clone, Copy)]
+pub struct Operands {
+    defs: ([Reg; 3], u8),
+    uses: ([Reg; 3], u8),
+}
+
+impl Operands {
+    /// Registers the operation writes. A nullified instruction (false
+    /// qualifying predicate) writes nothing at runtime; the static set is
+    /// the upper bound, which is what a conservative safety check wants.
+    pub fn defs(&self) -> &[Reg] {
+        &self.defs.0[..self.defs.1 as usize]
+    }
+
+    /// Registers the operation reads, the base of every post-increment form
+    /// included (read-modify-write). The qualifying predicate is a property
+    /// of the [`Insn`], not of the operation, and is not listed.
+    pub fn uses(&self) -> &[Reg] {
+        &self.uses.0[..self.uses.1 as usize]
+    }
+}
+
 /// One instruction slot: a qualifying predicate plus an operation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Insn {
@@ -401,6 +445,110 @@ impl Op {
         }
     }
 
+    /// What this operation writes and reads: the one operand table. The
+    /// block builder derives a micro-op's scoreboard sources from it and the
+    /// verifier its liveness facts; `cobra-machine`'s `Core::sources_ready`
+    /// and `Core::execute` are the hand-written oracle it is tested against.
+    /// Memory is not a location here: no consumer needs may-alias reasoning.
+    /// Rotation (`br.ctop`, `br.wtop`, `clrrrb`) renames registers and
+    /// writes none, so it does not appear either.
+    pub fn operands(&self) -> Operands {
+        use Op::*;
+        use Reg::*;
+        fn list(regs: &[Reg]) -> ([Reg; 3], u8) {
+            let mut l = [Lc; 3];
+            l[..regs.len()].copy_from_slice(regs);
+            (l, regs.len() as u8)
+        }
+        // A post-incrementing access also writes its base.
+        let mem = |dest: &[Reg], base: u8, post_inc: i32| {
+            let (mut l, mut n) = list(dest);
+            if post_inc != 0 {
+                l[n as usize] = Gr(base);
+                n += 1;
+            }
+            (l, n)
+        };
+        // A taken rotating branch writes the stage predicate that reads as
+        // `p16` after the rotation: `p63` in the names of the issuing slot.
+        const STAGE: Reg = Pr(ROT_PR_BASE + ROT_PR_SIZE - 1);
+        let (defs, uses) = match *self {
+            Ld8 {
+                dest,
+                base,
+                post_inc,
+                ..
+            } => (mem(&[Gr(dest)], base, post_inc), list(&[Gr(base)])),
+            Ldfd {
+                dest,
+                base,
+                post_inc,
+            } => (mem(&[Fr(dest)], base, post_inc), list(&[Gr(base)])),
+            St8 {
+                src,
+                base,
+                post_inc,
+            } => (mem(&[], base, post_inc), list(&[Gr(src), Gr(base)])),
+            Stfd {
+                src,
+                base,
+                post_inc,
+            } => (mem(&[], base, post_inc), list(&[Fr(src), Gr(base)])),
+            Lfetch { base, post_inc, .. } => (mem(&[], base, post_inc), list(&[Gr(base)])),
+            // `inc` on fetchadd is an immediate, not a register.
+            FetchAdd8 { dest, base, .. } => (list(&[Gr(dest)]), list(&[Gr(base)])),
+            Cmpxchg8 {
+                dest,
+                base,
+                new,
+                cmp,
+            } => (list(&[Gr(dest)]), list(&[Gr(base), Gr(new), Gr(cmp)])),
+            FmaD { dest, f1, f2, f3 } | FmsD { dest, f1, f2, f3 } => {
+                (list(&[Fr(dest)]), list(&[Fr(f1), Fr(f2), Fr(f3)]))
+            }
+            FaddD { dest, f1, f2 }
+            | FsubD { dest, f1, f2 }
+            | FmulD { dest, f1, f2 }
+            | FdivD { dest, f1, f2 } => (list(&[Fr(dest)]), list(&[Fr(f1), Fr(f2)])),
+            FsqrtD { dest, f1 } | FabsD { dest, f1 } | FnegD { dest, f1 } => {
+                (list(&[Fr(dest)]), list(&[Fr(f1)]))
+            }
+            FcmpD { p1, p2, f1, f2, .. } => (list(&[Pr(p1), Pr(p2)]), list(&[Fr(f1), Fr(f2)])),
+            SetfD { dest, src } | SetfSig { dest, src } => (list(&[Fr(dest)]), list(&[Gr(src)])),
+            GetfD { dest, src } | GetfSig { dest, src } => (list(&[Gr(dest)]), list(&[Fr(src)])),
+            FcvtXf { dest, src } | FcvtFxTrunc { dest, src } => {
+                (list(&[Fr(dest)]), list(&[Fr(src)]))
+            }
+            Add { dest, r2, r3 }
+            | Sub { dest, r2, r3 }
+            | Mul { dest, r2, r3 }
+            | And { dest, r2, r3 }
+            | Or { dest, r2, r3 }
+            | Xor { dest, r2, r3 } => (list(&[Gr(dest)]), list(&[Gr(r2), Gr(r3)])),
+            AddI { dest, src, .. }
+            | AndI { dest, src, .. }
+            | ShlI { dest, src, .. }
+            | ShrI { dest, src, .. }
+            | SarI { dest, src, .. } => (list(&[Gr(dest)]), list(&[Gr(src)])),
+            MovI { dest, .. } => (list(&[Gr(dest)]), list(&[])),
+            Cmp { p1, p2, r2, r3, .. } => (list(&[Pr(p1), Pr(p2)]), list(&[Gr(r2), Gr(r3)])),
+            CmpI { p1, p2, r3, .. } => (list(&[Pr(p1), Pr(p2)]), list(&[Gr(r3)])),
+            BrCtop { .. } => (list(&[Lc, Ec, STAGE]), list(&[Lc, Ec])),
+            BrCloop { .. } => (list(&[Lc]), list(&[Lc])),
+            BrWtop { .. } => (list(&[STAGE]), list(&[])),
+            BrCall { .. } => (list(&[B0]), list(&[])),
+            BrRet => (list(&[]), list(&[B0])),
+            MovToLc { src } => (list(&[Lc]), list(&[Gr(src)])),
+            MovToEc { src } => (list(&[Ec]), list(&[Gr(src)])),
+            MovToB0 { src } => (list(&[B0]), list(&[Gr(src)])),
+            MovFromLc { dest } => (list(&[Gr(dest)]), list(&[Lc])),
+            MovFromEc { dest } => (list(&[Gr(dest)]), list(&[Ec])),
+            MovFromB0 { dest } => (list(&[Gr(dest)]), list(&[B0])),
+            BrCond { .. } | Clrrrb | Nop { .. } | Hlt => (list(&[]), list(&[])),
+        };
+        Operands { defs, uses }
+    }
+
     /// Branch flavour, if this is a branch.
     pub fn branch_kind(&self) -> Option<BrKind> {
         match self {
@@ -452,6 +600,45 @@ impl Op {
                 | Op::FetchAdd8 { .. }
                 | Op::Cmpxchg8 { .. }
         )
+    }
+}
+
+/// Which rewrite of a loop's `lfetch` slots a plan performs: what the
+/// optimizer emits, the verifier judges, and the store and the telemetry
+/// record by [`RewriteKind::name`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum RewriteKind {
+    /// Replace selected `lfetch` slots with `nop.m`.
+    NoPrefetch,
+    /// Flip selected `lfetch` slots to `lfetch.excl`.
+    ExclHint,
+    /// Mix both per site: each written `lfetch` slot is either removed
+    /// (`nop.m`) or hint-flipped (`.excl`), judged independently
+    /// (tournament candidates only: the classic one-shot classifier never
+    /// emits this).
+    Combined,
+}
+
+impl RewriteKind {
+    pub const ALL: [RewriteKind; 3] = [
+        RewriteKind::NoPrefetch,
+        RewriteKind::ExclHint,
+        RewriteKind::Combined,
+    ];
+
+    /// Stable name, as stored and printed.
+    pub fn name(self) -> &'static str {
+        match self {
+            RewriteKind::NoPrefetch => "noprefetch",
+            RewriteKind::ExclHint => "prefetch.excl",
+            RewriteKind::Combined => "combined",
+        }
+    }
+
+    /// Inverse of [`RewriteKind::name`]; `None` for unknown names (e.g. a
+    /// store record written by an incompatible build).
+    pub fn from_name(name: &str) -> Option<RewriteKind> {
+        RewriteKind::ALL.into_iter().find(|k| k.name() == name)
     }
 }
 
@@ -522,6 +709,14 @@ mod tests {
         assert!(CmpRel::Geu.eval_i64(-1, 0));
         assert!(CmpRel::Ne.eval_f64(1.0, 2.0));
         assert!(!CmpRel::Eq.eval_f64(f64::NAN, f64::NAN));
+    }
+
+    #[test]
+    fn rewrite_kind_names_round_trip() {
+        for kind in RewriteKind::ALL {
+            assert_eq!(RewriteKind::from_name(kind.name()), Some(kind));
+        }
+        assert_eq!(RewriteKind::from_name("bogus"), None);
     }
 
     #[test]

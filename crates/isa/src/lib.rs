@@ -41,7 +41,8 @@ pub use asm::{Assembler, Label};
 pub use encode::{decode, encode, DecodeError};
 pub use image::{CodeImage, PatchError};
 pub use insn::{
-    BrKind, CmpRel, FUnit, Insn, LfetchHint, Unit, NOP_SLOT_B, NOP_SLOT_F, NOP_SLOT_I, NOP_SLOT_M,
+    BrKind, CmpRel, FUnit, Insn, LfetchHint, Reg, RewriteKind, Unit, NOP_SLOT_B, NOP_SLOT_F,
+    NOP_SLOT_I, NOP_SLOT_M,
 };
 pub use regs::{ROT_FR_BASE, ROT_FR_SIZE, ROT_GR_BASE, ROT_GR_SIZE, ROT_PR_BASE, ROT_PR_SIZE};
 pub use uop::{MicroOp, OpClass, SrcReg};

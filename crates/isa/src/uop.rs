@@ -10,13 +10,14 @@
 //! and caches the result keyed by the block's entry address.
 //!
 //! The lowering is *purely* a re-arrangement of information already present
-//! in the [`Insn`]: it must enumerate exactly the source registers the
-//! reference interpreter's readiness check consults, no more and no fewer,
-//! or the two paths would stall on different cycles and diverge. The
-//! `block_dispatch_equivalence` suite in `cobra-machine` property-tests that
-//! invariant end to end.
+//! in the [`Insn`]: the source list is the general and FP registers of
+//! [`Op::operands`]' uses, which must be exactly the registers the reference
+//! interpreter's readiness check consults, no more and no fewer, or the two
+//! paths would stall on different cycles and diverge. `cobra-machine` checks
+//! that per opcode shape (`core::tests`) and its
+//! `block_dispatch_equivalence` suite property-tests it end to end.
 
-use crate::insn::{Insn, Op};
+use crate::insn::{Insn, Op, Reg};
 
 /// One source register reference, pre-resolved from the operand fields.
 /// Register numbers are *virtual*; the core still maps them through the
@@ -96,100 +97,26 @@ impl MicroOp {
     /// Lower one instruction. Infallible: every decodable [`Insn`] has a
     /// micro-op form.
     pub fn lower(insn: Insn) -> MicroOp {
-        use Op::*;
         let mut srcs = [SrcReg::Gr(0); MAX_SRCS];
         let mut n = 0usize;
-        let mut flags = 0u8;
-        {
-            let mut push = |s: SrcReg| {
-                srcs[n] = s;
-                n += 1;
+        // The scoreboard tracks general and FP registers; the application
+        // and branch registers an op may also read are never waited on.
+        for r in insn.op.operands().uses() {
+            srcs[n] = match *r {
+                Reg::Gr(r) => SrcReg::Gr(r),
+                Reg::Fr(r) => SrcReg::Fr(r),
+                _ => continue,
             };
-            match insn.op {
-                Ld8 { base, .. } | Ldfd { base, .. } | Lfetch { base, .. } => {
-                    push(SrcReg::Gr(base));
-                    flags |= F_MEM;
-                }
-                St8 { src, base, .. } => {
-                    push(SrcReg::Gr(src));
-                    push(SrcReg::Gr(base));
-                    flags |= F_MEM;
-                }
-                Stfd { src, base, .. } => {
-                    push(SrcReg::Fr(src));
-                    push(SrcReg::Gr(base));
-                    flags |= F_MEM;
-                }
-                FetchAdd8 { base, .. } => {
-                    push(SrcReg::Gr(base));
-                    flags |= F_MEM;
-                }
-                Cmpxchg8 { base, new, cmp, .. } => {
-                    push(SrcReg::Gr(base));
-                    push(SrcReg::Gr(new));
-                    push(SrcReg::Gr(cmp));
-                    flags |= F_MEM;
-                }
-                FmaD { f1, f2, f3, .. } | FmsD { f1, f2, f3, .. } => {
-                    push(SrcReg::Fr(f1));
-                    push(SrcReg::Fr(f2));
-                    push(SrcReg::Fr(f3));
-                }
-                FaddD { f1, f2, .. }
-                | FsubD { f1, f2, .. }
-                | FmulD { f1, f2, .. }
-                | FdivD { f1, f2, .. }
-                | FcmpD { f1, f2, .. } => {
-                    push(SrcReg::Fr(f1));
-                    push(SrcReg::Fr(f2));
-                }
-                FsqrtD { f1, .. } | FabsD { f1, .. } | FnegD { f1, .. } => {
-                    push(SrcReg::Fr(f1));
-                }
-                SetfD { src, .. } | SetfSig { src, .. } => push(SrcReg::Gr(src)),
-                GetfD { src, .. }
-                | GetfSig { src, .. }
-                | FcvtXf { src, .. }
-                | FcvtFxTrunc { src, .. } => push(SrcReg::Fr(src)),
-                Add { r2, r3, .. }
-                | Sub { r2, r3, .. }
-                | Mul { r2, r3, .. }
-                | And { r2, r3, .. }
-                | Or { r2, r3, .. }
-                | Xor { r2, r3, .. }
-                | Cmp { r2, r3, .. } => {
-                    push(SrcReg::Gr(r2));
-                    push(SrcReg::Gr(r3));
-                }
-                AddI { src, .. }
-                | AndI { src, .. }
-                | ShlI { src, .. }
-                | ShrI { src, .. }
-                | SarI { src, .. } => push(SrcReg::Gr(src)),
-                CmpI { r3, .. } => push(SrcReg::Gr(r3)),
-                MovToLc { src } | MovToEc { src } | MovToB0 { src } => push(SrcReg::Gr(src)),
-                MovI { .. }
-                | MovFromLc { .. }
-                | MovFromEc { .. }
-                | MovFromB0 { .. }
-                | Clrrrb
-                | Nop { .. } => {}
-                BrCond { .. }
-                | BrCtop { .. }
-                | BrCloop { .. }
-                | BrWtop { .. }
-                | BrCall { .. }
-                | BrRet
-                | Hlt => {
-                    flags |= F_BLOCK_END;
-                }
-            }
+            n += 1;
         }
+        let mem = if insn.op.is_mem() { F_MEM } else { 0 };
+        let ends = insn.is_branch() || insn.op == Op::Hlt;
+        let flags = mem | if ends { F_BLOCK_END } else { 0 };
         let (class, d, a, b, imm) = match insn.op {
-            Add { dest, r2, r3 } => (OpClass::Add, dest, r2, r3, 0),
-            AddI { dest, src, imm } => (OpClass::AddI, dest, src, 0, imm as i64),
-            Nop { .. } => (OpClass::Nop, 0, 0, 0, 0),
-            BrCloop { target } => (OpClass::BrCloop, 0, 0, 0, target as i64),
+            Op::Add { dest, r2, r3 } => (OpClass::Add, dest, r2, r3, 0),
+            Op::AddI { dest, src, imm } => (OpClass::AddI, dest, src, 0, imm as i64),
+            Op::Nop { .. } => (OpClass::Nop, 0, 0, 0, 0),
+            Op::BrCloop { target } => (OpClass::BrCloop, 0, 0, 0, target as i64),
             _ => (OpClass::Other, 0, 0, 0, 0),
         };
         MicroOp {
@@ -228,6 +155,13 @@ impl MicroOp {
 mod tests {
     use super::*;
     use crate::insn::{CmpRel, Unit};
+
+    /// The block cache holds these by the thousand and the hot loop walks
+    /// them: the lowering may be re-derived, the layout may not move.
+    #[test]
+    fn micro_op_is_48_bytes() {
+        assert_eq!(std::mem::size_of::<MicroOp>(), 48);
+    }
 
     #[test]
     fn memory_ops_carry_the_mem_flag_and_base_sources() {

@@ -1061,3 +1061,223 @@ impl Core {
         self.resume_at
     }
 }
+
+/// `sources_ready` and `execute` above are written by hand, opcode by
+/// opcode, and stay that way: they are the oracle `cobra-isa`'s operand
+/// table (`Op::operands`, from which `MicroOp::lower` and the verifier's
+/// def/use sets are derived) is compared with here.
+#[cfg(test)]
+mod tests {
+    use std::collections::HashSet;
+
+    use super::*;
+    use crate::config::MachineConfig;
+    use crate::machine::Machine;
+    use cobra_isa::insn::{CmpRel, LfetchHint, Unit};
+    use cobra_isa::{Assembler, Reg};
+
+    /// One instruction per `Op` shape — every variant, the memory forms with
+    /// and without post-increment — each operand field a register of its own
+    /// (none of the hard-wired `r0`, `f0`, `f1`, `p0`).
+    fn shapes() -> Vec<Op> {
+        use Op::*;
+        let (dest, base, src, new, cmp, r2, r3) = (10, 11, 12, 13, 14, 15, 16);
+        let (f1, f2, f3, p1, p2, rel) = (21, 22, 23, 6, 7, CmpRel::Lt);
+        let (hint, excl, bias, target) = (LfetchHint::Nt1, false, false, 9);
+        let mut ops = Vec::new();
+        for post_inc in [0, 8] {
+            ops.extend([
+                Ld8 {
+                    dest,
+                    base,
+                    post_inc,
+                    bias,
+                },
+                St8 {
+                    src,
+                    base,
+                    post_inc,
+                },
+                Ldfd {
+                    dest,
+                    base,
+                    post_inc,
+                },
+                Stfd {
+                    src,
+                    base,
+                    post_inc,
+                },
+                Lfetch {
+                    base,
+                    post_inc,
+                    hint,
+                    excl,
+                },
+            ]);
+        }
+        ops.extend([
+            FetchAdd8 { dest, base, inc: 1 },
+            Cmpxchg8 {
+                dest,
+                base,
+                new,
+                cmp,
+            },
+            FmaD { dest, f1, f2, f3 },
+            FmsD { dest, f1, f2, f3 },
+            FaddD { dest, f1, f2 },
+            FsubD { dest, f1, f2 },
+            FmulD { dest, f1, f2 },
+            FdivD { dest, f1, f2 },
+            FsqrtD { dest, f1 },
+            FabsD { dest, f1 },
+            FnegD { dest, f1 },
+            FcmpD {
+                p1,
+                p2,
+                rel,
+                f1,
+                f2,
+            },
+            SetfD { dest, src },
+            GetfD { dest, src },
+            SetfSig { dest, src },
+            GetfSig { dest, src },
+            FcvtXf { dest, src },
+            FcvtFxTrunc { dest, src },
+            Add { dest, r2, r3 },
+            Sub { dest, r2, r3 },
+            AddI { dest, src, imm: 5 },
+            Mul { dest, r2, r3 },
+            ShlI {
+                dest,
+                src,
+                count: 3,
+            },
+            ShrI {
+                dest,
+                src,
+                count: 3,
+            },
+            SarI {
+                dest,
+                src,
+                count: 3,
+            },
+            And { dest, r2, r3 },
+            Or { dest, r2, r3 },
+            Xor { dest, r2, r3 },
+            AndI {
+                dest,
+                src,
+                imm: 0xff,
+            },
+            MovI { dest, imm: 5 },
+            Cmp {
+                p1,
+                p2,
+                rel,
+                r2,
+                r3,
+            },
+            CmpI {
+                p1,
+                p2,
+                rel,
+                imm: 5,
+                r3,
+            },
+            BrCond { target },
+            BrCtop { target },
+            BrCloop { target },
+            BrWtop { target },
+            BrCall { target },
+            BrRet,
+            MovToLc { src },
+            MovToEc { src },
+            MovFromLc { dest },
+            MovFromEc { dest },
+            MovToB0 { src },
+            MovFromB0 { dest },
+            Clrrrb,
+            Nop { unit: Unit::M },
+            Hlt,
+        ]);
+        ops
+    }
+
+    /// With one scoreboard entry late and every other on time, an
+    /// instruction is late exactly when it reads that entry: walking the hot
+    /// entry over all three files compares the *set* of registers the
+    /// lowered source list names with the set the reference match consults.
+    #[test]
+    fn lowered_sources_are_the_registers_the_reference_waits_on() {
+        for op in shapes() {
+            let insn = Insn::pred(5, op);
+            let uop = MicroOp::lower(insn);
+            for hot in 0..128 + 128 + 64 {
+                let mut core = Core::new(0);
+                match hot {
+                    0..128 => core.gr_ready[hot] = 1,
+                    128..256 => core.fr_ready[hot - 128] = 1,
+                    _ => core.pr_ready[hot - 256] = 1,
+                }
+                assert_eq!(
+                    core.uop_sources_ready(&uop),
+                    core.sources_ready(&insn),
+                    "{op:?}, scoreboard entry {hot}"
+                );
+            }
+        }
+    }
+
+    /// Everything `execute` can write, by architectural name.
+    fn registers(core: &Core) -> Vec<(Reg, u64)> {
+        let gr = (0..128).map(|i| (Reg::Gr(i), core.gr[i as usize] as u64));
+        let fr = (0..128).map(|i| (Reg::Fr(i), core.fr[i as usize].to_bits()));
+        let pr = (0..64).map(|i| (Reg::Pr(i), core.pr[i as usize] as u64));
+        let ar = [
+            (Reg::Lc, core.lc),
+            (Reg::Ec, core.ec),
+            (Reg::B0, core.b0 as u64),
+        ];
+        gr.chain(fr).chain(pr).chain(ar).collect()
+    }
+
+    /// Executed on register files where every entry holds a value of its
+    /// own, an instruction changes the registers the table calls its defs
+    /// and no other. Three starting states, so each branch of the loop
+    /// branches and both outcomes of a compare get to write.
+    #[test]
+    fn execute_writes_exactly_the_defs_of_the_operand_table() {
+        let mut a = Assembler::new();
+        a.hlt();
+        let mut shared = Machine::new(MachineConfig::smp4(), a.finish()).shared;
+        for op in shapes() {
+            let mut written = HashSet::new();
+            for (preds, lc, ec) in [(false, 5, 5), (true, 0, 5), (true, 0, 1)] {
+                let mut core = Core::new(0);
+                core.status = CoreStatus::Running;
+                for i in 0..128 {
+                    core.gr[i] = 0x1000 + 64 * i as i64; // a valid address
+                    core.fr[i] = 1000.5 + i as f64;
+                }
+                core.pr = [preds; 64];
+                (core.lc, core.ec, core.b0) = (lc, ec, 77);
+                let before = registers(&core);
+                core.execute(&mut shared, 100, Insn::new(op));
+                let after = registers(&core);
+                written.extend(
+                    before
+                        .iter()
+                        .zip(&after)
+                        .filter(|(b, a)| b != a)
+                        .map(|(b, _)| b.0),
+                );
+            }
+            let defs: HashSet<Reg> = op.operands().defs().iter().copied().collect();
+            assert_eq!(written, defs, "{op:?}");
+        }
+    }
+}

@@ -37,18 +37,12 @@ use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cobra_isa::CodeImage;
+use cobra_isa::{CodeImage, RewriteKind};
 use cobra_machine::MachineConfig;
 use serde::{Deserialize, Serialize, Value};
 
 /// On-disk format version; bumped on incompatible record changes.
 pub const FORMAT_VERSION: u32 = 1;
-
-/// Optimization-kind names a [`DecisionRecord`] may carry. Mirrors
-/// `cobra_rt::OptKind::name()` (this crate sits below `cobra-rt` and cannot
-/// reference the enum; `cobra-rt` has a test pinning the two lists
-/// together).
-pub const KNOWN_KINDS: [&str; 3] = ["noprefetch", "prefetch.excl", "combined"];
 
 /// 64-bit FNV-1a over a byte stream.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -205,7 +199,7 @@ impl ProfileRecord {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DecisionRecord {
     pub loop_head: u32,
-    /// One of [`KNOWN_KINDS`]; records with any other name are dropped at
+    /// A [`RewriteKind::name`]; records with any other name are dropped at
     /// load (counted as skipped).
     pub kind: String,
     /// Whether the CPI trial regressed and the deployment was reverted.
@@ -226,7 +220,7 @@ pub struct WinnerRecord {
     pub loop_head: u32,
     /// Winning candidate spec name (e.g. `"combined.split"`).
     pub candidate: String,
-    /// One of [`KNOWN_KINDS`] — the winning plan's rewrite kind.
+    /// The winning plan's [`RewriteKind::name`].
     pub kind: String,
     /// `(candidate, trial CPI)` pairs, in trial order.
     pub trials: Vec<(String, f64)>,
@@ -565,11 +559,14 @@ fn decode_record(line: &str) -> Option<Record> {
         return None;
     }
     match &env.body {
-        Record::Decision(d) if !KNOWN_KINDS.contains(&d.kind.as_str()) => return None,
-        Record::Winner(w) if !KNOWN_KINDS.contains(&w.kind.as_str()) => return None,
-        _ => {}
+        Record::Decision(DecisionRecord { kind, .. })
+        | Record::Winner(WinnerRecord { kind, .. })
+            if RewriteKind::from_name(kind).is_none() =>
+        {
+            None
+        }
+        _ => Some(env.body),
     }
-    Some(env.body)
 }
 
 fn assemble(records: Vec<Record>, expected: Option<&StoreKey>) -> LoadReport {
@@ -1313,7 +1310,9 @@ mod tests {
             if bit(2 + i) {
                 s.decisions.push(DecisionRecord {
                     loop_head,
-                    kind: KNOWN_KINDS[(shape >> (6 + 2 * i)) as usize % 3].into(),
+                    kind: RewriteKind::ALL[(shape >> (6 + 2 * i)) as usize % 3]
+                        .name()
+                        .into(),
                     reverted: bit(14 + i),
                     baseline_cpi: 1.5,
                     post_cpi: bit(18 + i).then_some(1.0 + (shape >> 22 & 3) as f64 / 4.0),

@@ -120,7 +120,7 @@ proptest! {
             prop_assert_eq!(snap.key, key());
             // Damaged decisions are dropped, never mangled into new ones.
             for d in &snap.decisions {
-                prop_assert!(cobra_store::KNOWN_KINDS.contains(&d.kind.as_str()));
+                prop_assert!(cobra_isa::RewriteKind::from_name(&d.kind).is_some());
             }
         } else {
             prop_assert!(lr.error.is_some(), "cold start must carry a reason");

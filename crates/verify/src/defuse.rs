@@ -1,213 +1,30 @@
-//! Per-instruction def/use sets over the architectural register files.
-//!
-//! The sets are exact for the modeled ISA: general registers, floating
-//! registers, predicates, the loop-control application registers (`ar.lc`,
-//! `ar.ec`) and the return branch register `b0`. Memory is deliberately not
-//! modeled — the verifier's rewrite rules never need may-alias reasoning,
-//! only "does anything read the register a removed `lfetch` perturbed".
+//! Per-instruction def/use sets over the architectural register files:
+//! [`Op::operands`](cobra_isa::insn::Op::operands), `cobra-isa`'s one
+//! operand table, plus the qualifying predicate every [`Insn`] reads.
 
-use cobra_isa::insn::{Insn, Op};
+use cobra_isa::insn::Insn;
+pub use cobra_isa::Reg;
 
-/// One architectural storage location.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Reg {
-    /// General (integer) register `r<n>`.
-    Gr(u8),
-    /// Floating-point register `f<n>`.
-    Fr(u8),
-    /// Predicate register `p<n>`.
-    Pr(u8),
-    /// Loop count application register `ar.lc`.
-    Lc,
-    /// Epilogue count application register `ar.ec`.
-    Ec,
-    /// Return branch register `b0`.
-    B0,
-}
-
-/// Registers written by `insn`. A nullified instruction (false qualifying
-/// predicate) writes nothing at runtime; the static set is the upper bound,
-/// which is what a conservative safety check wants.
+/// Registers written by `insn` (the static upper bound: a nullified
+/// instruction writes nothing at runtime).
 pub fn defs(insn: &Insn) -> Vec<Reg> {
-    let mut d = Vec::new();
-    defs_into(insn, &mut d);
-    d
-}
-
-/// [`defs`] into a caller-provided buffer (cleared first): the hot CFG walks
-/// call this per visited instruction and must not allocate.
-pub fn defs_into(insn: &Insn, d: &mut Vec<Reg>) {
-    d.clear();
-    match &insn.op {
-        Op::Ld8 {
-            dest,
-            base,
-            post_inc,
-            ..
-        } => {
-            d.push(Reg::Gr(*dest));
-            if *post_inc != 0 {
-                d.push(Reg::Gr(*base));
-            }
-        }
-        Op::St8 { base, post_inc, .. }
-        | Op::Stfd { base, post_inc, .. }
-        | Op::Lfetch { base, post_inc, .. } => {
-            if *post_inc != 0 {
-                d.push(Reg::Gr(*base));
-            }
-        }
-        Op::Ldfd {
-            dest,
-            base,
-            post_inc,
-        } => {
-            d.push(Reg::Fr(*dest));
-            if *post_inc != 0 {
-                d.push(Reg::Gr(*base));
-            }
-        }
-        Op::FetchAdd8 { dest, .. } | Op::Cmpxchg8 { dest, .. } => d.push(Reg::Gr(*dest)),
-        Op::FmaD { dest, .. }
-        | Op::FmsD { dest, .. }
-        | Op::FaddD { dest, .. }
-        | Op::FsubD { dest, .. }
-        | Op::FmulD { dest, .. }
-        | Op::FdivD { dest, .. }
-        | Op::FsqrtD { dest, .. }
-        | Op::FabsD { dest, .. }
-        | Op::FnegD { dest, .. } => d.push(Reg::Fr(*dest)),
-        Op::FcmpD { p1, p2, .. } => {
-            d.push(Reg::Pr(*p1));
-            d.push(Reg::Pr(*p2));
-        }
-        Op::SetfD { dest, .. } | Op::SetfSig { dest, .. } | Op::FcvtXf { dest, .. } => {
-            d.push(Reg::Fr(*dest))
-        }
-        Op::GetfD { dest, .. } | Op::GetfSig { dest, .. } | Op::FcvtFxTrunc { dest, .. } => {
-            d.push(Reg::Gr(*dest))
-        }
-        Op::Add { dest, .. }
-        | Op::Sub { dest, .. }
-        | Op::Mul { dest, .. }
-        | Op::And { dest, .. }
-        | Op::Or { dest, .. }
-        | Op::Xor { dest, .. }
-        | Op::AddI { dest, .. }
-        | Op::AndI { dest, .. }
-        | Op::ShlI { dest, .. }
-        | Op::ShrI { dest, .. }
-        | Op::SarI { dest, .. }
-        | Op::MovI { dest, .. } => d.push(Reg::Gr(*dest)),
-        Op::Cmp { p1, p2, .. } | Op::CmpI { p1, p2, .. } => {
-            d.push(Reg::Pr(*p1));
-            d.push(Reg::Pr(*p2));
-        }
-        // Software-pipelined loop branches update the loop registers and
-        // (for ctop/wtop) rotate predicates; we model the AR side.
-        Op::BrCtop { .. } => {
-            d.push(Reg::Lc);
-            d.push(Reg::Ec);
-        }
-        Op::BrCloop { .. } => d.push(Reg::Lc),
-        Op::BrWtop { .. } => d.push(Reg::Ec),
-        Op::BrCall { .. } => d.push(Reg::B0),
-        Op::MovToLc { .. } => d.push(Reg::Lc),
-        Op::MovToEc { .. } => d.push(Reg::Ec),
-        Op::MovFromLc { dest } | Op::MovFromEc { dest } | Op::MovFromB0 { dest } => {
-            d.push(Reg::Gr(*dest))
-        }
-        Op::MovToB0 { .. } => d.push(Reg::B0),
-        Op::BrCond { .. } | Op::BrRet | Op::Clrrrb | Op::Nop { .. } | Op::Hlt => {}
-    }
+    insn.op.operands().defs().to_vec()
 }
 
 /// Registers read by `insn`, including the qualifying predicate when it is
 /// not the hard-wired `p0`, and the base register of every post-increment
 /// addressing form (read-modify-write).
 pub fn uses(insn: &Insn) -> Vec<Reg> {
-    let mut u = Vec::new();
-    uses_into(insn, &mut u);
-    u
-}
-
-/// [`uses`] into a caller-provided buffer (cleared first); see [`defs_into`].
-pub fn uses_into(insn: &Insn, u: &mut Vec<Reg>) {
-    u.clear();
-    if insn.qp != 0 {
-        u.push(Reg::Pr(insn.qp));
-    }
-    match &insn.op {
-        Op::Ld8 { base, .. } | Op::Ldfd { base, .. } | Op::Lfetch { base, .. } => {
-            u.push(Reg::Gr(*base))
-        }
-        Op::St8 { src, base, .. } => {
-            u.push(Reg::Gr(*src));
-            u.push(Reg::Gr(*base));
-        }
-        Op::Stfd { src, base, .. } => {
-            u.push(Reg::Fr(*src));
-            u.push(Reg::Gr(*base));
-        }
-        // `inc` on fetchadd is an immediate, not a register.
-        Op::FetchAdd8 { base, .. } => u.push(Reg::Gr(*base)),
-        Op::Cmpxchg8 { base, new, cmp, .. } => {
-            u.push(Reg::Gr(*base));
-            u.push(Reg::Gr(*new));
-            u.push(Reg::Gr(*cmp));
-        }
-        Op::FmaD { f1, f2, f3, .. } | Op::FmsD { f1, f2, f3, .. } => {
-            u.push(Reg::Fr(*f1));
-            u.push(Reg::Fr(*f2));
-            u.push(Reg::Fr(*f3));
-        }
-        Op::FaddD { f1, f2, .. }
-        | Op::FsubD { f1, f2, .. }
-        | Op::FmulD { f1, f2, .. }
-        | Op::FdivD { f1, f2, .. }
-        | Op::FcmpD { f1, f2, .. } => {
-            u.push(Reg::Fr(*f1));
-            u.push(Reg::Fr(*f2));
-        }
-        Op::FsqrtD { f1, .. } | Op::FabsD { f1, .. } | Op::FnegD { f1, .. } => u.push(Reg::Fr(*f1)),
-        Op::SetfD { src, .. } | Op::SetfSig { src, .. } => u.push(Reg::Gr(*src)),
-        Op::GetfD { src, .. } | Op::GetfSig { src, .. } => u.push(Reg::Fr(*src)),
-        Op::FcvtXf { src, .. } => u.push(Reg::Fr(*src)),
-        Op::FcvtFxTrunc { src, .. } => u.push(Reg::Fr(*src)),
-        Op::Add { r2, r3, .. }
-        | Op::Sub { r2, r3, .. }
-        | Op::Mul { r2, r3, .. }
-        | Op::And { r2, r3, .. }
-        | Op::Or { r2, r3, .. }
-        | Op::Xor { r2, r3, .. }
-        | Op::Cmp { r2, r3, .. } => {
-            u.push(Reg::Gr(*r2));
-            u.push(Reg::Gr(*r3));
-        }
-        Op::AddI { src, .. } | Op::AndI { src, .. } => u.push(Reg::Gr(*src)),
-        Op::ShlI { src, .. } | Op::ShrI { src, .. } | Op::SarI { src, .. } => u.push(Reg::Gr(*src)),
-        Op::CmpI { r3, .. } => u.push(Reg::Gr(*r3)),
-        Op::BrCond { .. } => {}
-        Op::BrCtop { .. } => {
-            u.push(Reg::Lc);
-            u.push(Reg::Ec);
-        }
-        Op::BrCloop { .. } => u.push(Reg::Lc),
-        Op::BrWtop { .. } => u.push(Reg::Ec),
-        Op::BrCall { .. } => {}
-        Op::BrRet => u.push(Reg::B0),
-        Op::MovToLc { src } | Op::MovToEc { src } | Op::MovToB0 { src } => u.push(Reg::Gr(*src)),
-        Op::MovFromLc { .. } => u.push(Reg::Lc),
-        Op::MovFromEc { .. } => u.push(Reg::Ec),
-        Op::MovFromB0 { .. } => u.push(Reg::B0),
-        Op::MovI { .. } | Op::Clrrrb | Op::Nop { .. } | Op::Hlt => {}
-    }
+    let qp = (insn.qp != 0).then_some(Reg::Pr(insn.qp));
+    qp.into_iter()
+        .chain(insn.op.operands().uses().iter().copied())
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cobra_isa::insn::{CmpRel, LfetchHint};
+    use cobra_isa::insn::{CmpRel, LfetchHint, Op};
 
     #[test]
     fn post_increment_forms_both_use_and_def_the_base() {

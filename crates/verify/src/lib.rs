@@ -3,17 +3,18 @@
 //! COBRA's whole value proposition is rewriting a live binary under running
 //! threads. This crate is the independent gate that turns "the optimizer is
 //! probably right" into "every deployed rewrite was machine-checked": it
-//! reconstructs a CFG over a [`CodeImage`], computes per-instruction def/use
-//! sets, and applies rule-based semantic-preservation checks to every plan
-//! before it is allowed to land.
+//! reconstructs a CFG over a [`CodeImage`], reads per-instruction def/use
+//! sets off `cobra-isa`'s operand table, and applies rule-based
+//! semantic-preservation checks to every plan before it is allowed to land.
 //!
 //! The rule set (see DESIGN.md §5e):
 //!
 //! * **noprefetch** may only replace `lfetch` slots with a same-slot-type
 //!   `nop.m`; when a removed `lfetch` post-increments its base register, a
 //!   flow-sensitive reaching-use walk proves no *binding* instruction reads
-//!   that register before it is redefined (`lfetch` is non-binding, so other
-//!   prefetches reading the register are architecturally irrelevant).
+//!   that register — and, for a rotating register, nothing renames it —
+//!   before it is redefined (`lfetch` is non-binding, so other prefetches
+//!   reading the register are architecturally irrelevant).
 //! * **prefetch.excl** may only flip the exclusive-ownership hint of an
 //!   existing `lfetch` — base, post-increment, locality hint and predicate
 //!   must all survive the rewrite verbatim.
@@ -38,43 +39,15 @@
 //! optimizer's assumptions about its own output.
 
 use cobra_isa::insn::{Insn, Op};
-use cobra_isa::{bundle_align, decode, CodeAddr, CodeImage, NOP_SLOT_M};
+use cobra_isa::{bundle_align, decode, CodeAddr, CodeImage, NOP_SLOT_M, ROT_GR_BASE};
 
 pub mod cfg;
 pub mod defuse;
 
 pub use cfg::{check_image, reachable, successors};
+/// Which rewrite a plan claims to perform.
+pub use cobra_isa::RewriteKind;
 pub use defuse::{defs, uses, Reg};
-
-/// Which rewrite a plan claims to perform (the verifier's mirror of the
-/// optimizer's `OptKind`; `cobra-rt` pins the mapping with a test).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RewriteKind {
-    /// Replace selected `lfetch` slots with `nop.m`.
-    NoPrefetch,
-    /// Flip selected `lfetch` slots to `lfetch.excl`.
-    ExclHint,
-    /// Mix both per site: each written `lfetch` slot is either removed
-    /// (`nop.m`) or hint-flipped (`.excl`), judged independently.
-    Combined,
-}
-
-impl RewriteKind {
-    pub const ALL: [RewriteKind; 3] = [
-        RewriteKind::NoPrefetch,
-        RewriteKind::ExclHint,
-        RewriteKind::Combined,
-    ];
-
-    /// Stable name (matches `cobra-rt`'s `OptKind::name`).
-    pub fn name(self) -> &'static str {
-        match self {
-            RewriteKind::NoPrefetch => "noprefetch",
-            RewriteKind::ExclHint => "prefetch.excl",
-            RewriteKind::Combined => "combined",
-        }
-    }
-}
 
 /// The trace-cache half of a plan, as handed to the verifier.
 #[derive(Debug, Clone, Copy)]
@@ -404,7 +377,8 @@ fn check_site_rewrite(
 
 /// Forward reaching-use walk for a removed post-incrementing `lfetch`: from
 /// the successors of `site`, does any *binding* (non-`lfetch`) instruction
-/// read `Gr(base)` before an unpredicated redefinition? Other removed sites
+/// read `Gr(base)` — or, for a rotating base, any instruction rename it —
+/// before an unpredicated redefinition? Other removed sites
 /// are transparent (they will be `nop.m` after the patch); surviving
 /// `lfetch`es neither use (non-binding) nor kill (their post-increment
 /// *reads* the base, propagating the perturbation).
@@ -416,10 +390,10 @@ fn base_use_after_removal(
 ) -> Option<CodeAddr> {
     // This walk runs under the deployment gate on every plan, so it must
     // not allocate per visited instruction: visited is a bitmap, def/use
-    // sets fill a reused buffer, successors come back in a fixed pair.
+    // sets are the operand table's fixed lists, successors come back in a
+    // fixed pair.
     let mut visited = vec![false; image.len() as usize];
     let mut stack: Vec<CodeAddr> = Vec::with_capacity(16);
-    let mut regs: Vec<Reg> = Vec::with_capacity(8);
     let push_succs = |insn: &Insn, addr: CodeAddr, stack: &mut Vec<CodeAddr>| {
         let (pair, n) = cfg::successor_pair(addr, insn);
         for &succ in &pair[..n] {
@@ -439,19 +413,25 @@ fn base_use_after_removal(
         let Ok(insn) = image.insn(addr) else {
             continue; // undecodable paths are check_image's problem
         };
+        // Register numbers are virtual: past a `br.ctop` / `br.wtop` /
+        // `clrrrb` a perturbed rotating base goes by another name (written
+        // as r40, read as r41), so the comparison below would miss its
+        // readers. Reaching one with the value still live counts as a read.
+        if base >= ROT_GR_BASE
+            && matches!(insn.op, Op::BrCtop { .. } | Op::BrWtop { .. } | Op::Clrrrb)
+        {
+            return Some(addr);
+        }
         if !removed.contains(&addr) {
-            defuse::uses_into(&insn, &mut regs);
-            let reads_base = regs.contains(&Reg::Gr(base));
+            let ops = insn.op.operands();
+            let reads_base = ops.uses().contains(&Reg::Gr(base));
             if reads_base && !insn.is_lfetch() {
                 return Some(addr);
             }
             // An unpredicated definition that does not read the base kills
             // the perturbed value on this path.
-            if insn.qp == 0 && !reads_base {
-                defuse::defs_into(&insn, &mut regs);
-                if regs.contains(&Reg::Gr(base)) {
-                    continue;
-                }
+            if insn.qp == 0 && !reads_base && ops.defs().contains(&Reg::Gr(base)) {
+                continue;
             }
         }
         push_succs(&insn, addr, &mut stack);
@@ -1026,6 +1006,46 @@ mod tests {
             &plan(head, back, RewriteKind::NoPrefetch, &writes, None),
         )
         .expect("redefinition kills the perturbed value");
+    }
+
+    /// A software-pipelined loop reads last iteration's `r40` as `r41`: the
+    /// removed `lfetch [r40],8` has no reader *named* r40, yet its update is
+    /// live across the rotating back edge. Redefined before the branch, or
+    /// on a static base, the same removal is fine.
+    #[test]
+    fn rotating_base_is_live_across_a_rotating_branch() {
+        let build = |base: u8, kill: bool| {
+            let mut a = Assembler::new();
+            let top = a.new_label();
+            a.bind(top);
+            let head = a.here();
+            a.lfetch_nt1(16, base, 8);
+            a.ldfd(17, 33, base + 1, 0);
+            if kill {
+                a.movi(base, 0);
+            }
+            let back = a.br_ctop(top);
+            a.hlt();
+            (a.finish(), head, back)
+        };
+        let check = |(image, head, back): (CodeImage, CodeAddr, CodeAddr)| {
+            let writes = [(head, encode(&NOP_SLOT_M))];
+            check_plan(
+                &image,
+                &plan(head, back, RewriteKind::NoPrefetch, &writes, None),
+            )
+        };
+        let err = check(build(40, false)).unwrap_err();
+        assert_eq!(
+            err.violations,
+            [Violation::BaseRegisterLive {
+                site: 0,
+                base: 40,
+                user: 2
+            }]
+        );
+        check(build(40, true)).expect("redefined before the rotation");
+        check(build(27, false)).expect("static registers keep their names");
     }
 
     fn trace_plan_parts(

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # The gates, one function per CI job: `.github/workflows/ci.yml` runs
 # `scripts/ci.sh <job>` and so can anyone with a checkout — nothing here
-# needs the network. Every job body is cargo invocations; the dependency
-# grep, the two named-test list pins and the benchmark/run.sh loop are the
-# only shell.
+# needs the network. Every job body is cargo invocations; the two
+# deleted-name greps, the two named-test list pins and the benchmark/run.sh
+# loop are the only shell.
 #
 #   scripts/ci.sh <job>   one job (names below)
 #   scripts/ci.sh all     every job, in this order
@@ -26,6 +26,13 @@ build-test() {
     echo "a deleted dependency is named again" >&2
     return 1
   fi
+  # What a rewrite is called is `cobra_isa::RewriteKind` and nothing else:
+  # `cobra_rt::OptKind` and `cobra_verify::RewriteKind` are re-exports of it
+  # and the store asks it for names.
+  if grep -rnE 'enum OptKind|KNOWN_KINDS' crates/; then
+    echo "a second spelling of the rewrite kind is back" >&2
+    return 1
+  fi
   cargo build --release --workspace
   cargo test -q
   cargo test --workspace -q
@@ -33,7 +40,16 @@ build-test() {
   # the suites above; a rename or a deletion fails here. (`grep` without
   # `-q`: it reads the whole list, so the lister never writes to a closed
   # pipe.)
-  has() { cargo test -q -p "$1" --test "$2" -- --list | grep -x "$3: test"; }
+  # So are the two tests that hold `cobra-isa`'s operand table to the
+  # interpreter's hand-written `sources_ready` and `execute` (in-crate:
+  # both are private).
+  has() {
+    local target=(--test "$2")
+    [[ $2 == --lib ]] && target=(--lib)
+    cargo test -q -p "$1" "${target[@]}" -- --list | grep -x "$3: test"
+  }
+  has cobra-machine --lib core::tests::lowered_sources_are_the_registers_the_reference_waits_on
+  has cobra-machine --lib core::tests::execute_writes_exactly_the_defs_of_the_operand_table
   has cobra-machine stall_skip_equivalence stall_heavy_200k_cycles_match_reference
   has cobra-machine block_dispatch_equivalence mem_boundary_4core_matches_reference_in_the_boundary_batch
   has cobra-rt e2e_cobra telemetry_overhead_within_five_percent_on_daxpy
@@ -168,7 +184,9 @@ osr-gate() {
 }
 
 # Patch-safety gate: the mutation suite (every optimizer-emitted plan
-# accepted, every injected corruption class rejected) runs with overflow
+# accepted, every injected corruption class rejected — the last of them a
+# removed post-incrementing prefetch whose rotating base is still live at a
+# `br.ctop` / `br.wtop` / `clrrrb`, which renames it) runs with overflow
 # checks, and crates/harness/tests/verify_cli.rs lints every NPB kernel
 # image on both machines plus a freshly saved store snapshot through
 # `cobra-repro verify`, including its exit-code contract (usage errors
