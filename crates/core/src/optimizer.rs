@@ -656,8 +656,6 @@ impl Optimizer {
     const MAX_DEPLOYS_PER_TICK: usize = 1;
 
     /// Evaluate the current profile; returns any plans to deploy or revert.
-    /// The caller should `reset_window` the profile after a deployment so
-    /// post-deployment behaviour is measured fresh.
     pub fn consider(&mut self, profile: &SystemProfile) -> Vec<PlanAction> {
         let mut actions = Vec::new();
         self.ticks_seen += 1;

@@ -225,9 +225,9 @@ impl ThreadProfiler {
 }
 
 /// The system-wide merged profile the optimization stage decides from.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct SystemProfile {
-    bands: Option<LatencyBands>,
+    bands: LatencyBands,
     /// Merged counter window across all threads (current phase).
     pub window: CounterWindow,
     /// Delinquent loads by PC.
@@ -241,22 +241,21 @@ pub struct SystemProfile {
 impl SystemProfile {
     pub fn new(bands: LatencyBands) -> Self {
         SystemProfile {
-            bands: Some(bands),
-            ..SystemProfile::default()
+            bands,
+            window: CounterWindow::default(),
+            delinquent: HashMap::new(),
+            branch_pairs: HashMap::new(),
+            samples: 0,
         }
     }
 
     /// Merge one thread's delta.
     pub fn absorb(&mut self, delta: &ProfileDelta) {
-        // Invariant: every live profile comes from `new(bands)`; `bands` is
-        // only `None` on deserialized historical snapshots, which are
-        // read-only and never absorb deltas.
-        let bands = self.bands.expect("profile constructed with bands");
         self.window.merge(&delta.window);
         self.samples += delta.samples;
         for &(pc, _addr, latency) in &delta.dear_events {
             let entry = self.delinquent.entry(pc).or_default();
-            if latency >= bands.coherent_min {
+            if latency >= self.bands.coherent_min {
                 entry.coherent += 1;
             } else {
                 entry.memory += 1;
@@ -266,15 +265,6 @@ impl SystemProfile {
         for &pair in &delta.branch_pairs {
             *self.branch_pairs.entry(pair).or_insert(0) += 1;
         }
-    }
-
-    /// Reset windowed state at a phase boundary (keeps nothing; continuous
-    /// re-adaptation starts fresh after a phase change or deployment).
-    pub fn reset_window(&mut self) {
-        self.window = CounterWindow::default();
-        self.delinquent.clear();
-        self.branch_pairs.clear();
-        self.samples = 0;
     }
 
     /// Delinquent loads with a dominant coherent fraction, hottest first.
@@ -406,10 +396,6 @@ mod tests {
         let hot = sp.coherent_delinquent(2, 0.5);
         assert_eq!(hot.len(), 1);
         assert_eq!(hot[0].0, 7);
-
-        sp.reset_window();
-        assert_eq!(sp.samples, 0);
-        assert!(sp.delinquent.is_empty());
     }
 
     #[test]

@@ -535,14 +535,6 @@ impl TelemetryLog {
         self.records.is_empty()
     }
 
-    /// Records of one category, in emission order.
-    pub fn of_category(&self, category: &str) -> Vec<&TelemetryRecord> {
-        self.records
-            .iter()
-            .filter(|r| r.event.category() == category)
-            .collect()
-    }
-
     pub fn count(&self, category: &str) -> usize {
         self.records
             .iter()

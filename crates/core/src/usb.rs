@@ -12,7 +12,6 @@ use cobra_perfmon::SampleRecord;
 pub struct UserSamplingBuffer {
     records: Vec<SampleRecord>,
     capacity: usize,
-    total_stored: u64,
     dropped: u64,
 }
 
@@ -22,7 +21,6 @@ impl UserSamplingBuffer {
         UserSamplingBuffer {
             records: Vec::new(),
             capacity,
-            total_stored: 0,
             dropped: 0,
         }
     }
@@ -34,7 +32,6 @@ impl UserSamplingBuffer {
             return;
         }
         self.records.push(rec);
-        self.total_stored += 1;
     }
 
     /// Drain all buffered records (consumed by the profiler).
@@ -52,11 +49,6 @@ impl UserSamplingBuffer {
 
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Lifetime count of records stored.
-    pub fn total_stored(&self) -> u64 {
-        self.total_stored
     }
 
     /// Records dropped because the buffer was full.
@@ -97,7 +89,6 @@ mod tests {
         let drained = usb.drain();
         assert_eq!(drained.len(), 2);
         assert!(usb.is_empty());
-        assert_eq!(usb.total_stored(), 2);
         // Events field round-trips.
         assert_eq!(drained[0].events[0], Event::BusMemory);
     }

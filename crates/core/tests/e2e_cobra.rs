@@ -325,7 +325,7 @@ fn continuous_re_adaptation_reverts_on_working_set_change() {
         ..OmpRuntime::default()
     };
     let team = Team::new(4);
-    let entry = m.shared.code.image().symbol("daxpy_body").unwrap();
+    let entry = m.shared.code.symbol("daxpy_body").unwrap();
     let args = [
         wl.x_addr() as i64,
         wl.y_addr() as i64,

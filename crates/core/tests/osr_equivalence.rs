@@ -107,7 +107,7 @@ fn run_two_phase(osr: bool, quantum: u64, threads: usize) -> RunOutcome {
         ..OmpRuntime::default()
     };
     let team = Team::new(threads);
-    let entry = m.shared.code.image().symbol("daxpy_body").unwrap();
+    let entry = m.shared.code.symbol("daxpy_body").unwrap();
     let args = [
         wl.x_addr() as i64,
         wl.y_addr() as i64,

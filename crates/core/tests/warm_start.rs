@@ -67,6 +67,17 @@ fn run(
 }
 
 /// Final active deployment set as comparable (head, kind-name) pairs.
+/// The `detail` of every store error a run telemetered, in order.
+fn store_errors(log: &cobra_rt::TelemetryLog) -> Vec<&str> {
+    log.records()
+        .iter()
+        .filter_map(|r| match &r.event {
+            TelemetryEvent::StoreError { detail, .. } => Some(detail.as_str()),
+            _ => None,
+        })
+        .collect()
+}
+
 fn active_set(report: &CobraReport) -> Vec<(u32, &'static str)> {
     let mut v: Vec<_> = report
         .applied
@@ -250,16 +261,13 @@ fn mismatched_machine_rejects_snapshot_and_is_telemetered() {
     );
     assert!(other.store_errors >= 1, "the rejection must be counted");
     let log = log.lock().unwrap();
-    let errors = log.of_category("store_error");
+    let errors = store_errors(&log);
     assert!(!errors.is_empty(), "the rejection must be telemetered");
-    if let TelemetryEvent::StoreError { detail, .. } = &errors[0].event {
-        assert!(
-            detail.contains("rejected"),
-            "reason names the cause: {detail}"
-        );
-    } else {
-        unreachable!();
-    }
+    assert!(
+        errors[0].contains("rejected"),
+        "reason names the cause: {}",
+        errors[0]
+    );
 }
 
 #[test]
@@ -335,14 +343,9 @@ fn prior_snapshot_that_would_overflow_is_reported_and_replaced() {
     assert!(second.warm_started, "the snapshot itself loads fine");
     assert_eq!(second.store_errors, 1, "{}", second.summary());
     let log = log.lock().unwrap();
-    let errors = log.of_category("store_error");
+    let errors = store_errors(&log);
     assert_eq!(errors.len(), 1);
-    assert!(
-        matches!(&errors[0].event, TelemetryEvent::StoreError { detail, .. }
-            if detail.contains("would overflow")),
-        "{:?}",
-        errors[0].event
-    );
+    assert!(errors[0].contains("would overflow"), "{}", errors[0]);
     let saved = handle
         .load(&key)
         .snapshot
@@ -377,7 +380,8 @@ fn store_file_without_age_lines_still_loads_seeds_and_folds() {
     assert_eq!(active_set(&cold), active_set(&warm));
     let saved = handle.load(&key).snapshot.expect("the warm run saved");
     assert_eq!(saved.runs, 3);
+    let seen = saved.confirmations();
     for d in &saved.decisions {
-        assert_eq!(saved.seen_runs_for(d.loop_head), 3);
+        assert_eq!(seen[&d.loop_head], 3);
     }
 }

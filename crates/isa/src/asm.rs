@@ -272,6 +272,10 @@ mod tests {
     use super::*;
     use crate::insn::Op;
 
+    fn decoded(img: &CodeImage) -> Vec<Insn> {
+        (0..img.len()).map(|a| img.insn(a).unwrap()).collect()
+    }
+
     #[test]
     fn forward_and_backward_labels_resolve() {
         let mut a = Assembler::new();
@@ -287,7 +291,7 @@ mod tests {
         a.bind(out);
         let img = a.finish();
 
-        let insns = img.decode_all().unwrap();
+        let insns = decoded(&img);
         let cloop = insns
             .iter()
             .find(|i| matches!(i.op, Op::BrCloop { .. }))
@@ -352,9 +356,7 @@ mod tests {
         a.addi(5, 5, 1);
         a.br_ctop(top);
         let img = a.finish();
-        let back = img
-            .decode_all()
-            .unwrap()
+        let back = decoded(&img)
             .into_iter()
             .find(|i| matches!(i.op, Op::BrCtop { .. }))
             .unwrap();
@@ -391,9 +393,7 @@ mod tests {
         a.nop(Unit::M);
         a.hlt();
         let img = a.finish();
-        let cond = img
-            .decode_all()
-            .unwrap()
+        let cond = decoded(&img)
             .into_iter()
             .find(|i| matches!(i.op, Op::BrCond { .. }))
             .unwrap();

@@ -49,6 +49,11 @@ pub struct CodeImage {
     decoded: Vec<Option<Insn>>,
     /// Length of the original (pre-trace-cache) text, in words.
     main_len: u32,
+    /// The text's one stamp: moved by every mutation of `words`, so whatever
+    /// caches a derived form of the text (the machine's lowered blocks, a
+    /// core's cursor into them) is valid exactly while the stamp it copied
+    /// still equals this one.
+    generation: u64,
     symbols: BTreeMap<String, CodeAddr>,
     comments: BTreeMap<CodeAddr, String>,
 }
@@ -62,6 +67,7 @@ impl CodeImage {
             words,
             decoded,
             main_len,
+            generation: 0,
             symbols,
             comments: BTreeMap::new(),
         }
@@ -91,42 +97,38 @@ impl CodeImage {
         addr >= self.main_len && addr < self.len()
     }
 
+    /// How many times the text has been mutated ([`Self::patch_word`],
+    /// [`Self::append_trace`]) since the image was built.
+    #[inline]
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
     /// Raw instruction word at `addr`.
     ///
     /// # Panics
-    /// Panics when `addr` is out of range (a fetch outside the text segment
-    /// would be a simulator bug, the moral equivalent of SIGSEGV on fetch).
+    /// Panics when `addr` is out of range: callers that resolve a guest PC
+    /// check it against [`Self::len`] first (the machine faults the thread).
     #[inline]
     pub fn word(&self, addr: CodeAddr) -> u64 {
         self.words[addr as usize]
     }
 
-    /// All words, e.g. for building a decoded shadow copy (an i-cache).
+    /// All words of the image, original text first.
     #[inline]
     pub fn words(&self) -> &[u64] {
         &self.words
     }
 
     /// Instruction at `addr`, served from the decoded shadow (the raw word
-    /// is only re-decoded to reproduce the error when it is invalid).
+    /// is only re-decoded to reproduce the error when it is invalid). Panics
+    /// when `addr` is out of range, as [`Self::word`] does.
     #[inline]
     pub fn insn(&self, addr: CodeAddr) -> Result<Insn, DecodeError> {
         match self.decoded[addr as usize] {
             Some(insn) => Ok(insn),
             None => decode(self.word(addr)),
         }
-    }
-
-    /// Decode every instruction in the image (fails on the first bad word).
-    pub fn decode_all(&self) -> Result<Vec<Insn>, DecodeError> {
-        self.words
-            .iter()
-            .zip(&self.decoded)
-            .map(|(&w, d)| match d {
-                Some(insn) => Ok(*insn),
-                None => decode(w),
-            })
-            .collect()
     }
 
     /// Count instructions in the *original text* matching a predicate.
@@ -157,6 +159,7 @@ impl CodeImage {
         let old_word = self.words[addr as usize];
         self.words[addr as usize] = new_word;
         self.decoded[addr as usize] = Some(decoded);
+        self.generation += 1;
         Ok(old_word)
     }
 
@@ -181,6 +184,7 @@ impl CodeImage {
         while !self.len().is_multiple_of(SLOTS_PER_BUNDLE) {
             push(self, &NOP_SLOT_I);
         }
+        self.generation += 1;
         start
     }
 
@@ -192,11 +196,6 @@ impl CodeImage {
     /// All symbols, sorted by name.
     pub fn symbols(&self) -> impl Iterator<Item = (&str, CodeAddr)> {
         self.symbols.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// Register a symbol (used for trace-cache entry points).
-    pub fn add_symbol(&mut self, name: impl Into<String>, addr: CodeAddr) {
-        self.symbols.insert(name.into(), addr);
     }
 
     /// Attach a human-readable comment to an address (shown by the
@@ -261,8 +260,9 @@ mod tests {
             img.patch_word(0, u64::MAX),
             Err(PatchError::InvalidWord(_))
         ));
-        // Image unchanged after the failed patch.
+        // Image unchanged after the failed patch, stamp included.
         assert_eq!(img.words(), tiny_image().words());
+        assert_eq!(img.generation(), 0);
     }
 
     #[test]
@@ -298,8 +298,8 @@ mod tests {
 
     #[test]
     fn symbols_and_comments() {
-        let mut img = tiny_image();
-        img.add_symbol("loop", 0);
+        let symbols = [("loop".to_string(), 0)].into();
+        let mut img = CodeImage::from_words(tiny_image().words().to_vec(), symbols);
         img.add_comment(0, "prefetch y[0]+648");
         assert_eq!(img.symbol("loop"), Some(0));
         assert_eq!(img.comment(0), Some("prefetch y[0]+648"));
@@ -327,13 +327,6 @@ mod tests {
         img.patch_word(1, old).unwrap();
         shadow_coherent(&img);
         assert_eq!(img.insn(1).unwrap(), tiny_image().insn(1).unwrap());
-    }
-
-    #[test]
-    fn decode_all_roundtrips() {
-        let img = tiny_image();
-        let insns = img.decode_all().unwrap();
-        assert_eq!(insns.len(), 3);
-        assert!(insns[0].is_lfetch());
+        assert_eq!(img.generation(), 3, "one stamp per mutation, a revert too");
     }
 }

@@ -53,12 +53,6 @@ pub type CodeAddr = u32;
 /// Number of instruction slots per bundle (Itanium issues three-slot bundles).
 pub const SLOTS_PER_BUNDLE: u32 = 3;
 
-/// Round a code address down to the start of its bundle.
-#[inline]
-pub fn bundle_start(addr: CodeAddr) -> CodeAddr {
-    addr - addr % SLOTS_PER_BUNDLE
-}
-
 /// Round a code address up to the next bundle boundary (identity if aligned).
 #[inline]
 pub fn bundle_align(addr: CodeAddr) -> CodeAddr {
@@ -71,11 +65,6 @@ mod tests {
 
     #[test]
     fn bundle_math() {
-        assert_eq!(bundle_start(0), 0);
-        assert_eq!(bundle_start(1), 0);
-        assert_eq!(bundle_start(2), 0);
-        assert_eq!(bundle_start(3), 3);
-        assert_eq!(bundle_start(7), 6);
         assert_eq!(bundle_align(0), 0);
         assert_eq!(bundle_align(1), 3);
         assert_eq!(bundle_align(3), 3);

@@ -13,11 +13,6 @@
 //! `+0.0` and `f1` as `+1.0`, both read-only; `p0` reads as `true` and is
 //! read-only (it is the default qualifying predicate).
 
-/// Number of floating-point registers.
-pub const NUM_FR: usize = 128;
-/// Number of predicate registers.
-pub const NUM_PR: usize = 64;
-
 /// First rotating general register.
 pub const ROT_GR_BASE: u8 = 32;
 /// Size of the rotating general-register region (`r32`–`r127`).
@@ -154,11 +149,11 @@ mod tests {
                 } else {
                     assert_eq!(g, v);
                 }
-                assert!(f < NUM_FR as u8);
+                assert!(f < 128);
             }
             for v in 0..64u8 {
                 let p = rrb.map_pr(v);
-                assert!(p < NUM_PR as u8);
+                assert!(p < 64);
                 if v >= ROT_PR_BASE {
                     assert!(p >= ROT_PR_BASE);
                 }

@@ -316,11 +316,6 @@ impl SweepKernel {
         }
         data
     }
-
-    /// Pass count (diagnostics).
-    pub fn num_passes(&self) -> usize {
-        self.passes.len()
-    }
 }
 
 impl Workload for SweepKernel {
@@ -492,10 +487,10 @@ mod tests {
         let ctops = k
             .image()
             .count_matching(|i| matches!(i.op, cobra_isa::insn::Op::BrCtop { .. }));
-        assert_eq!(ctops, k.num_passes());
+        assert_eq!(ctops, k.passes.len());
         let lfetch = k.image().count_matching(|i| i.is_lfetch());
         // burst 6 + 2 in-loop per pass.
-        assert_eq!(lfetch, 8 * k.num_passes());
+        assert_eq!(lfetch, 8 * k.passes.len());
     }
 
     #[test]

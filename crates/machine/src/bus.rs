@@ -37,12 +37,6 @@ impl Bus {
         grant
     }
 
-    /// Queueing delay that an acquisition at `now` would suffer, without
-    /// performing it.
-    pub fn backlog(&self, now: u64) -> u64 {
-        self.free_at.saturating_sub(now)
-    }
-
     /// Total transactions granted.
     pub fn transactions(&self) -> u64 {
         self.transactions
@@ -71,7 +65,7 @@ mod tests {
         assert_eq!(bus.acquire(0), 0);
         assert_eq!(bus.acquire(0), 6);
         assert_eq!(bus.acquire(0), 12);
-        assert_eq!(bus.backlog(0), 18);
+        assert_eq!(bus.free_at, 18);
         // After the backlog drains, grants are immediate again.
         assert_eq!(bus.acquire(40), 40);
         assert_eq!(bus.transactions(), 4);

@@ -162,11 +162,6 @@ impl Cache {
         }
         None
     }
-
-    /// Number of valid lines (for occupancy diagnostics/tests).
-    pub fn resident_lines(&self) -> usize {
-        self.slots.iter().filter(|s| s.valid).count()
-    }
 }
 
 /// Side effect of a fill that the memory system must turn into bus traffic.
@@ -365,7 +360,7 @@ mod tests {
         c.insert(7, Mesi::Shared);
         assert_eq!(c.insert(7, Mesi::Modified), None);
         assert_eq!(c.peek(7), Some(Mesi::Modified));
-        assert_eq!(c.resident_lines(), 1);
+        assert_eq!(c.slots.iter().filter(|s| s.valid).count(), 1);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use cobra_isa::insn::{Insn, Op};
 use cobra_isa::regs::Rrb;
 use cobra_isa::uop::{MicroOp, SrcReg};
-use cobra_isa::CodeAddr;
+use cobra_isa::{CodeAddr, CodeImage};
 
 use crate::blocks::Block;
 use crate::events::Event;
@@ -31,18 +31,19 @@ pub enum CoreStatus {
     Running,
     /// The bound thread executed `hlt`.
     Halted,
-    /// The bound thread performed an out-of-bounds data access and was
-    /// terminated. The simulator host never panics on guest faults; the
-    /// faulting PC/address are kept in [`Core::fault`].
+    /// The bound thread performed an out-of-bounds data access, or fetched
+    /// from outside the image, and was terminated. The simulator host never
+    /// panics on guest faults; the faulting PC/address are kept in
+    /// [`Core::fault`].
     Faulted,
 }
 
-/// Details of a guest memory fault (the simulated SIGSEGV/SIGBUS).
+/// Details of a guest fault (the simulated SIGSEGV/SIGBUS).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultInfo {
     /// Slot address of the faulting instruction (PC is left pointing here).
     pub pc: CodeAddr,
-    /// The offending data address.
+    /// The offending data address; for a fetch outside the image, the PC.
     pub addr: u64,
     /// Cycle at which the fault was taken.
     pub cycle: u64,
@@ -73,8 +74,8 @@ pub struct Core {
     /// Details of the fault that terminated the bound thread, if any.
     pub fault: Option<FaultInfo>,
     /// Block-dispatch cursor: the cached block the PC currently sits in
-    /// (shared, immutable) and the cache generation it was fetched under.
-    /// Valid only while the generations match — see `fetch_uop`.
+    /// (shared, immutable) and the text stamp it was fetched under. Valid
+    /// only while that is still the text's — see `take_cursor`.
     cur_block: Option<Arc<Block>>,
     cur_block_gen: u64,
 }
@@ -322,7 +323,11 @@ impl Core {
     /// ground truth the block dispatch engine is property-tested against.
     fn issue_bundle_ref(&mut self, shared: &mut Shared, now: u64) {
         for _slot in 0..3 {
-            let insn = shared.code.insn(self.pc);
+            if self.pc >= shared.code.len() {
+                self.fetch_fault(shared, now);
+                break;
+            }
+            let insn = fetch(&shared.code, self.pc);
             let ready = self.sources_ready(&insn);
             if ready > now {
                 // Stall-on-use: resume when the operand arrives.
@@ -354,9 +359,8 @@ impl Core {
     ) -> u64 {
         let mut retired = 0u64;
         for _slot in 0..3 {
-            if *idx >= b.uops.len() {
-                *b = self.refetch_block(shared);
-                *idx = 0;
+            if *idx >= b.uops.len() && !self.next_block(shared, now, b, idx) {
+                break;
             }
             let Some(taken) = self.dispatch_class(shared, now, &b.uops[*idx]) else {
                 break;
@@ -415,7 +419,7 @@ impl Core {
     /// counter crosses its threshold inside, which makes the skipped
     /// per-cycle overflow polls no-ops and lets the counters be added in
     /// bulk; nothing inside a stretch can mutate the program text or the
-    /// block cache except block *builds* (which never bump the generation);
+    /// block cache except block *builds* (which leave the text's stamp alone);
     /// and `execute` and the memory system take `now` as a parameter, so
     /// nothing observes `shared.cycle` until the caller advances it.
     ///
@@ -538,8 +542,7 @@ impl Core {
     fn take_cursor(&mut self, shared: &mut Shared) -> Arc<Block> {
         match self.cur_block.take() {
             Some(b)
-                if self.cur_block_gen == shared.blocks.generation()
-                    && shared.blocks.is_current(&shared.code)
+                if self.cur_block_gen == shared.code.generation()
                     && b.uop_at(self.pc).is_some() =>
             {
                 b
@@ -548,12 +551,12 @@ impl Core {
         }
     }
 
-    /// Re-aim the cursor at the block covering the current PC, building it
-    /// on demand.
+    /// Re-aim the cursor at the block starting at the current PC, building
+    /// it on demand (empty when the PC is outside the image).
     #[inline]
     fn refetch_block(&mut self, shared: &mut Shared) -> Arc<Block> {
         let b = shared.blocks.get_or_build(&shared.code, self.pc);
-        self.cur_block_gen = shared.blocks.generation();
+        self.cur_block_gen = shared.code.generation();
         self.cur_block = Some(Arc::clone(&b));
         b
     }
@@ -576,9 +579,10 @@ impl Core {
         t
     }
 
-    /// Terminate the bound thread on an out-of-bounds data access. The PC is
-    /// left at the faulting instruction, no architectural or memory-system
-    /// state is touched, and execution of this core stops for good.
+    /// Terminate the bound thread on an out-of-bounds data access or fetch.
+    /// The PC is left at the faulting instruction, no architectural or
+    /// memory-system state is touched, and execution of this core stops for
+    /// good.
     fn raise_fault(&mut self, shared: &mut Shared, now: u64, pc: CodeAddr, addr: u64) -> bool {
         self.status = CoreStatus::Faulted;
         self.fault = Some(FaultInfo {
@@ -588,6 +592,34 @@ impl Core {
         });
         shared.stats[self.cpu].add(Event::GuestFaults, 1);
         true
+    }
+
+    /// The PC has left the image: the fetch of this issue slot faults, on
+    /// the same slot of the same cycle under both engines.
+    #[cold]
+    fn fetch_fault(&mut self, shared: &mut Shared, now: u64) {
+        self.raise_fault(shared, now, self.pc, self.pc as u64);
+    }
+
+    /// The PC has left cursor block `b` mid-group: aim `b` / `idx` at the
+    /// block it entered. False when there is none — the PC is outside the
+    /// image and the fetch has faulted. Out of line: the issue loop pays a
+    /// compare for leaving a block and nothing for the fault.
+    #[inline(never)]
+    fn next_block(
+        &mut self,
+        shared: &mut Shared,
+        now: u64,
+        b: &mut Arc<Block>,
+        idx: &mut usize,
+    ) -> bool {
+        *b = self.refetch_block(shared);
+        *idx = 0;
+        let fetched = !b.uops.is_empty();
+        if !fetched {
+            self.fetch_fault(shared, now);
+        }
+        fetched
     }
 
     /// Execute one instruction at `self.pc`; advances the PC. Returns true
@@ -1062,6 +1094,20 @@ impl Core {
     }
 }
 
+/// Decoded instruction at `addr`, which the caller has checked is inside the
+/// image. Every slot decodes: `Machine::new` refused an image with one that
+/// does not, a patched word is validated by the image, and an appended one
+/// is an encoding.
+///
+/// Not inlined: inlined into `Core::issue_bundle_ref`, the `Result` the
+/// image returns is rebuilt into the `Insn` in overlapping slices, which
+/// slows the reference engine by ~70 % (126 ms to 216 ms on the four-core
+/// floor); out of line it is one copy out of the shadow.
+#[inline(never)]
+fn fetch(code: &CodeImage, addr: CodeAddr) -> Insn {
+    code.insn(addr).expect("program text decodes")
+}
+
 /// `sources_ready` and `execute` above are written by hand, opcode by
 /// opcode, and stay that way: they are the oracle `cobra-isa`'s operand
 /// table (`Op::operands`, from which `MicroOp::lower` and the verifier's
@@ -1278,6 +1324,53 @@ mod tests {
             }
             let defs: HashSet<Reg> = op.operands().defs().iter().copied().collect();
             assert_eq!(written, defs, "{op:?}");
+        }
+    }
+
+    /// The one invalidation mechanism: the text's stamp. A core reuses the
+    /// cursor it holds while the text stands still; after any `patch_word`
+    /// or `append_trace` — through `Machine` or straight on
+    /// `machine.shared.code` — it does not, and what it fetches instead is
+    /// lowered from the new words. The image here is three `addi`s and no
+    /// `hlt`, so its one block is cut by the image end: a patch must show in
+    /// the re-fetched block, and an append must grow it into the new words.
+    #[test]
+    fn any_text_mutation_retires_a_held_cursor_and_the_next_fetch_lowers_the_new_words() {
+        let image = {
+            let mut a = Assembler::new();
+            for _ in 0..3 {
+                a.addi(6, 6, 1);
+            }
+            a.finish()
+        };
+        let patch = cobra_isa::encode(&Insn::new(Op::MovI { dest: 7, imm: 9 }));
+        let trace = [Insn::new(Op::Hlt)];
+        let cfg = MachineConfig::smp4().with_host_accel(crate::HostAccel::fast());
+        for route in 0..4 {
+            let mut m = Machine::new(cfg.clone(), image.clone());
+            let mut core = Core::new(0);
+            core.bind_thread(0, 0, &[]);
+            let held = core.take_cursor(&mut m.shared);
+            core.cur_block = Some(Arc::clone(&held));
+            let again = core.take_cursor(&mut m.shared);
+            assert!(Arc::ptr_eq(&held, &again), "unchanged text: cursor reused");
+            core.cur_block = Some(again);
+            assert_eq!((held.uops.len(), m.block_stats().builds), (3, 1));
+
+            match route {
+                0 => m.patch_word(1, patch).map(drop).unwrap(),
+                1 => m.shared.code.patch_word(1, patch).map(drop).unwrap(),
+                2 => _ = m.append_trace(&trace),
+                _ => _ = m.shared.code.append_trace(&trace),
+            }
+            let fresh = core.take_cursor(&mut m.shared);
+            assert!(!Arc::ptr_eq(&held, &fresh), "route {route}: cursor retired");
+            assert_eq!(fresh.uops.len(), if route < 2 { 3 } else { 4 });
+            for (k, u) in fresh.uops.iter().enumerate() {
+                assert_eq!(u.insn, m.shared.code.insn(k as CodeAddr).unwrap());
+            }
+            let stats = m.block_stats();
+            assert_eq!((stats.builds, stats.invalidations), (2, 1), "route {route}");
         }
     }
 }

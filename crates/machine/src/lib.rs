@@ -39,6 +39,6 @@ pub use config::{CacheGeometry, HostAccel, MachineConfig, Topology};
 pub use core::{Core, CoreStatus, FaultInfo};
 pub use events::{CpuStats, Event, ALL_EVENTS, NUM_EVENTS};
 pub use hpm::{BtbEntry, DearRecord, Hpm, OverflowCapture, SamplingConfig, BTB_PAIRS};
-pub use machine::{DataMem, Machine, ProgramCode, RunResult, Shared};
+pub use machine::{DataMem, Machine, RunResult, Shared};
 pub use memsys::{AccessKind, AccessOutcome, MemSystem, PageMap};
 pub use redirect::RedirectTable;

@@ -5,10 +5,11 @@
 //! are updated in program order at issue, so computations are always
 //! numerically correct; the cache/bus model in [`crate::memsys`] provides
 //! timing and event counts. Runtime patching happens through
-//! [`Machine::patch`] / [`Machine::append_trace`], which keep the decoded
-//! shadow copy (the "i-cache") in sync — the simulated analogue of COBRA
-//! patching the text segment of a live process and flushing stale
-//! instructions.
+//! [`Machine::patch_word`] / [`Machine::append_trace`] — the simulated
+//! analogue of COBRA writing words into the text segment of a live process.
+//! The text carries its own stamp ([`CodeImage::generation`]), so every
+//! decoded form of it is dropped by the write itself, not by a flush the
+//! writer has to remember.
 
 use cobra_isa::image::{CodeImage, PatchError};
 use cobra_isa::insn::Insn;
@@ -104,92 +105,14 @@ impl DataMem {
     }
 }
 
-/// The program text, fetched through the image's decoded shadow.
-#[derive(Debug, Clone)]
-pub struct ProgramCode {
-    image: CodeImage,
-    /// Mutation counter: incremented by every patch or append. The
-    /// block cache compares it against the generation its contents were
-    /// lowered from, so stale blocks can never execute even when a caller
-    /// mutates the code without going through the [`Machine`] hooks.
-    generation: u64,
-}
-
-impl ProgramCode {
-    pub fn new(image: CodeImage) -> Self {
-        for addr in 0..image.len() {
-            image
-                .insn(addr)
-                .expect("undecodable instruction in program image");
-        }
-        ProgramCode {
-            image,
-            generation: 0,
-        }
-    }
-
-    /// Decoded instruction at `addr` (the core's fetch path). Every slot
-    /// decodes: `new` refused an image with one that does not, a patched
-    /// word is validated by the image, and an appended one is an encoding.
-    ///
-    /// Not inlined: inlined into `Core::issue_bundle_ref`, the `Result`
-    /// the image returns is rebuilt into the `Insn` in overlapping slices,
-    /// which slows the reference engine by ~70 % (126 ms to 216 ms on the
-    /// four-core floor); out of line it is one copy out of the shadow.
-    #[inline(never)]
-    pub fn insn(&self, addr: CodeAddr) -> Insn {
-        self.image.insn(addr).expect("program text decodes")
-    }
-
-    /// Total number of instruction slots (main image plus trace region).
-    #[inline]
-    pub fn len(&self) -> CodeAddr {
-        self.image.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.image.is_empty()
-    }
-
-    /// Current mutation generation (see the field doc).
-    #[inline]
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// The underlying binary image (read-only view).
-    pub fn image(&self) -> &CodeImage {
-        &self.image
-    }
-
-    /// Patch one slot.
-    pub fn patch(&mut self, addr: CodeAddr, insn: &Insn) -> Result<u64, PatchError> {
-        let old = self.image.patch(addr, insn)?;
-        self.generation += 1;
-        Ok(old)
-    }
-
-    /// Patch one slot from a raw (validated) word.
-    pub fn patch_word(&mut self, addr: CodeAddr, word: u64) -> Result<u64, PatchError> {
-        let old = self.image.patch_word(addr, word)?;
-        self.generation += 1;
-        Ok(old)
-    }
-
-    /// Append an optimized trace; returns its entry address.
-    pub fn append_trace(&mut self, insns: &[Insn]) -> CodeAddr {
-        let start = self.image.append_trace(insns);
-        self.generation += 1;
-        start
-    }
-}
-
 /// State shared by all cores (everything except the cores themselves).
 #[derive(Debug)]
 pub struct Shared {
     pub cfg: MachineConfig,
     pub mem: DataMem,
-    pub code: ProgramCode,
+    /// The program text. Mutating it here directly is as safe as going
+    /// through [`Machine::patch_word`]: the image stamps its own mutations.
+    pub code: CodeImage,
     pub memsys: MemSystem,
     pub stats: Vec<CpuStats>,
     pub hpm: Vec<Hpm>,
@@ -264,11 +187,20 @@ pub struct Machine {
 }
 
 impl Machine {
+    /// # Panics
+    /// Panics when a word of `image` does not decode: the cores fetch
+    /// decoded instructions, and every later mutation keeps the text
+    /// decodable (a patched word is validated, an appended one encoded).
     pub fn new(cfg: MachineConfig, image: CodeImage) -> Self {
+        for addr in 0..image.len() {
+            image
+                .insn(addr)
+                .expect("undecodable instruction in program image");
+        }
         let n = cfg.num_cpus;
         let shared = Shared {
             mem: DataMem::new(cfg.mem_bytes),
-            code: ProgramCode::new(image),
+            code: image,
             memsys: MemSystem::new(&cfg),
             stats: (0..n).map(|_| CpuStats::new()).collect(),
             hpm: (0..n).map(|_| Hpm::new(cfg.dear_min_latency)).collect(),
@@ -700,33 +632,15 @@ impl Machine {
         self.shared.cycle
     }
 
-    /// Patch one instruction slot in the live image (COBRA deployment),
-    /// precisely invalidating the pre-decoded blocks covering the slot.
-    pub fn patch(&mut self, addr: CodeAddr, insn: &Insn) -> Result<u64, PatchError> {
-        let old = self.shared.code.patch(addr, insn)?;
-        self.shared
-            .blocks
-            .note_patch(addr, self.shared.code.generation());
-        Ok(old)
-    }
-
-    /// Patch one slot from a raw word (COBRA ships encoded words).
+    /// Patch one slot of the live image from a raw word (COBRA ships
+    /// encoded words); returns the word it replaced.
     pub fn patch_word(&mut self, addr: CodeAddr, word: u64) -> Result<u64, PatchError> {
-        let old = self.shared.code.patch_word(addr, word)?;
-        self.shared
-            .blocks
-            .note_patch(addr, self.shared.code.generation());
-        Ok(old)
+        self.shared.code.patch_word(addr, word)
     }
 
-    /// Append an optimized trace to the live image.
+    /// Append an optimized trace to the live image; returns its entry.
     pub fn append_trace(&mut self, insns: &[Insn]) -> CodeAddr {
-        let old_len = self.shared.code.len();
-        let entry = self.shared.code.append_trace(insns);
-        self.shared
-            .blocks
-            .note_append(old_len, self.shared.code.generation());
-        entry
+        self.shared.code.append_trace(insns)
     }
 
     /// Block dispatch telemetry (builds / invalidations / fallback cycles).
@@ -997,10 +911,11 @@ mod tests {
             a.hlt();
         });
         // Find the lfetch slot and patch it to nop.m before running.
-        let lf_addr = (0..m.shared.code.image().main_len())
-            .find(|&a| m.shared.code.insn(a).is_lfetch())
+        let lf_addr = (0..m.shared.code.main_len())
+            .find(|&a| m.shared.code.insn(a).unwrap().is_lfetch())
             .unwrap();
-        m.patch(lf_addr, &cobra_isa::NOP_SLOT_M).unwrap();
+        m.patch_word(lf_addr, cobra_isa::encode(&cobra_isa::NOP_SLOT_M))
+            .unwrap();
         m.spawn_thread(0, 0, &[]);
         assert!(m.run(10_000).halted);
         assert_eq!(m.stats()[0].get(crate::events::Event::LfetchIssued), 0);

@@ -88,11 +88,6 @@ impl RedirectTable {
             .map_or(0, |&(_, n)| n)
     }
 
-    /// Number of distinct armed plans.
-    pub fn armed_plans(&self) -> usize {
-        self.hits.len()
-    }
-
     /// Migration destination for a taken branch to `target`, if armed;
     /// counts the hit. First match wins — armed plans never overlap source
     /// ranges (each owns its own loop body or trace clone).
@@ -118,7 +113,7 @@ mod tests {
         t.arm(1, &[(40, 96), (41, 97)]);
         t.arm(2, &[(200, 300)]);
         assert!(!t.is_empty());
-        assert_eq!(t.armed_plans(), 2);
+        assert_eq!(t.hits.len(), 2);
         assert_eq!(t.redirect(40), Some(96));
         assert_eq!(t.redirect(41), Some(97));
         assert_eq!(t.redirect(200), Some(300));

@@ -16,7 +16,7 @@
 mod common;
 
 use cobra_isa::insn::{Insn, Op};
-use cobra_isa::{Assembler, CmpRel};
+use cobra_isa::{encode, Assembler, CmpRel};
 use cobra_machine::{CoreStatus, Event, HostAccel, Machine, MachineConfig, SamplingConfig};
 use common::{
     assert_equivalent, assert_equivalent_with, boot, sampling, snapshot, LoopParams, Program,
@@ -73,13 +73,13 @@ fn assert_patched_equivalent(p: &LoopParams, seg_budget: u64, patch_off: u32) {
         let r = m.run(seg_budget);
         snaps.push(snapshot(m, r));
         let old = m
-            .patch(
+            .patch_word(
                 addr,
-                &Insn::new(Op::AddI {
+                encode(&Insn::new(Op::AddI {
                     dest: 6,
                     src: 6,
                     imm: 5,
-                }),
+                })),
             )
             .expect("body slot is patchable");
         let r = m.run(seg_budget);
@@ -247,7 +247,7 @@ fn appended_trace_executes_identically() {
             }),
             Insn::new(Op::BrCond { target: body + 1 }),
         ]);
-        m.patch(body, &Insn::new(Op::BrCond { target: trace }))
+        m.patch_word(body, encode(&Insn::new(Op::BrCond { target: trace })))
             .expect("branch patch is valid");
         let r2 = m.run(100_000);
         assert!(r2.halted && !r2.faulted, "trace run completes");

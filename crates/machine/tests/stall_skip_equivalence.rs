@@ -17,7 +17,7 @@
 mod common;
 
 use cobra_isa::insn::{Insn, Op};
-use cobra_isa::Assembler;
+use cobra_isa::{Assembler, CodeAddr};
 use cobra_machine::{CoreStatus, Event, Machine, MachineConfig};
 use common::{assert_equivalent, sampling, LoopParams, Program, STALL_MIX};
 use proptest::prelude::*;
@@ -205,6 +205,108 @@ fn cmpxchg_out_of_bounds_faults_not_panics() {
     assert_faults_at(m, u32::MAX as u64 * 1024);
 }
 
+/// A healthy thread: sums 1..=10 into `r5` and halts.
+fn emit_sum_worker(a: &mut Assembler) {
+    a.movi(4, 9);
+    a.mov_to_lc(4);
+    let top = a.new_label();
+    a.bind(top);
+    a.addi(6, 6, 1);
+    a.emit(Insn::new(Op::Add {
+        dest: 5,
+        r2: 5,
+        r3: 6,
+    }));
+    a.br_cloop(top);
+    a.hlt();
+}
+
+/// A PC outside the image is a fault of the thread that fetched there —
+/// `CoreStatus::Faulted`, `GUEST_FAULTS` + 1, the PC left where the fetch
+/// failed, on the same cycle on both engines — never a host panic. CPU 0
+/// enters `body`, which sends its PC to `wild` (`None`: it runs off the end
+/// of the image, so nothing is assembled after it); alone, and then beside
+/// three healthy workers, so that the solo stretch, the lockstep horizon
+/// and the boundary batch each resolve the wild PC. The faulting fetch
+/// retires nothing, and the workers finish as they do without CPU 0.
+fn assert_fetch_faults(body: impl Fn(&mut Assembler), wild: Option<CodeAddr>) {
+    let mut a = Assembler::new();
+    emit_sum_worker(&mut a); // entry 0
+    let bad = a.here();
+    body(&mut a);
+    let body_end = a.here();
+    if wild.is_some() {
+        a.movi(11, 1); // sentinel: only reached if the branch did not fault
+        a.hlt();
+    }
+    let image = a.finish();
+    let wild = wild.unwrap_or(image.len());
+    // Everything up to the wild fetch retires: the body, and with nothing
+    // after it the nops that pad the image to a bundle.
+    let retired = (if wild == image.len() { wild } else { body_end } - bad) as u64;
+
+    let cfg = MachineConfig::smp4();
+    let with_workers = |cpu0: bool| {
+        let mut p = Program::new(image.clone(), 4);
+        p.threads[0].1 = bad;
+        p.threads.drain(..usize::from(!cpu0));
+        assert_equivalent(&cfg, &p, 100_000)
+    };
+    let mut alone = Program::new(image.clone(), 1);
+    alone.threads[0].1 = bad;
+    let alone = assert_equivalent(&cfg, &alone, 100_000);
+    let beside = with_workers(true);
+    let without = with_workers(false);
+
+    for snap in [&alone, &beside] {
+        assert!(snap.result.halted && snap.result.faulted);
+        let (status, pc, gr, ..) = &snap.regs[0];
+        assert_eq!((*status, *pc), (CoreStatus::Faulted, wild));
+        assert_eq!(gr[7], 0, "r11: nothing executes past the fault");
+        assert_eq!(snap.stats[0].get(Event::GuestFaults), 1);
+        assert_eq!(snap.stats[0].get(Event::InstRetired), retired);
+    }
+    assert_eq!(beside.total_stats.get(Event::GuestFaults), 1);
+    assert!(without.result.halted && !without.result.faulted);
+    assert_eq!(beside.regs[1..], without.regs[1..]);
+    assert_eq!(beside.stats[1..], without.stats[1..]);
+    assert_eq!(beside.regs[1].2[1], 55, "r5: the workers' sums are intact");
+}
+
+#[test]
+fn br_ret_to_a_wild_b0_faults_not_panics() {
+    let wild = 1 << 20;
+    assert_fetch_faults(
+        |a| {
+            a.movi(5, wild as i64);
+            a.emit(Insn::new(Op::MovToB0 { src: 5 }));
+            a.emit(Insn::new(Op::BrRet));
+        },
+        Some(wild),
+    );
+}
+
+#[test]
+fn direct_branch_past_the_image_faults_not_panics() {
+    let wild = u32::MAX - 1;
+    assert_fetch_faults(
+        |a| {
+            a.emit(Insn::new(Op::BrCond { target: wild }));
+        },
+        Some(wild),
+    );
+}
+
+#[test]
+fn running_off_the_end_of_the_image_faults_not_panics() {
+    assert_fetch_faults(
+        |a| {
+            a.movi(7, 7);
+        },
+        None,
+    );
+}
+
 /// `lfetch` is a non-binding prefetch: an out-of-bounds address is silently
 /// dropped (speculative prefetches never fault), and execution continues.
 #[test]
@@ -227,22 +329,8 @@ fn lfetch_out_of_bounds_is_dropped_not_faulted() {
 fn fault_is_isolated_to_the_offending_thread() {
     let image = {
         let mut a = Assembler::new();
-        // entry 0: healthy worker — sum 1..=10.
-        a.movi(4, 9);
-        a.mov_to_lc(4);
-        a.movi(5, 0);
-        a.movi(6, 0);
-        let top = a.new_label();
-        a.bind(top);
-        a.addi(6, 6, 1);
-        a.emit(Insn::new(Op::Add {
-            dest: 5,
-            r2: 5,
-            r3: 6,
-        }));
-        a.br_cloop(top);
-        a.hlt();
-        // entry `bad`: immediate wild store.
+        emit_sum_worker(&mut a); // entry 0
+                                 // entry `bad`: immediate wild store.
         a.symbol("bad");
         let bad = a.movi(4, -64);
         a.st8(0, 5, 4, 0);

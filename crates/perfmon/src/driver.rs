@@ -157,11 +157,6 @@ impl PerfmonDriver {
     pub fn dropped(&self, cpu: usize) -> u64 {
         self.per_cpu[cpu].dropped
     }
-
-    /// Total samples ever produced across CPUs.
-    pub fn total_samples(&self) -> u64 {
-        self.per_cpu.iter().map(|c| c.next_index).sum()
-    }
 }
 
 #[cfg(test)]
@@ -239,7 +234,6 @@ mod tests {
                 "tid == spawn order here"
             );
         }
-        assert!(drv.total_samples() > 0);
     }
 
     #[test]

@@ -380,12 +380,6 @@ impl Snapshot {
         m
     }
 
-    /// Runs of this snapshot that confirmed `loop_head` (see
-    /// [`Snapshot::confirmations`]).
-    pub fn seen_runs_for(&self, loop_head: u32) -> u64 {
-        self.confirmations().get(&loop_head).copied().unwrap_or(0)
-    }
-
     /// Copy of this snapshot with decisions and winners whose
     /// re-confirmation debt (`runs - seen_runs`) has reached `max_age_runs`
     /// dropped. Ages and blacklist are kept (the debt is remembered across
@@ -1124,7 +1118,7 @@ mod tests {
         assert_eq!(heads, vec![99]);
         assert!(aged.winners.is_empty());
         // The debt is remembered: head 11 keeps its age watermark.
-        assert_eq!(aged.seen_runs_for(11), 1);
+        assert_eq!(aged.confirmations()[&11], 1);
         // The fold itself keeps everything.
         assert_eq!(folded.decisions.len(), 2);
     }
@@ -1235,8 +1229,8 @@ mod tests {
         let kept = all.decisions.iter().find(|d| d.loop_head == 11).unwrap();
         assert!(kept.post_cpi.is_some());
         // Ages: head 11 confirmed by a and b (1 run each), head 99 by c.
-        assert_eq!(all.seen_runs_for(11), 2);
-        assert_eq!(all.seen_runs_for(99), 1);
+        assert_eq!(all.confirmations()[&11], 2);
+        assert_eq!(all.confirmations()[&99], 1);
         assert_eq!(all.runs, 3);
     }
 

@@ -238,9 +238,10 @@ mod tests {
 
     #[test]
     fn symbols_are_roots_and_bad_symbols_are_reported() {
-        let mut img = clean_image();
-        let len = img.len();
-        img.add_symbol("past_end", len + 5);
+        let clean = clean_image();
+        let len = clean.len();
+        let symbols = [("past_end".to_string(), len + 5)].into();
+        let img = CodeImage::from_words(clean.words().to_vec(), symbols);
         let err = check_image(&img).unwrap_err();
         assert!(matches!(
             &err.violations[0],

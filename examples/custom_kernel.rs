@@ -74,7 +74,7 @@ fn main() {
         ..OmpRuntime::default()
     };
     let team = Team::new(4);
-    let entry = machine.shared.code.image().symbol("triad_body").unwrap();
+    let entry = machine.shared.code.symbol("triad_body").unwrap();
     let args = [
         a_base as i64,
         b_base as i64,
@@ -96,7 +96,7 @@ fn main() {
 
     if let Some(plan) = report.applied.first() {
         if let Some(entry) = plan.trace_entry {
-            let image = machine.shared.code.image();
+            let image = &machine.shared.code;
             println!("\n=== optimized trace at {entry} ===");
             print!("{}", disasm::disasm_range(image, entry, image.len()));
         }

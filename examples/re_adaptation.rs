@@ -33,7 +33,7 @@ fn run_two_phase(hook: &mut dyn QuantumHook, machine: &mut Machine, wl: &Daxpy) 
         wl.y_addr() as i64,
         wl.params().a.to_bits() as i64,
     ];
-    let entry = machine.shared.code.image().symbol("daxpy_body").unwrap();
+    let entry = machine.shared.code.symbol("daxpy_body").unwrap();
 
     let start = machine.cycle();
     for _ in 0..PHASE1_REPS {

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # The gates, one function per CI job: `.github/workflows/ci.yml` runs
 # `scripts/ci.sh <job>` and so can anyone with a checkout — nothing here
-# needs the network. Every job body is cargo invocations; the two
-# deleted-name greps, the two named-test list pins and the benchmark/run.sh
-# loop are the only shell.
+# needs the network. Every job body is cargo invocations; the three
+# deleted-name greps, the `pub` census, the two named-test list pins and the
+# benchmark/run.sh loop are the only shell.
 #
 #   scripts/ci.sh <job>   one job (names below)
 #   scripts/ci.sh all     every job, in this order
@@ -33,6 +33,23 @@ build-test() {
     echo "a second spelling of the rewrite kind is back" >&2
     return 1
   fi
+  # The text has one stamp, `CodeImage::generation`, moved by the image's
+  # own `patch_word` / `append_trace`: no wrapper that counts beside it and
+  # no hook a writer has to remember to call.
+  if grep -rnE 'struct ProgramCode|fn note_patch|fn note_append' crates/; then
+    echo "a second invalidation mechanism for the program text is back" >&2
+    return 1
+  fi
+  # The surface census (ROADMAP 7c): every `pub` item names a caller outside
+  # its own crate's tests. The count only goes down; a PR that needs a new
+  # item deletes one or raises this number on purpose, in its diff.
+  local pubs
+  pubs=$(grep -rhE '^\s*pub (fn|struct|enum|const|mod|type|trait|use|static)' crates/*/src src | wc -l)
+  echo "pub items in crates/*/src + src: $pubs"
+  if ((pubs > 797)); then
+    echo "the pub surface grew past 797" >&2
+    return 1
+  fi
   cargo build --release --workspace
   cargo test -q
   cargo test --workspace -q
@@ -41,8 +58,10 @@ build-test() {
   # `-q`: it reads the whole list, so the lister never writes to a closed
   # pipe.)
   # So are the two tests that hold `cobra-isa`'s operand table to the
-  # interpreter's hand-written `sources_ready` and `execute` (in-crate:
-  # both are private).
+  # interpreter's hand-written `sources_ready` and `execute`, and the one
+  # that holds a core's cursor to the text's stamp (in-crate: all private);
+  # and one of the three guest fetches outside the image that must fault
+  # the thread on both engines, not panic the host.
   has() {
     local target=(--test "$2")
     [[ $2 == --lib ]] && target=(--lib)
@@ -50,7 +69,9 @@ build-test() {
   }
   has cobra-machine --lib core::tests::lowered_sources_are_the_registers_the_reference_waits_on
   has cobra-machine --lib core::tests::execute_writes_exactly_the_defs_of_the_operand_table
+  has cobra-machine --lib core::tests::any_text_mutation_retires_a_held_cursor_and_the_next_fetch_lowers_the_new_words
   has cobra-machine stall_skip_equivalence stall_heavy_200k_cycles_match_reference
+  has cobra-machine stall_skip_equivalence br_ret_to_a_wild_b0_faults_not_panics
   has cobra-machine block_dispatch_equivalence mem_boundary_4core_matches_reference_in_the_boundary_batch
   has cobra-rt e2e_cobra telemetry_overhead_within_five_percent_on_daxpy
   cargo fmt --check

@@ -10,7 +10,13 @@
 //! constants were re-recorded once since, by the PR that made detach fold:
 //! the store file gained one age line per decided head and
 //! `store_saved_records` counts them; with that field, the file and the
-//! `StoreSave` event masked, both runs digested as at `4ef88f4`.)
+//! `StoreSave` event masked, both runs digested as at `4ef88f4`. All four
+//! were re-recorded once more by the PR that made the text's own stamp the
+//! only invalidation of lowered blocks: a patch now drops every cached block
+//! where it dropped the ones covering the slot, so the report's
+//! `block_builds` / `block_invalidations` — host-side counters, the guest
+//! cannot see them — rose; with those two fields masked, all four runs
+//! digested as before it.)
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -23,10 +29,10 @@ use cobra_store::{Store, StoreKey};
 
 const KERNEL: npb::Benchmark = npb::Benchmark::Mg;
 
-const FIXED_NOPREFETCH_20K: u64 = 0xd090_2cca_d1ca_3a97;
-const ADAPTIVE_20K: u64 = 0xd569_bc9b_8f70_cf6a;
-const CANDIDATES_COLD_500: u64 = 0x6e5b_5013_a026_81e3;
-const CANDIDATES_WARM_500_TRACED: u64 = 0xe1ed_fa60_aa83_e272;
+const FIXED_NOPREFETCH_20K: u64 = 0x8a16_bf48_4aa0_d3a8;
+const ADAPTIVE_20K: u64 = 0x14cc_6555_2d1e_c1ec;
+const CANDIDATES_COLD_500: u64 = 0xf822_737d_8968_281b;
+const CANDIDATES_WARM_500_TRACED: u64 = 0xc0f3_53f8_98a5_c495;
 
 /// Streaming 64-bit FNV-1a: bytes for text, whole words for data memory.
 struct Fnv(u64);

@@ -4,11 +4,13 @@
 //! One guest drives every path through `Machine::run` — interleaved
 //! memory-boundary cycles, a lockstep horizon, a solo stretch that issues
 //! memory uops, stall skips, and sampling crossings — on both evaluation
-//! machines. The property suites in `crates/machine/tests` are the proof;
-//! this is the one case the tier-1 command always runs.
+//! machines, with one deployment (a trace appended, a word patched to
+//! branch into it) landing mid-loop. The property suites in
+//! `crates/machine/tests` are the proof; this is the one case the tier-1
+//! command always runs.
 
 use cobra::isa::insn::{Insn, Op};
-use cobra::isa::{Assembler, CodeImage};
+use cobra::isa::{encode, Assembler, CodeImage};
 use cobra::machine::{
     BlockStats, CpuStats, Event, HostAccel, Machine, MachineConfig, OverflowCapture, SamplingConfig,
 };
@@ -18,6 +20,7 @@ use cobra::machine::{
 /// body keeps the nearest memory uop (past the loop exit) several issue
 /// cycles away (opens lockstep horizons), then a load/store epilogue of
 /// `r9` extra iterations — only thread 0 gets any, so it finishes alone.
+/// `arith` names the first slot of the arithmetic loop's body.
 fn guest() -> CodeImage {
     let mut a = Assembler::new();
     a.mov(4, 8); // r4: load pointer
@@ -35,6 +38,7 @@ fn guest() -> CodeImage {
     a.movi(5, 1000);
     a.mov_to_lc(5);
     let arith = a.new_label();
+    a.symbol("arith");
     a.bind(arith);
     for _ in 0..12 {
         a.addi(6, 6, 1);
@@ -59,6 +63,9 @@ fn guest() -> CodeImage {
     a.hlt();
     a.finish()
 }
+
+/// The 5 000-cycle cut after which [`run`] deploys a trace.
+const DEPLOY_AT_CUT: usize = 2;
 
 #[derive(Debug, PartialEq)]
 struct Outcome {
@@ -101,6 +108,24 @@ fn run(cfg: &MachineConfig, cpus: &[usize], accel: HostAccel) -> (Outcome, Block
         }
         if halted {
             break;
+        }
+        if stats_at_cut.len() == DEPLOY_AT_CUT {
+            // What a trace deployment does, while every thread is inside
+            // the arithmetic loop and the fast engine holds its lowered
+            // body: from here on the first `addi` adds 3, in the trace.
+            let arith = m.shared.code.symbol("arith").expect("guest names it");
+            let body = arith..arith + 25;
+            assert!(cpus.iter().all(|&cpu| body.contains(&m.core(cpu).pc)));
+            let trace = m.append_trace(&[
+                Insn::new(Op::AddI {
+                    dest: 6,
+                    src: 6,
+                    imm: 3,
+                }),
+                Insn::new(Op::BrCond { target: arith + 1 }),
+            ]);
+            m.patch_word(arith, encode(&Insn::new(Op::BrCond { target: trace })))
+                .expect("a branch is a valid word");
         }
     }
     let mem = &m.shared.mem;

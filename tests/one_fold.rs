@@ -135,7 +135,7 @@ fn a_store_a_merge_in_any_order_and_a_fleet_shard_hold_the_same_bytes() {
     assert_eq!(folded.decisions[1].post_cpi, Some(1.3), "measured stays");
     assert_eq!(folded.winners.len(), 1);
     assert_eq!(folded.blacklist, vec![80, 96]);
-    assert_eq!(folded.seen_runs_for(16), 3);
+    assert_eq!(folded.confirmations()[&16], 3);
 
     // `profile merge` over the per-run files, in two different orders.
     let files: Vec<PathBuf> = (0..runs.len())
