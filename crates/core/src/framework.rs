@@ -52,7 +52,7 @@ use crate::phase::{PhaseConfig, PhaseDetector};
 use crate::profile::LatencyBands;
 use crate::report::{AppliedPlan, CobraReport, RevertedPlan};
 use crate::telemetry::{
-    CpuCounterSnapshot, Telemetry, TelemetryEvent, TelemetrySink, TICK_CAPACITY,
+    CpuCounterSnapshot, RunTotals, Telemetry, TelemetryEvent, TelemetrySink, TICK_CAPACITY,
 };
 
 /// Framework configuration.
@@ -183,12 +183,21 @@ impl CobraBuilder {
         driver.attach(machine);
 
         let mut telemetry = Telemetry::new(sink, TICK_CAPACITY);
+        let cycle = machine.shared.cycle;
+        telemetry.emit(TelemetryEvent::Attach {
+            cycle,
+            machine: machine.shared.cfg.name.clone(),
+            cpus: machine.num_cpus(),
+            strategy: cfg.optimizer.strategy,
+            candidates: cfg.optimizer.candidates,
+            osr: cfg.optimizer.osr,
+            main_len: machine.shared.code.main_len(),
+        });
         let mut opt = OptimizationStage::new(
             Optimizer::new(cfg.optimizer, machine.shared.code.clone()),
             LatencyBands::from_machine(&machine.shared.cfg),
             PhaseDetector::new(cfg.phase),
         );
-        let cycle = machine.shared.cycle;
 
         // What the store and the fleet both file this run under; hashing
         // the main text is the costly part, so it is done once, and only
@@ -224,10 +233,11 @@ impl CobraBuilder {
         // for the very first tick. Seeds are re-verified against the live
         // image inside `warm_start`, so attach-time rejections are reported
         // even if the run never reaches a tick.
+        let mut totals = RunTotals::default();
         let store_ctx = store.zip(key).map(|(dir, key)| {
             let store = Store::new(dir);
             let lr = store.load(&key);
-            telemetry.report_mut().store_skipped_records = lr.skipped_records;
+            totals.store_skipped_records = lr.skipped_records;
             if let Some(err) = &lr.error {
                 telemetry.emit(TelemetryEvent::StoreError {
                     tick: 0,
@@ -271,6 +281,7 @@ impl CobraBuilder {
             cfg,
             driver,
             tick: 0,
+            totals,
             telemetry,
             key,
             store_ctx,
@@ -314,7 +325,12 @@ pub struct Cobra {
     /// `0..num_threads`, so the monitored CPUs are always a prefix).
     monitors: Vec<Monitor>,
     opt: OptimizationStage,
+    /// Quanta processed.
     tick: u64,
+    /// Run totals no single event owns, summed as the run goes; `Detach`
+    /// completes them (`tick`, what the machine and the stage count
+    /// themselves) and carries them to the report.
+    totals: RunTotals,
     /// The run's one event path, and the report it folds every event into.
     telemetry: Telemetry,
     /// What this run's snapshot is filed under; `Some` exactly when a store
@@ -337,16 +353,6 @@ impl Cobra {
     /// Start configuring an instance; finish with [`CobraBuilder::attach`].
     pub fn builder() -> CobraBuilder {
         CobraBuilder::default()
-    }
-
-    /// Mirror the optimization stage's running totals that no event
-    /// carries into the report.
-    fn sync_counters(&mut self) {
-        let c = self.opt.optimizer().counters();
-        let report = self.telemetry.report_mut();
-        report.samples_merged = self.opt.samples_merged();
-        report.warm_hits = c.warm_hits;
-        report.warm_mismatches = c.warm_mismatches;
     }
 
     fn apply_action(&mut self, machine: &mut Machine, action: PlanAction) {
@@ -427,23 +433,17 @@ impl Cobra {
                     }
                 }
                 self.telemetry.emit(TelemetryEvent::Deploy {
-                    tick: self.tick,
                     cycle: machine.shared.cycle,
-                    plan_id: plan.id,
-                    kind: plan.kind,
-                    loop_head: plan.loop_head,
-                    words_patched: plan.writes.len(),
-                    trace_entry,
-                });
-                self.telemetry.report_mut().applied.push(AppliedPlan {
-                    plan_id: plan.id,
-                    kind: plan.kind,
-                    loop_head: plan.loop_head,
-                    description: plan.description,
-                    tick: self.tick,
-                    words_patched: plan.writes.len(),
-                    trace_entry,
-                    candidate: plan.candidate,
+                    plan: AppliedPlan {
+                        plan_id: plan.id,
+                        kind: plan.kind,
+                        loop_head: plan.loop_head,
+                        description: plan.description,
+                        tick: self.tick,
+                        words_patched: plan.writes.len(),
+                        trace_entry,
+                        candidate: plan.candidate,
+                    },
                 });
                 // The deployment landed whole: watch the original body
                 // drain, and (when OSR is on) arm the verified redirects so
@@ -472,44 +472,31 @@ impl Cobra {
                 // A failed restore write must degrade, never panic: stop
                 // the revert where it failed, poison the loop so the
                 // optimizer blacklists it, and keep the run alive.
-                let mut restored = 0usize;
-                for &(addr, old_word) in &writes {
-                    match machine.patch_word(addr, old_word) {
-                        Ok(_) => restored += 1,
-                        Err(e) => {
-                            self.telemetry.emit(TelemetryEvent::RevertFailed {
-                                tick: self.tick,
-                                cycle: machine.shared.cycle,
-                                plan_id,
-                                loop_head,
-                                addr,
-                                words_restored: restored,
-                                detail: e.to_string(),
-                            });
-                            self.opt.poison(loop_head, &mut self.telemetry);
-                            self.telemetry.report_mut().reverted.push(RevertedPlan {
-                                plan_id,
-                                reason: format!(
-                                    "{reason} [revert failed at {addr} after {restored}/{} words: {e}]",
-                                    writes.len()
-                                ),
-                                tick: self.tick,
-                            });
-                            return;
-                        }
-                    }
-                }
-                self.telemetry.emit(TelemetryEvent::Revert {
-                    tick: self.tick,
-                    cycle: machine.shared.cycle,
-                    plan_id,
-                    reason: reason.clone(),
-                });
-                self.telemetry.report_mut().reverted.push(RevertedPlan {
+                let cycle = machine.shared.cycle;
+                let mut plan = RevertedPlan {
                     plan_id,
                     reason,
                     tick: self.tick,
-                });
+                };
+                for (restored, &(addr, old_word)) in writes.iter().enumerate() {
+                    if let Err(e) = machine.patch_word(addr, old_word) {
+                        let (total, detail) = (writes.len(), e.to_string());
+                        plan.reason += &format!(
+                            " [revert failed at {addr} after {restored}/{total} words: {detail}]"
+                        );
+                        self.telemetry.emit(TelemetryEvent::RevertFailed {
+                            cycle,
+                            loop_head,
+                            addr,
+                            words_restored: restored,
+                            detail,
+                            plan,
+                        });
+                        self.opt.poison(loop_head, &mut self.telemetry);
+                        return;
+                    }
+                }
+                self.telemetry.emit(TelemetryEvent::Revert { cycle, plan });
                 // The original words are back, but threads inside the trace
                 // clone would run the stale version until natural loop
                 // completion — the unbounded half of the transfer problem.
@@ -591,8 +578,10 @@ impl Cobra {
         }
         let Cobra {
             mut driver,
+            monitors,
             opt,
             tick,
+            totals,
             mut telemetry,
             key,
             store_ctx,
@@ -600,16 +589,6 @@ impl Cobra {
             ..
         } = self;
         let cycle = machine.shared.cycle;
-        let blocks = machine.block_stats();
-        let report = telemetry.report_mut();
-        report.guest_faults = machine.total_stats().get(cobra_machine::Event::GuestFaults);
-        report.block_builds = blocks.builds;
-        report.block_invalidations = blocks.invalidations;
-        report.block_fallback_cycles = blocks.fallback_cycles();
-        report.block_fallback_mem_boundary = blocks.fallback_mem_boundary;
-        report.block_fallback_sampling = blocks.fallback_sampling;
-        report.block_horizon_stretches = blocks.horizon_stretches;
-        report.block_horizon_cycles = blocks.horizon_cycles;
         driver.detach(machine);
         let fin = opt.finish();
         // This run's own history (runs = 1), derived once. The store folds
@@ -662,21 +641,31 @@ impl Cobra {
                 },
             });
         }
-        if telemetry.is_recording() {
-            telemetry.emit(TelemetryEvent::Detach {
-                tick,
-                cycle,
+        let blocks = machine.block_stats();
+        telemetry.emit(TelemetryEvent::Detach {
+            cycle,
+            totals: RunTotals {
+                ticks: tick,
                 records_dropped: telemetry.report().telemetry_dropped,
+                monitors_spawned: monitors.len(),
+                samples_merged: fin.cumulative.samples,
+                guest_faults: machine.total_stats().get(cobra_machine::Event::GuestFaults),
+                block_builds: blocks.builds,
+                block_invalidations: blocks.invalidations,
                 block_fallback_mem_boundary: blocks.fallback_mem_boundary,
                 block_fallback_sampling: blocks.fallback_sampling,
                 block_horizon_stretches: blocks.horizon_stretches,
                 block_horizon_cycles: blocks.horizon_cycles,
-            });
-        }
+                ..totals
+            },
+        });
         telemetry.finish()
     }
 
-    /// Read-only view of the activity report so far.
+    /// Read-only view of the activity report so far: what the events up to
+    /// now imply (deployments, reverts, failures, verdicts). The run totals
+    /// — ticks, forks, samples, overhead cycles, the machine's counters —
+    /// appear at detach.
     pub fn report(&self) -> &CobraReport {
         self.telemetry.report()
     }
@@ -692,9 +681,7 @@ impl QuantumHook for Cobra {
                 self.cfg.usb_capacity,
             ));
         }
-        let report = self.telemetry.report_mut();
-        report.monitors_spawned = self.monitors.len();
-        report.forks += 1;
+        self.totals.forks += 1;
     }
 
     fn on_quantum(&mut self, machine: &mut Machine) {
@@ -718,14 +705,12 @@ impl QuantumHook for Cobra {
         // Charge helper-thread overhead to the machine.
         let overhead = forwarded * self.cfg.overhead_per_sample;
         machine.shared.cycle += overhead;
-        let report = self.telemetry.report_mut();
-        report.samples_forwarded += forwarded;
-        report.overhead_cycles += overhead;
+        self.totals.samples_forwarded += forwarded;
+        self.totals.overhead_cycles += overhead;
 
         if !deltas.is_empty() {
             let cycle = machine.shared.cycle;
             let actions = self.opt.tick(self.tick, cycle, deltas, &mut self.telemetry);
-            self.sync_counters();
             for action in actions {
                 self.apply_action(machine, action);
             }
@@ -745,9 +730,7 @@ impl QuantumHook for Cobra {
         // sink took — and the cycles charged for them — is deterministic.
         let cost = self.telemetry.drain() * self.cfg.overhead_per_sample;
         machine.shared.cycle += cost;
-        let report = self.telemetry.report_mut();
-        report.overhead_cycles += cost;
-        report.ticks += 1;
+        self.totals.overhead_cycles += cost;
         self.tick += 1;
     }
 }
@@ -832,7 +815,8 @@ mod tests {
         let log = log.lock().unwrap();
         assert!(log.count("quantum") as u64 >= report.ticks.min(1));
         assert_eq!(
-            log.count("quantum")
+            log.count("attach")
+                + log.count("quantum")
                 + log.count("usb_level")
                 + log.count("kernel_drain")
                 + log.count("detach"),

@@ -46,8 +46,8 @@ pub mod usb;
 pub use framework::{Cobra, CobraBuilder, CobraConfig};
 pub use monitor::{Monitor, OptFinal, OptimizationStage};
 pub use optimizer::{
-    verify_plan, DecisionExport, DeployMode, OptKind, Optimizer, OptimizerConfig,
-    OptimizerCounters, PatchPlan, PlanAction, Strategy, TracePlan, WarmSeed,
+    verify_plan, DecisionExport, DeployMode, OptKind, Optimizer, OptimizerConfig, PatchPlan,
+    PlanAction, Strategy, TracePlan, WarmSeed,
 };
 pub use persist::{profile_record, seed_from_snapshot, snapshot_from_final};
 pub use phase::{PhaseConfig, PhaseDetector};
@@ -56,8 +56,8 @@ pub use profile::{
 };
 pub use report::{AppliedPlan, CobraReport, RevertedPlan};
 pub use telemetry::{
-    read_jsonl, CpuCounterSnapshot, Telemetry, TelemetryEvent, TelemetryLog, TelemetryRecord,
-    TelemetrySink, TraceSummary,
+    read_jsonl, write_jsonl, CpuCounterSnapshot, RunTotals, Telemetry, TelemetryEvent,
+    TelemetryLog, TelemetryRecord, TelemetrySink,
 };
 pub use trace::{loop_lfetch_sites, select_loops, HotLoop, TraceConfig};
 pub use usb::UserSamplingBuffer;

@@ -99,7 +99,6 @@ pub struct OptimizationStage {
     cumulative: SystemProfile,
     /// The last [`ROLLING_TICKS`] ticks of deltas, oldest first.
     recent: VecDeque<Vec<ProfileDelta>>,
-    samples_merged: u64,
 }
 
 impl OptimizationStage {
@@ -110,17 +109,7 @@ impl OptimizationStage {
             phases,
             cumulative: SystemProfile::new(bands),
             recent: VecDeque::new(),
-            samples_merged: 0,
         }
-    }
-
-    pub fn optimizer(&self) -> &Optimizer {
-        &self.optimizer
-    }
-
-    /// Total samples merged so far.
-    pub fn samples_merged(&self) -> u64 {
-        self.samples_merged
     }
 
     /// Hand the optimizer's buffered decision events on, in the order it
@@ -150,7 +139,6 @@ impl OptimizationStage {
     ) -> Vec<PlanAction> {
         let mut tick_window = CounterWindow::default();
         for d in &deltas {
-            self.samples_merged += d.samples;
             self.cumulative.absorb(d);
             tick_window.merge(&d.window);
         }
@@ -257,10 +245,9 @@ mod tests {
         };
         let actions = stage.tick(0, 20_000, vec![delta(0, 1), delta(1, 2)], &mut telemetry);
         assert!(actions.is_empty(), "quiet profile produces no plans");
-        assert_eq!(stage.samples_merged(), 3);
+        assert_eq!(stage.cumulative.samples, 3);
         // A tick with one monitor folds only what that tick handed in.
         stage.tick(1, 40_000, vec![delta(0, 4)], &mut telemetry);
-        assert_eq!(stage.samples_merged(), 7);
         assert_eq!(stage.recent.len(), 2);
         assert_eq!(stage.finish().cumulative.samples, 7);
     }

@@ -400,17 +400,6 @@ enum LoopState {
     Blacklisted(Option<Deployment>),
 }
 
-/// Running totals of the two outcomes no event carries; `CobraReport` has
-/// them under the same names. Everything else the optimizer does is counted
-/// from its events (`CobraReport::observe`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OptimizerCounters {
-    /// Seeded deployments whose live classification agreed.
-    pub warm_hits: u64,
-    /// Seeded decisions dropped because the live profile disagreed.
-    pub warm_mismatches: u64,
-}
-
 /// The optimization stage's decision state: decisions, plan construction,
 /// and its own synchronized copy of the program image.
 #[derive(Debug)]
@@ -425,7 +414,6 @@ pub struct Optimizer {
     loops: Vec<(CodeAddr, LoopState)>,
     next_plan_id: u64,
     ticks_seen: u64,
-    counters: OptimizerCounters,
     /// Whether [`Optimizer::warm_start`] ran (enables the shortened
     /// learning window even after every seed is consumed).
     warm: bool,
@@ -453,7 +441,6 @@ impl Optimizer {
             loops: Vec::new(),
             next_plan_id: 0,
             ticks_seen: 0,
-            counters: OptimizerCounters::default(),
             warm: false,
             events: Vec::new(),
             cur_tick: 0,
@@ -518,7 +505,7 @@ impl Optimizer {
     /// The live profile contradicts the kind a prior run deployed on `head`:
     /// forget it. (A seeded winner names a candidate, not a kind, and stays.)
     fn forget_seeded_kind(&mut self, head: CodeAddr) {
-        self.counters.warm_mismatches += 1;
+        self.warm_verdict(head, false);
         if let Some(LoopState::Seeded { winner, .. }) = self.take(head) {
             if winner.is_some() {
                 self.set(head, LoopState::Seeded { kind: None, winner });
@@ -567,10 +554,6 @@ impl Optimizer {
         }
     }
 
-    pub fn counters(&self) -> OptimizerCounters {
-        self.counters
-    }
-
     /// Final per-loop decisions and the blacklist, for persistence. Both
     /// lists are sorted by loop head so snapshots serialize
     /// deterministically.
@@ -613,6 +596,17 @@ impl Optimizer {
     /// optimizer keeps no telemetry handle of its own.
     pub fn drain_events(&mut self) -> impl Iterator<Item = TelemetryEvent> + '_ {
         self.events.drain(..)
+    }
+
+    /// The live profile agreed (`hit`) or disagreed with what a prior run
+    /// seeded for `loop_head`.
+    fn warm_verdict(&mut self, loop_head: CodeAddr, hit: bool) {
+        self.emit(TelemetryEvent::WarmVerdict {
+            tick: self.cur_tick,
+            cycle: self.cur_cycle,
+            loop_head,
+            hit,
+        });
     }
 
     /// Publish one `cobra-verify` rejection (plan or warm seed).
@@ -817,10 +811,10 @@ impl Optimizer {
             {
                 match specs.iter().position(|s| s.name == Some(name.as_str())) {
                     Some(at) => {
-                        self.counters.warm_hits += 1;
+                        self.warm_verdict(head, true);
                         return Some(vec![specs.swap_remove(at)]);
                     }
-                    None => self.counters.warm_mismatches += 1,
+                    None => self.warm_verdict(head, false),
                 }
             }
             return Some(specs);
@@ -829,14 +823,14 @@ impl Optimizer {
         // a contest adds nothing.
         if let Some(seeded) = seed_kind {
             if seeded == kind {
-                self.counters.warm_hits += 1;
+                self.warm_verdict(head, true);
             } else if in_warm_window {
                 // Mismatched seeds never deploy early; the loop falls back
                 // to the normal post-warmup path.
                 self.forget_seeded_kind(head);
                 return None;
             } else {
-                self.counters.warm_mismatches += 1;
+                self.warm_verdict(head, false);
             }
         }
         let action = match kind {
@@ -1673,8 +1667,8 @@ mod tests {
             warm_tick < cold_tick,
             "warm deploy at tick {warm_tick} must beat cold tick {cold_tick}"
         );
-        assert_eq!(warm.counters().warm_hits, 1);
-        assert_eq!(warm.counters().warm_mismatches, 0);
+        let seen = observed(&warm);
+        assert_eq!((seen.warm_hits, seen.warm_mismatches), (1, 0));
     }
 
     /// A seed the live profile contradicts is dropped: no early deploy, and
@@ -1705,8 +1699,8 @@ mod tests {
                 }
             }
         }
-        assert_eq!(opt.counters().warm_mismatches, 1);
-        assert_eq!(opt.counters().warm_hits, 0);
+        let seen = observed(&opt);
+        assert_eq!((seen.warm_hits, seen.warm_mismatches), (0, 1));
         assert_eq!(deploys.len(), 1, "exactly one deployment: {deploys:?}");
         let (tick, kind) = deploys[0];
         assert_eq!(kind, OptKind::NoPrefetch, "live profile wins");
@@ -1825,7 +1819,7 @@ mod tests {
         let profile = hot_profile(load_pc, head, back, 1.0);
         let actions = opt.consider(&profile);
         assert_eq!(actions.len(), 1);
-        assert_eq!(opt.counters().warm_hits, 1);
+        assert_eq!(observed(&opt).warm_hits, 1);
         assert_eq!(observed(&opt).verify_rejects, 1);
     }
 
@@ -2096,7 +2090,7 @@ mod tests {
         }
         assert_eq!(observed(&opt).candidates_trialed, 0, "no re-trialing");
         assert_eq!(opt.contests(), 0);
-        assert_eq!(opt.counters().warm_hits, 1);
+        assert_eq!(observed(&opt).warm_hits, 1);
         assert_eq!(opt.active_deployments(), 1);
     }
 
@@ -2157,14 +2151,12 @@ mod tests {
 
         // Contest: the loop turns hot and has more than one candidate. The
         // seed is consumed; a kind names no candidate, so it is neither a
-        // hit nor a mismatch.
+        // hit nor a mismatch (no `warm_verdict` among the events).
         let profile = hot_profile(load_pc, head, back, 1.0);
         assert!(opt.consider(&profile).is_empty());
         assert!(matches!(opt.state(head), Some(LoopState::Contest(_))));
         assert_eq!(opt.loops.len(), 1, "the record was replaced, not added to");
         assert_eq!(categories(&mut opt), ["loop_classified"]);
-        let c = opt.counters();
-        assert_eq!((c.warm_hits, c.warm_mismatches), (0, 0));
 
         // Trials: apply, one tick, revert — nothing is exported or counted
         // as deployed while the contest runs.
@@ -2267,8 +2259,6 @@ mod tests {
             "not even classified: the loop is never a candidate"
         );
         assert_eq!(opt.export_state(), (Vec::new(), vec![head]));
-        let c = opt.counters();
-        assert_eq!((c.warm_hits, c.warm_mismatches), (0, 0));
     }
 
     /// `poison` is one transition whatever it interrupts: a live trial
@@ -2370,7 +2360,11 @@ mod tests {
                 }
             }
             assert_eq!(applied, [candidate.map(String::from)]);
-            assert_eq!(categories(&mut opt), ["loop_classified"]);
+            let mut seen = vec!["loop_classified"];
+            if candidate.is_some() {
+                seen.push("warm_verdict"); // the stored winner, resumed: a hit
+            }
+            assert_eq!(categories(&mut opt), seen);
             assert_eq!(opt.active_deployments(), 1);
         }
     }

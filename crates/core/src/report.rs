@@ -8,7 +8,7 @@ use crate::optimizer::OptKind;
 use crate::telemetry::TelemetryEvent;
 
 /// One applied deployment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AppliedPlan {
     pub plan_id: u64,
     pub kind: OptKind,
@@ -27,7 +27,7 @@ pub struct AppliedPlan {
 }
 
 /// One reverted deployment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RevertedPlan {
     pub plan_id: u64,
     pub reason: String,
@@ -161,11 +161,13 @@ pub struct CobraReport {
 }
 
 impl CobraReport {
-    /// Fold one pipeline event into the counters it implies. This is the
-    /// only writer of every field named here: the run's report
-    /// (`Telemetry::emit`) and a trace's summary
-    /// (`TraceSummary::from_records`) both go through it, so they agree by
-    /// construction.
+    /// Fold one pipeline event into the report. This is the only writer of
+    /// every field (beside [`crate::Telemetry`]'s own count of what became
+    /// of each record, `telemetry_records` / `telemetry_dropped`): the run's
+    /// report (`Telemetry::emit`) and a replay of its trace (`cobra-repro
+    /// trace`) both go through it, so they agree by construction. A
+    /// moment's quantities ride the event that marks the moment; run totals
+    /// no single moment owns ride `Detach`.
     pub fn observe(&mut self, event: &TelemetryEvent) {
         use TelemetryEvent as E;
         match event {
@@ -176,7 +178,14 @@ impl CobraReport {
             E::TournamentOutcome { promoted, .. } => {
                 self.tournaments_promoted += u64::from(*promoted)
             }
-            E::RevertFailed { .. } => self.revert_failures += 1,
+            E::WarmVerdict { hit: true, .. } => self.warm_hits += 1,
+            E::WarmVerdict { hit: false, .. } => self.warm_mismatches += 1,
+            E::Deploy { plan, .. } => self.applied.push(plan.clone()),
+            E::Revert { plan, .. } => self.reverted.push(plan.clone()),
+            E::RevertFailed { plan, .. } => {
+                self.revert_failures += 1;
+                self.reverted.push(plan.clone());
+            }
             E::DeployFailed { .. } => self.deploy_failures += 1,
             E::OsrRejected { .. } => self.osr_rejects += 1,
             E::OsrMigrate {
@@ -215,15 +224,34 @@ impl CobraReport {
             E::FleetError { .. } => self.fleet_errors += 1,
             E::StoreError { .. } => self.store_errors += 1,
             E::StoreSave { records, .. } => self.store_saved_records = *records as u64,
-            E::Quantum { .. }
+            E::Detach { totals: t, .. } => {
+                // A no-op on the live run (the value was read from this
+                // report); on replay, what the run had dropped by then.
+                self.telemetry_dropped = t.records_dropped;
+                self.ticks = t.ticks;
+                self.forks = t.forks;
+                self.monitors_spawned = t.monitors_spawned;
+                self.samples_forwarded = t.samples_forwarded;
+                self.samples_merged = t.samples_merged;
+                self.overhead_cycles = t.overhead_cycles;
+                self.guest_faults = t.guest_faults;
+                self.store_skipped_records = t.store_skipped_records;
+                self.block_builds = t.block_builds;
+                self.block_invalidations = t.block_invalidations;
+                self.block_fallback_cycles =
+                    t.block_fallback_mem_boundary + t.block_fallback_sampling;
+                self.block_fallback_mem_boundary = t.block_fallback_mem_boundary;
+                self.block_fallback_sampling = t.block_fallback_sampling;
+                self.block_horizon_stretches = t.block_horizon_stretches;
+                self.block_horizon_cycles = t.block_horizon_cycles;
+            }
+            E::Attach { .. }
+            | E::Quantum { .. }
             | E::KernelDrain { .. }
             | E::UsbLevel { .. }
             | E::LoopClassified { .. }
-            | E::Deploy { .. }
             | E::CpiTrial { .. }
-            | E::Revert { .. }
-            | E::Blacklist { .. }
-            | E::Detach { .. } => {}
+            | E::Blacklist { .. } => {}
         }
     }
 
@@ -285,39 +313,54 @@ impl CobraReport {
 mod tests {
     use super::*;
 
+    fn deploy(plan_id: u64, kind: OptKind, tick: u64) -> TelemetryEvent {
+        TelemetryEvent::Deploy {
+            cycle: tick * 1000,
+            plan: AppliedPlan {
+                plan_id,
+                kind,
+                loop_head: 10,
+                description: "x".into(),
+                tick,
+                words_patched: 3,
+                trace_entry: None,
+                candidate: None,
+            },
+        }
+    }
+
+    /// The timelines are the plans the events carried; a failed revert is
+    /// still a reverted plan.
     #[test]
     fn report_accounting() {
         let mut r = CobraReport::default();
-        r.applied.push(AppliedPlan {
-            plan_id: 0,
-            kind: OptKind::NoPrefetch,
-            loop_head: 10,
-            description: "x".into(),
-            tick: 1,
-            words_patched: 3,
-            trace_entry: None,
-            candidate: None,
-        });
-        r.applied.push(AppliedPlan {
-            plan_id: 1,
-            kind: OptKind::ExclHint,
-            loop_head: 90,
-            description: "y".into(),
-            tick: 2,
-            words_patched: 2,
-            trace_entry: Some(300),
-            candidate: None,
-        });
-        r.reverted.push(RevertedPlan {
-            plan_id: 1,
+        r.observe(&deploy(0, OptKind::NoPrefetch, 1));
+        r.observe(&deploy(1, OptKind::ExclHint, 2));
+        r.observe(&deploy(2, OptKind::ExclHint, 3));
+        let reverted = |plan_id, tick| RevertedPlan {
+            plan_id,
             reason: "regressed".into(),
-            tick: 5,
+            tick,
+        };
+        r.observe(&TelemetryEvent::Revert {
+            cycle: 5000,
+            plan: reverted(1, 5),
+        });
+        r.observe(&TelemetryEvent::RevertFailed {
+            cycle: 6000,
+            loop_head: 10,
+            addr: 44,
+            words_restored: 1,
+            detail: "out of range".into(),
+            plan: reverted(2, 6),
         });
         assert_eq!(r.active_deployments(), 1);
         assert_eq!(r.applied_of_kind(OptKind::NoPrefetch), 1);
-        assert_eq!(r.applied_of_kind(OptKind::ExclHint), 1);
-        assert!(r.summary().contains("2 deployments"));
-        assert!(r.summary().contains("1 reverts"));
+        assert_eq!(r.applied_of_kind(OptKind::ExclHint), 2);
+        assert!(r.summary().contains("3 deployments"));
+        assert!(r.summary().contains("2 reverts"));
+        assert_eq!(r.reverted, [reverted(1, 5), reverted(2, 6)]);
+        assert_eq!(r.revert_failures, 1);
     }
 
     /// Reports serialized before `guest_faults` existed must

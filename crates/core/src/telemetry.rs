@@ -4,38 +4,38 @@
 //! cycle-stamped events: quantum boundaries with per-CPU HPM counter
 //! snapshots, kernel-buffer drains, USB occupancy, per-loop delinquency
 //! classifications, phase-change triggers, trace-cache deployments, CPI
-//! trial windows, and revert/blacklist decisions.
+//! trial windows, and revert/blacklist decisions — opened by an `Attach`
+//! that names the run and closed by a `Detach` that carries its totals.
 //!
 //! Every event takes one path, on the simulator's thread: [`Telemetry::emit`]
 //! gives it its sequence number, folds it into the run's [`CobraReport`]
-//! ([`CobraReport::observe`] — the report's event-derived counters are
-//! written nowhere else), and, when a sink is attached, hands it to the
-//! per-run [`TelemetrySink`] unless the tick's record budget is spent; a
-//! record over the budget, or one the sink could not take, is counted as
-//! dropped and the run goes on:
+//! ([`CobraReport::observe`] — the report is written nowhere else), and,
+//! when a sink is attached, hands it to the run's [`TelemetrySink`] unless
+//! the tick's record budget is spent; a record over the budget, or one the
+//! sink could not take, is counted as dropped and the run goes on:
 //!
-//! * [`TelemetrySink::memory`] — an in-process [`TelemetryLog`] with a
-//!   query API, for tests and programmatic consumers;
-//! * [`TelemetrySink::jsonl_file`] — a serde-backed JSON-Lines writer, one
-//!   record per line, consumed by `cobra-repro ... --trace-out FILE` and
-//!   summarized by `cobra-repro trace FILE`.
+//! * [`TelemetrySink::memory`] — an in-process [`TelemetryLog`], for tests
+//!   and programmatic consumers;
+//! * [`TelemetrySink::Jsonl`] — a serde-backed JSON-Lines writer, one
+//!   record per line, the format of `cobra-repro ... --trace-out FILE`
+//!   ([`write_jsonl`]) read back by `cobra-repro trace FILE`
+//!   ([`read_jsonl`]).
 //!
-//! Records carry the sequence number assigned at emission, so a trace is
-//! totally ordered and a gap in `seq` marks a dropped record. The framework
-//! charges overhead cycles per record the sink accepted ([`Telemetry::drain`]),
-//! which is a fixed function of the run.
+//! Records carry the sequence number assigned at emission, so a run's
+//! records are totally ordered and a gap in `seq` marks a dropped record.
+//! The framework charges overhead cycles per record the sink accepted
+//! ([`Telemetry::drain`]), which is a fixed function of the run.
 
-use std::collections::BTreeMap;
 use std::fmt;
-use std::io::{BufRead, Write};
+use std::io::{self, BufRead, Write};
 use std::sync::{Arc, Mutex};
 
 use cobra_isa::CodeAddr;
 use cobra_machine::{CpuStats, Machine};
 use serde::{Deserialize, Serialize};
 
-use crate::optimizer::OptKind;
-use crate::report::CobraReport;
+use crate::optimizer::{OptKind, Strategy};
+use crate::report::{AppliedPlan, CobraReport, RevertedPlan};
 
 /// Records a sink accepts between two drains (one quantum tick); the rest
 /// are dropped and counted.
@@ -54,32 +54,38 @@ pub struct CpuCounterSnapshot {
 }
 
 impl CpuCounterSnapshot {
-    pub fn from_stats(cpu: u32, stats: &CpuStats) -> Self {
-        let (inst_retired, l2_miss, l3_miss, bus_memory, coherent) = stats.snapshot_counts();
-        CpuCounterSnapshot {
-            cpu,
-            inst_retired,
-            l2_miss,
-            l3_miss,
-            bus_memory,
-            coherent,
-        }
-    }
-
     /// Snapshots for every CPU of a machine.
     pub fn all(machine: &Machine) -> Vec<CpuCounterSnapshot> {
-        machine
-            .stats()
-            .iter()
-            .enumerate()
-            .map(|(cpu, s)| CpuCounterSnapshot::from_stats(cpu as u32, s))
-            .collect()
+        let snapshot = |(cpu, stats): (usize, &CpuStats)| {
+            let (inst_retired, l2_miss, l3_miss, bus_memory, coherent) = stats.snapshot_counts();
+            CpuCounterSnapshot {
+                cpu: cpu as u32,
+                inst_retired,
+                l2_miss,
+                l3_miss,
+                bus_memory,
+                coherent,
+            }
+        };
+        machine.stats().iter().enumerate().map(snapshot).collect()
     }
 }
 
 /// One pipeline event. Variants mirror the stages of Figure 4.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum TelemetryEvent {
+    /// The framework attached: the first record of every run, naming it, so
+    /// a file of several runs delimits itself.
+    Attach {
+        cycle: u64,
+        machine: String,
+        cpus: usize,
+        strategy: Strategy,
+        candidates: bool,
+        osr: bool,
+        /// Slots of main text (the image before any trace is appended).
+        main_len: u32,
+    },
     /// A quantum boundary processed by the framework, with per-CPU HPM
     /// counter snapshots.
     Quantum {
@@ -118,16 +124,9 @@ pub enum TelemetryEvent {
     },
     /// The phase detector fired; profile history was discarded.
     PhaseChange { tick: u64, cycle: u64, phases: u64 },
-    /// A plan was applied to the live image at a quantum safe point.
-    Deploy {
-        tick: u64,
-        cycle: u64,
-        plan_id: u64,
-        kind: OptKind,
-        loop_head: CodeAddr,
-        words_patched: usize,
-        trace_entry: Option<CodeAddr>,
-    },
+    /// A plan was applied to the live image at a quantum safe point; `plan`
+    /// is the report's entry for it.
+    Deploy { cycle: u64, plan: AppliedPlan },
     /// A post-deployment CPI trial window was judged.
     CpiTrial {
         tick: u64,
@@ -139,12 +138,7 @@ pub enum TelemetryEvent {
         regressed: bool,
     },
     /// A regressed deployment was reverted on the live image.
-    Revert {
-        tick: u64,
-        cycle: u64,
-        plan_id: u64,
-        reason: String,
-    },
+    Revert { cycle: u64, plan: RevertedPlan },
     /// A loop was blacklisted (trialled once, never touched again).
     Blacklist {
         tick: u64,
@@ -154,15 +148,16 @@ pub enum TelemetryEvent {
     /// A revert failed mid-restore on the live image: the framework stopped
     /// writing, poisoned the loop, and kept running (never panics).
     RevertFailed {
-        tick: u64,
         cycle: u64,
-        plan_id: u64,
         loop_head: CodeAddr,
         /// Address whose restore write failed.
         addr: CodeAddr,
         /// Words successfully restored before the failure.
         words_restored: usize,
         detail: String,
+        /// The report's entry: why the plan was being reverted, and how far
+        /// the revert got.
+        plan: RevertedPlan,
     },
     /// A deployment failed mid-apply on the live image: the framework
     /// rolled back the words already written and poisoned the loop.
@@ -212,6 +207,15 @@ pub enum TelemetryEvent {
         cycle: u64,
         loop_head: CodeAddr,
         reason: String,
+    },
+    /// The live profile settled what a prior run seeded for a loop: `hit`
+    /// when it agreed (the seeded kind, or a stored winner this build still
+    /// generates), a mismatch when it did not and the seed was dropped.
+    WarmVerdict {
+        tick: u64,
+        cycle: u64,
+        loop_head: CodeAddr,
+        hit: bool,
     },
     /// A store snapshot matched this run's binary/machine key and seeded
     /// the optimizer at attach.
@@ -302,29 +306,37 @@ pub enum TelemetryEvent {
         loop_head: CodeAddr,
         reason: String,
     },
-    /// The framework detached; final counters. The `block_*` fields carry
-    /// the block-dispatch fallback breakdown (why cycles ran one at a time
-    /// instead of in a stretch) and the lockstep horizon totals; traces
-    /// written before the breakdown existed load with zeros.
-    Detach {
-        tick: u64,
-        cycle: u64,
-        records_dropped: u64,
-        #[serde(default)]
-        block_fallback_mem_boundary: u64,
-        #[serde(default)]
-        block_fallback_sampling: u64,
-        #[serde(default)]
-        block_horizon_stretches: u64,
-        #[serde(default)]
-        block_horizon_cycles: u64,
-    },
+    /// The framework detached: the last record of every run, carrying the
+    /// totals no single moment owns.
+    Detach { cycle: u64, totals: RunTotals },
+}
+
+/// What a run adds up to at detach; each field is the [`CobraReport`] field
+/// of the same name (`records_dropped` is its `telemetry_dropped`).
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct RunTotals {
+    pub ticks: u64,
+    pub records_dropped: u64,
+    pub forks: u64,
+    pub monitors_spawned: usize,
+    pub samples_forwarded: u64,
+    pub samples_merged: u64,
+    pub overhead_cycles: u64,
+    pub guest_faults: u64,
+    pub store_skipped_records: u64,
+    pub block_builds: u64,
+    pub block_invalidations: u64,
+    pub block_fallback_mem_boundary: u64,
+    pub block_fallback_sampling: u64,
+    pub block_horizon_stretches: u64,
+    pub block_horizon_cycles: u64,
 }
 
 impl TelemetryEvent {
     /// Stable category name, used by summaries and query filters.
     pub fn category(&self) -> &'static str {
         match self {
+            TelemetryEvent::Attach { .. } => "attach",
             TelemetryEvent::Quantum { .. } => "quantum",
             TelemetryEvent::KernelDrain { .. } => "kernel_drain",
             TelemetryEvent::UsbLevel { .. } => "usb_level",
@@ -340,6 +352,7 @@ impl TelemetryEvent {
             TelemetryEvent::TournamentOutcome { .. } => "tournament",
             TelemetryEvent::UndecodableLoop { .. } => "undecodable_loop",
             TelemetryEvent::VerifyReject { .. } => "verify_reject",
+            TelemetryEvent::WarmVerdict { .. } => "warm_verdict",
             TelemetryEvent::WarmStart { .. } => "warm_start",
             TelemetryEvent::StoreError { .. } => "store_error",
             TelemetryEvent::StoreSave { .. } => "store_save",
@@ -362,17 +375,12 @@ pub struct TelemetryRecord {
     pub event: TelemetryEvent,
 }
 
-/// Where accepted records go.
-///
-/// Sinks are cheap to clone (shared interior) so one sink can serve many
-/// parallel runs — e.g. every arm of an `npbsuite` sweep appending to one
-/// JSONL file.
-#[derive(Clone)]
+/// Where one run's accepted records go.
 pub enum TelemetrySink {
     /// Append to an in-process [`TelemetryLog`].
     Memory(Arc<Mutex<TelemetryLog>>),
     /// Write each record as one JSON line.
-    Jsonl(Arc<Mutex<Box<dyn Write + Send>>>),
+    Jsonl(Box<dyn Write + Send>),
 }
 
 impl fmt::Debug for TelemetrySink {
@@ -391,21 +399,10 @@ impl TelemetrySink {
         (TelemetrySink::Memory(log.clone()), log)
     }
 
-    /// A JSONL sink over an arbitrary writer.
-    pub fn jsonl(writer: Box<dyn Write + Send>) -> TelemetrySink {
-        TelemetrySink::Jsonl(Arc::new(Mutex::new(writer)))
-    }
-
-    /// A JSONL sink appending to `path` (created/truncated).
-    pub fn jsonl_file(path: &std::path::Path) -> std::io::Result<TelemetrySink> {
-        let f = std::fs::File::create(path)?;
-        Ok(TelemetrySink::jsonl(Box::new(std::io::BufWriter::new(f))))
-    }
-
     /// Hand one record to the sink; `false` when a JSONL writer refused it
     /// (disk full, closed pipe — a buffered writer reports that on the
     /// record whose write spills its buffer).
-    fn write(&self, record: TelemetryRecord) -> bool {
+    fn write(&mut self, record: TelemetryRecord) -> bool {
         match self {
             TelemetrySink::Memory(log) => {
                 // A panicked holder leaves the log intact (records is just
@@ -416,30 +413,24 @@ impl TelemetrySink {
                     .push(record);
                 true
             }
-            TelemetrySink::Jsonl(w) => {
-                // Invariant: every TelemetryEvent field is serde-derived
-                // plain data; serialization cannot fail.
-                let mut line = serde_json::to_string(&record).expect("telemetry record serializes");
-                line.push('\n');
-                let mut w = w.lock().unwrap_or_else(|p| p.into_inner());
-                w.write_all(line.as_bytes()).is_ok()
-            }
+            TelemetrySink::Jsonl(w) => write_jsonl(std::slice::from_ref(&record), w).is_ok(),
         }
     }
 
     /// Flush buffered output (JSONL sinks; no-op for memory); `false` when
     /// the writer could not take what it had buffered.
-    pub fn flush(&self) -> bool {
+    fn flush(&mut self) -> bool {
         match self {
             TelemetrySink::Memory(_) => true,
-            TelemetrySink::Jsonl(w) => w.lock().unwrap_or_else(|p| p.into_inner()).flush().is_ok(),
+            TelemetrySink::Jsonl(w) => w.flush().is_ok(),
         }
     }
 }
 
 /// The one event path of an attached run: a plain struct owned by the
 /// framework and reached by `&mut` from every stage. It holds the run's
-/// [`CobraReport`], so an event and the counters it implies cannot disagree.
+/// [`CobraReport`] and writes it only by folding events, so the report and
+/// the trace cannot disagree.
 #[derive(Debug)]
 pub struct Telemetry {
     report: CobraReport,
@@ -463,7 +454,7 @@ impl Telemetry {
         }
     }
 
-    /// Whether a sink is attached. Events that feed no report counter
+    /// Whether a sink is attached. Events the report takes nothing from
     /// (`Quantum`, `KernelDrain`, `UsbLevel`) are only worth building then.
     pub fn is_recording(&self) -> bool {
         self.sink.is_some()
@@ -476,7 +467,7 @@ impl Telemetry {
         let seq = self.seq;
         self.seq += 1;
         self.report.observe(&event);
-        let Some(sink) = &self.sink else {
+        let Some(sink) = &mut self.sink else {
             return false;
         };
         let accepted = self.pending < self.capacity && sink.write(TelemetryRecord { seq, event });
@@ -499,15 +490,9 @@ impl Telemetry {
         &self.report
     }
 
-    /// The report's fields that no event carries are the framework's to
-    /// write.
-    pub(crate) fn report_mut(&mut self) -> &mut CobraReport {
-        &mut self.report
-    }
-
     /// Flush the sink at detach and hand over the finished report.
     pub fn finish(mut self) -> CobraReport {
-        if self.sink.as_ref().is_some_and(|sink| !sink.flush()) {
+        if self.sink.as_mut().is_some_and(|sink| !sink.flush()) {
             // Records accepted into the writer's buffer went down with it;
             // how many is not known, that some did must not stay silent.
             self.report.telemetry_dropped += 1;
@@ -541,183 +526,22 @@ impl TelemetryLog {
             .filter(|r| r.event.category() == category)
             .count()
     }
-
-    /// `(tick, plan_id)` of every deployment, in order.
-    pub fn deployments(&self) -> Vec<(u64, u64)> {
-        self.records
-            .iter()
-            .filter_map(|r| match &r.event {
-                TelemetryEvent::Deploy { tick, plan_id, .. } => Some((*tick, *plan_id)),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Summarize, exactly as `cobra-repro trace` does for a file.
-    pub fn summary(&self) -> TraceSummary {
-        TraceSummary::from_records(&self.records)
-    }
 }
 
-/// Aggregate view of a trace (from a log or a JSONL file).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceSummary {
-    pub total_records: u64,
-    /// `(category, count)` sorted by category name.
-    pub per_category: Vec<(String, u64)>,
-    /// One line per deployment: `(tick, plan_id, kind, loop_head)`.
-    pub deployments: Vec<(u64, u64, String, CodeAddr)>,
-    /// One line per revert: `(tick, plan_id, reason)`.
-    pub reverts: Vec<(u64, u64, String)>,
-    pub phase_changes: u64,
-    /// Dropped records reported by the final `detach` record, if present.
-    pub records_dropped: u64,
-    /// Block-dispatch fallback breakdown from the final `detach` record:
-    /// `(reason, cycles)`, omitting zero reasons. Empty for traces recorded
-    /// before the breakdown existed.
-    pub block_fallbacks: Vec<(String, u64)>,
-    /// Lockstep multicore `(stretches, cycles)` from the final `detach`
-    /// record.
-    pub block_horizons: (u64, u64),
-    /// Fleet traffic: `(uploads, seeds, errors)`. Zero for traces recorded
-    /// without `builder().fleet(addr)`.
-    pub fleet: (u64, u64, u64),
-    /// On-stack replacement totals: `(migrations, reverse_migrations,
-    /// rejects)` summed over the `osr_*` records. Zero for traces recorded
-    /// before OSR existed or with it off.
-    pub osr: (u64, u64, u64),
-}
-
-impl TraceSummary {
-    pub fn from_records(records: &[TelemetryRecord]) -> TraceSummary {
-        let mut per_category: BTreeMap<&'static str, u64> = BTreeMap::new();
-        let mut deployments = Vec::new();
-        let mut reverts = Vec::new();
-        let mut records_dropped = 0u64;
-        let mut block_fallbacks = Vec::new();
-        let mut block_horizons = (0u64, 0u64);
-        // The phase, fleet and OSR totals are the report's: one fold gives
-        // a trace and the run that wrote it the same numbers.
-        let mut report = CobraReport::default();
-        for r in records {
-            *per_category.entry(r.event.category()).or_insert(0) += 1;
-            report.observe(&r.event);
-            match &r.event {
-                TelemetryEvent::Deploy {
-                    tick,
-                    plan_id,
-                    kind,
-                    loop_head,
-                    ..
-                } => {
-                    deployments.push((*tick, *plan_id, kind.name().to_string(), *loop_head));
-                }
-                TelemetryEvent::Revert {
-                    tick,
-                    plan_id,
-                    reason,
-                    ..
-                } => {
-                    reverts.push((*tick, *plan_id, reason.clone()));
-                }
-                TelemetryEvent::Detach {
-                    records_dropped: d,
-                    block_fallback_mem_boundary,
-                    block_fallback_sampling,
-                    block_horizon_stretches,
-                    block_horizon_cycles,
-                    ..
-                } => {
-                    records_dropped = *d;
-                    block_fallbacks = [
-                        ("multi_core_mem_boundary", *block_fallback_mem_boundary),
-                        ("sampling", *block_fallback_sampling),
-                    ]
-                    .into_iter()
-                    .filter(|&(_, n)| n > 0)
-                    .map(|(k, n)| (k.to_string(), n))
-                    .collect();
-                    block_horizons = (*block_horizon_stretches, *block_horizon_cycles);
-                }
-                _ => {}
-            }
-        }
-        TraceSummary {
-            total_records: records.len() as u64,
-            per_category: per_category
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-            deployments,
-            reverts,
-            phase_changes: report.phase_changes,
-            records_dropped,
-            block_fallbacks,
-            block_horizons,
-            fleet: (
-                report.fleet_uploads,
-                report.fleet_seeds,
-                report.fleet_errors,
-            ),
-            osr: (
-                report.osr_migrations,
-                report.osr_reverse_migrations,
-                report.osr_rejects,
-            ),
-        }
+/// Write records as JSON lines, the one trace format (inverse of
+/// [`read_jsonl`]).
+pub fn write_jsonl(records: &[TelemetryRecord], mut writer: impl Write) -> io::Result<()> {
+    for record in records {
+        // Invariant: every TelemetryEvent field is serde-derived plain
+        // data; serialization cannot fail.
+        let mut line = serde_json::to_string(record).expect("telemetry record serializes");
+        line.push('\n');
+        writer.write_all(line.as_bytes())?;
     }
+    Ok(())
 }
 
-impl fmt::Display for TraceSummary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "{} telemetry records ({} dropped at emission)",
-            self.total_records, self.records_dropped
-        )?;
-        writeln!(f, "events per category:")?;
-        for (cat, n) in &self.per_category {
-            writeln!(f, "  {cat:<16} {n}")?;
-        }
-        writeln!(f, "deployment timeline ({}):", self.deployments.len())?;
-        for (tick, plan_id, kind, head) in &self.deployments {
-            writeln!(f, "  tick {tick:>5}: plan {plan_id} {kind} @ loop {head}")?;
-        }
-        writeln!(f, "reverts ({}):", self.reverts.len())?;
-        for (tick, plan_id, reason) in &self.reverts {
-            writeln!(f, "  tick {tick:>5}: plan {plan_id} — {reason}")?;
-        }
-        writeln!(f, "phase changes: {}", self.phase_changes)?;
-        if !self.block_fallbacks.is_empty() || self.block_horizons.0 > 0 {
-            writeln!(f, "block-dispatch fallback cycles by reason:")?;
-            for (reason, n) in &self.block_fallbacks {
-                writeln!(f, "  {reason:<24} {n}")?;
-            }
-            writeln!(
-                f,
-                "lockstep horizons: {} stretches covering {} cycles",
-                self.block_horizons.0, self.block_horizons.1
-            )?;
-        }
-        if self.fleet != (0, 0, 0) {
-            writeln!(
-                f,
-                "fleet: {} upload(s), {} seed(s), {} error(s)",
-                self.fleet.0, self.fleet.1, self.fleet.2
-            )?;
-        }
-        if self.osr != (0, 0, 0) {
-            writeln!(
-                f,
-                "osr: {} migration(s), {} reverse migration(s), {} rejected map(s)",
-                self.osr.0, self.osr.1, self.osr.2
-            )?;
-        }
-        Ok(())
-    }
-}
-
-/// Parse a JSONL trace back into records (inverse of the JSONL sink).
+/// Parse a JSONL trace back into records.
 pub fn read_jsonl(reader: impl std::io::Read) -> Result<Vec<TelemetryRecord>, String> {
     let mut out = Vec::new();
     for (lineno, line) in std::io::BufReader::new(reader).lines().enumerate() {
@@ -854,7 +678,7 @@ mod tests {
         .len()
             + 1;
         let taken = Arc::new(Mutex::new(Vec::new()));
-        let sink = TelemetrySink::jsonl(Box::new(FailingWriter {
+        let sink = TelemetrySink::Jsonl(Box::new(FailingWriter {
             room: 3 * line_len,
             taken: taken.clone(),
             flush_fails: false,
@@ -872,7 +696,7 @@ mod tests {
         assert_eq!(written.len(), 3);
 
         // A failed final flush lost buffered records: not silently.
-        let sink = TelemetrySink::jsonl(Box::new(FailingWriter {
+        let sink = TelemetrySink::Jsonl(Box::new(FailingWriter {
             room: line_len,
             taken,
             flush_fails: true,
@@ -880,156 +704,5 @@ mod tests {
         let mut t = Telemetry::new(Some(sink), 64);
         assert!(t.emit(verify_reject(0)));
         assert_eq!(t.finish().telemetry_dropped, 1);
-    }
-
-    #[test]
-    fn summary_counts_categories_and_timelines() {
-        let records = vec![
-            TelemetryRecord {
-                seq: 0,
-                event: quantum(0),
-            },
-            TelemetryRecord {
-                seq: 1,
-                event: TelemetryEvent::Deploy {
-                    tick: 3,
-                    cycle: 3000,
-                    plan_id: 0,
-                    kind: OptKind::NoPrefetch,
-                    loop_head: 40,
-                    words_patched: 3,
-                    trace_entry: Some(96),
-                },
-            },
-            TelemetryRecord {
-                seq: 2,
-                event: TelemetryEvent::Revert {
-                    tick: 9,
-                    cycle: 9000,
-                    plan_id: 0,
-                    reason: "CPI regressed".into(),
-                },
-            },
-            TelemetryRecord {
-                seq: 3,
-                event: TelemetryEvent::PhaseChange {
-                    tick: 9,
-                    cycle: 9000,
-                    phases: 2,
-                },
-            },
-            TelemetryRecord {
-                seq: 4,
-                event: TelemetryEvent::Detach {
-                    tick: 10,
-                    cycle: 9900,
-                    records_dropped: 7,
-                    block_fallback_mem_boundary: 12,
-                    block_fallback_sampling: 0,
-                    block_horizon_stretches: 5,
-                    block_horizon_cycles: 480,
-                },
-            },
-        ];
-        let s = TraceSummary::from_records(&records);
-        assert_eq!(s.total_records, 5);
-        assert_eq!(s.deployments, vec![(3, 0, "noprefetch".to_string(), 40)]);
-        assert_eq!(s.reverts.len(), 1);
-        assert_eq!(s.phase_changes, 1);
-        assert_eq!(s.records_dropped, 7);
-        assert_eq!(
-            s.block_fallbacks,
-            vec![("multi_core_mem_boundary".to_string(), 12)],
-            "zero reasons are omitted"
-        );
-        assert_eq!(s.block_horizons, (5, 480));
-        let text = format!("{s}");
-        assert!(text.contains("deploy"));
-        assert!(text.contains("plan 0 noprefetch @ loop 40"));
-        assert!(text.contains("multi_core_mem_boundary"));
-        assert!(text.contains("5 stretches covering 480 cycles"));
-    }
-
-    /// OSR records roll up into the summary's `(migrations, reverse,
-    /// rejects)` triple and render one line.
-    #[test]
-    fn summary_aggregates_osr_records() {
-        let records = vec![
-            TelemetryRecord {
-                seq: 0,
-                event: TelemetryEvent::OsrMigrate {
-                    tick: 4,
-                    cycle: 4000,
-                    plan_id: 0,
-                    migrations: 3,
-                    ticks_since_deploy: 1,
-                },
-            },
-            TelemetryRecord {
-                seq: 1,
-                event: TelemetryEvent::OsrRevert {
-                    tick: 9,
-                    cycle: 9000,
-                    plan_id: 0,
-                    migrations: 4,
-                    ticks_since_revert: 2,
-                },
-            },
-            TelemetryRecord {
-                seq: 2,
-                event: TelemetryEvent::OsrRejected {
-                    tick: 2,
-                    cycle: 2000,
-                    plan_id: 1,
-                    loop_head: 40,
-                    reason: "map not total".into(),
-                },
-            },
-        ];
-        let s = TraceSummary::from_records(&records);
-        assert_eq!(s.osr, (3, 4, 1));
-        let text = format!("{s}");
-        assert!(
-            text.contains("osr: 3 migration(s), 4 reverse migration(s), 1 rejected map(s)"),
-            "{text}"
-        );
-        assert!(
-            !format!("{}", TraceSummary::from_records(&[])).contains("osr:"),
-            "zero triple is omitted"
-        );
-    }
-
-    /// Detach records written before the fallback breakdown existed must
-    /// still load (the new fields default to zero).
-    #[test]
-    fn old_detach_records_without_breakdown_still_load() {
-        let rec = TelemetryRecord {
-            seq: 0,
-            event: TelemetryEvent::Detach {
-                tick: 1,
-                cycle: 100,
-                records_dropped: 2,
-                block_fallback_mem_boundary: 0,
-                block_fallback_sampling: 0,
-                block_horizon_stretches: 0,
-                block_horizon_cycles: 0,
-            },
-        };
-        let mut v = serde_json::to_value(&rec).expect("serializes");
-        // Strip the new fields to reproduce the legacy wire shape.
-        fn strip(v: &mut serde::Value) {
-            if let serde::Value::Object(fields) = v {
-                fields.retain(|(k, _)| !k.starts_with("block_"));
-                for (_, inner) in fields.iter_mut() {
-                    strip(inner);
-                }
-            }
-        }
-        strip(&mut v);
-        let back: TelemetryRecord = serde_json::from_value(&v).expect("tolerant deserialize");
-        assert_eq!(back, rec);
-        let s = TraceSummary::from_records(&[back]);
-        assert!(s.block_fallbacks.is_empty());
-        assert_eq!(s.block_horizons, (0, 0));
     }
 }

@@ -13,6 +13,10 @@
 //! reference machines (smp4 / altix8), both deploy modes, and thread
 //! counts. A dedicated scenario reverts while threads are deep inside the
 //! clone, exercising the reverse map in flight.
+//!
+//! With `osr_map_mutation.rs` this is the OSR gate; both also run
+//! overflow-checked (`scripts/ci.sh overflow-checks`). What the mechanism
+//! costs is the last line of the `floors` job.
 
 use cobra_kernels::workload::Workload;
 use cobra_kernels::{Daxpy, DaxpyParams, PrefetchPolicy};

@@ -1,12 +1,13 @@
-//! Golden round-trip for the telemetry trace format: every event variant
-//! written through the JSONL sink must parse back bit-identical via
-//! `read_jsonl`, and the summary must account for every record.
+//! Golden round-trip for the telemetry trace format: events written through
+//! the JSONL sink must parse back bit-identical via `read_jsonl`, and the
+//! records alone must fold to the report the run that emitted them holds.
 
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 use cobra_rt::{
-    read_jsonl, CpuCounterSnapshot, OptKind, Telemetry, TelemetryEvent, TelemetrySink, TraceSummary,
+    read_jsonl, AppliedPlan, CobraReport, CpuCounterSnapshot, OptKind, RevertedPlan, RunTotals,
+    Strategy, Telemetry, TelemetryEvent, TelemetrySink,
 };
 
 /// A `Write` target the test can read back after the sink is done with it.
@@ -22,10 +23,20 @@ impl Write for SharedBuf {
     }
 }
 
-/// One instance of every `TelemetryEvent` variant, with non-default
-/// payloads so field transposition can't go unnoticed.
+/// A run's worth of variants, the two that open and close a run among
+/// them, with non-default payloads so field transposition can't go
+/// unnoticed. (`tests/golden.rs` holds one of every variant to its bytes.)
 fn one_of_each() -> Vec<TelemetryEvent> {
     vec![
+        TelemetryEvent::Attach {
+            cycle: 7,
+            machine: "smp4".to_string(),
+            cpus: 4,
+            strategy: Strategy::Adaptive,
+            candidates: true,
+            osr: false,
+            main_len: 384,
+        },
         TelemetryEvent::Quantum {
             tick: 1,
             cycle: 20_000,
@@ -77,13 +88,29 @@ fn one_of_each() -> Vec<TelemetryEvent> {
             phases: 2,
         },
         TelemetryEvent::Deploy {
+            cycle: 60_000,
+            plan: AppliedPlan {
+                plan_id: 1,
+                kind: OptKind::NoPrefetch,
+                loop_head: 64,
+                description: "noprefetch: 4 lfetch -> nop.m".to_string(),
+                tick: 3,
+                words_patched: 4,
+                trace_entry: Some(512),
+                candidate: Some("noprefetch.body".to_string()),
+            },
+        },
+        TelemetryEvent::WarmVerdict {
             tick: 3,
             cycle: 60_000,
-            plan_id: 1,
-            kind: OptKind::NoPrefetch,
             loop_head: 64,
-            words_patched: 4,
-            trace_entry: Some(512),
+            hit: true,
+        },
+        TelemetryEvent::WarmVerdict {
+            tick: 3,
+            cycle: 60_000,
+            loop_head: 128,
+            hit: false,
         },
         TelemetryEvent::CpiTrial {
             tick: 7,
@@ -95,10 +122,12 @@ fn one_of_each() -> Vec<TelemetryEvent> {
             regressed: true,
         },
         TelemetryEvent::Revert {
-            tick: 7,
             cycle: 140_000,
-            plan_id: 1,
-            reason: "CPI regressed 1.50 -> 1.75".to_string(),
+            plan: RevertedPlan {
+                plan_id: 1,
+                reason: "CPI regressed 1.50 -> 1.75".to_string(),
+                tick: 7,
+            },
         },
         TelemetryEvent::Blacklist {
             tick: 7,
@@ -106,13 +135,24 @@ fn one_of_each() -> Vec<TelemetryEvent> {
             loop_head: 64,
         },
         TelemetryEvent::Detach {
-            tick: 9,
             cycle: 180_000,
-            records_dropped: 0,
-            block_fallback_mem_boundary: 4,
-            block_fallback_sampling: 11,
-            block_horizon_stretches: 3,
-            block_horizon_cycles: 96,
+            totals: RunTotals {
+                ticks: 9,
+                records_dropped: 0,
+                forks: 2,
+                monitors_spawned: 4,
+                samples_forwarded: 17,
+                samples_merged: 16,
+                overhead_cycles: 136,
+                guest_faults: 1,
+                store_skipped_records: 5,
+                block_builds: 21,
+                block_invalidations: 2,
+                block_fallback_mem_boundary: 4,
+                block_fallback_sampling: 11,
+                block_horizon_stretches: 3,
+                block_horizon_cycles: 96,
+            },
         },
     ]
 }
@@ -120,7 +160,7 @@ fn one_of_each() -> Vec<TelemetryEvent> {
 #[test]
 fn golden_jsonl_round_trip_covers_every_event() {
     let buf = SharedBuf::default();
-    let sink = TelemetrySink::jsonl(Box::new(buf.clone()));
+    let sink = TelemetrySink::Jsonl(Box::new(buf.clone()));
     let mut telemetry = Telemetry::new(Some(sink), 64);
     let events = one_of_each();
     for e in &events {
@@ -141,15 +181,23 @@ fn golden_jsonl_round_trip_covers_every_event() {
         assert_eq!(rec.event, events[i], "round-trip must be lossless");
     }
 
-    let summary = TraceSummary::from_records(&records);
-    assert_eq!(summary.total_records, events.len() as u64);
+    // The records alone fold to the report the emitting side holds.
+    let mut replayed = CobraReport::default();
+    records.iter().for_each(|r| replayed.observe(&r.event));
+    replayed.telemetry_records = report.telemetry_records;
+    assert_eq!(format!("{replayed:?}"), format!("{report:?}"));
+    assert_eq!((report.warm_hits, report.warm_mismatches), (1, 1));
+    assert_eq!(report.applied.len(), 1);
     assert_eq!(
-        summary.per_category.len(),
-        10,
-        "every variant has its own category"
+        report.applied[0].candidate.as_deref(),
+        Some("noprefetch.body")
     );
-    assert_eq!(summary.deployments.len(), 1);
-    assert_eq!(summary.reverts.len(), 1);
+    assert_eq!(report.reverted.len(), 1);
+    assert_eq!(
+        (report.ticks, report.forks, report.monitors_spawned),
+        (9, 2, 4)
+    );
+    assert_eq!(report.block_fallback_cycles, 15, "the sum of its reasons");
 }
 
 #[test]

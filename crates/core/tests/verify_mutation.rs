@@ -10,8 +10,14 @@
 //!   (wrong replacement slot, clobbered non-prefetch instruction,
 //!   misaligned trace, escaped back edge, out-of-region write, truncated
 //!   trace, body clobber, removal of a post-incrementing prefetch whose
-//!   rotating base lives across a rotating branch) must be rejected on
-//!   every captured plan it applies to.
+//!   rotating base lives across a rotating branch — a `br.ctop` /
+//!   `br.wtop` / `clrrrb` renames it) must be rejected on every captured
+//!   plan it applies to.
+//!
+//! With `crates/harness/tests/verify_cli.rs` (every NPB kernel image on
+//! both machines and a freshly saved store snapshot through `cobra-repro
+//! verify`, and its exit codes) this is the patch-safety gate; it also runs
+//! overflow-checked (`scripts/ci.sh overflow-checks`).
 
 use std::sync::OnceLock;
 

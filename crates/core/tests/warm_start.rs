@@ -1,7 +1,9 @@
 //! Cross-run warm start through `cobra-store`: run A saves a snapshot at
 //! detach, run B loads it, seeds the optimizer, and converges on the same
 //! deployments strictly earlier. Mismatched binaries/machines and damaged
-//! stores degrade to a cold start — counted, never fatal.
+//! stores degrade to a cold start — counted, never fatal. The same round
+//! trip through `cobra-repro profile save` / `profile inspect` is
+//! `crates/harness/tests/profile_cli.rs`.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};

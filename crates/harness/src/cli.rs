@@ -12,12 +12,13 @@
 //! cannot be used, 1 for a command that ran and failed or a lint that found
 //! violations — and tests call [`invoke`] in-process.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, Write};
 use std::path::PathBuf;
 
 use cobra_machine::MachineConfig;
-use cobra_rt::{read_jsonl, TelemetrySink, TraceSummary};
+use cobra_rt::{read_jsonl, write_jsonl, CobraReport, TelemetryEvent, TelemetryRecord};
 use serde::Serialize;
 
 use crate::{
@@ -409,6 +410,37 @@ fn emit<T: Serialize>(
     }
 }
 
+/// One run of a trace — `run` is not empty, opens with the `Attach` that
+/// names it and closes with the `Detach` that carries its totals — as the
+/// report its records fold to.
+fn print_run(out: &mut dyn Write, n: usize, run: &[TelemetryRecord]) -> io::Result<()> {
+    let mut report = CobraReport::default();
+    let mut per_category: BTreeMap<&str, u64> = BTreeMap::new();
+    for r in run {
+        report.observe(&r.event);
+        *per_category.entry(r.event.category()).or_default() += 1;
+    }
+    writeln!(out, "run {n}: {:?}", run[0].event)?;
+    writeln!(out, "  {}", report.summary())?;
+    let (records, dropped) = (run.len(), report.telemetry_dropped);
+    writeln!(out, "  {records} records ({dropped} dropped at emission):")?;
+    for (category, count) in &per_category {
+        writeln!(out, "    {category:<16} {count}")?;
+    }
+    writeln!(out, "  deployment timeline ({}):", report.applied.len())?;
+    for a in &report.applied {
+        let (tick, id, what) = (a.tick, a.plan_id, &a.description);
+        writeln!(out, "    tick {tick:>5}: plan {id} — {what}")?;
+    }
+    writeln!(out, "  reverts ({}):", report.reverted.len())?;
+    for r in &report.reverted {
+        let (tick, id, why) = (r.tick, r.plan_id, &r.reason);
+        writeln!(out, "    tick {tick:>5}: plan {id} — {why}")?;
+    }
+    // The run totals, as the record that carried them.
+    writeln!(out, "  {:?}", run[run.len() - 1].event)
+}
+
 /// Do what `cmd` asks, writing what the command prints on stdout to `out`.
 /// Progress notes and warnings go to stderr directly.
 pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), Failure> {
@@ -431,9 +463,11 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), Failure> {
             emit(out, &cmd, &counts, |md| table1::render(&counts, md))?;
         }
         Verb::Fig5 | Verb::Fig6 | Verb::Fig7 => {
-            let sink = match &cmd.trace_out {
+            // Created before the run, so a path that cannot be written is
+            // refused at once rather than after the grid.
+            let trace_file = match &cmd.trace_out {
                 Some(path) => Some(
-                    TelemetrySink::jsonl_file(path)
+                    std::fs::File::create(path)
                         .map_err(|e| unusable(format!("cannot create {}", path.display()), &e))?,
                 ),
                 None => None,
@@ -444,14 +478,27 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), Failure> {
                     unusable(what, &e)
                 })?;
             }
+            let mut logs = Vec::new();
             let data = npbsuite::measure(
                 &cmd.machine,
                 threads,
                 workers,
-                sink.as_ref(),
+                trace_file.is_some().then_some(&mut logs),
                 cmd.store.as_deref(),
                 cmd.candidates,
             );
+            if let Some((path, file)) = cmd.trace_out.as_ref().zip(trace_file) {
+                // Each arm's records, in grid order, straight from its log.
+                let mut file = io::BufWriter::new(file);
+                logs.iter()
+                    .try_for_each(|log| {
+                        let log = log.lock().expect("the arm that wrote it has returned");
+                        write_jsonl(log.records(), &mut file)
+                    })
+                    .and_then(|()| file.flush())
+                    .map_err(|e| failed(format!("cannot write {}: {e}", path.display())))?;
+                eprintln!("telemetry trace written to {}", path.display());
+            }
             emit(out, &cmd, &data, |md| {
                 let figure = match cmd.verb {
                     Verb::Fig5 => data.fig5(),
@@ -460,9 +507,6 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), Failure> {
                 };
                 figure.render(md) + &data.deployments().render(md)
             })?;
-            if let Some(path) = &cmd.trace_out {
-                eprintln!("telemetry trace written to {}", path.display());
-            }
             if let Some(dir) = &cmd.store {
                 eprintln!(
                     "profiles persisted to {} (rerun with the same --store to warm-start)",
@@ -507,7 +551,13 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), Failure> {
             let records = read_jsonl(f)
                 .map_err(|e| unusable(format!("malformed trace {}", file.display()), &e))?;
             writeln!(out, "trace {} —", file.display())?;
-            writeln!(out, "{}", TraceSummary::from_records(&records))?;
+            // Every run opens with its `Attach`, so a file of several runs
+            // splits there; each is replayed into the report it produced.
+            let opens_a_run =
+                |r: &TelemetryRecord| matches!(r.event, TelemetryEvent::Attach { .. });
+            for (n, run) in records.chunk_by(|_, next| !opens_a_run(next)).enumerate() {
+                print_run(out, n, run)?;
+            }
         }
         Verb::ProfileSave => {
             let bench = cmd.bench.as_deref().unwrap_or("bt");

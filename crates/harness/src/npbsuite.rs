@@ -15,12 +15,13 @@
 //! baseline, as the paper does.
 
 use std::path::Path;
+use std::sync::{Arc, Mutex};
 
 use cobra_kernels::workload::execute_plain;
 use cobra_kernels::{npb, PrefetchPolicy};
 use cobra_machine::{Event, Machine, MachineConfig};
 use cobra_omp::{OmpRuntime, Team};
-use cobra_rt::{Cobra, CobraReport, Strategy, TelemetrySink};
+use cobra_rt::{Cobra, CobraReport, Strategy, TelemetryLog, TelemetrySink};
 use serde::{Deserialize, Serialize};
 
 use crate::sweep::parallel_map;
@@ -118,7 +119,7 @@ pub fn run_arm(
     arm: Arm,
     machine_cfg: &MachineConfig,
     threads: usize,
-    trace: Option<&TelemetrySink>,
+    trace: Option<TelemetrySink>,
     store: Option<&Path>,
     candidates: bool,
 ) -> ArmResult {
@@ -141,7 +142,7 @@ pub fn run_arm(
                 .strategy(strategy)
                 .candidates(candidates && arm == Arm::Adaptive);
             if let Some(sink) = trace {
-                builder = builder.telemetry(sink.clone());
+                builder = builder.telemetry(sink);
             }
             if let Some(dir) = store {
                 let arm_dir = dir.join(arm.name());
@@ -173,15 +174,15 @@ pub fn run_arm(
 
 /// Run the six-benchmark suite on one machine configuration.
 ///
-/// When `trace` is given, every COBRA-attached arm emits telemetry into
-/// that sink (shared across the parallel jobs — each arm numbers its own
-/// records and a record is written whole under the sink's lock, so
-/// sequences interleave per-arm but never corrupt).
+/// When `trace` is given, every arm records its telemetry into a sink of its
+/// own and `trace` receives the arms' logs in job order (the baseline arm's
+/// is empty) — each run opening with its `Attach` — so what they hold does
+/// not depend on `workers`.
 pub fn measure(
     machine_cfg: &MachineConfig,
     threads: usize,
     workers: usize,
-    trace: Option<&TelemetrySink>,
+    trace: Option<&mut Vec<Arc<Mutex<TelemetryLog>>>>,
     store: Option<&Path>,
     candidates: bool,
 ) -> SuiteData {
@@ -191,20 +192,23 @@ pub fn measure(
             jobs.push((bench, arm));
         }
     }
+    let traced = trace.is_some();
     let results_flat = parallel_map(jobs, workers, |&(bench, arm)| {
-        (
-            bench,
-            run_arm(bench, arm, machine_cfg, threads, trace, store, candidates),
-        )
+        let (sink, log) = traced.then(TelemetrySink::memory).unzip();
+        let result = run_arm(bench, arm, machine_cfg, threads, sink, store, candidates);
+        (bench, result, log)
     });
+    if let Some(trace) = trace {
+        trace.extend(results_flat.iter().filter_map(|(_, _, log)| log.clone()));
+    }
     let results = npb::Benchmark::COHERENT
         .iter()
         .map(|&bench| BenchResult {
             bench: bench.name().to_string(),
             arms: results_flat
                 .iter()
-                .filter(|(b, _)| *b == bench)
-                .map(|(_, r)| r.clone())
+                .filter(|(b, _, _)| *b == bench)
+                .map(|(_, r, _)| r.clone())
                 .collect(),
         })
         .collect();

@@ -3,6 +3,20 @@
 //! serve/upload/fetch/stats round trip against a real child-process server
 //! with a scraped ephemeral port. The server is the one process under test;
 //! the client commands run in-process through `cli::invoke`.
+//!
+//! The rest of the fleet round trip, by suite: the sharded server's ingest
+//! determinism proptests are `cobra-fleet`'s own (any interleaving or
+//! sharding of the same upload multiset must persist byte-identical shard
+//! state); the framework's cold -> upload -> fleet-warm convergence against
+//! a loopback server is `crates/core/tests/fleet_roundtrip.rs`;
+//! `tests/one_fold.rs` holds the store, `profile merge` and the server to
+//! one rule (the same runs leave the same bytes in all three); what the
+//! server costs is `benchmark/`'s `fleet_mixed` workload. Every byte of all
+//! of it goes through the `compat/serde*` codec, whose own tests (hostile
+//! input, number and string edges, the nesting cap) and golden corpus
+//! (`tests/golden.rs`) matter most overflow-checked — the tokenizer does
+//! arithmetic on offsets and digits a peer chooses — which is
+//! `scripts/ci.sh overflow-checks`.
 
 mod common;
 

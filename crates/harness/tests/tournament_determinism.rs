@@ -13,15 +13,54 @@ use std::collections::BTreeMap;
 use cobra_harness::npbsuite::{Arm, SuiteData};
 use common::{repro_ok, tmp_dir};
 
-/// Candidate selection must not depend on host parallelism. The baseline
-/// and the two fixed-strategy arms are cells of the same grid, so this also
-/// holds `parallel_map` to its one-worker output on them.
+/// Candidate selection must not depend on host parallelism, and neither
+/// must the trace: every arm records into a sink of its own and the arms
+/// are written in grid order, so the file is the same bytes however many
+/// workers ran them. The baseline and the two fixed-strategy arms are cells
+/// of the same grid, so this also holds `parallel_map` to its one-worker
+/// output on them. A traced run is charged for its records, so its text is
+/// not the untraced text: both are compared.
 #[test]
-#[ignore = "two fig5 grids: run in release, by target"]
-fn fig5_candidates_text_is_the_same_for_one_worker_and_four() {
-    let one = repro_ok(&["fig5", "--candidates", "--workers", "1"]);
-    let four = repro_ok(&["fig5", "--candidates", "--workers", "4"]);
+#[ignore = "four fig5 grids: run in release, by target"]
+fn fig5_candidates_text_and_trace_are_the_same_for_one_worker_and_four() {
+    let untraced = |workers| repro_ok(&["fig5", "--candidates", "--workers", workers]);
+    let (one, four) = (untraced("1"), untraced("4"));
     assert!(one == four, "--workers 1:\n{one}\n--workers 4:\n{four}");
+
+    let dir = tmp_dir("trace");
+    let run = |workers: &str| {
+        let file = dir.join(format!("w{workers}.jsonl"));
+        let file = file.to_str().unwrap();
+        let text = repro_ok(&[
+            "fig5",
+            "--candidates",
+            "--workers",
+            workers,
+            "--trace-out",
+            file,
+        ]);
+        (
+            text,
+            std::fs::read(file).unwrap(),
+            repro_ok(&["trace", file]),
+        )
+    };
+    let ((text1, trace1, shown), (text4, trace4, _)) = (run("1"), run("4"));
+    assert!(
+        text1 == text4,
+        "traced, --workers 1:\n{text1}\n--workers 4:\n{text4}"
+    );
+    assert!(trace1 == trace4, "the trace file depends on --workers");
+    // `trace` prints one report per run: six kernels under three COBRA arms
+    // (the baseline arm attaches nothing).
+    let runs: Vec<&str> = (shown.lines().filter(|l| l.starts_with("run "))).collect();
+    assert_eq!(runs.len(), 18, "{runs:#?}");
+    assert!(runs[17].starts_with("run 17: Attach {"), "{}", runs[17]);
+    assert!(
+        runs[17].contains("strategy: Adaptive, candidates: true"),
+        "{}",
+        runs[17]
+    );
 }
 
 /// Per benchmark, the adaptive arm's active tournament winners (loop head

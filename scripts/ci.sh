@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
 # The gates, one function per CI job: `.github/workflows/ci.yml` runs
 # `scripts/ci.sh <job>` and so can anyone with a checkout — nothing here
-# needs the network. Every job body is cargo invocations; the three
+# needs the network. Every job body is cargo invocations; the four
 # deleted-name greps, the `pub` census, the two named-test list pins and the
-# benchmark/run.sh loop are the only shell.
+# benchmark/run.sh loop are the only shell. A test target runs once per
+# profile in an `all` pass: the two `--workspace` lines (`build-test` plain,
+# `overflow-checks` overflow-checked) run every target, so no job names one
+# again under the same profile; what a suite guards is said at the head of
+# its file.
 #
 #   scripts/ci.sh <job>   one job (names below)
 #   scripts/ci.sh all     every job, in this order
@@ -12,8 +16,7 @@ cd "$(dirname "$0")/.."
 export CARGO_NET_OFFLINE=true
 
 JOBS=(build-test reference-host-accel overflow-checks floors benchmark-builds
-      warm-start-round-trip tournament-determinism decisions-pinned
-      fleet-roundtrip osr-gate verify-gate)
+      tournament-determinism decisions-pinned)
 
 build-test() {
   # crossbeam and parking_lot were shims with one user each (the telemetry
@@ -40,17 +43,27 @@ build-test() {
     echo "a second invalidation mechanism for the program text is back" >&2
     return 1
   fi
+  # A run has one account: `CobraReport` is written by folding the event
+  # stream (`CobraReport::observe`) and by nothing else — no handle on the
+  # report for the framework to write through, no counters mirrored out of
+  # the optimizer, no second aggregator over a trace.
+  if grep -rnE 'report_mut|sync_counters|OptimizerCounters|TraceSummary' crates/*/src src; then
+    echo "a second writer or reader of the run's account is back" >&2
+    return 1
+  fi
   # The surface census (ROADMAP 7c): every `pub` item names a caller outside
   # its own crate's tests. The count only goes down; a PR that needs a new
   # item deletes one or raises this number on purpose, in its diff.
   local pubs
   pubs=$(grep -rhE '^\s*pub (fn|struct|enum|const|mod|type|trait|use|static)' crates/*/src src | wc -l)
   echo "pub items in crates/*/src + src: $pubs"
-  if ((pubs > 797)); then
-    echo "the pub surface grew past 797" >&2
+  if ((pubs > 787)); then
+    echo "the pub surface grew past 787" >&2
     return 1
   fi
   cargo build --release --workspace
+  # Tier-1 as ROADMAP states it: the root package alone resolves features
+  # for itself, which `--workspace` (every member at once) does not show.
   cargo test -q
   cargo test --workspace -q
   # The three floors that compare only simulated state are plain tests of
@@ -86,13 +99,14 @@ reference-host-accel() {
   COBRA_HOST_ACCEL=reference cargo test --workspace -q
 }
 
-# Also exercises the equivalence proptest suites (memory system, stall
-# skip, block dispatch) with overflow-checked arithmetic — any u64 wrap
-# hidden by release-mode wrapping semantics fails here.
+# Every suite again with overflow-checked arithmetic — any u64 wrap hidden
+# by release-mode wrapping semantics fails here. It matters most for the
+# equivalence proptests (memory system, stall skip, block dispatch), the
+# store's corruption suite, the fleet server and the compat/serde* codec
+# (arithmetic on offsets and digits a peer or a damaged file chooses), and
+# the verify / OSR-map mutation suites.
 overflow-checks() {
   cargo test --workspace --profile overflow -q
-  cargo test -p cobra-machine --profile overflow --test block_dispatch_equivalence -q
-  cargo test -p cobra-store --profile overflow --test corruption -q
 }
 
 # The five wall-clock floors. Each is an `#[ignore]`d test that first
@@ -144,21 +158,13 @@ benchmark-builds() {
   rm -f "$out"
 }
 
-# Cross-run warm start: run A saves a snapshot, run B warm-starts from it
-# and must converge on the identical final deployment set in strictly fewer
-# learning quanta; damaged stores degrade to cold start. Then the same
-# round trip through `cobra-repro profile save` / `profile inspect`.
-warm-start-round-trip() {
-  cargo test -p cobra-rt --test warm_start -q
-  cargo test -p cobra-harness --test profile_cli -q
-}
-
-# Tournament determinism: a warm run resumes the stored winner (framework),
-# and the two whole-grid properties of `fig5 --candidates` in
-# crates/harness/tests/tournament_determinism.rs — the same text for one
-# worker and four, and cold winners resumed warm with no trials.
+# Tournament determinism: the two whole-grid properties of `fig5
+# --candidates` in crates/harness/tests/tournament_determinism.rs — the same
+# text and the same `--trace-out` file for one worker and four, and cold
+# winners resumed warm with no trials. (That a warm run resumes the stored
+# winner at all is `warm_run_resumes_tournament_winner` in
+# crates/core/tests/warm_start.rs, a plain test of the workspace lines.)
 tournament-determinism() {
-  cargo test -p cobra-rt --test warm_start warm_run_resumes_tournament_winner -q
   cargo test --release -p cobra-harness --test tournament_determinism -- --ignored
 }
 
@@ -167,54 +173,6 @@ tournament-determinism() {
 # machines, with and without --candidates, to the text under tests/golden/.
 decisions-pinned() {
   cargo test --release -p cobra-harness --test decisions_pinned -- --ignored
-}
-
-# Fleet aggregation round trip: the sharded server's ingest determinism
-# proptests run overflow-checked (any interleaving/sharding of the same
-# upload multiset must persist byte-identical shard state), the framework
-# cold -> upload -> fleet-warm convergence e2e runs against a loopback
-# server, and the `fleet` CLI uploads/fetches against a real `fleet serve`
-# child process with a scraped ephemeral port; beside it, a run seeded from
-# the fleet's fold of two partial histories must converge strictly earlier
-# than one seeded from its own, on verified seeds only. `one_fold` holds
-# the store, `profile merge` and the server to one rule: the same runs
-# leave the same bytes in all three. (What the server costs is benchmark/'s
-# fleet_mixed workload, checked by `benchmark-builds`.) Every byte of all of
-# it goes through the compat/serde* codec, so its own tests (hostile input,
-# number and string edges, the nesting cap) and the golden corpus written
-# by the last tree-building codec run here too, overflow-checked: the
-# tokenizer does arithmetic on offsets and digits a peer chooses.
-fleet-roundtrip() {
-  cargo test -p cobra-fleet --profile overflow -q
-  cargo test -p cobra-store --profile overflow -q
-  cargo test -p serde -p serde_json -p serde_derive --profile overflow -q
-  cargo test --test golden --profile overflow -q
-  cargo test -p cobra-rt --test fleet_roundtrip -q
-  cargo test -p cobra-harness --test fleet_e2e -q
-  cargo test --test one_fold --profile overflow -q
-}
-
-# OSR gate: the state-mapping equivalence suite (mid-loop migration and
-# revert-in-flight land on byte-identical final memory with OSR on or off)
-# and the map mutation suite (every optimizer-emitted map accepted, every
-# injected map corruption class rejected) run overflow-checked. What the
-# mechanism costs is the `floors` job's last line.
-osr-gate() {
-  cargo test -p cobra-rt --profile overflow --test osr_equivalence -q
-  cargo test -p cobra-rt --profile overflow --test osr_map_mutation -q
-}
-
-# Patch-safety gate: the mutation suite (every optimizer-emitted plan
-# accepted, every injected corruption class rejected — the last of them a
-# removed post-incrementing prefetch whose rotating base is still live at a
-# `br.ctop` / `br.wtop` / `clrrrb`, which renames it) runs with overflow
-# checks, and crates/harness/tests/verify_cli.rs lints every NPB kernel
-# image on both machines plus a freshly saved store snapshot through
-# `cobra-repro verify`, including its exit-code contract (usage errors
-# exit 2, verification findings exit 1).
-verify-gate() {
-  cargo test -p cobra-rt --profile overflow --test verify_mutation -q
-  cargo test -p cobra-harness --test verify_cli -q
 }
 
 job=${1:-}

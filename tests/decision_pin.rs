@@ -16,7 +16,12 @@
 //! where it dropped the ones covering the slot, so the report's
 //! `block_builds` / `block_invalidations` — host-side counters, the guest
 //! cannot see them — rose; with those two fields masked, all four runs
-//! digested as before it.)
+//! digested as before it. The traced constant alone was re-recorded by the
+//! PR that made the report the fold of the event stream: the trace gained
+//! `Attach` and `WarmVerdict`, `Deploy` / `Revert` / `RevertFailed` carry
+//! the report's own plan entry and `Detach` the run's totals, and a traced
+//! run is charged for the added records; the three untraced runs digest as
+//! before it.)
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -24,15 +29,17 @@ use std::sync::{Arc, Mutex};
 use cobra::kernels::{npb, PrefetchPolicy};
 use cobra::machine::{HostAccel, Machine, MachineConfig};
 use cobra::omp::{OmpRuntime, Team};
-use cobra::rt::{Cobra, Strategy, TelemetrySink};
+use cobra::rt::{read_jsonl, Cobra, Strategy, TelemetrySink};
 use cobra_store::{Store, StoreKey};
+
+mod common;
 
 const KERNEL: npb::Benchmark = npb::Benchmark::Mg;
 
 const FIXED_NOPREFETCH_20K: u64 = 0x8a16_bf48_4aa0_d3a8;
 const ADAPTIVE_20K: u64 = 0x14cc_6555_2d1e_c1ec;
 const CANDIDATES_COLD_500: u64 = 0xf822_737d_8968_281b;
-const CANDIDATES_WARM_500_TRACED: u64 = 0xc0f3_53f8_98a5_c495;
+const CANDIDATES_WARM_500_TRACED: u64 = 0x78e6_16cf_1918_c857;
 
 /// Streaming 64-bit FNV-1a: bytes for text, whole words for data memory.
 struct Fnv(u64);
@@ -89,7 +96,7 @@ fn digest(arm: &Arm<'_>) -> u64 {
         builder = builder.store(dir);
     }
     if arm.traced {
-        builder = builder.telemetry(TelemetrySink::jsonl(Box::new(trace.clone())));
+        builder = builder.telemetry(TelemetrySink::Jsonl(Box::new(trace.clone())));
     }
     let mut cobra = builder.attach(&mut m);
     let rt = OmpRuntime {
@@ -115,6 +122,12 @@ fn digest(arm: &Arm<'_>) -> u64 {
         h.bytes(&std::fs::read(&file).expect("detach saved a snapshot"));
         // `StoreSave.path` is the one host-dependent field of a trace.
         let jsonl = String::from_utf8(trace.0.lock().unwrap().clone()).expect("JSONL is UTF-8");
+        if arm.traced {
+            // The warm run settles seeds, so this replay covers `WarmVerdict`.
+            assert!(report.warm_hits > 0, "the warm run resumes what it stored");
+            let records = read_jsonl(jsonl.as_bytes()).expect("the sink wrote whole lines");
+            common::assert_log_replays_to(&records, &report);
+        }
         let dir = dir.to_str().expect("temp dir is UTF-8");
         h.bytes(jsonl.replace(dir, "<store>").as_bytes());
     }

@@ -19,7 +19,7 @@ use std::path::PathBuf;
 
 use cobra::machine::{HostAccel, MachineConfig};
 use cobra::rt::telemetry::{read_jsonl, CpuCounterSnapshot, TelemetryEvent, TelemetryRecord};
-use cobra::rt::{AppliedPlan, CobraReport, OptKind, RevertedPlan};
+use cobra::rt::{AppliedPlan, CobraReport, OptKind, RevertedPlan, RunTotals, Strategy};
 use cobra_fleet::proto::{read_frame, write_frame, Request, Response, PROTOCOL_VERSION};
 use cobra_fleet::FleetStats;
 use cobra_store::{
@@ -192,6 +192,15 @@ fn events() -> Vec<TelemetryEvent> {
     use TelemetryEvent::*;
     let (tick, cycle, plan_id, loop_head) = (3, 30_000, 9, 0x40);
     vec![
+        Attach {
+            cycle,
+            machine: "altix8".into(),
+            cpus: 8,
+            strategy: Strategy::ExclHint,
+            candidates: true,
+            osr: false,
+            main_len: 0x600,
+        },
         Quantum {
             tick,
             cycle,
@@ -241,13 +250,30 @@ fn events() -> Vec<TelemetryEvent> {
             phases: 2,
         },
         Deploy {
-            tick,
             cycle,
-            plan_id,
-            kind: OptKind::ExclHint,
-            loop_head,
-            words_patched: 6,
-            trace_entry: Some(0x2_0000),
+            plan: AppliedPlan {
+                plan_id,
+                kind: OptKind::ExclHint,
+                loop_head,
+                description: "prefetch.excl: 6 lfetch -> lfetch.excl".into(),
+                tick,
+                words_patched: 6,
+                trace_entry: Some(0x2_0000),
+                candidate: Some("prefetch.excl.body".into()),
+            },
+        },
+        Deploy {
+            cycle,
+            plan: AppliedPlan {
+                plan_id: plan_id + 1,
+                kind: OptKind::NoPrefetch,
+                loop_head,
+                description: String::new(),
+                tick,
+                words_patched: 1,
+                trace_entry: None,
+                candidate: None,
+            },
         },
         CpiTrial {
             tick,
@@ -259,10 +285,12 @@ fn events() -> Vec<TelemetryEvent> {
             regressed: true,
         },
         Revert {
-            tick,
             cycle,
-            plan_id,
-            reason: "cpi regressed: 2.5 -> 3".into(),
+            plan: RevertedPlan {
+                plan_id,
+                reason: "cpi regressed: 2.5 -> 3".into(),
+                tick,
+            },
         },
         Blacklist {
             tick,
@@ -270,13 +298,18 @@ fn events() -> Vec<TelemetryEvent> {
             loop_head,
         },
         RevertFailed {
-            tick,
             cycle,
-            plan_id,
             loop_head,
             addr: 0x44,
             words_restored: 1,
             detail: "text is read-only".into(),
+            plan: RevertedPlan {
+                plan_id,
+                reason: "cpi regressed: 2.5 -> 3 [revert failed at 68 after 1/6 words: \
+                         text is read-only]"
+                    .into(),
+                tick,
+            },
         },
         DeployFailed {
             tick,
@@ -323,6 +356,18 @@ fn events() -> Vec<TelemetryEvent> {
             cycle,
             loop_head,
             reason: "plan writes outside the loop".into(),
+        },
+        WarmVerdict {
+            tick,
+            cycle,
+            loop_head,
+            hit: true,
+        },
+        WarmVerdict {
+            tick,
+            cycle,
+            loop_head,
+            hit: false,
         },
         WarmStart {
             tick,
@@ -384,13 +429,24 @@ fn events() -> Vec<TelemetryEvent> {
             reason: "map is not a bijection".into(),
         },
         Detach {
-            tick,
             cycle,
-            records_dropped: 0,
-            block_fallback_mem_boundary: 11,
-            block_fallback_sampling: 12,
-            block_horizon_stretches: 13,
-            block_horizon_cycles: 14,
+            totals: RunTotals {
+                ticks: tick,
+                records_dropped: 0,
+                forks: 5,
+                monitors_spawned: 8,
+                samples_forwarded: 6,
+                samples_merged: 7,
+                overhead_cycles: 48,
+                guest_faults: 8,
+                store_skipped_records: 9,
+                block_builds: 10,
+                block_invalidations: 15,
+                block_fallback_mem_boundary: 11,
+                block_fallback_sampling: 12,
+                block_horizon_stretches: 13,
+                block_horizon_cycles: 14,
+            },
         },
     ]
 }

@@ -5,7 +5,9 @@ use cobra::kernels::workload::{execute_plain, Workload};
 use cobra::kernels::{npb, Daxpy, DaxpyParams, PrefetchPolicy};
 use cobra::machine::{Event, Machine, MachineConfig};
 use cobra::omp::{OmpRuntime, Team};
-use cobra::rt::{Cobra, CobraReport, Strategy, TelemetrySink};
+use cobra::rt::{Cobra, Strategy, TelemetrySink};
+
+mod common;
 
 /// Every benchmark binary decodes cleanly and carries the symbols and
 /// structure the optimizer relies on.
@@ -114,35 +116,8 @@ fn cobra_runs_are_deterministic() {
         let report = cobra.detach(&mut m);
         assert!(report.candidates_trialed > 0, "the run drives tournaments");
         let records = log.lock().unwrap().records().to_vec();
-        // One event stream feeds the report and the trace: the log alone
-        // reproduces every counter the report derives from events.
         assert_eq!(report.telemetry_dropped, 0);
-        let mut replayed = CobraReport::default();
-        records.iter().for_each(|r| replayed.observe(&r.event));
-        let derived = |r: &CobraReport| {
-            [
-                ("phase_changes", r.phase_changes),
-                ("undecodable_loops", r.undecodable_loops),
-                ("verify_rejects", r.verify_rejects),
-                ("candidates_trialed", r.candidates_trialed),
-                ("tournaments_promoted", r.tournaments_promoted),
-                ("revert_failures", r.revert_failures),
-                ("deploy_failures", r.deploy_failures),
-                ("osr_rejects", r.osr_rejects),
-                ("osr_migrations", r.osr_migrations),
-                ("osr_reverse_migrations", r.osr_reverse_migrations),
-                ("ticks_to_all_optimized", r.ticks_to_all_optimized),
-                ("fleet_uploads", r.fleet_uploads),
-                ("fleet_seeds", r.fleet_seeds),
-                ("fleet_errors", r.fleet_errors),
-                ("store_errors", r.store_errors),
-                ("store_saved_records", r.store_saved_records),
-                ("warm_started", r.warm_started as u64),
-                ("warm_seeded_decisions", r.warm_seeded_decisions as u64),
-                ("warm_seeded_blacklist", r.warm_seeded_blacklist as u64),
-            ]
-        };
-        assert_eq!(derived(&replayed), derived(&report));
+        common::assert_log_replays_to(&records, &report);
         assert!(report.osr_migrations > 0, "the run migrates mid-loop");
         (format!("{report:?}"), records)
     };
