@@ -127,6 +127,25 @@ mod tests {
         assert_eq!(rrb.pr, 0);
     }
 
+    proptest::proptest! {
+        /// The three bases move in lockstep, so `gr` names the whole state:
+        /// the block engine keys a loop's resolved operands by `rrb.gr`
+        /// alone (`cobra-machine`'s loop traces).
+        #[test]
+        fn bases_stay_in_lockstep(steps in proptest::collection::vec(0u8..8, 0..400)) {
+            let mut rrb = Rrb::default();
+            for step in steps {
+                if step == 0 {
+                    rrb.clear();
+                } else {
+                    rrb.rotate();
+                }
+                proptest::prop_assert_eq!(rrb.fr, rrb.gr);
+                proptest::prop_assert_eq!(rrb.pr, rrb.gr % ROT_PR_SIZE);
+            }
+        }
+    }
+
     #[test]
     fn clear_resets_bases() {
         let mut rrb = Rrb::default();

@@ -20,9 +20,10 @@
 use crate::insn::{Insn, Op, Reg};
 
 /// One source register reference, pre-resolved from the operand fields.
-/// Register numbers are *virtual*; the core still maps them through the
-/// rotating-register bases at execution time (rotation is runtime state and
-/// cannot be baked in at lowering time).
+/// Register numbers are *virtual*: the rotating-register bases are runtime
+/// state, so a micro-op is mapped through them when it issues. (The block
+/// engine does bake the mapping in for the loops it runs most, once per
+/// rotation residue: `cobra-machine`'s loop traces.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SrcReg {
     /// General register read (integer scoreboard).

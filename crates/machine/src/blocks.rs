@@ -16,11 +16,18 @@
 //! is evicted block by block: keeping the blocks a patch did not touch was
 //! measured (142 deployments and 128 reverts in 18 016 ticks) and bought no
 //! host time.
+//!
+//! A block whose last uop is a `br.ctop` or `br.cloop` back edge to one of
+//! its own slots also carries a *loop trace* (`Block::loop_slot`): its
+//! loop part with every register operand resolved to a physical index at
+//! each rotation residue, built the first time a core issues from it and
+//! dropped with the block.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use cobra_isa::insn::Op;
+use cobra_isa::regs::{Rrb, ROT_GR_SIZE, ROT_PR_SIZE};
 use cobra_isa::uop::MicroOp;
 use cobra_isa::{CodeAddr, CodeImage};
 
@@ -56,6 +63,95 @@ pub struct Block {
     /// memory-capable uop itself has distance 0; with no in-block memory op,
     /// `dist_mem[k] == uops.len() - k`.
     pub dist_mem: Box<[u8]>,
+    /// In-block index of the loop head when the block ends in a `br.ctop` /
+    /// `br.cloop` back edge to one of its own slots, else `uops.len()`.
+    loop_head: usize,
+    /// The loop part's [`LoopSlot`]s, residue-major; see [`Self::loop_slot`].
+    loop_trace: OnceLock<Box<[LoopSlot]>>,
+}
+
+/// The dispatch arm of a loop-trace slot: the five interpreter-class
+/// opcodes that carry the software-pipelined loops, and `Other` for the
+/// rest. (`add`, `adds`, `nop` and `br.cloop` have [`OpClass`] arms of
+/// their own, which read the same operands from the uop; a trace arm for
+/// them buys nothing.)
+///
+/// [`OpClass`]: cobra_isa::uop::OpClass
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub(crate) enum LoopKind {
+    Ldfd,
+    Stfd,
+    Lfetch,
+    FmaD,
+    BrCtop,
+    Other,
+}
+
+/// One uop of a loop part at one rotation residue, its register operands
+/// resolved to physical indices (the core's register files are indexed by
+/// them directly). Which field holds which operand depends on `kind`:
+///
+/// | kind      | `d`                  | `a`     | `b`      | `c`       | `imm`     |
+/// |-----------|----------------------|---------|----------|-----------|-----------|
+/// | `Ldfd`    | FR dest              | GR base |          |           | post-inc  |
+/// | `Stfd`    |                      | GR base | FR src   |           | post-inc  |
+/// | `Lfetch`  |                      | GR base |          | `.excl`   | post-inc  |
+/// | `FmaD`    | FR dest              | FR f1   | FR f2    | FR f3     |           |
+/// | `BrCtop`  | p16 after rotating   |         |          |           | target    |
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LoopSlot {
+    pub(crate) kind: LoopKind,
+    /// Qualifying predicate.
+    pub(crate) qp: u8,
+    pub(crate) d: u8,
+    pub(crate) a: u8,
+    pub(crate) b: u8,
+    pub(crate) c: u8,
+    pub(crate) imm: i32,
+}
+
+impl LoopSlot {
+    /// `u` with its operands mapped through the bases `rrb`.
+    fn resolve(u: &MicroOp, rrb: Rrb) -> LoopSlot {
+        let (g, f) = (|r| rrb.map_gr(r), |r| rrb.map_fr(r));
+        let (kind, d, a, b, c, imm) = match u.insn.op {
+            Op::Ldfd {
+                dest,
+                base,
+                post_inc,
+            } => (LoopKind::Ldfd, f(dest), g(base), 0, 0, post_inc),
+            Op::Stfd {
+                src,
+                base,
+                post_inc,
+            } => (LoopKind::Stfd, 0, g(base), f(src), 0, post_inc),
+            Op::Lfetch {
+                base,
+                post_inc,
+                excl,
+                ..
+            } => (LoopKind::Lfetch, 0, g(base), 0, excl as u8, post_inc),
+            Op::FmaD { dest, f1, f2, f3 } => (LoopKind::FmaD, f(dest), f(f1), f(f2), f(f3), 0),
+            Op::BrCtop { target } => {
+                // A taken `br.ctop` writes p16 under the bases it has just
+                // rotated to.
+                let mut next = rrb;
+                next.rotate();
+                (LoopKind::BrCtop, next.map_pr(16), 0, 0, 0, target as i32)
+            }
+            _ => (LoopKind::Other, 0, 0, 0, 0, 0),
+        };
+        LoopSlot {
+            kind,
+            qp: rrb.map_pr(u.insn.qp),
+            d,
+            a,
+            b,
+            c,
+            imm,
+        }
+    }
 }
 
 impl Block {
@@ -84,6 +180,36 @@ impl Block {
     #[inline]
     pub fn mem_free_uops(&self, idx: usize) -> u64 {
         self.dist_mem[idx] as u64
+    }
+
+    /// Is in-block index `idx` in the loop part, from the head to the back
+    /// edge? (Never, when the block does not end in one of its own loops.)
+    #[inline]
+    pub(crate) fn in_loop(&self, idx: usize) -> bool {
+        idx >= self.loop_head
+    }
+
+    /// The loop-trace slot of in-block index `idx` (which [`Self::in_loop`])
+    /// under bases whose `rrb.gr` is `residue`. The GR, FR and PR bases
+    /// rotate in lockstep and `clrrrb` zeroes all three, so `rrb.gr` names
+    /// the whole state: `fr == gr`, `pr == gr % 48`. All 96 residues are
+    /// resolved together, the first time any is asked for.
+    #[inline]
+    pub(crate) fn loop_slot(&self, residue: u8, idx: usize) -> &LoopSlot {
+        let body = &self.uops[self.loop_head..];
+        let trace = self.loop_trace.get_or_init(|| {
+            (0..ROT_GR_SIZE)
+                .flat_map(|r| {
+                    let rrb = Rrb {
+                        gr: r,
+                        fr: r,
+                        pr: r % ROT_PR_SIZE,
+                    };
+                    body.iter().map(move |u| LoopSlot::resolve(u, rrb))
+                })
+                .collect()
+        });
+        &trace[residue as usize * body.len() + (idx - self.loop_head)]
     }
 
     /// Where control can continue one past the last uop of this block.
@@ -277,10 +403,20 @@ impl BlockCache {
             dist_mem[k] = d;
             d += 1;
         }
+        let loop_head = match uops.last().map(|u| u.insn.op) {
+            Some(Op::BrCtop { target } | Op::BrCloop { target })
+                if (entry..addr).contains(&target) =>
+            {
+                (target - entry) as usize
+            }
+            _ => uops.len(),
+        };
         Block {
             start: entry,
             uops: uops.into_boxed_slice(),
             dist_mem: dist_mem.into_boxed_slice(),
+            loop_head,
+            loop_trace: OnceLock::new(),
         }
     }
 
@@ -543,5 +679,56 @@ mod tests {
         assert!(!b.uops.last().unwrap().ends_block());
         let next = cache.get_or_build(&code, b.end());
         assert_eq!(next.start, b.end());
+    }
+
+    /// The trace is one table of these, 96 rows per loop: the size is what
+    /// `peak_rss_mb` was measured with.
+    #[test]
+    fn loop_slot_is_12_bytes() {
+        assert_eq!(std::mem::size_of::<LoopSlot>(), 12);
+    }
+
+    /// A block ending in a back edge to its own middle has a loop part from
+    /// the head, whose operands resolve at each residue to what the bases of
+    /// that residue map them to; a block whose back edge leaves it has none.
+    #[test]
+    fn loop_part_resolves_operands_per_residue() {
+        let code = code_with(|a| {
+            a.movi(5, 9);
+            a.mov_to_lc(5);
+            let top = a.new_label();
+            a.bind(top);
+            a.ldfd(16, 32, 4, 8);
+            a.fma_d(17, 40, 33, 1, 6);
+            a.br_ctop(top);
+            a.hlt();
+        });
+        let mut cache = BlockCache::new();
+        let b = cache.get_or_build(&code, 0);
+        // Slot 2 pads the head to a bundle start.
+        assert!(!b.in_loop(2) && b.in_loop(3) && b.in_loop(5));
+        for r in [0, 1, 47, 48, 95] {
+            let rrb = Rrb {
+                gr: r,
+                fr: r,
+                pr: r % ROT_PR_SIZE,
+            };
+            let (p, f) = (|v| rrb.map_pr(v), |v| rrb.map_fr(v));
+            let s = b.loop_slot(r, 3);
+            let ld = (s.kind, s.qp, s.d, s.a, s.imm);
+            assert_eq!(ld, (LoopKind::Ldfd, p(16), f(32), 4, 8));
+            let s = b.loop_slot(r, 4);
+            let fma = (s.kind, s.qp, s.d, s.a, s.b, s.c);
+            assert_eq!(fma, (LoopKind::FmaD, p(17), f(40), f(33), 1, 6));
+            let mut next = rrb;
+            next.rotate();
+            let s = b.loop_slot(r, 5);
+            let ctop = (s.kind, s.d, s.imm);
+            assert_eq!(ctop, (LoopKind::BrCtop, next.map_pr(16), 3));
+        }
+        // Entered mid-loop (a cursor re-fetched after a patch), the block's
+        // back edge leaves it: no loop part.
+        let tail = cache.get_or_build(&code, 4);
+        assert!(!tail.in_loop(0) && !tail.in_loop(1));
     }
 }

@@ -17,10 +17,10 @@ mod common;
 
 use cobra_isa::insn::{Insn, Op};
 use cobra_isa::{encode, Assembler, CmpRel};
-use cobra_machine::{CoreStatus, Event, HostAccel, Machine, MachineConfig, SamplingConfig};
+use cobra_machine::{CoreStatus, HostAccel, Machine, MachineConfig};
 use common::{
-    assert_equivalent, assert_equivalent_with, boot, sampling, snapshot, LoopParams, Program,
-    BODY_OPS,
+    assert_equivalent, assert_equivalent_with, boot, mem_boundary_program, sampling, snapshot,
+    LoopParams, Program, BODY_OPS,
 };
 use proptest::prelude::*;
 
@@ -45,6 +45,7 @@ fn params_strategy(max_threads: usize) -> impl Strategy<Value = LoopParams> {
                 sampling: sampling(event_sel, period),
                 body,
                 iters,
+                pipelined: false,
             },
         )
 }
@@ -60,11 +61,21 @@ fn lockstep_params_strategy() -> impl Strategy<Value = LoopParams> {
     })
 }
 
+/// The software-pipelined form of [`params_strategy`]: either machine, one
+/// to eight threads, sampling on any of the four gated events or off.
+fn pipelined_strategy() -> impl Strategy<Value = LoopParams> {
+    params_strategy(8).prop_map(|p| LoopParams {
+        pipelined: true,
+        ..p
+    })
+}
+
 /// Run in segments on both engines, patching one body slot between the
-/// first two segments and reverting it (via the returned old word) before
-/// the last — so the block cache sees builds, a patch invalidation possibly
-/// mid-block, and a revert, all mid-run. Every segment's snapshot must
-/// match the reference loop, which has no cache to invalidate.
+/// first two segments, reverting it (via the returned old word) before the
+/// third and appending a trace before the last — so the block cache sees
+/// builds, a patch invalidation possibly mid-block, a revert and a text
+/// that grew, all mid-run. Every segment's snapshot must match the
+/// reference loop, which has no cache to invalidate.
 fn assert_patched_equivalent(p: &LoopParams, seg_budget: u64, patch_off: u32) {
     let (program, body_start, body_end) = p.program();
     let addr = body_start + patch_off % (body_end - body_start);
@@ -85,6 +96,9 @@ fn assert_patched_equivalent(p: &LoopParams, seg_budget: u64, patch_off: u32) {
         let r = m.run(seg_budget);
         snaps.push(snapshot(m, r));
         m.patch_word(addr, old).expect("revert patch is valid");
+        let r = m.run(seg_budget);
+        snaps.push(snapshot(m, r));
+        m.append_trace(&[Insn::new(Op::Hlt)]);
         let r = m.run(seg_budget);
         snaps.push(snapshot(m, r));
         snaps
@@ -173,6 +187,35 @@ proptest! {
     #[test]
     fn lockstep_mid_run_patch_and_revert_match_reference(
         p in lockstep_params_strategy(),
+        seg_budget in 50u64..2000,
+        patch_off in 0u32..16,
+    ) {
+        assert_patched_equivalent(&p, seg_budget, patch_off);
+    }
+
+    /// Software-pipelined `br.ctop` loops — `clrrrb`, rotating registers,
+    /// stage predicates, the `ar.ec` epilogue — issued from their loop
+    /// traces at every rotation residue they reach: cut by a budget that
+    /// mostly lands mid-loop, then run to the end.
+    #[test]
+    fn pipelined_loops_match_reference(
+        p in pipelined_strategy(),
+        budget in 100u64..5000,
+    ) {
+        assert_equivalent_with(&p.cfg(), &p.program().0, |m| {
+            let r = m.run(budget);
+            let cut = snapshot(m, r);
+            let r = m.run(150_000);
+            (cut, snapshot(m, r))
+        });
+    }
+
+    /// Patch, revert and append between segments of pipelined loops, with
+    /// cursors inside a loop trace: each text mutation drops the block and
+    /// its trace, and the core resumes at the same slot and residue.
+    #[test]
+    fn pipelined_patch_revert_and_append_match_reference(
+        p in pipelined_strategy(),
         seg_budget in 50u64..2000,
         patch_off in 0u32..16,
     ) {
@@ -378,39 +421,13 @@ fn fault_in_lockstep_stretch_matches_reference() {
     );
 }
 
-/// The memory-boundary regime NPB runs in: four threads in the tier-1
-/// guest's load/`lfetch`/store loop (`tests/engine_equivalence.rs`), each
-/// prefetching ahead into its neighbours' regions, with HPM sampling
-/// programmed. Most of the run must be interleaved boundary-batch cycles
-/// with coherent traffic, and it must end as the reference does.
+/// The memory-boundary regime NPB runs in ([`mem_boundary_program`]): most
+/// of the run must be interleaved boundary-batch cycles with coherent
+/// traffic, issued from the loop's trace, and it must end as the reference
+/// does.
 #[test]
 fn mem_boundary_4core_matches_reference_in_the_boundary_batch() {
-    let mut a = Assembler::new();
-    let pass = a.new_label();
-    a.bind(pass);
-    a.mov(4, 8); // r4: load pointer
-    a.addi(10, 8, 0x0c00); // r10: prefetch pointer, 64 bytes a step
-    a.addi(11, 8, 0x0800); // r11: store pointer
-    a.movi(5, 200);
-    a.mov_to_lc(5);
-    let mem = a.new_label();
-    a.bind(mem);
-    a.ldfd(0, 6, 4, 8);
-    a.lfetch_nt1(0, 10, 64);
-    a.fma_d(0, 7, 6, 1, 7);
-    a.stfd(0, 7, 11, 8);
-    a.br_cloop(mem);
-    a.br_cond(0, pass); // p0: always taken, the budget ends the run
-    let program = Program {
-        image: a.finish(),
-        threads: (0..4)
-            .map(|cpu| (cpu, 0, vec![0x10000 + cpu as i64 * 0x1000]))
-            .collect(),
-        sampling: Some(SamplingConfig {
-            event: Event::InstRetired,
-            period: 2000,
-        }),
-    };
+    let program = mem_boundary_program();
     let cfg = MachineConfig::smp4();
     let budget = 400_000u64;
     assert_equivalent(&cfg, &program, budget);

@@ -254,6 +254,10 @@ pub struct LoopParams {
     /// [`emit_body_op`] selectors.
     pub body: Vec<u8>,
     pub iters: u64,
+    /// The software-pipelined form: a three-stage `br.ctop` loop over
+    /// rotating registers, shaped as `minicc::emit_stream_loop` emits it
+    /// (see [`Self::program`]); otherwise a `br.cloop` loop.
+    pub pipelined: bool,
 }
 
 impl LoopParams {
@@ -267,6 +271,15 @@ impl LoopParams {
 
     /// The loop program, plus where its body starts and ends (for mid-run
     /// patching).
+    ///
+    /// The pipelined form puts the loop head mid-block, after a prologue
+    /// that clears the rotating bases, sets `lc` and `ec` and primes the
+    /// stage predicates `p16..p18`. Around the random body, stage 1 (`p16`)
+    /// loads into `f32` and computes into `r32`; stage 2 (`p17`) reads both
+    /// a rotation later, as `f33` and `r33`, into `f40` and the static `r7`;
+    /// stage 3 (`p18`) stores `f41` through its own pointer `r12`. The
+    /// body's own registers are static, so they run through the same
+    /// rotation untouched.
     pub fn program(&self) -> (Program, CodeAddr, CodeAddr) {
         let mut a = Assembler::new();
         // r8 = base address (thread argument), r4 = walking pointer.
@@ -275,16 +288,53 @@ impl LoopParams {
             r2: 8,
             r3: 0,
         }));
+        if self.pipelined {
+            a.addi(12, 8, 0x2000);
+            a.emit(Insn::new(Op::Clrrrb));
+        }
         a.movi(5, self.iters as i64);
         a.mov_to_lc(5);
+        if self.pipelined {
+            a.movi(5, 3);
+            a.mov_to_ec(5);
+            a.cmp(16, 17, CmpRel::Eq, 0, 0);
+            a.cmp(18, 15, CmpRel::Ne, 0, 0);
+        }
         let top = a.new_label();
         a.bind(top);
         let body_start = a.here();
+        if self.pipelined {
+            a.ldfd(16, 32, 4, 8);
+            a.emit(Insn::pred(
+                16,
+                Op::AddI {
+                    dest: 32,
+                    src: 6,
+                    imm: 3,
+                },
+            ));
+        }
         for &sel in &self.body {
             emit_body_op(&mut a, sel);
         }
+        if self.pipelined {
+            a.fma_d(17, 40, 33, 1, 6);
+            a.emit(Insn::pred(
+                17,
+                Op::Add {
+                    dest: 7,
+                    r2: 7,
+                    r3: 33,
+                },
+            ));
+            a.stfd(18, 41, 12, 8);
+        }
         let body_end = a.here();
-        a.br_cloop(top);
+        if self.pipelined {
+            a.br_ctop(top);
+        } else {
+            a.br_cloop(top);
+        }
         a.hlt();
         let threads = (0..self.threads.min(self.cfg().num_cpus))
             .map(|cpu| {
@@ -302,6 +352,56 @@ impl LoopParams {
             sampling: self.sampling,
         };
         (program, body_start, body_end)
+    }
+}
+
+/// The memory-boundary regime NPB runs in: on four CPUs, the tier-1 guest's
+/// memory loop (`tests/engine_equivalence.rs`) in passes until the budget
+/// ends — 200 iterations of a three-stage `br.ctop` loop over rotating FRs
+/// and stage predicates that loads through `r4`, prefetches 0xc00 bytes
+/// ahead into the next thread's region through `r10` and stores through
+/// `r11` — with `INST_RETIRED` sampling programmed, as an attached run
+/// leaves it.
+pub fn mem_boundary_program() -> Program {
+    let mut a = Assembler::new();
+    let pass = a.new_label();
+    a.bind(pass);
+    a.mov(4, 8);
+    a.addi(10, 8, 0x0c00);
+    a.addi(11, 8, 0x0800);
+    a.emit(Insn::new(Op::Clrrrb));
+    a.movi(5, 199);
+    a.mov_to_lc(5);
+    a.movi(5, 3);
+    a.mov_to_ec(5);
+    a.cmp(16, 17, CmpRel::Eq, 0, 0);
+    a.cmp(18, 15, CmpRel::Ne, 0, 0);
+    let mem = a.new_label();
+    a.bind(mem);
+    a.ldfd(16, 32, 4, 8);
+    a.emit(Insn::pred(
+        16,
+        Op::Lfetch {
+            base: 10,
+            post_inc: 64,
+            hint: LfetchHint::Nt1,
+            excl: false,
+        },
+    ));
+    a.fma_d(17, 40, 33, 1, 7);
+    a.fma_d(17, 7, 33, 1, 7);
+    a.stfd(18, 41, 11, 8);
+    a.br_ctop(mem);
+    a.br_cond(0, pass); // p0: always taken, the budget ends the run
+    Program {
+        image: a.finish(),
+        threads: (0..4)
+            .map(|cpu| (cpu, 0, vec![0x10000 + cpu as i64 * 0x1000]))
+            .collect(),
+        sampling: Some(SamplingConfig {
+            event: Event::InstRetired,
+            period: 2000,
+        }),
     }
 }
 
@@ -344,7 +444,8 @@ pub struct Snapshot {
     /// captures taken since.
     pub overflows: Vec<Vec<OverflowCapture>>,
     pub dear: Vec<Option<DearRecord>>,
-    /// Per CPU: status, pc, r4..=r11, f6 bits, f8 bits.
+    /// Per CPU: status, pc, r4..=r11 and r32..=r33 (read through the
+    /// rotation, so the bases show), f6 bits, f8 bits.
     pub regs: Vec<(CoreStatus, CodeAddr, Vec<i64>, u64, u64)>,
     /// Data memory below [`MEM_SPAN`].
     pub mem_words: Vec<u64>,
@@ -374,7 +475,7 @@ pub fn snapshot(m: &mut Machine, result: RunResult) -> Snapshot {
                 (
                     c.status,
                     c.pc,
-                    (4..=11).map(|r| c.gr(r)).collect(),
+                    (4..=11).chain(32..=33).map(|r| c.gr(r)).collect(),
                     c.fr(6).to_bits(),
                     c.fr(8).to_bits(),
                 )

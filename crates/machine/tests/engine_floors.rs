@@ -2,7 +2,7 @@
 //!
 //! Each test first requires both engines to end in the same state, then
 //! compares min-of-N host time. A ratio of host times means nothing in a
-//! debug build, so all three are `#[ignore]`d and CI runs them in release,
+//! debug build, so all four are `#[ignore]`d and CI runs them in release,
 //! one step per floor:
 //! `cargo test --release -p cobra-machine --test engine_floors -- --ignored <name>`.
 
@@ -16,7 +16,7 @@ use cobra_isa::Assembler;
 use cobra_machine::{
     AccessKind, CpuStats, Event, HostAccel, Hpm, MachineConfig, MemSystem, SamplingConfig,
 };
-use common::{boot, snapshot, Program, Snapshot};
+use common::{boot, mem_boundary_program, snapshot, Program, Snapshot};
 
 /// Time `pass` `reps` times per engine and return `(reference, fast)`
 /// minima, having asserted that every run of `pass` ends in the same state.
@@ -166,5 +166,28 @@ fn snoop_miss_fast_path_within_1_10x_reference() {
     assert!(
         ratio <= 1.10,
         "snoop skip must not slow down the miss path: {reference:?} reference vs {fast:?} fast"
+    );
+}
+
+/// The memory-boundary batch, where nearly all of an NPB run's cycles go:
+/// four cores in the tier-1 guest's software-pipelined `br.ctop` loop
+/// ([`mem_boundary_program`]: `ldfd`, `lfetch`, two `fma.d`, `stfd` over
+/// rotating FRs and stage predicates), `INST_RETIRED` sampling on every CPU.
+/// Every core sits within an issue cycle or two of a memory uop, so no
+/// horizon opens: the fast engine interleaves the cores per cycle, issuing
+/// the loop from its trace, where the reference re-fetches, re-maps and
+/// re-matches every slot.
+#[test]
+#[ignore = "wall-clock floor: run in release by name"]
+fn mem_boundary4_ctop_dispatch_at_least_1_1x_reference() {
+    let program = mem_boundary_program();
+    let (reference, fast) = engine_pair_min_of(5, |accel| timed_run(&program, accel, 300_000));
+    let ratio = reference.as_secs_f64() / fast.as_secs_f64();
+    println!(
+        "memory-boundary ctop dispatch: {ratio:.2}x ({reference:?} per-cycle vs {fast:?} boundary batch)"
+    );
+    assert!(
+        ratio >= 1.1,
+        "memory-boundary dispatch must be >= 1.1x the per-cycle reference, got {ratio:.2}x"
     );
 }

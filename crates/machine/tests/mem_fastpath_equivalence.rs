@@ -27,7 +27,8 @@ proptest! {
 
     /// Whole-machine equivalence: the fast engine and the reference produce
     /// bit-identical simulations on both evaluation machines, over the op
-    /// mix that adds atomics, `.bias` loads and `.excl` prefetches.
+    /// mix that adds atomics, `.bias` loads and `.excl` prefetches, in
+    /// `br.cloop` loops and software-pipelined `br.ctop` ones.
     #[test]
     fn memsys_matches_reference(
         altix in any::<bool>(),
@@ -36,6 +37,7 @@ proptest! {
         period in 50u64..1500,
         body in prop::collection::vec(0u8..11, 1..8),
         iters in 1u64..48,
+        pipelined in any::<bool>(),
     ) {
         let p = LoopParams {
             altix,
@@ -44,6 +46,7 @@ proptest! {
             sampling: Some(SamplingConfig { event: Event::CpuCycles, period }),
             body: body.iter().map(|&sel| MEM_MIX[sel as usize]).collect(),
             iters,
+            pipelined,
         };
         assert_equivalent(&p.cfg(), &p.program().0, 150_000);
     }

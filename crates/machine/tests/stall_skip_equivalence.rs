@@ -38,6 +38,7 @@ fn stall_loop(
         sampling: sampling(event_sel % 3, period),
         body: body.iter().map(|&sel| STALL_MIX[sel as usize]).collect(),
         iters,
+        pipelined: false,
     }
 }
 

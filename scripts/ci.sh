@@ -74,7 +74,8 @@ build-test() {
   # interpreter's hand-written `sources_ready` and `execute`, and the one
   # that holds a core's cursor to the text's stamp (in-crate: all private);
   # and one of the three guest fetches outside the image that must fault
-  # the thread on both engines, not panic the host.
+  # the thread on both engines, not panic the host; and the proptest of
+  # software-pipelined loops, which runs loop traces across rotation residues.
   has() {
     local target=(--test "$2")
     [[ $2 == --lib ]] && target=(--lib)
@@ -86,6 +87,7 @@ build-test() {
   has cobra-machine stall_skip_equivalence stall_heavy_200k_cycles_match_reference
   has cobra-machine stall_skip_equivalence br_ret_to_a_wild_b0_faults_not_panics
   has cobra-machine block_dispatch_equivalence mem_boundary_4core_matches_reference_in_the_boundary_batch
+  has cobra-machine block_dispatch_equivalence pipelined_loops_match_reference
   has cobra-rt e2e_cobra telemetry_overhead_within_five_percent_on_daxpy
   cargo fmt --check
   cargo clippy --workspace --all-targets -- -D warnings
@@ -109,7 +111,7 @@ overflow-checks() {
   cargo test --workspace --profile overflow -q
 }
 
-# The five wall-clock floors. Each is an `#[ignore]`d test that first
+# The six wall-clock floors. Each is an `#[ignore]`d test that first
 # requires the two engines (or nothing, for the overhead budgets) to agree
 # and then compares min-of-N host time, so it only means something in
 # release. One invocation per floor, filtered by cargo's own test filter: a
@@ -121,6 +123,7 @@ floors() {
   ignored() { cargo test -q --release -p "$1" --test "$2" -- --ignored --list | grep ': test$' | sort; }
   diff -u - <(ignored cobra-machine engine_floors) <<'LIST'
 lockstep4_sampled_dispatch_at_least_2x_reference: test
+mem_boundary4_ctop_dispatch_at_least_1_1x_reference: test
 snoop_miss_fast_path_within_1_10x_reference: test
 solo_block_dispatch_at_least_1_5x_reference: test
 LIST
@@ -132,6 +135,7 @@ LIST
   floor cobra-machine engine_floors solo_block_dispatch_at_least_1_5x_reference
   floor cobra-machine engine_floors lockstep4_sampled_dispatch_at_least_2x_reference
   floor cobra-machine engine_floors snoop_miss_fast_path_within_1_10x_reference
+  floor cobra-machine engine_floors mem_boundary4_ctop_dispatch_at_least_1_1x_reference
   floor cobra-rt overhead_floors verify_under_5_percent_of_a_deployment_tick
   floor cobra-rt overhead_floors osr_under_5_percent_of_a_deployment_tick
 }

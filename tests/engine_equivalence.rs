@@ -10,13 +10,16 @@
 //! command always runs.
 
 use cobra::isa::insn::{Insn, Op};
-use cobra::isa::{encode, Assembler, CodeImage};
+use cobra::isa::{encode, Assembler, CmpRel, CodeImage, LfetchHint};
 use cobra::machine::{
     BlockStats, CpuStats, Event, HostAccel, Machine, MachineConfig, OverflowCapture, SamplingConfig,
 };
 
-/// Per thread: a load/`lfetch`/store loop whose prefetches run ahead into
-/// the next thread's region (coherent traffic), an arithmetic loop whose
+/// Per thread: a modulo-scheduled `br.ctop` load/`lfetch`/store loop whose
+/// prefetches run ahead into the next thread's region (coherent traffic) —
+/// three stages over rotating FRs and stage predicates, as `minicc` emits
+/// NPB's loops, so the block engine runs it from its loop trace at every
+/// rotation residue and through the `ar.ec` epilogue — an arithmetic loop whose
 /// body keeps the nearest memory uop (past the loop exit) several issue
 /// cycles away (opens lockstep horizons), then a load/store epilogue of
 /// `r9` extra iterations — only thread 0 gets any, so it finishes alone.
@@ -26,15 +29,29 @@ fn guest() -> CodeImage {
     a.mov(4, 8); // r4: load pointer
     a.addi(10, 8, 0x0c00); // r10: prefetch pointer, 64 bytes a step
     a.addi(11, 8, 0x0800); // r11: store pointer
-    a.movi(5, 200);
+    a.emit(Insn::new(Op::Clrrrb));
+    a.movi(5, 199); // 200 iterations, then two to drain the stages
     a.mov_to_lc(5);
+    a.movi(5, 3);
+    a.mov_to_ec(5);
+    a.cmp(16, 17, CmpRel::Eq, 0, 0);
+    a.cmp(18, 15, CmpRel::Ne, 0, 0);
     let mem = a.new_label();
     a.bind(mem);
-    a.ldfd(0, 6, 4, 8);
-    a.lfetch_nt1(0, 10, 64);
-    a.fma_d(0, 7, 6, 1, 7);
-    a.stfd(0, 7, 11, 8);
-    a.br_cloop(mem);
+    a.ldfd(16, 32, 4, 8); // x
+    a.emit(Insn::pred(
+        16,
+        Op::Lfetch {
+            base: 10,
+            post_inc: 64,
+            hint: LfetchHint::Nt1,
+            excl: false,
+        },
+    ));
+    a.fma_d(17, 40, 33, 1, 7); // y = x + sum, a stage after the load
+    a.fma_d(17, 7, 33, 1, 7); // sum += x
+    a.stfd(18, 41, 11, 8); // y, a stage after it was computed
+    a.br_ctop(mem);
     a.movi(5, 1000);
     a.mov_to_lc(5);
     let arith = a.new_label();
