@@ -22,151 +22,142 @@ pub enum Mesi {
 }
 
 /// A line-address: byte address divided by the line size of the level.
-pub type LineAddr = u64;
+type LineAddr = u64;
 
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    tag: u64,
-    state: Mesi,
-    lru: u64,
-    valid: bool,
+/// The tag of a free way. No line has it: a line address is a byte address
+/// shifted right by at least 6.
+const FREE: LineAddr = LineAddr::MAX;
+
+/// The [`Mesi`] bits of a packed `tick << 2 | state` word.
+const STATE: u64 = 0b11;
+
+#[inline]
+fn state_of(word: u64) -> Mesi {
+    match word & STATE {
+        0 => Mesi::Modified,
+        1 => Mesi::Exclusive,
+        _ => Mesi::Shared,
+    }
 }
 
-impl Slot {
-    const EMPTY: Slot = Slot {
-        tag: 0,
-        state: Mesi::Shared,
-        lru: 0,
-        valid: false,
-    };
-}
-
-/// One set-associative cache level.
+/// One set-associative cache level, stored set-major: way `w` of set `s` is
+/// entry `s * ways + w` of both arrays.
 #[derive(Debug, Clone)]
-pub struct Cache {
-    geom: CacheGeometry,
-    sets: usize,
-    slots: Vec<Slot>, // sets * ways
+struct Cache {
+    set_mask: usize,
+    ways: usize,
+    /// The line each way holds, or [`FREE`].
+    tags: Vec<LineAddr>,
+    /// Each way's `tick << 2 | state`: the tick of its last use and its
+    /// state. Ticks are unique among a set's held ways, so the smallest word
+    /// is the least recently used way. Meaningless in a free way.
+    meta: Vec<u64>,
     tick: u64,
 }
 
 impl Cache {
-    pub fn new(geom: CacheGeometry) -> Self {
+    fn new(geom: CacheGeometry) -> Self {
         let sets = geom.sets();
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         Cache {
-            geom,
-            sets,
-            slots: vec![Slot::EMPTY; sets * geom.ways],
+            set_mask: sets - 1,
+            ways: geom.ways,
+            tags: vec![FREE; sets * geom.ways],
+            meta: vec![0; sets * geom.ways],
             tick: 0,
         }
     }
 
+    /// Entry of the first way of `line`'s set.
     #[inline]
-    fn set_index(&self, line: LineAddr) -> usize {
-        (line as usize) & (self.sets - 1)
+    fn base(&self, line: LineAddr) -> usize {
+        (line as usize & self.set_mask) * self.ways
     }
 
+    /// Entry of the way holding `line`, scanning the set in way order.
     #[inline]
-    fn set_slots(&mut self, line: LineAddr) -> &mut [Slot] {
-        let idx = self.set_index(line);
-        let ways = self.geom.ways;
-        &mut self.slots[idx * ways..(idx + 1) * ways]
+    fn find(&self, line: LineAddr) -> Option<usize> {
+        let base = self.base(line);
+        let set = &self.tags[base..base + self.ways];
+        set.iter().position(|&t| t == line).map(|w| base + w)
+    }
+
+    /// Advance the clock; the new tick, shifted into its packed position.
+    #[inline]
+    fn next_tick(&mut self) -> u64 {
+        self.tick += 1;
+        debug_assert!(self.tick < 1 << 62, "tick overflows its packed word");
+        self.tick << 2
     }
 
     /// Look up a line; updates LRU on hit.
-    pub fn probe(&mut self, line: LineAddr) -> Option<Mesi> {
-        self.tick += 1;
-        let tick = self.tick;
-        let slots = self.set_slots(line);
-        for s in slots.iter_mut() {
-            if s.valid && s.tag == line {
-                s.lru = tick;
-                return Some(s.state);
-            }
-        }
-        None
+    fn probe(&mut self, line: LineAddr) -> Option<Mesi> {
+        let now = self.next_tick();
+        let i = self.find(line)?;
+        self.meta[i] = now | self.meta[i] & STATE;
+        Some(state_of(self.meta[i]))
     }
 
     /// Look up without touching LRU (snoops must not perturb locality).
-    pub fn peek(&self, line: LineAddr) -> Option<Mesi> {
-        let idx = self.set_index(line);
-        let ways = self.geom.ways;
-        self.slots[idx * ways..(idx + 1) * ways]
-            .iter()
-            .find(|s| s.valid && s.tag == line)
-            .map(|s| s.state)
+    fn peek(&self, line: LineAddr) -> Option<Mesi> {
+        self.find(line).map(|i| state_of(self.meta[i]))
     }
 
     /// Change the state of a resident line. Returns false if absent.
-    pub fn set_state(&mut self, line: LineAddr, state: Mesi) -> bool {
-        let slots = self.set_slots(line);
-        for s in slots.iter_mut() {
-            if s.valid && s.tag == line {
-                s.state = state;
-                return true;
-            }
-        }
-        false
+    fn set_state(&mut self, line: LineAddr, state: Mesi) -> bool {
+        let Some(i) = self.find(line) else {
+            return false;
+        };
+        self.meta[i] = self.meta[i] & !STATE | state as u64;
+        true
     }
 
-    /// Insert a line, evicting the LRU victim if the set is full.
-    /// Returns the evicted `(line, state)` if one was displaced.
-    pub fn insert(&mut self, line: LineAddr, state: Mesi) -> Option<(LineAddr, Mesi)> {
-        self.tick += 1;
-        let tick = self.tick;
-        let slots = self.set_slots(line);
-        // Already present: update state in place.
-        for s in slots.iter_mut() {
-            if s.valid && s.tag == line {
-                s.state = state;
-                s.lru = tick;
+    /// Insert a line into the set's first free way, or else in place of its
+    /// least recently used way. Returns the evicted `(line, state)` if one
+    /// was displaced.
+    fn insert(&mut self, line: LineAddr, state: Mesi) -> Option<(LineAddr, Mesi)> {
+        debug_assert_ne!(line, FREE);
+        let word = self.next_tick() | state as u64;
+        let base = self.base(line);
+        let mut free = None;
+        for (w, &tag) in self.tags[base..base + self.ways].iter().enumerate() {
+            if tag == line {
+                // Already present: update state in place.
+                self.meta[base + w] = word;
                 return None;
             }
-        }
-        // Free slot?
-        for s in slots.iter_mut() {
-            if !s.valid {
-                *s = Slot {
-                    tag: line,
-                    state,
-                    lru: tick,
-                    valid: true,
-                };
-                return None;
+            if tag == FREE && free.is_none() {
+                free = Some(base + w);
             }
         }
-        // Evict LRU.
-        let victim = slots
-            .iter_mut()
-            .min_by_key(|s| s.lru)
-            .expect("non-zero associativity");
-        let evicted = (victim.tag, victim.state);
-        *victim = Slot {
-            tag: line,
-            state,
-            lru: tick,
-            valid: true,
+        let (i, evicted) = match free {
+            Some(i) => (i, None),
+            None => {
+                let set = &self.meta[base..base + self.ways];
+                let (w, &lru) = set
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|&(_, &m)| m)
+                    .expect("non-zero associativity");
+                (base + w, Some((self.tags[base + w], state_of(lru))))
+            }
         };
-        Some(evicted)
+        self.tags[i] = line;
+        self.meta[i] = word;
+        evicted
     }
 
     /// Remove a line; returns its previous state.
-    pub fn invalidate(&mut self, line: LineAddr) -> Option<Mesi> {
-        let slots = self.set_slots(line);
-        for s in slots.iter_mut() {
-            if s.valid && s.tag == line {
-                s.valid = false;
-                return Some(s.state);
-            }
-        }
-        None
+    fn invalidate(&mut self, line: LineAddr) -> Option<Mesi> {
+        let i = self.find(line)?;
+        self.tags[i] = FREE;
+        Some(state_of(self.meta[i]))
     }
 }
 
 /// Side effect of a fill that the memory system must turn into bus traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FillEffect {
+pub(crate) enum FillEffect {
     /// A modified line left L3 and must be written back to memory.
     WritebackL3(LineAddr),
     /// A clean line was displaced from L3 (accounting only).
@@ -179,7 +170,7 @@ pub enum FillEffect {
 
 /// Level at which a probe hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HitLevel {
+pub(crate) enum HitLevel {
     L1,
     L2,
     L3,
@@ -190,15 +181,15 @@ pub enum HitLevel {
 /// L1 indexing uses its own (smaller) line size; a coherence line maps to
 /// `l2_line / l1_line` L1 lines which are invalidated together.
 #[derive(Debug, Clone)]
-pub struct PrivateHierarchy {
-    pub l1: Cache,
-    pub l2: Cache,
-    pub l3: Cache,
+pub(crate) struct PrivateHierarchy {
+    l1: Cache,
+    l2: Cache,
+    l3: Cache,
     l1_lines_per_coherence_line: u64,
 }
 
 impl PrivateHierarchy {
-    pub fn new(l1: CacheGeometry, l2: CacheGeometry, l3: CacheGeometry) -> Self {
+    pub(crate) fn new(l1: CacheGeometry, l2: CacheGeometry, l3: CacheGeometry) -> Self {
         assert_eq!(l2.line, l3.line, "L2 and L3 share the coherence line size");
         assert!(l2.line >= l1.line && l2.line.is_multiple_of(l1.line));
         let ratio = (l2.line / l1.line) as u64;
@@ -212,13 +203,18 @@ impl PrivateHierarchy {
 
     /// Authoritative MESI state of a coherence line (from the inclusive L3).
     #[inline]
-    pub fn state(&self, line: LineAddr) -> Option<Mesi> {
+    pub(crate) fn state(&self, line: LineAddr) -> Option<Mesi> {
         self.l3.peek(line)
     }
 
     /// Probe for a load. `fp` loads skip L1; `l1_line` is the L1-granularity
     /// line address of the access (only consulted for integer loads).
-    pub fn probe_load(&mut self, line: LineAddr, l1_line: LineAddr, fp: bool) -> Option<HitLevel> {
+    pub(crate) fn probe_load(
+        &mut self,
+        line: LineAddr,
+        l1_line: LineAddr,
+        fp: bool,
+    ) -> Option<HitLevel> {
         if !fp && self.l1.probe(l1_line).is_some() {
             // L1 presence implies L2/L3 presence (inclusion); refresh LRU.
             self.l2.probe(line);
@@ -232,9 +228,8 @@ impl PrivateHierarchy {
             }
             return Some(HitLevel::L2);
         }
-        if self.l3.probe(line).is_some() {
+        if let Some(state) = self.l3.probe(line) {
             // Refill the inner levels (presence only; state stays in L3).
-            let state = self.l3.peek(line).expect("just probed");
             self.l2.insert(line, state);
             if !fp {
                 self.fill_l1(l1_line);
@@ -250,34 +245,34 @@ impl PrivateHierarchy {
     }
 
     /// Install a coherence line with `state`, maintaining inclusion.
-    /// Returns bus-relevant side effects (L3 writebacks of dirty victims).
-    pub fn fill(
+    /// Returns the bus-relevant side effects, in order: at most one L3
+    /// victim and one counted L2 writeback.
+    pub(crate) fn fill(
         &mut self,
         line: LineAddr,
         state: Mesi,
         into_l1: Option<LineAddr>,
-    ) -> Vec<FillEffect> {
-        let mut effects = Vec::new();
-        if let Some((victim, victim_state)) = self.l3.insert(line, state) {
+    ) -> impl Iterator<Item = FillEffect> {
+        let l3 = self.l3.insert(line, state).map(|(victim, victim_state)| {
             // Back-invalidate inner copies of the displaced line (inclusion).
             self.invalidate_inner(victim);
-            effects.push(if victim_state == Mesi::Modified {
+            if victim_state == Mesi::Modified {
                 FillEffect::WritebackL3(victim)
             } else {
                 FillEffect::EvictClean(victim)
-            });
-        }
+            }
+        });
         // L2 holds presence; a dirty L2 victim's data lands in the inclusive
         // L3 (no bus traffic), but the writeback is still counted.
-        if let Some((victim, _)) = self.l2.insert(line, state) {
-            if self.l3.peek(victim) == Some(Mesi::Modified) {
-                effects.push(FillEffect::WritebackL2(victim));
-            }
-        }
+        let l2 = self
+            .l2
+            .insert(line, state)
+            .filter(|&(victim, _)| self.l3.peek(victim) == Some(Mesi::Modified))
+            .map(|(victim, _)| FillEffect::WritebackL2(victim));
         if let Some(l1_line) = into_l1 {
             self.fill_l1(l1_line);
         }
-        effects
+        [l3, l2].into_iter().flatten()
     }
 
     fn invalidate_inner(&mut self, line: LineAddr) {
@@ -289,13 +284,13 @@ impl PrivateHierarchy {
     }
 
     /// Set the MESI state of a resident line at every level holding it.
-    pub fn set_state(&mut self, line: LineAddr, state: Mesi) {
+    pub(crate) fn set_state(&mut self, line: LineAddr, state: Mesi) {
         self.l3.set_state(line, state);
         self.l2.set_state(line, state);
     }
 
     /// Invalidate a line everywhere; returns its previous coherence state.
-    pub fn invalidate(&mut self, line: LineAddr) -> Option<Mesi> {
+    pub(crate) fn invalidate(&mut self, line: LineAddr) -> Option<Mesi> {
         let prev = self.l3.invalidate(line);
         if prev.is_some() {
             self.invalidate_inner(line);
@@ -311,10 +306,174 @@ impl PrivateHierarchy {
 mod tests {
     use super::*;
     use crate::config::MachineConfig;
+    use proptest::prelude::*;
 
     fn hierarchy() -> PrivateHierarchy {
         let c = MachineConfig::smp4();
         PrivateHierarchy::new(c.l1d, c.l2, c.l3)
+    }
+
+    /// The layout `Cache` had before its two arrays, one 24-byte slot a way:
+    /// the oracle `compact_arrays_match_the_slot_array` holds it to.
+    #[derive(Debug, Clone, Copy)]
+    struct Slot {
+        tag: u64,
+        state: Mesi,
+        lru: u64,
+        valid: bool,
+    }
+
+    struct SlotCache {
+        sets: usize,
+        ways: usize,
+        slots: Vec<Slot>,
+        tick: u64,
+    }
+
+    impl SlotCache {
+        fn new(geom: CacheGeometry) -> Self {
+            let empty = Slot {
+                tag: 0,
+                state: Mesi::Shared,
+                lru: 0,
+                valid: false,
+            };
+            SlotCache {
+                sets: geom.sets(),
+                ways: geom.ways,
+                slots: vec![empty; geom.sets() * geom.ways],
+                tick: 0,
+            }
+        }
+
+        fn set_slots(&mut self, line: LineAddr) -> &mut [Slot] {
+            let idx = (line as usize) & (self.sets - 1);
+            &mut self.slots[idx * self.ways..(idx + 1) * self.ways]
+        }
+
+        fn find(&mut self, line: LineAddr) -> Option<&mut Slot> {
+            self.set_slots(line)
+                .iter_mut()
+                .find(|s| s.valid && s.tag == line)
+        }
+
+        fn probe(&mut self, line: LineAddr) -> Option<Mesi> {
+            self.tick += 1;
+            let tick = self.tick;
+            let s = self.find(line)?;
+            s.lru = tick;
+            Some(s.state)
+        }
+
+        fn peek(&mut self, line: LineAddr) -> Option<Mesi> {
+            self.find(line).map(|s| s.state)
+        }
+
+        fn set_state(&mut self, line: LineAddr, state: Mesi) -> bool {
+            self.find(line).map(|s| s.state = state).is_some()
+        }
+
+        fn insert(&mut self, line: LineAddr, state: Mesi) -> Option<(LineAddr, Mesi)> {
+            self.tick += 1;
+            let lru = self.tick;
+            let fresh = Slot {
+                tag: line,
+                state,
+                lru,
+                valid: true,
+            };
+            if let Some(s) = self.find(line) {
+                *s = fresh;
+                return None;
+            }
+            let slots = self.set_slots(line);
+            if let Some(s) = slots.iter_mut().find(|s| !s.valid) {
+                *s = fresh;
+                return None;
+            }
+            let victim = slots.iter_mut().min_by_key(|s| s.lru).unwrap();
+            let evicted = (victim.tag, victim.state);
+            *victim = fresh;
+            Some(evicted)
+        }
+
+        fn invalidate(&mut self, line: LineAddr) -> Option<Mesi> {
+            let s = self.find(line)?;
+            s.valid = false;
+            Some(s.state)
+        }
+    }
+
+    /// Every way holds the same line, state and tick in both layouts, and
+    /// the ticks of a set's held ways are distinct (so "smallest packed
+    /// word" and "first least recently used slot" name the same way).
+    fn assert_same_ways(c: &Cache, r: &SlotCache) {
+        for (i, s) in r.slots.iter().enumerate() {
+            let held = s.valid.then_some((s.tag, s.lru << 2 | s.state as u64));
+            let got = (c.tags[i] != FREE).then_some((c.tags[i], c.meta[i]));
+            assert_eq!(got, held, "way entry {i}");
+        }
+        for set in r.slots.chunks(r.ways) {
+            let mut ticks: Vec<u64> = set.iter().filter(|s| s.valid).map(|s| s.lru).collect();
+            let held = ticks.len();
+            ticks.sort_unstable();
+            ticks.dedup();
+            assert_eq!(ticks.len(), held, "a tick repeats within a set");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// Random op sequences give the same return values from the two
+        /// arrays as from the slot array, and leave the same ways.
+        #[test]
+        fn compact_arrays_match_the_slot_array(
+            sets in prop_oneof![Just(1usize), Just(2), Just(4)],
+            ways in prop_oneof![Just(1usize), Just(2), Just(4), Just(8), Just(12)],
+            ops in prop::collection::vec((0u8..8, any::<u64>(), 0usize..3), 1..400),
+        ) {
+            let geom = CacheGeometry {
+                size: sets * ways * 128,
+                ways,
+                line: 128,
+                hit_latency: 1,
+            };
+            let (mut c, mut r) = (Cache::new(geom), SlotCache::new(geom));
+            // Twice the capacity: sets fill, evict, and refill after
+            // invalidates.
+            let pool = 2 * (sets * ways) as u64;
+            for (op, raw, state) in ops {
+                let line = raw % pool;
+                let state = [Mesi::Modified, Mesi::Exclusive, Mesi::Shared][state];
+                match op {
+                    0..=2 => prop_assert_eq!(c.insert(line, state), r.insert(line, state)),
+                    3 | 4 => prop_assert_eq!(c.probe(line), r.probe(line)),
+                    5 => prop_assert_eq!(c.peek(line), r.peek(line)),
+                    6 => prop_assert_eq!(c.set_state(line, state), r.set_state(line, state)),
+                    _ => prop_assert_eq!(c.invalidate(line), r.invalidate(line)),
+                }
+                assert_same_ways(&c, &r);
+            }
+        }
+    }
+
+    #[test]
+    fn a_way_costs_16_bytes() {
+        let c = Cache::new(MachineConfig::smp4().l3);
+        let bytes = size_of_val(&c.tags[..]) + size_of_val(&c.meta[..]);
+        assert_eq!(bytes, 16 * c.tags.len());
+    }
+
+    #[test]
+    fn each_l3_array_stays_under_the_mmap_threshold() {
+        // glibc's default mmap threshold, 128 KiB (what benchmark/run.sh
+        // pins): below it a new machine's arrays reuse freed heap memory
+        // instead of faulting in fresh pages.
+        for cfg in [MachineConfig::smp4(), MachineConfig::altix8()] {
+            let c = Cache::new(cfg.l3);
+            assert!(size_of_val(&c.tags[..]) <= 128 << 10, "{}", cfg.name);
+            assert!(size_of_val(&c.meta[..]) <= 128 << 10, "{}", cfg.name);
+        }
     }
 
     #[test]
@@ -360,7 +519,7 @@ mod tests {
         c.insert(7, Mesi::Shared);
         assert_eq!(c.insert(7, Mesi::Modified), None);
         assert_eq!(c.peek(7), Some(Mesi::Modified));
-        assert_eq!(c.slots.iter().filter(|s| s.valid).count(), 1);
+        assert_eq!(c.tags.iter().filter(|&&t| t != FREE).count(), 1);
     }
 
     #[test]
@@ -369,7 +528,7 @@ mod tests {
         let line = 10u64;
         let l1_line = line * 2;
         assert_eq!(h.probe_load(line, l1_line, true), None);
-        h.fill(line, Mesi::Exclusive, None);
+        let _ = h.fill(line, Mesi::Exclusive, None);
         // FP load hits in L2 after a fill.
         assert_eq!(h.probe_load(line, l1_line, true), Some(HitLevel::L2));
         // Integer load misses L1 first time (we filled without L1), hits L2,
@@ -383,7 +542,7 @@ mod tests {
         let mut h = hierarchy();
         let line = 99u64;
         let l1_line = line * 2;
-        h.fill(line, Mesi::Modified, Some(l1_line));
+        let _ = h.fill(line, Mesi::Modified, Some(l1_line));
         assert_eq!(h.state(line), Some(Mesi::Modified));
         assert_eq!(h.invalidate(line), Some(Mesi::Modified));
         assert_eq!(h.state(line), None);
@@ -412,10 +571,10 @@ mod tests {
             },
             tiny,
         );
-        assert!(h.fill(1, Mesi::Modified, None).is_empty());
-        assert!(h.fill(2, Mesi::Shared, None).is_empty());
-        let effects = h.fill(3, Mesi::Exclusive, None);
-        assert_eq!(effects, vec![FillEffect::WritebackL3(1)]);
+        assert_eq!(h.fill(1, Mesi::Modified, None).count(), 0);
+        assert_eq!(h.fill(2, Mesi::Shared, None).count(), 0);
+        let effects: Vec<_> = h.fill(3, Mesi::Exclusive, None).collect();
+        assert_eq!(effects, [FillEffect::WritebackL3(1)]);
         // The displaced line must be gone from every level (inclusion).
         assert_eq!(h.state(1), None);
         assert_eq!(h.l2.peek(1), None);
@@ -424,7 +583,7 @@ mod tests {
     #[test]
     fn set_state_applies_to_both_coherent_levels() {
         let mut h = hierarchy();
-        h.fill(5, Mesi::Exclusive, None);
+        let _ = h.fill(5, Mesi::Exclusive, None);
         h.set_state(5, Mesi::Shared);
         assert_eq!(h.l3.peek(5), Some(Mesi::Shared));
         assert_eq!(h.l2.peek(5), Some(Mesi::Shared));

@@ -6,7 +6,7 @@
 //! timing-modelled simulator with
 //!
 //! * per-CPU private L1D/L2/L3 hierarchies with **MESI** coherence
-//!   ([`cache`], [`memsys`]),
+//!   (`cache`, [`memsys`]),
 //! * a **snooping bus** with occupancy/queueing so prefetch storms create
 //!   real contention ([`bus`]),
 //! * a **cc-NUMA** mode: 2-CPU nodes, first-touch page placement, fat-tree
@@ -23,7 +23,7 @@
 
 pub mod blocks;
 pub mod bus;
-pub mod cache;
+mod cache;
 pub mod config;
 pub mod core;
 pub mod events;
@@ -34,7 +34,7 @@ pub mod redirect;
 
 pub use blocks::{Block, BlockCache, BlockStats, FallbackReason};
 pub use bus::Bus;
-pub use cache::{Cache, HitLevel, Mesi, PrivateHierarchy};
+pub use cache::Mesi;
 pub use config::{CacheGeometry, HostAccel, MachineConfig, Topology};
 pub use core::{Core, CoreStatus, FaultInfo};
 pub use events::{CpuStats, Event, ALL_EVENTS, NUM_EVENTS};

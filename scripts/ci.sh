@@ -57,8 +57,8 @@ build-test() {
   local pubs
   pubs=$(grep -rhE '^\s*pub (fn|struct|enum|const|mod|type|trait|use|static)' crates/*/src src | wc -l)
   echo "pub items in crates/*/src + src: $pubs"
-  if ((pubs > 787)); then
-    echo "the pub surface grew past 787" >&2
+  if ((pubs > 769)); then
+    echo "the pub surface grew past 769" >&2
     return 1
   fi
   cargo build --release --workspace
@@ -75,7 +75,9 @@ build-test() {
   # that holds a core's cursor to the text's stamp (in-crate: all private);
   # and one of the three guest fetches outside the image that must fault
   # the thread on both engines, not panic the host; and the proptest of
-  # software-pipelined loops, which runs loop traces across rotation residues.
+  # software-pipelined loops, which runs loop traces across rotation residues;
+  # and the oracle that holds the cache's two arrays to the slot array they
+  # replaced, way for way.
   has() {
     local target=(--test "$2")
     [[ $2 == --lib ]] && target=(--lib)
@@ -84,6 +86,7 @@ build-test() {
   has cobra-machine --lib core::tests::lowered_sources_are_the_registers_the_reference_waits_on
   has cobra-machine --lib core::tests::execute_writes_exactly_the_defs_of_the_operand_table
   has cobra-machine --lib core::tests::any_text_mutation_retires_a_held_cursor_and_the_next_fetch_lowers_the_new_words
+  has cobra-machine --lib cache::tests::compact_arrays_match_the_slot_array
   has cobra-machine stall_skip_equivalence stall_heavy_200k_cycles_match_reference
   has cobra-machine stall_skip_equivalence br_ret_to_a_wild_b0_faults_not_panics
   has cobra-machine block_dispatch_equivalence mem_boundary_4core_matches_reference_in_the_boundary_batch
