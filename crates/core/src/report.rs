@@ -22,7 +22,6 @@ pub struct AppliedPlan {
     pub trace_entry: Option<CodeAddr>,
     /// Tournament candidate name (trial, promoted winner, or warm-resumed
     /// winner); `None` for classic one-shot deployments.
-    #[serde(default)]
     pub candidate: Option<String>,
 }
 
@@ -61,102 +60,57 @@ pub struct CobraReport {
     /// refused by a failing writer.
     pub telemetry_dropped: u64,
     /// Guest memory faults taken by working threads over the run.
-    #[serde(default)]
     pub guest_faults: u64,
     /// Whether the optimizer warm-started from a persisted snapshot.
-    #[serde(default)]
     pub warm_started: bool,
     /// Prior decisions seeded into the optimizer at warm start.
-    #[serde(default)]
     pub warm_seeded_decisions: usize,
     /// Prior blacklist entries seeded at warm start.
-    #[serde(default)]
     pub warm_seeded_blacklist: usize,
     /// Seeded decisions confirmed by the live profile and fast-tracked.
-    #[serde(default)]
     pub warm_hits: u64,
     /// Seeded decisions contradicted by the live profile and dropped.
-    #[serde(default)]
     pub warm_mismatches: u64,
     /// Hot loops skipped because a body word no longer decodes.
-    #[serde(default)]
     pub undecodable_loops: u64,
     /// Plans or warm seeds rejected by the `cobra-verify` deploy gate
     /// (each rejection blacklists its loop or drops its seed).
-    #[serde(default)]
     pub verify_rejects: u64,
     /// Damaged store records skipped while loading the snapshot.
-    #[serde(default)]
     pub store_skipped_records: u64,
     /// Store load/save failures (each degrades gracefully and is counted).
-    #[serde(default)]
     pub store_errors: u64,
     /// Records in the snapshot saved at detach (0 when no store configured).
-    #[serde(default)]
     pub store_saved_records: u64,
     /// Reverts that failed mid-restore on the live image (each one stops
     /// the revert and poisons its loop — never panics).
-    #[serde(default)]
     pub revert_failures: u64,
     /// Deployments that failed mid-apply and were rolled back.
-    #[serde(default)]
     pub deploy_failures: u64,
     /// Tournament candidate trials completed (deploy + revert pairs).
-    #[serde(default)]
     pub candidates_trialed: u64,
     /// Tournaments that ended by promoting a winner.
-    #[serde(default)]
     pub tournaments_promoted: u64,
-    /// Pre-decoded basic blocks lowered by the dispatch engine.
-    #[serde(default)]
-    pub block_builds: u64,
-    /// Block-cache invalidation rounds forced by patch/revert/append.
-    #[serde(default)]
-    pub block_invalidations: u64,
-    /// Cycles the fast engine ran one at a time instead of in a stretch
-    /// (sum of the per-reason counters below).
-    #[serde(default)]
-    pub block_fallback_cycles: u64,
-    /// Fallback cycles at a lockstep multicore memory boundary (no safe
-    /// horizon: some running core sits at or near a memory-capable uop).
-    #[serde(default)]
-    pub block_fallback_mem_boundary: u64,
-    /// Fallback cycles at an HPM sampling crossing.
-    #[serde(default)]
-    pub block_fallback_sampling: u64,
-    /// Lockstep multicore stretches executed by the block engine.
-    #[serde(default)]
-    pub block_horizon_stretches: u64,
-    /// Machine cycles covered by lockstep multicore stretches.
-    #[serde(default)]
-    pub block_horizon_cycles: u64,
     /// Detach snapshots uploaded to the fleet aggregation server.
-    #[serde(default)]
     pub fleet_uploads: u64,
     /// Warm seeds obtained from the fleet server at attach.
-    #[serde(default)]
     pub fleet_seeds: u64,
     /// Fleet requests that failed (each degraded to local store, then
     /// cold — counted, telemetered, never fatal).
-    #[serde(default)]
     pub fleet_errors: u64,
     /// Back edges diverted into a freshly deployed trace version by armed
     /// OSR redirects (mid-loop forward migrations).
-    #[serde(default)]
     pub osr_migrations: u64,
     /// Back edges diverted out of a reverted trace clone back to the
     /// original body (mid-loop reverse migrations).
-    #[serde(default)]
     pub osr_reverse_migrations: u64,
     /// Deployments whose OSR state mapping `cobra-verify::check_osr_map`
     /// could not prove; each degraded to entry-only transfer.
-    #[serde(default)]
     pub osr_rejects: u64,
     /// Summed ticks from each version transfer (deploy or revert) until
     /// every thread ran the intended version — the time-to-optimized
     /// metric. Tracked whether or not OSR is armed, so `.osr(false)` runs
     /// report the entry-only convergence time for comparison.
-    #[serde(default)]
     pub ticks_to_all_optimized: u64,
 }
 
@@ -236,14 +190,6 @@ impl CobraReport {
                 self.overhead_cycles = t.overhead_cycles;
                 self.guest_faults = t.guest_faults;
                 self.store_skipped_records = t.store_skipped_records;
-                self.block_builds = t.block_builds;
-                self.block_invalidations = t.block_invalidations;
-                self.block_fallback_cycles =
-                    t.block_fallback_mem_boundary + t.block_fallback_sampling;
-                self.block_fallback_mem_boundary = t.block_fallback_mem_boundary;
-                self.block_fallback_sampling = t.block_fallback_sampling;
-                self.block_horizon_stretches = t.block_horizon_stretches;
-                self.block_horizon_cycles = t.block_horizon_cycles;
             }
             E::Attach { .. }
             | E::Quantum { .. }
@@ -361,52 +307,5 @@ mod tests {
         assert!(r.summary().contains("2 reverts"));
         assert_eq!(r.reverted, [reverted(1, 5), reverted(2, 6)]);
         assert_eq!(r.revert_failures, 1);
-    }
-
-    /// Reports serialized before `guest_faults` existed must
-    /// still deserialize (the fields default to 0).
-    #[test]
-    fn old_reports_without_new_fields_still_load() {
-        let mut old = serde_json::to_value(&CobraReport {
-            samples_forwarded: 7,
-            ..CobraReport::default()
-        })
-        .expect("serializes");
-        if let serde::Value::Object(fields) = &mut old {
-            fields.retain(|(k, _)| {
-                k != "guest_faults"
-                    && !k.starts_with("warm_")
-                    && !k.starts_with("store_")
-                    && k != "undecodable_loops"
-                    && k != "verify_rejects"
-                    && !k.starts_with("block_")
-                    && !k.starts_with("fleet_")
-                    && k != "revert_failures"
-                    && k != "deploy_failures"
-                    && k != "candidates_trialed"
-                    && k != "tournaments_promoted"
-                    && !k.starts_with("osr_")
-                    && k != "ticks_to_all_optimized"
-            });
-        } else {
-            panic!("report serializes to an object");
-        }
-        let r: CobraReport = serde_json::from_value(&old).expect("tolerant deserialize");
-        assert_eq!(r.samples_forwarded, 7);
-        assert_eq!(r.guest_faults, 0);
-        assert!(!r.warm_started);
-        assert_eq!(r.warm_hits, 0);
-        assert_eq!(r.store_skipped_records, 0);
-        assert_eq!(r.fleet_uploads, 0);
-        assert_eq!(r.fleet_seeds, 0);
-        assert_eq!(r.fleet_errors, 0);
-        assert_eq!(r.block_builds, 0);
-        assert_eq!(r.block_fallback_cycles, 0);
-        assert_eq!(r.block_fallback_mem_boundary, 0);
-        assert_eq!(r.block_horizon_stretches, 0);
-        assert_eq!(r.osr_migrations, 0);
-        assert_eq!(r.osr_reverse_migrations, 0);
-        assert_eq!(r.osr_rejects, 0);
-        assert_eq!(r.ticks_to_all_optimized, 0);
     }
 }

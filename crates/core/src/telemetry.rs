@@ -324,12 +324,6 @@ pub struct RunTotals {
     pub overhead_cycles: u64,
     pub guest_faults: u64,
     pub store_skipped_records: u64,
-    pub block_builds: u64,
-    pub block_invalidations: u64,
-    pub block_fallback_mem_boundary: u64,
-    pub block_fallback_sampling: u64,
-    pub block_horizon_stretches: u64,
-    pub block_horizon_cycles: u64,
 }
 
 impl TelemetryEvent {

@@ -105,8 +105,8 @@ pub struct MachineConfig {
 /// equivalence suites under `tests/`, each of which runs one against the
 /// other.
 ///
-/// Every config constructor ([`MachineConfig::smp`] and friends) reads the
-/// one environment override, `COBRA_HOST_ACCEL=reference|fast`.
+/// Every config constructor ([`MachineConfig::smp`] and friends) builds
+/// [`HostAccel::Fast`]; [`MachineConfig::with_host_accel`] selects the other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum HostAccel {
     /// The per-cycle, per-access oracle: [`crate::Machine::step`] every
@@ -132,31 +132,6 @@ impl HostAccel {
     pub fn reference() -> Self {
         Self::Reference
     }
-
-    /// Parse a `COBRA_HOST_ACCEL` value: exactly `reference` or `fast`.
-    fn parse(value: &str) -> Result<Self, String> {
-        match value {
-            "reference" => Ok(Self::Reference),
-            "fast" => Ok(Self::Fast),
-            other => Err(format!(
-                "COBRA_HOST_ACCEL={other:?} is not an engine: accepted values are \
-                 `reference` and `fast`"
-            )),
-        }
-    }
-
-    /// The engine `COBRA_HOST_ACCEL` names, [`Self::Fast`] when it is unset.
-    ///
-    /// # Panics
-    /// On any other value: a misspelt override must not silently test the
-    /// default engine.
-    fn from_env() -> Self {
-        match std::env::var("COBRA_HOST_ACCEL") {
-            Ok(value) => Self::parse(&value).unwrap_or_else(|e| panic!("{e}")),
-            Err(std::env::VarError::NotPresent) => Self::Fast,
-            Err(e) => panic!("COBRA_HOST_ACCEL: {e}"),
-        }
-    }
 }
 
 impl MachineConfig {
@@ -165,11 +140,8 @@ impl MachineConfig {
         Self::smp(4)
     }
 
-    /// An SMP with `n` CPUs on one front-side bus.
-    ///
-    /// # Panics
-    /// Like every constructor, when `COBRA_HOST_ACCEL` is set to anything
-    /// but `reference` or `fast`.
+    /// An SMP with `n` CPUs on one front-side bus, simulated by the default
+    /// engine, [`HostAccel::Fast`].
     pub fn smp(n: usize) -> Self {
         MachineConfig {
             name: format!("smp{n}"),
@@ -209,7 +181,7 @@ impl MachineConfig {
             fp_latency: 4,
             fp_long_latency: 30,
             mem_bytes: 64 << 20,
-            host_accel: HostAccel::from_env(),
+            host_accel: HostAccel::Fast,
         }
     }
 
@@ -353,21 +325,6 @@ mod tests {
             let back: MachineConfig = serde_json::from_value(&v).expect("round trip");
             assert_eq!(back.host_accel, accel);
             assert_eq!(back.num_cpus, cfg.num_cpus);
-        }
-    }
-
-    /// `COBRA_HOST_ACCEL` accepts exactly its two values; anything else —
-    /// empty, a typo, the old flag grammar — is an error naming them.
-    #[test]
-    fn host_accel_parsing() {
-        assert_eq!(HostAccel::parse("reference"), Ok(HostAccel::Reference));
-        assert_eq!(HostAccel::parse("fast"), Ok(HostAccel::Fast));
-        for bad in ["", "refrence", "Fast", "reference,fast", "stall_skip=0"] {
-            let err = HostAccel::parse(bad).expect_err(bad);
-            assert!(
-                err.contains("`reference`") && err.contains("`fast`"),
-                "{err}"
-            );
         }
     }
 }

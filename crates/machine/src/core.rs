@@ -938,7 +938,9 @@ impl Core {
                     return self.raise_fault(shared, now, pc, addr);
                 }
                 let old = shared.mem.read_u64(addr) as i64;
-                shared.mem.write_u64(addr, (old + inc as i64) as u64);
+                shared
+                    .mem
+                    .write_u64(addr, old.wrapping_add(inc as i64) as u64);
                 let out = shared.memsys.access(
                     &mut shared.stats,
                     &mut shared.hpm,

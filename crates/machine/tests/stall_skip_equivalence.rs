@@ -192,6 +192,40 @@ fn fetchadd_out_of_bounds_faults_not_panics() {
     assert_faults_at(m, (-16i64) as u64);
 }
 
+/// `fetchadd8` wraps like every other integer op: adding one to a word that
+/// holds `i64::MAX` leaves `i64::MIN` on both engines, not a host overflow
+/// panic.
+#[test]
+fn fetchadd_at_i64_max_wraps_not_panics() {
+    let image = {
+        let mut a = Assembler::new();
+        a.movi(4, 0x1000);
+        // `movi` cannot encode `i64::MAX`: shift all-ones right by one.
+        a.movi(5, -1);
+        a.emit(Insn::new(Op::ShrI {
+            dest: 5,
+            src: 5,
+            count: 1,
+        }));
+        a.st8(0, 5, 4, 0);
+        a.emit(Insn::new(Op::FetchAdd8 {
+            dest: 7,
+            base: 4,
+            inc: 1,
+        }));
+        a.hlt();
+        a.finish()
+    };
+    let snap = assert_equivalent(&MachineConfig::smp4(), &Program::new(image, 1), 10_000);
+    assert!(snap.result.halted && !snap.result.faulted);
+    assert_eq!(
+        snap.regs[0].2[3],
+        i64::MAX,
+        "r7 holds the word before the add"
+    );
+    assert_eq!(snap.mem_words[0x1000 / 8], i64::MIN as u64);
+}
+
 #[test]
 fn cmpxchg_out_of_bounds_faults_not_panics() {
     let m = faulting_machine(|a| {

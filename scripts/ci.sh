@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The gates, one function per CI job: `.github/workflows/ci.yml` runs
 # `scripts/ci.sh <job>` and so can anyone with a checkout — nothing here
-# needs the network. Every job body is cargo invocations; the four
+# needs the network. Every job body is cargo invocations; the five
 # deleted-name greps, the `pub` census, the two named-test list pins and the
 # benchmark/run.sh loop are the only shell. A test target runs once per
 # profile in an `all` pass: the two `--workspace` lines (`build-test` plain,
@@ -15,8 +15,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export CARGO_NET_OFFLINE=true
 
-JOBS=(build-test reference-host-accel overflow-checks floors benchmark-builds
-      tournament-determinism decisions-pinned)
+JOBS=(build-test overflow-checks floors benchmark-builds tournament-determinism
+      decisions-pinned)
 
 build-test() {
   # crossbeam and parking_lot were shims with one user each (the telemetry
@@ -51,6 +51,14 @@ build-test() {
     echo "a second writer or reader of the run's account is back" >&2
     return 1
   fi
+  # The account is the guest's: the engine's own counters stay on
+  # `Machine::block_stats()`, out of the report and the trace, so both
+  # engines write the same report. Nothing reads the environment: a test
+  # that wants the other engine says `with_host_accel`.
+  if grep -rnE 'COBRA_HOST_ACCEL|env::var|block_(builds|invalidations|fallback|horizon)' crates/*/src src tests; then
+    echo "an engine counter in the run's account, or an environment read, is back" >&2
+    return 1
+  fi
   # The surface census (ROADMAP 7c): every `pub` item names a caller outside
   # its own crate's tests. The count only goes down; a PR that needs a new
   # item deletes one or raises this number on purpose, in its diff.
@@ -77,7 +85,8 @@ build-test() {
   # the thread on both engines, not panic the host; and the proptest of
   # software-pipelined loops, which runs loop traces across rotation residues;
   # and the oracle that holds the cache's two arrays to the slot array they
-  # replaced, way for way.
+  # replaced, way for way; and the two pins that run NPB `mg` under COBRA on
+  # both engines against one recorded digest per arm.
   has() {
     local target=(--test "$2")
     [[ $2 == --lib ]] && target=(--lib)
@@ -92,16 +101,10 @@ build-test() {
   has cobra-machine block_dispatch_equivalence mem_boundary_4core_matches_reference_in_the_boundary_batch
   has cobra-machine block_dispatch_equivalence pipelined_loops_match_reference
   has cobra-rt e2e_cobra telemetry_overhead_within_five_percent_on_daxpy
+  has cobra decision_pin coarse_quantum_decisions_are_those_of_the_recorded_commit
+  has cobra decision_pin tournament_decisions_are_those_of_the_recorded_commit
   cargo fmt --check
   cargo clippy --workspace --all-targets -- -D warnings
-}
-
-# The fast engine is the default; this job pins the full workspace suite to
-# the per-cycle, per-access reference engine so it stays green on its own.
-# COBRA_HOST_ACCEL accepts exactly `reference` or `fast`; anything else
-# panics at config construction, so a typo here cannot pass.
-reference-host-accel() {
-  COBRA_HOST_ACCEL=reference cargo test --workspace -q
 }
 
 # Every suite again with overflow-checked arithmetic — any u64 wrap hidden

@@ -13,9 +13,9 @@ use serde_json::Value;
 /// the stream's high-volume records count the same moments a second time,
 /// and the timelines and the totals they add up to (`ticks`, the three
 /// sample and overhead sums) are held to them. Nothing in the stream counts
-/// `forks`, `monitors_spawned`, `guest_faults`, `store_skipped_records` or
-/// the `block_*` totals twice: a `Detach` that leaves one of those out is
-/// caught by the untraced `decision_pin` digests, not here.
+/// `forks`, `monitors_spawned`, `guest_faults` or `store_skipped_records`
+/// twice: a `Detach` that leaves one of those out is caught by the untraced
+/// `decision_pin` digests, not here.
 pub fn assert_log_replays_to(records: &[TelemetryRecord], report: &CobraReport) {
     assert_eq!(report.telemetry_records, records.len() as u64);
     let mut replayed = CobraReport::default();

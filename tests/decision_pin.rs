@@ -1,27 +1,18 @@
 //! A pinned decision sequence: one NPB kernel on `smp4`, attached four ways,
-//! with one FNV-1a digest per run over everything the optimizer's decisions
+//! with one FNV-1a digest per arm over everything the optimizer's decisions
 //! reach — the report, the final data memory, the saved store file and (for
-//! the traced run) the JSONL trace. `cobra_runs_are_deterministic` checks
-//! that a run repeats itself; this checks that it repeats the run of the
-//! commit the constants were recorded on (`4ef88f4`), so a refactor of the
-//! decision path that moves one plan id, one event or one stored byte fails
-//! tier-1. Change a constant only with a change that is meant to move guest
-//! behaviour or stored bytes, and say so in that PR. (The two tournament
-//! constants were re-recorded once since, by the PR that made detach fold:
-//! the store file gained one age line per decided head and
-//! `store_saved_records` counts them; with that field, the file and the
-//! `StoreSave` event masked, both runs digested as at `4ef88f4`. All four
-//! were re-recorded once more by the PR that made the text's own stamp the
-//! only invalidation of lowered blocks: a patch now drops every cached block
-//! where it dropped the ones covering the slot, so the report's
-//! `block_builds` / `block_invalidations` — host-side counters, the guest
-//! cannot see them — rose; with those two fields masked, all four runs
-//! digested as before it. The traced constant alone was re-recorded by the
-//! PR that made the report the fold of the event stream: the trace gained
-//! `Attach` and `WarmVerdict`, `Deploy` / `Revert` / `RevertFailed` carry
-//! the report's own plan entry and `Detach` the run's totals, and a traced
-//! run is charged for the added records; the three untraced runs digest as
-//! before it.)
+//! the traced arm) the JSONL trace. Every arm runs on both host engines, and
+//! both must digest to the one recorded constant: the report holds nothing
+//! of the engine's own, so this is also the direct check that
+//! `HostAccel::Fast` is `HostAccel::Reference` on real NPB code under COBRA
+//! — tournaments, OSR, the store and the trace included.
+//!
+//! `cobra_runs_are_deterministic` checks that a run repeats itself; this
+//! checks that it repeats the run the constants were recorded from, so a
+//! refactor of the decision path that moves one plan id, one event or one
+//! stored byte fails tier-1. Change a constant only with a change that is
+//! meant to move guest behaviour, stored bytes or what the report and the
+//! trace hold, and say so in that change.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -36,10 +27,13 @@ mod common;
 
 const KERNEL: npb::Benchmark = npb::Benchmark::Mg;
 
-const FIXED_NOPREFETCH_20K: u64 = 0x8a16_bf48_4aa0_d3a8;
-const ADAPTIVE_20K: u64 = 0x14cc_6555_2d1e_c1ec;
-const CANDIDATES_COLD_500: u64 = 0xf822_737d_8968_281b;
-const CANDIDATES_WARM_500_TRACED: u64 = 0x78e6_16cf_1918_c857;
+const FIXED_NOPREFETCH_20K: u64 = 0x8c98_005f_c682_8e64;
+const ADAPTIVE_20K: u64 = 0x0a19_544e_3595_b05e;
+const CANDIDATES_COLD_500: u64 = 0xc799_e4e7_4d0f_c554;
+const CANDIDATES_WARM_500_TRACED: u64 = 0x780e_8e8c_0974_8578;
+
+/// Every arm runs on each, in this order.
+const ENGINES: [HostAccel; 2] = [HostAccel::Fast, HostAccel::Reference];
 
 /// Streaming 64-bit FNV-1a: bytes for text, whole words for data memory.
 struct Fnv(u64);
@@ -77,11 +71,9 @@ struct Arm<'a> {
     traced: bool,
 }
 
-/// Run the kernel under `arm` and digest what it left behind.
-fn digest(arm: &Arm<'_>) -> u64 {
-    // The block counters in the report differ between the two engines (the
-    // guest does not); pin the default one whatever the environment says.
-    let cfg = MachineConfig::smp4().with_host_accel(HostAccel::fast());
+/// Run the kernel under `arm` on `accel` and digest what it left behind.
+fn digest(arm: &Arm<'_>, accel: HostAccel) -> u64 {
+    let cfg = MachineConfig::smp4().with_host_accel(accel);
     let wl = npb::build(KERNEL, &PrefetchPolicy::aggressive(), cfg.mem_bytes);
     let mut m = Machine::new(cfg.clone(), wl.image().clone());
     wl.init(&mut m.shared.mem);
@@ -142,32 +134,40 @@ impl Drop for TempDir {
     }
 }
 
-/// `(constant, recorded, computed)` per run; a failure prints the constants
-/// this run computed, ready to paste.
-fn check(runs: &[(&str, u64, u64)]) {
-    let shown: Vec<String> = runs
+/// `(constant, recorded, computed on each of ENGINES)` per arm; a failure
+/// prints what this run computed: a constant ready to paste where the two
+/// engines agree, both values where they do not.
+fn check(arms: &[(&str, u64, [u64; 2])]) {
+    let shown: Vec<String> = arms
         .iter()
-        .map(|(name, _, got)| format!("const {name}: u64 = {got:#018x};"))
+        .map(|&(name, _, [fast, reference])| {
+            if fast == reference {
+                format!("const {name}: u64 = {fast:#018x};")
+            } else {
+                format!("{name}: Fast {fast:#018x}, Reference {reference:#018x}")
+            }
+        })
         .collect();
     assert!(
-        runs.iter().all(|(_, want, got)| want == got),
+        arms.iter().all(|&(_, want, got)| got == [want; 2]),
         "a decision moved; this run computed:\n{}",
         shown.join("\n")
     );
 }
 
 /// The paper's quantum: a fixed arm and the classic adaptive pick. (Two
-/// tests, so the two pairs of runs share the two test threads.)
+/// tests, so the eight runs share the two test threads.)
 #[test]
 fn coarse_quantum_decisions_are_those_of_the_recorded_commit() {
     let run = |strategy| {
-        digest(&Arm {
+        let arm = Arm {
             strategy,
             quantum: 20_000,
             candidates: false,
             store: None,
             traced: false,
-        })
+        };
+        ENGINES.map(|accel| digest(&arm, accel))
     };
     check(&[
         (
@@ -180,29 +180,39 @@ fn coarse_quantum_decisions_are_those_of_the_recorded_commit() {
 }
 
 /// Tournaments and OSR at a 500-cycle quantum: cold into a fresh store,
-/// then warm from it, the warm run traced.
+/// then warm from it, the warm run traced. Each engine has its own store.
 #[test]
 fn tournament_decisions_are_those_of_the_recorded_commit() {
-    let tmp = TempDir(std::env::temp_dir().join(format!("cobra-pin-{}", std::process::id())));
-    // Process ids come round again: a store an earlier run left under the
-    // same name would turn the cold run warm.
-    let _ = std::fs::remove_dir_all(&tmp.0);
-    std::fs::create_dir_all(&tmp.0).expect("temp store dir");
-    let run = |traced| {
-        digest(&Arm {
-            strategy: Strategy::Adaptive,
-            quantum: 500,
-            candidates: true,
-            store: Some(&tmp.0),
-            traced,
-        })
-    };
+    let [fast, reference] = ENGINES.map(|accel| {
+        let name = format!("cobra-pin-{}-{accel:?}", std::process::id());
+        let tmp = TempDir(std::env::temp_dir().join(name));
+        // Process ids come round again: a store an earlier run left under the
+        // same name would turn the cold run warm.
+        let _ = std::fs::remove_dir_all(&tmp.0);
+        std::fs::create_dir_all(&tmp.0).expect("temp store dir");
+        let run = |traced| {
+            let arm = Arm {
+                strategy: Strategy::Adaptive,
+                quantum: 500,
+                candidates: true,
+                store: Some(&tmp.0),
+                traced,
+            };
+            digest(&arm, accel)
+        };
+        let cold = run(false);
+        (cold, run(true))
+    });
     check(&[
-        ("CANDIDATES_COLD_500", CANDIDATES_COLD_500, run(false)),
+        (
+            "CANDIDATES_COLD_500",
+            CANDIDATES_COLD_500,
+            [fast.0, reference.0],
+        ),
         (
             "CANDIDATES_WARM_500_TRACED",
             CANDIDATES_WARM_500_TRACED,
-            run(true),
+            [fast.1, reference.1],
         ),
     ]);
 }

@@ -440,12 +440,6 @@ fn events() -> Vec<TelemetryEvent> {
                 overhead_cycles: 48,
                 guest_faults: 8,
                 store_skipped_records: 9,
-                block_builds: 10,
-                block_invalidations: 15,
-                block_fallback_mem_boundary: 11,
-                block_fallback_sampling: 12,
-                block_horizon_stretches: 13,
-                block_horizon_cycles: 14,
             },
         },
     ]
@@ -501,16 +495,11 @@ fn report() -> CobraReport {
 }
 
 fn presets() -> [(&'static str, MachineConfig, u64); 2] {
-    // The engine is pinned: the constructors read `COBRA_HOST_ACCEL`.
     [
-        (
-            "machine_smp4.json",
-            MachineConfig::smp4().with_host_accel(HostAccel::Fast),
-            SMP4_FINGERPRINT,
-        ),
+        ("machine_smp4.json", MachineConfig::smp4(), SMP4_FINGERPRINT),
         (
             "machine_altix8.json",
-            MachineConfig::altix8().with_host_accel(HostAccel::Fast),
+            MachineConfig::altix8(),
             ALTIX8_FINGERPRINT,
         ),
     ]
