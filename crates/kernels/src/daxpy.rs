@@ -147,11 +147,10 @@ impl Workload for Daxpy {
     }
 
     fn init(&self, mem: &mut DataMem) {
-        let n = self.params.n();
-        let x: Vec<f64> = (0..n).map(|i| self.x0(i)).collect();
-        let y: Vec<f64> = (0..n).map(|i| self.y0(i)).collect();
-        mem.write_f64_slice(self.x_addr, &x);
-        mem.write_f64_slice(self.y_addr, &y);
+        for i in 0..self.params.n() {
+            mem.write_f64(self.x_addr + 8 * i as u64, self.x0(i));
+            mem.write_f64(self.y_addr + 8 * i as u64, self.y0(i));
+        }
     }
 
     fn run(
@@ -219,6 +218,22 @@ mod tests {
                 assert!(run.cycles > 0);
             }
         }
+    }
+
+    #[test]
+    fn daxpy_verify_rejects_a_perturbed_result() {
+        let cfg = MachineConfig::smp4();
+        let d = Daxpy::build(
+            DaxpyParams::new(32 * 1024, 3),
+            &PrefetchPolicy::aggressive(),
+            cfg.mem_bytes,
+        );
+        let (mut m, _) = execute_plain(&d, &cfg, Team::new(4));
+        let at = d.y_addr() + 8 * 7;
+        let y = m.shared.mem.read_f64(at);
+        m.shared.mem.write_f64(at, f64::from_bits(y.to_bits() ^ 1));
+        let err = d.verify(&m.shared.mem).unwrap_err();
+        assert!(err.starts_with("y[7] = "), "{err}");
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! combined by the host between regions, as an OpenMP reduction clause
 //! would.
 
+use std::sync::{Arc, Mutex};
+
 use cobra_isa::insn::{CmpRel, Insn, Op};
 use cobra_isa::{Assembler, CodeAddr, CodeImage};
 use cobra_machine::{DataMem, Machine};
@@ -25,7 +27,7 @@ use crate::minicc::{
 use crate::workload::{Arena, Workload, WorkloadRun};
 
 /// CG configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CgParams {
     /// Matrix dimension.
     pub n: usize,
@@ -62,6 +64,30 @@ struct Layout {
     partials: u64,
 }
 
+/// What depends only on [`CgParams`]: the CSR matrix, the right-hand side
+/// and the host mirror's solution, built once per process by [`problem`].
+struct CgProblem {
+    rowptr: Vec<i64>,
+    colidx: Vec<i64>,
+    vals: Vec<f64>,
+    b: Vec<f64>,
+    expect_z: Vec<f64>,
+    expect_rho: f64,
+}
+
+/// The shared problem of `params`. The lock is held across the solve, so
+/// threads building the same params at once compute it once.
+fn problem(params: CgParams) -> Arc<CgProblem> {
+    static MEMO: Mutex<Vec<(CgParams, Arc<CgProblem>)>> = Mutex::new(Vec::new());
+    let mut memo = MEMO.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some((_, p)) = memo.iter().find(|(q, _)| *q == params) {
+        return Arc::clone(p);
+    }
+    let p = Arc::new(Cg::solve(params));
+    memo.push((params, Arc::clone(&p)));
+    p
+}
+
 /// A built CG workload.
 pub struct Cg {
     params: CgParams,
@@ -74,26 +100,18 @@ pub struct Cg {
     axpy_z: CodeAddr,
     axpy_r: CodeAddr,
     triad_p: CodeAddr,
-    // host-side matrix + expected solution
-    rowptr: Vec<i64>,
-    colidx: Vec<i64>,
-    vals: Vec<f64>,
-    b: Vec<f64>,
-    expect_z: Vec<f64>,
-    expect_rho: f64,
+    problem: Arc<CgProblem>,
 }
 
 impl Cg {
     pub fn build(params: CgParams, policy: &PrefetchPolicy, mem_bytes: usize) -> Self {
         let n = params.n;
-        let (rowptr, colidx, vals) = Self::make_matrix(params);
-        let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64 * 0.25).collect();
-
+        let problem = problem(params);
         let mut arena = Arena::new(mem_bytes);
         let layout = Layout {
             rowptr: arena.alloc_i64(n + 1),
-            colidx: arena.alloc_i64(colidx.len()),
-            vals: arena.alloc_f64(vals.len()),
+            colidx: arena.alloc_i64(problem.colidx.len()),
+            vals: arena.alloc_f64(problem.vals.len()),
             x: arena.alloc_f64(n),
             p: arena.alloc_f64(n),
             q: arena.alloc_f64(n),
@@ -112,8 +130,6 @@ impl Cg {
         let triad_p = Self::emit_triad(&mut a, "triad_p", policy);
         let image = a.finish();
 
-        let (expect_z, expect_rho) = Self::host_cg(params, &rowptr, &colidx, &vals, &b);
-
         Cg {
             params,
             image,
@@ -124,21 +140,18 @@ impl Cg {
             axpy_z,
             axpy_r,
             triad_p,
-            rowptr,
-            colidx,
-            vals,
-            b,
-            expect_z,
-            expect_rho,
+            problem,
         }
     }
 
-    fn make_matrix(params: CgParams) -> (Vec<i64>, Vec<i64>, Vec<f64>) {
+    /// The random matrix, the right-hand side and the host mirror's
+    /// solution of `params` (a pure function: the seed is fixed).
+    fn solve(params: CgParams) -> CgProblem {
         let n = params.n;
         let mut rng = SmallRng::seed_from_u64(0xC0B7A);
         let mut rowptr = Vec::with_capacity(n + 1);
-        let mut colidx = Vec::new();
-        let mut vals = Vec::new();
+        let mut colidx = Vec::with_capacity(n * params.row_nnz);
+        let mut vals = Vec::with_capacity(n * params.row_nnz);
         rowptr.push(0i64);
         for row in 0..n {
             // Diagonal first (diagonally dominant => CG is stable).
@@ -150,7 +163,16 @@ impl Cg {
             }
             rowptr.push(colidx.len() as i64);
         }
-        (rowptr, colidx, vals)
+        let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64 * 0.25).collect();
+        let (expect_z, expect_rho) = Self::host_cg(params, &rowptr, &colidx, &vals, &b);
+        CgProblem {
+            rowptr,
+            colidx,
+            vals,
+            b,
+            expect_z,
+            expect_rho,
+        }
     }
 
     /// Sparse matvec region: rows `[lo,hi)` of `q = A·p`.
@@ -430,14 +452,17 @@ impl Workload for Cg {
     }
 
     fn init(&self, mem: &mut DataMem) {
-        mem.write_i64_slice(self.layout.rowptr, &self.rowptr);
-        mem.write_i64_slice(self.layout.colidx, &self.colidx);
-        mem.write_f64_slice(self.layout.vals, &self.vals);
-        mem.write_f64_slice(self.layout.x, &self.b);
-        mem.write_f64_slice(self.layout.p, &self.b);
-        mem.write_f64_slice(self.layout.r, &self.b);
-        mem.write_f64_slice(self.layout.q, &vec![0.0; self.params.n]);
-        mem.write_f64_slice(self.layout.z, &vec![0.0; self.params.n]);
+        let (l, pb) = (&self.layout, &*self.problem);
+        mem.write_i64_slice(l.rowptr, &pb.rowptr);
+        mem.write_i64_slice(l.colidx, &pb.colidx);
+        mem.write_f64_slice(l.vals, &pb.vals);
+        mem.write_f64_slice(l.x, &pb.b);
+        mem.write_f64_slice(l.p, &pb.b);
+        mem.write_f64_slice(l.r, &pb.b);
+        for i in 0..self.params.n as u64 {
+            mem.write_f64(l.q + 8 * i, 0.0);
+            mem.write_f64(l.z + 8 * i, 0.0);
+        }
     }
 
     fn run(
@@ -540,7 +565,7 @@ impl Workload for Cg {
 
     fn verify(&self, mem: &DataMem) -> Result<(), String> {
         let z = mem.read_f64_slice(self.layout.z, self.params.n);
-        for (i, (&got, &want)) in z.iter().zip(&self.expect_z).enumerate() {
+        for (i, (&got, &want)) in z.iter().zip(&self.problem.expect_z).enumerate() {
             let tol = 1e-6 * want.abs().max(1.0);
             if (got - want).abs() > tol {
                 return Err(format!("z[{i}] = {got}, expected {want}"));
@@ -549,9 +574,9 @@ impl Workload for Cg {
         // Residual magnitude should match the host mirror's trajectory.
         let r = mem.read_f64_slice(self.layout.r, self.params.n);
         let rho: f64 = r.iter().map(|v| v * v).sum();
-        let tol = 1e-6 * self.expect_rho.abs().max(1e-12);
-        if (rho - self.expect_rho).abs() > tol {
-            return Err(format!("rho = {rho}, expected {}", self.expect_rho));
+        let want = self.problem.expect_rho;
+        if (rho - want).abs() > 1e-6 * want.abs().max(1e-12) {
+            return Err(format!("rho = {rho}, expected {want}"));
         }
         Ok(())
     }
@@ -577,14 +602,64 @@ mod tests {
         for threads in [1, 2, 4] {
             let cg = Cg::build(small(), &PrefetchPolicy::aggressive(), cfg.mem_bytes);
             // Residual must actually shrink (diagonally dominant system).
-            let rho0: f64 = cg.b.iter().map(|v| v * v).sum();
+            let rho0: f64 = cg.problem.b.iter().map(|v| v * v).sum();
             assert!(
-                cg.expect_rho < rho0 * 1e-3,
+                cg.problem.expect_rho < rho0 * 1e-3,
                 "CG failed to converge on host mirror"
             );
             let (_m, run) = execute_plain(&cg, &cfg, Team::new(threads));
             assert!(run.cycles > 0, "threads={threads}");
         }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn the_problem_is_built_once_per_params() {
+        assert!(Arc::ptr_eq(&problem(small()), &problem(small())));
+        assert!(!Arc::ptr_eq(
+            &problem(small()),
+            &problem(CgParams::class_s())
+        ));
+    }
+
+    #[test]
+    fn the_shared_problem_equals_a_fresh_solve_bit_for_bit() {
+        for params in [CgParams::class_s(), small()] {
+            let (shared, fresh) = (problem(params), Cg::solve(params));
+            assert_eq!(shared.rowptr, fresh.rowptr);
+            assert_eq!(shared.colidx, fresh.colidx);
+            assert_eq!(bits(&shared.vals), bits(&fresh.vals));
+            assert_eq!(bits(&shared.b), bits(&fresh.b));
+            assert_eq!(bits(&shared.expect_z), bits(&fresh.expect_z));
+            assert_eq!(shared.expect_rho.to_bits(), fresh.expect_rho.to_bits());
+        }
+    }
+
+    #[test]
+    fn four_threads_building_at_once_share_one_problem() {
+        let got: Vec<Arc<CgProblem>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| problem(CgParams::class_s())))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(got.iter().all(|p| Arc::ptr_eq(p, &got[0])));
+    }
+
+    #[test]
+    fn cg_verify_rejects_a_perturbed_solution() {
+        let cfg = MachineConfig::smp4();
+        let cg = Cg::build(small(), &PrefetchPolicy::aggressive(), cfg.mem_bytes);
+        let (mut m, _) = execute_plain(&cg, &cfg, Team::new(4));
+        let at = cg.layout.z + 8 * 7;
+        let z = m.shared.mem.read_f64(at);
+        // Past the 1e-6 relative tolerance `verify` allows.
+        m.shared.mem.write_f64(at, z + 1e-5 * z.abs().max(1.0));
+        let err = cg.verify(&m.shared.mem).unwrap_err();
+        assert!(err.starts_with("z[7] = "), "{err}");
     }
 
     #[test]

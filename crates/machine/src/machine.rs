@@ -83,10 +83,16 @@ impl DataMem {
         self.write_u64(addr, value.to_bits());
     }
 
+    /// The `words` 8-byte words at `addr`, bounds-checked once.
+    fn words_mut(&mut self, addr: u64, words: usize) -> std::slice::ChunksExactMut<'_, u8> {
+        let a = addr as usize;
+        self.bytes[a..a + 8 * words].chunks_exact_mut(8)
+    }
+
     /// Bulk-initialize a contiguous `f64` array (host-side workload setup).
     pub fn write_f64_slice(&mut self, addr: u64, values: &[f64]) {
-        for (k, &v) in values.iter().enumerate() {
-            self.write_f64(addr + 8 * k as u64, v);
+        for (w, v) in self.words_mut(addr, values.len()).zip(values) {
+            w.copy_from_slice(&v.to_le_bytes());
         }
     }
 
@@ -99,8 +105,8 @@ impl DataMem {
 
     /// Bulk-initialize a contiguous `i64` array.
     pub fn write_i64_slice(&mut self, addr: u64, values: &[i64]) {
-        for (k, &v) in values.iter().enumerate() {
-            self.write_u64(addr + 8 * k as u64, v as u64);
+        for (w, v) in self.words_mut(addr, values.len()).zip(values) {
+            w.copy_from_slice(&v.to_le_bytes());
         }
     }
 }

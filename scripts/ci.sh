@@ -85,8 +85,10 @@ build-test() {
   # the thread on both engines, not panic the host; and the proptest of
   # software-pipelined loops, which runs loop traces across rotation residues;
   # and the oracle that holds the cache's two arrays to the slot array they
-  # replaced, way for way; and the two pins that run NPB `mg` under COBRA on
-  # both engines against one recorded digest per arm.
+  # replaced, way for way; and the check that the CG problem every cell
+  # shares is, bit for bit, the one a fresh solve builds; and the two pins
+  # that run NPB `mg` under COBRA on both engines against one recorded
+  # digest per arm.
   has() {
     local target=(--test "$2")
     [[ $2 == --lib ]] && target=(--lib)
@@ -96,6 +98,7 @@ build-test() {
   has cobra-machine --lib core::tests::execute_writes_exactly_the_defs_of_the_operand_table
   has cobra-machine --lib core::tests::any_text_mutation_retires_a_held_cursor_and_the_next_fetch_lowers_the_new_words
   has cobra-machine --lib cache::tests::compact_arrays_match_the_slot_array
+  has cobra-kernels --lib npb::cgk::tests::the_shared_problem_equals_a_fresh_solve_bit_for_bit
   has cobra-machine stall_skip_equivalence stall_heavy_200k_cycles_match_reference
   has cobra-machine stall_skip_equivalence br_ret_to_a_wild_b0_faults_not_panics
   has cobra-machine block_dispatch_equivalence mem_boundary_4core_matches_reference_in_the_boundary_batch
