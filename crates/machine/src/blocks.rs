@@ -32,19 +32,8 @@ use cobra_isa::uop::MicroOp;
 use cobra_isa::{CodeAddr, CodeImage};
 
 /// Upper bound on block length in slots. Straight-line runs longer than this
-/// are split into consecutive blocks; the cap bounds build latency and lets
-/// [`Block::dist_mem`] be bytes.
+/// are split into consecutive blocks; the cap bounds build latency.
 pub const MAX_BLOCK_SLOTS: usize = 64;
-
-/// Distance value meaning "no memory-capable uop is reachable on this path"
-/// (a mem-free cycle, or a path that ends in `hlt`). Far below `u64::MAX` so
-/// saturating sums of block lengths never wrap.
-const DIST_INF: u64 = u64::MAX / 4;
-
-/// Exploration bound for the cross-block distance fixpoint: at most this
-/// many blocks are discovered per query; successors beyond the frontier
-/// conservatively count as memory-capable at distance 0.
-const DIST_EXPLORE_BLOCKS: usize = 64;
 
 /// One lowered basic block: `uops[k]` is the micro-op at `start + k`.
 #[derive(Debug)]
@@ -56,13 +45,6 @@ pub struct Block {
     /// image end. Empty exactly when `start` is outside the image: there is
     /// nothing to fetch there, and the core that asked faults.
     pub uops: Box<[MicroOp]>,
-    /// `dist_mem[k]` is the straight-line uop distance from slot `start + k`
-    /// to the nearest memory-capable uop at or after it, where the position
-    /// one past the block end counts as memory-capable (the successor block
-    /// is unknown, so it must be assumed to touch memory immediately). A
-    /// memory-capable uop itself has distance 0; with no in-block memory op,
-    /// `dist_mem[k] == uops.len() - k`.
-    pub dist_mem: Box<[u8]>,
     /// In-block index of the loop head when the block ends in a `br.ctop` /
     /// `br.cloop` back edge to one of its own slots, else `uops.len()`.
     loop_head: usize,
@@ -171,17 +153,6 @@ impl Block {
         }
     }
 
-    /// Straight-line uop distance from in-block index `idx` to the nearest
-    /// memory-capable position (see [`Block::dist_mem`]). The lockstep
-    /// scheduler turns this into a cycle bound: at most 3 uops issue per
-    /// cycle, so a uop `d` slots ahead cannot issue before `d / 3` cycles
-    /// from now. [`BlockCache::mem_free_path_uops`] extends this distance
-    /// across block boundaries through statically known branch targets.
-    #[inline]
-    pub fn mem_free_uops(&self, idx: usize) -> u64 {
-        self.dist_mem[idx] as u64
-    }
-
     /// Is in-block index `idx` in the loop part, from the head to the back
     /// edge? (Never, when the block does not end in one of its own loops.)
     #[inline]
@@ -211,67 +182,16 @@ impl Block {
         });
         &trace[residue as usize * body.len() + (idx - self.loop_head)]
     }
-
-    /// Where control can continue one past the last uop of this block.
-    fn past_end(&self, code_len: CodeAddr) -> PastEnd {
-        let last = self.uops.last().expect("blocks are non-empty");
-        if !last.ends_block() {
-            // Cut by the slot cap or the image end: pure fall-through.
-            return if self.end() < code_len {
-                PastEnd::Static([Some(self.end()), None])
-            } else {
-                PastEnd::Unknown
-            };
-        }
-        match last.insn.op {
-            // A halting path issues nothing further (the halting core's own
-            // store-buffer drain is core-local).
-            Op::Hlt => PastEnd::Halt,
-            // Indirect return target: unknowable statically.
-            Op::BrRet => PastEnd::Unknown,
-            // Every direct branch flavour: the taken target plus (all these
-            // forms can fall through, via qp or loop exhaustion) the next
-            // slot. Out-of-image successors count as unknown.
-            Op::BrCond { target }
-            | Op::BrCtop { target }
-            | Op::BrCloop { target }
-            | Op::BrWtop { target }
-            | Op::BrCall { target } => {
-                let fall = (self.end() < code_len).then_some(self.end());
-                if target < code_len {
-                    PastEnd::Static([Some(target), fall])
-                } else if fall.is_some() {
-                    PastEnd::Static([fall, None])
-                } else {
-                    PastEnd::Unknown
-                }
-            }
-            _ => PastEnd::Unknown,
-        }
-    }
-}
-
-/// Static control-flow successors one past a block's end.
-enum PastEnd {
-    /// Direct successors (one or two block entry addresses).
-    Static([Option<CodeAddr>; 2]),
-    /// The block ends in `hlt`: the path issues nothing further.
-    Halt,
-    /// Indirect or out-of-image: must be assumed memory-capable immediately.
-    Unknown,
 }
 
 /// Why machine cycles ran one at a time, cores interleaved, instead of in a
 /// stretch. The breakdown makes the residual per-cycle time attributable: a
-/// hot `MultiCoreMemBoundary` count means the lockstep engine is engaging
-/// but the code is memory-dense; a hot `Sampling` count means HPM overflow
-/// sampling keeps landing crossings.
+/// hot `MultiCoreMemBoundary` count means several cores run together; a hot
+/// `Sampling` count means HPM overflow sampling keeps landing crossings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FallbackReason {
-    /// Two or more cores running and no safe horizon worth a stretch: some
-    /// core sits on (or within a few issue cycles of) a memory-capable uop,
-    /// or an OSR redirect is armed, so the cycles run interleaved — still
-    /// through pre-decoded dispatch.
+    /// Two or more cores Running: the cycles run interleaved in the boundary
+    /// batch, still through pre-decoded dispatch.
     MultiCoreMemBoundary,
     /// A sampled counter may cross its threshold this cycle (or samples an
     /// event with no per-cycle bound), so the cycle runs through the polled
@@ -279,7 +199,8 @@ pub enum FallbackReason {
     Sampling,
 }
 
-/// Telemetry counters of one [`BlockCache`] (surfaced in `CobraReport`).
+/// Telemetry counters of one [`BlockCache`] (read through
+/// `Machine::block_stats`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BlockStats {
     /// Blocks lowered (cache misses).
@@ -291,10 +212,10 @@ pub struct BlockStats {
     pub fallback_mem_boundary: u64,
     /// Fallback cycles at a sampling crossing ([`FallbackReason::Sampling`]).
     pub fallback_sampling: u64,
-    /// Lockstep multicore stretches executed (each covers ≥1 cycle on every
-    /// running core).
+    /// Never written, always zero: the multicore safe-horizon stretch it
+    /// counted is gone. Kept because `benchmark/` reads it.
     pub horizon_stretches: u64,
-    /// Machine cycles covered by lockstep multicore stretches.
+    /// Never written, always zero, as [`Self::horizon_stretches`].
     pub horizon_cycles: u64,
 }
 
@@ -310,11 +231,7 @@ impl BlockStats {
 #[derive(Debug)]
 pub struct BlockCache {
     map: HashMap<CodeAddr, Arc<Block>>,
-    /// Memoized cross-block mem-free distances, keyed by block entry (see
-    /// [`Self::mem_free_path_uops`]), each computed from blocks in `map`.
-    dist_memo: HashMap<CodeAddr, u64>,
-    /// The text stamp ([`CodeImage::generation`]) `map` and `dist_memo`
-    /// were built from.
+    /// The text stamp ([`CodeImage::generation`]) `map` was built from.
     text_generation: u64,
     stats: BlockStats,
 }
@@ -329,7 +246,6 @@ impl BlockCache {
     pub fn new() -> Self {
         BlockCache {
             map: HashMap::new(),
-            dist_memo: HashMap::new(),
             text_generation: 0,
             stats: BlockStats::default(),
         }
@@ -349,13 +265,6 @@ impl BlockCache {
         }
     }
 
-    /// Count one lockstep multicore stretch covering `cycles` machine cycles.
-    #[inline]
-    pub fn note_horizon(&mut self, cycles: u64) {
-        self.stats.horizon_stretches += 1;
-        self.stats.horizon_cycles += cycles;
-    }
-
     /// The block starting at `entry`, building and caching it on a miss —
     /// after dropping everything cached when the text has been mutated since
     /// it was built. An `entry` outside the image yields an empty block
@@ -364,7 +273,6 @@ impl BlockCache {
         if self.text_generation != code.generation() {
             self.stats.invalidations += self.map.len() as u64;
             self.map.clear();
-            self.dist_memo.clear();
             self.text_generation = code.generation();
         }
         if let Some(b) = self.map.get(&entry) {
@@ -391,18 +299,6 @@ impl BlockCache {
                 break;
             }
         }
-        // Backward pass: distance to the nearest memory-capable position,
-        // with the slot one past the block end counting as memory-capable
-        // (unknown successor). Fits in u8 because blocks hold ≤ 64 uops.
-        let mut dist_mem = vec![0u8; uops.len()];
-        let mut d = 1u8; // distance of the last slot to the position past the end
-        for (k, u) in uops.iter().enumerate().rev() {
-            if u.is_mem() {
-                d = 0;
-            }
-            dist_mem[k] = d;
-            d += 1;
-        }
         let loop_head = match uops.last().map(|u| u.insn.op) {
             Some(Op::BrCtop { target } | Op::BrCloop { target })
                 if (entry..addr).contains(&target) =>
@@ -414,161 +310,9 @@ impl BlockCache {
         Block {
             start: entry,
             uops: uops.into_boxed_slice(),
-            dist_mem: dist_mem.into_boxed_slice(),
             loop_head,
             loop_trace: OnceLock::new(),
         }
-    }
-
-    /// Lower bound on the number of uops any execution path starting at
-    /// in-block index `idx` of the block at `entry` can issue before a
-    /// memory-capable uop issues. Unlike [`Block::mem_free_uops`] this
-    /// follows statically known control flow *across* block boundaries —
-    /// every direct branch contributes both its target and its fall-through
-    /// path, a `hlt` terminates its path (the halting core issues nothing
-    /// further), and anything unknowable (indirect `br.ret`, out-of-image
-    /// successors, the exploration bound) counts as memory-capable at
-    /// distance 0. Mem-free cycles reachable from `idx` make the distance
-    /// effectively infinite ([`DIST_INF`]); the caller caps by budget.
-    ///
-    /// The per-entry fixpoint is memoized until the text is mutated, so
-    /// steady-state queries past the block end are one hash lookup per static
-    /// successor (at most two) and allocate nothing — and queries that
-    /// resolve to an in-block memory uop (`b` is the caller's
-    /// cursor block, passed in so the hot path never touches the cache map)
-    /// are a pure array read. A PC outside `b` (an empty block: the fetch
-    /// will fault) is unknowable and counts as 0 too.
-    pub fn mem_free_path_uops(&mut self, code: &CodeImage, b: &Block, idx: usize) -> u64 {
-        let Some(d) = b.dist_mem.get(idx).map(|&d| d as u64) else {
-            return 0;
-        };
-        if idx as u64 + d < b.uops.len() as u64 {
-            return d; // a real in-block memory uop
-        }
-        let tail = (b.uops.len() - idx) as u64;
-        tail.saturating_add(self.dist_from_exit(code, b))
-    }
-
-    /// Distance past the end of `b`: min over its successors' entry
-    /// distances, via a bounded Bellman-Ford fixpoint over the discovered
-    /// block graph. Distances only shrink during relaxation, so the settled
-    /// values are true path minima — never overestimates, which is what the
-    /// lockstep horizon's soundness rests on.
-    fn dist_from_exit(&mut self, code: &CodeImage, b: &Block) -> u64 {
-        enum SuccRef {
-            Known(usize),
-            Open, // unknown / out of image / past the exploration bound: 0
-        }
-        let code_len = code.len();
-        let succs = match b.past_end(code_len) {
-            PastEnd::Halt => return DIST_INF,
-            PastEnd::Unknown => return 0,
-            PastEnd::Static(succs) => succs,
-        };
-        // Steady state: every successor is settled, the answer is their min.
-        let settled = |min: u64, s| Some(min.min(*self.dist_memo.get(s)?));
-        if let Some(d) = succs.iter().flatten().try_fold(DIST_INF, settled) {
-            return d;
-        }
-        // Discover the successor closure, reusing memoized roots wherever
-        // the frontier touches one.
-        let mut entries: Vec<CodeAddr> = Vec::new();
-        let mut index: HashMap<CodeAddr, usize> = HashMap::new();
-        // (in-block mem distance or INF, length, successors, memoized?)
-        let mut nodes: Vec<(u64, u64, Vec<SuccRef>, Option<u64>)> = Vec::new();
-        let mut roots: Vec<SuccRef> = Vec::new();
-        let mut frontier: Vec<(Option<usize>, CodeAddr)> =
-            succs.iter().flatten().map(|&s| (None, s)).collect();
-        let mut cursor = 0usize;
-        while cursor < frontier.len() {
-            let (from, entry) = frontier[cursor];
-            cursor += 1;
-            let slot = if let Some(&j) = index.get(&entry) {
-                SuccRef::Known(j)
-            } else if entries.len() < DIST_EXPLORE_BLOCKS {
-                let j = entries.len();
-                entries.push(entry);
-                index.insert(entry, j);
-                let memo = self.dist_memo.get(&entry).copied();
-                let (base, len, succs) = if memo.is_some() {
-                    (DIST_INF, 0, Vec::new()) // settled: relaxation skips it
-                } else {
-                    let nb = self.get_or_build(code, entry);
-                    let len = nb.uops.len() as u64;
-                    let d0 = nb.dist_mem[0] as u64;
-                    let base = if d0 < len { d0 } else { DIST_INF };
-                    let succs = match nb.past_end(code_len) {
-                        PastEnd::Halt => Vec::new(), // min over nothing: INF
-                        PastEnd::Unknown => vec![SuccRef::Open],
-                        PastEnd::Static(list) => {
-                            let mut v = Vec::new();
-                            for &s in list.iter().flatten() {
-                                frontier.push((Some(j), s));
-                                v.push(SuccRef::Open); // patched below
-                            }
-                            v
-                        }
-                    };
-                    (base, len, succs)
-                };
-                nodes.push((base, len, succs, memo));
-                SuccRef::Known(j)
-            } else {
-                SuccRef::Open
-            };
-            match from {
-                None => roots.push(slot),
-                Some(parent) => {
-                    // Patch the parent's placeholder for this successor.
-                    let succs = &mut nodes[parent].2;
-                    let open = succs
-                        .iter_mut()
-                        .find(|s| matches!(s, SuccRef::Open))
-                        .expect("one placeholder per discovered successor");
-                    *open = slot;
-                }
-            }
-        }
-        // Relax to fixpoint: dist(X) = min(in-block mem, len + min succ).
-        let mut dist: Vec<u64> = nodes
-            .iter()
-            .map(|(_, _, _, memo)| memo.unwrap_or(DIST_INF))
-            .collect();
-        loop {
-            let mut changed = false;
-            for (k, (base, len, succs, memo)) in nodes.iter().enumerate() {
-                if memo.is_some() {
-                    continue;
-                }
-                let past = succs
-                    .iter()
-                    .map(|s| match s {
-                        SuccRef::Known(j) => dist[*j],
-                        SuccRef::Open => 0,
-                    })
-                    .min()
-                    .unwrap_or(DIST_INF);
-                let v = (*base).min(len.saturating_add(past)).min(DIST_INF);
-                if v < dist[k] {
-                    dist[k] = v;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        for (k, e) in entries.iter().enumerate() {
-            self.dist_memo.entry(*e).or_insert(dist[k]);
-        }
-        roots
-            .iter()
-            .map(|s| match s {
-                SuccRef::Known(j) => dist[*j],
-                SuccRef::Open => 0,
-            })
-            .min()
-            .unwrap_or(DIST_INF)
     }
 }
 
@@ -616,53 +360,6 @@ mod tests {
         let again = cache.get_or_build(&code, 0);
         assert!(Arc::ptr_eq(&head, &again));
         assert_eq!(cache.stats().builds, 1);
-    }
-
-    /// `dist_mem` counts uops to the nearest memory-capable position, with
-    /// the slot past the block end treated as memory-capable.
-    #[test]
-    fn dist_mem_annotation_counts_to_nearest_memory_uop() {
-        // addi, addi, ld8, addi, br.cloop — one mem op mid-block.
-        let code = code_with(|a| {
-            a.movi(5, 4);
-            a.mov_to_lc(5);
-            let top = a.new_label();
-            a.bind(top);
-            a.addi(6, 6, 1);
-            a.addi(7, 7, 2);
-            a.ld8(0, 8, 9, 0);
-            a.addi(6, 6, 3);
-            a.br_cloop(top);
-            a.hlt();
-        });
-        let mut cache = BlockCache::new();
-        let head = cache.get_or_build(&code, 0);
-        assert!(
-            head.uops.last().unwrap().ends_block(),
-            "movi..br.cloop in one block"
-        );
-        let mem_idx = head
-            .uops
-            .iter()
-            .position(|u| u.is_mem())
-            .expect("ld8 present");
-        assert_eq!(head.mem_free_uops(mem_idx), 0, "mem uop is distance 0");
-        // Walking backwards from the mem op: distance rises by one per slot.
-        for k in 0..mem_idx {
-            assert_eq!(head.mem_free_uops(k) as usize, mem_idx - k);
-        }
-        // Past the mem op there is no further in-block memory: distance runs
-        // out to one past the block end.
-        for k in (mem_idx + 1)..head.uops.len() {
-            assert_eq!(head.mem_free_uops(k) as usize, head.uops.len() - k);
-        }
-
-        // A mem-free block: every distance is the remaining block length.
-        let tail = cache.get_or_build(&code, head.end());
-        assert!(tail.uops.iter().all(|u| !u.is_mem()));
-        for k in 0..tail.uops.len() {
-            assert_eq!(tail.mem_free_uops(k) as usize, tail.uops.len() - k);
-        }
     }
 
     #[test]

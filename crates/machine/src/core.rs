@@ -405,58 +405,30 @@ impl Core {
         retired
     }
 
-    /// Lower bound on the number of cycles, starting at `now`, during which
-    /// this core *cannot* issue a memory-capable micro-op: the remaining
-    /// stall window plus the issue-rate bound on the path distance to the
-    /// nearest memory-capable uop. At most 3 uops issue per cycle (taken
-    /// branches only shorten issue groups), so a uop `d` slots ahead on
-    /// *every* path issues no earlier than `d / 3` cycles after the core
-    /// resumes. The distance follows statically known branch targets across
-    /// block boundaries ([`crate::BlockCache::mem_free_path_uops`]), so a
-    /// mem-free loop yields an effectively unbounded horizon (the budget
-    /// caps it); indirect targets count as memory-capable at distance 0.
-    ///
-    /// The lockstep scheduler takes the min over all running cores; within
-    /// that horizon no core can touch cross-core-observable state.
-    pub(crate) fn mem_free_cycles(&mut self, shared: &mut Shared, now: u64) -> u64 {
-        let b = self.take_cursor(shared);
-        let idx = (self.pc - b.start) as usize;
-        let d = shared.blocks.mem_free_path_uops(&shared.code, &b, idx);
-        self.cur_block = Some(b);
-        self.resume_at.saturating_sub(now) + d / 3
-    }
-
     /// The one stretch of the block engine: run this core alone on a local
-    /// clock from machine cycle `start` for `horizon` cycles (fewer only when
+    /// clock from machine cycle `start` for `budget` cycles (fewer only when
     /// it leaves `Running`), without returning to the machine loop in
-    /// between. The caller guarantees that nothing the core does inside the
-    /// stretch can be observed by, or depends on, another core:
+    /// between. The caller runs it only while this is the one Running core,
+    /// so nothing the core does inside the stretch can be observed by, or
+    /// depends on, another core: memory uops may issue, and their one
+    /// cross-core effect, snoop stalls, lands on cores that are not running
+    /// and ignore it ([`Self::add_stall`]).
     ///
-    /// * with two or more cores running, `horizon` is a safe horizon — no
-    ///   running core can issue a memory-capable uop within it
-    ///   ([`Self::mem_free_cycles`]), and memory uops are the only class
-    ///   that touches [`crate::DataMem`], the memory system, or another
-    ///   CPU's stalls — so running each core's stretch back-to-back is
-    ///   bit-identical to interleaving them per cycle;
-    /// * with exactly one core running, memory uops may issue: their one
-    ///   cross-core effect, snoop stalls, lands on cores that are not
-    ///   running and ignore it ([`Self::add_stall`]).
-    ///
-    /// In both cases the sampling gate bounds `horizon` so that no sampled
-    /// counter crosses its threshold inside, which makes the skipped
-    /// per-cycle overflow polls no-ops and lets the counters be added in
-    /// bulk; nothing inside a stretch can mutate the program text or the
-    /// block cache except block *builds* (which leave the text's stamp alone);
-    /// and `execute` and the memory system take `now` as a parameter, so
-    /// nothing observes `shared.cycle` until the caller advances it.
+    /// The sampling gate bounds `budget` so that no sampled counter crosses
+    /// its threshold inside, which makes the skipped per-cycle overflow polls
+    /// no-ops and lets the counters be added in bulk; nothing inside a
+    /// stretch can mutate the program text or the block cache except block
+    /// *builds* (which leave the text's stamp alone); and `execute` and the
+    /// memory system take `now` as a parameter, so nothing observes
+    /// `shared.cycle` until the caller advances it.
     ///
     /// Replicates the reference accounting exactly: a Running core earns
     /// `CPU_CYCLES` every cycle, `STALL_CYCLES` on cycles that *begin*
     /// stalled (not the stall-discovery cycle), and stops earning on the
     /// cycle after `hlt` retires or a fault is taken. Returns the number of
     /// cycles consumed.
-    pub(crate) fn run_stretch(&mut self, shared: &mut Shared, start: u64, horizon: u64) -> u64 {
-        let end = start + horizon;
+    pub(crate) fn run_stretch(&mut self, shared: &mut Shared, start: u64, budget: u64) -> u64 {
+        let end = start + budget;
         let mut now = start;
         let mut stalled = 0u64;
         let mut retired = 0u64;

@@ -144,20 +144,6 @@ pub struct RunResult {
     pub faulted: bool,
 }
 
-/// Most interleaved memory-boundary cycles executed per
-/// [`Machine::run_boundary_batch`] before re-checking for an opening
-/// lockstep horizon. Large enough to amortize the per-batch gate and census
-/// work, small enough that a newly mem-free stretch of code is picked up
-/// quickly.
-const BOUNDARY_BATCH: u64 = 64;
-
-/// Smallest lockstep horizon worth running as a stretch: shorter horizons
-/// cost more in per-core stretch setup (cursor, stats flush, clock
-/// reconciliation) than they save over interleaved boundary cycles, which
-/// handle them instead. Purely a performance threshold — any value is
-/// bit-exact.
-const MIN_HORIZON: u64 = 4;
-
 /// How HPM sampling constrains block-engine stretches at the current cycle
 /// (see [`Machine::sampling_gate`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -367,79 +353,35 @@ impl Machine {
         self.end_cycles(n);
     }
 
-    /// Execute one stretch: every Running core runs [`Core::run_stretch`]
-    /// back-to-back on a local clock for the same number of cycles, and the
-    /// machine clock then advances once.
-    ///
-    /// With exactly one running core the stretch spans the whole `budget`
-    /// (already capped by the sampling gate) and may issue memory uops: the
-    /// snoop stalls they raise land on cores that are not running, so the
-    /// tail's one drain discards them exactly as the per-cycle drains would.
-    ///
-    /// With two or more, the stretch spans the **safe horizon** — the min
-    /// over all Running cores of [`Core::mem_free_cycles`], capped by
-    /// `budget` — inside which no core can issue a memory-capable uop, so
-    /// each core's cycles depend only on its own state and the per-cycle
-    /// and back-to-back schedules compute the same function. Snoop stalls
-    /// are provably zero inside the horizon — they accrue only during
-    /// `MemSystem::access` — and none are pending on entry (every other path
-    /// drains them; debug-asserted). Declined (false, no cycle executed, no
-    /// state touched beyond possible block builds) when the horizon is below
-    /// [`MIN_HORIZON`], or while any OSR redirect is armed: redirects divert
-    /// taken branches away from their static targets, so the static memory
-    /// distance is no longer a lower bound.
-    ///
-    /// The clock advances by the longest per-core consumption — cores that
-    /// stay `Running` always consume the full stretch, so this only differs
-    /// when every core halts or faults mid-stretch, exactly matching where
-    /// the reference loop would stop counting.
-    fn run_stretch(&mut self, budget: u64) -> bool {
-        let now = self.shared.cycle;
-        let running = |c: &&Core| c.status == CoreStatus::Running;
-        let solo = self.cores.iter().filter(running).nth(1).is_none();
-        let mut h = budget;
-        if !solo {
-            if !self.shared.redirects.is_empty() {
-                return false;
-            }
-            for i in 0..self.cores.len() {
-                if self.cores[i].status != CoreStatus::Running {
-                    continue;
-                }
-                debug_assert_eq!(
-                    self.shared.memsys.snoop_stall_pending(i),
-                    0,
-                    "snoop stalls must be drained before a lockstep stretch"
-                );
-                h = h.min(self.cores[i].mem_free_cycles(&mut self.shared, now));
-                if h < MIN_HORIZON {
-                    // Too short to amortize the per-core stretch setup — the
-                    // boundary batch runs these cycles interleaved instead
-                    // (still through pre-decoded dispatch, still bit-exact).
-                    return false;
-                }
-            }
-        }
-        let mut max_executed = 0u64;
-        for i in 0..self.cores.len() {
-            if self.cores[i].status == CoreStatus::Running {
-                let executed = self.cores[i].run_stretch(&mut self.shared, now, h);
-                max_executed = max_executed.max(executed);
-            }
-        }
-        if !solo {
-            self.shared.blocks.note_horizon(max_executed);
-        }
-        self.end_cycles(max_executed);
-        true
+    /// The CPU of the one Running core, or `None` when two or more run.
+    fn solo_cpu(&self) -> Option<usize> {
+        let mut running = self
+            .cores
+            .iter()
+            .filter(|c| c.status == CoreStatus::Running);
+        let first = running.next()?;
+        running.next().is_none().then_some(first.cpu)
     }
 
-    /// Run a batch of interleaved memory-boundary cycles — the dominant
-    /// regime in load/store dense guest loops, where horizons collapse to
-    /// zero almost every cycle — counting each against the
-    /// `MultiCoreMemBoundary` fallback reason. Cores issue in CPU order at the
-    /// shared clock through [`Core::issue`], bit-identical to the schedule of
-    /// [`Self::step`], and each cycle pays only for what can change on it:
+    /// Execute one stretch of the solo Running core on `cpu`:
+    /// [`Core::run_stretch`] on a local clock for the whole `budget` (already
+    /// capped by the sampling gate), then one clock advance. The core may
+    /// issue memory uops: the snoop stalls they raise land on cores that are
+    /// not running, so the tail's one drain discards them exactly as the
+    /// per-cycle drains would. The clock advances by the cycles the core
+    /// consumed — the whole budget unless it halts or faults inside, exactly
+    /// where the reference loop would stop counting.
+    fn run_stretch(&mut self, cpu: usize, budget: u64) {
+        let now = self.shared.cycle;
+        let executed = self.cores[cpu].run_stretch(&mut self.shared, now, budget);
+        self.end_cycles(executed);
+    }
+
+    /// Run a batch of interleaved cycles while two or more cores are
+    /// Running, counting each against the `MultiCoreMemBoundary` fallback
+    /// reason. Cores issue in CPU order at the shared clock through
+    /// [`Core::issue`], bit-identical to the schedule of [`Self::step`], and
+    /// each cycle pays only for what can change on it:
     ///
     /// * snoop stalls are drained at the end of a cycle on which the memory
     ///   system raised one, and on no other (every slot is zero);
@@ -451,14 +393,12 @@ impl Machine {
     ///   and reach [`CpuStats`] once, before that poll and before `run` can
     ///   return, as [`Core::run_stretch`] does for a stretch.
     ///
-    /// The batch ends at `budget`, at [`BOUNDARY_BATCH`] cycles (so the
-    /// caller re-checks for an opening horizon), when fewer than two cores
-    /// remain Running (solo/halt handling takes over), or when no Running
-    /// core issued (the stall-skip fast path takes over). Every executed
-    /// cycle is reference-faithful on the shared clock, so stopping at any
-    /// point is safe. Always executes at least one cycle.
+    /// The batch ends at `budget` (≥ 1), when fewer than two cores remain
+    /// Running (the solo stretch or halt handling takes over), or when no
+    /// Running core issued (the stall-skip fast path takes over). Every
+    /// executed cycle is reference-faithful on the shared clock, so stopping
+    /// at any point is safe. Always executes at least one cycle.
     fn run_boundary_batch(&mut self, budget: u64) {
-        let cap = budget.clamp(1, BOUNDARY_BATCH);
         let mut n = 0u64;
         loop {
             let now = self.shared.cycle;
@@ -484,7 +424,7 @@ impl Machine {
             }
             self.shared.cycle += 1;
             n += 1;
-            if n == cap || running < 2 || !issued {
+            if n == budget || running < 2 || !issued {
                 break;
             }
         }
@@ -545,10 +485,11 @@ impl Machine {
     /// skipped in bulk to the earliest wake-up point; a cycle on which a
     /// sampled counter may cross its threshold runs through [`Self::step`]
     /// (the gate bounds every other path so the per-cycle overflow polls it
-    /// skips are provably no-ops); otherwise the running cores execute a
-    /// stretch ([`Self::run_stretch`]) or, when two or more are running and
-    /// no safe horizon opens, a batch of interleaved pre-decoded cycles.
-    /// Results are bit-identical either way (enforced by the
+    /// skips are provably no-ops); otherwise a solo Running core runs a
+    /// stretch of the whole gated budget ([`Self::run_stretch`]), and two or
+    /// more run a batch of interleaved pre-decoded cycles
+    /// ([`Self::run_boundary_batch`]). Results are bit-identical either way
+    /// (enforced by the
     /// `stall_skip_equivalence`, `mem_fastpath_equivalence` and
     /// `block_dispatch_equivalence` suites).
     pub fn run(&mut self, max_cycles: u64) -> RunResult {
@@ -587,12 +528,9 @@ impl Machine {
             // Some core is Running and ready to issue (the stall-skip window
             // was declined), and nothing it does within `budget` cycles can
             // cross a sampling threshold.
-            if !self.run_stretch(budget) {
-                // Memory-boundary regime: horizons are collapsing, so
-                // interleave — but keep dispatching pre-decoded uops, and
-                // batch the cycles so the gate/census/horizon overhead is
-                // paid once per batch, not once per cycle.
-                self.run_boundary_batch(budget);
+            match self.solo_cpu() {
+                Some(cpu) => self.run_stretch(cpu, budget),
+                None => self.run_boundary_batch(budget),
             }
         }
         RunResult {

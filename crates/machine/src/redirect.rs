@@ -17,15 +17,6 @@
 //! path is one length check; armed windows are short (a few quanta until
 //! every thread converges), and entries are per-loop-body small, so a
 //! linear scan beats any index.
-//!
-//! **Lockstep soundness**: the multicore safe-horizon engine bounds each
-//! stretch with *static* branch targets (`BlockCache::dist_from_exit`). A
-//! redirect changes the actual target, so the static memory-distance bound
-//! no longer under-approximates the real path and the horizon would be
-//! unsound. `Machine::run` therefore falls back to interleaved
-//! (reference-faithful) block stepping while any entry is armed; the solo
-//! and interleaved engines re-resolve blocks from the committed PC every
-//! cycle and need no gating.
 
 use cobra_isa::CodeAddr;
 

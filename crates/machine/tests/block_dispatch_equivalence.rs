@@ -3,8 +3,8 @@
 //!
 //! The fast engine executes out of a per-generation micro-op block cache,
 //! with per-opcode-class fused dispatch arms, a stretch that runs a solo
-//! core (or every core inside a safe horizon) back-to-back on a local clock,
-//! and interleaved pre-decoded cycles in between. Like everything else under
+//! core on a local clock, and interleaved pre-decoded cycles (the boundary
+//! batch) whenever two or more cores run. Like everything else under
 //! `HostAccel::Fast` it may only change how fast the simulator runs, never
 //! what it computes: for any program (including predicated forms of every
 //! opcode class), thread placement, HPM sampling configuration, budget
@@ -51,10 +51,10 @@ fn params_strategy(max_threads: usize) -> impl Strategy<Value = LoopParams> {
 }
 
 /// Workloads that keep two to eight cores *running together* — the regime
-/// where the lockstep horizon engages. Sampling stays in the mix: stretches
-/// are then capped by the sampling gate rather than disabled, and must still
-/// be bit-identical.
-fn lockstep_params_strategy() -> impl Strategy<Value = LoopParams> {
+/// the boundary batch runs. Sampling stays in the mix: batches are then
+/// capped by the sampling gate rather than disabled, and must still be
+/// bit-identical.
+fn multicore_params_strategy() -> impl Strategy<Value = LoopParams> {
     params_strategy(8).prop_map(|mut p| {
         p.threads = p.threads.max(2);
         p
@@ -139,34 +139,33 @@ proptest! {
         assert_patched_equivalent(&p, seg_budget, patch_off);
     }
 
-    /// Lockstep multicore stretches: with 2-8 cores running, the horizon
-    /// engine and the per-cycle reference must produce bit-identical
-    /// simulations — down to the MESI state of every touched line in every
-    /// CPU's cache hierarchy.
+    /// Multicore runs: with 2-8 cores running, the boundary batch and the
+    /// per-cycle reference must produce bit-identical simulations — down to
+    /// the MESI state of every touched line in every CPU's cache hierarchy.
     #[test]
-    fn lockstep_multicore_matches_reference(p in lockstep_params_strategy()) {
+    fn multicore_matches_reference(p in multicore_params_strategy()) {
         assert_equivalent(&p.cfg(), &p.program().0, 150_000);
     }
 
-    /// The budget expiring mid-horizon must cut the run at exactly the
+    /// The budget expiring mid-batch must cut the run at exactly the
     /// reference cycle, with every core left in a resumable state.
     #[test]
-    fn lockstep_multicore_matches_reference_at_cutoff(
-        p in lockstep_params_strategy(),
+    fn multicore_matches_reference_at_cutoff(
+        p in multicore_params_strategy(),
         budget in 100u64..3000,
     ) {
         assert_equivalent(&p.cfg(), &p.program().0, budget);
     }
 
     /// `run` in segments of 1..=130 cycles, so a boundary batch ends by
-    /// budget on its 1st, its 64th and its 65th cycle, mid-stall and on a
-    /// HITM cycle. Every segment's snapshot must match: the batch's bulk
-    /// counters are in the per-CPU stats before `run` returns, and a snoop
-    /// stall raised on a batch's last cycle is delivered on that cycle
-    /// (nothing left in `snoop_stalls`).
+    /// budget on its first cycle or any later one, mid-stall and on a HITM
+    /// cycle. Every segment's snapshot must match: the batch's bulk counters
+    /// are in the per-CPU stats before `run` returns, and a snoop stall
+    /// raised on a batch's last cycle is delivered on that cycle (nothing
+    /// left in `snoop_stalls`).
     #[test]
-    fn lockstep_short_run_segments_match_reference(
-        p in lockstep_params_strategy(),
+    fn multicore_short_run_segments_match_reference(
+        p in multicore_params_strategy(),
         segs in prop::collection::vec(1u64..=130, 1..12),
     ) {
         assert_equivalent_with(&p.cfg(), &p.program().0, |m| {
@@ -185,8 +184,8 @@ proptest! {
     /// Patch/revert between run segments while multiple cores sit mid-block:
     /// the cache invalidations must leave every core's cursor coherent.
     #[test]
-    fn lockstep_mid_run_patch_and_revert_match_reference(
-        p in lockstep_params_strategy(),
+    fn multicore_mid_run_patch_and_revert_match_reference(
+        p in multicore_params_strategy(),
         seg_budget in 50u64..2000,
         patch_off in 0u32..16,
     ) {
@@ -368,16 +367,15 @@ fn widened_dispatch_classes_execute_identically() {
     });
 }
 
-/// A fault inside a lockstep stretch: two cores run arithmetic together in
-/// the horizon engine until one of them dereferences a wild pointer. The
-/// fault must surface at the identical cycle and leave the other core
-/// unperturbed, exactly as in the per-cycle reference.
+/// A fault inside a multicore arithmetic loop: two cores run arithmetic
+/// together in the boundary batch until one of them dereferences a wild
+/// pointer. The fault must surface at the identical cycle and leave the
+/// other core unperturbed, exactly as in the per-cycle reference.
 #[test]
-fn fault_in_lockstep_stretch_matches_reference() {
+fn fault_in_multicore_arithmetic_loop_matches_reference() {
     let mut a = Assembler::new();
-    // r4 = thread-argument pointer; a pure-arithmetic counted loop keeps
-    // both cores inside lockstep horizons, then each core loads through
-    // its own pointer.
+    // r4 = thread-argument pointer; a pure-arithmetic counted loop runs on
+    // both cores at once, then each core loads through its own pointer.
     a.emit(Insn::new(Op::Add {
         dest: 4,
         r2: 8,
@@ -387,9 +385,6 @@ fn fault_in_lockstep_stretch_matches_reference() {
     a.mov_to_lc(5);
     let top = a.new_label();
     a.bind(top);
-    // A body long enough that the loop-head horizon clears the engine's
-    // minimum stretch length even though the loop exit leads straight to
-    // a load.
     for k in 0..8 {
         a.addi(6, 6, 1);
         a.addi(7, 7, 2 + k);
@@ -414,10 +409,11 @@ fn fault_in_lockstep_stretch_matches_reference() {
         snapshot(m, r)
     });
     let mut m = boot(&cfg, HostAccel::fast(), &program);
-    m.run(100_000);
-    assert!(
-        m.block_stats().horizon_stretches > 0,
-        "the lockstep engine actually engaged"
+    let r = m.run(100_000);
+    let blocks = m.block_stats();
+    assert_eq!(
+        blocks.fallback_mem_boundary, r.cycles,
+        "every cycle of the run is a boundary-batch cycle: {blocks:?}"
     );
 }
 

@@ -88,16 +88,16 @@ fn solo_block_dispatch_at_least_1_5x_reference() {
     );
 }
 
-/// Lockstep multicore block dispatch: with all four cores running
-/// independent add chains (a full-width, 3 uops/cycle body — the regime
-/// optimized loop code runs in between memory operations) and HPM sampling
-/// programmed on every CPU, as the perfmon driver leaves it during attached
-/// runs, the fast engine's safe-horizon stretches must clear 2x. The
-/// reference polls for overflow on each core every cycle; a stretch is
-/// capped by the sampling gate and polls once.
+/// The boundary batch's arithmetic regime, `compute_dense`'s multicore half:
+/// with all four cores running independent add chains (a full-width,
+/// 3 uops/cycle body — the regime optimized loop code runs in between memory
+/// operations) and HPM sampling programmed on every CPU, as the perfmon
+/// driver leaves it during attached runs, the fast engine's interleaved
+/// batch must clear 1.6x. The reference polls for overflow on each core
+/// every cycle; a batch is capped by the sampling gate and polls once.
 #[test]
 #[ignore = "wall-clock floor: run in release by name"]
-fn lockstep4_sampled_dispatch_at_least_2x_reference() {
+fn arith4_sampled_batch_at_least_1_6x_reference() {
     let mut a = Assembler::new();
     a.movi(4, 1_000_000_000);
     a.mov_to_lc(4);
@@ -116,15 +116,14 @@ fn lockstep4_sampled_dispatch_at_least_2x_reference() {
         ..Program::new(a.finish(), 4)
     };
 
-    let (reference, lockstep) =
-        engine_pair_min_of(5, |accel| timed_run(&program, accel, 1_000_000));
-    let ratio = reference.as_secs_f64() / lockstep.as_secs_f64();
+    let (reference, batch) = engine_pair_min_of(5, |accel| timed_run(&program, accel, 1_000_000));
+    let ratio = reference.as_secs_f64() / batch.as_secs_f64();
     println!(
-        "lockstep multicore dispatch: {ratio:.2}x ({reference:?} per-cycle vs {lockstep:?} lockstep)"
+        "multicore arithmetic batch: {ratio:.2}x ({reference:?} per-cycle vs {batch:?} boundary batch)"
     );
     assert!(
-        ratio >= 2.0,
-        "lockstep multicore dispatch must be >= 2x the per-cycle reference, got {ratio:.2}x"
+        ratio >= 1.6,
+        "the multicore arithmetic batch must be >= 1.6x the per-cycle reference, got {ratio:.2}x"
     );
 }
 
@@ -173,10 +172,9 @@ fn snoop_miss_fast_path_within_1_10x_reference() {
 /// four cores in the tier-1 guest's software-pipelined `br.ctop` loop
 /// ([`mem_boundary_program`]: `ldfd`, `lfetch`, two `fma.d`, `stfd` over
 /// rotating FRs and stage predicates), `INST_RETIRED` sampling on every CPU.
-/// Every core sits within an issue cycle or two of a memory uop, so no
-/// horizon opens: the fast engine interleaves the cores per cycle, issuing
-/// the loop from its trace, where the reference re-fetches, re-maps and
-/// re-matches every slot.
+/// The fast engine interleaves the cores per cycle, issuing the loop from
+/// its trace, where the reference re-fetches, re-maps and re-matches every
+/// slot.
 #[test]
 #[ignore = "wall-clock floor: run in release by name"]
 fn mem_boundary4_ctop_dispatch_at_least_1_1x_reference() {

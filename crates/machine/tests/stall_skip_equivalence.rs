@@ -261,8 +261,8 @@ fn emit_sum_worker(a: &mut Assembler) {
 /// failed, on the same cycle on both engines — never a host panic. CPU 0
 /// enters `body`, which sends its PC to `wild` (`None`: it runs off the end
 /// of the image, so nothing is assembled after it); alone, and then beside
-/// three healthy workers, so that the solo stretch, the lockstep horizon
-/// and the boundary batch each resolve the wild PC. The faulting fetch
+/// three healthy workers, so that the solo stretch and the boundary batch
+/// each resolve the wild PC. The faulting fetch
 /// retires nothing, and the workers finish as they do without CPU 0.
 fn assert_fetch_faults(body: impl Fn(&mut Assembler), wild: Option<CodeAddr>) {
     let mut a = Assembler::new();
