@@ -14,14 +14,20 @@
 //! The acceptor hands each connection to a thread of its own, and that
 //! thread does the whole request: parse the frame, take the lock of the
 //! one shard map the key hashes to (`fnv1a(key) % N`), fold the upload in
-//! place (or build the seed), persist, drop the lock, write the reply.
-//! Keys on different shards fold in parallel; one key's folds are serial
-//! under its shard's lock. Because the fold is commutative and the on-disk
-//! layout is flat (one file per key, written only under the key's lock),
-//! the persisted state is a pure function of the upload multiset:
-//! byte-identical across any shard count, connection interleaving, or
-//! restart point — a property of the fold, not of which thread runs it.
-//! The ingest-determinism tests pin this.
+//! place and persist it, drop the lock, write the reply. A key also holds
+//! at most one seed reply, encoded with its length prefix (`Arc<[u8]>`).
+//! A fetch builds it under the lock only when a fold has dropped it, and
+//! otherwise holds the lock for an `Arc` clone; the reply is one write
+//! after the lock drops. Every fold drops the frame, so a reply is always
+//! what a fresh build writes, and the serve counters count each serve,
+//! not each build. Keys on different shards fold in parallel; one key's
+//! folds are serial under its shard's lock. Because the fold is
+//! commutative and the on-disk layout is flat (one file per key, written
+//! only under the key's lock), the persisted state is a pure function of
+//! the upload multiset: byte-identical across any shard count, connection
+//! interleaving, or restart point. Restart loads each key from its own
+//! `<stem>.jsonl` only, as `Store::load` does, so a copy under another
+//! name is no second key. The ingest tests pin all of this.
 //!
 //! ## Degradation
 //!
@@ -90,11 +96,17 @@ pub struct FleetStats {
 }
 
 /// Shard owning `key` under an `n`-way split: FNV-1a of the key's stable
-/// file stem, modulo `n`. Stable across processes and restarts.
+/// file stem, modulo `n`. Stable across processes and restarts. The stem
+/// (`{image_hash:016x}-{machine_fp:016x}`) is spelled here digit by digit,
+/// not through the formatter: this runs on every request.
 pub fn shard_for(key: &cobra_store::StoreKey, n: usize) -> usize {
-    use std::io::Write as _;
-    let mut stem = [0u8; 33];
-    write!(&mut stem[..], "{key}").expect("a key's stem is 33 bytes");
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut stem = [b'-'; 33];
+    for (half, word) in [key.image_hash, key.machine_fp].into_iter().enumerate() {
+        for (i, digit) in stem[17 * half..17 * half + 16].iter_mut().enumerate() {
+            *digit = HEX[(word >> (60 - 4 * i)) as usize & 0xf];
+        }
+    }
     (cobra_store::fnv1a(&stem) % n.max(1) as u64) as usize
 }
 

@@ -96,6 +96,11 @@ pub enum Response {
 /// room for the prefix, and both leave in a single write, so an unbuffered
 /// socket with `TCP_NODELAY` sends one segment, not two.
 pub fn write_frame<T: Serialize>(w: &mut impl Write, msg: &T) -> Result<(), String> {
+    send_frame(w, &encode_frame(msg)?)
+}
+
+/// One whole frame, length prefix included, as [`write_frame`] sends it.
+pub(crate) fn encode_frame<T: Serialize>(msg: &T) -> Result<Vec<u8>, String> {
     // An upload of one run is about half a kilobyte: no regrowth for it.
     let mut frame = Vec::with_capacity(1024);
     frame.extend_from_slice(&[0; 4]);
@@ -107,7 +112,12 @@ pub fn write_frame<T: Serialize>(w: &mut impl Write, msg: &T) -> Result<(), Stri
         return Err(format!("frame of {len} bytes exceeds {MAX_FRAME_BYTES}"));
     }
     frame[..4].copy_from_slice(&(len as u32).to_be_bytes());
-    w.write_all(&frame)
+    Ok(frame)
+}
+
+/// Send an encoded frame in one write.
+pub(crate) fn send_frame(w: &mut impl Write, frame: &[u8]) -> Result<(), String> {
+    w.write_all(frame)
         .and_then(|()| w.flush())
         .map_err(|e| format!("frame write failed: {e}"))
 }

@@ -14,7 +14,7 @@ use std::time::Duration;
 use cobra_isa::CodeImage;
 use cobra_store::{image_hash, read_snapshot_file, Snapshot, Store, StoreKey};
 
-use crate::proto::{read_frame, write_frame, Request, Response};
+use crate::proto::{encode_frame, read_frame, send_frame, write_frame, Request, Response};
 use crate::{shard_for, FleetStats};
 
 /// How long a connection may sit idle between requests before the server
@@ -90,6 +90,79 @@ struct KeyState {
     /// accumulator stays a pure function of the upload multiset.
     acc: Snapshot,
     image: Option<CodeImage>,
+    /// The seed reply for `acc` and `image` as they stand: built by the
+    /// first fetch after a fold, dropped by the next fold.
+    served: Option<ServedSeed>,
+}
+
+impl KeyState {
+    fn new(acc: Snapshot, image: Option<CodeImage>) -> KeyState {
+        KeyState {
+            acc,
+            image,
+            served: None,
+        }
+    }
+}
+
+/// One key's seed reply: the encoded `Response::Seed` frame, and what
+/// building it withheld, which every serve of the frame counts again.
+struct ServedSeed {
+    frame: Arc<[u8]>,
+    aged_decisions: u64,
+    aged_winners: u64,
+    verify_dropped: u64,
+    served_unverified: u64,
+}
+
+impl ServedSeed {
+    /// Age-filter the accumulator, drop every decision/winner head
+    /// `check_seed` rejects, and encode the reply.
+    fn build(cfg: &FleetConfig, acc: &Snapshot, image: Option<&CodeImage>) -> Result<Self, String> {
+        let (mut seed, aged_decisions, aged_winners) = match cfg.max_age_runs {
+            Some(n) => acc.age_filtered(n),
+            None => (acc.clone(), 0, 0),
+        };
+        let (mut verify_dropped, mut served_unverified) = (0, 0);
+        match image {
+            Some(img) => {
+                let before = seed.decisions.len() + seed.winners.len();
+                seed.decisions
+                    .retain(|d| cobra_verify::check_seed(img, d.loop_head).is_ok());
+                seed.winners
+                    .retain(|w| cobra_verify::check_seed(img, w.loop_head).is_ok());
+                verify_dropped = (before - seed.decisions.len() - seed.winners.len()) as u64;
+            }
+            None => served_unverified = 1,
+        }
+        let frame = encode_frame(&Response::Seed {
+            snapshot: Some(seed),
+        })?;
+        Ok(ServedSeed {
+            frame: frame.into(),
+            aged_decisions,
+            aged_winners,
+            verify_dropped,
+            served_unverified,
+        })
+    }
+
+    /// Count one serve of this frame, as a build for it alone would.
+    fn count(&self, counters: &Counters) {
+        counters
+            .aged_decisions
+            .fetch_add(self.aged_decisions, Ordering::Relaxed);
+        counters
+            .aged_winners
+            .fetch_add(self.aged_winners, Ordering::Relaxed);
+        counters
+            .verify_dropped
+            .fetch_add(self.verify_dropped, Ordering::Relaxed);
+        counters
+            .served_unverified
+            .fetch_add(self.served_unverified, Ordering::Relaxed);
+        counters.seed_hits.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// What the connection threads share. A shard is the keys [`shard_for`]
@@ -102,8 +175,9 @@ struct Shared {
 
 impl Shared {
     /// Lock the shard owning `key`, for one fold-and-persist or one seed
-    /// build. A fold validates before it writes and a seed build only
-    /// reads, so the map is whole even if a thread died holding the lock.
+    /// fetch. A fold validates before it writes and a seed build stores
+    /// its frame only once the frame is whole, so the map is whole even if
+    /// a thread died holding the lock.
     fn shard(&self, key: &StoreKey) -> MutexGuard<'_, HashMap<StoreKey, KeyState>> {
         let shard = &self.shards[shard_for(key, self.shards.len())];
         shard.lock().unwrap_or_else(|e| e.into_inner())
@@ -135,17 +209,23 @@ impl FleetServer {
             shards: (0..shards).map(|_| Mutex::default()).collect(),
         });
 
-        // Warm restart: every persisted key goes to its owning shard.
+        // Warm restart: every persisted key goes to its owning shard. A
+        // key's state is `<stem>.jsonl` and nothing else, as `Store::load`
+        // demands: a copy under another name is not a second key.
         if let Some(dir) = &shared.cfg.dir {
             let counters = &shared.counters;
-            for path in Store::new(dir).snapshot_paths() {
+            let store = Store::new(dir);
+            for path in store.snapshot_paths() {
                 let report = read_snapshot_file(&path, None);
                 let Some(acc) = report.snapshot else { continue };
+                if path != store.path_for(&acc.key) {
+                    continue;
+                }
                 let image = load_image_sidecar(&image_path(dir, &acc.key), acc.key.image_hash);
                 counters.keys.fetch_add(1, Ordering::Relaxed);
                 counters.runs_total.fetch_add(acc.runs, Ordering::Relaxed);
                 let key = acc.key;
-                shared.shard(&key).insert(key, KeyState { acc, image });
+                shared.shard(&key).insert(key, KeyState::new(acc, image));
             }
         }
 
@@ -213,15 +293,20 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
                 return;
             }
         };
-        let resp = match req {
-            Request::Stats => Response::Stats(counters.snapshot(shared.shards.len())),
+        let sent = match req {
+            Request::Stats => write_frame(
+                &mut stream,
+                &Response::Stats(counters.snapshot(shared.shards.len())),
+            ),
             Request::Upload {
                 snapshot,
                 image_words,
-            } => fold_upload(shared, &snapshot, image_words),
-            Request::FetchSeed { key } => serve_seed(shared, &key),
+            } => write_frame(&mut stream, &fold_upload(shared, &snapshot, image_words)),
+            Request::FetchSeed { key } => {
+                serve_seed(shared, &key).and_then(|frame| send_frame(&mut stream, &frame))
+            }
         };
-        if write_frame(&mut stream, &resp).is_err() {
+        if sent.is_err() {
             return;
         }
     }
@@ -252,18 +337,20 @@ fn fold_upload(shared: &Shared, snapshot: &Snapshot, image_words: Option<Vec<u64
     };
     let mut state = shared.shard(&key);
     let is_new = !state.contains_key(&key);
-    let ks = state.entry(key).or_insert_with(|| KeyState {
-        acc: Snapshot::empty(key),
-        image: None,
-    });
+    let ks = state
+        .entry(key)
+        .or_insert_with(|| KeyState::new(Snapshot::empty(key), None));
     if let Err(e) = ks.acc.fold_unordered(snapshot) {
-        // The accumulator is as it was; a key enters the map only with
-        // its first accepted upload.
+        // The accumulator is as it was, and so is its served seed; a key
+        // enters the map only with its first accepted upload.
         if is_new {
             state.remove(&key);
         }
         return reject(e);
     }
+    // A new image only ever arrives with a fold, so this one drop covers
+    // both things a seed is built from.
+    ks.served = None;
     let image_is_new = ks.image.is_none() && image.is_some();
     if image_is_new {
         ks.image = image;
@@ -297,41 +384,24 @@ fn fold_upload(shared: &Shared, snapshot: &Snapshot, image_words: Option<Vec<u64
     }
 }
 
-/// Build the served seed for one key: age-filter, then drop every
-/// decision/winner head `check_seed` rejects.
-fn serve_seed(shared: &Shared, key: &StoreKey) -> Response {
-    let (cfg, counters) = (&shared.cfg, &shared.counters);
+/// The seed reply frame for one key, built under the shard's lock only
+/// when the key holds none (no fetch since its last fold); the caller
+/// writes it after the lock is gone. An encode error is not kept: the
+/// next fetch tries again.
+fn serve_seed(shared: &Shared, key: &StoreKey) -> Result<Arc<[u8]>, String> {
+    let counters = &shared.counters;
     counters.seed_requests.fetch_add(1, Ordering::Relaxed);
-    let state = shared.shard(key);
-    let Some(ks) = state.get(key) else {
-        return Response::Seed { snapshot: None };
+    let mut state = shared.shard(key);
+    let Some(ks) = state.get_mut(key) else {
+        drop(state);
+        return encode_frame(&Response::Seed { snapshot: None }).map(Arc::from);
     };
-    let (mut seed, aged_d, aged_w) = match cfg.max_age_runs {
-        Some(n) => ks.acc.age_filtered(n),
-        None => (ks.acc.clone(), 0, 0),
+    let served = match &mut ks.served {
+        Some(served) => served,
+        none => none.insert(ServedSeed::build(&shared.cfg, &ks.acc, ks.image.as_ref())?),
     };
-    counters.aged_decisions.fetch_add(aged_d, Ordering::Relaxed);
-    counters.aged_winners.fetch_add(aged_w, Ordering::Relaxed);
-    match &ks.image {
-        Some(img) => {
-            let before = seed.decisions.len() + seed.winners.len();
-            seed.decisions
-                .retain(|d| cobra_verify::check_seed(img, d.loop_head).is_ok());
-            seed.winners
-                .retain(|w| cobra_verify::check_seed(img, w.loop_head).is_ok());
-            let dropped = before - seed.decisions.len() - seed.winners.len();
-            counters
-                .verify_dropped
-                .fetch_add(dropped as u64, Ordering::Relaxed);
-        }
-        None => {
-            counters.served_unverified.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    counters.seed_hits.fetch_add(1, Ordering::Relaxed);
-    Response::Seed {
-        snapshot: Some(seed),
-    }
+    served.count(counters);
+    Ok(Arc::clone(&served.frame))
 }
 
 /// Image sidecar path for a key.

@@ -4,14 +4,16 @@
 //! robustness, warm restart, aging, and seed verification.
 
 use std::collections::BTreeMap;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cobra_fleet::{FleetClient, FleetConfig, FleetServer};
+use cobra_fleet::{write_frame, FleetClient, FleetConfig, FleetServer, Request, Response};
+use cobra_isa::CodeImage;
 use cobra_store::{
-    image_hash, DecisionRecord, ProfileRecord, Snapshot, Store, StoreKey, WinnerRecord,
+    image_hash, merge_unordered, DecisionRecord, ProfileRecord, Snapshot, Store, StoreKey,
+    WinnerRecord,
 };
 use proptest::prelude::*;
 
@@ -340,13 +342,39 @@ fn restart_is_warm() {
     server.shutdown();
 }
 
-/// Serving applies the aging policy (stale heads withheld, counted) and
-/// `check_seed` verification (bogus heads dropped) when the image is
-/// known; the fold state itself keeps everything.
+/// A copy of a key's file under another name is not a second key: a
+/// restarted server loads each key from `<stem>.jsonl` alone.
 #[test]
-fn served_seeds_are_aged_and_verified() {
-    // A real image with one genuine loop head, so check_seed has
-    // something to accept and something to reject.
+fn restart_loads_each_key_from_its_own_file() {
+    let dir = tmp_dir("stray");
+    let cfg = FleetConfig {
+        shards: 2,
+        dir: Some(dir.clone()),
+        max_age_runs: None,
+    };
+    let uploads = [upload_snapshot(key(1), 0), upload_snapshot(key(1), 1)];
+    let server = FleetServer::start("127.0.0.1:0", cfg.clone()).unwrap();
+    let mut c = FleetClient::connect(&server.local_addr().to_string()).unwrap();
+    c.upload(&uploads[0], None).unwrap();
+    // The stray holds the first run only and sorts after the key's file.
+    let own = Store::new(&dir).path_for(&key(1));
+    std::fs::copy(&own, dir.join("zz-stray.jsonl")).unwrap();
+    c.upload(&uploads[1], None).unwrap();
+    drop(c);
+    server.shutdown();
+
+    let server = FleetServer::start("127.0.0.1:0", cfg).unwrap();
+    let stats = server.stats();
+    assert_eq!((stats.keys, stats.runs_total), (1, uploads.len() as u64));
+    let mut c = FleetClient::connect(&server.local_addr().to_string()).unwrap();
+    let seed = c.fetch_seed(&key(1)).unwrap().expect("seed exists");
+    assert_eq!(seed, merge_unordered(&uploads).unwrap());
+    server.shutdown();
+}
+
+/// A real image with one genuine loop head, so check_seed has something to
+/// accept and something to reject: the image, its main words and the head.
+fn loop_image() -> (CodeImage, Vec<u64>, u32) {
     let mut a = cobra_isa::Assembler::new();
     a.movi(4, 7);
     let top = a.new_label();
@@ -357,6 +385,192 @@ fn served_seeds_are_aged_and_verified() {
     a.hlt();
     let img = a.finish();
     let words = img.words()[..img.main_len() as usize].to_vec();
+    (img, words, head)
+}
+
+/// A one-run upload deciding `heads`, with a winner at the first.
+fn deciding(k: StoreKey, heads: &[u32]) -> Snapshot {
+    let mut s = Snapshot::empty(k);
+    s.runs = 1;
+    for &h in heads {
+        s.decisions.push(DecisionRecord {
+            loop_head: h,
+            kind: "noprefetch".into(),
+            reverted: false,
+            baseline_cpi: 1.4,
+            post_cpi: Some(1.1),
+        });
+    }
+    s.winners.push(WinnerRecord {
+        loop_head: heads[0],
+        candidate: "combined.split".into(),
+        kind: "combined".into(),
+        trials: vec![("noprefetch".into(), 1.25)],
+    });
+    s
+}
+
+/// One `FetchSeed` over a raw connection: the reply frame as it arrived,
+/// length prefix included.
+fn fetch_frame(s: &mut TcpStream, k: StoreKey) -> Vec<u8> {
+    write_frame(s, &Request::FetchSeed { key: k }).unwrap();
+    let mut frame = vec![0u8; 4];
+    s.read_exact(&mut frame).unwrap();
+    let len = u32::from_be_bytes(frame[..4].try_into().unwrap());
+    frame.resize(4 + len as usize, 0);
+    s.read_exact(&mut frame[4..]).unwrap();
+    frame
+}
+
+/// The reply a server that built every seed afresh would write for these
+/// uploads: fold, age, verify, encode.
+fn fresh_seed_frame(uploads: &[Snapshot], max_age_runs: u64, img: &CodeImage) -> Vec<u8> {
+    let (mut seed, _, _) = merge_unordered(uploads).unwrap().age_filtered(max_age_runs);
+    seed.decisions
+        .retain(|d| cobra_verify::check_seed(img, d.loop_head).is_ok());
+    seed.winners
+        .retain(|w| cobra_verify::check_seed(img, w.loop_head).is_ok());
+    let mut frame = Vec::new();
+    write_frame(
+        &mut frame,
+        &Response::Seed {
+            snapshot: Some(seed),
+        },
+    )
+    .unwrap();
+    frame
+}
+
+/// Fetches between folds are served from the key's held frame; every one
+/// of them is byte for byte the frame a fresh build writes, so a fold and
+/// a new image always reach the next reply.
+#[test]
+fn a_served_seed_is_the_frame_a_fresh_build_writes() {
+    let (img, words, head) = loop_image();
+    let k = StoreKey {
+        image_hash: image_hash(&img),
+        machine_fp: 0x77,
+    };
+    let max_age = 2;
+    let server = FleetServer::start(
+        "127.0.0.1:0",
+        FleetConfig {
+            shards: 2,
+            dir: None,
+            max_age_runs: Some(max_age),
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let mut uploader = FleetClient::connect(&addr.to_string()).unwrap();
+    let mut fetcher = TcpStream::connect(addr).unwrap();
+
+    // The first upload brings the image and a head that is no loop (0);
+    // the next two leave 0 unconfirmed until it ages, and the last brings
+    // a second bogus head. `None` is a fetch.
+    let mut uploads = vec![deciding(k, &[head, 0])];
+    uploader.upload(&uploads[0], Some(&words)).unwrap();
+    let (again, bogus) = ([head], [head, head + 1]);
+    let (fetch, again, bogus) = (None, Some(&again[..]), Some(&bogus[..]));
+    let mut replies = Vec::new();
+    for step in [fetch, fetch, again, fetch, fetch, bogus, fetch] {
+        match step {
+            None => {
+                let frame = fetch_frame(&mut fetcher, k);
+                let want = fresh_seed_frame(&uploads, max_age, &img);
+                assert_eq!(frame, want, "reply {}", replies.len());
+                replies.push(frame);
+            }
+            Some(heads) => {
+                uploads.push(deciding(k, heads));
+                uploader.upload(uploads.last().unwrap(), None).unwrap();
+            }
+        }
+    }
+    // Two replies per fold state, and each fold changed the reply.
+    assert_eq!(replies[0], replies[1]);
+    assert_eq!(replies[2], replies[3]);
+    assert_ne!(replies[1], replies[2]);
+    assert_ne!(replies[3], replies[4]);
+    let stats = uploader.stats().unwrap();
+    assert_eq!((stats.seed_hits, stats.served_unverified), (5, 0));
+    server.shutdown();
+}
+
+/// The counters count serves, not builds: N fetches with no fold between
+/// them add N times what one serve adds, on a key whose seed is verified
+/// and on one whose seed is not.
+#[test]
+fn repeat_fetches_count_every_serve() {
+    let (img, words, head) = loop_image();
+    let verified = StoreKey {
+        image_hash: image_hash(&img),
+        machine_fp: 0x77,
+    };
+    let server = FleetServer::start(
+        "127.0.0.1:0",
+        FleetConfig {
+            shards: 2,
+            dir: None,
+            max_age_runs: Some(2),
+        },
+    )
+    .unwrap();
+    let mut c = FleetClient::connect(&server.local_addr().to_string()).unwrap();
+    // Verified: 0 ages out and head + 1, confirmed every run, fails
+    // `check_seed`.
+    c.upload(&deciding(verified, &[head, 0, head + 1]), Some(&words))
+        .unwrap();
+    for _ in 0..2 {
+        c.upload(&deciding(verified, &[head, head + 1]), None)
+            .unwrap();
+    }
+    // Unverified: heads 11 and 12 age out.
+    for variant in [2, 0, 3] {
+        c.upload(&upload_snapshot(key(5), variant), None).unwrap();
+    }
+
+    let counts = |c: &mut FleetClient| {
+        let s = c.stats().unwrap();
+        [
+            s.seed_requests,
+            s.seed_hits,
+            s.aged_decisions,
+            s.aged_winners,
+            s.verify_dropped,
+            s.served_unverified,
+        ]
+    };
+    let delta = |a: [u64; 6], b: [u64; 6]| std::array::from_fn::<u64, 6, _>(|i| b[i] - a[i]);
+    for (k, one_serve) in [(verified, [1, 1, 1, 0, 1, 0]), (key(5), [1, 1, 2, 0, 0, 1])] {
+        let before = counts(&mut c);
+        c.fetch_seed(&k).unwrap().expect("seed exists");
+        let built = counts(&mut c);
+        assert_eq!(
+            delta(before, built),
+            one_serve,
+            "{k}: the serve that builds"
+        );
+        let n = 5;
+        for _ in 0..n {
+            c.fetch_seed(&k).unwrap().expect("seed exists");
+        }
+        let after = counts(&mut c);
+        assert_eq!(
+            delta(built, after),
+            one_serve.map(|x| n * x),
+            "{k}: {n} serves of the held frame"
+        );
+    }
+    server.shutdown();
+}
+
+/// Serving applies the aging policy (stale heads withheld, counted) and
+/// `check_seed` verification (bogus heads dropped) when the image is
+/// known; the fold state itself keeps everything.
+#[test]
+fn served_seeds_are_aged_and_verified() {
+    let (img, words, head) = loop_image();
     let k = StoreKey {
         image_hash: image_hash(&img),
         machine_fp: 0x77,

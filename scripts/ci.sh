@@ -95,7 +95,9 @@ build-test() {
   # replaced, way for way; and the check that the CG problem every cell
   # shares is, bit for bit, the one a fresh solve builds; and the two pins
   # that run NPB `mg` under COBRA on both engines against one recorded
-  # digest per arm.
+  # digest per arm; and the three that hold the fleet server's held seed
+  # frame to the bytes a fresh build writes, its counters to every serve,
+  # and a warm restart to one file per key.
   has() {
     local target=(--test "$2")
     [[ $2 == --lib ]] && target=(--lib)
@@ -113,6 +115,9 @@ build-test() {
   has cobra-rt e2e_cobra telemetry_overhead_within_five_percent_on_daxpy
   has cobra decision_pin coarse_quantum_decisions_are_those_of_the_recorded_commit
   has cobra decision_pin tournament_decisions_are_those_of_the_recorded_commit
+  has cobra-fleet ingest a_served_seed_is_the_frame_a_fresh_build_writes
+  has cobra-fleet ingest repeat_fetches_count_every_serve
+  has cobra-fleet ingest restart_loads_each_key_from_its_own_file
   cargo fmt --check
   cargo clippy --workspace --all-targets -- -D warnings
 }
