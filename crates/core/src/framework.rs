@@ -12,15 +12,16 @@
 //! * **profiling/optimization** — the [`OptimizationStage`] merges deltas
 //!   system-wide, detects phases, selects traces and decides optimizations;
 //! * **code deployment** — apply the returned plans to the live image at
-//!   the quantum safe point: append optimized traces, patch `lfetch` words,
-//!   redirect loop heads, or revert regressed deployments.
+//!   the quantum safe point: append each rewritten loop clone to the trace
+//!   cache, patch the hoisted `lfetch` words, redirect the loop head into
+//!   the clone, or revert regressed deployments.
 //!
 //! Configure and attach through the fluent [`Cobra::builder`] API:
 //!
 //! ```ignore
 //! let mut cobra = Cobra::builder()
 //!     .sampling_period(2000)
-//!     .deploy_mode(DeployMode::TraceCache)
+//!     .strategy(Strategy::Adaptive)
 //!     .telemetry(sink)
 //!     .attach(&mut machine);
 //! ```
@@ -46,7 +47,7 @@ use cobra_perfmon::{PerfmonConfig, PerfmonDriver};
 use cobra_store::{Snapshot, Store, StoreKey};
 
 use crate::monitor::{Monitor, OptimizationStage};
-use crate::optimizer::{DeployMode, Optimizer, OptimizerConfig, PlanAction, Strategy};
+use crate::optimizer::{Optimizer, OptimizerConfig, PlanAction, Strategy};
 use crate::persist::{seed_from_snapshot, snapshot_from_final};
 use crate::phase::{PhaseConfig, PhaseDetector};
 use crate::profile::LatencyBands;
@@ -119,12 +120,6 @@ impl CobraBuilder {
     /// Optimization strategy (noprefetch / `.excl` / adaptive).
     pub fn strategy(mut self, strategy: Strategy) -> Self {
         self.cfg.optimizer.strategy = strategy;
-        self
-    }
-
-    /// How rewrites reach the running binary.
-    pub fn deploy_mode(mut self, deploy: DeployMode) -> Self {
-        self.cfg.optimizer.deploy = deploy;
         self
     }
 
@@ -361,8 +356,7 @@ impl Cobra {
                 // OSR: prove the state mapping between the original body
                 // and the trace clone against the *pre-deployment* image.
                 // An unprovable map degrades to entry-only transfer (the
-                // deployment still proceeds, unarmed); in-place plans have
-                // an identity mapping and nothing to migrate.
+                // deployment still proceeds, unarmed).
                 let mut osr_map = None;
                 if let Some(t) = &plan.trace {
                     if plan.back_edge >= plan.loop_head {

@@ -46,8 +46,8 @@ pub mod usb;
 pub use framework::{Cobra, CobraBuilder, CobraConfig};
 pub use monitor::{Monitor, OptFinal, OptimizationStage};
 pub use optimizer::{
-    verify_plan, DecisionExport, DeployMode, OptKind, Optimizer, OptimizerConfig, PatchPlan,
-    PlanAction, Strategy, TracePlan, WarmSeed,
+    verify_plan, DecisionExport, OptKind, Optimizer, OptimizerConfig, PatchPlan, PlanAction,
+    Strategy, TracePlan, WarmSeed,
 };
 pub use persist::{profile_record, seed_from_snapshot, snapshot_from_final};
 pub use phase::{PhaseConfig, PhaseDetector};

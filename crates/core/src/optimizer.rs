@@ -43,16 +43,6 @@ pub enum Strategy {
     Adaptive,
 }
 
-/// How rewrites reach the running binary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DeployMode {
-    /// Patch the original text in place (word-granular).
-    InPlace,
-    /// Clone the loop into the trace cache, rewrite the clone, and redirect
-    /// the original loop head (the ADORE-style deployment of §1/§3).
-    TraceCache,
-}
-
 /// Ticks of history in the rolling decision profile. Multi-pass programs
 /// alternate CPI regimes tick by tick; the rolling window and the
 /// regression horizon must span a whole pass cycle so pre/post comparisons
@@ -64,10 +54,10 @@ pub(crate) const ROLLING_TICKS: usize = 16;
 #[derive(Debug, Clone, Copy)]
 pub struct OptimizerConfig {
     pub strategy: Strategy,
-    pub deploy: DeployMode,
     pub trace: TraceConfig,
     /// Revert a deployment whose post-deployment CPI exceeds the
-    /// pre-deployment CPI by this factor (`<= 0` disables reverting).
+    /// pre-deployment CPI by this factor (and blacklist a contest whose best
+    /// candidate does).
     /// Trial-and-revert is the framework's answer to pathologies no ex-ante
     /// profile signal can distinguish — e.g. loops whose prefetches hide
     /// *true-sharing* coherent misses look identical, before patching, to
@@ -115,7 +105,6 @@ impl Default for OptimizerConfig {
     fn default() -> Self {
         OptimizerConfig {
             strategy: Strategy::Adaptive,
-            deploy: DeployMode::TraceCache,
             trace: TraceConfig::default(),
             regression_factor: 1.4,
             regression_ticks: 20,
@@ -158,9 +147,11 @@ pub struct PatchPlan {
     /// or a promoted/warm-resumed winner (`None` for classic one-shot
     /// deployments).
     pub candidate: Option<String>,
-    /// Words to write into the existing image, `(addr, new_word)`.
+    /// Words to write into the existing image, `(addr, new_word)`: the
+    /// hoisted-burst rewrites and the head redirect into the trace.
     pub writes: Vec<(CodeAddr, u64)>,
-    /// Optimized trace to append first (TraceCache mode).
+    /// The rewritten clone to append before the writes land. Every plan the
+    /// optimizer builds has one; [`verify_plan`] rejects a plan without.
     pub trace: Option<TracePlan>,
 }
 
@@ -183,10 +174,14 @@ pub fn verify_plan(
     plan: &PatchPlan,
     entry_window_slots: u32,
 ) -> Result<(), cobra_verify::VerifyError> {
-    let trace = plan.trace.as_ref().map(|t| cobra_verify::TraceCheck {
-        expected_start: t.expected_start,
-        insns: &t.insns,
-    });
+    // Without a clone the head redirect has nowhere to point.
+    let Some(trace) = &plan.trace else {
+        return Err(cobra_verify::VerifyError {
+            violations: vec![cobra_verify::Violation::HeadRedirectInvalid {
+                addr: plan.loop_head,
+            }],
+        });
+    };
     cobra_verify::check_plan(
         image,
         &cobra_verify::PlanCheck {
@@ -195,7 +190,10 @@ pub fn verify_plan(
             back_edge: plan.back_edge,
             region_start: plan.loop_head.saturating_sub(entry_window_slots),
             writes: &plan.writes,
-            trace,
+            trace: cobra_verify::TraceCheck {
+                expected_start: trace.expected_start,
+                insns: &trace.insns,
+            },
         },
     )
 }
@@ -947,47 +945,40 @@ impl Optimizer {
             profile.window.coherent_ratio(),
             profile.window.l3_per_kinst(),
         );
-        // Sites rewritten where they stand: all of them in place, only the
-        // hoisted burst (outside the cloned body) with a trace.
-        let traced = self.cfg.deploy == DeployMode::TraceCache;
+        // Sites rewritten where they stand: only the hoisted burst, which
+        // lies outside the cloned body.
         let mut writes: Vec<(CodeAddr, u64)> = Vec::with_capacity(sites.len() + 1);
         for (&addr, &action) in sites.iter().zip(actions) {
-            if action == SiteAction::Keep || (traced && addr >= lp.head) {
+            if action == SiteAction::Keep || addr >= lp.head {
                 continue;
             }
             let insn = self.image.insn(addr).ok()?;
             writes.push((addr, encode(&self.rewrite_site(&insn, action))));
         }
-        let mut trace = None;
-        if traced {
-            // Clone the body, rewriting in-body prefetches and retargeting
-            // the back edge to the trace-local head.
-            let expected_start = cobra_isa::bundle_align(self.image.len());
-            let mut insns = Vec::with_capacity(lp.len() as usize + 1);
-            for addr in lp.head..=lp.back_edge {
-                let mut insn = self.image.insn(addr).ok()?;
-                if let Some(&action) = action_at.get(&addr) {
-                    insn = self.rewrite_site(&insn, action);
-                }
-                if insn.op.branch_target() == Some(lp.head) {
-                    insn.op = insn.op.with_branch_target(expected_start)?;
-                }
-                insns.push(insn);
+        // Clone the body, rewriting in-body prefetches and retargeting the
+        // back edge to the trace-local head.
+        let expected_start = cobra_isa::bundle_align(self.image.len());
+        let mut insns = Vec::with_capacity(lp.len() as usize + 1);
+        for addr in lp.head..=lp.back_edge {
+            let mut insn = self.image.insn(addr).ok()?;
+            if let Some(&action) = action_at.get(&addr) {
+                insn = self.rewrite_site(&insn, action);
             }
-            // Exit: fall through the cloned back edge, branch back to the
-            // instruction after the original back edge.
-            let exit = lp.back_edge + 1;
-            insns.push(Insn::new(Op::BrCond { target: exit }));
-            // The original head becomes a redirect into the trace.
-            let redirect = Insn::new(Op::BrCond {
-                target: expected_start,
-            });
-            writes.push((lp.head, encode(&redirect)));
-            trace = Some(TracePlan {
-                expected_start,
-                insns,
-            });
+            if insn.op.branch_target() == Some(lp.head) {
+                insn.op = insn.op.with_branch_target(expected_start)?;
+            }
+            insns.push(insn);
         }
+        // Exit: fall through the cloned back edge, branch back to the
+        // instruction after the original back edge.
+        insns.push(Insn::new(Op::BrCond {
+            target: lp.back_edge + 1,
+        }));
+        // The original head becomes a redirect into the trace.
+        let redirect = Insn::new(Op::BrCond {
+            target: expected_start,
+        });
+        writes.push((lp.head, encode(&redirect)));
         Some(PatchPlan {
             id,
             kind,
@@ -996,7 +987,10 @@ impl Optimizer {
             description,
             candidate: spec.name.map(str::to_string),
             writes,
-            trace,
+            trace: Some(TracePlan {
+                expected_start,
+                insns,
+            }),
         })
     }
 
@@ -1181,11 +1175,8 @@ impl Optimizer {
         }
         // A best candidate that still regresses past the revert threshold
         // leaves the loop alone for good.
-        let regresses = |cpi: f64| {
-            t.baseline_cpi > 0.0
-                && self.cfg.regression_factor > 0.0
-                && cpi > t.baseline_cpi * self.cfg.regression_factor
-        };
+        let regresses =
+            |cpi: f64| t.baseline_cpi > 0.0 && cpi > t.baseline_cpi * self.cfg.regression_factor;
         let spec = winner
             .filter(|&&(_, cpi)| !regresses(cpi))
             .and_then(|(name, _)| t.specs.iter().find(|s| s.label() == name));
@@ -1265,7 +1256,7 @@ impl Optimizer {
 
     /// Accumulate post-deployment CPI and emit reverts on regression.
     fn track_regressions(&mut self, profile: &SystemProfile, actions: &mut Vec<PlanAction>) {
-        if self.cfg.regression_factor <= 0.0 || profile.samples == 0 {
+        if profile.samples == 0 {
             return;
         }
         let cfg = self.cfg;
@@ -1416,7 +1407,6 @@ mod tests {
         let (image, head, back, load_pc) = loop_image();
         let mut opt = Optimizer::new(
             OptimizerConfig {
-                deploy: DeployMode::InPlace,
                 warmup_ticks: 0,
                 ..Default::default()
             },
@@ -1429,16 +1419,18 @@ mod tests {
             PlanAction::Apply(plan) => {
                 assert_eq!(plan.kind, OptKind::NoPrefetch);
                 assert_eq!(plan.loop_head, head);
-                // 2 burst + 1 in-loop site.
-                assert_eq!(plan.writes.len(), 3);
-                for &(_, word) in &plan.writes {
-                    assert_eq!(
-                        cobra_isa::decode(word).unwrap().op,
-                        Op::Nop {
-                            unit: cobra_isa::Unit::M
-                        }
-                    );
-                }
+                // 2 burst sites written, the in-loop site removed in the
+                // clone.
+                let burst: Vec<u64> = plan
+                    .writes
+                    .iter()
+                    .filter(|&&(a, _)| a < head)
+                    .map(|&(_, w)| w)
+                    .collect();
+                assert_eq!(burst, [encode(&NOP_SLOT_M); 2]);
+                let trace = plan.trace.as_ref().expect("every plan is a trace");
+                assert_eq!(trace.insns[(load_pc + 1 - head) as usize], NOP_SLOT_M);
+                assert!(trace.insns.iter().all(|i| !i.is_lfetch()));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1455,7 +1447,6 @@ mod tests {
         let (image, head, back, load_pc) = loop_image();
         let mut opt = Optimizer::new(
             OptimizerConfig {
-                deploy: DeployMode::InPlace,
                 warmup_ticks: 0,
                 ..Default::default()
             },
@@ -1466,8 +1457,17 @@ mod tests {
         match &actions[0] {
             PlanAction::Apply(plan) => {
                 assert_eq!(plan.kind, OptKind::ExclHint);
-                for &(_, word) in &plan.writes {
-                    match cobra_isa::decode(word).unwrap().op {
+                // Every site, burst and clone, keeps its prefetch and takes
+                // ownership: 2 burst writes and 1 in-loop site.
+                let burst = plan.writes.iter().filter(|&&(a, _)| a < head);
+                let burst = burst.map(|&(_, w)| cobra_isa::decode(w).unwrap());
+                let trace = plan.trace.as_ref().expect("every plan is a trace");
+                let sites: Vec<Insn> = burst
+                    .chain(trace.insns.iter().copied().filter(Insn::is_lfetch))
+                    .collect();
+                assert_eq!(sites.len(), 3);
+                for insn in sites {
+                    match insn.op {
                         Op::Lfetch { excl, hint, .. } => {
                             assert!(excl);
                             assert_eq!(hint, LfetchHint::Nt1);
@@ -1485,7 +1485,6 @@ mod tests {
         let (image, head, back, load_pc) = loop_image();
         let mut opt = Optimizer::new(
             OptimizerConfig {
-                deploy: DeployMode::TraceCache,
                 warmup_ticks: 0,
                 ..Default::default()
             },
@@ -1519,7 +1518,6 @@ mod tests {
         let (image, head, back, load_pc) = loop_image();
         let mut opt = Optimizer::new(
             OptimizerConfig {
-                deploy: DeployMode::InPlace,
                 warmup_ticks: 0,
                 ..Default::default()
             },
@@ -1539,7 +1537,6 @@ mod tests {
     fn regression_triggers_revert_with_undo_words() {
         let (image, head, back, load_pc) = loop_image();
         let cfg = OptimizerConfig {
-            deploy: DeployMode::InPlace,
             warmup_ticks: 0,
             regression_ticks: 3,
             regression_factor: 1.05,
@@ -1608,7 +1605,6 @@ mod tests {
         let corrupt = CodeImage::from_words(words, Default::default());
         let mut opt = Optimizer::new(
             OptimizerConfig {
-                deploy: DeployMode::TraceCache,
                 warmup_ticks: 0,
                 ..Default::default()
             },
@@ -1634,7 +1630,6 @@ mod tests {
     fn warm_start_deploys_seeded_decision_earlier() {
         let (image, head, back, load_pc) = loop_image();
         let cfg = OptimizerConfig {
-            deploy: DeployMode::InPlace,
             warmup_ticks: 10,
             warm_warmup_ticks: 2,
             ..Default::default()
@@ -1677,7 +1672,6 @@ mod tests {
     fn warm_mismatch_falls_back_to_cold_path() {
         let (image, head, back, load_pc) = loop_image();
         let cfg = OptimizerConfig {
-            deploy: DeployMode::InPlace,
             warmup_ticks: 6,
             warm_warmup_ticks: 1,
             ..Default::default()
@@ -1716,7 +1710,6 @@ mod tests {
         let (image, head, back, load_pc) = loop_image();
         let mut opt = Optimizer::new(
             OptimizerConfig {
-                deploy: DeployMode::InPlace,
                 warmup_ticks: 0,
                 ..Default::default()
             },
@@ -1754,7 +1747,6 @@ mod tests {
         let mut opt = Optimizer::new(
             OptimizerConfig {
                 strategy: Strategy::NoPrefetch,
-                deploy: DeployMode::InPlace,
                 warmup_ticks: 0,
                 ..Default::default()
             },
@@ -1784,7 +1776,6 @@ mod tests {
         let mut opt = Optimizer::new(
             OptimizerConfig {
                 strategy: Strategy::ExclHint,
-                deploy: DeployMode::InPlace,
                 warmup_ticks: 0,
                 ..Default::default()
             },
@@ -1803,7 +1794,6 @@ mod tests {
         let (image, head, back, load_pc) = loop_image();
         let mut opt = Optimizer::new(
             OptimizerConfig {
-                deploy: DeployMode::InPlace,
                 warmup_ticks: 0,
                 ..Default::default()
             },
@@ -1824,13 +1814,13 @@ mod tests {
     }
 
     /// `verify_plan` is the same check the deploy gate runs; a tampered
-    /// write in an otherwise-genuine plan must fail it.
+    /// write in an otherwise-genuine plan must fail it, and so must a plan
+    /// without a trace.
     #[test]
     fn verify_plan_rejects_tampered_plan() {
         let (image, head, back, load_pc) = loop_image();
         let mut opt = Optimizer::new(
             OptimizerConfig {
-                deploy: DeployMode::InPlace,
                 warmup_ticks: 0,
                 ..Default::default()
             },
@@ -1848,6 +1838,13 @@ mod tests {
         }));
         let err = verify_plan(&image, &plan, window).unwrap_err();
         assert!(err.to_string().contains("violation"));
+        // A plan with no clone has nothing for its head to redirect into.
+        plan.trace = None;
+        let err = verify_plan(&image, &plan, window).unwrap_err();
+        assert_eq!(
+            err.violations,
+            [cobra_verify::Violation::HeadRedirectInvalid { addr: head }]
+        );
     }
 
     /// The candidate generator is deterministic, names are unique, and a
@@ -1887,7 +1884,6 @@ mod tests {
         let (image, head, back, load_pc) = loop_image();
         let mut opt = Optimizer::new(
             OptimizerConfig {
-                deploy: DeployMode::InPlace,
                 warmup_ticks: 0,
                 candidates: true,
                 trial_ticks: 1,
@@ -1954,7 +1950,6 @@ mod tests {
         let (image, head, back, load_pc) = loop_image();
         let mut opt = Optimizer::new(
             OptimizerConfig {
-                deploy: DeployMode::InPlace,
                 warmup_ticks: 0,
                 candidates: true,
                 trial_ticks: 1,
@@ -2005,7 +2000,6 @@ mod tests {
         a.hlt();
         let mut opt = Optimizer::new(
             OptimizerConfig {
-                deploy: DeployMode::InPlace,
                 warmup_ticks: 0,
                 candidates: true,
                 trial_ticks: 1,
@@ -2033,7 +2027,6 @@ mod tests {
         let (image, head, back, load_pc) = loop_image();
         let mut opt = Optimizer::new(
             OptimizerConfig {
-                deploy: DeployMode::InPlace,
                 warmup_ticks: 0,
                 candidates: true,
                 trial_ticks: 4,
@@ -2066,7 +2059,6 @@ mod tests {
         let (image, head, back, load_pc) = loop_image();
         let mut opt = Optimizer::new(
             OptimizerConfig {
-                deploy: DeployMode::InPlace,
                 warmup_ticks: 0,
                 candidates: true,
                 trial_ticks: 1,
@@ -2120,7 +2112,6 @@ mod tests {
         let (image, head, back, load_pc) = loop_image();
         let mut opt = Optimizer::new(
             OptimizerConfig {
-                deploy: DeployMode::InPlace,
                 warmup_ticks: 0,
                 candidates: true,
                 trial_ticks: 1,
@@ -2233,7 +2224,6 @@ mod tests {
         let (image, head, back, load_pc) = loop_image();
         let mut opt = Optimizer::new(
             OptimizerConfig {
-                deploy: DeployMode::InPlace,
                 warmup_ticks: 0,
                 candidates: true,
                 ..Default::default()
@@ -2268,7 +2258,6 @@ mod tests {
         let (image, head, back, load_pc) = loop_image();
         let profile = hot_profile(load_pc, head, back, 1.0);
         let cfg = OptimizerConfig {
-            deploy: DeployMode::InPlace,
             warmup_ticks: 0,
             trial_ticks: 4,
             ..Default::default()
@@ -2320,7 +2309,6 @@ mod tests {
         let (image, head, back, load_pc) = loop_image();
         let profile = hot_profile(load_pc, head, back, 1.0);
         let cfg = OptimizerConfig {
-            deploy: DeployMode::InPlace,
             warmup_ticks: 0,
             trial_ticks: 1,
             ..Default::default()

@@ -1,9 +1,9 @@
 //! The plan corpus the gate suites share: every plan the real optimizer
-//! emits for real NPB kernel loops on both reference machines, in both
-//! deploy modes, under both fixed strategies, each with the pristine image
-//! it was built against. `verify_mutation.rs` corrupts the plans,
-//! `osr_map_mutation.rs` the OSR maps of the trace plans among them, and the
-//! root `tests/gate_smokes.rs` takes one kernel's worth (`#[path]`-included:
+//! emits for real NPB kernel loops on both reference machines, under both
+//! fixed strategies, each with the pristine image it was built against.
+//! Every plan is a trace-cache version. `verify_mutation.rs` corrupts the
+//! plans, `osr_map_mutation.rs` their OSR maps, and the root
+//! `tests/gate_smokes.rs` takes one kernel's worth (`#[path]`-included:
 //! everything here names crates the root package also depends on).
 
 #![allow(dead_code)] // each test binary uses its own part of this
@@ -16,8 +16,8 @@ use cobra_kernels::minicc::PrefetchPolicy;
 use cobra_kernels::npb::{self, Benchmark};
 use cobra_machine::MachineConfig;
 use cobra_rt::{
-    CounterWindow, DeployMode, LatencyBands, Optimizer, OptimizerConfig, PatchPlan, PlanAction,
-    ProfileDelta, Strategy, SystemProfile,
+    CounterWindow, LatencyBands, Optimizer, OptimizerConfig, PatchPlan, PlanAction, ProfileDelta,
+    Strategy, SystemProfile,
 };
 
 /// One optimizer-emitted plan plus the pristine image it was built against.
@@ -91,8 +91,18 @@ pub fn applied(actions: Vec<PlanAction>) -> impl Iterator<Item = PatchPlan> {
     })
 }
 
+/// Land `plan` on `image` the way the framework lands it on the machine:
+/// append the clone, then write the words.
+pub fn land(image: &mut CodeImage, plan: &PatchPlan) {
+    let trace = plan.trace.as_ref().expect("every plan is a trace");
+    image.append_trace(&trace.insns);
+    for &(addr, word) in &plan.writes {
+        image.patch_word(addr, word).expect("plan write in range");
+    }
+}
+
 /// Every plan a fresh optimizer emits for the first three prefetching loops
-/// of `bench` on `mcfg`, per deploy mode and fixed strategy. Panics on an
+/// of `bench` on `mcfg`, per fixed strategy. Panics on an
 /// in-vivo verify reject: these are all genuine plans, so a reject here is
 /// a false positive. Empty for compute-bound kernels (e.g. ep), which have
 /// no prefetching loops.
@@ -101,30 +111,26 @@ pub fn plans_for(bench: Benchmark, machine: &'static str, mcfg: &MachineConfig) 
     let image = workload.image();
     let mut captured = Vec::new();
     for &(head, back, load_pc) in find_loops(image).iter().take(3) {
-        for deploy in [DeployMode::InPlace, DeployMode::TraceCache] {
-            for strategy in [Strategy::NoPrefetch, Strategy::ExclHint] {
-                let cfg = OptimizerConfig {
-                    strategy,
-                    deploy,
-                    warmup_ticks: 0,
-                    ..Default::default()
-                };
-                let mut opt = Optimizer::new(cfg, image.clone());
-                let actions = opt.consider(&hot_profile(load_pc, head, back));
-                assert!(
-                    opt.drain_events().all(|e| e.category() != "verify_reject"),
-                    "{machine}/{} loop [{head},{back}] {strategy:?}/{deploy:?}: \
-                     in-vivo false reject",
-                    bench.name()
-                );
-                captured.extend(applied(actions).map(|plan| Captured {
-                    bench: bench.name(),
-                    machine,
-                    image: image.clone(),
-                    plan,
-                    window: cfg.trace.entry_window_slots,
-                }));
-            }
+        for strategy in [Strategy::NoPrefetch, Strategy::ExclHint] {
+            let cfg = OptimizerConfig {
+                strategy,
+                warmup_ticks: 0,
+                ..Default::default()
+            };
+            let mut opt = Optimizer::new(cfg, image.clone());
+            let actions = opt.consider(&hot_profile(load_pc, head, back));
+            assert!(
+                opt.drain_events().all(|e| e.category() != "verify_reject"),
+                "{machine}/{} loop [{head},{back}] {strategy:?}: in-vivo false reject",
+                bench.name()
+            );
+            captured.extend(applied(actions).map(|plan| Captured {
+                bench: bench.name(),
+                machine,
+                image: image.clone(),
+                plan,
+                window: cfg.trace.entry_window_slots,
+            }));
         }
     }
     captured

@@ -12,7 +12,7 @@ use cobra_kernels::workload::Workload;
 use cobra_kernels::{Daxpy, DaxpyParams, PrefetchPolicy};
 use cobra_machine::MachineConfig;
 use cobra_omp::{OmpRuntime, Team};
-use cobra_rt::{Cobra, CobraReport, DeployMode, Strategy, TelemetrySink};
+use cobra_rt::{Cobra, CobraReport, Strategy, TelemetrySink};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -51,7 +51,6 @@ fn run(
     let (sink, log) = TelemetrySink::memory();
     let mut b = Cobra::builder()
         .strategy(Strategy::Adaptive)
-        .deploy_mode(DeployMode::TraceCache)
         .telemetry(sink);
     if let Some(addr) = fleet {
         b = b.fleet(addr);

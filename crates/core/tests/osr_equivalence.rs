@@ -10,8 +10,7 @@
 //!
 //! Randomization covers the paper-relevant axes: migration timing (quantum
 //! length moves the deployment tick relative to loop progress), both
-//! reference machines (smp4 / altix8), both deploy modes, and thread
-//! counts. A dedicated scenario reverts while threads are deep inside the
+//! reference machines (smp4 / altix8), and thread counts. A dedicated scenario reverts while threads are deep inside the
 //! clone, exercising the reverse map in flight.
 //!
 //! With `osr_map_mutation.rs` this is the OSR gate; both also run
@@ -22,7 +21,7 @@ use cobra_kernels::workload::Workload;
 use cobra_kernels::{Daxpy, DaxpyParams, PrefetchPolicy};
 use cobra_machine::{DataMem, MachineConfig};
 use cobra_omp::{OmpRuntime, QuantumHook, Team};
-use cobra_rt::{Cobra, CobraReport, DeployMode, Strategy, TelemetrySink};
+use cobra_rt::{Cobra, CobraReport, Strategy, TelemetrySink};
 use proptest::prelude::*;
 
 /// FNV-1a over every aligned word of data memory: the "byte-identical
@@ -49,7 +48,6 @@ struct RunOutcome {
 /// OSR on or off; the workload's numerics are verified inside.
 fn run_daxpy(
     osr: bool,
-    deploy: DeployMode,
     mcfg: &MachineConfig,
     threads: usize,
     quantum: u64,
@@ -65,7 +63,6 @@ fn run_daxpy(
     let (sink, log) = TelemetrySink::memory();
     let mut cobra = Cobra::builder()
         .strategy(Strategy::NoPrefetch)
-        .deploy_mode(deploy)
         .osr(osr)
         .telemetry(sink)
         .attach(&mut m);
@@ -76,7 +73,7 @@ fn run_daxpy(
     wl.run(&mut m, Team::new(threads), &rt, &mut cobra);
     let report = cobra.detach(&mut m);
     if let Err(e) = wl.verify(&m.shared.mem) {
-        panic!("verification failed (osr={osr}, {deploy:?}, q={quantum}): {e}");
+        panic!("verification failed (osr={osr}, q={quantum}): {e}");
     }
     let log = log.lock().unwrap();
     RunOutcome {
@@ -102,7 +99,6 @@ fn run_two_phase(osr: bool, quantum: u64, threads: usize) -> RunOutcome {
     let (sink, log) = TelemetrySink::memory();
     let mut cobra = Cobra::builder()
         .strategy(Strategy::NoPrefetch)
-        .deploy_mode(DeployMode::TraceCache)
         .osr(osr)
         .telemetry(sink)
         .attach(&mut m);
@@ -141,8 +137,8 @@ fn run_two_phase(osr: bool, quantum: u64, threads: usize) -> RunOutcome {
 #[test]
 fn mid_loop_migration_matches_entry_only_deployment() {
     let mcfg = MachineConfig::smp4();
-    let with = run_daxpy(true, DeployMode::TraceCache, &mcfg, 4, 20_000, 40);
-    let without = run_daxpy(false, DeployMode::TraceCache, &mcfg, 4, 20_000, 40);
+    let with = run_daxpy(true, &mcfg, 4, 20_000, 40);
+    let without = run_daxpy(false, &mcfg, 4, 20_000, 40);
     assert!(
         !with.report.applied.is_empty(),
         "scenario must deploy: {}",
@@ -201,40 +197,24 @@ fn revert_in_flight_drains_clone_through_reverse_map() {
     );
 }
 
-/// In-place deployments have an identity mapping — nothing to migrate, no
-/// watches, no redirects, and identical memory either way.
-#[test]
-fn in_place_deploys_are_osr_no_ops() {
-    let mcfg = MachineConfig::smp4();
-    let with = run_daxpy(true, DeployMode::InPlace, &mcfg, 4, 20_000, 24);
-    let without = run_daxpy(false, DeployMode::InPlace, &mcfg, 4, 20_000, 24);
-    assert!(!with.report.applied.is_empty());
-    assert_eq!(with.fingerprint, without.fingerprint);
-    assert_eq!(with.report.osr_migrations, 0);
-    assert_eq!(with.report.ticks_to_all_optimized, 0);
-    assert_eq!(with.osr_migrate_events, 0);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Random migration timing × machine × deploy mode × thread count:
-    /// OSR on and off always land on identical final memory.
+    /// Random migration timing × machine × thread count: OSR on and off
+    /// always land on identical final memory.
     #[test]
     fn osr_is_architecturally_invisible(
         quantum in 6_000u64..36_000,
         altix in any::<bool>(),
-        trace in any::<bool>(),
         threads in 2usize..=4,
     ) {
         let mcfg = if altix { MachineConfig::altix8() } else { MachineConfig::smp4() };
-        let deploy = if trace { DeployMode::TraceCache } else { DeployMode::InPlace };
-        let with = run_daxpy(true, deploy, &mcfg, threads, quantum, 16);
-        let without = run_daxpy(false, deploy, &mcfg, threads, quantum, 16);
+        let with = run_daxpy(true, &mcfg, threads, quantum, 16);
+        let without = run_daxpy(false, &mcfg, threads, quantum, 16);
         prop_assert_eq!(
             with.fingerprint, without.fingerprint,
-            "memory diverged: q={} {:?} threads={} osr-on [{}] vs osr-off [{}]",
-            quantum, deploy, threads, with.report.summary(), without.report.summary()
+            "memory diverged: q={} threads={} osr-on [{}] vs osr-off [{}]",
+            quantum, threads, with.report.summary(), without.report.summary()
         );
         prop_assert_eq!(with.report.osr_rejects, 0);
     }

@@ -31,16 +31,16 @@ struct CapturedMap {
     version: Vec<Insn>,
 }
 
-/// The layout-true OSR map of every trace plan in the shared corpus —
-/// exactly what `Cobra::apply_action` builds before arming.
+/// The layout-true OSR map of every plan in the shared corpus — exactly
+/// what `Cobra::apply_action` builds before arming.
 fn capture_real_maps() -> &'static Vec<CapturedMap> {
     static MAPS: OnceLock<Vec<CapturedMap>> = OnceLock::new();
     MAPS.get_or_init(|| {
         let captured: Vec<CapturedMap> = common::capture_real_plans()
             .iter()
-            .filter_map(|c| {
-                let trace = c.plan.trace.as_ref()?;
-                Some(CapturedMap {
+            .map(|c| {
+                let trace = c.plan.trace.as_ref().expect("every plan is a trace");
+                CapturedMap {
                     bench: c.bench,
                     machine: c.machine,
                     image: c.image.clone(),
@@ -52,7 +52,7 @@ fn capture_real_maps() -> &'static Vec<CapturedMap> {
                     ),
                     kind: c.plan.kind,
                     version: trace.insns.clone(),
-                })
+                }
             })
             .collect();
         assert!(

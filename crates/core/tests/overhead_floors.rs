@@ -17,8 +17,7 @@ use cobra_isa::{Assembler, CodeImage};
 use cobra_machine::{Machine, MachineConfig};
 use cobra_osr::OsrMap;
 use cobra_rt::{
-    verify_plan, DeployMode, LatencyBands, Optimizer, OptimizerConfig, PatchPlan, ProfileDelta,
-    SystemProfile,
+    verify_plan, LatencyBands, Optimizer, OptimizerConfig, PatchPlan, ProfileDelta, SystemProfile,
 };
 use cobra_verify::check_osr_map;
 
@@ -105,11 +104,14 @@ fn decision_inputs() -> (CodeImage, SystemProfile) {
     (image, profile)
 }
 
-/// One deployment tick on the [`decision_inputs`] fixture in `deploy` mode.
+/// One deployment tick on the [`decision_inputs`] fixture.
 struct Tick {
     image: CodeImage,
     /// Every plan the tick's optimizer pass applies.
     plans: Vec<PatchPlan>,
+    /// The text each plan was built against, index for index: `image` with
+    /// the clones of the plans before it appended and their writes landed.
+    built_against: Vec<CodeImage>,
     /// `trace.entry_window_slots` of the optimizer that emitted them.
     entry_window: u32,
     quantum_ns: u64,
@@ -117,11 +119,10 @@ struct Tick {
 }
 
 impl Tick {
-    fn measure(deploy: DeployMode) -> Tick {
+    fn measure() -> Tick {
         let (image, profile) = decision_inputs();
         let cfg = OptimizerConfig {
             warmup_ticks: 0,
-            deploy,
             ..Default::default()
         };
         let mut opt = Optimizer::new(cfg, image.clone());
@@ -139,10 +140,20 @@ impl Tick {
         let quantum_ns = min_ns(5, || {
             black_box(m.run_quantum(QUANTUM));
         });
+        let mut live = image.clone();
+        let built_against = plans
+            .iter()
+            .map(|p| {
+                let before = live.clone();
+                common::land(&mut live, p);
+                before
+            })
+            .collect();
         Tick {
             entry_window: opt.config().trace.entry_window_slots,
             image,
             plans,
+            built_against,
             quantum_ns,
             consider_ns,
         }
@@ -174,10 +185,10 @@ impl Tick {
 #[test]
 #[ignore = "wall-clock floor: run in release by name"]
 fn verify_under_5_percent_of_a_deployment_tick() {
-    let tick = Tick::measure(DeployMode::InPlace);
+    let tick = Tick::measure();
     let verify_ns = min_ns(100, || {
-        for p in &tick.plans {
-            verify_plan(black_box(&tick.image), black_box(p), tick.entry_window)
+        for (p, image) in tick.plans.iter().zip(&tick.built_against) {
+            verify_plan(black_box(image), black_box(p), tick.entry_window)
                 .expect("captured plan verifies");
         }
     });
@@ -193,13 +204,12 @@ fn verify_under_5_percent_of_a_deployment_tick() {
 #[test]
 #[ignore = "wall-clock floor: run in release by name"]
 fn osr_under_5_percent_of_a_deployment_tick() {
-    let tick = Tick::measure(DeployMode::TraceCache);
+    let tick = Tick::measure();
     let traces: Vec<_> = tick
         .plans
         .iter()
-        .filter_map(|p| Some((p, p.trace.as_ref()?)))
+        .map(|p| (p, p.trace.as_ref().expect("every plan is a trace")))
         .collect();
-    assert!(!traces.is_empty(), "fixture tick must emit trace plans");
 
     let mut arm_machine = Machine::new(MachineConfig::smp4(), tick.image.clone());
     let control_ns = min_ns(100, || {

@@ -3,16 +3,16 @@
 //! Two halves, mirroring the acceptance bar:
 //!
 //! * **No false rejects** — every plan the real optimizer emits for real
-//!   NPB kernel loops, across both reference machines, both deploy modes
-//!   and both fixed strategies, must pass the verifier (and the in-vivo
-//!   `verify_rejects` counter must stay 0).
+//!   NPB kernel loops, across both reference machines and both fixed
+//!   strategies, must pass the verifier (and the in-vivo `verify_rejects`
+//!   counter must stay 0). Every plan is a trace-cache version.
 //! * **No false accepts** — every class of deliberate plan corruption
-//!   (wrong replacement slot, clobbered non-prefetch instruction,
-//!   misaligned trace, escaped back edge, out-of-region write, truncated
-//!   trace, body clobber, removal of a post-incrementing prefetch whose
-//!   rotating base lives across a rotating branch — a `br.ctop` /
-//!   `br.wtop` / `clrrrb` renames it) must be rejected on every captured
-//!   plan it applies to.
+//!   (wrong replacement slot in a burst write or the clone, clobbered
+//!   non-prefetch instruction in the clone, misaligned trace, escaped back
+//!   edge, out-of-region write, truncated trace, original-body clobber,
+//!   removal of a post-incrementing prefetch whose rotating base lives
+//!   across a rotating branch — a `br.ctop` / `br.wtop` / `clrrrb` renames
+//!   it) must be rejected on every captured plan it applies to.
 //!
 //! With `crates/harness/tests/verify_cli.rs` (every NPB kernel image on
 //! both machines and a freshly saved store snapshot through `cobra-repro
@@ -22,23 +22,23 @@
 use std::sync::OnceLock;
 
 use cobra_isa::insn::Op;
-use cobra_isa::{encode, CodeImage, NOP_SLOT_I, NOP_SLOT_M, ROT_GR_BASE};
+use cobra_isa::{encode, CodeAddr, CodeImage, NOP_SLOT_I, NOP_SLOT_M, ROT_GR_BASE};
 use cobra_kernels::minicc::PrefetchPolicy;
 use cobra_kernels::npb::{self, Benchmark};
 use cobra_machine::MachineConfig;
-use cobra_rt::{verify_plan, DeployMode, Optimizer, OptimizerConfig, PatchPlan, Strategy};
+use cobra_rt::{verify_plan, Optimizer, OptimizerConfig, PatchPlan, PlanAction, Strategy};
 use cobra_verify::Violation;
 use proptest::prelude::*;
 
 mod common;
-use common::{applied, capture_real_plans, find_loops, hot_profile, Captured};
+use common::{capture_real_plans, find_loops, hot_profile, land, Captured};
 
 /// Run tournament-enabled optimizers over NPB loops and capture the
 /// candidate plans they emit (per-site subset/mix rewrites, including
 /// `combined` kinds — the shapes the classic capture above never builds).
-/// TraceCache keeps only candidates built against the pristine image
-/// (later ones expect their trace after earlier appendices, so verifying
-/// them against the pristine image would be vacuous).
+/// Each is captured with the text it was built against: the pristine image
+/// plus every earlier trial's clone, which stays appended after its revert
+/// restores the words, as it does on the machine.
 fn capture_candidate_plans() -> &'static Vec<Captured> {
     static PLANS: OnceLock<Vec<Captured>> = OnceLock::new();
     PLANS.get_or_init(|| {
@@ -50,34 +50,38 @@ fn capture_candidate_plans() -> &'static Vec<Captured> {
             let Some(&(head, back, load_pc)) = find_loops(&image).first() else {
                 continue;
             };
-            for deploy in [DeployMode::InPlace, DeployMode::TraceCache] {
-                let cfg = OptimizerConfig {
-                    strategy: Strategy::Adaptive,
-                    deploy,
-                    warmup_ticks: 0,
-                    candidates: true,
-                    trial_ticks: 1,
-                    ..Default::default()
-                };
-                let window = cfg.trace.entry_window_slots;
-                let mut opt = Optimizer::new(cfg, image.clone());
-                let profile = hot_profile(load_pc, head, back);
-                let pristine_start = cobra_isa::bundle_align(image.len());
-                for _ in 0..40 {
-                    for plan in applied(opt.consider(&profile)) {
-                        let against_pristine = plan
-                            .trace
-                            .as_ref()
-                            .is_none_or(|t| t.expected_start == pristine_start);
-                        if plan.candidate.is_some() && against_pristine {
-                            captured.push(Captured {
-                                bench: bench.name(),
-                                machine: "smp4",
-                                image: image.clone(),
-                                plan,
-                                window,
-                            });
+            let cfg = OptimizerConfig {
+                strategy: Strategy::Adaptive,
+                warmup_ticks: 0,
+                candidates: true,
+                trial_ticks: 1,
+                ..Default::default()
+            };
+            let window = cfg.trace.entry_window_slots;
+            let mut opt = Optimizer::new(cfg, image.clone());
+            let profile = hot_profile(load_pc, head, back);
+            let mut live = image.clone();
+            for _ in 0..40 {
+                for action in opt.consider(&profile) {
+                    let plan = match action {
+                        PlanAction::Apply(plan) => plan,
+                        PlanAction::Revert { writes, .. } => {
+                            for (addr, old) in writes {
+                                live.patch_word(addr, old).expect("revert in range");
+                            }
+                            continue;
                         }
+                    };
+                    let built_against = live.clone();
+                    land(&mut live, &plan);
+                    if plan.candidate.is_some() {
+                        captured.push(Captured {
+                            bench: bench.name(),
+                            machine: "smp4",
+                            image: built_against,
+                            plan,
+                            window,
+                        });
                     }
                 }
             }
@@ -93,30 +97,29 @@ fn capture_candidate_plans() -> &'static Vec<Captured> {
 
 #[test]
 fn real_plans_pass_across_npb_and_machines() {
-    let plans = capture_real_plans();
-    let mut in_place = 0;
-    let mut trace = 0;
-    for c in plans {
+    for c in capture_real_plans() {
+        assert!(
+            c.plan.trace.is_some(),
+            "{}/{} plan at head {} carries no trace",
+            c.machine,
+            c.bench,
+            c.plan.loop_head
+        );
         verify_plan(&c.image, &c.plan, c.window).unwrap_or_else(|e| {
             panic!(
                 "{}/{} plan at head {} falsely rejected: {e}",
                 c.machine, c.bench, c.plan.loop_head
             )
         });
-        if c.plan.trace.is_some() {
-            trace += 1;
-        } else {
-            in_place += 1;
-        }
     }
-    assert!(in_place > 0, "corpus must include in-place plans");
-    assert!(trace > 0, "corpus must include trace-cache plans");
 }
 
 /// The corruption classes. Each takes a genuine plan and damages it the way
 /// a buggy optimizer (or a corrupted plan channel) would — the last one
 /// leaves the plan alone and makes it wrong by changing the `image` it is
 /// checked against; `None` when the class does not apply to this plan shape.
+/// A plan rewrites sites in two places, the entry-window burst writes and
+/// the clone; the site classes (0, 7) pick among both.
 fn corrupt(
     plan: &PatchPlan,
     image: &mut CodeImage,
@@ -124,40 +127,40 @@ fn corrupt(
     pick: usize,
 ) -> Option<PatchPlan> {
     let mut p = plan.clone();
+    let head = p.loop_head;
+    let lfetch_at = |addr| image.insn(addr).is_ok_and(|ins| ins.is_lfetch());
+    // Clone slots that copy a source `lfetch`, as `(slot, source address)`.
+    let clone_sites: Vec<(usize, CodeAddr)> = (head..=p.back_edge)
+        .enumerate()
+        .filter(|&(_, a)| lfetch_at(a))
+        .collect();
+    let t = p.trace.as_mut()?;
     match class {
         // Wrong replacement slot type: nop.i where only nop.m (or an lfetch
         // hint flip) is allowed.
         0 => {
-            let lf: Vec<usize> = (0..p.writes.len())
-                .filter(|&i| {
-                    image
-                        .insn(p.writes[i].0)
-                        .map(|ins| ins.is_lfetch())
-                        .unwrap_or(false)
-                })
+            let burst: Vec<usize> = (0..p.writes.len())
+                .filter(|&i| lfetch_at(p.writes[i].0))
                 .collect();
-            let &i = lf.get(pick % lf.len().max(1))?;
-            p.writes[i].1 = encode(&NOP_SLOT_I);
+            let k = pick % (burst.len() + clone_sites.len()).max(1);
+            match burst.get(k) {
+                Some(&i) => p.writes[i].1 = encode(&NOP_SLOT_I),
+                None => t.insns[clone_sites.get(k - burst.len())?.0] = NOP_SLOT_I,
+            }
         }
-        // Clobbered non-prefetch instruction: nop out a word in the loop
-        // body that is not an lfetch site.
+        // Clobbered non-prefetch instruction: nop out a slot of the clone
+        // that copies something other than an lfetch.
         1 => {
-            let victim = (p.loop_head..=p.back_edge).find(|&a| {
-                image.insn(a).map(|ins| !ins.is_lfetch()).unwrap_or(false)
-                    && !p.writes.iter().any(|&(w, _)| w == a)
-            })?;
-            p.writes.push((victim, encode(&NOP_SLOT_M)));
+            let slot = (0..=(p.back_edge - head) as usize)
+                .find(|&i| !lfetch_at(head + i as CodeAddr) && t.insns[i] != NOP_SLOT_M)?;
+            t.insns[slot] = NOP_SLOT_M;
         }
         // Trace lands off bundle alignment.
-        2 => {
-            p.trace.as_mut()?.expected_start += 1;
-        }
+        2 => t.expected_start += 1,
         // Back edge escapes the trace: retarget the cloned back edge at the
         // original loop head instead of the trace-local head.
         3 => {
-            let t = p.trace.as_mut()?;
             let start = t.expected_start;
-            let head = p.loop_head;
             let back = t
                 .insns
                 .iter_mut()
@@ -176,14 +179,13 @@ fn corrupt(
         }
         // Truncated trace: drop the exit branch.
         5 => {
-            p.trace.as_mut()?.insns.pop()?;
+            t.insns.pop()?;
         }
-        // Original body clobbered: a write inside the cloned region of a
-        // trace plan (revert would restore a half-dead loop).
+        // Original body clobbered: a write inside the cloned region (revert
+        // would restore a half-dead loop).
         6 => {
-            p.trace.as_ref()?;
-            let victim = (p.loop_head + 1..=p.back_edge)
-                .find(|&a| !p.writes.iter().any(|&(w, _)| w == a))?;
+            let victim =
+                (head + 1..=p.back_edge).find(|&a| !p.writes.iter().any(|&(w, _)| w == a))?;
             p.writes.push((victim, encode(&NOP_SLOT_M)));
         }
         // Rotating base: the compiler had put a removed post-incrementing
@@ -196,11 +198,18 @@ fn corrupt(
             if !matches!(back, Op::BrCtop { .. } | Op::BrWtop { .. }) {
                 return None;
             }
-            let removed: Vec<_> = p
+            let burst = p
                 .writes
                 .iter()
                 .filter(|&&(_, word)| word == encode(&NOP_SLOT_M))
-                .filter_map(|&(addr, _)| Some((addr, image.insn(addr).ok()?)))
+                .map(|&(addr, _)| addr);
+            let clone = clone_sites
+                .iter()
+                .filter(|&&(slot, _)| t.insns[slot] == NOP_SLOT_M)
+                .map(|&(_, addr)| addr);
+            let removed: Vec<_> = burst
+                .chain(clone)
+                .filter_map(|addr| Some((addr, image.insn(addr).ok()?)))
                 .filter(|(_, old)| matches!(old.op, Op::Lfetch { post_inc, .. } if post_inc != 0))
                 .collect();
             let &(addr, mut old) = removed.get(pick % removed.len().max(1))?;
@@ -216,6 +225,10 @@ fn corrupt(
 
 const ROTATING_BASE: usize = 7;
 const CLASSES: usize = 8;
+/// Picks per class and plan in the exhaustive sweeps. The site classes take
+/// `pick` modulo the plan's sites, so this reaches every site of a plan
+/// with up to four — burst writes and clone slots both.
+const SITE_PICKS: usize = 4;
 
 /// `class` applied to `c`, when it fits, must be rejected — and the one
 /// class that is a single defect by construction, for that defect alone.
@@ -245,7 +258,9 @@ fn every_corruption_class_is_rejected_on_every_plan() {
     let mut applied = [0usize; CLASSES];
     for c in plans {
         for (class, count) in applied.iter_mut().enumerate() {
-            *count += usize::from(assert_rejected(c, class, 0));
+            for pick in 0..SITE_PICKS {
+                *count += usize::from(assert_rejected(c, class, pick));
+            }
         }
     }
     for (class, &n) in applied.iter().enumerate() {
@@ -288,14 +303,14 @@ fn corrupted_candidate_plans_are_rejected() {
     let mut applied = [0usize; CLASSES];
     for c in plans {
         for (class, count) in applied.iter_mut().enumerate() {
-            *count += usize::from(assert_rejected(c, class, 0));
+            for pick in 0..SITE_PICKS {
+                *count += usize::from(assert_rejected(c, class, pick));
+            }
         }
     }
-    // Trace-only classes need a trace candidate in the corpus; the in-place
-    // classes must always land.
-    for &class in &[0usize, 1, 4] {
+    for (class, &n) in applied.iter().enumerate() {
         assert!(
-            applied[class] > 0,
+            n > 0,
             "corruption class {class} never applied to any candidate plan"
         );
     }

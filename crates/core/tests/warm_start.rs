@@ -12,7 +12,7 @@ use cobra_kernels::workload::Workload;
 use cobra_kernels::{Daxpy, DaxpyParams, PrefetchPolicy};
 use cobra_machine::{HostAccel, MachineConfig};
 use cobra_omp::{OmpRuntime, Team};
-use cobra_rt::{Cobra, CobraReport, DeployMode, Strategy, TelemetryEvent, TelemetrySink};
+use cobra_rt::{Cobra, CobraReport, Strategy, TelemetryEvent, TelemetrySink};
 
 fn tmp_store() -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -53,7 +53,6 @@ fn run(
     let (sink, log) = TelemetrySink::memory();
     let mut cobra = Cobra::builder()
         .strategy(Strategy::Adaptive)
-        .deploy_mode(DeployMode::TraceCache)
         .telemetry(sink)
         .store(store)
         .attach(&mut m);
@@ -161,7 +160,6 @@ fn warm_run_resumes_tournament_winner_without_retrialing() {
         wl.init(&mut m.shared.mem);
         let opt = cobra_rt::OptimizerConfig {
             strategy: Strategy::Adaptive,
-            deploy: DeployMode::TraceCache,
             candidates: true,
             // Short trials so the full tournament fits well inside the run.
             trial_ticks: 3,

@@ -587,20 +587,6 @@ impl Op {
             _ => None,
         }
     }
-
-    /// Does this operation access data memory (including prefetch)?
-    pub fn is_mem(&self) -> bool {
-        matches!(
-            self,
-            Op::Ld8 { .. }
-                | Op::St8 { .. }
-                | Op::Ldfd { .. }
-                | Op::Stfd { .. }
-                | Op::Lfetch { .. }
-                | Op::FetchAdd8 { .. }
-                | Op::Cmpxchg8 { .. }
-        )
-    }
 }
 
 /// Which rewrite of a loop's `lfetch` slots a plan performs: what the

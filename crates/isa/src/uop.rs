@@ -2,10 +2,10 @@
 //!
 //! The per-cycle interpreter re-derives two facts about every instruction on
 //! every fetch: which registers it reads (one big `match` to consult the
-//! stall-on-use scoreboard) and whether it can touch the memory system or
-//! transfer control. A [`MicroOp`] computes both once, at block-build time,
-//! so the hot loop degenerates to a table walk: read the pre-resolved source
-//! list, compare scoreboard entries, execute. The block dispatch engine in
+//! stall-on-use scoreboard) and whether it can transfer control. A
+//! [`MicroOp`] computes both once, at block-build time, so the hot loop
+//! degenerates to a table walk: read the pre-resolved source list, compare
+//! scoreboard entries, execute. The block dispatch engine in
 //! `cobra-machine` lowers every instruction of a basic block into this form
 //! and caches the result keyed by the block's entry address.
 //!
@@ -71,7 +71,9 @@ pub struct MicroOp {
     pub srcs: [SrcReg; MAX_SRCS],
     /// Number of valid entries in [`Self::srcs`].
     pub nsrcs: u8,
-    flags: u8,
+    /// The op can transfer control or end the thread (all branch flavours
+    /// and `hlt`): it terminates a basic block.
+    ends: bool,
     /// Dispatch class; operands of specialized classes are pre-extracted
     /// into [`Self::d`], [`Self::a`], [`Self::b`] and [`Self::imm`].
     pub class: OpClass,
@@ -85,14 +87,6 @@ pub struct MicroOp {
     /// pre-widened to i64.
     pub imm: i64,
 }
-
-/// Flag: the op may access the coherent memory system (loads, stores,
-/// prefetches, atomics) and therefore accrue snoop-stall penalties on other
-/// CPUs. `hlt` only *queries* the store buffer, it performs no access.
-const F_MEM: u8 = 1 << 0;
-/// Flag: the op can transfer control or end the thread (all branch flavours
-/// and `hlt`) — it terminates a basic block.
-const F_BLOCK_END: u8 = 1 << 1;
 
 impl MicroOp {
     /// Lower one instruction. Infallible: every decodable [`Insn`] has a
@@ -110,9 +104,7 @@ impl MicroOp {
             };
             n += 1;
         }
-        let mem = if insn.op.is_mem() { F_MEM } else { 0 };
         let ends = insn.is_branch() || insn.op == Op::Hlt;
-        let flags = mem | if ends { F_BLOCK_END } else { 0 };
         let (class, d, a, b, imm) = match insn.op {
             Op::Add { dest, r2, r3 } => (OpClass::Add, dest, r2, r3, 0),
             Op::AddI { dest, src, imm } => (OpClass::AddI, dest, src, 0, imm as i64),
@@ -124,7 +116,7 @@ impl MicroOp {
             insn,
             srcs,
             nsrcs: n as u8,
-            flags,
+            ends,
             class,
             d,
             a,
@@ -139,16 +131,10 @@ impl MicroOp {
         &self.srcs[..self.nsrcs as usize]
     }
 
-    /// May this op access the coherent memory system?
-    #[inline]
-    pub fn is_mem(&self) -> bool {
-        self.flags & F_MEM != 0
-    }
-
     /// Does this op terminate a basic block (branch or `hlt`)?
     #[inline]
     pub fn ends_block(&self) -> bool {
-        self.flags & F_BLOCK_END != 0
+        self.ends
     }
 }
 
@@ -165,14 +151,13 @@ mod tests {
     }
 
     #[test]
-    fn memory_ops_carry_the_mem_flag_and_base_sources() {
+    fn memory_ops_list_their_base_sources() {
         let u = MicroOp::lower(Insn::new(Op::Ld8 {
             dest: 7,
             base: 4,
             post_inc: 8,
             bias: false,
         }));
-        assert!(u.is_mem());
         assert!(!u.ends_block());
         assert_eq!(u.sources(), &[SrcReg::Gr(4)]);
 
@@ -181,7 +166,6 @@ mod tests {
             base: 5,
             post_inc: 0,
         }));
-        assert!(u.is_mem());
         assert_eq!(u.sources(), &[SrcReg::Fr(6), SrcReg::Gr(5)]);
 
         let u = MicroOp::lower(Insn::new(Op::Cmpxchg8 {
@@ -201,7 +185,6 @@ mod tests {
             f2: 7,
             f3: 8,
         }));
-        assert!(!u.is_mem());
         assert_eq!(u.sources(), &[SrcReg::Fr(6), SrcReg::Fr(7), SrcReg::Fr(8)]);
     }
 
@@ -219,7 +202,6 @@ mod tests {
             let u = MicroOp::lower(Insn::new(op));
             assert!(u.ends_block(), "{op:?} must end a block");
             assert!(u.sources().is_empty());
-            assert!(!u.is_mem());
         }
         // Straight-line ops do not end blocks.
         let u = MicroOp::lower(Insn::new(Op::CmpI {

@@ -1,7 +1,6 @@
 //! # cobra-osr — on-stack replacement maps for mid-loop version transfer
 //!
-//! COBRA deployments create a second version of a hot loop: either the body
-//! is rewritten in place (same addresses, nothing to migrate) or a rewritten
+//! A COBRA deployment creates a second version of a hot loop: a rewritten
 //! clone is appended to the trace cache and the loop head is redirected into
 //! it. Threads *already inside* the loop keep running whichever version
 //! their program counter points at; without help they only pick up the other
@@ -44,11 +43,10 @@ pub struct OsrEntry {
 /// The map is **total** over the source body: every address in
 /// `[loop_head, back_edge]` has exactly one entry, mapping it to the
 /// corresponding instruction of the version at `version_start` (the
-/// bundle-aligned trace-cache landing point for clone deployments, or
-/// `loop_head` itself for in-place deployments, where the map degenerates
-/// to the identity). Totality is what makes arming safe at *any* taken
-/// branch: wherever inside the body a thread's control transfer lands, the
-/// map has a defined destination for it.
+/// bundle-aligned trace-cache landing point of the clone, or the original
+/// head for a reversed map). Totality is what makes arming safe at *any*
+/// taken branch: wherever inside the body a thread's control transfer
+/// lands, the map has a defined destination for it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OsrMap {
     /// Deployment plan this map migrates threads toward (or away from,
@@ -91,22 +89,9 @@ impl OsrMap {
         }
     }
 
-    /// Identity map for an in-place deployment: both versions live at the
-    /// same addresses, so migration is a no-op (threads are on the new
-    /// version the moment the patch lands).
-    pub fn identity(plan_id: u64, loop_head: CodeAddr, back_edge: CodeAddr) -> OsrMap {
-        OsrMap::for_trace(plan_id, loop_head, back_edge, loop_head)
-    }
-
     /// Instructions in the mapped body.
     pub fn body_len(&self) -> usize {
         (self.back_edge - self.loop_head + 1) as usize
-    }
-
-    /// True when every entry maps an address to itself (in-place deploys);
-    /// arming an identity map would redirect nothing.
-    pub fn is_identity(&self) -> bool {
-        self.entries.iter().all(|e| e.from == e.to)
     }
 
     /// The reverse migration: threads running the deployed version map back
@@ -143,13 +128,9 @@ impl OsrMap {
     }
 
     /// The `(from, to)` pairs a machine redirect table should arm: every
-    /// non-identity entry, hottest (head) first.
+    /// entry, hottest (head) first.
     pub fn redirect_pairs(&self) -> Vec<(CodeAddr, CodeAddr)> {
-        self.entries
-            .iter()
-            .filter(|e| e.from != e.to)
-            .map(|e| (e.from, e.to))
-            .collect()
+        self.entries.iter().map(|e| (e.from, e.to)).collect()
     }
 }
 
@@ -247,18 +228,9 @@ mod tests {
         assert_eq!(m.lookup(43), Some(99));
         assert_eq!(m.lookup(44), None);
         assert_eq!(m.lookup(39), None);
-        assert!(!m.is_identity());
         assert_eq!(m.source_range(), (40, 43));
         assert_eq!(m.redirect_pairs().len(), 4);
         assert_eq!(m.redirect_pairs()[0], (40, 96));
-    }
-
-    #[test]
-    fn identity_map_redirects_nothing() {
-        let m = OsrMap::identity(1, 10, 15);
-        assert!(m.is_identity());
-        assert!(m.redirect_pairs().is_empty());
-        assert_eq!(m.lookup(12), Some(12));
     }
 
     #[test]

@@ -22,11 +22,13 @@
 //!   valid `noprefetch` removal or a valid `.excl` flip, judged per site.
 //!   Any single-kind plan may also touch a subset of a loop's `lfetch`
 //!   sites — unwritten sites simply stay as compiled.
-//! * A **trace clone** must land bundle-aligned at the next append point, be
-//!   instruction-identical to the source loop modulo the allowed prefetch
-//!   rewrites, keep its back edges inside the trace, exit to the instruction
-//!   after the original back edge, and leave the original body intact so a
-//!   regressed deployment can still be reverted.
+//! * Every plan deploys a **trace clone**, which must land bundle-aligned at
+//!   the next append point, be instruction-identical to the source loop
+//!   modulo the allowed prefetch rewrites, keep its back edges inside the
+//!   trace and exit to the instruction after the original back edge. The
+//!   plan's writes into the existing image are the hoisted-burst rewrites
+//!   and one head redirect into the clone; the original body stays intact
+//!   so a regressed deployment can still be reverted.
 //! * **Whole-image invariants** ([`check_image`]): every word reachable from
 //!   the entry point or a symbol decodes, every static branch target is in
 //!   bounds, and no reachable path falls off the end of the image.
@@ -73,8 +75,8 @@ pub struct PlanCheck<'a> {
     pub region_start: CodeAddr,
     /// Words the plan writes into the existing image.
     pub writes: &'a [(CodeAddr, u64)],
-    /// Trace to append first, when trace-cache deployed.
-    pub trace: Option<TraceCheck<'a>>,
+    /// The rewritten clone, appended before the writes land.
+    pub trace: TraceCheck<'a>,
 }
 
 /// One broken invariant. `Display` is the operator-facing one-liner that
@@ -463,41 +465,19 @@ pub fn check_plan(image: &CodeImage, plan: &PlanCheck<'_>) -> Result<(), VerifyE
     }
 
     // Sites whose lfetch the plan removes (needed for the reaching-use
-    // rule): filled in by the per-mode checks below.
+    // rule): filled in by the clone and write checks below.
     let mut removed: std::collections::HashSet<CodeAddr> = std::collections::HashSet::new();
 
-    match &plan.trace {
-        None => {
-            // In place: every write is an lfetch-site rewrite.
-            for &(addr, word) in plan.writes {
-                let (Ok(old), Ok(new)) = (
-                    if addr < image.len() {
-                        image.insn(addr)
-                    } else {
-                        continue;
-                    },
-                    decode(word),
-                ) else {
-                    continue; // already reported above
-                };
-                if check_site_rewrite(addr, &old, &new, plan.kind, &mut v) {
-                    removed.insert(addr);
-                }
-            }
-        }
-        Some(trace) => {
-            // The clone must land exactly where both sides will compute it.
-            let actual = bundle_align(image.len());
-            if trace.expected_start != actual {
-                v.push(Violation::TraceMisaligned {
-                    expected: trace.expected_start,
-                    actual,
-                });
-            }
-            check_trace_clone(image, plan, trace, &mut v, &mut removed);
-            check_trace_writes(image, plan, trace, &mut v, &mut removed);
-        }
+    // The clone must land exactly where both sides will compute it.
+    let actual = bundle_align(image.len());
+    if plan.trace.expected_start != actual {
+        v.push(Violation::TraceMisaligned {
+            expected: plan.trace.expected_start,
+            actual,
+        });
     }
+    check_trace_clone(image, plan, &mut v, &mut removed);
+    check_trace_writes(image, plan, &mut v, &mut removed);
 
     // Flow-sensitive reaching-use check for every removed post-incrementing
     // lfetch. The walk runs over the *original* CFG, which over-approximates
@@ -520,10 +500,10 @@ pub fn check_plan(image: &CodeImage, plan: &PlanCheck<'_>) -> Result<(), VerifyE
 fn check_trace_clone(
     image: &CodeImage,
     plan: &PlanCheck<'_>,
-    trace: &TraceCheck<'_>,
     v: &mut Vec<Violation>,
     removed: &mut std::collections::HashSet<CodeAddr>,
 ) {
+    let trace = &plan.trace;
     if plan.back_edge < plan.loop_head || plan.back_edge >= image.len() {
         v.push(Violation::PatchSiteOutOfRange {
             addr: plan.back_edge,
@@ -594,12 +574,11 @@ fn check_trace_clone(
     }
 }
 
-/// Check a trace plan's in-place writes: burst-site rewrites before the
-/// head, one head redirect, and nothing inside the body.
+/// Check a plan's writes into the existing image: burst-site rewrites
+/// before the head, one head redirect, and nothing inside the body.
 fn check_trace_writes(
     image: &CodeImage,
     plan: &PlanCheck<'_>,
-    trace: &TraceCheck<'_>,
     v: &mut Vec<Violation>,
     removed: &mut std::collections::HashSet<CodeAddr>,
 ) {
@@ -614,7 +593,7 @@ fn check_trace_writes(
             let ok = new.qp == 0
                 && new.op
                     == (Op::BrCond {
-                        target: trace.expected_start,
+                        target: plan.trace.expected_start,
                     });
             if !ok {
                 v.push(Violation::HeadRedirectInvalid { addr });
@@ -824,151 +803,164 @@ mod tests {
             .collect()
     }
 
-    fn noprefetch_writes(image: &CodeImage) -> Vec<(CodeAddr, u64)> {
-        lfetch_sites(image)
-            .into_iter()
-            .map(|a| (a, encode(&NOP_SLOT_M)))
-            .collect()
-    }
-
-    fn plan<'a>(
+    /// A plan for the loop `[head, back]` in the optimizer's layout:
+    /// `rewrite` gives each `lfetch` site (burst or body) its new
+    /// instruction, or `None` to keep it. Burst sites become writes, body
+    /// sites are rewritten in the clone, and the head is redirected into it.
+    struct Parts {
         head: CodeAddr,
         back: CodeAddr,
-        kind: RewriteKind,
-        writes: &'a [(CodeAddr, u64)],
-        trace: Option<TraceCheck<'a>>,
-    ) -> PlanCheck<'a> {
-        PlanCheck {
-            kind,
-            loop_head: head,
-            back_edge: back,
-            region_start: head.saturating_sub(24),
-            writes,
-            trace,
+        start: CodeAddr,
+        insns: Vec<Insn>,
+        writes: Vec<(CodeAddr, u64)>,
+    }
+
+    impl Parts {
+        fn with(
+            image: &CodeImage,
+            head: CodeAddr,
+            back: CodeAddr,
+            rewrite: impl Fn(CodeAddr, &Insn) -> Option<Insn>,
+        ) -> Parts {
+            let start = bundle_align(image.len());
+            let mut insns = Vec::new();
+            for addr in head..=back {
+                let mut insn = image.insn(addr).unwrap();
+                if insn.is_lfetch() {
+                    insn = rewrite(addr, &insn).unwrap_or(insn);
+                }
+                if insn.op.branch_target() == Some(head) {
+                    insn.op = insn.op.with_branch_target(start).unwrap();
+                }
+                insns.push(insn);
+            }
+            insns.push(Insn::new(Op::BrCond { target: back + 1 }));
+            let mut writes: Vec<(CodeAddr, u64)> = lfetch_sites(image)
+                .into_iter()
+                .filter(|&a| a < head)
+                .filter_map(|a| Some((a, encode(&rewrite(a, &image.insn(a).unwrap())?))))
+                .collect();
+            writes.push((head, encode(&Insn::new(Op::BrCond { target: start }))));
+            Parts {
+                head,
+                back,
+                start,
+                insns,
+                writes,
+            }
+        }
+
+        /// Every site rewritten the one way `kind` allows.
+        fn uniform(image: &CodeImage, head: CodeAddr, back: CodeAddr, kind: RewriteKind) -> Parts {
+            Parts::with(image, head, back, |_, old| allowed_rewrite(old, kind))
+        }
+
+        fn check(&self, image: &CodeImage, kind: RewriteKind) -> Result<(), VerifyError> {
+            check_plan(
+                image,
+                &PlanCheck {
+                    kind,
+                    loop_head: self.head,
+                    back_edge: self.back,
+                    region_start: self.head.saturating_sub(24),
+                    writes: &self.writes,
+                    trace: TraceCheck {
+                        expected_start: self.start,
+                        insns: &self.insns,
+                    },
+                },
+            )
+        }
+
+        /// Index in `insns` of the clone's first `lfetch` slot.
+        fn body_site(&self, image: &CodeImage) -> usize {
+            (self.head..=self.back)
+                .position(|a| image.insn(a).unwrap().is_lfetch())
+                .unwrap()
         }
     }
 
-    #[test]
-    fn accepts_inplace_noprefetch() {
-        let (image, head, back) = loop_image();
-        let writes = noprefetch_writes(&image);
-        check_plan(
-            &image,
-            &plan(head, back, RewriteKind::NoPrefetch, &writes, None),
-        )
-        .expect("the real rewrite shape must verify");
+    fn has(err: &VerifyError, want: impl Fn(&Violation) -> bool) -> bool {
+        err.violations.iter().any(want)
     }
 
+    /// Both rewrite kinds, shaped as the optimizer shapes them. The burst
+    /// shares a scratch base that the epilogue redefines before its binding
+    /// read, so removing the burst passes: the reaching-use walk is
+    /// flow-sensitive, not a blanket register scan.
     #[test]
-    fn accepts_inplace_excl_flip() {
+    fn accepts_real_trace_plan() {
         let (image, head, back) = loop_image();
-        let writes: Vec<(CodeAddr, u64)> = lfetch_sites(&image)
-            .into_iter()
-            .map(|a| {
-                let old = image.insn(a).unwrap();
-                let Op::Lfetch {
-                    base,
-                    post_inc,
-                    hint,
-                    ..
-                } = old.op
-                else {
-                    unreachable!()
-                };
-                (
-                    a,
-                    encode(&Insn::pred(
-                        old.qp,
-                        Op::Lfetch {
-                            base,
-                            post_inc,
-                            hint,
-                            excl: true,
-                        },
-                    )),
-                )
-            })
-            .collect();
-        check_plan(
-            &image,
-            &plan(head, back, RewriteKind::ExclHint, &writes, None),
-        )
-        .expect(".excl flip must verify");
+        for kind in [RewriteKind::NoPrefetch, RewriteKind::ExclHint] {
+            Parts::uniform(&image, head, back, kind)
+                .check(&image, kind)
+                .unwrap_or_else(|e| panic!("{kind:?}: the optimizer's own shape must verify: {e}"));
+        }
     }
 
+    /// An I-slot nop where only `nop.m` may go: in a burst write, and in
+    /// the clone.
     #[test]
     fn rejects_wrong_slot_type() {
         let (image, head, back) = loop_image();
-        let mut writes = noprefetch_writes(&image);
-        writes[0].1 = encode(&NOP_SLOT_I); // an I-slot nop in an M slot
-        let err = check_plan(
-            &image,
-            &plan(head, back, RewriteKind::NoPrefetch, &writes, None),
-        )
-        .unwrap_err();
-        assert!(err
-            .violations
-            .iter()
-            .any(|v| matches!(v, Violation::WrongSlotType { .. })));
+        let kind = RewriteKind::NoPrefetch;
+        let mut p = Parts::uniform(&image, head, back, kind);
+        p.writes[0].1 = encode(&NOP_SLOT_I);
+        let err = p.check(&image, kind).unwrap_err();
+        assert!(has(&err, |v| matches!(v, Violation::WrongSlotType { .. })));
+
+        let mut p = Parts::uniform(&image, head, back, kind);
+        let slot = p.body_site(&image);
+        p.insns[slot] = NOP_SLOT_I;
+        let err = p.check(&image, kind).unwrap_err();
+        assert!(has(&err, |v| matches!(
+            v,
+            Violation::TraceBodyMismatch { .. }
+        )));
     }
 
     #[test]
     fn rejects_clobbered_non_prefetch() {
         let (image, head, back) = loop_image();
-        let mut writes = noprefetch_writes(&image);
-        writes[0].0 = head; // head holds a predicated ldfd, not an lfetch
-        let err = check_plan(
-            &image,
-            &plan(head, back, RewriteKind::NoPrefetch, &writes, None),
-        )
-        .unwrap_err();
-        assert!(err
-            .violations
-            .iter()
-            .any(|v| matches!(v, Violation::NotALfetchSite { .. })));
+        let mut p = Parts::uniform(&image, head, back, RewriteKind::NoPrefetch);
+        // Address 0 holds the `mov` that loads the burst's base.
+        p.writes.push((0, encode(&NOP_SLOT_M)));
+        let err = p.check(&image, RewriteKind::NoPrefetch).unwrap_err();
+        assert!(has(&err, |v| matches!(
+            v,
+            Violation::NotALfetchSite { addr: 0 }
+        )));
     }
 
     #[test]
     fn rejects_write_outside_region() {
         let (image, head, back) = loop_image();
-        let writes = [(back + 1, encode(&NOP_SLOT_M))]; // the hlt after the loop
-        let err = check_plan(
-            &image,
-            &plan(head, back, RewriteKind::NoPrefetch, &writes, None),
-        )
-        .unwrap_err();
-        assert!(err
-            .violations
-            .iter()
-            .any(|v| matches!(v, Violation::PatchSiteOutsideLoopRegion { .. })));
+        let mut p = Parts::uniform(&image, head, back, RewriteKind::NoPrefetch);
+        p.writes.push((back + 1, encode(&NOP_SLOT_M))); // the hlt after the loop
+        let err = p.check(&image, RewriteKind::NoPrefetch).unwrap_err();
+        assert!(has(&err, |v| matches!(
+            v,
+            Violation::PatchSiteOutsideLoopRegion { .. }
+        )));
     }
 
     #[test]
     fn rejects_excl_that_changes_base() {
         let (image, head, back) = loop_image();
-        let site = lfetch_sites(&image)[0];
-        let writes = [(
-            site,
-            encode(&Insn::new(Op::Lfetch {
-                base: 9, // not the original base
-                post_inc: 128,
-                hint: LfetchHint::Nt1,
-                excl: true,
-            })),
-        )];
-        let err = check_plan(
-            &image,
-            &plan(head, back, RewriteKind::ExclHint, &writes, None),
-        )
-        .unwrap_err();
-        assert!(err
-            .violations
-            .iter()
-            .any(|v| matches!(v, Violation::NotAHintFlip { .. })));
+        let mut p = Parts::uniform(&image, head, back, RewriteKind::ExclHint);
+        p.writes[0].1 = encode(&Insn::new(Op::Lfetch {
+            base: 9, // not the original base
+            post_inc: 128,
+            hint: LfetchHint::Nt1,
+            excl: true,
+        }));
+        let err = p.check(&image, RewriteKind::ExclHint).unwrap_err();
+        assert!(has(&err, |v| matches!(v, Violation::NotAHintFlip { .. })));
     }
 
     /// Removing a post-incrementing lfetch whose base feeds a binding read
-    /// (no redefinition in between) must be rejected...
+    /// (no redefinition in between) must be rejected, under either kind
+    /// that removes.
     #[test]
     fn rejects_live_base_register() {
         let mut a = Assembler::new();
@@ -981,37 +973,23 @@ mod tests {
         let back = a.br_cloop(top);
         a.hlt();
         let image = a.finish();
-        let writes = [(0, encode(&NOP_SLOT_M))];
-        let err = check_plan(
-            &image,
-            &plan(head, back, RewriteKind::NoPrefetch, &writes, None),
-        )
-        .unwrap_err();
-        assert!(
-            err.violations
-                .iter()
-                .any(|v| matches!(v, Violation::BaseRegisterLive { base: 20, .. })),
-            "{err}"
-        );
-    }
-
-    /// ... but the minicc idiom — scratch base redefined before its binding
-    /// read — must pass (flow-sensitivity, not a blanket register scan).
-    #[test]
-    fn accepts_redefined_scratch_base() {
-        let (image, head, back) = loop_image();
-        let writes = noprefetch_writes(&image);
-        check_plan(
-            &image,
-            &plan(head, back, RewriteKind::NoPrefetch, &writes, None),
-        )
-        .expect("redefinition kills the perturbed value");
+        for kind in [RewriteKind::NoPrefetch, RewriteKind::Combined] {
+            let p = Parts::with(&image, head, back, |_, _| Some(NOP_SLOT_M));
+            let err = p.check(&image, kind).unwrap_err();
+            assert!(
+                has(&err, |v| matches!(
+                    v,
+                    Violation::BaseRegisterLive { base: 20, .. }
+                )),
+                "{kind:?}: {err}"
+            );
+        }
     }
 
     /// A software-pipelined loop reads last iteration's `r40` as `r41`: the
-    /// removed `lfetch [r40],8` has no reader *named* r40, yet its update is
-    /// live across the rotating back edge. Redefined before the branch, or
-    /// on a static base, the same removal is fine.
+    /// lfetch [r40],8 the clone removes has no reader *named* r40, yet its
+    /// update is live across the rotating back edge. Redefined before the
+    /// branch, or on a static base, the same removal is fine.
     #[test]
     fn rotating_base_is_live_across_a_rotating_branch() {
         let build = |base: u8, kill: bool| {
@@ -1029,11 +1007,8 @@ mod tests {
             (a.finish(), head, back)
         };
         let check = |(image, head, back): (CodeImage, CodeAddr, CodeAddr)| {
-            let writes = [(head, encode(&NOP_SLOT_M))];
-            check_plan(
-                &image,
-                &plan(head, back, RewriteKind::NoPrefetch, &writes, None),
-            )
+            Parts::uniform(&image, head, back, RewriteKind::NoPrefetch)
+                .check(&image, RewriteKind::NoPrefetch)
         };
         let err = check(build(40, false)).unwrap_err();
         assert_eq!(
@@ -1048,159 +1023,72 @@ mod tests {
         check(build(27, false)).expect("static registers keep their names");
     }
 
-    fn trace_plan_parts(
-        image: &CodeImage,
-        head: CodeAddr,
-        back: CodeAddr,
-        kind: RewriteKind,
-    ) -> (Vec<Insn>, Vec<(CodeAddr, u64)>, CodeAddr) {
-        let expected_start = bundle_align(image.len());
-        let mut insns = Vec::new();
-        for addr in head..=back {
-            let mut insn = image.insn(addr).unwrap();
-            if insn.is_lfetch() {
-                insn = allowed_rewrite(&insn, kind).unwrap();
-            }
-            if insn.op.branch_target() == Some(head) {
-                insn.op = insn.op.with_branch_target(expected_start).unwrap();
-            }
-            insns.push(insn);
-        }
-        insns.push(Insn::new(Op::BrCond { target: back + 1 }));
-        let mut writes: Vec<(CodeAddr, u64)> = lfetch_sites(image)
-            .into_iter()
-            .filter(|&a| a < head)
-            .map(|a| {
-                let old = image.insn(a).unwrap();
-                (a, encode(&allowed_rewrite(&old, kind).unwrap()))
-            })
-            .collect();
-        writes.push((
-            head,
-            encode(&Insn::new(Op::BrCond {
-                target: expected_start,
-            })),
-        ));
-        (insns, writes, expected_start)
-    }
-
-    #[test]
-    fn accepts_real_trace_plan() {
-        let (image, head, back) = loop_image();
-        let (insns, writes, start) = trace_plan_parts(&image, head, back, RewriteKind::NoPrefetch);
-        check_plan(
-            &image,
-            &plan(
-                head,
-                back,
-                RewriteKind::NoPrefetch,
-                &writes,
-                Some(TraceCheck {
-                    expected_start: start,
-                    insns: &insns,
-                }),
-            ),
-        )
-        .expect("the optimizer's own trace shape must verify");
-    }
-
     #[test]
     fn rejects_misaligned_trace() {
         let (image, head, back) = loop_image();
-        let (insns, writes, start) = trace_plan_parts(&image, head, back, RewriteKind::NoPrefetch);
-        let err = check_plan(
-            &image,
-            &plan(
-                head,
-                back,
-                RewriteKind::NoPrefetch,
-                &writes,
-                Some(TraceCheck {
-                    expected_start: start + 1,
-                    insns: &insns,
-                }),
-            ),
-        )
-        .unwrap_err();
-        assert!(err
-            .violations
-            .iter()
-            .any(|v| matches!(v, Violation::TraceMisaligned { .. })));
+        let mut p = Parts::uniform(&image, head, back, RewriteKind::NoPrefetch);
+        p.start += 1;
+        let err = p.check(&image, RewriteKind::NoPrefetch).unwrap_err();
+        assert!(has(&err, |v| matches!(
+            v,
+            Violation::TraceMisaligned { .. }
+        )));
     }
 
     #[test]
     fn rejects_escaped_back_edge() {
         let (image, head, back) = loop_image();
-        let (mut insns, writes, start) =
-            trace_plan_parts(&image, head, back, RewriteKind::NoPrefetch);
+        let mut p = Parts::uniform(&image, head, back, RewriteKind::NoPrefetch);
         let idx = (back - head) as usize;
-        insns[idx].op = insns[idx].op.with_branch_target(head).unwrap();
-        let err = check_plan(
-            &image,
-            &plan(
-                head,
-                back,
-                RewriteKind::NoPrefetch,
-                &writes,
-                Some(TraceCheck {
-                    expected_start: start,
-                    insns: &insns,
-                }),
-            ),
-        )
-        .unwrap_err();
-        assert!(err
-            .violations
-            .iter()
-            .any(|v| matches!(v, Violation::TraceBackEdgeEscapes { .. })));
+        p.insns[idx].op = p.insns[idx].op.with_branch_target(head).unwrap();
+        let err = p.check(&image, RewriteKind::NoPrefetch).unwrap_err();
+        assert!(has(&err, |v| matches!(
+            v,
+            Violation::TraceBackEdgeEscapes { .. }
+        )));
     }
 
     #[test]
     fn rejects_clobbered_body_and_truncated_trace() {
         let (image, head, back) = loop_image();
-        let (insns, mut writes, start) =
-            trace_plan_parts(&image, head, back, RewriteKind::NoPrefetch);
-        writes.push((head + 1, encode(&NOP_SLOT_M)));
-        let err = check_plan(
-            &image,
-            &plan(
-                head,
-                back,
-                RewriteKind::NoPrefetch,
-                &writes,
-                Some(TraceCheck {
-                    expected_start: start,
-                    insns: &insns,
-                }),
-            ),
-        )
-        .unwrap_err();
-        assert!(err
-            .violations
-            .iter()
-            .any(|v| matches!(v, Violation::OriginalBodyClobbered { .. })));
+        let mut p = Parts::uniform(&image, head, back, RewriteKind::NoPrefetch);
+        p.writes.push((head + 1, encode(&NOP_SLOT_M)));
+        let err = p.check(&image, RewriteKind::NoPrefetch).unwrap_err();
+        assert!(has(&err, |v| matches!(
+            v,
+            Violation::OriginalBodyClobbered { .. }
+        )));
 
-        let (mut insns, writes, start) =
-            trace_plan_parts(&image, head, back, RewriteKind::NoPrefetch);
-        insns.remove(1);
-        let err = check_plan(
-            &image,
-            &plan(
-                head,
-                back,
-                RewriteKind::NoPrefetch,
-                &writes,
-                Some(TraceCheck {
-                    expected_start: start,
-                    insns: &insns,
-                }),
-            ),
-        )
-        .unwrap_err();
-        assert!(err
-            .violations
-            .iter()
-            .any(|v| matches!(v, Violation::TraceLengthMismatch { .. })));
+        let mut p = Parts::uniform(&image, head, back, RewriteKind::NoPrefetch);
+        p.insns.remove(1);
+        let err = p.check(&image, RewriteKind::NoPrefetch).unwrap_err();
+        assert!(has(&err, |v| matches!(
+            v,
+            Violation::TraceLengthMismatch { .. }
+        )));
+    }
+
+    /// The head word must be one unpredicated branch into the clone, and
+    /// there must be exactly one such write.
+    #[test]
+    fn rejects_missing_or_misdirected_head_redirect() {
+        let (image, head, back) = loop_image();
+        let mut p = Parts::uniform(&image, head, back, RewriteKind::NoPrefetch);
+        p.writes.pop();
+        let err = p.check(&image, RewriteKind::NoPrefetch).unwrap_err();
+        assert_eq!(
+            err.violations,
+            [Violation::HeadRedirectInvalid { addr: head }]
+        );
+
+        let mut p = Parts::uniform(&image, head, back, RewriteKind::NoPrefetch);
+        let redirect = p.writes.last_mut().unwrap();
+        redirect.1 = encode(&Insn::new(Op::BrCond { target: back + 1 }));
+        let err = p.check(&image, RewriteKind::NoPrefetch).unwrap_err();
+        assert!(has(&err, |v| matches!(
+            v,
+            Violation::HeadRedirectInvalid { .. }
+        )));
     }
 
     #[test]
@@ -1227,129 +1115,62 @@ mod tests {
         let (image, head, back) = loop_image();
         let sites = lfetch_sites(&image);
         assert!(sites.len() >= 3, "test image needs a burst and a body site");
-        let writes = [(sites[0], encode(&NOP_SLOT_M))];
-        check_plan(
-            &image,
-            &plan(head, back, RewriteKind::NoPrefetch, &writes, None),
-        )
-        .expect("subset noprefetch must verify");
+        let p = Parts::with(&image, head, back, |a, _| {
+            (a == sites[0]).then_some(NOP_SLOT_M)
+        });
+        assert_eq!(p.writes.len(), 2, "one burst write and the redirect");
+        p.check(&image, RewriteKind::NoPrefetch)
+            .expect("subset noprefetch must verify");
     }
 
+    /// Combined plans judge each site on its own: a removal and a hint flip
+    /// in either place, burst or clone, with a site left as compiled.
     #[test]
-    fn accepts_combined_mixed_plan_in_place() {
+    fn accepts_combined_mixed_plans() {
         let (image, head, back) = loop_image();
         let sites = lfetch_sites(&image);
-        // Site 0 removed, site 2 hint-flipped, site 1 left as compiled.
-        let flip = allowed_rewrite(&image.insn(sites[2]).unwrap(), RewriteKind::ExclHint).unwrap();
-        let writes = [(sites[0], encode(&NOP_SLOT_M)), (sites[2], encode(&flip))];
-        check_plan(
-            &image,
-            &plan(head, back, RewriteKind::Combined, &writes, None),
-        )
-        .expect("mixed per-site combined plan must verify");
-    }
-
-    #[test]
-    fn accepts_combined_trace_plan() {
-        let (image, head, back) = loop_image();
-        let expected_start = bundle_align(image.len());
-        // Clone: body lfetch removed; burst writes: excl flips.
-        let mut insns = Vec::new();
-        for addr in head..=back {
-            let mut insn = image.insn(addr).unwrap();
-            if insn.is_lfetch() {
-                insn = NOP_SLOT_M;
+        let flip = |old: &Insn| allowed_rewrite(old, RewriteKind::ExclHint);
+        // Burst site 0 removed, body site 2 flipped, burst site 1 kept.
+        let p = Parts::with(&image, head, back, |a, old| {
+            if a == sites[0] {
+                Some(NOP_SLOT_M)
+            } else if a == sites[2] {
+                flip(old)
+            } else {
+                None
             }
-            if insn.op.branch_target() == Some(head) {
-                insn.op = insn.op.with_branch_target(expected_start).unwrap();
+        });
+        p.check(&image, RewriteKind::Combined)
+            .expect("mixed per-site combined plan must verify");
+        // Body site removed, burst sites flipped.
+        let p = Parts::with(&image, head, back, |a, old| {
+            if a >= head {
+                Some(NOP_SLOT_M)
+            } else {
+                flip(old)
             }
-            insns.push(insn);
-        }
-        insns.push(Insn::new(Op::BrCond { target: back + 1 }));
-        let mut writes: Vec<(CodeAddr, u64)> = lfetch_sites(&image)
-            .into_iter()
-            .filter(|&a| a < head)
-            .map(|a| {
-                let old = image.insn(a).unwrap();
-                (
-                    a,
-                    encode(&allowed_rewrite(&old, RewriteKind::ExclHint).unwrap()),
-                )
-            })
-            .collect();
-        writes.push((
-            head,
-            encode(&Insn::new(Op::BrCond {
-                target: expected_start,
-            })),
-        ));
-        check_plan(
-            &image,
-            &plan(
-                head,
-                back,
-                RewriteKind::Combined,
-                &writes,
-                Some(TraceCheck {
-                    expected_start,
-                    insns: &insns,
-                }),
-            ),
-        )
-        .expect("mixed trace-cache combined plan must verify");
+        });
+        p.check(&image, RewriteKind::Combined)
+            .expect("mixed trace-cache combined plan must verify");
     }
 
     #[test]
     fn rejects_combined_non_rewrite() {
         let (image, head, back) = loop_image();
-        let site = lfetch_sites(&image)[0];
+        let mut p = Parts::uniform(&image, head, back, RewriteKind::NoPrefetch);
         // Neither a nop.m nor a pure hint flip: base changed *and* excl set.
-        let writes = [(
-            site,
-            encode(&Insn::new(Op::Lfetch {
-                base: 9,
-                post_inc: 128,
-                hint: LfetchHint::Nt1,
-                excl: true,
-            })),
-        )];
-        let err = check_plan(
-            &image,
-            &plan(head, back, RewriteKind::Combined, &writes, None),
-        )
-        .unwrap_err();
+        p.writes[0].1 = encode(&Insn::new(Op::Lfetch {
+            base: 9,
+            post_inc: 128,
+            hint: LfetchHint::Nt1,
+            excl: true,
+        }));
+        let err = p.check(&image, RewriteKind::Combined).unwrap_err();
         assert!(
-            err.violations
-                .iter()
-                .any(|v| matches!(v, Violation::CombinedRewriteInvalid { .. })),
-            "{err}"
-        );
-    }
-
-    /// Combined-plan removals must feed the reaching-use walk exactly like
-    /// noprefetch removals do.
-    #[test]
-    fn rejects_combined_nop_of_live_base() {
-        let mut a = Assembler::new();
-        a.lfetch_nt1(0, 20, 64); // r20 += 64 — removed by the plan
-        a.mov_to_lc(20); // binding read of r20, no redefinition
-        let top = a.new_label();
-        a.bind(top);
-        let head = a.here();
-        a.ldfd(16, 32, 2, 8);
-        let back = a.br_cloop(top);
-        a.hlt();
-        let image = a.finish();
-        let writes = [(0, encode(&NOP_SLOT_M))];
-        let err = check_plan(
-            &image,
-            &plan(head, back, RewriteKind::Combined, &writes, None),
-        )
-        .unwrap_err();
-        assert!(
-            err.violations
-                .iter()
-                .any(|v| matches!(v, Violation::BaseRegisterLive { base: 20, .. })),
+            has(&err, |v| matches!(
+                v,
+                Violation::CombinedRewriteInvalid { .. }
+            )),
             "{err}"
         );
     }
@@ -1374,8 +1195,11 @@ mod tests {
         back: CodeAddr,
         kind: RewriteKind,
     ) -> (cobra_osr::OsrMap, Vec<Insn>) {
-        let (insns, _writes, start) = trace_plan_parts(image, head, back, kind);
-        (cobra_osr::OsrMap::for_trace(1, head, back, start), insns)
+        let p = Parts::uniform(image, head, back, kind);
+        (
+            cobra_osr::OsrMap::for_trace(1, head, back, p.start),
+            p.insns,
+        )
     }
 
     #[test]
@@ -1387,15 +1211,6 @@ mod tests {
             // A combined plan accepts either per-site rewrite.
             check_osr_map(&image, &map, RewriteKind::Combined, &insns).unwrap();
         }
-    }
-
-    #[test]
-    fn accepts_identity_map_for_in_place_deploys() {
-        let (image, head, back) = loop_image();
-        let map = cobra_osr::OsrMap::identity(1, head, back);
-        let body: Vec<Insn> = (head..=back).map(|a| image.insn(a).unwrap()).collect();
-        check_osr_map(&image, &map, RewriteKind::NoPrefetch, &body).unwrap();
-        assert!(map.is_identity());
     }
 
     #[test]

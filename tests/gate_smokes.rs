@@ -11,14 +11,14 @@ use cobra::kernels::workload::Workload;
 use cobra::kernels::{Daxpy, DaxpyParams, PrefetchPolicy};
 use cobra::machine::{Machine, MachineConfig};
 use cobra::omp::{OmpRuntime, Team};
-use cobra::rt::{verify_plan, Cobra, CobraReport, DeployMode, Strategy};
+use cobra::rt::{verify_plan, Cobra, CobraReport, Strategy};
 
 #[path = "../crates/core/tests/common/mod.rs"]
 mod common;
 
 /// A plan the real optimizer emits for an `mg` loop passes the deploy gate;
-/// the same plan with one more write, over a word of the loop body that is
-/// not a prefetch, does not.
+/// the same plan with one more write, over a word of the original loop body
+/// that is not a prefetch (the body a revert returns to), does not.
 #[test]
 fn a_real_mg_plan_verifies_and_its_clobbering_twin_is_rejected() {
     let plans = common::plans_for(Benchmark::Mg, "smp4", &MachineConfig::smp4());
@@ -26,12 +26,13 @@ fn a_real_mg_plan_verifies_and_its_clobbering_twin_is_rejected() {
     verify_plan(&c.image, &c.plan, c.window).expect("a genuine plan verifies");
 
     let mut bad = c.plan.clone();
-    let victim = (bad.loop_head..=bad.back_edge)
+    let victim = (bad.loop_head + 1..=bad.back_edge)
         .find(|&a| !c.image.insn(a).unwrap().is_lfetch())
         .expect("the loop is not all prefetches");
     bad.writes.push((victim, encode(&NOP_SLOT_M)));
     let err = verify_plan(&c.image, &bad, c.window).expect_err("the clobber is caught");
-    assert!(err.to_string().contains("not an lfetch"), "{err}");
+    let want = format!("write at {victim} clobbers the original loop body");
+    assert!(err.to_string().contains(&want), "{err}");
 }
 
 /// DAXPY under COBRA, `noprefetch` through the trace cache, OSR on or off:
@@ -47,7 +48,6 @@ fn daxpy_under_cobra(osr: bool) -> (CobraReport, Vec<u64>) {
     wl.init(&mut m.shared.mem);
     let mut cobra = Cobra::builder()
         .strategy(Strategy::NoPrefetch)
-        .deploy_mode(DeployMode::TraceCache)
         .osr(osr)
         .attach(&mut m);
     // A quantum short enough that the deployment tick finds the threads
