@@ -18,7 +18,11 @@
 //!
 //! Configure and attach through the fluent [`Cobra::builder`] API:
 //!
-//! ```ignore
+//! ```no_run
+//! # use cobra_machine::{Machine, MachineConfig};
+//! # use cobra_rt::{Cobra, Strategy, TelemetrySink};
+//! # let mut machine = Machine::new(MachineConfig::smp4(), cobra_isa::Assembler::new().finish());
+//! # let (sink, _log) = TelemetrySink::memory();
 //! let mut cobra = Cobra::builder()
 //!     .sampling_period(2000)
 //!     .strategy(Strategy::Adaptive)

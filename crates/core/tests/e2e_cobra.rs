@@ -184,8 +184,8 @@ fn execute_helper_works_with_cobra_hook() {
     let _ = cobra.detach(&mut machine);
 }
 
-/// The whole host-acceleration group (block dispatch, stall skip, memory
-/// fast path) must be invisible to the full COBRA pipeline: a fast run and
+/// The whole host-acceleration group (block dispatch, the batch's clock
+/// jump, memory fast path) must be invisible to the full COBRA pipeline: a fast run and
 /// a reference run land on the same cycles and the same report, field for
 /// field (serialized comparison — `CobraReport` has no `PartialEq`).
 #[test]

@@ -184,18 +184,21 @@ impl Block {
     }
 }
 
-/// Why machine cycles ran one at a time, cores interleaved, instead of in a
-/// stretch. The breakdown makes the residual per-cycle time attributable: a
-/// hot `MultiCoreMemBoundary` count means several cores run together; a hot
-/// `Sampling` count means HPM overflow sampling keeps landing crossings.
+/// Why machine cycles ran outside a solo stretch. The breakdown makes the
+/// residual per-cycle time attributable: a hot `MultiCoreMemBoundary` count
+/// means several cores run together; a hot `Sampling` count means HPM
+/// overflow sampling keeps landing crossings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FallbackReason {
-    /// Two or more cores Running: the cycles run interleaved in the boundary
-    /// batch, still through pre-decoded dispatch.
+    /// Two or more cores Running (or none): the cycles run in the boundary
+    /// batch, interleaved through pre-decoded dispatch, with the clock
+    /// jumped across the windows in which no core can issue.
     MultiCoreMemBoundary,
-    /// A sampled counter may cross its threshold this cycle (or samples an
-    /// event with no per-cycle bound), so the cycle runs through the polled
-    /// reference step and the capture lands on the exact reference cycle.
+    /// A Running core's sampled counter may cross its threshold on the next
+    /// cycle (or it samples an event with no per-cycle bound and is awake),
+    /// so the budget rule held the stretch or batch to that one cycle,
+    /// polled at its end: the capture lands on the exact reference cycle.
+    /// Such a cycle is counted here and not as `MultiCoreMemBoundary`.
     Sampling,
 }
 
@@ -220,8 +223,8 @@ pub struct BlockStats {
 }
 
 impl BlockStats {
-    /// Total machine cycles that ran one at a time under the fast engine
-    /// (the sum of the per-reason counters).
+    /// Total machine cycles that ran outside a solo stretch under the fast
+    /// engine (the sum of the per-reason counters).
     pub fn fallback_cycles(&self) -> u64 {
         self.fallback_mem_boundary + self.fallback_sampling
     }

@@ -414,13 +414,14 @@ impl Core {
     /// cross-core effect, snoop stalls, lands on cores that are not running
     /// and ignore it ([`Self::add_stall`]).
     ///
-    /// The sampling gate bounds `budget` so that no sampled counter crosses
-    /// its threshold inside, which makes the skipped per-cycle overflow polls
-    /// no-ops and lets the counters be added in bulk; nothing inside a
-    /// stretch can mutate the program text or the block cache except block
-    /// *builds* (which leave the text's stamp alone); and `execute` and the
-    /// memory system take `now` as a parameter, so nothing observes
-    /// `shared.cycle` until the caller advances it.
+    /// The machine's budget rule bounds `budget` so that no sampled counter
+    /// crosses its threshold before the last cycle, which makes the skipped
+    /// per-cycle overflow polls no-ops and lets the counters be added in
+    /// bulk; nothing inside a stretch can mutate the program text or the
+    /// block cache except block *builds* (which leave the text's stamp
+    /// alone); and `execute` and the memory system take `now` as a
+    /// parameter, so nothing observes `shared.cycle` until the caller
+    /// advances it.
     ///
     /// Replicates the reference accounting exactly: a Running core earns
     /// `CPU_CYCLES` every cycle, `STALL_CYCLES` on cycles that *begin*
@@ -1239,8 +1240,8 @@ impl Core {
         self.lc
     }
 
-    /// Cycle until which the core is stalled. The stall-skip fast path reads
-    /// this to find the earliest wake-up point across all Running cores.
+    /// Cycle until which the core is stalled. The boundary batch reads this
+    /// to jump to the earliest wake-up point across all Running cores.
     pub fn resume_at(&self) -> u64 {
         self.resume_at
     }

@@ -163,17 +163,17 @@ impl Hpm {
         self.sampling.as_ref().map(|s| s.config)
     }
 
-    /// Events remaining until the next sampling overflow, given the current
-    /// free-running count of the sampled event. `None` when sampling is off.
+    /// The sampled event and how many more of it `stats` may count before
+    /// the next overflow (≥ 1 after every poll). `None` when sampling is off.
     ///
-    /// The stall-skip fast path uses this to cap a bulk cycle jump: when the
-    /// sampled event advances once per stalled cycle (`CPU_CYCLES`,
-    /// `BE_STALL_CYCLES`), skipping more than the headroom would smear an
-    /// overflow capture past its true cycle.
-    pub fn sampling_headroom(&self, current: u64) -> Option<u64> {
-        self.sampling
-            .as_ref()
-            .map(|s| s.next_threshold.saturating_sub(current))
+    /// The fast engine's budget rule reads this to size a stretch or batch
+    /// that polls only at its end: letting the event pass the headroom
+    /// before the last cycle would smear a capture past its true cycle.
+    pub fn sampling_headroom(&self, stats: &CpuStats) -> Option<(Event, u64)> {
+        self.sampling.as_ref().map(|s| {
+            let event = s.config.event;
+            (event, s.next_threshold.saturating_sub(stats.get(event)))
+        })
     }
 
     /// Check the free-running counters against the sampling threshold; on a

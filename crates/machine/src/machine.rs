@@ -144,21 +144,6 @@ pub struct RunResult {
     pub faulted: bool,
 }
 
-/// How HPM sampling constrains block-engine stretches at the current cycle
-/// (see [`Machine::sampling_gate`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SamplingGate {
-    /// No CPU is sampling: stretches are bounded only by the cycle budget.
-    Off,
-    /// Stretches of up to this many cycles provably cross no sampling
-    /// threshold. Zero means a crossing is imminent: the next cycle must
-    /// run through the polled per-cycle path.
-    Cap(u64),
-    /// Some CPU samples an event with no per-cycle advance bound; the block
-    /// engine is off until sampling is reprogrammed.
-    Unsupported,
-}
-
 /// What one core earned inside the current boundary batch and has not yet
 /// added to its [`CpuStats`] (see [`Machine::run_boundary_batch`]).
 #[derive(Debug, Clone, Copy, Default)]
@@ -231,7 +216,7 @@ impl Machine {
         self.end_cycles(1);
     }
 
-    /// The tail of [`Self::step`], a stall skip and a stretch: deliver the
+    /// The tail of [`Self::step`] and of a stretch: deliver the
     /// snoop-response penalties accrued at the current cycle, advance the
     /// clock by `n`, and poll for a sampling overflow at the new cycle.
     fn end_cycles(&mut self, n: u64) {
@@ -281,79 +266,8 @@ impl Machine {
         self.cores.iter().any(|c| c.status == CoreStatus::Faulted)
     }
 
-    /// When no Running core can execute at the current cycle, the number of
-    /// cycles (≥ 1, ≤ `budget`) that can be skipped in bulk without changing
-    /// any observable state relative to the per-cycle reference loop.
-    /// `None` when some core executes this cycle or the budget is spent.
-    ///
-    /// The window is the distance to the earliest wake-up (`resume_at`)
-    /// across Running cores — or the whole budget when no core is Running —
-    /// additionally capped, per CPU whose HPM samples an event that advances
-    /// once per stalled cycle (`CPU_CYCLES`, `BE_STALL_CYCLES`), at the
-    /// sampling headroom: a longer jump would land an overflow capture past
-    /// the cycle where the reference path takes it.
-    fn stall_skip_window(&self, budget: u64) -> Option<u64> {
-        if budget == 0 {
-            return None;
-        }
-        let now = self.shared.cycle;
-        let mut n = budget;
-        let mut any_running = false;
-        for c in &self.cores {
-            if c.status != CoreStatus::Running {
-                continue;
-            }
-            any_running = true;
-            let resume = c.resume_at();
-            if resume <= now {
-                return None; // this core executes this cycle
-            }
-            n = n.min(resume - now);
-        }
-        if any_running {
-            for c in &self.cores {
-                if c.status != CoreStatus::Running {
-                    continue;
-                }
-                if let Some(sc) = self.shared.hpm[c.cpu].sampling_config() {
-                    if matches!(sc.event, Event::CpuCycles | Event::StallCycles) {
-                        let current = self.shared.stats[c.cpu].get(sc.event);
-                        if let Some(headroom) = self.shared.hpm[c.cpu].sampling_headroom(current) {
-                            // After every poll the threshold moves past the
-                            // counter, so headroom ≥ 1; the max(1) guards
-                            // forward progress regardless.
-                            n = n.min(headroom.max(1));
-                        }
-                    }
-                }
-            }
-        }
-        Some(n)
-    }
-
-    /// Advance the clock by `n` cycles across an all-stalled (or all-idle)
-    /// window, reproducing exactly the per-cycle loop's observable effects:
-    /// each Running core accrues `n` CPU and stall cycles (snoop stalls are
-    /// provably zero — they only accrue while some core executes), and one
-    /// end-of-window overflow poll per CPU lands any sampling crossing on
-    /// the same cycle as the reference path (guaranteed by the headroom cap
-    /// in [`Self::stall_skip_window`]).
-    fn skip_stalled(&mut self, n: u64) {
-        for c in &self.cores {
-            if c.status == CoreStatus::Running {
-                debug_assert_eq!(
-                    self.shared.memsys.snoop_stall_pending(c.cpu),
-                    0,
-                    "snoop stalls cannot be pending while every core is stalled"
-                );
-                self.shared.stats[c.cpu].add(Event::CpuCycles, n);
-                self.shared.stats[c.cpu].add(Event::StallCycles, n);
-            }
-        }
-        self.end_cycles(n);
-    }
-
-    /// The CPU of the one Running core, or `None` when two or more run.
+    /// The CPU of the one Running core, or `None` when none or two or more
+    /// run.
     fn solo_cpu(&self) -> Option<usize> {
         let mut running = self
             .cores
@@ -363,43 +277,91 @@ impl Machine {
         running.next().is_none().then_some(first.cpu)
     }
 
+    /// How many cycles, at most `left`, the next stretch or batch may run
+    /// with no sampled counter crossing its threshold inside; 0 when one may
+    /// cross on the very next cycle, which then runs alone and is polled at
+    /// its end, as [`Self::step`] polls it.
+    ///
+    /// A stretch or a batch polls for overflows only at its end, which is
+    /// exact while no sampled counter crosses before its last cycle. Only a
+    /// Running core's counters move inside `run` (the memory system counts
+    /// an event on the requesting CPU alone), so each Running core that
+    /// samples caps the budget by how fast its event can advance. With
+    /// `safe` = headroom − 1 events that may pass without a crossing and
+    /// `quiet` cycles until the core wakes (0 when it is awake), during
+    /// which it retires, branches and misses nothing, the cap is
+    ///
+    /// * `safe` for `CPU_CYCLES` and `BE_STALL_CYCLES` (one a cycle, stalled
+    ///   or not);
+    /// * `quiet + safe / 3` for `IA64_INST_RETIRED` (the issue width);
+    /// * `quiet + safe` for `BR_TAKEN` (a taken branch ends its group);
+    /// * `quiet` for any other event (cache, bus, DEAR and fault counters
+    ///   have no bound per cycle).
+    fn sampling_budget(&self, left: u64) -> u64 {
+        let now = self.shared.cycle;
+        let mut budget = left;
+        for c in &self.cores {
+            if c.status != CoreStatus::Running {
+                continue;
+            }
+            let Some((event, headroom)) =
+                self.shared.hpm[c.cpu].sampling_headroom(&self.shared.stats[c.cpu])
+            else {
+                continue;
+            };
+            let safe = headroom.saturating_sub(1);
+            let quiet = c.resume_at().saturating_sub(now);
+            let cap = match event {
+                Event::CpuCycles | Event::StallCycles => safe,
+                Event::InstRetired => quiet.saturating_add(safe / 3),
+                Event::BrTaken => quiet.saturating_add(safe),
+                _ => quiet,
+            };
+            budget = budget.min(cap);
+        }
+        budget
+    }
+
     /// Execute one stretch of the solo Running core on `cpu`:
-    /// [`Core::run_stretch`] on a local clock for the whole `budget` (already
-    /// capped by the sampling gate), then one clock advance. The core may
-    /// issue memory uops: the snoop stalls they raise land on cores that are
-    /// not running, so the tail's one drain discards them exactly as the
-    /// per-cycle drains would. The clock advances by the cycles the core
-    /// consumed — the whole budget unless it halts or faults inside, exactly
-    /// where the reference loop would stop counting.
+    /// [`Core::run_stretch`] on a local clock for the whole `budget`, then
+    /// one clock advance. The core may issue memory uops: the snoop stalls
+    /// they raise land on cores that are not running, so the tail's one
+    /// drain discards them exactly as the per-cycle drains would. The clock
+    /// advances by the cycles the core consumed — the whole budget unless it
+    /// halts or faults inside, exactly where the reference loop would stop
+    /// counting.
     fn run_stretch(&mut self, cpu: usize, budget: u64) {
         let now = self.shared.cycle;
         let executed = self.cores[cpu].run_stretch(&mut self.shared, now, budget);
         self.end_cycles(executed);
     }
 
-    /// Run a batch of interleaved cycles while two or more cores are
-    /// Running, counting each against the `MultiCoreMemBoundary` fallback
-    /// reason. Cores issue in CPU order at the shared clock through
-    /// [`Core::issue`], bit-identical to the schedule of [`Self::step`], and
-    /// each cycle pays only for what can change on it:
+    /// Run a batch of cycles while no core or two or more cores are Running;
+    /// returns the cycles it ran. Cores issue in CPU order at the shared
+    /// clock through [`Core::issue`], bit-identical to the schedule of
+    /// [`Self::step`], and each cycle pays only for what can change on it:
     ///
     /// * snoop stalls are drained at the end of a cycle on which the memory
     ///   system raised one, and on no other (every slot is zero);
-    /// * `budget` is capped by the sampling gate, so no sampled counter can
-    ///   cross its threshold inside the batch: the per-cycle overflow polls
+    /// * a cycle on which no core issued raised none, and leaves every
+    ///   Running core asleep until its `resume_at`: the clock jumps to the
+    ///   earliest one (to the budget's end when nothing runs), each Running
+    ///   core earning the skipped cycles as stalled ones;
+    /// * no sampled counter crosses its threshold before the batch's last
+    ///   cycle ([`Self::sampling_budget`]), so the per-cycle overflow polls
     ///   would be no-ops, and one poll at the end observes the same thing;
     /// * nothing between two polls reads `CPU_CYCLES`, `BE_STALL_CYCLES` or
     ///   `IA64_INST_RETIRED`, so they accumulate per core in `batch_counts`
     ///   and reach [`CpuStats`] once, before that poll and before `run` can
     ///   return, as [`Core::run_stretch`] does for a stretch.
     ///
-    /// The batch ends at `budget` (≥ 1), when fewer than two cores remain
-    /// Running (the solo stretch or halt handling takes over), or when no
-    /// Running core issued (the stall-skip fast path takes over). Every
-    /// executed cycle is reference-faithful on the shared clock, so stopping
-    /// at any point is safe. Always executes at least one cycle.
-    fn run_boundary_batch(&mut self, budget: u64) {
-        let mut n = 0u64;
+    /// The batch ends at `budget` (≥ 1) or when fewer than two cores remain
+    /// Running (the solo stretch or halt handling takes over). Every cycle is
+    /// reference-faithful on the shared clock, so stopping at any point is
+    /// safe.
+    fn run_boundary_batch(&mut self, budget: u64) -> u64 {
+        let start = self.shared.cycle;
+        let end = start + budget;
         loop {
             let now = self.shared.cycle;
             // Post-issue status: a core that halts or faults this cycle must
@@ -423,8 +385,23 @@ impl Machine {
                 self.drain_snoop_stalls();
             }
             self.shared.cycle += 1;
-            n += 1;
-            if n == budget || running < 2 || !issued {
+            if !issued {
+                let wake = self
+                    .cores
+                    .iter()
+                    .filter(|c| c.status == CoreStatus::Running)
+                    .map(Core::resume_at)
+                    .fold(end, u64::min);
+                let skipped = wake - self.shared.cycle;
+                for (core, counts) in self.cores.iter().zip(&mut self.batch_counts) {
+                    if core.status == CoreStatus::Running {
+                        counts.cycles += skipped;
+                        counts.stalled += skipped;
+                    }
+                }
+                self.shared.cycle = wake;
+            }
+            if self.shared.cycle == end || running < 2 {
                 break;
             }
         }
@@ -435,63 +412,21 @@ impl Machine {
             stats.add(Event::InstRetired, earned.retired);
         }
         self.poll_overflows();
-        self.shared
-            .blocks
-            .note_fallback(FallbackReason::MultiCoreMemBoundary, n);
-    }
-
-    /// How many back-to-back cycles the block engine may run before HPM
-    /// sampling could observe the difference. A stretch skips the per-cycle
-    /// overflow polls and flushes `CPU_CYCLES`/`INST_RETIRED` in bulk at its
-    /// end, which is unobservable exactly while no sampled counter crosses
-    /// its threshold inside the stretch: counters are monotone, so if the
-    /// sampled event's total advance over `h` cycles stays strictly below
-    /// the headroom, every skipped poll was a no-op and the end-of-stretch
-    /// totals equal the reference's. The advance is bounded per cycle by the
-    /// event: ≤ 3 retired instructions (issue width), ≤ 1 cpu/stall cycle,
-    /// ≤ 1 taken branch (a taken branch ends its issue group). Events
-    /// without such a bound (cache, bus, DEAR, fault counters) force the
-    /// polled per-cycle path, as before. The crossing cycle itself always
-    /// runs per-cycle, capturing on the exact reference cycle.
-    fn sampling_gate(&self) -> SamplingGate {
-        let mut cap: Option<u64> = None;
-        for cpu in 0..self.cores.len() {
-            let Some(sc) = self.shared.hpm[cpu].sampling_config() else {
-                continue;
-            };
-            let per_cycle: u64 = match sc.event {
-                Event::InstRetired => 3,
-                Event::CpuCycles | Event::StallCycles | Event::BrTaken => 1,
-                _ => return SamplingGate::Unsupported,
-            };
-            let current = self.shared.stats[cpu].get(sc.event);
-            let headroom = self.shared.hpm[cpu]
-                .sampling_headroom(current)
-                .unwrap_or(u64::MAX);
-            let h = headroom.saturating_sub(1) / per_cycle;
-            cap = Some(cap.map_or(h, |c| c.min(h)));
-        }
-        match cap {
-            None => SamplingGate::Off,
-            Some(c) => SamplingGate::Cap(c),
-        }
+        self.shared.cycle - start
     }
 
     /// Run until every bound thread terminates or `max_cycles` elapse.
     ///
-    /// Under [`HostAccel::Reference`] this is [`Self::step`] in a
-    /// loop. Under [`HostAccel::Fast`] each iteration takes the first
-    /// of four paths that applies: cycles where no core can execute are
-    /// skipped in bulk to the earliest wake-up point; a cycle on which a
-    /// sampled counter may cross its threshold runs through [`Self::step`]
-    /// (the gate bounds every other path so the per-cycle overflow polls it
-    /// skips are provably no-ops); otherwise a solo Running core runs a
-    /// stretch of the whole gated budget ([`Self::run_stretch`]), and two or
-    /// more run a batch of interleaved pre-decoded cycles
-    /// ([`Self::run_boundary_batch`]). Results are bit-identical either way
-    /// (enforced by the
-    /// `stall_skip_equivalence`, `mem_fastpath_equivalence` and
-    /// `block_dispatch_equivalence` suites).
+    /// Under [`HostAccel::Reference`] this is [`Self::step`] in a loop.
+    /// Under [`HostAccel::Fast`] each iteration runs one budget of at least
+    /// one cycle ([`Self::sampling_budget`]) through one of two paths: a
+    /// solo Running core runs a stretch ([`Self::run_stretch`]); otherwise
+    /// the boundary batch interleaves the Running cores' pre-decoded cycles
+    /// and jumps the clock across the windows in which none can issue
+    /// ([`Self::run_boundary_batch`]). Both poll for sampling overflows only
+    /// at their end, which the budget makes exact. Results are bit-identical
+    /// either way (enforced by the `stall_skip_equivalence`,
+    /// `mem_fastpath_equivalence` and `block_dispatch_equivalence` suites).
     pub fn run(&mut self, max_cycles: u64) -> RunResult {
         let start = self.shared.cycle;
         let fast = self.shared.cfg.host_accel == HostAccel::Fast;
@@ -504,33 +439,27 @@ impl Machine {
                     faulted: self.any_faulted(),
                 };
             }
-            let left = max_cycles - elapsed;
             if !fast {
                 self.step();
                 continue;
             }
-            if let Some(n) = self.stall_skip_window(left) {
-                self.skip_stalled(n);
-                continue;
-            }
-            let budget = match self.sampling_gate() {
-                SamplingGate::Off => left,
-                SamplingGate::Cap(c) => c.min(left),
-                SamplingGate::Unsupported => 0,
-            };
-            if budget == 0 {
+            let budget = self.sampling_budget(max_cycles - elapsed);
+            let held = budget == 0;
+            if held {
                 self.shared
                     .blocks
                     .note_fallback(FallbackReason::Sampling, 1);
-                self.step();
-                continue;
             }
-            // Some core is Running and ready to issue (the stall-skip window
-            // was declined), and nothing it does within `budget` cycles can
-            // cross a sampling threshold.
             match self.solo_cpu() {
-                Some(cpu) => self.run_stretch(cpu, budget),
-                None => self.run_boundary_batch(budget),
+                Some(cpu) => self.run_stretch(cpu, budget.max(1)),
+                None => {
+                    let n = self.run_boundary_batch(budget.max(1));
+                    if !held {
+                        self.shared
+                            .blocks
+                            .note_fallback(FallbackReason::MultiCoreMemBoundary, n);
+                    }
+                }
             }
         }
         RunResult {

@@ -225,8 +225,8 @@ impl MemSystem {
     /// Snoop-victim stall cycles accrued but not yet delivered to a CPU
     /// (read-only). Snoop stalls only accrue while some core executes a
     /// memory access, so this is zero across any all-stalled window — the
-    /// invariant the stall-skip fast path relies on to jump cycles without
-    /// missing a delivery.
+    /// invariant the boundary batch relies on to jump the clock to the
+    /// earliest wake-up without missing a delivery.
     pub fn snoop_stall_pending(&self, cpu: usize) -> u64 {
         self.snoop_stall[cpu]
     }

@@ -17,7 +17,7 @@ mod common;
 
 use cobra_isa::insn::{Insn, Op};
 use cobra_isa::{encode, Assembler, CmpRel};
-use cobra_machine::{CoreStatus, HostAccel, Machine, MachineConfig};
+use cobra_machine::{CoreStatus, Event, HostAccel, Machine, MachineConfig, SamplingConfig};
 use common::{
     assert_equivalent, assert_equivalent_with, boot, mem_boundary_program, sampling, snapshot,
     LoopParams, Program, BODY_OPS,
@@ -52,7 +52,7 @@ fn params_strategy(max_threads: usize) -> impl Strategy<Value = LoopParams> {
 
 /// Workloads that keep two to eight cores *running together* — the regime
 /// the boundary batch runs. Sampling stays in the mix: batches are then
-/// capped by the sampling gate rather than disabled, and must still be
+/// capped by the budget rule rather than disabled, and must still be
 /// bit-identical.
 fn multicore_params_strategy() -> impl Strategy<Value = LoopParams> {
     params_strategy(8).prop_map(|mut p| {
@@ -433,5 +433,60 @@ fn mem_boundary_4core_matches_reference_in_the_boundary_batch() {
     assert!(
         blocks.fallback_mem_boundary * 2 >= budget,
         "most of the fixture's cycles must be boundary-batch cycles: {blocks:?}"
+    );
+}
+
+/// A CPU that halts close to its sampling threshold cannot move its counters
+/// again, so it must not hold the Running cores to one cycle at a time. CPU 1
+/// samples `INST_RETIRED` every 10 and halts after 7 of them, three short of
+/// its threshold; CPU 0 runs an arithmetic loop sampling `CPU_CYCLES` every
+/// 1 000. Only CPU 0's crossings may run as single held cycles.
+#[test]
+fn halted_cpu_near_its_threshold_does_not_hold_the_run() {
+    let mut a = Assembler::new();
+    a.movi(5, 1_000_000);
+    a.mov_to_lc(5);
+    let top = a.new_label();
+    a.bind(top);
+    for k in 0..8 {
+        a.addi(6, 6, 1);
+        a.addi(7, 7, 2 + k);
+    }
+    a.br_cloop(top);
+    a.hlt();
+    let short = a.movi(4, 1);
+    for r in 5..=9 {
+        a.movi(r, i64::from(r));
+    }
+    a.hlt();
+    let program = Program {
+        image: a.finish(),
+        threads: vec![(0, 0, Vec::new()), (1, short, Vec::new())],
+        sampling: None,
+    };
+    let arm = |m: &mut Machine| {
+        for (cpu, event, period) in [(0, Event::CpuCycles, 1_000), (1, Event::InstRetired, 10)] {
+            let baseline = m.stats()[cpu].get(event);
+            m.shared.hpm[cpu].program_sampling(SamplingConfig { event, period }, baseline);
+        }
+    };
+    let cfg = MachineConfig::smp4();
+    let budget = 20_000;
+    let snap = assert_equivalent_with(&cfg, &program, |m| {
+        arm(m);
+        let r = m.run(budget);
+        snapshot(m, r)
+    });
+    assert_eq!(snap.regs[1].0, CoreStatus::Halted);
+    assert_eq!(snap.stats[1].get(Event::InstRetired), 7);
+    let crossings = snap.overflows[0].len() as u64;
+    assert_eq!(crossings, budget / 1_000);
+    let mut m = boot(&cfg, HostAccel::fast(), &program);
+    arm(&mut m);
+    m.run(budget);
+    let blocks = m.block_stats();
+    assert!(
+        blocks.fallback_sampling <= crossings,
+        "only CPU 0's {crossings} crossings may be held to one cycle: {blocks:?}"
     );
 }

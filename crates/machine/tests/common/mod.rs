@@ -405,8 +405,8 @@ pub fn mem_boundary_program() -> Program {
     }
 }
 
-/// Sampling on the `sel`-th of the four events the sampling gate can bound
-/// per cycle; `sel == 4` leaves sampling off.
+/// Sampling on the `sel`-th of the four events the budget rule bounds per
+/// cycle; `sel == 4` leaves sampling off.
 pub fn sampling(sel: u8, period: u64) -> Option<SamplingConfig> {
     let event = match sel % 5 {
         0 => Event::CpuCycles,

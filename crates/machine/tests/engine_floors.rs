@@ -94,7 +94,7 @@ fn solo_block_dispatch_at_least_1_5x_reference() {
 /// operations) and HPM sampling programmed on every CPU, as the perfmon
 /// driver leaves it during attached runs, the fast engine's interleaved
 /// batch must clear 1.6x. The reference polls for overflow on each core
-/// every cycle; a batch is capped by the sampling gate and polls once.
+/// every cycle; a batch is capped by the budget rule and polls once.
 #[test]
 #[ignore = "wall-clock floor: run in release by name"]
 fn arith4_sampled_batch_at_least_1_6x_reference() {

@@ -2,9 +2,10 @@
 //! reference loop on stall-dominated programs, plus guest-memory fault
 //! hardening.
 //!
-//! The fast engine skips all-stalled windows in bulk (and bulk-accounts the
-//! stall windows inside a stretch). That may only change how fast the
-//! simulator runs, never what it computes: for any program, thread
+//! The fast engine runs stall windows in bulk: a stretch accounts its solo
+//! core's stalls at once, and the boundary batch jumps the clock to the
+//! earliest wake-up when no core can issue. That may only change how fast
+//! the simulator runs, never what it computes: for any program, thread
 //! placement, and HPM sampling configuration, the final cycle count, every
 //! per-CPU event counter, the exact stream of sampling overflow captures
 //! (cycles, PCs, BTB/DEAR snapshots), data memory, and architectural
@@ -12,14 +13,15 @@
 //! below drives both engines over random multithreaded programs — including
 //! sampling on events that advance during stalls (`CPU_CYCLES`,
 //! `BE_STALL_CYCLES`), which is the hard case: an overflow can fire in the
-//! middle of an all-stalled window.
+//! middle of an all-stalled window, and the budget rule must end the jump
+//! on the crossing cycle.
 
 mod common;
 
 use cobra_isa::insn::{Insn, Op};
 use cobra_isa::{Assembler, CodeAddr};
-use cobra_machine::{CoreStatus, Event, Machine, MachineConfig};
-use common::{assert_equivalent, sampling, LoopParams, Program, STALL_MIX};
+use cobra_machine::{CoreStatus, Event, HostAccel, Machine, MachineConfig, SamplingConfig};
+use common::{assert_equivalent, boot, sampling, LoopParams, Program, STALL_MIX};
 use proptest::prelude::*;
 
 /// A loop over the stall-source op mix on smp4, sampling always programmed.
@@ -88,28 +90,69 @@ fn idle_machine_burns_budget_identically() {
     assert!(!snap.result.halted);
 }
 
-/// The case the stall skip exists for: a line-striding FP load (one
-/// 128-byte line per iteration, so every load misses to memory) feeding an
-/// immediate use parks all four cores in long all-stalled windows, for
+/// A line-striding FP load (one 128-byte line per iteration, so every load
+/// misses to memory) feeding an immediate use, on all four CPUs: every core
+/// spends most of its time in long all-stalled windows.
+fn striding_misses() -> Program {
+    let mut a = Assembler::new();
+    a.movi(4, 0x1000);
+    a.movi(5, 100_000);
+    a.mov_to_lc(5);
+    let top = a.new_label();
+    a.bind(top);
+    a.ldfd(0, 6, 4, 128);
+    a.fma_d(0, 7, 6, 1, 7); // immediate use: full load-use stall
+    a.br_cloop(top);
+    a.hlt();
+    Program::new(a.finish(), 4)
+}
+
+/// The case the batch's clock jump exists for: [`striding_misses`] for
 /// 200 000 cycles.
 #[test]
 fn stall_heavy_200k_cycles_match_reference() {
-    let image = {
-        let mut a = Assembler::new();
-        a.movi(4, 0x1000);
-        a.movi(5, 100_000);
-        a.mov_to_lc(5);
-        let top = a.new_label();
-        a.bind(top);
-        a.ldfd(0, 6, 4, 128);
-        a.fma_d(0, 7, 6, 1, 7); // immediate use: full load-use stall
-        a.br_cloop(top);
-        a.hlt();
-        a.finish()
-    };
     let budget = 200_000u64;
-    let snap = assert_equivalent(&MachineConfig::smp4(), &Program::new(image, 4), budget);
+    let snap = assert_equivalent(&MachineConfig::smp4(), &striding_misses(), budget);
     assert_eq!(snap.result.cycles, budget, "the budget ends the run");
+}
+
+/// Sampling an event with no per-cycle bound (`L3_MISSES`) still lets the
+/// stall windows run in bulk: in [`striding_misses`] every core waits on a
+/// miss with its threshold one miss away, so only the cycles on which some
+/// core is awake can cross and are held to one; the cycles every core
+/// spends asleep are not.
+#[test]
+fn unbounded_event_sampling_still_skips_stall_windows() {
+    let program = Program {
+        sampling: Some(SamplingConfig {
+            event: Event::L3Miss,
+            period: 1,
+        }),
+        ..striding_misses()
+    };
+    let cfg = MachineConfig::smp4();
+    let budget = 50_000u64;
+    let snap = assert_equivalent(&cfg, &program, budget);
+    assert!(
+        snap.overflows.iter().all(|o| !o.is_empty()),
+        "every core crosses"
+    );
+    let mut m = boot(&cfg, HostAccel::fast(), &program);
+    m.run(budget);
+    let blocks = m.block_stats();
+    // Held one at a time, every all-stalled window would exceed the stall
+    // cycles of any one core.
+    let stalled = snap
+        .stats
+        .iter()
+        .map(|s| s.get(Event::StallCycles))
+        .min()
+        .unwrap_or(0);
+    assert!(
+        blocks.fallback_sampling < stalled,
+        "held cycles {} against {stalled} stalled: {blocks:?}",
+        blocks.fallback_sampling
+    );
 }
 
 // ---- guest-memory fault hardening ----

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The gates, one function per CI job: `.github/workflows/ci.yml` runs
 # `scripts/ci.sh <job>` and so can anyone with a checkout — nothing here
-# needs the network. Every job body is cargo invocations; the seven
+# needs the network. Every job body is cargo invocations; the eight
 # deleted-name greps, the `pub` census, the two named-test list pins and the
 # benchmark/run.sh loop are the only shell. A test target runs once per
 # profile in an `all` pass: the two `--workspace` lines (`build-test` plain,
@@ -66,6 +66,13 @@ build-test() {
     echo "the multicore safe-horizon stretch is back" >&2
     return 1
   fi
+  # Under `Fast`, `Machine::run` has two paths, the solo stretch and the
+  # boundary batch, behind one budget rule (`sampling_budget`): no separate
+  # stall skip and no per-cycle step for a sampling crossing.
+  if grep -rnE 'SamplingGate|sampling_gate|stall_skip_window|skip_stalled' crates/ src tests; then
+    echo "a third path through Machine::run (stall skip or sampling gate) is back" >&2
+    return 1
+  fi
   # A rewrite deploys one way: its clone goes to the trace cache and the
   # loop head is redirected into it. No second deployment form, no identity
   # OSR map for one, and no memory flag on a micro-op that nothing reads.
@@ -104,7 +111,10 @@ build-test() {
   # that run NPB `mg` under COBRA on both engines against one recorded
   # digest per arm; and the three that hold the fleet server's held seed
   # frame to the bytes a fresh build writes, its counters to every serve,
-  # and a warm restart to one file per key.
+  # and a warm restart to one file per key; and the two that hold the budget
+  # rule to its reach: a halted CPU near its threshold does not hold the
+  # Running ones to one cycle at a time, and sampling an event with no
+  # per-cycle bound still lets stall windows run in bulk.
   has() {
     local target=(--test "$2")
     [[ $2 == --lib ]] && target=(--lib)
@@ -119,6 +129,8 @@ build-test() {
   has cobra-machine stall_skip_equivalence br_ret_to_a_wild_b0_faults_not_panics
   has cobra-machine block_dispatch_equivalence mem_boundary_4core_matches_reference_in_the_boundary_batch
   has cobra-machine block_dispatch_equivalence pipelined_loops_match_reference
+  has cobra-machine block_dispatch_equivalence halted_cpu_near_its_threshold_does_not_hold_the_run
+  has cobra-machine stall_skip_equivalence unbounded_event_sampling_still_skips_stall_windows
   has cobra-rt e2e_cobra telemetry_overhead_within_five_percent_on_daxpy
   has cobra decision_pin coarse_quantum_decisions_are_those_of_the_recorded_commit
   has cobra decision_pin tournament_decisions_are_those_of_the_recorded_commit

@@ -1,11 +1,12 @@
 //! Tier-1 smoke for the simulator's engine contract: `HostAccel::Fast` is
 //! the same simulation as `HostAccel::Reference`.
 //!
-//! One guest drives every path through `Machine::run` — the boundary batch
-//! over memory and over arithmetic, a solo stretch that issues memory uops,
-//! stall skips, and sampling crossings — on both evaluation machines, with
-//! one deployment (a trace appended, a word patched to branch into it)
-//! landing mid-loop. The property suites in
+//! One guest drives both paths through `Machine::run` — the boundary batch
+//! over memory and over arithmetic, with its clock jumps across all-stalled
+//! windows, and a solo stretch that issues memory uops — and the sampling
+//! crossings the budget rule holds to one cycle, on both evaluation
+//! machines, with one deployment (a trace appended, a word patched to
+//! branch into it) landing mid-loop. The property suites in
 //! `crates/machine/tests` are the proof; this is the one case the tier-1
 //! command always runs.
 
