@@ -36,8 +36,9 @@ impl fmt::Display for Error {
 impl std::error::Error for Error {}
 
 /// A cursor over JSON text. Scalars are read with `literal`, `number` and
-/// `str`; containers with `begin`, then `next_element`/`next_key` until it
-/// reports the close. Whitespace between tokens is skipped throughout.
+/// `str`; containers with `begin`, then `next_element`/`next_key` (a
+/// struct's members: `next_field`) until it reports the close. Whitespace
+/// between tokens is skipped throughout.
 pub struct Reader<'a> {
     src: &'a str,
     pos: usize,
@@ -101,7 +102,9 @@ impl<'a> Reader<'a> {
     /// Consumes `token` (`null`, `true`, `false`) if it comes next.
     pub fn literal(&mut self, token: &str) -> bool {
         self.peek();
-        let hit = self.src.as_bytes()[self.pos..].starts_with(token.as_bytes());
+        let (rest, token) = (&self.src.as_bytes()[self.pos..], token.as_bytes());
+        // Mostly a value that is not a literal: one byte tells.
+        let hit = rest.first() == token.first() && rest.starts_with(token);
         if hit {
             self.pos += token.len();
         }
@@ -283,6 +286,34 @@ impl<'a> Reader<'a> {
         }
         self.pos += 1;
         Ok(Some(key))
+    }
+
+    /// The next member of a struct object as an index into `keys`, its
+    /// fields' keys pre-encoded as `"name":` in declared order, positioned
+    /// at the value; `keys.len()` for a key that is none of them, `None`
+    /// for the `}` (consumed). `next` is the field expected next: when its
+    /// bytes come next (after the `,` unless the object is fresh) they are
+    /// one compare. Anything else is [`Reader::next_key`] with its errors,
+    /// so member order, whitespace and escapes only cost speed.
+    pub fn next_field(&mut self, keys: &[&str], next: &mut usize) -> Result<Option<usize>, Error> {
+        if let Some(key) = keys.get(*next) {
+            let rest = &self.src.as_bytes()[self.pos..];
+            let comma = !self.fresh as usize;
+            if (self.fresh || rest.first() == Some(&b','))
+                && rest[comma..].starts_with(key.as_bytes())
+            {
+                self.fresh = false;
+                self.pos += comma + key.len();
+                *next += 1;
+                return Ok(Some(*next - 1));
+            }
+        }
+        let Some(name) = self.next_key()? else {
+            return Ok(None);
+        };
+        let at = keys.iter().position(|k| k[1..k.len() - 2] == *name);
+        *next = at.map_or(*next, |at| at + 1);
+        Ok(Some(at.unwrap_or(keys.len())))
     }
 
     /// Steps over one value of any shape, checking its syntax in full.

@@ -19,6 +19,18 @@
 //! of a duplicated field wins. Of the `#[serde(...)]` attributes, only
 //! `default` / `default = "path"` on named fields are supported (missing
 //! fields fall back instead of erroring); the derive rejects the rest.
+//!
+//! Keys cost what compact text in declared order needs, because that is
+//! what this codec writes and mostly reads back. The derive holds each
+//! field's key pre-encoded as the literal `"name":`. Writing copies it
+//! ([`Writer::quoted_key`]) instead of escaping the name; [`Writer::key`]
+//! is left for [`Value`]'s keys, which are data. Reading
+//! ([`Reader::next_field`]) first compares the next declared field's
+//! literal with the bytes at the cursor, after the `,`. Only a member out
+//! of declared order, one preceded by whitespace, an escaped or unknown
+//! key, or the closing brace falls back to scanning the key as a string
+//! ([`Reader::next_key`]), so pretty or reordered text reads the same
+//! values, more slowly.
 
 pub mod de;
 pub mod ser;

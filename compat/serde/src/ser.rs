@@ -7,8 +7,8 @@ use crate::Serialize;
 /// JSON text under construction: a byte buffer, compact or indented by two
 /// spaces (upstream `serde_json`'s pretty form). Containers are written as
 /// `begin`, then `item` per element or `field` (`key`, then the value) per
-/// member, then `end`; the writer places the commas, newlines and
-/// indentation.
+/// member, then `end`; a struct's members take `quoted_key`, then the
+/// value. The writer places the commas, newlines and indentation.
 pub struct Writer {
     out: Vec<u8>,
     pretty: bool,
@@ -119,6 +119,20 @@ impl Writer {
         self.element();
         self.str(key);
         self.out.push(b':');
+        if self.pretty {
+            self.out.push(b' ');
+        }
+    }
+
+    /// An object member's key already written as JSON, `"name":`: what
+    /// [`Writer::key`] writes for `name`, copied instead of escaped. The
+    /// derive passes its field and variant names this way. Inlined, the
+    /// copy of a literal is a few stores, not a call to `memcpy`.
+    #[inline]
+    pub fn quoted_key(&mut self, quoted: &str) {
+        debug_assert!(quoted.len() > 3 && quoted.starts_with('"') && quoted.ends_with("\":"));
+        self.element();
+        self.out.extend_from_slice(quoted.as_bytes());
         if self.pretty {
             self.out.push(b' ');
         }

@@ -19,7 +19,10 @@
 //! shim: `Serialize::serialize` writes tokens into a `serde::Writer`,
 //! `Deserialize::deserialize` pulls them from a `serde::Reader` (fields in
 //! any order, one `Option` slot each, so the first of a duplicate wins and
-//! unknown fields are skipped after a syntax check).
+//! unknown fields are skipped after a syntax check). Field and variant
+//! keys are emitted pre-encoded as `"name":` literals: the writer copies
+//! them, and the reader matches the next declared one against the input
+//! before it scans a key (see the `serde` shim's crate docs).
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -366,12 +369,22 @@ fn parse_variants(stream: TokenStream) -> Result<Vec<Variant>, String> {
 
 // ------------------------------------------------------------- generation
 
+/// `name` as the Rust literal of its JSON key, `"name":`, which is what the
+/// writer would escape it to: an identifier holds no `"`, `\` or control.
+fn quoted_key(name: &str) -> String {
+    format!("{:?}", format!("\"{name}\":"))
+}
+
 /// Statements writing `{"a": .., "b": ..}`; `access` turns a field name into
 /// the expression that borrows it.
 fn ser_fields(fields: &[Field], access: impl Fn(&str) -> String) -> String {
     let mut code = String::from("__w.begin(b'{');\n");
     for f in fields {
-        code.push_str(&format!("__w.field({:?}, {});\n", f.name, access(&f.name)));
+        code.push_str(&format!(
+            "__w.quoted_key({});\n::serde::Serialize::serialize({}, __w);\n",
+            quoted_key(&f.name),
+            access(&f.name)
+        ));
     }
     code + "__w.end(b'}');\n"
 }
@@ -415,7 +428,8 @@ fn gen_serialize(name: &str, body: &Body) -> String {
                     }
                 };
                 code.push_str(&format!(
-                    "{name}::{vn}{pattern} => {{ __w.begin(b'{{'); __w.key({vn:?});\n{payload}__w.end(b'}}'); }}\n"
+                    "{name}::{vn}{pattern} => {{ __w.begin(b'{{'); __w.quoted_key({});\n{payload}__w.end(b'}}'); }}\n",
+                    quoted_key(vn)
                 ));
             }
             code + "}"
@@ -435,12 +449,14 @@ fn de_fields(path: &str, fields: &[Field]) -> String {
             f.name
         ));
     }
+    let keys: Vec<String> = fields.iter().map(|f| quoted_key(&f.name)).collect();
     code.push_str(&format!(
-        "__r.begin(b'{{', \"object for struct {path}\")?;\nwhile let ::std::option::Option::Some(__key) = __r.next_key()? {{\nmatch &*__key {{\n"
+        "const __KEYS: &[&str] = &[{}];\nlet mut __next = 0;\n__r.begin(b'{{', \"object for struct {path}\")?;\nwhile let ::std::option::Option::Some(__at) = __r.next_field(__KEYS, &mut __next)? {{\nmatch __at {{\n",
+        keys.join(", ")
     ));
-    for f in fields {
+    for (at, f) in fields.iter().enumerate() {
         code.push_str(&format!(
-            "{n:?} if __f_{n}.is_none() => __f_{n} = ::std::option::Option::Some(::serde::de::field(__r, {n:?}, {path:?})?),\n",
+            "{at} if __f_{n}.is_none() => __f_{n} = ::std::option::Option::Some(::serde::de::field(__r, {n:?}, {path:?})?),\n",
             n = f.name
         ));
     }

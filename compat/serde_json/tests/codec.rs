@@ -136,6 +136,92 @@ fn fields_parse_in_any_order_unknown_skipped_first_duplicate_wins() {
     }
 }
 
+/// `doc` with every object's members in the opposite order, at any depth.
+fn reversed(doc: Value) -> Value {
+    match doc {
+        Value::Object(members) => Value::Object(
+            members
+                .into_iter()
+                .rev()
+                .map(|(k, v)| (k, reversed(v)))
+                .collect(),
+        ),
+        Value::Array(items) => Value::Array(items.into_iter().map(reversed).collect()),
+        leaf => leaf,
+    }
+}
+
+/// Two fields one of whose names begins the other's.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct Prefixed {
+    a: u8,
+    ab: u8,
+    abc: Option<Prefixed2>,
+}
+
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct Prefixed2 {
+    ab: u8,
+    a: u8,
+}
+
+/// Every text of one value decodes to it: compact (each key met where the
+/// declared order expects it), pretty (whitespace before each key) and
+/// members reversed (no key where expected) go through different steps of
+/// the reader's key match.
+fn reads_the_same<T>(value: &T)
+where
+    T: Serialize + Deserialize + PartialEq + std::fmt::Debug,
+{
+    let compact = to_string(value).unwrap();
+    let backwards = to_string(&reversed(from_str::<Value>(&compact).unwrap())).unwrap();
+    for text in [compact, to_string_pretty(value).unwrap(), backwards] {
+        assert_eq!(&from_str::<T>(&text).unwrap(), value, "{text}");
+    }
+}
+
+#[test]
+fn declared_order_and_any_order_read_the_same_values() {
+    reads_the_same(&all());
+    reads_the_same(&all().shapes);
+    reads_the_same(&Small {
+        a: 1,
+        b: "x".into(),
+        c: vec![2, 3],
+    });
+    reads_the_same(&Opts {
+        bare: Some(1),
+        defaulted: None,
+    });
+    let prefixed = Prefixed {
+        a: 1,
+        ab: 2,
+        abc: Some(Prefixed2 { ab: 3, a: 4 }),
+    };
+    reads_the_same(&prefixed);
+    let want = |a, ab| Prefixed { a, ab, abc: None };
+    for (text, a, ab) in [
+        // A key spelt with an escape is the same key.
+        (r#"{"\u0061":1,"ab":2,"abc":null}"#, 1, 2),
+        (r#"{"a":1,"a\u0062":2,"abc":null}"#, 1, 2),
+        // A duplicate of a field already read loses, in order or not.
+        (r#"{"a":1,"a":9,"ab":2,"abc":null}"#, 1, 2),
+        (r#"{"a":1,"ab":2,"abc":null,"a":9,"ab":9}"#, 1, 2),
+        (r#"{"ab":2,"a":1,"ab":9,"abc":null}"#, 1, 2),
+        // Unknown members between declared ones are skipped.
+        (r#"{"a":1,"abcd":[{"a":9}],"ab":2,"":0,"abc":null}"#, 1, 2),
+        (r#"{"a":1,"b":9,"ab":2,"abc":null}"#, 1, 2),
+    ] {
+        assert_eq!(from_str::<Prefixed>(text).unwrap(), want(a, ab), "{text}");
+    }
+    // A key that only begins like a declared one is not that key.
+    let e = from_str::<Prefixed>(r#"{"a":1,"abx":2,"abc":null}"#).unwrap_err();
+    assert!(
+        e.to_string().contains("missing field `ab` for Prefixed"),
+        "{e}"
+    );
+}
+
 #[derive(Debug, PartialEq, Serialize, Deserialize)]
 struct Opts {
     bare: Option<u8>,

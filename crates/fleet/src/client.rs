@@ -3,9 +3,9 @@
 //! CLI. Every failure is a `String` error the caller counts and degrades
 //! on — a fleet outage must never take a run down with it.
 
-use std::io::BufReader;
+use std::io::{BufReader, ErrorKind};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cobra_store::{Snapshot, StoreKey};
 use serde::Serialize;
@@ -37,11 +37,11 @@ impl FleetClient {
             .to_socket_addrs()
             .map_err(|e| format!("cannot resolve {addr}: {e}"))?
             .collect();
-        let first = resolved
-            .first()
-            .ok_or_else(|| format!("{addr} resolves to nothing"))?;
-        let stream = TcpStream::connect_timeout(first, timeout)
-            .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+        if resolved.is_empty() {
+            return Err(format!("{addr} resolves to nothing"));
+        }
+        let stream =
+            dial(&resolved, timeout).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
         stream
             .set_read_timeout(Some(timeout))
             .and_then(|()| stream.set_write_timeout(Some(timeout)))
@@ -97,5 +97,47 @@ impl FleetClient {
             Response::Err { detail } => Err(format!("stats rejected: {detail}")),
             other => Err(format!("unexpected reply to stats: {other:?}")),
         }
+    }
+}
+
+/// Dials each address in turn, as `TcpStream::connect` does, all within one
+/// `timeout`: a name can resolve to an address nobody listens on ahead of
+/// the one the server is bound to (`localhost` as `::1`, then `127.0.0.1`).
+/// The error is that of the last address tried.
+fn dial(addrs: &[SocketAddr], timeout: Duration) -> std::io::Result<TcpStream> {
+    let deadline = Instant::now() + timeout;
+    let mut last = std::io::Error::new(ErrorKind::InvalidInput, "no address to dial");
+    for addr in addrs {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            break;
+        }
+        match TcpStream::connect_timeout(addr, left) {
+            Ok(stream) => return Ok(stream),
+            Err(e) => last = e,
+        }
+    }
+    Err(last)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{FleetConfig, FleetServer};
+
+    #[test]
+    fn dial_falls_through_a_refused_address_to_a_live_server() {
+        // A port that was just free: nothing listens there now.
+        let refused = std::net::TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .unwrap();
+        let server = FleetServer::start("127.0.0.1:0", FleetConfig::default()).unwrap();
+        let live = server.local_addr();
+        let e = dial(&[refused], DEFAULT_TIMEOUT).unwrap_err();
+        assert_eq!(e.kind(), ErrorKind::ConnectionRefused);
+        let stream = dial(&[refused, live], DEFAULT_TIMEOUT).unwrap();
+        assert_eq!(stream.peer_addr().unwrap(), live);
+        drop(stream);
+        server.shutdown();
     }
 }

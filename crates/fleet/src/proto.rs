@@ -61,10 +61,12 @@ pub(crate) struct UploadRef<'a> {
 impl Serialize for UploadRef<'_> {
     fn serialize(&self, w: &mut Writer) {
         w.begin(b'{');
-        w.key("Upload");
+        w.quoted_key("\"Upload\":");
         w.begin(b'{');
-        w.field("snapshot", self.snapshot);
-        w.field("image_words", &self.image_words);
+        w.quoted_key("\"snapshot\":");
+        self.snapshot.serialize(w);
+        w.quoted_key("\"image_words\":");
+        self.image_words.serialize(w);
         w.end(b'}');
         w.end(b'}');
     }

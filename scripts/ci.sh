@@ -114,7 +114,10 @@ build-test() {
   # and a warm restart to one file per key; and the two that hold the budget
   # rule to its reach: a halted CPU near its threshold does not hold the
   # Running ones to one cycle at a time, and sampling an event with no
-  # per-cycle bound still lets stall windows run in bulk.
+  # per-cycle bound still lets stall windows run in bulk; and the fleet
+  # client's dial past a refused address to a live one; and the two that
+  # hold the codec's declared-order key match to the any-order scan, on
+  # derived shapes and on every corpus value with its members reversed.
   has() {
     local target=(--test "$2")
     [[ $2 == --lib ]] && target=(--lib)
@@ -137,6 +140,9 @@ build-test() {
   has cobra-fleet ingest a_served_seed_is_the_frame_a_fresh_build_writes
   has cobra-fleet ingest repeat_fetches_count_every_serve
   has cobra-fleet ingest restart_loads_each_key_from_its_own_file
+  has cobra-fleet --lib client::tests::dial_falls_through_a_refused_address_to_a_live_server
+  has serde_json codec declared_order_and_any_order_read_the_same_values
+  has cobra golden every_corpus_value_decodes_from_its_members_reversed
   cargo fmt --check
   cargo clippy --workspace --all-targets -- -D warnings
 }

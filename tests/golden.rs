@@ -675,6 +675,74 @@ fn frames_decode_to_what_the_parent_decoded() {
     assert_eq!(old, legacy_seed());
 }
 
+/// `doc` with every object's members in the opposite order, at any depth.
+fn reversed(doc: Value) -> Value {
+    match doc {
+        Value::Object(members) => Value::Object(
+            members
+                .into_iter()
+                .rev()
+                .map(|(k, v)| (k, reversed(v)))
+                .collect(),
+        ),
+        Value::Array(items) => Value::Array(items.into_iter().map(reversed).collect()),
+        leaf => leaf,
+    }
+}
+
+/// `text` with every object's members reversed, compact.
+fn reversed_text(text: &str) -> String {
+    let doc: Value = serde_json::from_str(text).unwrap();
+    serde_json::to_string(&reversed(doc)).unwrap()
+}
+
+/// The reader meets each key where the declared order puts it in the
+/// corpus; here it meets none of them there, and must decode the same.
+#[test]
+fn every_corpus_value_decodes_from_its_members_reversed() {
+    fn same<T: serde::Deserialize + std::fmt::Debug>(text: &str, want: &T) {
+        let got: T = serde_json::from_str(&reversed_text(text)).unwrap();
+        // `Debug`, because of the NaN in `CandidateTrial`.
+        assert_eq!(format!("{got:?}"), format!("{want:?}"), "{text}");
+    }
+    fn frames<T: serde::Deserialize + std::fmt::Debug>(file: &str, want: &[T]) {
+        let text = golden(file);
+        assert_eq!(text.lines().count(), want.len());
+        for (line, want) in text.lines().zip(want) {
+            let body = String::from_utf8(unhex(line)[4..].to_vec()).unwrap();
+            let body = reversed_text(&body).into_bytes();
+            let frame = [&(body.len() as u32).to_be_bytes()[..], &body].concat();
+            let got: T = read_frame(&mut frame.as_slice()).unwrap().unwrap();
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{file}");
+        }
+    }
+    frames("requests.hex", &requests());
+    frames("responses.hex", &responses());
+    let telemetry = golden("telemetry.jsonl");
+    assert_eq!(telemetry.lines().count(), records().len());
+    for (line, want) in telemetry.lines().zip(&records()) {
+        same(line, want);
+    }
+    let report_text = golden("report.json");
+    same(&report_text, &report());
+    assert!(reversed_text(&report_text).starts_with("{\"ticks_to_all_optimized\":0,"));
+    for (name, cfg, _) in presets() {
+        same(&golden(name), &cfg);
+    }
+    // Each store line reversed, envelope and body, still checksums: the
+    // sum covers the body as written back, not as it lies on the line.
+    let store: String = golden("store.jsonl")
+        .lines()
+        .map(|line| reversed_text(line) + "\n")
+        .collect();
+    let path = std::env::temp_dir().join(format!("cobra-reversed-{}.jsonl", std::process::id()));
+    std::fs::write(&path, store).unwrap();
+    let lr = read_snapshot_file(&path, Some(&key()));
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!((lr.error, lr.skipped_records), (None, 0));
+    assert_eq!(lr.snapshot, Some(loaded_snapshot()));
+}
+
 /// Every truncation and every single-bit flip of every frame and telemetry
 /// line goes through the typed decoders: refused or decoded, never a panic
 /// (CI runs this with overflow checks on). Damaged store files are
