@@ -24,7 +24,6 @@
 //! # let mut machine = Machine::new(MachineConfig::smp4(), cobra_isa::Assembler::new().finish());
 //! # let (sink, _log) = TelemetrySink::memory();
 //! let mut cobra = Cobra::builder()
-//!     .sampling_period(2000)
 //!     .strategy(Strategy::Adaptive)
 //!     .telemetry(sink)
 //!     .attach(&mut machine);
@@ -53,77 +52,35 @@ use cobra_store::{Snapshot, Store, StoreKey};
 use crate::monitor::{Monitor, OptimizationStage};
 use crate::optimizer::{Optimizer, OptimizerConfig, PlanAction, Strategy};
 use crate::persist::{seed_from_snapshot, snapshot_from_final};
-use crate::phase::{PhaseConfig, PhaseDetector};
 use crate::profile::LatencyBands;
 use crate::report::{AppliedPlan, CobraReport, RevertedPlan};
 use crate::telemetry::{
     CpuCounterSnapshot, RunTotals, Telemetry, TelemetryEvent, TelemetrySink, TICK_CAPACITY,
 };
 
-/// Framework configuration.
-#[derive(Debug, Clone)]
-pub struct CobraConfig {
-    pub perfmon: PerfmonConfig,
-    pub optimizer: OptimizerConfig,
-    pub phase: PhaseConfig,
-    /// User Sampling Buffer capacity per monitor.
-    pub usb_capacity: usize,
-    /// Helper-thread cycles charged to the machine per processed sample
-    /// (and per drained telemetry record when telemetry is enabled).
-    pub overhead_per_sample: u64,
-}
-
-impl Default for CobraConfig {
-    fn default() -> Self {
-        CobraConfig {
-            perfmon: PerfmonConfig {
-                sampling_period: 2000,
-                ..PerfmonConfig::default()
-            },
-            optimizer: OptimizerConfig::default(),
-            phase: PhaseConfig::default(),
-            usb_capacity: 8192,
-            // The paper keeps overhead low with "relatively less frequent
-            // sampling"; per-sample helper-thread cost on a spare context.
-            overhead_per_sample: 8,
-        }
-    }
-}
+/// Helper-thread cycles charged to the machine per processed sample, and per
+/// drained telemetry record when telemetry is enabled: the paper keeps
+/// overhead low with "relatively less frequent sampling", and this is the
+/// per-sample cost of a helper thread on a spare context.
+pub const OVERHEAD_PER_SAMPLE: u64 = 8;
 
 /// Fluent configuration for [`Cobra`]; created by [`Cobra::builder`],
-/// consumed by [`CobraBuilder::attach`]. Starts from
-/// [`CobraConfig::default`]; every setter overrides one knob.
+/// consumed by [`CobraBuilder::attach`]. What a caller can set is the
+/// optimizer's strategy, candidate tournaments and OSR, plus where the run
+/// reports and persists; everything else COBRA runs with is a constant
+/// beside the code that reads it.
 #[derive(Debug, Default)]
 pub struct CobraBuilder {
-    cfg: CobraConfig,
+    optimizer: OptimizerConfig,
     sink: Option<TelemetrySink>,
     store: Option<PathBuf>,
     fleet: Option<String>,
 }
 
 impl CobraBuilder {
-    /// Replace the whole configuration (setters applied afterwards still
-    /// override individual fields).
-    pub fn config(mut self, cfg: CobraConfig) -> Self {
-        self.cfg = cfg;
-        self
-    }
-
-    /// HPM sampling period in instructions retired.
-    pub fn sampling_period(mut self, period: u64) -> Self {
-        self.cfg.perfmon.sampling_period = period;
-        self
-    }
-
-    /// Full optimizer configuration.
-    pub fn optimizer(mut self, optimizer: OptimizerConfig) -> Self {
-        self.cfg.optimizer = optimizer;
-        self
-    }
-
     /// Optimization strategy (noprefetch / `.excl` / adaptive).
     pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.cfg.optimizer.strategy = strategy;
+        self.optimizer.strategy = strategy;
         self
     }
 
@@ -131,7 +88,7 @@ impl CobraBuilder {
     /// promote per-site rewrite candidates) instead of the one-shot
     /// classifier deployment.
     pub fn candidates(mut self, enabled: bool) -> Self {
-        self.cfg.optimizer.candidates = enabled;
+        self.optimizer.candidates = enabled;
         self
     }
 
@@ -139,7 +96,7 @@ impl CobraBuilder {
     /// version deploys (and the reverse map when it reverts), so in-flight
     /// threads migrate at their next back edge (`OptimizerConfig::osr`).
     pub fn osr(mut self, enabled: bool) -> Self {
-        self.cfg.optimizer.osr = enabled;
+        self.optimizer.osr = enabled;
         self
     }
 
@@ -173,12 +130,12 @@ impl CobraBuilder {
     /// stage. Monitors are created lazily at thread fork.
     pub fn attach(self, machine: &mut Machine) -> Cobra {
         let CobraBuilder {
-            cfg,
+            optimizer,
             sink,
             store,
             fleet,
         } = self;
-        let mut driver = PerfmonDriver::new(machine.num_cpus(), cfg.perfmon);
+        let mut driver = PerfmonDriver::new(machine.num_cpus(), PerfmonConfig::default());
         driver.attach(machine);
 
         let mut telemetry = Telemetry::new(sink, TICK_CAPACITY);
@@ -187,15 +144,14 @@ impl CobraBuilder {
             cycle,
             machine: machine.shared.cfg.name.clone(),
             cpus: machine.num_cpus(),
-            strategy: cfg.optimizer.strategy,
-            candidates: cfg.optimizer.candidates,
-            osr: cfg.optimizer.osr,
+            strategy: optimizer.strategy,
+            candidates: optimizer.candidates,
+            osr: optimizer.osr,
             main_len: machine.shared.code.main_len(),
         });
         let mut opt = OptimizationStage::new(
-            Optimizer::new(cfg.optimizer, machine.shared.code.clone()),
+            Optimizer::new(optimizer, machine.shared.code.clone()),
             LatencyBands::from_machine(&machine.shared.cfg),
-            PhaseDetector::new(cfg.phase),
         );
 
         // What the store and the fleet both file this run under; hashing
@@ -277,7 +233,7 @@ impl CobraBuilder {
         Cobra {
             monitors: Vec::new(),
             opt,
-            cfg,
+            osr: optimizer.osr,
             driver,
             tick: 0,
             totals,
@@ -318,7 +274,8 @@ struct OsrWatch {
 
 /// An attached COBRA instance.
 pub struct Cobra {
-    cfg: CobraConfig,
+    /// Whether a deployment or a revert arms its verified redirects.
+    osr: bool,
     driver: PerfmonDriver,
     /// One per forked working thread; index = CPU (teams occupy CPUs
     /// `0..num_threads`, so the monitored CPUs are always a prefix).
@@ -448,7 +405,7 @@ impl Cobra {
                 // in-flight threads migrate at their next back edge.
                 if let Some(map) = osr_map {
                     let (lo, hi) = map.source_range();
-                    if self.cfg.optimizer.osr {
+                    if self.osr {
                         machine.arm_redirect(plan.id, &map.redirect_pairs());
                     }
                     self.osr_watches.push(OsrWatch {
@@ -512,7 +469,7 @@ impl Cobra {
                     }
                     let rev = map.reversed();
                     let (lo, hi) = rev.source_range();
-                    if self.cfg.optimizer.osr {
+                    if self.osr {
                         machine.arm_redirect(plan_id, &rev.redirect_pairs());
                     }
                     self.osr_watches.push(OsrWatch {
@@ -666,11 +623,8 @@ impl QuantumHook for Cobra {
     fn on_fork(&mut self, _machine: &mut Machine, team: Team) {
         // "A monitoring thread is created when a working thread is forked."
         for cpu in self.monitors.len()..team.num_threads {
-            self.monitors.push(Monitor::new(
-                cpu as u32,
-                self.cfg.perfmon.sampling_period,
-                self.cfg.usb_capacity,
-            ));
+            let period = self.driver.config().sampling_period;
+            self.monitors.push(Monitor::new(cpu as u32, period));
         }
         self.totals.forks += 1;
     }
@@ -694,7 +648,7 @@ impl QuantumHook for Cobra {
             deltas.push(monitor.tick(self.tick, batch, &mut self.telemetry));
         }
         // Charge helper-thread overhead to the machine.
-        let overhead = forwarded * self.cfg.overhead_per_sample;
+        let overhead = forwarded * OVERHEAD_PER_SAMPLE;
         machine.shared.cycle += overhead;
         self.totals.samples_forwarded += forwarded;
         self.totals.overhead_cycles += overhead;
@@ -719,7 +673,7 @@ impl QuantumHook for Cobra {
         // Close the tick's telemetry window at the safe point. Every stage
         // ran on this thread in a fixed order, so the count of records the
         // sink took — and the cycles charged for them — is deterministic.
-        let cost = self.telemetry.drain() * self.cfg.overhead_per_sample;
+        let cost = self.telemetry.drain() * OVERHEAD_PER_SAMPLE;
         machine.shared.cycle += cost;
         self.totals.overhead_cycles += cost;
         self.tick += 1;
@@ -764,10 +718,7 @@ mod tests {
         };
         let mut m = Machine::new(MachineConfig::smp4(), image);
         let mut cobra = Cobra::builder().attach(&mut m);
-        let rt = OmpRuntime {
-            quantum: 1000,
-            ..OmpRuntime::default()
-        };
+        let rt = OmpRuntime { quantum: 1000 };
         rt.parallel_for(&mut m, Team::new(4), 0, 0, 4, &[], &mut cobra);
         let report = cobra.detach(&mut m);
         assert_eq!(report.forks, 1);
@@ -797,10 +748,7 @@ mod tests {
         let mut m = Machine::new(MachineConfig::smp4(), image);
         let (sink, log) = TelemetrySink::memory();
         let mut cobra = Cobra::builder().telemetry(sink).attach(&mut m);
-        let rt = OmpRuntime {
-            quantum: 1000,
-            ..OmpRuntime::default()
-        };
+        let rt = OmpRuntime { quantum: 1000 };
         rt.parallel_for(&mut m, Team::new(4), 0, 0, 4, &[], &mut cobra);
         let report = cobra.detach(&mut m);
         let log = log.lock().unwrap();
@@ -846,10 +794,7 @@ mod tests {
             };
             let mut m = Machine::new(MachineConfig::smp4().with_host_accel(accel), image);
             let mut cobra = Cobra::builder().attach(&mut m);
-            let rt = OmpRuntime {
-                quantum: 1000,
-                ..OmpRuntime::default()
-            };
+            let rt = OmpRuntime { quantum: 1000 };
             rt.parallel_for(&mut m, Team::new(4), 0, 0, 4, &[], &mut cobra);
             let report = serde_json::to_string(&cobra.detach(&mut m)).expect("serializes");
             (m.cycle(), m.total_stats(), report)

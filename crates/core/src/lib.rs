@@ -43,14 +43,14 @@ pub mod telemetry;
 pub mod trace;
 pub mod usb;
 
-pub use framework::{Cobra, CobraBuilder, CobraConfig};
+pub use framework::{Cobra, CobraBuilder, OVERHEAD_PER_SAMPLE};
 pub use monitor::{Monitor, OptFinal, OptimizationStage};
 pub use optimizer::{
     verify_plan, DecisionExport, OptKind, Optimizer, OptimizerConfig, PatchPlan, PlanAction,
     Strategy, TracePlan, WarmSeed,
 };
 pub use persist::{profile_record, seed_from_snapshot, snapshot_from_final};
-pub use phase::{PhaseConfig, PhaseDetector};
+pub use phase::PhaseDetector;
 pub use profile::{
     CounterWindow, DelinquentStats, LatencyBands, ProfileDelta, SystemProfile, ThreadProfiler,
 };

@@ -11,11 +11,11 @@
 //!
 //! The paper's helper threads run on spare hardware contexts while the
 //! program runs. Here they are kept as roles and as charged guest cycles
-//! (`CobraConfig::overhead_per_sample`), not as host threads: the simulator
-//! cannot advance past a quantum before that quantum's plans are known, so
-//! a host-thread handshake is synchronous and overlaps nothing. Both types
-//! are plain structs the framework calls once per quantum, monitors in CPU
-//! order, then the optimization stage.
+//! ([`crate::framework::OVERHEAD_PER_SAMPLE`]), not as host threads: the
+//! simulator cannot advance past a quantum before that quantum's plans are
+//! known, so a host-thread handshake is synchronous and overlaps nothing.
+//! Both types are plain structs the framework calls once per quantum,
+//! monitors in CPU order, then the optimization stage.
 
 use std::collections::VecDeque;
 
@@ -28,6 +28,10 @@ use crate::profile::{CounterWindow, LatencyBands, ProfileDelta, SystemProfile, T
 use crate::telemetry::{Telemetry, TelemetryEvent};
 use crate::usb::UserSamplingBuffer;
 
+/// User Sampling Buffer capacity per monitor: twice the kernel buffer it
+/// copies from, so a quantum's drain always fits.
+const USB_CAPACITY: usize = 8192;
+
 /// One working thread's monitoring role: its User Sampling Buffer and the
 /// profiler that reduces it.
 #[derive(Debug)]
@@ -38,10 +42,10 @@ pub struct Monitor {
 }
 
 impl Monitor {
-    pub fn new(cpu: u32, sampling_period: u64, usb_capacity: usize) -> Self {
+    pub fn new(cpu: u32, sampling_period: u64) -> Self {
         Monitor {
             cpu,
-            usb: UserSamplingBuffer::new(usb_capacity),
+            usb: UserSamplingBuffer::new(USB_CAPACITY),
             profiler: ThreadProfiler::new(cpu, sampling_period),
         }
     }
@@ -102,11 +106,11 @@ pub struct OptimizationStage {
 }
 
 impl OptimizationStage {
-    pub fn new(optimizer: Optimizer, bands: LatencyBands, phases: PhaseDetector) -> Self {
+    pub fn new(optimizer: Optimizer, bands: LatencyBands) -> Self {
         OptimizationStage {
             optimizer,
             bands,
-            phases,
+            phases: PhaseDetector::default(),
             cumulative: SystemProfile::new(bands),
             recent: VecDeque::new(),
         }
@@ -191,7 +195,6 @@ impl OptimizationStage {
 mod tests {
     use super::*;
     use crate::optimizer::OptimizerConfig;
-    use crate::phase::PhaseConfig;
     use cobra_machine::BtbEntry;
     use cobra_perfmon::PmcSelection;
 
@@ -215,7 +218,7 @@ mod tests {
 
     #[test]
     fn monitor_reduces_the_batch_it_is_handed() {
-        let mut monitor = Monitor::new(2, 1000, 64);
+        let mut monitor = Monitor::new(2, 1000);
         let mut telemetry = Telemetry::new(None, 0);
         let delta = monitor.tick(0, vec![sample(2, 1), sample(2, 2)], &mut telemetry);
         assert_eq!(delta.cpu, 2);
@@ -235,7 +238,6 @@ mod tests {
         let mut stage = OptimizationStage::new(
             Optimizer::new(OptimizerConfig::default(), image),
             LatencyBands { coherent_min: 165 },
-            PhaseDetector::new(PhaseConfig::default()),
         );
         let mut telemetry = Telemetry::new(None, 0);
         let delta = |cpu, samples| ProfileDelta {

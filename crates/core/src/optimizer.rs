@@ -49,47 +49,23 @@ pub enum Strategy {
 /// see the same mix.
 pub(crate) const ROLLING_TICKS: usize = 16;
 
-/// What a caller can set of the optimizer. The classification thresholds
-/// no caller ever varied are constants beside [`Optimizer::consider`].
+/// What a caller can set of the optimizer. The thresholds and horizons no
+/// caller ever varied are constants beside the code that reads them
+/// ([`Optimizer::consider`] and its helpers).
 #[derive(Debug, Clone, Copy)]
 pub struct OptimizerConfig {
     pub strategy: Strategy,
     pub trace: TraceConfig,
-    /// Revert a deployment whose post-deployment CPI exceeds the
-    /// pre-deployment CPI by this factor (and blacklist a contest whose best
-    /// candidate does).
-    /// Trial-and-revert is the framework's answer to pathologies no ex-ante
-    /// profile signal can distinguish — e.g. loops whose prefetches hide
-    /// *true-sharing* coherent misses look identical, before patching, to
-    /// loops whose prefetches *cause* coherent misses. Reverted loops are
-    /// blacklisted, so each loop is trialled at most once.
-    pub regression_factor: f64,
-    /// Quantum ticks to observe after a deployment before judging
-    /// regression (should exceed [`ROLLING_TICKS`] so the rolling window is
-    /// fully post-deployment).
-    pub regression_ticks: u64,
     /// Quantum ticks observed before the first deployment is allowed —
     /// lets the program's cold start age out of the rolling profile so
     /// decisions reflect steady-state behaviour.
     pub warmup_ticks: u64,
-    /// Shortened learning window used when the optimizer was warm-started
-    /// from a store snapshot: *seeded* loops (deployed and validated in a
-    /// prior run) may deploy after this many ticks; unseeded loops still
-    /// wait out the full `warmup_ticks`, so a warm run converges to the
-    /// same final deployment set as a cold one, just earlier.
-    pub warm_warmup_ticks: u64,
     /// Run the multi-version candidate tournament instead of the one-shot
     /// classifier deployment: generate per-`lfetch` subset/mix candidates
-    /// for each eligible hot loop, trial each for `trial_ticks`, revert,
-    /// and promote the lowest-CPI candidate. Off by default — the classic
-    /// two-rewrite pipeline stays byte-identical with it off.
+    /// for each eligible hot loop, trial each for a fixed number of ticks,
+    /// revert, and promote the lowest-CPI candidate. Off by default — the
+    /// classic two-rewrite pipeline stays byte-identical with it off.
     pub candidates: bool,
-    /// Quantum ticks each tournament candidate stays deployed before its
-    /// trial CPI is read. Trials measure against exact per-tick counter
-    /// sums (see [`Optimizer::observe_tick_window`]), so short windows stay
-    /// accurate; longer windows average out scheduling noise at the cost of
-    /// a longer tournament.
-    pub trial_ticks: u64,
     /// On-stack replacement: arm verified per-branch redirects when a trace
     /// version deploys (and the reverse map when it reverts), so threads
     /// already inside the loop migrate at their next back edge instead of
@@ -106,12 +82,8 @@ impl Default for OptimizerConfig {
         OptimizerConfig {
             strategy: Strategy::Adaptive,
             trace: TraceConfig::default(),
-            regression_factor: 1.4,
-            regression_ticks: 20,
             warmup_ticks: 18,
-            warm_warmup_ticks: 6,
             candidates: false,
-            trial_ticks: 4,
             osr: true,
         }
     }
@@ -357,7 +329,7 @@ struct LiveTrial {
     cycles: u64,
 }
 
-/// One loop's candidate tournament: trial each spec for `trial_ticks`,
+/// One loop's candidate tournament: trial each spec for `TRIAL_TICKS`,
 /// revert, then promote the lowest-CPI candidate.
 #[derive(Debug)]
 struct Tournament {
@@ -513,7 +485,7 @@ impl Optimizer {
 
     /// Seed the optimizer with prior-run knowledge (call before the first
     /// tick). Blacklisted loops are skipped outright; seeded decisions
-    /// shorten the learning window to `warm_warmup_ticks`, but each one is
+    /// shorten the learning window to `WARM_WARMUP_TICKS`, but each one is
     /// still **validated against the live profile** before deploying — a
     /// mismatch drops the seed and the loop falls back to the normal
     /// post-`warmup_ticks` decision path.
@@ -646,6 +618,30 @@ impl Optimizer {
     /// Deployments per quantum tick: deploying incrementally lets the
     /// CPI-regression feedback assign blame to individual deployments.
     const MAX_DEPLOYS_PER_TICK: usize = 1;
+    /// Revert a deployment whose post-deployment CPI exceeds the
+    /// pre-deployment CPI by this factor (and blacklist a contest whose best
+    /// candidate does). Trial-and-revert is the framework's answer to
+    /// pathologies no ex-ante profile signal can distinguish — e.g. loops
+    /// whose prefetches hide *true-sharing* coherent misses look identical,
+    /// before patching, to loops whose prefetches *cause* coherent misses.
+    /// Reverted loops are blacklisted, so each loop is trialled at most once.
+    const REGRESSION_FACTOR: f64 = 1.4;
+    /// Quantum ticks observed after a deployment before judging regression:
+    /// more than [`ROLLING_TICKS`], so the rolling window is wholly
+    /// post-deployment.
+    const REGRESSION_TICKS: u64 = 20;
+    /// The learning window of a run warm-started from a store snapshot
+    /// (capped by `warmup_ticks`): *seeded* loops, deployed and validated in
+    /// a prior run, may deploy after this many ticks; unseeded loops still
+    /// wait out the full `warmup_ticks`, so a warm run converges to the same
+    /// final deployment set as a cold one, just earlier.
+    const WARM_WARMUP_TICKS: u64 = 6;
+    /// Quantum ticks each tournament candidate stays deployed before its
+    /// trial CPI is read. Trials measure against exact per-tick counter
+    /// sums (see [`Optimizer::observe_tick_window`]), so short windows stay
+    /// accurate; four average out scheduling noise without making the
+    /// tournament long.
+    const TRIAL_TICKS: u64 = 4;
 
     /// Evaluate the current profile; returns any plans to deploy or revert.
     pub fn consider(&mut self, profile: &SystemProfile) -> Vec<PlanAction> {
@@ -661,7 +657,7 @@ impl Optimizer {
         // but only on seeded loops (see below); everything else still waits
         // out the full cold warmup.
         let warmup_gate = if self.warm {
-            self.cfg.warm_warmup_ticks.min(self.cfg.warmup_ticks)
+            Self::WARM_WARMUP_TICKS.min(self.cfg.warmup_ticks)
         } else {
             self.cfg.warmup_ticks
         };
@@ -1094,7 +1090,7 @@ impl Optimizer {
             live.ticks += 1;
             live.insns += tick_window.instructions;
             live.cycles += tick_window.cycles;
-            if live.ticks >= self.cfg.trial_ticks && live.insns > 0 {
+            if live.ticks >= Self::TRIAL_TICKS && live.insns > 0 {
                 let cpi = live.cycles as f64 / live.insns as f64;
                 let name = t.specs[live.spec_idx].label();
                 t.results.push((name.to_string(), cpi));
@@ -1176,7 +1172,7 @@ impl Optimizer {
         // A best candidate that still regresses past the revert threshold
         // leaves the loop alone for good.
         let regresses =
-            |cpi: f64| t.baseline_cpi > 0.0 && cpi > t.baseline_cpi * self.cfg.regression_factor;
+            |cpi: f64| t.baseline_cpi > 0.0 && cpi > t.baseline_cpi * Self::REGRESSION_FACTOR;
         let spec = winner
             .filter(|&&(_, cpi)| !regresses(cpi))
             .and_then(|(name, _)| t.specs.iter().find(|s| s.label() == name));
@@ -1259,7 +1255,6 @@ impl Optimizer {
         if profile.samples == 0 {
             return;
         }
-        let cfg = self.cfg;
         let mut regressed: Vec<(CodeAddr, String)> = Vec::new();
         for (head, state) in &mut self.loops {
             let LoopState::Deployed(d) = state else {
@@ -1277,12 +1272,12 @@ impl Optimizer {
                 }
                 continue;
             }
-            if d.post_ticks >= cfg.regression_ticks && profile.window.instructions > 0 {
+            if d.post_ticks >= Self::REGRESSION_TICKS && profile.window.instructions > 0 {
                 // The rolling window is fully post-deployment by now.
                 let post_cpi = profile.window.cpi();
                 d.last_post_cpi = Some(post_cpi);
                 let regressed_now =
-                    d.baseline_cpi > 0.0 && post_cpi > d.baseline_cpi * cfg.regression_factor;
+                    d.baseline_cpi > 0.0 && post_cpi > d.baseline_cpi * Self::REGRESSION_FACTOR;
                 // (`self.emit` would need all of `self`; the loop holds
                 // `self.loops`.)
                 self.events.push(TelemetryEvent::CpiTrial {
@@ -1538,8 +1533,6 @@ mod tests {
         let (image, head, back, load_pc) = loop_image();
         let cfg = OptimizerConfig {
             warmup_ticks: 0,
-            regression_ticks: 3,
-            regression_factor: 1.05,
             ..Default::default()
         };
         let mut opt = Optimizer::new(cfg, image.clone());
@@ -1562,10 +1555,10 @@ mod tests {
             branch_pairs: vec![],
             samples: 50,
         });
-        // One consider call per tick; the revert fires once regression_ticks
-        // post-deployment ticks have been observed.
+        // One consider call per tick; the revert fires once
+        // REGRESSION_TICKS post-deployment ticks have been observed.
         let mut actions = opt.consider(&worse);
-        for _ in 0..4 {
+        for _ in 0..Optimizer::REGRESSION_TICKS {
             if actions
                 .iter()
                 .any(|a| matches!(a, PlanAction::Revert { .. }))
@@ -1631,7 +1624,6 @@ mod tests {
         let (image, head, back, load_pc) = loop_image();
         let cfg = OptimizerConfig {
             warmup_ticks: 10,
-            warm_warmup_ticks: 2,
             ..Default::default()
         };
         let profile = hot_profile(load_pc, head, back, 1.0);
@@ -1658,6 +1650,7 @@ mod tests {
         });
         let (warm_tick, warm_kind) = first_deploy(&mut warm).expect("warm run deploys");
         assert_eq!(warm_kind, cold_kind, "warm run converges on the same plan");
+        assert_eq!(warm_tick, Optimizer::WARM_WARMUP_TICKS + 1);
         assert!(
             warm_tick < cold_tick,
             "warm deploy at tick {warm_tick} must beat cold tick {cold_tick}"
@@ -1672,10 +1665,10 @@ mod tests {
     fn warm_mismatch_falls_back_to_cold_path() {
         let (image, head, back, load_pc) = loop_image();
         let cfg = OptimizerConfig {
-            warmup_ticks: 6,
-            warm_warmup_ticks: 1,
+            warmup_ticks: 12,
             ..Default::default()
         };
+        assert!(Optimizer::WARM_WARMUP_TICKS < cfg.warmup_ticks);
         // Live profile says the working set fits → NoPrefetch; seed claims
         // the prior run deployed ExclHint.
         let profile = hot_profile(load_pc, head, back, 1.0);
@@ -1686,7 +1679,7 @@ mod tests {
             winners: vec![],
         });
         let mut deploys = Vec::new();
-        for tick in 1..=12u64 {
+        for tick in 1..=20u64 {
             for action in opt.consider(&profile) {
                 if let PlanAction::Apply(plan) = action {
                     deploys.push((tick, plan.kind));
@@ -1699,7 +1692,7 @@ mod tests {
         let (tick, kind) = deploys[0];
         assert_eq!(kind, OptKind::NoPrefetch, "live profile wins");
         assert!(
-            tick > 6,
+            tick > cfg.warmup_ticks,
             "mismatched seed must not deploy early (tick {tick})"
         );
     }
@@ -1876,8 +1869,8 @@ mod tests {
         assert_eq!(solo.len(), 2, "{solo:?}");
     }
 
-    /// Drive a full tournament: every candidate is deployed for one trial
-    /// tick and reverted; the candidate given the lowest trial CPI is
+    /// Drive a full tournament: every candidate is deployed for its trial
+    /// ticks and reverted; the candidate given the lowest trial CPI is
     /// promoted, and the promoted deployment carries its name and trials.
     #[test]
     fn tournament_promotes_lowest_cpi_candidate() {
@@ -1886,7 +1879,6 @@ mod tests {
             OptimizerConfig {
                 warmup_ticks: 0,
                 candidates: true,
-                trial_ticks: 1,
                 ..Default::default()
             },
             image,
@@ -1895,7 +1887,7 @@ mod tests {
         let mut live: Option<String> = None;
         let mut trial_applies: Vec<String> = Vec::new();
         let mut promoted: Option<PatchPlan> = None;
-        for _ in 0..40 {
+        for _ in 0..120 {
             // The favourite candidate's trial window shows a low CPI;
             // everything else (including the baseline) runs at 1.5.
             let mut profile = hot_profile(load_pc, head, back, 1.0);
@@ -1952,14 +1944,12 @@ mod tests {
             OptimizerConfig {
                 warmup_ticks: 0,
                 candidates: true,
-                trial_ticks: 1,
-                regression_factor: 1.4,
                 ..Default::default()
             },
             image,
         );
         let mut in_trial = false;
-        for _ in 0..40 {
+        for _ in 0..120 {
             let mut profile = hot_profile(load_pc, head, back, 1.0);
             if in_trial {
                 profile.window.cycles = 1_000_000; // CPI 10.0: hopeless
@@ -2002,7 +1992,6 @@ mod tests {
             OptimizerConfig {
                 warmup_ticks: 0,
                 candidates: true,
-                trial_ticks: 1,
                 ..Default::default()
             },
             a.finish(),
@@ -2029,7 +2018,6 @@ mod tests {
             OptimizerConfig {
                 warmup_ticks: 0,
                 candidates: true,
-                trial_ticks: 4,
                 ..Default::default()
             },
             image,
@@ -2061,7 +2049,6 @@ mod tests {
             OptimizerConfig {
                 warmup_ticks: 0,
                 candidates: true,
-                trial_ticks: 1,
                 ..Default::default()
             },
             image,
@@ -2114,9 +2101,6 @@ mod tests {
             OptimizerConfig {
                 warmup_ticks: 0,
                 candidates: true,
-                trial_ticks: 1,
-                regression_ticks: 3,
-                regression_factor: 1.05,
                 ..Default::default()
             },
             image.clone(),
@@ -2149,21 +2133,30 @@ mod tests {
         assert_eq!(opt.loops.len(), 1, "the record was replaced, not added to");
         assert_eq!(categories(&mut opt), ["loop_classified"]);
 
-        // Trials: apply, one tick, revert — nothing is exported or counted
-        // as deployed while the contest runs.
-        let mut trials = 0;
+        // Trials: apply, TRIAL_TICKS ticks, revert on the last of them —
+        // nothing is exported or counted as deployed while the contest runs.
+        let (mut trials, mut quiet) = (0, 0);
         let promoted = loop {
             let actions = opt.consider(&profile);
             if opt.contests() == 0 {
                 break actions;
             }
-            assert_eq!(actions.len(), 1);
-            match &actions[0] {
-                PlanAction::Apply(_) => assert!(categories(&mut opt).is_empty()),
-                PlanAction::Revert { .. } => {
+            match actions.as_slice() {
+                [PlanAction::Apply(_)] => {
+                    assert_eq!(quiet, 0, "a trial starts after the last one closed");
+                    assert!(categories(&mut opt).is_empty());
+                }
+                [] => {
+                    quiet += 1;
+                    assert!(categories(&mut opt).is_empty());
+                }
+                [PlanAction::Revert { .. }] => {
+                    assert_eq!(quiet + 1, Optimizer::TRIAL_TICKS);
+                    quiet = 0;
                     trials += 1;
                     assert_eq!(categories(&mut opt), ["candidate_trial"]);
                 }
+                other => panic!("one action or none per tick: {other:?}"),
             }
             assert_eq!(opt.export_state(), nothing_exported);
             assert_eq!(opt.active_deployments(), 0);
@@ -2259,7 +2252,6 @@ mod tests {
         let profile = hot_profile(load_pc, head, back, 1.0);
         let cfg = OptimizerConfig {
             warmup_ticks: 0,
-            trial_ticks: 4,
             ..Default::default()
         };
 
@@ -2310,7 +2302,6 @@ mod tests {
         let profile = hot_profile(load_pc, head, back, 1.0);
         let cfg = OptimizerConfig {
             warmup_ticks: 0,
-            trial_ticks: 1,
             ..Default::default()
         };
         let with_candidates = OptimizerConfig {

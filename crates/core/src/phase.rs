@@ -4,80 +4,64 @@
 //! track the changes in cache miss patterns for detecting changes in data
 //! working sets and their access behavior." The detector keeps an
 //! exponentially-smoothed estimate of the miss rates; when a fresh window
-//! departs from the estimate by more than a configurable factor, it reports
+//! departs from the estimate by more than a fixed factor, it reports
 //! a phase change so the framework can reset the profile and let the
 //! optimizer re-evaluate (e.g. after the program moves to a new data set).
 
-use serde::{Deserialize, Serialize};
-
 use crate::profile::CounterWindow;
 
-/// Detector configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct PhaseConfig {
-    /// A window whose miss rate differs from the smoothed estimate by more
-    /// than this factor (either direction) signals a phase change.
-    pub change_factor: f64,
-    /// Exponential smoothing weight for the running estimate.
-    pub alpha: f64,
-    /// Windows to observe before phase changes can fire (warm-up).
-    pub warmup_windows: u32,
-    /// Minimum instructions per window for a meaningful rate.
-    pub min_instructions: u64,
-}
+// Multi-pass programs alternate between loops with very different miss
+// rates within one "phase"; the factor and the warm-up are sized so only
+// sustained working-set changes fire.
 
-impl Default for PhaseConfig {
-    fn default() -> Self {
-        // Multi-pass programs alternate between loops with very different
-        // miss rates within one "phase"; the factor and warm-up are sized so
-        // only sustained working-set changes fire.
-        PhaseConfig {
-            change_factor: 4.0,
-            alpha: 0.3,
-            warmup_windows: 6,
-            min_instructions: 20_000,
-        }
-    }
-}
+/// A window whose miss rate differs from the smoothed estimate by more than
+/// this factor (either direction) signals a phase change.
+const CHANGE_FACTOR: f64 = 4.0;
+/// Exponential smoothing weight of a fresh window in the running estimate.
+const ALPHA: f64 = 0.3;
+/// Windows folded into the estimate before a phase change can fire.
+const WARMUP_WINDOWS: u32 = 6;
+/// Fewer instructions than this make no meaningful rate; such windows are
+/// skipped.
+const MIN_INSTRUCTIONS: u64 = 20_000;
 
 /// Running phase state.
 #[derive(Debug, Clone)]
 pub struct PhaseDetector {
-    cfg: PhaseConfig,
     smoothed_l2_kinst: f64,
     smoothed_l3_kinst: f64,
     windows_seen: u32,
     phases: u64,
 }
 
-impl PhaseDetector {
-    pub fn new(cfg: PhaseConfig) -> Self {
+impl Default for PhaseDetector {
+    fn default() -> Self {
         PhaseDetector {
-            cfg,
             smoothed_l2_kinst: 0.0,
             smoothed_l3_kinst: 0.0,
             windows_seen: 0,
             phases: 1,
         }
     }
+}
 
+impl PhaseDetector {
     /// Feed one merged window; returns true when a phase change is detected
     /// (the estimate restarts from the new window).
     pub fn observe(&mut self, window: &CounterWindow) -> bool {
-        if window.instructions < self.cfg.min_instructions {
+        if window.instructions < MIN_INSTRUCTIONS {
             return false;
         }
         let l2 = window.l2_per_kinst();
         let l3 = window.l3_per_kinst();
         self.windows_seen += 1;
-        // The first meaningful window *defines* the estimate — comparing it
-        // against the initial zero would fire spuriously with warmup 0.
-        if self.windows_seen == 1 || self.windows_seen <= self.cfg.warmup_windows {
+        // The warm-up windows, the first among them, *define* the estimate.
+        if self.windows_seen <= WARMUP_WINDOWS {
             self.fold(l2, l3);
             return false;
         }
-        let changed = Self::departed(self.smoothed_l2_kinst, l2, self.cfg.change_factor)
-            || Self::departed(self.smoothed_l3_kinst, l3, self.cfg.change_factor);
+        let changed = Self::departed(self.smoothed_l2_kinst, l2)
+            || Self::departed(self.smoothed_l3_kinst, l3);
         if changed {
             // Restart the estimate at the new behaviour.
             self.smoothed_l2_kinst = l2;
@@ -92,7 +76,7 @@ impl PhaseDetector {
     }
 
     fn fold(&mut self, l2: f64, l3: f64) {
-        let a = self.cfg.alpha;
+        let a = ALPHA;
         if self.windows_seen == 1 {
             self.smoothed_l2_kinst = l2;
             self.smoothed_l3_kinst = l3;
@@ -102,13 +86,13 @@ impl PhaseDetector {
         }
     }
 
-    fn departed(smoothed: f64, fresh: f64, factor: f64) -> bool {
+    fn departed(smoothed: f64, fresh: f64) -> bool {
         // Both near zero: no change. A rate appearing from (or vanishing to)
         // nothing is a change once it is non-trivial.
         let floor = 0.05;
         let s = smoothed.max(floor);
         let f = fresh.max(floor);
-        (f / s) > factor || (s / f) > factor
+        (f / s) > CHANGE_FACTOR || (s / f) > CHANGE_FACTOR
     }
 
     /// Phases observed so far (starts at 1).
@@ -134,7 +118,7 @@ mod tests {
 
     #[test]
     fn stable_behaviour_never_fires() {
-        let mut d = PhaseDetector::new(PhaseConfig::default());
+        let mut d = PhaseDetector::default();
         for _ in 0..50 {
             assert!(!d.observe(&window(500, 300)));
         }
@@ -143,7 +127,7 @@ mod tests {
 
     #[test]
     fn working_set_growth_fires_once_then_stabilizes() {
-        let mut d = PhaseDetector::new(PhaseConfig::default());
+        let mut d = PhaseDetector::default();
         for _ in 0..10 {
             d.observe(&window(500, 100));
         }
@@ -160,47 +144,34 @@ mod tests {
 
     #[test]
     fn shrinking_working_set_also_fires() {
-        let mut d = PhaseDetector::new(PhaseConfig::default());
+        let mut d = PhaseDetector::default();
         for _ in 0..10 {
             d.observe(&window(2000, 1500));
         }
         assert!(d.observe(&window(2000, 10)));
     }
 
-    /// The very first window can never fire: it *defines* the estimate.
-    #[test]
-    fn first_window_never_fires_even_without_warmup() {
-        let cfg = PhaseConfig {
-            warmup_windows: 0,
-            ..PhaseConfig::default()
-        };
-        let mut d = PhaseDetector::new(cfg);
-        assert!(!d.observe(&window(9000, 9000)));
-        assert_eq!(d.phases(), 1);
-        // And it seeded the baseline: a similar follow-up stays quiet, a
-        // collapse fires.
-        assert!(!d.observe(&window(9100, 8900)));
-        assert!(d.observe(&window(10, 10)));
-        assert_eq!(d.phases(), 2);
-    }
-
     /// `departed` uses a strict `>`: a fresh rate at *exactly* the change
     /// factor is still the same phase; one epsilon beyond departs.
     #[test]
     fn exact_threshold_delta_does_not_fire() {
-        let cfg = PhaseConfig {
-            change_factor: 4.0,
-            alpha: 0.0, // freeze the estimate at the seed for exactness
-            warmup_windows: 1,
-            ..PhaseConfig::default()
+        // Identical warm-up windows pin the estimate at their rate: 100
+        // misses / 100k inst = 1.0 per kinst on both levels.
+        let seeded = || {
+            let mut d = PhaseDetector::default();
+            for _ in 0..WARMUP_WINDOWS {
+                assert!(!d.observe(&window(100, 100)));
+            }
+            assert_eq!((d.smoothed_l2_kinst, d.smoothed_l3_kinst), (1.0, 1.0));
+            d
         };
-        let mut d = PhaseDetector::new(cfg);
-        // Seed: 100 misses / 100k inst = 1.0 per kinst on both levels.
-        assert!(!d.observe(&window(100, 100)));
         // Exactly 4.0x on both levels: ratio == factor, strict > says no.
+        assert_eq!(CHANGE_FACTOR, 4.0);
+        let mut d = seeded();
         assert!(!d.observe(&window(400, 400)));
         assert_eq!(d.phases(), 1);
         // One miss beyond the exact multiple crosses the threshold.
+        let mut d = seeded();
         assert!(d.observe(&window(401, 100)));
         assert_eq!(d.phases(), 2);
     }
@@ -210,7 +181,7 @@ mod tests {
     /// warm-up counter.
     #[test]
     fn zero_instruction_windows_are_inert() {
-        let mut d = PhaseDetector::new(PhaseConfig::default());
+        let mut d = PhaseDetector::default();
         let empty = CounterWindow::default();
         for _ in 0..100 {
             assert!(!d.observe(&empty));
@@ -218,7 +189,7 @@ mod tests {
         assert_eq!(d.phases(), 1);
         // The detector is still in pristine warm-up: the usual warm-up
         // window count must elapse before anything can fire.
-        for _ in 0..PhaseConfig::default().warmup_windows {
+        for _ in 0..WARMUP_WINDOWS {
             assert!(!d.observe(&window(500, 100)));
         }
         assert!(d.observe(&window(500, 5000)));
@@ -230,7 +201,7 @@ mod tests {
     /// baseline, while a real burst from silence still fires.
     #[test]
     fn silence_to_silence_is_stable_but_burst_from_silence_fires() {
-        let mut d = PhaseDetector::new(PhaseConfig::default());
+        let mut d = PhaseDetector::default();
         for _ in 0..10 {
             assert!(!d.observe(&window(0, 0)));
         }
@@ -242,7 +213,7 @@ mod tests {
 
     #[test]
     fn warmup_and_tiny_windows_are_ignored() {
-        let mut d = PhaseDetector::new(PhaseConfig::default());
+        let mut d = PhaseDetector::default();
         // Wild swings during warm-up do not fire.
         assert!(!d.observe(&window(10, 5)));
         assert!(!d.observe(&window(4000, 2000)));

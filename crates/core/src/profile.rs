@@ -16,7 +16,7 @@ use std::collections::HashMap;
 
 use cobra_isa::CodeAddr;
 use cobra_machine::Event;
-use cobra_perfmon::SampleRecord;
+use cobra_perfmon::{PmcSelection, SampleRecord};
 use serde::{Deserialize, Serialize};
 
 /// Second-level DEAR latency classification thresholds (§4: memory loads run
@@ -149,6 +149,23 @@ pub struct ProfileDelta {
     pub samples: u64,
 }
 
+/// Slot of `event` among the counters the driver programs. A selection
+/// without it fails to compile here, so the slots [`ThreadProfiler::reduce`]
+/// reads cannot drift from the events the driver programs.
+const fn pmc_slot(event: Event) -> usize {
+    let events = PmcSelection::coherence_default().events;
+    let mut k = 0;
+    while events[k] as usize != event as usize {
+        k += 1;
+    }
+    k
+}
+
+const BUS_MEMORY: usize = pmc_slot(Event::BusMemory);
+const BUS_COHERENT: usize = pmc_slot(Event::BusRdHitm);
+const L2_MISS: usize = pmc_slot(Event::L2Miss);
+const L3_MISS: usize = pmc_slot(Event::L3Miss);
+
 /// Per-monitor reducer: turns raw [`SampleRecord`]s into deltas.
 #[derive(Debug)]
 pub struct ThreadProfiler {
@@ -172,8 +189,9 @@ impl ThreadProfiler {
         }
     }
 
-    /// Reduce a batch of samples into a delta. The four PMCs are expected in
-    /// the [`cobra_perfmon::PmcSelection::coherence_default`] order.
+    /// Reduce a batch of samples into a delta. The four PMCs are read by
+    /// their slots in [`PmcSelection::coherence_default`], the one selection
+    /// the driver programs.
     pub fn reduce(&mut self, samples: &[SampleRecord]) -> ProfileDelta {
         let mut delta = ProfileDelta {
             cpu: self.cpu,
@@ -184,12 +202,10 @@ impl ThreadProfiler {
             delta.samples += 1;
             if let Some(prev) = self.last_counters {
                 let d = |k: usize| s.counters[k].saturating_sub(prev[k]);
-                // coherence_default: [BusMemory, BusRdHitm, L2Miss, L3Miss]
-                debug_assert_eq!(s.events[0], Event::BusMemory);
-                delta.window.bus_memory += d(0);
-                delta.window.bus_coherent += d(1);
-                delta.window.l2_miss += d(2);
-                delta.window.l3_miss += d(3);
+                delta.window.bus_memory += d(BUS_MEMORY);
+                delta.window.bus_coherent += d(BUS_COHERENT);
+                delta.window.l2_miss += d(L2_MISS);
+                delta.window.l3_miss += d(L3_MISS);
                 // A sample pair spanning a software-thread change (region
                 // join/fork) includes idle time that would bias CPI upward,
                 // and a pair with no elapsed cycles is a duplicate capture
@@ -288,7 +304,6 @@ impl SystemProfile {
 mod tests {
     use super::*;
     use cobra_machine::{BtbEntry, DearRecord};
-    use cobra_perfmon::PmcSelection;
 
     fn sample(
         cpu: u32,

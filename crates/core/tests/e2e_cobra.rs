@@ -6,13 +6,7 @@ use cobra_kernels::workload::{execute, execute_plain, Workload};
 use cobra_kernels::{npb, Daxpy, DaxpyParams, PrefetchPolicy};
 use cobra_machine::MachineConfig;
 use cobra_omp::{OmpRuntime, Team};
-use cobra_rt::{Cobra, CobraConfig, OptKind, Strategy, TelemetrySink};
-
-fn cobra_config(strategy: Strategy) -> CobraConfig {
-    let mut cfg = CobraConfig::default();
-    cfg.optimizer.strategy = strategy;
-    cfg
-}
+use cobra_rt::{Cobra, OptKind, Strategy, TelemetrySink};
 
 /// Run a workload under COBRA; returns (cycles, report). Panics if the
 /// workload's numerical verification fails — the paper's premise is that
@@ -21,15 +15,12 @@ fn run_with_cobra(
     wl: &dyn Workload,
     machine_cfg: &MachineConfig,
     team: Team,
-    cobra_cfg: CobraConfig,
+    strategy: Strategy,
 ) -> (u64, cobra_rt::CobraReport) {
-    let rt = OmpRuntime {
-        quantum: 20_000,
-        ..OmpRuntime::default()
-    };
+    let rt = OmpRuntime { quantum: 20_000 };
     let mut machine = cobra_machine::Machine::new(machine_cfg.clone(), wl.image().clone());
     wl.init(&mut machine.shared.mem);
-    let mut cobra = Cobra::builder().config(cobra_cfg).attach(&mut machine);
+    let mut cobra = Cobra::builder().strategy(strategy).attach(&mut machine);
     let run = wl.run(&mut machine, team, &rt, &mut cobra);
     let report = cobra.detach(&mut machine);
     if let Err(e) = wl.verify(&machine.shared.mem) {
@@ -50,7 +41,7 @@ fn cobra_speeds_up_daxpy_small_working_set() {
     let (_m, base_run) = execute_plain(&baseline, &cfg, team);
 
     let wl = Daxpy::build(params, &PrefetchPolicy::aggressive(), cfg.mem_bytes);
-    let (cobra_cycles, report) = run_with_cobra(&wl, &cfg, team, cobra_config(Strategy::Adaptive));
+    let (cobra_cycles, report) = run_with_cobra(&wl, &cfg, team, Strategy::Adaptive);
 
     assert!(
         !report.applied.is_empty(),
@@ -84,7 +75,7 @@ fn cobra_leaves_large_working_set_daxpy_mostly_alone() {
     let (_m, base_run) = execute_plain(&baseline, &cfg, team);
 
     let wl = Daxpy::build(params, &PrefetchPolicy::aggressive(), cfg.mem_bytes);
-    let (cobra_cycles, report) = run_with_cobra(&wl, &cfg, team, cobra_config(Strategy::Adaptive));
+    let (cobra_cycles, report) = run_with_cobra(&wl, &cfg, team, Strategy::Adaptive);
 
     assert!(
         (cobra_cycles as f64) < (base_run.cycles as f64) * 1.10,
@@ -104,7 +95,7 @@ fn cobra_deploys_every_rewrite_as_a_trace_on_daxpy() {
     let params = DaxpyParams::new(128 * 1024, 40);
     let wl = Daxpy::build(params, &PrefetchPolicy::aggressive(), cfg.mem_bytes);
     let main_len = wl.image().main_len();
-    let (_cycles, report) = run_with_cobra(&wl, &cfg, team, cobra_config(Strategy::NoPrefetch));
+    let (_cycles, report) = run_with_cobra(&wl, &cfg, team, Strategy::NoPrefetch);
     assert!(!report.applied.is_empty(), "{}", report.summary());
     for p in &report.applied {
         let entry = p.trace_entry.expect("every deployment appends a trace");
@@ -129,8 +120,7 @@ fn cobra_improves_npb_bt_on_smp() {
         &PrefetchPolicy::aggressive(),
         cfg.mem_bytes,
     );
-    let (cobra_cycles, report) =
-        run_with_cobra(&*wl, &cfg, team, cobra_config(Strategy::NoPrefetch));
+    let (cobra_cycles, report) = run_with_cobra(&*wl, &cfg, team, Strategy::NoPrefetch);
 
     assert!(
         !report.applied.is_empty(),
@@ -156,7 +146,7 @@ fn cobra_runs_one_monitor_per_working_thread() {
         &PrefetchPolicy::aggressive(),
         cfg.mem_bytes,
     );
-    let (_cycles, report) = run_with_cobra(&wl, &cfg, team, cobra_config(Strategy::Adaptive));
+    let (_cycles, report) = run_with_cobra(&wl, &cfg, team, Strategy::Adaptive);
     assert_eq!(report.monitors_spawned, 3, "one monitor per working thread");
     assert_eq!(report.forks, 6, "one fork per outer repetition");
     assert!(report.samples_forwarded > 0);
@@ -200,10 +190,7 @@ fn host_accel_is_invisible_to_the_cobra_pipeline() {
         let mut m = cobra_machine::Machine::new(cfg, wl.image().clone());
         wl.init(&mut m.shared.mem);
         let mut cobra = Cobra::builder().attach(&mut m);
-        let rt = OmpRuntime {
-            quantum: 20_000,
-            ..OmpRuntime::default()
-        };
+        let rt = OmpRuntime { quantum: 20_000 };
         let r = wl.run(&mut m, Team::new(4), &rt, &mut cobra);
         let report = cobra.detach(&mut m);
         (
@@ -217,7 +204,7 @@ fn host_accel_is_invisible_to_the_cobra_pipeline() {
     assert_eq!(fast_report, ref_report, "same report, field for field");
 }
 
-/// Telemetry is charged to the simulated machine via `overhead_per_sample`,
+/// Telemetry is charged to the simulated machine via `OVERHEAD_PER_SAMPLE`,
 /// but its cost must stay negligible: a telemetry-enabled DAXPY run stays
 /// within 5% of the telemetry-disabled run in simulated cycles, whether the
 /// optimizer picks per loop or always deploys `noprefetch`.
@@ -237,10 +224,7 @@ fn telemetry_overhead_within_five_percent_on_daxpy() {
             builder = builder.telemetry(s);
         }
         let mut cobra = builder.attach(&mut m);
-        let rt = OmpRuntime {
-            quantum: 20_000,
-            ..OmpRuntime::default()
-        };
+        let rt = OmpRuntime { quantum: 20_000 };
         let r = wl.run(&mut m, Team::new(4), &rt, &mut cobra);
         (r.cycles, cobra.detach(&mut m))
     };
@@ -284,10 +268,7 @@ fn continuous_re_adaptation_reverts_on_working_set_change() {
     let mut cobra = Cobra::builder()
         .strategy(Strategy::NoPrefetch)
         .attach(&mut m);
-    let rt = OmpRuntime {
-        quantum: 20_000,
-        ..OmpRuntime::default()
-    };
+    let rt = OmpRuntime { quantum: 20_000 };
     let team = Team::new(4);
     let entry = m.shared.code.symbol("daxpy_body").unwrap();
     let args = [

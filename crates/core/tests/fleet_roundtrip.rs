@@ -59,10 +59,7 @@ fn run(
         b = b.store(dir);
     }
     let mut cobra = b.attach(&mut m);
-    let rt = OmpRuntime {
-        quantum: 20_000,
-        ..OmpRuntime::default()
-    };
+    let rt = OmpRuntime { quantum: 20_000 };
     wl.run(&mut m, Team::new(4), &rt, &mut cobra);
     let report = cobra.detach(&mut m);
     wl.verify(&m.shared.mem).expect("verification under COBRA");

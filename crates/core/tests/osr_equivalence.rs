@@ -66,10 +66,7 @@ fn run_daxpy(
         .osr(osr)
         .telemetry(sink)
         .attach(&mut m);
-    let rt = OmpRuntime {
-        quantum,
-        ..OmpRuntime::default()
-    };
+    let rt = OmpRuntime { quantum };
     wl.run(&mut m, Team::new(threads), &rt, &mut cobra);
     let report = cobra.detach(&mut m);
     if let Err(e) = wl.verify(&m.shared.mem) {
@@ -102,10 +99,7 @@ fn run_two_phase(osr: bool, quantum: u64, threads: usize) -> RunOutcome {
         .osr(osr)
         .telemetry(sink)
         .attach(&mut m);
-    let rt = OmpRuntime {
-        quantum,
-        ..OmpRuntime::default()
-    };
+    let rt = OmpRuntime { quantum };
     let team = Team::new(threads);
     let entry = m.shared.code.symbol("daxpy_body").unwrap();
     let args = [

@@ -54,14 +54,15 @@ fn capture_candidate_plans() -> &'static Vec<Captured> {
                 strategy: Strategy::Adaptive,
                 warmup_ticks: 0,
                 candidates: true,
-                trial_ticks: 1,
                 ..Default::default()
             };
             let window = cfg.trace.entry_window_slots;
             let mut opt = Optimizer::new(cfg, image.clone());
             let profile = hot_profile(load_pc, head, back);
             let mut live = image.clone();
-            for _ in 0..40 {
+            // Enough ticks for every contest to trial all its candidates
+            // (four ticks each, plus the tick that deploys it) and promote.
+            for _ in 0..60 {
                 for action in opt.consider(&profile) {
                     let plan = match action {
                         PlanAction::Apply(plan) => plan,

@@ -56,10 +56,7 @@ fn run(
         .telemetry(sink)
         .store(store)
         .attach(&mut m);
-    let rt = OmpRuntime {
-        quantum: 20_000,
-        ..OmpRuntime::default()
-    };
+    let rt = OmpRuntime { quantum: 20_000 };
     let r = wl.run(&mut m, Team::new(4), &rt, &mut cobra);
     let report = cobra.detach(&mut m);
     wl.verify(&m.shared.mem).expect("verification under COBRA");
@@ -153,23 +150,24 @@ fn warm_start_round_trip_converges_earlier_to_same_deployments() {
 #[test]
 fn warm_run_resumes_tournament_winner_without_retrialing() {
     let store = tmp_store();
-    let wl = workload();
+    // A region is shorter than the quantum, so ticks follow repetitions:
+    // twice `workload()`'s 48, so the whole tournament (five ticks a
+    // candidate) fits well inside the run.
+    let wl = Daxpy::build(
+        DaxpyParams::new(128 * 1024, 96),
+        &PrefetchPolicy::aggressive(),
+        MachineConfig::smp4().mem_bytes,
+    );
     let cfg = MachineConfig::smp4();
     let run_candidates = |store: &std::path::Path| -> CobraReport {
         let mut m = cobra_machine::Machine::new(cfg.clone(), wl.image().clone());
         wl.init(&mut m.shared.mem);
-        let opt = cobra_rt::OptimizerConfig {
-            strategy: Strategy::Adaptive,
-            candidates: true,
-            // Short trials so the full tournament fits well inside the run.
-            trial_ticks: 3,
-            ..cobra_rt::OptimizerConfig::default()
-        };
-        let mut cobra = Cobra::builder().optimizer(opt).store(store).attach(&mut m);
-        let rt = OmpRuntime {
-            quantum: 20_000,
-            ..OmpRuntime::default()
-        };
+        let mut cobra = Cobra::builder()
+            .strategy(Strategy::Adaptive)
+            .candidates(true)
+            .store(store)
+            .attach(&mut m);
+        let rt = OmpRuntime { quantum: 20_000 };
         wl.run(&mut m, Team::new(4), &rt, &mut cobra);
         let report = cobra.detach(&mut m);
         wl.verify(&m.shared.mem).expect("verification under COBRA");

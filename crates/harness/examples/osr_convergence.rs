@@ -60,10 +60,7 @@ fn run(bench: Benchmark, osr: bool) -> Outcome {
         .osr(osr)
         .telemetry(sink)
         .attach(&mut m);
-    let rt = OmpRuntime {
-        quantum: QUANTUM,
-        ..OmpRuntime::default()
-    };
+    let rt = OmpRuntime { quantum: QUANTUM };
     wl.run(&mut m, Team::new(4), &rt, &mut cobra);
     let report = cobra.detach(&mut m);
     wl.verify(&m.shared.mem)

@@ -345,8 +345,9 @@ pub fn parse(args: &[String]) -> Result<Command, Usage> {
             raw.parse::<usize>()
                 .map_err(|_| Usage(format!("{flag}: {raw:?} is not a number")))
         };
-        // Zero workers no trial runner can use; an age horizon of zero runs
-        // would age out what the same run just confirmed.
+        // Zero repetitions average nothing (every cell reads NaN); zero
+        // workers no trial runner can use; an age horizon of zero runs would
+        // age out what the same run just confirmed.
         let at_least_one = |n: usize| match n {
             0 => Err(Usage(format!("{arg} must be at least 1"))),
             n => Ok(n),
@@ -355,7 +356,7 @@ pub fn parse(args: &[String]) -> Result<Command, Usage> {
             Md => cmd.markdown = true,
             Json => cmd.json = true,
             Candidates => cmd.candidates = true,
-            Reps => cmd.reps = number(value()?)?,
+            Reps => cmd.reps = at_least_one(number(value()?)?)?,
             Workers => cmd.workers = at_least_one(number(value()?)?)?,
             Machine => {
                 cmd.machine = match value()?.as_str() {
@@ -703,7 +704,7 @@ mod tests {
                         );
                     }
                 }
-                if matches!(flag, Workers | MaxAgeRuns) {
+                if matches!(flag, Reps | Workers | MaxAgeRuns) {
                     let msg = refused(&[args.clone(), vec!["0".into()]].concat());
                     assert_eq!(msg, format!("{spelling} must be at least 1"));
                 }

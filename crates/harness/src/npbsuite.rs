@@ -132,10 +132,7 @@ pub fn run_arm(
             (m, run.cycles, None)
         }
         Some(strategy) => {
-            let rt = OmpRuntime {
-                quantum: 20_000,
-                ..OmpRuntime::default()
-            };
+            let rt = OmpRuntime { quantum: 20_000 };
             let mut m = Machine::new(machine_cfg.clone(), wl.image().clone());
             wl.init(&mut m.shared.mem);
             let mut builder = Cobra::builder()

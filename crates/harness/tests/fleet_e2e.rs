@@ -51,10 +51,7 @@ fn cg_run(fleet: Option<&str>, store: Option<&Path>) -> CobraReport {
         builder = builder.store(dir);
     }
     let mut cobra = builder.attach(&mut m);
-    let rt = OmpRuntime {
-        quantum: 20_000,
-        ..OmpRuntime::default()
-    };
+    let rt = OmpRuntime { quantum: 20_000 };
     wl.run(&mut m, Team::new(4), &rt, &mut cobra);
     let report = cobra.detach(&mut m);
     wl.verify(&m.shared.mem)

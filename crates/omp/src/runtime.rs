@@ -7,27 +7,26 @@ use cobra_machine::{CoreStatus, Machine};
 
 use crate::team::{abi, Team};
 
-/// Runtime knobs.
+/// What a caller can set of the runtime: how often the hook runs.
 #[derive(Debug, Clone, Copy)]
 pub struct OmpRuntime {
-    /// Cycles charged per fork/join (thread wakeup, implicit barrier).
-    pub fork_overhead: u64,
     /// Simulation quantum between hook invocations (perfmon polling /
     /// COBRA patch points).
     pub quantum: u64,
-    /// Abort threshold for a single parallel region.
-    pub max_region_cycles: u64,
 }
 
 impl Default for OmpRuntime {
     fn default() -> Self {
-        OmpRuntime {
-            fork_overhead: 800,
-            quantum: 50_000,
-            max_region_cycles: 2_000_000_000,
-        }
+        OmpRuntime { quantum: 50_000 }
     }
 }
+
+/// Cycles charged per fork/join (thread wakeup, implicit barrier).
+const FORK_OVERHEAD: u64 = 800;
+
+/// A region running longer than this is deadlocked (a barrier nobody
+/// reaches) or runaway.
+const MAX_REGION_CYCLES: u64 = 2_000_000_000;
 
 /// What happened during one region execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,7 +75,7 @@ impl OmpRuntime {
     /// end with `hlt`.
     ///
     /// # Panics
-    /// Panics if the region exceeds `max_region_cycles` (a deadlocked
+    /// Panics if the region exceeds `MAX_REGION_CYCLES` (a deadlocked
     /// barrier or a runaway loop — a workload bug worth failing loudly on).
     #[allow(clippy::too_many_arguments)]
     pub fn parallel_for(
@@ -100,7 +99,7 @@ impl OmpRuntime {
         let start = machine.cycle();
 
         // Fork: model thread-wakeup cost before any useful work.
-        machine.shared.cycle += self.fork_overhead;
+        machine.shared.cycle += FORK_OVERHEAD;
 
         let chunks = team.static_chunks(lo, hi);
         for (tid, &(c_lo, c_hi)) in chunks.iter().enumerate() {
@@ -119,9 +118,8 @@ impl OmpRuntime {
                 break;
             }
             assert!(
-                elapsed <= self.max_region_cycles,
-                "parallel region exceeded {} cycles (deadlock?)",
-                self.max_region_cycles
+                elapsed <= MAX_REGION_CYCLES,
+                "parallel region exceeded {MAX_REGION_CYCLES} cycles (deadlock?)"
             );
         }
 
@@ -234,14 +232,30 @@ mod tests {
 
     #[test]
     fn fork_overhead_is_charged() {
+        // The fork's cost lands before any thread runs: the hook sees it at
+        // fork time, and the region's cycles include it.
+        struct AtFork(u64);
+        impl QuantumHook for AtFork {
+            fn on_quantum(&mut self, _m: &mut Machine) {}
+            fn on_fork(&mut self, m: &mut Machine, _team: Team) {
+                self.0 = m.cycle();
+            }
+        }
         let image = store_tid_program();
-        let rt = OmpRuntime {
-            fork_overhead: 5000,
-            ..OmpRuntime::default()
-        };
         let mut m = Machine::new(MachineConfig::smp4(), image);
-        let s = rt.parallel_for(&mut m, Team::new(2), 0, 0, 4, &[0x3_0000], &mut NullHook);
-        assert!(s.cycles >= 5000);
+        let start = m.cycle();
+        let mut hook = AtFork(0);
+        let s = OmpRuntime::default().parallel_for(
+            &mut m,
+            Team::new(2),
+            0,
+            0,
+            4,
+            &[0x3_0000],
+            &mut hook,
+        );
+        assert_eq!(hook.0 - start, FORK_OVERHEAD);
+        assert!(s.cycles > FORK_OVERHEAD);
     }
 
     #[test]
@@ -265,10 +279,7 @@ mod tests {
         }
         let image = store_tid_program();
         let mut m = Machine::new(MachineConfig::smp4(), image);
-        let rt = OmpRuntime {
-            quantum: 50,
-            ..OmpRuntime::default()
-        };
+        let rt = OmpRuntime { quantum: 50 };
         let mut hook = Counting {
             forks: 0,
             quanta: 0,

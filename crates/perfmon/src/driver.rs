@@ -18,32 +18,39 @@ use std::collections::VecDeque;
 use cobra_machine::{Event, Machine, SamplingConfig};
 use serde::{Deserialize, Serialize};
 
-use crate::sample::{PmcSelection, SampleRecord, NUM_PMCS};
+use crate::sample::{PmcSelection, SampleRecord};
 
-/// Driver-wide configuration.
+/// What a caller can set of the driver: the sampling period. The events it
+/// programs are always [`PmcSelection::coherence_default`], behind an
+/// instructions-retired sampling event, because the profiler reads those
+/// four counters by their slots there and credits each sample with
+/// `sampling_period` retired instructions.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct PerfmonConfig {
-    /// The four monitored events.
-    pub pmcs: PmcSelection,
-    /// Event driving the sampling interrupt.
-    pub sampling_event: Event,
-    /// Overflow period of the sampling event.
+    /// Overflow period of the sampling event, in instructions retired.
     pub sampling_period: u64,
-    /// Kernel sampling buffer capacity per CPU (samples beyond it are
-    /// dropped and counted, as a real ring would).
-    pub buffer_capacity: usize,
 }
 
 impl Default for PerfmonConfig {
     fn default() -> Self {
         PerfmonConfig {
-            pmcs: PmcSelection::coherence_default(),
-            sampling_event: Event::InstRetired,
-            sampling_period: 20_000,
-            buffer_capacity: 4096,
+            sampling_period: SAMPLING_PERIOD,
         }
     }
 }
+
+/// The period COBRA samples at: the paper keeps overhead low with
+/// "relatively less frequent sampling", and every golden run uses this one.
+const SAMPLING_PERIOD: u64 = 2000;
+
+/// The sampling interrupt counts retired instructions: the profiler credits
+/// each sample with one period of them.
+const SAMPLING_EVENT: Event = Event::InstRetired;
+
+/// Kernel sampling buffer capacity per CPU; samples beyond it are dropped
+/// and counted, as a real ring would. COBRA drains every quantum, long
+/// before a CPU retires the 8M instructions that fill it.
+const BUFFER_CAPACITY: usize = 4096;
 
 #[derive(Debug, Default)]
 struct CpuCtx {
@@ -63,7 +70,6 @@ pub struct PerfmonDriver {
 impl PerfmonDriver {
     pub fn new(num_cpus: usize, config: PerfmonConfig) -> Self {
         assert!(config.sampling_period > 0);
-        assert!(config.buffer_capacity > 0);
         PerfmonDriver {
             config,
             per_cpu: (0..num_cpus).map(|_| CpuCtx::default()).collect(),
@@ -83,10 +89,10 @@ impl PerfmonDriver {
             "driver/machine CPU count mismatch"
         );
         for cpu in 0..machine.num_cpus() {
-            let baseline = machine.stats()[cpu].get(self.config.sampling_event);
+            let baseline = machine.stats()[cpu].get(SAMPLING_EVENT);
             machine.shared.hpm[cpu].program_sampling(
                 SamplingConfig {
-                    event: self.config.sampling_event,
+                    event: SAMPLING_EVENT,
                     period: self.config.sampling_period,
                 },
                 baseline,
@@ -116,14 +122,12 @@ impl PerfmonDriver {
             }
             let ctx = &mut self.per_cpu[cpu];
             for cap in captures {
-                if ctx.buffer.len() >= self.config.buffer_capacity {
+                if ctx.buffer.len() >= BUFFER_CAPACITY {
                     ctx.dropped += 1;
                     continue;
                 }
-                let mut counters = [0u64; NUM_PMCS];
-                for (k, &e) in self.config.pmcs.events.iter().enumerate() {
-                    counters[k] = cap.stats.get(e);
-                }
+                let events = PmcSelection::coherence_default().events;
+                let counters = events.map(|e| cap.stats.get(e));
                 let rec = SampleRecord {
                     index: ctx.next_index,
                     pc: cap.pc,
@@ -132,7 +136,7 @@ impl PerfmonDriver {
                     cpu: cpu as u32,
                     cycle: cap.cycle,
                     counters,
-                    events: self.config.pmcs.events,
+                    events,
                     btb: cap.btb,
                     dear: cap.dear,
                 };
@@ -162,6 +166,7 @@ impl PerfmonDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sample::NUM_PMCS;
     use cobra_isa::Assembler;
     use cobra_machine::MachineConfig;
 
@@ -187,7 +192,6 @@ mod tests {
             4,
             PerfmonConfig {
                 sampling_period: period,
-                ..PerfmonConfig::default()
             },
         );
         drv.attach(&mut m);
@@ -204,9 +208,11 @@ mod tests {
         // ~2 retired insns per iteration + setup: at least 8 samples.
         assert!(samples.len() >= 8, "got {}", samples.len());
         assert_eq!(drv.pending(0), 0, "drain empties the buffer");
-        // Indices are monotone, cpu/tid tagged.
+        // Indices are monotone, cpu/tid tagged, counters in the one
+        // selection's order.
         for (k, s) in samples.iter().enumerate() {
             assert_eq!(s.index, k as u64);
+            assert_eq!(s.events, PmcSelection::coherence_default().events);
             assert_eq!(s.cpu, 0);
             assert_eq!(s.tid, 0);
             assert_eq!(s.pid, 1);
@@ -252,23 +258,16 @@ mod tests {
 
     #[test]
     fn buffer_overflow_drops_and_counts() {
-        let (mut m, mut drv) = {
-            let mut m = Machine::new(MachineConfig::smp4(), busy_program(50_000));
-            m.spawn_thread(0, 0, &[]);
-            let mut drv = PerfmonDriver::new(
-                4,
-                PerfmonConfig {
-                    sampling_period: 100,
-                    buffer_capacity: 16,
-                    ..PerfmonConfig::default()
-                },
-            );
-            drv.attach(&mut m);
-            (m, drv)
-        };
-        m.run(10_000_000);
+        // ~100k retired instructions at one sample per 10, polled often
+        // enough that the HPM's own capture queue never fills but never
+        // drained: more than the kernel buffer holds.
+        let (mut m, mut drv) = sampled_machine(50_000, 1, 10);
+        while !m.run_quantum(1_000).halted {
+            drv.poll(&mut m);
+        }
         drv.poll(&mut m);
-        assert_eq!(drv.pending(0), 16);
+        assert_eq!(m.shared.hpm[0].dropped_captures(), 0);
+        assert_eq!(drv.pending(0), BUFFER_CAPACITY);
         assert!(drv.dropped(0) > 0);
     }
 

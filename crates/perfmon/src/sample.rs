@@ -22,9 +22,11 @@ pub struct PmcSelection {
 }
 
 impl PmcSelection {
-    /// The selection COBRA programs by default: coherence traffic relative
-    /// to total bus traffic, plus cache-miss progress counters.
-    pub fn coherence_default() -> Self {
+    /// The one selection COBRA programs: coherence traffic relative to
+    /// total bus traffic, plus cache-miss progress counters. The driver
+    /// programs these four and `cobra_rt::ThreadProfiler::reduce` finds
+    /// each counter's slot in this same constant.
+    pub const fn coherence_default() -> Self {
         PmcSelection {
             events: [
                 Event::BusMemory,

@@ -69,10 +69,7 @@ fn main() {
     let mut cobra = Cobra::builder()
         .strategy(Strategy::ExclHint)
         .attach(&mut machine);
-    let rt = OmpRuntime {
-        quantum: 20_000,
-        ..OmpRuntime::default()
-    };
+    let rt = OmpRuntime { quantum: 20_000 };
     let team = Team::new(4);
     let entry = machine.shared.code.symbol("triad_body").unwrap();
     let args = [

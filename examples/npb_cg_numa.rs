@@ -52,10 +52,7 @@ fn main() {
     let mut cobra = Cobra::builder()
         .strategy(Strategy::NoPrefetch)
         .attach(&mut machine);
-    let rt = OmpRuntime {
-        quantum: 20_000,
-        ..OmpRuntime::default()
-    };
+    let rt = OmpRuntime { quantum: 20_000 };
     let run = wl.run(&mut machine, team, &rt, &mut cobra);
     let report = cobra.detach(&mut machine);
     wl.verify(&machine.shared.mem)

@@ -31,10 +31,7 @@ fn main() {
     let mut machine = Machine::new(machine_cfg.clone(), wl.image().clone());
     wl.init(&mut machine.shared.mem);
     let mut cobra = Cobra::builder().attach(&mut machine);
-    let rt = OmpRuntime {
-        quantum: 20_000,
-        ..OmpRuntime::default()
-    };
+    let rt = OmpRuntime { quantum: 20_000 };
     let run = wl.run(&mut machine, team, &rt, &mut cobra);
     let report = cobra.detach(&mut machine);
     wl.verify(&machine.shared.mem)

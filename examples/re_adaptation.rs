@@ -22,10 +22,7 @@ const PHASE1_REPS: usize = 60;
 const PHASE2_REPS: usize = 16;
 
 fn run_two_phase(hook: &mut dyn QuantumHook, machine: &mut Machine, wl: &Daxpy) -> (u64, u64) {
-    let rt = OmpRuntime {
-        quantum: 20_000,
-        ..OmpRuntime::default()
-    };
+    let rt = OmpRuntime { quantum: 20_000 };
     let team = Team::new(4);
     let full_n = wl.params().n() as i64;
     let args = [

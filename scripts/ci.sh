@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The gates, one function per CI job: `.github/workflows/ci.yml` runs
 # `scripts/ci.sh <job>` and so can anyone with a checkout — nothing here
-# needs the network. Every job body is cargo invocations; the eight
+# needs the network. Every job body is cargo invocations; the nine
 # deleted-name greps, the `pub` census, the two named-test list pins and the
 # benchmark/run.sh loop are the only shell. A test target runs once per
 # profile in an `all` pass: the two `--workspace` lines (`build-test` plain,
@@ -80,14 +80,24 @@ build-test() {
     echo "a second deployment path or the micro-op memory flag is back" >&2
     return 1
   fi
+  # What a caller can set of COBRA is what some caller sets: `strategy`,
+  # `candidates` and `osr` on the builder, `warmup_ticks`,
+  # `entry_window_slots`, the perfmon sampling period and the OpenMP
+  # quantum. Every knob only one value ever served is a constant beside the
+  # code that reads it; none comes back as a config type, a field or a
+  # setter. (Whole words: `trial_ticks` stays, as a telemetry event field.)
+  if grep -rnwE 'CobraConfig|PhaseConfig|usb_capacity|overhead_per_sample|warm_warmup_ticks|regression_factor|regression_ticks|fork_overhead|max_region_cycles|buffer_capacity|sampling_event|min_count|max_body_slots|change_factor|warmup_windows|min_instructions|pmcs|fn sampling_period|fn optimizer' crates/ src tests examples; then
+    echo "a COBRA knob only one value served is settable again" >&2
+    return 1
+  fi
   # The surface census (ROADMAP 7c): every `pub` item names a caller outside
   # its own crate's tests. The count only goes down; a PR that needs a new
   # item deletes one or raises this number on purpose, in its diff.
   local pubs
   pubs=$(grep -rhE '^\s*pub (fn|struct|enum|const|mod|type|trait|use|static)' crates/*/src src | wc -l)
   echo "pub items in crates/*/src + src: $pubs"
-  if ((pubs > 760)); then
-    echo "the pub surface grew past 760" >&2
+  if ((pubs > 755)); then
+    echo "the pub surface grew past 755" >&2
     return 1
   fi
   cargo build --release --workspace

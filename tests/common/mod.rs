@@ -1,6 +1,6 @@
 //! What the tier-1 replay checks share.
 
-use cobra::rt::{CobraConfig, CobraReport, TelemetryEvent, TelemetryRecord};
+use cobra::rt::{CobraReport, TelemetryEvent, TelemetryRecord, OVERHEAD_PER_SAMPLE};
 use serde_json::Value;
 
 /// One event stream feeds the report and the trace: `records` alone, folded
@@ -57,7 +57,7 @@ pub fn assert_log_replays_to(records: &[TelemetryRecord], report: &CobraReport) 
     let charged = records.iter().rposition(is_quantum).map_or(0, |at| at + 1) as u64;
     assert_eq!(
         report.overhead_cycles,
-        (forwarded + charged) * CobraConfig::default().overhead_per_sample,
+        (forwarded + charged) * OVERHEAD_PER_SAMPLE,
         "`overhead_cycles`"
     );
     assert_eq!(report.applied.len(), count("deploy"), "`applied`");

@@ -93,7 +93,6 @@ fn digest(arm: &Arm<'_>, accel: HostAccel) -> u64 {
     let mut cobra = builder.attach(&mut m);
     let rt = OmpRuntime {
         quantum: arm.quantum,
-        ..OmpRuntime::default()
     };
     wl.run(&mut m, Team::new(4), &rt, &mut cobra);
     let report = cobra.detach(&mut m);

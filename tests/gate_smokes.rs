@@ -52,10 +52,7 @@ fn daxpy_under_cobra(osr: bool) -> (CobraReport, Vec<u64>) {
         .attach(&mut m);
     // A quantum short enough that the deployment tick finds the threads
     // inside the loop, so there is something to migrate.
-    let rt = OmpRuntime {
-        quantum: 3_000,
-        ..OmpRuntime::default()
-    };
+    let rt = OmpRuntime { quantum: 3_000 };
     wl.run(&mut m, Team::new(4), &rt, &mut cobra);
     let report = cobra.detach(&mut m);
     wl.verify(&m.shared.mem).expect("numerics hold");

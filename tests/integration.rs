@@ -81,10 +81,7 @@ fn cobra_runs_are_deterministic() {
         let mut m = Machine::new(cfg.clone(), wl.image().clone());
         wl.init(&mut m.shared.mem);
         let mut cobra = Cobra::builder().attach(&mut m);
-        let rt = OmpRuntime {
-            quantum: 20_000,
-            ..OmpRuntime::default()
-        };
+        let rt = OmpRuntime { quantum: 20_000 };
         let r = wl.run(&mut m, Team::new(4), &rt, &mut cobra);
         let report = cobra.detach(&mut m);
         (r.cycles, report.applied.len(), report.samples_forwarded)
@@ -108,10 +105,7 @@ fn cobra_runs_are_deterministic() {
             .osr(true)
             .telemetry(sink)
             .attach(&mut m);
-        let rt = OmpRuntime {
-            quantum: 2_000,
-            ..OmpRuntime::default()
-        };
+        let rt = OmpRuntime { quantum: 2_000 };
         wl.run(&mut m, Team::new(4), &rt, &mut cobra);
         let report = cobra.detach(&mut m);
         assert!(report.candidates_trialed > 0, "the run drives tournaments");
@@ -170,10 +164,7 @@ fn patching_preserves_numerics_bit_for_bit() {
     let mut cobra = Cobra::builder()
         .strategy(Strategy::NoPrefetch)
         .attach(&mut m);
-    let rt = OmpRuntime {
-        quantum: 20_000,
-        ..OmpRuntime::default()
-    };
+    let rt = OmpRuntime { quantum: 20_000 };
     wl2.run(&mut m, Team::new(4), &rt, &mut cobra);
     let report = cobra.detach(&mut m);
     assert!(
