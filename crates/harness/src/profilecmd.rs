@@ -9,22 +9,21 @@
 
 use std::path::{Path, PathBuf};
 
+use cobra_kernels::npb::Benchmark;
 use cobra_machine::MachineConfig;
 use cobra_store::{merge_unordered, read_snapshot_file, write_snapshot_file, Snapshot};
 
 use crate::npbsuite::{self, Arm};
 
-/// Resolve a benchmark by name among the coherent suite.
-fn bench_by_name(name: &str) -> Result<cobra_kernels::npb::Benchmark, String> {
-    cobra_kernels::npb::Benchmark::COHERENT
+/// Resolve a benchmark by name, case-insensitively, among `among` (the
+/// profiler runs the coherent suite; the verifier lints every kernel).
+pub(crate) fn bench_by_name(name: &str, among: &[Benchmark]) -> Result<Benchmark, String> {
+    among
         .iter()
         .copied()
         .find(|b| b.name().eq_ignore_ascii_case(name))
         .ok_or_else(|| {
-            let known: Vec<&str> = cobra_kernels::npb::Benchmark::COHERENT
-                .iter()
-                .map(|b| b.name())
-                .collect();
+            let known: Vec<&str> = among.iter().map(|b| b.name()).collect();
             format!(
                 "unknown benchmark {name}; expected one of {}",
                 known.join("|")
@@ -40,7 +39,7 @@ pub fn save(
     threads: usize,
     dir: &Path,
 ) -> Result<String, String> {
-    let bench = bench_by_name(bench)?;
+    let bench = bench_by_name(bench, &Benchmark::COHERENT)?;
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let result = npbsuite::run_arm(
         bench,
@@ -241,9 +240,10 @@ mod tests {
 
     #[test]
     fn bench_lookup_is_case_insensitive_and_rejects_unknown() {
-        assert!(bench_by_name("bt").is_ok());
-        assert!(bench_by_name("BT").is_ok());
-        let err = bench_by_name("ep").unwrap_err();
+        assert!(bench_by_name("bt", &Benchmark::COHERENT).is_ok());
+        assert!(bench_by_name("BT", &Benchmark::COHERENT).is_ok());
+        assert!(bench_by_name("ep", &Benchmark::ALL).is_ok());
+        let err = bench_by_name("ep", &Benchmark::COHERENT).unwrap_err();
         assert!(err.contains("unknown benchmark"), "{err}");
     }
 

@@ -18,7 +18,7 @@ use cobra_kernels::npb::{self, Benchmark};
 use cobra_machine::MachineConfig;
 use cobra_store::read_snapshot_file;
 
-use crate::profilecmd::snapshot_files;
+use crate::profilecmd::{bench_by_name, snapshot_files};
 
 /// Lint result: a human report plus the violation count (exit 1 when > 0).
 #[derive(Debug)]
@@ -27,27 +27,11 @@ pub struct VerifyOutcome {
     pub violations: usize,
 }
 
-/// Resolve a benchmark by name among the full NPB suite (the verifier lints
-/// any kernel image, not just the coherent subset the profiler runs).
-fn bench_by_name(name: &str) -> Result<Benchmark, String> {
-    Benchmark::ALL
-        .iter()
-        .copied()
-        .find(|b| b.name().eq_ignore_ascii_case(name))
-        .ok_or_else(|| {
-            let known: Vec<&str> = Benchmark::ALL.iter().map(|b| b.name()).collect();
-            format!(
-                "unknown benchmark {name}; expected one of {}",
-                known.join("|")
-            )
-        })
-}
-
 /// `verify image`: whole-image invariants over one benchmark (or the whole
 /// suite when `bench` is `None`) as built for `machine_cfg`.
 pub fn image(bench: Option<&str>, machine_cfg: &MachineConfig) -> Result<VerifyOutcome, String> {
     let benches: Vec<Benchmark> = match bench {
-        Some(name) => vec![bench_by_name(name)?],
+        Some(name) => vec![bench_by_name(name, &Benchmark::ALL)?],
         None => Benchmark::ALL.to_vec(),
     };
     let mut text = String::new();

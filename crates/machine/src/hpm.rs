@@ -158,11 +158,6 @@ impl Hpm {
         self.sampling = None;
     }
 
-    /// Sampling configuration, if programmed.
-    pub fn sampling_config(&self) -> Option<SamplingConfig> {
-        self.sampling.as_ref().map(|s| s.config)
-    }
-
     /// The sampled event and how many more of it `stats` may count before
     /// the next overflow (≥ 1 after every poll). `None` when sampling is off.
     ///

@@ -23,7 +23,7 @@
 //! ever armed on the machine.
 //!
 //! This crate is deliberately `cobra-isa`-only: it owns the mapping calculus
-//! (layout math, reversal, lookup) and stays independent of both the
+//! (layout math, reversal, redirect pairs) and stays independent of both the
 //! optimizer that emits versions and the machine that applies migrations.
 
 use cobra_isa::insn::{Insn, Op};
@@ -115,11 +115,6 @@ impl OsrMap {
                 })
                 .collect(),
         }
-    }
-
-    /// Destination PC for a control transfer targeting `pc`, if mapped.
-    pub fn lookup(&self, pc: CodeAddr) -> Option<CodeAddr> {
-        self.entries.iter().find(|e| e.from == pc).map(|e| e.to)
     }
 
     /// Inclusive source range this map migrates threads out of.
@@ -224,13 +219,8 @@ mod tests {
             assert_eq!(e.from, 40 + i as CodeAddr);
             assert_eq!(e.to, 96 + i as CodeAddr);
         }
-        assert_eq!(m.lookup(40), Some(96));
-        assert_eq!(m.lookup(43), Some(99));
-        assert_eq!(m.lookup(44), None);
-        assert_eq!(m.lookup(39), None);
         assert_eq!(m.source_range(), (40, 43));
-        assert_eq!(m.redirect_pairs().len(), 4);
-        assert_eq!(m.redirect_pairs()[0], (40, 96));
+        assert_eq!(m.redirect_pairs(), [(40, 96), (41, 97), (42, 98), (43, 99)]);
     }
 
     #[test]
@@ -239,8 +229,7 @@ mod tests {
         let r = m.reversed();
         assert_eq!(r.source_range(), (96, 99));
         assert_eq!(r.version_start, 40);
-        assert_eq!(r.lookup(96), Some(40));
-        assert_eq!(r.lookup(99), Some(43));
+        assert_eq!(r.redirect_pairs(), [(96, 40), (97, 41), (98, 42), (99, 43)]);
         assert_eq!(r.reversed(), m);
     }
 

@@ -13,19 +13,13 @@ use cobra_isa::{CodeAddr, CodeImage};
 
 use crate::{VerifyError, Violation};
 
-/// Static successors of `insn` at `addr`. Unpredicated `br.cond` is
-/// unconditional (`p0` is hard-wired true); the loop-closing branches
-/// (`ctop`/`cloop`/`wtop`) and predicated branches can fall through; calls
-/// return. Successors may be out of bounds — callers check.
-pub fn successors(addr: CodeAddr, insn: &Insn) -> Vec<CodeAddr> {
-    let (pair, n) = successor_pair(addr, insn);
-    pair[..n].to_vec()
-}
-
-/// Allocation-free core of [`successors`]: the (at most two) successors in a
-/// fixed pair plus the live count. The reaching-use walk under the
-/// deployment gate calls this per visited instruction.
-pub fn successor_pair(addr: CodeAddr, insn: &Insn) -> ([CodeAddr; 2], usize) {
+/// Static successors of `insn` at `addr`, at most two, with the live
+/// count. Unpredicated `br.cond` is unconditional (`p0` is hard-wired
+/// true); the loop-closing branches (`ctop`/`cloop`/`wtop`) and predicated
+/// branches can fall through; calls return. Successors may be out of
+/// bounds — callers check. The reaching-use walk under the deployment gate
+/// calls this per visited instruction, so it does not allocate.
+pub(crate) fn successor_pair(addr: CodeAddr, insn: &Insn) -> ([CodeAddr; 2], usize) {
     match insn.op.branch_kind() {
         Some(BrKind::Ret) => ([0; 2], 0),
         Some(BrKind::Cond) => {
@@ -43,36 +37,6 @@ pub fn successor_pair(addr: CodeAddr, insn: &Insn) -> ([CodeAddr; 2], usize) {
         None if matches!(insn.op, cobra_isa::insn::Op::Hlt) => ([0; 2], 0),
         None => ([addr + 1, 0], 1),
     }
-}
-
-/// Successors of the instruction at `addr` in `image` (empty when the word
-/// does not decode or the address is out of range).
-pub fn successors_at(image: &CodeImage, addr: CodeAddr) -> Vec<CodeAddr> {
-    if addr >= image.len() {
-        return Vec::new();
-    }
-    match image.insn(addr) {
-        Ok(insn) => successors(addr, &insn),
-        Err(_) => Vec::new(),
-    }
-}
-
-/// Every address reachable from `roots` by following decodable
-/// instructions' successors (out-of-range successors are not expanded).
-pub fn reachable(image: &CodeImage, roots: &[CodeAddr]) -> HashSet<CodeAddr> {
-    let mut seen: HashSet<CodeAddr> = HashSet::new();
-    let mut stack: Vec<CodeAddr> = roots.iter().copied().filter(|&a| a < image.len()).collect();
-    while let Some(addr) = stack.pop() {
-        if !seen.insert(addr) {
-            continue;
-        }
-        for succ in successors_at(image, addr) {
-            if succ < image.len() {
-                stack.push(succ);
-            }
-        }
-    }
-    seen
 }
 
 /// Cap on reported violations: a corrupted image yields one violation per
@@ -122,7 +86,8 @@ pub fn check_image(image: &CodeImage) -> Result<(), VerifyError> {
                 v.push(Violation::BranchTargetOutOfBounds { addr, target });
             }
         }
-        for succ in successors(addr, &insn) {
+        let (pair, n) = successor_pair(addr, &insn);
+        for &succ in &pair[..n] {
             if succ >= image.len() {
                 // A branch target was reported above; anything else is a
                 // fall-through off the end of the text.
@@ -247,15 +212,5 @@ mod tests {
             &err.violations[0],
             Violation::SymbolOutOfBounds { addr, .. } if *addr == len + 5
         ));
-    }
-
-    #[test]
-    fn reachability_walks_branches_and_stops_at_hlt() {
-        let img = clean_image();
-        let seen = reachable(&img, &[0]);
-        for a in 0..img.len() {
-            assert!(seen.contains(&a), "addr {a} should be reachable");
-        }
-        assert!(!seen.contains(&img.len()));
     }
 }

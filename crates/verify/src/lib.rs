@@ -29,6 +29,10 @@
 //!   plan's writes into the existing image are the hoisted-burst rewrites
 //!   and one head redirect into the clone; the original body stays intact
 //!   so a regressed deployment can still be reverted.
+//! * **OSR maps** ([`check_osr_map`]) must be total over the loop body at
+//!   the layout offset. A map's version and a clone are held to one slot
+//!   rule and one reaching-use walk; each reports its own [`Violation`]s,
+//!   in address order, so a rejection's text depends only on the plan.
 //! * **Whole-image invariants** ([`check_image`]): every word reachable from
 //!   the entry point or a symbol decodes, every static branch target is in
 //!   bounds, and no reachable path falls off the end of the image.
@@ -36,20 +40,21 @@
 //!   `cobra-store` snapshot must still name a decodable loop head that some
 //!   backward branch in the live main text actually targets.
 //!
-//! The crate deliberately depends on `cobra-isa` only: the optimizer hands
-//! it a neutral [`PlanCheck`] description so the verifier cannot inherit the
-//! optimizer's assumptions about its own output.
+//! The crate deliberately depends on `cobra-isa` and the `cobra-isa`-only
+//! `cobra-osr`: the optimizer hands it a neutral [`PlanCheck`] description
+//! so the verifier cannot inherit the optimizer's assumptions about its own
+//! output.
+
+use std::collections::BTreeSet;
 
 use cobra_isa::insn::{Insn, Op};
-use cobra_isa::{bundle_align, decode, CodeAddr, CodeImage, NOP_SLOT_M, ROT_GR_BASE};
+use cobra_isa::{bundle_align, decode, CodeAddr, CodeImage, Reg, NOP_SLOT_M, ROT_GR_BASE};
 
-pub mod cfg;
-pub mod defuse;
+mod cfg;
 
-pub use cfg::{check_image, reachable, successors};
+pub use cfg::check_image;
 /// Which rewrite a plan claims to perform.
 pub use cobra_isa::RewriteKind;
-pub use defuse::{defs, uses, Reg};
 
 /// The trace-cache half of a plan, as handed to the verifier.
 #[derive(Debug, Clone, Copy)]
@@ -350,6 +355,28 @@ fn match_rewrite(old: &Insn, new: &Insn, kind: RewriteKind) -> Option<bool> {
     None
 }
 
+/// The one correspondence a version keeps with its loop, per slot: `ver`
+/// is `orig`, a `kind`-valid rewrite of it, or a branch to `loop_head`
+/// retargeted to `version_start`. `Some(true)` is an `lfetch` removal.
+fn slot_rule(
+    orig: &Insn,
+    ver: &Insn,
+    kind: RewriteKind,
+    loop_head: CodeAddr,
+    version_start: CodeAddr,
+) -> Option<bool> {
+    let retargeted = orig.op.branch_target() == Some(loop_head)
+        && orig
+            .op
+            .with_branch_target(version_start)
+            .is_some_and(|op| Insn::pred(orig.qp, op) == *ver);
+    if ver == orig || retargeted {
+        Some(false)
+    } else {
+        match_rewrite(orig, ver, kind)
+    }
+}
+
 /// Check one `lfetch`-site rewrite (`old` → `new`) against the rules for
 /// `kind`, pushing violations for `addr`. Returns whether the rewrite
 /// removes the `lfetch` (feeds the reaching-use removed set).
@@ -377,8 +404,8 @@ fn check_site_rewrite(
     }
 }
 
-/// Forward reaching-use walk for a removed post-incrementing `lfetch`: from
-/// the successors of `site`, does any *binding* (non-`lfetch`) instruction
+/// Forward reaching-use walk for a removed post-incrementing `lfetch`
+/// (`insn`): from the successors of `site`, does any *binding* (non-`lfetch`) instruction
 /// read `Gr(base)` — or, for a rotating base, any instruction rename it —
 /// before an unpredicated redefinition? Other removed sites
 /// are transparent (they will be `nop.m` after the patch); surviving
@@ -386,8 +413,9 @@ fn check_site_rewrite(
 /// *reads* the base, propagating the perturbation).
 fn base_use_after_removal(
     image: &CodeImage,
-    removed: &std::collections::HashSet<CodeAddr>,
+    removed: &BTreeSet<CodeAddr>,
     site: CodeAddr,
+    insn: &Insn,
     base: u8,
 ) -> Option<CodeAddr> {
     // This walk runs under the deployment gate on every plan, so it must
@@ -404,10 +432,7 @@ fn base_use_after_removal(
             }
         }
     };
-    match image.insn(site) {
-        Ok(insn) => push_succs(&insn, site, &mut stack),
-        Err(_) => return None,
-    }
+    push_succs(insn, site, &mut stack);
     while let Some(addr) = stack.pop() {
         if std::mem::replace(&mut visited[addr as usize], true) {
             continue;
@@ -441,6 +466,28 @@ fn base_use_after_removal(
     None
 }
 
+/// The reaching-use pass over a version's removed sites: every removed
+/// post-incrementing `lfetch` as `(site, base, first binding reader)`, in
+/// ascending site order, so a rejection's text depends only on the plan.
+/// The walk runs over the *original* CFG, which over-approximates the
+/// patched control flow (the version is a copy of the body).
+fn removed_bases<'a>(
+    image: &'a CodeImage,
+    removed: &'a BTreeSet<CodeAddr>,
+) -> impl Iterator<Item = (CodeAddr, u8, Option<CodeAddr>)> + 'a {
+    removed.iter().filter_map(move |&site| {
+        let insn = image.insn(site).ok()?;
+        match insn.op {
+            Op::Lfetch { base, post_inc, .. } if post_inc != 0 => Some((
+                site,
+                base,
+                base_use_after_removal(image, removed, site, &insn, base),
+            )),
+            _ => None,
+        }
+    })
+}
+
 /// Verify one deployment plan against the pre-deployment image.
 pub fn check_plan(image: &CodeImage, plan: &PlanCheck<'_>) -> Result<(), VerifyError> {
     let mut v: Vec<Violation> = Vec::new();
@@ -466,7 +513,7 @@ pub fn check_plan(image: &CodeImage, plan: &PlanCheck<'_>) -> Result<(), VerifyE
 
     // Sites whose lfetch the plan removes (needed for the reaching-use
     // rule): filled in by the clone and write checks below.
-    let mut removed: std::collections::HashSet<CodeAddr> = std::collections::HashSet::new();
+    let mut removed = BTreeSet::new();
 
     // The clone must land exactly where both sides will compute it.
     let actual = bundle_align(image.len());
@@ -479,17 +526,9 @@ pub fn check_plan(image: &CodeImage, plan: &PlanCheck<'_>) -> Result<(), VerifyE
     check_trace_clone(image, plan, &mut v, &mut removed);
     check_trace_writes(image, plan, &mut v, &mut removed);
 
-    // Flow-sensitive reaching-use check for every removed post-incrementing
-    // lfetch. The walk runs over the *original* CFG, which over-approximates
-    // the patched control flow (the trace is a copy of the body).
-    for &site in &removed {
-        let Ok(insn) = image.insn(site) else { continue };
-        if let Op::Lfetch { base, post_inc, .. } = insn.op {
-            if post_inc != 0 {
-                if let Some(user) = base_use_after_removal(image, &removed, site, base) {
-                    v.push(Violation::BaseRegisterLive { site, base, user });
-                }
-            }
+    for (site, base, user) in removed_bases(image, &removed) {
+        if let Some(user) = user {
+            v.push(Violation::BaseRegisterLive { site, base, user });
         }
     }
 
@@ -501,7 +540,7 @@ fn check_trace_clone(
     image: &CodeImage,
     plan: &PlanCheck<'_>,
     v: &mut Vec<Violation>,
-    removed: &mut std::collections::HashSet<CodeAddr>,
+    removed: &mut BTreeSet<CodeAddr>,
 ) {
     let trace = &plan.trace;
     if plan.back_edge < plan.loop_head || plan.back_edge >= image.len() {
@@ -529,24 +568,18 @@ fn check_trace_clone(
                 continue;
             }
         };
-        let as_rewrite = match_rewrite(&orig, cloned, plan.kind);
-        let as_retarget = if orig.op.branch_target() == Some(plan.loop_head) {
-            orig.op
-                .with_branch_target(trace.expected_start)
-                .map(|op| Insn::pred(orig.qp, op))
-        } else {
-            None
-        };
-        if *cloned == orig {
-            // identical — fine
-        } else if let Some(is_removal) = as_rewrite {
-            if is_removal {
+        match slot_rule(
+            &orig,
+            cloned,
+            plan.kind,
+            plan.loop_head,
+            trace.expected_start,
+        ) {
+            Some(true) => {
                 removed.insert(addr);
             }
-        } else if as_retarget.is_some_and(|r| r == *cloned) {
-            // back edge retargeted into the trace — fine
-        } else {
-            v.push(Violation::TraceBodyMismatch { index: i, addr });
+            Some(false) => {}
+            None => v.push(Violation::TraceBodyMismatch { index: i, addr }),
         }
         // No cloned branch may leave the trace for the original head (a
         // patched head would bounce it straight back in, but the redirect
@@ -580,7 +613,7 @@ fn check_trace_writes(
     image: &CodeImage,
     plan: &PlanCheck<'_>,
     v: &mut Vec<Violation>,
-    removed: &mut std::collections::HashSet<CodeAddr>,
+    removed: &mut BTreeSet<CodeAddr>,
 ) {
     let mut redirects = 0usize;
     for &(addr, word) in plan.writes {
@@ -651,14 +684,12 @@ pub fn check_seed(image: &CodeImage, head: CodeAddr) -> Result<(), VerifyError> 
 ///   `[loop_head, back_edge]` exactly once, each at the version offset the
 ///   trace layout fixes (`version_start + (addr - loop_head)`), so any
 ///   mid-loop control transfer has a defined destination;
-/// * **type-correct** — at every mapped pair the two versions hold the same
-///   instruction modulo the allowed rewrites (identical, a valid removal or
-///   hint flip under `kind`, or the back edge retargeted into the version),
-///   so all architected state transfers verbatim;
+/// * **type-correct** — every mapped pair passes the slot rule the clone
+///   passes, so all architected state transfers verbatim;
 /// * **obligations discharged** — every scratch register the map's
 ///   [`cobra_osr::Obligations`] allow to diverge (removed post-incrementing
-///   prefetch bases) is proven dead by the same flow-sensitive reaching-use
-///   walk that gates the deployment itself.
+///   prefetch bases) is proven dead by the reaching-use pass that gates the
+///   deployment itself.
 ///
 /// `version` is the deployed body in mapped order (for trace-cache clones,
 /// the `TracePlan` instructions; trailing instructions past the body, such
@@ -716,7 +747,7 @@ pub fn check_osr_map(
     // Type-correctness: the versions must agree modulo the allowed rewrites
     // at every mapped pair, collecting removal sites for the obligation
     // check below.
-    let mut removed: std::collections::HashSet<CodeAddr> = std::collections::HashSet::new();
+    let mut removed = BTreeSet::new();
     let mut original: Vec<Insn> = Vec::with_capacity(body_len);
     for (i, ver) in version.iter().enumerate().take(body_len) {
         let addr = map.loop_head + i as CodeAddr;
@@ -728,26 +759,12 @@ pub fn check_osr_map(
             }
         };
         original.push(orig);
-        let as_retarget = if orig.op.branch_target() == Some(map.loop_head) {
-            orig.op
-                .with_branch_target(map.version_start)
-                .map(|op| Insn::pred(orig.qp, op))
-        } else {
-            None
-        };
-        let matches = *ver == orig
-            || as_retarget.is_some_and(|r| r == *ver)
-            || match match_rewrite(&orig, ver, kind) {
-                Some(is_removal) => {
-                    if is_removal {
-                        removed.insert(addr);
-                    }
-                    true
-                }
-                None => false,
-            };
-        if !matches {
-            v.push(Violation::OsrBodyMismatch { addr });
+        match slot_rule(&orig, ver, kind, map.loop_head, map.version_start) {
+            Some(true) => {
+                removed.insert(addr);
+            }
+            Some(false) => {}
+            None => v.push(Violation::OsrBodyMismatch { addr }),
         }
     }
 
@@ -755,15 +772,10 @@ pub fn check_osr_map(
     // found above, and each scratch register must be dead past its removal
     // site (no binding read before an unpredicated redefinition).
     let ob = cobra_osr::obligations(&original, version);
-    for &site in &removed {
-        let Ok(insn) = image.insn(site) else { continue };
-        if let Op::Lfetch { base, post_inc, .. } = insn.op {
-            if post_inc != 0 {
-                debug_assert!(ob.scratch_grs.contains(&base));
-                if let Some(user) = base_use_after_removal(image, &removed, site, base) {
-                    v.push(Violation::OsrRegisterClobbered { site, base, user });
-                }
-            }
+    for (site, base, user) in removed_bases(image, &removed) {
+        debug_assert!(ob.scratch_grs.contains(&base));
+        if let Some(user) = user {
+            v.push(Violation::OsrRegisterClobbered { site, base, user });
         }
     }
 
@@ -1021,6 +1033,60 @@ mod tests {
         );
         check(build(40, true)).expect("redefined before the rotation");
         check(build(27, false)).expect("static registers keep their names");
+    }
+
+    /// Six post-incrementing prefetches the clone removes, each base read
+    /// by an `ld8` after it.
+    fn six_live_bases() -> (CodeImage, CodeAddr, CodeAddr) {
+        let mut a = Assembler::new();
+        let top = a.new_label();
+        a.bind(top);
+        let head = a.here();
+        for base in 20..26 {
+            a.lfetch_nt1(0, base, 8);
+        }
+        for base in 20..26 {
+            a.ld8(0, 9, base, 0);
+        }
+        let back = a.br_cloop(top);
+        a.hlt();
+        (a.finish(), head, back)
+    }
+
+    /// A rejection's text depends only on the plan: the live bases come in
+    /// ascending site order, the same on every call.
+    #[test]
+    fn live_bases_are_reported_in_site_order_on_every_call() {
+        let (image, head, back) = six_live_bases();
+        let p = Parts::uniform(&image, head, back, RewriteKind::NoPrefetch);
+        let want: Vec<Violation> = (0..6)
+            .map(|k| Violation::BaseRegisterLive {
+                site: head + k,
+                base: 20 + k as u8,
+                user: head + 6 + k,
+            })
+            .collect();
+        for _ in 0..8 {
+            let err = p.check(&image, RewriteKind::NoPrefetch).unwrap_err();
+            assert_eq!(err.violations, want);
+        }
+    }
+
+    #[test]
+    fn clobbered_osr_registers_are_reported_in_site_order_on_every_call() {
+        let (image, head, back) = six_live_bases();
+        let (map, insns) = osr_parts(&image, head, back, RewriteKind::NoPrefetch);
+        let want: Vec<Violation> = (0..6)
+            .map(|k| Violation::OsrRegisterClobbered {
+                site: head + k,
+                base: 20 + k as u8,
+                user: head + 6 + k,
+            })
+            .collect();
+        for _ in 0..8 {
+            let err = check_osr_map(&image, &map, RewriteKind::NoPrefetch, &insns).unwrap_err();
+            assert_eq!(err.violations, want);
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The gates, one function per CI job: `.github/workflows/ci.yml` runs
 # `scripts/ci.sh <job>` and so can anyone with a checkout — nothing here
-# needs the network. Every job body is cargo invocations; the nine
+# needs the network. Every job body is cargo invocations; the ten
 # deleted-name greps, the `pub` census, the two named-test list pins and the
 # benchmark/run.sh loop are the only shell. A test target runs once per
 # profile in an `all` pass: the two `--workspace` lines (`build-test` plain,
@@ -90,14 +90,23 @@ build-test() {
     echo "a COBRA knob only one value served is settable again" >&2
     return 1
   fi
+  # The verifier states each rule once and keeps no helper nothing calls:
+  # the operand table is `Op::operands()` (no def/use wrappers over it), a
+  # walk steps with `successor_pair` (no successor lists, no reachability
+  # set), an OSR map is read through its entries, and the HPM's sampling
+  # state through `sampling_headroom`.
+  if grep -rnE 'mod defuse|fn successors_at|fn reachable|pub fn successors\(|pub fn lookup\(|fn sampling_config' crates/ src tests; then
+    echo "a deleted verifier, OSR or HPM helper is back" >&2
+    return 1
+  fi
   # The surface census (ROADMAP 7c): every `pub` item names a caller outside
   # its own crate's tests. The count only goes down; a PR that needs a new
   # item deletes one or raises this number on purpose, in its diff.
   local pubs
   pubs=$(grep -rhE '^\s*pub (fn|struct|enum|const|mod|type|trait|use|static)' crates/*/src src | wc -l)
   echo "pub items in crates/*/src + src: $pubs"
-  if ((pubs > 755)); then
-    echo "the pub surface grew past 755" >&2
+  if ((pubs > 743)); then
+    echo "the pub surface grew past 743" >&2
     return 1
   fi
   cargo build --release --workspace
@@ -127,7 +136,9 @@ build-test() {
   # per-cycle bound still lets stall windows run in bulk; and the fleet
   # client's dial past a refused address to a live one; and the two that
   # hold the codec's declared-order key match to the any-order scan, on
-  # derived shapes and on every corpus value with its members reversed.
+  # derived shapes and on every corpus value with its members reversed; and
+  # the two that hold a verifier rejection's text to the plan alone, live
+  # bases in ascending site order on every call, for plans and OSR maps.
   has() {
     local target=(--test "$2")
     [[ $2 == --lib ]] && target=(--lib)
@@ -153,6 +164,8 @@ build-test() {
   has cobra-fleet --lib client::tests::dial_falls_through_a_refused_address_to_a_live_server
   has serde_json codec declared_order_and_any_order_read_the_same_values
   has cobra golden every_corpus_value_decodes_from_its_members_reversed
+  has cobra-verify --lib tests::live_bases_are_reported_in_site_order_on_every_call
+  has cobra-verify --lib tests::clobbered_osr_registers_are_reported_in_site_order_on_every_call
   cargo fmt --check
   cargo clippy --workspace --all-targets -- -D warnings
 }
