@@ -17,8 +17,8 @@
 //! would print for the same types. Struct fields parse in any order,
 //! unknown fields are skipped after their syntax is checked, and the first
 //! of a duplicated field wins. Of the `#[serde(...)]` attributes, only
-//! `default` / `default = "path"` on named fields are supported (missing
-//! fields fall back instead of erroring); the derive rejects the rest.
+//! `default` on named fields is supported (a missing field falls back to
+//! `Default::default()` instead of erroring); the derive rejects the rest.
 //!
 //! Keys cost what compact text in declared order needs, because that is
 //! what this codec writes and mostly reads back. The derive holds each

@@ -9,10 +9,10 @@
 //! * enums with unit, tuple, and struct variants (externally tagged, like
 //!   upstream serde's default representation);
 //! * arbitrary non-macro attributes on items/fields/variants (skipped);
-//! * `#[serde(default)]` and `#[serde(default = "path")]` on named fields:
-//!   a missing field deserializes to `Default::default()` / `path()` instead
-//!   of erroring, so configs and reports stay readable across added fields.
-//!   All other `#[serde(...)]` attributes are rejected at compile time;
+//! * `#[serde(default)]` on named fields: a missing field deserializes to
+//!   `Default::default()` instead of erroring, so configs and reports stay
+//!   readable across added fields. All other `#[serde(...)]` attributes are
+//!   rejected at compile time;
 //! * NO generics — unused in-repo.
 //!
 //! The generated impls target the streaming model of the in-tree `serde`
@@ -47,14 +47,12 @@ struct Field {
     default: FieldDefault,
 }
 
-/// How a missing field deserializes, per `#[serde(default...)]`.
+/// How a missing field deserializes, per `#[serde(default)]`.
 enum FieldDefault {
     /// No attribute: a missing field is an error.
     Required,
     /// `#[serde(default)]`: `Default::default()`.
     DefaultTrait,
-    /// `#[serde(default = "path")]`: call `path()`.
-    Path(String),
 }
 
 enum Body {
@@ -215,7 +213,7 @@ fn parse_named_fields(stream: TokenStream) -> Result<Vec<Field>, String> {
 }
 
 /// Like [`skip_attrs_and_vis`], but inspects `#[serde(...)]` attributes:
-/// `default` / `default = "path"` are honored, anything else is rejected
+/// `default` is honored, anything else is rejected
 /// (silently ignoring `rename`/`skip`/... would change wire format).
 fn take_field_attrs(tokens: &[TokenTree], i: &mut usize) -> Result<FieldDefault, String> {
     let mut default = FieldDefault::Required;
@@ -245,7 +243,7 @@ fn take_field_attrs(tokens: &[TokenTree], i: &mut usize) -> Result<FieldDefault,
 }
 
 /// Parses the inside of one `#[...]`: returns `Some` for a recognized
-/// `serde(default...)`, `None` for any non-serde attribute (doc, allow, ...).
+/// `serde(default)`, `None` for any non-serde attribute (doc, allow, ...).
 fn parse_serde_attr(stream: TokenStream) -> Result<Option<FieldDefault>, String> {
     let tokens: Vec<TokenTree> = stream.into_iter().collect();
     match (tokens.first(), tokens.get(1)) {
@@ -253,26 +251,12 @@ fn parse_serde_attr(stream: TokenStream) -> Result<Option<FieldDefault>, String>
             if id.to_string() == "serde" && g.delimiter() == Delimiter::Parenthesis =>
         {
             let inner: Vec<TokenTree> = g.stream().into_iter().collect();
-            match (inner.first(), inner.get(1), inner.get(2)) {
-                (Some(TokenTree::Ident(kw)), None, None) if kw.to_string() == "default" => {
+            match (inner.first(), inner.get(1)) {
+                (Some(TokenTree::Ident(kw)), None) if kw.to_string() == "default" => {
                     Ok(Some(FieldDefault::DefaultTrait))
                 }
-                (
-                    Some(TokenTree::Ident(kw)),
-                    Some(TokenTree::Punct(eq)),
-                    Some(TokenTree::Literal(lit)),
-                ) if kw.to_string() == "default" && eq.as_char() == '=' => {
-                    let raw = lit.to_string();
-                    let path = raw.trim_matches('"').to_string();
-                    if path.is_empty() || path == raw {
-                        return Err(format!(
-                            "serde_derive shim: expected `default = \"path\"`, got {raw}"
-                        ));
-                    }
-                    Ok(Some(FieldDefault::Path(path)))
-                }
                 _ => Err(format!(
-                    "serde_derive shim: unsupported #[serde(...)] attribute `{}` (only `default` and `default = \"path\"` are implemented)",
+                    "serde_derive shim: unsupported #[serde(...)] attribute `{}` (only `default` is implemented)",
                     g.stream()
                 )),
             }
@@ -468,7 +452,6 @@ fn de_fields(path: &str, fields: &[Field]) -> String {
                 "{n}: match __f_{n} {{ ::std::option::Option::Some(__v) => __v, ::std::option::Option::None => return ::std::result::Result::Err(::serde::de::missing({n:?}, {path:?})) }},\n"
             ),
             FieldDefault::DefaultTrait => format!("{n}: __f_{n}.unwrap_or_default(),\n"),
-            FieldDefault::Path(default) => format!("{n}: __f_{n}.unwrap_or_else({default}),\n"),
         });
     }
     code + "}\n}"

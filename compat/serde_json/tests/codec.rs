@@ -24,10 +24,6 @@ enum Shape {
     Struct { a: u16, b: Option<char> },
 }
 
-fn seven() -> u32 {
-    7
-}
-
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct All {
     unit: Unit,
@@ -42,8 +38,6 @@ struct All {
     required: Option<u8>,
     #[serde(default)]
     defaulted: Option<u8>,
-    #[serde(default = "seven")]
-    pathed: u32,
     floats: (f64, f32),
     empty: Vec<u8>,
 }
@@ -70,13 +64,12 @@ fn all() -> All {
         four: (4, -4, true, "t".into()),
         required: None,
         defaulted: Some(9),
-        pathed: 8,
         floats: (2.0, 0.1),
         empty: vec![],
     }
 }
 
-const ALL_COMPACT: &str = r#"{"unit":null,"newtype":5,"pair":[-3,"p"],"shapes":["Unit",{"Newtype":255},{"Tuple":[-128,true]},{"Struct":{"a":65535,"b":"é"}},{"Struct":{"a":0,"b":null}}],"array":[0,1,18446744073709551615],"one":[1],"two":[2,-2],"three":[3,-3,false],"four":[4,-4,true,"t"],"required":null,"defaulted":9,"pathed":8,"floats":[2.0,0.10000000149011612],"empty":[]}"#;
+const ALL_COMPACT: &str = r#"{"unit":null,"newtype":5,"pair":[-3,"p"],"shapes":["Unit",{"Newtype":255},{"Tuple":[-128,true]},{"Struct":{"a":65535,"b":"é"}},{"Struct":{"a":0,"b":null}}],"array":[0,1,18446744073709551615],"one":[1],"two":[2,-2],"three":[3,-3,false],"four":[4,-4,true,"t"],"required":null,"defaulted":9,"floats":[2.0,0.10000000149011612],"empty":[]}"#;
 
 #[test]
 fn derived_shapes_write_upstream_json_and_read_back() {

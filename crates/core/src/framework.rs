@@ -7,8 +7,8 @@
 //! Responsibilities, mirroring Figure 4:
 //!
 //! * **monitoring** — poll the perfmon kernel buffers each quantum and
-//!   hand every CPU's samples to its [`Monitor`] (created at fork time, one
-//!   per working thread);
+//!   reduce every CPU's samples in its [`ThreadProfiler`] (created at fork
+//!   time, one per working thread);
 //! * **profiling/optimization** — the [`OptimizationStage`] merges deltas
 //!   system-wide, detects phases, selects traces and decides optimizations;
 //! * **code deployment** — apply the returned plans to the live image at
@@ -33,7 +33,7 @@
 //! Figure 4's helper threads are kept as roles, not as host threads. The
 //! simulator cannot start a quantum before the previous quantum's plans are
 //! applied, so a handshake with real threads was synchronous and never
-//! overlapped it; `on_quantum` calls the monitors in CPU order and then the
+//! overlapped it; `on_quantum` calls the profilers in CPU order and then the
 //! optimization stage, on the simulator's thread. What the paper's threads
 //! cost the program is still modelled: helper-thread overhead is charged to
 //! the simulated machine per processed sample — and, when telemetry is
@@ -49,10 +49,10 @@ use cobra_omp::{QuantumHook, Team};
 use cobra_perfmon::{PerfmonConfig, PerfmonDriver};
 use cobra_store::{Snapshot, Store, StoreKey};
 
-use crate::monitor::{Monitor, OptimizationStage};
+use crate::monitor::OptimizationStage;
 use crate::optimizer::{Optimizer, OptimizerConfig, PlanAction, Strategy};
 use crate::persist::{seed_from_snapshot, snapshot_from_final};
-use crate::profile::LatencyBands;
+use crate::profile::{LatencyBands, ThreadProfiler};
 use crate::report::{AppliedPlan, CobraReport, RevertedPlan};
 use crate::telemetry::{
     CpuCounterSnapshot, RunTotals, Telemetry, TelemetryEvent, TelemetrySink, TICK_CAPACITY,
@@ -277,9 +277,10 @@ pub struct Cobra {
     /// Whether a deployment or a revert arms its verified redirects.
     osr: bool,
     driver: PerfmonDriver,
-    /// One per forked working thread; index = CPU (teams occupy CPUs
+    /// The monitoring role of each forked working thread, which is its
+    /// profiler; index = CPU (teams occupy CPUs
     /// `0..num_threads`, so the monitored CPUs are always a prefix).
-    monitors: Vec<Monitor>,
+    monitors: Vec<ThreadProfiler>,
     opt: OptimizationStage,
     /// Quanta processed.
     tick: u64,
@@ -624,7 +625,7 @@ impl QuantumHook for Cobra {
         // "A monitoring thread is created when a working thread is forked."
         for cpu in self.monitors.len()..team.num_threads {
             let period = self.driver.config().sampling_period;
-            self.monitors.push(Monitor::new(cpu as u32, period));
+            self.monitors.push(ThreadProfiler::new(cpu as u32, period));
         }
         self.totals.forks += 1;
     }
@@ -633,7 +634,7 @@ impl QuantumHook for Cobra {
         self.driver.poll(machine);
         let mut forwarded = 0u64;
         let mut deltas = Vec::with_capacity(self.monitors.len());
-        for (cpu, monitor) in self.monitors.iter_mut().enumerate() {
+        for (cpu, profiler) in self.monitors.iter_mut().enumerate() {
             let batch = self.driver.drain(cpu);
             forwarded += batch.len() as u64;
             if self.telemetry.is_recording() {
@@ -645,7 +646,7 @@ impl QuantumHook for Cobra {
                     dropped_total: self.driver.dropped(cpu),
                 });
             }
-            deltas.push(monitor.tick(self.tick, batch, &mut self.telemetry));
+            deltas.push(profiler.reduce(&batch));
         }
         // Charge helper-thread overhead to the machine.
         let overhead = forwarded * OVERHEAD_PER_SAMPLE;
@@ -756,7 +757,6 @@ mod tests {
         assert_eq!(
             log.count("attach")
                 + log.count("quantum")
-                + log.count("usb_level")
                 + log.count("kernel_drain")
                 + log.count("detach"),
             log.len()

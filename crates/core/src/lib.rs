@@ -41,10 +41,9 @@ pub mod profile;
 pub mod report;
 pub mod telemetry;
 pub mod trace;
-pub mod usb;
 
 pub use framework::{Cobra, CobraBuilder, OVERHEAD_PER_SAMPLE};
-pub use monitor::{Monitor, OptFinal, OptimizationStage};
+pub use monitor::{OptFinal, OptimizationStage};
 pub use optimizer::{
     verify_plan, DecisionExport, OptKind, Optimizer, OptimizerConfig, PatchPlan, PlanAction,
     Strategy, TracePlan, WarmSeed,
@@ -60,4 +59,3 @@ pub use telemetry::{
     TelemetryLog, TelemetryRecord, TelemetrySink,
 };
 pub use trace::{loop_lfetch_sites, select_loops, HotLoop, TraceConfig};
-pub use usb::UserSamplingBuffer;

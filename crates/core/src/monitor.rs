@@ -1,5 +1,5 @@
-//! The helper roles of Figure 4: one [`Monitor`] per working thread and the
-//! single [`OptimizationStage`].
+//! The helper roles of Figure 4: one [`ThreadProfiler`] per working thread
+//! (held by [`crate::Cobra`]) and the single [`OptimizationStage`].
 //!
 //! §3: "two types of supporting threads are invoked for a multi-threaded
 //! program … an optimization thread that orchestrates profile collection and
@@ -14,66 +14,20 @@
 //! ([`crate::framework::OVERHEAD_PER_SAMPLE`]), not as host threads: the
 //! simulator cannot advance past a quantum before that quantum's plans are
 //! known, so a host-thread handshake is synchronous and overlaps nothing.
-//! Both types are plain structs the framework calls once per quantum,
-//! monitors in CPU order, then the optimization stage.
+//! Both are plain structs the framework calls once per quantum: each CPU's
+//! profiler reduces the samples drained from its kernel buffer, in CPU
+//! order, then the optimization stage folds the deltas.
+//!
+//! [`ThreadProfiler`]: crate::profile::ThreadProfiler
 
 use std::collections::VecDeque;
 
 use cobra_isa::CodeAddr;
-use cobra_perfmon::SampleRecord;
 
 use crate::optimizer::{DecisionExport, Optimizer, PlanAction, WarmSeed, ROLLING_TICKS};
 use crate::phase::PhaseDetector;
-use crate::profile::{CounterWindow, LatencyBands, ProfileDelta, SystemProfile, ThreadProfiler};
+use crate::profile::{CounterWindow, LatencyBands, ProfileDelta, SystemProfile};
 use crate::telemetry::{Telemetry, TelemetryEvent};
-use crate::usb::UserSamplingBuffer;
-
-/// User Sampling Buffer capacity per monitor: twice the kernel buffer it
-/// copies from, so a quantum's drain always fits.
-const USB_CAPACITY: usize = 8192;
-
-/// One working thread's monitoring role: its User Sampling Buffer and the
-/// profiler that reduces it.
-#[derive(Debug)]
-pub struct Monitor {
-    cpu: u32,
-    usb: UserSamplingBuffer,
-    profiler: ThreadProfiler,
-}
-
-impl Monitor {
-    pub fn new(cpu: u32, sampling_period: u64) -> Self {
-        Monitor {
-            cpu,
-            usb: UserSamplingBuffer::new(USB_CAPACITY),
-            profiler: ThreadProfiler::new(cpu, sampling_period),
-        }
-    }
-
-    /// One quantum: copy the samples drained from this CPU's kernel buffer
-    /// into the USB (overflow is dropped and counted there), report its
-    /// level, and reduce what it holds.
-    pub fn tick(
-        &mut self,
-        tick: u64,
-        batch: Vec<SampleRecord>,
-        telemetry: &mut Telemetry,
-    ) -> ProfileDelta {
-        for rec in batch {
-            self.usb.store(rec);
-        }
-        if telemetry.is_recording() {
-            telemetry.emit(TelemetryEvent::UsbLevel {
-                tick,
-                cpu: self.cpu,
-                occupancy: self.usb.len(),
-                capacity: self.usb.capacity(),
-                dropped_total: self.usb.dropped(),
-            });
-        }
-        self.profiler.reduce(&self.usb.drain())
-    }
-}
 
 /// Everything the optimization stage hands back at detach — the material a
 /// `cobra-store` snapshot is built from.
@@ -131,7 +85,7 @@ impl OptimizationStage {
         self.publish(telemetry);
     }
 
-    /// One quantum, closed at machine cycle `cycle`: fold the monitors'
+    /// One quantum, closed at machine cycle `cycle`: fold the profilers'
     /// `deltas`, run phase detection on their merged window, rebuild the
     /// rolling profile, and return the plans to deploy or revert.
     pub fn tick(
@@ -195,38 +149,6 @@ impl OptimizationStage {
 mod tests {
     use super::*;
     use crate::optimizer::OptimizerConfig;
-    use cobra_machine::BtbEntry;
-    use cobra_perfmon::PmcSelection;
-
-    fn sample(cpu: u32, idx: u64) -> SampleRecord {
-        SampleRecord {
-            index: idx,
-            pc: 10,
-            pid: 1,
-            tid: cpu,
-            cpu,
-            cycle: idx * 100,
-            counters: [idx * 10, idx, idx * 2, idx],
-            events: PmcSelection::coherence_default().events,
-            btb: vec![BtbEntry {
-                src: 50,
-                target: 30,
-            }],
-            dear: None,
-        }
-    }
-
-    #[test]
-    fn monitor_reduces_the_batch_it_is_handed() {
-        let mut monitor = Monitor::new(2, 1000);
-        let mut telemetry = Telemetry::new(None, 0);
-        let delta = monitor.tick(0, vec![sample(2, 1), sample(2, 2)], &mut telemetry);
-        assert_eq!(delta.cpu, 2);
-        assert_eq!(delta.samples, 2);
-        assert_eq!(delta.branch_pairs.len(), 2);
-        // The USB was drained: an empty quantum reduces to an empty delta.
-        assert_eq!(monitor.tick(1, vec![], &mut telemetry).samples, 0);
-    }
 
     #[test]
     fn optimization_stage_folds_one_ticks_deltas_and_returns_once_per_tick() {

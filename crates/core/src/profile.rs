@@ -166,7 +166,8 @@ const BUS_COHERENT: usize = pmc_slot(Event::BusRdHitm);
 const L2_MISS: usize = pmc_slot(Event::L2Miss);
 const L3_MISS: usize = pmc_slot(Event::L3Miss);
 
-/// Per-monitor reducer: turns raw [`SampleRecord`]s into deltas.
+/// One working thread's monitor: reduces the [`SampleRecord`]s drained from
+/// its CPU's kernel buffer into deltas.
 #[derive(Debug)]
 pub struct ThreadProfiler {
     cpu: u32,
@@ -327,14 +328,20 @@ mod tests {
 
     #[test]
     fn reducer_computes_counter_deltas() {
-        let mut tp = ThreadProfiler::new(0, 1000);
-        let mut s1 = sample(0, [100, 10, 5, 2], None, vec![]);
-        let mut s2 = sample(0, [180, 30, 9, 4], None, vec![]);
-        let mut s3 = sample(0, [260, 40, 12, 8], None, vec![]);
+        let mut tp = ThreadProfiler::new(2, 1000);
+        let btb = vec![BtbEntry {
+            src: 50,
+            target: 30,
+        }];
+        let mut s1 = sample(2, [100, 10, 5, 2], None, vec![]);
+        let mut s2 = sample(2, [180, 30, 9, 4], None, btb);
+        let mut s3 = sample(2, [260, 40, 12, 8], None, vec![]);
         s1.cycle = 1000;
         s2.cycle = 2500;
         s3.cycle = 4200;
         let d = tp.reduce(&[s1, s2, s3]);
+        assert_eq!((d.cpu, d.samples), (2, 3));
+        assert_eq!(d.branch_pairs, vec![(50, 30)]);
         // First sample has no predecessor (counts instructions only);
         // pairs 2 and 3 carry both time and events.
         assert_eq!(d.window.instructions, 3000);

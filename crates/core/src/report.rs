@@ -194,7 +194,6 @@ impl CobraReport {
             E::Attach { .. }
             | E::Quantum { .. }
             | E::KernelDrain { .. }
-            | E::UsbLevel { .. }
             | E::LoopClassified { .. }
             | E::CpiTrial { .. }
             | E::Blacklist { .. } => {}

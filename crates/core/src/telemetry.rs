@@ -2,10 +2,10 @@
 //!
 //! Every stage of the Figure-4 pipeline can explain itself through typed,
 //! cycle-stamped events: quantum boundaries with per-CPU HPM counter
-//! snapshots, kernel-buffer drains, USB occupancy, per-loop delinquency
-//! classifications, phase-change triggers, trace-cache deployments, CPI
-//! trial windows, and revert/blacklist decisions — opened by an `Attach`
-//! that names the run and closed by a `Detach` that carries its totals.
+//! snapshots, kernel-buffer drains, per-loop delinquency classifications,
+//! phase-change triggers, trace-cache deployments, CPI trial windows, and
+//! revert/blacklist decisions — opened by an `Attach` that names the run
+//! and closed by a `Detach` that carries its totals.
 //!
 //! Every event takes one path, on the simulator's thread: [`Telemetry::emit`]
 //! gives it its sequence number, folds it into the run's [`CobraReport`]
@@ -94,20 +94,12 @@ pub enum TelemetryEvent {
         samples_forwarded: u64,
         cpus: Vec<CpuCounterSnapshot>,
     },
-    /// One CPU's kernel sampling buffer drained into its monitoring thread.
+    /// One CPU's kernel sampling buffer drained into its profiler.
     KernelDrain {
         tick: u64,
         cycle: u64,
         cpu: u32,
         samples: usize,
-        dropped_total: u64,
-    },
-    /// A monitor's User Sampling Buffer occupancy at tick reduce.
-    UsbLevel {
-        tick: u64,
-        cpu: u32,
-        occupancy: usize,
-        capacity: usize,
         dropped_total: u64,
     },
     /// The optimizer classified a candidate loop's prefetch behaviour.
@@ -333,7 +325,6 @@ impl TelemetryEvent {
             TelemetryEvent::Attach { .. } => "attach",
             TelemetryEvent::Quantum { .. } => "quantum",
             TelemetryEvent::KernelDrain { .. } => "kernel_drain",
-            TelemetryEvent::UsbLevel { .. } => "usb_level",
             TelemetryEvent::LoopClassified { .. } => "loop_classified",
             TelemetryEvent::PhaseChange { .. } => "phase_change",
             TelemetryEvent::Deploy { .. } => "deploy",
@@ -449,7 +440,7 @@ impl Telemetry {
     }
 
     /// Whether a sink is attached. Events the report takes nothing from
-    /// (`Quantum`, `KernelDrain`, `UsbLevel`) are only worth building then.
+    /// (`Quantum`, `KernelDrain`) are only worth building then.
     pub fn is_recording(&self) -> bool {
         self.sink.is_some()
     }

@@ -2,7 +2,7 @@
 //! 4-way SMP — the full §5 pipeline (sampling → monitors →
 //! optimization stage → binary patching) with verified numerics.
 
-use cobra_kernels::workload::{execute, execute_plain, Workload};
+use cobra_kernels::workload::{execute_plain, Workload};
 use cobra_kernels::{npb, Daxpy, DaxpyParams, PrefetchPolicy};
 use cobra_machine::MachineConfig;
 use cobra_omp::{OmpRuntime, Team};
@@ -151,27 +151,6 @@ fn cobra_runs_one_monitor_per_working_thread() {
     assert_eq!(report.forks, 6, "one fork per outer repetition");
     assert!(report.samples_forwarded > 0);
     assert!(report.samples_merged > 0);
-}
-
-#[test]
-fn execute_helper_works_with_cobra_hook() {
-    // The workload::execute path with a Cobra hook and verification inside.
-    let cfg = MachineConfig::smp4();
-    let wl = Daxpy::build(
-        DaxpyParams::new(64 * 1024, 4),
-        &PrefetchPolicy::aggressive(),
-        cfg.mem_bytes,
-    );
-    let mut machine = cobra_machine::Machine::new(cfg.clone(), wl.image().clone());
-    let mut cobra = Cobra::builder().attach(&mut machine);
-    // (Use the library execute() on a fresh machine to keep the comparison
-    // honest: here we only check the plumbing doesn't panic.)
-    drop(machine);
-    let mut machine = cobra_machine::Machine::new(cfg.clone(), wl.image().clone());
-    wl.init(&mut machine.shared.mem);
-    let rt = OmpRuntime::default();
-    let _ = execute(&wl, &cfg, Team::new(2), &rt, &mut cobra);
-    let _ = cobra.detach(&mut machine);
 }
 
 /// The whole host-acceleration group (block dispatch, the batch's clock

@@ -67,13 +67,6 @@ fn one_of_each() -> Vec<TelemetryEvent> {
             samples: 5,
             dropped_total: 1,
         },
-        TelemetryEvent::UsbLevel {
-            tick: 1,
-            cpu: 3,
-            occupancy: 6,
-            capacity: 8192,
-            dropped_total: 0,
-        },
         TelemetryEvent::LoopClassified {
             tick: 2,
             cycle: 40_000,

@@ -87,31 +87,20 @@ pub trait Workload {
     fn verify(&self, mem: &DataMem) -> Result<(), String>;
 }
 
-/// Convenience: build a machine for a workload, initialize its data, run it
-/// with `hook`, verify, and return `(machine, run)`.
-pub fn execute(
-    workload: &dyn Workload,
-    cfg: &MachineConfig,
-    team: Team,
-    rt: &OmpRuntime,
-    hook: &mut dyn QuantumHook,
-) -> (Machine, WorkloadRun) {
-    let mut machine = Machine::new(cfg.clone(), workload.image().clone());
-    workload.init(&mut machine.shared.mem);
-    let run = workload.run(&mut machine, team, rt, hook);
-    if let Err(e) = workload.verify(&machine.shared.mem) {
-        panic!("workload {} failed verification: {e}", workload.name());
-    }
-    (machine, run)
-}
-
-/// Like [`execute`] but with no observer attached (baseline runs).
+/// Build a machine for a workload, initialize its data, run it with no
+/// observer attached (baseline runs), verify, and return `(machine, run)`.
 pub fn execute_plain(
     workload: &dyn Workload,
     cfg: &MachineConfig,
     team: Team,
 ) -> (Machine, WorkloadRun) {
-    execute(workload, cfg, team, &OmpRuntime::default(), &mut NullHook)
+    let mut machine = Machine::new(cfg.clone(), workload.image().clone());
+    workload.init(&mut machine.shared.mem);
+    let run = workload.run(&mut machine, team, &OmpRuntime::default(), &mut NullHook);
+    if let Err(e) = workload.verify(&machine.shared.mem) {
+        panic!("workload {} failed verification: {e}", workload.name());
+    }
+    (machine, run)
 }
 
 #[cfg(test)]

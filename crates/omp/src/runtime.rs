@@ -133,19 +133,6 @@ impl OmpRuntime {
             faulted_threads,
         }
     }
-
-    /// Execute a serial region on CPU 0 (team of one over the full range).
-    pub fn serial(
-        &self,
-        machine: &mut Machine,
-        entry: CodeAddr,
-        lo: i64,
-        hi: i64,
-        user_args: &[i64],
-        hook: &mut dyn QuantumHook,
-    ) -> RegionStats {
-        self.parallel_for(machine, Team::new(1), entry, lo, hi, user_args, hook)
-    }
 }
 
 #[cfg(test)]
@@ -221,7 +208,7 @@ mod tests {
         let mut m = Machine::new(MachineConfig::smp4(), image);
         let base = 0x2_0000i64;
         let rt = OmpRuntime::default();
-        rt.serial(&mut m, 0, 0, 50, &[base], &mut NullHook);
+        rt.parallel_for(&mut m, Team::new(1), 0, 0, 50, &[base], &mut NullHook);
         for i in 0..50 {
             assert_eq!(m.shared.mem.read_u64((base + 8 * i) as u64), 0);
         }

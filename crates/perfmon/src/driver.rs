@@ -146,8 +146,8 @@ impl PerfmonDriver {
         }
     }
 
-    /// Drain all buffered samples for one CPU (the monitoring thread's copy
-    /// into its User Sampling Buffer).
+    /// Drain all buffered samples for one CPU (what that CPU's monitoring
+    /// thread reduces into its profile).
     pub fn drain(&mut self, cpu: usize) -> Vec<SampleRecord> {
         self.per_cpu[cpu].buffer.drain(..).collect()
     }

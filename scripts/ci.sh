@@ -99,14 +99,22 @@ build-test() {
     echo "a deleted verifier, OSR or HPM helper is back" >&2
     return 1
   fi
+  # A monitor is its profiler: the samples a tick drains are reduced in that
+  # tick, so no buffer sits between the kernel buffer and the profile and no
+  # event reports one. Workloads run through `execute_plain`, serial
+  # regions through `parallel_for` on a team of one.
+  if grep -rnE 'UserSamplingBuffer|USB_CAPACITY|UsbLevel|usb_level|mod usb|fn serial\(' crates/ src tests examples; then
+    echo "the User Sampling Buffer or a deleted entry point is back" >&2
+    return 1
+  fi
   # The surface census (ROADMAP 7c): every `pub` item names a caller outside
   # its own crate's tests. The count only goes down; a PR that needs a new
   # item deletes one or raises this number on purpose, in its diff.
   local pubs
   pubs=$(grep -rhE '^\s*pub (fn|struct|enum|const|mod|type|trait|use|static)' crates/*/src src | wc -l)
   echo "pub items in crates/*/src + src: $pubs"
-  if ((pubs > 743)); then
-    echo "the pub surface grew past 743" >&2
+  if ((pubs > 728)); then
+    echo "the pub surface grew past 728" >&2
     return 1
   fi
   cargo build --release --workspace

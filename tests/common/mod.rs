@@ -36,21 +36,23 @@ pub fn assert_log_replays_to(records: &[TelemetryRecord], report: &CobraReport) 
         let of = |r: &&TelemetryRecord| r.event.category() == category;
         records.iter().filter(of).count()
     };
-    // Per tick: what the kernel buffers handed over, and what each USB held
-    // when it was reduced into the profile.
-    let (mut forwarded, mut merged) = (0, 0);
+    // Per tick: what the kernel buffers handed over, in total and CPU by CPU.
+    let (mut forwarded, mut drained) = (0, 0);
     for r in records {
         match r.event {
             TelemetryEvent::Quantum {
                 samples_forwarded, ..
             } => forwarded += samples_forwarded,
-            TelemetryEvent::UsbLevel { occupancy, .. } => merged += occupancy as u64,
+            TelemetryEvent::KernelDrain { samples, .. } => drained += samples as u64,
             _ => {}
         }
     }
     assert_eq!(report.ticks, count("quantum") as u64, "`ticks`");
     assert_eq!(report.samples_forwarded, forwarded, "`samples_forwarded`");
-    assert_eq!(report.samples_merged, merged, "`samples_merged`");
+    assert_eq!(report.samples_merged, drained, "`samples_merged`");
+    // Every sample a tick drains is reduced in that tick: nothing is held
+    // back and nothing is dropped between the kernel buffer and the profile.
+    assert_eq!(report.samples_merged, report.samples_forwarded);
     // A tick charges for its samples and for the records its window took;
     // `Quantum` is the last record of a tick's window.
     let is_quantum = |r: &TelemetryRecord| r.event.category() == "quantum";

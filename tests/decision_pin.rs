@@ -30,7 +30,7 @@ const KERNEL: npb::Benchmark = npb::Benchmark::Mg;
 const FIXED_NOPREFETCH_20K: u64 = 0x8c98_005f_c682_8e64;
 const ADAPTIVE_20K: u64 = 0x0a19_544e_3595_b05e;
 const CANDIDATES_COLD_500: u64 = 0xc799_e4e7_4d0f_c554;
-const CANDIDATES_WARM_500_TRACED: u64 = 0x780e_8e8c_0974_8578;
+const CANDIDATES_WARM_500_TRACED: u64 = 0x05df_8268_2c45_1ee6;
 
 /// Every arm runs on each, in this order.
 const ENGINES: [HostAccel; 2] = [HostAccel::Fast, HostAccel::Reference];

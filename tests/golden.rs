@@ -221,13 +221,6 @@ fn events() -> Vec<TelemetryEvent> {
             samples: 64,
             dropped_total: 1,
         },
-        UsbLevel {
-            tick,
-            cpu: 2,
-            occupancy: 10,
-            capacity: 4096,
-            dropped_total: 0,
-        },
         LoopClassified {
             tick,
             cycle,
