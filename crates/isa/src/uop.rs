@@ -18,6 +18,7 @@
 //! `block_dispatch_equivalence` suite property-tests it end to end.
 
 use crate::insn::{Insn, Op, Reg};
+use crate::regs::{ROT_GR_BASE, ROT_PR_BASE};
 
 /// One source register reference, pre-resolved from the operand fields.
 /// Register numbers are *virtual*: the rotating-register bases are runtime
@@ -39,11 +40,15 @@ pub const MAX_SRCS: usize = 3;
 /// Dispatch class of a micro-op: the four shapes that carry the dispatch
 /// traffic of arithmetic stretches (`add`, `adds`, `br.cloop`, `nop`), which
 /// the block engine executes through one specialized arm each, with operands
-/// pre-extracted into the flat [`MicroOp`] fields. Everything else is
-/// [`OpClass::Other`] and goes through the full interpreter arm — the same
-/// one the reference engine uses. The specialized arms must be semantically
-/// byte-identical to the interpreter (property-tested by
-/// `block_dispatch_equivalence`).
+/// pre-extracted into the flat [`MicroOp`] fields. A specialized class is
+/// given only when every register number is its own physical register under
+/// any rotation and never a hard-wired destination: qualifying predicate
+/// below [`ROT_PR_BASE`], GR operands below [`ROT_GR_BASE`], and an
+/// `add`/`adds` destination other than `r0`; so its arm indexes the register
+/// files directly. Everything else is [`OpClass::Other`] and goes through
+/// the full interpreter arm — the same one the reference engine uses. The
+/// specialized arms must be semantically byte-identical to the interpreter
+/// (property-tested by `block_dispatch_equivalence`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum OpClass {
@@ -90,7 +95,8 @@ pub struct MicroOp {
 
 impl MicroOp {
     /// Lower one instruction. Infallible: every decodable [`Insn`] has a
-    /// micro-op form.
+    /// micro-op form. A rotating operand or an `r0` destination lowers
+    /// `add`/`adds`/`nop`/`br.cloop` to [`OpClass::Other`] (see [`OpClass`]).
     pub fn lower(insn: Insn) -> MicroOp {
         let mut srcs = [SrcReg::Gr(0); MAX_SRCS];
         let mut n = 0usize;
@@ -105,11 +111,16 @@ impl MicroOp {
             n += 1;
         }
         let ends = insn.is_branch() || insn.op == Op::Hlt;
+        let fixed = |regs: &[u8]| insn.qp < ROT_PR_BASE && regs.iter().all(|&r| r < ROT_GR_BASE);
         let (class, d, a, b, imm) = match insn.op {
-            Op::Add { dest, r2, r3 } => (OpClass::Add, dest, r2, r3, 0),
-            Op::AddI { dest, src, imm } => (OpClass::AddI, dest, src, 0, imm as i64),
-            Op::Nop { .. } => (OpClass::Nop, 0, 0, 0, 0),
-            Op::BrCloop { target } => (OpClass::BrCloop, 0, 0, 0, target as i64),
+            Op::Add { dest, r2, r3 } if dest != 0 && fixed(&[dest, r2, r3]) => {
+                (OpClass::Add, dest, r2, r3, 0)
+            }
+            Op::AddI { dest, src, imm } if dest != 0 && fixed(&[dest, src]) => {
+                (OpClass::AddI, dest, src, 0, imm as i64)
+            }
+            Op::Nop { .. } if fixed(&[]) => (OpClass::Nop, 0, 0, 0, 0),
+            Op::BrCloop { target } if fixed(&[]) => (OpClass::BrCloop, 0, 0, 0, target as i64),
             _ => (OpClass::Other, 0, 0, 0, 0),
         };
         MicroOp {
@@ -258,5 +269,43 @@ mod tests {
         ] {
             assert_eq!(MicroOp::lower(Insn::new(op)).class, OpClass::Other);
         }
+    }
+
+    /// A specialized class is given only to operands that are their own
+    /// physical registers under every rotation, with no write to `r0`:
+    /// a rotating GR (`r32`+), a rotating qualifying predicate (`p16`+) or
+    /// destination `r0` sends the op to the interpreter arm.
+    #[test]
+    fn rotating_operands_and_r0_destinations_lower_to_other() {
+        let add = |dest, r2, r3| Op::Add { dest, r2, r3 };
+        let addi = |dest, src| Op::AddI { dest, src, imm: 4 };
+        let nop = Op::Nop { unit: Unit::I };
+        let cloop = Op::BrCloop { target: 12 };
+        for (qp, op) in [
+            (0, add(32, 5, 6)),
+            (0, add(5, 32, 6)),
+            (0, add(5, 6, 127)),
+            (0, add(0, 5, 6)),
+            (16, add(5, 6, 7)),
+            (0, addi(40, 5)),
+            (0, addi(5, 33)),
+            (0, addi(0, 5)),
+            (63, addi(5, 6)),
+            (16, nop),
+            (40, cloop),
+        ] {
+            let u = MicroOp::lower(Insn::pred(qp, op));
+            assert_eq!(u.class, OpClass::Other, "(p{qp}) {op:?}");
+        }
+
+        // The fixed forms, under a static predicate, keep their class and
+        // their pre-extracted operands.
+        let u = MicroOp::lower(Insn::pred(15, add(31, 0, 1)));
+        assert_eq!((u.class, u.d, u.a, u.b), (OpClass::Add, 31, 0, 1));
+        let u = MicroOp::lower(Insn::pred(15, addi(1, 31)));
+        assert_eq!((u.class, u.d, u.a, u.imm), (OpClass::AddI, 1, 31, 4));
+        assert_eq!(MicroOp::lower(Insn::pred(15, nop)).class, OpClass::Nop);
+        let u = MicroOp::lower(Insn::pred(15, cloop));
+        assert_eq!((u.class, u.imm), (OpClass::BrCloop, 12));
     }
 }

@@ -54,9 +54,9 @@ pub struct Block {
 
 /// The dispatch arm of a loop-trace slot: the five interpreter-class
 /// opcodes that carry the software-pipelined loops, and `Other` for the
-/// rest. (`add`, `adds`, `nop` and `br.cloop` have [`OpClass`] arms of
-/// their own, which read the same operands from the uop; a trace arm for
-/// them buys nothing.)
+/// rest. (Fixed-operand `add`, `adds`, `nop` and `br.cloop` have
+/// [`OpClass`] arms of their own, which index the register files directly;
+/// a trace arm for them buys nothing.)
 ///
 /// [`OpClass`]: cobra_isa::uop::OpClass
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -338,9 +338,9 @@ impl Core {
     /// returned retired uops itself.
     #[inline]
     pub(crate) fn issue(&mut self, shared: &mut Shared, now: u64) -> u64 {
-        let mut b = self.take_cursor(shared);
-        let mut idx = self.pc.wrapping_sub(b.start) as usize;
-        let retired = self.issue_group(shared, now, &mut b, &mut idx);
+        let b = self.take_cursor(shared);
+        let idx = self.pc.wrapping_sub(b.start) as usize;
+        let (b, _, retired) = self.issue_group(shared, now, b, idx);
         self.cur_block = Some(b);
         retired
     }
@@ -370,39 +370,40 @@ impl Core {
     }
 
     /// The one issue group of the block engine: up to three pre-decoded uops
-    /// at cycle `now`, starting at index `idx` of cursor block `b` (both are
-    /// advanced, re-fetching across block ends and taken branches).
-    /// `dispatch_class` returning `None` is exactly `issue_bundle_ref`'s
-    /// stall-on-use (it sets `resume_at`), and the group ends where the
-    /// reference bundle does: after a taken branch, a status change (`hlt`,
-    /// fault), or a structural stall. Returns the uops retired.
+    /// at cycle `now`, starting at index `idx` of cursor block `b`, which it
+    /// takes and returns by value (advanced, re-fetched across block ends and
+    /// taken branches) with the uops retired. `dispatch_class` returning
+    /// `None` is exactly `issue_bundle_ref`'s stall-on-use (it sets
+    /// `resume_at`), and `Some(true)` ends the group where the reference
+    /// bundle ends: after a taken branch, a status change (`hlt`, fault), or
+    /// a structural stall — the last two only from an `OpClass::Other` uop.
     #[inline]
     fn issue_group(
         &mut self,
         shared: &mut Shared,
         now: u64,
-        b: &mut Arc<Block>,
-        idx: &mut usize,
-    ) -> u64 {
+        mut b: Arc<Block>,
+        mut idx: usize,
+    ) -> (Arc<Block>, usize, u64) {
         let mut retired = 0u64;
         for _slot in 0..3 {
-            if *idx >= b.uops.len() && !self.next_block(shared, now, b, idx) {
-                break;
+            if idx >= b.uops.len() {
+                let Some(next) = self.next_block(shared, now) else {
+                    break;
+                };
+                (b, idx) = (next, 0);
             }
-            let Some(taken) = self.dispatch_class(shared, now, b, *idx) else {
+            let Some(ends) = self.dispatch_class(shared, now, &b, idx) else {
                 break;
             };
             retired += 1;
-            if taken {
-                *idx = self.pc.wrapping_sub(b.start) as usize;
+            if ends {
+                idx = self.pc.wrapping_sub(b.start) as usize;
                 break;
             }
-            *idx += 1;
-            if self.status != CoreStatus::Running || now < self.resume_at {
-                break;
-            }
+            idx += 1;
         }
-        retired
+        (b, idx, retired)
     }
 
     /// The one stretch of the block engine: run this core alone on a local
@@ -444,7 +445,9 @@ impl Core {
                 now = until;
                 continue;
             }
-            retired += self.issue_group(shared, now, &mut b, &mut idx);
+            let group;
+            (b, idx, group) = self.issue_group(shared, now, b, idx);
+            retired += group;
             now += 1;
         }
         self.cur_block = Some(b);
@@ -458,17 +461,20 @@ impl Core {
 
     /// One dispatch site per opcode class, for slot `idx` of block `b`:
     /// readiness *and* execution of the specialized classes run through
-    /// flat pre-extracted operands; anything else issues from the block's
-    /// loop trace when the slot is in its loop part (`dispatch_loop`), and
-    /// otherwise falls through to the source-list walk plus the full
-    /// interpreter arm. Each specialized arm replicates its [`Self::execute`] arm (and
-    /// its slice of [`Self::uop_sources_ready`]) *exactly*, including the
-    /// predicated-off fall-through (`br.cloop` ignores qp by architecture) —
-    /// the `block_dispatch_equivalence` suite holds the two to bit-identity.
+    /// flat pre-extracted operands, which the lowering gives a class only
+    /// when they are physical and no write is to `r0` ([`OpClass`]), so the
+    /// arms index the register files directly; anything else issues from
+    /// the block's loop trace when the slot is in its loop part
+    /// (`dispatch_loop`), and otherwise falls through to the source-list
+    /// walk plus the full interpreter arm. Each specialized arm replicates
+    /// its [`Self::execute`] arm (and its slice of
+    /// [`Self::uop_sources_ready`]) *exactly*, including the predicated-off
+    /// fall-through (`br.cloop` ignores qp by architecture) — the
+    /// `block_dispatch_equivalence` suite holds the two to bit-identity.
     ///
     /// Returns `None` when a source is not ready (the stall-on-use
-    /// `resume_at` has been set), otherwise whether a taken branch ended the
-    /// issue group.
+    /// `resume_at` has been set), otherwise whether the uop ended the issue
+    /// group.
     #[inline]
     fn dispatch_class(
         &mut self,
@@ -478,51 +484,37 @@ impl Core {
         idx: usize,
     ) -> Option<bool> {
         let u = &b.uops[idx];
+        // Physical indices by the lowering's rule; the masks elide the
+        // bounds checks.
+        let (qp, d) = (usize::from(u.insn.qp) & 63, usize::from(u.d) & 127);
+        let (ra, rb) = (usize::from(u.a) & 127, usize::from(u.b) & 127);
         match u.class {
             OpClass::Add => {
-                let ready = self
-                    .pr_ready_at(u.insn.qp)
-                    .max(self.gr_ready_at(u.a))
-                    .max(self.gr_ready_at(u.b));
-                if ready > now {
-                    self.resume_at = ready;
-                    return None;
-                }
-                if self.read_pr(u.insn.qp) {
-                    let v = self.read_gr(u.a).wrapping_add(self.read_gr(u.b));
-                    self.write_gr(u.d, v, now + 1);
+                let ready = self.gr_ready[ra].max(self.gr_ready[rb]);
+                self.wait_for(self.pr_ready[qp].max(ready), now)?;
+                if self.pr[qp] {
+                    self.gr[d] = self.gr[ra].wrapping_add(self.gr[rb]);
+                    self.gr_ready[d] = now + 1;
                 }
                 self.pc += 1;
                 Some(false)
             }
             OpClass::AddI => {
-                let ready = self.pr_ready_at(u.insn.qp).max(self.gr_ready_at(u.a));
-                if ready > now {
-                    self.resume_at = ready;
-                    return None;
-                }
-                if self.read_pr(u.insn.qp) {
-                    let v = self.read_gr(u.a).wrapping_add(u.imm);
-                    self.write_gr(u.d, v, now + 1);
+                self.wait_for(self.pr_ready[qp].max(self.gr_ready[ra]), now)?;
+                if self.pr[qp] {
+                    self.gr[d] = self.gr[ra].wrapping_add(u.imm);
+                    self.gr_ready[d] = now + 1;
                 }
                 self.pc += 1;
                 Some(false)
             }
             OpClass::Nop => {
-                let ready = self.pr_ready_at(u.insn.qp);
-                if ready > now {
-                    self.resume_at = ready;
-                    return None;
-                }
+                self.wait_for(self.pr_ready[qp], now)?;
                 self.pc += 1;
                 Some(false)
             }
             OpClass::BrCloop => {
-                let ready = self.pr_ready_at(u.insn.qp);
-                if ready > now {
-                    self.resume_at = ready;
-                    return None;
-                }
+                self.wait_for(self.pr_ready[qp], now)?;
                 if self.lc > 0 {
                     self.lc -= 1;
                     Some(self.take_branch(shared, self.pc, u.imm as CodeAddr))
@@ -531,8 +523,14 @@ impl Core {
                     Some(false)
                 }
             }
-            OpClass::Other if b.in_loop(idx) => self.dispatch_loop(shared, now, b, idx),
-            OpClass::Other => self.dispatch_other(shared, now, u),
+            OpClass::Other => {
+                let taken = if b.in_loop(idx) {
+                    self.dispatch_loop(shared, now, b, idx)?
+                } else {
+                    self.dispatch_other(shared, now, u)?
+                };
+                Some(taken || self.status != CoreStatus::Running || now < self.resume_at)
+            }
         }
     }
 
@@ -746,25 +744,18 @@ impl Core {
         self.raise_fault(shared, now, self.pc, self.pc as u64);
     }
 
-    /// The PC has left cursor block `b` mid-group: aim `b` / `idx` at the
-    /// block it entered. False when there is none — the PC is outside the
-    /// image and the fetch has faulted. Out of line: the issue loop pays a
-    /// compare for leaving a block and nothing for the fault.
+    /// The PC has left the cursor block mid-group: the block it entered.
+    /// `None` when there is none — the PC is outside the image and the fetch
+    /// has faulted. Out of line: the issue loop pays a compare for leaving a
+    /// block and nothing for the fault.
     #[inline(never)]
-    fn next_block(
-        &mut self,
-        shared: &mut Shared,
-        now: u64,
-        b: &mut Arc<Block>,
-        idx: &mut usize,
-    ) -> bool {
-        *b = self.refetch_block(shared);
-        *idx = 0;
-        let fetched = !b.uops.is_empty();
-        if !fetched {
+    fn next_block(&mut self, shared: &mut Shared, now: u64) -> Option<Arc<Block>> {
+        let b = self.refetch_block(shared);
+        if b.uops.is_empty() {
             self.fetch_fault(shared, now);
+            return None;
         }
-        fetched
+        Some(b)
     }
 
     /// Execute one instruction at `self.pc`; advances the PC. Returns true

@@ -16,7 +16,7 @@
 mod common;
 
 use cobra_isa::insn::{Insn, Op};
-use cobra_isa::{encode, Assembler, CmpRel};
+use cobra_isa::{encode, Assembler, CmpRel, Unit};
 use cobra_machine::{CoreStatus, Event, HostAccel, Machine, MachineConfig, SamplingConfig};
 use common::{
     assert_equivalent, assert_equivalent_with, boot, mem_boundary_program, sampling, snapshot,
@@ -297,10 +297,12 @@ fn appended_trace_executes_identically() {
     });
 }
 
-/// Pinned semantics for every dispatch class widened in this round: shifts,
-/// immediate compares, conditional forward branches (taken and fall-through)
-/// and double-precision add/multiply. The block engine must agree with the
-/// reference *and* with the architecturally expected values.
+/// Pinned semantics for opcodes that have no fused arm and run through the
+/// interpreter arm (`OpClass::Other`): shifts, immediate compares,
+/// conditional forward branches (taken and fall-through), predicated `movi`
+/// and double-precision add/multiply, next to one fixed-operand `adds`. The
+/// block engine must agree with the reference *and* with the architecturally
+/// expected values.
 #[test]
 fn widened_dispatch_classes_execute_identically() {
     let program = {
@@ -363,6 +365,74 @@ fn widened_dispatch_classes_execute_identically() {
         assert_eq!(c.gr(8), 77, "cmpi picked the false side");
         assert_eq!(c.gr(4), 0, "taken br.cond skipped the movi");
         assert_eq!(c.gr(5), 7, "fall-through br.cond executed the addi");
+        snapshot(m, r)
+    });
+}
+
+/// The fused-class opcodes on both sides of the lowering rule. First a
+/// `br.ctop` loop of ten iterations, which leaves the rotating bases at a
+/// nonzero residue: `adds` into a rotating GR, `add` from one, `adds r0 = …`
+/// (dropped) and `add` / `nop` under the rotating `p17` — all of which lower
+/// to `OpClass::Other` — beside fixed `adds` that keep their arms. Then a
+/// fixed-operand `br.cloop` loop, whose fused arms index the register files
+/// directly while the bases are still rotated. The block engine must agree
+/// with the reference and with the architecturally expected values.
+#[test]
+fn fused_class_opcodes_across_the_rotation_rule_execute_identically() {
+    let program = {
+        let mut a = Assembler::new();
+        a.emit(Insn::new(Op::Clrrrb));
+        a.movi(5, 9);
+        a.mov_to_lc(5);
+        a.movi(5, 1);
+        a.mov_to_ec(5);
+        a.cmp(16, 17, CmpRel::Eq, 0, 0); // p16 = 1, p17 = 0
+        let ctop = a.new_label();
+        a.bind(ctop);
+        a.addi(6, 6, 1); // r6 = k in iteration k
+        a.addi(32, 6, 0); // rotating destination: r32 = k
+        a.emit(Insn::new(Op::Add {
+            dest: 7,
+            r2: 7,
+            r3: 33,
+        })); // rotating source: r33 = k - 1, last iteration's r32
+        a.addi(0, 6, 5); // dropped: r0 stays 0
+        a.addi(11, 0, 7); // r11 = 7 while r0 reads 0
+        a.emit(Insn::pred(
+            17,
+            Op::Add {
+                dest: 9,
+                r2: 9,
+                r3: 6,
+            },
+        )); // p17 is last iteration's p16: off in iteration 1 only
+        a.emit(Insn::pred(17, Op::Nop { unit: Unit::I }));
+        a.br_ctop(ctop);
+        a.movi(5, 4);
+        a.mov_to_lc(5);
+        let cloop = a.new_label();
+        a.bind(cloop);
+        a.addi(10, 10, 4);
+        a.emit(Insn::new(Op::Add {
+            dest: 4,
+            r2: 4,
+            r3: 10,
+        }));
+        a.nop(Unit::I);
+        a.br_cloop(cloop);
+        a.hlt();
+        Program::new(a.finish(), 1)
+    };
+    assert_equivalent_with(&MachineConfig::smp4(), &program, |m| {
+        let r = m.run(100_000);
+        assert!(r.halted && !r.faulted);
+        let c = m.core(0);
+        assert_eq!(c.gr(6), 10, "ten iterations of the br.ctop loop");
+        assert_eq!((c.gr(32), c.gr(33)), (10, 9), "r32 renamed to r33");
+        assert_eq!(c.gr(7), 45, "sum of k - 1 read through r33");
+        assert_eq!(c.gr(11), 7, "the write to r0 was dropped");
+        assert_eq!(c.gr(9), 54, "sum of k from 2, under p17");
+        assert_eq!((c.gr(10), c.gr(4)), (20, 60), "five br.cloop iterations");
         snapshot(m, r)
     });
 }

@@ -2,8 +2,9 @@
 # The gates, one function per CI job: `.github/workflows/ci.yml` runs
 # `scripts/ci.sh <job>` and so can anyone with a checkout — nothing here
 # needs the network. Every job body is cargo invocations; the ten
-# deleted-name greps, the `pub` census, the two named-test list pins and the
-# benchmark/run.sh loop are the only shell. A test target runs once per
+# deleted-name greps, the `pub` census, the two named-test list pins, the
+# `dispatch_class` symbol check and the benchmark/run.sh loop are the only
+# shell. A test target runs once per
 # profile in an `all` pass: the two `--workspace` lines (`build-test` plain,
 # `overflow-checks` overflow-checked) run every target, so no job names one
 # again under the same profile; what a suite guards is said at the head of
@@ -146,7 +147,10 @@ build-test() {
   # hold the codec's declared-order key match to the any-order scan, on
   # derived shapes and on every corpus value with its members reversed; and
   # the two that hold a verifier rejection's text to the plan alone, live
-  # bases in ascending site order on every call, for plans and OSR maps.
+  # bases in ascending site order on every call, for plans and OSR maps; and
+  # the two that hold the lowering rule of the fused arms (a rotating
+  # operand or an `r0` destination lowers to `OpClass::Other`) in
+  # `cobra-isa` and across both engines with the rotating bases moved.
   has() {
     local target=(--test "$2")
     [[ $2 == --lib ]] && target=(--lib)
@@ -174,6 +178,8 @@ build-test() {
   has cobra golden every_corpus_value_decodes_from_its_members_reversed
   has cobra-verify --lib tests::live_bases_are_reported_in_site_order_on_every_call
   has cobra-verify --lib tests::clobbered_osr_registers_are_reported_in_site_order_on_every_call
+  has cobra-isa --lib uop::tests::rotating_operands_and_r0_destinations_lower_to_other
+  has cobra-machine block_dispatch_equivalence fused_class_opcodes_across_the_rotation_rule_execute_identically
   cargo fmt --check
   cargo clippy --workspace --all-targets -- -D warnings
 }
@@ -194,9 +200,19 @@ overflow-checks() {
 # release. One invocation per floor, filtered by cargo's own test filter: a
 # red line names the floor that broke. The list is pinned first, so a floor
 # cannot be dropped or renamed silently (`--exact` on a name that is gone
-# runs nothing and passes).
+# runs nothing and passes). `Core::dispatch_class` must stay inlined into
+# the issue loop (outlined, it slowed the arithmetic loops by a fifth), so
+# a symbol of its own in the engine floors' binary fails the job.
 floors() {
   cargo test --release -p cobra-machine --test engine_floors -p cobra-rt --test overhead_floors --no-run
+  local bin
+  bin=$(cargo test --release -p cobra-machine --test engine_floors --no-run 2>&1 |
+    sed -n 's/^ *Executable .*(\(.*\))$/\1/p')
+  [[ -x $bin ]] || { echo "engine_floors binary not found" >&2; return 1; }
+  if nm -C "$bin" | grep dispatch_class; then
+    echo "Core::dispatch_class has a symbol of its own: it is no longer inlined" >&2
+    return 1
+  fi
   ignored() { cargo test -q --release -p "$1" --test "$2" -- --ignored --list | grep ': test$' | sort; }
   diff -u - <(ignored cobra-machine engine_floors) <<'LIST'
 arith4_sampled_batch_at_least_1_6x_reference: test
