@@ -16,6 +16,63 @@
 //! coherence) → noprefetch; otherwise keep prefetching but take ownership
 //! (`.excl`). Deployments can be reverted when the post-deployment CPI
 //! regresses (continuous re-adaptation).
+//!
+//! ## One lifecycle
+//!
+//! A fixed arm, the classifier's pick and a tournament are one mechanism:
+//! for every eligible loop `consider` builds a candidate set
+//! (`candidate_set`) — the one uniform spec of a fixed arm or of the
+//! classifier's pick (unnamed, so its plan, report entry and stored decision
+//! carry no `candidate`); with `candidates`, all specs when at least three
+//! are distinct; a stored winner alone. A set of one is promoted at once
+//! (`deploy_winner`), a larger one is trialled (`pump_one`) and its winner
+//! promoted the same way. Each loop head has one record in `loops`:
+//!
+//! ```text
+//!  (no record) ─┐                       ┌─ set of > 1 ─▶ Contest ──┬─ winner ─┐
+//!               ├─ hot and eligible: ───┤                          │          ▼
+//!  Seeded ──────┘  candidate set built  └─ set of 1 ───────────────┼───▶ Deployed
+//!    ▲                                                             │          │
+//!    └─ warm_start {kind, winner}           nothing survived, or   │          │ CPI regressed
+//!                                           the best one regresses ▼          ▼ (Revert)
+//!                                                    Blacklisted(None)  Blacklisted(Some(deployment))
+//!
+//!  poison(head), a verifier rejection of the lasting plan, an undecodable body:
+//!  any state ─▶ Blacklisted (keeping the deployment, if there was one)
+//! ```
+//!
+//! * `Seeded { kind, winner }` — a kind that agrees with the classifier, or
+//!   a winner this build still generates, is a hit; a disagreement is a
+//!   mismatch (inside the shortened warm window the loop then waits for the
+//!   cold one, and an unknown winner name re-runs the contest).
+//! * `Contest` — baseline CPI from the pre-trial rolling window, then each
+//!   candidate deployed for `TRIAL_TICKS` quanta and reverted; trial CPI is
+//!   exact (Σcycles/Σinsns of the tick windows `observe_tick_window`
+//!   hands over). The strict-minimum CPI wins.
+//! * `Deployed` — regression-watched over `REGRESSION_TICKS`; past
+//!   `baseline × REGRESSION_FACTOR` it is reverted and blacklisted. The
+//!   watch and the trial stay two measurements: merging them would move
+//!   guest numbers. Undo words are what `CodeImage::patch_word` returned; a
+//!   reverted clone stays appended as dead text.
+//! * `Blacklisted` — never touched again; it keeps the deployment taken
+//!   back, so `export_state` still writes the decision.
+//!
+//! "May this loop be touched" is one check (`undecided`), and every
+//! transition is one `set(head, state)`, which moves the record to the back,
+//! so a tick visits deployments in deploy order, then contests in creation
+//! order: that fixes the order of actions, events and plan ids.
+//!
+//! A candidate (`candidate_specs`) is a per-site `SiteAction::{Keep, Nop,
+//! Excl}` vector over the loop's `lfetch` sites, split into the *burst* (at
+//! or before the head) and the *body*; duplicates and the all-`Keep`
+//! identity are dropped:
+//!
+//! | candidate | burst | body |
+//! |---|---|---|
+//! | `noprefetch` / `prefetch.excl` | nop / excl | nop / excl |
+//! | `noprefetch.body` / `prefetch.excl.body` | keep | nop / excl |
+//! | `combined.burst-nop` | nop | excl |
+//! | `combined.split` | first ⌈n/2⌉ sites by index: nop | the rest: excl |
 
 use std::collections::{HashMap, HashSet};
 
@@ -351,7 +408,7 @@ struct Tournament {
 /// only moves forward: `Seeded → Contest → Deployed → Blacklisted`, entered
 /// at `Seeded` (warm start) or at the first decision. A candidate set of one
 /// skips `Contest`; `poison`, a verifier rejection and an undecodable body
-/// send any state straight to `Blacklisted` (DESIGN.md §5g draws it).
+/// send any state straight to `Blacklisted` (the module doc draws it).
 #[derive(Debug)]
 enum LoopState {
     /// A prior run's knowledge, waiting for the live profile to confirm it:

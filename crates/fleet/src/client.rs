@@ -13,9 +13,9 @@ use serde::Serialize;
 use crate::proto::{read_frame, write_frame, Request, Response, UploadRef};
 use crate::FleetStats;
 
-/// Default connect/read/write timeout: the client is on a run's attach
-/// path, so a dead server must fail fast, not hang the workload.
-pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(5);
+/// The connect/read/write timeout: the client is on a run's attach path,
+/// so a dead server must fail fast, not hang the workload.
+const TIMEOUT: Duration = Duration::from_secs(5);
 
 /// A connected fleet client.
 pub struct FleetClient {
@@ -25,14 +25,9 @@ pub struct FleetClient {
 }
 
 impl FleetClient {
-    /// Connect with [`DEFAULT_TIMEOUT`].
-    pub fn connect(addr: &str) -> Result<FleetClient, String> {
-        FleetClient::connect_timeout(addr, DEFAULT_TIMEOUT)
-    }
-
-    /// Connect with an explicit timeout applied to the dial and to every
+    /// Connect, with `TIMEOUT` (5 s) applied to the dial and to every
     /// subsequent read/write.
-    pub fn connect_timeout(addr: &str, timeout: Duration) -> Result<FleetClient, String> {
+    pub fn connect(addr: &str) -> Result<FleetClient, String> {
         let resolved: Vec<SocketAddr> = addr
             .to_socket_addrs()
             .map_err(|e| format!("cannot resolve {addr}: {e}"))?
@@ -41,10 +36,10 @@ impl FleetClient {
             return Err(format!("{addr} resolves to nothing"));
         }
         let stream =
-            dial(&resolved, timeout).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+            dial(&resolved, TIMEOUT).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
         stream
-            .set_read_timeout(Some(timeout))
-            .and_then(|()| stream.set_write_timeout(Some(timeout)))
+            .set_read_timeout(Some(TIMEOUT))
+            .and_then(|()| stream.set_write_timeout(Some(TIMEOUT)))
             .map_err(|e| format!("cannot set timeouts: {e}"))?;
         let _ = stream.set_nodelay(true);
         let replies = stream
@@ -133,9 +128,9 @@ mod tests {
             .unwrap();
         let server = FleetServer::start("127.0.0.1:0", FleetConfig::default()).unwrap();
         let live = server.local_addr();
-        let e = dial(&[refused], DEFAULT_TIMEOUT).unwrap_err();
+        let e = dial(&[refused], TIMEOUT).unwrap_err();
         assert_eq!(e.kind(), ErrorKind::ConnectionRefused);
-        let stream = dial(&[refused, live], DEFAULT_TIMEOUT).unwrap();
+        let stream = dial(&[refused, live], TIMEOUT).unwrap();
         assert_eq!(stream.peer_addr().unwrap(), live);
         drop(stream);
         server.shutdown();

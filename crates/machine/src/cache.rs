@@ -8,6 +8,17 @@
 //! track presence (for hit-latency purposes) and are back-invalidated when
 //! the L3 copy is evicted or invalidated. FP loads bypass L1, as on the real
 //! processor.
+//!
+//! Each level is two set-major arrays with one entry per way, line tags and
+//! packed `tick << 2 | state` words, so a way costs 16 bytes. The paper's L3
+//! (1024 sets × 12 ways) is two 96 KiB arrays, each under glibc's default
+//! 128 KiB mmap threshold, which `benchmark/run.sh` pins: a new machine takes
+//! its arrays from freed heap rather than faulting in a fresh mapping page by
+//! page. One machine's arrays are 0.9 MiB on smp4 and 1.8 MiB on altix8.
+//! Without the pinned threshold glibc's sliding one recycles them anyway
+//! after the first machine, so the lasting gains are the smaller footprint
+//! and the shorter miss path. Which free way a line lands in shows only in
+//! the way-for-way oracle of the tests, never in a return value.
 
 use serde::{Deserialize, Serialize};
 

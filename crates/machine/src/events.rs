@@ -59,8 +59,9 @@ pub enum Event {
 /// Number of distinct events.
 pub const NUM_EVENTS: usize = Event::GuestFaults as usize + 1;
 
-/// All events, for iteration/reporting.
-pub const ALL_EVENTS: [Event; NUM_EVENTS] = [
+/// All events, in index order.
+#[cfg(test)]
+const ALL_EVENTS: [Event; NUM_EVENTS] = [
     Event::CpuCycles,
     Event::InstRetired,
     Event::L1dMiss,

@@ -176,21 +176,17 @@ impl Hpm {
     /// crossed period; captures beyond the buffer are dropped and counted,
     /// like a saturated interrupt queue).
     pub fn poll_overflow(&mut self, stats: &CpuStats, pc: u32, tid: u32, cycle: u64) {
-        let Some(s) = self.sampling.as_mut() else {
+        let Some(s) = self.sampling.as_ref() else {
             return;
         };
         let current = stats.get(s.config.event);
         if current < s.next_threshold {
             return;
         }
-        let btb = {
-            // Inline snapshot (borrow rules: sampling is already borrowed).
-            let mut out = Vec::with_capacity(self.btb_filled);
-            for k in 0..self.btb_filled {
-                let idx = (self.btb_next + BTB_PAIRS - self.btb_filled + k) % BTB_PAIRS;
-                out.push(self.btb[idx]);
-            }
-            out
+        let btb = self.btb_snapshot();
+        let dear = self.dear;
+        let Some(s) = self.sampling.as_mut() else {
+            return;
         };
         while current >= s.next_threshold {
             s.next_threshold += s.config.period;
@@ -204,7 +200,7 @@ impl Hpm {
                 tid,
                 stats: stats.clone(),
                 btb: btb.clone(),
-                dear: self.dear,
+                dear,
             });
         }
     }
@@ -251,6 +247,18 @@ mod tests {
                 target: 105
             }
         );
+        // An overflow capture carries the same pairs in the same order.
+        let mut stats = CpuStats::new();
+        h.program_sampling(
+            SamplingConfig {
+                event: Event::InstRetired,
+                period: 1,
+            },
+            0,
+        );
+        stats.add(Event::InstRetired, 1);
+        h.poll_overflow(&stats, 0, 0, 0);
+        assert_eq!(h.take_overflows()[0].btb, snap);
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub use bus::Bus;
 pub use cache::Mesi;
 pub use config::{CacheGeometry, HostAccel, MachineConfig, Topology};
 pub use core::{Core, CoreStatus, FaultInfo};
-pub use events::{CpuStats, Event, ALL_EVENTS, NUM_EVENTS};
+pub use events::{CpuStats, Event, NUM_EVENTS};
 pub use hpm::{BtbEntry, DearRecord, Hpm, OverflowCapture, SamplingConfig, BTB_PAIRS};
 pub use machine::{DataMem, Machine, RunResult, Shared};
 pub use memsys::{AccessKind, AccessOutcome, MemSystem, PageMap};

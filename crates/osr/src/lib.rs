@@ -149,14 +149,6 @@ pub struct Obligations {
     pub scratch_grs: Vec<u8>,
 }
 
-impl Obligations {
-    /// No divergence: every piece of architected state is version-invariant
-    /// and the mapping is unconditionally sound.
-    pub fn is_invariant(&self) -> bool {
-        self.scratch_grs.is_empty()
-    }
-}
-
 impl std::fmt::Display for Obligations {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         if self.scratch_grs.is_empty() {
@@ -252,11 +244,10 @@ mod tests {
         ];
         let ob = obligations(&body, &version);
         assert_eq!(ob.scratch_grs, vec![27]);
-        assert!(!ob.is_invariant());
         assert!(ob.to_string().contains("r27"));
 
         let none = obligations(&body, &body);
-        assert!(none.is_invariant());
+        assert!(none.scratch_grs.is_empty());
         assert_eq!(none.to_string(), "all architected state version-invariant");
     }
 }

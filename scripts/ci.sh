@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # The gates, one function per CI job: `.github/workflows/ci.yml` runs
 # `scripts/ci.sh <job>` and so can anyone with a checkout — nothing here
-# needs the network. Every job body is cargo invocations; the ten
-# deleted-name greps, the `pub` census, the two named-test list pins, the
-# `dispatch_class` symbol check and the benchmark/run.sh loop are the only
-# shell. A test target runs once per
+# needs the network. Every job body is cargo invocations; the eleven
+# deleted-name greps, the three docs checks, the `pub` census, the two
+# named-test list pins, the `dispatch_class` symbol check and the
+# benchmark/run.sh loop are the only shell. A test target runs once per
 # profile in an `all` pass: the two `--workspace` lines (`build-test` plain,
 # `overflow-checks` overflow-checked) run every target, so no job names one
 # again under the same profile; what a suite guards is said at the head of
@@ -86,8 +86,9 @@ build-test() {
   # `entry_window_slots`, the perfmon sampling period and the OpenMP
   # quantum. Every knob only one value ever served is a constant beside the
   # code that reads it; none comes back as a config type, a field or a
-  # setter. (Whole words: `trial_ticks` stays, as a telemetry event field.)
-  if grep -rnwE 'CobraConfig|PhaseConfig|usb_capacity|overhead_per_sample|warm_warmup_ticks|regression_factor|regression_ticks|fork_overhead|max_region_cycles|buffer_capacity|sampling_event|min_count|max_body_slots|change_factor|warmup_windows|min_instructions|pmcs|fn sampling_period|fn optimizer' crates/ src tests examples; then
+  # setter. (Whole words: `trial_ticks` stays, as a telemetry event field;
+  # `fn connect_timeout`, because the fleet client calls std's.)
+  if grep -rnwE 'CobraConfig|PhaseConfig|usb_capacity|overhead_per_sample|warm_warmup_ticks|regression_factor|regression_ticks|fork_overhead|max_region_cycles|buffer_capacity|sampling_event|min_count|max_body_slots|change_factor|warmup_windows|min_instructions|pmcs|fn sampling_period|fn optimizer|fn connect_timeout' crates/ src tests examples; then
     echo "a COBRA knob only one value served is settable again" >&2
     return 1
   fi
@@ -108,14 +109,53 @@ build-test() {
     echo "the User Sampling Buffer or a deleted entry point is back" >&2
     return 1
   fi
+  # The docs check themselves. (a) Every repository path and every bare
+  # `*.rs` name that DESIGN.md, README.md or EXPERIMENTS.md cites is in the
+  # tree: a path under one of the top-level directories names a tracked
+  # file or directory, any other `*.rs` name is the tail of a tracked path.
+  # (b) Every `DESIGN §` reference in the code and the kept documents
+  # (CHANGES.md is history, and says what was true then) names a heading of
+  # DESIGN.md, and so does every `§5x` inside it. (c) DESIGN.md stays under
+  # its ceiling, which only goes down, like the census below.
+  local tracked tok re missing=0
+  tracked=$(git ls-files)
+  while read -r tok; do
+    while [[ $tok == *[.,:] ]]; do tok=${tok%?}; done
+    re=$(sed -e 's/[.]/\\./g' -e 's/[*]/[^\/]*/g' <<<"${tok%/}")
+    if [[ $tok =~ ^(crates|src|tests|scripts|benchmark|compat|examples)/ ]]; then
+      re="^$re(/|\$)"
+    else
+      re="(^|/)$re\$"
+    fi
+    grep -qE "$re" <<<"$tracked" || { echo "cited but not in the tree: $tok" >&2; missing=1; }
+  done < <(grep -ohE '(^|[^/A-Za-z0-9_.-])((crates|src|tests|scripts|benchmark|compat|examples)/[A-Za-z0-9_./*-]*|[A-Za-z0-9_./-]*[A-Za-z0-9_]\.rs)' \
+    DESIGN.md README.md EXPERIMENTS.md | sed -E 's/^[^A-Za-z0-9_.]//' | sort -u)
+  local headings ref
+  headings=$(sed -nE 's/^## ([0-9]+[a-z]?)\. .*/\1/p' DESIGN.md)
+  while read -r ref; do
+    grep -qx "${ref#§}" <<<"$headings" || { echo "DESIGN.md has no section $ref" >&2; missing=1; }
+  done < <({
+    grep -ohE 'DESIGN(\.md)? §[0-9]+[a-z]?((,| and| or|/) ?§[0-9]+[a-z]?)*' \
+      $(git ls-files crates src tests scripts) README.md EXPERIMENTS.md ROADMAP.md \
+      results_all.md .claude/skills/verify/SKILL.md
+    grep -oE '§[0-9]+[a-z]\b' DESIGN.md
+  } | grep -oE '§[0-9]+[a-z]?' | sort -u)
+  ((missing == 0)) || { echo "the docs cite what is not there" >&2; return 1; }
+  local design_lines
+  design_lines=$(wc -l <DESIGN.md)
+  echo "DESIGN.md lines: $design_lines"
+  if ((design_lines > 694)); then
+    echo "DESIGN.md grew past 694 lines" >&2
+    return 1
+  fi
   # The surface census (ROADMAP 7c): every `pub` item names a caller outside
   # its own crate's tests. The count only goes down; a PR that needs a new
   # item deletes one or raises this number on purpose, in its diff.
   local pubs
   pubs=$(grep -rhE '^\s*pub (fn|struct|enum|const|mod|type|trait|use|static)' crates/*/src src | wc -l)
   echo "pub items in crates/*/src + src: $pubs"
-  if ((pubs > 728)); then
-    echo "the pub surface grew past 728" >&2
+  if ((pubs > 724)); then
+    echo "the pub surface grew past 724" >&2
     return 1
   fi
   cargo build --release --workspace
