@@ -39,7 +39,7 @@ fn min_ns(reps: usize, mut f: impl FnMut()) -> u64 {
 }
 
 /// An smp4 machine with `threads` cores in a long-running arithmetic loop:
-/// every `run_quantum` continues the same loop, so each is fully busy.
+/// every `run` continues the same loop, so each is fully busy.
 fn arith_machine(threads: usize) -> Machine {
     let mut a = Assembler::new();
     a.movi(4, 1_000_000_000);
@@ -138,7 +138,7 @@ impl Tick {
         });
         let mut m = arith_machine(4);
         let quantum_ns = min_ns(5, || {
-            black_box(m.run_quantum(QUANTUM));
+            black_box(m.run(QUANTUM));
         });
         let mut live = image.clone();
         let built_against = plans
@@ -228,11 +228,11 @@ fn osr_under_5_percent_of_a_deployment_tick() {
     // thus the work simulated — is identical).
     let mut solo = arith_machine(1);
     let solo_ns = min_ns(5, || {
-        black_box(solo.run_quantum(QUANTUM));
+        black_box(solo.run(QUANTUM));
     });
     solo.arm_redirect(u64::MAX, &[(0x00f0_0000, 0x00f0_0010)]);
     let armed_ns = min_ns(5, || {
-        black_box(solo.run_quantum(QUANTUM));
+        black_box(solo.run(QUANTUM));
     });
     assert_eq!(solo.disarm_redirect(u64::MAX), 0, "sentinel edge never hit");
     let lookup_delta_ns = armed_ns.saturating_sub(solo_ns);

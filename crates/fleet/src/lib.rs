@@ -13,8 +13,8 @@
 //!
 //! The acceptor hands each connection to a thread of its own, and that
 //! thread does the whole request: parse the frame, take the lock of the
-//! one shard map the key hashes to (`fnv1a(key) % N`), fold the upload in
-//! place and persist it, drop the lock, write the reply. A key also holds
+//! one of four shard maps the key hashes to (`fnv1a(key) % 4`), fold the
+//! upload in place and persist it, drop the lock, write the reply. A key also holds
 //! at most one seed reply, encoded with its length prefix (`Arc<[u8]>`).
 //! A fetch builds it under the lock only when a fold has dropped it, and
 //! otherwise holds the lock for an `Arc` clone; the reply is one write
@@ -24,10 +24,10 @@
 //! folds are serial under its shard's lock. Because the fold is
 //! commutative and the on-disk layout is flat (one file per key, written
 //! only under the key's lock), the persisted state is a pure function of
-//! the upload multiset: byte-identical across any shard count, connection
-//! interleaving, or restart point. Restart loads each key from its own
-//! `<stem>.jsonl` only, as `Store::load` does, so a copy under another
-//! name is no second key. The ingest tests pin all of this.
+//! the upload multiset: byte-identical across any connection interleaving
+//! or restart point. Restart loads each key from its own `<stem>.jsonl`
+//! only, as `Store::load` does, so a copy under another name is no second
+//! key. The ingest tests pin all of this.
 //!
 //! ## Degradation
 //!
@@ -93,47 +93,4 @@ pub struct FleetStats {
     /// Shard count of the serving process (independently locked key maps).
     #[serde(default)]
     pub shards: u64,
-}
-
-/// Shard owning `key` under an `n`-way split: FNV-1a of the key's stable
-/// file stem, modulo `n`. Stable across processes and restarts. The stem
-/// (`{image_hash:016x}-{machine_fp:016x}`) is spelled here digit by digit,
-/// not through the formatter: this runs on every request.
-pub fn shard_for(key: &cobra_store::StoreKey, n: usize) -> usize {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    let mut stem = [b'-'; 33];
-    for (half, word) in [key.image_hash, key.machine_fp].into_iter().enumerate() {
-        for (i, digit) in stem[17 * half..17 * half + 16].iter_mut().enumerate() {
-            *digit = HEX[(word >> (60 - 4 * i)) as usize & 0xf];
-        }
-    }
-    (cobra_store::fnv1a(&stem) % n.max(1) as u64) as usize
-}
-
-#[cfg(test)]
-mod tests {
-    use cobra_store::{fnv1a, StoreKey};
-
-    /// The shard of a key is a persisted fact (which file a restarted
-    /// server hands to which map): hashing from the stack must give what
-    /// hashing the formatted stem always gave.
-    #[test]
-    fn shard_for_is_fnv1a_of_the_file_stem() {
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        for i in 0..300u64 {
-            x = x.wrapping_mul(0x5851_f42d_4c95_7f2d).wrapping_add(i);
-            let key = StoreKey {
-                image_hash: if i < 8 { i } else { x },
-                machine_fp: if i % 7 == 0 {
-                    u64::MAX - i
-                } else {
-                    x.rotate_left(29)
-                },
-            };
-            for n in [1usize, 4, 6, 1023] {
-                let want = fnv1a(key.file_stem().as_bytes()) % n as u64;
-                assert_eq!(super::shard_for(&key, n) as u64, want, "{key} over {n}");
-            }
-        }
-    }
 }

@@ -15,18 +15,19 @@ use cobra_isa::CodeImage;
 use cobra_store::{image_hash, read_snapshot_file, Snapshot, Store, StoreKey};
 
 use crate::proto::{encode_frame, read_frame, send_frame, write_frame, Request, Response};
-use crate::{shard_for, FleetStats};
+use crate::FleetStats;
 
 /// How long a connection may sit idle between requests before the server
 /// reclaims it.
 const CONN_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// Independently locked key maps; keys are split across them by
+/// [`shard_for`].
+const SHARDS: usize = 4;
+
 /// Server configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FleetConfig {
-    /// Shard count: independently locked key maps; keys are split across
-    /// them by [`shard_for`].
-    pub shards: usize,
     /// Persistence root (one `<key>.jsonl` per key plus `<key>.image`
     /// sidecars). `None` keeps all state in memory.
     pub dir: Option<PathBuf>,
@@ -34,16 +35,6 @@ pub struct FleetConfig {
     /// re-confirmation debt reaches this many runs are withheld from
     /// seeds (the fold state keeps them, so the debt survives restarts).
     pub max_age_runs: Option<u64>,
-}
-
-impl Default for FleetConfig {
-    fn default() -> FleetConfig {
-        FleetConfig {
-            shards: 4,
-            dir: None,
-            max_age_runs: None,
-        }
-    }
 }
 
 /// Shared atomic counters behind [`FleetStats`].
@@ -64,7 +55,7 @@ struct Counters {
 }
 
 impl Counters {
-    fn snapshot(&self, shards: usize) -> FleetStats {
+    fn snapshot(&self) -> FleetStats {
         FleetStats {
             uploads: self.uploads.load(Ordering::Relaxed),
             upload_rejects: self.upload_rejects.load(Ordering::Relaxed),
@@ -78,7 +69,7 @@ impl Counters {
             persist_errors: self.persist_errors.load(Ordering::Relaxed),
             keys: self.keys.load(Ordering::Relaxed),
             runs_total: self.runs_total.load(Ordering::Relaxed),
-            shards: shards as u64,
+            shards: SHARDS as u64,
         }
     }
 }
@@ -170,7 +161,7 @@ impl ServedSeed {
 struct Shared {
     cfg: FleetConfig,
     counters: Counters,
-    shards: Vec<Mutex<HashMap<StoreKey, KeyState>>>,
+    shards: [Mutex<HashMap<StoreKey, KeyState>>; SHARDS],
 }
 
 impl Shared {
@@ -179,7 +170,7 @@ impl Shared {
     /// its frame only once the frame is whole, so the map is whole even if
     /// a thread died holding the lock.
     fn shard(&self, key: &StoreKey) -> MutexGuard<'_, HashMap<StoreKey, KeyState>> {
-        let shard = &self.shards[shard_for(key, self.shards.len())];
+        let shard = &self.shards[shard_for(key)];
         shard.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
@@ -198,7 +189,6 @@ impl FleetServer {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port), load any
     /// persisted shard state, and start serving.
     pub fn start(addr: impl ToSocketAddrs, cfg: FleetConfig) -> Result<FleetServer, String> {
-        let shards = cfg.shards.max(1);
         let listener = TcpListener::bind(addr).map_err(|e| format!("bind failed: {e}"))?;
         let addr = listener
             .local_addr()
@@ -206,7 +196,7 @@ impl FleetServer {
         let shared = Arc::new(Shared {
             cfg,
             counters: Counters::default(),
-            shards: (0..shards).map(|_| Mutex::default()).collect(),
+            shards: Default::default(),
         });
 
         // Warm restart: every persisted key goes to its owning shard. A
@@ -260,7 +250,7 @@ impl FleetServer {
 
     /// Current counters, as a `Stats` request would see them.
     pub fn stats(&self) -> FleetStats {
-        self.shared.counters.snapshot(self.shared.shards.len())
+        self.shared.counters.snapshot()
     }
 
     /// Stop accepting and join the acceptor. An upload is folded and
@@ -272,6 +262,21 @@ impl FleetServer {
         let _ = TcpStream::connect(self.addr);
         let _ = self.acceptor.join();
     }
+}
+
+/// Shard owning `key`: FNV-1a of the key's stable file stem, modulo
+/// [`SHARDS`]. Stable across processes and restarts. The stem
+/// (`{image_hash:016x}-{machine_fp:016x}`) is spelled here digit by digit,
+/// not through the formatter: this runs on every request.
+fn shard_for(key: &StoreKey) -> usize {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut stem = [b'-'; 33];
+    for (half, word) in [key.image_hash, key.machine_fp].into_iter().enumerate() {
+        for (i, digit) in stem[17 * half..17 * half + 16].iter_mut().enumerate() {
+            *digit = HEX[(word >> (60 - 4 * i)) as usize & 0xf];
+        }
+    }
+    (cobra_store::fnv1a(&stem) % SHARDS as u64) as usize
 }
 
 /// One connection's request/response loop. Any frame error counts and
@@ -294,10 +299,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
             }
         };
         let sent = match req {
-            Request::Stats => write_frame(
-                &mut stream,
-                &Response::Stats(counters.snapshot(shared.shards.len())),
-            ),
+            Request::Stats => write_frame(&mut stream, &Response::Stats(counters.snapshot())),
             Request::Upload {
                 snapshot,
                 image_words,
@@ -444,4 +446,30 @@ fn load_image_sidecar(path: &Path, want_hash: u64) -> Option<CodeImage> {
     }
     let img = CodeImage::from_words(words, Default::default());
     (image_hash(&img) == want_hash).then_some(img)
+}
+
+#[cfg(test)]
+mod tests {
+    use cobra_store::{fnv1a, StoreKey};
+
+    /// The shard of a key is a persisted fact (which file a restarted
+    /// server hands to which map): hashing from the stack must give what
+    /// hashing the formatted stem always gave.
+    #[test]
+    fn shard_for_is_fnv1a_of_the_file_stem() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for i in 0..300u64 {
+            x = x.wrapping_mul(0x5851_f42d_4c95_7f2d).wrapping_add(i);
+            let key = StoreKey {
+                image_hash: if i < 8 { i } else { x },
+                machine_fp: if i % 7 == 0 {
+                    u64::MAX - i
+                } else {
+                    x.rotate_left(29)
+                },
+            };
+            let want = fnv1a(key.file_stem().as_bytes()) % super::SHARDS as u64;
+            assert_eq!(super::shard_for(&key) as u64, want, "{key}");
+        }
+    }
 }

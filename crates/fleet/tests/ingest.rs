@@ -1,5 +1,5 @@
 //! Fleet server integration tests over real loopback TCP: ingest
-//! determinism under any interleaving/sharding (the PR 3
+//! determinism under any interleaving and upload order (the PR 3
 //! `parallel==sequential` guarantee lifted to the network), hostile-frame
 //! robustness, warm restart, aging, and seed verification.
 
@@ -77,21 +77,14 @@ fn upload_snapshot(k: StoreKey, variant: u32) -> Snapshot {
     s
 }
 
-/// Upload `uploads` to a fresh server with `shards` shards and `clients`
-/// concurrent connections (round-robin assignment, every connection open
-/// before the first upload goes out), then return the persisted bytes per
-/// file name.
-fn ingest(
-    uploads: &[Snapshot],
-    shards: usize,
-    clients: usize,
-    tag: &str,
-) -> BTreeMap<String, Vec<u8>> {
+/// Upload `uploads` to a fresh server over `clients` concurrent
+/// connections (round-robin assignment, every connection open before the
+/// first upload goes out), then return the persisted bytes per file name.
+fn ingest(uploads: &[Snapshot], clients: usize, tag: &str) -> BTreeMap<String, Vec<u8>> {
     let dir = tmp_dir(tag);
     let server = FleetServer::start(
         "127.0.0.1:0",
         FleetConfig {
-            shards,
             dir: Some(dir.clone()),
             max_age_runs: None,
         },
@@ -132,35 +125,34 @@ fn ingest(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Any interleaving (client split), any shard count, any upload order:
-    /// byte-identical persisted state. The reference is the same multiset
-    /// folded sequentially on a single shard.
+    /// Any interleaving (client split), any upload order: byte-identical
+    /// persisted state. The reference is the same multiset folded
+    /// sequentially over one connection.
     #[test]
-    fn ingest_determinism_any_interleaving_and_sharding(
+    fn ingest_determinism_any_interleaving_and_order(
         n_uploads in 4usize..10,
         n_keys in 1u64..4,
-        shards in 2usize..6,
         clients in 2usize..6,
         rot in 0usize..8,
     ) {
         let mut uploads: Vec<Snapshot> = (0..n_uploads)
             .map(|i| upload_snapshot(key(i as u64 % n_keys), i as u32))
             .collect();
-        let reference = ingest(&uploads, 1, 1, "ref");
+        let reference = ingest(&uploads, 1, "ref");
         prop_assert!(!reference.is_empty());
         // Rotate the multiset so the concurrent run also sees a different
-        // submission order, then fan it over many clients and shards.
+        // submission order, then fan it over many clients.
         let n = uploads.len();
         uploads.rotate_left(rot % n);
-        let got = ingest(&uploads, shards, clients, "perm");
+        let got = ingest(&uploads, clients, "perm");
         prop_assert_eq!(got, reference);
-        // Nothing but lock contention: the same uploads all to one key of
-        // one shard, a connection each, let go together.
+        // Nothing but lock contention: the same uploads all to one key, a
+        // connection each, let go together.
         for u in &mut uploads {
             u.key = key(0);
         }
-        let got = ingest(&uploads, 1, n, "lock");
-        prop_assert_eq!(got, ingest(&uploads, 1, 1, "serial"));
+        let got = ingest(&uploads, n, "lock");
+        prop_assert_eq!(got, ingest(&uploads, 1, "serial"));
     }
 }
 
@@ -243,7 +235,6 @@ fn overflowing_uploads_are_rejected_not_fatal() {
     let server = FleetServer::start(
         "127.0.0.1:0",
         FleetConfig {
-            shards: 1,
             ..FleetConfig::default()
         },
     )
@@ -318,7 +309,6 @@ fn mismatched_image_words_are_rejected() {
 fn restart_is_warm() {
     let dir = tmp_dir("warm");
     let cfg = FleetConfig {
-        shards: 3,
         dir: Some(dir.clone()),
         max_age_runs: None,
     };
@@ -348,7 +338,6 @@ fn restart_is_warm() {
 fn restart_loads_each_key_from_its_own_file() {
     let dir = tmp_dir("stray");
     let cfg = FleetConfig {
-        shards: 2,
         dir: Some(dir.clone()),
         max_age_runs: None,
     };
@@ -455,7 +444,6 @@ fn a_served_seed_is_the_frame_a_fresh_build_writes() {
     let server = FleetServer::start(
         "127.0.0.1:0",
         FleetConfig {
-            shards: 2,
             dir: None,
             max_age_runs: Some(max_age),
         },
@@ -510,7 +498,6 @@ fn repeat_fetches_count_every_serve() {
     let server = FleetServer::start(
         "127.0.0.1:0",
         FleetConfig {
-            shards: 2,
             dir: None,
             max_age_runs: Some(2),
         },
@@ -579,7 +566,6 @@ fn served_seeds_are_aged_and_verified() {
     let server = FleetServer::start(
         "127.0.0.1:0",
         FleetConfig {
-            shards: 2,
             dir: None,
             max_age_runs: Some(3),
         },

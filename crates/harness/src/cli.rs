@@ -22,7 +22,8 @@ use cobra_rt::{read_jsonl, write_jsonl, CobraReport, TelemetryEvent, TelemetryRe
 use serde::Serialize;
 
 use crate::{
-    default_workers, fig2, fig3, fleetcmd, npbsuite, profilecmd, staticnpb, table1, verifycmd,
+    convergence, default_workers, fig2, fig3, fleetcmd, npbsuite, profilecmd, staticnpb, table1,
+    verifycmd,
 };
 
 /// The command line cannot be used as given, or it names a path that cannot
@@ -101,7 +102,6 @@ enum Flag {
     MaxAgeRuns,
     Addr,
     Dir,
-    Shards,
     Key,
 }
 use Flag::*;
@@ -162,7 +162,7 @@ impl Verb {
             Verb::ProfileMerge => ("profile merge", &[Out], &[MaxAgeRuns], Many("IN")),
             Verb::VerifyImage => ("verify image", &[], &[Bench, Machine], NONE),
             Verb::VerifySnapshot => ("verify snapshot", &[], &[], One("PATH")),
-            Verb::FleetServe => ("fleet serve", &[Addr], &[Dir, Shards, MaxAgeRuns], NONE),
+            Verb::FleetServe => ("fleet serve", &[Addr], &[Dir, MaxAgeRuns], NONE),
             Verb::FleetUpload => ("fleet upload", &[Addr], &[], One("PATH")),
             Verb::FleetFetch => ("fleet fetch", &[Addr, Key], &[Out], NONE),
             Verb::FleetStats => ("fleet stats", &[Addr], &[], NONE),
@@ -193,9 +193,9 @@ impl Verb {
 }
 
 impl Flag {
-    const ALL: [Flag; 15] = [
+    const ALL: [Flag; 14] = [
         Md, Json, Candidates, Reps, Workers, Machine, TraceOut, Store, Bench, Out, MaxAgeRuns,
-        Addr, Dir, Shards, Key,
+        Addr, Dir, Key,
     ];
 
     /// How the flag is spelled and, unless it is a switch, what usage text
@@ -215,7 +215,6 @@ impl Flag {
             MaxAgeRuns => ("--max-age-runs", Some("N")),
             Addr => ("--addr", Some("HOST:PORT")),
             Dir => ("--dir", Some("DIR")),
-            Shards => ("--shards", Some("N")),
             Key => ("--key", Some("IMAGEHEX-MACHINEHEX")),
         }
     }
@@ -250,7 +249,6 @@ pub struct Command {
     max_age_runs: Option<u64>,
     addr: Option<String>,
     dir: Option<PathBuf>,
-    shards: usize,
     key: Option<String>,
     paths: Vec<PathBuf>,
 }
@@ -317,7 +315,6 @@ pub fn parse(args: &[String]) -> Result<Command, Usage> {
         max_age_runs: None,
         addr: None,
         dir: None,
-        shards: 4,
         key: None,
         paths: Vec::new(),
     };
@@ -376,7 +373,6 @@ pub fn parse(args: &[String]) -> Result<Command, Usage> {
             MaxAgeRuns => cmd.max_age_runs = Some(at_least_one(number(value()?)?)? as u64),
             Addr => cmd.addr = Some(value()?.clone()),
             Dir => cmd.dir = Some(value()?.into()),
-            Shards => cmd.shards = number(value()?)?,
             Key => cmd.key = Some(value()?.clone()),
         }
         given.push(flag);
@@ -530,8 +526,10 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), Failure> {
             writeln!(out, "{}", fig3::render(&f3, md))?;
             writeln!(out, "## Table 1\n")?;
             writeln!(out, "{}", table1::render(&table1::measure(), md))?;
-            let suites = [MachineConfig::smp4(), MachineConfig::altix8()]
-                .map(|cfg| npbsuite::measure(&cfg, cfg.num_cpus, workers, None, None, false));
+            let machines = [MachineConfig::smp4(), MachineConfig::altix8()];
+            let suites = machines
+                .each_ref()
+                .map(|cfg| npbsuite::measure(cfg, cfg.num_cpus, workers, None, None, false));
             for s in &suites {
                 writeln!(
                     out,
@@ -544,6 +542,29 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), Failure> {
             for (desc, ok) in npbsuite::shape_checks(&suites[0], &suites[1]) {
                 writeln!(out, "  [{}] {}", if ok { "ok" } else { "MISS" }, desc)?;
             }
+            // `fig5 --candidates --store DIR` twice per machine, through a
+            // store of this process's own that no later run sees.
+            let store =
+                std::env::temp_dir().join(format!("cobra-repro-all-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&store);
+            std::fs::create_dir_all(&store)
+                .map_err(|e| failed(format!("cannot create {}: {e}", store.display())))?;
+            for cfg in &machines {
+                for (start, dir) in [("cold", ", DIR empty"), ("warm", " again")] {
+                    let data =
+                        npbsuite::measure(cfg, cfg.num_cpus, workers, None, Some(&store), true);
+                    let (name, command) = (&cfg.name, "`fig5 --candidates --store DIR`");
+                    writeln!(
+                        out,
+                        "\n## Candidate tournaments, {start} ({name}: {command}{dir})\n"
+                    )?;
+                    writeln!(out, "{}", data.fig5().render(md))?;
+                    write!(out, "{}", data.deployments().render(md))?;
+                }
+            }
+            let _ = std::fs::remove_dir_all(&store);
+            let osr = convergence::measure(workers).map_err(failed)?;
+            write!(out, "\n## On-stack replacement\n\n{}", osr.render(md))?;
         }
         Verb::Trace => {
             let file = &cmd.paths[0];
@@ -591,7 +612,7 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), Failure> {
         }
         Verb::FleetServe => {
             let (dir, horizon) = (cmd.dir.as_deref(), cmd.max_age_runs);
-            match fleetcmd::serve(addr(), dir, cmd.shards, horizon, out).map_err(failed)? {}
+            match fleetcmd::serve(addr(), dir, horizon, out).map_err(failed)? {}
         }
         Verb::FleetUpload => {
             let text = fleetcmd::upload(addr(), &cmd.paths[0]).map_err(failed)?;
@@ -619,7 +640,7 @@ pub fn invoke(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
 mod tests {
     use super::*;
 
-    const NUMERIC: [Flag; 4] = [Reps, Workers, MaxAgeRuns, Shards];
+    const NUMERIC: [Flag; 3] = [Reps, Workers, MaxAgeRuns];
 
     /// `flag` as a user would give it, with a value its kind accepts.
     fn given(flag: Flag) -> Vec<String> {

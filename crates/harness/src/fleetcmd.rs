@@ -34,14 +34,12 @@ pub fn parse_key(stem: &str) -> Result<StoreKey, String> {
 pub fn serve(
     addr: &str,
     dir: Option<&Path>,
-    shards: usize,
     max_age_runs: Option<u64>,
     out: &mut dyn Write,
 ) -> Result<std::convert::Infallible, String> {
     let server = FleetServer::start(
         addr,
         FleetConfig {
-            shards,
             dir: dir.map(Path::to_path_buf),
             max_age_runs,
         },

@@ -8,13 +8,15 @@
 //! | [`fig3`] | Figure 3(a)/(b) — DAXPY static prefetch strategies |
 //! | [`table1`] | Table 1 — static loop/prefetch counts of the NPB binaries |
 //! | [`npbsuite`] | Figures 5, 6, 7 — COBRA on NPB (speedup, L3, bus) |
+//! | `convergence` | time-to-optimized, OSR against entry-only transfer |
 //!
 //! The `cobra-repro` binary exposes them as subcommands through [`cli`],
-//! the one grammar and dispatcher (`--md` emits Markdown for
-//! EXPERIMENTS.md; `--json` dumps raw measurements). Simulations fan out
+//! the one grammar and dispatcher (`--md` emits Markdown, and `all --md`
+//! is results_all.md; `--json` dumps raw measurements). Simulations fan out
 //! across host threads through [`parallel_map`].
 
 pub mod cli;
+mod convergence;
 pub mod fig2;
 pub mod fig3;
 pub mod fleetcmd;

@@ -6,8 +6,7 @@
 //!
 //! The rest of the fleet round trip, by suite: the sharded server's ingest
 //! determinism proptests are `cobra-fleet`'s own (any interleaving or
-//! sharding of the same upload multiset must persist byte-identical shard
-//! state); the framework's cold -> upload -> fleet-warm convergence against
+//! order of the same upload multiset must persist byte-identical state); the framework's cold -> upload -> fleet-warm convergence against
 //! a loopback server is `crates/core/tests/fleet_roundtrip.rs`;
 //! `tests/one_fold.rs` holds the store, `profile merge` and the server to
 //! one rule (the same runs leave the same bytes in all three); what the
@@ -181,15 +180,7 @@ impl Drop for ServeGuard {
 fn cli_serve_upload_fetch_stats_round_trip() {
     let dir = tmp_dir("serve");
     let mut child = Command::new(env!("CARGO_BIN_EXE_cobra-repro"))
-        .args([
-            "fleet",
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--shards",
-            "2",
-            "--dir",
-        ])
+        .args(["fleet", "serve", "--addr", "127.0.0.1:0", "--dir"])
         .arg(&dir)
         .stdout(Stdio::piped())
         .spawn()

@@ -105,8 +105,8 @@ pub struct MachineConfig {
 /// equivalence suites under `tests/`, each of which runs one against the
 /// other.
 ///
-/// Every config constructor ([`MachineConfig::smp`] and friends) builds
-/// [`HostAccel::Fast`]; [`MachineConfig::with_host_accel`] selects the other.
+/// Both presets, [`MachineConfig::smp4`] and [`MachineConfig::altix8`],
+/// build [`HostAccel::Fast`]; [`MachineConfig::with_host_accel`] selects the other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum HostAccel {
     /// The per-cycle, per-access oracle: [`crate::Machine::step`] every
@@ -135,17 +135,12 @@ impl HostAccel {
 }
 
 impl MachineConfig {
-    /// The paper's 4-way Itanium 2 SMP server.
+    /// The paper's 4-way Itanium 2 SMP server: four CPUs on one front-side
+    /// bus, simulated by the default engine, [`HostAccel::Fast`].
     pub fn smp4() -> Self {
-        Self::smp(4)
-    }
-
-    /// An SMP with `n` CPUs on one front-side bus, simulated by the default
-    /// engine, [`HostAccel::Fast`].
-    pub fn smp(n: usize) -> Self {
         MachineConfig {
-            name: format!("smp{n}"),
-            num_cpus: n,
+            name: "smp4".into(),
+            num_cpus: 4,
             topology: Topology::SmpBus,
             l1d: CacheGeometry {
                 size: 16 << 10,
@@ -188,17 +183,9 @@ impl MachineConfig {
     /// The paper's SGI Altix cc-NUMA configuration with 8 CPUs
     /// (four 2-CPU nodes on a fat tree).
     pub fn altix8() -> Self {
-        Self::altix(8)
-    }
-
-    /// A cc-NUMA machine with `n` CPUs in 2-CPU nodes.
-    pub fn altix(n: usize) -> Self {
-        assert!(
-            n >= 2 && n.is_multiple_of(2),
-            "Altix config needs an even CPU count"
-        );
-        let mut cfg = Self::smp(n);
-        cfg.name = format!("altix{n}");
+        let mut cfg = Self::smp4();
+        cfg.name = "altix8".into();
+        cfg.num_cpus = 8;
         cfg.topology = Topology::Numa { cpus_per_node: 2 };
         // The NUMALink interconnect makes both plain remote accesses and,
         // especially, coherent misses far costlier than the FSB.
@@ -309,12 +296,6 @@ mod tests {
         assert_eq!(c.l1d.sets(), 64);
         assert_eq!(c.l2.sets(), 256);
         assert_eq!(c.l3.sets(), 1024);
-    }
-
-    #[test]
-    #[should_panic(expected = "even CPU count")]
-    fn odd_altix_rejected() {
-        let _ = MachineConfig::altix(3);
     }
 
     #[test]

@@ -469,8 +469,8 @@ impl Machine {
         }
     }
 
-    /// Run at most `quantum` cycles (stops early when all threads halt).
-    /// Returns the cycles actually executed.
+    /// [`Self::run`] under its old name, which `benchmark/` still calls;
+    /// nothing in the workspace does.
     pub fn run_quantum(&mut self, quantum: u64) -> RunResult {
         self.run(quantum)
     }

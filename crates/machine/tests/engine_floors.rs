@@ -48,12 +48,12 @@ fn engine_pair_min_of<S: PartialEq + Debug>(
     (best[0], best[1])
 }
 
-/// One timed `run_quantum(cycles)` of `program` on the 4-way SMP, and
+/// One timed `run(cycles)` of `program` on the 4-way SMP, and
 /// everything observable about the machine afterwards.
 fn timed_run(program: &Program, accel: HostAccel, cycles: u64) -> (Duration, Snapshot) {
     let mut m = boot(&MachineConfig::smp4(), accel, program);
     let t0 = Instant::now();
-    let result = m.run_quantum(cycles);
+    let result = m.run(cycles);
     let elapsed = t0.elapsed();
     (elapsed, snapshot(&mut m, result))
 }

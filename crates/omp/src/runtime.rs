@@ -111,7 +111,7 @@ impl OmpRuntime {
 
         let mut elapsed = 0u64;
         loop {
-            let r = machine.run_quantum(self.quantum);
+            let r = machine.run(self.quantum);
             elapsed += r.cycles;
             hook.on_quantum(machine);
             if r.halted {

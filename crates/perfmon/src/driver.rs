@@ -262,7 +262,7 @@ mod tests {
         // enough that the HPM's own capture queue never fills but never
         // drained: more than the kernel buffer holds.
         let (mut m, mut drv) = sampled_machine(50_000, 1, 10);
-        while !m.run_quantum(1_000).halted {
+        while !m.run(1_000).halted {
             drv.poll(&mut m);
         }
         drv.poll(&mut m);
@@ -274,7 +274,7 @@ mod tests {
     #[test]
     fn detach_stops_sampling() {
         let (mut m, mut drv) = sampled_machine(2_000, 1, 200);
-        m.run_quantum(2_000);
+        m.run(2_000);
         drv.poll(&mut m);
         let first = drv.drain(0).len();
         assert!(first > 0);
