@@ -18,17 +18,18 @@
 //! host time.
 //!
 //! A block whose last uop is a `br.ctop` or `br.cloop` back edge to one of
-//! its own slots also carries a *loop trace* (`Block::loop_slot`): its
-//! loop part with every register operand resolved to a physical index at
-//! each rotation residue, built the first time a core issues from it and
-//! dropped with the block.
+//! its own slots, and whose loop part holds an [`OpClass::Other`] uop, also
+//! carries a *loop trace* (`Block::loop_row`): that loop part with every
+//! register operand resolved to a physical index at each rotation residue,
+//! built with the block and dropped with it. (A loop of fused arms only
+//! has no trace: they index the register files already.)
 
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use cobra_isa::insn::Op;
 use cobra_isa::regs::{Rrb, ROT_GR_SIZE, ROT_PR_SIZE};
-use cobra_isa::uop::MicroOp;
+use cobra_isa::uop::{MicroOp, OpClass};
 use cobra_isa::{CodeAddr, CodeImage};
 
 /// Upper bound on block length in slots. Straight-line runs longer than this
@@ -45,20 +46,17 @@ pub struct Block {
     /// image end. Empty exactly when `start` is outside the image: there is
     /// nothing to fetch there, and the core that asked faults.
     pub uops: Box<[MicroOp]>,
-    /// In-block index of the loop head when the block ends in a `br.ctop` /
-    /// `br.cloop` back edge to one of its own slots, else `uops.len()`.
-    loop_head: usize,
-    /// The loop part's [`LoopSlot`]s, residue-major; see [`Self::loop_slot`].
-    loop_trace: OnceLock<Box<[LoopSlot]>>,
+    /// In-block index of the head of the traced loop part (see the module
+    /// doc), else `uops.len()`.
+    pub(crate) loop_head: usize,
+    /// The loop part's [`LoopSlot`]s, residue-major; see [`Self::loop_row`].
+    loop_trace: Box<[LoopSlot]>,
 }
 
 /// The dispatch arm of a loop-trace slot: the five interpreter-class
-/// opcodes that carry the software-pipelined loops, and `Other` for the
-/// rest. (Fixed-operand `add`, `adds`, `nop` and `br.cloop` have
-/// [`OpClass`] arms of their own, which index the register files directly;
-/// a trace arm for them buys nothing.)
-///
-/// [`OpClass`]: cobra_isa::uop::OpClass
+/// opcodes that carry the software-pipelined loops, `nop` (their bundle
+/// padding), and `Other`, the interpreter arm, for the rest — fixed-operand
+/// `add`, `adds` and `br.cloop` too: traced loops carry few of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub(crate) enum LoopKind {
@@ -67,6 +65,7 @@ pub(crate) enum LoopKind {
     Lfetch,
     FmaD,
     BrCtop,
+    Nop,
     Other,
 }
 
@@ -122,6 +121,7 @@ impl LoopSlot {
                 next.rotate();
                 (LoopKind::BrCtop, next.map_pr(16), 0, 0, 0, target as i32)
             }
+            Op::Nop { .. } => (LoopKind::Nop, 0, 0, 0, 0, 0),
             _ => (LoopKind::Other, 0, 0, 0, 0, 0),
         };
         LoopSlot {
@@ -153,34 +153,21 @@ impl Block {
         }
     }
 
-    /// Is in-block index `idx` in the loop part, from the head to the back
-    /// edge? (Never, when the block does not end in one of its own loops.)
+    /// Is in-block index `idx` in the traced loop part, from the head to the
+    /// back edge? (Never, when the block has no loop trace.)
     #[inline]
     pub(crate) fn in_loop(&self, idx: usize) -> bool {
         idx >= self.loop_head
     }
 
-    /// The loop-trace slot of in-block index `idx` (which [`Self::in_loop`])
-    /// under bases whose `rrb.gr` is `residue`. The GR, FR and PR bases
-    /// rotate in lockstep and `clrrrb` zeroes all three, so `rrb.gr` names
-    /// the whole state: `fr == gr`, `pr == gr % 48`. All 96 residues are
-    /// resolved together, the first time any is asked for.
+    /// The loop trace's row for bases whose `rrb.gr` is `residue`: slot `k`
+    /// is in-block index `loop_head + k`. The GR, FR and PR bases rotate in
+    /// lockstep and `clrrrb` zeroes all three, so `rrb.gr` names the whole
+    /// state: `fr == gr`, `pr == gr % 48`.
     #[inline]
-    pub(crate) fn loop_slot(&self, residue: u8, idx: usize) -> &LoopSlot {
-        let body = &self.uops[self.loop_head..];
-        let trace = self.loop_trace.get_or_init(|| {
-            (0..ROT_GR_SIZE)
-                .flat_map(|r| {
-                    let rrb = Rrb {
-                        gr: r,
-                        fr: r,
-                        pr: r % ROT_PR_SIZE,
-                    };
-                    body.iter().map(move |u| LoopSlot::resolve(u, rrb))
-                })
-                .collect()
-        });
-        &trace[residue as usize * body.len() + (idx - self.loop_head)]
+    pub(crate) fn loop_row(&self, residue: u8) -> &[LoopSlot] {
+        let n = self.uops.len() - self.loop_head;
+        &self.loop_trace[residue as usize * n..][..n]
     }
 }
 
@@ -304,17 +291,31 @@ impl BlockCache {
         }
         let loop_head = match uops.last().map(|u| u.insn.op) {
             Some(Op::BrCtop { target } | Op::BrCloop { target })
-                if (entry..addr).contains(&target) =>
+                if (entry..addr).contains(&target)
+                    && uops[(target - entry) as usize..]
+                        .iter()
+                        .any(|u| u.class == OpClass::Other) =>
             {
                 (target - entry) as usize
             }
             _ => uops.len(),
         };
+        let body = &uops[loop_head..];
+        let loop_trace = (0..ROT_GR_SIZE)
+            .flat_map(|r| {
+                let rrb = Rrb {
+                    gr: r,
+                    fr: r,
+                    pr: r % ROT_PR_SIZE,
+                };
+                body.iter().map(move |u| LoopSlot::resolve(u, rrb))
+            })
+            .collect();
         Block {
             start: entry,
             uops: uops.into_boxed_slice(),
             loop_head,
-            loop_trace: OnceLock::new(),
+            loop_trace,
         }
     }
 }
@@ -414,15 +415,16 @@ mod tests {
                 pr: r % ROT_PR_SIZE,
             };
             let (p, f) = (|v| rrb.map_pr(v), |v| rrb.map_fr(v));
-            let s = b.loop_slot(r, 3);
+            let row = b.loop_row(r);
+            let s = row[3 - b.loop_head];
             let ld = (s.kind, s.qp, s.d, s.a, s.imm);
             assert_eq!(ld, (LoopKind::Ldfd, p(16), f(32), 4, 8));
-            let s = b.loop_slot(r, 4);
+            let s = row[4 - b.loop_head];
             let fma = (s.kind, s.qp, s.d, s.a, s.b, s.c);
             assert_eq!(fma, (LoopKind::FmaD, p(17), f(40), f(33), 1, 6));
             let mut next = rrb;
             next.rotate();
-            let s = b.loop_slot(r, 5);
+            let s = row[5 - b.loop_head];
             let ctop = (s.kind, s.d, s.imm);
             assert_eq!(ctop, (LoopKind::BrCtop, next.map_pr(16), 3));
         }

@@ -17,7 +17,7 @@ use cobra_isa::regs::Rrb;
 use cobra_isa::uop::{MicroOp, OpClass, SrcReg};
 use cobra_isa::{CodeAddr, CodeImage};
 
-use crate::blocks::{Block, LoopKind};
+use crate::blocks::{Block, LoopKind, LoopSlot};
 use crate::events::Event;
 use crate::machine::Shared;
 use crate::memsys::AccessKind;
@@ -372,11 +372,14 @@ impl Core {
     /// The one issue group of the block engine: up to three pre-decoded uops
     /// at cycle `now`, starting at index `idx` of cursor block `b`, which it
     /// takes and returns by value (advanced, re-fetched across block ends and
-    /// taken branches) with the uops retired. `dispatch_class` returning
-    /// `None` is exactly `issue_bundle_ref`'s stall-on-use (it sets
-    /// `resume_at`), and `Some(true)` ends the group where the reference
-    /// bundle ends: after a taken branch, a status change (`hlt`, fault), or
-    /// a structural stall — the last two only from an `OpClass::Other` uop.
+    /// taken branches) with the uops retired. A slot in the block's traced
+    /// loop part hands the rest of the group to [`Self::issue_loop`], which
+    /// also catches a group that enters the loop head mid-group. Otherwise
+    /// `dispatch_class` returning `None` is exactly `issue_bundle_ref`'s
+    /// stall-on-use (it sets `resume_at`), and `Some(true)` ends the group
+    /// where the reference bundle ends: after a taken branch, a status change
+    /// (`hlt`, fault), or a structural stall — the last two only from an
+    /// `OpClass::Other` uop.
     #[inline]
     fn issue_group(
         &mut self,
@@ -386,12 +389,20 @@ impl Core {
         mut idx: usize,
     ) -> (Arc<Block>, usize, u64) {
         let mut retired = 0u64;
-        for _slot in 0..3 {
+        while retired < 3 {
             if idx >= b.uops.len() {
                 let Some(next) = self.next_block(shared, now) else {
                     break;
                 };
                 (b, idx) = (next, 0);
+            }
+            if b.in_loop(idx) {
+                let (n, over) = self.issue_loop(shared, now, &b, &mut idx, 3 - retired);
+                retired += n;
+                if over {
+                    break;
+                }
+                continue;
             }
             let Some(ends) = self.dispatch_class(shared, now, &b, idx) else {
                 break;
@@ -463,14 +474,13 @@ impl Core {
     /// readiness *and* execution of the specialized classes run through
     /// flat pre-extracted operands, which the lowering gives a class only
     /// when they are physical and no write is to `r0` ([`OpClass`]), so the
-    /// arms index the register files directly; anything else issues from
-    /// the block's loop trace when the slot is in its loop part
-    /// (`dispatch_loop`), and otherwise falls through to the source-list
-    /// walk plus the full interpreter arm. Each specialized arm replicates
-    /// its [`Self::execute`] arm (and its slice of
-    /// [`Self::uop_sources_ready`]) *exactly*, including the predicated-off
-    /// fall-through (`br.cloop` ignores qp by architecture) — the
-    /// `block_dispatch_equivalence` suite holds the two to bit-identity.
+    /// arms index the register files directly; anything else falls through
+    /// to the source-list walk plus the full interpreter arm. (A slot in a
+    /// traced loop part never comes here: see [`Self::issue_loop`].) Each
+    /// specialized arm replicates its [`Self::execute`] arm (and its slice
+    /// of [`Self::uop_sources_ready`]) *exactly*, including the
+    /// predicated-off fall-through (`br.cloop` ignores qp by architecture) —
+    /// the `block_dispatch_equivalence` suite holds the two to bit-identity.
     ///
     /// Returns `None` when a source is not ready (the stall-on-use
     /// `resume_at` has been set), otherwise whether the uop ended the issue
@@ -523,22 +533,19 @@ impl Core {
                     Some(false)
                 }
             }
-            OpClass::Other => {
-                let taken = if b.in_loop(idx) {
-                    self.dispatch_loop(shared, now, b, idx)?
-                } else {
-                    self.dispatch_other(shared, now, u)?
-                };
-                Some(taken || self.status != CoreStatus::Running || now < self.resume_at)
-            }
+            OpClass::Other => self.dispatch_other(shared, now, u),
         }
     }
 
     /// The interpreter arm: readiness from the source list, then `execute`.
-    #[inline]
+    /// The uop ends the group on a taken branch, a status change or a
+    /// structural stall. Always inlined: out of line, it is one more call
+    /// per interpreter-arm uop in both issue loops.
+    #[inline(always)]
     fn dispatch_other(&mut self, shared: &mut Shared, now: u64, u: &MicroOp) -> Option<bool> {
         self.wait_for(self.uop_sources_ready(u), now)?;
-        Some(self.execute(shared, now, u.insn))
+        let taken = self.execute(shared, now, u.insn);
+        Some(taken || self.status != CoreStatus::Running || now < self.resume_at)
     }
 
     /// Stall-on-use: `None` (with `resume_at` set) while `ready` is ahead of
@@ -552,33 +559,75 @@ impl Core {
         Some(())
     }
 
-    /// An [`OpClass::Other`] slot `idx` of `b`'s loop part, from its loop
-    /// trace at the current rotation residue: the operands are physical
-    /// indices, so nothing is mapped through the bases. Each arm is its
-    /// [`Self::execute`] arm (and its slice of [`Self::sources_ready`]) with
-    /// the mapping done ahead of time — the memory system is called on the
-    /// same cycle with the same arguments — and any other opcode goes
-    /// through the interpreter arm. Returns what `dispatch_class` returns.
-    ///
-    /// Out of line, as `execute` is: inlined, it slowed the arithmetic
-    /// stretches by 8-10 % and bought this loop 3 %.
+    /// The rest of a group whose cursor `idx` is in `blk`'s traced loop part:
+    /// up to `slots` uops from the trace row of the current residue, re-read
+    /// after an interpreter-arm uop (`clrrrb` moves the bases). Returns the
+    /// uops retired and whether the group is over, `idx` left at the uop that
+    /// stalled or ended it; after a not-taken `br.ctop` it is past the back
+    /// edge and the group goes on in the next block. Out of line, as
+    /// `execute` is, or `dispatch_class` would not stay inlined.
     #[inline(never)]
-    fn dispatch_loop(
+    fn issue_loop(
         &mut self,
         shared: &mut Shared,
         now: u64,
         blk: &Block,
+        idx: &mut usize,
+        slots: u64,
+    ) -> (u64, bool) {
+        let head = blk.loop_head;
+        let mut row = blk.loop_row(self.rrb.gr);
+        let mut k = *idx - head;
+        let mut retired = 0;
+        while retired < slots {
+            let Some(&s) = row.get(k) else { break };
+            let Some(ends) = self.trace_uop(shared, now, s, blk, head + k) else {
+                *idx = head + k;
+                return (retired, true);
+            };
+            retired += 1;
+            if ends {
+                *idx = self.pc.wrapping_sub(blk.start) as usize;
+                return (retired, true);
+            }
+            if s.kind == LoopKind::Other {
+                row = blk.loop_row(self.rrb.gr);
+            }
+            k += 1;
+        }
+        *idx = head + k;
+        (retired, false)
+    }
+
+    /// Loop-trace slot `s` of in-block index `idx`. Each arm is its
+    /// [`Self::execute`] arm (and slice of [`Self::sources_ready`]) with the
+    /// operands mapped ahead of time, reading the register files by plain
+    /// index as the fused arms do (`r0`, `f0`, `f1`, `p0` hold their
+    /// constants while bound; writes go through `set_phys_*`); `Other` is the
+    /// interpreter arm. Returns what `dispatch_class` returns.
+    #[inline(always)]
+    fn trace_uop(
+        &mut self,
+        shared: &mut Shared,
+        now: u64,
+        s: LoopSlot,
+        blk: &Block,
         idx: usize,
     ) -> Option<bool> {
-        let s = *blk.loop_slot(self.rrb.gr, idx);
         let pc = self.pc;
-        let qp_ready = self.pr_ready[s.qp as usize];
-        let (a, b, c) = (s.a as usize, s.b as usize, s.c as usize);
+        // Physical indices; the masks elide the bounds checks.
+        let qp = usize::from(s.qp) & 63;
+        let (a, b, c) = (
+            usize::from(s.a) & 127,
+            usize::from(s.b) & 127,
+            usize::from(s.c) & 127,
+        );
+        let qp_ready = self.pr_ready[qp];
         match s.kind {
             LoopKind::Ldfd => {
                 self.wait_for(qp_ready.max(self.gr_ready[a]), now)?;
-                if self.phys_pr(s.qp) {
-                    let addr = self.phys_gr(s.a) as u64;
+                if self.pr[qp] {
+                    let addr = self.gr[a] as u64;
                     if !shared.mem.in_bounds(addr) {
                         return Some(self.raise_fault(shared, now, pc, addr));
                     }
@@ -602,12 +651,12 @@ impl Core {
             }
             LoopKind::Stfd => {
                 self.wait_for(qp_ready.max(self.fr_ready[b]).max(self.gr_ready[a]), now)?;
-                if self.phys_pr(s.qp) {
-                    let addr = self.phys_gr(s.a) as u64;
+                if self.pr[qp] {
+                    let addr = self.gr[a] as u64;
                     if !shared.mem.in_bounds(addr) {
                         return Some(self.raise_fault(shared, now, pc, addr));
                     }
-                    shared.mem.write_f64(addr, self.phys_fr(s.b));
+                    shared.mem.write_f64(addr, self.fr[b]);
                     let out = shared.memsys.access(
                         &mut shared.stats,
                         &mut shared.hpm,
@@ -623,8 +672,8 @@ impl Core {
             }
             LoopKind::Lfetch => {
                 self.wait_for(qp_ready.max(self.gr_ready[a]), now)?;
-                if self.phys_pr(s.qp) {
-                    let addr = self.phys_gr(s.a) as u64;
+                if self.pr[qp] {
+                    let addr = self.gr[a] as u64;
                     if shared.mem.in_bounds(addr) {
                         let _ = shared.memsys.access(
                             &mut shared.stats,
@@ -645,10 +694,8 @@ impl Core {
                     .max(self.fr_ready[b])
                     .max(self.fr_ready[c]);
                 self.wait_for(ready, now)?;
-                if self.phys_pr(s.qp) {
-                    let v = self
-                        .phys_fr(s.a)
-                        .mul_add(self.phys_fr(s.b), self.phys_fr(s.c));
+                if self.pr[qp] {
+                    let v = self.fr[a].mul_add(self.fr[b], self.fr[c]);
                     self.set_phys_fr(s.d, v, now + shared.cfg.fp_latency);
                 }
             }
@@ -671,10 +718,11 @@ impl Core {
                     return Some(self.take_branch(shared, pc, s.imm as CodeAddr));
                 }
             }
+            LoopKind::Nop => self.wait_for(qp_ready, now)?,
             LoopKind::Other => return self.dispatch_other(shared, now, &blk.uops[idx]),
         }
         self.pc = pc + 1;
-        Some(false)
+        Some(now < self.resume_at)
     }
 
     /// Move the cursor block out of `self`: the cached one while it is still
@@ -1188,18 +1236,27 @@ impl Core {
         // transfer that actually happened.
         let target = if shared.redirects.is_empty() {
             target
-        } else if let Some(to) = shared.redirects.redirect(target) {
-            // Drop the decoded-block cursor so the next fetch re-resolves
-            // in the new version (the per-cycle revalidation would catch it
-            // too; this keeps the cursor honest immediately).
-            self.cur_block = None;
-            to
         } else {
-            target
+            self.osr_redirect(shared, target)
         };
         shared.hpm[self.cpu].btb_push(src, target);
         self.pc = target;
         true
+    }
+
+    /// Where a taken branch to `target` commits while an OSR map is armed;
+    /// cold, so the hot branch pays only the empty-table check.
+    #[cold]
+    #[inline(never)]
+    fn osr_redirect(&mut self, shared: &mut Shared, target: CodeAddr) -> CodeAddr {
+        let Some(to) = shared.redirects.redirect(target) else {
+            return target;
+        };
+        // Drop the decoded-block cursor so the next fetch re-resolves in the
+        // new version (the per-cycle revalidation would catch it too; this
+        // keeps the cursor honest immediately).
+        self.cur_block = None;
+        to
     }
 
     /// Add externally-imposed stall cycles (snoop-response penalties).

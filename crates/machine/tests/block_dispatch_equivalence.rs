@@ -437,6 +437,136 @@ fn fused_class_opcodes_across_the_rotation_rule_execute_identically() {
     });
 }
 
+/// A loop program for [`loop_part_group_edges_match_reference`]: `r4` and
+/// `r12` walk from the thread's base (`r8`) and `base + 0x2000`, the bases
+/// are cleared, `lc = 12`, `ec = ec`, `p16 = 1` and `p17 = p18 = 0`; then
+/// the loop `body`, closed by a `br.ctop` to its head, and after it three
+/// `adds` and a `hlt`, which a group that falls out of the loop with slots
+/// left issues into. With `skew`, the preheader opens with an `adds` that
+/// waits on a load: every later group starts one slot later, and the loop
+/// head is entered mid-group.
+fn edge_loop(skew: bool, ec: i64, body: fn(&mut Assembler)) -> Program {
+    let mut a = Assembler::new();
+    if skew {
+        a.ld8(0, 9, 8, 0);
+        a.addi(9, 9, 1);
+    }
+    a.mov(4, 8);
+    a.addi(12, 8, 0x2000);
+    a.emit(Insn::new(Op::Clrrrb));
+    a.movi(5, 12);
+    a.mov_to_lc(5);
+    a.movi(5, ec);
+    a.mov_to_ec(5);
+    a.cmp(16, 17, CmpRel::Eq, 0, 0);
+    a.cmp(18, 15, CmpRel::Ne, 0, 0);
+    let top = a.new_label();
+    a.bind(top);
+    body(&mut a);
+    a.br_ctop(top);
+    a.addi(9, 9, 1);
+    a.addi(10, 9, 2);
+    a.addi(11, 10, 3);
+    a.hlt();
+    Program::new(a.finish(), 1)
+}
+
+/// The edges of an issue group inside a traced loop part, each run alone
+/// on CPU 0 (the solo stretch) and on CPUs 0 and 1 together (the boundary
+/// batch), entered at a group start and mid-group, and each required to
+/// match the reference:
+/// - a group that stalls on its second or its third uop resumes at that
+///   uop, not at the group's first (a `fma` waits on the `ldfd` before it);
+/// - a `br.ctop` that falls through in the first or second slot of its
+///   group leaves slots, which issue in the block after the loop;
+/// - a load whose pointer walks out of memory faults mid-group, in the
+///   loop's sixth iteration;
+/// - fixed-operand `nop` and `adds` beside rotating `ldfd` / `fma` / `stfd`
+///   under stage predicates;
+/// - a `clrrrb` mid-group, after which the group's later uops read the
+///   residue-0 row.
+#[test]
+fn loop_part_group_edges_match_reference() {
+    type Body = fn(&mut Assembler);
+    let cases: [(&str, i64, Body); 7] = [
+        ("stall on the second uop", 1, |a| {
+            a.ldfd(0, 32, 4, 8);
+            a.fma_d(0, 40, 32, 1, 6);
+            a.addi(6, 6, 1);
+        }),
+        ("stall on the third uop", 1, |a| {
+            a.ldfd(0, 32, 4, 8);
+            a.addi(6, 6, 1);
+            a.fma_d(0, 40, 32, 1, 6);
+        }),
+        ("not-taken br.ctop in its group's first slot", 1, |a| {
+            a.ldfd(0, 32, 4, 8);
+            a.addi(6, 6, 1);
+            a.nop(Unit::I);
+        }),
+        ("not-taken br.ctop in its group's second slot", 1, |a| {
+            a.ldfd(0, 32, 4, 8);
+            a.addi(6, 6, 1);
+            a.nop(Unit::I);
+            a.nop(Unit::M);
+        }),
+        ("fault mid-group", 1, |a| {
+            a.addi(6, 6, 1);
+            a.ldfd(0, 32, 4, -0x800);
+            a.fma_d(0, 40, 33, 1, 6);
+        }),
+        (
+            "fixed nop and adds among rotating ldfd, fma and stfd",
+            3,
+            |a| {
+                a.ldfd(16, 32, 4, 8);
+                a.nop(Unit::M);
+                a.addi(6, 6, 1);
+                a.fma_d(17, 40, 33, 1, 6);
+                a.nop(Unit::I);
+                a.emit(Insn::new(Op::Add {
+                    dest: 7,
+                    r2: 7,
+                    r3: 6,
+                }));
+                a.stfd(18, 41, 12, 8);
+            },
+        ),
+        ("clrrrb mid-group", 1, |a| {
+            a.emit(Insn::new(Op::Clrrrb));
+            a.fma_d(0, 41, 33, 1, 6);
+            a.ldfd(0, 32, 4, 8);
+            a.addi(6, 6, 1);
+            a.stfd(0, 34, 12, 8);
+        }),
+    ];
+    let cfg = MachineConfig::smp4();
+    for (name, ec, body) in cases {
+        let faults = name.starts_with("fault");
+        for (skew, threads) in [(false, 1), (true, 1), (false, 2), (true, 2)] {
+            let mut program = edge_loop(skew, ec, body);
+            program.threads = (0..threads)
+                .map(|cpu| (cpu, 0, vec![0x2000 + cpu as i64 * 0x1000]))
+                .collect();
+            let case = format!("{name}, skew {skew}, {threads} thread(s)");
+            println!("{case}"); // names the case a divergence panics in
+            let snap = assert_equivalent_with(&cfg, &program, |m| {
+                let r = m.run(100_000);
+                snapshot(m, r)
+            });
+            let done = match faults {
+                true => CoreStatus::Faulted,
+                false => CoreStatus::Halted,
+            };
+            assert_eq!(snap.regs[0].0, done, "{case}");
+            let mut m = boot(&cfg, HostAccel::fast(), &program);
+            m.run(100_000);
+            let batch = m.block_stats().fallback_mem_boundary;
+            assert_eq!(batch > 0, threads > 1, "{case}: boundary-batch cycles");
+        }
+    }
+}
+
 /// A fault inside a multicore arithmetic loop: two cores run arithmetic
 /// together in the boundary batch until one of them dereferences a wild
 /// pointer. The fault must surface at the identical cycle and leave the

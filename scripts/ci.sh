@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
 # The gates, one function per CI job: `.github/workflows/ci.yml` runs
 # `scripts/ci.sh <job>` and so can anyone with a checkout — nothing here
-# needs the network. Every job body is cargo invocations; the twelve
-# deleted-name greps, the three docs checks, the `pub` census, the two
-# named-test list pins, the `dispatch_class` symbol check and the
-# benchmark/run.sh loop are the only shell. A test target runs once per
-# profile in an `all` pass: the two `--workspace` lines (`build-test` plain,
-# `overflow-checks` overflow-checked) run every target, so no job names one
-# again under the same profile; what a suite guards is said at the head of
-# its file.
+# needs the network. Every job body is cargo invocations; the thirteen
+# deleted-name greps, the manifest check, the three docs checks, the `pub`
+# census, the two named-test list pins, the `dispatch_class` symbol check
+# and the benchmark/run.sh loop are the only shell. A test target runs once
+# per profile in an `all` pass: the two `--workspace` lines (`build-test`
+# plain, `overflow-checks` overflow-checked) run every target, so no job
+# names one again under the same profile; what a suite guards is said at the
+# head of its file.
 #
 #   scripts/ci.sh <job>   one job (names below)
 #   scripts/ci.sh all     every job, in this order
@@ -117,6 +117,31 @@ build-test() {
     echo "a sized machine constructor, the shard-count flag or a run_quantum call is back" >&2
     return 1
   fi
+  # A traced loop part issues its whole group from the trace row of the
+  # current residue (`Core::issue_loop`), and the trace is built with its
+  # block: no per-uop loop dispatch, no per-slot row lookup, no lazy trace.
+  if grep -rnE 'fn dispatch_loop\(|fn loop_slot\(|OnceLock' crates/machine/src; then
+    echo "per-uop loop dispatch or the lazy loop trace is back" >&2
+    return 1
+  fi
+  # Every `[dependencies]` and `[dev-dependencies]` entry of a workspace
+  # manifest is named (as its crate identifier) in that crate's src, tests,
+  # examples or build script: an entry nothing uses is deleted, not kept.
+  local manifest dir dep src unused=0
+  local -a srcs
+  for manifest in $(git ls-files '*Cargo.toml' | grep -v '^benchmark/'); do
+    dir=$(dirname "$manifest")
+    srcs=()
+    for src in src tests examples benches build.rs; do
+      [[ -e $dir/$src ]] && srcs+=("$dir/$src")
+    done
+    while read -r dep; do
+      grep -rqw "${dep//-/_}" "${srcs[@]}" ||
+        { echo "$manifest: $dep is never named in its crate" >&2; unused=1; }
+    done < <(awk '/^\[/ { on = $0 == "[dependencies]" || $0 == "[dev-dependencies]"; next }
+                  on && /^[A-Za-z0-9_-]/ { sub(/[ .=].*/, ""); print }' "$manifest")
+  done
+  ((unused == 0)) || { echo "a manifest names a dependency nothing uses" >&2; return 1; }
   # The docs check themselves. (a) Every repository path and every bare
   # `*.rs` name that DESIGN.md, README.md or EXPERIMENTS.md cites is in the
   # tree: a path under one of the top-level directories names a tracked
@@ -152,8 +177,8 @@ build-test() {
   local design_lines
   design_lines=$(wc -l <DESIGN.md)
   echo "DESIGN.md lines: $design_lines"
-  if ((design_lines > 694)); then
-    echo "DESIGN.md grew past 694 lines" >&2
+  if ((design_lines > 693)); then
+    echo "DESIGN.md grew past 693 lines" >&2
     return 1
   fi
   # The surface census (ROADMAP 7c): every `pub` item names a caller outside
@@ -198,7 +223,10 @@ build-test() {
   # bases in ascending site order on every call, for plans and OSR maps; and
   # the two that hold the lowering rule of the fused arms (a rotating
   # operand or an `r0` destination lowers to `OpClass::Other`) in
-  # `cobra-isa` and across both engines with the rotating bases moved.
+  # `cobra-isa` and across both engines with the rotating bases moved; and
+  # the edges of an issue group inside a traced loop part (a stall on its
+  # second or third uop, a not-taken `br.ctop` with slots left, a fault, a
+  # mid-group `clrrrb`) on the solo stretch and in the boundary batch.
   has() {
     local target=(--test "$2")
     [[ $2 == --lib ]] && target=(--lib)
@@ -228,6 +256,7 @@ build-test() {
   has cobra-verify --lib tests::clobbered_osr_registers_are_reported_in_site_order_on_every_call
   has cobra-isa --lib uop::tests::rotating_operands_and_r0_destinations_lower_to_other
   has cobra-machine block_dispatch_equivalence fused_class_opcodes_across_the_rotation_rule_execute_identically
+  has cobra-machine block_dispatch_equivalence loop_part_group_edges_match_reference
   cargo fmt --check
   cargo clippy --workspace --all-targets -- -D warnings
 }
