@@ -5,7 +5,8 @@
 //! writes new words back (into the original text for `noprefetch`, into a
 //! trace cache for relocated loops). This module defines the concrete word
 //! format those rewrites operate on, with an exact round-trip guarantee:
-//! `decode(encode(i)) == Ok(i)` for every well-formed [`Insn`].
+//! `decode(encode(i)) == Ok(i)` for every well-formed [`Insn`], and
+//! `encode(decode(w)?) == w` for every word: an instruction has one word.
 //!
 //! ## Word layout
 //!
@@ -24,10 +25,13 @@
 //!   are reachable — the property COBRA's code deployment relies on).
 //! * `movl` places a 43-bit sign-extended immediate in bits `[42:0]`.
 //!
-//! Encoding panics on out-of-range operands (those are code-generator bugs);
-//! decoding is total over `u64` and returns [`DecodeError`] on malformed
-//! words, which the patch validator in [`crate::CodeImage`] uses to reject
-//! corrupt patches.
+//! Where each opcode's fields sit is stated once, in the instruction table
+//! at the foot of this module; [`encode`], [`decode`] and [`Op::unit`] are
+//! generated from it. Encoding panics on out-of-range operands (those are
+//! code-generator bugs); decoding is total over `u64` and returns
+//! [`DecodeError`] on malformed words, which the patch validator in
+//! [`crate::CodeImage`] uses to reject corrupt patches. A word with a bit set
+//! outside its opcode's fields is malformed.
 
 use crate::insn::{CmpRel, Insn, LfetchHint, Op, Unit};
 
@@ -38,7 +42,8 @@ pub enum DecodeError {
     BadOpcode(u8),
     /// A predicate-register field exceeded `p63`.
     BadPredicate(u8),
-    /// An enumerated sub-field (unit, hint, comparison relation) was invalid.
+    /// An enumerated sub-field (unit, shift count) was invalid, or a bit
+    /// outside the opcode's fields was set (`"unused bits"`, with the word).
     BadSubfield(&'static str, u64),
 }
 
@@ -54,704 +59,268 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-// Opcode bytes. Gaps group families; values are stable ABI for the tests.
-mod opc {
-    pub const LD8: u8 = 1;
-    pub const ST8: u8 = 2;
-    pub const LDFD: u8 = 3;
-    pub const STFD: u8 = 4;
-    pub const LFETCH: u8 = 5;
-    pub const FETCHADD8: u8 = 6;
-    pub const CMPXCHG8: u8 = 7;
-
-    pub const FMA_D: u8 = 10;
-    pub const FMS_D: u8 = 11;
-    pub const FADD_D: u8 = 12;
-    pub const FSUB_D: u8 = 13;
-    pub const FMUL_D: u8 = 14;
-    pub const FDIV_D: u8 = 15;
-    pub const FSQRT_D: u8 = 16;
-    pub const FABS_D: u8 = 17;
-    pub const FNEG_D: u8 = 18;
-    pub const FCMP_D: u8 = 19;
-    pub const SETF_D: u8 = 20;
-    pub const GETF_D: u8 = 21;
-    pub const SETF_SIG: u8 = 22;
-    pub const GETF_SIG: u8 = 23;
-    pub const FCVT_XF: u8 = 24;
-    pub const FCVT_FX_TRUNC: u8 = 25;
-
-    pub const ADD: u8 = 30;
-    pub const SUB: u8 = 31;
-    pub const ADD_I: u8 = 32;
-    pub const MUL: u8 = 33;
-    pub const SHL_I: u8 = 34;
-    pub const SHR_I: u8 = 35;
-    pub const SAR_I: u8 = 36;
-    pub const AND: u8 = 37;
-    pub const OR: u8 = 38;
-    pub const XOR: u8 = 39;
-    pub const AND_I: u8 = 40;
-    pub const MOV_I: u8 = 41;
-    pub const CMP: u8 = 42;
-    pub const CMP_I: u8 = 43;
-
-    pub const BR_COND: u8 = 50;
-    pub const BR_CTOP: u8 = 51;
-    pub const BR_CLOOP: u8 = 52;
-    pub const BR_WTOP: u8 = 53;
-    pub const BR_CALL: u8 = 54;
-    pub const BR_RET: u8 = 55;
-
-    pub const MOV_TO_LC: u8 = 60;
-    pub const MOV_TO_EC: u8 = 61;
-    pub const MOV_FROM_LC: u8 = 62;
-    pub const MOV_FROM_EC: u8 = 63;
-    pub const MOV_TO_B0: u8 = 64;
-    pub const MOV_FROM_B0: u8 = 65;
-    pub const CLRRRB: u8 = 66;
-
-    pub const NOP: u8 = 70;
-    pub const HLT: u8 = 71;
+/// Where a field sits in the word: `width` bits up from bit `lo`. A `u8`
+/// field's values also stop below `bound`; `what` names the field in a
+/// panic or a [`DecodeError`].
+#[derive(Clone, Copy)]
+struct Slot {
+    lo: u32,
+    width: u32,
+    bound: u64,
+    what: &'static str,
 }
 
-const IMM22_MIN: i64 = -(1 << 21);
-const IMM22_MAX: i64 = (1 << 21) - 1;
-/// Inclusive bound of the `movl` immediate (43-bit signed).
-pub const MOVL_IMM_MIN: i64 = -(1 << 42);
-/// Inclusive bound of the `movl` immediate (43-bit signed).
-pub const MOVL_IMM_MAX: i64 = (1 << 42) - 1;
+const PREDICATE: &str = "predicate register";
 
-#[inline]
-fn field(v: u64, hi: u32, lo: u32) -> u64 {
-    (v >> lo) & ((1u64 << (hi - lo + 1)) - 1)
-}
-
-#[inline]
-fn put_reg(r: u8) -> u64 {
-    assert!(r < 128, "register number {r} out of range");
-    r as u64
-}
-
-#[inline]
-fn put_pr(p: u8) -> u64 {
-    assert!(p < 64, "predicate register p{p} out of range");
-    p as u64
-}
-
-#[inline]
-fn put_imm22(imm: i64) -> u64 {
-    assert!(
-        (IMM22_MIN..=IMM22_MAX).contains(&imm),
-        "immediate {imm} does not fit in 22 bits"
-    );
-    (imm as u64) & 0x3f_ffff
-}
-
-#[inline]
-fn get_imm22(word: u64) -> i32 {
-    let raw = field(word, 21, 0) as i64;
-    // Sign-extend from bit 21.
-    ((raw << 42) >> 42) as i32
-}
-
-fn rel_code(rel: CmpRel) -> u64 {
-    match rel {
-        CmpRel::Eq => 0,
-        CmpRel::Ne => 1,
-        CmpRel::Lt => 2,
-        CmpRel::Le => 3,
-        CmpRel::Gt => 4,
-        CmpRel::Ge => 5,
-        CmpRel::Ltu => 6,
-        CmpRel::Geu => 7,
+const fn slot(lo: u32, width: u32, bound: u64, what: &'static str) -> Slot {
+    Slot {
+        lo,
+        width,
+        bound,
+        what,
     }
 }
 
-fn rel_decode(code: u64) -> Result<CmpRel, DecodeError> {
-    Ok(match code {
-        0 => CmpRel::Eq,
-        1 => CmpRel::Ne,
-        2 => CmpRel::Lt,
-        3 => CmpRel::Le,
-        4 => CmpRel::Gt,
-        5 => CmpRel::Ge,
-        6 => CmpRel::Ltu,
-        7 => CmpRel::Geu,
-        other => return Err(DecodeError::BadSubfield("cmp relation", other)),
-    })
+// The slots: `a`..`d` as registers (`R*`) or predicates (`P*`), and the
+// sub-field placements some opcodes use.
+const QP: Slot = slot(50, 6, 64, PREDICATE);
+const RA: Slot = slot(43, 7, 128, "register number");
+const RB: Slot = slot(36, 7, 128, "register number");
+const RC: Slot = slot(29, 7, 128, "register number");
+const RD: Slot = slot(22, 7, 128, "register number");
+const PA: Slot = slot(43, 7, 64, PREDICATE);
+const PB: Slot = slot(36, 7, 64, PREDICATE);
+const COUNT: Slot = slot(29, 7, 64, "shift count");
+const IMM22: Slot = slot(0, 22, 0, "immediate");
+const IMM43: Slot = slot(0, 43, 0, "movl immediate");
+const TARGET: Slot = slot(0, 32, 0, "branch target");
+/// `cmp`'s and `fcmp`'s relation: imm[2:0].
+const REL: Slot = slot(0, 3, 0, "cmp relation");
+/// `cmp.i`'s relation: d[2:0].
+const REL_D: Slot = slot(22, 3, 0, "cmp relation");
+/// `lfetch`'s hint is b[1:0] and `.excl` b[2].
+const HINT: Slot = slot(36, 2, 0, "lfetch hint");
+const EXCL: Slot = slot(38, 1, 0, "excl");
+/// `ld8`'s `.bias`: c[0].
+const BIAS: Slot = slot(29, 1, 0, "bias");
+const UNIT: Slot = slot(43, 7, 0, "nop unit");
+
+/// One of the eight types an [`Op`] field has: how its value becomes the
+/// bits of its slot, and back.
+trait Field: Sized {
+    /// The value's bits, in the low `s.width`; panics when it does not fit.
+    fn to_bits(self, s: Slot) -> u64;
+    /// The value `bits` (the slot's, shifted down) spell.
+    fn from_bits(bits: u64, s: Slot) -> Result<Self, DecodeError>;
 }
 
-fn hint_code(hint: LfetchHint) -> u64 {
-    match hint {
-        LfetchHint::None => 0,
-        LfetchHint::Nt1 => 1,
-        LfetchHint::Nt2 => 2,
-        LfetchHint::Nta => 3,
+impl Field for u8 {
+    fn to_bits(self, s: Slot) -> u64 {
+        assert!(u64::from(self) < s.bound, "{} {self} out of range", s.what);
+        self.into()
     }
-}
 
-fn hint_decode(code: u64) -> LfetchHint {
-    match code {
-        1 => LfetchHint::Nt1,
-        2 => LfetchHint::Nt2,
-        3 => LfetchHint::Nta,
-        _ => LfetchHint::None,
-    }
-}
-
-fn unit_code(unit: Unit) -> u64 {
-    match unit {
-        Unit::M => 0,
-        Unit::I => 1,
-        Unit::F => 2,
-        Unit::B => 3,
-    }
-}
-
-fn unit_decode(code: u64) -> Result<Unit, DecodeError> {
-    Ok(match code {
-        0 => Unit::M,
-        1 => Unit::I,
-        2 => Unit::F,
-        3 => Unit::B,
-        other => return Err(DecodeError::BadSubfield("nop unit", other)),
-    })
-}
-
-#[inline]
-fn pack(opcode: u8, qp: u8, a: u64, b: u64, c: u64, d: u64, imm: u64) -> u64 {
-    debug_assert!(a < 128 && b < 128 && c < 128 && d < 128);
-    debug_assert!(imm <= 0x3f_ffff);
-    ((opcode as u64) << 56)
-        | ((put_pr(qp)) << 50)
-        | (a << 43)
-        | (b << 36)
-        | (c << 29)
-        | (d << 22)
-        | imm
-}
-
-#[inline]
-fn pack_branch(opcode: u8, qp: u8, target: u32) -> u64 {
-    ((opcode as u64) << 56) | (put_pr(qp) << 50) | target as u64
-}
-
-/// Encode an instruction into its 64-bit word.
-///
-/// # Panics
-///
-/// Panics when a register number or immediate is out of range for its field —
-/// such values can only come from a code-generator bug, never from data.
-pub fn encode(insn: &Insn) -> u64 {
-    let qp = insn.qp;
-    match insn.op {
-        Op::Ld8 {
-            dest,
-            base,
-            post_inc,
-            bias,
-        } => pack(
-            opc::LD8,
-            qp,
-            put_reg(dest),
-            put_reg(base),
-            bias as u64,
-            0,
-            put_imm22(post_inc as i64),
-        ),
-        Op::St8 {
-            src,
-            base,
-            post_inc,
-        } => pack(
-            opc::ST8,
-            qp,
-            put_reg(src),
-            put_reg(base),
-            0,
-            0,
-            put_imm22(post_inc as i64),
-        ),
-        Op::Ldfd {
-            dest,
-            base,
-            post_inc,
-        } => pack(
-            opc::LDFD,
-            qp,
-            put_reg(dest),
-            put_reg(base),
-            0,
-            0,
-            put_imm22(post_inc as i64),
-        ),
-        Op::Stfd {
-            src,
-            base,
-            post_inc,
-        } => pack(
-            opc::STFD,
-            qp,
-            put_reg(src),
-            put_reg(base),
-            0,
-            0,
-            put_imm22(post_inc as i64),
-        ),
-        Op::Lfetch {
-            base,
-            post_inc,
-            hint,
-            excl,
-        } => pack(
-            opc::LFETCH,
-            qp,
-            put_reg(base),
-            hint_code(hint) | ((excl as u64) << 2),
-            0,
-            0,
-            put_imm22(post_inc as i64),
-        ),
-        Op::FetchAdd8 { dest, base, inc } => pack(
-            opc::FETCHADD8,
-            qp,
-            put_reg(dest),
-            put_reg(base),
-            0,
-            0,
-            put_imm22(inc as i64),
-        ),
-        Op::Cmpxchg8 {
-            dest,
-            base,
-            new,
-            cmp,
-        } => pack(
-            opc::CMPXCHG8,
-            qp,
-            put_reg(dest),
-            put_reg(base),
-            put_reg(new),
-            put_reg(cmp),
-            0,
-        ),
-        Op::FmaD { dest, f1, f2, f3 } => pack(
-            opc::FMA_D,
-            qp,
-            put_reg(dest),
-            put_reg(f1),
-            put_reg(f2),
-            put_reg(f3),
-            0,
-        ),
-        Op::FmsD { dest, f1, f2, f3 } => pack(
-            opc::FMS_D,
-            qp,
-            put_reg(dest),
-            put_reg(f1),
-            put_reg(f2),
-            put_reg(f3),
-            0,
-        ),
-        Op::FaddD { dest, f1, f2 } => pack(
-            opc::FADD_D,
-            qp,
-            put_reg(dest),
-            put_reg(f1),
-            put_reg(f2),
-            0,
-            0,
-        ),
-        Op::FsubD { dest, f1, f2 } => pack(
-            opc::FSUB_D,
-            qp,
-            put_reg(dest),
-            put_reg(f1),
-            put_reg(f2),
-            0,
-            0,
-        ),
-        Op::FmulD { dest, f1, f2 } => pack(
-            opc::FMUL_D,
-            qp,
-            put_reg(dest),
-            put_reg(f1),
-            put_reg(f2),
-            0,
-            0,
-        ),
-        Op::FdivD { dest, f1, f2 } => pack(
-            opc::FDIV_D,
-            qp,
-            put_reg(dest),
-            put_reg(f1),
-            put_reg(f2),
-            0,
-            0,
-        ),
-        Op::FsqrtD { dest, f1 } => pack(opc::FSQRT_D, qp, put_reg(dest), put_reg(f1), 0, 0, 0),
-        Op::FabsD { dest, f1 } => pack(opc::FABS_D, qp, put_reg(dest), put_reg(f1), 0, 0, 0),
-        Op::FnegD { dest, f1 } => pack(opc::FNEG_D, qp, put_reg(dest), put_reg(f1), 0, 0, 0),
-        Op::FcmpD {
-            p1,
-            p2,
-            rel,
-            f1,
-            f2,
-        } => pack(
-            opc::FCMP_D,
-            qp,
-            put_pr(p1),
-            put_pr(p2),
-            put_reg(f1),
-            put_reg(f2),
-            rel_code(rel),
-        ),
-        Op::SetfD { dest, src } => pack(opc::SETF_D, qp, put_reg(dest), put_reg(src), 0, 0, 0),
-        Op::GetfD { dest, src } => pack(opc::GETF_D, qp, put_reg(dest), put_reg(src), 0, 0, 0),
-        Op::SetfSig { dest, src } => pack(opc::SETF_SIG, qp, put_reg(dest), put_reg(src), 0, 0, 0),
-        Op::GetfSig { dest, src } => pack(opc::GETF_SIG, qp, put_reg(dest), put_reg(src), 0, 0, 0),
-        Op::FcvtXf { dest, src } => pack(opc::FCVT_XF, qp, put_reg(dest), put_reg(src), 0, 0, 0),
-        Op::FcvtFxTrunc { dest, src } => {
-            pack(opc::FCVT_FX_TRUNC, qp, put_reg(dest), put_reg(src), 0, 0, 0)
-        }
-        Op::Add { dest, r2, r3 } => {
-            pack(opc::ADD, qp, put_reg(dest), put_reg(r2), put_reg(r3), 0, 0)
-        }
-        Op::Sub { dest, r2, r3 } => {
-            pack(opc::SUB, qp, put_reg(dest), put_reg(r2), put_reg(r3), 0, 0)
-        }
-        Op::AddI { dest, src, imm } => pack(
-            opc::ADD_I,
-            qp,
-            put_reg(dest),
-            put_reg(src),
-            0,
-            0,
-            put_imm22(imm as i64),
-        ),
-        Op::Mul { dest, r2, r3 } => {
-            pack(opc::MUL, qp, put_reg(dest), put_reg(r2), put_reg(r3), 0, 0)
-        }
-        Op::ShlI { dest, src, count } => pack(
-            opc::SHL_I,
-            qp,
-            put_reg(dest),
-            put_reg(src),
-            {
-                assert!(count < 64, "shift count {count} out of range");
-                count as u64
-            },
-            0,
-            0,
-        ),
-        Op::ShrI { dest, src, count } => pack(
-            opc::SHR_I,
-            qp,
-            put_reg(dest),
-            put_reg(src),
-            {
-                assert!(count < 64, "shift count {count} out of range");
-                count as u64
-            },
-            0,
-            0,
-        ),
-        Op::SarI { dest, src, count } => pack(
-            opc::SAR_I,
-            qp,
-            put_reg(dest),
-            put_reg(src),
-            {
-                assert!(count < 64, "shift count {count} out of range");
-                count as u64
-            },
-            0,
-            0,
-        ),
-        Op::And { dest, r2, r3 } => {
-            pack(opc::AND, qp, put_reg(dest), put_reg(r2), put_reg(r3), 0, 0)
-        }
-        Op::Or { dest, r2, r3 } => pack(opc::OR, qp, put_reg(dest), put_reg(r2), put_reg(r3), 0, 0),
-        Op::Xor { dest, r2, r3 } => {
-            pack(opc::XOR, qp, put_reg(dest), put_reg(r2), put_reg(r3), 0, 0)
-        }
-        Op::AndI { dest, src, imm } => pack(
-            opc::AND_I,
-            qp,
-            put_reg(dest),
-            put_reg(src),
-            0,
-            0,
-            put_imm22(imm as i64),
-        ),
-        Op::MovI { dest, imm } => {
-            assert!(
-                (MOVL_IMM_MIN..=MOVL_IMM_MAX).contains(&imm),
-                "movl immediate {imm} does not fit in 43 bits"
-            );
-            ((opc::MOV_I as u64) << 56)
-                | (put_pr(qp) << 50)
-                | (put_reg(dest) << 43)
-                | ((imm as u64) & 0x7ff_ffff_ffff)
-        }
-        Op::Cmp {
-            p1,
-            p2,
-            rel,
-            r2,
-            r3,
-        } => pack(
-            opc::CMP,
-            qp,
-            put_pr(p1),
-            put_pr(p2),
-            put_reg(r2),
-            put_reg(r3),
-            rel_code(rel),
-        ),
-        Op::CmpI {
-            p1,
-            p2,
-            rel,
-            imm,
-            r3,
-        } => pack(
-            opc::CMP_I,
-            qp,
-            put_pr(p1),
-            put_pr(p2),
-            put_reg(r3),
-            rel_code(rel),
-            put_imm22(imm as i64),
-        ),
-        Op::BrCond { target } => pack_branch(opc::BR_COND, qp, target),
-        Op::BrCtop { target } => pack_branch(opc::BR_CTOP, qp, target),
-        Op::BrCloop { target } => pack_branch(opc::BR_CLOOP, qp, target),
-        Op::BrWtop { target } => pack_branch(opc::BR_WTOP, qp, target),
-        Op::BrCall { target } => pack_branch(opc::BR_CALL, qp, target),
-        Op::BrRet => pack_branch(opc::BR_RET, qp, 0),
-        Op::MovToLc { src } => pack(opc::MOV_TO_LC, qp, put_reg(src), 0, 0, 0, 0),
-        Op::MovToEc { src } => pack(opc::MOV_TO_EC, qp, put_reg(src), 0, 0, 0, 0),
-        Op::MovFromLc { dest } => pack(opc::MOV_FROM_LC, qp, put_reg(dest), 0, 0, 0, 0),
-        Op::MovFromEc { dest } => pack(opc::MOV_FROM_EC, qp, put_reg(dest), 0, 0, 0, 0),
-        Op::MovToB0 { src } => pack(opc::MOV_TO_B0, qp, put_reg(src), 0, 0, 0, 0),
-        Op::MovFromB0 { dest } => pack(opc::MOV_FROM_B0, qp, put_reg(dest), 0, 0, 0, 0),
-        Op::Clrrrb => pack(opc::CLRRRB, qp, 0, 0, 0, 0, 0),
-        Op::Nop { unit } => pack(opc::NOP, qp, unit_code(unit), 0, 0, 0, 0),
-        Op::Hlt => pack(opc::HLT, qp, 0, 0, 0, 0, 0),
-    }
-}
-
-/// Decode a 64-bit word back into an instruction.
-pub fn decode(word: u64) -> Result<Insn, DecodeError> {
-    let opcode = field(word, 63, 56) as u8;
-    let qp = field(word, 55, 50) as u8;
-    let a = field(word, 49, 43) as u8;
-    let b = field(word, 42, 36) as u8;
-    let c = field(word, 35, 29) as u8;
-    let d = field(word, 28, 22) as u8;
-    let imm = get_imm22(word);
-    let target = field(word, 31, 0) as u32;
-
-    let check_shift = |c: u8| -> Result<u8, DecodeError> {
-        if c < 64 {
-            Ok(c)
+    fn from_bits(bits: u64, s: Slot) -> Result<u8, DecodeError> {
+        if bits < s.bound {
+            Ok(bits as u8)
+        } else if s.what == PREDICATE {
+            Err(DecodeError::BadPredicate(bits as u8))
         } else {
-            Err(DecodeError::BadSubfield("shift count", c as u64))
+            Err(DecodeError::BadSubfield(s.what, bits))
         }
-    };
-    let check_pr = |p: u8| -> Result<u8, DecodeError> {
-        if p < 64 {
-            Ok(p)
-        } else {
-            Err(DecodeError::BadPredicate(p))
-        }
-    };
+    }
+}
 
-    let op = match opcode {
-        opc::LD8 => Op::Ld8 {
-            dest: a,
-            base: b,
-            post_inc: imm,
-            bias: c & 1 != 0,
-        },
-        opc::ST8 => Op::St8 {
-            src: a,
-            base: b,
-            post_inc: imm,
-        },
-        opc::LDFD => Op::Ldfd {
-            dest: a,
-            base: b,
-            post_inc: imm,
-        },
-        opc::STFD => Op::Stfd {
-            src: a,
-            base: b,
-            post_inc: imm,
-        },
-        opc::LFETCH => Op::Lfetch {
-            base: a,
-            post_inc: imm,
-            hint: hint_decode(b as u64 & 0b11),
-            excl: b & 0b100 != 0,
-        },
-        opc::FETCHADD8 => Op::FetchAdd8 {
-            dest: a,
-            base: b,
-            inc: imm,
-        },
-        opc::CMPXCHG8 => Op::Cmpxchg8 {
-            dest: a,
-            base: b,
-            new: c,
-            cmp: d,
-        },
-        opc::FMA_D => Op::FmaD {
-            dest: a,
-            f1: b,
-            f2: c,
-            f3: d,
-        },
-        opc::FMS_D => Op::FmsD {
-            dest: a,
-            f1: b,
-            f2: c,
-            f3: d,
-        },
-        opc::FADD_D => Op::FaddD {
-            dest: a,
-            f1: b,
-            f2: c,
-        },
-        opc::FSUB_D => Op::FsubD {
-            dest: a,
-            f1: b,
-            f2: c,
-        },
-        opc::FMUL_D => Op::FmulD {
-            dest: a,
-            f1: b,
-            f2: c,
-        },
-        opc::FDIV_D => Op::FdivD {
-            dest: a,
-            f1: b,
-            f2: c,
-        },
-        opc::FSQRT_D => Op::FsqrtD { dest: a, f1: b },
-        opc::FABS_D => Op::FabsD { dest: a, f1: b },
-        opc::FNEG_D => Op::FnegD { dest: a, f1: b },
-        opc::FCMP_D => Op::FcmpD {
-            p1: check_pr(a)?,
-            p2: check_pr(b)?,
-            rel: rel_decode(imm as u64 & 0x7)?,
-            f1: c,
-            f2: d,
-        },
-        opc::SETF_D => Op::SetfD { dest: a, src: b },
-        opc::GETF_D => Op::GetfD { dest: a, src: b },
-        opc::SETF_SIG => Op::SetfSig { dest: a, src: b },
-        opc::GETF_SIG => Op::GetfSig { dest: a, src: b },
-        opc::FCVT_XF => Op::FcvtXf { dest: a, src: b },
-        opc::FCVT_FX_TRUNC => Op::FcvtFxTrunc { dest: a, src: b },
-        opc::ADD => Op::Add {
-            dest: a,
-            r2: b,
-            r3: c,
-        },
-        opc::SUB => Op::Sub {
-            dest: a,
-            r2: b,
-            r3: c,
-        },
-        opc::ADD_I => Op::AddI {
-            dest: a,
-            src: b,
-            imm,
-        },
-        opc::MUL => Op::Mul {
-            dest: a,
-            r2: b,
-            r3: c,
-        },
-        opc::SHL_I => Op::ShlI {
-            dest: a,
-            src: b,
-            count: check_shift(c)?,
-        },
-        opc::SHR_I => Op::ShrI {
-            dest: a,
-            src: b,
-            count: check_shift(c)?,
-        },
-        opc::SAR_I => Op::SarI {
-            dest: a,
-            src: b,
-            count: check_shift(c)?,
-        },
-        opc::AND => Op::And {
-            dest: a,
-            r2: b,
-            r3: c,
-        },
-        opc::OR => Op::Or {
-            dest: a,
-            r2: b,
-            r3: c,
-        },
-        opc::XOR => Op::Xor {
-            dest: a,
-            r2: b,
-            r3: c,
-        },
-        opc::AND_I => Op::AndI {
-            dest: a,
-            src: b,
-            imm,
-        },
-        opc::MOV_I => {
-            let raw = field(word, 42, 0) as i64;
-            let imm = (raw << 21) >> 21; // sign-extend from bit 42
-            Op::MovI { dest: a, imm }
+impl Field for i64 {
+    fn to_bits(self, s: Slot) -> u64 {
+        let half = 1i64 << (s.width - 1);
+        assert!(
+            (-half..half).contains(&self),
+            "{} {self} does not fit in {} bits",
+            s.what,
+            s.width
+        );
+        self as u64
+    }
+
+    fn from_bits(bits: u64, s: Slot) -> Result<i64, DecodeError> {
+        let pad = 64 - s.width;
+        Ok(((bits << pad) as i64) >> pad)
+    }
+}
+
+impl Field for i32 {
+    fn to_bits(self, s: Slot) -> u64 {
+        i64::from(self).to_bits(s)
+    }
+
+    fn from_bits(bits: u64, s: Slot) -> Result<i32, DecodeError> {
+        // The slot is at most 22 bits wide, so the value fits.
+        i64::from_bits(bits, s).map(|v| v as i32)
+    }
+}
+
+impl Field for u32 {
+    fn to_bits(self, _: Slot) -> u64 {
+        self.into()
+    }
+
+    fn from_bits(bits: u64, _: Slot) -> Result<u32, DecodeError> {
+        Ok(bits as u32)
+    }
+}
+
+impl Field for bool {
+    fn to_bits(self, _: Slot) -> u64 {
+        self.into()
+    }
+
+    fn from_bits(bits: u64, _: Slot) -> Result<bool, DecodeError> {
+        Ok(bits != 0)
+    }
+}
+
+/// An enumerated field's code is its variant's place in the list.
+macro_rules! enum_fields {
+    ($($t:ident [$($v:ident),*])*) => {$(
+        impl Field for $t {
+            fn to_bits(self, _: Slot) -> u64 {
+                let code = [$($t::$v),*].iter().position(|&v| v == self);
+                code.expect("every variant is listed") as u64
+            }
+
+            fn from_bits(bits: u64, s: Slot) -> Result<$t, DecodeError> {
+                [$($t::$v),*]
+                    .get(bits as usize)
+                    .copied()
+                    .ok_or(DecodeError::BadSubfield(s.what, bits))
+            }
         }
-        opc::CMP => Op::Cmp {
-            p1: check_pr(a)?,
-            p2: check_pr(b)?,
-            rel: rel_decode(imm as u64 & 0x7)?,
-            r2: c,
-            r3: d,
-        },
-        opc::CMP_I => Op::CmpI {
-            p1: check_pr(a)?,
-            p2: check_pr(b)?,
-            rel: rel_decode(d as u64 & 0x7)?,
-            imm,
-            r3: c,
-        },
-        opc::BR_COND => Op::BrCond { target },
-        opc::BR_CTOP => Op::BrCtop { target },
-        opc::BR_CLOOP => Op::BrCloop { target },
-        opc::BR_WTOP => Op::BrWtop { target },
-        opc::BR_CALL => Op::BrCall { target },
-        opc::BR_RET => Op::BrRet,
-        opc::MOV_TO_LC => Op::MovToLc { src: a },
-        opc::MOV_TO_EC => Op::MovToEc { src: a },
-        opc::MOV_FROM_LC => Op::MovFromLc { dest: a },
-        opc::MOV_FROM_EC => Op::MovFromEc { dest: a },
-        opc::MOV_TO_B0 => Op::MovToB0 { src: a },
-        opc::MOV_FROM_B0 => Op::MovFromB0 { dest: a },
-        opc::CLRRRB => Op::Clrrrb,
-        opc::NOP => Op::Nop {
-            unit: unit_decode(a as u64)?,
-        },
-        opc::HLT => Op::Hlt,
-        other => return Err(DecodeError::BadOpcode(other)),
+    )*};
+}
+
+enum_fields! {
+    CmpRel [Eq, Ne, Lt, Le, Gt, Ge, Ltu, Geu]
+    LfetchHint [None, Nt1, Nt2, Nta]
+    Unit [M, I, F, B]
+}
+
+/// `value` placed in its slot of a word.
+fn put<T: Field>(value: T, s: Slot) -> u64 {
+    (value.to_bits(s) & ((1u64 << s.width) - 1)) << s.lo
+}
+
+/// The value in `word`'s slot `s`.
+fn get<T: Field>(word: u64, s: Slot) -> Result<T, DecodeError> {
+    T::from_bits((word >> s.lo) & ((1u64 << s.width) - 1), s)
+}
+
+/// The instruction table: per [`Op`] variant its opcode byte (`[63:56]`),
+/// its unit (`nop`'s is its field) and the slot of each field. [`encode`],
+/// [`decode`] and [`Op::unit`] are generated from it.
+macro_rules! instructions {
+    ($($v:ident = $opc:literal, $unit:ident { $($f:ident: $s:ident),* };)*) => {
+        /// Encode an instruction into its 64-bit word.
+        ///
+        /// # Panics
+        ///
+        /// Panics when a register number or immediate is out of range for
+        /// its field — such values can only come from a code-generator bug,
+        /// never from data.
+        pub fn encode(insn: &Insn) -> u64 {
+            let op = match insn.op {
+                $(Op::$v { $($f),* } => ($opc << 56) $(| put($f, $s))*,)*
+            };
+            op | put(insn.qp, QP)
+        }
+
+        /// Decode a 64-bit word back into an instruction: `Ok` exactly for
+        /// the words [`encode`] writes.
+        pub fn decode(word: u64) -> Result<Insn, DecodeError> {
+            let op = match (word >> 56) as u8 {
+                $($opc => Op::$v { $($f: get(word, $s)?),* },)*
+                other => return Err(DecodeError::BadOpcode(other)),
+            };
+            let insn = Insn { qp: get(word, QP)?, op };
+            if encode(&insn) != word {
+                return Err(DecodeError::BadSubfield("unused bits", word));
+            }
+            Ok(insn)
+        }
+
+        impl Op {
+            /// Execution unit for bundle packing and `nop.{m,i,f,b}`
+            /// selection.
+            #[allow(unused_variables)]
+            pub fn unit(&self) -> Unit {
+                use Unit::*;
+                match *self {
+                    $(Op::$v { $($f),* } => $unit,)*
+                }
+            }
+        }
     };
-    check_pr(qp)?;
-    Ok(Insn { qp, op })
+}
+
+// Opcode bytes are stable: gaps group the families.
+instructions! {
+    Ld8 = 1, M { dest: RA, base: RB, post_inc: IMM22, bias: BIAS };
+    St8 = 2, M { src: RA, base: RB, post_inc: IMM22 };
+    Ldfd = 3, M { dest: RA, base: RB, post_inc: IMM22 };
+    Stfd = 4, M { src: RA, base: RB, post_inc: IMM22 };
+    Lfetch = 5, M { base: RA, post_inc: IMM22, hint: HINT, excl: EXCL };
+    FetchAdd8 = 6, M { dest: RA, base: RB, inc: IMM22 };
+    Cmpxchg8 = 7, M { dest: RA, base: RB, new: RC, cmp: RD };
+
+    FmaD = 10, F { dest: RA, f1: RB, f2: RC, f3: RD };
+    FmsD = 11, F { dest: RA, f1: RB, f2: RC, f3: RD };
+    FaddD = 12, F { dest: RA, f1: RB, f2: RC };
+    FsubD = 13, F { dest: RA, f1: RB, f2: RC };
+    FmulD = 14, F { dest: RA, f1: RB, f2: RC };
+    FdivD = 15, F { dest: RA, f1: RB, f2: RC };
+    FsqrtD = 16, F { dest: RA, f1: RB };
+    FabsD = 17, F { dest: RA, f1: RB };
+    FnegD = 18, F { dest: RA, f1: RB };
+    FcmpD = 19, F { p1: PA, p2: PB, rel: REL, f1: RC, f2: RD };
+    SetfD = 20, M { dest: RA, src: RB };
+    GetfD = 21, M { dest: RA, src: RB };
+    SetfSig = 22, M { dest: RA, src: RB };
+    GetfSig = 23, M { dest: RA, src: RB };
+    FcvtXf = 24, F { dest: RA, src: RB };
+    FcvtFxTrunc = 25, F { dest: RA, src: RB };
+
+    Add = 30, I { dest: RA, r2: RB, r3: RC };
+    Sub = 31, I { dest: RA, r2: RB, r3: RC };
+    AddI = 32, I { dest: RA, src: RB, imm: IMM22 };
+    Mul = 33, I { dest: RA, r2: RB, r3: RC };
+    ShlI = 34, I { dest: RA, src: RB, count: COUNT };
+    ShrI = 35, I { dest: RA, src: RB, count: COUNT };
+    SarI = 36, I { dest: RA, src: RB, count: COUNT };
+    And = 37, I { dest: RA, r2: RB, r3: RC };
+    Or = 38, I { dest: RA, r2: RB, r3: RC };
+    Xor = 39, I { dest: RA, r2: RB, r3: RC };
+    AndI = 40, I { dest: RA, src: RB, imm: IMM22 };
+    MovI = 41, I { dest: RA, imm: IMM43 };
+    Cmp = 42, I { p1: PA, p2: PB, rel: REL, r2: RC, r3: RD };
+    CmpI = 43, I { p1: PA, p2: PB, rel: REL_D, imm: IMM22, r3: RC };
+
+    BrCond = 50, B { target: TARGET };
+    BrCtop = 51, B { target: TARGET };
+    BrCloop = 52, B { target: TARGET };
+    BrWtop = 53, B { target: TARGET };
+    BrCall = 54, B { target: TARGET };
+    BrRet = 55, B {};
+
+    MovToLc = 60, I { src: RA };
+    MovToEc = 61, I { src: RA };
+    MovFromLc = 62, I { dest: RA };
+    MovFromEc = 63, I { dest: RA };
+    MovToB0 = 64, I { src: RA };
+    MovFromB0 = 65, I { dest: RA };
+    Clrrrb = 66, I {};
+
+    Nop = 70, unit { unit: UNIT };
+    Hlt = 71, B {};
 }
 
 #[cfg(test)]
@@ -1006,8 +575,35 @@ mod tests {
     fn bad_predicate_rejected() {
         // qp field = 64 is invalid... qp is a 6-bit field, so it cannot
         // exceed 63 structurally; instead check p-field validation in cmp.
-        let word = pack(opc::CMP, 0, 64 & 0x7f, 0, 0, 0, 0);
+        let word = (42 << 56) | (64 << 43);
         assert!(matches!(decode(word), Err(DecodeError::BadPredicate(64))));
+    }
+
+    #[test]
+    fn shift_count_past_63_is_rejected() {
+        // `(p21) shl r19 = r122, 64`: the count field holds 64.
+        assert_eq!(
+            decode(0x2254_9fa8_0000_0000),
+            Err(DecodeError::BadSubfield("shift count", 64))
+        );
+    }
+
+    #[test]
+    fn decode_accepts_only_the_words_encode_writes() {
+        let lfetch = encode(&Insn::new(Op::Lfetch {
+            base: 43,
+            post_inc: 8,
+            hint: LfetchHint::Nt1,
+            excl: false,
+        }));
+        let nop_m = encode(&NOP_SLOT_M);
+        // b[3], above the hint and `.excl`; imm[0], outside `nop`'s field.
+        for word in [lfetch | 1 << 39, nop_m | 1] {
+            assert_eq!(
+                decode(word),
+                Err(DecodeError::BadSubfield("unused bits", word))
+            );
+        }
     }
 
     #[test]
@@ -1034,11 +630,11 @@ mod tests {
     fn movl_extremes_roundtrip() {
         roundtrip(Insn::new(Op::MovI {
             dest: 9,
-            imm: MOVL_IMM_MAX,
+            imm: (1 << 42) - 1,
         }));
         roundtrip(Insn::new(Op::MovI {
             dest: 9,
-            imm: MOVL_IMM_MIN,
+            imm: -(1 << 42),
         }));
         roundtrip(Insn::new(Op::MovI { dest: 9, imm: 0 }));
         roundtrip(Insn::new(Op::MovI { dest: 9, imm: -1 }));

@@ -25,9 +25,6 @@ pub enum Unit {
     B,
 }
 
-/// Alias kept for API symmetry with the FP-heavy kernels.
-pub type FUnit = Unit;
-
 /// Locality hint on an `lfetch` data-prefetch instruction.
 ///
 /// On Itanium 2, `lfetch.nt1` (the hint icc emits for array prefetching, see
@@ -386,65 +383,6 @@ impl Insn {
 }
 
 impl Op {
-    /// Execution unit for bundle packing and `nop.{m,i,f,b}` selection.
-    pub fn unit(&self) -> Unit {
-        use Op::*;
-        match self {
-            Ld8 { .. }
-            | St8 { .. }
-            | Ldfd { .. }
-            | Stfd { .. }
-            | Lfetch { .. }
-            | FetchAdd8 { .. }
-            | Cmpxchg8 { .. }
-            | SetfD { .. }
-            | GetfD { .. }
-            | SetfSig { .. }
-            | GetfSig { .. } => Unit::M,
-            FmaD { .. }
-            | FmsD { .. }
-            | FaddD { .. }
-            | FsubD { .. }
-            | FmulD { .. }
-            | FdivD { .. }
-            | FsqrtD { .. }
-            | FabsD { .. }
-            | FnegD { .. }
-            | FcmpD { .. }
-            | FcvtXf { .. }
-            | FcvtFxTrunc { .. } => Unit::F,
-            Add { .. }
-            | Sub { .. }
-            | AddI { .. }
-            | Mul { .. }
-            | ShlI { .. }
-            | ShrI { .. }
-            | SarI { .. }
-            | And { .. }
-            | Or { .. }
-            | Xor { .. }
-            | AndI { .. }
-            | MovI { .. }
-            | Cmp { .. }
-            | CmpI { .. }
-            | MovToLc { .. }
-            | MovToEc { .. }
-            | MovFromLc { .. }
-            | MovFromEc { .. }
-            | MovToB0 { .. }
-            | MovFromB0 { .. }
-            | Clrrrb => Unit::I,
-            BrCond { .. }
-            | BrCtop { .. }
-            | BrCloop { .. }
-            | BrWtop { .. }
-            | BrCall { .. }
-            | BrRet
-            | Hlt => Unit::B,
-            Nop { unit } => *unit,
-        }
-    }
-
     /// What this operation writes and reads: the one operand table. The
     /// block builder derives a micro-op's scoreboard sources from it and the
     /// verifier its liveness facts; `cobra-machine`'s `Core::sources_ready`
