@@ -161,7 +161,7 @@ mod tests {
             Optimizer::new(OptimizerConfig::default(), image),
             LatencyBands { coherent_min: 165 },
         );
-        let mut telemetry = Telemetry::new(None, 0);
+        let mut telemetry = Telemetry::new(None);
         let delta = |cpu, samples| ProfileDelta {
             cpu,
             samples,

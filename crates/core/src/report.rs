@@ -54,11 +54,6 @@ pub struct CobraReport {
     pub reverted: Vec<RevertedPlan>,
     /// Cycles charged to the machine for helper-thread overhead.
     pub overhead_cycles: u64,
-    /// Telemetry records the sink accepted (0 when telemetry is off).
-    pub telemetry_records: u64,
-    /// Telemetry records the sink did not take: over a tick's capacity, or
-    /// refused by a failing writer.
-    pub telemetry_dropped: u64,
     /// Guest memory faults taken by working threads over the run.
     pub guest_faults: u64,
     /// Whether the optimizer warm-started from a persisted snapshot.
@@ -116,12 +111,10 @@ pub struct CobraReport {
 
 impl CobraReport {
     /// Fold one pipeline event into the report. This is the only writer of
-    /// every field (beside [`crate::Telemetry`]'s own count of what became
-    /// of each record, `telemetry_records` / `telemetry_dropped`): the run's
-    /// report (`Telemetry::emit`) and a replay of its trace (`cobra-repro
-    /// trace`) both go through it, so they agree by construction. A
-    /// moment's quantities ride the event that marks the moment; run totals
-    /// no single moment owns ride `Detach`.
+    /// every field: the run's report (`Telemetry::emit`) and a replay of its
+    /// trace (`cobra-repro trace`) both go through it, so they agree by
+    /// construction. A moment's quantities ride the event that marks the
+    /// moment; run totals no single moment owns ride `Detach`.
     pub fn observe(&mut self, event: &TelemetryEvent) {
         use TelemetryEvent as E;
         match event {
@@ -179,9 +172,6 @@ impl CobraReport {
             E::StoreError { .. } => self.store_errors += 1,
             E::StoreSave { records, .. } => self.store_saved_records = *records as u64,
             E::Detach { totals: t, .. } => {
-                // A no-op on the live run (the value was read from this
-                // report); on replay, what the run had dropped by then.
-                self.telemetry_dropped = t.records_dropped;
                 self.ticks = t.ticks;
                 self.forks = t.forks;
                 self.monitors_spawned = t.monitors_spawned;

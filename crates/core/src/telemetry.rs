@@ -10,23 +10,17 @@
 //! Every event takes one path, on the simulator's thread: [`Telemetry::emit`]
 //! gives it its sequence number, folds it into the run's [`CobraReport`]
 //! ([`CobraReport::observe`] — the report is written nowhere else), and,
-//! when a sink is attached, hands it to the run's [`TelemetrySink`] unless
-//! the tick's record budget is spent; a record over the budget, or one the
-//! sink could not take, is counted as dropped and the run goes on:
-//!
-//! * [`TelemetrySink::memory`] — an in-process [`TelemetryLog`], for tests
-//!   and programmatic consumers;
-//! * [`TelemetrySink::Jsonl`] — a serde-backed JSON-Lines writer, one
-//!   record per line, the format of `cobra-repro ... --trace-out FILE`
-//!   ([`write_jsonl`]) read back by `cobra-repro trace FILE`
-//!   ([`read_jsonl`]).
+//! when a sink is attached, appends it to the run's [`TelemetrySink`], an
+//! in-process [`TelemetryLog`]. Nothing is dropped: the log holds every
+//! record, so the report is exactly the fold of the trace. [`write_jsonl`]
+//! writes a log as JSON lines, the format of `cobra-repro ...
+//! --trace-out FILE`, read back by `cobra-repro trace FILE`
+//! ([`read_jsonl`]).
 //!
 //! Records carry the sequence number assigned at emission, so a run's
-//! records are totally ordered and a gap in `seq` marks a dropped record.
-//! The framework charges overhead cycles per record the sink accepted
-//! ([`Telemetry::drain`]), which is a fixed function of the run.
+//! records are totally ordered. The framework charges overhead cycles per
+//! record ([`Telemetry::drain`]), which is a fixed function of the run.
 
-use std::fmt;
 use std::io::{self, BufRead, Write};
 use std::sync::{Arc, Mutex};
 
@@ -36,10 +30,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::optimizer::{OptKind, Strategy};
 use crate::report::{AppliedPlan, CobraReport, RevertedPlan};
-
-/// Records a sink accepts between two drains (one quantum tick); the rest
-/// are dropped and counted.
-pub const TICK_CAPACITY: u64 = 4096;
 
 /// One CPU's HPM counter totals at a quantum boundary.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -304,11 +294,10 @@ pub enum TelemetryEvent {
 }
 
 /// What a run adds up to at detach; each field is the [`CobraReport`] field
-/// of the same name (`records_dropped` is its `telemetry_dropped`).
+/// of the same name.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RunTotals {
     pub ticks: u64,
-    pub records_dropped: u64,
     pub forks: u64,
     pub monitors_spawned: usize,
     pub samples_forwarded: u64,
@@ -360,55 +349,16 @@ pub struct TelemetryRecord {
     pub event: TelemetryEvent,
 }
 
-/// Where one run's accepted records go.
-pub enum TelemetrySink {
-    /// Append to an in-process [`TelemetryLog`].
-    Memory(Arc<Mutex<TelemetryLog>>),
-    /// Write each record as one JSON line.
-    Jsonl(Box<dyn Write + Send>),
-}
-
-impl fmt::Debug for TelemetrySink {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            TelemetrySink::Memory(_) => "TelemetrySink::Memory",
-            TelemetrySink::Jsonl(_) => "TelemetrySink::Jsonl",
-        })
-    }
-}
+/// Where one run's records go: an in-process [`TelemetryLog`], shared with
+/// whoever reads it after (or during) the run.
+#[derive(Debug)]
+pub struct TelemetrySink(Arc<Mutex<TelemetryLog>>);
 
 impl TelemetrySink {
     /// An in-memory sink; query the returned log after the run.
     pub fn memory() -> (TelemetrySink, Arc<Mutex<TelemetryLog>>) {
         let log = Arc::new(Mutex::new(TelemetryLog::default()));
-        (TelemetrySink::Memory(log.clone()), log)
-    }
-
-    /// Hand one record to the sink; `false` when a JSONL writer refused it
-    /// (disk full, closed pipe — a buffered writer reports that on the
-    /// record whose write spills its buffer).
-    fn write(&mut self, record: TelemetryRecord) -> bool {
-        match self {
-            TelemetrySink::Memory(log) => {
-                // A panicked holder leaves the log intact (records is just
-                // a Vec); keep recording rather than poisoning telemetry.
-                log.lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .records
-                    .push(record);
-                true
-            }
-            TelemetrySink::Jsonl(w) => write_jsonl(std::slice::from_ref(&record), w).is_ok(),
-        }
-    }
-
-    /// Flush buffered output (JSONL sinks; no-op for memory); `false` when
-    /// the writer could not take what it had buffered.
-    fn flush(&mut self) -> bool {
-        match self {
-            TelemetrySink::Memory(_) => true,
-            TelemetrySink::Jsonl(w) => w.flush().is_ok(),
-        }
+        (TelemetrySink(log.clone()), log)
     }
 }
 
@@ -420,20 +370,18 @@ impl TelemetrySink {
 pub struct Telemetry {
     report: CobraReport,
     sink: Option<TelemetrySink>,
-    capacity: u64,
     seq: u64,
-    /// Records the sink accepted since the last [`Telemetry::drain`].
+    /// Records written since the last [`Telemetry::drain`].
     pending: u64,
 }
 
 impl Telemetry {
     /// `sink: None` records nothing but still folds every event into the
-    /// report; `capacity` bounds the records accepted between two drains.
-    pub fn new(sink: Option<TelemetrySink>, capacity: u64) -> Telemetry {
+    /// report.
+    pub fn new(sink: Option<TelemetrySink>) -> Telemetry {
         Telemetry {
             report: CobraReport::default(),
             sink,
-            capacity,
             seq: 0,
             pending: 0,
         }
@@ -445,28 +393,22 @@ impl Telemetry {
         self.sink.is_some()
     }
 
-    /// Stamp, count and record one event. Returns `true` when a sink took
-    /// the record; a record over the tick's capacity or refused by the sink
-    /// is counted in `telemetry_dropped` instead of `telemetry_records`.
-    pub fn emit(&mut self, event: TelemetryEvent) -> bool {
+    /// Stamp, fold and record one event.
+    pub fn emit(&mut self, event: TelemetryEvent) {
         let seq = self.seq;
         self.seq += 1;
         self.report.observe(&event);
-        let Some(sink) = &mut self.sink else {
-            return false;
-        };
-        let accepted = self.pending < self.capacity && sink.write(TelemetryRecord { seq, event });
-        if accepted {
+        if let Some(TelemetrySink(log)) = &self.sink {
+            // A panicked holder leaves the log intact (records is just a
+            // Vec); keep recording rather than poisoning telemetry.
+            let mut log = log.lock().unwrap_or_else(|p| p.into_inner());
+            log.records.push(TelemetryRecord { seq, event });
             self.pending += 1;
-            self.report.telemetry_records += 1;
-        } else {
-            self.report.telemetry_dropped += 1;
         }
-        accepted
     }
 
-    /// Close one tick's capacity window; returns the records accepted since
-    /// the last drain (the unit the framework charges overhead cycles for).
+    /// The records written since the last drain (the unit the framework
+    /// charges overhead cycles for, once per tick).
     pub fn drain(&mut self) -> u64 {
         std::mem::take(&mut self.pending)
     }
@@ -475,13 +417,8 @@ impl Telemetry {
         &self.report
     }
 
-    /// Flush the sink at detach and hand over the finished report.
-    pub fn finish(mut self) -> CobraReport {
-        if self.sink.as_mut().is_some_and(|sink| !sink.flush()) {
-            // Records accepted into the writer's buffer went down with it;
-            // how many is not known, that some did must not stay silent.
-            self.report.telemetry_dropped += 1;
-        }
+    /// Hand over the finished report.
+    pub fn finish(self) -> CobraReport {
         self.report
     }
 }
@@ -544,43 +481,6 @@ pub fn read_jsonl(reader: impl std::io::Read) -> Result<Vec<TelemetryRecord>, St
 mod tests {
     use super::*;
 
-    fn quantum(tick: u64) -> TelemetryEvent {
-        TelemetryEvent::Quantum {
-            tick,
-            cycle: tick * 1000,
-            samples_forwarded: 4,
-            cpus: vec![],
-        }
-    }
-
-    #[test]
-    fn ring_overflow_drops_and_counts() {
-        let (sink, log) = TelemetrySink::memory();
-        let mut t = Telemetry::new(Some(sink), 4);
-        let mut accepted = 0;
-        for tick in 0..10 {
-            if t.emit(quantum(tick)) {
-                accepted += 1;
-            }
-        }
-        assert_eq!(accepted, 4, "ring capacity bounds acceptance");
-        assert_eq!(t.report().telemetry_dropped, 6);
-        assert_eq!(t.drain(), 4);
-        assert_eq!(t.report().telemetry_dropped, 6);
-        let log = log.lock().unwrap();
-        assert_eq!(log.len(), 4);
-        // The four accepted records kept their emission order.
-        let ticks: Vec<u64> = log
-            .records()
-            .iter()
-            .map(|r| match r.event {
-                TelemetryEvent::Quantum { tick, .. } => tick,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(ticks, vec![0, 1, 2, 3]);
-    }
-
     fn verify_reject(tick: u64) -> TelemetryEvent {
         TelemetryEvent::VerifyReject {
             tick,
@@ -590,22 +490,18 @@ mod tests {
         }
     }
 
-    /// The report is folded before, and independently of, the capacity
-    /// check: every event counts, whatever became of its record.
+    /// Every event is folded into the report; with a sink every event is
+    /// also recorded, in emission order, and without one nothing is.
     #[test]
-    fn events_over_capacity_still_reach_the_report() {
+    fn every_event_is_folded_and_recorded() {
         let (sink, log) = TelemetrySink::memory();
-        let mut t = Telemetry::new(Some(sink), 4);
+        let mut t = Telemetry::new(Some(sink));
         for tick in 0..10 {
             t.emit(verify_reject(tick));
         }
         assert_eq!(t.report().verify_rejects, 10);
-        assert_eq!(t.report().telemetry_records, 4);
-        assert_eq!(t.report().telemetry_dropped, 6);
-        assert_eq!(t.drain(), 4);
-        // A drain opens the next tick's window; `seq` counts emissions,
-        // so the gap left by the six drops stays visible in the trace.
-        assert!(t.emit(verify_reject(10)));
+        assert_eq!(t.drain(), 10);
+        t.emit(verify_reject(10));
         assert_eq!(t.drain(), 1);
         let seqs: Vec<u64> = log
             .lock()
@@ -614,80 +510,13 @@ mod tests {
             .iter()
             .map(|r| r.seq)
             .collect();
-        assert_eq!(seqs, vec![0, 1, 2, 3, 10]);
+        assert_eq!(seqs, (0..11).collect::<Vec<u64>>());
 
-        // Without a sink nothing is recorded or dropped, and all is counted.
-        let mut t = Telemetry::new(None, 4);
+        let mut t = Telemetry::new(None);
         for tick in 0..10 {
-            assert!(!t.emit(verify_reject(tick)));
+            t.emit(verify_reject(tick));
         }
-        let report = t.finish();
-        assert_eq!(report.verify_rejects, 10);
-        assert_eq!((report.telemetry_records, report.telemetry_dropped), (0, 0));
-    }
-
-    /// A writer that takes `room` bytes and then fails, as a full disk does.
-    struct FailingWriter {
-        room: usize,
-        taken: Arc<Mutex<Vec<u8>>>,
-        flush_fails: bool,
-    }
-
-    impl Write for FailingWriter {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            if buf.len() > self.room {
-                return Err(std::io::Error::other("no space left on device"));
-            }
-            self.room -= buf.len();
-            self.taken.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-
-        fn flush(&mut self) -> std::io::Result<()> {
-            if self.flush_fails {
-                return Err(std::io::Error::other("no space left on device"));
-            }
-            Ok(())
-        }
-    }
-
-    /// A record the JSONL writer refused is a dropped record, not a
-    /// recorded one, and the run goes on.
-    #[test]
-    fn a_failing_writer_counts_drops_not_records() {
-        let line_len = serde_json::to_string(&TelemetryRecord {
-            seq: 0,
-            event: verify_reject(0),
-        })
-        .unwrap()
-        .len()
-            + 1;
-        let taken = Arc::new(Mutex::new(Vec::new()));
-        let sink = TelemetrySink::Jsonl(Box::new(FailingWriter {
-            room: 3 * line_len,
-            taken: taken.clone(),
-            flush_fails: false,
-        }));
-        let mut t = Telemetry::new(Some(sink), 64);
-        // The same event five times: every line is `line_len` bytes.
-        let accepted: Vec<bool> = (0..5).map(|_| t.emit(verify_reject(0))).collect();
-        assert_eq!(accepted, [true, true, true, false, false]);
-        assert_eq!(t.drain(), 3, "only records the sink took are charged");
-        let report = t.finish();
-        assert_eq!(report.telemetry_records, 3);
-        assert_eq!(report.telemetry_dropped, 2);
-        assert_eq!(report.verify_rejects, 5);
-        let written = read_jsonl(taken.lock().unwrap().as_slice()).expect("whole lines only");
-        assert_eq!(written.len(), 3);
-
-        // A failed final flush lost buffered records: not silently.
-        let sink = TelemetrySink::Jsonl(Box::new(FailingWriter {
-            room: line_len,
-            taken,
-            flush_fails: true,
-        }));
-        let mut t = Telemetry::new(Some(sink), 64);
-        assert!(t.emit(verify_reject(0)));
-        assert_eq!(t.finish().telemetry_dropped, 1);
+        assert_eq!(t.drain(), 0);
+        assert_eq!(t.finish().verify_rejects, 10);
     }
 }

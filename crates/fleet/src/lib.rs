@@ -1,4 +1,4 @@
-//! # cobra-fleet — sharded fleet-scale profile aggregation
+//! # cobra-fleet — fleet-scale profile aggregation
 //!
 //! COBRA's adaptive loop is per-process; its payoff compounds when what
 //! one run learned seeds every other run of the same binary on the same
@@ -9,25 +9,25 @@
 //! fleet stops re-confirming, and serves aggregated warm-start seeds back
 //! out — every served bundle filtered through `cobra_verify::check_seed`.
 //!
-//! ## Sharding
+//! ## One lock
 //!
 //! The acceptor hands each connection to a thread of its own, and that
-//! thread does the whole request: parse the frame, take the lock of the
-//! one of four shard maps the key hashes to (`fnv1a(key) % 4`), fold the
-//! upload in place and persist it, drop the lock, write the reply. A key also holds
+//! thread does the whole request: parse the frame, take the server's one
+//! lock (every key's state and the counters behind it), fold the upload in
+//! place and persist it, drop the lock, write the reply. A key also holds
 //! at most one seed reply, encoded with its length prefix (`Arc<[u8]>`).
 //! A fetch builds it under the lock only when a fold has dropped it, and
 //! otherwise holds the lock for an `Arc` clone; the reply is one write
 //! after the lock drops. Every fold drops the frame, so a reply is always
 //! what a fresh build writes, and the serve counters count each serve,
-//! not each build. Keys on different shards fold in parallel; one key's
-//! folds are serial under its shard's lock. Because the fold is
-//! commutative and the on-disk layout is flat (one file per key, written
-//! only under the key's lock), the persisted state is a pure function of
-//! the upload multiset: byte-identical across any connection interleaving
-//! or restart point. Restart loads each key from its own `<stem>.jsonl`
-//! only, as `Store::load` does, so a copy under another name is no second
-//! key. The ingest tests pin all of this.
+//! not each build. Folds are serial under the lock, and a `Stats` reply
+//! reads `keys` and `runs_total` off the map rather than counting them.
+//! Because the fold is commutative and the on-disk layout is flat (one
+//! file per key, written only under the lock), the persisted state is a
+//! pure function of the upload multiset: byte-identical across any
+//! connection interleaving or restart point. Restart loads each key from
+//! its own `<stem>.jsonl` only, as `Store::load` does, so a copy under
+//! another name is no second key. The ingest tests pin all of this.
 //!
 //! ## Degradation
 //!
@@ -81,7 +81,7 @@ pub struct FleetStats {
     /// warm-start verify gate still applies).
     #[serde(default)]
     pub served_unverified: u64,
-    /// Shard persistence failures (state stays in memory, counted).
+    /// Persistence failures (state stays in memory, counted).
     #[serde(default)]
     pub persist_errors: u64,
     /// Distinct keys currently held.
@@ -90,7 +90,4 @@ pub struct FleetStats {
     /// Runs folded across all keys (including warm-restart state).
     #[serde(default)]
     pub runs_total: u64,
-    /// Shard count of the serving process (independently locked key maps).
-    #[serde(default)]
-    pub shards: u64,
 }

@@ -35,7 +35,7 @@ pub const MAX_FRAME_BYTES: u32 = 16 * 1024 * 1024;
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Request {
-    /// Fold one run's snapshot into the shard owning its key. The
+    /// Fold one run's snapshot into its key's accumulator. The
     /// optional pristine main-image words let the server verify served
     /// seeds with `cobra-verify::check_seed`; they are validated against
     /// `snapshot.key.image_hash` and cached per key.
@@ -76,7 +76,7 @@ impl Serialize for UploadRef<'_> {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Response {
     /// Upload folded. `runs_total` is the folded run count for the key
-    /// after this upload; `records` the record count of the shard state.
+    /// after this upload; `records` the record count of the key's state.
     UploadOk {
         runs_total: u64,
         records: u64,

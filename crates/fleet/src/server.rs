@@ -1,12 +1,12 @@
 //! The aggregation server: acceptor → per-connection threads that fold
-//! into and serve from locked shard maps, with flat atomic persistence and
+//! into and serve from one locked state, with flat atomic persistence and
 //! warm restart.
 
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -21,10 +21,6 @@ use crate::FleetStats;
 /// reclaims it.
 const CONN_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Independently locked key maps; keys are split across them by
-/// [`shard_for`].
-const SHARDS: usize = 4;
-
 /// Server configuration.
 #[derive(Debug, Clone, Default)]
 pub struct FleetConfig {
@@ -37,44 +33,7 @@ pub struct FleetConfig {
     pub max_age_runs: Option<u64>,
 }
 
-/// Shared atomic counters behind [`FleetStats`].
-#[derive(Default)]
-struct Counters {
-    uploads: AtomicU64,
-    upload_rejects: AtomicU64,
-    seed_requests: AtomicU64,
-    seed_hits: AtomicU64,
-    frames_rejected: AtomicU64,
-    aged_decisions: AtomicU64,
-    aged_winners: AtomicU64,
-    verify_dropped: AtomicU64,
-    served_unverified: AtomicU64,
-    persist_errors: AtomicU64,
-    keys: AtomicU64,
-    runs_total: AtomicU64,
-}
-
-impl Counters {
-    fn snapshot(&self) -> FleetStats {
-        FleetStats {
-            uploads: self.uploads.load(Ordering::Relaxed),
-            upload_rejects: self.upload_rejects.load(Ordering::Relaxed),
-            seed_requests: self.seed_requests.load(Ordering::Relaxed),
-            seed_hits: self.seed_hits.load(Ordering::Relaxed),
-            frames_rejected: self.frames_rejected.load(Ordering::Relaxed),
-            aged_decisions: self.aged_decisions.load(Ordering::Relaxed),
-            aged_winners: self.aged_winners.load(Ordering::Relaxed),
-            verify_dropped: self.verify_dropped.load(Ordering::Relaxed),
-            served_unverified: self.served_unverified.load(Ordering::Relaxed),
-            persist_errors: self.persist_errors.load(Ordering::Relaxed),
-            keys: self.keys.load(Ordering::Relaxed),
-            runs_total: self.runs_total.load(Ordering::Relaxed),
-            shards: SHARDS as u64,
-        }
-    }
-}
-
-/// Per-key state, owned by the shard map the key hashes to.
+/// One key's state in the server's map.
 struct KeyState {
     /// Unfiltered commutative fold of every upload (plus warm-restart
     /// state). Aging and verification apply at serve time only, so the
@@ -139,39 +98,49 @@ impl ServedSeed {
     }
 
     /// Count one serve of this frame, as a build for it alone would.
-    fn count(&self, counters: &Counters) {
-        counters
-            .aged_decisions
-            .fetch_add(self.aged_decisions, Ordering::Relaxed);
-        counters
-            .aged_winners
-            .fetch_add(self.aged_winners, Ordering::Relaxed);
-        counters
-            .verify_dropped
-            .fetch_add(self.verify_dropped, Ordering::Relaxed);
-        counters
-            .served_unverified
-            .fetch_add(self.served_unverified, Ordering::Relaxed);
-        counters.seed_hits.fetch_add(1, Ordering::Relaxed);
+    fn count(&self, stats: &mut FleetStats) {
+        stats.aged_decisions += self.aged_decisions;
+        stats.aged_winners += self.aged_winners;
+        stats.verify_dropped += self.verify_dropped;
+        stats.served_unverified += self.served_unverified;
+        stats.seed_hits += 1;
     }
 }
 
-/// What the connection threads share. A shard is the keys [`shard_for`]
-/// sends to it, behind their own lock.
+/// What the connection threads share: the configuration, and every key
+/// with the server's counters behind one lock.
 struct Shared {
     cfg: FleetConfig,
-    counters: Counters,
-    shards: [Mutex<HashMap<StoreKey, KeyState>>; SHARDS],
+    state: Mutex<State>,
+}
+
+/// Every key's state and the counters a `Stats` request serves. `keys` and
+/// `runs_total` are not counted: [`State::stats`] reads them off the map.
+#[derive(Default)]
+struct State {
+    keys: HashMap<StoreKey, KeyState>,
+    stats: FleetStats,
+}
+
+impl State {
+    /// The counters as a `Stats` request sees them.
+    fn stats(&self) -> FleetStats {
+        let runs = self.keys.values().map(|ks| ks.acc.runs);
+        FleetStats {
+            keys: self.keys.len() as u64,
+            runs_total: runs.fold(0, u64::saturating_add),
+            ..self.stats.clone()
+        }
+    }
 }
 
 impl Shared {
-    /// Lock the shard owning `key`, for one fold-and-persist or one seed
-    /// fetch. A fold validates before it writes and a seed build stores
-    /// its frame only once the frame is whole, so the map is whole even if
-    /// a thread died holding the lock.
-    fn shard(&self, key: &StoreKey) -> MutexGuard<'_, HashMap<StoreKey, KeyState>> {
-        let shard = &self.shards[shard_for(key)];
-        shard.lock().unwrap_or_else(|e| e.into_inner())
+    /// Lock the state, for one fold-and-persist, one seed fetch or one
+    /// stats read. A fold validates before it writes and a seed build
+    /// stores its frame only once the frame is whole, so the state is whole
+    /// even if a thread died holding the lock.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -187,7 +156,7 @@ pub struct FleetServer {
 
 impl FleetServer {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port), load any
-    /// persisted shard state, and start serving.
+    /// persisted state, and start serving.
     pub fn start(addr: impl ToSocketAddrs, cfg: FleetConfig) -> Result<FleetServer, String> {
         let listener = TcpListener::bind(addr).map_err(|e| format!("bind failed: {e}"))?;
         let addr = listener
@@ -195,15 +164,14 @@ impl FleetServer {
             .map_err(|e| format!("local_addr failed: {e}"))?;
         let shared = Arc::new(Shared {
             cfg,
-            counters: Counters::default(),
-            shards: Default::default(),
+            state: Mutex::default(),
         });
 
-        // Warm restart: every persisted key goes to its owning shard. A
-        // key's state is `<stem>.jsonl` and nothing else, as `Store::load`
+        // Warm restart: every persisted key goes into the map. A key's
+        // state is `<stem>.jsonl` and nothing else, as `Store::load`
         // demands: a copy under another name is not a second key.
         if let Some(dir) = &shared.cfg.dir {
-            let counters = &shared.counters;
+            let mut state = shared.lock();
             let store = Store::new(dir);
             for path in store.snapshot_paths() {
                 let report = read_snapshot_file(&path, None);
@@ -212,10 +180,7 @@ impl FleetServer {
                     continue;
                 }
                 let image = load_image_sidecar(&image_path(dir, &acc.key), acc.key.image_hash);
-                counters.keys.fetch_add(1, Ordering::Relaxed);
-                counters.runs_total.fetch_add(acc.runs, Ordering::Relaxed);
-                let key = acc.key;
-                shared.shard(&key).insert(key, KeyState::new(acc, image));
+                state.keys.insert(acc.key, KeyState::new(acc, image));
             }
         }
 
@@ -250,7 +215,7 @@ impl FleetServer {
 
     /// Current counters, as a `Stats` request would see them.
     pub fn stats(&self) -> FleetStats {
-        self.shared.counters.snapshot()
+        self.shared.lock().stats()
     }
 
     /// Stop accepting and join the acceptor. An upload is folded and
@@ -264,25 +229,9 @@ impl FleetServer {
     }
 }
 
-/// Shard owning `key`: FNV-1a of the key's stable file stem, modulo
-/// [`SHARDS`]. Stable across processes and restarts. The stem
-/// (`{image_hash:016x}-{machine_fp:016x}`) is spelled here digit by digit,
-/// not through the formatter: this runs on every request.
-fn shard_for(key: &StoreKey) -> usize {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    let mut stem = [b'-'; 33];
-    for (half, word) in [key.image_hash, key.machine_fp].into_iter().enumerate() {
-        for (i, digit) in stem[17 * half..17 * half + 16].iter_mut().enumerate() {
-            *digit = HEX[(word >> (60 - 4 * i)) as usize & 0xf];
-        }
-    }
-    (cobra_store::fnv1a(&stem) % SHARDS as u64) as usize
-}
-
 /// One connection's request/response loop. Any frame error counts and
 /// closes the connection; the server lives on.
 fn serve_connection(mut stream: TcpStream, shared: &Shared) {
-    let counters = &shared.counters;
     let _ = stream.set_read_timeout(Some(CONN_TIMEOUT));
     let _ = stream.set_nodelay(true);
     let mut reader = std::io::BufReader::new(match stream.try_clone() {
@@ -294,12 +243,15 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
             Ok(Some(r)) => r,
             Ok(None) => return, // clean EOF
             Err(_) => {
-                counters.frames_rejected.fetch_add(1, Ordering::Relaxed);
+                shared.lock().stats.frames_rejected += 1;
                 return;
             }
         };
         let sent = match req {
-            Request::Stats => write_frame(&mut stream, &Response::Stats(counters.snapshot())),
+            Request::Stats => {
+                let stats = shared.lock().stats();
+                write_frame(&mut stream, &Response::Stats(stats))
+            }
             Request::Upload {
                 snapshot,
                 image_words,
@@ -315,40 +267,40 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
 }
 
 /// Fold one upload into its key's accumulator and persist the new state,
-/// under the shard's lock; the reply is encoded after it is dropped.
+/// under the lock; the reply is encoded after it is dropped.
 fn fold_upload(shared: &Shared, snapshot: &Snapshot, image_words: Option<Vec<u64>>) -> Response {
-    let (cfg, counters) = (&shared.cfg, &shared.counters);
-    let reject = |detail: String| {
-        counters.upload_rejects.fetch_add(1, Ordering::Relaxed);
-        Response::Err { detail }
-    };
     let key = snapshot.key;
     let image = match image_words {
         Some(words) => {
             let img = CodeImage::from_words(words, Default::default());
             if image_hash(&img) != key.image_hash {
-                return reject(format!(
-                    "uploaded image words hash {:016x}, key says {:016x}",
-                    image_hash(&img),
-                    key.image_hash
-                ));
+                shared.lock().stats.upload_rejects += 1;
+                return Response::Err {
+                    detail: format!(
+                        "uploaded image words hash {:016x}, key says {:016x}",
+                        image_hash(&img),
+                        key.image_hash
+                    ),
+                };
             }
             Some(img)
         }
         None => None,
     };
-    let mut state = shared.shard(&key);
-    let is_new = !state.contains_key(&key);
-    let ks = state
+    let mut state = shared.lock();
+    let State { keys, stats } = &mut *state;
+    let is_new = !keys.contains_key(&key);
+    let ks = keys
         .entry(key)
         .or_insert_with(|| KeyState::new(Snapshot::empty(key), None));
-    if let Err(e) = ks.acc.fold_unordered(snapshot) {
+    if let Err(detail) = ks.acc.fold_unordered(snapshot) {
         // The accumulator is as it was, and so is its served seed; a key
         // enters the map only with its first accepted upload.
         if is_new {
-            state.remove(&key);
+            keys.remove(&key);
         }
-        return reject(e);
+        stats.upload_rejects += 1;
+        return Response::Err { detail };
     }
     // A new image only ever arrives with a fold, so this one drop covers
     // both things a seed is built from.
@@ -357,17 +309,11 @@ fn fold_upload(shared: &Shared, snapshot: &Snapshot, image_words: Option<Vec<u64
     if image_is_new {
         ks.image = image;
     }
-    if is_new {
-        counters.keys.fetch_add(1, Ordering::Relaxed);
-    }
-    counters.uploads.fetch_add(1, Ordering::Relaxed);
-    counters
-        .runs_total
-        .fetch_add(snapshot.runs, Ordering::Relaxed);
-    if let Some(dir) = &cfg.dir {
+    stats.uploads += 1;
+    if let Some(dir) = &shared.cfg.dir {
         let store = Store::new(dir);
         if let Err(e) = store.save(&ks.acc) {
-            counters.persist_errors.fetch_add(1, Ordering::Relaxed);
+            stats.persist_errors += 1;
             return Response::Err {
                 detail: format!("state folded but not persisted: {e}"),
             };
@@ -375,7 +321,7 @@ fn fold_upload(shared: &Shared, snapshot: &Snapshot, image_words: Option<Vec<u64
         if image_is_new {
             if let Some(img) = &ks.image {
                 if write_image_sidecar(&image_path(dir, &key), img).is_err() {
-                    counters.persist_errors.fetch_add(1, Ordering::Relaxed);
+                    stats.persist_errors += 1;
                 }
             }
         }
@@ -386,15 +332,15 @@ fn fold_upload(shared: &Shared, snapshot: &Snapshot, image_words: Option<Vec<u64
     }
 }
 
-/// The seed reply frame for one key, built under the shard's lock only
-/// when the key holds none (no fetch since its last fold); the caller
-/// writes it after the lock is gone. An encode error is not kept: the
-/// next fetch tries again.
+/// The seed reply frame for one key, built under the lock only when the
+/// key holds none (no fetch since its last fold); the caller writes it
+/// after the lock is gone. An encode error is not kept: the next fetch
+/// tries again.
 fn serve_seed(shared: &Shared, key: &StoreKey) -> Result<Arc<[u8]>, String> {
-    let counters = &shared.counters;
-    counters.seed_requests.fetch_add(1, Ordering::Relaxed);
-    let mut state = shared.shard(key);
-    let Some(ks) = state.get_mut(key) else {
+    let mut state = shared.lock();
+    let State { keys, stats } = &mut *state;
+    stats.seed_requests += 1;
+    let Some(ks) = keys.get_mut(key) else {
         drop(state);
         return encode_frame(&Response::Seed { snapshot: None }).map(Arc::from);
     };
@@ -402,7 +348,7 @@ fn serve_seed(shared: &Shared, key: &StoreKey) -> Result<Arc<[u8]>, String> {
         Some(served) => served,
         none => none.insert(ServedSeed::build(&shared.cfg, &ks.acc, ks.image.as_ref())?),
     };
-    served.count(counters);
+    served.count(stats);
     Ok(Arc::clone(&served.frame))
 }
 
@@ -446,30 +392,4 @@ fn load_image_sidecar(path: &Path, want_hash: u64) -> Option<CodeImage> {
     }
     let img = CodeImage::from_words(words, Default::default());
     (image_hash(&img) == want_hash).then_some(img)
-}
-
-#[cfg(test)]
-mod tests {
-    use cobra_store::{fnv1a, StoreKey};
-
-    /// The shard of a key is a persisted fact (which file a restarted
-    /// server hands to which map): hashing from the stack must give what
-    /// hashing the formatted stem always gave.
-    #[test]
-    fn shard_for_is_fnv1a_of_the_file_stem() {
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        for i in 0..300u64 {
-            x = x.wrapping_mul(0x5851_f42d_4c95_7f2d).wrapping_add(i);
-            let key = StoreKey {
-                image_hash: if i < 8 { i } else { x },
-                machine_fp: if i % 7 == 0 {
-                    u64::MAX - i
-                } else {
-                    x.rotate_left(29)
-                },
-            };
-            let want = fnv1a(key.file_stem().as_bytes()) % super::SHARDS as u64;
-            assert_eq!(super::shard_for(&key) as u64, want, "{key}");
-        }
-    }
 }

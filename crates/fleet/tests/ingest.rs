@@ -228,8 +228,8 @@ fn malformed_frames_are_counted_not_fatal() {
 }
 
 /// An upload whose counters would overflow the accumulator is a counted
-/// reject: the shard it hashed to keeps serving, and the key it aimed at
-/// keeps the state it had.
+/// reject: the server keeps serving, and the key it aimed at keeps the
+/// state it had.
 #[test]
 fn overflowing_uploads_are_rejected_not_fatal() {
     let server = FleetServer::start(
@@ -253,7 +253,7 @@ fn overflowing_uploads_are_rejected_not_fatal() {
     }
 
     let (runs_total, _) = c.upload(&upload_snapshot(key(2), 3), None).unwrap();
-    assert_eq!(runs_total, 1, "the one shard still folds");
+    assert_eq!(runs_total, 1, "the server still folds");
     assert_eq!(c.fetch_seed(&key(1)).unwrap(), before);
     let stats = c.stats().unwrap();
     assert_eq!(stats.upload_rejects, 2);
@@ -303,7 +303,7 @@ fn mismatched_image_words_are_rejected() {
     server.shutdown();
 }
 
-/// The server restarts warm from its persisted shards: counters resume
+/// The server restarts warm from its persisted keys: counters resume
 /// and folds continue from the restored state.
 #[test]
 fn restart_is_warm() {

@@ -419,8 +419,7 @@ fn print_run(out: &mut dyn Write, n: usize, run: &[TelemetryRecord]) -> io::Resu
     }
     writeln!(out, "run {n}: {:?}", run[0].event)?;
     writeln!(out, "  {}", report.summary())?;
-    let (records, dropped) = (run.len(), report.telemetry_dropped);
-    writeln!(out, "  {records} records ({dropped} dropped at emission):")?;
+    writeln!(out, "  {} records:", run.len())?;
     for (category, count) in &per_category {
         writeln!(out, "    {category:<16} {count}")?;
     }

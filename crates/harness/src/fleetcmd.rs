@@ -46,9 +46,8 @@ pub fn serve(
     )?;
     let stats = server.stats();
     let banner = format!(
-        "fleet server listening on {}\n  {} shard(s), {} key(s) / {} run(s) restored{}{}\n",
+        "fleet server listening on {}\n  {} key(s) / {} run(s) restored{}{}\n",
         server.local_addr(),
-        stats.shards,
         stats.keys,
         stats.runs_total,
         match dir {
@@ -127,7 +126,7 @@ pub fn stats(addr: &str) -> Result<String, String> {
 fn render_stats(st: &FleetStats) -> String {
     format!(
         "fleet stats —\n  \
-         {} key(s), {} run(s) total, {} shard(s)\n  \
+         {} key(s), {} run(s) total\n  \
          uploads: {} accepted, {} rejected\n  \
          seeds: {} request(s), {} hit(s), {} served unverified\n  \
          aging: {} decision(s), {} winner(s) withheld\n  \
@@ -136,7 +135,6 @@ fn render_stats(st: &FleetStats) -> String {
          persist errors: {}\n",
         st.keys,
         st.runs_total,
-        st.shards,
         st.uploads,
         st.upload_rejects,
         st.seed_requests,

@@ -224,107 +224,55 @@ fn average(values: impl Iterator<Item = f64>) -> f64 {
 impl SuiteData {
     /// Fig. 5: speedup table.
     pub fn fig5(&self) -> Table {
-        let mut t = Table::new(
-            format!(
-                "Fig. 5: COBRA speedup over prefetch baseline — {} threads on {}",
-                self.threads, self.machine
-            ),
-            &["bench", "noprefetch", "prefetch.excl", "adaptive"],
-        );
-        for r in &self.results {
-            t.row(vec![
-                format!("{}.S", r.bench),
-                pct(r.speedup(Arm::NoPrefetch)),
-                pct(r.speedup(Arm::Excl)),
-                pct(r.speedup(Arm::Adaptive)),
-            ]);
-        }
-        t.row(vec![
-            "avg".into(),
-            pct(average(
-                self.results.iter().map(|r| r.speedup(Arm::NoPrefetch)),
-            )),
-            pct(average(self.results.iter().map(|r| r.speedup(Arm::Excl)))),
-            pct(average(
-                self.results.iter().map(|r| r.speedup(Arm::Adaptive)),
-            )),
-        ]);
-        t
+        let title = "Fig. 5: COBRA speedup over prefetch baseline";
+        self.figure(title, false, BenchResult::speedup, pct)
     }
 
     /// Fig. 6: normalized L3 misses.
     pub fn fig6(&self) -> Table {
-        let mut t = Table::new(
-            format!(
-                "Fig. 6: normalized L3 misses — {} threads on {}",
-                self.threads, self.machine
-            ),
-            &[
-                "bench",
-                "prefetch",
-                "noprefetch",
-                "prefetch.excl",
-                "adaptive",
-            ],
-        );
-        for r in &self.results {
-            t.row(vec![
-                format!("{}.S", r.bench),
-                ratio(1.0),
-                ratio(r.l3_norm(Arm::NoPrefetch)),
-                ratio(r.l3_norm(Arm::Excl)),
-                ratio(r.l3_norm(Arm::Adaptive)),
-            ]);
-        }
-        t.row(vec![
-            "avg".into(),
-            ratio(1.0),
-            ratio(average(
-                self.results.iter().map(|r| r.l3_norm(Arm::NoPrefetch)),
-            )),
-            ratio(average(self.results.iter().map(|r| r.l3_norm(Arm::Excl)))),
-            ratio(average(
-                self.results.iter().map(|r| r.l3_norm(Arm::Adaptive)),
-            )),
-        ]);
-        t
+        let title = "Fig. 6: normalized L3 misses";
+        self.figure(title, true, BenchResult::l3_norm, ratio)
     }
 
     /// Fig. 7: normalized memory bus transactions.
     pub fn fig7(&self) -> Table {
-        let mut t = Table::new(
-            format!(
-                "Fig. 7: normalized system-bus memory transactions — {} threads on {}",
-                self.threads, self.machine
-            ),
-            &[
-                "bench",
-                "prefetch",
-                "noprefetch",
-                "prefetch.excl",
-                "adaptive",
-            ],
-        );
+        let title = "Fig. 7: normalized system-bus memory transactions";
+        self.figure(title, true, BenchResult::bus_norm, ratio)
+    }
+
+    /// One of Figures 5–7: a row per benchmark and an `avg` row of `metric`
+    /// per COBRA arm, printed by `show`, led by the baseline's own column
+    /// (its unit, whatever its counts) when `baseline` is set.
+    fn figure(
+        &self,
+        title: &str,
+        baseline: bool,
+        metric: fn(&BenchResult, Arm) -> f64,
+        show: fn(f64) -> String,
+    ) -> Table {
+        let arms = &Arm::ALL[usize::from(!baseline)..];
+        let header: Vec<&str> = ["bench"]
+            .into_iter()
+            .chain(arms.iter().map(|a| a.name()))
+            .collect();
+        let title = format!("{title} — {} threads on {}", self.threads, self.machine);
+        let mut t = Table::new(title, &header);
+        let row = |name: String, value: &dyn Fn(Arm) -> f64| {
+            let unit = |arm| {
+                if arm == Arm::Baseline {
+                    1.0
+                } else {
+                    value(arm)
+                }
+            };
+            let cells = arms.iter().map(|&arm| show(unit(arm)));
+            [name].into_iter().chain(cells).collect()
+        };
         for r in &self.results {
-            t.row(vec![
-                format!("{}.S", r.bench),
-                ratio(1.0),
-                ratio(r.bus_norm(Arm::NoPrefetch)),
-                ratio(r.bus_norm(Arm::Excl)),
-                ratio(r.bus_norm(Arm::Adaptive)),
-            ]);
+            t.row(row(format!("{}.S", r.bench), &|arm| metric(r, arm)));
         }
-        t.row(vec![
-            "avg".into(),
-            ratio(1.0),
-            ratio(average(
-                self.results.iter().map(|r| r.bus_norm(Arm::NoPrefetch)),
-            )),
-            ratio(average(self.results.iter().map(|r| r.bus_norm(Arm::Excl)))),
-            ratio(average(
-                self.results.iter().map(|r| r.bus_norm(Arm::Adaptive)),
-            )),
-        ]);
+        let avg = |arm| average(self.results.iter().map(|r| metric(r, arm)));
+        t.row(row("avg".into(), &avg));
         t
     }
 

@@ -4,7 +4,7 @@
 //! with a scraped ephemeral port. The server is the one process under test;
 //! the client commands run in-process through `cli::invoke`.
 //!
-//! The rest of the fleet round trip, by suite: the sharded server's ingest
+//! The rest of the fleet round trip, by suite: the server's ingest
 //! determinism proptests are `cobra-fleet`'s own (any interleaving or
 //! order of the same upload multiset must persist byte-identical state); the framework's cold -> upload -> fleet-warm convergence against
 //! a loopback server is `crates/core/tests/fleet_roundtrip.rs`;
@@ -237,7 +237,7 @@ fn cli_serve_upload_fetch_stats_round_trip() {
     assert_eq!(out.code, 1);
     assert!(out.stderr.contains("no profile"), "{}", out.stderr);
 
-    // The server persisted the shard for warm restart.
+    // The server persisted the key's state for warm restart.
     drop(guard);
     drop(reader);
     let files: Vec<_> = std::fs::read_dir(&dir)
@@ -245,7 +245,7 @@ fn cli_serve_upload_fetch_stats_round_trip() {
         .filter_map(|e| e.ok())
         .filter(|e| e.path().extension().is_some_and(|x| x == "jsonl"))
         .collect();
-    assert_eq!(files.len(), 1, "one persisted shard snapshot");
+    assert_eq!(files.len(), 1, "one persisted key snapshot");
 }
 
 #[test]

@@ -15,22 +15,21 @@
 //! trace hold, and say so in that change.
 
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
 
 use cobra::kernels::{npb, PrefetchPolicy};
 use cobra::machine::{HostAccel, Machine, MachineConfig};
 use cobra::omp::{OmpRuntime, Team};
-use cobra::rt::{read_jsonl, Cobra, Strategy, TelemetrySink};
+use cobra::rt::{read_jsonl, write_jsonl, Cobra, Strategy, TelemetrySink};
 use cobra_store::{Store, StoreKey};
 
 mod common;
 
 const KERNEL: npb::Benchmark = npb::Benchmark::Mg;
 
-const FIXED_NOPREFETCH_20K: u64 = 0x8c98_005f_c682_8e64;
-const ADAPTIVE_20K: u64 = 0x0a19_544e_3595_b05e;
-const CANDIDATES_COLD_500: u64 = 0xc799_e4e7_4d0f_c554;
-const CANDIDATES_WARM_500_TRACED: u64 = 0x05df_8268_2c45_1ee6;
+const FIXED_NOPREFETCH_20K: u64 = 0xf36b_3380_100f_7344;
+const ADAPTIVE_20K: u64 = 0xe534_9ff6_a54d_78ba;
+const CANDIDATES_COLD_500: u64 = 0xd9c8_652d_08e4_f450;
+const CANDIDATES_WARM_500_TRACED: u64 = 0xc3c5_56e1_26c8_0d82;
 
 /// Every arm runs on each, in this order.
 const ENGINES: [HostAccel; 2] = [HostAccel::Fast, HostAccel::Reference];
@@ -45,21 +44,6 @@ impl Fnv {
 
     fn bytes(&mut self, bytes: &[u8]) {
         bytes.iter().for_each(|&b| self.word(b as u64));
-    }
-}
-
-/// A `Write` the test can read back after the sink is dropped.
-#[derive(Clone, Default)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl std::io::Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
     }
 }
 
@@ -79,7 +63,6 @@ fn digest(arm: &Arm<'_>, accel: HostAccel) -> u64 {
     wl.init(&mut m.shared.mem);
     let key = StoreKey::for_run(wl.image(), &cfg);
 
-    let trace = SharedBuf::default();
     let mut builder = Cobra::builder()
         .strategy(arm.strategy)
         .candidates(arm.candidates)
@@ -87,8 +70,9 @@ fn digest(arm: &Arm<'_>, accel: HostAccel) -> u64 {
     if let Some(dir) = arm.store {
         builder = builder.store(dir);
     }
+    let (sink, log) = TelemetrySink::memory();
     if arm.traced {
-        builder = builder.telemetry(TelemetrySink::Jsonl(Box::new(trace.clone())));
+        builder = builder.telemetry(sink);
     }
     let mut cobra = builder.attach(&mut m);
     let rt = OmpRuntime {
@@ -111,14 +95,16 @@ fn digest(arm: &Arm<'_>, accel: HostAccel) -> u64 {
     if let Some(dir) = arm.store {
         let file = Store::new(dir).path_for(&key);
         h.bytes(&std::fs::read(&file).expect("detach saved a snapshot"));
-        // `StoreSave.path` is the one host-dependent field of a trace.
-        let jsonl = String::from_utf8(trace.0.lock().unwrap().clone()).expect("JSONL is UTF-8");
+        let mut jsonl = Vec::new();
+        write_jsonl(log.lock().unwrap().records(), &mut jsonl).expect("a Vec takes every line");
         if arm.traced {
             // The warm run settles seeds, so this replay covers `WarmVerdict`.
             assert!(report.warm_hits > 0, "the warm run resumes what it stored");
-            let records = read_jsonl(jsonl.as_bytes()).expect("the sink wrote whole lines");
+            let records = read_jsonl(jsonl.as_slice()).expect("whole lines");
             common::assert_log_replays_to(&records, &report);
         }
+        // `StoreSave.path` is the one host-dependent field of a trace.
+        let jsonl = String::from_utf8(jsonl).expect("JSONL is UTF-8");
         let dir = dir.to_str().expect("temp dir is UTF-8");
         h.bytes(jsonl.replace(dir, "<store>").as_bytes());
     }

@@ -7,13 +7,16 @@
 //! the same values, or stores written by older builds stop checksumming
 //! and older fleet peers stop understanding newer ones.
 //!
+//! Three files were regenerated since, with the codec unchanged, by the
+//! commit that follows `95c7a04`: it deleted members, so `telemetry.jsonl`
+//! lost `Detach`'s `records_dropped`, `report.json` lost
+//! `telemetry_records` and `telemetry_dropped`, and `responses.hex` lost the
+//! `Stats` frame's `shards`, and nothing else changed. The bytes they had
+//! are the `LEGACY_*` constants below, which must still decode.
+//!
 //! `regenerate` (ignored) rewrites the corpus from the codec of the
 //! checkout it runs in; that is only an oracle when run on a commit whose
 //! codec is trusted independently of this test.
-//!
-//! (The four `fig5_*.txt` files beside the corpus are not this test's: they
-//! are `cobra-repro fig5` output of commit `4ef88f4`, diffed by the
-//! `decisions-pinned` CI job; `tests/decision_pin.rs` is their tier-1 kin.)
 
 use std::path::PathBuf;
 
@@ -187,6 +190,16 @@ fn legacy_seed() -> Response {
         snapshot: Some(snapshot),
     }
 }
+
+/// Three documents as builds up to `95c7a04` wrote them, with members
+/// later builds no longer have: a `Detach` record carrying
+/// `records_dropped` (the last line of the old `telemetry.jsonl`), a report
+/// carrying `telemetry_records` and `telemetry_dropped` (the old
+/// `report.json`, compact), and a `Stats` reply carrying `shards` (the body
+/// of the old `responses.hex`'s fourth frame).
+const LEGACY_DETACH_LINE: &str = r#"{"seq":29,"event":{"Detach":{"cycle":30000,"totals":{"ticks":3,"records_dropped":0,"forks":5,"monitors_spawned":8,"samples_forwarded":6,"samples_merged":7,"overhead_cycles":48,"guest_faults":8,"store_skipped_records":9}}}}"#;
+const LEGACY_REPORT: &str = r#"{"samples_forwarded":1000,"samples_merged":990,"ticks":40,"forks":3,"monitors_spawned":4,"phase_changes":0,"applied":[{"plan_id":1,"kind":"NoPrefetch","loop_head":64,"description":"drop 3 lfetch in loop @0x40","tick":5,"words_patched":3,"trace_entry":null,"candidate":null},{"plan_id":2,"kind":"Combined","loop_head":128,"description":"per-site mix","tick":9,"words_patched":8,"trace_entry":131072,"candidate":"combined.split"}],"reverted":[{"plan_id":2,"reason":"cpi regressed","tick":14}],"overhead_cycles":123456,"telemetry_records":0,"telemetry_dropped":0,"guest_faults":0,"warm_started":true,"warm_seeded_decisions":0,"warm_seeded_blacklist":0,"warm_hits":0,"warm_mismatches":0,"undecodable_loops":0,"verify_rejects":0,"store_skipped_records":0,"store_errors":0,"store_saved_records":0,"revert_failures":0,"deploy_failures":0,"candidates_trialed":3,"tournaments_promoted":0,"fleet_uploads":0,"fleet_seeds":0,"fleet_errors":0,"osr_migrations":0,"osr_reverse_migrations":0,"osr_rejects":0,"ticks_to_all_optimized":0}"#;
+const LEGACY_STATS_FRAME: &str = r#"{"Stats":{"uploads":10,"upload_rejects":1,"seed_requests":5,"seed_hits":4,"frames_rejected":2,"aged_decisions":0,"aged_winners":0,"verify_dropped":0,"served_unverified":0,"persist_errors":0,"keys":3,"runs_total":70,"shards":4}}"#;
 
 fn events() -> Vec<TelemetryEvent> {
     use TelemetryEvent::*;
@@ -425,7 +438,6 @@ fn events() -> Vec<TelemetryEvent> {
             cycle,
             totals: RunTotals {
                 ticks: tick,
-                records_dropped: 0,
                 forks: 5,
                 monitors_spawned: 8,
                 samples_forwarded: 6,
@@ -531,7 +543,6 @@ fn responses() -> Vec<Response> {
             frames_rejected: 2,
             keys: 3,
             runs_total: 70,
-            shards: 4,
             ..FleetStats::default()
         }),
         Response::Err {
@@ -666,6 +677,19 @@ fn frames_decode_to_what_the_parent_decoded() {
     }
     let old: Response = serde_json::from_str(LEGACY_SEED_FRAME).unwrap();
     assert_eq!(old, legacy_seed());
+}
+
+/// Older traces, reports and fleet servers stay readable: a member this
+/// build does not declare is skipped, so each legacy document decodes to
+/// the value the corpus holds now.
+#[test]
+fn legacy_members_are_skipped_and_the_rest_decodes() {
+    let detach = read_jsonl(LEGACY_DETACH_LINE.as_bytes()).unwrap();
+    assert_eq!(detach, records()[records().len() - 1..]);
+    let old: CobraReport = serde_json::from_str(LEGACY_REPORT).unwrap();
+    assert_eq!(format!("{old:?}"), format!("{:?}", report()));
+    let old: Response = serde_json::from_str(LEGACY_STATS_FRAME).unwrap();
+    assert_eq!(old, responses()[3]);
 }
 
 /// `doc` with every object's members in the opposite order, at any depth.

@@ -110,7 +110,6 @@ fn cobra_runs_are_deterministic() {
         let report = cobra.detach(&mut m);
         assert!(report.candidates_trialed > 0, "the run drives tournaments");
         let records = log.lock().unwrap().records().to_vec();
-        assert_eq!(report.telemetry_dropped, 0);
         common::assert_log_replays_to(&records, &report);
         assert!(report.osr_migrations > 0, "the run migrates mid-loop");
         (format!("{report:?}"), records)
