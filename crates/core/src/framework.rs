@@ -9,8 +9,9 @@
 //! * **monitoring** — poll the perfmon kernel buffers each quantum and
 //!   reduce every CPU's samples in its [`ThreadProfiler`] (created at fork
 //!   time, one per working thread);
-//! * **profiling/optimization** — the [`OptimizationStage`] merges deltas
-//!   system-wide, detects phases, selects traces and decides optimizations;
+//! * **profiling/optimization** — fold each tick's deltas into the
+//!   system-wide profiles and detect phases here, then hand the rolling
+//!   profile to the [`Optimizer`], which selects traces and decides;
 //! * **code deployment** — apply the returned plans to the live image at
 //!   the quantum safe point: append each rewritten loop clone to the trace
 //!   cache, patch the hoisted `lfetch` words, redirect the loop head into
@@ -29,17 +30,18 @@
 //!     .attach(&mut machine);
 //! ```
 //!
-//! How the two helper stages are scheduled is this module's decision alone:
-//! Figure 4's helper threads are kept as roles, not as host threads. The
-//! simulator cannot start a quantum before the previous quantum's plans are
-//! applied, so a handshake with real threads was synchronous and never
-//! overlapped it; `on_quantum` calls the profilers in CPU order and then the
-//! optimization stage, on the simulator's thread. What the paper's threads
-//! cost the program is still modelled: helper-thread overhead is charged to
-//! the simulated machine per processed sample — and, when telemetry is
-//! enabled, per drained telemetry record — so reported speedups are net of
-//! monitoring cost.
+//! Figure 4's helper threads are kept as roles, not as host threads, and
+//! this module is both of them. The simulator cannot start a quantum before
+//! the previous quantum's plans are applied, so a handshake with real
+//! threads was synchronous and never overlapped it; `on_quantum` calls the
+//! profilers in CPU order, folds what they return and calls the optimizer,
+//! on the simulator's thread. What the paper's threads cost the program is
+//! still modelled: helper-thread overhead is charged to the simulated
+//! machine per processed sample — and, when telemetry is enabled, per
+//! drained telemetry record — so reported speedups are net of monitoring
+//! cost.
 
+use std::collections::VecDeque;
 use std::path::PathBuf;
 
 use cobra_fleet::FleetClient;
@@ -49,10 +51,10 @@ use cobra_omp::{QuantumHook, Team};
 use cobra_perfmon::{PerfmonConfig, PerfmonDriver};
 use cobra_store::{Snapshot, Store, StoreKey};
 
-use crate::monitor::OptimizationStage;
-use crate::optimizer::{Optimizer, OptimizerConfig, PlanAction, Strategy};
+use crate::optimizer::{Optimizer, OptimizerConfig, PlanAction, Strategy, ROLLING_TICKS};
 use crate::persist::{seed_from_snapshot, snapshot_from_final};
-use crate::profile::{LatencyBands, ThreadProfiler};
+use crate::phase::PhaseDetector;
+use crate::profile::{CounterWindow, LatencyBands, ProfileDelta, SystemProfile, ThreadProfiler};
 use crate::report::{AppliedPlan, CobraReport, RevertedPlan};
 use crate::telemetry::{CpuCounterSnapshot, RunTotals, Telemetry, TelemetryEvent, TelemetrySink};
 
@@ -67,9 +69,10 @@ pub const OVERHEAD_PER_SAMPLE: u64 = 8;
 /// optimizer's strategy, candidate tournaments and OSR, plus where the run
 /// reports and persists; everything else COBRA runs with is a constant
 /// beside the code that reads it.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct CobraBuilder {
     optimizer: OptimizerConfig,
+    osr: bool,
     sink: Option<TelemetrySink>,
     store: Option<PathBuf>,
     fleet: Option<String>,
@@ -90,11 +93,16 @@ impl CobraBuilder {
         self
     }
 
-    /// On-stack replacement: arm verified mid-loop redirects when a trace
-    /// version deploys (and the reverse map when it reverts), so in-flight
-    /// threads migrate at their next back edge (`OptimizerConfig::osr`).
+    /// On-stack replacement: arm verified per-branch redirects when a trace
+    /// version deploys (and the reverse map when it reverts), so threads
+    /// already inside the loop migrate at their next back edge instead of
+    /// running the stale version to natural completion. Maps are proven
+    /// total and type-correct by `cobra-verify::check_osr_map` before
+    /// arming; an unprovable map degrades to entry-only transfer (counted
+    /// in `osr_rejects`), never blocks the deployment. On by default;
+    /// `.osr(false)` pins entry-only transfer for A/B runs.
     pub fn osr(mut self, enabled: bool) -> Self {
-        self.optimizer.osr = enabled;
+        self.osr = enabled;
         self
     }
 
@@ -124,11 +132,12 @@ impl CobraBuilder {
         self
     }
 
-    /// Attach to a machine: program the HPMs, set up the optimization
-    /// stage. Monitors are created lazily at thread fork.
+    /// Attach to a machine: program the HPMs, set up the optimizer.
+    /// Monitors are created lazily at thread fork.
     pub fn attach(self, machine: &mut Machine) -> Cobra {
         let CobraBuilder {
             optimizer,
+            osr,
             sink,
             store,
             fleet,
@@ -144,13 +153,11 @@ impl CobraBuilder {
             cpus: machine.num_cpus(),
             strategy: optimizer.strategy,
             candidates: optimizer.candidates,
-            osr: optimizer.osr,
+            osr,
             main_len: machine.shared.code.main_len(),
         });
-        let mut opt = OptimizationStage::new(
-            Optimizer::new(optimizer, machine.shared.code.clone()),
-            LatencyBands::from_machine(&machine.shared.cfg),
-        );
+        let mut opt = Optimizer::new(optimizer, machine.shared.code.clone());
+        let bands = LatencyBands::from_machine(&machine.shared.cfg);
 
         // What the store and the fleet both file this run under; hashing
         // the main text is the costly part, so it is done once, and only
@@ -211,7 +218,8 @@ impl CobraBuilder {
                         seeded_blacklist: seed.blacklist.len(),
                         skipped_records: lr.skipped_records,
                     });
-                    opt.warm_start(seed, &mut telemetry);
+                    opt.warm_start(seed);
+                    publish(&mut opt, &mut telemetry);
                 }
             }
             (store, lr.snapshot)
@@ -226,12 +234,17 @@ impl CobraBuilder {
                 seeded_blacklist: seed.blacklist.len(),
                 runs: snap.runs,
             });
-            opt.warm_start(seed, &mut telemetry);
+            opt.warm_start(seed);
+            publish(&mut opt, &mut telemetry);
         }
         Cobra {
             monitors: Vec::new(),
             opt,
-            osr: optimizer.osr,
+            bands,
+            phases: PhaseDetector::default(),
+            recent: VecDeque::new(),
+            cumulative: SystemProfile::new(bands),
+            osr,
             driver,
             tick: 0,
             totals,
@@ -242,6 +255,14 @@ impl CobraBuilder {
             osr_watches: Vec::new(),
             osr_maps: Vec::new(),
         }
+    }
+}
+
+/// Hand the optimizer's buffered decision events on, in the order it made
+/// them. Every call that can make the optimizer emit is followed by this.
+fn publish(opt: &mut Optimizer, telemetry: &mut Telemetry) {
+    for event in opt.drain_events() {
+        telemetry.emit(event);
     }
 }
 
@@ -279,12 +300,25 @@ pub struct Cobra {
     /// profiler; index = CPU (teams occupy CPUs
     /// `0..num_threads`, so the monitored CPUs are always a prefix).
     monitors: Vec<ThreadProfiler>,
-    opt: OptimizationStage,
+    /// The optimization role: decisions, plans and its own copy of the
+    /// image.
+    opt: Optimizer,
+    /// The DEAR latency split every rebuilt decision profile classifies by.
+    bands: LatencyBands,
+    /// Watches each tick's merged window for a working-set change.
+    phases: PhaseDetector,
+    /// The last [`ROLLING_TICKS`] ticks' deltas, oldest first: the decision
+    /// profile is rebuilt from them each tick, so cold-start behaviour ages
+    /// out and decisions follow the program's current phase.
+    recent: VecDeque<Vec<ProfileDelta>>,
+    /// Every delta of the run (nothing ages out): the profile a store
+    /// snapshot records.
+    cumulative: SystemProfile,
     /// Quanta processed.
     tick: u64,
     /// Run totals no single event owns, summed as the run goes; `Detach`
-    /// completes them (`tick`, what the machine and the stage count
-    /// themselves) and carries them to the report.
+    /// completes them (`tick`, the monitors, the cumulative profile's
+    /// samples and the machine's faults) and carries them to the report.
     totals: RunTotals,
     /// The run's one event path, and the report it folds every event into.
     telemetry: Telemetry,
@@ -307,7 +341,13 @@ pub struct Cobra {
 impl Cobra {
     /// Start configuring an instance; finish with [`CobraBuilder::attach`].
     pub fn builder() -> CobraBuilder {
-        CobraBuilder::default()
+        CobraBuilder {
+            optimizer: OptimizerConfig::default(),
+            osr: true,
+            sink: None,
+            store: None,
+            fleet: None,
+        }
     }
 
     fn apply_action(&mut self, machine: &mut Machine, action: PlanAction) {
@@ -381,7 +421,8 @@ impl Cobra {
                                 loop_head: plan.loop_head,
                                 detail: format!("patching {addr}: {e}"),
                             });
-                            self.opt.poison(plan.loop_head, &mut self.telemetry);
+                            self.opt.poison(plan.loop_head);
+                            publish(&mut self.opt, &mut self.telemetry);
                             return;
                         }
                     }
@@ -446,7 +487,8 @@ impl Cobra {
                             detail,
                             plan,
                         });
-                        self.opt.poison(loop_head, &mut self.telemetry);
+                        self.opt.poison(loop_head);
+                        publish(&mut self.opt, &mut self.telemetry);
                         return;
                     }
                 }
@@ -534,6 +576,7 @@ impl Cobra {
             mut driver,
             monitors,
             opt,
+            cumulative,
             tick,
             totals,
             mut telemetry,
@@ -544,11 +587,13 @@ impl Cobra {
         } = self;
         let cycle = machine.shared.cycle;
         driver.detach(machine);
-        let fin = opt.finish();
         // This run's own history (runs = 1), derived once. The store folds
         // it into what it held and the fleet server into what the fleet
         // holds, by the same rule — so neither counts a prior run twice.
-        let fresh = key.map(|key| snapshot_from_final(key, &fin));
+        let fresh = key.map(|key| {
+            let (decisions, blacklist) = opt.export_state();
+            snapshot_from_final(key, &decisions, &blacklist, &cumulative)
+        });
         if let Some(((store, prior), fresh)) = store_ctx.zip(fresh.as_ref()) {
             let fold_onto = |mut base: Snapshot| base.fold_unordered(fresh).map(|()| base);
             let empty = || Snapshot::empty(fresh.key);
@@ -600,7 +645,7 @@ impl Cobra {
             totals: RunTotals {
                 ticks: tick,
                 monitors_spawned: monitors.len(),
-                samples_merged: fin.cumulative.samples,
+                samples_merged: cumulative.samples,
                 guest_faults: machine.total_stats().get(cobra_machine::Event::GuestFaults),
                 ..totals
             },
@@ -652,8 +697,37 @@ impl QuantumHook for Cobra {
         self.totals.overhead_cycles += overhead;
 
         if !deltas.is_empty() {
+            // Fold the tick: every delta into the cumulative profile, the
+            // tick's merged window into phase detection, and the tick into
+            // the rolling window the decision profile is rebuilt from.
             let cycle = machine.shared.cycle;
-            let actions = self.opt.tick(self.tick, cycle, deltas, &mut self.telemetry);
+            let mut window = CounterWindow::default();
+            for d in &deltas {
+                self.cumulative.absorb(d);
+                window.merge(&d.window);
+            }
+            self.recent.push_back(deltas);
+            if self.recent.len() > ROLLING_TICKS {
+                self.recent.pop_front();
+            }
+            if self.phases.observe(&window) {
+                self.telemetry.emit(TelemetryEvent::PhaseChange {
+                    tick: self.tick,
+                    cycle,
+                    phases: self.phases.phases(),
+                });
+                // Old-phase history is no longer representative. Deployed
+                // and blacklisted loops stay as they are; loops that only
+                // now became hot get considered against fresh data.
+                self.recent.drain(..self.recent.len() - 1);
+            }
+            let mut profile = SystemProfile::new(self.bands);
+            for d in self.recent.iter().flatten() {
+                profile.absorb(d);
+            }
+            self.opt.begin_tick(self.tick, cycle, &window);
+            let actions = self.opt.consider(&profile);
+            publish(&mut self.opt, &mut self.telemetry);
             for action in actions {
                 self.apply_action(machine, action);
             }
@@ -684,6 +758,19 @@ mod tests {
     use cobra_machine::{HostAccel, MachineConfig};
     use cobra_omp::OmpRuntime;
 
+    /// A counted loop of 2 000 integer adds: no memory traffic at all.
+    fn quiet_loop() -> cobra_isa::CodeImage {
+        let mut a = cobra_isa::Assembler::new();
+        a.movi(4, 2_000);
+        a.mov_to_lc(4);
+        let top = a.new_label();
+        a.bind(top);
+        a.addi(5, 5, 1);
+        a.br_cloop(top);
+        a.hlt();
+        a.finish()
+    }
+
     /// Attach/detach lifecycle on an idle machine.
     #[test]
     fn attach_detach_lifecycle() {
@@ -703,18 +790,7 @@ mod tests {
     /// are processed, no deployments on a coherence-free program.
     #[test]
     fn quiet_program_monitored_without_deployments() {
-        let image = {
-            let mut a = cobra_isa::Assembler::new();
-            a.movi(4, 2_000);
-            a.mov_to_lc(4);
-            let top = a.new_label();
-            a.bind(top);
-            a.addi(5, 5, 1);
-            a.br_cloop(top);
-            a.hlt();
-            a.finish()
-        };
-        let mut m = Machine::new(MachineConfig::smp4(), image);
+        let mut m = Machine::new(MachineConfig::smp4(), quiet_loop());
         let mut cobra = Cobra::builder().attach(&mut m);
         let rt = OmpRuntime { quantum: 1000 };
         rt.parallel_for(&mut m, Team::new(4), 0, 0, 4, &[], &mut cobra);
@@ -732,18 +808,7 @@ mod tests {
     /// flow into a memory sink, and the report counts them.
     #[test]
     fn quiet_program_produces_quantum_telemetry() {
-        let image = {
-            let mut a = cobra_isa::Assembler::new();
-            a.movi(4, 2_000);
-            a.mov_to_lc(4);
-            let top = a.new_label();
-            a.bind(top);
-            a.addi(5, 5, 1);
-            a.br_cloop(top);
-            a.hlt();
-            a.finish()
-        };
-        let mut m = Machine::new(MachineConfig::smp4(), image);
+        let mut m = Machine::new(MachineConfig::smp4(), quiet_loop());
         let (sink, log) = TelemetrySink::memory();
         let mut cobra = Cobra::builder().telemetry(sink).attach(&mut m);
         let rt = OmpRuntime { quantum: 1000 };
@@ -766,6 +831,44 @@ mod tests {
         let cpus = last_quantum.expect("a quantum was recorded");
         assert_eq!(cpus.len(), 4);
         assert!(cpus.iter().any(|c| c.inst_retired > 0));
+    }
+
+    /// Each tick's deltas are folded twice: into the cumulative profile,
+    /// which keeps every sample of the run, and into the rolling window,
+    /// which gains one entry (a delta per monitor) per tick. On a traced
+    /// run the samples merged are the samples the kernel buffers handed
+    /// over.
+    #[test]
+    fn each_ticks_deltas_fold_into_the_cumulative_and_rolling_profiles() {
+        let mut m = Machine::new(MachineConfig::smp4(), quiet_loop());
+        let (sink, log) = TelemetrySink::memory();
+        let mut cobra = Cobra::builder().telemetry(sink).attach(&mut m);
+        let rt = OmpRuntime { quantum: 1000 };
+        rt.parallel_for(&mut m, Team::new(4), 0, 0, 4, &[], &mut cobra);
+        let ticks = cobra.tick as usize;
+        assert!(ticks > 0 && ticks < ROLLING_TICKS, "{ticks} ticks");
+        assert_eq!(cobra.recent.len(), ticks, "one entry per tick");
+        let samples = cobra.cumulative.samples;
+        assert!(samples > 0);
+        // A tick on the halted team still folds one delta per monitor.
+        cobra.on_quantum(&mut m);
+        assert_eq!(cobra.recent.len(), ticks + 1);
+        assert_eq!(cobra.recent.back().map(Vec::len), Some(4));
+        let rolling: u64 = cobra.recent.iter().flatten().map(|d| d.samples).sum();
+        assert_eq!((cobra.cumulative.samples, rolling), (samples, samples));
+        let report = cobra.detach(&mut m);
+        let drained: usize = log
+            .lock()
+            .unwrap()
+            .records()
+            .iter()
+            .map(|r| match r.event {
+                TelemetryEvent::KernelDrain { samples, .. } => samples,
+                _ => 0,
+            })
+            .sum();
+        assert_eq!(report.samples_merged, drained as u64);
+        assert_eq!(report.samples_merged, samples);
     }
 
     /// The fast engine must be invisible to the whole pipeline: a

@@ -13,18 +13,20 @@
 //! Architecture (the paper's Figure 4):
 //!
 //! ```text
-//!  working threads --HPM--> perfmon driver --samples--> monitors
+//!  working threads --HPM--> perfmon driver --samples--> profilers
 //!                                                            | deltas
 //!                                                            v
-//!  patched binary <--plans-- code deployment <-- optimization stage
-//!                                                 (profile merge, phase
-//!                                                  detection, trace
-//!                                                  selection, decisions)
+//!  patched binary <--plans-- code deployment <-- profile merge, phase
+//!                                                detection (Cobra), trace
+//!                                                selection, decisions
+//!                                                (Optimizer)
 //! ```
 //!
-//! The paper's monitoring and optimization *threads* are roles here, called
-//! in turn on the simulator's thread each quantum; what they would cost the
-//! program is charged to it as guest cycles (see [`framework`]).
+//! The paper's monitoring and optimization *threads* are roles here: each
+//! quantum, [`Cobra`] calls every thread's profiler, folds what they return
+//! and calls the optimizer, on the simulator's thread; what the threads
+//! would cost the program is charged to it as guest cycles (see
+//! [`framework`]).
 //!
 //! Entry point: [`Cobra::builder`], a fluent configuration API whose
 //! `attach` step implements the OpenMP runtime's `QuantumHook` so the
@@ -33,7 +35,6 @@
 //! decision pipeline as typed, cycle-stamped events.
 
 pub mod framework;
-pub mod monitor;
 pub mod optimizer;
 pub mod persist;
 pub mod phase;
@@ -43,7 +44,6 @@ pub mod telemetry;
 pub mod trace;
 
 pub use framework::{Cobra, CobraBuilder, OVERHEAD_PER_SAMPLE};
-pub use monitor::{OptFinal, OptimizationStage};
 pub use optimizer::{
     verify_plan, DecisionExport, OptKind, Optimizer, OptimizerConfig, PatchPlan, PlanAction,
     Strategy, TracePlan, WarmSeed,

@@ -47,8 +47,8 @@
 //!   cold one, and an unknown winner name re-runs the contest).
 //! * `Contest` — baseline CPI from the pre-trial rolling window, then each
 //!   candidate deployed for `TRIAL_TICKS` quanta and reverted; trial CPI is
-//!   exact (Σcycles/Σinsns of the tick windows `observe_tick_window`
-//!   hands over). The strict-minimum CPI wins.
+//!   exact (Σcycles/Σinsns of the tick windows `begin_tick` hands over).
+//!   The strict-minimum CPI wins.
 //! * `Deployed` — regression-watched over `REGRESSION_TICKS`; past
 //!   `baseline × REGRESSION_FACTOR` it is reverted and blacklisted. The
 //!   watch and the trial stay two measurements: merging them would move
@@ -123,15 +123,6 @@ pub struct OptimizerConfig {
     /// revert, and promote the lowest-CPI candidate. Off by default — the
     /// classic two-rewrite pipeline stays byte-identical with it off.
     pub candidates: bool,
-    /// On-stack replacement: arm verified per-branch redirects when a trace
-    /// version deploys (and the reverse map when it reverts), so threads
-    /// already inside the loop migrate at their next back edge instead of
-    /// running the stale version to natural completion. Maps are proven
-    /// total and type-correct by `cobra-verify::check_osr_map` before
-    /// arming; an unprovable map degrades to entry-only transfer (counted
-    /// in `osr_rejects`), never blocks the deployment. On by default;
-    /// `CobraBuilder::osr(false)` pins entry-only transfer for A/B runs.
-    pub osr: bool,
 }
 
 impl Default for OptimizerConfig {
@@ -141,13 +132,12 @@ impl Default for OptimizerConfig {
             trace: TraceConfig::default(),
             warmup_ticks: 18,
             candidates: false,
-            osr: true,
         }
     }
 }
 
-/// One planned deployment (or revert), handed from the optimization stage
-/// to the framework for application at a safe point.
+/// One planned deployment (or revert), handed from the optimizer to the
+/// framework for application at a safe point.
 #[derive(Debug, Clone)]
 pub enum PlanAction {
     Apply(PatchPlan),
@@ -427,7 +417,7 @@ enum LoopState {
     Blacklisted(Option<Deployment>),
 }
 
-/// The optimization stage's decision state: decisions, plan construction,
+/// The optimization role's decision state: decisions, plan construction,
 /// and its own synchronized copy of the program image.
 #[derive(Debug)]
 pub struct Optimizer {
@@ -451,10 +441,10 @@ pub struct Optimizer {
     /// [`Optimizer::begin_tick`]), used to stamp telemetry events.
     cur_tick: u64,
     cur_cycle: u64,
-    /// This tick's merged counter deltas (set by
-    /// [`Optimizer::observe_tick_window`]; cleared after each
-    /// [`Optimizer::consider`]). Candidate trials sum these for exact
-    /// per-trial CPI; `None` falls back to the rolling window.
+    /// This tick's merged counter deltas (set by [`Optimizer::begin_tick`];
+    /// cleared after each [`Optimizer::consider`]). Candidate trials sum
+    /// these for exact per-trial CPI; `None` falls back to the rolling
+    /// window.
     tick_window: Option<CounterWindow>,
 }
 
@@ -480,17 +470,15 @@ impl Optimizer {
         &self.cfg
     }
 
-    /// Stamp subsequent decisions with the tick/cycle they belong to.
-    pub fn begin_tick(&mut self, tick: u64, cycle: u64) {
-        self.cur_tick = tick;
-        self.cur_cycle = cycle;
-    }
-
-    /// Hand this tick's merged counter deltas to the optimizer (exactly the
+    /// Open a tick: stamp subsequent decisions with the tick/cycle they
+    /// belong to, and take the tick's merged counter deltas (exactly the
     /// window the phase detector sees). Candidate trials accumulate these
     /// so a trial's CPI covers precisely its own ticks, independent of the
-    /// rolling-window length. Consumed by the next [`Optimizer::consider`].
-    pub fn observe_tick_window(&mut self, window: &CounterWindow) {
+    /// rolling-window length. The window is consumed by the next
+    /// [`Optimizer::consider`].
+    pub fn begin_tick(&mut self, tick: u64, cycle: u64, window: &CounterWindow) {
+        self.cur_tick = tick;
+        self.cur_cycle = cycle;
         self.tick_window = Some(*window);
     }
 
@@ -695,7 +683,7 @@ impl Optimizer {
     const WARM_WARMUP_TICKS: u64 = 6;
     /// Quantum ticks each tournament candidate stays deployed before its
     /// trial CPI is read. Trials measure against exact per-tick counter
-    /// sums (see [`Optimizer::observe_tick_window`]), so short windows stay
+    /// sums (see [`Optimizer::begin_tick`]), so short windows stay
     /// accurate; four average out scheduling noise without making the
     /// tournament long.
     const TRIAL_TICKS: u64 = 4;
@@ -1438,7 +1426,7 @@ mod tests {
             ..ProfileDelta::default()
         };
         for _ in 0..20 {
-            delta.dear_events.push((load_pc, 0x1000, dear_latency));
+            delta.dear_events.push((load_pc, dear_latency));
             delta.branch_pairs.push((back, head));
         }
         sp.absorb(&delta);
@@ -1602,7 +1590,6 @@ mod tests {
         // Post-deployment profile with much worse CPI.
         let mut worse = SystemProfile::new(LatencyBands { coherent_min: 165 });
         worse.absorb(&ProfileDelta {
-            cpu: 0,
             window: CounterWindow {
                 instructions: 100_000,
                 cycles: 400_000, // CPI 4.0 vs baseline 1.5

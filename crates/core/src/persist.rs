@@ -7,8 +7,9 @@
 //! rewrite kind it stores by `cobra-isa`'s name for it). This module owns
 //! the two-way conversion:
 //!
-//! * at detach, the optimization stage's [`OptFinal`] becomes a
-//!   [`Snapshot`] (sorted, so snapshots serialize deterministically);
+//! * at detach, the optimizer's exported decisions and blacklist and the
+//!   run's cumulative profile become a [`Snapshot`] (sorted, so snapshots
+//!   serialize deterministically);
 //! * at attach, a loaded snapshot becomes a [`WarmSeed`] — only
 //!   non-reverted decisions seed deployments; reverted ones travel through
 //!   the blacklist so a warm run never re-trials a known regression.
@@ -18,8 +19,9 @@ use cobra_store::{
     WinnerRecord,
 };
 
-use crate::monitor::OptFinal;
-use crate::optimizer::{OptKind, WarmSeed};
+use cobra_isa::CodeAddr;
+
+use crate::optimizer::{DecisionExport, OptKind, WarmSeed};
 use crate::profile::SystemProfile;
 
 /// Flatten a [`SystemProfile`] into a store record (entries sorted by pc /
@@ -58,13 +60,18 @@ pub fn profile_record(profile: &SystemProfile) -> ProfileRecord {
 
 /// Build the snapshot one finished run contributes (`runs = 1`; the
 /// framework folds it into the prior snapshot, or an empty one, before
-/// saving, and uploads it as it is).
-pub fn snapshot_from_final(key: StoreKey, fin: &OptFinal) -> Snapshot {
+/// saving, and uploads it as it is) from what `Optimizer::export_state`
+/// returns at detach and the profile of the whole run.
+pub fn snapshot_from_final(
+    key: StoreKey,
+    decisions: &[DecisionExport],
+    blacklist: &[CodeAddr],
+    cumulative: &SystemProfile,
+) -> Snapshot {
     let mut snap = Snapshot::empty(key);
     snap.runs = 1;
-    snap.profile = profile_record(&fin.cumulative);
-    snap.decisions = fin
-        .decisions
+    snap.profile = profile_record(cumulative);
+    snap.decisions = decisions
         .iter()
         .map(|d| DecisionRecord {
             loop_head: d.loop_head,
@@ -77,8 +84,7 @@ pub fn snapshot_from_final(key: StoreKey, fin: &OptFinal) -> Snapshot {
     // Tournament winners still standing at detach: a warm run resumes these
     // directly instead of re-running the tournament. Decisions are already
     // sorted by loop head, so winners are too.
-    snap.winners = fin
-        .decisions
+    snap.winners = decisions
         .iter()
         .filter(|d| !d.reverted)
         .filter_map(|d| {
@@ -90,7 +96,7 @@ pub fn snapshot_from_final(key: StoreKey, fin: &OptFinal) -> Snapshot {
             })
         })
         .collect();
-    snap.blacklist = fin.blacklist.clone();
+    snap.blacklist = blacklist.to_vec();
     snap
 }
 
@@ -141,8 +147,8 @@ mod tests {
             },
             ..ProfileDelta::default()
         };
-        delta.dear_events.push((90, 0x100, 200));
-        delta.dear_events.push((20, 0x200, 200));
+        delta.dear_events.push((90, 200));
+        delta.dear_events.push((20, 200));
         delta.branch_pairs.push((50, 30));
         delta.branch_pairs.push((9, 5));
         sp.absorb(&delta);
@@ -233,42 +239,39 @@ mod tests {
             image_hash: 1,
             machine_fp: 2,
         };
-        let fin = OptFinal {
-            decisions: vec![
-                crate::optimizer::DecisionExport {
-                    loop_head: 10,
-                    kind: OptKind::Combined,
-                    reverted: false,
-                    baseline_cpi: 1.4,
-                    post_cpi: Some(1.1),
-                    candidate: Some("combined.split".into()),
-                    trials: vec![("noprefetch".into(), 1.3), ("combined.split".into(), 1.1)],
-                },
-                // A reverted tournament winner must not become a seed.
-                crate::optimizer::DecisionExport {
-                    loop_head: 20,
-                    kind: OptKind::NoPrefetch,
-                    reverted: true,
-                    baseline_cpi: 1.0,
-                    post_cpi: Some(2.0),
-                    candidate: Some("noprefetch".into()),
-                    trials: vec![],
-                },
-                // Classic deployments export no candidate, hence no winner.
-                crate::optimizer::DecisionExport {
-                    loop_head: 30,
-                    kind: OptKind::ExclHint,
-                    reverted: false,
-                    baseline_cpi: 1.2,
-                    post_cpi: None,
-                    candidate: None,
-                    trials: vec![],
-                },
-            ],
-            blacklist: vec![20],
-            cumulative: SystemProfile::new(LatencyBands { coherent_min: 165 }),
-        };
-        let snap = snapshot_from_final(key, &fin);
+        let decisions = vec![
+            DecisionExport {
+                loop_head: 10,
+                kind: OptKind::Combined,
+                reverted: false,
+                baseline_cpi: 1.4,
+                post_cpi: Some(1.1),
+                candidate: Some("combined.split".into()),
+                trials: vec![("noprefetch".into(), 1.3), ("combined.split".into(), 1.1)],
+            },
+            // A reverted tournament winner must not become a seed.
+            DecisionExport {
+                loop_head: 20,
+                kind: OptKind::NoPrefetch,
+                reverted: true,
+                baseline_cpi: 1.0,
+                post_cpi: Some(2.0),
+                candidate: Some("noprefetch".into()),
+                trials: vec![],
+            },
+            // Classic deployments export no candidate, hence no winner.
+            DecisionExport {
+                loop_head: 30,
+                kind: OptKind::ExclHint,
+                reverted: false,
+                baseline_cpi: 1.2,
+                post_cpi: None,
+                candidate: None,
+                trials: vec![],
+            },
+        ];
+        let cumulative = SystemProfile::new(LatencyBands { coherent_min: 165 });
+        let snap = snapshot_from_final(key, &decisions, &[20], &cumulative);
         assert_eq!(snap.winners.len(), 1);
         assert_eq!(snap.winners[0].loop_head, 10);
         assert_eq!(snap.winners[0].kind, "combined");

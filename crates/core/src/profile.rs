@@ -1,8 +1,8 @@
 //! Dynamic profile aggregation.
 //!
-//! Monitors reduce raw samples into [`ProfileDelta`]s; the
-//! optimization stage merges deltas from every thread into a
-//! [`SystemProfile`] — "optimization decisions are based on profiles
+//! Each thread's [`ThreadProfiler`] reduces raw samples into a
+//! [`ProfileDelta`]; the framework merges the deltas from every thread into
+//! a [`SystemProfile`] — "optimization decisions are based on profiles
 //! collected from multiple threads to determine if a system-wide
 //! optimization is warranted" (§1). The profile tracks:
 //!
@@ -136,13 +136,13 @@ impl CounterWindow {
     }
 }
 
-/// One monitor's reduction of a batch of samples.
+/// One profiler's reduction of a batch of samples: what
+/// [`SystemProfile::absorb`] merges.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ProfileDelta {
-    pub cpu: u32,
     pub window: CounterWindow,
     /// (pc, latency) of DEAR captures in this batch.
-    pub dear_events: Vec<(CodeAddr, u64, u64)>, // (pc, data_addr, latency)
+    pub dear_events: Vec<(CodeAddr, u64)>,
     /// Taken-branch pairs observed in BTB snapshots.
     pub branch_pairs: Vec<(CodeAddr, CodeAddr)>,
     /// Number of raw samples reduced.
@@ -194,10 +194,7 @@ impl ThreadProfiler {
     /// their slots in [`PmcSelection::coherence_default`], the one selection
     /// the driver programs.
     pub fn reduce(&mut self, samples: &[SampleRecord]) -> ProfileDelta {
-        let mut delta = ProfileDelta {
-            cpu: self.cpu,
-            ..ProfileDelta::default()
-        };
+        let mut delta = ProfileDelta::default();
         for s in samples {
             debug_assert_eq!(s.cpu, self.cpu);
             delta.samples += 1;
@@ -230,7 +227,7 @@ impl ThreadProfiler {
                 // samples by capture cycle.
                 if dear.cycle > self.last_dear_cycle {
                     self.last_dear_cycle = dear.cycle;
-                    delta.dear_events.push((dear.pc, dear.addr, dear.latency));
+                    delta.dear_events.push((dear.pc, dear.latency));
                 }
             }
             for pair in &s.btb {
@@ -241,7 +238,7 @@ impl ThreadProfiler {
     }
 }
 
-/// The system-wide merged profile the optimization stage decides from.
+/// The system-wide merged profile the optimizer decides from.
 #[derive(Debug, Clone)]
 pub struct SystemProfile {
     bands: LatencyBands,
@@ -270,7 +267,7 @@ impl SystemProfile {
     pub fn absorb(&mut self, delta: &ProfileDelta) {
         self.window.merge(&delta.window);
         self.samples += delta.samples;
-        for &(pc, _addr, latency) in &delta.dear_events {
+        for &(pc, latency) in &delta.dear_events {
             let entry = self.delinquent.entry(pc).or_default();
             if latency >= self.bands.coherent_min {
                 entry.coherent += 1;
@@ -340,7 +337,7 @@ mod tests {
         s2.cycle = 2500;
         s3.cycle = 4200;
         let d = tp.reduce(&[s1, s2, s3]);
-        assert_eq!((d.cpu, d.samples), (2, 3));
+        assert_eq!(d.samples, 3);
         assert_eq!(d.branch_pairs, vec![(50, 30)]);
         // First sample has no predecessor (counts instructions only);
         // pairs 2 and 3 carry both time and events.
@@ -388,7 +385,6 @@ mod tests {
     fn system_profile_classifies_latency_bands() {
         let mut sp = SystemProfile::new(LatencyBands { coherent_min: 165 });
         let delta = ProfileDelta {
-            cpu: 0,
             window: CounterWindow {
                 instructions: 10_000,
                 cycles: 20_000,
@@ -397,12 +393,7 @@ mod tests {
                 l2_miss: 10,
                 l3_miss: 8,
             },
-            dear_events: vec![
-                (7, 0x1000, 190),
-                (7, 0x1040, 200),
-                (7, 0x1080, 140),
-                (9, 0x2000, 150),
-            ],
+            dear_events: vec![(7, 190), (7, 200), (7, 140), (9, 150)],
             branch_pairs: vec![(20, 10), (20, 10), (5, 30)],
             samples: 4,
         };
@@ -431,9 +422,8 @@ mod tests {
     #[test]
     fn multi_thread_absorb_merges_windows() {
         let mut sp = SystemProfile::new(LatencyBands { coherent_min: 165 });
-        for cpu in 0..4u32 {
+        for _ in 0..4 {
             sp.absorb(&ProfileDelta {
-                cpu,
                 window: CounterWindow {
                     instructions: 1000,
                     cycles: 1500,

@@ -38,7 +38,7 @@ pub struct RevertedPlan {
 pub struct CobraReport {
     /// Samples captured by the perfmon driver and forwarded to monitors.
     pub samples_forwarded: u64,
-    /// Samples merged by the optimization stage.
+    /// Samples merged into the run's cumulative profile.
     pub samples_merged: u64,
     /// Quantum ticks processed.
     pub ticks: u64,

@@ -76,7 +76,7 @@ pub fn hot_profile(load_pc: CodeAddr, head: CodeAddr, back: CodeAddr) -> SystemP
         ..ProfileDelta::default()
     };
     for _ in 0..20 {
-        delta.dear_events.push((load_pc, 0x1000, 200));
+        delta.dear_events.push((load_pc, 200));
         delta.branch_pairs.push((back, head));
     }
     sp.absorb(&delta);

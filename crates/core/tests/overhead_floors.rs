@@ -95,9 +95,7 @@ fn decision_inputs() -> (CodeImage, SystemProfile) {
     for head in (0..32u32).map(|k| k * 12) {
         for _ in 0..20 {
             delta.branch_pairs.push((head + 9, head));
-            delta
-                .dear_events
-                .push((head + 3, 0x1000 + head as u64 * 128, 200));
+            delta.dear_events.push((head + 3, 200));
         }
     }
     profile.absorb(&delta);

@@ -34,6 +34,13 @@ pub enum Variant {
 }
 
 impl Variant {
+    /// Every variant, baseline first: the order cells are measured in.
+    pub(crate) const ALL: [Variant; 3] = [
+        Variant::Prefetch,
+        Variant::NoPrefetch,
+        Variant::PrefetchExcl,
+    ];
+
     pub fn name(self) -> &'static str {
         match self {
             Variant::Prefetch => "prefetch",
@@ -42,7 +49,7 @@ impl Variant {
         }
     }
 
-    fn policy(self) -> PrefetchPolicy {
+    pub(crate) fn policy(self) -> PrefetchPolicy {
         match self {
             Variant::Prefetch => PrefetchPolicy::aggressive(),
             Variant::NoPrefetch => PrefetchPolicy::none(),
@@ -84,11 +91,7 @@ pub fn measure(reps: usize, workers: usize) -> Fig3Data {
     let mut configs = Vec::new();
     for &ws in &WORKING_SETS {
         for &threads in &THREADS {
-            for variant in [
-                Variant::Prefetch,
-                Variant::NoPrefetch,
-                Variant::PrefetchExcl,
-            ] {
+            for variant in Variant::ALL {
                 configs.push((ws, threads, variant));
             }
         }

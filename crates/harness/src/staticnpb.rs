@@ -6,12 +6,13 @@
 //! `noprefetch`, FT/MG want `.excl`, and no single static choice wins
 //! everywhere — the paper's motivation restated at benchmark scale.
 
+use cobra_kernels::npb;
 use cobra_kernels::workload::execute_plain;
-use cobra_kernels::{npb, PrefetchPolicy};
 use cobra_machine::{Event, MachineConfig};
 use cobra_omp::Team;
 use serde::{Deserialize, Serialize};
 
+use crate::fig3::Variant;
 use crate::sweep::parallel_map;
 use crate::table::{pct, Table};
 
@@ -30,22 +31,17 @@ pub struct StaticCell {
 pub fn measure(machine_cfg: &MachineConfig, threads: usize, workers: usize) -> Vec<StaticCell> {
     let mut jobs = Vec::new();
     for &b in &npb::Benchmark::COHERENT {
-        for policy in ["prefetch", "noprefetch", "prefetch.excl"] {
-            jobs.push((b, policy));
+        for variant in Variant::ALL {
+            jobs.push((b, variant));
         }
     }
-    parallel_map(jobs, workers, |&(b, policy_name)| {
-        let policy = match policy_name {
-            "prefetch" => PrefetchPolicy::aggressive(),
-            "noprefetch" => PrefetchPolicy::none(),
-            _ => PrefetchPolicy::aggressive_excl(),
-        };
-        let wl = npb::build(b, &policy, machine_cfg.mem_bytes);
+    parallel_map(jobs, workers, |&(b, variant)| {
+        let wl = npb::build(b, &variant.policy(), machine_cfg.mem_bytes);
         let (m, run) = execute_plain(&*wl, machine_cfg, Team::new(threads));
         let t = m.total_stats();
         StaticCell {
             bench: b.name().to_string(),
-            policy: policy_name.to_string(),
+            policy: variant.name().to_string(),
             cycles: run.cycles,
             l3_misses: t.get(Event::L3Miss),
             hitm: t.get(Event::BusRdHitm),
@@ -65,7 +61,7 @@ pub fn render(cells: &[StaticCell], machine: &str, markdown: bool) -> String {
     for c in cells {
         let base = cells
             .iter()
-            .find(|x| x.bench == c.bench && x.policy == "prefetch")
+            .find(|x| x.bench == c.bench && x.policy == Variant::Prefetch.name())
             .expect("baseline measured");
         t.row(vec![
             c.bench.clone(),

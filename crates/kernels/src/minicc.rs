@@ -16,10 +16,9 @@
 //!
 //! Register conventions inside a region body (all non-rotating):
 //! scratch pointers `r2`–`r7`, trip counts `r20`–`r23`, prefetch pointers
-//! `r27`–`r30`, burst scratch `r31`, barrier registers `r24`–`r26`
-//! (see `cobra_omp::BarrierRegs`), coefficients in `f6`–`f8`, reduction
-//! accumulators `f9`–`f10`, predicates `p6`/`p7` for range checks and `p15`
-//! as a comparison sink. Rotating regions (`r32+`, `f32+`, `p16+`) belong to
+//! `r27`–`r30`, burst scratch `r31` (`r24`–`r26` are left unused),
+//! coefficients in `f6`–`f8`, reduction accumulators `f9`–`f10`, predicates
+//! `p6`/`p7` for range checks and `p15` as a comparison sink. Rotating regions (`r32+`, `f32+`, `p16+`) belong to
 //! the pipelined loops.
 
 use cobra_isa::insn::{CmpRel, Insn, LfetchHint, Op};

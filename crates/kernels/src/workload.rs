@@ -15,8 +15,8 @@ pub struct Arena {
 }
 
 impl Arena {
-    /// Data space starts above the low region reserved for barrier counters
-    /// and per-thread scratch slots.
+    /// Data space starts above the low region reserved for per-thread
+    /// scratch slots.
     pub const DATA_BASE: u64 = 0x1_0000;
 
     pub fn new(mem_bytes: usize) -> Self {

@@ -10,13 +10,12 @@
 //! * [`OmpRuntime`] — fork/join execution with a per-quantum [`QuantumHook`]
 //!   through which COBRA samples the HPMs and patches the binary at safe
 //!   points while the program runs.
-//! * [`emit_barrier`] — in-program central-counter barriers (atomic
-//!   `fetchadd8` + spin) for multi-phase kernels.
+//!
+//! A multi-phase kernel forks and joins once per phase: the join is its
+//! only barrier.
 
-pub mod barrier;
 pub mod runtime;
 pub mod team;
 
-pub use barrier::{emit_barrier, BarrierRegs};
 pub use runtime::{NullHook, OmpRuntime, QuantumHook, RegionStats};
 pub use team::{abi, Team};
