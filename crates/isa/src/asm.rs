@@ -90,7 +90,7 @@ impl Assembler {
     }
 
     /// Emit a branch to a label; the target is fixed up at `finish()`.
-    pub fn emit_branch(&mut self, insn: Insn, label: Label) -> CodeAddr {
+    pub(crate) fn emit_branch(&mut self, insn: Insn, label: Label) -> CodeAddr {
         assert!(
             insn.op.branch_target().is_some(),
             "emit_branch needs a targeted branch"

@@ -52,26 +52,11 @@ fn format_op(op: &Op) -> String {
             let e = if excl { ".excl" } else { "" };
             with_postinc(format!("lfetch{h}{e} [r{base}]"), post_inc)
         }
-        Op::FetchAdd8 { dest, base, inc } => {
-            format!("fetchadd8.acq r{dest}=[r{base}],{inc}")
-        }
-        Op::Cmpxchg8 {
-            dest,
-            base,
-            new,
-            cmp,
-        } => {
-            format!("cmpxchg8.acq r{dest}=[r{base}],r{new} ? r{cmp}")
-        }
         Op::FmaD { dest, f1, f2, f3 } => format!("fma.d f{dest}=f{f1},f{f2},f{f3}"),
-        Op::FmsD { dest, f1, f2, f3 } => format!("fms.d f{dest}=f{f1},f{f2},f{f3}"),
-        Op::FaddD { dest, f1, f2 } => format!("fadd.d f{dest}=f{f1},f{f2}"),
         Op::FsubD { dest, f1, f2 } => format!("fsub.d f{dest}=f{f1},f{f2}"),
         Op::FmulD { dest, f1, f2 } => format!("fmul.d f{dest}=f{f1},f{f2}"),
         Op::FdivD { dest, f1, f2 } => format!("fdiv.d f{dest}=f{f1},f{f2}"),
         Op::FsqrtD { dest, f1 } => format!("fsqrt.d f{dest}=f{f1}"),
-        Op::FabsD { dest, f1 } => format!("fabs f{dest}=f{f1}"),
-        Op::FnegD { dest, f1 } => format!("fneg f{dest}=f{f1}"),
         Op::FcmpD {
             p1,
             p2,
@@ -82,11 +67,8 @@ fn format_op(op: &Op) -> String {
             format!("fcmp.{} p{p1},p{p2}=f{f1},f{f2}", rel.mnemonic())
         }
         Op::SetfD { dest, src } => format!("setf.d f{dest}=r{src}"),
-        Op::GetfD { dest, src } => format!("getf.d r{dest}=f{src}"),
         Op::SetfSig { dest, src } => format!("setf.sig f{dest}=r{src}"),
-        Op::GetfSig { dest, src } => format!("getf.sig r{dest}=f{src}"),
         Op::FcvtXf { dest, src } => format!("fcvt.xf f{dest}=f{src}"),
-        Op::FcvtFxTrunc { dest, src } => format!("fcvt.fx.trunc f{dest}=f{src}"),
         Op::Add { dest, r2, r3 } => {
             if r3 == 0 {
                 format!("mov r{dest}=r{r2}")
@@ -99,11 +81,6 @@ fn format_op(op: &Op) -> String {
         Op::Mul { dest, r2, r3 } => format!("xmpy.l r{dest}=r{r2},r{r3}"),
         Op::ShlI { dest, src, count } => format!("shl r{dest}=r{src},{count}"),
         Op::ShrI { dest, src, count } => format!("shr.u r{dest}=r{src},{count}"),
-        Op::SarI { dest, src, count } => format!("shr r{dest}=r{src},{count}"),
-        Op::And { dest, r2, r3 } => format!("and r{dest}=r{r2},r{r3}"),
-        Op::Or { dest, r2, r3 } => format!("or r{dest}=r{r2},r{r3}"),
-        Op::Xor { dest, r2, r3 } => format!("xor r{dest}=r{r2},r{r3}"),
-        Op::AndI { dest, src, imm } => format!("and r{dest}={imm},r{src}"),
         Op::MovI { dest, imm } => format!("movl r{dest}={imm:#x}"),
         Op::Cmp {
             p1,
@@ -127,14 +104,8 @@ fn format_op(op: &Op) -> String {
         Op::BrCtop { target } => format!("br.ctop.sptk .L{target}"),
         Op::BrCloop { target } => format!("br.cloop.sptk .L{target}"),
         Op::BrWtop { target } => format!("br.wtop.sptk .L{target}"),
-        Op::BrCall { target } => format!("br.call.sptk b0=.L{target}"),
-        Op::BrRet => "br.ret.sptk b0".to_string(),
         Op::MovToLc { src } => format!("mov ar.lc=r{src}"),
         Op::MovToEc { src } => format!("mov ar.ec=r{src}"),
-        Op::MovFromLc { dest } => format!("mov r{dest}=ar.lc"),
-        Op::MovFromEc { dest } => format!("mov r{dest}=ar.ec"),
-        Op::MovToB0 { src } => format!("mov b0=r{src}"),
-        Op::MovFromB0 { dest } => format!("mov r{dest}=b0"),
         Op::Clrrrb => "clrrrb".to_string(),
         Op::Nop { unit } => format!("nop.{} 0", unit_letter(unit)),
         Op::Hlt => "hlt".to_string(),
@@ -332,13 +303,11 @@ mod tests {
                 f2: 3,
             },
             Op::FsqrtD { dest: 1, f1: 2 },
-            Op::BrRet,
             Op::Clrrrb,
             Op::Hlt,
-            Op::MovFromEc { dest: 9 },
-            Op::MovToB0 { src: 9 },
-            Op::GetfSig { dest: 1, src: 2 },
-            Op::Xor {
+            Op::MovToEc { src: 9 },
+            Op::SetfSig { dest: 1, src: 2 },
+            Op::Sub {
                 dest: 1,
                 r2: 2,
                 r3: 3,

@@ -262,32 +262,24 @@ macro_rules! instructions {
     };
 }
 
-// Opcode bytes are stable: gaps group the families.
+// Opcode bytes are stable: gaps group the families, and the byte of a
+// deleted opcode is not given to another.
 instructions! {
     Ld8 = 1, M { dest: RA, base: RB, post_inc: IMM22, bias: BIAS };
     St8 = 2, M { src: RA, base: RB, post_inc: IMM22 };
     Ldfd = 3, M { dest: RA, base: RB, post_inc: IMM22 };
     Stfd = 4, M { src: RA, base: RB, post_inc: IMM22 };
     Lfetch = 5, M { base: RA, post_inc: IMM22, hint: HINT, excl: EXCL };
-    FetchAdd8 = 6, M { dest: RA, base: RB, inc: IMM22 };
-    Cmpxchg8 = 7, M { dest: RA, base: RB, new: RC, cmp: RD };
 
     FmaD = 10, F { dest: RA, f1: RB, f2: RC, f3: RD };
-    FmsD = 11, F { dest: RA, f1: RB, f2: RC, f3: RD };
-    FaddD = 12, F { dest: RA, f1: RB, f2: RC };
     FsubD = 13, F { dest: RA, f1: RB, f2: RC };
     FmulD = 14, F { dest: RA, f1: RB, f2: RC };
     FdivD = 15, F { dest: RA, f1: RB, f2: RC };
     FsqrtD = 16, F { dest: RA, f1: RB };
-    FabsD = 17, F { dest: RA, f1: RB };
-    FnegD = 18, F { dest: RA, f1: RB };
     FcmpD = 19, F { p1: PA, p2: PB, rel: REL, f1: RC, f2: RD };
     SetfD = 20, M { dest: RA, src: RB };
-    GetfD = 21, M { dest: RA, src: RB };
     SetfSig = 22, M { dest: RA, src: RB };
-    GetfSig = 23, M { dest: RA, src: RB };
     FcvtXf = 24, F { dest: RA, src: RB };
-    FcvtFxTrunc = 25, F { dest: RA, src: RB };
 
     Add = 30, I { dest: RA, r2: RB, r3: RC };
     Sub = 31, I { dest: RA, r2: RB, r3: RC };
@@ -295,11 +287,6 @@ instructions! {
     Mul = 33, I { dest: RA, r2: RB, r3: RC };
     ShlI = 34, I { dest: RA, src: RB, count: COUNT };
     ShrI = 35, I { dest: RA, src: RB, count: COUNT };
-    SarI = 36, I { dest: RA, src: RB, count: COUNT };
-    And = 37, I { dest: RA, r2: RB, r3: RC };
-    Or = 38, I { dest: RA, r2: RB, r3: RC };
-    Xor = 39, I { dest: RA, r2: RB, r3: RC };
-    AndI = 40, I { dest: RA, src: RB, imm: IMM22 };
     MovI = 41, I { dest: RA, imm: IMM43 };
     Cmp = 42, I { p1: PA, p2: PB, rel: REL, r2: RC, r3: RD };
     CmpI = 43, I { p1: PA, p2: PB, rel: REL_D, imm: IMM22, r3: RC };
@@ -308,15 +295,9 @@ instructions! {
     BrCtop = 51, B { target: TARGET };
     BrCloop = 52, B { target: TARGET };
     BrWtop = 53, B { target: TARGET };
-    BrCall = 54, B { target: TARGET };
-    BrRet = 55, B {};
 
     MovToLc = 60, I { src: RA };
     MovToEc = 61, I { src: RA };
-    MovFromLc = 62, I { dest: RA };
-    MovFromEc = 63, I { dest: RA };
-    MovToB0 = 64, I { src: RA };
-    MovFromB0 = 65, I { dest: RA };
     Clrrrb = 66, I {};
 
     Nop = 70, unit { unit: UNIT };
@@ -326,7 +307,7 @@ instructions! {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::insn::{NOP_SLOT_B, NOP_SLOT_F, NOP_SLOT_I, NOP_SLOT_M};
+    use crate::insn::{NOP_SLOT_I, NOP_SLOT_M};
 
     fn roundtrip(insn: Insn) {
         let word = encode(&insn);
@@ -388,17 +369,6 @@ mod tests {
                 base: 10,
                 post_inc: -8,
             }),
-            Insn::new(Op::FetchAdd8 {
-                dest: 14,
-                base: 15,
-                inc: 1,
-            }),
-            Insn::new(Op::Cmpxchg8 {
-                dest: 14,
-                base: 15,
-                new: 16,
-                cmp: 17,
-            }),
             Insn::new(Op::MovI {
                 dest: 4,
                 imm: (1 << 40) + 12345,
@@ -434,11 +404,8 @@ mod tests {
             Insn::pred(7, Op::BrCond { target: 3 }),
             Insn::new(Op::BrWtop { target: 6 }),
             Insn::new(Op::BrCloop { target: 9 }),
-            Insn::new(Op::BrCall { target: 300 }),
-            Insn::new(Op::BrRet),
             Insn::new(Op::MovToLc { src: 5 }),
             Insn::new(Op::MovToEc { src: 5 }),
-            Insn::new(Op::MovFromLc { dest: 5 }),
             Insn::new(Op::Clrrrb),
             Insn::new(Op::Hlt),
             Insn::new(Op::ShlI {
@@ -446,22 +413,12 @@ mod tests {
                 src: 2,
                 count: 63,
             }),
-            Insn::new(Op::SarI {
-                dest: 1,
-                src: 2,
-                count: 1,
-            }),
-            Insn::new(Op::AndI {
-                dest: 1,
-                src: 2,
-                imm: 0xff,
-            }),
             Insn::new(Op::SetfSig { dest: 33, src: 12 }),
             Insn::new(Op::FcvtXf { dest: 33, src: 33 }),
             NOP_SLOT_M,
             NOP_SLOT_I,
-            NOP_SLOT_F,
-            NOP_SLOT_B,
+            Insn::new(Op::Nop { unit: Unit::F }),
+            Insn::new(Op::Nop { unit: Unit::B }),
         ];
         for insn in samples {
             roundtrip(insn);
@@ -480,7 +437,6 @@ mod tests {
             roundtrip(Insn::new(Op::BrCtop { target }));
             roundtrip(Insn::new(Op::BrCloop { target }));
             roundtrip(Insn::new(Op::BrWtop { target }));
-            roundtrip(Insn::new(Op::BrCall { target }));
             roundtrip(Insn::pred(63, Op::BrCond { target }));
         }
         // A max-target branch must still carry its predicate intact.
@@ -667,35 +623,21 @@ mod tests {
             (Insn::pred(3, Ldfd { dest: 33, base: 11, post_inc: 8 }), 0x030d_08b0_0000_0008),
             (Insn::pred(4, Stfd { src: 34, base: 12, post_inc: -8 }), 0x0411_10c0_003f_fff8),
             (Insn::pred(16, Lfetch { base: 43, post_inc: 128, hint: LfetchHint::Nt2, excl: true }), 0x0541_5860_0000_0080),
-            (Insn::pred(5, FetchAdd8 { dest: 14, base: 15, inc: -1 }), 0x0614_70f0_003f_ffff),
-            (Insn::pred(6, Cmpxchg8 { dest: 18, base: 19, new: 20, cmp: 21 }), 0x0718_9132_8540_0000),
             (Insn::pred(21, FmaD { dest: 44, f1: 6, f2: 37, f3: 43 }), 0x0a55_6064_aac0_0000),
-            (Insn::pred(7, FmsD { dest: 45, f1: 7, f2: 38, f3: 42 }), 0x0b1d_6874_ca80_0000),
-            (Insn::pred(8, FaddD { dest: 46, f1: 8, f2: 39 }), 0x0c21_7084_e000_0000),
             (Insn::pred(9, FsubD { dest: 47, f1: 9, f2: 40 }), 0x0d25_7895_0000_0000),
             (Insn::pred(10, FmulD { dest: 48, f1: 10, f2: 41 }), 0x0e29_80a5_2000_0000),
             (Insn::pred(11, FdivD { dest: 49, f1: 11, f2: 42 }), 0x0f2d_88b5_4000_0000),
             (Insn::pred(12, FsqrtD { dest: 50, f1: 12 }), 0x1031_90c0_0000_0000),
-            (Insn::pred(13, FabsD { dest: 51, f1: 13 }), 0x1135_98d0_0000_0000),
-            (Insn::pred(14, FnegD { dest: 52, f1: 14 }), 0x1239_a0e0_0000_0000),
             (Insn::pred(15, FcmpD { p1: 6, p2: 7, rel: CmpRel::Le, f1: 32, f2: 33 }), 0x133c_3074_0840_0003),
             (Insn::pred(17, SetfD { dest: 53, src: 18 }), 0x1445_a920_0000_0000),
-            (Insn::pred(18, GetfD { dest: 19, src: 54 }), 0x1548_9b60_0000_0000),
             (Insn::pred(19, SetfSig { dest: 55, src: 20 }), 0x164d_b940_0000_0000),
-            (Insn::pred(20, GetfSig { dest: 21, src: 56 }), 0x1750_ab80_0000_0000),
             (Insn::pred(22, FcvtXf { dest: 57, src: 58 }), 0x1859_cba0_0000_0000),
-            (Insn::pred(23, FcvtFxTrunc { dest: 59, src: 60 }), 0x195d_dbc0_0000_0000),
             (Insn::pred(24, Add { dest: 22, r2: 23, r3: 24 }), 0x1e60_b173_0000_0000),
             (Insn::pred(25, Sub { dest: 25, r2: 26, r3: 27 }), 0x1f64_c9a3_6000_0000),
             (Insn::pred(26, AddI { dest: 28, src: 29, imm: -100 }), 0x2068_e1d0_003f_ff9c),
             (Insn::pred(27, Mul { dest: 30, r2: 31, r3: 32 }), 0x216c_f1f4_0000_0000),
             (Insn::pred(28, ShlI { dest: 33, src: 34, count: 5 }), 0x2271_0a20_a000_0000),
             (Insn::pred(29, ShrI { dest: 35, src: 36, count: 17 }), 0x2375_1a42_2000_0000),
-            (Insn::pred(30, SarI { dest: 37, src: 38, count: 63 }), 0x2479_2a67_e000_0000),
-            (Insn::pred(31, And { dest: 39, r2: 40, r3: 41 }), 0x257d_3a85_2000_0000),
-            (Insn::pred(32, Or { dest: 42, r2: 43, r3: 44 }), 0x2681_52b5_8000_0000),
-            (Insn::pred(33, Xor { dest: 45, r2: 46, r3: 47 }), 0x2785_6ae5_e000_0000),
-            (Insn::pred(34, AndI { dest: 48, src: 49, imm: 0xff }), 0x2889_8310_0000_00ff),
             (Insn::pred(35, MovI { dest: 50, imm: -(1 << 40) + 12345 }), 0x298d_9700_0000_3039),
             (Insn::pred(36, Cmp { p1: 8, p2: 9, rel: CmpRel::Ltu, r2: 51, r3: 52 }), 0x2a90_4096_6d00_0006),
             (Insn::pred(37, CmpI { p1: 10, p2: 11, rel: CmpRel::Ge, imm: -7, r3: 53 }), 0x2b94_50b6_a17f_fff9),
@@ -703,14 +645,8 @@ mod tests {
             (Insn::pred(39, BrCtop { target: 300 }), 0x339c_0000_0000_012c),
             (Insn::pred(40, BrCloop { target: 3 }), 0x34a0_0000_0000_0003),
             (Insn::pred(41, BrWtop { target: 6 }), 0x35a4_0000_0000_0006),
-            (Insn::pred(42, BrCall { target: 0x1234 }), 0x36a8_0000_0000_1234),
-            (Insn::pred(43, BrRet), 0x37ac_0000_0000_0000),
             (Insn::pred(44, MovToLc { src: 54 }), 0x3cb1_b000_0000_0000),
             (Insn::pred(45, MovToEc { src: 55 }), 0x3db5_b800_0000_0000),
-            (Insn::pred(46, MovFromLc { dest: 56 }), 0x3eb9_c000_0000_0000),
-            (Insn::pred(47, MovFromEc { dest: 57 }), 0x3fbd_c800_0000_0000),
-            (Insn::pred(48, MovToB0 { src: 58 }), 0x40c1_d000_0000_0000),
-            (Insn::pred(49, MovFromB0 { dest: 59 }), 0x41c5_d800_0000_0000),
             (Insn::pred(50, Clrrrb), 0x42c8_0000_0000_0000),
             (Insn::pred(51, Nop { unit: Unit::F }), 0x46cc_1000_0000_0000),
             (Insn::pred(52, Hlt), 0x47d0_0000_0000_0000),

@@ -200,7 +200,7 @@ impl CodeImage {
 
     /// Attach a human-readable comment to an address (shown by the
     /// disassembler, used to reproduce the annotations of Figure 2).
-    pub fn add_comment(&mut self, addr: CodeAddr, text: impl Into<String>) {
+    pub(crate) fn add_comment(&mut self, addr: CodeAddr, text: impl Into<String>) {
         self.comments.insert(addr, text.into());
     }
 

@@ -117,10 +117,6 @@ pub enum BrKind {
     Cloop,
     /// `br.wtop` — modulo-scheduled while-loop branch (rotates registers).
     Wtop,
-    /// `br.call` — saves the return address in `b0`.
-    Call,
-    /// `br.ret` — returns through `b0`.
-    Ret,
 }
 
 /// Operation payload of an instruction (see [`Insn`]).
@@ -154,25 +150,10 @@ pub enum Op {
         hint: LfetchHint,
         excl: bool,
     },
-    /// `fetchadd8 rD=[rB],imm` — atomic fetch-and-add (acquire semantics).
-    FetchAdd8 { dest: u8, base: u8, inc: i32 },
-    /// `cmpxchg8 rD=[rB],rN ? rC` — atomic compare-exchange: if `[rB] == rC`
-    /// store `rN`; `rD` receives the old value. (The architectural `ar.ccv`
-    /// comparand register is modelled as the explicit operand `cmp`.)
-    Cmpxchg8 {
-        dest: u8,
-        base: u8,
-        new: u8,
-        cmp: u8,
-    },
 
     // ---- floating point ----
     /// `fma.d fD=f1,f2,f3` — fused multiply-add: `fD = f1*f2 + f3`.
     FmaD { dest: u8, f1: u8, f2: u8, f3: u8 },
-    /// `fms.d fD=f1,f2,f3` — fused multiply-subtract: `fD = f1*f2 - f3`.
-    FmsD { dest: u8, f1: u8, f2: u8, f3: u8 },
-    /// `fadd.d fD=f1,f2`.
-    FaddD { dest: u8, f1: u8, f2: u8 },
     /// `fsub.d fD=f1,f2`.
     FsubD { dest: u8, f1: u8, f2: u8 },
     /// `fmul.d fD=f1,f2`.
@@ -183,10 +164,6 @@ pub enum Op {
     FdivD { dest: u8, f1: u8, f2: u8 },
     /// `fsqrt.d fD=f1` — single long-latency instruction (same caveat).
     FsqrtD { dest: u8, f1: u8 },
-    /// `fabs fD=f1`.
-    FabsD { dest: u8, f1: u8 },
-    /// `fneg fD=f1`.
-    FnegD { dest: u8, f1: u8 },
     /// `fcmp.rel pA,pB=f1,f2` — sets `pA` to the comparison result and `pB`
     /// to its complement.
     FcmpD {
@@ -199,18 +176,11 @@ pub enum Op {
     /// `setf.d fD=rS` — move GR bits into an FR (bit pattern reinterpreted as
     /// an IEEE double).
     SetfD { dest: u8, src: u8 },
-    /// `getf.d rD=fS` — move FR bits into a GR.
-    GetfD { dest: u8, src: u8 },
     /// `setf.sig fD=rS` — move GR value into an FR significand (integer in FR).
     SetfSig { dest: u8, src: u8 },
-    /// `getf.sig rD=fS` — move an FR significand integer into a GR.
-    GetfSig { dest: u8, src: u8 },
     /// `fcvt.xf fD=fS` — convert the signed integer in `fS`'s significand to
     /// a double.
     FcvtXf { dest: u8, src: u8 },
-    /// `fcvt.fx.trunc fD=fS` — truncate the double in `fS` to a signed
-    /// integer significand.
-    FcvtFxTrunc { dest: u8, src: u8 },
 
     // ---- integer ----
     /// `add rD=r2,r3`.
@@ -225,16 +195,6 @@ pub enum Op {
     ShlI { dest: u8, src: u8, count: u8 },
     /// `shr.u rD=rS,count`.
     ShrI { dest: u8, src: u8, count: u8 },
-    /// `shr rD=rS,count` (arithmetic).
-    SarI { dest: u8, src: u8, count: u8 },
-    /// `and rD=r2,r3`.
-    And { dest: u8, r2: u8, r3: u8 },
-    /// `or rD=r2,r3`.
-    Or { dest: u8, r2: u8, r3: u8 },
-    /// `xor rD=r2,r3`.
-    Xor { dest: u8, r2: u8, r3: u8 },
-    /// `and rD=imm,rS`.
-    AndI { dest: u8, src: u8, imm: i32 },
     /// `movl rD=imm` — load a 43-bit sign-extended immediate (the model's
     /// counterpart of the two-slot `movl`; 43 bits cover every code, data and
     /// loop-bound constant the workloads use).
@@ -270,24 +230,12 @@ pub enum Op {
     /// `br.wtop target` — software-pipelined while-loop back edge (branches
     /// on the qualifying predicate, rotating on the taken path).
     BrWtop { target: CodeAddr },
-    /// `br.call b0=target`.
-    BrCall { target: CodeAddr },
-    /// `br.ret b0`.
-    BrRet,
 
     // ---- moves to/from application registers ----
     /// `mov ar.lc=rS`.
     MovToLc { src: u8 },
     /// `mov ar.ec=rS`.
     MovToEc { src: u8 },
-    /// `mov rD=ar.lc`.
-    MovFromLc { dest: u8 },
-    /// `mov rD=ar.ec`.
-    MovFromEc { dest: u8 },
-    /// `mov b0=rS`.
-    MovToB0 { src: u8 },
-    /// `mov rD=b0`.
-    MovFromB0 { dest: u8 },
     /// `clrrrb` — clear the rotating register bases.
     Clrrrb,
 
@@ -314,8 +262,6 @@ pub enum Reg {
     Lc,
     /// Epilogue count application register `ar.ec`.
     Ec,
-    /// Return branch register `b0`.
-    B0,
 }
 
 /// What one [`Op`] writes and reads ([`Op::operands`]): two fixed-capacity
@@ -371,7 +317,7 @@ impl Insn {
 
     /// Is this any branch flavour?
     #[inline]
-    pub fn is_branch(&self) -> bool {
+    pub(crate) fn is_branch(&self) -> bool {
         self.op.branch_kind().is_some()
     }
 
@@ -433,55 +379,28 @@ impl Op {
                 post_inc,
             } => (mem(&[], base, post_inc), list(&[Fr(src), Gr(base)])),
             Lfetch { base, post_inc, .. } => (mem(&[], base, post_inc), list(&[Gr(base)])),
-            // `inc` on fetchadd is an immediate, not a register.
-            FetchAdd8 { dest, base, .. } => (list(&[Gr(dest)]), list(&[Gr(base)])),
-            Cmpxchg8 {
-                dest,
-                base,
-                new,
-                cmp,
-            } => (list(&[Gr(dest)]), list(&[Gr(base), Gr(new), Gr(cmp)])),
-            FmaD { dest, f1, f2, f3 } | FmsD { dest, f1, f2, f3 } => {
-                (list(&[Fr(dest)]), list(&[Fr(f1), Fr(f2), Fr(f3)]))
+            FmaD { dest, f1, f2, f3 } => (list(&[Fr(dest)]), list(&[Fr(f1), Fr(f2), Fr(f3)])),
+            FsubD { dest, f1, f2 } | FmulD { dest, f1, f2 } | FdivD { dest, f1, f2 } => {
+                (list(&[Fr(dest)]), list(&[Fr(f1), Fr(f2)]))
             }
-            FaddD { dest, f1, f2 }
-            | FsubD { dest, f1, f2 }
-            | FmulD { dest, f1, f2 }
-            | FdivD { dest, f1, f2 } => (list(&[Fr(dest)]), list(&[Fr(f1), Fr(f2)])),
-            FsqrtD { dest, f1 } | FabsD { dest, f1 } | FnegD { dest, f1 } => {
-                (list(&[Fr(dest)]), list(&[Fr(f1)]))
-            }
+            FsqrtD { dest, f1 } => (list(&[Fr(dest)]), list(&[Fr(f1)])),
             FcmpD { p1, p2, f1, f2, .. } => (list(&[Pr(p1), Pr(p2)]), list(&[Fr(f1), Fr(f2)])),
             SetfD { dest, src } | SetfSig { dest, src } => (list(&[Fr(dest)]), list(&[Gr(src)])),
-            GetfD { dest, src } | GetfSig { dest, src } => (list(&[Gr(dest)]), list(&[Fr(src)])),
-            FcvtXf { dest, src } | FcvtFxTrunc { dest, src } => {
-                (list(&[Fr(dest)]), list(&[Fr(src)]))
+            FcvtXf { dest, src } => (list(&[Fr(dest)]), list(&[Fr(src)])),
+            Add { dest, r2, r3 } | Sub { dest, r2, r3 } | Mul { dest, r2, r3 } => {
+                (list(&[Gr(dest)]), list(&[Gr(r2), Gr(r3)]))
             }
-            Add { dest, r2, r3 }
-            | Sub { dest, r2, r3 }
-            | Mul { dest, r2, r3 }
-            | And { dest, r2, r3 }
-            | Or { dest, r2, r3 }
-            | Xor { dest, r2, r3 } => (list(&[Gr(dest)]), list(&[Gr(r2), Gr(r3)])),
-            AddI { dest, src, .. }
-            | AndI { dest, src, .. }
-            | ShlI { dest, src, .. }
-            | ShrI { dest, src, .. }
-            | SarI { dest, src, .. } => (list(&[Gr(dest)]), list(&[Gr(src)])),
+            AddI { dest, src, .. } | ShlI { dest, src, .. } | ShrI { dest, src, .. } => {
+                (list(&[Gr(dest)]), list(&[Gr(src)]))
+            }
             MovI { dest, .. } => (list(&[Gr(dest)]), list(&[])),
             Cmp { p1, p2, r2, r3, .. } => (list(&[Pr(p1), Pr(p2)]), list(&[Gr(r2), Gr(r3)])),
             CmpI { p1, p2, r3, .. } => (list(&[Pr(p1), Pr(p2)]), list(&[Gr(r3)])),
             BrCtop { .. } => (list(&[Lc, Ec, STAGE]), list(&[Lc, Ec])),
             BrCloop { .. } => (list(&[Lc]), list(&[Lc])),
             BrWtop { .. } => (list(&[STAGE]), list(&[])),
-            BrCall { .. } => (list(&[B0]), list(&[])),
-            BrRet => (list(&[]), list(&[B0])),
             MovToLc { src } => (list(&[Lc]), list(&[Gr(src)])),
             MovToEc { src } => (list(&[Ec]), list(&[Gr(src)])),
-            MovToB0 { src } => (list(&[B0]), list(&[Gr(src)])),
-            MovFromLc { dest } => (list(&[Gr(dest)]), list(&[Lc])),
-            MovFromEc { dest } => (list(&[Gr(dest)]), list(&[Ec])),
-            MovFromB0 { dest } => (list(&[Gr(dest)]), list(&[B0])),
             BrCond { .. } | Clrrrb | Nop { .. } | Hlt => (list(&[]), list(&[])),
         };
         Operands { defs, uses }
@@ -494,20 +413,17 @@ impl Op {
             Op::BrCtop { .. } => Some(BrKind::Ctop),
             Op::BrCloop { .. } => Some(BrKind::Cloop),
             Op::BrWtop { .. } => Some(BrKind::Wtop),
-            Op::BrCall { .. } => Some(BrKind::Call),
-            Op::BrRet => Some(BrKind::Ret),
             _ => None,
         }
     }
 
-    /// Static branch target, if any (`br.ret` has none).
+    /// Static branch target: every branch has one, nothing else does.
     pub fn branch_target(&self) -> Option<CodeAddr> {
         match *self {
             Op::BrCond { target }
             | Op::BrCtop { target }
             | Op::BrCloop { target }
-            | Op::BrWtop { target }
-            | Op::BrCall { target } => Some(target),
+            | Op::BrWtop { target } => Some(target),
             _ => None,
         }
     }
@@ -521,7 +437,6 @@ impl Op {
             Op::BrCtop { .. } => Some(Op::BrCtop { target: new }),
             Op::BrCloop { .. } => Some(Op::BrCloop { target: new }),
             Op::BrWtop { .. } => Some(Op::BrWtop { target: new }),
-            Op::BrCall { .. } => Some(Op::BrCall { target: new }),
             _ => None,
         }
     }
@@ -575,16 +490,6 @@ pub const NOP_SLOT_M: Insn = Insn {
 pub const NOP_SLOT_I: Insn = Insn {
     qp: 0,
     op: Op::Nop { unit: Unit::I },
-};
-/// `nop.f` slot.
-pub const NOP_SLOT_F: Insn = Insn {
-    qp: 0,
-    op: Op::Nop { unit: Unit::F },
-};
-/// `nop.b` slot.
-pub const NOP_SLOT_B: Insn = Insn {
-    qp: 0,
-    op: Op::Nop { unit: Unit::B },
 };
 
 #[cfg(test)]
@@ -648,7 +553,7 @@ mod tests {
         let op = Op::BrCtop { target: 10 };
         assert_eq!(op.branch_target(), Some(10));
         assert_eq!(op.with_branch_target(99), Some(Op::BrCtop { target: 99 }));
-        assert_eq!(Op::BrRet.with_branch_target(99), None);
+        assert_eq!(Op::Hlt.with_branch_target(99), None);
         assert_eq!(Op::Hlt.branch_target(), None);
     }
 

@@ -10,8 +10,9 @@
 //!   FP loads/stores (`ldfd`/`stfd`), integer loads/stores (`ld8`/`st8`, with the
 //!   `.bias` ownership hint), `lfetch` with locality hints and the `.excl`
 //!   completer, `fma.d` and friends, predicated compares, modulo-scheduled loop
-//!   branches (`br.ctop`, `br.cloop`, `br.wtop`), and the atomic `fetchadd8` /
-//!   `cmpxchg8` used by the OpenMP runtime's barriers.
+//!   branches (`br.ctop`, `br.cloop`, `br.wtop`), and the integer
+//!   arithmetic and `ar.lc`/`ar.ec` setup around them. Every opcode but `fdiv.d` and
+//!   `fsqrt.d` is one some guest emits.
 //! * [`encode`]/[`decode`] — a concrete, fully round-trippable 64-bit-per-slot
 //!   binary encoding. Binary rewriting in `cobra-rt` operates on these words.
 //! * [`Assembler`] — labels, fixups and bundle packing for the `minicc` code
@@ -37,14 +38,11 @@ pub mod insn;
 pub mod regs;
 pub mod uop;
 
-pub use asm::{Assembler, Label};
+pub use asm::Assembler;
 pub use encode::{decode, encode, DecodeError};
 pub use image::{CodeImage, PatchError};
-pub use insn::{
-    BrKind, CmpRel, Insn, LfetchHint, Reg, RewriteKind, Unit, NOP_SLOT_B, NOP_SLOT_F, NOP_SLOT_I,
-    NOP_SLOT_M,
-};
-pub use regs::{ROT_FR_BASE, ROT_FR_SIZE, ROT_GR_BASE, ROT_GR_SIZE, ROT_PR_BASE, ROT_PR_SIZE};
+pub use insn::{BrKind, CmpRel, Insn, LfetchHint, Reg, RewriteKind, Unit, NOP_SLOT_I, NOP_SLOT_M};
+pub use regs::{ROT_GR_BASE, ROT_GR_SIZE, ROT_PR_SIZE};
 pub use uop::{MicroOp, OpClass, SrcReg};
 
 /// A code address: an index of a 64-bit instruction slot in a [`CodeImage`].

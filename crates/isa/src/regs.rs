@@ -18,11 +18,11 @@ pub const ROT_GR_BASE: u8 = 32;
 /// Size of the rotating general-register region (`r32`–`r127`).
 pub const ROT_GR_SIZE: u8 = 96;
 /// First rotating floating-point register.
-pub const ROT_FR_BASE: u8 = 32;
+pub(crate) const ROT_FR_BASE: u8 = 32;
 /// Size of the rotating floating-point region (`f32`–`f127`).
-pub const ROT_FR_SIZE: u8 = 96;
+pub(crate) const ROT_FR_SIZE: u8 = 96;
 /// First rotating predicate register.
-pub const ROT_PR_BASE: u8 = 16;
+pub(crate) const ROT_PR_BASE: u8 = 16;
 /// Size of the rotating predicate region (`p16`–`p63`).
 pub const ROT_PR_SIZE: u8 = 48;
 

@@ -34,8 +34,8 @@ pub enum SrcReg {
 }
 
 /// Maximum number of explicit source registers any [`Op`] reads (the
-/// three-input `fma.d`/`fms.d` and `cmpxchg8`).
-pub const MAX_SRCS: usize = 3;
+/// three-input `fma.d`).
+pub(crate) const MAX_SRCS: usize = 3;
 
 /// Dispatch class of a micro-op: the four shapes that carry the dispatch
 /// traffic of arithmetic stretches (`add`, `adds`, `br.cloop`, `nop`), which
@@ -178,14 +178,6 @@ mod tests {
             post_inc: 0,
         }));
         assert_eq!(u.sources(), &[SrcReg::Fr(6), SrcReg::Gr(5)]);
-
-        let u = MicroOp::lower(Insn::new(Op::Cmpxchg8 {
-            dest: 7,
-            base: 4,
-            new: 5,
-            cmp: 6,
-        }));
-        assert_eq!(u.sources(), &[SrcReg::Gr(4), SrcReg::Gr(5), SrcReg::Gr(6)]);
     }
 
     #[test]
@@ -206,8 +198,6 @@ mod tests {
             Op::BrCtop { target: 3 },
             Op::BrCloop { target: 3 },
             Op::BrWtop { target: 3 },
-            Op::BrCall { target: 3 },
-            Op::BrRet,
             Op::Hlt,
         ] {
             let u = MicroOp::lower(Insn::new(op));

@@ -77,32 +77,14 @@ fn arb_op() -> impl Strategy<Value = Op> {
                 excl
             }
         ),
-        (arb_reg(), arb_reg(), arb_imm22()).prop_map(|(dest, base, inc)| Op::FetchAdd8 {
-            dest,
-            base,
-            inc
-        }),
-        (arb_reg(), arb_reg(), arb_reg(), arb_reg()).prop_map(|(dest, base, new, cmp)| {
-            Op::Cmpxchg8 {
-                dest,
-                base,
-                new,
-                cmp,
-            }
-        }),
         (arb_reg(), arb_reg(), arb_reg(), arb_reg()).prop_map(|(dest, f1, f2, f3)| Op::FmaD {
             dest,
             f1,
             f2,
             f3
         }),
-        (arb_reg(), arb_reg(), arb_reg(), arb_reg()).prop_map(|(dest, f1, f2, f3)| Op::FmsD {
-            dest,
-            f1,
-            f2,
-            f3
-        }),
-        (arb_reg(), arb_reg(), arb_reg()).prop_map(|(dest, f1, f2)| Op::FaddD { dest, f1, f2 }),
+        (arb_reg(), arb_reg(), arb_reg()).prop_map(|(dest, f1, f2)| Op::FsubD { dest, f1, f2 }),
+        (arb_reg(), arb_reg(), arb_reg()).prop_map(|(dest, f1, f2)| Op::FmulD { dest, f1, f2 }),
         (arb_reg(), arb_reg(), arb_reg()).prop_map(|(dest, f1, f2)| Op::FdivD { dest, f1, f2 }),
         (arb_pr(), arb_pr(), arb_rel(), arb_reg(), arb_reg()).prop_map(|(p1, p2, rel, f1, f2)| {
             Op::FcmpD {
@@ -147,17 +129,13 @@ fn arb_op() -> impl Strategy<Value = Op> {
         any::<u32>().prop_map(|target| Op::BrCtop { target }),
         any::<u32>().prop_map(|target| Op::BrCloop { target }),
         any::<u32>().prop_map(|target| Op::BrWtop { target }),
-        any::<u32>().prop_map(|target| Op::BrCall { target }),
-        Just(Op::BrRet),
         arb_reg().prop_map(|src| Op::MovToLc { src }),
         arb_reg().prop_map(|src| Op::MovToEc { src }),
-        arb_reg().prop_map(|dest| Op::MovFromLc { dest }),
-        arb_reg().prop_map(|dest| Op::MovFromEc { dest }),
         Just(Op::Clrrrb),
         arb_unit().prop_map(|unit| Op::Nop { unit }),
         Just(Op::Hlt),
         (arb_reg(), arb_reg()).prop_map(|(dest, src)| Op::SetfD { dest, src }),
-        (arb_reg(), arb_reg()).prop_map(|(dest, src)| Op::GetfSig { dest, src }),
+        (arb_reg(), arb_reg()).prop_map(|(dest, src)| Op::SetfSig { dest, src }),
         (arb_reg(), arb_reg()).prop_map(|(dest, src)| Op::FcvtXf { dest, src }),
     ]
 }

@@ -34,7 +34,7 @@ use cobra_isa::{CodeAddr, CodeImage};
 
 /// Upper bound on block length in slots. Straight-line runs longer than this
 /// are split into consecutive blocks; the cap bounds build latency.
-pub const MAX_BLOCK_SLOTS: usize = 64;
+pub(crate) const MAX_BLOCK_SLOTS: usize = 64;
 
 /// One lowered basic block: `uops[k]` is the micro-op at `start + k`.
 #[derive(Debug)]
@@ -145,7 +145,7 @@ impl Block {
 
     /// Micro-op at slot `addr`, if this block covers it.
     #[inline]
-    pub fn uop_at(&self, addr: CodeAddr) -> Option<&MicroOp> {
+    pub(crate) fn uop_at(&self, addr: CodeAddr) -> Option<&MicroOp> {
         if addr >= self.start {
             self.uops.get((addr - self.start) as usize)
         } else {
@@ -176,7 +176,7 @@ impl Block {
 /// means several cores run together; a hot `Sampling` count means HPM
 /// overflow sampling keeps landing crossings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FallbackReason {
+pub(crate) enum FallbackReason {
     /// Two or more cores Running (or none): the cycles run in the boundary
     /// batch, interleaved through pre-decoded dispatch, with the clock
     /// jumped across the windows in which no core can issue.
@@ -248,7 +248,7 @@ impl BlockCache {
 
     /// Count `cycles` one-at-a-time machine cycles attributed to `reason`.
     #[inline]
-    pub fn note_fallback(&mut self, reason: FallbackReason, cycles: u64) {
+    pub(crate) fn note_fallback(&mut self, reason: FallbackReason, cycles: u64) {
         match reason {
             FallbackReason::MultiCoreMemBoundary => self.stats.fallback_mem_boundary += cycles,
             FallbackReason::Sampling => self.stats.fallback_sampling += cycles,
@@ -259,7 +259,7 @@ impl BlockCache {
     /// after dropping everything cached when the text has been mutated since
     /// it was built. An `entry` outside the image yields an empty block
     /// (never cached: the address is the guest's to choose).
-    pub fn get_or_build(&mut self, code: &CodeImage, entry: CodeAddr) -> Arc<Block> {
+    pub(crate) fn get_or_build(&mut self, code: &CodeImage, entry: CodeAddr) -> Arc<Block> {
         if self.text_generation != code.generation() {
             self.stats.invalidations += self.map.len() as u64;
             self.map.clear();

@@ -10,41 +10,33 @@ use serde::{Deserialize, Serialize};
 
 /// A single shared channel with fixed per-transaction occupancy.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Bus {
+pub(crate) struct Bus {
     free_at: u64,
     occupancy: u64,
     transactions: u64,
-    busy_cycles: u64,
 }
 
 impl Bus {
-    pub fn new(occupancy: u64) -> Self {
+    pub(crate) fn new(occupancy: u64) -> Self {
         Bus {
             free_at: 0,
             occupancy,
             transactions: 0,
-            busy_cycles: 0,
         }
     }
 
     /// Acquire the bus at time `now`; returns the grant time (>= `now`).
     /// The caller's added latency is `grant - now`.
-    pub fn acquire(&mut self, now: u64) -> u64 {
+    pub(crate) fn acquire(&mut self, now: u64) -> u64 {
         let grant = self.free_at.max(now);
         self.free_at = grant + self.occupancy;
         self.transactions += 1;
-        self.busy_cycles += self.occupancy;
         grant
     }
 
     /// Total transactions granted.
-    pub fn transactions(&self) -> u64 {
+    pub(crate) fn transactions(&self) -> u64 {
         self.transactions
-    }
-
-    /// Total cycles of bus occupancy consumed.
-    pub fn busy_cycles(&self) -> u64 {
-        self.busy_cycles
     }
 }
 
@@ -69,7 +61,6 @@ mod tests {
         // After the backlog drains, grants are immediate again.
         assert_eq!(bus.acquire(40), 40);
         assert_eq!(bus.transactions(), 4);
-        assert_eq!(bus.busy_cycles(), 24);
     }
 
     #[test]

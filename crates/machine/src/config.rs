@@ -209,7 +209,7 @@ impl MachineConfig {
     }
 
     /// Number of NUMA nodes (1 for an SMP).
-    pub fn num_nodes(&self) -> usize {
+    pub(crate) fn num_nodes(&self) -> usize {
         match self.topology {
             Topology::SmpBus => 1,
             Topology::Numa { cpus_per_node } => self.num_cpus.div_ceil(cpus_per_node),
@@ -217,7 +217,7 @@ impl MachineConfig {
     }
 
     /// Node that owns a CPU.
-    pub fn node_of_cpu(&self, cpu: usize) -> usize {
+    pub(crate) fn node_of_cpu(&self, cpu: usize) -> usize {
         match self.topology {
             Topology::SmpBus => 0,
             Topology::Numa { cpus_per_node } => cpu / cpus_per_node,
@@ -226,7 +226,7 @@ impl MachineConfig {
 
     /// Fat-tree hop count between two nodes (0 when equal; siblings share a
     /// switch; otherwise up-and-down through `log2` levels).
-    pub fn hops_between(&self, a: usize, b: usize) -> u64 {
+    pub(crate) fn hops_between(&self, a: usize, b: usize) -> u64 {
         if a == b {
             return 0;
         }

@@ -64,7 +64,6 @@ pub struct Core {
     rrb: Rrb,
     lc: u64,
     ec: u64,
-    b0: CodeAddr,
     // Scoreboard: cycle at which each physical register's value is usable.
     gr_ready: [u64; 128],
     fr_ready: [u64; 128],
@@ -93,7 +92,6 @@ impl Core {
             rrb: Rrb::default(),
             lc: 0,
             ec: 0,
-            b0: 0,
             gr_ready: [0; 128],
             fr_ready: [0; 128],
             pr_ready: [0; 64],
@@ -106,7 +104,7 @@ impl Core {
 
     /// Bind a software thread: reset register state, set the entry PC and
     /// pass `args` in `r8..`, per the workspace calling convention.
-    pub fn bind_thread(&mut self, tid: u32, entry: CodeAddr, args: &[i64]) {
+    pub(crate) fn bind_thread(&mut self, tid: u32, entry: CodeAddr, args: &[i64]) {
         assert_eq!(
             self.status,
             CoreStatus::Idle,
@@ -255,51 +253,30 @@ impl Core {
                     fr_t = fr_t.max(self.fr_ready_at(src));
                     gr(base, &mut t);
                 }
-                FetchAdd8 { base, .. } => gr(base, &mut t),
-                Cmpxchg8 { base, new, cmp, .. } => {
-                    gr(base, &mut t);
-                    gr(new, &mut t);
-                    gr(cmp, &mut t);
-                }
-                FmaD { f1, f2, f3, .. } | FmsD { f1, f2, f3, .. } => {
+                FmaD { f1, f2, f3, .. } => {
                     fr_t = fr_t
                         .max(self.fr_ready_at(f1))
                         .max(self.fr_ready_at(f2))
                         .max(self.fr_ready_at(f3));
                 }
-                FaddD { f1, f2, .. }
-                | FsubD { f1, f2, .. }
-                | FmulD { f1, f2, .. }
-                | FdivD { f1, f2, .. } => {
+                FsubD { f1, f2, .. } | FmulD { f1, f2, .. } | FdivD { f1, f2, .. } => {
                     fr_t = fr_t.max(self.fr_ready_at(f1)).max(self.fr_ready_at(f2));
                 }
-                FsqrtD { f1, .. } | FabsD { f1, .. } | FnegD { f1, .. } => {
+                FsqrtD { f1, .. } => {
                     fr_t = fr_t.max(self.fr_ready_at(f1));
                 }
                 FcmpD { f1, f2, .. } => {
                     fr_t = fr_t.max(self.fr_ready_at(f1)).max(self.fr_ready_at(f2));
                 }
                 SetfD { src, .. } | SetfSig { src, .. } => gr(src, &mut t),
-                GetfD { src, .. } | GetfSig { src, .. } => {
+                FcvtXf { src, .. } => {
                     fr_t = fr_t.max(self.fr_ready_at(src));
                 }
-                FcvtXf { src, .. } | FcvtFxTrunc { src, .. } => {
-                    fr_t = fr_t.max(self.fr_ready_at(src));
-                }
-                Add { r2, r3, .. }
-                | Sub { r2, r3, .. }
-                | Mul { r2, r3, .. }
-                | And { r2, r3, .. }
-                | Or { r2, r3, .. }
-                | Xor { r2, r3, .. } => {
+                Add { r2, r3, .. } | Sub { r2, r3, .. } | Mul { r2, r3, .. } => {
                     gr(r2, &mut t);
                     gr(r3, &mut t);
                 }
-                AddI { src, .. }
-                | AndI { src, .. }
-                | ShlI { src, .. }
-                | ShrI { src, .. }
-                | SarI { src, .. } => gr(src, &mut t),
+                AddI { src, .. } | ShlI { src, .. } | ShrI { src, .. } => gr(src, &mut t),
                 MovI { .. } => {}
                 Cmp { r2, r3, .. } => {
                     gr(r2, &mut t);
@@ -307,9 +284,8 @@ impl Core {
                 }
                 CmpI { r3, .. } => gr(r3, &mut t),
                 BrCond { .. } | BrWtop { .. } => {} // qp handled above
-                BrCtop { .. } | BrCloop { .. } | BrCall { .. } | BrRet => {}
-                MovToLc { src } | MovToEc { src } | MovToB0 { src } => gr(src, &mut t),
-                MovFromLc { .. } | MovFromEc { .. } | MovFromB0 { .. } => {}
+                BrCtop { .. } | BrCloop { .. } => {}
+                MovToLc { src } | MovToEc { src } => gr(src, &mut t),
                 Clrrrb | Nop { .. } | Hlt => {}
             }
         }
@@ -944,66 +920,8 @@ impl Core {
                 }
                 self.post_inc(base, post_inc, int_ready);
             }
-            FetchAdd8 { dest, base, inc } => {
-                let addr = self.read_gr(base) as u64;
-                if !shared.mem.in_bounds(addr) {
-                    return self.raise_fault(shared, now, pc, addr);
-                }
-                let old = shared.mem.read_u64(addr) as i64;
-                shared
-                    .mem
-                    .write_u64(addr, old.wrapping_add(inc as i64) as u64);
-                let out = shared.memsys.access(
-                    &mut shared.stats,
-                    &mut shared.hpm,
-                    self.cpu,
-                    now,
-                    pc,
-                    AccessKind::Atomic,
-                    addr,
-                );
-                self.write_gr(dest, old, out.complete_at);
-                // Acquire semantics: later operations wait for the RMW.
-                self.resume_at = self.resume_at.max(out.complete_at);
-            }
-            Cmpxchg8 {
-                dest,
-                base,
-                new,
-                cmp,
-            } => {
-                let addr = self.read_gr(base) as u64;
-                if !shared.mem.in_bounds(addr) {
-                    return self.raise_fault(shared, now, pc, addr);
-                }
-                let old = shared.mem.read_u64(addr) as i64;
-                if old == self.read_gr(cmp) {
-                    shared.mem.write_u64(addr, self.read_gr(new) as u64);
-                }
-                let out = shared.memsys.access(
-                    &mut shared.stats,
-                    &mut shared.hpm,
-                    self.cpu,
-                    now,
-                    pc,
-                    AccessKind::Atomic,
-                    addr,
-                );
-                self.write_gr(dest, old, out.complete_at);
-                self.resume_at = self.resume_at.max(out.complete_at);
-            }
             FmaD { dest, f1, f2, f3 } => {
                 let v = self.read_fr(f1).mul_add(self.read_fr(f2), self.read_fr(f3));
-                self.write_fr(dest, v, fp_ready);
-            }
-            FmsD { dest, f1, f2, f3 } => {
-                let v = self
-                    .read_fr(f1)
-                    .mul_add(self.read_fr(f2), -self.read_fr(f3));
-                self.write_fr(dest, v, fp_ready);
-            }
-            FaddD { dest, f1, f2 } => {
-                let v = self.read_fr(f1) + self.read_fr(f2);
                 self.write_fr(dest, v, fp_ready);
             }
             FsubD { dest, f1, f2 } => {
@@ -1022,14 +940,6 @@ impl Core {
                 let v = self.read_fr(f1).sqrt();
                 self.write_fr(dest, v, now + shared.cfg.fp_long_latency);
             }
-            FabsD { dest, f1 } => {
-                let v = self.read_fr(f1).abs();
-                self.write_fr(dest, v, fp_ready);
-            }
-            FnegD { dest, f1 } => {
-                let v = -self.read_fr(f1);
-                self.write_fr(dest, v, fp_ready);
-            }
             FcmpD {
                 p1,
                 p2,
@@ -1045,26 +955,14 @@ impl Core {
                 let v = f64::from_bits(self.read_gr(src) as u64);
                 self.write_fr(dest, v, fp_ready);
             }
-            GetfD { dest, src } => {
-                let v = self.read_fr(src).to_bits() as i64;
-                self.write_gr(dest, v, int_ready);
-            }
             SetfSig { dest, src } => {
                 // Integer-in-FR: keep the integer value in the significand.
                 let v = self.read_gr(src);
                 self.write_fr(dest, f64::from_bits(v as u64), fp_ready);
             }
-            GetfSig { dest, src } => {
-                let v = self.read_fr(src).to_bits() as i64;
-                self.write_gr(dest, v, int_ready);
-            }
             FcvtXf { dest, src } => {
                 let bits = self.read_fr(src).to_bits() as i64;
                 self.write_fr(dest, bits as f64, fp_ready);
-            }
-            FcvtFxTrunc { dest, src } => {
-                let v = self.read_fr(src).trunc() as i64;
-                self.write_fr(dest, f64::from_bits(v as u64), fp_ready);
             }
             Add { dest, r2, r3 } => {
                 let v = self.read_gr(r2).wrapping_add(self.read_gr(r3));
@@ -1089,26 +987,6 @@ impl Core {
             }
             ShrI { dest, src, count } => {
                 let v = ((self.read_gr(src) as u64) >> count) as i64;
-                self.write_gr(dest, v, int_ready);
-            }
-            SarI { dest, src, count } => {
-                let v = self.read_gr(src) >> count;
-                self.write_gr(dest, v, int_ready);
-            }
-            And { dest, r2, r3 } => {
-                let v = self.read_gr(r2) & self.read_gr(r3);
-                self.write_gr(dest, v, int_ready);
-            }
-            Or { dest, r2, r3 } => {
-                let v = self.read_gr(r2) | self.read_gr(r3);
-                self.write_gr(dest, v, int_ready);
-            }
-            Xor { dest, r2, r3 } => {
-                let v = self.read_gr(r2) ^ self.read_gr(r3);
-                self.write_gr(dest, v, int_ready);
-            }
-            AndI { dest, src, imm } => {
-                let v = self.read_gr(src) & imm as i64;
                 self.write_gr(dest, v, int_ready);
             }
             MovI { dest, imm } => {
@@ -1175,24 +1053,8 @@ impl Core {
                     return self.take_branch(shared, pc, target);
                 }
             }
-            BrCall { target } => {
-                if qp_true {
-                    self.b0 = pc + 1;
-                    return self.take_branch(shared, pc, target);
-                }
-            }
-            BrRet => {
-                if qp_true {
-                    let target = self.b0;
-                    return self.take_branch(shared, pc, target);
-                }
-            }
             MovToLc { src } => self.lc = self.read_gr(src) as u64,
             MovToEc { src } => self.ec = self.read_gr(src) as u64,
-            MovFromLc { dest } => self.write_gr(dest, self.lc as i64, int_ready),
-            MovFromEc { dest } => self.write_gr(dest, self.ec as i64, int_ready),
-            MovToB0 { src } => self.b0 = self.read_gr(src) as CodeAddr,
-            MovFromB0 { dest } => self.write_gr(dest, self.b0 as i64, int_ready),
             Clrrrb => self.rrb.clear(),
             Nop { .. } => {}
             Hlt => {
@@ -1260,7 +1122,7 @@ impl Core {
     }
 
     /// Add externally-imposed stall cycles (snoop-response penalties).
-    pub fn add_stall(&mut self, now: u64, cycles: u64) {
+    pub(crate) fn add_stall(&mut self, now: u64, cycles: u64) {
         if cycles > 0 && self.status == CoreStatus::Running {
             self.resume_at = self.resume_at.max(now + cycles);
         }
@@ -1290,7 +1152,7 @@ impl Core {
 
     /// Cycle until which the core is stalled. The boundary batch reads this
     /// to jump to the earliest wake-up point across all Running cores.
-    pub fn resume_at(&self) -> u64 {
+    pub(crate) fn resume_at(&self) -> u64 {
         self.resume_at
     }
 }
@@ -1328,7 +1190,7 @@ mod tests {
     /// (none of the hard-wired `r0`, `f0`, `f1`, `p0`).
     fn shapes() -> Vec<Op> {
         use Op::*;
-        let (dest, base, src, new, cmp, r2, r3) = (10, 11, 12, 13, 14, 15, 16);
+        let (dest, base, src, r2, r3) = (10, 11, 12, 15, 16);
         let (f1, f2, f3, p1, p2, rel) = (21, 22, 23, 6, 7, CmpRel::Lt);
         let (hint, excl, bias, target) = (LfetchHint::Nt1, false, false, 9);
         let mut ops = Vec::new();
@@ -1364,22 +1226,11 @@ mod tests {
             ]);
         }
         ops.extend([
-            FetchAdd8 { dest, base, inc: 1 },
-            Cmpxchg8 {
-                dest,
-                base,
-                new,
-                cmp,
-            },
             FmaD { dest, f1, f2, f3 },
-            FmsD { dest, f1, f2, f3 },
-            FaddD { dest, f1, f2 },
             FsubD { dest, f1, f2 },
             FmulD { dest, f1, f2 },
             FdivD { dest, f1, f2 },
             FsqrtD { dest, f1 },
-            FabsD { dest, f1 },
-            FnegD { dest, f1 },
             FcmpD {
                 p1,
                 p2,
@@ -1388,11 +1239,8 @@ mod tests {
                 f2,
             },
             SetfD { dest, src },
-            GetfD { dest, src },
             SetfSig { dest, src },
-            GetfSig { dest, src },
             FcvtXf { dest, src },
-            FcvtFxTrunc { dest, src },
             Add { dest, r2, r3 },
             Sub { dest, r2, r3 },
             AddI { dest, src, imm: 5 },
@@ -1406,19 +1254,6 @@ mod tests {
                 dest,
                 src,
                 count: 3,
-            },
-            SarI {
-                dest,
-                src,
-                count: 3,
-            },
-            And { dest, r2, r3 },
-            Or { dest, r2, r3 },
-            Xor { dest, r2, r3 },
-            AndI {
-                dest,
-                src,
-                imm: 0xff,
             },
             MovI { dest, imm: 5 },
             Cmp {
@@ -1439,14 +1274,8 @@ mod tests {
             BrCtop { target },
             BrCloop { target },
             BrWtop { target },
-            BrCall { target },
-            BrRet,
             MovToLc { src },
             MovToEc { src },
-            MovFromLc { dest },
-            MovFromEc { dest },
-            MovToB0 { src },
-            MovFromB0 { dest },
             Clrrrb,
             Nop { unit: Unit::M },
             Hlt,
@@ -1484,11 +1313,7 @@ mod tests {
         let gr = (0..128).map(|i| (Reg::Gr(i), core.gr[i as usize] as u64));
         let fr = (0..128).map(|i| (Reg::Fr(i), core.fr[i as usize].to_bits()));
         let pr = (0..64).map(|i| (Reg::Pr(i), core.pr[i as usize] as u64));
-        let ar = [
-            (Reg::Lc, core.lc),
-            (Reg::Ec, core.ec),
-            (Reg::B0, core.b0 as u64),
-        ];
+        let ar = [(Reg::Lc, core.lc), (Reg::Ec, core.ec)];
         gr.chain(fr).chain(pr).chain(ar).collect()
     }
 
@@ -1511,7 +1336,7 @@ mod tests {
                     core.fr[i] = 1000.5 + i as f64;
                 }
                 core.pr = [preds; 64];
-                (core.lc, core.ec, core.b0) = (lc, ec, 77);
+                (core.lc, core.ec) = (lc, ec);
                 let before = registers(&core);
                 core.execute(&mut shared, 100, Insn::new(op));
                 let after = registers(&core);

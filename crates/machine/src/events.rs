@@ -57,7 +57,7 @@ pub enum Event {
 }
 
 /// Number of distinct events.
-pub const NUM_EVENTS: usize = Event::GuestFaults as usize + 1;
+pub(crate) const NUM_EVENTS: usize = Event::GuestFaults as usize + 1;
 
 /// All events, in index order.
 #[cfg(test)]

@@ -25,7 +25,7 @@ pub struct BtbEntry {
 }
 
 /// Number of branch pairs the BTB retains (Itanium 2: four pairs).
-pub const BTB_PAIRS: usize = 4;
+pub(crate) const BTB_PAIRS: usize = 4;
 
 /// The latched data-event address record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -79,7 +79,7 @@ pub struct OverflowCapture {
 }
 
 /// Maximum captures buffered in the monitor between driver polls.
-pub const MAX_PENDING_CAPTURES: usize = 256;
+pub(crate) const MAX_PENDING_CAPTURES: usize = 256;
 
 #[derive(Debug, Clone)]
 struct SamplingState {
@@ -102,14 +102,14 @@ impl Hpm {
     }
 
     /// Record a taken branch.
-    pub fn btb_push(&mut self, src: u32, target: u32) {
+    pub(crate) fn btb_push(&mut self, src: u32, target: u32) {
         self.btb[self.btb_next] = BtbEntry { src, target };
         self.btb_next = (self.btb_next + 1) % BTB_PAIRS;
         self.btb_filled = (self.btb_filled + 1).min(BTB_PAIRS);
     }
 
     /// The retained branch pairs, oldest first.
-    pub fn btb_snapshot(&self) -> Vec<BtbEntry> {
+    pub(crate) fn btb_snapshot(&self) -> Vec<BtbEntry> {
         let mut out = Vec::with_capacity(self.btb_filled);
         for k in 0..self.btb_filled {
             let idx = (self.btb_next + BTB_PAIRS - self.btb_filled + k) % BTB_PAIRS;
@@ -122,7 +122,7 @@ impl Hpm {
     /// loads). Events below the latency threshold are filtered in hardware.
     /// Returns true when the event was latched (so the caller can count
     /// `DATA_EAR_EVENTS`).
-    pub fn dear_latch(&mut self, pc: u32, addr: u64, latency: u64, cycle: u64) -> bool {
+    pub(crate) fn dear_latch(&mut self, pc: u32, addr: u64, latency: u64, cycle: u64) -> bool {
         if latency < self.dear_min_latency {
             return false;
         }
@@ -164,7 +164,7 @@ impl Hpm {
     /// The fast engine's budget rule reads this to size a stretch or batch
     /// that polls only at its end: letting the event pass the headroom
     /// before the last cycle would smear a capture past its true cycle.
-    pub fn sampling_headroom(&self, stats: &CpuStats) -> Option<(Event, u64)> {
+    pub(crate) fn sampling_headroom(&self, stats: &CpuStats) -> Option<(Event, u64)> {
         self.sampling.as_ref().map(|s| {
             let event = s.config.event;
             (event, s.next_threshold.saturating_sub(stats.get(event)))
@@ -175,7 +175,7 @@ impl Hpm {
     /// crossing, capture the monitor state at this instant (one capture per
     /// crossed period; captures beyond the buffer are dropped and counted,
     /// like a saturated interrupt queue).
-    pub fn poll_overflow(&mut self, stats: &CpuStats, pc: u32, tid: u32, cycle: u64) {
+    pub(crate) fn poll_overflow(&mut self, stats: &CpuStats, pc: u32, tid: u32, cycle: u64) {
         let Some(s) = self.sampling.as_ref() else {
             return;
         };

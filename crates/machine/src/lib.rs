@@ -8,7 +8,7 @@
 //! * per-CPU private L1D/L2/L3 hierarchies with **MESI** coherence
 //!   (`cache`, [`memsys`]),
 //! * a **snooping bus** with occupancy/queueing so prefetch storms create
-//!   real contention ([`bus`]),
+//!   real contention (`bus`),
 //! * a **cc-NUMA** mode: 2-CPU nodes, first-touch page placement, fat-tree
 //!   hop latencies ([`config`], [`memsys`]),
 //! * **in-order cores** with predication, register rotation and the
@@ -22,7 +22,7 @@
 //! See `DESIGN.md` at the workspace root for the full substitution argument.
 
 pub mod blocks;
-pub mod bus;
+mod bus;
 mod cache;
 pub mod config;
 pub mod core;
@@ -32,13 +32,12 @@ pub mod machine;
 pub mod memsys;
 pub mod redirect;
 
-pub use blocks::{Block, BlockCache, BlockStats, FallbackReason};
-pub use bus::Bus;
+pub use blocks::{Block, BlockCache, BlockStats};
 pub use cache::Mesi;
 pub use config::{CacheGeometry, HostAccel, MachineConfig, Topology};
 pub use core::{Core, CoreStatus, FaultInfo};
-pub use events::{CpuStats, Event, NUM_EVENTS};
-pub use hpm::{BtbEntry, DearRecord, Hpm, OverflowCapture, SamplingConfig, BTB_PAIRS};
+pub use events::{CpuStats, Event};
+pub use hpm::{BtbEntry, DearRecord, Hpm, OverflowCapture, SamplingConfig};
 pub use machine::{DataMem, Machine, RunResult, Shared};
-pub use memsys::{AccessKind, AccessOutcome, MemSystem, PageMap};
+pub use memsys::{AccessKind, AccessOutcome, MemSystem};
 pub use redirect::RedirectTable;

@@ -50,7 +50,7 @@ impl DataMem {
     /// any guest-computed address, including those near `u64::MAX` (where a
     /// naive `addr + 8` wraps around and would falsely pass).
     #[inline]
-    pub fn in_bounds(&self, addr: u64) -> bool {
+    pub(crate) fn in_bounds(&self, addr: u64) -> bool {
         usize::try_from(addr)
             .ok()
             .and_then(|a| a.checked_add(8))
@@ -249,7 +249,7 @@ impl Machine {
 
     /// Has every bound thread terminated — reached `hlt` or faulted?
     /// (False when no thread is bound.)
-    pub fn all_halted(&self) -> bool {
+    pub(crate) fn all_halted(&self) -> bool {
         let mut any = false;
         for c in &self.cores {
             match c.status {
@@ -262,7 +262,7 @@ impl Machine {
     }
 
     /// Did any bound thread terminate with a guest memory fault?
-    pub fn any_faulted(&self) -> bool {
+    pub(crate) fn any_faulted(&self) -> bool {
         self.cores.iter().any(|c| c.status == CoreStatus::Faulted)
     }
 

@@ -37,9 +37,6 @@ pub enum AccessKind {
     Store,
     /// Non-binding prefetch; `excl` requests ownership (`lfetch.excl`).
     Prefetch { excl: bool },
-    /// Atomic read-modify-write (`fetchadd8`/`cmpxchg8`); blocking, acquires
-    /// ownership.
-    Atomic,
 }
 
 /// Timing outcome of an access.
@@ -92,7 +89,7 @@ fn shift_of(bytes: usize, field: &str) -> u32 {
 
 /// First-touch page-to-node map (the SGI Altix placement policy, §3.2).
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PageMap {
+pub(crate) struct PageMap {
     page_shift: u32,
     home: Vec<Option<u8>>,
 }
@@ -107,7 +104,7 @@ impl PageMap {
 
     /// Home node of the page containing `addr`, assigning it to
     /// `toucher_node` on first touch.
-    pub fn home_of(&mut self, addr: u64, toucher_node: usize) -> usize {
+    pub(crate) fn home_of(&mut self, addr: u64, toucher_node: usize) -> usize {
         let page = (addr >> self.page_shift) as usize;
         match self.home[page] {
             Some(n) => n as usize,
@@ -119,7 +116,8 @@ impl PageMap {
     }
 
     /// Home node if already assigned.
-    pub fn peek(&self, addr: u64) -> Option<usize> {
+    #[cfg(test)]
+    pub(crate) fn peek(&self, addr: u64) -> Option<usize> {
         self.home[(addr >> self.page_shift) as usize].map(|n| n as usize)
     }
 }
@@ -186,7 +184,7 @@ impl MemSystem {
 
     /// Coherence-line address of a byte address.
     #[inline]
-    pub fn line_of(&self, addr: u64) -> u64 {
+    pub(crate) fn line_of(&self, addr: u64) -> u64 {
         addr >> self.line_shift
     }
 
@@ -195,8 +193,9 @@ impl MemSystem {
         self.hierarchies[cpu].state(self.line_of(addr))
     }
 
-    /// First-touch page map (read-mostly diagnostics).
-    pub fn pages(&self) -> &PageMap {
+    /// First-touch page map (for the placement tests).
+    #[cfg(test)]
+    pub(crate) fn pages(&self) -> &PageMap {
         &self.pages
     }
 
@@ -208,14 +207,14 @@ impl MemSystem {
     /// Has a HITM raised a snoop stall since the last
     /// [`Self::drain_snoop_stalls`]? While false there is nothing to drain.
     #[inline]
-    pub fn snoop_raised(&self) -> bool {
+    pub(crate) fn snoop_raised(&self) -> bool {
         self.snoop_raised
     }
 
     /// Take and clear every CPU's accumulated snoop-victim stall cycles,
     /// handing each to `deliver(cpu, cycles)` (zero for a CPU that was not a
     /// victim; two HITMs on one victim arrive summed).
-    pub fn drain_snoop_stalls(&mut self, mut deliver: impl FnMut(usize, u64)) {
+    pub(crate) fn drain_snoop_stalls(&mut self, mut deliver: impl FnMut(usize, u64)) {
         self.snoop_raised = false;
         for (cpu, stall) in self.snoop_stall.iter_mut().enumerate() {
             deliver(cpu, std::mem::take(stall));
@@ -432,33 +431,6 @@ impl MemSystem {
                 AccessOutcome {
                     complete_at: drain_done,
                     stall_until,
-                }
-            }
-
-            AccessKind::Atomic => {
-                // Blocking read-modify-write with acquire semantics.
-                let complete_at = match self.hierarchies[cpu].state(line) {
-                    Some(Mesi::Modified) => now + self.cfg.l2.hit_latency + 1,
-                    Some(Mesi::Exclusive) => {
-                        self.hierarchies[cpu].set_state(line, Mesi::Modified);
-                        now + self.cfg.l2.hit_latency + 1
-                    }
-                    Some(Mesi::Shared) => {
-                        let txn = self.transaction(stats, cpu, now, TxnType::Upgrade, addr);
-                        self.hierarchies[cpu].set_state(line, Mesi::Modified);
-                        now + txn.latency + 1
-                    }
-                    None => {
-                        stats[cpu].add(Event::L2Miss, 1);
-                        stats[cpu].add(Event::L3Miss, 1);
-                        let txn = self.transaction(stats, cpu, now, TxnType::RdX, addr);
-                        self.fill_and_account(stats, cpu, now, line, Mesi::Modified, None);
-                        now + txn.latency + 1
-                    }
-                };
-                AccessOutcome {
-                    complete_at,
-                    stall_until: now,
                 }
             }
         }
@@ -1042,18 +1014,6 @@ mod tests {
             0x9100,
         );
         assert_eq!(ms.peek_state(0, 0x9100), Some(Mesi::Exclusive));
-    }
-
-    #[test]
-    fn atomic_acquires_ownership_and_blocks() {
-        let cfg = MachineConfig::smp4();
-        let (mut ms, mut st, mut hp) = setup(&cfg);
-        ms.access(&mut st, &mut hp, 0, 0, 1, AccessKind::Store, 0x6000);
-        let out = ms.access(&mut st, &mut hp, 1, 1000, 1, AccessKind::Atomic, 0x6000);
-        assert!(out.complete_at - 1000 >= cfg.hitm_latency);
-        assert_eq!(ms.peek_state(1, 0x6000), Some(Mesi::Modified));
-        assert_eq!(ms.peek_state(0, 0x6000), None);
-        assert_eq!(st[1].get(Event::BusRdInvalAllHitm), 1);
     }
 
     // ---- direct MESI state-machine transitions ----

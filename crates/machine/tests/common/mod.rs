@@ -20,23 +20,23 @@ use cobra_machine::{
 };
 
 /// Number of selectors [`emit_body_op`] distinguishes.
-pub const BODY_OPS: u8 = 24;
+pub const BODY_OPS: u8 = 23;
 
 /// Selectors that exercise every stall source: load-use, FP long ops,
 /// coherent stores, prefetches (the stall-skip suite's op mix).
 pub const STALL_MIX: [u8; 8] = [0, 10, 11, 8, 9, 12, 13, 14];
 
-/// [`STALL_MIX`] plus the kinds the memory system special-cases: atomics,
-/// `.bias` loads and `.excl` prefetches (the memory suite's op mix).
-pub const MEM_MIX: [u8; 11] = [0, 10, 11, 8, 9, 12, 13, 14, 15, 22, 23];
+/// [`STALL_MIX`] plus the kinds the memory system special-cases: `.bias`
+/// loads and `.excl` prefetches (the memory suite's op mix).
+pub const MEM_MIX: [u8; 10] = [0, 10, 11, 8, 9, 12, 13, 14, 21, 22];
 
 /// One body instruction of a generated loop. Selectors cover every
 /// specialized dispatch class (`AddI`, `Add`, `Nop`, `BrCloop` via the loop
 /// back edge) and the classes that go through the interpreter arm (`Sub`,
-/// `MovI`, `Cmp`, `CmpI`, `BrCond`, shifts, `FaddD`/`FmulD`) in both
+/// `MovI`, `Cmp`, `CmpI`, `BrCond`, shifts, `FsubD`/`FmulD`) in both
 /// unpredicated and predicated form, plus every stall source and memory
 /// access kind: loads/stores, load-use FP, long-latency FP, plain and
-/// `.excl` prefetches, `.bias` loads, and atomics.
+/// `.excl` prefetches, and `.bias` loads.
 pub fn emit_body_op(a: &mut Assembler, sel: u8) {
     match sel % BODY_OPS {
         0 => {
@@ -121,22 +121,15 @@ pub fn emit_body_op(a: &mut Assembler, sel: u8) {
             }));
         }
         15 => {
-            a.emit(Insn::new(Op::FetchAdd8 {
-                dest: 11,
-                base: 4,
-                inc: 8,
-            }));
-        }
-        16 => {
             a.emit(Insn::new(Op::ShlI {
                 dest: 9,
                 src: 6,
                 count: 3,
             }));
         }
-        17 => {
-            // Logical vs arithmetic right shift over a value the loop can
-            // drive negative, one of them predicated.
+        16 => {
+            // Right and left shifts of a value the loop can drive negative,
+            // one of them predicated.
             a.emit(Insn::new(Op::ShrI {
                 dest: 10,
                 src: 7,
@@ -145,14 +138,14 @@ pub fn emit_body_op(a: &mut Assembler, sel: u8) {
             a.cmp(1, 2, CmpRel::Lt, 7, 0);
             a.emit(Insn::pred(
                 1,
-                Op::SarI {
+                Op::ShlI {
                     dest: 11,
                     src: 7,
                     count: 2,
                 },
             ));
         }
-        18 => {
+        17 => {
             // Immediate compare feeding predicated consumers on both sides.
             a.emit(Insn::new(Op::CmpI {
                 p1: 3,
@@ -171,14 +164,14 @@ pub fn emit_body_op(a: &mut Assembler, sel: u8) {
             ));
             a.emit(Insn::pred(4, Op::MovI { dest: 11, imm: 40 }));
         }
-        19 => {
-            a.emit(Insn::new(Op::FaddD {
+        18 => {
+            a.emit(Insn::new(Op::FsubD {
                 dest: 6,
                 f1: 6,
                 f2: 8,
             }));
         }
-        20 => {
+        19 => {
             a.cmp(1, 2, CmpRel::Ge, 6, 7);
             a.emit(Insn::pred(
                 2,
@@ -189,7 +182,7 @@ pub fn emit_body_op(a: &mut Assembler, sel: u8) {
                 },
             ));
         }
-        21 => {
+        20 => {
             // Forward conditional skip inside the loop body: `br.cond` both
             // taken and not taken, with a block boundary at the join point.
             a.cmp(1, 2, CmpRel::Lt, 6, 7);
@@ -198,7 +191,7 @@ pub fn emit_body_op(a: &mut Assembler, sel: u8) {
             a.addi(10, 10, 1);
             a.bind(skip);
         }
-        22 => {
+        21 => {
             a.emit(Insn::new(Op::Ld8 {
                 dest: 7,
                 base: 4,

@@ -11,7 +11,7 @@
 //! 1. whole-machine runs over random multithreaded programs on both
 //!    evaluation machines, and
 //! 2. direct `MemSystem::access` sequences with adversarial interleavings
-//!    of loads/stores/prefetches/atomics across CPUs sharing a small pool
+//!    of loads/stores/prefetches across CPUs sharing a small pool
 //!    of lines — which reaches orderings the in-order cores never emit.
 
 mod common;
@@ -27,7 +27,7 @@ proptest! {
 
     /// Whole-machine equivalence: the fast engine and the reference produce
     /// bit-identical simulations on both evaluation machines, over the op
-    /// mix that adds atomics, `.bias` loads and `.excl` prefetches, in
+    /// mix that adds `.bias` loads and `.excl` prefetches, in
     /// `br.cloop` loops and software-pipelined `br.ctop` ones.
     #[test]
     fn memsys_matches_reference(
@@ -35,7 +35,7 @@ proptest! {
         threads in 1usize..=8,
         share_base in any::<bool>(),
         period in 50u64..1500,
-        body in prop::collection::vec(0u8..11, 1..8),
+        body in prop::collection::vec(0..MEM_MIX.len() as u8, 1..8),
         iters in 1u64..48,
         pipelined in any::<bool>(),
     ) {
@@ -63,7 +63,7 @@ struct RawAccess {
 }
 
 fn raw_kind(sel: u8) -> AccessKind {
-    match sel % 7 {
+    match sel % 6 {
         0 => AccessKind::Load {
             fp: true,
             bias: false,
@@ -78,8 +78,7 @@ fn raw_kind(sel: u8) -> AccessKind {
         },
         3 => AccessKind::Store,
         4 => AccessKind::Prefetch { excl: false },
-        5 => AccessKind::Prefetch { excl: true },
-        _ => AccessKind::Atomic,
+        _ => AccessKind::Prefetch { excl: true },
     }
 }
 
@@ -151,7 +150,7 @@ proptest! {
     #[test]
     fn raw_access_sequences_match_smp(
         accesses in prop::collection::vec(
-            (0usize..4, 0u64..400, 0u8..7, 0u64..24, 0u64..128).prop_map(
+            (0usize..4, 0u64..400, 0u8..6, 0u64..24, 0u64..128).prop_map(
                 |(cpu_sel, dt, kind_sel, line_sel, offset)| RawAccess {
                     cpu_sel, dt, kind_sel, line_sel, offset,
                 }
@@ -167,7 +166,7 @@ proptest! {
     #[test]
     fn raw_access_sequences_match_altix(
         accesses in prop::collection::vec(
-            (0usize..8, 0u64..400, 0u8..7, 0u64..24, 0u64..128).prop_map(
+            (0usize..8, 0u64..400, 0u8..6, 0u64..24, 0u64..128).prop_map(
                 |(cpu_sel, dt, kind_sel, line_sel, offset)| RawAccess {
                     cpu_sel, dt, kind_sel, line_sel, offset,
                 }

@@ -13,7 +13,6 @@ enum OpKind {
     Store,
     Prefetch,
     PrefetchExcl,
-    Atomic,
 }
 
 fn arb_op() -> impl Strategy<Value = OpKind> {
@@ -23,7 +22,6 @@ fn arb_op() -> impl Strategy<Value = OpKind> {
         Just(OpKind::Store),
         Just(OpKind::Prefetch),
         Just(OpKind::PrefetchExcl),
-        Just(OpKind::Atomic),
     ]
 }
 
@@ -82,7 +80,6 @@ fn run_sequence(cfg: MachineConfig, ops: Vec<(usize, OpKind, u64)>) {
             OpKind::Store => AccessKind::Store,
             OpKind::Prefetch => AccessKind::Prefetch { excl: false },
             OpKind::PrefetchExcl => AccessKind::Prefetch { excl: true },
-            OpKind::Atomic => AccessKind::Atomic,
         };
         let out = ms.access(&mut stats, &mut hpm, cpu, now, 1, kind, addr);
         assert!(out.complete_at >= now, "time went backwards");

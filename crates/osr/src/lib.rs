@@ -133,7 +133,7 @@ impl OsrMap {
 /// body.
 ///
 /// All architected thread state — general registers, floating registers,
-/// predicates, `ar.lc`, `ar.ec`, `b0` and the rotation bases — transfers
+/// predicates, `ar.lc`, `ar.ec` and the rotation bases — transfers
 /// verbatim: the allowed rewrites never change an architected definition,
 /// so at every mapped PC the two versions agree on what each register
 /// holds. The single exception is `scratch_grs`: the base registers of

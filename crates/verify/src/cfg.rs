@@ -16,12 +16,11 @@ use crate::{VerifyError, Violation};
 /// Static successors of `insn` at `addr`, at most two, with the live
 /// count. Unpredicated `br.cond` is unconditional (`p0` is hard-wired
 /// true); the loop-closing branches (`ctop`/`cloop`/`wtop`) and predicated
-/// branches can fall through; calls return. Successors may be out of
+/// branches can fall through; `hlt` has none. Successors may be out of
 /// bounds — callers check. The reaching-use walk under the deployment gate
 /// calls this per visited instruction, so it does not allocate.
 pub(crate) fn successor_pair(addr: CodeAddr, insn: &Insn) -> ([CodeAddr; 2], usize) {
     match insn.op.branch_kind() {
-        Some(BrKind::Ret) => ([0; 2], 0),
         Some(BrKind::Cond) => {
             let target = insn.op.branch_target().expect("br.cond has a target");
             if insn.qp == 0 {
@@ -31,7 +30,7 @@ pub(crate) fn successor_pair(addr: CodeAddr, insn: &Insn) -> ([CodeAddr; 2], usi
             }
         }
         Some(_) => {
-            let target = insn.op.branch_target().expect("loop/call branch target");
+            let target = insn.op.branch_target().expect("loop branch target");
             ([target, addr + 1], 2)
         }
         None if matches!(insn.op, cobra_isa::insn::Op::Hlt) => ([0; 2], 0),

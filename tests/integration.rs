@@ -29,6 +29,65 @@ fn all_npb_binaries_decode_and_are_bundle_aligned() {
     }
 }
 
+/// The instruction set is what the guests run: the opcode bytes `decode`
+/// accepts are exactly those in the main text of the guests the workloads
+/// build (every NPB kernel and DAXPY under all three prefetch policies; the
+/// optimizer's rewrites only write `nop.m` and `lfetch` words, which these
+/// already hold), plus `fdiv.d` and `fsqrt.d`. So an opcode lands with a
+/// guest that emits it, and one no guest emits any more leaves the table.
+#[test]
+fn every_opcode_is_emitted_by_a_guest() {
+    use cobra::isa::insn::{Insn, Op};
+    use cobra::isa::{decode, encode, DecodeError};
+    use std::collections::BTreeSet;
+
+    let decoded: BTreeSet<u8> = (0..=255u8)
+        .filter(|&b| !matches!(decode(u64::from(b) << 56), Err(DecodeError::BadOpcode(_))))
+        .collect();
+    let mem_bytes = MachineConfig::smp4().mem_bytes;
+    let mut emitted = BTreeSet::new();
+    let mut take = |wl: &dyn Workload| {
+        let image = wl.image();
+        let text = &image.words()[..image.main_len() as usize];
+        emitted.extend(text.iter().map(|w| (w >> 56) as u8));
+    };
+    for policy in [
+        PrefetchPolicy::aggressive(),
+        PrefetchPolicy::none(),
+        PrefetchPolicy::aggressive_excl(),
+    ] {
+        for &b in &npb::Benchmark::ALL {
+            take(&*npb::build(b, &policy, mem_bytes));
+        }
+        take(&Daxpy::build(
+            DaxpyParams::new(64 * 1024, 1),
+            &policy,
+            mem_bytes,
+        ));
+    }
+    // No guest divides or takes a square root, but `fdiv.d` and `fsqrt.d`
+    // are the only readers of `MachineConfig::fp_long_latency`, and that
+    // field's bytes are part of the machine fingerprint every store key
+    // is made from.
+    for op in [
+        Op::FdivD {
+            dest: 6,
+            f1: 7,
+            f2: 8,
+        },
+        Op::FsqrtD { dest: 6, f1: 7 },
+    ] {
+        emitted.insert((encode(&Insn::new(op)) >> 56) as u8);
+    }
+    assert_eq!(
+        decoded,
+        emitted,
+        "opcode bytes no guest emits: {:?}; emitted but not decoded: {:?}",
+        decoded.difference(&emitted).collect::<Vec<_>>(),
+        emitted.difference(&decoded).collect::<Vec<_>>(),
+    );
+}
+
 /// The three smallest coherent benchmarks verify on both machines under
 /// every static policy (numerical correctness is policy-independent).
 #[test]
