@@ -234,7 +234,7 @@ impl fmt::Display for Flag {
 /// a verb, and a value for every flag its grammar takes (the default where
 /// the flag was not given; flags it does not take keep theirs, unread).
 #[derive(Debug, Clone)]
-pub struct Command {
+pub(crate) struct Command {
     verb: Verb,
     markdown: bool,
     json: bool,
@@ -297,7 +297,7 @@ fn lookup(args: &[String]) -> Result<(Verb, &[String]), Usage> {
 
 /// Parse a command line (without the program name). Every error is one
 /// line, except the usage listing a bare `profile` / `verify` / `fleet` gets.
-pub fn parse(args: &[String]) -> Result<Command, Usage> {
+pub(crate) fn parse(args: &[String]) -> Result<Command, Usage> {
     let (verb, rest) = lookup(args)?;
     let (name, required, optional, positional) = verb.grammar();
     let mut cmd = Command {
@@ -439,7 +439,7 @@ fn print_run(out: &mut dyn Write, n: usize, run: &[TelemetryRecord]) -> io::Resu
 
 /// Do what `cmd` asks, writing what the command prints on stdout to `out`.
 /// Progress notes and warnings go to stderr directly.
-pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), Failure> {
+pub(crate) fn run(cmd: Command, out: &mut dyn Write) -> Result<(), Failure> {
     // `parse` checked the verb's row of the grammar: a required flag is
     // there, and a `Positional::One` verb has exactly one path.
     const CHECKED: &str = "parse checked the verb's grammar";

@@ -76,7 +76,7 @@ fn run(bench: Benchmark, osr: bool) -> Result<Outcome, String> {
 }
 
 /// Run ft and mg with OSR and entry-only, and tabulate both.
-pub fn measure(workers: usize) -> Result<Table, String> {
+pub(crate) fn measure(workers: usize) -> Result<Table, String> {
     const BENCHES: [Benchmark; 2] = [Benchmark::Ft, Benchmark::Mg];
     let jobs: Vec<(Benchmark, bool)> = (BENCHES.iter())
         .flat_map(|&bench| [(bench, true), (bench, false)])

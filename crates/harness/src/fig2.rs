@@ -9,7 +9,7 @@ use cobra_kernels::{Daxpy, DaxpyParams, PrefetchPolicy, Workload};
 use cobra_machine::MachineConfig;
 
 /// Render the Figure 2 reproduction.
-pub fn run() -> String {
+pub(crate) fn run() -> String {
     let cfg = MachineConfig::smp4();
     let daxpy = Daxpy::build(
         DaxpyParams::new(128 * 1024, 1),

@@ -41,7 +41,7 @@ impl Variant {
         Variant::PrefetchExcl,
     ];
 
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Variant::Prefetch => "prefetch",
             Variant::NoPrefetch => "noprefetch",
@@ -83,7 +83,7 @@ pub const DEFAULT_REPS: usize = 16;
 /// Warm-up repetitions excluded from every measurement (the paper's 10^6
 /// repetitions make the cold start invisible; we difference a long run
 /// against a warm-up run to measure pure steady state).
-pub const WARMUP_REPS: usize = 8;
+pub(crate) const WARMUP_REPS: usize = 8;
 
 /// Measure every (working set × threads × variant) cell: steady-state
 /// cycles for `reps` repetitions, cold start excluded.
@@ -137,7 +137,7 @@ impl Fig3Data {
     }
 
     /// Render one sub-figure as a table comparing `prefetch` to `other`.
-    pub fn subfigure(&self, other: Variant) -> Table {
+    pub(crate) fn subfigure(&self, other: Variant) -> Table {
         let title = match other {
             Variant::NoPrefetch => {
                 "Fig. 3(a): DAXPY normalized execution time — prefetch vs noprefetch (smp4)"
@@ -221,7 +221,7 @@ impl Fig3Data {
 }
 
 /// Render both sub-figures plus the shape checks.
-pub fn render(data: &Fig3Data, markdown: bool) -> String {
+pub(crate) fn render(data: &Fig3Data, markdown: bool) -> String {
     let mut out = String::new();
     for other in [Variant::NoPrefetch, Variant::PrefetchExcl] {
         let t = data.subfigure(other);

@@ -19,7 +19,7 @@ use cobra_store::{read_snapshot_file, StoreKey};
 use crate::profilecmd::snapshot_files;
 
 /// Parse a key in `file_stem` form: `<image_hash hex>-<machine_fp hex>`.
-pub fn parse_key(stem: &str) -> Result<StoreKey, String> {
+pub(crate) fn parse_key(stem: &str) -> Result<StoreKey, String> {
     let err = || format!("bad key {stem:?}; expected IMAGEHEX-MACHINEHEX (snapshot file stem)");
     let (img, fp) = stem.split_once('-').ok_or_else(err)?;
     Ok(StoreKey {
@@ -31,7 +31,7 @@ pub fn parse_key(stem: &str) -> Result<StoreKey, String> {
 /// `fleet serve`: run a server in the foreground until killed. The bound
 /// address goes to `out` first (and is flushed), so scripts can scrape an
 /// ephemeral port from `--addr 127.0.0.1:0`.
-pub fn serve(
+pub(crate) fn serve(
     addr: &str,
     dir: Option<&Path>,
     max_age_runs: Option<u64>,
@@ -68,7 +68,7 @@ pub fn serve(
 }
 
 /// `fleet upload`: push every snapshot in `path` (file or directory).
-pub fn upload(addr: &str, path: &Path) -> Result<String, String> {
+pub(crate) fn upload(addr: &str, path: &Path) -> Result<String, String> {
     let mut client = FleetClient::connect(addr)?;
     let mut out = String::new();
     for file in snapshot_files(path)? {
@@ -102,7 +102,7 @@ pub fn upload(addr: &str, path: &Path) -> Result<String, String> {
 
 /// `fleet fetch`: pull one key's aggregated seed; optionally save it as a
 /// local snapshot file for `profile inspect` / offline warm starts.
-pub fn fetch(addr: &str, key: &StoreKey, out: Option<&Path>) -> Result<String, String> {
+pub(crate) fn fetch(addr: &str, key: &StoreKey, out: Option<&Path>) -> Result<String, String> {
     let mut client = FleetClient::connect(addr)?;
     match client.fetch_seed(key)? {
         Some(snap) => {
@@ -118,7 +118,7 @@ pub fn fetch(addr: &str, key: &StoreKey, out: Option<&Path>) -> Result<String, S
 }
 
 /// `fleet stats`: human-readable server counters.
-pub fn stats(addr: &str) -> Result<String, String> {
+pub(crate) fn stats(addr: &str) -> Result<String, String> {
     let st = FleetClient::connect(addr)?.stats()?;
     Ok(render_stats(&st))
 }

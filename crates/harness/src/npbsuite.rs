@@ -39,7 +39,7 @@ pub enum Arm {
 impl Arm {
     pub const ALL: [Arm; 4] = [Arm::Baseline, Arm::NoPrefetch, Arm::Excl, Arm::Adaptive];
 
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Arm::Baseline => "prefetch",
             Arm::NoPrefetch => "noprefetch",
@@ -84,17 +84,17 @@ impl BenchResult {
     }
 
     /// Speedup of `arm` over the baseline (paper's Fig. 5 metric).
-    pub fn speedup(&self, arm: Arm) -> f64 {
+    pub(crate) fn speedup(&self, arm: Arm) -> f64 {
         self.arm(Arm::Baseline).cycles as f64 / self.arm(arm).cycles as f64 - 1.0
     }
 
     /// Normalized L3 misses (Fig. 6).
-    pub fn l3_norm(&self, arm: Arm) -> f64 {
+    pub(crate) fn l3_norm(&self, arm: Arm) -> f64 {
         self.arm(arm).l3_misses as f64 / self.arm(Arm::Baseline).l3_misses.max(1) as f64
     }
 
     /// Normalized bus transactions (Fig. 7).
-    pub fn bus_norm(&self, arm: Arm) -> f64 {
+    pub(crate) fn bus_norm(&self, arm: Arm) -> f64 {
         self.arm(arm).bus_transactions as f64
             / self.arm(Arm::Baseline).bus_transactions.max(1) as f64
     }
@@ -223,19 +223,19 @@ fn average(values: impl Iterator<Item = f64>) -> f64 {
 
 impl SuiteData {
     /// Fig. 5: speedup table.
-    pub fn fig5(&self) -> Table {
+    pub(crate) fn fig5(&self) -> Table {
         let title = "Fig. 5: COBRA speedup over prefetch baseline";
         self.figure(title, false, BenchResult::speedup, pct)
     }
 
     /// Fig. 6: normalized L3 misses.
-    pub fn fig6(&self) -> Table {
+    pub(crate) fn fig6(&self) -> Table {
         let title = "Fig. 6: normalized L3 misses";
         self.figure(title, true, BenchResult::l3_norm, ratio)
     }
 
     /// Fig. 7: normalized memory bus transactions.
-    pub fn fig7(&self) -> Table {
+    pub(crate) fn fig7(&self) -> Table {
         let title = "Fig. 7: normalized system-bus memory transactions";
         self.figure(title, true, BenchResult::bus_norm, ratio)
     }
@@ -277,7 +277,7 @@ impl SuiteData {
     }
 
     /// Deployment summaries per benchmark and arm.
-    pub fn deployments(&self) -> Table {
+    pub(crate) fn deployments(&self) -> Table {
         let mut t = Table::new(
             format!("COBRA activity — {}", self.machine),
             &["bench", "arm", "summary"],
@@ -378,7 +378,7 @@ pub fn shape_checks(smp: &SuiteData, altix: &SuiteData) -> Vec<(String, bool)> {
 }
 
 /// Render one suite's three figures (+ activity).
-pub fn render(data: &SuiteData, markdown: bool) -> String {
+pub(crate) fn render(data: &SuiteData, markdown: bool) -> String {
     let mut out = String::new();
     for t in [data.fig5(), data.fig6(), data.fig7(), data.deployments()] {
         out.push_str(&t.render(markdown));

@@ -33,7 +33,7 @@ pub(crate) fn bench_by_name(name: &str, among: &[Benchmark]) -> Result<Benchmark
 
 /// `profile save`: one adaptive run of `bench` against `dir`, so the next
 /// run (or `--store` figure sweep) warm-starts. Returns a human summary.
-pub fn save(
+pub(crate) fn save(
     bench: &str,
     machine_cfg: &MachineConfig,
     threads: usize,
@@ -103,7 +103,7 @@ pub(crate) fn snapshot_files(path: &Path) -> Result<Vec<PathBuf>, String> {
 }
 
 /// `profile inspect`: one line per snapshot (plus damage notes).
-pub fn inspect(path: &Path) -> Result<String, String> {
+pub(crate) fn inspect(path: &Path) -> Result<String, String> {
     let mut out = String::new();
     for file in snapshot_files(path)? {
         let lr = read_snapshot_file(&file, None);

@@ -18,7 +18,7 @@ use crate::table::{pct, Table};
 
 /// One (benchmark × policy) measurement.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StaticCell {
+pub(crate) struct StaticCell {
     pub bench: String,
     pub policy: String,
     pub cycles: u64,
@@ -28,7 +28,11 @@ pub struct StaticCell {
 }
 
 /// Measure all static variants on one machine.
-pub fn measure(machine_cfg: &MachineConfig, threads: usize, workers: usize) -> Vec<StaticCell> {
+pub(crate) fn measure(
+    machine_cfg: &MachineConfig,
+    threads: usize,
+    workers: usize,
+) -> Vec<StaticCell> {
     let mut jobs = Vec::new();
     for &b in &npb::Benchmark::COHERENT {
         for variant in Variant::ALL {
@@ -51,7 +55,7 @@ pub fn measure(machine_cfg: &MachineConfig, threads: usize, workers: usize) -> V
 }
 
 /// Render the static ground-truth table.
-pub fn render(cells: &[StaticCell], machine: &str, markdown: bool) -> String {
+pub(crate) fn render(cells: &[StaticCell], machine: &str, markdown: bool) -> String {
     let mut t = Table::new(
         format!("static policy ground truth — {machine} (speedup vs prefetch)"),
         &[

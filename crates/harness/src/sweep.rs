@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// lowest-index panic is re-raised on the caller's thread. Indices are
 /// claimed in order, so every item below a panicking one has run and
 /// "lowest" does not depend on scheduling.
-pub fn parallel_map<T, R, F>(items: Vec<T>, max_workers: usize, f: F) -> Vec<R>
+pub(crate) fn parallel_map<T, R, F>(items: Vec<T>, max_workers: usize, f: F) -> Vec<R>
 where
     T: Send + Sync,
     R: Send,
@@ -63,10 +63,11 @@ where
     done.into_iter().map(|(_, out)| out).collect()
 }
 
-/// Default sweep concurrency: leave a couple of cores for the OS.
-pub fn default_workers() -> usize {
+/// Default sweep concurrency: every available CPU. None is held back,
+/// because the thread that calls [`parallel_map`] only waits on the workers.
+pub(crate) fn default_workers() -> usize {
     std::thread::available_parallelism()
-        .map(|n| n.get().saturating_sub(1).max(1))
+        .map(std::num::NonZeroUsize::get)
         .unwrap_or(4)
 }
 

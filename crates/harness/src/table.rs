@@ -2,14 +2,14 @@
 
 /// A simple column-aligned table.
 #[derive(Debug, Clone, Default)]
-pub struct Table {
+pub(crate) struct Table {
     pub title: String,
     pub header: Vec<String>,
     pub rows: Vec<Vec<String>>,
 }
 
 impl Table {
-    pub fn new(title: impl Into<String>, header: &[&str]) -> Self {
+    pub(crate) fn new(title: impl Into<String>, header: &[&str]) -> Self {
         Table {
             title: title.into(),
             header: header.iter().map(|s| s.to_string()).collect(),
@@ -17,7 +17,7 @@ impl Table {
         }
     }
 
-    pub fn row(&mut self, cells: Vec<String>) {
+    pub(crate) fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.header.len(), "row width mismatch");
         self.rows.push(cells);
     }
@@ -33,7 +33,7 @@ impl Table {
     }
 
     /// Markdown when asked for (`--md`), aligned plain text otherwise.
-    pub fn render(&self, markdown: bool) -> String {
+    pub(crate) fn render(&self, markdown: bool) -> String {
         if markdown {
             self.to_markdown()
         } else {
@@ -42,7 +42,7 @@ impl Table {
     }
 
     /// Render as aligned plain text.
-    pub fn to_text(&self) -> String {
+    pub(crate) fn to_text(&self) -> String {
         let w = self.widths();
         let mut out = String::new();
         if !self.title.is_empty() {
@@ -68,7 +68,7 @@ impl Table {
     }
 
     /// Render as GitHub-flavoured Markdown.
-    pub fn to_markdown(&self) -> String {
+    pub(crate) fn to_markdown(&self) -> String {
         let mut out = String::new();
         if !self.title.is_empty() {
             out.push_str(&format!("### {}\n\n", self.title));
@@ -83,12 +83,12 @@ impl Table {
 }
 
 /// Format a ratio like `0.873` / `1.000`.
-pub fn ratio(x: f64) -> String {
+pub(crate) fn ratio(x: f64) -> String {
     format!("{x:.3}")
 }
 
 /// Format a speedup as `+17.5%` / `-3.2%`.
-pub fn pct(x: f64) -> String {
+pub(crate) fn pct(x: f64) -> String {
     format!("{:+.1}%", 100.0 * x)
 }
 

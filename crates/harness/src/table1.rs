@@ -26,7 +26,7 @@ pub struct Counts {
 }
 
 /// Paper values (Table 1) for side-by-side display.
-pub const PAPER: [(&str, [usize; 4]); 8] = [
+pub(crate) const PAPER: [(&str, [usize; 4]); 8] = [
     ("bt", [140, 34, 32, 0]),
     ("sp", [276, 67, 22, 0]),
     ("lu", [184, 61, 19, 0]),
@@ -57,7 +57,7 @@ pub fn measure() -> Vec<Counts> {
 }
 
 /// Render ours next to the paper's.
-pub fn render(counts: &[Counts], markdown: bool) -> String {
+pub(crate) fn render(counts: &[Counts], markdown: bool) -> String {
     let mut t = Table::new(
         "Table 1: loops and prefetches in compiler-generated NPB binaries (ours / paper)",
         &["bench", "lfetch", "br.ctop", "br.cloop", "br.wtop"],

@@ -22,14 +22,17 @@ use crate::profilecmd::{bench_by_name, snapshot_files};
 
 /// Lint result: a human report plus the violation count (exit 1 when > 0).
 #[derive(Debug)]
-pub struct VerifyOutcome {
+pub(crate) struct VerifyOutcome {
     pub text: String,
     pub violations: usize,
 }
 
 /// `verify image`: whole-image invariants over one benchmark (or the whole
 /// suite when `bench` is `None`) as built for `machine_cfg`.
-pub fn image(bench: Option<&str>, machine_cfg: &MachineConfig) -> Result<VerifyOutcome, String> {
+pub(crate) fn image(
+    bench: Option<&str>,
+    machine_cfg: &MachineConfig,
+) -> Result<VerifyOutcome, String> {
     let benches: Vec<Benchmark> = match bench {
         Some(name) => vec![bench_by_name(name, &Benchmark::ALL)?],
         None => Benchmark::ALL.to_vec(),
@@ -59,7 +62,7 @@ pub fn image(bench: Option<&str>, machine_cfg: &MachineConfig) -> Result<VerifyO
 /// `verify snapshot`: structural lint of a snapshot file or every `*.jsonl`
 /// in a directory. Unlike `profile inspect` (which tolerates damage and
 /// summarizes), every defect here counts as a violation.
-pub fn snapshot(path: &Path) -> Result<VerifyOutcome, String> {
+pub(crate) fn snapshot(path: &Path) -> Result<VerifyOutcome, String> {
     let mut text = String::new();
     let mut violations = 0;
     for file in snapshot_files(path)? {

@@ -309,9 +309,11 @@ impl Core {
     /// Issue one group of pre-decoded uops at machine cycle `now`: what
     /// [`Self::step`] does once it has found the core Running and not
     /// stalled, with the per-slot fetch/decode replaced by the cached uops
-    /// (see [`Self::issue_group`]). The caller — the interleaved boundary
-    /// batch — has made those two checks and counts the cycle and the
-    /// returned retired uops itself.
+    /// (see [`Self::issue_group`]). The caller, the interleaved boundary
+    /// batch, keeps one wake cycle per core in place of those two checks: it
+    /// visits the core only from its `resume_at` on, re-reads that after each
+    /// group and snoop drain, and settles the cycle, stall and returned
+    /// retired-uop counts at the batch end.
     #[inline]
     pub(crate) fn issue(&mut self, shared: &mut Shared, now: u64) -> u64 {
         let b = self.take_cursor(shared);
@@ -1150,8 +1152,8 @@ impl Core {
         self.lc
     }
 
-    /// Cycle until which the core is stalled. The boundary batch reads this
-    /// to jump to the earliest wake-up point across all Running cores.
+    /// Cycle until which the core is stalled: the boundary batch's wake cycle
+    /// for it, and the budget rule's quiet window.
     pub(crate) fn resume_at(&self) -> u64 {
         self.resume_at
     }

@@ -144,21 +144,27 @@ pub struct RunResult {
     pub faulted: bool,
 }
 
-/// What one core earned inside the current boundary batch and has not yet
-/// added to its [`CpuStats`] (see [`Machine::run_boundary_batch`]).
+/// One core's slot in the current boundary batch (see
+/// [`Machine::run_boundary_batch`]), written at the batch's entry.
 #[derive(Debug, Clone, Copy, Default)]
-struct BatchCounts {
-    cycles: u64,
-    stalled: u64,
+struct BatchSlot {
+    /// The first cycle on which the core may issue: its `resume_at` while it
+    /// is Running, `u64::MAX` once it is not.
+    wake: u64,
+    /// Cycles on which it issued.
+    issues: u64,
     retired: u64,
+    /// The cycle at which it left Running: `u64::MAX` while it runs, the
+    /// batch's start if it never did.
+    stop: u64,
 }
 
 /// A simulated multiprocessor executing one program image.
 #[derive(Debug)]
 pub struct Machine {
     cores: Vec<Core>,
-    /// Per core; all zero outside [`Machine::run_boundary_batch`].
-    batch_counts: Vec<BatchCounts>,
+    /// Per core; read only inside [`Machine::run_boundary_batch`].
+    batch: Vec<BatchSlot>,
     pub shared: Shared,
     next_tid: u32,
 }
@@ -188,7 +194,7 @@ impl Machine {
         };
         Machine {
             cores: (0..n).map(Core::new).collect(),
-            batch_counts: vec![BatchCounts::default(); n],
+            batch: vec![BatchSlot::default(); n],
             shared,
             next_tid: 0,
         }
@@ -341,19 +347,23 @@ impl Machine {
     /// clock through [`Core::issue`], bit-identical to the schedule of
     /// [`Self::step`], and each cycle pays only for what can change on it:
     ///
+    /// * a cycle visits only the cores whose wake cycle (a [`BatchSlot`])
+    ///   has come. A core's wake is its `resume_at`, and only its own group
+    ///   and a snoop drain move that: it is re-read after the one and after
+    ///   the other, and set to `u64::MAX` when the core halts or faults;
     /// * snoop stalls are drained at the end of a cycle on which the memory
     ///   system raised one, and on no other (every slot is zero);
     /// * a cycle on which no core issued raised none, and leaves every
-    ///   Running core asleep until its `resume_at`: the clock jumps to the
-    ///   earliest one (to the budget's end when nothing runs), each Running
-    ///   core earning the skipped cycles as stalled ones;
+    ///   Running core asleep until its wake: the clock jumps to the earliest
+    ///   one, capped at the budget's end;
     /// * no sampled counter crosses its threshold before the batch's last
     ///   cycle ([`Self::sampling_budget`]), so the per-cycle overflow polls
     ///   would be no-ops, and one poll at the end observes the same thing;
     /// * nothing between two polls reads `CPU_CYCLES`, `BE_STALL_CYCLES` or
-    ///   `IA64_INST_RETIRED`, so they accumulate per core in `batch_counts`
-    ///   and reach [`CpuStats`] once, before that poll and before `run` can
-    ///   return, as [`Core::run_stretch`] does for a stretch.
+    ///   `IA64_INST_RETIRED`, so they are settled once, before that poll and
+    ///   before `run` can return, as [`Core::run_stretch`] does for a
+    ///   stretch: a core earns the cycles it was Running, stalled on each of
+    ///   them it did not issue on, and the uops it retired.
     ///
     /// The batch ends at `budget` (≥ 1) or when fewer than two cores remain
     /// Running (the solo stretch or halt handling takes over). Every cycle is
@@ -362,57 +372,58 @@ impl Machine {
     fn run_boundary_batch(&mut self, budget: u64) -> u64 {
         let start = self.shared.cycle;
         let end = start + budget;
+        let mut running = 0u32;
+        for (core, slot) in self.cores.iter().zip(&mut self.batch) {
+            let on = core.status == CoreStatus::Running;
+            running += u32::from(on);
+            *slot = BatchSlot {
+                wake: if on { core.resume_at() } else { u64::MAX },
+                stop: if on { u64::MAX } else { start },
+                ..BatchSlot::default()
+            };
+        }
         loop {
             let now = self.shared.cycle;
-            // Post-issue status: a core that halts or faults this cycle must
-            // not count as Running, or the batch would run one empty cycle.
-            let mut running = 0u32;
             let mut issued = false;
-            for (core, counts) in self.cores.iter_mut().zip(&mut self.batch_counts) {
-                if core.status != CoreStatus::Running {
+            for (core, slot) in self.cores.iter_mut().zip(&mut self.batch) {
+                if slot.wake > now {
                     continue;
                 }
-                counts.cycles += 1;
-                if now < core.resume_at() {
-                    counts.stalled += 1;
+                slot.retired += core.issue(&mut self.shared, now);
+                slot.issues += 1;
+                issued = true;
+                if core.status == CoreStatus::Running {
+                    slot.wake = core.resume_at();
                 } else {
-                    counts.retired += core.issue(&mut self.shared, now);
-                    issued = true;
+                    (slot.wake, slot.stop) = (u64::MAX, now + 1);
+                    running -= 1;
                 }
-                running += u32::from(core.status == CoreStatus::Running);
             }
             if self.shared.memsys.snoop_raised() {
                 self.drain_snoop_stalls();
+                for (core, slot) in self.cores.iter().zip(&mut self.batch) {
+                    if slot.wake != u64::MAX {
+                        slot.wake = core.resume_at();
+                    }
+                }
             }
             self.shared.cycle += 1;
             if !issued {
-                let wake = self
-                    .cores
-                    .iter()
-                    .filter(|c| c.status == CoreStatus::Running)
-                    .map(Core::resume_at)
-                    .fold(end, u64::min);
-                let skipped = wake - self.shared.cycle;
-                for (core, counts) in self.cores.iter().zip(&mut self.batch_counts) {
-                    if core.status == CoreStatus::Running {
-                        counts.cycles += skipped;
-                        counts.stalled += skipped;
-                    }
-                }
-                self.shared.cycle = wake;
+                self.shared.cycle = self.batch.iter().map(|s| s.wake).fold(end, u64::min);
             }
             if self.shared.cycle == end || running < 2 {
                 break;
             }
         }
-        for (counts, stats) in self.batch_counts.iter_mut().zip(&mut self.shared.stats) {
-            let earned = std::mem::take(counts);
-            stats.add(Event::CpuCycles, earned.cycles);
-            stats.add(Event::StallCycles, earned.stalled);
-            stats.add(Event::InstRetired, earned.retired);
+        let now = self.shared.cycle;
+        for (slot, stats) in self.batch.iter().zip(&mut self.shared.stats) {
+            let cycles = slot.stop.min(now) - start;
+            stats.add(Event::CpuCycles, cycles);
+            stats.add(Event::StallCycles, cycles - slot.issues);
+            stats.add(Event::InstRetired, slot.retired);
         }
         self.poll_overflows();
-        self.shared.cycle - start
+        now - start
     }
 
     /// Run until every bound thread terminates or `max_cycles` elapse.

@@ -228,8 +228,8 @@ build-test() {
   local pubs
   pubs=$(grep -rhE '^\s*pub (fn|struct|enum|const|mod|type|trait|use|static)' crates/*/src src | wc -l)
   echo "pub items in crates/*/src + src: $pubs"
-  if ((pubs > 607)); then
-    echo "the pub surface grew past 607" >&2
+  if ((pubs > 557)); then
+    echo "the pub surface grew past 557" >&2
     return 1
   fi
   cargo build --release --workspace
@@ -330,8 +330,13 @@ overflow-checks() {
 # cannot be dropped or renamed silently (`--exact` on a name that is gone
 # runs nothing and passes). `Core::dispatch_class` must stay inlined into
 # the issue loop (outlined, it slowed the arithmetic loops by a fifth), so
-# a symbol of its own in the engine floors' binary fails the job.
+# a symbol of its own in the engine floors' binary fails the job. The
+# floors build with every function aligned to 64 bytes, in a target
+# directory of their own, so a ratio reads the code and not where the
+# linker happened to place it (unaligned, the same source read 10-25 %
+# apart from one checkout directory to another).
 floors() {
+  local -x RUSTFLAGS="-C llvm-args=-align-all-functions=6" CARGO_TARGET_DIR=target/aligned
   cargo test --release -p cobra-machine --test engine_floors -p cobra-rt --test overhead_floors --no-run
   local bin
   bin=$(cargo test --release -p cobra-machine --test engine_floors --no-run 2>&1 |
