@@ -52,7 +52,7 @@ use cobra_perfmon::{PerfmonConfig, PerfmonDriver};
 use cobra_store::{Snapshot, Store, StoreKey};
 
 use crate::optimizer::{Optimizer, OptimizerConfig, PlanAction, Strategy, ROLLING_TICKS};
-use crate::persist::{seed_from_snapshot, snapshot_from_final};
+use crate::persist::profile_record;
 use crate::phase::PhaseDetector;
 use crate::profile::{CounterWindow, LatencyBands, ProfileDelta, SystemProfile, ThreadProfiler};
 use crate::report::{AppliedPlan, CobraReport, RevertedPlan};
@@ -210,31 +210,31 @@ impl CobraBuilder {
             // what this run folds into at detach.
             if fleet_seed.is_none() {
                 if let Some(snap) = &lr.snapshot {
-                    let seed = seed_from_snapshot(snap);
+                    let (seeded_decisions, _, seeded_blacklist) =
+                        opt.warm_start(&snap.decisions, &snap.winners, &snap.blacklist);
                     telemetry.emit(TelemetryEvent::WarmStart {
                         tick: 0,
                         cycle,
-                        seeded_decisions: seed.decisions.len(),
-                        seeded_blacklist: seed.blacklist.len(),
+                        seeded_decisions,
+                        seeded_blacklist,
                         skipped_records: lr.skipped_records,
                     });
-                    opt.warm_start(seed);
                     publish(&mut opt, &mut telemetry);
                 }
             }
             (store, lr.snapshot)
         });
         if let Some(snap) = &fleet_seed {
-            let seed = seed_from_snapshot(snap);
+            let (seeded_decisions, seeded_winners, seeded_blacklist) =
+                opt.warm_start(&snap.decisions, &snap.winners, &snap.blacklist);
             telemetry.emit(TelemetryEvent::FleetSeed {
                 tick: 0,
                 cycle,
-                seeded_decisions: seed.decisions.len(),
-                seeded_winners: seed.winners.len(),
-                seeded_blacklist: seed.blacklist.len(),
+                seeded_decisions,
+                seeded_winners,
+                seeded_blacklist,
                 runs: snap.runs,
             });
-            opt.warm_start(seed);
             publish(&mut opt, &mut telemetry);
         }
         Cobra {
@@ -591,8 +591,15 @@ impl Cobra {
         // it into what it held and the fleet server into what the fleet
         // holds, by the same rule — so neither counts a prior run twice.
         let fresh = key.map(|key| {
-            let (decisions, blacklist) = opt.export_state();
-            snapshot_from_final(key, &decisions, &blacklist, &cumulative)
+            let (decisions, winners, blacklist) = opt.export_state();
+            Snapshot {
+                runs: 1,
+                profile: profile_record(&cumulative),
+                decisions,
+                winners,
+                blacklist,
+                ..Snapshot::empty(key)
+            }
         });
         if let Some(((store, prior), fresh)) = store_ctx.zip(fresh.as_ref()) {
             let fold_onto = |mut base: Snapshot| base.fold_unordered(fresh).map(|()| base);
@@ -651,14 +658,6 @@ impl Cobra {
             },
         });
         telemetry.finish()
-    }
-
-    /// Read-only view of the activity report so far: what the events up to
-    /// now imply (deployments, reverts, failures, verdicts). The run totals
-    /// — ticks, forks, samples, overhead cycles, the machine's counters —
-    /// appear at detach.
-    pub fn report(&self) -> &CobraReport {
-        self.telemetry.report()
     }
 }
 
@@ -758,6 +757,14 @@ mod tests {
     use cobra_machine::{HostAccel, MachineConfig};
     use cobra_omp::OmpRuntime;
 
+    impl Cobra {
+        /// The report so far: what the events up to now imply. The run
+        /// totals appear at detach.
+        fn report(&self) -> &CobraReport {
+            self.telemetry.report()
+        }
+    }
+
     /// A counted loop of 2 000 integer adds: no memory traffic at all.
     fn quiet_loop() -> cobra_isa::CodeImage {
         let mut a = cobra_isa::Assembler::new();
@@ -821,7 +828,7 @@ mod tests {
                 + log.count("quantum")
                 + log.count("kernel_drain")
                 + log.count("detach"),
-            log.len()
+            log.records().len()
         );
         // Snapshots cover every CPU and carry monotone instruction counts.
         let last_quantum = log.records().iter().rev().find_map(|r| match &r.event {

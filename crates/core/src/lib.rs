@@ -26,7 +26,7 @@
 //! quantum, [`Cobra`] calls every thread's profiler, folds what they return
 //! and calls the optimizer, on the simulator's thread; what the threads
 //! would cost the program is charged to it as guest cycles (see
-//! [`framework`]).
+//! `framework.rs`).
 //!
 //! Entry point: [`Cobra::builder`], a fluent configuration API whose
 //! `attach` step implements the OpenMP runtime's `QuantumHook` so the
@@ -34,22 +34,19 @@
 //! points. Pass a [`TelemetrySink`] to the builder to record the whole
 //! decision pipeline as typed, cycle-stamped events.
 
-pub mod framework;
-pub mod optimizer;
-pub mod persist;
-pub mod phase;
-pub mod profile;
-pub mod report;
-pub mod telemetry;
-pub mod trace;
+mod framework;
+mod optimizer;
+mod persist;
+mod phase;
+mod profile;
+mod report;
+mod telemetry;
+mod trace;
 
 pub use framework::{Cobra, CobraBuilder, OVERHEAD_PER_SAMPLE};
 pub use optimizer::{
-    verify_plan, DecisionExport, OptKind, Optimizer, OptimizerConfig, PatchPlan, PlanAction,
-    Strategy, TracePlan, WarmSeed,
+    verify_plan, OptKind, Optimizer, OptimizerConfig, PatchPlan, PlanAction, Strategy, TracePlan,
 };
-pub use persist::{profile_record, seed_from_snapshot, snapshot_from_final};
-pub use phase::PhaseDetector;
 pub use profile::{
     CounterWindow, DelinquentStats, LatencyBands, ProfileDelta, SystemProfile, ThreadProfiler,
 };
@@ -58,4 +55,4 @@ pub use telemetry::{
     read_jsonl, write_jsonl, CpuCounterSnapshot, RunTotals, Telemetry, TelemetryEvent,
     TelemetryLog, TelemetryRecord, TelemetrySink,
 };
-pub use trace::{loop_lfetch_sites, select_loops, HotLoop, TraceConfig};
+pub use trace::{select_loops, HotLoop, TraceConfig};

@@ -78,6 +78,7 @@ use std::collections::{HashMap, HashSet};
 
 use cobra_isa::insn::{Insn, Op};
 use cobra_isa::{encode, CodeAddr, CodeImage, NOP_SLOT_M};
+use cobra_store::{DecisionRecord, WinnerRecord};
 use serde::{Deserialize, Serialize};
 
 use crate::profile::{CounterWindow, SystemProfile};
@@ -236,37 +237,6 @@ struct Deployment {
     /// closes — never a `0.0` sentinel).
     last_post_cpi: Option<f64>,
     post_ticks: u64,
-}
-
-/// Prior-run knowledge used to warm-start an optimizer (decoded from a
-/// `cobra-store` snapshot by the framework).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct WarmSeed {
-    /// Loops deployed (and not reverted) in a prior run, with the rewrite
-    /// that stuck.
-    pub decisions: Vec<(CodeAddr, OptKind)>,
-    /// Loops whose deployments regressed in a prior run: skipped outright.
-    pub blacklist: Vec<CodeAddr>,
-    /// Tournament winners from a prior run: with candidates enabled, a
-    /// warm run deploys the named candidate directly instead of
-    /// re-running the tournament.
-    pub winners: Vec<(CodeAddr, String)>,
-}
-
-/// One loop's final decision, exported at detach for persistence.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DecisionExport {
-    pub loop_head: CodeAddr,
-    pub kind: OptKind,
-    pub reverted: bool,
-    pub baseline_cpi: f64,
-    /// Last completed trial-window CPI (`None` when no window closed).
-    pub post_cpi: Option<f64>,
-    /// Winning tournament candidate, when this decision came from one.
-    pub candidate: Option<String>,
-    /// Per-candidate trial CPIs of the tournament that picked this
-    /// decision, in trial order.
-    pub trials: Vec<(String, f64)>,
 }
 
 /// Per-`lfetch`-site action in a candidate.
@@ -476,7 +446,7 @@ impl Optimizer {
     /// so a trial's CPI covers precisely its own ticks, independent of the
     /// rolling-window length. The window is consumed by the next
     /// [`Optimizer::consider`].
-    pub fn begin_tick(&mut self, tick: u64, cycle: u64, window: &CounterWindow) {
+    pub(crate) fn begin_tick(&mut self, tick: u64, cycle: u64, window: &CounterWindow) {
         self.cur_tick = tick;
         self.cur_cycle = cycle;
         self.tick_window = Some(*window);
@@ -528,14 +498,42 @@ impl Optimizer {
         }
     }
 
-    /// Seed the optimizer with prior-run knowledge (call before the first
-    /// tick). Blacklisted loops are skipped outright; seeded decisions
-    /// shorten the learning window to `WARM_WARMUP_TICKS`, but each one is
-    /// still **validated against the live profile** before deploying — a
-    /// mismatch drops the seed and the loop falls back to the normal
-    /// post-`warmup_ticks` decision path.
-    pub fn warm_start(&mut self, seed: WarmSeed) {
+    /// Seed the optimizer with what a prior run stored (call before the
+    /// first tick). A decision whose kind this build does not name is
+    /// dropped; a reverted one, like every `blacklist` entry, puts its loop
+    /// on the blacklist, which outranks any seed for it and drops a winner
+    /// at its head. The seeds shorten the learning window to
+    /// `WARM_WARMUP_TICKS`, but each one is still **validated against the
+    /// live profile** before deploying — a mismatch drops the seed and the
+    /// loop falls back to the normal post-`warmup_ticks` decision path.
+    /// Returns how many decisions, winners and blacklisted loops the records
+    /// seeded, before the live-image check.
+    pub(crate) fn warm_start(
+        &mut self,
+        decisions: &[DecisionRecord],
+        winners: &[WinnerRecord],
+        blacklist: &[CodeAddr],
+    ) -> (usize, usize, usize) {
         self.warm = true;
+        let mut kinds = Vec::new();
+        let mut blacklist = blacklist.to_vec();
+        for d in decisions {
+            let Some(kind) = OptKind::from_name(&d.kind) else {
+                continue;
+            };
+            if d.reverted {
+                blacklist.push(d.loop_head);
+            } else {
+                kinds.push((d.loop_head, kind));
+            }
+        }
+        blacklist.sort_unstable();
+        blacklist.dedup();
+        let winners: Vec<&WinnerRecord> = winners
+            .iter()
+            .filter(|w| blacklist.binary_search(&w.loop_head).is_err())
+            .collect();
+        let seeded = (kinds.len(), winners.len(), blacklist.len());
         // Re-verify each distinct seeded head against the *live* image: the
         // store is keyed by image hash, but a corrupted snapshot record (or
         // a hash collision) must not smuggle a stale loop head past the
@@ -545,8 +543,8 @@ impl Optimizer {
         // loop falls back to the cold decision path.
         let mut checked = HashSet::new();
         let mut rejected = HashSet::new();
-        let decision_heads = seed.decisions.iter().map(|&(head, _)| head);
-        let heads = decision_heads.chain(seed.winners.iter().map(|(head, _)| *head));
+        let decision_heads = kinds.iter().map(|&(head, _)| head);
+        let heads = decision_heads.chain(winners.iter().map(|w| w.loop_head));
         for head in heads.filter(|&head| checked.insert(head)) {
             if let Err(err) = cobra_verify::check_seed(&self.image, head) {
                 self.reject(head, format!("warm seed: {err}"));
@@ -554,26 +552,30 @@ impl Optimizer {
             }
         }
         let live = |head: &CodeAddr| !rejected.contains(head);
-        for (head, kind) in seed.decisions.into_iter().filter(|(h, _)| live(h)) {
+        for (head, kind) in kinds.into_iter().filter(|(h, _)| live(h)) {
             self.seed(head, Some(kind), None);
         }
-        for (head, name) in seed.winners.into_iter().filter(|(h, _)| live(h)) {
-            self.seed(head, None, Some(name));
+        for w in winners.into_iter().filter(|w| live(&w.loop_head)) {
+            self.seed(w.loop_head, None, Some(w.candidate.clone()));
         }
         // A stale blacklist entry is conservative (skips a loop), so it
         // needs no verification; it outranks a seed for the same loop.
-        for head in seed.blacklist {
+        for head in blacklist {
             if self.undecided(head) {
                 self.set(head, LoopState::Blacklisted(None));
             }
         }
+        seeded
     }
 
-    /// Final per-loop decisions and the blacklist, for persistence. Both
-    /// lists are sorted by loop head so snapshots serialize
-    /// deterministically.
-    pub fn export_state(&self) -> (Vec<DecisionExport>, Vec<CodeAddr>) {
+    /// What this run learned, as the store keeps it: each loop's final
+    /// decision, the tournament winners still standing, and the blacklist,
+    /// all sorted by loop head so snapshots serialize deterministically. A
+    /// warm run resumes a winner directly instead of re-running its
+    /// tournament.
+    pub(crate) fn export_state(&self) -> (Vec<DecisionRecord>, Vec<WinnerRecord>, Vec<CodeAddr>) {
         let mut decisions = Vec::new();
+        let mut winners = Vec::new();
         let mut blacklist = Vec::new();
         for (head, state) in &self.loops {
             let (d, reverted) = match state {
@@ -587,19 +589,26 @@ impl Optimizer {
                 }
                 LoopState::Seeded { .. } | LoopState::Contest(_) => continue,
             };
-            decisions.push(DecisionExport {
+            decisions.push(DecisionRecord {
                 loop_head: *head,
-                kind: d.kind,
+                kind: d.kind.name().to_string(),
                 reverted,
                 baseline_cpi: d.baseline_cpi,
                 post_cpi: d.last_post_cpi,
-                candidate: d.candidate.clone(),
-                trials: d.trials.clone(),
             });
+            if let (false, Some(candidate)) = (reverted, &d.candidate) {
+                winners.push(WinnerRecord {
+                    loop_head: *head,
+                    candidate: candidate.clone(),
+                    kind: d.kind.name().to_string(),
+                    trials: d.trials.clone(),
+                });
+            }
         }
         decisions.sort_by_key(|d| d.loop_head);
+        winners.sort_by_key(|w| w.loop_head);
         blacklist.sort_unstable();
-        (decisions, blacklist)
+        (decisions, winners, blacklist)
     }
 
     fn emit(&mut self, event: TelemetryEvent) {
@@ -1287,7 +1296,7 @@ impl Optimizer {
     /// optimizer's own image copy is deliberately left as-is — blacklisted
     /// heads are never re-read for planning, and rewinding trace appendices
     /// would desync the two sides' layouts.
-    pub fn poison(&mut self, loop_head: CodeAddr) {
+    pub(crate) fn poison(&mut self, loop_head: CodeAddr) {
         let taken_back = match self.take(loop_head) {
             Some(LoopState::Deployed(d)) | Some(LoopState::Blacklisted(Some(d))) => Some(d),
             _ => None,
@@ -1358,12 +1367,6 @@ impl Optimizer {
             self.blacklist(loop_head, Some(d));
         }
     }
-
-    /// Number of applied (non-reverted) deployments.
-    pub fn active_deployments(&self) -> usize {
-        let deployed = |(_, s): &&(CodeAddr, LoopState)| matches!(s, LoopState::Deployed(_));
-        self.loops.iter().filter(deployed).count()
-    }
 }
 
 #[cfg(test)]
@@ -1378,6 +1381,33 @@ mod tests {
         fn contests(&self) -> usize {
             let contest = |(_, s): &&(CodeAddr, LoopState)| matches!(s, LoopState::Contest(_));
             self.loops.iter().filter(contest).count()
+        }
+
+        /// Number of applied (non-reverted) deployments.
+        fn active_deployments(&self) -> usize {
+            let deployed = |(_, s): &&(CodeAddr, LoopState)| matches!(s, LoopState::Deployed(_));
+            self.loops.iter().filter(deployed).count()
+        }
+    }
+
+    /// A prior run's live decision: `kind` deployed on `loop_head`.
+    fn decided(loop_head: CodeAddr, kind: OptKind) -> DecisionRecord {
+        DecisionRecord {
+            loop_head,
+            kind: kind.name().into(),
+            reverted: false,
+            baseline_cpi: 1.0,
+            post_cpi: None,
+        }
+    }
+
+    /// A prior run's standing tournament winner at `loop_head`.
+    fn won(loop_head: CodeAddr, candidate: &str, kind: OptKind) -> WinnerRecord {
+        WinnerRecord {
+            loop_head,
+            candidate: candidate.into(),
+            kind: kind.name().into(),
+            trials: Vec::new(),
         }
     }
 
@@ -1687,11 +1717,7 @@ mod tests {
         assert_eq!(cold_tick, 11, "cold run waits out the full warmup");
 
         let mut warm = Optimizer::new(cfg, image);
-        warm.warm_start(WarmSeed {
-            decisions: vec![(head, cold_kind)],
-            blacklist: vec![],
-            winners: vec![],
-        });
+        warm.warm_start(&[decided(head, cold_kind)], &[], &[]);
         let (warm_tick, warm_kind) = first_deploy(&mut warm).expect("warm run deploys");
         assert_eq!(warm_kind, cold_kind, "warm run converges on the same plan");
         assert_eq!(warm_tick, Optimizer::WARM_WARMUP_TICKS + 1);
@@ -1717,11 +1743,7 @@ mod tests {
         // the prior run deployed ExclHint.
         let profile = hot_profile(load_pc, head, back, 1.0);
         let mut opt = Optimizer::new(cfg, image);
-        opt.warm_start(WarmSeed {
-            decisions: vec![(head, OptKind::ExclHint)],
-            blacklist: vec![],
-            winners: vec![],
-        });
+        opt.warm_start(&[decided(head, OptKind::ExclHint)], &[], &[]);
         let mut deploys = Vec::new();
         for tick in 1..=20u64 {
             for action in opt.consider(&profile) {
@@ -1752,11 +1774,7 @@ mod tests {
             },
             image,
         );
-        opt.warm_start(WarmSeed {
-            decisions: vec![],
-            blacklist: vec![head],
-            winners: vec![],
-        });
+        opt.warm_start(&[], &[], &[head]);
         let profile = hot_profile(load_pc, head, back, 1.0);
         for _ in 0..8 {
             assert!(opt.consider(&profile).is_empty());
@@ -1836,11 +1854,11 @@ mod tests {
             },
             image,
         );
-        opt.warm_start(WarmSeed {
-            decisions: vec![(9999, OptKind::NoPrefetch), (head, OptKind::NoPrefetch)],
-            blacklist: vec![],
-            winners: vec![],
-        });
+        let seeds = [
+            decided(9999, OptKind::NoPrefetch),
+            decided(head, OptKind::NoPrefetch),
+        ];
+        opt.warm_start(&seeds, &[], &[]);
         assert_eq!(observed(&opt).verify_rejects, 1);
         // The valid seed still deploys through the normal path.
         let profile = hot_profile(load_pc, head, back, 1.0);
@@ -1969,11 +1987,11 @@ mod tests {
         );
         assert_eq!(observed(&opt).tournaments_promoted, 1);
         assert_eq!(opt.active_deployments(), 1);
-        let (decisions, _) = opt.export_state();
-        assert_eq!(decisions.len(), 1);
-        assert_eq!(decisions[0].candidate.as_deref(), Some(favourite));
+        let (decisions, winners, _) = opt.export_state();
+        assert_eq!((decisions.len(), winners.len()), (1, 1));
+        assert_eq!(winners[0].candidate, favourite);
         assert_eq!(
-            decisions[0].trials.len(),
+            winners[0].trials.len(),
             trial_applies.len(),
             "every closed trial is exported"
         );
@@ -2097,11 +2115,8 @@ mod tests {
             },
             image,
         );
-        opt.warm_start(WarmSeed {
-            decisions: vec![],
-            blacklist: vec![],
-            winners: vec![(head, "combined.burst-nop".into())],
-        });
+        let winner = won(head, "combined.burst-nop", OptKind::Combined);
+        opt.warm_start(&[], &[winner], &[]);
         let actions = opt.consider(&hot_profile(load_pc, head, back, 1.0));
         assert_eq!(actions.len(), 1);
         match &actions[0] {
@@ -2149,15 +2164,11 @@ mod tests {
             },
             image.clone(),
         );
-        let nothing_exported = (Vec::new(), Vec::new());
+        let nothing_exported = (Vec::new(), Vec::new(), Vec::new());
         assert!(opt.state(head).is_none(), "an unknown loop has no record");
 
         // Seeded: known from a prior run, nothing decided, nothing to export.
-        opt.warm_start(WarmSeed {
-            decisions: vec![(head, OptKind::NoPrefetch)],
-            blacklist: vec![],
-            winners: vec![],
-        });
+        opt.warm_start(&[decided(head, OptKind::NoPrefetch)], &[], &[]);
         assert!(matches!(
             opt.state(head),
             Some(LoopState::Seeded {
@@ -2212,11 +2223,11 @@ mod tests {
         assert_eq!(categories(&mut opt), ["tournament"]);
         assert!(matches!(opt.state(head), Some(LoopState::Deployed(_))));
         assert_eq!(opt.active_deployments(), 1);
-        let (decisions, blacklist) = opt.export_state();
-        assert_eq!((decisions.len(), blacklist.len()), (1, 0));
-        assert_eq!(decisions[0].loop_head, head);
+        let (decisions, winners, blacklist) = opt.export_state();
+        assert_eq!((decisions.len(), winners.len(), blacklist.len()), (1, 1, 0));
+        assert_eq!((decisions[0].loop_head, winners[0].loop_head), (head, head));
         assert!(!decisions[0].reverted);
-        assert_eq!(decisions[0].trials.len(), trials);
+        assert_eq!(winners[0].trials.len(), trials);
         assert_eq!(decisions[0].post_cpi, None);
 
         // Blacklisted: the deployment regresses and is taken back; the
@@ -2240,11 +2251,12 @@ mod tests {
             Some(LoopState::Blacklisted(Some(_)))
         ));
         assert_eq!(opt.active_deployments(), 0);
-        let (decisions, blacklist) = opt.export_state();
+        let (decisions, winners, blacklist) = opt.export_state();
         assert_eq!(blacklist, [head]);
         assert_eq!(decisions.len(), 1);
         assert!(decisions[0].reverted);
         assert_eq!(decisions[0].post_cpi, Some(4.0));
+        assert!(winners.is_empty(), "a reverted winner is not resumed");
 
         // And there it stays.
         for _ in 0..5 {
@@ -2267,11 +2279,12 @@ mod tests {
             },
             image,
         );
-        opt.warm_start(WarmSeed {
-            decisions: vec![(head, OptKind::NoPrefetch)],
-            blacklist: vec![head],
-            winners: vec![(head, "noprefetch".into())],
-        });
+        let seeded = opt.warm_start(
+            &[decided(head, OptKind::NoPrefetch)],
+            &[won(head, "noprefetch", OptKind::NoPrefetch)],
+            &[head],
+        );
+        assert_eq!(seeded, (1, 0, 1), "the blacklist drops the winner");
         assert_eq!(opt.loops.len(), 1);
         assert!(matches!(
             opt.state(head),
@@ -2285,7 +2298,7 @@ mod tests {
             categories(&mut opt).is_empty(),
             "not even classified: the loop is never a candidate"
         );
-        assert_eq!(opt.export_state(), (Vec::new(), vec![head]));
+        assert_eq!(opt.export_state(), (Vec::new(), Vec::new(), vec![head]));
     }
 
     /// `poison` is one transition whatever it interrupts: a live trial
@@ -2315,7 +2328,7 @@ mod tests {
             opt.state(head),
             Some(LoopState::Blacklisted(None))
         ));
-        assert_eq!(opt.export_state(), (Vec::new(), vec![head]));
+        assert_eq!(opt.export_state(), (Vec::new(), Vec::new(), vec![head]));
 
         let mut opt = Optimizer::new(cfg, image);
         let deploy = opt.consider(&profile);
@@ -2325,15 +2338,15 @@ mod tests {
         opt.poison(head); // a second failure on the same loop changes nothing
         assert_eq!(opt.loops.len(), 1);
         assert_eq!(opt.active_deployments(), 0);
-        let (decisions, blacklist) = opt.export_state();
+        let (decisions, _, blacklist) = opt.export_state();
         assert_eq!(blacklist, [head]);
         assert_eq!(decisions.len(), 1);
         assert!(decisions[0].reverted);
-        assert_eq!(decisions[0].kind, OptKind::NoPrefetch);
+        assert_eq!(decisions[0].kind, "noprefetch");
 
         // A loop nothing was known about can be poisoned too.
         opt.poison(9999);
-        assert_eq!(opt.export_state().1, [head, 9999]);
+        assert_eq!(opt.export_state().2, [head, 9999]);
     }
 
     /// A candidate set of one is promoted at once: there is nothing to
@@ -2352,10 +2365,7 @@ mod tests {
             candidates: true,
             ..cfg
         };
-        let winner = WarmSeed {
-            winners: vec![(head, "noprefetch.body".into())],
-            ..WarmSeed::default()
-        };
+        let winner = won(head, "noprefetch.body", OptKind::NoPrefetch);
         let arms = [
             (cfg, None, None),
             (
@@ -2370,8 +2380,8 @@ mod tests {
         ];
         for (cfg, seed, candidate) in arms {
             let mut opt = Optimizer::new(cfg, image.clone());
-            if let Some(seed) = seed {
-                opt.warm_start(seed);
+            if let Some(winner) = seed {
+                opt.warm_start(&[], &[winner], &[]);
             }
             let mut applied = Vec::new();
             for _ in 0..10 {
@@ -2390,5 +2400,111 @@ mod tests {
             assert_eq!(categories(&mut opt), seen);
             assert_eq!(opt.active_deployments(), 1);
         }
+    }
+
+    /// A reverted decision blacklists its loop instead of seeding it, the
+    /// blacklist is counted once per head, and a kind this build does not
+    /// name seeds nothing.
+    #[test]
+    fn reverted_and_unknown_decisions_seed_no_deployment() {
+        let (image, head, back, load_pc) = loop_image();
+        let mut opt = Optimizer::new(
+            OptimizerConfig {
+                warmup_ticks: 0,
+                ..Default::default()
+            },
+            image,
+        );
+        let reverted = DecisionRecord {
+            reverted: true,
+            ..decided(head, OptKind::NoPrefetch)
+        };
+        let unknown = DecisionRecord {
+            kind: "prefetch.nta".into(),
+            ..decided(head + 1, OptKind::NoPrefetch)
+        };
+        let seeded = opt.warm_start(&[reverted, unknown], &[], &[9999, head]);
+        assert_eq!(seeded, (0, 0, 2));
+        assert!(matches!(
+            opt.state(head),
+            Some(LoopState::Blacklisted(None))
+        ));
+        assert!(opt.state(head + 1).is_none(), "an unknown kind is dropped");
+        for _ in 0..8 {
+            assert!(opt
+                .consider(&hot_profile(load_pc, head, back, 1.0))
+                .is_empty());
+        }
+        assert_eq!(opt.export_state().2, [head, 9999]);
+    }
+
+    /// A surviving tournament winner is stored as a decision *and* a winner
+    /// at the same head; when that head no longer heads a loop in the live
+    /// image it is verified, rejected and counted once, and neither seed
+    /// survives.
+    #[test]
+    fn stale_winner_head_is_rejected_once() {
+        // Straight-line text: nothing branches back to address 0.
+        let image = {
+            let mut a = Assembler::new();
+            a.addi(5, 5, 1);
+            a.hlt();
+            a.finish()
+        };
+        let mut opt = Optimizer::new(OptimizerConfig::default(), image);
+        let seeded = opt.warm_start(
+            &[decided(0, OptKind::Combined)],
+            &[won(0, "combined.split", OptKind::Combined)],
+            &[],
+        );
+        assert_eq!(seeded, (1, 1, 0));
+        assert_eq!(categories(&mut opt), ["verify_reject"]);
+        assert!(opt.loops.is_empty());
+    }
+
+    /// What a run exports is what the next one warms from: a standing winner
+    /// resumes, a classifier pick exports no winner, and a loop reverted
+    /// after winning its tournament comes back blacklisted.
+    #[test]
+    fn exported_records_warm_the_next_run() {
+        let (image, head, back, load_pc) = loop_image();
+        let profile = hot_profile(load_pc, head, back, 1.0);
+        let cfg = OptimizerConfig {
+            warmup_ticks: 0,
+            ..Default::default()
+        };
+        let mut classic = Optimizer::new(cfg, image.clone());
+        assert_eq!(classic.consider(&profile).len(), 1);
+        let (decisions, winners, blacklist) = classic.export_state();
+        assert_eq!((decisions.len(), winners.len()), (1, 0));
+        assert!(blacklist.is_empty());
+
+        let with_candidates = OptimizerConfig {
+            candidates: true,
+            ..cfg
+        };
+        let mut cold = Optimizer::new(with_candidates, image.clone());
+        cold.warm_start(
+            &[],
+            &[won(head, "noprefetch.body", OptKind::NoPrefetch)],
+            &[],
+        );
+        assert_eq!(cold.consider(&profile).len(), 1);
+        let (decisions, winners, blacklist) = cold.export_state();
+        assert_eq!(winners, [won(head, "noprefetch.body", OptKind::NoPrefetch)]);
+        let mut warm = Optimizer::new(with_candidates, image.clone());
+        assert_eq!(warm.warm_start(&decisions, &winners, &blacklist), (1, 1, 0));
+        let resumed = warm.consider(&profile);
+        assert!(matches!(
+            resumed.as_slice(),
+            [PlanAction::Apply(plan)] if plan.candidate.as_deref() == Some("noprefetch.body")
+        ));
+
+        cold.poison(head);
+        let (decisions, winners, blacklist) = cold.export_state();
+        assert!(decisions[0].reverted && winners.is_empty());
+        let mut warm = Optimizer::new(with_candidates, image);
+        assert_eq!(warm.warm_start(&decisions, &winners, &blacklist), (0, 0, 1));
+        assert!(warm.consider(&profile).is_empty());
     }
 }

@@ -27,7 +27,7 @@ const MIN_INSTRUCTIONS: u64 = 20_000;
 
 /// Running phase state.
 #[derive(Debug, Clone)]
-pub struct PhaseDetector {
+pub(crate) struct PhaseDetector {
     smoothed_l2_kinst: f64,
     smoothed_l3_kinst: f64,
     windows_seen: u32,
@@ -96,7 +96,7 @@ impl PhaseDetector {
     }
 
     /// Phases observed so far (starts at 1).
-    pub fn phases(&self) -> u64 {
+    pub(crate) fn phases(&self) -> u64 {
         self.phases
     }
 }

@@ -49,12 +49,12 @@ pub struct DelinquentStats {
 }
 
 impl DelinquentStats {
-    pub fn samples(&self) -> u64 {
+    pub(crate) fn samples(&self) -> u64 {
         self.coherent + self.memory
     }
 
     /// Fraction of qualifying misses in the coherent band.
-    pub fn coherent_fraction(&self) -> f64 {
+    pub(crate) fn coherent_fraction(&self) -> f64 {
         if self.samples() == 0 {
             0.0
         } else {
@@ -77,7 +77,7 @@ pub struct CounterWindow {
 }
 
 impl CounterWindow {
-    pub fn merge(&mut self, other: &CounterWindow) {
+    pub(crate) fn merge(&mut self, other: &CounterWindow) {
         self.instructions += other.instructions;
         self.cycles += other.cycles;
         self.bus_memory += other.bus_memory;
@@ -87,7 +87,7 @@ impl CounterWindow {
     }
 
     /// Coherent bus events relative to all bus transactions (§4's ratio).
-    pub fn coherent_ratio(&self) -> f64 {
+    pub(crate) fn coherent_ratio(&self) -> f64 {
         if self.bus_memory == 0 {
             0.0
         } else {
@@ -96,7 +96,7 @@ impl CounterWindow {
     }
 
     /// L3 misses per thousand instructions.
-    pub fn l3_per_kinst(&self) -> f64 {
+    pub(crate) fn l3_per_kinst(&self) -> f64 {
         if self.instructions == 0 {
             0.0
         } else {
@@ -105,7 +105,7 @@ impl CounterWindow {
     }
 
     /// L2 misses per thousand instructions.
-    pub fn l2_per_kinst(&self) -> f64 {
+    pub(crate) fn l2_per_kinst(&self) -> f64 {
         if self.instructions == 0 {
             0.0
         } else {
@@ -117,7 +117,7 @@ impl CounterWindow {
     /// minus coherent snoop hits (misses a bigger cache would not absorb
     /// are what make prefetching worth keeping — the §5.2 "L2 miss ratio"
     /// measured net of sharing).
-    pub fn capacity_l2_per_kinst(&self) -> f64 {
+    pub(crate) fn capacity_l2_per_kinst(&self) -> f64 {
         if self.instructions == 0 {
             0.0
         } else {
@@ -127,7 +127,7 @@ impl CounterWindow {
     }
 
     /// Cycles per instruction (the regression-detection proxy).
-    pub fn cpi(&self) -> f64 {
+    pub(crate) fn cpi(&self) -> f64 {
         if self.instructions == 0 {
             0.0
         } else {
@@ -282,7 +282,7 @@ impl SystemProfile {
     }
 
     /// Delinquent loads with a dominant coherent fraction, hottest first.
-    pub fn coherent_delinquent(
+    pub(crate) fn coherent_delinquent(
         &self,
         min_samples: u64,
         min_fraction: f64,

@@ -190,16 +190,8 @@ impl CobraReport {
         }
     }
 
-    /// Deployments still in effect at the end of the run.
-    pub fn active_deployments(&self) -> usize {
-        self.applied
-            .iter()
-            .filter(|a| !self.reverted.iter().any(|r| r.plan_id == a.plan_id))
-            .count()
-    }
-
     /// Count of applied deployments of one kind.
-    pub fn applied_of_kind(&self, kind: OptKind) -> usize {
+    pub(crate) fn applied_of_kind(&self, kind: OptKind) -> usize {
         self.applied.iter().filter(|a| a.kind == kind).count()
     }
 
@@ -247,6 +239,16 @@ impl CobraReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CobraReport {
+        /// Deployments still in effect at the end of the run.
+        fn active_deployments(&self) -> usize {
+            self.applied
+                .iter()
+                .filter(|a| !self.reverted.iter().any(|r| r.plan_id == a.plan_id))
+                .count()
+        }
+    }
 
     fn deploy(plan_id: u64, kind: OptKind, tick: u64) -> TelemetryEvent {
         TelemetryEvent::Deploy {

@@ -45,7 +45,7 @@ pub struct CpuCounterSnapshot {
 
 impl CpuCounterSnapshot {
     /// Snapshots for every CPU of a machine.
-    pub fn all(machine: &Machine) -> Vec<CpuCounterSnapshot> {
+    pub(crate) fn all(machine: &Machine) -> Vec<CpuCounterSnapshot> {
         let snapshot = |(cpu, stats): (usize, &CpuStats)| {
             let (inst_retired, l2_miss, l3_miss, bus_memory, coherent) = stats.snapshot_counts();
             CpuCounterSnapshot {
@@ -389,7 +389,7 @@ impl Telemetry {
 
     /// Whether a sink is attached. Events the report takes nothing from
     /// (`Quantum`, `KernelDrain`) are only worth building then.
-    pub fn is_recording(&self) -> bool {
+    pub(crate) fn is_recording(&self) -> bool {
         self.sink.is_some()
     }
 
@@ -409,11 +409,12 @@ impl Telemetry {
 
     /// The records written since the last drain (the unit the framework
     /// charges overhead cycles for, once per tick).
-    pub fn drain(&mut self) -> u64 {
+    pub(crate) fn drain(&mut self) -> u64 {
         std::mem::take(&mut self.pending)
     }
 
-    pub fn report(&self) -> &CobraReport {
+    #[cfg(test)]
+    pub(crate) fn report(&self) -> &CobraReport {
         &self.report
     }
 
@@ -432,10 +433,6 @@ pub struct TelemetryLog {
 impl TelemetryLog {
     pub fn records(&self) -> &[TelemetryRecord] {
         &self.records
-    }
-
-    pub fn len(&self) -> usize {
-        self.records.len()
     }
 
     pub fn is_empty(&self) -> bool {

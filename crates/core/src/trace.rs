@@ -31,19 +31,13 @@ pub struct HotLoop {
 
 impl HotLoop {
     /// Is `pc` within the loop body?
-    pub fn contains(&self, pc: CodeAddr) -> bool {
+    pub(crate) fn contains(&self, pc: CodeAddr) -> bool {
         pc >= self.head && pc <= self.back_edge
     }
 
     /// Body length in slots.
-    pub fn len(&self) -> u32 {
+    pub(crate) fn len(&self) -> u32 {
         self.back_edge - self.head + 1
-    }
-
-    /// True only for degenerate zero-length loops (cannot happen for loops
-    /// built by [`select_loops`]).
-    pub fn is_empty(&self) -> bool {
-        false
     }
 }
 
@@ -100,7 +94,10 @@ pub fn select_loops(profile: &SystemProfile, _config: &TraceConfig) -> Vec<HotLo
 }
 
 /// Loops (from `loops`) that contain at least one of the delinquent PCs.
-pub fn loops_with_delinquent_loads(loops: &[HotLoop], delinquent_pcs: &[CodeAddr]) -> Vec<HotLoop> {
+pub(crate) fn loops_with_delinquent_loads(
+    loops: &[HotLoop],
+    delinquent_pcs: &[CodeAddr],
+) -> Vec<HotLoop> {
     loops
         .iter()
         .filter(|l| delinquent_pcs.iter().any(|&pc| l.contains(pc)))
@@ -110,7 +107,11 @@ pub fn loops_with_delinquent_loads(loops: &[HotLoop], delinquent_pcs: &[CodeAddr
 
 /// Find every `lfetch` belonging to a loop: inside the body plus the
 /// hoisted burst in the entry window before the head.
-pub fn loop_lfetch_sites(image: &CodeImage, lp: &HotLoop, config: &TraceConfig) -> Vec<CodeAddr> {
+pub(crate) fn loop_lfetch_sites(
+    image: &CodeImage,
+    lp: &HotLoop,
+    config: &TraceConfig,
+) -> Vec<CodeAddr> {
     let mut sites = Vec::new();
     let start = lp.head.saturating_sub(config.entry_window_slots);
     for addr in start..=lp.back_edge.min(image.len().saturating_sub(1)) {

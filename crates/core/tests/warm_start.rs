@@ -9,7 +9,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cobra_kernels::workload::Workload;
-use cobra_kernels::{Daxpy, DaxpyParams, PrefetchPolicy};
+use cobra_kernels::{npb, Daxpy, DaxpyParams, PrefetchPolicy};
 use cobra_machine::{HostAccel, MachineConfig};
 use cobra_omp::{OmpRuntime, Team};
 use cobra_rt::{Cobra, CobraReport, Strategy, TelemetryEvent, TelemetrySink};
@@ -224,6 +224,63 @@ fn warm_run_resumes_tournament_winner_without_retrialing() {
         cold.summary(),
         warm.summary()
     );
+}
+
+/// An empty store is a cold start: a fixed arm of one Fig. 5 cell (`mg`
+/// on smp4, four threads, the 20 000-cycle quantum) attached to an empty
+/// store directory runs the same simulation as with no store at all —
+/// guest cycles, final data memory, machine counters and report — and
+/// differs only in the store counters. This is the premise on which one
+/// run of a fixed arm may serve both a plain grid and a store-backed one.
+#[test]
+fn an_empty_store_leaves_a_fixed_arm_unchanged() {
+    let cfg = MachineConfig::smp4();
+    let wl = npb::build(
+        npb::Benchmark::Mg,
+        &PrefetchPolicy::aggressive(),
+        cfg.mem_bytes,
+    );
+    // Everything the run leaves behind: cycles, a digest of data memory
+    // (64-bit FNV-1a over its words), the machine's counters and the report.
+    let run = |strategy: Strategy, store: Option<&std::path::Path>| {
+        let mut m = cobra_machine::Machine::new(cfg.clone(), wl.image().clone());
+        wl.init(&mut m.shared.mem);
+        let mut builder = Cobra::builder().strategy(strategy);
+        if let Some(dir) = store {
+            builder = builder.store(dir);
+        }
+        let mut cobra = builder.attach(&mut m);
+        let rt = OmpRuntime { quantum: 20_000 };
+        let cycles = wl.run(&mut m, Team::new(4), &rt, &mut cobra).cycles;
+        let report = cobra.detach(&mut m);
+        wl.verify(&m.shared.mem).expect("verification under COBRA");
+        let mut memory = 0xcbf2_9ce4_8422_2325_u64;
+        for addr in (0..(m.shared.mem.len() & !7) as u64).step_by(8) {
+            memory = (memory ^ m.shared.mem.read_u64(addr)).wrapping_mul(0x0100_0000_01b3);
+        }
+        (cycles, memory, m.total_stats(), report)
+    };
+    for strategy in [Strategy::NoPrefetch, Strategy::ExclHint] {
+        let store = tmp_store();
+        let (cycles, memory, stats, mut report) = run(strategy, Some(&store));
+        let (bare_cycles, bare_memory, bare_stats, bare) = run(strategy, None);
+        assert!(
+            !report.applied.is_empty(),
+            "{strategy:?}: {}",
+            report.summary()
+        );
+        assert!(report.store_saved_records > 0, "the store-backed run saved");
+        assert_eq!(bare.store_saved_records, 0);
+        assert_eq!((cycles, memory), (bare_cycles, bare_memory), "{strategy:?}");
+        assert_eq!(stats, bare_stats, "{strategy:?}: machine counters");
+        report.store_saved_records = 0;
+        assert_eq!(
+            serde_json::to_string(&report).unwrap(),
+            serde_json::to_string(&bare).unwrap(),
+            "{strategy:?}: the report, store counters aside"
+        );
+        let _ = std::fs::remove_dir_all(&store);
+    }
 }
 
 #[test]

@@ -42,7 +42,7 @@ use cobra_machine::MachineConfig;
 use serde::{Deserialize, Serialize, Value};
 
 /// On-disk format version; bumped on incompatible record changes.
-pub const FORMAT_VERSION: u32 = 1;
+pub(crate) const FORMAT_VERSION: u32 = 1;
 
 /// 64-bit FNV-1a over a byte stream.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -723,10 +723,6 @@ pub struct Store {
 impl Store {
     pub fn new(root: impl Into<PathBuf>) -> Store {
         Store { root: root.into() }
-    }
-
-    pub fn root(&self) -> &Path {
-        &self.root
     }
 
     /// Path a snapshot for `key` lives at.

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # The gates, one function per CI job: `.github/workflows/ci.yml` runs
 # `scripts/ci.sh <job>` and so can anyone with a checkout — nothing here
-# needs the network. Every job body is cargo invocations; the eighteen
+# needs the network. Every job body is cargo invocations; the nineteen
 # deleted-name greps, the manifest check, the three docs checks, the `pub`
-# census, the two named-test list pins, the `dispatch_class` symbol check
-# and the benchmark/run.sh loop are the only shell. A test target runs once
+# census, the two named-test list pins, the `dispatch_class` symbol check,
+# the benchmark/run.sh loop and the mutant ledger's loop are the only shell. A test target runs once
 # per profile in an `all` pass: the two `--workspace` lines (`build-test`
 # plain, `overflow-checks` overflow-checked) run every target, so no job
 # names one again under the same profile; what a suite guards is said at the
@@ -17,7 +17,7 @@ cd "$(dirname "$0")/.."
 export CARGO_NET_OFFLINE=true
 
 JOBS=(build-test overflow-checks floors benchmark-builds tournament-determinism
-      decisions-pinned)
+      decisions-pinned mutants)
 
 build-test() {
   # crossbeam and parking_lot were shims with one user each (the telemetry
@@ -165,6 +165,14 @@ build-test() {
     echo "an opcode no guest emits is back" >&2
     return 1
   fi
+  # What a run learned has one shape, `cobra-store`'s records: the optimizer
+  # warms from its `DecisionRecord`s, `WinnerRecord`s and blacklist and
+  # exports the same, with no mirror types in `cobra-rt` and no conversion
+  # between them.
+  if grep -rnE 'struct WarmSeed|struct DecisionExport|fn seed_from_snapshot|fn snapshot_from_final' crates/; then
+    echo "a second shape of the stored decisions, or a conversion into it, is back" >&2
+    return 1
+  fi
   # Every `[dependencies]` and `[dev-dependencies]` entry of a workspace
   # manifest is named (as its crate identifier) in that crate's src, tests,
   # examples or build script: an entry nothing uses is deleted, not kept.
@@ -228,8 +236,8 @@ build-test() {
   local pubs
   pubs=$(grep -rhE '^\s*pub (fn|struct|enum|const|mod|type|trait|use|static)' crates/*/src src | wc -l)
   echo "pub items in crates/*/src + src: $pubs"
-  if ((pubs > 557)); then
-    echo "the pub surface grew past 557" >&2
+  if ((pubs > 511)); then
+    echo "the pub surface grew past 511" >&2
     return 1
   fi
   cargo build --release --workspace
@@ -406,6 +414,65 @@ tournament-determinism() {
 # grids it replaced took about 32 s).
 decisions-pinned() {
   cargo test --release -p cobra-harness --test decisions_pinned -- --ignored
+}
+
+# The mutant ledger (scripts/mutants.txt): each entry, alone, must make its
+# named test fail. The tree is copied to target/mutants/tree (fresh each
+# run, file times not kept, so no artifact of an earlier mutant is reused)
+# and built in a target directory of its own; each entry rebuilds only the
+# crates its file reaches and runs only its test's target, in the plain test
+# profile. A mutant the named test survives, an old text that is not in its
+# file exactly once, a mutant that does not build and a test name the target
+# does not list each fail the job.
+mutants() {
+  local tree=target/mutants/tree
+  local -x CARGO_TARGET_DIR=$PWD/target/mutants/target
+  rm -rf "$tree"
+  mkdir -p "$tree"
+  git ls-files -z --cached --others --exclude-standard |
+    tar -c --null --ignore-failed-read -T - | tar -x -m -C "$tree"
+  local line file old new test pkg target name path text rest n=0 bad=0
+  local -a sel
+  while IFS= read -r line; do
+    case $line in
+      file\ *) file=${line#file } ;;
+      old\ *) old=${line#old } ;;
+      new\ *) new=${line#new } ;;
+      test\ *) test=${line#test } ;;
+      *) continue ;;
+    esac
+    [[ $line == test\ * ]] || continue
+    n=$((n + 1))
+    read -r pkg target name <<<"$test"
+    sel=(--test "$target")
+    [[ $target == --lib ]] && sel=(--lib)
+    path=$tree/$file
+    text=$(<"$path")
+    rest=${text//"$old"/}
+    if (((${#text} - ${#rest}) != ${#old})); then
+      echo "mutant $n: the old text is not in $file exactly once" >&2
+      bad=1
+      continue
+    fi
+    cp "$path" "$path.orig"
+    printf '%s\n' "${text/"$old"/"$new"}" >"$path"
+    echo "mutant $n: $file: $new -> $name"
+    if ! (cd "$tree" && cargo test -q -p "$pkg" "${sel[@]}" --no-run); then
+      echo "mutant $n does not build" >&2
+      bad=1
+    elif ! (cd "$tree" && cargo test -q -p "$pkg" "${sel[@]}" -- --list) | grep -x "$name: test" >/dev/null; then
+      echo "mutant $n: $pkg ${sel[*]} has no test $name" >&2
+      bad=1
+    elif (cd "$tree" && cargo test -q -p "$pkg" "${sel[@]}" -- --exact "$name" >/dev/null 2>&1); then
+      echo "mutant $n SURVIVED: $name passes with it" >&2
+      bad=1
+    fi
+    # The original back, with a new file time so the next build sees it.
+    mv "$path.orig" "$path"
+    touch "$path"
+  done <scripts/mutants.txt
+  echo "$n mutants"
+  ((bad == 0 && n > 0)) || { echo "the mutant ledger failed" >&2; return 1; }
 }
 
 job=${1:-}

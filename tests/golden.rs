@@ -21,8 +21,10 @@
 use std::path::PathBuf;
 
 use cobra::machine::{HostAccel, MachineConfig};
-use cobra::rt::telemetry::{read_jsonl, CpuCounterSnapshot, TelemetryEvent, TelemetryRecord};
-use cobra::rt::{AppliedPlan, CobraReport, OptKind, RevertedPlan, RunTotals, Strategy};
+use cobra::rt::{
+    read_jsonl, AppliedPlan, CobraReport, CpuCounterSnapshot, OptKind, RevertedPlan, RunTotals,
+    Strategy, TelemetryEvent, TelemetryRecord,
+};
 use cobra_fleet::proto::{read_frame, write_frame, Request, Response, PROTOCOL_VERSION};
 use cobra_fleet::FleetStats;
 use cobra_store::{
