@@ -37,9 +37,9 @@
 //! (`cobra_rt`'s `builder().fleet(addr)`) degrade fleet → local store →
 //! cold on any error, counted and telemetered, never fatal.
 
-pub mod client;
+pub(crate) mod client;
 pub mod proto;
-pub mod server;
+pub(crate) mod server;
 
 use serde::{Deserialize, Serialize};
 

@@ -18,8 +18,8 @@ use cobra_machine::{DataMem, Machine};
 use cobra_omp::{abi, OmpRuntime, QuantumHook, Team};
 
 use crate::minicc::{
-    emit_coef, emit_ptr, emit_stream_loop, emit_trip_count, LoopMeta, PrefetchPolicy, Stream,
-    StreamLoopSpec, StreamOp,
+    emit_coef, emit_ptr, emit_stream_loop, emit_trip_count, PrefetchPolicy, Stream, StreamLoopSpec,
+    StreamOp,
 };
 use crate::workload::{Arena, Workload, WorkloadRun};
 
@@ -60,7 +60,6 @@ pub struct Daxpy {
     entry: CodeAddr,
     x_addr: u64,
     y_addr: u64,
-    meta: LoopMeta,
 }
 
 impl Daxpy {
@@ -95,7 +94,7 @@ impl Daxpy {
             prefetch: vec![Stream { ptr: 27, stride: 8 }, Stream { ptr: 28, stride: 8 }],
             burst: vec![4],
         };
-        let meta = emit_stream_loop(&mut a, policy, &spec);
+        emit_stream_loop(&mut a, policy, &spec);
         a.hlt();
         let image = a.finish();
 
@@ -105,17 +104,11 @@ impl Daxpy {
             entry,
             x_addr,
             y_addr,
-            meta,
         }
     }
 
     pub fn params(&self) -> &DaxpyParams {
         &self.params
-    }
-
-    /// Loop metadata (test introspection; COBRA never reads this).
-    pub fn meta(&self) -> &LoopMeta {
-        &self.meta
     }
 
     /// Byte address of `x[]`.
@@ -247,7 +240,6 @@ mod tests {
         // 6-line burst + 2 per-iteration prefetches (x and y streams).
         let count = d.image().count_matching(|i| i.is_lfetch());
         assert_eq!(count, 8);
-        assert_eq!(d.meta().lfetch_addrs.len(), 8);
     }
 
     #[test]

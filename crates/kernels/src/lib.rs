@@ -4,13 +4,13 @@
 //!
 //! * [`minicc`] — the code generator reproducing icc -O3's software-pipelined
 //!   loops with aggressive prefetching (the Figure 2 code shape).
-//! * [`daxpy`] — the OpenMP DAXPY kernel of Figures 1–3.
+//! * [`Daxpy`] — the OpenMP DAXPY kernel of Figures 1–3.
 //! * [`npb`] — class-S-scaled kernels with the memory-access skeletons of the
 //!   NAS Parallel Benchmarks (BT, SP, LU, FT, MG, CG, EP, IS).
 //! * [`workload`] — the common `Workload` trait: build image, initialize
 //!   data, run under the OpenMP runtime, verify numerics.
 
-pub mod daxpy;
+pub(crate) mod daxpy;
 pub mod minicc;
 pub mod npb;
 pub mod workload;

@@ -18,9 +18,9 @@ mod isk;
 mod sweep;
 mod sweeps;
 
-pub use cgk::{Cg, CgParams};
-pub use epk::{Ep, EpParams};
-pub use isk::{Is, IsParams};
+pub(crate) use cgk::{Cg, CgParams};
+pub(crate) use epk::{Ep, EpParams};
+pub(crate) use isk::{Is, IsParams};
 pub use sweep::{ArrayDecl, PassSpec, SweepKernel};
 
 use crate::workload::Workload;

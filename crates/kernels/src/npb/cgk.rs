@@ -28,7 +28,7 @@ use crate::workload::{Arena, Workload, WorkloadRun};
 
 /// CG configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CgParams {
+pub(crate) struct CgParams {
     /// Matrix dimension.
     pub n: usize,
     /// Nonzeros per row (diagonal included).
@@ -39,7 +39,7 @@ pub struct CgParams {
 
 impl CgParams {
     /// Class-S-like scale (NPB class S: n=1400, niter=15).
-    pub fn class_s() -> Self {
+    pub(crate) fn class_s() -> Self {
         CgParams {
             n: 1400,
             row_nnz: 8,
@@ -89,7 +89,7 @@ fn problem(params: CgParams) -> Arc<CgProblem> {
 }
 
 /// A built CG workload.
-pub struct Cg {
+pub(crate) struct Cg {
     params: CgParams,
     image: CodeImage,
     layout: Layout,
@@ -104,7 +104,7 @@ pub struct Cg {
 }
 
 impl Cg {
-    pub fn build(params: CgParams, policy: &PrefetchPolicy, mem_bytes: usize) -> Self {
+    pub(crate) fn build(params: CgParams, policy: &PrefetchPolicy, mem_bytes: usize) -> Self {
         let n = params.n;
         let problem = problem(params);
         let mut arena = Arena::new(mem_bytes);

@@ -17,7 +17,7 @@ use crate::workload::{Arena, Workload, WorkloadRun};
 
 /// EP configuration.
 #[derive(Debug, Clone, Copy)]
-pub struct EpParams {
+pub(crate) struct EpParams {
     /// Number of random pairs to draw (split over threads).
     pub pairs: usize,
 }
@@ -25,7 +25,7 @@ pub struct EpParams {
 impl EpParams {
     /// Class-S-like scale (NPB class S draws 2^24 pairs; we scale to 2^16
     /// simulated pairs, which dominates the run the same way).
-    pub fn class_s() -> Self {
+    pub(crate) fn class_s() -> Self {
         EpParams { pairs: 1 << 16 }
     }
 }
@@ -34,7 +34,7 @@ const LCG_A: i64 = 0x5851_F42D_4C95_7F2Du64 as i64;
 const LCG_C: i64 = 0x1405_7B7E_F767_814Fu64 as i64;
 
 /// A built EP workload.
-pub struct Ep {
+pub(crate) struct Ep {
     params: EpParams,
     image: CodeImage,
     entry: CodeAddr,
@@ -42,7 +42,7 @@ pub struct Ep {
 }
 
 impl Ep {
-    pub fn build(params: EpParams, _policy: &PrefetchPolicy, mem_bytes: usize) -> Self {
+    pub(crate) fn build(params: EpParams, _policy: &PrefetchPolicy, mem_bytes: usize) -> Self {
         // EP is compute-bound: icc finds almost nothing to prefetch, so the
         // policy is irrelevant — matching Table 1's near-zero counts.
         let mut arena = Arena::new(mem_bytes);

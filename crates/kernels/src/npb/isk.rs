@@ -18,7 +18,7 @@ use crate::workload::{Arena, Workload, WorkloadRun};
 
 /// IS configuration.
 #[derive(Debug, Clone, Copy)]
-pub struct IsParams {
+pub(crate) struct IsParams {
     /// Number of keys.
     pub keys: usize,
     /// Number of buckets (power of two).
@@ -29,7 +29,7 @@ pub struct IsParams {
 
 impl IsParams {
     /// Class-S-like scale (NPB class S sorts 2^16 keys).
-    pub fn class_s() -> Self {
+    pub(crate) fn class_s() -> Self {
         IsParams {
             keys: 1 << 15,
             buckets: 512,
@@ -41,7 +41,7 @@ impl IsParams {
 const MAX_THREADS: usize = 16;
 
 /// A built IS workload.
-pub struct Is {
+pub(crate) struct Is {
     params: IsParams,
     image: CodeImage,
     count_entry: CodeAddr,
@@ -53,7 +53,7 @@ pub struct Is {
 }
 
 impl Is {
-    pub fn build(params: IsParams, policy: &PrefetchPolicy, mem_bytes: usize) -> Self {
+    pub(crate) fn build(params: IsParams, policy: &PrefetchPolicy, mem_bytes: usize) -> Self {
         assert!(params.buckets.is_power_of_two());
         let mut rng = SmallRng::seed_from_u64(0x15_15);
         let keys: Vec<i64> = (0..params.keys)

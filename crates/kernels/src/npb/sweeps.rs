@@ -35,7 +35,7 @@ fn cfd_arrays() -> Vec<ArrayDecl> {
 }
 
 /// BT: compute_rhs (7 passes) + x/y/z block-solves (6) + add (1).
-pub fn bt(policy: &PrefetchPolicy, mem_bytes: usize) -> SweepKernel {
+pub(crate) fn bt(policy: &PrefetchPolicy, mem_bytes: usize) -> SweepKernel {
     let n3 = CFD_N * CFD_N * CFD_N;
     let n = CFD_N as i64;
     let (u, rhs) = (0usize, 1usize);
@@ -61,7 +61,7 @@ pub fn bt(policy: &PrefetchPolicy, mem_bytes: usize) -> SweepKernel {
 /// SP: like BT but with the extra invr/tx scaling passes of the scalar
 /// penta-diagonal solver (more loops — SP's binary has the larger static
 /// prefetch count in Table 1).
-pub fn sp(policy: &PrefetchPolicy, mem_bytes: usize) -> SweepKernel {
+pub(crate) fn sp(policy: &PrefetchPolicy, mem_bytes: usize) -> SweepKernel {
     let n3 = CFD_N * CFD_N * CFD_N;
     let n = CFD_N as i64;
     let (u, rhs) = (0usize, 1usize);
@@ -130,7 +130,7 @@ pub fn sp(policy: &PrefetchPolicy, mem_bytes: usize) -> SweepKernel {
 
 /// LU: SSOR — lower-triangular sweep (blts: negative shifts), upper sweep
 /// (buts: positive shifts), plus the rhs and relaxation passes.
-pub fn lu(policy: &PrefetchPolicy, mem_bytes: usize) -> SweepKernel {
+pub(crate) fn lu(policy: &PrefetchPolicy, mem_bytes: usize) -> SweepKernel {
     let n3 = CFD_N * CFD_N * CFD_N;
     let n = CFD_N as i64;
     let (u, rhs) = (0usize, 1usize);
@@ -153,7 +153,7 @@ pub fn lu(policy: &PrefetchPolicy, mem_bytes: usize) -> SweepKernel {
 /// FT: butterfly-style combination passes with geometrically growing
 /// strides over a complex grid (stored as interleaved re/im `f64`s),
 /// ping-ponging between two buffers.
-pub fn ft(policy: &PrefetchPolicy, mem_bytes: usize) -> SweepKernel {
+pub(crate) fn ft(policy: &PrefetchPolicy, mem_bytes: usize) -> SweepKernel {
     // 32^3 complex points as 2*32^3 f64s; the largest butterfly shift
     // bounds the processed length.
     let total = 2 * 32 * 32 * 32; // 65536 f64 = 512 KB
@@ -207,7 +207,7 @@ pub fn ft(policy: &PrefetchPolicy, mem_bytes: usize) -> SweepKernel {
 /// MG: V-cycles over three levels of a flattened grid — smooth at the fine
 /// level, restrict (stride-2 gather), smooth, restrict, smooth at the
 /// coarsest, then prolongate (stride-2 scatter) and smooth back up.
-pub fn mg(policy: &PrefetchPolicy, mem_bytes: usize) -> SweepKernel {
+pub(crate) fn mg(policy: &PrefetchPolicy, mem_bytes: usize) -> SweepKernel {
     let l0 = 32 * 32 * 32; // 32768 elements, 256 KB
     let l1 = l0 / 2;
     let l2 = l0 / 4;

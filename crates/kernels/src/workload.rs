@@ -17,9 +17,9 @@ pub struct Arena {
 impl Arena {
     /// Data space starts above the low region reserved for per-thread
     /// scratch slots.
-    pub const DATA_BASE: u64 = 0x1_0000;
+    pub(crate) const DATA_BASE: u64 = 0x1_0000;
 
-    pub fn new(mem_bytes: usize) -> Self {
+    pub(crate) fn new(mem_bytes: usize) -> Self {
         Arena {
             next: Self::DATA_BASE,
             limit: mem_bytes as u64,
@@ -27,17 +27,17 @@ impl Arena {
     }
 
     /// Allocate `n` f64 elements; returns the byte address.
-    pub fn alloc_f64(&mut self, n: usize) -> u64 {
+    pub(crate) fn alloc_f64(&mut self, n: usize) -> u64 {
         self.alloc_bytes(8 * n as u64)
     }
 
     /// Allocate `n` i64 elements; returns the byte address.
-    pub fn alloc_i64(&mut self, n: usize) -> u64 {
+    pub(crate) fn alloc_i64(&mut self, n: usize) -> u64 {
         self.alloc_bytes(8 * n as u64)
     }
 
     /// Allocate raw bytes, line-aligned.
-    pub fn alloc_bytes(&mut self, bytes: u64) -> u64 {
+    pub(crate) fn alloc_bytes(&mut self, bytes: u64) -> u64 {
         let base = (self.next + 127) & !127;
         self.next = base + bytes;
         assert!(
@@ -50,7 +50,8 @@ impl Arena {
     }
 
     /// Bytes consumed so far.
-    pub fn used(&self) -> u64 {
+    #[cfg(test)]
+    fn used(&self) -> u64 {
         self.next - Self::DATA_BASE
     }
 }

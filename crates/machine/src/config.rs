@@ -109,15 +109,14 @@ pub struct MachineConfig {
 /// build [`HostAccel::Fast`]; [`MachineConfig::with_host_accel`] selects the other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum HostAccel {
-    /// The per-cycle, per-access oracle: [`crate::Machine::step`] every
-    /// cycle, every instruction through the full interpreter, every snoop
-    /// walking all CPUs.
+    /// The per-cycle oracle: [`crate::Machine::step`] every cycle, every
+    /// instruction through the full interpreter.
     Reference,
-    /// The default engine: all-stalled windows are skipped in bulk, cores
-    /// issue pre-decoded micro-ops out of the block cache (see
-    /// `crate::blocks`) in stretches wherever no cross-core effect can land,
-    /// and a per-line presence vector skips snoop walks no hierarchy could
-    /// answer.
+    /// The default engine, the block engine: all-stalled windows are
+    /// skipped in bulk, and cores issue pre-decoded micro-ops out of the
+    /// block cache (see `crate::blocks`) in stretches wherever no cross-core
+    /// effect can land. The memory system is the same under both: its
+    /// directory names the CPUs a snoop visits.
     #[default]
     Fast,
 }

@@ -653,15 +653,10 @@ impl Core {
                 if self.pr[qp] {
                     let addr = self.gr[a] as u64;
                     if shared.mem.in_bounds(addr) {
-                        let _ = shared.memsys.access(
-                            &mut shared.stats,
-                            &mut shared.hpm,
-                            self.cpu,
-                            now,
-                            pc,
-                            AccessKind::Prefetch { excl: s.c != 0 },
-                            addr,
-                        );
+                        let excl = s.c != 0;
+                        shared
+                            .memsys
+                            .prefetch(&mut shared.stats, self.cpu, now, excl, addr);
                     }
                     self.phys_post_inc(s.a, s.imm, now + 1);
                 }
@@ -910,15 +905,9 @@ impl Core {
             } => {
                 let addr = self.read_gr(base) as u64;
                 if shared.mem.in_bounds(addr) {
-                    let _ = shared.memsys.access(
-                        &mut shared.stats,
-                        &mut shared.hpm,
-                        self.cpu,
-                        now,
-                        pc,
-                        AccessKind::Prefetch { excl },
-                        addr,
-                    );
+                    shared
+                        .memsys
+                        .prefetch(&mut shared.stats, self.cpu, now, excl, addr);
                 }
                 self.post_inc(base, post_inc, int_ready);
             }

@@ -33,11 +33,10 @@ pub mod memsys;
 pub mod redirect;
 
 pub use blocks::{Block, BlockCache, BlockStats};
-pub use cache::Mesi;
 pub use config::{CacheGeometry, HostAccel, MachineConfig, Topology};
 pub use core::{Core, CoreStatus, FaultInfo};
 pub use events::{CpuStats, Event};
 pub use hpm::{BtbEntry, DearRecord, Hpm, OverflowCapture, SamplingConfig};
 pub use machine::{DataMem, Machine, RunResult, Shared};
-pub use memsys::{AccessKind, AccessOutcome, MemSystem};
+pub use memsys::{AccessKind, AccessOutcome, MemSystem, Mesi};
 pub use redirect::RedirectTable;

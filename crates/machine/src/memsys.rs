@@ -1,6 +1,6 @@
-//! The coherent memory system: private cache hierarchies, MESI transactions
-//! over node buses, NUMA home directories with first-touch placement, MSHRs
-//! and store buffers.
+//! The coherent memory system: private cache hierarchies, a MESI directory,
+//! transactions over node buses, NUMA home nodes with first-touch
+//! placement, MSHRs and store buffers.
 //!
 //! This module computes the *timing* and *event accounting* of every memory
 //! access (functional data lives in [`crate::machine::DataMem`]). The three
@@ -18,14 +18,46 @@
 //!    writebacks on streaming data — the paper's 2 MB DAXPY slowdown.
 //! 3. **Bus pressure** — every transaction occupies its node bus, so useless
 //!    prefetches delay other processors' demand misses.
+//!
+//! The directory (`MemSystem::dir`, two bits per CPU per coherence line) is
+//! the only record of MESI state, non-zero exactly where that CPU's L3 holds
+//! the line. A snoop visits only the CPUs it names, and an `lfetch` its
+//! CPU's state already serves ends on one read of it ([`MemSystem::prefetch`]).
 
 use serde::{Deserialize, Serialize};
 
 use crate::bus::Bus;
-use crate::cache::{FillEffect, HitLevel, Mesi, PrivateHierarchy};
-use crate::config::{HostAccel, MachineConfig, Topology};
+use crate::cache::{HitLevel, PrivateHierarchy};
+use crate::config::{MachineConfig, Topology};
 use crate::events::{CpuStats, Event};
 use crate::hpm::Hpm;
+
+/// MESI coherence state of a cached line; the discriminant is its code in
+/// the directory (0 is a line the CPU does not hold).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mesi {
+    Shared = 1,
+    Exclusive = 2,
+    Modified = 3,
+}
+
+/// The directory bits of one CPU (shifted by `2 * cpu`), and their codes.
+const HELD: u32 = 0b11;
+const S: u32 = Mesi::Shared as u32;
+const E: u32 = Mesi::Exclusive as u32;
+const M: u32 = Mesi::Modified as u32;
+
+/// The CPUs a directory word names, in CPU order, each with its code.
+fn holders(word: u32) -> impl Iterator<Item = (usize, u32)> {
+    let mut rest = word;
+    std::iter::from_fn(move || {
+        let cpu = rest.trailing_zeros() as usize / 2;
+        (rest != 0).then(|| {
+            rest &= !(HELD << (2 * cpu));
+            (cpu, word >> (2 * cpu) & HELD)
+        })
+    })
+}
 
 /// What kind of access the core issued.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,24 +177,22 @@ pub struct MemSystem {
     line_bytes: u64,
     line_shift: u32,
     l1_line_shift: u32,
-    /// Per-line bitmask of hierarchies that *may* hold the line (a strict
-    /// superset of actual holders: bits are set on fill and cleared on
-    /// invalidation/L3 eviction). Empty when `num_cpus` exceeds the mask
-    /// width — every snoop then walks all CPUs, as before.
-    presence: Vec<u32>,
+    /// The MESI directory: per coherence line, CPU `c`'s state code in bits
+    /// `2c..2c + 2`, zero exactly when `c`'s L3 does not hold the line.
+    dir: Vec<u32>,
 }
 
 impl MemSystem {
     pub fn new(cfg: &MachineConfig) -> Self {
+        assert!(
+            cfg.num_cpus <= 16,
+            "a directory word holds 16 CPUs, got {}",
+            cfg.num_cpus
+        );
         let hierarchies = (0..cfg.num_cpus)
             .map(|_| PrivateHierarchy::new(cfg.l1d, cfg.l2, cfg.l3))
             .collect();
         let line_bytes = cfg.coherence_line() as u64;
-        let presence_lines = if cfg.num_cpus <= 32 {
-            cfg.mem_bytes / line_bytes as usize
-        } else {
-            0
-        };
         MemSystem {
             hierarchies,
             node_buses: (0..cfg.num_nodes())
@@ -177,7 +207,7 @@ impl MemSystem {
             line_bytes,
             line_shift: shift_of(cfg.coherence_line(), "l2.line"),
             l1_line_shift: shift_of(cfg.l1d.line, "l1d.line"),
-            presence: vec![0; presence_lines],
+            dir: vec![0; cfg.mem_bytes.div_ceil(line_bytes as usize)],
             cfg: cfg.clone(),
         }
     }
@@ -188,9 +218,23 @@ impl MemSystem {
         addr >> self.line_shift
     }
 
+    /// `cpu`'s directory code for `line` (0: not held).
+    #[inline]
+    fn code(&self, line: u64, cpu: usize) -> u32 {
+        self.dir[line as usize] >> (2 * cpu) & HELD
+    }
+
+    #[inline]
+    fn set_code(&mut self, line: u64, cpu: usize, code: u32) {
+        let word = &mut self.dir[line as usize];
+        *word = *word & !(HELD << (2 * cpu)) | code << (2 * cpu);
+    }
+
     /// MESI state of a line in one CPU's hierarchy (diagnostics/tests).
     pub fn peek_state(&self, cpu: usize, addr: u64) -> Option<Mesi> {
-        self.hierarchies[cpu].state(self.line_of(addr))
+        use Mesi::*;
+        [None, Some(Shared), Some(Exclusive), Some(Modified)]
+            [self.code(self.line_of(addr), cpu) as usize]
     }
 
     /// First-touch page map (for the placement tests).
@@ -236,39 +280,72 @@ impl MemSystem {
         self.store_drain_tail[cpu]
     }
 
-    /// Bitmask of *other* hierarchies that may hold `line` (superset), or
-    /// `None` on the reference engine and when the presence vector does not
-    /// cover the line — the snoop loops then walk every CPU.
+    /// An `lfetch` (`excl` for `lfetch.excl`): counts `LFETCH_ISSUED` and,
+    /// when the CPU already holds the line Modified or Exclusive, or Shared
+    /// for a plain hint, stops there, on one read of the directory. That is
+    /// all the full arm does in those states, whatever its MSHR check finds.
     #[inline]
-    fn other_holders(&self, line: u64, cpu: usize) -> Option<u32> {
-        if self.cfg.host_accel != HostAccel::Fast {
-            return None;
+    pub fn prefetch(
+        &mut self,
+        stats: &mut [CpuStats],
+        cpu: usize,
+        now: u64,
+        excl: bool,
+        addr: u64,
+    ) {
+        stats[cpu].add(Event::LfetchIssued, 1);
+        if self.code(self.line_of(addr), cpu) <= u32::from(excl) {
+            self.prefetch_unheld(stats, cpu, now, excl, addr);
         }
-        self.presence
-            .get(line as usize)
-            .map(|&mask| mask & !(1u32 << cpu))
     }
 
-    #[inline]
-    fn presence_set(&mut self, line: u64, cpu: usize) {
-        if let Some(mask) = self.presence.get_mut(line as usize) {
-            *mask |= 1 << cpu;
+    /// The rest of [`Self::prefetch`]: a line the CPU does not hold, or
+    /// holds Shared under an `.excl` hint.
+    #[inline(never)]
+    fn prefetch_unheld(
+        &mut self,
+        stats: &mut [CpuStats],
+        cpu: usize,
+        now: u64,
+        excl: bool,
+        addr: u64,
+    ) {
+        let line = self.line_of(addr);
+        if self.mshr_inflight(cpu, line, now).is_some() {
+            return;
         }
-    }
-
-    #[inline]
-    fn presence_clear(&mut self, line: u64, cpu: usize) {
-        if let Some(mask) = self.presence.get_mut(line as usize) {
-            *mask &= !(1u32 << cpu);
+        if self.code(line, cpu) == S {
+            // Non-blocking ownership upgrade at prefetch time (clean
+            // Exclusive; the following store's E->M transition is silent).
+            let _ = self.transaction(stats, cpu, now, TxnType::Upgrade, addr);
+            self.set_code(line, cpu, E);
+            return;
         }
+        stats[cpu].add(Event::L2Miss, 1);
+        stats[cpu].add(Event::L3Miss, 1);
+        if !self.mshr_try_alloc(cpu, now) {
+            stats[cpu].add(Event::LfetchDropped, 1);
+            return;
+        }
+        let ttype = if excl { TxnType::RdX } else { TxnType::Rd };
+        let txn = self.transaction(stats, cpu, now, ttype, addr);
+        // `.excl` from memory is a write-intent allocation: the line enters
+        // Modified and will be written back on eviction even if never stored
+        // to — the L2-writeback inflation of the paper's §2 (the 2 MB DAXPY
+        // slowdown). Cache-to-cache grants stay clean Exclusive, as on the
+        // real bus.
+        let state = match (excl, txn.from_memory) {
+            (true, true) => Mesi::Modified,
+            (true, false) => Mesi::Exclusive,
+            (false, _) => txn.grant_state,
+        };
+        self.fill_and_account(stats, cpu, now, line, state, None);
+        self.mshr_push(cpu, line, now + txn.latency);
     }
 
     /// Perform one access; updates cache state, buses, MSHRs, store buffers,
-    /// per-CPU stats and (for demand loads) the DEAR latch.
-    ///
-    /// One path for both engines: the only thing [`HostAccel::Fast`]
-    /// changes is that the snoop walks inside `transaction` visit just the
-    /// hierarchies the presence vector names (see `other_holders`).
+    /// per-CPU stats and (for demand loads) the DEAR latch. One path for
+    /// both engines.
     #[allow(clippy::too_many_arguments)]
     pub fn access(
         &mut self,
@@ -282,57 +359,13 @@ impl MemSystem {
     ) -> AccessOutcome {
         let line = self.line_of(addr);
         let l1_line = addr >> self.l1_line_shift;
-        let none = AccessOutcome {
-            complete_at: now,
-            stall_until: now,
-        };
 
         match kind {
             AccessKind::Prefetch { excl } => {
-                stats[cpu].add(Event::LfetchIssued, 1);
-                if self.mshr_inflight(cpu, line, now).is_some() {
-                    return none;
-                }
-                match self.hierarchies[cpu].state(line) {
-                    Some(Mesi::Modified) | Some(Mesi::Exclusive) => none,
-                    Some(Mesi::Shared) => {
-                        if excl {
-                            // Non-blocking ownership upgrade at prefetch time
-                            // (clean Exclusive; the following store's E->M
-                            // transition is silent).
-                            let _ = self.transaction(stats, cpu, now, TxnType::Upgrade, addr);
-                            self.hierarchies[cpu].set_state(line, Mesi::Exclusive);
-                        }
-                        none
-                    }
-                    None => {
-                        stats[cpu].add(Event::L2Miss, 1);
-                        stats[cpu].add(Event::L3Miss, 1);
-                        if !self.mshr_try_alloc(cpu, now) {
-                            stats[cpu].add(Event::LfetchDropped, 1);
-                            return none;
-                        }
-                        let ttype = if excl { TxnType::RdX } else { TxnType::Rd };
-                        let txn = self.transaction(stats, cpu, now, ttype, addr);
-                        // `.excl` from memory is a write-intent allocation:
-                        // the line enters Modified and will be written back
-                        // on eviction even if never stored to — the
-                        // L2-writeback inflation of the paper's §2 (the 2 MB
-                        // DAXPY slowdown). Cache-to-cache grants stay clean
-                        // Exclusive, as on the real bus.
-                        let state = if excl {
-                            if txn.from_memory {
-                                Mesi::Modified
-                            } else {
-                                Mesi::Exclusive
-                            }
-                        } else {
-                            txn.grant_state
-                        };
-                        self.fill_and_account(stats, cpu, now, line, state, None);
-                        self.mshr_push(cpu, line, now + txn.latency);
-                        none
-                    }
+                self.prefetch(stats, cpu, now, excl, addr);
+                AccessOutcome {
+                    complete_at: now,
+                    stall_until: now,
                 }
             }
 
@@ -362,9 +395,9 @@ impl MemSystem {
                             self.cfg.l3.hit_latency
                         }
                     };
-                    if bias && self.hierarchies[cpu].state(line) == Some(Mesi::Shared) {
+                    if bias && self.code(line, cpu) == S {
                         let _ = self.transaction(stats, cpu, now, TxnType::Upgrade, addr);
-                        self.hierarchies[cpu].set_state(line, Mesi::Exclusive);
+                        self.set_code(line, cpu, E);
                     }
                     return AccessOutcome {
                         complete_at: now + lat,
@@ -404,21 +437,21 @@ impl MemSystem {
                 if let Some(ready) = self.mshr_inflight(cpu, line, drain_start) {
                     drain_start = ready;
                 }
-                let drain_done = match self.hierarchies[cpu].state(line) {
-                    Some(Mesi::Modified) => drain_start + 1,
-                    Some(Mesi::Exclusive) => {
-                        self.hierarchies[cpu].set_state(line, Mesi::Modified);
+                let drain_done = match self.code(line, cpu) {
+                    M => drain_start + 1,
+                    E => {
+                        self.set_code(line, cpu, M);
                         drain_start + 1
                     }
-                    Some(Mesi::Shared) => {
+                    S => {
                         // The expensive path aggressive cross-partition
                         // prefetching creates: an invalidation round trip
                         // serializing through the store buffer.
                         let txn = self.transaction(stats, cpu, drain_start, TxnType::Upgrade, addr);
-                        self.hierarchies[cpu].set_state(line, Mesi::Modified);
+                        self.set_code(line, cpu, M);
                         drain_start + txn.latency
                     }
-                    None => {
+                    _ => {
                         stats[cpu].add(Event::L2Miss, 1);
                         stats[cpu].add(Event::L3Miss, 1);
                         let txn = self.transaction(stats, cpu, drain_start, TxnType::RdX, addr);
@@ -438,6 +471,11 @@ impl MemSystem {
 
     // ---- internals ----
 
+    /// Install `line` in `cpu`'s hierarchy in `state`. An L3 victim leaves
+    /// the directory (and is written back if Modified); an L2 victim whose
+    /// L3 copy is Modified counts an L2 writeback (its data lands in the
+    /// inclusive L3, no bus traffic — the paper attributes the 2 MB
+    /// `lfetch.excl` slowdown to these).
     fn fill_and_account(
         &mut self,
         stats: &mut [CpuStats],
@@ -447,24 +485,29 @@ impl MemSystem {
         state: Mesi,
         into_l1: Option<u64>,
     ) {
-        let effects = self.hierarchies[cpu].fill(line, state, into_l1);
-        self.presence_set(line, cpu);
-        for e in effects {
-            match e {
-                FillEffect::WritebackL3(victim) => {
-                    stats[cpu].add(Event::L3Writeback, 1);
-                    self.presence_clear(victim, cpu);
-                    let victim_addr = victim * self.line_bytes;
-                    let _ = self.transaction(stats, cpu, now, TxnType::Writeback, victim_addr);
-                }
-                FillEffect::WritebackL2(_) => {
-                    stats[cpu].add(Event::L2Writeback, 1);
-                }
-                FillEffect::EvictClean(victim) => {
-                    self.presence_clear(victim, cpu);
-                }
+        let (l3_victim, l2_victim) = self.hierarchies[cpu].fill(line, into_l1);
+        self.set_code(line, cpu, state as u32);
+        if let Some(victim) = l3_victim {
+            let was = self.code(victim, cpu);
+            self.set_code(victim, cpu, 0);
+            if was == M {
+                stats[cpu].add(Event::L3Writeback, 1);
+                let victim_addr = victim * self.line_bytes;
+                let _ = self.transaction(stats, cpu, now, TxnType::Writeback, victim_addr);
             }
         }
+        if l2_victim.is_some_and(|victim| self.code(victim, cpu) == M) {
+            stats[cpu].add(Event::L2Writeback, 1);
+        }
+    }
+
+    /// Invalidate every copy `others` (a directory word) names, leaving
+    /// only `cpu`'s bits in the line's word.
+    fn invalidate_others(&mut self, line: u64, cpu: usize, others: u32) {
+        for (other, _) in holders(others) {
+            self.hierarchies[other].invalidate(line);
+        }
+        self.dir[line as usize] &= HELD << (2 * cpu);
     }
 
     fn transaction(
@@ -494,6 +537,10 @@ impl MemSystem {
                 cfg.numa_remote_penalty + cfg.numa_hop_latency * cfg.hops_between(from, to)
             }
         };
+        // The other CPUs holding the line: the snoop visits these and no
+        // other. A line held M or E has no other holder.
+        let others = self.dir[line as usize] & !(HELD << (2 * cpu));
+        let owner_m = holders(others).find(|&(_, code)| code == M).map(|(o, _)| o);
 
         match ttype {
             TxnType::Writeback => TxnResult {
@@ -502,28 +549,10 @@ impl MemSystem {
                 from_memory: false,
             },
             TxnType::Rd => {
-                // The presence mask is a superset of actual holders, so
-                // restricting the snoop walk to set bits finds exactly the
-                // owners/sharers the full walk would.
-                let holders = self.other_holders(line, cpu);
-                let mut owner_m = None;
-                let mut clean_sharer = None;
-                for other in 0..self.cfg.num_cpus {
-                    if other == cpu || holders.is_some_and(|m| m & (1 << other) == 0) {
-                        continue;
-                    }
-                    match self.hierarchies[other].state(line) {
-                        Some(Mesi::Modified) => owner_m = Some(other),
-                        Some(Mesi::Exclusive) | Some(Mesi::Shared) => {
-                            clean_sharer.get_or_insert(other);
-                        }
-                        None => {}
-                    }
-                }
                 if let Some(o) = owner_m {
                     // HITM: the owner flushes and both end Shared; the
                     // victim's pipeline pays the snoop-response penalty.
-                    self.hierarchies[o].set_state(line, Mesi::Shared);
+                    self.set_code(line, o, S);
                     self.snoop_stall[o] += self.cfg.snoop_stall;
                     self.snoop_raised = true;
                     stats[cpu].add(Event::BusRdHitm, 1);
@@ -539,14 +568,11 @@ impl MemSystem {
                         grant_state: Mesi::Shared,
                         from_memory: false,
                     }
-                } else if let Some(s) = clean_sharer {
+                } else if let Some((s, _)) = holders(others).next() {
                     // Clean snoop hit: sharers downgrade to S.
-                    for other in 0..self.cfg.num_cpus {
-                        if other == cpu || holders.is_some_and(|m| m & (1 << other) == 0) {
-                            continue;
-                        }
-                        if self.hierarchies[other].state(line) == Some(Mesi::Exclusive) {
-                            self.hierarchies[other].set_state(line, Mesi::Shared);
+                    for (other, code) in holders(others) {
+                        if code == E {
+                            self.set_code(line, other, S);
                         }
                     }
                     stats[cpu].add(Event::BusRdHit, 1);
@@ -568,27 +594,8 @@ impl MemSystem {
                 }
             }
             TxnType::RdX => {
-                let holders = self.other_holders(line, cpu);
-                let mut owner_m = None;
-                let mut had_clean = false;
-                for other in 0..self.cfg.num_cpus {
-                    if other == cpu || holders.is_some_and(|m| m & (1 << other) == 0) {
-                        continue;
-                    }
-                    match self.hierarchies[other].state(line) {
-                        Some(Mesi::Modified) => owner_m = Some(other),
-                        Some(_) => had_clean = true,
-                        None => {}
-                    }
-                }
                 // All other copies are invalidated by a read-for-ownership.
-                for other in 0..self.cfg.num_cpus {
-                    if other == cpu || holders.is_some_and(|m| m & (1 << other) == 0) {
-                        continue;
-                    }
-                    let _ = self.hierarchies[other].invalidate(line);
-                    self.presence_clear(line, other);
-                }
+                self.invalidate_others(line, cpu, others);
                 if let Some(o) = owner_m {
                     self.snoop_stall[o] += self.cfg.snoop_stall;
                     self.snoop_raised = true;
@@ -605,7 +612,7 @@ impl MemSystem {
                         grant_state: Mesi::Exclusive,
                         from_memory: false,
                     }
-                } else if had_clean {
+                } else if others != 0 {
                     stats[cpu].add(Event::BusRdHit, 1);
                     TxnResult {
                         latency: queue_delay + self.cfg.cache2cache_latency,
@@ -623,14 +630,7 @@ impl MemSystem {
                 }
             }
             TxnType::Upgrade => {
-                let holders = self.other_holders(line, cpu);
-                for other in 0..self.cfg.num_cpus {
-                    if other == cpu || holders.is_some_and(|m| m & (1 << other) == 0) {
-                        continue;
-                    }
-                    let _ = self.hierarchies[other].invalidate(line);
-                    self.presence_clear(line, other);
-                }
+                self.invalidate_others(line, cpu, others);
                 stats[cpu].add(Event::BusUpgrade, 1);
                 let extra = if numa && home != my_node {
                     self.cfg.numa_hop_latency * self.cfg.hops_between(my_node, home)
@@ -1156,6 +1156,200 @@ mod tests {
         let mut cfg = MachineConfig::altix8();
         cfg.numa_page_bytes = 12 << 10;
         let _ = MemSystem::new(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "a directory word holds 16 CPUs, got 17")]
+    fn seventeen_cpus_are_refused() {
+        let mut cfg = MachineConfig::altix8();
+        cfg.num_cpus = 17;
+        let _ = MemSystem::new(&cfg);
+    }
+
+    /// The inline head stops only where the hint is already served: a plain
+    /// `lfetch` on a Shared line is counted and does nothing more, an
+    /// `.excl` one on the same line still takes the ownership upgrade.
+    #[test]
+    fn held_shared_line_still_takes_the_upgrade_on_an_excl_prefetch() {
+        let cfg = MachineConfig::smp4();
+        let (mut ms, mut st, mut hp) = setup(&cfg);
+        ms.access(&mut st, &mut hp, 0, 0, 1, LOAD_FP, 0x5000);
+        ms.access(&mut st, &mut hp, 1, 100, 1, LOAD_FP, 0x5000);
+        let bus = ms.bus_transactions();
+        ms.prefetch(&mut st, 1, 1000, false, 0x5000);
+        assert_eq!(st[1].get(Event::LfetchIssued), 1);
+        assert_eq!(ms.bus_transactions(), bus, "a plain hint on S is served");
+        assert_eq!(ms.peek_state(1, 0x5000), Some(Mesi::Shared));
+        ms.prefetch(&mut st, 1, 2000, true, 0x5000);
+        assert_eq!(st[1].get(Event::LfetchIssued), 2);
+        assert_eq!(st[1].get(Event::BusUpgrade), 1);
+        assert_eq!(ms.peek_state(1, 0x5000), Some(Mesi::Exclusive));
+        assert_eq!(ms.peek_state(0, 0x5000), None);
+    }
+
+    /// Thirteen lines of one L3 set on one CPU: the first is evicted and
+    /// leaves the directory, so another CPU's read of it goes to memory.
+    #[test]
+    fn an_l3_eviction_takes_the_victim_out_of_the_directory() {
+        let cfg = MachineConfig::smp4();
+        let (mut ms, mut st, mut hp) = setup(&cfg);
+        let set_stride = (cfg.l3.sets() * cfg.l3.line) as u64;
+        for k in 0..=cfg.l3.ways as u64 {
+            ms.access(&mut st, &mut hp, 0, k * 1000, 1, LOAD_FP, k * set_stride);
+        }
+        assert_eq!(ms.peek_state(0, 0), None, "the LRU way left L3");
+        assert!(ms.hierarchies.iter().all(|h| !h.holds(0)));
+        ms.access(&mut st, &mut hp, 1, 100_000, 1, LOAD_FP, 0);
+        assert_eq!(st[1].get(Event::BusRdHit), 0);
+        assert_eq!(ms.peek_state(1, 0), Some(Mesi::Exclusive));
+    }
+
+    /// The same thirteen lines, the first one stored to (Modified) or loaded
+    /// (Exclusive): a Modified victim counts an L2 writeback when it leaves
+    /// L2 and an L3 writeback with one more bus transaction when it leaves
+    /// L3; a clean victim counts neither.
+    #[test]
+    fn a_modified_l3_victim_is_written_back_and_a_clean_one_is_not() {
+        let cfg = MachineConfig::smp4();
+        let set_stride = (cfg.l3.sets() * cfg.l3.line) as u64;
+        let last = cfg.l3.ways as u64;
+        for (first, writebacks) in [(AccessKind::Store, 1), (LOAD_FP, 0)] {
+            let (mut ms, mut st, mut hp) = setup(&cfg);
+            ms.access(&mut st, &mut hp, 0, 0, 1, first, 0);
+            for k in 1..last {
+                ms.access(&mut st, &mut hp, 0, k * 1000, 1, LOAD_FP, k * set_stride);
+            }
+            assert_eq!(st[0].get(Event::L2Writeback), writebacks, "{first:?}");
+            assert_eq!(st[0].get(Event::L3Writeback), 0, "{first:?}");
+            let bus_before = ms.bus_transactions();
+            ms.access(
+                &mut st,
+                &mut hp,
+                0,
+                last * 1000,
+                1,
+                LOAD_FP,
+                last * set_stride,
+            );
+            assert_eq!(ms.peek_state(0, 0), None, "{first:?}");
+            assert_eq!(st[0].get(Event::L3Writeback), writebacks, "{first:?}");
+            assert_eq!(
+                ms.bus_transactions() - bus_before,
+                1 + writebacks,
+                "{first:?}: the fill, plus the writeback of a Modified victim"
+            );
+        }
+    }
+
+    /// Stores to a line already held Modified drain one cycle apart through
+    /// the single write port.
+    #[test]
+    fn repeated_private_store_drains_one_cycle_apart() {
+        let cfg = MachineConfig::smp4();
+        let (mut ms, mut st, mut hp) = setup(&cfg);
+        ms.access(&mut st, &mut hp, 0, 0, 1, AccessKind::Store, 0x1000);
+        let completes: Vec<u64> = (0..20u64)
+            .map(|k| {
+                let out = ms.access(&mut st, &mut hp, 0, 1000 + k, 1, AccessKind::Store, 0x1000);
+                out.complete_at
+            })
+            .collect();
+        for w in completes.windows(2) {
+            assert_eq!(w[1], w[0] + 1);
+        }
+    }
+
+    /// One randomly generated access: CPU, gap since the previous access,
+    /// kind, line of the pool and byte offset within the line.
+    type RawAccess = (usize, u64, u8, u64, u64);
+
+    fn raw_kind(sel: u8) -> AccessKind {
+        match sel % 6 {
+            0 => LOAD_FP,
+            1 => AccessKind::Load {
+                fp: false,
+                bias: false,
+            },
+            2 => AccessKind::Load {
+                fp: false,
+                bias: true,
+            },
+            3 => AccessKind::Store,
+            4 => AccessKind::Prefetch { excl: false },
+            _ => AccessKind::Prefetch { excl: true },
+        }
+    }
+
+    /// Drive `accesses` through one memory system and check the directory
+    /// after every access: a CPU's bits are non-zero exactly when its L3
+    /// holds the line, and a line held Modified or Exclusive has one holder.
+    /// The pool's 32 lines fall in two sets of every level, 16 to a set, so
+    /// CPUs collide constantly and L3 evicts.
+    fn check_directory(cfg: MachineConfig, accesses: &[RawAccess]) {
+        let (mut ms, mut st, mut hp) = setup(&cfg);
+        let n = cfg.num_cpus;
+        let line_bytes = cfg.coherence_line() as u64;
+        let pool: Vec<u64> = (0..32)
+            .map(|k| k % 2 + k / 2 * cfg.l3.sets() as u64)
+            .collect();
+        let mut now = 0;
+        for (i, &(cpu_sel, dt, kind_sel, line_sel, offset)) in accesses.iter().enumerate() {
+            now += dt;
+            let addr = pool[line_sel as usize % 32] * line_bytes + offset % line_bytes / 8 * 8;
+            ms.access(
+                &mut st,
+                &mut hp,
+                cpu_sel % n,
+                now,
+                1,
+                raw_kind(kind_sel),
+                addr,
+            );
+            for &line in &pool {
+                let mut owners = 0;
+                for cpu in 0..n {
+                    let state = ms.peek_state(cpu, line * line_bytes);
+                    assert_eq!(
+                        state.is_some(),
+                        ms.hierarchies[cpu].holds(line),
+                        "access #{i}: cpu {cpu} line {line}: {state:?} against the L3 tags"
+                    );
+                    owners += u32::from(matches!(state, Some(Mesi::Modified | Mesi::Exclusive)));
+                }
+                let word = ms.dir[line as usize];
+                assert!(
+                    owners == 0 || owners == 1 && holders(word).count() == 1,
+                    "access #{i}: line {line}: directory word {word:#b}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The directory property on the SMP.
+        #[test]
+        fn raw_access_sequences_keep_the_directory_exact_smp(
+            accesses in proptest::collection::vec(
+                (0usize..4, 0u64..400, 0u8..6, 0u64..32, 0u64..128),
+                1..120,
+            ),
+        ) {
+            check_directory(MachineConfig::smp4(), &accesses);
+        }
+
+        /// The same property on the cc-NUMA machine (NUMA latency arms,
+        /// remote HITM paths, per-node buses).
+        #[test]
+        fn raw_access_sequences_keep_the_directory_exact_altix(
+            accesses in proptest::collection::vec(
+                (0usize..8, 0u64..400, 0u8..6, 0u64..32, 0u64..128),
+                1..120,
+            ),
+        ) {
+            check_directory(MachineConfig::altix8(), &accesses);
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! Wall-clock floors of the fast engine against the per-cycle reference.
+//! Wall-clock floors of the fast engine against the per-cycle reference,
+//! and of the memory system's snoop path on altix8 against smp4.
 //!
-//! Each test first requires both engines to end in the same state, then
-//! compares min-of-N host time. A ratio of host times means nothing in a
-//! debug build, so all four are `#[ignore]`d and CI runs them in release,
-//! one step per floor:
+//! Each test first requires its runs to end in the same state (the two
+//! engines alike, or each machine's runs alike), then compares min-of-N host
+//! time. A ratio of host times means nothing in a debug build, so all four
+//! are `#[ignore]`d and CI runs them in release, one step per floor:
 //! `cargo test --release -p cobra-machine --test engine_floors -- --ignored <name>`.
 
 mod common;
@@ -127,44 +128,63 @@ fn arith4_sampled_batch_at_least_1_6x_reference() {
     );
 }
 
-/// Snoop-miss cost: a cold-line load stream where no other hierarchy can
-/// hold the line, so the presence vector lets the fast engine skip the
-/// O(num_cpus) snoop loops that the reference walks on every miss. The skip
-/// must not change miss handling, nor slow the miss path by more than 10 %.
+/// Snoop-miss cost: a cold-line load stream no other hierarchy holds. The
+/// directory answers each snoop from the line's one word and visits no CPU,
+/// so the stream must cost the 8-CPU cc-NUMA machine no more than 1.10x what
+/// it costs the 4-CPU SMP (every line's first touch is CPU 0's, so its home
+/// is CPU 0's node and no miss pays a remote arm). A snoop that walked the
+/// CPUs would pay altix8 twice smp4's walk. Each machine's runs must end in
+/// the same state as its first. Min of 11 alternating runs each (the whole
+/// test takes about half a second): a burst of host load has to cover most
+/// of it to skew the ratio.
 #[test]
 #[ignore = "wall-clock floor: run in release by name"]
-fn snoop_miss_fast_path_within_1_10x_reference() {
+fn snoop_miss_on_altix8_within_1_10x_smp4() {
     const MISSES: u64 = 300_000;
     let load = AccessKind::Load {
         fp: true,
         bias: false,
     };
-    let (reference, fast) = engine_pair_min_of(3, |accel| {
-        let cfg = MachineConfig::smp4().with_host_accel(accel);
-        let mut ms = MemSystem::new(&cfg);
-        let mut stats: Vec<CpuStats> = (0..4).map(|_| CpuStats::new()).collect();
-        let mut hpm: Vec<Hpm> = (0..4).map(|_| Hpm::new(cfg.dear_min_latency)).collect();
-        let mut now = 0u64;
-        let mut digest = 0u64;
-        let t0 = Instant::now();
-        for i in 0..MISSES {
-            now += 600;
-            let addr = 0x1000 + i * 128;
-            let out = ms.access(&mut stats, &mut hpm, 0, now, 1, load, addr);
-            digest ^= out
-                .complete_at
-                .wrapping_mul(3)
-                .wrapping_add(out.stall_until);
+    let mut best = [Duration::MAX; 2];
+    let mut first = [None, None];
+    for _ in 0..11 {
+        for (slot, cfg) in [MachineConfig::smp4(), MachineConfig::altix8()]
+            .iter()
+            .enumerate()
+        {
+            let mut ms = MemSystem::new(cfg);
+            let mut stats: Vec<CpuStats> = (0..cfg.num_cpus).map(|_| CpuStats::new()).collect();
+            let mut hpm: Vec<Hpm> = (0..cfg.num_cpus)
+                .map(|_| Hpm::new(cfg.dear_min_latency))
+                .collect();
+            let mut now = 0u64;
+            let mut digest = 0u64;
+            let t0 = Instant::now();
+            for i in 0..MISSES {
+                now += 600;
+                let addr = 0x1000 + i * 128;
+                let out = ms.access(&mut stats, &mut hpm, 0, now, 1, load, addr);
+                digest ^= out
+                    .complete_at
+                    .wrapping_mul(3)
+                    .wrapping_add(out.stall_until);
+            }
+            best[slot] = best[slot].min(t0.elapsed());
+            let state = (digest, stats.swap_remove(0));
+            let expected = first[slot].get_or_insert_with(|| state.clone());
+            assert_eq!(
+                *expected, state,
+                "{}: every run must equal the first",
+                cfg.name
+            );
         }
-        (t0.elapsed(), (digest, stats.swap_remove(0)))
-    });
-    let ratio = fast.as_secs_f64() / reference.as_secs_f64();
-    println!(
-        "snoop-miss path: fast/reference {ratio:.3} ({reference:?} reference vs {fast:?} fast)"
-    );
+    }
+    let [smp4, altix8] = best;
+    let ratio = altix8.as_secs_f64() / smp4.as_secs_f64();
+    println!("snoop-miss path: altix8/smp4 {ratio:.3} ({smp4:?} smp4 vs {altix8:?} altix8)");
     assert!(
         ratio <= 1.10,
-        "snoop skip must not slow down the miss path: {reference:?} reference vs {fast:?} fast"
+        "a cold miss must not cost altix8 more than smp4: {smp4:?} smp4 vs {altix8:?} altix8"
     );
 }
 

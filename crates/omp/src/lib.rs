@@ -5,7 +5,7 @@
 //! bound to a processor. This crate reproduces that execution model on the
 //! simulator:
 //!
-//! * [`Team`]/[`team::abi`] — thread teams, static chunking, and the
+//! * [`Team`]/[`abi`] — thread teams, static chunking, and the
 //!   register calling convention for region bodies.
 //! * [`OmpRuntime`] — fork/join execution with a per-quantum [`QuantumHook`]
 //!   through which COBRA samples the HPMs and patches the binary at safe
@@ -14,8 +14,8 @@
 //! A multi-phase kernel forks and joins once per phase: the join is its
 //! only barrier.
 
-pub mod runtime;
-pub mod team;
+pub(crate) mod runtime;
+pub(crate) mod team;
 
 pub use runtime::{NullHook, OmpRuntime, QuantumHook, RegionStats};
 pub use team::{abi, Team};

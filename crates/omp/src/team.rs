@@ -23,7 +23,7 @@ pub mod abi {
     /// First user argument register: `r12` (up to [`MAX_USER_ARGS`]).
     pub const R_ARG0: u8 = 12;
     /// Number of user argument registers (`r12`–`r21`).
-    pub const MAX_USER_ARGS: usize = 10;
+    pub(crate) const MAX_USER_ARGS: usize = 10;
 }
 
 /// A team of worker threads, thread `t` bound to CPU `t`.

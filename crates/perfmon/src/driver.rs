@@ -153,7 +153,8 @@ impl PerfmonDriver {
     }
 
     /// Samples currently buffered for a CPU.
-    pub fn pending(&self, cpu: usize) -> usize {
+    #[cfg(test)]
+    fn pending(&self, cpu: usize) -> usize {
         self.per_cpu[cpu].buffer.len()
     }
 

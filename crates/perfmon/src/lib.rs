@@ -12,8 +12,8 @@
 //! * [`SampleRecord`] — the paper's sample layout: index, PC, pid/tid/cpu,
 //!   four counters, the BTB pairs, and the DEAR miss triple.
 
-pub mod driver;
-pub mod sample;
+pub(crate) mod driver;
+pub(crate) mod sample;
 
 pub use driver::{PerfmonConfig, PerfmonDriver};
 pub use sample::{PmcSelection, SampleRecord, NUM_PMCS};

@@ -67,7 +67,8 @@ pub struct SampleRecord {
 
 impl SampleRecord {
     /// Counter value for `event`, if it was one of the programmed four.
-    pub fn counter(&self, event: Event) -> Option<u64> {
+    #[cfg(test)]
+    fn counter(&self, event: Event) -> Option<u64> {
         self.events
             .iter()
             .position(|&e| e == event)
