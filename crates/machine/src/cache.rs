@@ -70,14 +70,22 @@ impl Cache {
         set.iter().position(|&t| t == line).map(|w| base + w)
     }
 
-    /// Look up a line; updates LRU on hit.
+    /// Look up a line; updates LRU on hit. A miss still takes a tick.
+    #[inline]
     fn probe(&mut self, line: LineAddr) -> bool {
-        self.tick += 1;
         let Some(i) = self.find(line) else {
+            self.tick += 1;
             return false;
         };
-        self.lru[i] = self.tick;
+        self.touch(i);
         true
+    }
+
+    /// Mark way entry `i` the set's most recently used.
+    #[inline]
+    fn touch(&mut self, i: usize) {
+        self.tick += 1;
+        self.lru[i] = self.tick;
     }
 
     /// Insert a line into the set's first free way, or else in place of its
@@ -195,6 +203,27 @@ impl PrivateHierarchy {
         None
     }
 
+    /// Does the first level a load looks in hold its line: L1 for an integer
+    /// load, L2 for an FP load? On a hit, the ticks move exactly as
+    /// [`Self::probe_load`] moves them; on a miss, nothing moves.
+    #[inline(always)]
+    pub(crate) fn first_level_hit(&mut self, line: LineAddr, l1_line: LineAddr, fp: bool) -> bool {
+        let (first, key) = if fp {
+            (&mut self.l2, line)
+        } else {
+            (&mut self.l1, l1_line)
+        };
+        let Some(i) = first.find(key) else {
+            return false;
+        };
+        first.touch(i);
+        if !fp {
+            self.l2.probe(line);
+        }
+        self.l3.probe(line);
+        true
+    }
+
     /// Install a coherence line, maintaining inclusion. Returns the lines
     /// displaced from L3 (already back-invalidated from L1 and L2) and from
     /// L2 (still in L3), in that order.
@@ -213,6 +242,25 @@ impl PrivateHierarchy {
             self.l1.insert(l1_line);
         }
         (l3, l2)
+    }
+
+    /// The ways of every set `line` maps to, tag and tick, level by level
+    /// from L1 (both halves of the line), then each level's tick counter:
+    /// what two hierarchies that saw the same uses agree on.
+    #[cfg(test)]
+    pub(crate) fn sets_of(&self, line: LineAddr) -> Vec<(LineAddr, u64)> {
+        let first_l1 = line * self.l1_lines_per_coherence_line;
+        let l1_lines = first_l1..first_l1 + self.l1_lines_per_coherence_line;
+        let mut out = Vec::new();
+        for (c, key) in l1_lines
+            .map(|l| (&self.l1, l))
+            .chain([(&self.l2, line), (&self.l3, line)])
+        {
+            let base = c.base(key);
+            out.extend((base..base + c.ways).map(|i| (c.tags[i], c.lru[i])));
+        }
+        out.extend([self.l1.tick, self.l2.tick, self.l3.tick].map(|t| (FREE, t)));
+        out
     }
 
     fn invalidate_inner(&mut self, line: LineAddr) {

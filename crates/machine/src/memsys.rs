@@ -21,8 +21,17 @@
 //!
 //! The directory (`MemSystem::dir`, two bits per CPU per coherence line) is
 //! the only record of MESI state, non-zero exactly where that CPU's L3 holds
-//! the line. A snoop visits only the CPUs it names, and an `lfetch` its
-//! CPU's state already serves ends on one read of it ([`MemSystem::prefetch`]).
+//! the line. A snoop visits only the CPUs it names.
+//!
+//! The engines issue through three inlined heads, one per kind, each ending
+//! the accesses the CPU's own hierarchy serves and handing the rest to an
+//! out-of-line full arm: [`MemSystem::load`] (an FP load that hits L2 or an
+//! integer load that hits L1, not `.bias`, no fill in flight),
+//! [`MemSystem::store`] (a line held Modified) and [`MemSystem::prefetch`]
+//! (a line held in a state the hint asks no more of). A head moves the LRU
+//! ticks exactly as its arm would; `memsys::tests::heads_match_the_full_arms_*`
+//! hold the two to the same state after every access.
+//! [`MemSystem::access`] dispatches a kind carried as a value to the three.
 
 use serde::{Deserialize, Serialize};
 
@@ -81,7 +90,7 @@ pub struct AccessOutcome {
     pub stall_until: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct MshrEntry {
     line: u64,
     ready: u64,
@@ -343,9 +352,9 @@ impl MemSystem {
         self.mshr_push(cpu, line, now + txn.latency);
     }
 
-    /// Perform one access; updates cache state, buses, MSHRs, store buffers,
-    /// per-CPU stats and (for demand loads) the DEAR latch. One path for
-    /// both engines.
+    /// Perform one access of any kind: [`Self::load`], [`Self::store`] or
+    /// [`Self::prefetch`]. The engines call those three directly; this
+    /// dispatcher is for callers that carry the kind as a value.
     #[allow(clippy::too_many_arguments)]
     pub fn access(
         &mut self,
@@ -357,10 +366,9 @@ impl MemSystem {
         kind: AccessKind,
         addr: u64,
     ) -> AccessOutcome {
-        let line = self.line_of(addr);
-        let l1_line = addr >> self.l1_line_shift;
-
         match kind {
+            AccessKind::Load { fp, bias } => self.load(stats, hpm, cpu, now, pc, fp, bias, addr),
+            AccessKind::Store => self.store(stats, cpu, now, addr),
             AccessKind::Prefetch { excl } => {
                 self.prefetch(stats, cpu, now, excl, addr);
                 AccessOutcome {
@@ -368,104 +376,200 @@ impl MemSystem {
                     stall_until: now,
                 }
             }
+        }
+    }
 
-            AccessKind::Load { fp, bias } => {
-                if let Some(ready) = self.mshr_inflight(cpu, line, now) {
-                    let complete_at = ready.max(now + 1);
-                    self.dear_check(stats, hpm, cpu, now, pc, addr, complete_at - now);
-                    return AccessOutcome {
-                        complete_at,
-                        stall_until: now,
-                    };
-                }
-                if let Some(level) = self.hierarchies[cpu].probe_load(line, l1_line, fp) {
-                    let lat = match level {
-                        HitLevel::L1 => self.cfg.l1d.hit_latency,
-                        HitLevel::L2 => {
-                            if !fp {
-                                stats[cpu].add(Event::L1dMiss, 1);
-                            }
-                            self.cfg.l2.hit_latency
-                        }
-                        HitLevel::L3 => {
-                            if !fp {
-                                stats[cpu].add(Event::L1dMiss, 1);
-                            }
-                            stats[cpu].add(Event::L2Miss, 1);
-                            self.cfg.l3.hit_latency
-                        }
-                    };
-                    if bias && self.code(line, cpu) == S {
-                        let _ = self.transaction(stats, cpu, now, TxnType::Upgrade, addr);
-                        self.set_code(line, cpu, E);
+    /// A demand load (`fp` bypasses L1, `bias` is `ld8.bias`). Ends here,
+    /// on a tag lookup, when the CPU's first level for the load serves it:
+    /// an FP load that hits L2 or an integer load that hits L1, neither
+    /// `.bias`, with no fill of the line in flight. Such a hit counts
+    /// nothing, latches no DEAR and ticks the LRU exactly as
+    /// [`Self::load_full`] would; every other load is that arm's. The heads
+    /// and the helpers they call are always inlined: under `#[inline]` the
+    /// compiler kept them out of line, and `daxpy_sweep` ran in 0.94× the
+    /// time of the out-of-line `access` they replace in place of 0.85×.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn load(
+        &mut self,
+        stats: &mut [CpuStats],
+        hpm: &mut [Hpm],
+        cpu: usize,
+        now: u64,
+        pc: u32,
+        fp: bool,
+        bias: bool,
+        addr: u64,
+    ) -> AccessOutcome {
+        let line = self.line_of(addr);
+        if !bias
+            && self.mshr_inflight(cpu, line, now).is_none()
+            && self.hierarchies[cpu].first_level_hit(line, addr >> self.l1_line_shift, fp)
+        {
+            let first = if fp { &self.cfg.l2 } else { &self.cfg.l1d };
+            return AccessOutcome {
+                complete_at: now + first.hit_latency,
+                stall_until: now,
+            };
+        }
+        self.load_full(stats, hpm, cpu, now, pc, fp, bias, addr)
+    }
+
+    /// Every demand load, whatever state its line is in: the retained
+    /// reference [`Self::load`]'s head is tested against.
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
+    fn load_full(
+        &mut self,
+        stats: &mut [CpuStats],
+        hpm: &mut [Hpm],
+        cpu: usize,
+        now: u64,
+        pc: u32,
+        fp: bool,
+        bias: bool,
+        addr: u64,
+    ) -> AccessOutcome {
+        let line = self.line_of(addr);
+        let l1_line = addr >> self.l1_line_shift;
+        if let Some(ready) = self.mshr_inflight(cpu, line, now) {
+            let complete_at = ready.max(now + 1);
+            self.dear_check(stats, hpm, cpu, now, pc, addr, complete_at - now);
+            return AccessOutcome {
+                complete_at,
+                stall_until: now,
+            };
+        }
+        if let Some(level) = self.hierarchies[cpu].probe_load(line, l1_line, fp) {
+            let lat = match level {
+                HitLevel::L1 => self.cfg.l1d.hit_latency,
+                HitLevel::L2 => {
+                    if !fp {
+                        stats[cpu].add(Event::L1dMiss, 1);
                     }
-                    return AccessOutcome {
-                        complete_at: now + lat,
-                        stall_until: now,
-                    };
+                    self.cfg.l2.hit_latency
                 }
-                // Full miss: goes to the bus.
-                if !fp {
-                    stats[cpu].add(Event::L1dMiss, 1);
+                HitLevel::L3 => {
+                    if !fp {
+                        stats[cpu].add(Event::L1dMiss, 1);
+                    }
+                    stats[cpu].add(Event::L2Miss, 1);
+                    self.cfg.l3.hit_latency
                 }
+            };
+            if bias && self.code(line, cpu) == S {
+                let _ = self.transaction(stats, cpu, now, TxnType::Upgrade, addr);
+                self.set_code(line, cpu, E);
+            }
+            return AccessOutcome {
+                complete_at: now + lat,
+                stall_until: now,
+            };
+        }
+        // Full miss: goes to the bus.
+        if !fp {
+            stats[cpu].add(Event::L1dMiss, 1);
+        }
+        stats[cpu].add(Event::L2Miss, 1);
+        stats[cpu].add(Event::L3Miss, 1);
+        let (issue_at, stall_until) = self.mshr_acquire_blocking(cpu, now);
+        let ttype = if bias { TxnType::RdX } else { TxnType::Rd };
+        let txn = self.transaction(stats, cpu, issue_at, ttype, addr);
+        let ready = issue_at + txn.latency;
+        let state = if bias {
+            Mesi::Exclusive
+        } else {
+            txn.grant_state
+        };
+        let into_l1 = if fp { None } else { Some(l1_line) };
+        self.fill_and_account(stats, cpu, now, line, state, into_l1);
+        self.mshr_push(cpu, line, ready);
+        self.dear_check(stats, hpm, cpu, now, pc, addr, ready - now);
+        AccessOutcome {
+            complete_at: ready,
+            stall_until,
+        }
+    }
+
+    /// A store. Ends here when the directory says the CPU holds the line
+    /// Modified: a store-buffer slot, the drain behind the write port and
+    /// any fill of the line in flight, and one cycle to drain. Every other
+    /// store is [`Self::store_full`]'s.
+    #[inline(always)]
+    pub(crate) fn store(
+        &mut self,
+        stats: &mut [CpuStats],
+        cpu: usize,
+        now: u64,
+        addr: u64,
+    ) -> AccessOutcome {
+        let line = self.line_of(addr);
+        if self.code(line, cpu) == M {
+            let (drain_start, stall_until) = self.store_slot(cpu, now, line);
+            return self.store_drained(cpu, drain_start + 1, stall_until);
+        }
+        self.store_full(stats, cpu, now, addr)
+    }
+
+    /// Every store, whatever state its line is in: the retained reference
+    /// [`Self::store`]'s head is tested against.
+    #[inline(never)]
+    fn store_full(
+        &mut self,
+        stats: &mut [CpuStats],
+        cpu: usize,
+        now: u64,
+        addr: u64,
+    ) -> AccessOutcome {
+        let line = self.line_of(addr);
+        let (drain_start, stall_until) = self.store_slot(cpu, now, line);
+        let drain_done = match self.code(line, cpu) {
+            M => drain_start + 1,
+            E => {
+                self.set_code(line, cpu, M);
+                drain_start + 1
+            }
+            S => {
+                // The expensive path aggressive cross-partition
+                // prefetching creates: an invalidation round trip
+                // serializing through the store buffer.
+                let txn = self.transaction(stats, cpu, drain_start, TxnType::Upgrade, addr);
+                self.set_code(line, cpu, M);
+                drain_start + txn.latency
+            }
+            _ => {
                 stats[cpu].add(Event::L2Miss, 1);
                 stats[cpu].add(Event::L3Miss, 1);
-                let (issue_at, stall_until) = self.mshr_acquire_blocking(cpu, now);
-                let ttype = if bias { TxnType::RdX } else { TxnType::Rd };
-                let txn = self.transaction(stats, cpu, issue_at, ttype, addr);
-                let ready = issue_at + txn.latency;
-                let state = if bias {
-                    Mesi::Exclusive
-                } else {
-                    txn.grant_state
-                };
-                let into_l1 = if fp { None } else { Some(l1_line) };
-                self.fill_and_account(stats, cpu, now, line, state, into_l1);
-                self.mshr_push(cpu, line, ready);
-                self.dear_check(stats, hpm, cpu, now, pc, addr, ready - now);
-                AccessOutcome {
-                    complete_at: ready,
-                    stall_until,
-                }
+                let txn = self.transaction(stats, cpu, drain_start, TxnType::RdX, addr);
+                self.fill_and_account(stats, cpu, now, line, Mesi::Modified, None);
+                drain_start + txn.latency
             }
+        };
+        self.store_drained(cpu, drain_done, stall_until)
+    }
 
-            AccessKind::Store => {
-                let (issue_at, stall_until) = self.stbuf_acquire(cpu, now);
-                // Stores drain in order through one L2 write port; a store
-                // also waits for an in-flight fill of its own line.
-                let mut drain_start = issue_at.max(self.store_drain_tail[cpu]);
-                if let Some(ready) = self.mshr_inflight(cpu, line, drain_start) {
-                    drain_start = ready;
-                }
-                let drain_done = match self.code(line, cpu) {
-                    M => drain_start + 1,
-                    E => {
-                        self.set_code(line, cpu, M);
-                        drain_start + 1
-                    }
-                    S => {
-                        // The expensive path aggressive cross-partition
-                        // prefetching creates: an invalidation round trip
-                        // serializing through the store buffer.
-                        let txn = self.transaction(stats, cpu, drain_start, TxnType::Upgrade, addr);
-                        self.set_code(line, cpu, M);
-                        drain_start + txn.latency
-                    }
-                    _ => {
-                        stats[cpu].add(Event::L2Miss, 1);
-                        stats[cpu].add(Event::L3Miss, 1);
-                        let txn = self.transaction(stats, cpu, drain_start, TxnType::RdX, addr);
-                        self.fill_and_account(stats, cpu, now, line, Mesi::Modified, None);
-                        drain_start + txn.latency
-                    }
-                };
-                self.store_drain_tail[cpu] = drain_done;
-                self.store_bufs[cpu].push(drain_done);
-                AccessOutcome {
-                    complete_at: drain_done,
-                    stall_until,
-                }
-            }
+    /// A store's buffer slot and the cycle its drain starts:
+    /// `(drain_start, stall_until)`. Stores drain in order through one L2
+    /// write port, and a store also waits for an in-flight fill of its own
+    /// line.
+    #[inline(always)]
+    fn store_slot(&mut self, cpu: usize, now: u64, line: u64) -> (u64, u64) {
+        let (issue_at, stall_until) = self.stbuf_acquire(cpu, now);
+        let drain_start = issue_at.max(self.store_drain_tail[cpu]);
+        let drain_start = self
+            .mshr_inflight(cpu, line, drain_start)
+            .unwrap_or(drain_start);
+        (drain_start, stall_until)
+    }
+
+    /// Retire a store that drains at `drain_done`.
+    #[inline(always)]
+    fn store_drained(&mut self, cpu: usize, drain_done: u64, stall_until: u64) -> AccessOutcome {
+        self.store_drain_tail[cpu] = drain_done;
+        self.store_bufs[cpu].push(drain_done);
+        AccessOutcome {
+            complete_at: drain_done,
+            stall_until,
         }
     }
 
@@ -662,6 +766,7 @@ impl MemSystem {
         }
     }
 
+    #[inline(always)]
     fn mshr_inflight(&self, cpu: usize, line: u64, now: u64) -> Option<u64> {
         self.mshrs[cpu]
             .iter()
@@ -701,6 +806,7 @@ impl MemSystem {
 
     /// Acquire a store-buffer slot: `(issue_at, stall_until)`; a full buffer
     /// stalls the core until the earliest pending store drains.
+    #[inline(always)]
     fn stbuf_acquire(&mut self, cpu: usize, now: u64) -> (u64, u64) {
         self.store_bufs[cpu].retain(|&done| done > now);
         if self.store_bufs[cpu].len() < self.cfg.store_buffer_entries {
@@ -758,13 +864,45 @@ mod tests {
         assert_eq!(st[0].get(Event::L3Miss), 1, "same line, no second miss");
     }
 
+    /// The line is in L2 from the moment its fill is issued, but an FP load
+    /// to it waits for the fill and latches the DEAR: the head leaves a
+    /// line in flight to the full arm.
     #[test]
     fn load_to_inflight_line_waits_for_fill() {
         let cfg = MachineConfig::smp4();
         let (mut ms, mut st, mut hp) = setup(&cfg);
-        let first = ms.access(&mut st, &mut hp, 0, 0, 1, LOAD_FP, 0x1000);
-        let out = ms.access(&mut st, &mut hp, 0, 5, 2, LOAD_FP, 0x1010);
+        let first = ms.load(&mut st, &mut hp, 0, 0, 1, true, false, 0x1000);
+        let out = ms.load(&mut st, &mut hp, 0, 5, 2, true, false, 0x1010);
         assert_eq!(out.complete_at, first.complete_at);
+        assert_eq!(st[0].get(Event::DearEvents), 2);
+        let dear = hp[0].dear().unwrap();
+        assert_eq!((dear.pc, dear.addr), (2, 0x1010));
+        assert_eq!(dear.latency, first.complete_at - 5);
+    }
+
+    /// An FP load whose line left L2 but not L3 counts one `L2_MISS`, pays
+    /// the L3 latency and refills L2, so the next one is an L2 hit.
+    #[test]
+    fn fp_load_that_hits_l3_counts_one_l2_miss_and_refills_l2() {
+        let cfg = MachineConfig::smp4();
+        let (mut ms, mut st, mut hp) = setup(&cfg);
+        // Line 0 and the L2-ways lines after it, one L2 stride apart, share
+        // an L2 set, so line 0 leaves L2; every fourth of them shares its L3
+        // set too, three lines in twelve ways, so it stays in L3.
+        let l2_stride = (cfg.l2.sets() * cfg.l2.line) as u64;
+        let lines = cfg.l2.ways as u64 + 1;
+        for k in 0..lines {
+            ms.load(&mut st, &mut hp, 0, k * 1000, 1, true, false, k * l2_stride);
+        }
+        assert_eq!(st[0].get(Event::L2Miss), lines);
+        let now = 100_000;
+        let out = ms.load(&mut st, &mut hp, 0, now, 1, true, false, 0);
+        assert_eq!(out.complete_at, now + cfg.l3.hit_latency);
+        assert_eq!(st[0].get(Event::L2Miss), lines + 1);
+        assert_eq!(st[0].get(Event::L3Miss), lines);
+        let out = ms.load(&mut st, &mut hp, 0, now + 10, 1, true, false, 0);
+        assert_eq!(out.complete_at, now + 10 + cfg.l2.hit_latency);
+        assert_eq!(st[0].get(Event::L2Miss), lines + 1);
     }
 
     #[test]
@@ -804,7 +942,7 @@ mod tests {
         ms.access(&mut st, &mut hp, 0, 0, 1, LOAD_FP, 0x1000);
         ms.access(&mut st, &mut hp, 1, 500, 1, LOAD_FP, 0x1000);
         // Both Shared now; CPU1 stores.
-        let out = ms.access(&mut st, &mut hp, 1, 1000, 1, AccessKind::Store, 0x1000);
+        let out = ms.store(&mut st, 1, 1000, 0x1000);
         assert_eq!(st[1].get(Event::BusUpgrade), 1);
         assert!(out.complete_at - 1000 >= cfg.upgrade_latency);
         assert_eq!(ms.peek_state(0, 0x1000), None, "other copy invalidated");
@@ -817,7 +955,7 @@ mod tests {
         let (mut ms, mut st, mut hp) = setup(&cfg);
         ms.access(&mut st, &mut hp, 0, 0, 1, LOAD_FP, 0x1000);
         let bus_before = st[0].get(Event::BusMemory);
-        let out = ms.access(&mut st, &mut hp, 0, 500, 1, AccessKind::Store, 0x1000);
+        let out = ms.store(&mut st, 0, 500, 0x1000);
         assert_eq!(out.complete_at, 501);
         assert_eq!(
             st[0].get(Event::BusMemory),
@@ -1280,34 +1418,40 @@ mod tests {
         }
     }
 
+    /// The pool of [`RawAccess`] lines: 32 lines in two sets of every level,
+    /// 16 to a set, so CPUs collide constantly and L3 evicts.
+    fn pool(cfg: &MachineConfig) -> Vec<u64> {
+        (0..32)
+            .map(|k| k % 2 + k / 2 * cfg.l3.sets() as u64)
+            .collect()
+    }
+
+    /// `accesses` as `(cpu, cycle, kind, address)` on `cfg`.
+    fn decode(cfg: &MachineConfig, accesses: &[RawAccess]) -> Vec<(usize, u64, AccessKind, u64)> {
+        let (line_bytes, pool) = (cfg.coherence_line() as u64, pool(cfg));
+        let mut now = 0;
+        accesses
+            .iter()
+            .map(|&(cpu_sel, dt, kind_sel, line_sel, offset)| {
+                now += dt;
+                let addr = pool[line_sel as usize % 32] * line_bytes + offset % line_bytes / 8 * 8;
+                (cpu_sel % cfg.num_cpus, now, raw_kind(kind_sel), addr)
+            })
+            .collect()
+    }
+
     /// Drive `accesses` through one memory system and check the directory
     /// after every access: a CPU's bits are non-zero exactly when its L3
     /// holds the line, and a line held Modified or Exclusive has one holder.
-    /// The pool's 32 lines fall in two sets of every level, 16 to a set, so
-    /// CPUs collide constantly and L3 evicts.
     fn check_directory(cfg: MachineConfig, accesses: &[RawAccess]) {
         let (mut ms, mut st, mut hp) = setup(&cfg);
-        let n = cfg.num_cpus;
         let line_bytes = cfg.coherence_line() as u64;
-        let pool: Vec<u64> = (0..32)
-            .map(|k| k % 2 + k / 2 * cfg.l3.sets() as u64)
-            .collect();
-        let mut now = 0;
-        for (i, &(cpu_sel, dt, kind_sel, line_sel, offset)) in accesses.iter().enumerate() {
-            now += dt;
-            let addr = pool[line_sel as usize % 32] * line_bytes + offset % line_bytes / 8 * 8;
-            ms.access(
-                &mut st,
-                &mut hp,
-                cpu_sel % n,
-                now,
-                1,
-                raw_kind(kind_sel),
-                addr,
-            );
+        let pool = pool(&cfg);
+        for (i, (cpu, now, kind, addr)) in decode(&cfg, accesses).into_iter().enumerate() {
+            ms.access(&mut st, &mut hp, cpu, now, 1, kind, addr);
             for &line in &pool {
                 let mut owners = 0;
-                for cpu in 0..n {
+                for cpu in 0..cfg.num_cpus {
                     let state = ms.peek_state(cpu, line * line_bytes);
                     assert_eq!(
                         state.is_some(),
@@ -1321,6 +1465,60 @@ mod tests {
                     owners == 0 || owners == 1 && holders(word).count() == 1,
                     "access #{i}: line {line}: directory word {word:#b}"
                 );
+            }
+        }
+    }
+
+    /// Drive `accesses` through two memory systems, loads and stores through
+    /// [`MemSystem::load`] and [`MemSystem::store`] on one and straight
+    /// into the full arms on the other, and require after every access the
+    /// same outcome, counters, directory words, MSHRs, store buffers and
+    /// drain tails, pending snoop stalls, DEAR latches, and cache ways (line
+    /// and tick) and tick counters. The pool's first two lines map to every
+    /// set of every level the pool touches.
+    fn check_heads(cfg: MachineConfig, accesses: &[RawAccess]) {
+        let (mut head, mut st_h, mut hp_h) = setup(&cfg);
+        let (mut full, mut st_f, mut hp_f) = setup(&cfg);
+        let pool = pool(&cfg);
+        for (i, (cpu, now, kind, addr)) in decode(&cfg, accesses).into_iter().enumerate() {
+            let pc = i as u32;
+            let (h, f) = match kind {
+                AccessKind::Load { fp, bias } => (
+                    head.load(&mut st_h, &mut hp_h, cpu, now, pc, fp, bias, addr),
+                    full.load_full(&mut st_f, &mut hp_f, cpu, now, pc, fp, bias, addr),
+                ),
+                AccessKind::Store => (
+                    head.store(&mut st_h, cpu, now, addr),
+                    full.store_full(&mut st_f, cpu, now, addr),
+                ),
+                AccessKind::Prefetch { .. } => (
+                    head.access(&mut st_h, &mut hp_h, cpu, now, pc, kind, addr),
+                    full.access(&mut st_f, &mut hp_f, cpu, now, pc, kind, addr),
+                ),
+            };
+            let at = format!("access #{i}: cpu {cpu} {kind:?} {addr:#x}");
+            assert_eq!(h, f, "{at}");
+            assert_eq!(st_h, st_f, "{at}");
+            let dears = |hp: &[Hpm]| hp.iter().map(Hpm::dear).collect::<Vec<_>>();
+            assert_eq!(dears(&hp_h), dears(&hp_f), "{at}");
+            for &line in &pool {
+                assert_eq!(
+                    head.dir[line as usize], full.dir[line as usize],
+                    "{at}: line {line}"
+                );
+            }
+            assert_eq!(head.mshrs, full.mshrs, "{at}");
+            assert_eq!(head.store_bufs, full.store_bufs, "{at}");
+            assert_eq!(head.store_drain_tail, full.store_drain_tail, "{at}");
+            assert_eq!(head.snoop_stall, full.snoop_stall, "{at}");
+            for (c, (a, b)) in head.hierarchies.iter().zip(&full.hierarchies).enumerate() {
+                for &line in &pool[..2] {
+                    assert_eq!(
+                        a.sets_of(line),
+                        b.sets_of(line),
+                        "{at}: cpu {c} line {line}"
+                    );
+                }
             }
         }
     }
@@ -1349,6 +1547,29 @@ mod tests {
             ),
         ) {
             check_directory(MachineConfig::altix8(), &accesses);
+        }
+
+        /// The load and store heads leave what the full arms leave, on the
+        /// SMP.
+        #[test]
+        fn heads_match_the_full_arms_smp(
+            accesses in proptest::collection::vec(
+                (0usize..4, 0u64..400, 0u8..6, 0u64..32, 0u64..128),
+                1..120,
+            ),
+        ) {
+            check_heads(MachineConfig::smp4(), &accesses);
+        }
+
+        /// The same on the cc-NUMA machine.
+        #[test]
+        fn heads_match_the_full_arms_altix(
+            accesses in proptest::collection::vec(
+                (0usize..8, 0u64..400, 0u8..6, 0u64..32, 0u64..128),
+                1..120,
+            ),
+        ) {
+            check_heads(MachineConfig::altix8(), &accesses);
         }
     }
 
