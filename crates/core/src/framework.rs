@@ -37,9 +37,8 @@
 //! profilers in CPU order, folds what they return and calls the optimizer,
 //! on the simulator's thread. What the paper's threads cost the program is
 //! still modelled: helper-thread overhead is charged to the simulated
-//! machine per processed sample — and, when telemetry is enabled, per
-//! drained telemetry record — so reported speedups are net of monitoring
-//! cost.
+//! machine per processed sample, so reported speedups are net of
+//! monitoring cost.
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -58,10 +57,9 @@ use crate::profile::{CounterWindow, LatencyBands, ProfileDelta, SystemProfile, T
 use crate::report::{AppliedPlan, CobraReport, RevertedPlan};
 use crate::telemetry::{CpuCounterSnapshot, RunTotals, Telemetry, TelemetryEvent, TelemetrySink};
 
-/// Helper-thread cycles charged to the machine per processed sample, and per
-/// drained telemetry record when telemetry is enabled: the paper keeps
-/// overhead low with "relatively less frequent sampling", and this is the
-/// per-sample cost of a helper thread on a spare context.
+/// Helper-thread cycles charged to the machine per processed sample: the
+/// paper keeps overhead low with "relatively less frequent sampling", and
+/// this is the per-sample cost of a helper thread on a spare context.
 pub const OVERHEAD_PER_SAMPLE: u64 = 8;
 
 /// Fluent configuration for [`Cobra`]; created by [`Cobra::builder`],
@@ -741,12 +739,6 @@ impl QuantumHook for Cobra {
                 cpus: CpuCounterSnapshot::all(machine),
             });
         }
-        // Charge the tick's records at the safe point. Every stage ran on
-        // this thread in a fixed order, so the count of records written —
-        // and the cycles charged for them — is deterministic.
-        let cost = self.telemetry.drain() * OVERHEAD_PER_SAMPLE;
-        machine.shared.cycle += cost;
-        self.totals.overhead_cycles += cost;
         self.tick += 1;
     }
 }

@@ -18,8 +18,7 @@
 //! ([`read_jsonl`]).
 //!
 //! Records carry the sequence number assigned at emission, so a run's
-//! records are totally ordered. The framework charges overhead cycles per
-//! record ([`Telemetry::drain`]), which is a fixed function of the run.
+//! records are totally ordered.
 
 use std::io::{self, BufRead, Write};
 use std::sync::{Arc, Mutex};
@@ -371,8 +370,6 @@ pub struct Telemetry {
     report: CobraReport,
     sink: Option<TelemetrySink>,
     seq: u64,
-    /// Records written since the last [`Telemetry::drain`].
-    pending: u64,
 }
 
 impl Telemetry {
@@ -383,7 +380,6 @@ impl Telemetry {
             report: CobraReport::default(),
             sink,
             seq: 0,
-            pending: 0,
         }
     }
 
@@ -403,14 +399,7 @@ impl Telemetry {
             // Vec); keep recording rather than poisoning telemetry.
             let mut log = log.lock().unwrap_or_else(|p| p.into_inner());
             log.records.push(TelemetryRecord { seq, event });
-            self.pending += 1;
         }
-    }
-
-    /// The records written since the last drain (the unit the framework
-    /// charges overhead cycles for, once per tick).
-    pub(crate) fn drain(&mut self) -> u64 {
-        std::mem::take(&mut self.pending)
     }
 
     #[cfg(test)]
@@ -497,9 +486,7 @@ mod tests {
             t.emit(verify_reject(tick));
         }
         assert_eq!(t.report().verify_rejects, 10);
-        assert_eq!(t.drain(), 10);
         t.emit(verify_reject(10));
-        assert_eq!(t.drain(), 1);
         let seqs: Vec<u64> = log
             .lock()
             .unwrap()
@@ -513,7 +500,6 @@ mod tests {
         for tick in 0..10 {
             t.emit(verify_reject(tick));
         }
-        assert_eq!(t.drain(), 0);
         assert_eq!(t.finish().verify_rejects, 10);
     }
 }

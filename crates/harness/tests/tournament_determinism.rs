@@ -18,8 +18,8 @@ use common::{repro_ok, tmp_dir};
 /// are written in grid order, so the file is the same bytes however many
 /// workers ran them. The baseline and the two fixed-strategy arms are cells
 /// of the same grid, so this also holds `parallel_map` to its one-worker
-/// output on them. A traced run is charged for its records, so its text is
-/// not the untraced text: both are compared.
+/// output on them. A record costs the guest no cycle, so the traced text is
+/// the untraced text too.
 #[test]
 #[ignore = "four fig5 grids: run in release, by target"]
 fn fig5_candidates_text_and_trace_are_the_same_for_one_worker_and_four() {
@@ -50,6 +50,7 @@ fn fig5_candidates_text_and_trace_are_the_same_for_one_worker_and_four() {
         text1 == text4,
         "traced, --workers 1:\n{text1}\n--workers 4:\n{text4}"
     );
+    assert!(one == text1, "untraced:\n{one}\ntraced:\n{text1}");
     assert!(trace1 == trace4, "the trace file depends on --workers");
     // `trace` prints one report per run: six kernels under three COBRA arms
     // (the baseline arm attaches nothing).

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The gates, one function per CI job: `.github/workflows/ci.yml` runs
 # `scripts/ci.sh <job>` and so can anyone with a checkout — nothing here
-# needs the network. Every job body is cargo invocations; the twenty
+# needs the network. Every job body is cargo invocations; the twenty-one
 # deleted-name greps, the manifest check, the three docs checks, the `pub`
 # census, the two named-test list pins, the `dispatch_class` symbol check,
 # the benchmark/run.sh loop and the mutant ledger's loop are the only shell. A test target runs once
@@ -108,6 +108,14 @@ build-test() {
   # decode.)
   if grep -rnE --exclude=golden.rs 'TICK_CAPACITY|TelemetrySink::Jsonl|telemetry_dropped|records_dropped|telemetry_records' crates/ src tests examples; then
     echo "a telemetry cap, the JSONL sink or a record count is back" >&2
+    return 1
+  fi
+  # A record costs the guest no cycle: there is no per-tick count of
+  # records written for the framework to charge, so a traced run is the
+  # untraced run (`a_traced_run_is_the_untraced_run`), and the test that
+  # bounded the charge at 5 % is gone with it.
+  if grep -rnE 'telemetry\.drain\(|telemetry_overhead_within_five_percent' crates/ src tests examples; then
+    echo "a per-record telemetry charge, or the test that bounded it, is back" >&2
     return 1
   fi
   # The fleet server is one locked state: no shards, no hash that picks
@@ -305,7 +313,7 @@ build-test() {
   has cobra-machine block_dispatch_equivalence pipelined_loops_match_reference
   has cobra-machine block_dispatch_equivalence halted_cpu_near_its_threshold_does_not_hold_the_run
   has cobra-machine stall_skip_equivalence unbounded_event_sampling_still_skips_stall_windows
-  has cobra-rt e2e_cobra telemetry_overhead_within_five_percent_on_daxpy
+  has cobra-rt e2e_cobra a_traced_run_is_the_untraced_run
   has cobra decision_pin coarse_quantum_decisions_are_those_of_the_recorded_commit
   has cobra decision_pin tournament_decisions_are_those_of_the_recorded_commit
   has cobra-fleet ingest a_served_seed_is_the_frame_a_fresh_build_writes

@@ -50,13 +50,11 @@ pub fn assert_log_replays_to(records: &[TelemetryRecord], report: &CobraReport) 
     // Every sample a tick drains is reduced in that tick: nothing is held
     // back and nothing is dropped between the kernel buffer and the profile.
     assert_eq!(report.samples_merged, report.samples_forwarded);
-    // A tick charges for its samples and for the records it wrote;
-    // `Quantum` is the last record of a tick.
-    let is_quantum = |r: &TelemetryRecord| r.event.category() == "quantum";
-    let charged = records.iter().rposition(is_quantum).map_or(0, |at| at + 1) as u64;
+    // A tick charges for the samples it forwarded and for nothing else:
+    // the records themselves cost the guest no cycle.
     assert_eq!(
         report.overhead_cycles,
-        (forwarded + charged) * OVERHEAD_PER_SAMPLE,
+        forwarded * OVERHEAD_PER_SAMPLE,
         "`overhead_cycles`"
     );
     assert_eq!(report.applied.len(), count("deploy"), "`applied`");

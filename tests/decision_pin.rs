@@ -29,7 +29,7 @@ const KERNEL: npb::Benchmark = npb::Benchmark::Mg;
 const FIXED_NOPREFETCH_20K: u64 = 0xf36b_3380_100f_7344;
 const ADAPTIVE_20K: u64 = 0xe534_9ff6_a54d_78ba;
 const CANDIDATES_COLD_500: u64 = 0xd9c8_652d_08e4_f450;
-const CANDIDATES_WARM_500_TRACED: u64 = 0xc3c5_56e1_26c8_0d82;
+const CANDIDATES_WARM_500_TRACED: u64 = 0xc02f_e63d_aa5b_f384;
 
 /// Every arm runs on each, in this order.
 const ENGINES: [HostAccel; 2] = [HostAccel::Fast, HostAccel::Reference];
