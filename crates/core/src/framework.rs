@@ -47,6 +47,7 @@ use cobra_fleet::FleetClient;
 use cobra_isa::CodeAddr;
 use cobra_machine::Machine;
 use cobra_omp::{QuantumHook, Team};
+use cobra_osr::OsrMap;
 use cobra_perfmon::{PerfmonConfig, PerfmonDriver};
 use cobra_store::{Snapshot, Store, StoreKey};
 
@@ -274,15 +275,14 @@ struct FleetCtx {
 
 /// One in-flight version transfer tracked to convergence: armed at a trace
 /// deployment (forward) or a revert (reverse), retired at the first quantum
-/// boundary where no running thread's PC is still inside `[lo, hi]` — the
-/// body being migrated *away from*. The watch is kept even when OSR is off
-/// (`.osr(false)`), so `ticks_to_all_optimized` measures the entry-only
-/// convergence time the redirects are being compared against.
+/// boundary where no running thread's PC is still inside the map's source
+/// range — the body being migrated *away from*. The watch is kept even
+/// when OSR is off (`.osr(false)`), so `ticks_to_all_optimized` measures
+/// the entry-only convergence time the redirects are being compared
+/// against.
 struct OsrWatch {
-    plan_id: u64,
-    /// Source body (inclusive) threads must vacate.
-    lo: CodeAddr,
-    hi: CodeAddr,
+    /// The transfer's map: its source range is the body threads must vacate.
+    map: OsrMap,
     /// Tick the transfer started.
     armed_tick: u64,
     /// True for revert drains (trace clone → original body).
@@ -333,7 +333,7 @@ pub struct Cobra {
     osr_watches: Vec<OsrWatch>,
     /// Verified forward state mapping per live trace deployment, kept so a
     /// revert can arm the reverse map.
-    osr_maps: Vec<(u64, cobra_osr::OsrMap)>,
+    osr_maps: Vec<OsrMap>,
 }
 
 impl Cobra {
@@ -358,7 +358,7 @@ impl Cobra {
                 let mut osr_map = None;
                 if let Some(t) = &plan.trace {
                     if plan.back_edge >= plan.loop_head {
-                        let map = cobra_osr::OsrMap::for_trace(
+                        let map = OsrMap::for_trace(
                             plan.id,
                             plan.loop_head,
                             plan.back_edge,
@@ -398,7 +398,7 @@ impl Cobra {
                 // Patch word by word, remembering the overwritten words so
                 // a mid-plan failure can roll back what already landed — a
                 // half-applied plan must never stay live.
-                let mut applied: Vec<(cobra_isa::CodeAddr, u64)> = Vec::new();
+                let mut applied: Vec<(CodeAddr, u64)> = Vec::new();
                 for &(addr, word) in &plan.writes {
                     match machine.patch_word(addr, word) {
                         Ok(old) => applied.push((addr, old)),
@@ -442,18 +442,15 @@ impl Cobra {
                 // drain, and (when OSR is on) arm the verified redirects so
                 // in-flight threads migrate at their next back edge.
                 if let Some(map) = osr_map {
-                    let (lo, hi) = map.source_range();
                     if self.osr {
-                        machine.arm_redirect(plan.id, &map.redirect_pairs());
+                        machine.arm_redirect(plan.id, map.source_range(), map.version_start);
                     }
                     self.osr_watches.push(OsrWatch {
-                        plan_id: plan.id,
-                        lo,
-                        hi,
+                        map,
                         armed_tick: self.tick,
                         reverse: false,
                     });
-                    self.osr_maps.push((plan.id, map));
+                    self.osr_maps.push(map);
                 }
             }
             PlanAction::Revert {
@@ -497,9 +494,13 @@ impl Cobra {
                 // Swap the plan's forward map for its reverse: redirect the
                 // clone's back edge to the original body and watch the
                 // clone drain.
-                if let Some(pos) = self.osr_maps.iter().position(|(id, _)| *id == plan_id) {
-                    let (_, map) = self.osr_maps.remove(pos);
-                    if let Some(pos) = self.osr_watches.iter().position(|w| w.plan_id == plan_id) {
+                if let Some(pos) = self.osr_maps.iter().position(|m| m.plan_id == plan_id) {
+                    let map = self.osr_maps.remove(pos);
+                    if let Some(pos) = self
+                        .osr_watches
+                        .iter()
+                        .position(|w| w.map.plan_id == plan_id)
+                    {
                         // The forward drain never finished; close it now —
                         // its elapsed ticks were spent un-migrated, and the
                         // version it migrated into is gone.
@@ -507,14 +508,11 @@ impl Cobra {
                         self.finish_osr_watch(machine, w);
                     }
                     let rev = map.reversed();
-                    let (lo, hi) = rev.source_range();
                     if self.osr {
-                        machine.arm_redirect(plan_id, &rev.redirect_pairs());
+                        machine.arm_redirect(plan_id, rev.source_range(), rev.version_start);
                     }
                     self.osr_watches.push(OsrWatch {
-                        plan_id,
-                        lo,
-                        hi,
+                        map: rev,
                         armed_tick: self.tick,
                         reverse: true,
                     });
@@ -527,13 +525,14 @@ impl Cobra {
     /// migrations it served and its drain time (the report credits both,
     /// the latter to the time-to-optimized total).
     fn finish_osr_watch(&mut self, machine: &mut Machine, w: OsrWatch) {
-        let migrations = machine.disarm_redirect(w.plan_id);
+        let plan_id = w.map.plan_id;
+        let migrations = machine.disarm_redirect(plan_id);
         let elapsed = self.tick.saturating_sub(w.armed_tick);
         if w.reverse {
             self.telemetry.emit(TelemetryEvent::OsrRevert {
                 tick: self.tick,
                 cycle: machine.shared.cycle,
-                plan_id: w.plan_id,
+                plan_id,
                 migrations,
                 ticks_since_revert: elapsed,
             });
@@ -541,7 +540,7 @@ impl Cobra {
             self.telemetry.emit(TelemetryEvent::OsrMigrate {
                 tick: self.tick,
                 cycle: machine.shared.cycle,
-                plan_id: w.plan_id,
+                plan_id,
                 migrations,
                 ticks_since_deploy: elapsed,
             });
@@ -552,8 +551,8 @@ impl Cobra {
     fn check_osr_watches(&mut self, machine: &mut Machine) {
         let mut i = 0;
         while i < self.osr_watches.len() {
-            let w = &self.osr_watches[i];
-            if machine.any_pc_in(w.lo, w.hi) {
+            let (lo, hi) = self.osr_watches[i].map.source_range();
+            if machine.any_pc_in(lo, hi) {
                 i += 1;
                 continue;
             }

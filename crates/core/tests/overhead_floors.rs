@@ -215,24 +215,24 @@ fn osr_under_5_percent_of_a_deployment_tick() {
             let map = OsrMap::for_trace(p.id, p.loop_head, p.back_edge, t.expected_start);
             check_osr_map(black_box(&tick.image), black_box(&map), p.kind, &t.insns)
                 .expect("captured plan's map verifies");
-            arm_machine.arm_redirect(p.id, &map.redirect_pairs());
+            arm_machine.arm_redirect(p.id, map.source_range(), map.version_start);
             black_box(arm_machine.disarm_redirect(p.id));
         }
     });
 
     // Data plane: per-branch lookup cost while armed, as the delta between
     // an armed and an unarmed solo quantum on the same block-dispatch
-    // engine (the armed edge points outside the loop, so control flow — and
+    // engine (the armed window lies outside the loop, so control flow — and
     // thus the work simulated — is identical).
     let mut solo = arith_machine(1);
     let solo_ns = min_ns(5, || {
         black_box(solo.run(QUANTUM));
     });
-    solo.arm_redirect(u64::MAX, &[(0x00f0_0000, 0x00f0_0010)]);
+    solo.arm_redirect(u64::MAX, (0x00f0_0000, 0x00f0_0000), 0x00f0_0010);
     let armed_ns = min_ns(5, || {
         black_box(solo.run(QUANTUM));
     });
-    assert_eq!(solo.disarm_redirect(u64::MAX), 0, "sentinel edge never hit");
+    assert_eq!(solo.disarm_redirect(u64::MAX), 0, "sentinel never hit");
     let lookup_delta_ns = armed_ns.saturating_sub(solo_ns);
 
     tick.assert_under_5_percent(

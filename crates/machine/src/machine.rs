@@ -532,17 +532,17 @@ impl Machine {
         self.shared.blocks.stats()
     }
 
-    /// Arm on-stack-replacement edges for `plan_id`: taken branches to each
-    /// `from` commit to the paired `to` instead, migrating threads between
-    /// loop versions at their next back edge. Callers must only arm
-    /// mappings proven by `cobra-verify::check_osr_map`. Re-arming a plan
-    /// replaces its edges (forward → reverse on revert) and keeps its hit
-    /// count.
-    pub fn arm_redirect(&mut self, plan_id: u64, pairs: &[(CodeAddr, CodeAddr)]) {
-        self.shared.redirects.arm(plan_id, pairs);
+    /// Arm `plan_id`'s on-stack-replacement window: a taken branch to an
+    /// address of `from` (inclusive) commits to the same offset from `to`
+    /// instead, migrating threads between loop versions at their next back
+    /// edge. Callers must only arm mappings proven by
+    /// `cobra-verify::check_osr_map`. Re-arming a plan replaces its window
+    /// (forward → reverse on revert) and keeps its hit count.
+    pub fn arm_redirect(&mut self, plan_id: u64, from: (CodeAddr, CodeAddr), to: CodeAddr) {
+        self.shared.redirects.arm(plan_id, from, to);
     }
 
-    /// Disarm `plan_id`'s redirect edges, returning the migrations served.
+    /// Disarm `plan_id`'s redirect window, returning the migrations served.
     pub fn disarm_redirect(&mut self, plan_id: u64) -> u64 {
         self.shared.redirects.disarm(plan_id)
     }

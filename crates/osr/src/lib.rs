@@ -9,10 +9,12 @@
 //! naturally, which on long loops means whole quanta of the wrong version.
 //!
 //! An [`OsrMap`] is the compensation recipe of *On-Stack Replacement à la
-//! Carte* (D'Elia & Demetrescu) specialized to COBRA's rewrites: a total PC
+//! Carte* (D'Elia & Demetrescu) specialized to COBRA's rewrites: a PC
 //! correspondence between the original body `[loop_head, back_edge]` and the
 //! deployed version, plus the register-state obligations under which a
-//! thread may jump between versions at any mapped point. Because the only
+//! thread may jump between versions at any mapped point. A clone copies the
+//! body slot for slot, so the correspondence is one fixed offset and the map
+//! is three addresses — total by construction. Because the only
 //! allowed rewrites are `lfetch` removal and `.excl` hint flips, the state
 //! mapping is the identity on every piece of architected state except the
 //! base registers of *removed* post-incrementing prefetches — those diverge
@@ -23,31 +25,23 @@
 //! ever armed on the machine.
 //!
 //! This crate is deliberately `cobra-isa`-only: it owns the mapping calculus
-//! (layout math, reversal, redirect pairs) and stays independent of both the
+//! (layout math, reversal, obligations) and stays independent of both the
 //! optimizer that emits versions and the machine that applies migrations.
 
 use cobra_isa::insn::{Insn, Op};
 use cobra_isa::CodeAddr;
 
-/// One PC correspondence: a thread whose next branch targets `from` may be
-/// resumed at `to` instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OsrEntry {
-    pub from: CodeAddr,
-    pub to: CodeAddr,
-}
-
 /// A verified-before-armed state mapping between an original loop body and
 /// a deployed version of it.
 ///
-/// The map is **total** over the source body: every address in
-/// `[loop_head, back_edge]` has exactly one entry, mapping it to the
-/// corresponding instruction of the version at `version_start` (the
-/// bundle-aligned trace-cache landing point of the clone, or the original
-/// head for a reversed map). Totality is what makes arming safe at *any*
-/// taken branch: wherever inside the body a thread's control transfer
-/// lands, the map has a defined destination for it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The map is its layout: address `a` of the source body
+/// `[loop_head, back_edge]` corresponds to `version_start + (a - loop_head)`
+/// in the version (the bundle-aligned trace-cache landing point of the
+/// clone, or the original head for a reversed map). It is therefore
+/// **total** by construction — wherever inside the body a thread's taken
+/// branch lands, the map has a destination for it, which is what makes
+/// arming safe at *any* taken branch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OsrMap {
     /// Deployment plan this map migrates threads toward (or away from,
     /// after [`OsrMap::reversed`]).
@@ -58,9 +52,6 @@ pub struct OsrMap {
     pub back_edge: CodeAddr,
     /// First instruction of the *destination* version.
     pub version_start: CodeAddr,
-    /// The correspondence, sorted by `from`, head first (the hot entry:
-    /// every back edge targets the head).
-    pub entries: Vec<OsrEntry>,
 }
 
 impl OsrMap {
@@ -74,18 +65,11 @@ impl OsrMap {
         version_start: CodeAddr,
     ) -> OsrMap {
         debug_assert!(back_edge >= loop_head);
-        let entries = (loop_head..=back_edge)
-            .map(|a| OsrEntry {
-                from: a,
-                to: version_start + (a - loop_head),
-            })
-            .collect();
         OsrMap {
             plan_id,
             loop_head,
             back_edge,
             version_start,
-            entries,
         }
     }
 
@@ -96,36 +80,19 @@ impl OsrMap {
 
     /// The reverse migration: threads running the deployed version map back
     /// onto the original body (used when a deployment is reverted). Source
-    /// and destination roles swap wholesale, so the reversed map is itself
-    /// total over the version's body and [`OsrMap::reversed`] is an
-    /// involution.
+    /// and destination swap, so [`OsrMap::reversed`] is an involution.
     pub fn reversed(&self) -> OsrMap {
-        let body = self.body_len() as CodeAddr;
         OsrMap {
             plan_id: self.plan_id,
             loop_head: self.version_start,
-            back_edge: self.version_start + body - 1,
+            back_edge: self.version_start + (self.back_edge - self.loop_head),
             version_start: self.loop_head,
-            entries: self
-                .entries
-                .iter()
-                .map(|e| OsrEntry {
-                    from: e.to,
-                    to: e.from,
-                })
-                .collect(),
         }
     }
 
     /// Inclusive source range this map migrates threads out of.
     pub fn source_range(&self) -> (CodeAddr, CodeAddr) {
         (self.loop_head, self.back_edge)
-    }
-
-    /// The `(from, to)` pairs a machine redirect table should arm: every
-    /// entry, hottest (head) first.
-    pub fn redirect_pairs(&self) -> Vec<(CodeAddr, CodeAddr)> {
-        self.entries.iter().map(|e| (e.from, e.to)).collect()
     }
 }
 
@@ -203,16 +170,11 @@ mod tests {
     }
 
     #[test]
-    fn for_trace_is_total_with_fixed_offset() {
+    fn for_trace_is_the_layout() {
         let m = OsrMap::for_trace(7, 40, 43, 96);
         assert_eq!(m.body_len(), 4);
-        assert_eq!(m.entries.len(), 4);
-        for (i, e) in m.entries.iter().enumerate() {
-            assert_eq!(e.from, 40 + i as CodeAddr);
-            assert_eq!(e.to, 96 + i as CodeAddr);
-        }
         assert_eq!(m.source_range(), (40, 43));
-        assert_eq!(m.redirect_pairs(), [(40, 96), (41, 97), (42, 98), (43, 99)]);
+        assert_eq!(m.version_start, 96);
     }
 
     #[test]
@@ -221,7 +183,7 @@ mod tests {
         let r = m.reversed();
         assert_eq!(r.source_range(), (96, 99));
         assert_eq!(r.version_start, 40);
-        assert_eq!(r.redirect_pairs(), [(96, 40), (97, 41), (98, 42), (99, 43)]);
+        assert_eq!(r.body_len(), m.body_len());
         assert_eq!(r.reversed(), m);
     }
 

@@ -29,10 +29,12 @@
 //!   plan's writes into the existing image are the hoisted-burst rewrites
 //!   and one head redirect into the clone; the original body stays intact
 //!   so a regressed deployment can still be reverted.
-//! * **OSR maps** ([`check_osr_map`]) must be total over the loop body at
-//!   the layout offset. A map's version and a clone are held to one slot
-//!   rule and one reaching-use walk; each reports its own [`Violation`]s,
-//!   in address order, so a rejection's text depends only on the plan.
+//! * **OSR maps** ([`check_osr_map`]) are their layout — one fixed offset
+//!   from the source body to the version, total by construction — so the
+//!   gate proves the pairs that layout fixes: a map's version and a clone
+//!   are held to one slot rule and one reaching-use walk; each reports its
+//!   own [`Violation`]s, in address order, so a rejection's text depends
+//!   only on the plan.
 //! * **Whole-image invariants** ([`check_image`]): every word reachable from
 //!   the entry point or a symbol decodes, every static branch target is in
 //!   bounds, and no reachable path falls off the end of the image.
@@ -142,18 +144,9 @@ pub enum Violation {
     /// A write would clobber the original loop body, which must stay intact
     /// for revert.
     OriginalBodyClobbered { addr: CodeAddr },
-    /// An OSR map misses (or doubly covers) a source body address: the
-    /// mapping is not total, so some mid-loop thread would have no
-    /// migration destination.
-    OsrMapNotTotal { addr: CodeAddr },
-    /// An OSR entry maps a source address to the wrong version offset.
-    OsrMapWrongOffset {
-        addr: CodeAddr,
-        got: CodeAddr,
-        want: CodeAddr,
-    },
-    /// An OSR entry's source or destination lies outside the two version
-    /// bodies.
+    /// An OSR map's source body runs past the image (`addr` is its back
+    /// edge) or past the version it maps into (`addr` is where the version
+    /// ends short).
     OsrMapOutOfRange { addr: CodeAddr },
     /// A mapped instruction pair diverges beyond the allowed rewrites, so
     /// the two versions do not agree on architected state at that point.
@@ -249,16 +242,10 @@ impl std::fmt::Display for Violation {
                 f,
                 "write at {addr} clobbers the original loop body needed for revert"
             ),
-            Violation::OsrMapNotTotal { addr } => {
-                write!(f, "OSR map does not cover body address {addr} exactly once")
-            }
-            Violation::OsrMapWrongOffset { addr, got, want } => write!(
+            Violation::OsrMapOutOfRange { addr } => write!(
                 f,
-                "OSR map sends {addr} to {got}, version layout puts it at {want}"
+                "OSR map body runs past the image or the version at {addr}"
             ),
-            Violation::OsrMapOutOfRange { addr } => {
-                write!(f, "OSR entry at {addr} leaves the version bodies")
-            }
             Violation::OsrBodyMismatch { addr } => write!(
                 f,
                 "versions diverge beyond the allowed rewrites at mapped address {addr}"
@@ -491,25 +478,7 @@ fn removed_bases<'a>(
 /// Verify one deployment plan against the pre-deployment image.
 pub fn check_plan(image: &CodeImage, plan: &PlanCheck<'_>) -> Result<(), VerifyError> {
     let mut v: Vec<Violation> = Vec::new();
-
-    // Whole-plan write invariants: in the image, in the claimed loop
-    // region, and decodable.
-    for &(addr, word) in plan.writes {
-        if addr >= image.len() {
-            v.push(Violation::PatchSiteOutOfRange { addr });
-            continue;
-        }
-        if addr < plan.region_start || addr > plan.back_edge {
-            v.push(Violation::PatchSiteOutsideLoopRegion {
-                addr,
-                region_start: plan.region_start,
-                back_edge: plan.back_edge,
-            });
-        }
-        if decode(word).is_err() {
-            v.push(Violation::InvalidWrite { addr });
-        }
-    }
+    check_plan_writes(image, plan, &mut v);
 
     // Sites whose lfetch the plan removes (needed for the reaching-use
     // rule): filled in by the clone and write checks below.
@@ -533,6 +502,27 @@ pub fn check_plan(image: &CodeImage, plan: &PlanCheck<'_>) -> Result<(), VerifyE
     }
 
     VerifyError::from_violations(v)
+}
+
+/// Whole-plan write invariants: every write is in the image, in the
+/// claimed loop region, and decodable.
+fn check_plan_writes(image: &CodeImage, plan: &PlanCheck<'_>, v: &mut Vec<Violation>) {
+    for &(addr, word) in plan.writes {
+        if addr >= image.len() {
+            v.push(Violation::PatchSiteOutOfRange { addr });
+            continue;
+        }
+        if addr < plan.region_start || addr > plan.back_edge {
+            v.push(Violation::PatchSiteOutsideLoopRegion {
+                addr,
+                region_start: plan.region_start,
+                back_edge: plan.back_edge,
+            });
+        }
+        if decode(word).is_err() {
+            v.push(Violation::InvalidWrite { addr });
+        }
+    }
 }
 
 /// Compare the trace clone instruction-by-instruction with the source loop.
@@ -678,12 +668,13 @@ pub fn check_seed(image: &CodeImage, head: CodeAddr) -> Result<(), VerifyError> 
 }
 
 /// Verify an on-stack replacement map against the pre-deployment image and
-/// the version it migrates into, proving it safe to arm:
+/// the version it migrates into, proving it safe to arm. A map is its
+/// layout — source address `a` of `[loop_head, back_edge]` goes to
+/// `version_start + (a - loop_head)` — so it is total, at the right offset,
+/// by construction; what is left to prove is:
 ///
-/// * **total** — the entries cover every address of the source body
-///   `[loop_head, back_edge]` exactly once, each at the version offset the
-///   trace layout fixes (`version_start + (addr - loop_head)`), so any
-///   mid-loop control transfer has a defined destination;
+/// * **in range** — the source body lies in the image and the version is
+///   at least as long as it;
 /// * **type-correct** — every mapped pair passes the slot rule the clone
 ///   passes, so all architected state transfers verbatim;
 /// * **obligations discharged** — every scratch register the map's
@@ -716,32 +707,6 @@ pub fn check_osr_map(
             addr: map.version_start + version.len() as CodeAddr,
         });
         return VerifyError::from_violations(v);
-    }
-
-    // Totality: each source address covered exactly once, at the layout
-    // offset. Entries outside the body are their own violation.
-    let mut cover = vec![0u32; body_len];
-    for e in &map.entries {
-        if e.from < map.loop_head || e.from > map.back_edge {
-            v.push(Violation::OsrMapOutOfRange { addr: e.from });
-            continue;
-        }
-        cover[(e.from - map.loop_head) as usize] += 1;
-        let want = map.version_start + (e.from - map.loop_head);
-        if e.to != want {
-            v.push(Violation::OsrMapWrongOffset {
-                addr: e.from,
-                got: e.to,
-                want,
-            });
-        }
-    }
-    for (i, &n) in cover.iter().enumerate() {
-        if n != 1 {
-            v.push(Violation::OsrMapNotTotal {
-                addr: map.loop_head + i as CodeAddr,
-            });
-        }
     }
 
     // Type-correctness: the versions must agree modulo the allowed rewrites
@@ -1280,58 +1245,8 @@ mod tests {
     }
 
     #[test]
-    fn rejects_non_total_map() {
+    fn rejects_a_version_shorter_than_the_body() {
         let (image, head, back) = loop_image();
-        let (mut map, insns) = osr_parts(&image, head, back, RewriteKind::NoPrefetch);
-        map.entries.remove(1);
-        let err = check_osr_map(&image, &map, RewriteKind::NoPrefetch, &insns).unwrap_err();
-        assert!(
-            err.violations
-                .iter()
-                .any(|v| matches!(v, Violation::OsrMapNotTotal { .. })),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn rejects_wrong_offset_and_duplicate_entries() {
-        let (image, head, back) = loop_image();
-        let (mut map, insns) = osr_parts(&image, head, back, RewriteKind::NoPrefetch);
-        map.entries[2].to += 1;
-        let err = check_osr_map(&image, &map, RewriteKind::NoPrefetch, &insns).unwrap_err();
-        assert!(
-            err.violations
-                .iter()
-                .any(|v| matches!(v, Violation::OsrMapWrongOffset { .. })),
-            "{err}"
-        );
-
-        let (mut map, insns) = osr_parts(&image, head, back, RewriteKind::NoPrefetch);
-        let dup = map.entries[0];
-        map.entries[1] = dup; // address 0 covered twice, address 1 never
-        let err = check_osr_map(&image, &map, RewriteKind::NoPrefetch, &insns).unwrap_err();
-        assert!(
-            err.violations
-                .iter()
-                .any(|v| matches!(v, Violation::OsrMapNotTotal { .. })),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn rejects_entries_leaving_the_bodies() {
-        let (image, head, back) = loop_image();
-        let (mut map, insns) = osr_parts(&image, head, back, RewriteKind::NoPrefetch);
-        map.entries[0].from = head.wrapping_sub(1);
-        let err = check_osr_map(&image, &map, RewriteKind::NoPrefetch, &insns).unwrap_err();
-        assert!(
-            err.violations
-                .iter()
-                .any(|v| matches!(v, Violation::OsrMapOutOfRange { .. })),
-            "{err}"
-        );
-
-        // A version slice shorter than the body cannot back the map.
         let (map, insns) = osr_parts(&image, head, back, RewriteKind::NoPrefetch);
         let err = check_osr_map(&image, &map, RewriteKind::NoPrefetch, &insns[..2]).unwrap_err();
         assert!(
